@@ -1,4 +1,4 @@
-.PHONY: check build test race bench bench-json bench-smoke loadtest overload-smoke forecast-smoke shard-smoke failover-smoke partition-smoke
+.PHONY: check build test race bench bench-json bench-smoke bench-e2e loadtest overload-smoke forecast-smoke shard-smoke failover-smoke partition-smoke
 
 # Full tier-1 verification: build + vet + race-enabled tests.
 check:
@@ -26,6 +26,12 @@ bench-json:
 
 bench-smoke:
 	./scripts/bench.sh --quick
+
+# The repository benchmark (BENCHMARK.json): builds drserverd and drbench
+# from this checkout and runs all four workloads, timed then traced, with
+# the correctness gate. Exits non-zero on any correctness failure.
+bench-e2e:
+	bash bench/run.sh
 
 # Overload control plane: in-process episodes under -race, then a live 4x
 # over-capacity burst drill against a real drserverd.

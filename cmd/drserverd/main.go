@@ -45,6 +45,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -65,15 +66,19 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], nil); err != nil {
 		fmt.Fprintln(os.Stderr, "drserverd:", err)
 		os.Exit(1)
 	}
 }
 
-// dataMeta pins a data directory to the topology and admission config that
-// produced its journal. Replay is only meaningful against the identical
-// deterministic setup, so a mismatch is a hard startup error.
+// dataMeta pins a data directory to the topology, admission config and
+// shard count that produced its journals. Replay is only meaningful against
+// the identical deterministic setup (the partition is derived from topology
+// and shard count), so a mismatch is a hard startup error. Shards is 0 for
+// the single plane, which keeps its meta.json as it always was.
 type dataMeta struct {
 	Kind          string `json:"kind"`
 	Nodes         int    `json:"nodes"`
@@ -82,13 +87,27 @@ type dataMeta struct {
 	Policy        string `json:"policy"`
 	RequireBackup bool   `json:"require_backup"`
 	Multiplex     bool   `json:"multiplex"`
+	Shards        int    `json:"shards,omitempty"`
 }
 
-// checkMeta writes meta.json on first use and verifies it on every restart.
-func checkMeta(dir string, want dataMeta) error {
-	path := filepath.Join(dir, "meta.json")
+// Marker files: a directory is either a single-plane or a sharded
+// deployment, never both.
+const (
+	singleMeta  = "meta.json"
+	shardedMeta = "coordinator.json"
+)
+
+// checkMeta writes the marker file on first use and verifies it on every
+// restart. A directory already claimed by the other kind of deployment is
+// refused.
+func checkMeta(dir, file, other string, want dataMeta) error {
+	path := filepath.Join(dir, file)
 	raw, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
+		if _, oerr := os.Stat(filepath.Join(dir, other)); oerr == nil {
+			return fmt.Errorf("data dir %s already holds the other kind of deployment (%s); "+
+				"a single-plane and a sharded daemon each need their own directory", dir, other)
+		}
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return err
 		}
@@ -103,202 +122,325 @@ func checkMeta(dir string, want dataMeta) error {
 	}
 	var have dataMeta
 	if err := json.Unmarshal(raw, &have); err != nil {
-		return fmt.Errorf("data dir %s: unreadable meta.json: %w", dir, err)
+		return fmt.Errorf("data dir %s: unreadable %s: %w", dir, file, err)
 	}
 	if have != want {
 		return fmt.Errorf("data dir %s was written under config %+v, but this process started with %+v — "+
-			"journal replay is only valid against the identical topology and admission config; "+
+			"journal replay is only valid against the identical topology, admission config and shard count; "+
 			"fix the flags or point -data-dir at a fresh directory", dir, have, want)
 	}
 	return nil
 }
 
-// statesLabel renders the -forecast-states flag for the startup log line.
-func statesLabel(states int) string {
-	if states <= 1 {
-		return "default"
-	}
-	return fmt.Sprintf("%d", states)
+// config is the parsed command line.
+type config struct {
+	addr      string
+	kind      string
+	nodes     int
+	seed      uint64
+	capacity  int64
+	policy    string
+	noBackup  bool
+	noMux     bool
+	queue     int
+	drain     time.Duration
+	shards    int
+	snapEvery int
+
+	replicaOf  string
+	advertise  string
+	failoverTO time.Duration
+	lease      time.Duration
+
+	dataDir string
+	fsync   int
+	gcWait  time.Duration
+
+	epochEvery time.Duration
+	recover    server.RecoverPolicy
+	overload   overload.DetectorConfig
+	execDelay  time.Duration
+
+	readTimeout, readHdrTO, idleTimeout time.Duration
+	maxHeaderBytes                      int
+
+	rateLimit, rateBurst float64
+	maxBodyBytes         int64
+	pprof                bool
+
+	forecastInterval   time.Duration
+	forecastStates     int
+	forecastPredictive bool
+	forecastTimeout    time.Duration
 }
 
-func run() error {
-	var (
-		addr     = flag.String("addr", ":8080", "listen address")
-		kind     = flag.String("kind", "waxman", "topology: waxman or tier")
-		nodes    = flag.Int("nodes", 100, "node count (waxman)")
-		seed     = flag.Uint64("seed", 1, "topology seed")
-		capacity = flag.Int64("capacity", int64(core.PaperCapacity), "link capacity per direction (Kbps)")
-		policy   = flag.String("policy", "coefficient", "adaptation policy: coefficient or max-utility")
-		noBackup = flag.Bool("no-require-backup", false, "accept unprotectable connections")
-		noMux    = flag.Bool("no-multiplex", false, "disable backup multiplexing")
-		queue    = flag.Int("queue", 256, "actor command-queue depth")
-		drain    = flag.Duration("drain", 10*time.Second, "graceful-shutdown budget")
-		shards   = flag.Int("shards", 1, "region shards; >1 partitions the topology into per-region manager+journal shards with two-phase cross-shard establishes (1 = the classic single-plane daemon)")
+func parseFlags(args []string) (*config, error) {
+	c := &config{}
+	fs := flag.NewFlagSet("drserverd", flag.ContinueOnError)
+	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&c.kind, "kind", "waxman", "topology: waxman or tier")
+	fs.IntVar(&c.nodes, "nodes", 100, "node count (waxman)")
+	fs.Uint64Var(&c.seed, "seed", 1, "topology seed")
+	fs.Int64Var(&c.capacity, "capacity", int64(core.PaperCapacity), "link capacity per direction (Kbps)")
+	fs.StringVar(&c.policy, "policy", "coefficient", "adaptation policy: coefficient or max-utility")
+	fs.BoolVar(&c.noBackup, "no-require-backup", false, "accept unprotectable connections")
+	fs.BoolVar(&c.noMux, "no-multiplex", false, "disable backup multiplexing")
+	fs.IntVar(&c.queue, "queue", 256, "actor command-queue depth")
+	fs.DurationVar(&c.drain, "drain", 10*time.Second, "graceful-shutdown budget")
+	fs.IntVar(&c.shards, "shards", 1, "region shards; >1 partitions the topology into per-region manager+journal shards with two-phase cross-shard establishes (1 = the classic single-plane daemon)")
 
-		// Replication / high availability.
-		replicaOf  = flag.String("replica-of", "", "boot as a warm standby of this primary base URL (e.g. http://10.0.0.1:8080), continuously replaying its journal stream; requires -data-dir")
-		advertise  = flag.String("advertise", "", "this node's externally reachable base URL, used by a follower to redirect mutations (defaults to the -replica-of protocol idiom; informational for a primary)")
-		failoverTO = flag.Duration("failover-timeout", 750*time.Millisecond, "a standby promotes itself after this long without a successful fetch from the primary (0 = manual promotion via POST /v1/admin/promote only)")
-		leaseFlag  = flag.Duration("lease", -1, "lease-based primary fencing: a primary that goes this long without a standby poll stops acknowledging mutations (503) until polling resumes; must be shorter than -failover-timeout (-1 = failover-timeout/2, 0 = disabled)")
+	// Replication / high availability.
+	fs.StringVar(&c.replicaOf, "replica-of", "", "boot as a warm standby of this primary base URL (e.g. http://10.0.0.1:8080), continuously replaying its journal stream; requires -data-dir")
+	fs.StringVar(&c.advertise, "advertise", "", "this node's externally reachable base URL, used by a follower to redirect mutations (defaults to the -replica-of protocol idiom; informational for a primary)")
+	fs.DurationVar(&c.failoverTO, "failover-timeout", 750*time.Millisecond, "a standby promotes itself after this long without a successful fetch from the primary (0 = manual promotion via POST /v1/admin/promote only)")
+	fs.DurationVar(&c.lease, "lease", -1, "lease-based primary fencing: a primary that goes this long without a standby poll stops acknowledging mutations (503) until polling resumes; must be shorter than -failover-timeout (-1 = failover-timeout/2, 0 = disabled)")
 
-		// Durability.
-		dataDir   = flag.String("data-dir", "", "journal directory; empty runs in-memory (no durability)")
-		fsync     = flag.Int("fsync", 1, "fsync the journal every N events (1 = every event, durable against power loss; negative = let the OS flush)")
-		snapEvery = flag.Int("snapshot-every", 1024, "write a state snapshot every N journaled events (negative disables)")
-		gcWait    = flag.Duration("group-commit-max-wait", 2*time.Millisecond, "batch concurrent journal fsyncs under this latency cap, keeping -fsync 1 durability while amortizing the sync (only with -fsync 1; 0 disables group commit)")
+	// Durability.
+	fs.StringVar(&c.dataDir, "data-dir", "", "journal directory; empty runs in-memory (no durability)")
+	fs.IntVar(&c.fsync, "fsync", 1, "fsync the journal every N events (1 = every event, durable against power loss; negative = let the OS flush)")
+	fs.IntVar(&c.snapEvery, "snapshot-every", 1024, "write a state snapshot every N journaled events (negative disables)")
+	fs.DurationVar(&c.gcWait, "group-commit-max-wait", 2*time.Millisecond, "batch concurrent journal fsyncs under this latency cap, keeping -fsync 1 durability while amortizing the sync (only with -fsync 1; 0 disables group commit)")
 
-		// Read path.
-		epochEvery = flag.Duration("epoch-interval", 25*time.Millisecond, "staleness cap on the published epoch snapshot serving GET /v1/stats and /metrics under sustained load")
+	// Read path.
+	fs.DurationVar(&c.epochEvery, "epoch-interval", 25*time.Millisecond, "staleness cap on the published epoch snapshot serving GET /v1/stats and /metrics under sustained load")
 
-		// Automatic recovery from degraded mode.
-		autoRecover    = flag.Bool("auto-recover", false, "on an invariant violation, rebuild from the journal automatically instead of waiting for POST /v1/admin/recover")
-		recoverBackoff = flag.Duration("recover-backoff", 100*time.Millisecond, "initial auto-recover retry backoff")
-		recoverMaxWait = flag.Duration("recover-max-backoff", 5*time.Second, "auto-recover backoff cap")
-		recoverTries   = flag.Int("recover-max-attempts", 0, "auto-recover attempt limit (0 = unlimited)")
+	// Automatic recovery from degraded mode.
+	fs.BoolVar(&c.recover.Auto, "auto-recover", false, "on an invariant violation, rebuild from the journal automatically instead of waiting for POST /v1/admin/recover")
+	fs.DurationVar(&c.recover.InitialBackoff, "recover-backoff", 100*time.Millisecond, "initial auto-recover retry backoff")
+	fs.DurationVar(&c.recover.MaxBackoff, "recover-max-backoff", 5*time.Second, "auto-recover backoff cap")
+	fs.IntVar(&c.recover.MaxAttempts, "recover-max-attempts", 0, "auto-recover attempt limit (0 = unlimited)")
 
-		// HTTP server hardening: slow or hostile clients must not pin
-		// connections (and goroutines) forever.
-		readTimeout   = flag.Duration("read-timeout", 30*time.Second, "http.Server.ReadTimeout (full request read)")
-		readHdrTO     = flag.Duration("read-header-timeout", 5*time.Second, "http.Server.ReadHeaderTimeout (slowloris guard)")
-		idleTimeout   = flag.Duration("idle-timeout", 2*time.Minute, "http.Server.IdleTimeout for keep-alive connections")
-		maxHeaderByte = flag.Int("max-header-bytes", 1<<20, "http.Server.MaxHeaderBytes")
+	// HTTP server hardening: slow or hostile clients must not pin
+	// connections (and goroutines) forever.
+	fs.DurationVar(&c.readTimeout, "read-timeout", 30*time.Second, "http.Server.ReadTimeout (full request read)")
+	fs.DurationVar(&c.readHdrTO, "read-header-timeout", 5*time.Second, "http.Server.ReadHeaderTimeout (slowloris guard)")
+	fs.DurationVar(&c.idleTimeout, "idle-timeout", 2*time.Minute, "http.Server.IdleTimeout for keep-alive connections")
+	fs.IntVar(&c.maxHeaderBytes, "max-header-bytes", 1<<20, "http.Server.MaxHeaderBytes")
 
-		// Overload control plane.
-		overloadTarget   = flag.Duration("overload-target", 100*time.Millisecond, "actor queueing-delay target; sustained delay above it sheds new establishes with 503 (negative disables)")
-		overloadInterval = flag.Duration("overload-interval", time.Second, "how long delay must stay above -overload-target before shedding starts; also the Retry-After hint")
-		rateLimit        = flag.Float64("rate-limit", 0, "per-client mutation budget in requests/second, keyed by X-Client-ID or remote host (0 disables)")
-		rateBurst        = flag.Float64("rate-burst", 0, "per-client burst allowance on top of -rate-limit (0 = same as -rate-limit)")
-		maxBodyBytes     = flag.Int64("max-body-bytes", 1<<20, "request-body cap on mutation endpoints; oversized bodies answer 413")
-		pprofOn          = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ for live overload investigation")
-		execDelay        = flag.Duration("exec-delay", 0, "artificial per-command execution delay — overload drills only, caps the service rate so a burst reliably overruns it")
+	// Overload control plane.
+	fs.DurationVar(&c.overload.Target, "overload-target", 100*time.Millisecond, "actor queueing-delay target; sustained delay above it sheds new establishes with 503 (negative disables)")
+	fs.DurationVar(&c.overload.Interval, "overload-interval", time.Second, "how long delay must stay above -overload-target before shedding starts; also the Retry-After hint")
+	fs.Float64Var(&c.rateLimit, "rate-limit", 0, "per-client mutation budget in requests/second, keyed by X-Client-ID or remote host (0 disables)")
+	fs.Float64Var(&c.rateBurst, "rate-burst", 0, "per-client burst allowance on top of -rate-limit (0 = same as -rate-limit)")
+	fs.Int64Var(&c.maxBodyBytes, "max-body-bytes", 1<<20, "request-body cap on mutation endpoints; oversized bodies answer 413")
+	fs.BoolVar(&c.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/ for live overload investigation")
+	fs.DurationVar(&c.execDelay, "exec-delay", 0, "artificial per-command execution delay — overload drills only, caps the service rate so a burst reliably overruns it")
 
-		// Live analytic control plane (internal/forecast).
-		forecastInterval   = flag.Duration("forecast-interval", 0, "re-solve the live Markov forecast this often, serving GET /v1/forecast (0 disables forecasting)")
-		forecastStates     = flag.Int("forecast-states", 0, "bandwidth states the forecast models over the default spec's range (0 = the spec's own grid, 9 states)")
-		forecastPredictive = flag.Bool("forecast-predictive", false, "let model-predicted saturation pre-latch overload shedding before the reactive queue-delay detector fires")
-		forecastTimeout    = flag.Duration("forecast-timeout", 0, "per-solve deadline; an overrun serves the previous forecast marked stale (0 = the forecast interval)")
-	)
-	flag.Parse()
+	// Live analytic control plane (internal/forecast).
+	fs.DurationVar(&c.forecastInterval, "forecast-interval", 0, "re-solve the live Markov forecast this often, serving GET /v1/forecast (0 disables forecasting)")
+	fs.IntVar(&c.forecastStates, "forecast-states", 0, "bandwidth states the forecast models over the default spec's range (0 = the spec's own grid, 9 states)")
+	fs.BoolVar(&c.forecastPredictive, "forecast-predictive", false, "let model-predicted saturation pre-latch overload shedding before the reactive queue-delay detector fires")
+	fs.DurationVar(&c.forecastTimeout, "forecast-timeout", 0, "per-solve deadline; an overrun serves the previous forecast marked stale (0 = the forecast interval)")
 
-	pol, err := qos.PolicyByName(*policy)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if c.replicaOf != "" && c.dataDir == "" {
+		return nil, errors.New("-replica-of needs -data-dir: a standby replays the primary's journal into its own")
+	}
+	if c.replicaOf != "" && c.shards > 1 {
+		return nil, errors.New("-replica-of is incompatible with -shards > 1 (replication is per-plane)")
+	}
+	if c.kind != "waxman" && c.kind != "tier" {
+		return nil, fmt.Errorf("unknown kind %q", c.kind)
+	}
+	if c.lease < 0 {
+		c.lease = c.failoverTO / 2
+	}
+	if c.lease > 0 && c.failoverTO > 0 && c.lease >= c.failoverTO {
+		return nil, fmt.Errorf("-lease (%s) must be shorter than -failover-timeout (%s): a standby must outwait the primary's lease before promoting", c.lease, c.failoverTO)
+	}
+	return c, nil
+}
+
+// meta is the marker a data directory written under c carries.
+func (c *config) meta() dataMeta {
+	return dataMeta{
+		Kind: c.kind, Nodes: c.nodes, Seed: c.seed, CapacityKbps: c.capacity,
+		Policy: c.policy, RequireBackup: !c.noBackup, Multiplex: !c.noMux,
+	}
+}
+
+// journalOptions is the journal tuning, one journal or one per shard.
+func (c *config) journalOptions() journal.Options {
+	return journal.Options{
+		FsyncEvery:         c.fsync,
+		GroupCommit:        c.gcWait > 0 && c.fsync == 1,
+		GroupCommitMaxWait: c.gcWait,
+	}
+}
+
+// serverOptions is the part of the actor-loop tuning both planes share; each
+// boot adds its own journal and logging hooks.
+func (c *config) serverOptions() server.Options {
+	return server.Options{
+		QueueDepth:    c.queue,
+		SnapshotEvery: c.snapEvery,
+		EpochInterval: c.epochEvery,
+		Recover:       c.recover,
+		Overload:      c.overload,
+		ExecDelay:     c.execDelay,
+	}
+}
+
+// plane is a booted admission plane: the API it serves and how to drain it
+// (command loops first, then journals) once the HTTP server has stopped.
+type plane struct {
+	handler http.Handler
+	drain   func(context.Context) error
+}
+
+// run boots the daemon args describe and serves until ctx is done, then
+// drains. listening, when non-nil, is told the bound address (tests listen
+// on port 0).
+func run(ctx context.Context, args []string, listening func(net.Addr)) error {
+	cfg, err := parseFlags(args)
 	if err != nil {
 		return err
 	}
-	if *replicaOf != "" && *dataDir == "" {
-		return errors.New("-replica-of needs -data-dir: a standby replays the primary's journal into its own")
-	}
-	if *replicaOf != "" && *shards > 1 {
-		return errors.New("-replica-of is incompatible with -shards > 1 (replication is per-plane)")
+	pol, err := qos.PolicyByName(cfg.policy)
+	if err != nil {
+		return err
 	}
 	k := core.TopologyWaxman
-	if *kind == "tier" {
+	if cfg.kind == "tier" {
 		k = core.TopologyTransitStub
-	} else if *kind != "waxman" {
-		return fmt.Errorf("unknown kind %q", *kind)
 	}
-	sys, err := core.NewSystem(core.Options{Seed: *seed, Kind: k, Nodes: *nodes})
+	sys, err := core.NewSystem(core.Options{Seed: cfg.seed, Kind: k, Nodes: cfg.nodes})
 	if err != nil {
 		return err
 	}
 	m := sys.Metrics()
 	log.Printf("topology: %d nodes, %d links, diameter %d, avg hops %.2f (seed %d)",
-		m.Nodes, m.Edges, m.Diameter, m.AvgHops, *seed)
-
+		m.Nodes, m.Edges, m.Diameter, m.AvgHops, cfg.seed)
 	mcfg := manager.Config{
-		Capacity:                  qos.Kbps(*capacity),
+		Capacity:                  qos.Kbps(cfg.capacity),
 		Policy:                    pol,
-		RequireBackup:             !*noBackup,
-		DisableBackupMultiplexing: *noMux,
+		RequireBackup:             !cfg.noBackup,
+		DisableBackupMultiplexing: cfg.noMux,
 	}
 
-	if *shards > 1 {
-		return runSharded(shardedConfig{
-			addr: *addr, drain: *drain,
-			graph: sys.Graph(), shards: *shards, dataDir: *dataDir,
-			meta: dataMeta{
-				Kind: *kind, Nodes: *nodes, Seed: *seed, CapacityKbps: *capacity,
-				Policy: *policy, RequireBackup: !*noBackup, Multiplex: !*noMux,
-			},
-			manager: mcfg,
-			journal: journal.Options{
-				FsyncEvery:         *fsync,
-				GroupCommit:        *gcWait > 0 && *fsync == 1,
-				GroupCommitMaxWait: *gcWait,
-			},
-			server: server.Options{
-				QueueDepth:    *queue,
-				SnapshotEvery: *snapEvery,
-				EpochInterval: *epochEvery,
-				Recover: server.RecoverPolicy{
-					Auto:           *autoRecover,
-					InitialBackoff: *recoverBackoff,
-					MaxBackoff:     *recoverMaxWait,
-					MaxAttempts:    *recoverTries,
-				},
-				Overload:  overload.DetectorConfig{Target: *overloadTarget, Interval: *overloadInterval},
-				ExecDelay: *execDelay,
-			},
-			rateLimit: *rateLimit, rateBurst: *rateBurst, maxBodyBytes: *maxBodyBytes,
-			readTimeout: *readTimeout, readHdrTO: *readHdrTO,
-			idleTimeout: *idleTimeout, maxHeaderByte: *maxHeaderByte,
-			forecastOn: *forecastInterval > 0, pprofOn: *pprofOn,
-		})
+	front := []server.HandlerOption{server.WithMaxBodyBytes(cfg.maxBodyBytes)}
+	if cfg.rateLimit > 0 {
+		front = append(front, server.WithRateLimit(cfg.rateLimit, cfg.rateBurst))
+		log.Printf("rate limit: %.3g req/s per client (burst %.3g)", cfg.rateLimit, cfg.rateBurst)
+	}
+	if cfg.pprof {
+		front = append(front, server.WithPprof())
+		log.Printf("pprof: serving /debug/pprof/")
 	}
 
-	var jnl *journal.Journal
+	boot := bootSingle
+	if cfg.shards > 1 {
+		boot = bootSharded
+	}
+	p, err := boot(cfg, sys.Graph(), mcfg, front)
+	if err != nil {
+		return err
+	}
+	return serve(ctx, cfg, p, listening)
+}
+
+// serve runs the HTTP server over p until ctx is done (or the listener
+// dies), then shuts down within the drain budget: HTTP first, so no new
+// command arrives, then the plane.
+func serve(ctx context.Context, cfg *config, p plane, listening func(net.Addr)) error {
+	drain := func() error {
+		shCtx, cancel := context.WithTimeout(context.Background(), cfg.drain)
+		defer cancel()
+		return p.drain(shCtx)
+	}
+	ln, err := net.Listen("tcp", cfg.addr)
+	if err != nil {
+		_ = drain()
+		return err
+	}
+	httpSrv := &http.Server{
+		Handler:           p.handler,
+		ReadTimeout:       cfg.readTimeout,
+		ReadHeaderTimeout: cfg.readHdrTO,
+		IdleTimeout:       cfg.idleTimeout,
+		MaxHeaderBytes:    cfg.maxHeaderBytes,
+	}
+	log.Printf("listening on %s", ln.Addr())
+	if listening != nil {
+		listening(ln.Addr())
+	}
+	errCh := make(chan error, 1)
+	go func() { errCh <- httpSrv.Serve(ln) }()
+
+	select {
+	case err := <-errCh:
+		_ = drain()
+		return err // listener died before any signal
+	case <-ctx.Done():
+	}
+	log.Printf("shutting down (budget %s)", cfg.drain)
+	shCtx, cancel := context.WithTimeout(context.Background(), cfg.drain)
+	defer cancel()
+	if err := httpSrv.Shutdown(shCtx); err != nil {
+		return fmt.Errorf("http shutdown: %w", err)
+	}
+	if err := <-errCh; !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	return p.drain(shCtx)
+}
+
+// bootSingle boots the classic single plane: one manager behind one actor
+// loop, journaled and replication-ready with -data-dir.
+func bootSingle(cfg *config, g *topology.Graph, mcfg manager.Config, front []server.HandlerOption) (_ plane, err error) {
+	opts := cfg.serverOptions()
 	var mgr *manager.Manager
-	var rec *journal.Recovered
-	if *dataDir != "" {
-		if err := checkMeta(*dataDir, dataMeta{
-			Kind: *kind, Nodes: *nodes, Seed: *seed, CapacityKbps: *capacity,
-			Policy: *policy, RequireBackup: !*noBackup, Multiplex: !*noMux,
-		}); err != nil {
-			return err
+	var jnl *journal.Journal
+	if cfg.dataDir != "" {
+		if err := checkMeta(cfg.dataDir, singleMeta, shardedMeta, cfg.meta()); err != nil {
+			return plane{}, err
 		}
-		groupCommit := *gcWait > 0 && *fsync == 1
-		if *gcWait > 0 && *fsync != 1 {
+		jopt := cfg.journalOptions()
+		if cfg.gcWait > 0 && cfg.fsync != 1 {
 			// Group commit's whole contract is FsyncEvery:1 semantics; any
 			// other policy already trades durability for throughput and has
 			// nothing to batch.
-			log.Printf("journal: -group-commit-max-wait ignored with -fsync %d (group commit requires -fsync 1)", *fsync)
+			log.Printf("journal: -group-commit-max-wait ignored with -fsync %d (group commit requires -fsync 1)", cfg.fsync)
 		}
-		jnl, rec, err = journal.Open(*dataDir, journal.Options{
-			FsyncEvery:         *fsync,
-			GroupCommit:        groupCommit,
-			GroupCommitMaxWait: *gcWait,
-		})
+		var rec *journal.Recovered
+		jnl, rec, err = journal.Open(cfg.dataDir, jopt)
 		if err != nil {
-			return fmt.Errorf("opening journal: %w", err)
+			return plane{}, fmt.Errorf("opening journal: %w", err)
 		}
-		if groupCommit {
-			log.Printf("journal: group commit on (batch fsyncs under %s, per-event durability preserved)", *gcWait)
+		defer func() {
+			if err != nil {
+				jnl.Close()
+			}
+		}()
+		if jopt.GroupCommit {
+			log.Printf("journal: group commit on (batch fsyncs under %s, per-event durability preserved)", cfg.gcWait)
 		}
-		defer jnl.Close()
-		mgr, err = server.Rebuild(sys.Graph(), mcfg, rec)
+		mgr, err = server.Rebuild(g, mcfg, rec)
 		if err != nil {
-			return fmt.Errorf("refusing to serve: journal replay of %s did not produce an audit-clean state: %w\n"+
+			return plane{}, fmt.Errorf("refusing to serve: journal replay of %s did not produce an audit-clean state: %w\n"+
 				"(the on-disk history and the state machine disagree — restore the directory from a backup, "+
-				"or move it aside to start from an empty state)", *dataDir, err)
+				"or move it aside to start from an empty state)", cfg.dataDir, err)
 		}
 		if rec.TornBytes > 0 {
 			log.Printf("journal: discarded %d bytes of torn tail (mid-write crash)", rec.TornBytes)
 		}
 		log.Printf("journal: recovered %s to seq %d (snapshot at %d, %d events replayed, %d connections alive)",
-			*dataDir, rec.LastSeq, rec.SnapshotSeq, len(rec.Events), mgr.AliveCount())
-	} else {
-		mgr, err = manager.New(sys.Graph(), mcfg)
-		if err != nil {
-			return err
-		}
+			cfg.dataDir, rec.LastSeq, rec.SnapshotSeq, len(rec.Events), mgr.AliveCount())
+		opts.Journal = jnl
+		opts.Follower = cfg.replicaOf != ""
+		opts.Term = rec.Term
+	} else if mgr, err = manager.New(g, mcfg); err != nil {
+		return plane{}, err
 	}
 
-	var fcfg *forecast.Config
-	if *forecastInterval > 0 {
-		fcfg = &forecast.Config{
-			States:       *forecastStates,
-			Interval:     *forecastInterval,
-			SolveTimeout: *forecastTimeout,
-			Predictive:   *forecastPredictive,
+	if cfg.forecastInterval > 0 {
+		opts.Forecast = &forecast.Config{
+			States:       cfg.forecastStates,
+			Interval:     cfg.forecastInterval,
+			SolveTimeout: cfg.forecastTimeout,
+			Predictive:   cfg.forecastPredictive,
 			OnPredict: func(saturated bool) {
 				if saturated {
 					log.Printf("FORECAST: model predicts saturation — pre-latching overload shedding")
@@ -307,102 +449,71 @@ func run() error {
 				}
 			},
 		}
+		states := "default"
+		if cfg.forecastStates > 1 {
+			states = fmt.Sprint(cfg.forecastStates)
+		}
 		log.Printf("forecast: solving every %s (%s states, predictive=%v)",
-			*forecastInterval, statesLabel(*forecastStates), *forecastPredictive)
+			cfg.forecastInterval, states, cfg.forecastPredictive)
 	}
-
+	opts.OnDegrade = func(reason string) {
+		if jnl != nil {
+			log.Printf("DEGRADED: %s — refusing mutations, still serving reads; POST /v1/admin/recover to rebuild from the journal", reason)
+		} else {
+			log.Printf("DEGRADED: %s — refusing mutations, still serving reads; restart to recover", reason)
+		}
+	}
+	opts.OnRecover = func(seq uint64) {
+		log.Printf("RECOVERED: rebuilt from journal to seq %d, serving mutations again", seq)
+	}
+	opts.OnOverload = func(on bool) {
+		if on {
+			log.Printf("OVERLOADED: sustained actor-queue delay above %s — shedding new establishes with 503, terminations and reads stay live", cfg.overload.Target)
+		} else {
+			log.Printf("overload cleared: queue delay back under %s, admitting establishes again", cfg.overload.Target)
+		}
+	}
 	// Replication node: built after the server (it wraps it), but the
 	// server's semi-sync and stats hooks close over the variable — they
 	// only fire once requests flow, well after the node exists.
 	var node *replica.Node
-	srvOpts := server.Options{
-		QueueDepth:    *queue,
-		Journal:       jnl,
-		SnapshotEvery: *snapEvery,
-		EpochInterval: *epochEvery,
-		Recover: server.RecoverPolicy{
-			Auto:           *autoRecover,
-			InitialBackoff: *recoverBackoff,
-			MaxBackoff:     *recoverMaxWait,
-			MaxAttempts:    *recoverTries,
-		},
-		OnDegrade: func(reason string) {
-			if jnl != nil {
-				log.Printf("DEGRADED: %s — refusing mutations, still serving reads; POST /v1/admin/recover to rebuild from the journal", reason)
-			} else {
-				log.Printf("DEGRADED: %s — refusing mutations, still serving reads; restart to recover", reason)
-			}
-		},
-		OnRecover: func(seq uint64) {
-			log.Printf("RECOVERED: rebuilt from journal to seq %d, serving mutations again", seq)
-		},
-		Overload:  overload.DetectorConfig{Target: *overloadTarget, Interval: *overloadInterval},
-		ExecDelay: *execDelay,
-		Forecast:  fcfg,
-		OnOverload: func(on bool) {
-			if on {
-				log.Printf("OVERLOADED: sustained actor-queue delay above %s — shedding new establishes with 503, terminations and reads stay live", *overloadTarget)
-			} else {
-				log.Printf("overload cleared: queue delay back under %s, admitting establishes again", *overloadTarget)
-			}
-		},
-	}
 	if jnl != nil {
-		srvOpts.Follower = *replicaOf != ""
-		srvOpts.Term = rec.Term
-		srvOpts.WaitReplicated = func(ctx context.Context, seq uint64) error {
+		opts.WaitReplicated = func(ctx context.Context, seq uint64) error {
 			if node == nil {
 				return nil
 			}
 			return node.WaitReplicated(ctx, seq)
 		}
-		srvOpts.ReplicaStats = func() *server.ReplicaStats {
+		opts.ReplicaStats = func() *server.ReplicaStats {
 			if node == nil {
 				return nil
 			}
 			return node.StatsBlock()
 		}
 	}
-	srv, err := server.NewFromManager(sys.Graph(), mgr, srvOpts)
+	srv, err := server.NewFromManager(g, mgr, opts)
 	if err != nil {
-		return err
+		return plane{}, err
 	}
 
-	handlerOpts := []server.HandlerOption{server.WithMaxBodyBytes(*maxBodyBytes)}
-	if *rateLimit > 0 {
-		handlerOpts = append(handlerOpts, server.WithRateLimit(*rateLimit, *rateBurst))
-		log.Printf("rate limit: %.3g req/s per client (burst %.3g)", *rateLimit, *rateBurst)
-	}
-	if *pprofOn {
-		handlerOpts = append(handlerOpts, server.WithPprof())
-		log.Printf("pprof: serving /debug/pprof/")
-	}
-
-	handler := server.NewHandler(srv, handlerOpts...)
+	handler := server.NewHandler(srv, front...)
 	if jnl != nil {
 		// Every journaled daemon ships its journal: the replication
 		// endpoints are mounted whether or not a standby exists yet, so one
 		// can join without a primary restart.
-		lease := *leaseFlag
-		if lease < 0 {
-			lease = *failoverTO / 2
-		}
-		if lease > 0 && *failoverTO > 0 && lease >= *failoverTO {
-			return fmt.Errorf("-lease (%s) must be shorter than -failover-timeout (%s): a standby must outwait the primary's lease before promoting", lease, *failoverTO)
-		}
 		node = replica.NewNode(srv, jnl, replica.Config{
-			Self:            *advertise,
-			PrimaryURL:      *replicaOf,
-			FailoverTimeout: *failoverTO,
-			Lease:           lease,
+			Self:            cfg.advertise,
+			PrimaryURL:      cfg.replicaOf,
+			FailoverTimeout: cfg.failoverTO,
+			Lease:           cfg.lease,
 			Logf:            log.Printf,
 		})
 		handler = node.FrontHandler(handler)
-		if lease > 0 {
-			log.Printf("replica: lease fencing on (a primary unpolled for %s refuses mutations)", lease)
+		if cfg.lease > 0 {
+			log.Printf("replica: lease fencing on (a primary unpolled for %s refuses mutations)", cfg.lease)
 		}
-		if *replicaOf != "" {
-			log.Printf("replica: following %s (failover after %s without a primary, 0 = manual)", *replicaOf, *failoverTO)
+		if cfg.replicaOf != "" {
+			log.Printf("replica: following %s (failover after %s without a primary, 0 = manual)", cfg.replicaOf, cfg.failoverTO)
 			go func() {
 				if err := node.Run(context.Background()); err != nil {
 					log.Printf("replica: follower loop exited: %v", err)
@@ -410,213 +521,71 @@ func run() error {
 			}()
 		}
 	}
-
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           handler,
-		ReadTimeout:       *readTimeout,
-		ReadHeaderTimeout: *readHdrTO,
-		IdleTimeout:       *idleTimeout,
-		MaxHeaderBytes:    *maxHeaderByte,
-	}
-	errCh := make(chan error, 1)
-	go func() {
-		log.Printf("listening on %s", *addr)
-		if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-			errCh <- err
-			return
+	return plane{handler: handler, drain: func(ctx context.Context) error {
+		if node != nil {
+			node.Stop() // halt the follower loop before the drain
 		}
-		errCh <- nil
-	}()
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	select {
-	case err := <-errCh:
-		return err // listener died before any signal
-	case <-ctx.Done():
-	}
-	log.Printf("shutting down (budget %s)", *drain)
-
-	if node != nil {
-		node.Stop() // halt the follower loop before the drain
-	}
-	shCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := httpSrv.Shutdown(shCtx); err != nil {
-		return fmt.Errorf("http shutdown: %w", err)
-	}
-	if err := <-errCh; err != nil {
-		return err
-	}
-	if err := srv.Shutdown(shCtx); err != nil {
-		return fmt.Errorf("command-loop drain: %w", err)
-	}
-	// The drain guarantees no more appends; the deferred jnl.Close syncs
-	// the final segment.
-	log.Printf("drained %d commands, bye", srv.Processed())
-	return nil
+		if err := srv.Shutdown(ctx); err != nil {
+			return fmt.Errorf("command-loop drain: %w", err)
+		}
+		log.Printf("drained %d commands, bye", srv.Processed())
+		if jnl != nil {
+			// The drain guarantees no more appends; Close syncs the final
+			// segment.
+			return jnl.Close()
+		}
+		return nil
+	}}, nil
 }
 
-// shardMeta pins a sharded data directory to the topology, admission config
-// AND shard count that produced its journals. The partition is derived
-// deterministically from (topology, shards), so changing any of these makes
-// every shard journal meaningless.
-type shardMeta struct {
-	dataMeta
-	Shards int `json:"shards"`
-}
-
-// checkShardMeta writes coordinator.json on first use and verifies it on
-// every restart. The single-plane meta.json is untouched: a directory is
-// either a single-plane or a sharded deployment, never both.
-func checkShardMeta(dir string, want shardMeta) error {
-	path := filepath.Join(dir, "coordinator.json")
-	raw, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		if _, merr := os.Stat(filepath.Join(dir, "meta.json")); merr == nil {
-			return fmt.Errorf("data dir %s holds a single-plane journal (meta.json); "+
-				"a sharded daemon needs a fresh directory", dir)
-		}
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-		b, err := json.MarshalIndent(want, "", "  ")
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(path, append(b, '\n'), 0o644)
-	}
-	if err != nil {
-		return err
-	}
-	var have shardMeta
-	if err := json.Unmarshal(raw, &have); err != nil {
-		return fmt.Errorf("data dir %s: unreadable coordinator.json: %w", dir, err)
-	}
-	if have != want {
-		return fmt.Errorf("data dir %s was written under config %+v, but this process started with %+v — "+
-			"shard journals are only valid against the identical topology, admission config and shard count; "+
-			"fix the flags or point -data-dir at a fresh directory", dir, have, want)
-	}
-	return nil
-}
-
-// shardedConfig carries the parsed flags into the sharded boot path.
-type shardedConfig struct {
-	addr    string
-	drain   time.Duration
-	graph   *topology.Graph
-	shards  int
-	dataDir string
-	meta    dataMeta
-	manager manager.Config
-	journal journal.Options
-	server  server.Options
-
-	rateLimit, rateBurst float64
-	maxBodyBytes         int64
-	readTimeout          time.Duration
-	readHdrTO            time.Duration
-	idleTimeout          time.Duration
-	maxHeaderByte        int
-
-	forecastOn bool
-	pprofOn    bool
-}
-
-// runSharded boots the partitioned admission plane: one manager + actor
+// bootSharded boots the partitioned admission plane: one manager + actor
 // loop + journal per region shard behind the coordinator's global API.
-func runSharded(cfg shardedConfig) error {
-	if cfg.forecastOn {
+func bootSharded(cfg *config, g *topology.Graph, mcfg manager.Config, front []server.HandlerOption) (plane, error) {
+	if cfg.forecastInterval > 0 {
 		log.Printf("forecast: -forecast-interval is ignored with -shards > 1 (the live model is per-plane)")
 	}
-	if cfg.pprofOn {
-		log.Printf("pprof: -pprof is ignored with -shards > 1")
-	}
 	if cfg.dataDir != "" {
-		if err := checkShardMeta(cfg.dataDir, shardMeta{dataMeta: cfg.meta, Shards: cfg.shards}); err != nil {
-			return err
+		meta := cfg.meta()
+		meta.Shards = cfg.shards
+		if err := checkMeta(cfg.dataDir, shardedMeta, singleMeta, meta); err != nil {
+			return plane{}, err
 		}
 	}
-	cfg.server.OnDegrade = func(reason string) {
+	opts := cfg.serverOptions()
+	opts.OnDegrade = func(reason string) {
 		log.Printf("DEGRADED shard: %s — that shard refuses mutations (cross-shard transactions touching it abort), reads stay live", reason)
 	}
-	cfg.server.OnRecover = func(seq uint64) {
+	opts.OnRecover = func(seq uint64) {
 		log.Printf("RECOVERED shard: rebuilt from its journal to seq %d", seq)
 	}
-	cfg.server.OnOverload = func(on bool) {
+	opts.OnOverload = func(on bool) {
 		if on {
-			log.Printf("OVERLOADED shard: shedding new establishes and prepares on that shard with 503")
+			log.Printf("OVERLOADED shard: refusing new establishes, link failures and prepares on that shard (503 + Retry-After) until its queue drains")
 		} else {
 			log.Printf("shard overload cleared, admitting establishes again")
 		}
 	}
-	c, err := shard.New(cfg.graph, shard.Options{
+	c, err := shard.New(g, shard.Options{
 		Shards:  cfg.shards,
 		Dir:     cfg.dataDir,
-		Manager: cfg.manager,
-		Server:  cfg.server,
-		Journal: cfg.journal,
+		Manager: mcfg,
+		Server:  opts,
+		Journal: cfg.journalOptions(),
 	})
 	if err != nil {
-		return fmt.Errorf("sharded boot: %w", err)
+		return plane{}, fmt.Errorf("sharded boot: %w", err)
 	}
-	plan := c.Plan()
-	log.Printf("sharded: %d shards over %d regions (%d nodes, %d links), journals under %s",
-		plan.Shards, plan.Regions, cfg.graph.NumNodes(), cfg.graph.NumLinks(), dirLabel(cfg.dataDir))
-
-	handlerOpts := []shard.HandlerOption{shard.WithMaxBodyBytes(cfg.maxBodyBytes)}
-	if cfg.rateLimit > 0 {
-		handlerOpts = append(handlerOpts, shard.WithRateLimit(cfg.rateLimit, cfg.rateBurst))
-		log.Printf("rate limit: %.3g req/s per client (burst %.3g)", cfg.rateLimit, cfg.rateBurst)
-	}
-	httpSrv := &http.Server{
-		Addr:              cfg.addr,
-		Handler:           shard.NewHandler(c, handlerOpts...),
-		ReadTimeout:       cfg.readTimeout,
-		ReadHeaderTimeout: cfg.readHdrTO,
-		IdleTimeout:       cfg.idleTimeout,
-		MaxHeaderBytes:    cfg.maxHeaderByte,
-	}
-	errCh := make(chan error, 1)
-	go func() {
-		log.Printf("listening on %s", cfg.addr)
-		if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-			errCh <- err
-			return
-		}
-		errCh <- nil
-	}()
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
-	}
-	log.Printf("shutting down %d shards (budget %s)", cfg.shards, cfg.drain)
-
-	shCtx, cancel := context.WithTimeout(context.Background(), cfg.drain)
-	defer cancel()
-	if err := httpSrv.Shutdown(shCtx); err != nil {
-		return fmt.Errorf("http shutdown: %w", err)
-	}
-	if err := <-errCh; err != nil {
-		return err
-	}
-	if err := c.Shutdown(shCtx); err != nil {
-		return fmt.Errorf("shard drain: %w", err)
-	}
-	log.Printf("all shards drained, bye")
-	return nil
-}
-
-// dirLabel names the durability root for log lines.
-func dirLabel(dir string) string {
+	dir := cfg.dataDir
 	if dir == "" {
-		return "(in-memory)"
+		dir = "(in-memory)"
 	}
-	return dir
+	log.Printf("sharded: %d shards over %d regions (%d nodes, %d links), journals under %s",
+		c.Plan().Shards, c.Plan().Regions, g.NumNodes(), g.NumLinks(), dir)
+	return plane{handler: shard.NewHandler(c, front...), drain: func(ctx context.Context) error {
+		if err := c.Shutdown(ctx); err != nil {
+			return fmt.Errorf("shard drain: %w", err)
+		}
+		log.Printf("all %d shards drained, bye", cfg.shards)
+		return nil
+	}}, nil
 }

@@ -16,7 +16,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"drqos/internal/channel"
 	"drqos/internal/journal"
 	"drqos/internal/manager"
 	"drqos/internal/qos"
@@ -81,37 +80,25 @@ type CrashResult struct {
 	Fingerprint string
 }
 
-// journalable pre-validates ev against m exactly like the admission server
-// does before journaling: no-op terminates/faults/repairs are skipped (the
-// server answers 404/409 without touching the journal), so every journaled
-// record is strictly replayable.
+// journalable converts ev to its journal record and runs the admission
+// server's own pre-journal validation against m: no-op
+// terminates/faults/repairs are skipped (the server answers 404/409 without
+// touching the journal), so every journaled record is strictly replayable.
 func journalable(m *manager.Manager, ev Event, spec qos.ElasticSpec) (journal.Event, bool) {
+	var jev journal.Event
 	switch ev.Kind {
 	case KindEstablish:
-		return journal.Event{
-			Kind: journal.KindEstablish,
-			Src:  int32(ev.Src), Dst: int32(ev.Dst),
-			MinKbps: int64(spec.Min), MaxKbps: int64(spec.Max),
-			IncKbps: int64(spec.Increment), Utility: spec.Utility,
-		}, true
+		jev = server.EstablishEvent(topology.NodeID(ev.Src), topology.NodeID(ev.Dst), spec)
 	case KindTerminate:
-		if c := m.Conn(channel.ConnID(ev.Conn)); c == nil || !c.Alive() {
-			return journal.Event{}, false
-		}
-		return journal.Event{Kind: journal.KindTerminate, Conn: ev.Conn}, true
+		jev = journal.Event{Kind: journal.KindTerminate, Conn: ev.Conn}
 	case KindFailLink:
-		if ev.Link < 0 || ev.Link >= m.Graph().NumLinks() || m.Network().Failed(topology.LinkID(ev.Link)) {
-			return journal.Event{}, false
-		}
-		return journal.Event{Kind: journal.KindFailLink, Link: int32(ev.Link)}, true
+		jev = journal.Event{Kind: journal.KindFailLink, Link: int32(ev.Link)}
 	case KindRepairLink:
-		if ev.Link < 0 || ev.Link >= m.Graph().NumLinks() || !m.Network().Failed(topology.LinkID(ev.Link)) {
-			return journal.Event{}, false
-		}
-		return journal.Event{Kind: journal.KindRepairLink, Link: int32(ev.Link)}, true
+		jev = journal.Event{Kind: journal.KindRepairLink, Link: int32(ev.Link)}
 	default:
 		return journal.Event{}, false
 	}
+	return jev, server.Validate(m, nil, jev) == nil
 }
 
 // snapshotNow mirrors the server's snapshot write: exported state body plus
@@ -271,12 +258,7 @@ func RunCrashRestart(cfg CrashConfig) (*CrashResult, error) {
 			if b >= a {
 				b++
 			}
-			jev := journal.Event{
-				Kind: journal.KindEstablish,
-				Src:  int32(a), Dst: int32(b),
-				MinKbps: int64(base.Spec.Min), MaxKbps: int64(base.Spec.Max),
-				IncKbps: int64(base.Spec.Increment), Utility: base.Spec.Utility,
-			}
+			jev := server.EstablishEvent(topology.NodeID(a), topology.NodeID(b), base.Spec)
 			if _, err := jnl.AppendAsync(jev); err != nil {
 				jnl.Abandon()
 				return nil, fmt.Errorf("chaos: unacked window append: %w", err)

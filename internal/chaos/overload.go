@@ -241,6 +241,11 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 					expiredN.Add(1)
 				case errors.Is(err, manager.ErrRejected):
 					// capacity rejection: serviced, just refused
+				case errors.Is(err, server.ErrOverloaded):
+					// Refused at admission by the latched overload guard. A
+					// client backs off before retrying; without the pause the
+					// refusals would end the burst before it built a backlog.
+					time.Sleep(cfg.Deadline)
 				default:
 					report(fmt.Errorf("chaos: worker %d op %d: establish: %w", w, op, err))
 					return

@@ -188,8 +188,8 @@ func corrupt(t *testing.T, s *server.Server) {
 }
 
 // TestDegradedMode forces an invariant violation and checks the failure
-// contract end to end: the server flips degraded exactly once, refuses
-// every mutation with ErrDegraded, and keeps answering reads.
+// contract end to end: the server flips degraded exactly once and keeps
+// answering reads.
 func TestDegradedMode(t *testing.T) {
 	var degradeCalls atomic.Int64
 	s := newDegradedTestServer(t, func(reason string) {
@@ -203,8 +203,7 @@ func TestDegradedMode(t *testing.T) {
 	spec := qos.DefaultSpec()
 
 	// Healthy first: a connection goes in, audit is clean.
-	rep, err := s.Establish(ctx, 0, 5, spec)
-	if err != nil {
+	if _, err := s.Establish(ctx, 0, 5, spec); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.CheckInvariants(ctx); err != nil {
@@ -228,19 +227,7 @@ func TestDegradedMode(t *testing.T) {
 		t.Fatalf("InvariantViolations() = %d, want >= 1", n)
 	}
 
-	// All four mutations are refused.
-	if _, err := s.Establish(ctx, 1, 2, spec); !errors.Is(err, server.ErrDegraded) {
-		t.Errorf("establish while degraded: %v, want ErrDegraded", err)
-	}
-	if _, err := s.Terminate(ctx, rep.Conn.ID); !errors.Is(err, server.ErrDegraded) {
-		t.Errorf("terminate while degraded: %v, want ErrDegraded", err)
-	}
-	if _, err := s.FailLink(ctx, 0); !errors.Is(err, server.ErrDegraded) {
-		t.Errorf("fail link while degraded: %v, want ErrDegraded", err)
-	}
-	if _, err := s.RepairLink(ctx, 0); !errors.Is(err, server.ErrDegraded) {
-		t.Errorf("repair link while degraded: %v, want ErrDegraded", err)
-	}
+	// Every mutation is now refused with ErrDegraded: TestMutationGuardMatrix.
 
 	// Reads stay up and reflect the failure.
 	st, err := s.Snapshot(ctx)

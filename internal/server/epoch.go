@@ -124,10 +124,7 @@ func (s *Server) publishEpoch(m *manager.Manager) {
 		LevelHistogram:   m.LevelHistogram(nil),
 		Requests:         m.Requests(),
 		Rejects:          m.Rejects(),
-		Lanes: map[string]LaneStats{
-			laneFreeing.String():   laneStats(len(s.freeing), s.delayFreeing),
-			laneConsuming.String(): laneStats(len(s.consuming), s.delayConsuming),
-		},
+		Lanes:            s.laneStats(),
 	}
 	for _, l := range v.State.FailedLinks {
 		v.FailedLinks = append(v.FailedLinks, int(l))
@@ -150,9 +147,6 @@ func (s *Server) publishEpoch(m *manager.Manager) {
 func (s *Server) StatsView() Stats {
 	v := s.View()
 	st := Stats{
-		Nodes:            s.graph.NumNodes(),
-		Links:            s.graph.NumLinks(),
-		CapacityKbps:     s.capacityKbps,
 		Alive:            v.Alive,
 		Unprotected:      v.Unprotected,
 		AvgBandwidthKbps: v.AvgBandwidthKbps,
@@ -160,57 +154,17 @@ func (s *Server) StatsView() Stats {
 		Requests:         v.Requests,
 		Rejects:          v.Rejects,
 		FailedLinks:      v.FailedLinks,
-		Epoch: &EpochStats{
-			Seq:        v.Seq,
-			AgeSeconds: time.Since(v.PublishedAt).Seconds(),
-			Publishes:  s.epochPublishes.Load(),
-			Frozen:     s.degraded.Load(),
-		},
-	}
-	if st.Requests > 0 {
-		st.RejectRate = float64(st.Rejects) / float64(st.Requests)
+		Lanes:            make(map[string]LaneStats, len(v.Lanes)),
 	}
 	// Frozen delay digests from the epoch, live depths from the channels.
-	st.Lanes = map[string]LaneStats{}
 	for name, ls := range v.Lanes {
+		ls.Depth = len(s.freeing)
+		if name == laneConsuming.String() {
+			ls.Depth = len(s.consuming)
+		}
 		st.Lanes[name] = ls
 	}
-	if ls, ok := st.Lanes[laneFreeing.String()]; ok {
-		ls.Depth = len(s.freeing)
-		st.Lanes[laneFreeing.String()] = ls
-	}
-	if ls, ok := st.Lanes[laneConsuming.String()]; ok {
-		ls.Depth = len(s.consuming)
-		st.Lanes[laneConsuming.String()] = ls
-	}
-	st.Degraded, st.DegradedReason = s.Degraded()
-	st.InvariantViolations = s.invariantViolations.Load()
-	st.Overloaded = s.Overloaded()
-	st.OverloadEpisodes = s.OverloadEpisodes()
-	st.ShedExpired, st.ShedCanceled = s.Sheds()
-	if s.jnl != nil {
-		st.Journaled = true
-		st.JournalSeq = s.jnl.LastSeq()
-		st.JournalSnapshot = s.jnl.SnapshotSeq()
-		st.JournalErrors = s.journalErrors.Load()
-		if s.jnl.GroupCommit() {
-			st.GroupCommit = true
-			st.JournalSynced = s.jnl.SyncedSeq()
-			st.FsyncBatches, st.BatchedAppends = s.jnl.GroupCommitStats()
-		}
-	}
-	st.Recovering, st.Recoveries, st.RecoveryFailures, st.LastRecoveryError = s.RecoveryStatus()
-	st.Commands = CommandStats{
-		Processed:   s.processed.Load(),
-		Establishes: s.establishes.Load(),
-		Terminates:  s.terminates.Load(),
-		Failures:    s.failures.Load(),
-		Repairs:     s.repairs.Load(),
-		Snapshots:   s.snapshots.Load(),
-	}
-	st.QueueDepth = s.QueueDepth()
-	st.Forecast = forecastStats(s.fc)
-	st.Replica = s.replicaBlock()
+	s.overlayLive(&st)
 	return st
 }
 

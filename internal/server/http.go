@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -85,22 +86,35 @@ type FaultResponse struct {
 	Reprotected int     `json:"reprotected"`
 }
 
-// errorBody is the JSON error envelope. RetryAfterSeconds mirrors the
+// ErrorBody is the JSON error envelope. RetryAfterSeconds mirrors the
 // Retry-After header on 429/503 shed responses.
-type errorBody struct {
+type ErrorBody struct {
 	Error             string `json:"error"`
 	Rejected          bool   `json:"rejected,omitempty"`
 	RetryAfterSeconds int64  `json:"retry_after_seconds,omitempty"`
 }
 
-// HandlerOption customizes NewHandler.
-type HandlerOption func(*handlerConfig)
+// HandlerOption customizes a front end (NewHandler, shard.NewHandler).
+type HandlerOption func(*Front)
 
-type handlerConfig struct {
+// Front is what every HTTP front end of the admission plane shares, whatever
+// sits behind it — one server or a shard coordinator: the per-client rate
+// limit, the request-body cap, the pprof mount and (with the Write*
+// functions) the JSON and error envelope.
+type Front struct {
 	limiter      *overload.Limiter
 	maxBodyBytes int64
 	pprof        bool
 	rateLimited  atomic.Int64
+}
+
+// NewFront applies opts over the defaults (no rate limit, 1 MiB bodies).
+func NewFront(opts ...HandlerOption) *Front {
+	f := &Front{maxBodyBytes: 1 << 20}
+	for _, o := range opts {
+		o(f)
+	}
+	return f
 }
 
 // WithRateLimit adds per-client token-bucket rate limiting to the mutation
@@ -108,9 +122,9 @@ type handlerConfig struct {
 // requests/second with bursts of burst; beyond that, 429 + Retry-After.
 // rate <= 0 disables limiting.
 func WithRateLimit(rate, burst float64) HandlerOption {
-	return func(c *handlerConfig) {
+	return func(f *Front) {
 		if rate > 0 {
-			c.limiter = overload.NewLimiter(rate, burst)
+			f.limiter = overload.NewLimiter(rate, burst)
 		}
 	}
 }
@@ -118,9 +132,9 @@ func WithRateLimit(rate, burst float64) HandlerOption {
 // WithMaxBodyBytes caps request-body size on the mutation endpoints;
 // oversized bodies answer 413. n <= 0 keeps the default (1 MiB).
 func WithMaxBodyBytes(n int64) HandlerOption {
-	return func(c *handlerConfig) {
+	return func(f *Front) {
 		if n > 0 {
-			c.maxBodyBytes = n
+			f.maxBodyBytes = n
 		}
 	}
 }
@@ -128,7 +142,72 @@ func WithMaxBodyBytes(n int64) HandlerOption {
 // WithPprof mounts net/http/pprof under /debug/pprof/ so overload
 // investigations can pull CPU/heap/goroutine profiles from a live daemon.
 func WithPprof() HandlerOption {
-	return func(c *handlerConfig) { c.pprof = true }
+	return func(f *Front) { f.pprof = true }
+}
+
+// DecodeBody reads a JSON body under the size cap; a limit overrun answers
+// 413, malformed JSON 400. Returns false when a response was already
+// written.
+func (f *Front) DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, f.maxBodyBytes)
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			WriteJSON(w, http.StatusRequestEntityTooLarge,
+				ErrorBody{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
+			return false
+		}
+		WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: "bad request body: " + err.Error()})
+		return false
+	}
+	return true
+}
+
+// AdmitClient enforces the per-client token bucket on mutating endpoints.
+// Returns false when the request was already answered 429.
+func (f *Front) AdmitClient(w http.ResponseWriter, r *http.Request) bool {
+	if f.limiter == nil {
+		return true
+	}
+	key := r.Header.Get("X-Client-ID")
+	if key == "" {
+		if host, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {
+			key = host
+		} else {
+			key = r.RemoteAddr
+		}
+	}
+	ok, retry := f.limiter.Allow(key, time.Now())
+	if ok {
+		return true
+	}
+	f.rateLimited.Add(1)
+	WriteShed(w, http.StatusTooManyRequests, retry,
+		fmt.Sprintf("client %q over rate limit", key))
+	return false
+}
+
+// WriteMetrics appends the front end's own counters to a /metrics answer.
+func (f *Front) WriteMetrics(w io.Writer) {
+	if f.limiter == nil {
+		return
+	}
+	fmt.Fprintf(w, "# HELP drqos_rate_limited_total Requests refused by the per-client token bucket.\n# TYPE drqos_rate_limited_total counter\ndrqos_rate_limited_total %d\n",
+		f.rateLimited.Load())
+	fmt.Fprintf(w, "# HELP drqos_rate_limit_clients Client buckets currently tracked.\n# TYPE drqos_rate_limit_clients gauge\ndrqos_rate_limit_clients %d\n",
+		f.limiter.Clients())
+}
+
+// MountDebug registers /debug/pprof/ on mux when WithPprof asked for it.
+func (f *Front) MountDebug(mux *http.ServeMux) {
+	if !f.pprof {
+		return
+	}
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
 // NewHandler returns the HTTP/JSON API over s:
@@ -150,53 +229,8 @@ func WithPprof() HandlerOption {
 // With WithRateLimit, each client is additionally token-bucket limited on
 // the mutation endpoints (429 + Retry-After).
 func NewHandler(s *Server, opts ...HandlerOption) http.Handler {
-	cfg := &handlerConfig{maxBodyBytes: 1 << 20}
-	for _, o := range opts {
-		o(cfg)
-	}
+	f := NewFront(opts...)
 	mux := http.NewServeMux()
-
-	// decodeBody reads a JSON body under the size cap; a limit overrun
-	// answers 413, malformed JSON 400. Returns false when a response was
-	// already written.
-	decodeBody := func(w http.ResponseWriter, r *http.Request, v any) bool {
-		r.Body = http.MaxBytesReader(w, r.Body, cfg.maxBodyBytes)
-		if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				writeJSON(w, http.StatusRequestEntityTooLarge,
-					errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
-				return false
-			}
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
-			return false
-		}
-		return true
-	}
-
-	// admitClient enforces the per-client token bucket on mutating
-	// endpoints. Returns false when the request was already answered 429.
-	admitClient := func(w http.ResponseWriter, r *http.Request) bool {
-		if cfg.limiter == nil {
-			return true
-		}
-		key := r.Header.Get("X-Client-ID")
-		if key == "" {
-			if host, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {
-				key = host
-			} else {
-				key = r.RemoteAddr
-			}
-		}
-		ok, retry := cfg.limiter.Allow(key, time.Now())
-		if ok {
-			return true
-		}
-		cfg.rateLimited.Add(1)
-		writeShed(w, http.StatusTooManyRequests, retry,
-			fmt.Sprintf("client %q over rate limit", key))
-		return false
-	}
 
 	// shedIfOverloaded refuses new capacity-consuming work while the
 	// overloaded state holds. Returns false when already answered 503.
@@ -204,24 +238,24 @@ func NewHandler(s *Server, opts ...HandlerOption) http.Handler {
 		if !s.Overloaded() {
 			return true
 		}
-		writeShed(w, http.StatusServiceUnavailable, s.RetryAfterHint(), ErrOverloaded.Error())
+		WriteShed(w, http.StatusServiceUnavailable, s.RetryAfterHint(), ErrOverloaded.Error())
 		return false
 	}
 
 	mux.HandleFunc("POST /v1/connections", func(w http.ResponseWriter, r *http.Request) {
-		if !admitClient(w, r) || !shedIfOverloaded(w) {
+		if !f.AdmitClient(w, r) || !shedIfOverloaded(w) {
 			return
 		}
 		var req EstablishRequest
-		if !decodeBody(w, r, &req) {
+		if !f.DecodeBody(w, r, &req) {
 			return
 		}
 		rep, err := s.Establish(r.Context(), topology.NodeID(req.Src), topology.NodeID(req.Dst), req.Spec())
 		if err != nil {
-			writeError(w, err)
+			WriteError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusCreated, EstablishResponse{
+		WriteJSON(w, http.StatusCreated, EstablishResponse{
 			ID:                int64(rep.Conn.ID),
 			Level:             rep.Conn.Level,
 			BandwidthKbps:     int64(rep.Conn.Bandwidth()),
@@ -235,20 +269,20 @@ func NewHandler(s *Server, opts ...HandlerOption) http.Handler {
 	mux.HandleFunc("DELETE /v1/connections/{id}", func(w http.ResponseWriter, r *http.Request) {
 		// Terminations stay admitted under overload: freeing capacity is
 		// the way out. Only the per-client limiter applies.
-		if !admitClient(w, r) {
+		if !f.AdmitClient(w, r) {
 			return
 		}
 		id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad connection id: " + err.Error()})
+			WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: "bad connection id: " + err.Error()})
 			return
 		}
 		rep, err := s.Terminate(r.Context(), channel.ConnID(id))
 		if err != nil {
-			writeError(w, err)
+			WriteError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, TerminateResponse{
+		WriteJSON(w, http.StatusOK, TerminateResponse{
 			ID:           id,
 			Affected:     len(rep.Affected),
 			LevelChanges: len(rep.Changes),
@@ -260,22 +294,22 @@ func NewHandler(s *Server, opts ...HandlerOption) http.Handler {
 		// connection survived onto the promoted primary.
 		id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad connection id: " + err.Error()})
+			WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: "bad connection id: " + err.Error()})
 			return
 		}
 		st, err := s.ConnStatus(r.Context(), channel.ConnID(id))
 		if err != nil {
-			writeError(w, err)
+			WriteError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, st)
+		WriteJSON(w, http.StatusOK, st)
 	})
 	mux.HandleFunc("POST /v1/faults/link", func(w http.ResponseWriter, r *http.Request) {
-		if !admitClient(w, r) {
+		if !f.AdmitClient(w, r) {
 			return
 		}
 		var req FaultRequest
-		if !decodeBody(w, r, &req) {
+		if !f.DecodeBody(w, r, &req) {
 			return
 		}
 		switch req.Action {
@@ -287,10 +321,10 @@ func NewHandler(s *Server, opts ...HandlerOption) http.Handler {
 			}
 			rep, err := s.FailLink(r.Context(), topology.LinkID(req.Link))
 			if err != nil {
-				writeError(w, err)
+				WriteError(w, err)
 				return
 			}
-			writeJSON(w, http.StatusOK, FaultResponse{
+			WriteJSON(w, http.StatusOK, FaultResponse{
 				Link:        req.Link,
 				Action:      "fail",
 				Activated:   connIDs(rep.Activated),
@@ -302,21 +336,21 @@ func NewHandler(s *Server, opts ...HandlerOption) http.Handler {
 		case "repair":
 			restored, err := s.RepairLink(r.Context(), topology.LinkID(req.Link))
 			if err != nil {
-				writeError(w, err)
+				WriteError(w, err)
 				return
 			}
-			writeJSON(w, http.StatusOK, FaultResponse{
+			WriteJSON(w, http.StatusOK, FaultResponse{
 				Link: req.Link, Action: "repair", Reprotected: restored,
 			})
 		default:
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("unknown action %q", req.Action)})
+			WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: fmt.Sprintf("unknown action %q", req.Action)})
 		}
 	})
 	mux.HandleFunc("GET /v1/forecast", func(w http.ResponseWriter, r *http.Request) {
 		fc := s.Forecaster()
 		if fc == nil {
-			writeJSON(w, http.StatusNotFound,
-				errorBody{Error: "forecasting disabled (start the daemon with -forecast-interval > 0)"})
+			WriteJSON(w, http.StatusNotFound,
+				ErrorBody{Error: "forecasting disabled (start the daemon with -forecast-interval > 0)"})
 			return
 		}
 		// Reads the lock-free published pointer — never touches the actor
@@ -328,10 +362,10 @@ func NewHandler(s *Server, opts ...HandlerOption) http.Handler {
 			if lastErr == "" {
 				lastErr = "no solve attempted yet"
 			}
-			writeJSON(w, http.StatusOK, ForecastEnvelope{Available: false, Reason: lastErr})
+			WriteJSON(w, http.StatusOK, ForecastEnvelope{Available: false, Reason: lastErr})
 			return
 		}
-		writeJSON(w, http.StatusOK, ForecastEnvelope{
+		WriteJSON(w, http.StatusOK, ForecastEnvelope{
 			Available:         true,
 			AgeSeconds:        time.Since(cur.SolvedAt).Seconds(),
 			PredictedOverload: fc.Predicted(),
@@ -341,25 +375,25 @@ func NewHandler(s *Server, opts ...HandlerOption) http.Handler {
 	mux.HandleFunc("POST /v1/forecast/whatif", func(w http.ResponseWriter, r *http.Request) {
 		fc := s.Forecaster()
 		if fc == nil {
-			writeJSON(w, http.StatusNotFound,
-				errorBody{Error: "forecasting disabled (start the daemon with -forecast-interval > 0)"})
+			WriteJSON(w, http.StatusNotFound,
+				ErrorBody{Error: "forecasting disabled (start the daemon with -forecast-interval > 0)"})
 			return
 		}
 		var req forecast.WhatIfRequest
-		if !decodeBody(w, r, &req) {
+		if !f.DecodeBody(w, r, &req) {
 			return
 		}
 		resp, err := fc.WhatIf(req)
 		if err != nil {
 			switch {
 			case errors.Is(err, forecast.ErrNoForecast):
-				writeJSON(w, http.StatusConflict, errorBody{Error: err.Error()})
+				WriteJSON(w, http.StatusConflict, ErrorBody{Error: err.Error()})
 			default:
-				writeJSON(w, http.StatusUnprocessableEntity, errorBody{Error: err.Error()})
+				WriteJSON(w, http.StatusUnprocessableEntity, ErrorBody{Error: err.Error()})
 			}
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		WriteJSON(w, http.StatusOK, resp)
 	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		// Served from the published epoch view plus live overlays — no
@@ -370,13 +404,13 @@ func NewHandler(s *Server, opts ...HandlerOption) http.Handler {
 		if r.URL.Query().Get("source") == "loop" {
 			st, err := s.Snapshot(r.Context())
 			if err != nil {
-				writeError(w, err)
+				WriteError(w, err)
 				return
 			}
-			writeJSON(w, http.StatusOK, st)
+			WriteJSON(w, http.StatusOK, st)
 			return
 		}
-		writeJSON(w, http.StatusOK, s.StatsView())
+		WriteJSON(w, http.StatusOK, s.StatsView())
 	})
 	mux.HandleFunc("GET /v1/invariants", func(w http.ResponseWriter, r *http.Request) {
 		// ?source=epoch audits the published epoch off the actor loop: it
@@ -391,20 +425,20 @@ func NewHandler(s *Server, opts ...HandlerOption) http.Handler {
 			}
 			if err != nil {
 				body["error"] = err.Error()
-				writeJSON(w, http.StatusInternalServerError, body)
+				WriteJSON(w, http.StatusInternalServerError, body)
 				return
 			}
-			writeJSON(w, http.StatusOK, body)
+			WriteJSON(w, http.StatusOK, body)
 			return
 		}
 		err := s.CheckInvariants(r.Context())
 		degraded, reason := s.Degraded()
 		if err != nil {
 			if errors.Is(err, ErrServerClosed) {
-				writeError(w, err)
+				WriteError(w, err)
 				return
 			}
-			writeJSON(w, http.StatusInternalServerError, map[string]any{
+			WriteJSON(w, http.StatusInternalServerError, map[string]any{
 				"ok": false, "error": err.Error(),
 				"degraded": degraded, "degraded_reason": reason,
 			})
@@ -420,15 +454,15 @@ func NewHandler(s *Server, opts ...HandlerOption) http.Handler {
 		if fp, ferr := s.StateFingerprint(r.Context()); ferr == nil {
 			body["fingerprint"] = fp
 		}
-		writeJSON(w, http.StatusOK, body)
+		WriteJSON(w, http.StatusOK, body)
 	})
 	mux.HandleFunc("POST /v1/admin/recover", func(w http.ResponseWriter, r *http.Request) {
 		seq, err := s.Recover(r.Context())
 		if err != nil {
-			writeError(w, err)
+			WriteError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"recovered": true, "journal_seq": seq})
+		WriteJSON(w, http.StatusOK, map[string]any{"recovered": true, "journal_seq": seq})
 	})
 	mux.HandleFunc("POST /v1/admin/promote", func(w http.ResponseWriter, r *http.Request) {
 		// Manual failover: flip this follower to primary under a new fencing
@@ -436,29 +470,24 @@ func NewHandler(s *Server, opts ...HandlerOption) http.Handler {
 		// sustained primary health-check failure.
 		term, err := s.Promote(r.Context())
 		if err != nil {
-			writeError(w, err)
+			WriteError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"promoted": true, "term": term, "role": s.Role()})
+		WriteJSON(w, http.StatusOK, map[string]any{"promoted": true, "term": term, "role": s.Role()})
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		// Scrapes ride the epoch view: a wedged or saturated actor loop can
 		// no longer take monitoring down with it.
 		st := s.StatsView()
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		writeMetrics(w, st)
-		if cfg.limiter != nil {
-			fmt.Fprintf(w, "# HELP drqos_rate_limited_total Requests refused by the per-client token bucket.\n# TYPE drqos_rate_limited_total counter\ndrqos_rate_limited_total %d\n",
-				cfg.rateLimited.Load())
-			fmt.Fprintf(w, "# HELP drqos_rate_limit_clients Client buckets currently tracked.\n# TYPE drqos_rate_limit_clients gauge\ndrqos_rate_limit_clients %d\n",
-				cfg.limiter.Clients())
-		}
+		WriteMetrics(w, st)
+		f.WriteMetrics(w)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		// Liveness: the process is up and the mux is answering. Degraded
 		// and overloaded servers are still alive — restarting them would
 		// only lose state, so this never goes red while serving.
-		writeJSON(w, http.StatusOK, map[string]any{"ok": true})
+		WriteJSON(w, http.StatusOK, map[string]any{"ok": true})
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		degraded, reason := s.Degraded()
@@ -488,18 +517,12 @@ func NewHandler(s *Server, opts ...HandlerOption) http.Handler {
 		}
 		if degraded || recovering || overloaded || leaseLost {
 			w.Header().Set("Retry-After", strconv.FormatInt(int64(s.RetryAfterHint()/time.Second), 10))
-			writeJSON(w, http.StatusServiceUnavailable, body)
+			WriteJSON(w, http.StatusServiceUnavailable, body)
 			return
 		}
-		writeJSON(w, http.StatusOK, body)
+		WriteJSON(w, http.StatusOK, body)
 	})
-	if cfg.pprof {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
+	f.MountDebug(mux)
 	return mux
 }
 
@@ -514,7 +537,8 @@ func connIDs(ids []channel.ConnID) []int64 {
 	return out
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON answers code with v as indented JSON.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -522,43 +546,43 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-// writeShed answers a load-shedding refusal (429 rate limit, 503 overload)
+// WriteShed answers a load-shedding refusal (429 rate limit, 503 overload)
 // with a Retry-After header and a matching JSON hint, so clients back off
 // for the right amount of time instead of guessing.
-func writeShed(w http.ResponseWriter, code int, retryAfter time.Duration, msg string) {
+func WriteShed(w http.ResponseWriter, code int, retryAfter time.Duration, msg string) {
 	secs := int64((retryAfter + time.Second - 1) / time.Second)
 	if secs < 1 {
 		secs = 1
 	}
 	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	writeJSON(w, code, errorBody{Error: msg, RetryAfterSeconds: secs})
+	WriteJSON(w, code, ErrorBody{Error: msg, RetryAfterSeconds: secs})
 }
 
-// writeError maps typed service errors onto HTTP status codes.
-func writeError(w http.ResponseWriter, err error) {
+// WriteError maps typed service errors onto HTTP status codes.
+func WriteError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, manager.ErrRejected):
-		writeJSON(w, http.StatusConflict, errorBody{Error: err.Error(), Rejected: true})
+		WriteJSON(w, http.StatusConflict, ErrorBody{Error: err.Error(), Rejected: true})
 	case errors.Is(err, qos.ErrInvalidSpec):
-		writeJSON(w, http.StatusUnprocessableEntity, errorBody{Error: err.Error()})
+		WriteJSON(w, http.StatusUnprocessableEntity, ErrorBody{Error: err.Error()})
 	case errors.Is(err, ErrNotFound):
-		writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error()})
+		WriteJSON(w, http.StatusNotFound, ErrorBody{Error: err.Error()})
 	case errors.Is(err, ErrConflict):
-		writeJSON(w, http.StatusConflict, errorBody{Error: err.Error()})
+		WriteJSON(w, http.StatusConflict, ErrorBody{Error: err.Error()})
 	case errors.Is(err, ErrNotPrimary), errors.Is(err, ErrFenced):
 		// Retryable: during failover the client's next attempt (after the
 		// hint, or via the front layer's 307) lands on the new primary —
 		// or back here once a fenced primary's lease renews.
-		writeShed(w, http.StatusServiceUnavailable, time.Second, err.Error())
+		WriteShed(w, http.StatusServiceUnavailable, time.Second, err.Error())
 	case errors.Is(err, ErrOverloaded):
-		writeShed(w, http.StatusServiceUnavailable, time.Second, err.Error())
+		WriteShed(w, http.StatusServiceUnavailable, time.Second, err.Error())
 	case errors.Is(err, ErrDegraded):
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
+		WriteJSON(w, http.StatusServiceUnavailable, ErrorBody{Error: err.Error()})
 	case errors.Is(err, ErrNotDegraded), errors.Is(err, ErrRecoveryInProgress), errors.Is(err, ErrNoJournal):
-		writeJSON(w, http.StatusConflict, errorBody{Error: err.Error()})
+		WriteJSON(w, http.StatusConflict, ErrorBody{Error: err.Error()})
 	case errors.Is(err, ErrServerClosed):
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
+		WriteJSON(w, http.StatusServiceUnavailable, ErrorBody{Error: err.Error()})
 	default:
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		WriteJSON(w, http.StatusInternalServerError, ErrorBody{Error: err.Error()})
 	}
 }

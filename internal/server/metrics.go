@@ -6,13 +6,10 @@ import (
 )
 
 // WriteMetrics renders a Stats snapshot in the Prometheus text exposition
-// format. Exported for the sharded front end (internal/shard), which
-// aggregates per-shard Stats and serves them under the same metric names.
-func WriteMetrics(w io.Writer, st Stats) { writeMetrics(w, st) }
-
-// writeMetrics renders a Stats snapshot in the Prometheus text exposition
 // format (hand-rolled; the repo deliberately has no external dependencies).
-func writeMetrics(w io.Writer, st Stats) {
+// The sharded front end (internal/shard) serves its aggregated Stats through
+// it under the same metric names.
+func WriteMetrics(w io.Writer, st Stats) {
 	gauge := func(name, help string, v any) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %v\n", name, help, name, name, v)
 	}

@@ -28,11 +28,8 @@ import (
 	"fmt"
 	"time"
 
-	"drqos/internal/channel"
 	"drqos/internal/journal"
 	"drqos/internal/manager"
-	"drqos/internal/qos"
-	"drqos/internal/routing"
 	"drqos/internal/topology"
 )
 
@@ -108,22 +105,11 @@ func (s *Server) Recover(ctx context.Context) (uint64, error) {
 	if ok, _ := s.Degraded(); !ok {
 		return 0, ErrNotDegraded
 	}
-	if !s.recovering.CompareAndSwap(false, true) {
-		return 0, ErrRecoveryInProgress
-	}
-	defer s.recovering.Store(false)
-	seq, err := s.recoverOnce(ctx)
-	if err != nil {
-		s.recoveryFailures.Add(1)
-		s.setLastRecoveryErr(err.Error())
-		return 0, err
-	}
-	s.recoveries.Add(1)
-	s.setLastRecoveryErr("")
-	if s.onRecover != nil {
+	seq, err := s.Reseed(ctx)
+	if err == nil && s.onRecover != nil {
 		s.onRecover(seq)
 	}
-	return seq, nil
+	return seq, err
 }
 
 func (s *Server) recoverOnce(ctx context.Context) (uint64, error) {
@@ -142,10 +128,8 @@ func (s *Server) recoverOnce(ctx context.Context) (uint64, error) {
 	// old manager) or (healthy, new manager) — never a mix. The swap rides
 	// the freeing lane (it is what un-wedges the service, so it must not
 	// queue behind backlogged establishes) and is critical: once accepted
-	// it always executes, even if ctx dies, because the <-done wait below
-	// must terminate.
-	done := make(chan struct{})
-	if err := s.submit(ctx, laneFreeing, true, func(*manager.Manager) {
+	// it always executes, even if ctx dies.
+	if err := s.do(ctx, true, func(*manager.Manager) error {
 		// The journal is the durable term authority: adopt whatever fencing
 		// term the reload surfaced (snapshot header or KindTerm records), so
 		// a rebuilt replica resumes fencing where its history left off.
@@ -166,13 +150,10 @@ func (s *Server) recoverOnce(ctx context.Context) (uint64, error) {
 		// the rebuilt manager IS the trusted state now, so publish it
 		// unconditionally before anyone reads post-recovery stats.
 		s.publishEpoch(fresh)
-		close(done)
+		return nil
 	}); err != nil {
 		return 0, err
 	}
-	// An accepted command runs exactly once even through Shutdown's drain,
-	// so this wait always terminates.
-	<-done
 	return rec.LastSeq, nil
 }
 
@@ -217,14 +198,14 @@ func Rebuild(g *topology.Graph, cfg manager.Config, rec *journal.Recovered) (*ma
 }
 
 // RebuildWithTxns is Rebuild plus the cross-shard transaction table: the
-// snapshot header seeds the committed transactions, prepare/commit records
-// in the tail mutate the table exactly as the live path did, and pending
-// transactions whose pinned connections were all terminated (an abort's
-// trace) are dropped. The returned table seeds Options.Txns.
-func RebuildWithTxns(g *topology.Graph, cfg manager.Config, rec *journal.Recovered) (*manager.Manager, TxnTable, error) {
+// snapshot header seeds the committed transactions and the tail replays
+// through the same transition function the live path used, so the table
+// comes out exactly as the live server held it. The returned table seeds
+// Options.Txns.
+func RebuildWithTxns(g *topology.Graph, cfg manager.Config, rec *journal.Recovered) (*manager.Manager, *TxnTable, error) {
 	var m *manager.Manager
 	var err error
-	txns := TxnTable{}
+	txns := &TxnTable{}
 	if rec.SnapshotHeader != nil {
 		st, uerr := manager.UnmarshalState(rec.SnapshotBody)
 		if uerr != nil {
@@ -238,11 +219,7 @@ func RebuildWithTxns(g *topology.Graph, cfg manager.Config, rec *journal.Recover
 			return nil, nil, fmt.Errorf("%w: snapshot seq %d: %v", ErrJournal, rec.SnapshotSeq, err)
 		}
 		for _, ts := range rec.SnapshotHeader.Txns {
-			tx := &TxnState{Peers: ts.Peers, Committed: true}
-			for _, c := range ts.Conns {
-				tx.Conns = append(tx.Conns, channel.ConnID(c))
-			}
-			txns[ts.Txn] = tx
+			txns.seedCommitted(ts)
 		}
 	} else {
 		m, err = manager.New(g, cfg)
@@ -251,26 +228,8 @@ func RebuildWithTxns(g *topology.Graph, cfg manager.Config, rec *journal.Recover
 		}
 	}
 	for _, ev := range rec.Events {
-		if err := applyJournaled(m, ev, txns); err != nil {
+		if err := Replay(m, txns, ev); err != nil {
 			return nil, nil, fmt.Errorf("%w: %v", ErrJournal, err)
-		}
-	}
-	// A pending transaction with no alive connection is an abort that
-	// finished (every pinned connection was journal-terminated) — the live
-	// path deleted the entry, replay reproduces that.
-	for id, tx := range txns {
-		if tx.Committed {
-			continue
-		}
-		alive := false
-		for _, cid := range tx.Conns {
-			if c := m.Conn(cid); c != nil && c.Alive() {
-				alive = true
-				break
-			}
-		}
-		if !alive {
-			delete(txns, id)
 		}
 	}
 	if err := m.CheckInvariants(); err != nil {
@@ -317,94 +276,4 @@ func crossCheckSnapshot(m *manager.Manager, hdr *journal.SnapshotHeader) error {
 		return fmt.Errorf("restored %d failed links, header says %d", failed, len(hdr.FailedLinks))
 	}
 	return nil
-}
-
-// applyJournaled replays one event. Deterministic rejections (admission
-// refusal, invalid spec) are tolerated for establishes and prepares — they
-// happened identically in the original run and bumped the same counters.
-// Everything else must succeed: the server pre-validated
-// terminate/fail/repair events before journaling them, so a replay error
-// means the journal and the state machine disagree. txns receives the
-// prepare/commit trail exactly as the live path recorded it.
-func applyJournaled(m *manager.Manager, ev journal.Event, txns TxnTable) error {
-	switch ev.Kind {
-	case journal.KindEstablish:
-		if !validNode(m.Graph(), topology.NodeID(ev.Src)) || !validNode(m.Graph(), topology.NodeID(ev.Dst)) {
-			return fmt.Errorf("replay seq %d: establish endpoints %d→%d out of range — journal from a different topology?",
-				ev.Seq, ev.Src, ev.Dst)
-		}
-		spec := qos.ElasticSpec{
-			Min:       qos.Kbps(ev.MinKbps),
-			Max:       qos.Kbps(ev.MaxKbps),
-			Increment: qos.Kbps(ev.IncKbps),
-			Utility:   ev.Utility,
-		}
-		_, err := m.Establish(topology.NodeID(ev.Src), topology.NodeID(ev.Dst), spec)
-		if err != nil && !errors.Is(err, manager.ErrRejected) && !errors.Is(err, qos.ErrInvalidSpec) {
-			return fmt.Errorf("replay seq %d (establish %d→%d): %w", ev.Seq, ev.Src, ev.Dst, err)
-		}
-		return nil
-	case journal.KindTerminate:
-		if _, err := m.Terminate(channel.ConnID(ev.Conn)); err != nil {
-			return fmt.Errorf("replay seq %d (terminate %d): %w", ev.Seq, ev.Conn, err)
-		}
-		return nil
-	case journal.KindFailLink:
-		if _, err := m.FailLink(topology.LinkID(ev.Link)); err != nil {
-			return fmt.Errorf("replay seq %d (fail link %d): %w", ev.Seq, ev.Link, err)
-		}
-		return nil
-	case journal.KindRepairLink:
-		if _, err := m.RepairLink(topology.LinkID(ev.Link)); err != nil {
-			return fmt.Errorf("replay seq %d (repair link %d): %w", ev.Seq, ev.Link, err)
-		}
-		return nil
-	case journal.KindPrepare:
-		spec := qos.ElasticSpec{
-			Min:       qos.Kbps(ev.MinKbps),
-			Max:       qos.Kbps(ev.MaxKbps),
-			Increment: qos.Kbps(ev.IncKbps),
-			Utility:   ev.Utility,
-		}
-		path := routing.Path{
-			Nodes: make([]topology.NodeID, len(ev.PathNodes)),
-			Links: make([]topology.LinkID, len(ev.PathLinks)),
-		}
-		for i, n := range ev.PathNodes {
-			path.Nodes[i] = topology.NodeID(n)
-		}
-		for i, l := range ev.PathLinks {
-			path.Links[i] = topology.LinkID(l)
-		}
-		rep, err := m.EstablishFixed(topology.NodeID(ev.Src), topology.NodeID(ev.Dst), spec, path)
-		if err != nil {
-			if errors.Is(err, manager.ErrRejected) || errors.Is(err, qos.ErrInvalidSpec) {
-				return nil // rejected identically in the original run
-			}
-			return fmt.Errorf("replay seq %d (prepare txn %d): %w", ev.Seq, ev.Txn, err)
-		}
-		tx := txns[ev.Txn]
-		if tx == nil {
-			tx = &TxnState{Peers: ev.Peers}
-			txns[ev.Txn] = tx
-		}
-		tx.Conns = append(tx.Conns, rep.Conn.ID)
-		return nil
-	case journal.KindTerm:
-		// Replication fence marker: no manager state changes. The journal
-		// layer already folded the highest term into Recovered.Term.
-		return nil
-	case journal.KindCommit:
-		tx := txns[ev.Txn]
-		if tx == nil {
-			// Snapshots are refused while a transaction is pending, so a
-			// commit's prepare is always on this side of the boundary; a
-			// missing transaction means the journal is inconsistent.
-			return fmt.Errorf("replay seq %d: commit for unknown txn %d", ev.Seq, ev.Txn)
-		}
-		tx.Committed = true
-		return nil
-	default:
-		return fmt.Errorf("replay seq %d: unknown event kind %d", ev.Seq, uint8(ev.Kind))
-	}
 }

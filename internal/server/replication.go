@@ -93,16 +93,6 @@ func (s *Server) Term() uint64 { return s.term.Load() }
 // Promotions returns how many times this server promoted to primary.
 func (s *Server) Promotions() int64 { return s.promotions.Load() }
 
-// refuseIfNotPrimary is the role guard every originating mutation runs
-// right after the degraded guard: a follower's state may only advance
-// through the primary's stream.
-func (s *Server) refuseIfNotPrimary() error {
-	if s.follower.Load() {
-		return ErrNotPrimary
-	}
-	return nil
-}
-
 // latchDiverged flips the server into degraded mode over a replication
 // divergence — same latch the invariant checker uses, so promotion,
 // mutations and epoch publishing all refuse through the one mechanism.
@@ -141,19 +131,18 @@ func (s *Server) ApplyReplicated(ctx context.Context, evs []journal.Event, verif
 	if len(evs) == 0 {
 		return s.jnl.DurableSeq(), nil
 	}
-	type out struct {
-		seq uint64 // last appended seq; durability is awaited outside
+	// applied is the last appended seq; its durability is awaited outside
+	// the loop, whether or not the batch then stopped on an error.
+	type applied struct {
+		seq uint64
 		err error
 	}
-	ch := make(chan out, 1)
-	if err := s.submit(ctx, laneFreeing, false, func(m *manager.Manager) {
+	a, err := query(s, ctx, func(m *manager.Manager) (applied, error) {
 		if err := s.refuseIfDegraded(); err != nil {
-			ch <- out{0, err}
-			return
+			return applied{err: err}, nil
 		}
 		if !s.follower.Load() {
-			ch <- out{0, fmt.Errorf("%w: primary does not accept a replication stream", ErrConflict)}
-			return
+			return applied{err: fmt.Errorf("%w: primary does not accept a replication stream", ErrConflict)}, nil
 		}
 		vi := 0
 		for len(verify) > vi && verify[vi].Seq <= s.jnl.LastSeq() {
@@ -164,23 +153,20 @@ func (s *Server) ApplyReplicated(ctx context.Context, evs []journal.Event, verif
 			seq, err := s.jnl.AppendReplicated(ev)
 			if err != nil {
 				s.journalErrors.Add(1)
-				ch <- out{last, fmt.Errorf("%w: %v", ErrJournal, err)}
-				return
+				return applied{last, fmt.Errorf("%w: %v", ErrJournal, err)}, nil
 			}
 			s.eventsSinceSnap++
-			if ev.Kind == journal.KindTerm {
+			if ev.Kind == journal.KindTerm && ev.Term > s.term.Load() {
 				// The primary's own promotion history; adopt the term so a
 				// later local promotion fences above it.
-				if ev.Term > s.term.Load() {
-					s.term.Store(ev.Term)
-				}
-			} else if err := applyJournaled(m, ev, s.txns); err != nil {
+				s.term.Store(ev.Term)
+			}
+			if err := Replay(m, s.txns, ev); err != nil {
 				// The journal holds a record the state machine rejects: this
 				// copy can no longer vouch for the primary's history.
 				reason := fmt.Sprintf("replicated apply failed: %v", err)
 				s.latchDiverged(reason)
-				ch <- out{last, fmt.Errorf("%w: %s", ErrDiverged, reason)}
-				return
+				return applied{last, fmt.Errorf("%w: %s", ErrDiverged, reason)}, nil
 			}
 			last = seq
 			if vi < len(verify) && verify[vi].Seq == seq {
@@ -188,8 +174,7 @@ func (s *Server) ApplyReplicated(ctx context.Context, evs []journal.Event, verif
 					reason := fmt.Sprintf("fingerprint mismatch at seq %d: local %s, primary %s",
 						seq, fp, verify[vi].Fingerprint)
 					s.latchDiverged(reason)
-					ch <- out{last, fmt.Errorf("%w: %s", ErrDiverged, reason)}
-					return
+					return applied{last, fmt.Errorf("%w: %s", ErrDiverged, reason)}, nil
 				}
 				vi++
 			}
@@ -197,22 +182,17 @@ func (s *Server) ApplyReplicated(ctx context.Context, evs []journal.Event, verif
 		s.maybeSnapshot(m)
 		s.markEpochDirty()
 		s.publishEpochIfDue(m)
-		ch <- out{last, nil}
-	}); err != nil {
-		return 0, err
-	}
-	o, err := await(ctx, ch)
+		return applied{seq: last}, nil
+	})
 	if err != nil {
 		return 0, err
 	}
 	// Ack only what is durable: the primary treats the reported position as
 	// replicated, so a crash-lost suffix must never be covered by it.
-	if o.seq != 0 {
-		if derr := s.waitDurable(ctx, o.seq); derr != nil {
-			return 0, derr
-		}
+	if derr := s.waitDurable(ctx, a.seq); derr != nil {
+		return 0, derr
 	}
-	return o.seq, o.err
+	return a.seq, a.err
 }
 
 // Promote flips a follower into the primary role. Inside one loop command
@@ -223,56 +203,39 @@ func (s *Server) ApplyReplicated(ctx context.Context, evs []journal.Event, verif
 // durable. A degraded (e.g. diverged) follower refuses promotion, and
 // promoting a primary is a conflict.
 func (s *Server) Promote(ctx context.Context) (uint64, error) {
-	type out struct {
-		term uint64
-		seq  uint64
-		err  error
-	}
-	ch := make(chan out, 1)
+	type promoted struct{ term, seq uint64 }
 	// Critical, freeing lane: the promotion that un-wedges a cluster must
 	// not queue behind consuming work or be shed by its caller's deadline
 	// half-way through.
-	done := make(chan struct{})
-	if err := s.submit(ctx, laneFreeing, true, func(m *manager.Manager) {
-		defer close(done)
+	p, err := exec(s, ctx, laneFreeing, true, func(m *manager.Manager) (promoted, error) {
 		if err := s.refuseIfDegraded(); err != nil {
-			ch <- out{0, 0, fmt.Errorf("promotion refused: %w", err)}
-			return
+			return promoted{}, fmt.Errorf("promotion refused: %w", err)
 		}
 		if !s.follower.Load() {
-			ch <- out{s.term.Load(), 0, fmt.Errorf("%w: already primary", ErrConflict)}
-			return
+			return promoted{term: s.term.Load()}, fmt.Errorf("%w: already primary", ErrConflict)
 		}
 		newTerm := s.term.Load() + 1
 		seq, err := s.journalAppend(journal.Event{Kind: journal.KindTerm, Term: newTerm})
 		if err != nil {
-			ch <- out{0, 0, err}
-			return
+			return promoted{}, err
 		}
 		s.term.Store(newTerm)
 		s.follower.Store(false)
 		s.promotions.Add(1)
 		s.markEpochDirty()
 		s.publishEpoch(m)
-		ch <- out{newTerm, seq, nil}
-	}); err != nil {
-		return 0, err
-	}
-	<-done
-	o, err := await(context.Background(), ch)
+		return promoted{newTerm, seq}, nil
+	})
 	if err != nil {
-		return 0, err
-	}
-	if o.err != nil {
-		return o.term, o.err
+		return p.term, err
 	}
 	// The new term must be durable before this node serves mutations under
 	// it — otherwise a crash-restart could resurrect the old term and
 	// un-fence the ex-primary.
-	if derr := s.waitDurable(ctx, o.seq); derr != nil {
+	if derr := s.waitDurable(ctx, p.seq); derr != nil {
 		return 0, derr
 	}
-	return o.term, nil
+	return p.term, nil
 }
 
 // Demote steps a stale primary down after evidence of a higher term — a
@@ -286,13 +249,9 @@ func (s *Server) Demote(ctx context.Context, term uint64) error {
 	if term <= s.term.Load() {
 		return nil
 	}
-	ch := make(chan error, 1)
-	done := make(chan struct{})
-	if err := s.submit(ctx, laneFreeing, true, func(m *manager.Manager) {
-		defer close(done)
+	return s.do(ctx, true, func(m *manager.Manager) error {
 		if term <= s.term.Load() {
-			ch <- nil
-			return
+			return nil
 		}
 		wasPrimary := !s.follower.Load()
 		if _, err := s.journalAppend(journal.Event{Kind: journal.KindTerm, Term: term}); err != nil {
@@ -307,12 +266,8 @@ func (s *Server) Demote(ctx context.Context, term uint64) error {
 			s.markEpochDirty()
 			s.publishEpoch(m)
 		}
-		ch <- nil
-	}); err != nil {
-		return err
-	}
-	<-done
-	return unwrapAwait(await(context.Background(), ch))
+		return nil
+	})
 }
 
 // Reseed rebuilds the manager from the journal and swaps it into the loop
@@ -348,29 +303,20 @@ func (s *Server) SnapshotNow(ctx context.Context) error {
 	if s.jnl == nil {
 		return ErrNoJournal
 	}
-	ch := make(chan error, 1)
-	if err := s.submit(ctx, laneFreeing, false, func(m *manager.Manager) {
+	return s.do(ctx, false, func(m *manager.Manager) error {
 		if err := s.refuseIfDegraded(); err != nil {
-			ch <- err
-			return
+			return err
 		}
-		for _, tx := range s.txns {
-			if !tx.Committed {
-				ch <- fmt.Errorf("%w: cross-shard transaction pending", ErrConflict)
-				return
-			}
+		if s.txns.pending() {
+			return fmt.Errorf("%w: cross-shard transaction pending", ErrConflict)
 		}
 		if err := s.writeSnapshot(m); err != nil {
 			s.journalErrors.Add(1)
-			ch <- fmt.Errorf("%w: %v", ErrJournal, err)
-			return
+			return fmt.Errorf("%w: %v", ErrJournal, err)
 		}
 		s.eventsSinceSnap = 0
-		ch <- nil
-	}); err != nil {
-		return err
-	}
-	return unwrapAwait(await(ctx, ch))
+		return nil
+	})
 }
 
 // replicaBlock assembles the Stats replication block: nil for the common

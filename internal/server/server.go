@@ -22,9 +22,9 @@
 //     churn through requests nobody is waiting for.
 //   - Adaptive shedding: per-command queueing delay feeds a CoDel-style
 //     detector (internal/overload); sustained delay above target latches
-//     an "overloaded" state that the HTTP layer uses to refuse new
-//     capacity-consuming work with 503 + Retry-After while reads and
-//     terminations stay live.
+//     an "overloaded" state in which new capacity-consuming work is
+//     refused before it may queue (ErrOverloaded; 503 + Retry-After over
+//     HTTP) while reads and terminations stay live.
 //
 // Command semantics: a call that returns a nil or domain error was applied
 // to the manager exactly once. A call that returns the context's error was
@@ -35,12 +35,15 @@
 // admission, drains every accepted command (shedding the expired ones), and
 // only then stops the loop.
 //
-// With Options.Journal set the server follows write-ahead discipline: every
-// mutating command is appended to the journal — after its validity
-// pre-checks, before the manager mutates — and a snapshot of the manager's
-// durable state is written every SnapshotEvery journaled events to bound
-// replay. recovery.go adds the supervised exit from degraded mode: a
-// rebuilt-and-audited manager is atomically swapped into the command loop.
+// Every mutation takes one write path — pipeline.go decides how it is
+// guarded, journaled, applied, published and acknowledged; transition.go is
+// the only code that says what an event does to a manager. With
+// Options.Journal set that path is write-ahead: every mutating command is
+// appended to the journal — after its validity pre-checks, before the
+// manager mutates — and a snapshot of the manager's durable state is
+// written every SnapshotEvery journaled events to bound replay. recovery.go
+// adds the supervised exit from degraded mode: a rebuilt-and-audited
+// manager is atomically swapped into the command loop.
 //
 // The HTTP layer in http.go exposes the same operations as a JSON API plus
 // Prometheus-style /metrics and /healthz + /readyz probes; cmd/drserverd
@@ -78,9 +81,9 @@ var ErrServerClosed = errors.New("server: closed")
 var ErrDegraded = errors.New("server: degraded after invariant violation, mutations refused")
 
 // ErrOverloaded reports that sustained actor-queue delay latched the
-// overloaded state: new capacity-consuming work (establish, fail injection)
-// is refused with a retry hint while reads and capacity-freeing work stay
-// live. Mapped to HTTP 503 + Retry-After.
+// overloaded state: new capacity-consuming work (establish, fail injection,
+// 2PC prepare) is refused before it queues while reads and capacity-freeing
+// work stay live. Mapped to HTTP 503 + Retry-After.
 var ErrOverloaded = errors.New("server: overloaded, retry later")
 
 // ErrNotFound reports an operation against an unknown connection or link.
@@ -182,7 +185,7 @@ type Options struct {
 	// journal rebuild recovered (RebuildWithTxns). Nil starts empty. Only
 	// the sharded deployment uses it; a standalone server's table stays
 	// empty forever.
-	Txns TxnTable
+	Txns *TxnTable
 	// Follower starts the server in the follower role: every mutating
 	// command answers ErrNotPrimary, and state advances only through
 	// ApplyReplicated (the primary's journal stream) until Promote flips
@@ -240,7 +243,7 @@ type Server struct {
 
 	// txns is the cross-shard transaction table (txn.go). Loop-owned, like
 	// mgr: written at construction and by loop commands only.
-	txns TxnTable
+	txns *TxnTable
 
 	// Overload control plane. detector is internally synchronized; the
 	// delay digests are loop-owned and only read from inside loop commands
@@ -369,7 +372,7 @@ func NewFromManager(g *topology.Graph, mgr *manager.Manager, opt Options) (*Serv
 		s.epochInterval = 25 * time.Millisecond
 	}
 	if s.txns == nil {
-		s.txns = TxnTable{}
+		s.txns = &TxnTable{}
 	}
 	// Epoch 1 is published before the loop starts, so View never returns
 	// nil and a freshly booted (or journal-recovered) server serves its
@@ -631,10 +634,8 @@ func (s *Server) maybeSnapshot(m *manager.Manager) {
 	// and its commit must land on the same side of the snapshot boundary,
 	// so replay of a KindCommit always finds its transaction (either live
 	// in the journal suffix or committed in the snapshot header).
-	for _, tx := range s.txns {
-		if !tx.Committed {
-			return
-		}
+	if s.txns.pending() {
+		return
 	}
 	if err := s.writeSnapshot(m); err != nil {
 		// The WAL is still intact and replay still works — a failed
@@ -664,9 +665,9 @@ func (s *Server) writeSnapshot(m *manager.Manager) error {
 	// rebuilds the table (the prepare/commit records are behind the
 	// boundary). Built only when non-empty: single-shard snapshots stay
 	// byte-identical to the pre-shard format.
-	if len(s.txns) > 0 {
-		txns := make([]journal.TxnSnapshot, 0, len(s.txns))
-		for id, tx := range s.txns {
+	if len(s.txns.byID) > 0 {
+		txns := make([]journal.TxnSnapshot, 0, len(s.txns.byID))
+		for id, tx := range s.txns.byID {
 			ts := journal.TxnSnapshot{Txn: id, Peers: tx.Peers}
 			for _, c := range tx.Conns {
 				ts.Conns = append(ts.Conns, int64(c))
@@ -756,246 +757,35 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// await collects the command's answer, or gives up when the caller's
-// context dies first (in which case the loop sheds the command, or — if
-// execution had already begun — discards its result).
-func await[T any](ctx context.Context, ch <-chan T) (T, error) {
-	select {
-	case v := <-ch:
-		return v, nil
-	case <-ctx.Done():
-		var zero T
-		return zero, ctx.Err()
-	}
-}
-
 // Establish admits a DR-connection from src to dst with the given elastic
 // spec (§3.1 arrival handling) and returns the manager's arrival report.
 // Establish rides the capacity-consuming lane.
 func (s *Server) Establish(ctx context.Context, src, dst topology.NodeID, spec qos.ElasticSpec) (*manager.ArrivalReport, error) {
-	type out struct {
-		rep *manager.ArrivalReport
-		err error
-		seq uint64
-	}
-	ch := make(chan out, 1)
-	if err := s.submit(ctx, laneConsuming, false, func(m *manager.Manager) {
-		s.establishes.Add(1)
-		if err := s.refuseIfDegraded(); err != nil {
-			ch <- out{nil, err, 0}
-			return
-		}
-		if err := s.refuseIfNotPrimary(); err != nil {
-			ch <- out{nil, err, 0}
-			return
-		}
-		// Range-check endpoints before journaling: a journaled establish
-		// must be safe to replay against the same topology.
-		if !validNode(m.Graph(), src) || !validNode(m.Graph(), dst) {
-			ch <- out{nil, fmt.Errorf("%w: node out of range", ErrNotFound), 0}
-			return
-		}
-		seq, err := s.journalAppend(journal.Event{
-			Kind: journal.KindEstablish,
-			Src:  int32(src), Dst: int32(dst),
-			MinKbps: int64(spec.Min), MaxKbps: int64(spec.Max),
-			IncKbps: int64(spec.Increment), Utility: spec.Utility,
-		})
-		if err != nil {
-			ch <- out{nil, err, 0}
-			return
-		}
-		alivePrior := m.AliveCount()
-		rep, err := m.Establish(src, dst, spec)
-		s.noteViolation(err)
-		s.maybeSnapshot(m)
-		if s.fc != nil {
-			if err == nil && rep != nil && rep.Conn != nil {
-				s.fc.ObserveArrival(m, rep, alivePrior)
-			} else if errors.Is(err, manager.ErrRejected) {
-				s.fc.ObserveReject()
-			}
-		}
-		// The manager executed (a rejection still bumped its counters):
-		// the published epoch is stale now.
-		s.markEpochDirty()
-		s.publishEpochIfDue(m)
-		ch <- out{rep, err, seq}
-	}); err != nil {
-		return nil, err
-	}
-	o, err := await(ctx, ch)
-	if err != nil {
-		return nil, err
-	}
-	// Even a domain error (rejection) was journaled and mutated counters:
-	// the acknowledgment — success or not — waits for durability.
-	if derr := s.waitDurable(ctx, o.seq); derr != nil {
-		return nil, derr
-	}
-	return o.rep, o.err
-}
-
-func validNode(g *topology.Graph, n topology.NodeID) bool {
-	return int(n) >= 0 && int(n) < g.NumNodes()
+	res, err := s.mutate(ctx, mutation{lane: laneConsuming, counter: &s.establishes, event: EstablishEvent(src, dst, spec)})
+	return res.arrival, err
 }
 
 // Terminate releases connection id and returns the termination report.
 // Terminate rides the capacity-freeing lane and is never refused for
 // overload: releasing bandwidth is what ends an overload.
 func (s *Server) Terminate(ctx context.Context, id channel.ConnID) (*manager.TerminationReport, error) {
-	type out struct {
-		rep *manager.TerminationReport
-		err error
-		seq uint64
-	}
-	ch := make(chan out, 1)
-	if err := s.submit(ctx, laneFreeing, false, func(m *manager.Manager) {
-		s.terminates.Add(1)
-		if err := s.refuseIfDegraded(); err != nil {
-			ch <- out{nil, err, 0}
-			return
-		}
-		if err := s.refuseIfNotPrimary(); err != nil {
-			ch <- out{nil, err, 0}
-			return
-		}
-		if c := m.Conn(id); c == nil || !c.Alive() {
-			ch <- out{nil, ErrNotFound, 0}
-			return
-		}
-		seq, err := s.journalAppend(journal.Event{Kind: journal.KindTerminate, Conn: int64(id)})
-		if err != nil {
-			ch <- out{nil, err, 0}
-			return
-		}
-		rep, err := m.Terminate(id)
-		s.noteViolation(err)
-		s.maybeSnapshot(m)
-		if s.fc != nil && err == nil && rep != nil {
-			s.fc.ObserveTermination(m, rep)
-		}
-		s.markEpochDirty()
-		s.publishEpochIfDue(m)
-		ch <- out{rep, err, seq}
-	}); err != nil {
-		return nil, err
-	}
-	o, err := await(ctx, ch)
-	if err != nil {
-		return nil, err
-	}
-	if derr := s.waitDurable(ctx, o.seq); derr != nil {
-		return nil, derr
-	}
-	return o.rep, o.err
+	res, err := s.mutate(ctx, mutation{lane: laneFreeing, counter: &s.terminates, event: terminateEvent(id)})
+	return res.termination, err
 }
 
 // FailLink injects a failure of link l and returns the failure report.
 // Fault injection consumes capacity (backup activation, squeezing), so it
 // rides the consuming lane.
 func (s *Server) FailLink(ctx context.Context, l topology.LinkID) (*manager.FailureReport, error) {
-	type out struct {
-		rep *manager.FailureReport
-		err error
-		seq uint64
-	}
-	ch := make(chan out, 1)
-	if err := s.submit(ctx, laneConsuming, false, func(m *manager.Manager) {
-		s.failures.Add(1)
-		if err := s.refuseIfDegraded(); err != nil {
-			ch <- out{nil, err, 0}
-			return
-		}
-		if err := s.refuseIfNotPrimary(); err != nil {
-			ch <- out{nil, err, 0}
-			return
-		}
-		if int(l) < 0 || int(l) >= m.Graph().NumLinks() {
-			ch <- out{nil, ErrNotFound, 0}
-			return
-		}
-		if m.Network().Failed(l) {
-			ch <- out{nil, ErrConflict, 0}
-			return
-		}
-		seq, err := s.journalAppend(journal.Event{Kind: journal.KindFailLink, Link: int32(l)})
-		if err != nil {
-			ch <- out{nil, err, 0}
-			return
-		}
-		alivePrior := m.AliveCount()
-		rep, err := m.FailLink(l)
-		s.noteViolation(err)
-		s.maybeSnapshot(m)
-		if s.fc != nil && err == nil && rep != nil {
-			s.fc.ObserveFailure(m, rep, alivePrior)
-		}
-		s.markEpochDirty()
-		s.publishEpochIfDue(m)
-		ch <- out{rep, err, seq}
-	}); err != nil {
-		return nil, err
-	}
-	o, err := await(ctx, ch)
-	if err != nil {
-		return nil, err
-	}
-	if derr := s.waitDurable(ctx, o.seq); derr != nil {
-		return nil, derr
-	}
-	return o.rep, o.err
+	res, err := s.mutate(ctx, mutation{lane: laneConsuming, counter: &s.failures, event: linkEvent(journal.KindFailLink, l)})
+	return res.failure, err
 }
 
 // RepairLink marks link l repaired and returns how many connections were
 // re-protected. Repair frees capacity, so it rides the freeing lane.
 func (s *Server) RepairLink(ctx context.Context, l topology.LinkID) (int, error) {
-	type out struct {
-		restored int
-		err      error
-		seq      uint64
-	}
-	ch := make(chan out, 1)
-	if err := s.submit(ctx, laneFreeing, false, func(m *manager.Manager) {
-		s.repairs.Add(1)
-		if err := s.refuseIfDegraded(); err != nil {
-			ch <- out{0, err, 0}
-			return
-		}
-		if err := s.refuseIfNotPrimary(); err != nil {
-			ch <- out{0, err, 0}
-			return
-		}
-		if int(l) < 0 || int(l) >= m.Graph().NumLinks() {
-			ch <- out{0, ErrNotFound, 0}
-			return
-		}
-		if !m.Network().Failed(l) {
-			ch <- out{0, ErrConflict, 0}
-			return
-		}
-		seq, err := s.journalAppend(journal.Event{Kind: journal.KindRepairLink, Link: int32(l)})
-		if err != nil {
-			ch <- out{0, err, 0}
-			return
-		}
-		restored, err := m.RepairLink(l)
-		s.noteViolation(err)
-		s.maybeSnapshot(m)
-		s.markEpochDirty()
-		s.publishEpochIfDue(m)
-		ch <- out{restored, err, seq}
-	}); err != nil {
-		return 0, err
-	}
-	o, err := await(ctx, ch)
-	if err != nil {
-		return 0, err
-	}
-	if derr := s.waitDurable(ctx, o.seq); derr != nil {
-		return 0, derr
-	}
-	return o.restored, o.err
+	res, err := s.mutate(ctx, mutation{lane: laneFreeing, counter: &s.repairs, event: linkEvent(journal.KindRepairLink, l)})
+	return res.restored, err
 }
 
 // CheckInvariants runs the manager's full consistency audit in the loop.
@@ -1003,22 +793,9 @@ func (s *Server) RepairLink(ctx context.Context, l topology.LinkID) (int, error)
 // itself flips the server to degraded: discovering corruption is as
 // disqualifying as causing it.
 func (s *Server) CheckInvariants(ctx context.Context) error {
-	ch := make(chan error, 1)
-	if err := s.submit(ctx, laneFreeing, false, func(m *manager.Manager) {
+	return s.do(ctx, false, func(m *manager.Manager) error {
 		err := m.CheckInvariants()
 		s.noteViolation(err)
-		ch <- err
-	}); err != nil {
 		return err
-	}
-	return unwrapAwait(await(ctx, ch))
-}
-
-// unwrapAwait folds await's two errors (the command's own answer and the
-// context giving up first) into one.
-func unwrapAwait(inner, outer error) error {
-	if outer != nil {
-		return outer
-	}
-	return inner
+	})
 }

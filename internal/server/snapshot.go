@@ -134,75 +134,85 @@ func laneStats(depth int, d *stats.Digest) LaneStats {
 	return ls
 }
 
-// Snapshot captures the current service state through the command loop.
+// Snapshot captures the current service state through the command loop:
+// the manager-derived fields are exact as of the instant it runs, where
+// StatsView serves them from the last published epoch.
 func (s *Server) Snapshot(ctx context.Context) (Stats, error) {
-	ch := make(chan Stats, 1)
-	if err := s.submit(ctx, laneFreeing, false, func(m *manager.Manager) {
+	return query(s, ctx, func(m *manager.Manager) (Stats, error) {
 		s.snapshots.Add(1)
 		st := Stats{
-			Nodes:            m.Graph().NumNodes(),
-			Links:            m.Graph().NumLinks(),
-			CapacityKbps:     int64(m.Network().Capacity()),
 			Alive:            m.AliveCount(),
 			Unprotected:      m.UnprotectedCount(),
 			AvgBandwidthKbps: m.AverageBandwidth(),
 			LevelHistogram:   m.LevelHistogram(nil),
 			Requests:         m.Requests(),
 			Rejects:          m.Rejects(),
-		}
-		if st.Requests > 0 {
-			st.RejectRate = float64(st.Rejects) / float64(st.Requests)
+			// The digests are loop-owned; this closure runs in the loop, so
+			// reading them here is race-free.
+			Lanes: s.laneStats(),
 		}
 		for l := 0; l < m.Graph().NumLinks(); l++ {
 			if m.Network().Failed(topology.LinkID(l)) {
 				st.FailedLinks = append(st.FailedLinks, l)
 			}
 		}
-		st.Degraded, st.DegradedReason = s.Degraded()
-		st.InvariantViolations = s.invariantViolations.Load()
-		st.Overloaded = s.Overloaded()
-		st.OverloadEpisodes = s.OverloadEpisodes()
-		st.ShedExpired, st.ShedCanceled = s.Sheds()
-		// The digests are loop-owned; this closure runs in the loop, so
-		// reading them here is race-free.
-		st.Lanes = map[string]LaneStats{
-			laneFreeing.String():   laneStats(len(s.freeing), s.delayFreeing),
-			laneConsuming.String(): laneStats(len(s.consuming), s.delayConsuming),
-		}
-		if s.jnl != nil {
-			st.Journaled = true
-			st.JournalSeq = s.jnl.LastSeq()
-			st.JournalSnapshot = s.jnl.SnapshotSeq()
-			st.JournalErrors = s.journalErrors.Load()
-			if s.jnl.GroupCommit() {
-				st.GroupCommit = true
-				st.JournalSynced = s.jnl.SyncedSeq()
-				st.FsyncBatches, st.BatchedAppends = s.jnl.GroupCommitStats()
-			}
-		}
-		if v := s.View(); v != nil {
-			st.Epoch = &EpochStats{
-				Seq:        v.Seq,
-				AgeSeconds: time.Since(v.PublishedAt).Seconds(),
-				Publishes:  s.epochPublishes.Load(),
-				Frozen:     s.degraded.Load(),
-			}
-		}
-		st.Recovering, st.Recoveries, st.RecoveryFailures, st.LastRecoveryError = s.RecoveryStatus()
-		st.Commands = CommandStats{
-			Processed:   s.processed.Load(),
-			Establishes: s.establishes.Load(),
-			Terminates:  s.terminates.Load(),
-			Failures:    s.failures.Load(),
-			Repairs:     s.repairs.Load(),
-			Snapshots:   s.snapshots.Load(),
-		}
-		st.QueueDepth = s.QueueDepth()
-		st.Forecast = forecastStats(s.fc)
-		st.Replica = s.replicaBlock()
-		ch <- st
-	}); err != nil {
-		return Stats{}, err
+		s.overlayLive(&st)
+		return st, nil
+	})
+}
+
+// laneStats renders both lanes' delay digests and current depths. Loop
+// goroutine only (the digests are loop-owned).
+func (s *Server) laneStats() map[string]LaneStats {
+	return map[string]LaneStats{
+		laneFreeing.String():   laneStats(len(s.freeing), s.delayFreeing),
+		laneConsuming.String(): laneStats(len(s.consuming), s.delayConsuming),
 	}
-	return await(ctx, ch)
+}
+
+// overlayLive completes a Stats whose manager-derived fields are already set
+// with everything that is read live and from any goroutine: topology
+// constants, health flags, counters, journal and epoch positions.
+func (s *Server) overlayLive(st *Stats) {
+	st.Nodes = s.graph.NumNodes()
+	st.Links = s.graph.NumLinks()
+	st.CapacityKbps = s.capacityKbps
+	if st.Requests > 0 {
+		st.RejectRate = float64(st.Rejects) / float64(st.Requests)
+	}
+	st.Degraded, st.DegradedReason = s.Degraded()
+	st.InvariantViolations = s.invariantViolations.Load()
+	st.Overloaded = s.Overloaded()
+	st.OverloadEpisodes = s.OverloadEpisodes()
+	st.ShedExpired, st.ShedCanceled = s.Sheds()
+	if s.jnl != nil {
+		st.Journaled = true
+		st.JournalSeq = s.jnl.LastSeq()
+		st.JournalSnapshot = s.jnl.SnapshotSeq()
+		st.JournalErrors = s.journalErrors.Load()
+		if s.jnl.GroupCommit() {
+			st.GroupCommit = true
+			st.JournalSynced = s.jnl.SyncedSeq()
+			st.FsyncBatches, st.BatchedAppends = s.jnl.GroupCommitStats()
+		}
+	}
+	v := s.View()
+	st.Epoch = &EpochStats{
+		Seq:        v.Seq,
+		AgeSeconds: time.Since(v.PublishedAt).Seconds(),
+		Publishes:  s.epochPublishes.Load(),
+		Frozen:     s.degraded.Load(),
+	}
+	st.Recovering, st.Recoveries, st.RecoveryFailures, st.LastRecoveryError = s.RecoveryStatus()
+	st.Commands = CommandStats{
+		Processed:   s.processed.Load(),
+		Establishes: s.establishes.Load(),
+		Terminates:  s.terminates.Load(),
+		Failures:    s.failures.Load(),
+		Repairs:     s.repairs.Load(),
+		Snapshots:   s.snapshots.Load(),
+	}
+	st.QueueDepth = s.QueueDepth()
+	st.Forecast = forecastStats(s.fc)
+	st.Replica = s.replicaBlock()
 }

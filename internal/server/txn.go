@@ -3,16 +3,17 @@
 // into per-shard runs and drives each participating shard through
 // PrepareTxn (pin the local sub-path as a rigid fixed connection) and then
 // CommitTxn (finalize) or AbortTxn (terminate the pinned connections).
-// Each phase is journaled on the shard's own journal before it applies —
-// the same write-ahead discipline as every other mutation — so replay
-// reproduces the shard's exact acknowledged state, and the coordinator's
-// boot-time reconciliation resolves transactions a crash left in flight
-// (commit anywhere → re-commit; committed nowhere → abort).
+// Each phase rides the same write path as every other mutation (DESIGN.md
+// "Write path"), so replay reproduces the shard's exact acknowledged state,
+// and the coordinator's boot-time reconciliation resolves transactions a
+// crash left in flight (commit anywhere → re-commit; committed nowhere →
+// abort).
 package server
 
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"drqos/internal/channel"
 	"drqos/internal/journal"
@@ -22,24 +23,27 @@ import (
 	"drqos/internal/topology"
 )
 
-// TxnTable maps transaction IDs to their shard-local state. Loop-owned
-// (like the manager): mutated only by loop commands and journal replay.
-type TxnTable map[uint64]*TxnState
+// TxnTable is a shard's view of the cross-shard transactions it takes part
+// in. Only the transition function mutates it (transition.go), so it is a
+// pure function of the shard's event history; like the manager it is
+// loop-owned once a server runs. The zero value is an empty table.
+type TxnTable struct {
+	byID map[uint64]*TxnState
+	// pinned indexes the alive connections of uncommitted transactions.
+	// It is what a terminate or link failure consults to notice an abort,
+	// and it is non-empty exactly while a transaction is pending.
+	pinned map[channel.ConnID]uint64
+}
 
 // TxnState is one cross-shard transaction as this shard sees it: which
 // shards participate (bitmask of shard indices, from the prepare record),
 // the local fixed connections the prepares pinned, and whether the commit
-// arrived. A transaction disappears from the table on abort.
+// arrived. An uncommitted transaction disappears from the table with its
+// last pinned connection.
 type TxnState struct {
 	Peers     uint32
 	Conns     []channel.ConnID
 	Committed bool
-	// runs maps the coordinator's per-run idempotency tag to the pinned
-	// connection, so a prepare retried after a phase timeout returns the
-	// existing pin instead of reserving twice. In-memory only: a crash
-	// clears it along with the coordinator's retry state, and boot
-	// reconciliation resolves whatever was in flight.
-	runs map[uint64]channel.ConnID
 }
 
 // TxnInfo is a read-only view of one transaction, with enough per-
@@ -59,250 +63,162 @@ type TxnConnInfo struct {
 	Links []topology.LinkID
 }
 
-// PrepareTxn is phase one: journal the prepare and pin the shard-local
-// sub-path as a rigid (Min==Max, no-backup) connection at spec.Min. The
-// spec must be rigid. A transaction may receive several prepares on the
-// same shard (one per contiguous run of locally-owned links); each appends
-// another pinned connection, keyed by run — the coordinator's per-run
-// idempotency tag. A retried prepare carrying a run this shard already
-// pinned (the first attempt applied but its reply was lost) answers the
-// existing pin instead of reserving the capacity twice. Prepares ride the
-// consuming lane — they reserve capacity — and obey the same
-// degraded/journal guards as Establish. On a domain rejection (no
-// capacity, failed link) nothing is pinned and the coordinator aborts the
-// transaction.
-func (s *Server) PrepareTxn(ctx context.Context, txn, run uint64, peers uint32, src, dst topology.NodeID, spec qos.ElasticSpec, path routing.Path) (*manager.ArrivalReport, error) {
-	type out struct {
-		rep *manager.ArrivalReport
-		err error
-		seq uint64
+// entry returns txn's state, creating it on first sight.
+func (t *TxnTable) entry(txn uint64, peers uint32) *TxnState {
+	if t.byID == nil {
+		t.byID = make(map[uint64]*TxnState)
+		t.pinned = make(map[channel.ConnID]uint64)
 	}
-	ch := make(chan out, 1)
-	if err := s.submit(ctx, laneConsuming, false, func(m *manager.Manager) {
-		s.establishes.Add(1)
-		if err := s.refuseIfDegraded(); err != nil {
-			ch <- out{nil, err, 0}
+	tx := t.byID[txn]
+	if tx == nil {
+		tx = &TxnState{Peers: peers}
+		t.byID[txn] = tx
+	}
+	return tx
+}
+
+func (t *TxnTable) pin(txn uint64, peers uint32, id channel.ConnID) {
+	tx := t.entry(txn, peers)
+	tx.Conns = append(tx.Conns, id)
+	t.pinned[id] = txn
+}
+
+// unpin records that connection id is gone. If it was the last pinned
+// connection of an uncommitted transaction, the transaction was aborted.
+func (t *TxnTable) unpin(id channel.ConnID) {
+	txn, ok := t.pinned[id]
+	if !ok {
+		return
+	}
+	delete(t.pinned, id)
+	for _, c := range t.byID[txn].Conns {
+		if _, still := t.pinned[c]; still {
 			return
 		}
-		if err := s.refuseIfNotPrimary(); err != nil {
-			ch <- out{nil, err, 0}
-			return
+	}
+	delete(t.byID, txn)
+}
+
+func (t *TxnTable) commit(txn uint64) error {
+	tx := t.byID[txn]
+	if tx == nil {
+		return fmt.Errorf("commit for unknown txn %d", txn)
+	}
+	tx.Committed = true
+	for _, c := range tx.Conns {
+		delete(t.pinned, c)
+	}
+	return nil
+}
+
+// seedCommitted installs a committed transaction from a snapshot header.
+func (t *TxnTable) seedCommitted(ts journal.TxnSnapshot) {
+	tx := t.entry(ts.Txn, ts.Peers)
+	tx.Committed = true
+	for _, c := range ts.Conns {
+		tx.Conns = append(tx.Conns, channel.ConnID(c))
+	}
+}
+
+// pending reports whether any transaction awaits its commit or abort.
+func (t *TxnTable) pending() bool { return len(t.pinned) > 0 }
+
+// AbortEvents is the journaled trace of aborting txn: one terminate per
+// connection it still pins (the rest were already dropped by link
+// failures). Applying them drops the transaction. Empty for an unknown or
+// committed transaction.
+func (t *TxnTable) AbortEvents(txn uint64) []journal.Event {
+	tx := t.byID[txn]
+	if tx == nil {
+		return nil
+	}
+	var evs []journal.Event
+	for _, id := range tx.Conns {
+		if _, alive := t.pinned[id]; alive {
+			evs = append(evs, terminateEvent(id))
 		}
-		if err := s.refuseIfOverloadedLoop(); err != nil {
-			ch <- out{nil, err, 0}
-			return
-		}
-		if !validNode(m.Graph(), src) || !validNode(m.Graph(), dst) {
-			ch <- out{nil, fmt.Errorf("%w: node out of range", ErrNotFound), 0}
-			return
-		}
-		if tx := s.txns[txn]; tx != nil {
-			if tx.Committed {
-				ch <- out{nil, fmt.Errorf("%w: txn %d already committed", ErrConflict, txn), 0}
-				return
+	}
+	return evs
+}
+
+// Infos lists the table in transaction order, resolving each pinned
+// connection against m.
+func (t *TxnTable) Infos(m *manager.Manager) []TxnInfo {
+	infos := make([]TxnInfo, 0, len(t.byID))
+	for id, tx := range t.byID {
+		info := TxnInfo{Txn: id, Peers: tx.Peers, Committed: tx.Committed}
+		for _, cid := range tx.Conns {
+			ci := TxnConnInfo{ID: cid}
+			if c := m.Conn(cid); c != nil && c.Alive() {
+				ci.Alive = true
+				ci.Links = append([]topology.LinkID(nil), c.Primary.Links...)
 			}
-			if id, ok := tx.runs[run]; ok {
-				// Retried prepare: the first attempt pinned this run and the
-				// coordinator lost the reply. Answer the existing pin.
-				if c := m.Conn(id); c != nil && c.Alive() {
-					ch <- out{&manager.ArrivalReport{Conn: c}, nil, 0}
-					return
+			info.Conns = append(info.Conns, ci)
+		}
+		infos = append(infos, info)
+	}
+	sort.Slice(infos, func(i, j int) bool { return infos[i].Txn < infos[j].Txn })
+	return infos
+}
+
+// PrepareTxn is phase one: pin the shard-local sub-path as a rigid
+// (Min==Max, no-backup) connection at spec.Min. The spec must be rigid. A
+// transaction may receive several prepares on the same shard (one per
+// contiguous run of locally-owned links); each pins another connection. A
+// prepare whose path the transaction already pins is a retry — the first
+// attempt applied but the coordinator lost the reply — and answers the
+// existing pin instead of reserving the capacity twice. Prepares reserve
+// capacity, so they ride the consuming lane under the same guards as
+// Establish. On a domain rejection (no capacity, failed link) nothing is
+// pinned and the coordinator aborts the transaction.
+func (s *Server) PrepareTxn(ctx context.Context, txn uint64, peers uint32, src, dst topology.NodeID, spec qos.ElasticSpec, path routing.Path) (*manager.ArrivalReport, error) {
+	ev := prepareEvent(txn, peers, src, dst, spec, path)
+	res, err := s.mutate(ctx, mutation{lane: laneConsuming, counter: &s.establishes, plan: func(m *manager.Manager) ([]journal.Event, result, error) {
+		if tx := s.txns.byID[txn]; tx != nil && !tx.Committed {
+			for _, id := range tx.Conns {
+				if c := m.Conn(id); c != nil && c.Alive() && c.Primary.Equal(path) {
+					return nil, result{arrival: &manager.ArrivalReport{Conn: c}}, nil
 				}
 			}
 		}
-		ev := journal.Event{
-			Kind: journal.KindPrepare,
-			Txn:  txn, Peers: peers,
-			Src: int32(src), Dst: int32(dst),
-			MinKbps: int64(spec.Min), MaxKbps: int64(spec.Max),
-			IncKbps: int64(spec.Increment), Utility: spec.Utility,
-		}
-		for _, n := range path.Nodes {
-			ev.PathNodes = append(ev.PathNodes, int32(n))
-		}
-		for _, l := range path.Links {
-			ev.PathLinks = append(ev.PathLinks, int32(l))
-		}
-		seq, err := s.journalAppend(ev)
-		if err != nil {
-			ch <- out{nil, err, 0}
-			return
-		}
-		rep, err := m.EstablishFixed(src, dst, spec, path)
-		s.noteViolation(err)
-		if err == nil && rep != nil && rep.Conn != nil {
-			tx := s.txns[txn]
-			if tx == nil {
-				tx = &TxnState{Peers: peers}
-				s.txns[txn] = tx
-			}
-			tx.Conns = append(tx.Conns, rep.Conn.ID)
-			if tx.runs == nil {
-				tx.runs = make(map[uint64]channel.ConnID)
-			}
-			tx.runs[run] = rep.Conn.ID
-		}
-		s.maybeSnapshot(m)
-		s.markEpochDirty()
-		s.publishEpochIfDue(m)
-		ch <- out{rep, err, seq}
-	}); err != nil {
-		return nil, err
-	}
-	o, err := await(ctx, ch)
-	if err != nil {
-		return nil, err
-	}
-	if derr := s.waitDurable(ctx, o.seq); derr != nil {
-		return nil, derr
-	}
-	return o.rep, o.err
+		return []journal.Event{ev}, result{}, Validate(m, s.txns, ev)
+	}})
+	return res.arrival, err
 }
 
-// CommitTxn is phase two: journal the commit and mark the transaction
-// final. No manager state changes — the prepares already reserved
-// everything — so commit rides the freeing lane and is never refused for
-// overload (an overloaded shard must still be able to finish transactions
-// it already accepted resources for). Committing an unknown transaction is
-// ErrNotFound (the coordinator's bug, or an abort raced it).
+// CommitTxn is phase two: mark the transaction final. No manager state
+// changes — the prepares already reserved everything — so commit rides the
+// freeing lane and is never refused for overload (an overloaded shard must
+// still be able to finish transactions it already accepted resources for).
+// Committing an unknown transaction is ErrNotFound (an abort or a link
+// failure raced it).
 func (s *Server) CommitTxn(ctx context.Context, txn uint64) error {
-	type out struct {
-		err error
-		seq uint64
-	}
-	ch := make(chan out, 1)
-	if err := s.submit(ctx, laneFreeing, false, func(m *manager.Manager) {
-		if err := s.refuseIfDegraded(); err != nil {
-			ch <- out{err, 0}
-			return
-		}
-		if err := s.refuseIfNotPrimary(); err != nil {
-			ch <- out{err, 0}
-			return
-		}
-		tx := s.txns[txn]
-		if tx == nil {
-			ch <- out{fmt.Errorf("%w: txn %d", ErrNotFound, txn), 0}
-			return
-		}
-		if tx.Committed {
-			ch <- out{fmt.Errorf("%w: txn %d already committed", ErrConflict, txn), 0}
-			return
-		}
-		seq, err := s.journalAppend(journal.Event{Kind: journal.KindCommit, Txn: txn})
-		if err != nil {
-			ch <- out{err, 0}
-			return
-		}
-		tx.Committed = true
-		s.maybeSnapshot(m)
-		s.markEpochDirty()
-		s.publishEpochIfDue(m)
-		ch <- out{nil, seq}
-	}); err != nil {
-		return err
-	}
-	o, err := await(ctx, ch)
-	if err != nil {
-		return err
-	}
-	if derr := s.waitDurable(ctx, o.seq); derr != nil {
-		return derr
-	}
-	return o.err
+	_, err := s.mutate(ctx, mutation{lane: laneFreeing, event: journal.Event{Kind: journal.KindCommit, Txn: txn}})
+	return err
 }
 
 // AbortTxn releases a transaction's pinned connections: one journaled
 // terminate per still-alive connection (replay-identical to any other
-// terminate), then the table entry is dropped. Aborting an unknown
+// terminate), the last of which drops the table entry. Aborting an unknown
 // transaction is a no-op — aborts must be idempotent, because the
 // coordinator retries them against shards that may have already lost the
 // prepare (crash before the append). Rides the freeing lane.
 func (s *Server) AbortTxn(ctx context.Context, txn uint64) error {
-	type out struct {
-		err error
-		seq uint64
-	}
-	ch := make(chan out, 1)
-	if err := s.submit(ctx, laneFreeing, false, func(m *manager.Manager) {
-		if err := s.refuseIfDegraded(); err != nil {
-			ch <- out{err, 0}
-			return
+	_, err := s.mutate(ctx, mutation{lane: laneFreeing, plan: func(*manager.Manager) ([]journal.Event, result, error) {
+		if tx := s.txns.byID[txn]; tx != nil && tx.Committed {
+			return nil, result{}, fmt.Errorf("%w: txn %d already committed", ErrConflict, txn)
 		}
-		if err := s.refuseIfNotPrimary(); err != nil {
-			ch <- out{err, 0}
-			return
-		}
-		tx := s.txns[txn]
-		if tx == nil {
-			ch <- out{nil, 0}
-			return
-		}
-		if tx.Committed {
-			ch <- out{fmt.Errorf("%w: txn %d already committed", ErrConflict, txn), 0}
-			return
-		}
-		var lastSeq uint64
-		for _, id := range tx.Conns {
-			if c := m.Conn(id); c == nil || !c.Alive() {
-				continue // already dropped by a link failure
-			}
-			seq, err := s.journalAppend(journal.Event{Kind: journal.KindTerminate, Conn: int64(id)})
-			if err != nil {
-				ch <- out{err, lastSeq}
-				return
-			}
-			lastSeq = seq
-			_, err = m.Terminate(id)
-			s.noteViolation(err)
-			if err != nil {
-				ch <- out{err, lastSeq}
-				return
-			}
-		}
-		delete(s.txns, txn)
-		s.maybeSnapshot(m)
-		s.markEpochDirty()
-		s.publishEpochIfDue(m)
-		ch <- out{nil, lastSeq}
-	}); err != nil {
-		return err
-	}
-	o, err := await(ctx, ch)
-	if err != nil {
-		return err
-	}
-	if derr := s.waitDurable(ctx, o.seq); derr != nil {
-		return derr
-	}
-	return o.err
+		return s.txns.AbortEvents(txn), result{}, nil
+	}})
+	return err
 }
 
 // Txns reads the transaction table — a loop read, consistent with the
-// manager state at the instant it runs. The coordinator uses it at boot to
-// reconcile in-flight transactions across shards and rebuild its global
-// cross-connection index.
+// manager state at the instant it runs.
 func (s *Server) Txns(ctx context.Context) ([]TxnInfo, error) {
-	ch := make(chan []TxnInfo, 1)
-	if err := s.submit(ctx, laneFreeing, false, func(m *manager.Manager) {
-		infos := make([]TxnInfo, 0, len(s.txns))
-		for id, tx := range s.txns {
-			info := TxnInfo{Txn: id, Peers: tx.Peers, Committed: tx.Committed}
-			for _, cid := range tx.Conns {
-				ci := TxnConnInfo{ID: cid}
-				if c := m.Conn(cid); c != nil && c.Alive() {
-					ci.Alive = true
-					ci.Links = append([]topology.LinkID(nil), c.Primary.Links...)
-				}
-				info.Conns = append(info.Conns, ci)
-			}
-			infos = append(infos, info)
-		}
-		ch <- infos
-	}); err != nil {
-		return nil, err
-	}
-	return await(ctx, ch)
+	return query(s, ctx, func(m *manager.Manager) ([]TxnInfo, error) {
+		return s.txns.Infos(m), nil
+	})
 }
 
 // ConnStatus is the point-lookup view of one connection
@@ -319,12 +235,10 @@ type ConnStatus struct {
 // ErrNotFound; terminated or failure-dropped connections answer with
 // Alive=false.
 func (s *Server) ConnStatus(ctx context.Context, id channel.ConnID) (*ConnStatus, error) {
-	ch := make(chan *ConnStatus, 1)
-	if err := s.submit(ctx, laneFreeing, false, func(m *manager.Manager) {
+	return query(s, ctx, func(m *manager.Manager) (*ConnStatus, error) {
 		c := m.Conn(id)
 		if c == nil {
-			ch <- nil
-			return
+			return nil, fmt.Errorf("%w: connection %d", ErrNotFound, id)
 		}
 		st := &ConnStatus{ID: int64(id), Alive: c.Alive()}
 		if c.Alive() {
@@ -332,31 +246,17 @@ func (s *Server) ConnStatus(ctx context.Context, id channel.ConnID) (*ConnStatus
 			st.BandwidthKbps = int64(c.Bandwidth())
 			st.HasBackup = c.HasBackup
 		}
-		ch <- st
-	}); err != nil {
-		return nil, err
-	}
-	st, err := await(ctx, ch)
-	if err != nil {
-		return nil, err
-	}
-	if st == nil {
-		return nil, fmt.Errorf("%w: connection %d", ErrNotFound, id)
-	}
-	return st, nil
+		return st, nil
+	})
 }
 
 // StateFingerprint exports the manager state in the loop and returns its
 // canonical hex digest — the bit-identity probe the sharded chaos harness
 // compares across crash/replay.
 func (s *Server) StateFingerprint(ctx context.Context) (string, error) {
-	ch := make(chan string, 1)
-	if err := s.submit(ctx, laneFreeing, false, func(m *manager.Manager) {
-		ch <- m.ExportState().Fingerprint()
-	}); err != nil {
-		return "", err
-	}
-	return await(ctx, ch)
+	return query(s, ctx, func(m *manager.Manager) (string, error) {
+		return m.ExportState().Fingerprint(), nil
+	})
 }
 
 // CorruptForTesting plants an aggregate-ledger corruption in the loop and
@@ -365,25 +265,11 @@ func (s *Server) StateFingerprint(ctx context.Context) (string, error) {
 // participant degraded mid-transaction with it — and has no production
 // caller.
 func (s *Server) CorruptForTesting(ctx context.Context) error {
-	ch := make(chan error, 1)
-	if err := s.submit(ctx, laneFreeing, false, func(m *manager.Manager) {
+	_, err := query(s, ctx, func(m *manager.Manager) (struct{}, error) {
 		m.CorruptAggregatesForTesting()
 		err := m.CheckInvariants()
 		s.noteViolation(err)
-		ch <- err
-	}); err != nil {
-		return err
-	}
-	return unwrapAwait(await(ctx, ch))
-}
-
-// refuseIfOverloadedLoop mirrors the HTTP layer's establish shedding for
-// loop-internal callers (the 2PC coordinator bypasses HTTP): an overloaded
-// shard refuses new prepares with a retry hint, exactly as it refuses new
-// establishes.
-func (s *Server) refuseIfOverloadedLoop() error {
-	if s.Overloaded() {
-		return ErrOverloaded
-	}
-	return nil
+		return struct{}{}, err
+	})
+	return err
 }

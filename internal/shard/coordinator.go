@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,7 +70,7 @@ type Options struct {
 	PrepareTimeout time.Duration
 	// PrepareRetries is how many extra times a timed-out prepare is
 	// retried before the transaction aborts (default 2). Retries are safe:
-	// prepares are idempotent per (txn, run), so a participant that
+	// prepares are idempotent per (txn, path), so a participant that
 	// applied the original but lost the reply simply re-answers its pinned
 	// connection. Only timeout-class failures retry; domain refusals
 	// (rejection, overload, degraded) abort immediately.
@@ -211,7 +210,7 @@ func New(g *topology.Graph, opt Options) (*Coordinator, error) {
 	}
 
 	mgrs := make([]*manager.Manager, opt.Shards)
-	tables := make([]server.TxnTable, opt.Shards)
+	tables := make([]*server.TxnTable, opt.Shards)
 	for i := 0; i < opt.Shards; i++ {
 		sub := plan.Subs[i]
 		var rec *journal.Recovered
@@ -318,81 +317,68 @@ func (c *Coordinator) closeJournals() {
 // starts committing once every participant's prepare is durable, so a
 // commit record on ANY shard proves the whole transaction was fully
 // prepared — re-commit it on the shards that lost theirs. A transaction
-// committed nowhere was never acknowledged — abort it everywhere, with the
-// same journaled-terminate trail a live abort writes.
-func (c *Coordinator) reconcile(mgrs []*manager.Manager, tables []server.TxnTable) error {
+// committed nowhere was never acknowledged — abort it everywhere. Either
+// way the shard sees the same records, through the same transition
+// function, as if its live server had run the phase.
+func (c *Coordinator) reconcile(mgrs []*manager.Manager, tables []*server.TxnTable) error {
+	infos := make([][]server.TxnInfo, len(tables))
 	committed := make(map[uint64]bool)
-	for _, t := range tables {
-		for txn, tx := range t {
+	for i, t := range tables {
+		infos[i] = t.Infos(mgrs[i])
+		for _, tx := range infos[i] {
 			if tx.Committed {
-				committed[txn] = true
+				committed[tx.Txn] = true
 			}
-			if txn >= c.nextTxn {
-				c.nextTxn = txn + 1
+			if tx.Txn >= c.nextTxn {
+				c.nextTxn = tx.Txn + 1
 			}
 		}
 	}
 	for i, t := range tables {
-		// Deterministic order keeps the reconciliation journal trail
-		// reproducible across boots of the same directory.
-		ids := make([]uint64, 0, len(t))
-		for txn := range t {
-			ids = append(ids, txn)
-		}
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-		for _, txn := range ids {
-			tx := t[txn]
+		// Infos is in transaction order, which keeps the reconciliation
+		// journal trail reproducible across boots of the same directory.
+		for _, tx := range infos[i] {
 			if tx.Committed {
 				continue
 			}
-			if committed[txn] {
+			evs := []journal.Event{{Kind: journal.KindCommit, Txn: tx.Txn}}
+			if !committed[tx.Txn] {
+				evs = t.AbortEvents(tx.Txn)
+			}
+			for _, ev := range evs {
 				if c.jnls[i] != nil {
-					if _, err := c.jnls[i].Append(journal.Event{Kind: journal.KindCommit, Txn: txn}); err != nil {
-						return fmt.Errorf("shard %d: reconcile commit txn %d: %w", i, txn, err)
+					if _, err := c.jnls[i].Append(ev); err != nil {
+						return fmt.Errorf("shard %d: reconcile txn %d: %w", i, tx.Txn, err)
 					}
 				}
-				tx.Committed = true
-				continue
-			}
-			for _, id := range tx.Conns {
-				if cn := mgrs[i].Conn(id); cn == nil || !cn.Alive() {
-					continue
-				}
-				if c.jnls[i] != nil {
-					if _, err := c.jnls[i].Append(journal.Event{Kind: journal.KindTerminate, Conn: int64(id)}); err != nil {
-						return fmt.Errorf("shard %d: reconcile abort txn %d: %w", i, txn, err)
-					}
-				}
-				if _, err := mgrs[i].Terminate(id); err != nil {
-					return fmt.Errorf("shard %d: reconcile abort txn %d conn %d: %w", i, txn, id, err)
+				if err := server.Replay(mgrs[i], t, ev); err != nil {
+					return fmt.Errorf("shard %d: reconcile txn %d: %w", i, tx.Txn, err)
 				}
 			}
-			delete(t, txn)
 		}
 	}
 	return nil
 }
 
 // rebuildIndex reconstructs the coordinator's in-memory views from the
-// reconciled shard states: the cross-connection index from committed
+// reconciled shard states: the cross-connection index from the surviving
 // transactions (local link IDs mapped back to global) and the failed-link
 // set from each shard's owned links.
-func (c *Coordinator) rebuildIndex(mgrs []*manager.Manager, tables []server.TxnTable) {
+func (c *Coordinator) rebuildIndex(mgrs []*manager.Manager, tables []*server.TxnTable) {
 	for i, t := range tables {
 		sub := c.plan.Subs[i]
-		for txn, tx := range t {
-			for _, id := range tx.Conns {
-				cn := mgrs[i].Conn(id)
-				if cn == nil || !cn.Alive() {
+		for _, tx := range t.Infos(mgrs[i]) {
+			for _, cn := range tx.Conns {
+				if !cn.Alive {
 					continue
 				}
-				cc := c.cross[txn]
+				cc := c.cross[tx.Txn]
 				if cc == nil {
 					cc = &crossConn{}
-					c.cross[txn] = cc
+					c.cross[tx.Txn] = cc
 				}
-				cc.parts = append(cc.parts, part{shard: i, conn: id})
-				for _, ll := range cn.Primary.Links {
+				cc.parts = append(cc.parts, part{shard: i, conn: cn.ID})
+				for _, ll := range cn.Links {
 					cc.links = append(cc.links, sub.GlobalLink[ll])
 				}
 			}
@@ -483,18 +469,18 @@ func (c *Coordinator) invoke(ctx context.Context, shard int, phase string, call 
 	return err
 }
 
-// prepareRun prepares one participant with capped jittered retries.
-// Prepares carry the run index as an idempotency tag, so a retry after a
-// delivered-but-unanswered original is recognized and re-answered instead
-// of double-pinning the path. Only timeout-class failures retry — a
+// prepareRun prepares one participant with capped jittered retries. A
+// shard recognizes a prepare for a path the transaction already pins, so a
+// retry after a delivered-but-unanswered original is re-answered instead of
+// double-pinning the path. Only timeout-class failures retry — a
 // domain refusal (rejection, overload, degraded) is a real answer.
-func (c *Coordinator) prepareRun(ctx context.Context, r *run, txn uint64, runIdx uint64, peers uint32, rigid qos.ElasticSpec) (*manager.ArrivalReport, error) {
+func (c *Coordinator) prepareRun(ctx context.Context, r *run, txn uint64, peers uint32, rigid qos.ElasticSpec) (*manager.ArrivalReport, error) {
 	backoff := 25 * time.Millisecond
 	for attempt := 0; ; attempt++ {
 		var rep *manager.ArrivalReport
 		err := c.invoke(ctx, r.shard, "prepare", func(ic context.Context) error {
 			var perr error
-			rep, perr = c.shards[r.shard].PrepareTxn(ic, txn, runIdx, peers, r.src, r.dst, rigid, r.path)
+			rep, perr = c.shards[r.shard].PrepareTxn(ic, txn, peers, r.src, r.dst, rigid, r.path)
 			return perr
 		})
 		if err == nil {
@@ -704,8 +690,8 @@ func (c *Coordinator) establishCross(ctx context.Context, src, dst topology.Node
 		// until the resolver (or next boot's reconciliation) drains them.
 		c.addPending(txn, false, unresolved)
 	}
-	for i, r := range runs {
-		rep, perr := c.prepareRun(ctx, r, txn, uint64(i), peers, rigid)
+	for _, r := range runs {
+		rep, perr := c.prepareRun(ctx, r, txn, peers, rigid)
 		if perr != nil {
 			if errors.Is(perr, context.DeadlineExceeded) {
 				ambiguous[r.shard] = true

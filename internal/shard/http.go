@@ -6,47 +6,15 @@
 package shard
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"strconv"
 	"time"
 
-	"drqos/internal/manager"
-	"drqos/internal/overload"
-	"drqos/internal/qos"
 	"drqos/internal/server"
 	"drqos/internal/topology"
 )
-
-// HandlerOption customizes NewHandler.
-type HandlerOption func(*handlerConfig)
-
-type handlerConfig struct {
-	limiter      *overload.Limiter
-	maxBodyBytes int64
-}
-
-// WithRateLimit adds per-client token-bucket rate limiting to the mutation
-// endpoints, exactly as in the single-shard API. rate <= 0 disables it.
-func WithRateLimit(rate, burst float64) HandlerOption {
-	return func(c *handlerConfig) {
-		if rate > 0 {
-			c.limiter = overload.NewLimiter(rate, burst)
-		}
-	}
-}
-
-// WithMaxBodyBytes caps request-body size on the mutation endpoints.
-func WithMaxBodyBytes(n int64) HandlerOption {
-	return func(c *handlerConfig) {
-		if n > 0 {
-			c.maxBodyBytes = n
-		}
-	}
-}
 
 // EstablishResponse summarizes an admitted connection at the coordinator
 // level. Intra-shard connections carry the full report fields; cross-shard
@@ -87,63 +55,18 @@ type StatsResponse struct {
 	PerShard          []server.Stats   `json:"per_shard"`
 }
 
-type errorBody struct {
-	Error             string `json:"error"`
-	Rejected          bool   `json:"rejected,omitempty"`
-	RetryAfterSeconds int64  `json:"retry_after_seconds,omitempty"`
-}
-
 // NewHandler returns the sharded HTTP/JSON API over c. Endpoints mirror
 // server.NewHandler; see the package comment for the differences.
-func NewHandler(c *Coordinator, opts ...HandlerOption) http.Handler {
-	cfg := &handlerConfig{maxBodyBytes: 1 << 20}
-	for _, o := range opts {
-		o(cfg)
-	}
+func NewHandler(c *Coordinator, opts ...server.HandlerOption) http.Handler {
+	f := server.NewFront(opts...)
 	mux := http.NewServeMux()
 
-	decodeBody := func(w http.ResponseWriter, r *http.Request, v any) bool {
-		r.Body = http.MaxBytesReader(w, r.Body, cfg.maxBodyBytes)
-		if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				writeJSON(w, http.StatusRequestEntityTooLarge,
-					errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
-				return false
-			}
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
-			return false
-		}
-		return true
-	}
-
-	admitClient := func(w http.ResponseWriter, r *http.Request) bool {
-		if cfg.limiter == nil {
-			return true
-		}
-		key := r.Header.Get("X-Client-ID")
-		if key == "" {
-			if host, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {
-				key = host
-			} else {
-				key = r.RemoteAddr
-			}
-		}
-		ok, retry := cfg.limiter.Allow(key, time.Now())
-		if ok {
-			return true
-		}
-		writeShed(w, http.StatusTooManyRequests, retry,
-			fmt.Sprintf("client %q over rate limit", key))
-		return false
-	}
-
 	mux.HandleFunc("POST /v1/connections", func(w http.ResponseWriter, r *http.Request) {
-		if !admitClient(w, r) {
+		if !f.AdmitClient(w, r) {
 			return
 		}
 		var req server.EstablishRequest
-		if !decodeBody(w, r, &req) {
+		if !f.DecodeBody(w, r, &req) {
 			return
 		}
 		res, err := c.Establish(r.Context(), topology.NodeID(req.Src), topology.NodeID(req.Dst), req.Spec())
@@ -162,29 +85,29 @@ func NewHandler(c *Coordinator, opts ...HandlerOption) http.Handler {
 		} else {
 			resp.PrimaryHops = res.Hops
 		}
-		writeJSON(w, http.StatusCreated, resp)
+		server.WriteJSON(w, http.StatusCreated, resp)
 	})
 	mux.HandleFunc("DELETE /v1/connections/{id}", func(w http.ResponseWriter, r *http.Request) {
-		if !admitClient(w, r) {
+		if !f.AdmitClient(w, r) {
 			return
 		}
 		id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad connection id: " + err.Error()})
+			server.WriteJSON(w, http.StatusBadRequest, server.ErrorBody{Error: "bad connection id: " + err.Error()})
 			return
 		}
 		if err := c.Terminate(r.Context(), id); err != nil {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"id": id})
+		server.WriteJSON(w, http.StatusOK, map[string]any{"id": id})
 	})
 	mux.HandleFunc("POST /v1/faults/link", func(w http.ResponseWriter, r *http.Request) {
-		if !admitClient(w, r) {
+		if !f.AdmitClient(w, r) {
 			return
 		}
 		var req server.FaultRequest
-		if !decodeBody(w, r, &req) {
+		if !f.DecodeBody(w, r, &req) {
 			return
 		}
 		switch req.Action {
@@ -194,7 +117,7 @@ func NewHandler(c *Coordinator, opts ...HandlerOption) http.Handler {
 				writeError(w, err)
 				return
 			}
-			writeJSON(w, http.StatusOK, server.FaultResponse{
+			server.WriteJSON(w, http.StatusOK, server.FaultResponse{
 				Link: req.Link, Action: "fail",
 				Squeezed: len(rep.Squeezed),
 			})
@@ -204,22 +127,22 @@ func NewHandler(c *Coordinator, opts ...HandlerOption) http.Handler {
 				writeError(w, err)
 				return
 			}
-			writeJSON(w, http.StatusOK, server.FaultResponse{
+			server.WriteJSON(w, http.StatusOK, server.FaultResponse{
 				Link: req.Link, Action: "repair", Reprotected: restored,
 			})
 		default:
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("unknown action %q", req.Action)})
+			server.WriteJSON(w, http.StatusBadRequest, server.ErrorBody{Error: fmt.Sprintf("unknown action %q", req.Action)})
 		}
 	})
 	mux.HandleFunc("GET /v1/shards", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, ShardsResponse{
+		server.WriteJSON(w, http.StatusOK, ShardsResponse{
 			Shards:    c.plan.Shards,
 			Regions:   c.plan.Regions,
 			NodeShard: c.plan.NodeShard,
 		})
 	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, c.statsResponse())
+		server.WriteJSON(w, http.StatusOK, c.statsResponse())
 	})
 	mux.HandleFunc("GET /v1/invariants", func(w http.ResponseWriter, r *http.Request) {
 		perShard := make([]map[string]any, len(c.shards))
@@ -241,7 +164,7 @@ func NewHandler(c *Coordinator, opts ...HandlerOption) http.Handler {
 		if !allOK {
 			code = http.StatusInternalServerError
 		}
-		writeJSON(w, code, map[string]any{"ok": allOK, "shards": perShard})
+		server.WriteJSON(w, code, map[string]any{"ok": allOK, "shards": perShard})
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		resp := c.statsResponse()
@@ -268,9 +191,10 @@ func NewHandler(c *Coordinator, opts ...HandlerOption) http.Handler {
 		for i, st := range resp.PerShard {
 			fmt.Fprintf(w, "drqos_shard_connections_alive{shard=\"%d\"} %d\n", i, st.Alive)
 		}
+		f.WriteMetrics(w)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"ok": true})
+		server.WriteJSON(w, http.StatusOK, map[string]any{"ok": true})
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		degraded, overloaded, recovering := false, false, false
@@ -293,11 +217,12 @@ func NewHandler(c *Coordinator, opts ...HandlerOption) http.Handler {
 		}
 		if degraded || recovering || overloaded {
 			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusServiceUnavailable, body)
+			server.WriteJSON(w, http.StatusServiceUnavailable, body)
 			return
 		}
-		writeJSON(w, http.StatusOK, body)
+		server.WriteJSON(w, http.StatusOK, body)
 	})
+	f.MountDebug(mux)
 	return mux
 }
 
@@ -372,41 +297,16 @@ func (c *Coordinator) statsResponse() StatsResponse {
 	return resp
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeShed(w http.ResponseWriter, code int, retryAfter time.Duration, msg string) {
-	secs := int64((retryAfter + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	writeJSON(w, code, errorBody{Error: msg, RetryAfterSeconds: secs})
-}
-
-// writeError mirrors the single-shard status mapping. ErrNoRoute — a
-// cross-shard path does not exist — maps like a rejection: the request was
-// well-formed, the network cannot carry it.
+// writeError adds the coordinator's own errors to the shared status
+// mapping. ErrNoRoute — a cross-shard path does not exist — maps like a
+// rejection: the request was well-formed, the network cannot carry it.
 func writeError(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, manager.ErrRejected), errors.Is(err, ErrNoRoute):
-		writeJSON(w, http.StatusConflict, errorBody{Error: err.Error(), Rejected: true})
-	case errors.Is(err, qos.ErrInvalidSpec):
-		writeJSON(w, http.StatusUnprocessableEntity, errorBody{Error: err.Error()})
-	case errors.Is(err, server.ErrNotFound):
-		writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error()})
-	case errors.Is(err, server.ErrConflict):
-		writeJSON(w, http.StatusConflict, errorBody{Error: err.Error()})
-	case errors.Is(err, server.ErrOverloaded), errors.Is(err, ErrShardUnavailable):
-		writeShed(w, http.StatusServiceUnavailable, time.Second, err.Error())
-	case errors.Is(err, server.ErrDegraded), errors.Is(err, server.ErrServerClosed):
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
+	case errors.Is(err, ErrNoRoute):
+		server.WriteJSON(w, http.StatusConflict, server.ErrorBody{Error: err.Error(), Rejected: true})
+	case errors.Is(err, ErrShardUnavailable):
+		server.WriteShed(w, http.StatusServiceUnavailable, time.Second, err.Error())
 	default:
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		server.WriteError(w, err)
 	}
 }

@@ -7,12 +7,17 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"drqos/internal/manager"
 	"drqos/internal/netchaos"
+	"drqos/internal/overload"
 	"drqos/internal/qos"
+	"drqos/internal/server"
 	"drqos/internal/shard"
+	"drqos/internal/topology"
 )
 
 // TestSuspectedShardFastFail503: once a participant times out a 2PC phase
@@ -110,5 +115,96 @@ func TestSuspectedShardFastFail503(t *testing.T) {
 		if err := c.Shard(i).CheckInvariants(ctx); err != nil {
 			t.Fatalf("shard %d invariants after heal: %v", i, err)
 		}
+	}
+}
+
+// TestOverloadedShardSheds latches one shard's overload detector with a
+// backlog of slow establishes and checks the sharded plane sheds like the
+// single plane does: new capacity-consuming work for that shard — an
+// intra-shard establish, a link failure — is refused (ErrOverloaded, 503 +
+// Retry-After over HTTP) instead of joining the backlog, while its
+// terminates and every other shard stay live.
+func TestOverloadedShardSheds(t *testing.T) {
+	g := tierGraph(t, 7)
+	c := newCoordinator(t, g, shard.Options{
+		Shards: 2,
+		Server: server.Options{
+			QueueDepth: 512,
+			ExecDelay:  2 * time.Millisecond,
+			Overload:   overload.DetectorConfig{Target: time.Millisecond, Interval: 5 * time.Millisecond},
+		},
+	})
+	ctx := context.Background()
+	plan := c.Plan()
+	// pair[s] is a distinct node pair owned by shard s.
+	var pair [2][]topology.NodeID
+	for n, s := range plan.NodeShard {
+		if len(pair[s]) < 2 {
+			pair[s] = append(pair[s], topology.NodeID(n))
+		}
+	}
+	const hot, cold = 0, 1
+	kept, err := c.Establish(ctx, pair[hot][0], pair[hot][1], qos.DefaultSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hotLink topology.LinkID = -1
+	for l, s := range plan.LinkShard {
+		if s == hot {
+			hotLink = topology.LinkID(l)
+			break
+		}
+	}
+
+	// 300 establishes at 2ms each: a 600ms backlog on the hot shard only.
+	// They go to the shard's server directly and drop the report: an arrival
+	// report points at live connection state, which only a sequential
+	// caller may read once the loop has moved on.
+	sub := plan.Subs[hot]
+	var wg sync.WaitGroup
+	for i := 0; i < 300; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := c.Shard(hot).Establish(ctx, sub.LocalNode[pair[hot][0]], sub.LocalNode[pair[hot][1]], qos.DefaultSpec())
+			if err != nil && !errors.Is(err, manager.ErrRejected) && !errors.Is(err, server.ErrOverloaded) {
+				t.Errorf("flood establish: %v", err)
+			}
+		}()
+	}
+	defer wg.Wait()
+	for deadline := time.Now().Add(5 * time.Second); !c.Shard(hot).Overloaded(); {
+		if time.Now().After(deadline) {
+			t.Fatal("hot shard never latched overloaded")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	if _, err := c.Establish(ctx, pair[hot][0], pair[hot][1], qos.DefaultSpec()); !errors.Is(err, server.ErrOverloaded) {
+		t.Errorf("intra-shard establish on the overloaded shard: %v, want ErrOverloaded", err)
+	}
+	if _, err := c.FailLink(ctx, hotLink); !errors.Is(err, server.ErrOverloaded) {
+		t.Errorf("fail-link on the overloaded shard: %v, want ErrOverloaded", err)
+	}
+	ts := httptest.NewServer(shard.NewHandler(c))
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/v1/connections", "application/json",
+		strings.NewReader(fmt.Sprintf(`{"src":%d,"dst":%d}`, pair[hot][0], pair[hot][1])))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Errorf("HTTP establish on the overloaded shard: %d, Retry-After %q; want 503 with a hint",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	if err := c.Terminate(ctx, kept.ID); err != nil {
+		t.Errorf("terminate on the overloaded shard: %v (freeing work must stay live)", err)
+	}
+	if _, err := c.Establish(ctx, pair[cold][0], pair[cold][1], qos.DefaultSpec()); err != nil {
+		t.Errorf("establish on the other shard: %v (its lanes are idle)", err)
+	}
+	if !c.Shard(hot).Overloaded() {
+		t.Error("hot shard's latch cleared before the checks finished: the backlog was too short to prove anything")
 	}
 }

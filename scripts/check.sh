@@ -2,7 +2,8 @@
 # Tier-1 verification: build, vet, and run the full test suite with the
 # race detector (the internal/server actor loop must stay race-clean).
 #
-#   scripts/check.sh             build + vet + panic gate + full race tests
+#   scripts/check.sh             build + vet + panic gate + full race tests,
+#                                then vet + tests of the bench/ module
 #   scripts/check.sh --chaos     build + vet + panic gate + seeded chaos
 #                                episodes under -race (manager and server),
 #                                plus the fault-injection tests
@@ -677,4 +678,11 @@ fi
 # the default 10m under the race detector on small machines.
 echo "== go test -race ./..."
 go test -race -timeout 45m ./...
+
+# bench/ is its own module (drqos/bench, replace drqos => ../), so ./...
+# above does not descend into it — yet it compiles against internal/server,
+# internal/shard, internal/journal and internal/replica. Vet and test it
+# here so a refactor of those packages cannot break the benchmark unseen.
+echo "== bench module: go vet + go test"
+(cd bench && go vet ./... && go test ./...)
 echo "== OK"
