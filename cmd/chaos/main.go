@@ -1,244 +1,104 @@
-// Command chaos soaks the DR-connection manager (and optionally the
-// concurrent admission server) with seeded fault-injection episodes,
-// auditing every invariant after every event. On the first failure it
-// shrinks the trace to a minimal reproducer, prints it as a replayable Go
-// literal, and exits 1 — paste the literal into a chaos.Replay regression
-// test. Run under -race for the server mode to matter:
+// Command chaos soaks the admission plane with seeded fault-injection
+// episodes. -episode picks what runs:
+//
+//	trace     (default) the bare DR-connection manager under a random event
+//	          trace, every invariant audited after every event; on the
+//	          first failure the trace is shrunk to a minimal reproducer and
+//	          printed as a Go literal to paste into a chaos.Replay test
+//	<name>    one row of the episode table (internal/chaos.Episodes): a
+//	          running plane — in-memory, journaled, replicated or sharded —
+//	          under a seeded script with faults at script positions, judged
+//	          by the replay oracle
+//	<family>  every row called family-*, round-robin: mix, crash, partition
+//	all       the whole table, round-robin
+//
+// Episode i runs under seed+i. Run under -race for the concurrent rows to
+// matter:
 //
 //	go run -race ./cmd/chaos -episodes 60 -events 120 -seed 1
-//	go run -race ./cmd/chaos -server -episodes 10 -workers 8 -ops 200
-//	go run ./cmd/chaos -crash -episodes 12 -events 150
-//	go run -race ./cmd/chaos -overload -episodes 5
-//
-// -crash runs durability episodes instead: each journals an event stream,
-// kills it mid-run (abandoning the journal without Close, sometimes with a
-// torn half-written record appended), restarts from disk, and asserts the
-// rebuilt state is bit-identical to a never-crashed reference before driving
-// both through the rest of the episode.
-//
-// -overload runs overload-control episodes: the actor's service rate is
-// artificially capped, closed-loop workers with tiny deadlines drown the
-// consuming lane, and each episode asserts the server sheds expired work
-// unexecuted, latches (and later clears) the overloaded state, keeps
-// terminations live, never wedges and never degrades.
+//	go run -race ./cmd/chaos -episode mix -episodes 6
+//	go run ./cmd/chaos -episode crash -episodes 8
+//	go run -race ./cmd/chaos -episode partition -episodes 20
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
+	"strings"
 
 	"drqos/internal/chaos"
 )
 
 func main() {
+	var names []string
+	for _, ep := range chaos.Episodes {
+		names = append(names, ep.Name)
+	}
 	var (
-		episodes    = flag.Int("episodes", 20, "number of seeded episodes")
-		events      = flag.Int("events", 200, "events per manager episode")
-		seed        = flag.Uint64("seed", 1, "first seed; episode i uses seed+i")
-		nodes       = flag.Int("nodes", 24, "Waxman topology size")
-		srv         = flag.Bool("server", false, "drive server.Server concurrently instead of the bare manager")
-		workers     = flag.Int("workers", 8, "concurrent clients (with -server)")
-		ops         = flag.Int("ops", 100, "operations per client (with -server)")
-		crash       = flag.Bool("crash", false, "run crash-restart durability episodes instead")
-		failover    = flag.Bool("failover", false, "run primary-kill failover episodes instead: a two-node replicated pair takes a mutation burst, the primary dies mid-burst, and the standby must promote sub-second with a bit-identical acked prefix, zero acked establishes lost, and a fenced rejoin")
-		shardEp     = flag.Bool("shard", false, "run sharded mid-2PC kill episodes instead: one region shard dies between prepare and commit, survivors must abort cleanly and a full restart must replay every shard to the acknowledged prefix")
-		partitionEp = flag.Bool("partition", false, "run network-partition episodes instead: nothing dies, the network lies — a replicated pair loses its link mid-burst (symmetric or asymmetric) and the lease fence must keep at most one side acking with zero acked loss, while a sharded plane times out a partitioned 2PC participant, fast-fails during suspicion, and drains every unresolved abort after the heal")
-		overload    = flag.Bool("overload", false, "run overload-control episodes instead (deadline shedding, priority lanes, latch/recovery)")
-		quiet       = flag.Bool("q", false, "only report failures")
+		episode  = flag.String("episode", "trace", "trace, all, or an episode name or family: "+strings.Join(names, " "))
+		episodes = flag.Int("episodes", 20, "number of seeded episodes")
+		seed     = flag.Uint64("seed", 1, "first seed; episode i uses seed+i")
+		events   = flag.Int("events", 200, "events per manager trace (-episode trace)")
+		nodes    = flag.Int("nodes", 24, "Waxman topology size (-episode trace)")
+		quiet    = flag.Bool("q", false, "only report failures")
 	)
 	flag.Parse()
 
+	rows := chaos.Select(*episode)
+	if *episode != "trace" && len(rows) == 0 {
+		fmt.Fprintf(os.Stderr, "chaos: no episode or family %q; have: trace all %s\n", *episode, strings.Join(names, " "))
+		os.Exit(2)
+	}
 	for i := 0; i < *episodes; i++ {
-		if *partitionEp {
-			if err := partitionEpisode(i, *seed+uint64(i), *quiet); err != nil {
-				fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
-				os.Exit(1)
-			}
-			continue
-		}
-		if *shardEp {
-			if err := shardEpisode(i, *seed+uint64(i), *quiet); err != nil {
-				fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
-				os.Exit(1)
-			}
-			continue
-		}
-		if *crash {
-			if err := crashEpisode(i, *seed+uint64(i), *events, *nodes, *quiet); err != nil {
-				fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
-				os.Exit(1)
-			}
-			continue
-		}
-		if *failover {
-			if err := failoverEpisode(i, *seed+uint64(i), *nodes, *quiet); err != nil {
-				fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
-				os.Exit(1)
-			}
-			continue
-		}
 		s := *seed + uint64(i)
-		if *overload {
-			res, err := chaos.RunOverload(chaos.OverloadConfig{
-				Seed: s, Nodes: *nodes, Workers: *workers, Ops: *ops,
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "chaos: overload episode %d (seed %d): %v\n", i, s, err)
-				os.Exit(1)
-			}
-			if !*quiet {
-				fmt.Printf("overload episode %d ok (seed %d): ok=%d expired=%d terminated=%d shed=%d+%d latches=%d recovered_in=%s\n",
-					i, s, res.EstablishOK, res.EstablishExpired, res.Terminated,
-					res.ShedExpired, res.ShedCanceled, res.Episodes, res.RecoveredIn)
-			}
-			continue
+		var err error
+		if *episode == "trace" {
+			err = trace(i, chaos.Config{Seed: s, Events: *events, Nodes: *nodes}, *quiet)
+		} else {
+			err = run(i, rows[i%len(rows)], s, *quiet)
 		}
-		if *srv {
-			// Odd episodes fire a mid-burst shutdown so workers race the
-			// closing command queue.
-			var after int64
-			if i%2 == 1 {
-				after = int64(*workers) * int64(*ops) / 2
-			}
-			err := chaos.RunServer(chaos.ServerConfig{
-				Seed: s, Nodes: *nodes, Workers: *workers, Ops: *ops, ShutdownAfter: after,
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "chaos: server episode %d (seed %d): %v\n", i, s, err)
-				os.Exit(1)
-			}
-			if !*quiet {
-				fmt.Printf("server episode %d ok (seed %d, %d workers x %d ops, shutdown_after=%d)\n",
-					i, s, *workers, *ops, after)
-			}
-			continue
-		}
-		cfg := chaos.Config{Seed: s, Events: *events, Nodes: *nodes}
-		trace, fail, err := chaos.Run(cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "chaos: episode %d (seed %d): setup: %v\n", i, s, err)
+			fmt.Fprintf(os.Stderr, "chaos: episode %d: %v\n", i, err)
 			os.Exit(1)
-		}
-		if fail != nil {
-			fmt.Fprintf(os.Stderr, "chaos: episode %d (seed %d) FAILED: %v\n", i, s, fail)
-			min, mf, serr := chaos.Shrink(cfg, trace)
-			if serr != nil {
-				fmt.Fprintf(os.Stderr, "chaos: shrink: %v\n", serr)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "shrunk to %d event(s), still failing with: %v\n", len(min), mf.Err)
-			fmt.Fprintf(os.Stderr, "replay with chaos.Replay(chaos.Config{Seed: %d, Nodes: %d}, trace) where trace =\n%s\n",
-				s, *nodes, chaos.FormatTrace(min))
-			os.Exit(1)
-		}
-		if !*quiet {
-			fmt.Printf("episode %d ok (seed %d, %d events, final audit clean)\n", i, s, len(trace))
 		}
 	}
 	fmt.Printf("chaos: %d episode(s) clean\n", *episodes)
 }
 
-// crashEpisode runs one crash-restart durability episode in a throwaway data
-// dir, varying the crash point, snapshot cadence and tail damage with the
-// episode index so a default run covers the recovery matrix.
-func crashEpisode(i int, seed uint64, events, nodes int, quiet bool) error {
-	dir, err := os.MkdirTemp("", "drqos-crash-*")
+// run executes one table row in a throwaway data directory.
+func run(i int, ep chaos.Episode, seed uint64, quiet bool) error {
+	dir, err := os.MkdirTemp("", "drqos-chaos-*")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(dir)
-
-	cfg := chaos.CrashConfig{
-		Seed:   seed,
-		Events: events,
-		Nodes:  nodes,
-		Dir:    dir,
-		// Crash sweeps from almost-immediately to almost-done.
-		CrashAfter:    1 + (i*events/7)%(events-1),
-		SnapshotEvery: []int{-1, 4, 16, 64}[i%4],
-		TornTailBytes: []int{0, 0, 23, 0, 200, 1}[i%6],
-		// Alternate group-commit mode so half the episodes crash inside the
-		// commit window (framed-but-unacknowledged appends lost mid-batch).
-		GroupCommit:   i%2 == 1,
-		UnackedWindow: []int{0, 3, 0, 9}[i%4],
+	fp, err := ep.Run(seed, dir)
+	if err == nil && !quiet {
+		fmt.Printf("episode %d ok: %s (seed %d, fp=%.12s)\n", i, ep.Name, seed, fp)
 	}
-	res, err := chaos.RunCrashRestart(cfg)
-	if err != nil {
-		return fmt.Errorf("crash episode %d (seed %d, crash_after=%d snapshot_every=%d torn=%d): %w",
-			i, seed, cfg.CrashAfter, cfg.SnapshotEvery, cfg.TornTailBytes, err)
-	}
-	if !quiet {
-		fmt.Printf("crash episode %d ok (seed %d, crash_after=%d, journaled=%d, snapshot_seq=%d, torn=%dB, group_commit=%v, unacked_lost=%d, fp=%.12s)\n",
-			i, seed, cfg.CrashAfter, res.Journaled, res.SnapshotSeq, res.TornBytes, cfg.GroupCommit, res.UnackedLost, res.Fingerprint)
-	}
-	return nil
+	return err
 }
 
-// failoverEpisode runs one primary-kill replication episode in a throwaway
-// data dir, varying the kill point with the episode index.
-func failoverEpisode(i int, seed uint64, nodes int, quiet bool) error {
-	dir, err := os.MkdirTemp("", "drqos-failover-*")
+// trace runs one audited manager trace and shrinks it if it fails.
+func trace(i int, cfg chaos.Config, quiet bool) error {
+	events, fail, err := chaos.Run(cfg)
 	if err != nil {
-		return err
+		return fmt.Errorf("seed %d: setup: %w", cfg.Seed, err)
 	}
-	defer os.RemoveAll(dir)
-	res, err := chaos.RunFailover(chaos.FailoverConfig{
-		Seed: seed, Nodes: nodes, Dir: dir,
-		KillAfter: 10 + (i*13)%40,
-	})
-	if err != nil {
-		return fmt.Errorf("failover episode %d (seed %d): %w", i, seed, err)
+	if fail != nil {
+		fmt.Fprintf(os.Stderr, "chaos: episode %d (seed %d) FAILED: %v\n", i, cfg.Seed, fail)
+		min, mf, serr := chaos.Shrink(cfg, events)
+		if serr != nil {
+			return fmt.Errorf("shrink: %w", serr)
+		}
+		fmt.Fprintf(os.Stderr, "shrunk to %d event(s), still failing with: %v\n", len(min), mf.Err)
+		fmt.Fprintf(os.Stderr, "replay with chaos.Replay(chaos.Config{Seed: %d, Nodes: %d}, trace) where trace =\n%s\n",
+			cfg.Seed, cfg.Nodes, chaos.FormatTrace(min))
+		return fail
 	}
 	if !quiet {
-		fmt.Printf("failover episode %d ok (seed %d): acked=%d prefix=%d promotion=%s term=%d diverged_rejoin=%v fp=%.12s\n",
-			i, seed, res.AckedPreKill, res.ReplicatedPrefix, res.PromotionLatency, res.NewTerm, res.RejoinDiverged, res.Fingerprint)
-	}
-	return nil
-}
-
-// partitionEpisode runs one network-partition episode in a throwaway data
-// dir. The seed picks the partition shapes (symmetric / request-drop /
-// response-drop on the replica pair, request- or response-drop on the 2PC
-// victim), so consecutive seeds sweep the shape matrix.
-func partitionEpisode(i int, seed uint64, quiet bool) error {
-	dir, err := os.MkdirTemp("", "drqos-partition-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	res, err := chaos.RunPartition(chaos.PartitionConfig{Seed: seed, Dir: dir})
-	if err != nil {
-		return fmt.Errorf("partition episode %d (seed %d): %w", i, seed, err)
-	}
-	if !quiet {
-		fmt.Printf("partition episode %d ok (seed %d): mode=%s acked=%d fence=%s promotion=%s | shard mode=%s victim=%d timeouts=%d fast_fail=%s pending=%d\n",
-			i, seed, res.Mode, res.AckedPrePartition, res.FenceLatency.Round(time.Millisecond),
-			res.PromotionLatency.Round(time.Millisecond), res.ShardMode, res.Victim,
-			res.CrossTimeouts, res.FastFail.Round(time.Microsecond), res.PendingPeak)
-	}
-	return nil
-}
-
-// shardEpisode runs one sharded mid-2PC kill episode in a throwaway data
-// dir, varying the topology with the episode index so a default run covers
-// several partitions.
-func shardEpisode(i int, seed uint64, quiet bool) error {
-	dir, err := os.MkdirTemp("", "drqos-shard-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	res, err := chaos.RunShardCrash(chaos.ShardCrashConfig{
-		Seed: seed, TopoSeed: seed + 100, Dir: dir,
-	})
-	if err != nil {
-		return fmt.Errorf("shard episode %d (seed %d): %w", i, seed, err)
-	}
-	if !quiet {
-		fmt.Printf("shard episode %d ok (seed %d): %d shards, victim %d, %d pre-crash conns, %d cross alive, replay bit-identical\n",
-			i, seed, res.Shards, res.Victim, res.Established, res.CrossAlive)
+		fmt.Printf("episode %d ok (seed %d, %d events, final audit clean)\n", i, cfg.Seed, len(events))
 	}
 	return nil
 }

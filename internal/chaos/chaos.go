@@ -10,28 +10,35 @@
 // a minimal reproducer and prints (FormatTrace) as a Go literal ready to
 // paste into a regression test.
 //
-// RunServer drives the same op mix through server.Server from many client
-// goroutines, with an optional mid-burst Shutdown, to expose actor-loop
-// races under the race detector; see server.go.
+// The same op type and the same generator script every episode against a
+// running plane — in-memory, journaled, replicated or sharded, with faults
+// placed at script positions and one oracle judging the outcome; see
+// episode.go.
 package chaos
 
 import (
-	"errors"
 	"fmt"
 
-	"drqos/internal/channel"
+	"drqos/internal/journal"
 	"drqos/internal/manager"
 	"drqos/internal/qos"
 	"drqos/internal/rng"
+	"drqos/internal/server"
 	"drqos/internal/topology"
 )
+
+// Every plane this package builds admits the paper's elastic connections
+// (100..500 Kb/s in steps of 50) onto 10 000 Kb/s links.
+const capacityKbps = 10_000
+
+var elastic = qos.DefaultSpec()
 
 // Kind enumerates the event types a chaos trace can contain.
 type Kind int
 
-// The four manager events. Shutdown interleavings are exercised by
-// RunServer, not by manager traces (a single-threaded manager has no
-// shutdown).
+// The four manager events. Shutdown interleavings are an episode fault
+// (ShutdownMidBurst), not a trace event: a single-threaded manager has no
+// shutdown.
 const (
 	KindEstablish Kind = iota
 	KindTerminate
@@ -39,19 +46,13 @@ const (
 	KindRepairLink
 )
 
+var kindNames = [...]string{"establish", "terminate", "fail_link", "repair_link"}
+
 func (k Kind) String() string {
-	switch k {
-	case KindEstablish:
-		return "establish"
-	case KindTerminate:
-		return "terminate"
-	case KindFailLink:
-		return "fail_link"
-	case KindRepairLink:
-		return "repair_link"
-	default:
-		return fmt.Sprintf("kind(%d)", int(k))
+	if k >= 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("kind(%d)", int(k))
 }
 
 // Event is one replayable step of a chaos trace. Fields irrelevant to the
@@ -79,26 +80,19 @@ func (e Event) String() string {
 	}
 }
 
-// Config seeds one episode. The zero value of every field selects a
-// sensible default, so Config{Seed: n} is a complete episode spec.
+// Config seeds one manager trace. The zero value of every field selects a
+// sensible default, so Config{Seed: n} is a complete spec. Admission runs
+// at 10 000 Kb/s per link against the paper's 100..500 Kb/s connections:
+// low capacity relative to the spec is deliberate, contention is what
+// exercises squeeze, redistribute and failover.
 type Config struct {
-	// Seed drives the event mix. Distinct seeds explore distinct
-	// interleavings.
+	// Seed drives the event mix and the topology. Distinct seeds explore
+	// distinct interleavings on distinct graphs.
 	Seed uint64
-	// Events is the episode length (default 200).
+	// Events is the trace length (default 200).
 	Events int
 	// Nodes is the Waxman topology size (default 24).
 	Nodes int
-	// TopoSeed seeds topology generation (default: derived from Seed, so
-	// different episodes also explore different graphs).
-	TopoSeed uint64
-	// Manager configures admission; a zero Capacity selects 10_000 Kbps.
-	// Low capacity relative to the spec is deliberate: contention is what
-	// exercises squeeze/redistribute/failover.
-	Manager manager.Config
-	// Spec is the elastic QoS of every generated connection (default
-	// qos.DefaultSpec, the paper's 100..500 Kb/s, Δ=50).
-	Spec qos.ElasticSpec
 	// Hook, when non-nil, runs after every applied event with the live
 	// manager. Fault-injection tests use it to deliberately corrupt state
 	// and prove the audit, the degraded mode, and the shrinker catch it.
@@ -111,15 +105,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Nodes <= 0 {
 		c.Nodes = 24
-	}
-	if c.TopoSeed == 0 {
-		c.TopoSeed = c.Seed + 0x9e3779b97f4a7c15
-	}
-	if c.Manager.Capacity <= 0 {
-		c.Manager.Capacity = 10_000
-	}
-	if c.Spec == (qos.ElasticSpec{}) {
-		c.Spec = qos.DefaultSpec()
 	}
 	return c
 }
@@ -145,62 +130,58 @@ func (f *Failure) Unwrap() error { return f.Err }
 
 // runner executes events against one manager instance.
 type runner struct {
-	cfg Config
-	m   *manager.Manager
+	cfg  Config
+	m    *manager.Manager
+	txns server.TxnTable // stays empty: the four paper events open no transaction
+}
+
+// waxman is the topology of everything here but the sharded plane.
+func waxman(nodes int, seed uint64) (*topology.Graph, error) {
+	return topology.Waxman(topology.WaxmanConfig{
+		Nodes: nodes, Alpha: 0.33, Beta: 0.25, EnsureConnected: true,
+	}, rng.New(seed+0x9e3779b97f4a7c15))
 }
 
 func newRunner(cfg Config) (*runner, error) {
-	g, err := topology.Waxman(topology.WaxmanConfig{
-		Nodes: cfg.Nodes, Alpha: 0.33, Beta: 0.25, EnsureConnected: true,
-	}, rng.New(cfg.TopoSeed))
+	g, err := waxman(cfg.Nodes, cfg.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: topology: %w", err)
 	}
-	m, err := manager.New(g, cfg.Manager)
+	m, err := manager.New(g, manager.Config{Capacity: capacityKbps})
 	if err != nil {
 		return nil, fmt.Errorf("chaos: manager: %w", err)
 	}
 	return &runner{cfg: cfg, m: m}, nil
 }
 
-// apply runs one event. Usage errors — admission rejections, unknown
-// connections, double faults — are expected parts of a random interleaving
-// (and of a shrunk trace, where the establishing event may have been
-// deleted) and are swallowed; anything else, in particular an
-// InvariantViolation, is returned.
-func (r *runner) apply(ev Event) error {
+// record is ev as a journal record: the form in which the daemon's write
+// path, a restart and the runner below all hand it to the one transition
+// function.
+func (ev Event) record() journal.Event {
 	switch ev.Kind {
 	case KindEstablish:
-		_, err := r.m.Establish(topology.NodeID(ev.Src), topology.NodeID(ev.Dst), r.cfg.Spec)
-		if err != nil && !errors.Is(err, manager.ErrRejected) {
-			return err
-		}
+		return server.EstablishEvent(topology.NodeID(ev.Src), topology.NodeID(ev.Dst), elastic)
 	case KindTerminate:
-		c := r.m.Conn(channel.ConnID(ev.Conn))
-		if c == nil || !c.Alive() {
-			return nil
-		}
-		if _, err := r.m.Terminate(channel.ConnID(ev.Conn)); err != nil {
-			return err
-		}
+		return journal.Event{Kind: journal.KindTerminate, Conn: ev.Conn}
 	case KindFailLink:
-		if ev.Link < 0 || ev.Link >= r.m.Graph().NumLinks() || r.m.Network().Failed(topology.LinkID(ev.Link)) {
-			return nil
-		}
-		if _, err := r.m.FailLink(topology.LinkID(ev.Link)); err != nil {
-			return err
-		}
-	case KindRepairLink:
-		if ev.Link < 0 || ev.Link >= r.m.Graph().NumLinks() || !r.m.Network().Failed(topology.LinkID(ev.Link)) {
-			return nil
-		}
-		if _, err := r.m.RepairLink(topology.LinkID(ev.Link)); err != nil {
-			return err
-		}
+		return journal.Event{Kind: journal.KindFailLink, Link: int32(ev.Link)}
 	default:
-		return fmt.Errorf("chaos: unknown event kind %d", int(ev.Kind))
+		return journal.Event{Kind: journal.KindRepairLink, Link: int32(ev.Link)}
 	}
-	return nil
+}
+
+// apply runs one event the way the server would: the pre-journal check
+// first, so usage errors — unknown connections, double faults, which are
+// expected parts of a random interleaving and of a shrunk trace whose
+// establishing event was deleted — degrade to no-ops; then the transition
+// function, which tolerates an admission rejection and returns anything
+// else, in particular an InvariantViolation.
+func (r *runner) apply(ev Event) error {
+	rec := ev.record()
+	if server.Validate(r.m, &r.txns, rec) != nil {
+		return nil
+	}
+	return server.Replay(r.m, &r.txns, rec)
 }
 
 // step applies one event, runs the hook, and audits the full ledger.
@@ -214,52 +195,75 @@ func (r *runner) step(ev Event) error {
 	return r.m.CheckInvariants()
 }
 
-// nextEvent draws one event from the configured mix: mostly arrivals and
-// terminations, with a steady trickle of link faults and repairs so the
-// failover and reprotection paths stay hot.
-func (r *runner) nextEvent(src *rng.Source) Event {
-	nodes := r.m.Graph().NumNodes()
-	links := r.m.Graph().NumLinks()
-	draw := src.Float64()
-	switch {
-	case draw < 0.30 && r.m.AliveCount() > 0:
-		id := r.m.AliveIDAt(src.Intn(r.m.AliveCount()))
-		return Event{Kind: KindTerminate, Conn: int64(id)}
-	case draw >= 0.88 && draw < 0.96:
-		if l, ok := r.randomLink(src, links, false); ok {
-			return Event{Kind: KindFailLink, Link: l}
-		}
-	case draw >= 0.96:
-		if l, ok := r.randomLink(src, links, true); ok {
-			return Event{Kind: KindRepairLink, Link: l}
+// population is what the op generator may know about the plane it scripts:
+// its size, which connections can be terminated, which links are up and
+// which are down. A manager run reads it off the manager; an episode reads
+// it off the ledger of what its clients were told.
+type population struct {
+	nodes    int
+	alive    []int64
+	up, down []int // empty when the plane does not script link faults
+}
+
+// newPopulation sorts links 0..links-1 by failure state.
+func newPopulation(nodes, links int, failed func(link int) bool) population {
+	pop := population{nodes: nodes}
+	for l := 0; l < links; l++ {
+		if failed(l) {
+			pop.down = append(pop.down, l)
+		} else {
+			pop.up = append(pop.up, l)
 		}
 	}
-	a := src.Intn(nodes)
-	b := src.Intn(nodes - 1)
+	return pop
+}
+
+func managerPopulation(m *manager.Manager) population {
+	pop := newPopulation(m.Graph().NumNodes(), m.Graph().NumLinks(),
+		func(l int) bool { return m.Network().Failed(topology.LinkID(l)) })
+	for _, id := range m.AliveIDs() {
+		pop.alive = append(pop.alive, int64(id))
+	}
+	return pop
+}
+
+// nextEvent is the one op generator: mostly arrivals and terminations, with
+// a steady trickle of link faults and repairs so the failover and
+// reprotection paths stay hot.
+func nextEvent(src *rng.Source, pop population) Event {
+	draw := src.Float64()
+	switch {
+	case draw < 0.30 && len(pop.alive) > 0:
+		return Event{Kind: KindTerminate, Conn: pop.alive[src.Intn(len(pop.alive))]}
+	case draw >= 0.88 && draw < 0.96 && len(pop.up) > 0:
+		return Event{Kind: KindFailLink, Link: pop.up[src.Intn(len(pop.up))]}
+	case draw >= 0.96 && len(pop.down) > 0:
+		return Event{Kind: KindRepairLink, Link: pop.down[src.Intn(len(pop.down))]}
+	}
+	a := src.Intn(pop.nodes)
+	b := src.Intn(pop.nodes - 1)
 	if b >= a {
 		b++
 	}
 	return Event{Kind: KindEstablish, Src: a, Dst: b}
 }
 
-// randomLink draws a uniformly random link in the wanted failure state.
-func (r *runner) randomLink(src *rng.Source, links int, failed bool) (int, bool) {
-	var pool []int
-	for l := 0; l < links; l++ {
-		if r.m.Network().Failed(topology.LinkID(l)) == failed {
-			pool = append(pool, l)
+// run steps the runner through n events from next, auditing after each, and
+// returns them with the failure that stopped it, if one did.
+func (r *runner) run(n int, next func(i int) Event) (trace []Event, fail *Failure) {
+	for i := 0; i < n; i++ {
+		trace = append(trace, next(i))
+		if err := r.step(trace[i]); err != nil {
+			return trace, &Failure{Index: i, Trace: append([]Event(nil), trace...), Err: err}
 		}
 	}
-	if len(pool) == 0 {
-		return 0, false
-	}
-	return pool[src.Intn(len(pool))], true
+	return trace, nil
 }
 
-// Run generates and executes one seeded episode, auditing after every
-// event. It returns the full generated trace; fail is non-nil when an event
-// or audit broke an invariant (shrink it with Shrink). A non-nil err
-// reports setup problems only (bad topology or manager config).
+// Run generates and executes one seeded trace, auditing after every event.
+// It returns the full generated trace; fail is non-nil when an event or
+// audit broke an invariant (shrink it with Shrink). A non-nil err reports
+// setup problems only (bad topology or manager config).
 func Run(cfg Config) (trace []Event, fail *Failure, err error) {
 	cfg = cfg.withDefaults()
 	r, err := newRunner(cfg)
@@ -267,37 +271,18 @@ func Run(cfg Config) (trace []Event, fail *Failure, err error) {
 		return nil, nil, err
 	}
 	src := rng.New(cfg.Seed)
-	for i := 0; i < cfg.Events; i++ {
-		ev := r.nextEvent(src)
-		trace = append(trace, ev)
-		if err := r.step(ev); err != nil {
-			return trace, &Failure{
-				Index: len(trace) - 1,
-				Trace: append([]Event(nil), trace...),
-				Err:   err,
-			}, nil
-		}
-	}
-	return trace, nil, nil
+	trace, fail = r.run(cfg.Events, func(int) Event { return nextEvent(src, managerPopulation(r.m)) })
+	return trace, fail, nil
 }
 
 // Replay applies a recorded trace against a fresh manager built from cfg,
 // auditing after every event exactly like Run. It returns nil when the
 // trace completes cleanly; the error reports setup problems only.
 func Replay(cfg Config, trace []Event) (*Failure, error) {
-	cfg = cfg.withDefaults()
-	r, err := newRunner(cfg)
+	r, err := newRunner(cfg.withDefaults())
 	if err != nil {
 		return nil, err
 	}
-	for i, ev := range trace {
-		if err := r.step(ev); err != nil {
-			return &Failure{
-				Index: i,
-				Trace: append([]Event(nil), trace[:i+1]...),
-				Err:   err,
-			}, nil
-		}
-	}
-	return nil, nil
+	_, fail := r.run(len(trace), func(i int) Event { return trace[i] })
+	return fail, nil
 }

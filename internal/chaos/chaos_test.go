@@ -156,18 +156,6 @@ func TestFormatTrace(t *testing.T) {
 	}
 }
 
-// TestRunServer drives the concurrent server harness, including a
-// mid-burst Shutdown racing the workers. Run under -race this is the
-// actor-loop torture test.
-func TestRunServer(t *testing.T) {
-	if err := RunServer(ServerConfig{Seed: 1, Workers: 6, Ops: 60}); err != nil {
-		t.Fatalf("steady burst: %v", err)
-	}
-	if err := RunServer(ServerConfig{Seed: 2, Workers: 6, Ops: 80, ShutdownAfter: 150}); err != nil {
-		t.Fatalf("mid-burst shutdown: %v", err)
-	}
-}
-
 // TestFailureUnwrap: errors.As must reach the InvariantViolation through
 // the Failure wrapper, so callers can route on it.
 func TestFailureUnwrap(t *testing.T) {

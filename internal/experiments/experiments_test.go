@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -22,7 +23,9 @@ func TestFig2ShapeAndRender(t *testing.T) {
 	// Monotone non-increasing simulated average (the paper's headline
 	// trend), and the analytic curve within the elastic range.
 	const eps = 1e-6 // time-weighted averaging leaves fp dust at the rails
+	var relErr float64
 	for i, p := range res.Points {
+		relErr += math.Abs(p.Analytic-p.SimAvg) / p.SimAvg
 		if p.SimAvg < 100-eps || p.SimAvg > 500+eps {
 			t.Fatalf("point %d: sim %v outside range", i, p.SimAvg)
 		}
@@ -32,6 +35,16 @@ func TestFig2ShapeAndRender(t *testing.T) {
 		if i > 0 && p.SimAvg > res.Points[i-1].SimAvg+10 {
 			t.Fatalf("avg bandwidth increased with load: %+v", res.Points)
 		}
+	}
+	// The agreement the reproduction rests on (the paper's Fig. 2 check):
+	// the Markov model tracks the detailed simulation. Mean |analytic−sim|/sim
+	// over the sweep is deterministic per seed — 0.0382 at this one; seeds
+	// 1–5 span 0.012–0.103 (BenchmarkFig2AvgBandwidthVsLoad reports the same
+	// quantity as model-relerr).
+	relErr /= float64(len(res.Points))
+	t.Logf("model-relerr %.4f", relErr)
+	if relErr > 0.06 {
+		t.Fatalf("model vs simulation: mean relative error %.4f, want <= 0.06: %+v", relErr, res.Points)
 	}
 	first, last := res.Points[0], res.Points[len(res.Points)-1]
 	if first.SimAvg-last.SimAvg < 50 {

@@ -106,11 +106,11 @@ type mutation struct {
 // (admit); then inside the loop: count it, run the guards, validate or plan
 // the command into events, then — per event — journal (write-ahead), apply
 // through the transition function, latch any invariant violation and feed
-// the forecaster; finally keep the snapshot cadence and publish the epoch.
-// Outside the loop the caller is acknowledged — success or domain error
-// alike, a rejection was journaled and bumped counters too — only after the
-// last record is durable and, under semi-synchronous replication, fetched
-// by a standby.
+// the forecaster; finally keep the snapshot cadence, publish the epoch and
+// detach the answer from live state (result.detach). Outside the loop the
+// caller is acknowledged — success or domain error alike, a rejection was
+// journaled and bumped counters too — only after the last record is durable
+// and, under semi-synchronous replication, fetched by a standby.
 func (s *Server) mutate(ctx context.Context, mu mutation) (result, error) {
 	type ack struct {
 		res result
@@ -120,14 +120,15 @@ func (s *Server) mutate(ctx context.Context, mu mutation) (result, error) {
 	if err := s.admit(mu.lane); err != nil {
 		return result{}, err
 	}
-	a, err := exec(s, ctx, mu.lane, false, func(m *manager.Manager) (ack, error) {
+	a, err := exec(s, ctx, mu.lane, false, func(m *manager.Manager) (a ack, _ error) {
+		// Whatever path answers, the answer leaves the loop detached.
+		defer func() { a.res.detach() }()
 		if mu.counter != nil {
 			mu.counter.Add(1)
 		}
 		if err := s.guard(); err != nil {
 			return ack{err: err}, nil
 		}
-		var a ack
 		evs := []journal.Event{mu.event}
 		if mu.plan != nil {
 			evs, a.res, a.err = mu.plan(m)
@@ -168,6 +169,20 @@ func (s *Server) mutate(ctx context.Context, mu mutation) (result, error) {
 		return result{}, derr
 	}
 	return a.res, a.err
+}
+
+// detach makes an arrival report safe to hand out of the loop: the manager
+// keeps rewriting the live connection (level, backup) on every later event,
+// so the caller is answered with a copy taken here, inside the loop, right
+// after the event applied — the values replay of the journal holds at this
+// record. Paths are replaced, never edited in place, so the copy is shallow.
+func (r *result) detach() {
+	if r.arrival == nil || r.arrival.Conn == nil {
+		return
+	}
+	rep, conn := *r.arrival, *r.arrival.Conn
+	rep.Conn = &conn
+	r.arrival = &rep
 }
 
 // observe feeds an applied event to the live forecaster. Prepares are left

@@ -15,6 +15,7 @@ import (
 	"drqos/internal/netchaos"
 	"drqos/internal/overload"
 	"drqos/internal/qos"
+	"drqos/internal/rng"
 	"drqos/internal/server"
 	"drqos/internal/shard"
 	"drqos/internal/topology"
@@ -206,5 +207,74 @@ func TestOverloadedShardSheds(t *testing.T) {
 	}
 	if !c.Shard(hot).Overloaded() {
 		t.Error("hot shard's latch cleared before the checks finished: the backlog was too short to prove anything")
+	}
+}
+
+// TestConcurrentEstablishOneShard: many clients establishing onto ONE shard
+// at once, half through the coordinator and half through the HTTP front end.
+// Every answer must be detached from live state: the coordinator and both
+// handlers read the report's connection (level, backup) after the shard's
+// loop has moved on to the next client's establish, whose squeeze rewrites
+// the levels of the connections it shares links with. Under -race this
+// fails on a report that still points at the live *channel.Conn.
+func TestConcurrentEstablishOneShard(t *testing.T) {
+	g := tierGraph(t, 7)
+	c := newCoordinator(t, g, shard.Options{Shards: 4, Manager: manager.Config{Capacity: 2000}})
+	ts := httptest.NewServer(shard.NewHandler(c))
+	defer ts.Close()
+
+	var owned []topology.NodeID
+	for n, s := range c.Plan().NodeShard {
+		if s == 0 {
+			owned = append(owned, topology.NodeID(n))
+		}
+	}
+	if len(owned) < 2 {
+		t.Fatalf("shard 0 owns %d nodes", len(owned))
+	}
+	const clients, each = 4, 40
+	var wg sync.WaitGroup
+	for k := 0; k < clients; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			src := rng.New(uint64(k) + 1)
+			for i := 0; i < each; i++ {
+				a := owned[src.Intn(len(owned))]
+				b := owned[src.Intn(len(owned))]
+				if a == b {
+					continue
+				}
+				if k%2 == 0 {
+					res, err := c.Establish(context.Background(), a, b, qos.DefaultSpec())
+					if errors.Is(err, manager.ErrRejected) {
+						continue
+					}
+					if err != nil {
+						t.Errorf("client %d: establish %d→%d: %v", k, a, b, err)
+						return
+					}
+					if conn := res.Report.Conn; res.AllocatedKbps != conn.Spec.Bandwidth(conn.Level) {
+						t.Errorf("client %d: told %v Kb/s at level %d", k, res.AllocatedKbps, conn.Level)
+					}
+					continue
+				}
+				body := fmt.Sprintf(`{"src":%d,"dst":%d}`, a, b)
+				resp, err := http.Post(ts.URL+"/v1/connections", "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Errorf("client %d: POST: %v", k, err)
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusConflict {
+					t.Errorf("client %d: POST %d→%d: status %d", k, a, b, resp.StatusCode)
+					return
+				}
+			}
+		}(k)
+	}
+	wg.Wait()
+	if err := c.Shard(0).CheckInvariants(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -65,15 +65,15 @@ if grep -n 'panic(' internal/manager/*.go internal/sim/sim.go internal/sim/trace
 fi
 
 if [ "${1:-}" = "--chaos" ]; then
-    # 60 deterministic manager episodes (audit after every event) plus
-    # concurrent server episodes with mid-burst shutdowns, all under the
-    # race detector, then the fault-injection unit tests.
-    echo "== chaos: 60 manager episodes under -race"
+    # 60 deterministic manager traces (audit after every event) plus
+    # concurrent mix episodes, every other one with a mid-burst shutdown, all
+    # under the race detector, then the fault-injection and oracle self-tests.
+    echo "== chaos: 60 manager traces under -race"
     go run -race ./cmd/chaos -episodes 60 -events 120 -seed 1 -q
-    echo "== chaos: 6 concurrent server episodes under -race"
-    go run -race ./cmd/chaos -server -episodes 6 -workers 6 -ops 80 -q
-    echo "== chaos: fault-injection tests"
-    go test -race -count 1 -run 'TestShrink|TestRunServer|TestDegraded|TestEpisodes' \
+    echo "== chaos: 6 concurrent mix episodes under -race"
+    go run -race ./cmd/chaos -episode mix -episodes 6 -q
+    echo "== chaos: fault-injection and oracle self-tests"
+    go test -race -count 1 -run 'TestShrink|TestOracleCanFail|TestDegraded|TestEpisodesClean' \
         ./internal/chaos/ ./internal/server/
     echo "== OK (chaos)"
     exit 0
@@ -81,10 +81,10 @@ fi
 
 if [ "${1:-}" = "--recovery" ]; then
     # Library-level crash matrix first: journaled episodes killed at varying
-    # points, restarted, and compared bit-for-bit against a never-crashed
-    # reference.
+    # points (torn tails, lost group-commit windows), restarted, and judged
+    # by the replay oracle against the acknowledged prefix.
     echo "== chaos: 8 crash-restart episodes"
-    go run ./cmd/chaos -crash -episodes 8 -events 120 -q
+    go run ./cmd/chaos -episode crash -episodes 8 -q
 
     # End-to-end: a real drserverd process, kill -9, restart from disk.
     TMP="$(mktemp -d)"
@@ -176,10 +176,10 @@ if [ "${1:-}" = "--overload" ]; then
     # In-process first: seeded overload episodes under the race detector
     # assert shedding, lane priority, latch/recovery and no degradation.
     echo "== chaos: 4 overload episodes under -race"
-    go run -race ./cmd/chaos -overload -episodes 4 -q
+    go run -race ./cmd/chaos -episode overload -episodes 4 -q
     echo "== overload unit tests under -race"
-    go test -race -count 1 -run 'TestRunOverload|TestExpiredCommandShed|TestPriorityLane|TestOverload|TestHTTPOverload|TestHTTPRateLimit|TestReadyz|TestLimiter|TestDetector' \
-        ./internal/chaos/ ./internal/server/ ./internal/overload/
+    go test -race -count 1 -run 'TestExpiredCommandShed|TestPriorityLane|TestOverload|TestHTTPOverload|TestHTTPRateLimit|TestReadyz|TestLimiter|TestDetector' \
+        ./internal/server/ ./internal/overload/
 
     # End-to-end: a race-built drserverd with a capped service rate, and
     # drload's open-loop burst at 4x the calibrated closed-loop rate. The
@@ -238,9 +238,10 @@ if [ "${1:-}" = "--forecast" ]; then
     # In-process first: estimator-feed correctness, staleness/fallback,
     # predictive latch, what-if and the HTTP surface, all under -race.
     echo "== forecast unit tests under -race"
-    go test -race -count 1 -run 'TestForecast|TestWhatIf|TestDeltaTuning|TestDetectorPredicted|TestEstimator|TestRunOverload' \
+    go test -race -count 1 -run 'TestForecast|TestWhatIf|TestDeltaTuning|TestDetectorPredicted|TestEstimator' \
         ./internal/forecast/ ./internal/server/ ./internal/overload/ \
-        ./internal/estimator/ ./internal/chaos/
+        ./internal/estimator/
+    go run -race ./cmd/chaos -episode overload -episodes 2 -q
 
     # End-to-end: a race-built drserverd with live forecasting, driven by a
     # steady closed-loop drload run. drload's -forecast probe gates the
@@ -306,9 +307,9 @@ if [ "${1:-}" = "--shard" ]; then
     # seeded mid-2PC shard-kill episodes, all race-enabled.
     echo "== shard unit tests under -race"
     go test -race -count 1 ./internal/shard/
-    go test -race -count 1 -run 'TestShardCrash' ./internal/chaos/
+    go run -race ./cmd/chaos -episode shard-kill -episodes 4 -q
     echo "== chaos: 3 sharded mid-2PC kill episodes"
-    go run ./cmd/chaos -shard -episodes 3 -q
+    go run ./cmd/chaos -episode shard-kill -episodes 3 -seed 5 -q
 
     # End-to-end: a real drserverd -shards 4, cross-shard load, kill -9,
     # restart from the same per-shard journals.
@@ -410,9 +411,9 @@ if [ "${1:-}" = "--failover" ]; then
     # the seeded primary-kill episodes, all race-enabled.
     echo "== replica unit tests under -race"
     go test -race -count 1 ./internal/replica/
-    go test -race -count 1 -short -run 'TestRunFailover' ./internal/chaos/
+    go run -race ./cmd/chaos -episode failover -episodes 1 -q
     echo "== chaos: 2 primary-kill failover episodes"
-    go run ./cmd/chaos -failover -episodes 2 -q
+    go run ./cmd/chaos -episode failover -episodes 2 -seed 2 -q
 
     # End-to-end: a real two-node drserverd pair, kill -9 the primary
     # mid-burst, sub-second promotion, surviving load, fenced rejoin with
@@ -556,9 +557,8 @@ if [ "${1:-}" = "--partition" ]; then
     go test -race -count 1 ./internal/netchaos/
     go test -race -count 1 -run 'TestLease|TestPromoteInterlock' ./internal/replica/
     go test -race -count 1 -run 'TestSuspectedShardFastFail503' ./internal/shard/
-    go test -race -count 1 -short -run 'TestRunPartition' ./internal/chaos/
     echo "== chaos: 20 seeded partition episodes under -race"
-    go run -race ./cmd/chaos -partition -episodes 20 -q
+    go run -race ./cmd/chaos -episode partition -episodes 20 -q
 
     # End-to-end: a real two-node pair with lease fencing on, the manual
     # promote interlock probed over HTTP, and the drload acked-mutation
