@@ -13,10 +13,13 @@ test:
 race:
 	go test -race ./...
 
-# Hot-path baselines for the admission service (see internal/manager) and
-# the paper-reproduction benchmarks at the repo root.
+# Hot-path baselines for the admission service (see internal/manager), the
+# command loop around it (an establish+terminate pair over 100 and over 2000
+# standing connections: what the loop adds must not grow with the population)
+# and the paper-reproduction benchmarks at the repo root.
 bench:
 	go test -run xxx -bench 'BenchmarkManager' -benchmem ./internal/manager/
+	go test -run xxx -bench 'BenchmarkServerEstablish' -benchmem ./internal/server/
 	go test -run xxx -bench 'BenchmarkP2' -benchmem ./internal/stats/
 
 # Record the full suite into BENCH_<date>.json / run the CI smoke pass.

@@ -156,13 +156,9 @@ type config struct {
 	fsync   int
 	gcWait  time.Duration
 
-	epochEvery time.Duration
-	recover    server.RecoverPolicy
-	overload   overload.DetectorConfig
-	execDelay  time.Duration
-
-	readTimeout, readHdrTO, idleTimeout time.Duration
-	maxHeaderBytes                      int
+	autoRecover bool
+	overload    overload.DetectorConfig
+	execDelay   time.Duration
 
 	rateLimit, rateBurst float64
 	maxBodyBytes         int64
@@ -201,21 +197,8 @@ func parseFlags(args []string) (*config, error) {
 	fs.IntVar(&c.snapEvery, "snapshot-every", 1024, "write a state snapshot every N journaled events (negative disables)")
 	fs.DurationVar(&c.gcWait, "group-commit-max-wait", 2*time.Millisecond, "batch concurrent journal fsyncs under this latency cap, keeping -fsync 1 durability while amortizing the sync (only with -fsync 1; 0 disables group commit)")
 
-	// Read path.
-	fs.DurationVar(&c.epochEvery, "epoch-interval", 25*time.Millisecond, "staleness cap on the published epoch snapshot serving GET /v1/stats and /metrics under sustained load")
-
 	// Automatic recovery from degraded mode.
-	fs.BoolVar(&c.recover.Auto, "auto-recover", false, "on an invariant violation, rebuild from the journal automatically instead of waiting for POST /v1/admin/recover")
-	fs.DurationVar(&c.recover.InitialBackoff, "recover-backoff", 100*time.Millisecond, "initial auto-recover retry backoff")
-	fs.DurationVar(&c.recover.MaxBackoff, "recover-max-backoff", 5*time.Second, "auto-recover backoff cap")
-	fs.IntVar(&c.recover.MaxAttempts, "recover-max-attempts", 0, "auto-recover attempt limit (0 = unlimited)")
-
-	// HTTP server hardening: slow or hostile clients must not pin
-	// connections (and goroutines) forever.
-	fs.DurationVar(&c.readTimeout, "read-timeout", 30*time.Second, "http.Server.ReadTimeout (full request read)")
-	fs.DurationVar(&c.readHdrTO, "read-header-timeout", 5*time.Second, "http.Server.ReadHeaderTimeout (slowloris guard)")
-	fs.DurationVar(&c.idleTimeout, "idle-timeout", 2*time.Minute, "http.Server.IdleTimeout for keep-alive connections")
-	fs.IntVar(&c.maxHeaderBytes, "max-header-bytes", 1<<20, "http.Server.MaxHeaderBytes")
+	fs.BoolVar(&c.autoRecover, "auto-recover", false, "on an invariant violation, rebuild from the journal automatically (capped exponential backoff, until it succeeds) instead of waiting for POST /v1/admin/recover")
 
 	// Overload control plane.
 	fs.DurationVar(&c.overload.Target, "overload-target", 100*time.Millisecond, "actor queueing-delay target; sustained delay above it sheds new establishes with 503 (negative disables)")
@@ -276,8 +259,7 @@ func (c *config) serverOptions() server.Options {
 	return server.Options{
 		QueueDepth:    c.queue,
 		SnapshotEvery: c.snapEvery,
-		EpochInterval: c.epochEvery,
-		Recover:       c.recover,
+		Recover:       server.RecoverPolicy{Auto: c.autoRecover},
 		Overload:      c.overload,
 		ExecDelay:     c.execDelay,
 	}
@@ -355,12 +337,14 @@ func serve(ctx context.Context, cfg *config, p plane, listening func(net.Addr)) 
 		_ = drain()
 		return err
 	}
+	// Hardening: slow or hostile clients must not pin connections (and
+	// goroutines) forever.
 	httpSrv := &http.Server{
 		Handler:           p.handler,
-		ReadTimeout:       cfg.readTimeout,
-		ReadHeaderTimeout: cfg.readHdrTO,
-		IdleTimeout:       cfg.idleTimeout,
-		MaxHeaderBytes:    cfg.maxHeaderBytes,
+		ReadTimeout:       30 * time.Second, // full request read
+		ReadHeaderTimeout: 5 * time.Second,  // slowloris guard
+		IdleTimeout:       2 * time.Minute,  // keep-alive connections
+		MaxHeaderBytes:    1 << 20,
 	}
 	log.Printf("listening on %s", ln.Addr())
 	if listening != nil {

@@ -254,8 +254,11 @@ func (v *verdict) node(n *node) string {
 		return ""
 	}
 	if want := rp.m.ExportState(); want.Fingerprint() != fp {
-		// The published epoch is the live state once the lanes are idle.
-		v.flag("i", "%s: live state is not the replay of its journal: %v", n.name, compareStates(want, n.srv.View().State))
+		_, got, err := n.srv.ExportState(ctx)
+		if err == nil {
+			err = compareStates(want, got)
+		}
+		v.flag("i", "%s: live state is not the replay of its journal: %v", n.name, err)
 	}
 	if txns, _ := n.srv.Txns(ctx); !reflect.DeepEqual(txns, rp.txns.Infos(rp.m)) {
 		v.flag("i", "%s: live transaction table %+v, replay holds %+v", n.name, txns, rp.txns.Infos(rp.m))

@@ -294,6 +294,9 @@ func (n *Node) bootstrap(ctx context.Context) error {
 	}
 	n.mu.Lock()
 	n.applied = env.Header.Seq
+	// A point minted for a standby of our own pinned the history the
+	// install just replaced.
+	n.verify = server.VerifyPoint{}
 	n.mu.Unlock()
 	n.logf("replica: bootstrapped from primary snapshot at seq %d (term %d)", env.Header.Seq, env.Term)
 	return nil

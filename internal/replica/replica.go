@@ -9,9 +9,9 @@
 //   - Shipper (always mounted): GET /v1/replica/stream long-polls the
 //     journal from a requested sequence number and answers CRC-framed
 //     records — the exact on-disk frame bytes — plus fingerprint verify
-//     points taken from published epochs. GET /v1/replica/snapshot serves
-//     a bootstrap image for standbys that are too far behind (compacted
-//     history) or diverged. The stream poll doubles as the replication
+//     points minted every verifyEvery records while a standby polls.
+//     GET /v1/replica/snapshot serves a bootstrap image for standbys that
+//     are too far behind (compacted history) or diverged. The stream poll doubles as the replication
 //     acknowledgment: a poll with from=N confirms every record below N is
 //     durably applied on the follower, which drives the semi-synchronous
 //     WaitReplicated hook gating the primary's client acknowledgments.
@@ -154,6 +154,8 @@ type Node struct {
 	// line across the many acks that observe the same expiry.
 	leaseGranted bool
 	lostLogged   bool
+	// verify is the newest verify point minted for a standby (shipper.go).
+	verify server.VerifyPoint
 	// Follower-side progress, served into the stats block.
 	primaryURL     string
 	applied        uint64

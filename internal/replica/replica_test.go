@@ -64,11 +64,15 @@ func bootNode(t *testing.T, g *topology.Graph, primaryURL string, cfg replica.Co
 
 // bootNodeOnJournal builds a member over an already-opened journal,
 // rebuilding the manager from its recovered contents — the rejoin path.
-func bootNodeOnJournal(t *testing.T, g *topology.Graph, jnl *journal.Journal, rec *journal.Recovered, primaryURL string, cfg replica.Config) *testNode {
+// perturb, if any, then damages the manager behind the journal's back.
+func bootNodeOnJournal(t *testing.T, g *topology.Graph, jnl *journal.Journal, rec *journal.Recovered, primaryURL string, cfg replica.Config, perturb ...func(*manager.Manager)) *testNode {
 	t.Helper()
 	mgr, err := server.Rebuild(g, manager.Config{Capacity: 10000}, rec)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, p := range perturb {
+		p(mgr)
 	}
 	tn := &testNode{jnl: jnl}
 	opt := server.Options{

@@ -2,6 +2,7 @@
 package replica
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -151,17 +152,46 @@ func (n *Node) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(evs) > 0 {
 		env.Frames = journal.EncodeFrames(evs)
-		last := evs[len(evs)-1].Seq
-		// Verify points come from the published epoch: the fingerprint is
-		// cached per epoch, so attaching it costs one map of hash-at-seq,
-		// not a hash per poll. Only a point the batch actually reaches is
-		// useful to the follower.
-		if v := n.srv.View(); v != nil && v.JournalSeq >= from && v.JournalSeq <= last {
-			env.Verify = []server.VerifyPoint{{Seq: v.JournalSeq, Fingerprint: v.Fingerprint()}}
-		}
+		env.Verify = n.verifyPoints(r.Context(), from, evs[len(evs)-1].Seq)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(env)
+}
+
+// verifyEvery is how many records the newest verify point may trail the
+// batch being served before the shipper mints another. A point costs one
+// export of the primary's full state and one of the standby's, so a
+// divergence is caught within about this many records at a per-record cost
+// of a small fraction of an export.
+const verifyEvery = 64
+
+// verifyPoints returns the verify points the batch [from, last] carries.
+// Points are minted here, by a standby's poll, and nowhere else: state and
+// the journal position it is the replay of leave the loop together
+// (server.ExportState). That position is the journal's tip, so a fresh
+// point usually lies past last and is held for the batch that reaches it.
+func (n *Node) verifyPoints(ctx context.Context, from, last uint64) []server.VerifyPoint {
+	n.mu.Lock()
+	held := n.verify
+	n.mu.Unlock()
+	var carried []server.VerifyPoint
+	if held.Seq >= from && held.Seq <= last {
+		carried = append(carried, held)
+	}
+	if last > held.Seq+verifyEvery {
+		seq, st, err := n.srv.ExportState(ctx)
+		if err != nil {
+			return carried // the next poll mints
+		}
+		fresh := server.VerifyPoint{Seq: seq, Fingerprint: st.Fingerprint()}
+		n.mu.Lock()
+		n.verify = fresh
+		n.mu.Unlock()
+		if fresh.Seq <= last {
+			carried = append(carried, fresh)
+		}
+	}
+	return carried
 }
 
 // handleSnapshot answers GET /v1/replica/snapshot with the newest

@@ -27,3 +27,12 @@ func (s *Server) ForceOverloaded(v bool) { s.detector.Force(v) }
 // Establishes exposes the executed-establish counter so shedding tests can
 // assert abandoned commands never ran.
 func (s *Server) Establishes() int64 { return s.establishes.Load() }
+
+// PublishEpoch publishes inside the loop, so a test can measure a publish
+// by itself.
+func (s *Server) PublishEpoch(ctx context.Context) error {
+	return s.do(ctx, false, func(m *manager.Manager) error {
+		s.publishEpoch(m)
+		return nil
+	})
+}

@@ -396,64 +396,32 @@ func NewHandler(s *Server, opts ...HandlerOption) http.Handler {
 		WriteJSON(w, http.StatusOK, resp)
 	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		// Served from the published epoch view plus live overlays — no
-		// command is queued, so stats stay fast (and available) no matter
-		// how deep the consuming-lane backlog is. The staleness bound is
-		// explicit in the payload's "epoch" block. ?source=loop forces the
-		// legacy in-loop snapshot for exact point-in-time debugging.
-		if r.URL.Query().Get("source") == "loop" {
-			st, err := s.Snapshot(r.Context())
-			if err != nil {
-				WriteError(w, err)
-				return
-			}
-			WriteJSON(w, http.StatusOK, st)
-			return
-		}
+		// Served from the published epoch plus live overlays — no command is
+		// queued, so stats stay fast (and available) no matter how deep the
+		// consuming-lane backlog is, and exact as of the last applied
+		// mutation.
 		WriteJSON(w, http.StatusOK, s.StatsView())
 	})
 	mux.HandleFunc("GET /v1/invariants", func(w http.ResponseWriter, r *http.Request) {
-		// ?source=epoch audits the published epoch off the actor loop: it
-		// cannot see corruption newer than the epoch and never flips the
-		// live server degraded, but it also never queues behind a backlog.
-		if r.URL.Query().Get("source") == "epoch" {
-			seq, err := s.AuditEpoch()
-			degraded, reason := s.Degraded()
-			body := map[string]any{
-				"ok": err == nil, "source": "epoch", "epoch_seq": seq,
-				"degraded": degraded, "degraded_reason": reason,
-			}
-			if err != nil {
-				body["error"] = err.Error()
-				WriteJSON(w, http.StatusInternalServerError, body)
-				return
-			}
-			WriteJSON(w, http.StatusOK, body)
-			return
-		}
-		err := s.CheckInvariants(r.Context())
+		// One loop command answers the audit verdict, the state fingerprint
+		// and the journal position they hold at, so an operator (or the
+		// failover smoke) can compare two replicas bit-for-bit at a sequence
+		// number without waiting for either to go quiet.
+		ex, err := s.export(r.Context(), true)
 		degraded, reason := s.Degraded()
-		if err != nil {
-			if errors.Is(err, ErrServerClosed) {
-				WriteError(w, err)
-				return
-			}
-			WriteJSON(w, http.StatusInternalServerError, map[string]any{
-				"ok": false, "error": err.Error(),
-				"degraded": degraded, "degraded_reason": reason,
-			})
+		if errors.Is(err, ErrServerClosed) {
+			WriteError(w, err)
 			return
 		}
 		// Degraded is sticky: a clean audit now does not un-corrupt the
 		// event that tripped it, so the flag is reported either way.
-		// The state fingerprint rides along so an operator (or the failover
-		// smoke) can compare two quiescent replicas bit-for-bit with one
-		// request per node; it is a second trip into the loop, so under
-		// concurrent mutation it may postdate the audit it accompanies.
-		body := map[string]any{"ok": true, "degraded": degraded, "degraded_reason": reason}
-		if fp, ferr := s.StateFingerprint(r.Context()); ferr == nil {
-			body["fingerprint"] = fp
+		body := map[string]any{"ok": err == nil, "degraded": degraded, "degraded_reason": reason, "journal_seq": ex.seq}
+		if err != nil {
+			body["error"] = err.Error()
+			WriteJSON(w, http.StatusInternalServerError, body)
+			return
 		}
+		body["fingerprint"] = ex.state.Fingerprint()
 		WriteJSON(w, http.StatusOK, body)
 	})
 	mux.HandleFunc("POST /v1/admin/recover", func(w http.ResponseWriter, r *http.Request) {

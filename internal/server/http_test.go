@@ -4,14 +4,22 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
+	"drqos/internal/channel"
+	"drqos/internal/journal"
+	"drqos/internal/manager"
+	"drqos/internal/qos"
+	"drqos/internal/rng"
 	"drqos/internal/server"
+	"drqos/internal/topology"
 )
 
 func doJSON(t *testing.T, client *http.Client, method, url string, body any, out any) (int, string) {
@@ -140,5 +148,111 @@ func TestHTTPAPI(t *testing.T) {
 		if !strings.Contains(string(mb), want) {
 			t.Errorf("metrics missing %q in:\n%s", want, mb)
 		}
+	}
+}
+
+// TestInvariantsAnswersOneInstant: on a journaled server under concurrent
+// mutators, every (journal_seq, fingerprint) pair GET /v1/invariants
+// returns is the fingerprint of the journal replayed up to exactly that
+// sequence number — verdict, digest and position come from one loop
+// command, so two replicas can be compared at a seq while both keep moving.
+func TestInvariantsAnswersOneInstant(t *testing.T) {
+	g := journaledGraph(t)
+	s, jnl := newJournaledServer(t, g, server.Options{QueueDepth: 64, SnapshotEvery: -1})
+	ctx := context.Background()
+	ts := httptest.NewServer(server.NewHandler(s))
+	defer ts.Close()
+
+	type answer struct {
+		OK          bool   `json:"ok"`
+		Degraded    bool   `json:"degraded"`
+		Fingerprint string `json:"fingerprint"`
+		JournalSeq  uint64 `json:"journal_seq"`
+	}
+	done := make(chan struct{})
+	var pollWg, mutWg sync.WaitGroup
+	answers := make([][]answer, 2)
+	for p := range answers {
+		pollWg.Add(1)
+		go func() {
+			defer pollWg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				var a answer
+				if code, raw := doJSON(t, ts.Client(), "GET", ts.URL+"/v1/invariants", nil, &a); code != http.StatusOK || !a.OK || a.Degraded {
+					t.Errorf("invariants: %d %s", code, raw)
+					return
+				}
+				answers[p] = append(answers[p], a)
+			}
+		}()
+	}
+	for w := 0; w < 4; w++ {
+		mutWg.Add(1)
+		go func() {
+			defer mutWg.Done()
+			src := rng.New(uint64(900 + w))
+			var mine []channel.ConnID
+			for i := 0; i < 60; i++ {
+				if len(mine) > 0 && src.Float64() < 0.4 {
+					id := mine[len(mine)-1]
+					mine = mine[:len(mine)-1]
+					if _, err := s.Terminate(ctx, id); err != nil {
+						t.Errorf("terminate: %v", err)
+					}
+					continue
+				}
+				a, b := src.Intn(g.NumNodes()), src.Intn(g.NumNodes())
+				if a == b {
+					b = (b + 1) % g.NumNodes()
+				}
+				rep, err := s.Establish(ctx, topology.NodeID(a), topology.NodeID(b), qos.DefaultSpec())
+				if err == nil {
+					mine = append(mine, rep.Conn.ID)
+				} else if !errors.Is(err, manager.ErrRejected) {
+					t.Errorf("establish: %v", err)
+				}
+			}
+		}()
+	}
+	mutWg.Wait()
+	close(done)
+	pollWg.Wait()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	// Replay the journal record by record, noting the fingerprint at each
+	// sequence number.
+	evs, err := jnl.ReadFrom(1, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, txns, err := server.RebuildWithTxns(g, manager.Config{Capacity: 10000}, &journal.Recovered{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := map[uint64]string{0: m.ExportState().Fingerprint()}
+	for _, ev := range evs {
+		if err := server.Replay(m, txns, ev); err != nil {
+			t.Fatalf("replay seq %d: %v", ev.Seq, err)
+		}
+		at[ev.Seq] = m.ExportState().Fingerprint()
+	}
+	seqs := make(map[uint64]bool)
+	for p := range answers {
+		for _, a := range answers[p] {
+			seqs[a.JournalSeq] = true
+			if want, ok := at[a.JournalSeq]; !ok || a.Fingerprint != want {
+				t.Fatalf("invariants answered fingerprint %s at journal_seq %d; replay to that seq holds %s", a.Fingerprint, a.JournalSeq, want)
+			}
+		}
+	}
+	if len(seqs) < 3 {
+		t.Fatalf("pollers saw only %d distinct journal positions of %d; the mutators did not run beside them", len(seqs), len(evs))
 	}
 }

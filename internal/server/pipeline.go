@@ -156,10 +156,8 @@ func (s *Server) mutate(ctx context.Context, mu mutation) (result, error) {
 			}
 		}
 		s.maybeSnapshot(m)
-		// The manager executed (a rejection still bumped its counters): the
-		// published epoch is stale now.
-		s.markEpochDirty()
-		s.publishEpochIfDue(m)
+		// The manager executed (a rejection still bumped its counters).
+		s.publishEpoch(m)
 		return a, nil
 	})
 	if err != nil {

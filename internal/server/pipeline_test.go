@@ -203,6 +203,13 @@ func TestMutationGuardMatrix(t *testing.T) {
 		if after := f.observe(t, jnl); !reflect.DeepEqual(before, after) {
 			t.Errorf("abandoned mutations left a trace:\nbefore %+v\nafter  %+v", before, after)
 		}
+		// A command is shed when the loop reaches it; a no-op queued behind
+		// the abandoned consuming ones says the loop has.
+		reached := make(chan struct{})
+		if err := s.SubmitConsuming(context.Background(), func(*manager.Manager) { close(reached) }); err != nil {
+			t.Fatal(err)
+		}
+		<-reached
 		if expired, canceled := s.Sheds(); expired+canceled != int64(len(f.mutations)) {
 			t.Errorf("sheds = %d+%d, want %d", expired, canceled, len(f.mutations))
 		}

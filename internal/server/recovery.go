@@ -51,16 +51,14 @@ var ErrRecoveryInProgress = errors.New("server: recovery already in progress")
 // RecoverPolicy configures automatic recovery from degraded mode.
 type RecoverPolicy struct {
 	// Auto starts a background supervisor when the server degrades, which
-	// retries Recover with capped exponential backoff until it succeeds,
-	// attempts run out, or the server shuts down.
+	// retries Recover with capped exponential backoff until it succeeds or
+	// the server shuts down.
 	Auto bool
 	// InitialBackoff is the delay after the first failed attempt
 	// (default 100ms).
 	InitialBackoff time.Duration
 	// MaxBackoff caps the exponential growth (default 5s).
 	MaxBackoff time.Duration
-	// MaxAttempts bounds the supervisor's tries (0 = unlimited).
-	MaxAttempts int
 }
 
 func (p RecoverPolicy) withDefaults() RecoverPolicy {
@@ -159,19 +157,16 @@ func (s *Server) recoverOnce(ctx context.Context) (uint64, error) {
 
 // superviseRecovery is the automatic-recovery loop, spawned by
 // noteViolation when the policy asks for it. Capped exponential backoff;
-// stops on success, on exhausted attempts, or at shutdown.
+// stops on success or at shutdown.
 func (s *Server) superviseRecovery() {
 	p := s.recoverPolicy
 	backoff := p.InitialBackoff
-	for attempt := 1; ; attempt++ {
+	for {
 		_, err := s.Recover(context.Background())
 		switch {
 		case err == nil, errors.Is(err, ErrNotDegraded), errors.Is(err, ErrNoJournal):
 			return // recovered (possibly by a concurrent manual call)
 		case errors.Is(err, ErrServerClosed):
-			return
-		}
-		if p.MaxAttempts > 0 && attempt >= p.MaxAttempts {
 			return
 		}
 		select {
@@ -243,37 +238,32 @@ func RebuildWithTxns(g *topology.Graph, cfg manager.Config, rec *journal.Recover
 // machinery (not the disk — the body already passed its CRC) disagrees with
 // the state it was handed.
 func crossCheckSnapshot(m *manager.Manager, hdr *journal.SnapshotHeader) error {
-	if m.AliveCount() != hdr.Alive {
-		return fmt.Errorf("restored %d alive connections, header says %d", m.AliveCount(), hdr.Alive)
+	got := aggregatesOf(m)
+	if got.Alive != hdr.Alive {
+		return fmt.Errorf("restored %d alive connections, header says %d", got.Alive, hdr.Alive)
 	}
-	if m.UnprotectedCount() != hdr.Unprotected {
-		return fmt.Errorf("restored %d unprotected, header says %d", m.UnprotectedCount(), hdr.Unprotected)
+	if got.Unprotected != hdr.Unprotected {
+		return fmt.Errorf("restored %d unprotected, header says %d", got.Unprotected, hdr.Unprotected)
 	}
-	if m.Requests() != hdr.Requests || m.Rejects() != hdr.Rejects {
+	if got.Requests != hdr.Requests || got.Rejects != hdr.Rejects {
 		return fmt.Errorf("restored counters %d/%d, header says %d/%d",
-			m.Requests(), m.Rejects(), hdr.Requests, hdr.Rejects)
+			got.Requests, got.Rejects, hdr.Requests, hdr.Rejects)
 	}
-	hist := m.LevelHistogram(nil)
+	hist := got.LevelHistogram
 	for l := 0; l < len(hist) || l < len(hdr.LevelHistogram); l++ {
-		var got, want int
+		var have, want int
 		if l < len(hist) {
-			got = hist[l]
+			have = hist[l]
 		}
 		if l < len(hdr.LevelHistogram) {
 			want = hdr.LevelHistogram[l]
 		}
-		if got != want {
-			return fmt.Errorf("restored level histogram [%d]=%d, header says %d", l, got, want)
+		if have != want {
+			return fmt.Errorf("restored level histogram [%d]=%d, header says %d", l, have, want)
 		}
 	}
-	failed := 0
-	for l := 0; l < m.Graph().NumLinks(); l++ {
-		if m.Network().Failed(topology.LinkID(l)) {
-			failed++
-		}
-	}
-	if failed != len(hdr.FailedLinks) {
-		return fmt.Errorf("restored %d failed links, header says %d", failed, len(hdr.FailedLinks))
+	if len(got.FailedLinks) != len(hdr.FailedLinks) {
+		return fmt.Errorf("restored %d failed links, header says %d", len(got.FailedLinks), len(hdr.FailedLinks))
 	}
 	return nil
 }

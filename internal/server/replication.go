@@ -19,9 +19,9 @@
 // stale mutations.
 //
 // Divergence safety: the shipper attaches verify points — (journal seq,
-// state fingerprint) pairs taken from the primary's published epochs — and
-// the follower recomputes the SHA-256 state fingerprint the moment its
-// applied prefix reaches a verify point's seq. Any mismatch latches the
+// state fingerprint) pairs it mints through ExportState while a standby
+// polls — and the follower recomputes the SHA-256 state fingerprint the
+// moment its applied prefix reaches a verify point's seq. Any mismatch latches the
 // follower degraded (alarm, promotion refused) instead of letting a
 // silently-diverged copy take over.
 package server
@@ -131,13 +131,13 @@ func (s *Server) ApplyReplicated(ctx context.Context, evs []journal.Event, verif
 	if len(evs) == 0 {
 		return s.jnl.DurableSeq(), nil
 	}
-	// applied is the last appended seq; its durability is awaited outside
+	// applied is the last applied seq; its durability is awaited outside
 	// the loop, whether or not the batch then stopped on an error.
 	type applied struct {
 		seq uint64
 		err error
 	}
-	a, err := query(s, ctx, func(m *manager.Manager) (applied, error) {
+	a, err := query(s, ctx, func(m *manager.Manager) (a applied, _ error) {
 		if err := s.refuseIfDegraded(); err != nil {
 			return applied{err: err}, nil
 		}
@@ -148,12 +148,12 @@ func (s *Server) ApplyReplicated(ctx context.Context, evs []journal.Event, verif
 		for len(verify) > vi && verify[vi].Seq <= s.jnl.LastSeq() {
 			vi++ // verify points already behind our tip were checked earlier
 		}
-		var last uint64
 		for _, ev := range evs {
 			seq, err := s.jnl.AppendReplicated(ev)
 			if err != nil {
 				s.journalErrors.Add(1)
-				return applied{last, fmt.Errorf("%w: %v", ErrJournal, err)}, nil
+				a.err = fmt.Errorf("%w: %v", ErrJournal, err)
+				break
 			}
 			s.eventsSinceSnap++
 			if ev.Kind == journal.KindTerm && ev.Term > s.term.Load() {
@@ -166,23 +166,26 @@ func (s *Server) ApplyReplicated(ctx context.Context, evs []journal.Event, verif
 				// copy can no longer vouch for the primary's history.
 				reason := fmt.Sprintf("replicated apply failed: %v", err)
 				s.latchDiverged(reason)
-				return applied{last, fmt.Errorf("%w: %s", ErrDiverged, reason)}, nil
+				a.err = fmt.Errorf("%w: %s", ErrDiverged, reason)
+				break
 			}
-			last = seq
+			a.seq = seq
 			if vi < len(verify) && verify[vi].Seq == seq {
 				if fp := m.ExportState().Fingerprint(); fp != verify[vi].Fingerprint {
 					reason := fmt.Sprintf("fingerprint mismatch at seq %d: local %s, primary %s",
 						seq, fp, verify[vi].Fingerprint)
 					s.latchDiverged(reason)
-					return applied{last, fmt.Errorf("%w: %s", ErrDiverged, reason)}, nil
+					a.err = fmt.Errorf("%w: %s", ErrDiverged, reason)
+					break
 				}
 				vi++
 			}
 		}
+		// Whatever prefix of the batch applied changed the manager (both are
+		// no-ops once a divergence latched degraded).
 		s.maybeSnapshot(m)
-		s.markEpochDirty()
-		s.publishEpochIfDue(m)
-		return applied{seq: last}, nil
+		s.publishEpoch(m)
+		return a, nil
 	})
 	if err != nil {
 		return 0, err
@@ -222,7 +225,6 @@ func (s *Server) Promote(ctx context.Context) (uint64, error) {
 		s.term.Store(newTerm)
 		s.follower.Store(false)
 		s.promotions.Add(1)
-		s.markEpochDirty()
 		s.publishEpoch(m)
 		return promoted{newTerm, seq}, nil
 	})
@@ -253,7 +255,6 @@ func (s *Server) Demote(ctx context.Context, term uint64) error {
 		if term <= s.term.Load() {
 			return nil
 		}
-		wasPrimary := !s.follower.Load()
 		if _, err := s.journalAppend(journal.Event{Kind: journal.KindTerm, Term: term}); err != nil {
 			// Journaling the fence failed; flip the role anyway — refusing
 			// mutations matters more than remembering why across a restart
@@ -262,10 +263,7 @@ func (s *Server) Demote(ctx context.Context, term uint64) error {
 		}
 		s.term.Store(term)
 		s.follower.Store(true)
-		if wasPrimary {
-			s.markEpochDirty()
-			s.publishEpoch(m)
-		}
+		s.publishEpoch(m)
 		return nil
 	})
 }

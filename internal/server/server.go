@@ -176,11 +176,6 @@ type Options struct {
 	// with the journal sequence the rebuilt manager reached. It mirrors
 	// OnDegrade; daemons use it to log the event.
 	OnRecover func(seq uint64)
-	// EpochInterval caps the staleness of the published epoch view under
-	// sustained load (default 25ms; see epoch.go). When the command lanes
-	// are idle a new epoch is published immediately after each mutation, so
-	// the cap only bites while a backlog keeps the loop busy.
-	EpochInterval time.Duration
 	// Txns seeds the cross-shard transaction table — typically the one a
 	// journal rebuild recovered (RebuildWithTxns). Nil starts empty. Only
 	// the sharded deployment uses it; a standalone server's table stays
@@ -264,13 +259,10 @@ type Server struct {
 	journalErrors   atomic.Int64
 
 	// Epoch view (epoch.go): the published pointer is read by anyone;
-	// epochSeq / epochDirty / lastPublish are loop-owned. capacityKbps is
-	// immutable after construction so StatsView can report it off-loop.
+	// epochSeq is loop-owned. capacityKbps is immutable after construction
+	// so StatsView can report it off-loop.
 	view           atomic.Pointer[EpochView]
 	epochSeq       uint64
-	epochDirty     bool
-	lastPublish    time.Time
-	epochInterval  time.Duration
 	epochPublishes atomic.Int64
 	capacityKbps   int64
 
@@ -359,7 +351,6 @@ func NewFromManager(g *topology.Graph, mgr *manager.Manager, opt Options) (*Serv
 		onDegrade:      opt.OnDegrade,
 		recoverPolicy:  opt.Recover.withDefaults(),
 		onRecover:      opt.OnRecover,
-		epochInterval:  opt.EpochInterval,
 		capacityKbps:   int64(mgr.Network().Capacity()),
 
 		waitReplicated:   opt.WaitReplicated,
@@ -368,9 +359,6 @@ func NewFromManager(g *topology.Graph, mgr *manager.Manager, opt Options) (*Serv
 	}
 	s.follower.Store(opt.Follower)
 	s.term.Store(opt.Term)
-	if s.epochInterval <= 0 {
-		s.epochInterval = 25 * time.Millisecond
-	}
 	if s.txns == nil {
 		s.txns = &TxnTable{}
 	}
@@ -468,7 +456,6 @@ func (s *Server) run(cmd command, l lane) {
 		} else {
 			s.shedCanceled.Add(1)
 		}
-		s.publishEpochIfDue(s.mgr)
 		return
 	}
 	if s.execDelay > 0 {
@@ -476,10 +463,6 @@ func (s *Server) run(cmd command, l lane) {
 	}
 	cmd.fn(s.mgr)
 	s.processed.Add(1)
-	// Backstop for a publish deferred mid-burst: once the burst drains (or
-	// the staleness cap expires) the next command of any kind — including a
-	// read — flushes the pending epoch. No-op when the epoch is clean.
-	s.publishEpochIfDue(s.mgr)
 }
 
 // Graph returns the (immutable after construction) topology.
@@ -650,16 +633,14 @@ func (s *Server) maybeSnapshot(m *manager.Manager) {
 // writeSnapshot exports the manager's durable state and hands it to the
 // journal, with the aggregate cross-check fields the restore path verifies.
 func (s *Server) writeSnapshot(m *manager.Manager) error {
-	st := m.ExportState()
+	a := aggregatesOf(m)
 	hdr := journal.SnapshotHeader{
-		Alive:          m.AliveCount(),
-		Unprotected:    m.UnprotectedCount(),
-		LevelHistogram: m.LevelHistogram(nil),
-		Requests:       m.Requests(),
-		Rejects:        m.Rejects(),
-	}
-	for _, l := range st.FailedLinks {
-		hdr.FailedLinks = append(hdr.FailedLinks, int(l))
+		Alive:          a.Alive,
+		Unprotected:    a.Unprotected,
+		LevelHistogram: a.LevelHistogram,
+		Requests:       a.Requests,
+		Rejects:        a.Rejects,
+		FailedLinks:    a.FailedLinks,
 	}
 	// Committed transactions ride the header so replay from this snapshot
 	// rebuilds the table (the prepare/commit records are behind the
@@ -683,7 +664,7 @@ func (s *Server) writeSnapshot(m *manager.Manager) error {
 	if s.annotateSnapshot != nil {
 		s.annotateSnapshot(&hdr)
 	}
-	return s.jnl.WriteSnapshot(hdr, st.MarshalBinary())
+	return s.jnl.WriteSnapshot(hdr, m.ExportState().MarshalBinary())
 }
 
 // submit enqueues fn on lane l. The context governs both the enqueue wait
@@ -793,9 +774,12 @@ func (s *Server) RepairLink(ctx context.Context, l topology.LinkID) (int, error)
 // itself flips the server to degraded: discovering corruption is as
 // disqualifying as causing it.
 func (s *Server) CheckInvariants(ctx context.Context) error {
-	return s.do(ctx, false, func(m *manager.Manager) error {
-		err := m.CheckInvariants()
-		s.noteViolation(err)
-		return err
-	})
+	return s.do(ctx, false, s.audit)
+}
+
+// audit is CheckInvariants inside the loop.
+func (s *Server) audit(m *manager.Manager) error {
+	err := m.CheckInvariants()
+	s.noteViolation(err)
+	return err
 }

@@ -1,17 +1,15 @@
 package server
 
 import (
-	"context"
 	"math"
 	"time"
 
-	"drqos/internal/manager"
 	"drqos/internal/stats"
-	"drqos/internal/topology"
 )
 
-// Stats is a consistent point-in-time snapshot of the admission service,
-// taken inside the command loop so no event is half-applied.
+// Stats is a consistent point-in-time snapshot of the admission service:
+// the manager-derived fields come from one published epoch, so no event is
+// half-applied in them.
 type Stats struct {
 	// Topology.
 	Nodes        int   `json:"nodes"`
@@ -69,9 +67,9 @@ type Stats struct {
 	FsyncBatches   int64  `json:"fsync_batches,omitempty"`
 	BatchedAppends int64  `json:"batched_appends,omitempty"`
 
-	// Epoch describes the published read-path snapshot this Stats was (or
-	// could have been) served from: its sequence number, its age — the
-	// staleness bound — and the cumulative publish count. Nil only for a
+	// Epoch describes the published epoch this Stats was served from: its
+	// sequence number, its age — the time since the state last changed, or
+	// since it froze — and the cumulative publish count. Nil only for a
 	// Stats built before the epoch layer existed.
 	Epoch *EpochStats `json:"epoch,omitempty"`
 
@@ -132,33 +130,6 @@ func laneStats(depth int, d *stats.Digest) LaneStats {
 	ls.DelayMaxSec = clean(d.Max())
 	ls.DelayMeanSec = clean(d.Mean())
 	return ls
-}
-
-// Snapshot captures the current service state through the command loop:
-// the manager-derived fields are exact as of the instant it runs, where
-// StatsView serves them from the last published epoch.
-func (s *Server) Snapshot(ctx context.Context) (Stats, error) {
-	return query(s, ctx, func(m *manager.Manager) (Stats, error) {
-		s.snapshots.Add(1)
-		st := Stats{
-			Alive:            m.AliveCount(),
-			Unprotected:      m.UnprotectedCount(),
-			AvgBandwidthKbps: m.AverageBandwidth(),
-			LevelHistogram:   m.LevelHistogram(nil),
-			Requests:         m.Requests(),
-			Rejects:          m.Rejects(),
-			// The digests are loop-owned; this closure runs in the loop, so
-			// reading them here is race-free.
-			Lanes: s.laneStats(),
-		}
-		for l := 0; l < m.Graph().NumLinks(); l++ {
-			if m.Network().Failed(topology.LinkID(l)) {
-				st.FailedLinks = append(st.FailedLinks, l)
-			}
-		}
-		s.overlayLive(&st)
-		return st, nil
-	})
 }
 
 // laneStats renders both lanes' delay digests and current depths. Loop

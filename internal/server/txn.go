@@ -250,26 +250,14 @@ func (s *Server) ConnStatus(ctx context.Context, id channel.ConnID) (*ConnStatus
 	})
 }
 
-// StateFingerprint exports the manager state in the loop and returns its
-// canonical hex digest — the bit-identity probe the sharded chaos harness
-// compares across crash/replay.
-func (s *Server) StateFingerprint(ctx context.Context) (string, error) {
-	return query(s, ctx, func(m *manager.Manager) (string, error) {
-		return m.ExportState().Fingerprint(), nil
-	})
-}
-
 // CorruptForTesting plants an aggregate-ledger corruption in the loop and
 // runs the audit so the server latches degraded deterministically. It
 // exists for fault drills — the sharded 2PC abort tests latch one
 // participant degraded mid-transaction with it — and has no production
 // caller.
 func (s *Server) CorruptForTesting(ctx context.Context) error {
-	_, err := query(s, ctx, func(m *manager.Manager) (struct{}, error) {
+	return s.do(ctx, false, func(m *manager.Manager) error {
 		m.CorruptAggregatesForTesting()
-		err := m.CheckInvariants()
-		s.noteViolation(err)
-		return struct{}{}, err
+		return s.audit(m)
 	})
-	return err
 }

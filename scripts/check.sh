@@ -64,6 +64,19 @@ if grep -n 'panic(' internal/manager/*.go internal/sim/sim.go internal/sim/trace
     exit 1
 fi
 
+# Full state leaves the command loop through one query (Server.ExportState);
+# besides it only the snapshot writer and a follower's verify check may copy
+# the manager. A fourth call is an O(population) cost creeping back onto some
+# path — on a per-mutation path, the one epochs were rid of.
+echo "== export gate (internal/server copies full state in at most three places)"
+sources=$(ls internal/server/*.go | grep -v '_test\.go')
+exports=$(grep -h 'ExportState()' $sources | grep -vc '^[[:space:]]*//' || true)
+if [ "$exports" -gt 3 ]; then
+    grep -n 'ExportState()' $sources
+    echo "FAIL: $exports calls of ExportState() in internal/server, at most 3 allowed" >&2
+    exit 1
+fi
+
 if [ "${1:-}" = "--chaos" ]; then
     # 60 deterministic manager traces (audit after every event) plus
     # concurrent mix episodes, every other one with a mid-burst shutdown, all
