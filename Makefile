@@ -15,11 +15,14 @@ race:
 
 # Hot-path baselines for the admission service (see internal/manager), the
 # command loop around it (an establish+terminate pair over 100 and over 2000
-# standing connections: what the loop adds must not grow with the population)
+# standing connections: what the loop adds must not grow with the population),
+# the same pair with every ack waiting on a warm standby (what replication
+# adds must stay two fsyncs and a loopback round trip — no poll timer)
 # and the paper-reproduction benchmarks at the repo root.
 bench:
 	go test -run xxx -bench 'BenchmarkManager' -benchmem ./internal/manager/
 	go test -run xxx -bench 'BenchmarkServerEstablish' -benchmem ./internal/server/
+	go test -run xxx -bench 'BenchmarkReplicatedEstablish' -benchmem ./internal/replica/
 	go test -run xxx -bench 'BenchmarkP2' -benchmem ./internal/stats/
 
 # Record the full suite into BENCH_<date>.json / run the CI smoke pass.

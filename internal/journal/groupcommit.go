@@ -8,7 +8,10 @@
 //     returns its sequence number immediately. The record is on its way to
 //     disk but NOT yet durable.
 //   - WaitDurable parks the caller on a commit ticket until a committer
-//     goroutine has fsynced a batch covering that sequence number.
+//     goroutine has fsynced a batch covering that sequence number. It is
+//     the journal's one wait primitive: a replication poll parks on the
+//     same broadcast for a record that does not exist yet, so the inline
+//     fsync policies advance and signal the same ledger.
 //
 // The committer syncs the first pending record immediately (a lone
 // sequential writer sees per-append fsync latency, exactly like before) and
@@ -44,7 +47,8 @@ type groupState struct {
 	durable *sync.Cond // committer → waiters: syncedSeq advanced / journal died
 
 	writeSeq  uint64 // highest sequence written to a segment file
-	syncedSeq uint64 // highest sequence known durable
+	syncedSeq uint64 // highest sequence known durable (DurableSeq)
+	installs  uint64 // InstallSnapshot count: a waiter's history was replaced
 	err       error  // sticky: the first fsync failure poisons the journal
 	closing   bool   // Close/Abandon began; the committer must exit
 	closed    bool   // terminal: syncedSeq will never advance again
@@ -66,9 +70,9 @@ func newGroupState(lastSeq uint64) *groupState {
 // GroupCommit reports whether the journal batches fsyncs.
 func (j *Journal) GroupCommit() bool { return j.opt.GroupCommit }
 
-// SyncedSeq returns the highest sequence number known durable. Only
-// meaningful in group-commit mode; other fsync policies track durability
-// per Append and report 0 here.
+// SyncedSeq returns the highest sequence number known durable: the last
+// fsynced batch under group commit, the appended tip otherwise (where
+// Append applies the fsync policy inline before the record counts).
 func (j *Journal) SyncedSeq() uint64 {
 	j.gc.mu.Lock()
 	defer j.gc.mu.Unlock()
@@ -133,35 +137,44 @@ func (j *Journal) appendLocked(ev Event) (uint64, error) {
 	if _, err := j.f.Write(j.buf); err != nil {
 		return 0, fmt.Errorf("journal: append seq %d: %w", ev.Seq, err)
 	}
+	if !j.opt.GroupCommit {
+		j.sinceSync++
+		if j.opt.FsyncEvery > 0 && j.sinceSync >= j.opt.FsyncEvery {
+			if err := j.f.Sync(); err != nil {
+				return 0, fmt.Errorf("journal: fsync seq %d: %w", ev.Seq, err)
+			}
+			j.sinceSync = 0
+		}
+	}
+	j.seq = ev.Seq
+	j.tail.push(ev.Seq, j.buf)
 	if j.opt.GroupCommit {
-		j.seq = ev.Seq
 		j.gc.mu.Lock()
 		j.gc.writeSeq = ev.Seq
 		j.gc.wake.Signal()
 		j.gc.mu.Unlock()
-		return ev.Seq, nil
+	} else {
+		// The inline policy has been applied: the record is as durable as
+		// this mode makes it. Wake WaitDurable the way the committer would.
+		j.markSyncedLocked()
 	}
-	j.sinceSync++
-	if j.opt.FsyncEvery > 0 && j.sinceSync >= j.opt.FsyncEvery {
-		if err := j.f.Sync(); err != nil {
-			return 0, fmt.Errorf("journal: fsync seq %d: %w", ev.Seq, err)
-		}
-		j.sinceSync = 0
-	}
-	j.seq = ev.Seq
 	return ev.Seq, nil
 }
 
-// WaitDurable blocks until the record with sequence number seq is durable
-// (an fsync covering it returned), the journal dies, or ctx does. A nil
-// return is the durability acknowledgment. Without group commit it returns
-// immediately — Append already applied the configured policy.
+// WaitDurable blocks until DurableSeq() >= seq — an fsync covering the
+// record returned under group commit, the record was appended under an
+// inline fsync policy — or until that can no longer be waited for: the
+// journal closed or died, InstallSnapshot replaced the history seq belongs
+// to, or ctx ended. A nil return is the durability acknowledgment. seq may
+// name a record that has not been appended yet: a replication poll parks
+// here for the next record the way an acknowledgment parks for its own.
 func (j *Journal) WaitDurable(ctx context.Context, seq uint64) error {
-	if !j.opt.GroupCommit || seq == 0 {
+	if seq == 0 {
 		return nil
 	}
 	gc := j.gc
 	gc.mu.Lock()
+	installs := gc.installs
 	if gc.syncedSeq >= seq {
 		gc.mu.Unlock()
 		return nil
@@ -186,6 +199,9 @@ func (j *Journal) WaitDurable(ctx context.Context, seq uint64) error {
 		}
 		if gc.closed {
 			return fmt.Errorf("journal: closed before seq %d became durable", seq)
+		}
+		if gc.installs != installs {
+			return fmt.Errorf("journal: snapshot installed before seq %d became durable", seq)
 		}
 		if err := ctx.Err(); err != nil {
 			return err
@@ -267,9 +283,10 @@ func (j *Journal) committer() {
 }
 
 // markSyncedLocked records — under j.mu, after a successful fsync of the
-// active segment — that every written record is durable, releasing parked
-// commit tickets. Sync, Close and the snapshot pre-sync route through it so
-// the committer never re-syncs work another path already made durable.
+// active segment or an inline-policy append — that every written record is
+// as durable as the mode makes it, releasing parked WaitDurable callers.
+// Sync, Close and the snapshot pre-sync route through it so the committer
+// never re-syncs work another path already made durable.
 func (j *Journal) markSyncedLocked() {
 	gc := j.gc
 	gc.mu.Lock()

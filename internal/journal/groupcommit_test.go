@@ -193,8 +193,8 @@ func TestGroupCommitWaitDurableHonorsContext(t *testing.T) {
 }
 
 // TestNonGroupJournalUnaffected: without GroupCommit the async API degrades
-// to the synchronous contract and WaitDurable is a no-op, so callers can be
-// mode-oblivious.
+// to the synchronous contract and WaitDurable answers at once for a record
+// it appended, so callers can be mode-oblivious.
 func TestNonGroupJournalUnaffected(t *testing.T) {
 	dir := t.TempDir()
 	j, _, err := Open(dir, Options{FsyncEvery: 1})

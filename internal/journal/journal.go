@@ -40,6 +40,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -106,6 +107,9 @@ type Journal struct {
 	snapSeq   uint64   // sequence covered by the newest snapshot
 	sinceSync int
 	buf       []byte
+	tail      tailRing // most recent frames, served to tail reads (stream.go)
+
+	diskWalks atomic.Int64 // reads that fell through the ring to the files
 
 	// gc is the group-commit ledger (groupcommit.go), always allocated; the
 	// committer goroutine runs only when opt.GroupCommit is set.
@@ -172,6 +176,8 @@ func Open(dir string, opt Options) (*Journal, *Recovered, error) {
 func (j *Journal) Reload() (*Recovered, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	// The caller is about to trust the files over everything in memory.
+	j.tail.reset()
 	rec, _, _, err := scanDir(j.dir)
 	return rec, err
 }

@@ -1,15 +1,18 @@
 // Streaming read access for replication: a primary serves its journal to
-// warm standbys record-by-record (ReadFrom), bootstraps a far-behind or
-// brand-new standby from the newest snapshot (LatestSnapshot /
-// InstallSnapshot on the receiving side), and the standby appends what it
-// received under the primary's own sequence numbers (AppendReplicated in
-// groupcommit.go). Reads are safe concurrently with appends: a record's
-// frame is fully written to the segment before its sequence number becomes
-// visible, and ReadFrom never reads past the durable tip, so a reader can
-// never observe a half-written frame below the range it returns.
+// warm standbys record-by-record (ReadFrames — out of the in-memory tail
+// ring when the standby is near the tip, off the segment files when it is
+// catching up), bootstraps a far-behind or brand-new standby from the
+// newest snapshot (LatestSnapshot / InstallSnapshot on the receiving
+// side), and the standby appends what it received under the primary's own
+// sequence numbers (AppendReplicated in groupcommit.go). Reads are safe
+// concurrently with appends: a record's frame is fully written to the
+// segment before its sequence number becomes visible, and no read goes
+// past the durable tip, so a reader can never observe a half-written frame
+// below the range it returns.
 package journal
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -23,30 +26,71 @@ import (
 // should bootstrap from LatestSnapshot instead.
 var ErrCompacted = errors.New("journal: requested records compacted into a snapshot")
 
-// DurableSeq returns the highest sequence number a reader may rely on:
-// the synced tip under group commit, the appended tip otherwise (where
-// Append applies the fsync policy inline before returning).
-func (j *Journal) DurableSeq() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.durableSeqLocked()
+// DurableSeq returns the highest sequence number a reader may rely on —
+// SyncedSeq under the name the read side knows it by.
+func (j *Journal) DurableSeq() uint64 { return j.SyncedSeq() }
+
+// tailRingSize is how many of the most recent frames stay in memory. A
+// standby in steady state polls one or two records behind the tip and a
+// stream batch is at most a few hundred records, so 256 slots (~16 KB of
+// 57-byte establish frames) serve every steady-state read; anything older
+// is a catch-up read and takes the disk walk.
+const tailRingSize = 256
+
+// tailRing holds the encoded frames of the records [low, high], the most
+// recently appended ones, slot seq%tailRingSize each. It is a cache of the
+// segment files' tail and nothing else: dropped whenever the files change
+// other than by an append (InstallSnapshot, Reload) and empty after Open.
+// Guarded by j.mu.
+type tailRing struct {
+	low, high uint64 // high == 0: empty (sequence numbers start at 1)
+	frames    [tailRingSize][]byte
 }
 
-func (j *Journal) durableSeqLocked() uint64 {
-	if j.opt.GroupCommit {
-		j.gc.mu.Lock()
-		defer j.gc.mu.Unlock()
-		return j.gc.syncedSeq
+// push records the frame of the record just appended. Slot buffers are
+// reused, so a warm ring costs one copy per append and no allocation.
+func (t *tailRing) push(seq uint64, frame []byte) {
+	if t.high == 0 || seq != t.high+1 {
+		t.low = seq
 	}
-	return j.seq
+	t.high = seq
+	if t.high-t.low >= tailRingSize {
+		t.low = t.high - tailRingSize + 1
+	}
+	slot := &t.frames[seq%tailRingSize]
+	*slot = append((*slot)[:0], frame...)
 }
 
-// ReadFrom returns up to max events with Seq >= from, ascending and
-// contiguous, bounded by the durable tip. An empty slice means the caller
-// is at the tip (long-pollers sleep and retry). ErrCompacted means from is
-// at or below the newest snapshot — the records were deleted, bootstrap
-// from the snapshot. Safe concurrently with appends and snapshots.
-func (j *Journal) ReadFrom(from uint64, max int) ([]Event, error) {
+func (t *tailRing) reset() { t.low, t.high = 0, 0 }
+
+// concat returns the frames of [from, last] back to back, or false when
+// the ring does not hold from (it always holds everything after it).
+func (t *tailRing) concat(from, last uint64) ([]byte, bool) {
+	if t.high == 0 || from < t.low || last > t.high {
+		return nil, false
+	}
+	size := 0
+	for s := from; s <= last; s++ {
+		size += len(t.frames[s%tailRingSize])
+	}
+	buf := make([]byte, 0, size)
+	for s := from; s <= last; s++ {
+		buf = append(buf, t.frames[s%tailRingSize]...)
+	}
+	return buf, true
+}
+
+// ReadFrames returns up to max records with Seq >= from, ascending and
+// contiguous, bounded by the durable tip, in the on-disk frame format (the
+// stream's wire format — see EncodeFrames), and how many there are. Zero
+// records means the caller is at the tip (a long-poller parks on
+// WaitDurable(from)). ErrCompacted means from is at or below the newest
+// snapshot — the records were deleted, bootstrap from the snapshot. Safe
+// concurrently with appends and snapshots.
+//
+// Reads near the tip are served from the tail ring without touching the
+// file system; a from older than the ring walks the segment files.
+func (j *Journal) ReadFrames(from uint64, max int) (frames []byte, n int, err error) {
 	if from == 0 {
 		from = 1
 	}
@@ -54,19 +98,56 @@ func (j *Journal) ReadFrom(from uint64, max int) ([]Event, error) {
 		max = 1024
 	}
 	j.mu.Lock()
-	durable := j.durableSeqLocked()
-	snapSeq := j.snapSeq
-	j.mu.Unlock()
-	if from <= snapSeq {
-		return nil, ErrCompacted
+	durable := j.SyncedSeq()
+	if from <= j.snapSeq {
+		j.mu.Unlock()
+		return nil, 0, ErrCompacted
 	}
 	if from > durable {
-		return nil, nil
+		j.mu.Unlock()
+		return nil, 0, nil
 	}
+	last := min(durable, from+uint64(max)-1)
+	frames, ok := j.tail.concat(from, last)
+	j.mu.Unlock()
+	if ok {
+		return frames, int(last - from + 1), nil
+	}
+	return j.walkFrames(from, max, durable)
+}
 
+// ReadFrom is ReadFrames decoded.
+func (j *Journal) ReadFrom(from uint64, max int) ([]Event, error) {
+	frames, _, err := j.ReadFrames(from, max)
+	if err != nil || len(frames) == 0 {
+		return nil, err
+	}
+	return DecodeFrames(frames)
+}
+
+// FrameCRC returns the stored CRC-32C of the durable record seq — EventCRC
+// of that record, without decoding it. ok is false when seq lies past the
+// durable tip; ErrCompacted when it was folded into a snapshot.
+func (j *Journal) FrameCRC(seq uint64) (crc uint32, ok bool, err error) {
+	frame, n, err := j.ReadFrames(seq, 1)
+	if err != nil || n == 0 {
+		return 0, false, err
+	}
+	return binary.LittleEndian.Uint32(frame[4:]), true, nil
+}
+
+// DiskWalks counts the reads that fell through the tail ring to the
+// segment files — the catch-up path. A standby streaming at the tip never
+// moves it.
+func (j *Journal) DiskWalks() int64 { return j.diskWalks.Load() }
+
+// walkFrames is the catch-up read: list the directory, read every segment
+// that can hold [from, durable] whole, and collect the frames in range.
+func (j *Journal) walkFrames(from uint64, max int, durable uint64) (frames []byte, n int, err error) {
+	j.diskWalks.Add(1)
 	entries, err := os.ReadDir(j.dir)
 	if err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
+		return nil, 0, fmt.Errorf("journal: %w", err)
 	}
 	type seg struct {
 		firstSeq uint64
@@ -80,7 +161,6 @@ func (j *Journal) ReadFrom(from uint64, max int) ([]Event, error) {
 	}
 	sort.Slice(segs, func(i, k int) bool { return segs[i].firstSeq < segs[k].firstSeq })
 
-	var out []Event
 	next := from
 	for si, sg := range segs {
 		// A segment can only hold seqs in [its name, the next segment's name).
@@ -95,9 +175,9 @@ func (j *Journal) ReadFrom(from uint64, max int) ([]Event, error) {
 			if os.IsNotExist(err) {
 				// A concurrent snapshot deleted it under us; the records it
 				// held are covered by that snapshot now.
-				return nil, ErrCompacted
+				return nil, 0, ErrCompacted
 			}
-			return nil, fmt.Errorf("journal: %w", err)
+			return nil, 0, fmt.Errorf("journal: %w", err)
 		}
 		off := 0
 		for off < len(data) {
@@ -105,26 +185,27 @@ func (j *Journal) ReadFrom(from uint64, max int) ([]Event, error) {
 			if !ok {
 				// Only the in-flight tail past the durable bound can be
 				// unparseable mid-read; stop at what we have.
-				return out, nil
+				return frames, n, nil
 			}
+			frame := data[off:nextOff]
 			off = nextOff
 			if ev.Seq < next {
 				continue // superseded duplicate or below the requested range
 			}
 			if ev.Seq > durable {
-				return out, nil
+				return frames, n, nil
 			}
 			if ev.Seq != next {
-				return nil, fmt.Errorf("%w: %s holds seq %d where %d was expected", ErrCorrupt, filepath.Base(sg.path), ev.Seq, next)
+				return nil, 0, fmt.Errorf("%w: %s holds seq %d where %d was expected", ErrCorrupt, filepath.Base(sg.path), ev.Seq, next)
 			}
-			out = append(out, ev)
+			frames = append(frames, frame...)
 			next++
-			if len(out) >= max {
-				return out, nil
+			if n++; n >= max {
+				return frames, n, nil
 			}
 		}
 	}
-	return out, nil
+	return frames, n, nil
 }
 
 // LatestSnapshot loads the newest snapshot on disk, or (nil, nil, nil)
@@ -153,9 +234,10 @@ func (j *Journal) LatestSnapshot() (*SnapshotHeader, []byte, error) {
 // shipped from a primary: every existing segment and snapshot is deleted
 // (including any divergent suffix a fenced ex-primary may hold), the
 // snapshot is written durably, and a fresh segment starts at hdr.Seq+1.
-// The caller must be quiescent — no concurrent appends or waiters. A crash
-// mid-install leaves either the old journal with a truncated tail or the
-// new snapshot alone; both recover cleanly and re-sync from the primary.
+// The caller must be quiescent — no concurrent appends; a WaitDurable
+// parked past the installed seq is woken and refused. A crash mid-install
+// leaves either the old journal with a truncated tail or the new snapshot
+// alone; both recover cleanly and re-sync from the primary.
 func (j *Journal) InstallSnapshot(hdr SnapshotHeader, body []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -189,9 +271,11 @@ func (j *Journal) InstallSnapshot(hdr SnapshotHeader, body []byte) error {
 		return err
 	}
 	j.seq, j.snapSeq, j.sinceSync = hdr.Seq, hdr.Seq, 0
+	j.tail.reset()
 	gc := j.gc
 	gc.mu.Lock()
 	gc.writeSeq, gc.syncedSeq = hdr.Seq, hdr.Seq
+	gc.installs++
 	gc.durable.Broadcast()
 	gc.mu.Unlock()
 	return nil

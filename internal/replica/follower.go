@@ -151,11 +151,8 @@ func (n *Node) prevCRC() (uint32, bool) {
 	if tip == 0 || tip <= n.jnl.SnapshotSeq() {
 		return 0, false
 	}
-	evs, err := n.jnl.ReadFrom(tip, 1)
-	if err != nil || len(evs) != 1 {
-		return 0, false
-	}
-	return journal.EventCRC(evs[0]), true
+	crc, ok, err := n.jnl.FrameCRC(tip)
+	return crc, ok && err == nil
 }
 
 // fetchAndApply performs one poll cycle: request records past the local

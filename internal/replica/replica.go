@@ -15,6 +15,11 @@
 //     acknowledgment: a poll with from=N confirms every record below N is
 //     durably applied on the follower, which drives the semi-synchronous
 //     WaitReplicated hook gating the primary's client acknowledgments.
+//     Both waits park on the event that ends them — the poll on the
+//     journal's durable broadcast, the hook on the next poll — so the
+//     standby's confirmation costs two fsyncs and a round trip, not a poll
+//     interval; the hook then holds a confirmation that came in under
+//     ackFloor until the floor, which keeps the acknowledged rate steady.
 //
 //   - Follower (Run): a continuous replay loop that fetches from the
 //     primary, applies each batch through server.ApplyReplicated (journal
@@ -44,6 +49,7 @@ import (
 
 	"drqos/internal/journal"
 	"drqos/internal/server"
+	"drqos/internal/stats"
 )
 
 // Config tunes a replication node.
@@ -156,6 +162,8 @@ type Node struct {
 	lostLogged   bool
 	// verify is the newest verify point minted for a standby (shipper.go).
 	verify server.VerifyPoint
+	// How long confirmed acknowledgments waited on the standby, in ms.
+	ackWaitP50, ackWaitP99 *stats.P2Quantile
 	// Follower-side progress, served into the stats block.
 	primaryURL     string
 	applied        uint64
@@ -174,12 +182,16 @@ type Node struct {
 // (follower side).
 func NewNode(srv *server.Server, jnl *journal.Journal, cfg Config) *Node {
 	cfg = cfg.withDefaults()
+	p50, _ := stats.NewP2Quantile(0.50) // constant quantiles: cannot fail
+	p99, _ := stats.NewP2Quantile(0.99)
 	return &Node{
 		srv:        srv,
 		jnl:        jnl,
 		cfg:        cfg,
 		client:     &http.Client{Timeout: cfg.PollWait + 5*time.Second, Transport: cfg.Transport},
 		pollSignal: make(chan struct{}),
+		ackWaitP50: p50,
+		ackWaitP99: p99,
 		primaryURL: cfg.PrimaryURL,
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
@@ -229,6 +241,10 @@ func (n *Node) StatsBlock() *server.ReplicaStats {
 		}
 		rs.LeaseEnabled = n.cfg.Lease > 0
 		rs.LeaseLost = n.leaseLostLocked()
+		if n.ackWaitP50.N() > 0 {
+			rs.AckWaitMsP50 = n.ackWaitP50.Value()
+			rs.AckWaitMsP99 = n.ackWaitP99.Value()
+		}
 	}
 	return rs
 }
@@ -277,10 +293,25 @@ func (n *Node) notePoll(confirmed uint64) {
 	}
 }
 
+// ackFloor is the least time a confirmed acknowledgment spends in
+// WaitReplicated: a standby that confirms sooner has its confirmation held
+// until then. It is the one wait on the acknowledgment path that a clock
+// ends rather than an event, and it buys steadiness, not speed. Without it
+// an acknowledgment is made of work only — two fsyncs, two loopback hops,
+// the standby's apply — so its length, and with it the rate of every
+// closed-loop client (one over the acknowledgment time), follows the host's
+// speed one for one; on shared hardware that speed drifts by 15–30 % over
+// minutes. Held to a floor just above the work, the acknowledged rate stays
+// within a few percent across those phases, at the price of about 0.7 ms on
+// the median replicated mutation (DESIGN.md §12 has the numbers).
+// A primary no standby is polling never reaches it.
+const ackFloor = time.Millisecond
+
 // WaitReplicated implements the server's semi-synchronous hook: block
 // until a standby's poll confirmed seq, the standby goes quiet (fall back
 // to asynchronous — a dead standby must not take client traffic down with
-// it), the sync timeout expires, or ctx dies.
+// it), the sync timeout expires, or ctx dies. A confirmation is released
+// no sooner than ackFloor after the wait began.
 //
 // With lease fencing on and a lease granted, the asynchronous fallbacks
 // are closed off: an expired lease or a sync timeout refuses the
@@ -288,13 +319,21 @@ func (n *Node) notePoll(confirmed uint64) {
 // the standby — which may be promoting itself on the other side of a
 // partition — will never have.
 func (n *Node) WaitReplicated(ctx context.Context, seq uint64) error {
-	deadline := time.Now().Add(n.cfg.SyncTimeout)
-	wake := 100 * time.Millisecond
-	if n.cfg.Lease > 0 && n.cfg.Lease/4 < wake {
-		wake = n.cfg.Lease / 4
-		if wake < time.Millisecond {
-			wake = time.Millisecond
+	start := time.Now()
+	deadline := start.Add(n.cfg.SyncTimeout)
+	// One timer for the whole wait, armed for the one instant at which the
+	// answer can change without a poll; every poll wakes the wait itself
+	// through pollSignal and moves that instant.
+	timer := time.NewTimer(n.cfg.SyncTimeout)
+	defer timer.Stop()
+	rearm := func(d time.Duration) {
+		if !timer.Stop() {
+			select {
+			case <-timer.C:
+			default:
+			}
 		}
+		timer.Reset(d)
 	}
 	for {
 		n.mu.Lock()
@@ -306,12 +345,30 @@ func (n *Node) WaitReplicated(ctx context.Context, seq uint64) error {
 		if logFence {
 			n.lostLogged = true
 		}
+		// Without a poll the verdict changes when the sync timeout runs out
+		// or, sooner, when the last poll ages out: of the lease (fence), or of
+		// the active window (fall back to asynchronous).
+		next := n.lastPoll.Add(n.cfg.SyncActiveWindow)
+		if leased {
+			next = n.lastPoll.Add(n.cfg.Lease)
+		}
+		if next.After(deadline) {
+			next = deadline
+		}
 		signal := n.pollSignal
 		n.mu.Unlock()
 		if logFence {
 			n.logf("replica: lease lost (no standby poll within %s); fencing acknowledgments", n.cfg.Lease)
 		}
 		if confirmed {
+			if hold := ackFloor - time.Since(start); hold > 0 {
+				rearm(hold)
+				select {
+				case <-timer.C:
+				case <-ctx.Done(): // confirmed all the same
+				}
+			}
+			n.observeAckWait(time.Since(start))
 			return nil
 		}
 		if leased {
@@ -324,13 +381,25 @@ func (n *Node) WaitReplicated(ctx context.Context, seq uint64) error {
 		} else if !active || time.Now().After(deadline) {
 			return nil
 		}
+		// The comparisons above are strict, so aim just past the instant.
+		rearm(time.Until(next) + time.Microsecond)
 		select {
 		case <-signal:
-		case <-time.After(wake):
+		case <-timer.C:
 		case <-ctx.Done():
 			return ctx.Err()
 		}
 	}
+}
+
+// observeAckWait feeds one confirmed acknowledgment's wait into the
+// quantiles the stats block reports.
+func (n *Node) observeAckWait(d time.Duration) {
+	ms := float64(d) / float64(time.Millisecond)
+	n.mu.Lock()
+	n.ackWaitP50.Observe(ms)
+	n.ackWaitP99.Observe(ms)
+	n.mu.Unlock()
 }
 
 // isMutation reports whether a request would originate a mutation — the

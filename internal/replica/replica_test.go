@@ -20,7 +20,7 @@ import (
 	"drqos/internal/topology"
 )
 
-func testGraph(t *testing.T) *topology.Graph {
+func testGraph(t testing.TB) *topology.Graph {
 	t.Helper()
 	g, err := topology.Waxman(topology.WaxmanConfig{
 		Nodes: 40, Alpha: 0.33, Beta: 0.25, EnsureConnected: true,
@@ -40,7 +40,7 @@ type testNode struct {
 	http *httptest.Server
 }
 
-func (tn *testNode) close(t *testing.T) {
+func (tn *testNode) close(t testing.TB) {
 	t.Helper()
 	tn.node.Stop()
 	tn.http.Close()
@@ -50,7 +50,7 @@ func (tn *testNode) close(t *testing.T) {
 
 // bootNode builds a cluster member. primaryURL=="" boots a primary;
 // otherwise a follower of that URL.
-func bootNode(t *testing.T, g *topology.Graph, primaryURL string, cfg replica.Config) *testNode {
+func bootNode(t testing.TB, g *topology.Graph, primaryURL string, cfg replica.Config) *testNode {
 	t.Helper()
 	jnl, rec, err := journal.Open(t.TempDir(), journal.Options{FsyncEvery: 1})
 	if err != nil {
@@ -65,7 +65,7 @@ func bootNode(t *testing.T, g *topology.Graph, primaryURL string, cfg replica.Co
 // bootNodeOnJournal builds a member over an already-opened journal,
 // rebuilding the manager from its recovered contents — the rejoin path.
 // perturb, if any, then damages the manager behind the journal's back.
-func bootNodeOnJournal(t *testing.T, g *topology.Graph, jnl *journal.Journal, rec *journal.Recovered, primaryURL string, cfg replica.Config, perturb ...func(*manager.Manager)) *testNode {
+func bootNodeOnJournal(t testing.TB, g *topology.Graph, jnl *journal.Journal, rec *journal.Recovered, primaryURL string, cfg replica.Config, perturb ...func(*manager.Manager)) *testNode {
 	t.Helper()
 	mgr, err := server.Rebuild(g, manager.Config{Capacity: 10000}, rec)
 	if err != nil {
@@ -92,7 +92,9 @@ func bootNodeOnJournal(t *testing.T, g *topology.Graph, jnl *journal.Journal, re
 	}
 	tn.srv = srv
 	cfg.PrimaryURL = primaryURL
-	cfg.Logf = t.Logf
+	if cfg.Logf == nil {
+		cfg.Logf = t.Logf
+	}
 	tn.node = replica.NewNode(srv, jnl, cfg)
 	tn.http = httptest.NewServer(tn.node.FrontHandler(server.NewHandler(srv)))
 	return tn
@@ -119,7 +121,7 @@ func establishSome(t *testing.T, s *server.Server, n int) int {
 	return made
 }
 
-func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool) {
+func waitFor(t testing.TB, timeout time.Duration, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for !cond() {

@@ -96,7 +96,7 @@ func (n *Node) handleStream(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "stream: bad prev_crc", http.StatusBadRequest)
 			return
 		}
-		switch evs, rerr := n.jnl.ReadFrom(from-1, 1); {
+		switch crc, ok, rerr := n.jnl.FrameCRC(from - 1); {
 		case errors.Is(rerr, journal.ErrCompacted):
 			// Compacted between the check above and here; indistinguishable
 			// from the from<=snapSeq case.
@@ -105,13 +105,13 @@ func (n *Node) handleStream(w http.ResponseWriter, r *http.Request) {
 		case rerr != nil:
 			http.Error(w, rerr.Error(), http.StatusInternalServerError)
 			return
-		case len(evs) == 0:
+		case !ok:
 			writeStreamError(w, http.StatusConflict, reasonDiverged,
 				fmt.Sprintf("standby is at seq %d but primary's durable tip is %d — divergent suffix", from-1, n.jnl.DurableSeq()))
 			return
-		case journal.EventCRC(evs[0]) != uint32(prevCRC):
+		case crc != uint32(prevCRC):
 			writeStreamError(w, http.StatusConflict, reasonDiverged,
-				fmt.Sprintf("record %d CRC mismatch: standby %08x, primary %08x", from-1, uint32(prevCRC), journal.EventCRC(evs[0])))
+				fmt.Sprintf("record %d CRC mismatch: standby %08x, primary %08x", from-1, uint32(prevCRC), crc))
 			return
 		}
 	}
@@ -125,34 +125,35 @@ func (n *Node) handleStream(w http.ResponseWriter, r *http.Request) {
 			wait = 30 * time.Second
 		}
 	}
-	deadline := time.Now().Add(wait)
-	var evs []journal.Event
-	for {
-		evs, err = n.jnl.ReadFrom(from, n.cfg.BatchMax)
-		if errors.Is(err, journal.ErrCompacted) {
-			writeStreamError(w, http.StatusGone, reasonCompacted, "history compacted mid-poll")
-			return
-		}
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		if len(evs) > 0 || time.Now().After(deadline) || r.Context().Err() != nil {
-			break
-		}
-		select {
-		case <-time.After(5 * time.Millisecond):
-		case <-r.Context().Done():
-		}
+	// Park on the event that ends the poll: the journal's durable broadcast
+	// wakes it the moment record from exists. Anything else WaitDurable can
+	// report — the deadline (an idle poll: the empty envelope below is the
+	// lease heartbeat), a disconnect, a journal that closed, died or had its
+	// history replaced and so will never make from durable — is an idle poll
+	// too and is held to its deadline, so a standby cannot spin against a
+	// primary that cannot write.
+	ctx, cancel := context.WithTimeout(r.Context(), wait)
+	defer cancel()
+	if n.jnl.WaitDurable(ctx, from) != nil {
+		<-ctx.Done()
+	}
+	frames, count, err := n.jnl.ReadFrames(from, n.cfg.BatchMax)
+	if errors.Is(err, journal.ErrCompacted) {
+		writeStreamError(w, http.StatusGone, reasonCompacted, "history compacted mid-poll")
+		return
+	}
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
 
 	env := streamEnvelope{
 		Term:       n.srv.Term(),
 		DurableSeq: n.jnl.DurableSeq(),
+		Frames:     frames,
 	}
-	if len(evs) > 0 {
-		env.Frames = journal.EncodeFrames(evs)
-		env.Verify = n.verifyPoints(r.Context(), from, evs[len(evs)-1].Seq)
+	if count > 0 {
+		env.Verify = n.verifyPoints(r.Context(), from, from+uint64(count)-1)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(env)

@@ -139,6 +139,11 @@ func WriteMetrics(w io.Writer, st Stats) {
 			}
 			gauge("drqos_replica_lease_lost", "1 while the primary's standby-granted replication lease has lapsed and mutations are fenced.", lost)
 		}
+		if r.AckWaitMsP99 > 0 {
+			fmt.Fprintf(w, "# HELP drqos_replica_ack_wait_seconds Time acknowledgments waited for the standby to confirm the record (streaming P2 quantiles).\n# TYPE drqos_replica_ack_wait_seconds summary\n")
+			fmt.Fprintf(w, "drqos_replica_ack_wait_seconds{quantile=\"0.5\"} %g\n", r.AckWaitMsP50/1e3)
+			fmt.Fprintf(w, "drqos_replica_ack_wait_seconds{quantile=\"0.99\"} %g\n", r.AckWaitMsP99/1e3)
+		}
 		if r.Role == "follower" {
 			gauge("drqos_replica_lag_seq", "Journal records the primary has durably written that this follower has not yet applied.", r.LagSeq)
 			gauge("drqos_replica_lag_seconds", "Time since this follower last successfully fetched from the primary.", r.LagSeconds)

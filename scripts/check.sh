@@ -77,6 +77,18 @@ if [ "$exports" -gt 3 ]; then
     exit 1
 fi
 
+# Every wait up to the standby's confirmation parks on the event that ends
+# it: the journal's durable broadcast, a standby's poll, the caller's
+# context. A sleep or a ticker in these two files is a poll timer coming
+# back — the 5 ms one cost a replicated establish 6 of its 7 ms. (The one
+# clock-ended wait, the 1 ms acknowledgment floor after the confirmation,
+# lives in replica.go's WaitReplicated and is on purpose: DESIGN.md §12.)
+echo "== timer gate (no sleep or ticker on the replicated-ack path)"
+if grep -nE 'time\.After\(|time\.Sleep\(|NewTicker\(' internal/replica/shipper.go internal/server/pipeline.go; then
+    echo "FAIL: a timer on the ack path; wait on journal.WaitDurable, pollSignal or the context instead" >&2
+    exit 1
+fi
+
 if [ "${1:-}" = "--chaos" ]; then
     # 60 deterministic manager traces (audit after every event) plus
     # concurrent mix episodes, every other one with a mid-burst shutdown, all
