@@ -13,7 +13,10 @@ test:
 race:
 	go test -race ./...
 
-# Hot-path baselines for the admission service (see internal/manager), the
+# Hot-path baselines for the admission service (internal/manager:
+# BenchmarkManagerChurn/standing=100|2000 — an establish plus a
+# terminate-oldest at a level population, est/term p50 reported beside
+# ns/op — and BenchmarkManagerFailRepair/standing=2000), the
 # command loop around it (an establish+terminate pair over 100 and over 2000
 # standing connections: what the loop adds must not grow with the population),
 # the same pair with every ack waiting on a warm standby (what replication

@@ -60,9 +60,9 @@ func main() {
 			bestSum, busiest = s, topology.DirLinkID(d)
 		}
 	}
-	ids := mgr.Network().PrimariesOn(busiest)
+	primaries := mgr.Network().PrimariesOn(busiest)
 	fmt.Printf("busiest directed link %d: %v reserved across %d channels\n",
-		busiest, bestSum, len(ids))
+		busiest, bestSum, len(primaries))
 
 	// Convert each channel's current grant into a packet-level flow:
 	// 12 Kb max packets (≈1500 B) and a two-packet burst allowance. The
@@ -71,12 +71,11 @@ func main() {
 	// transformation between bandwidth and delay forms of performance QoS.
 	const maxPacket = 12.0
 	mkFlows := func(deadline float64) []sched.FlowSpec {
-		flows := make([]sched.FlowSpec, 0, len(ids))
-		for _, id := range ids {
-			c := mgr.Conn(id)
+		flows := make([]sched.FlowSpec, 0, len(primaries))
+		for _, r := range primaries {
 			flows = append(flows, sched.FlowSpec{
 				Burst:     2 * maxPacket,
-				Rate:      float64(c.Bandwidth()),
+				Rate:      float64(r.Grant),
 				MaxPacket: maxPacket,
 				Deadline:  deadline,
 			})

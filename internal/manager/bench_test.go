@@ -1,112 +1,174 @@
-package manager
+package manager_test
 
 import (
+	"fmt"
+	"slices"
 	"testing"
+	"time"
 
 	"drqos/internal/channel"
+	"drqos/internal/core"
+	"drqos/internal/manager"
 	"drqos/internal/qos"
 	"drqos/internal/rng"
 	"drqos/internal/topology"
 )
 
-// benchSetup builds a paper-scale network and endpoint stream for the
-// admission hot path the server leans on. Establish/Terminate dominate
-// drserverd's command loop, so these benchmarks are the scaling baseline.
-func benchSetup(b *testing.B) (*Manager, []topology.NodeID, qos.ElasticSpec) {
-	b.Helper()
-	src := rng.New(11)
-	g, err := topology.Waxman(topology.WaxmanConfig{
-		Nodes: 100, Alpha: 0.33, Beta: 0.1176, EnsureConnected: true,
-	}, src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := New(g, Config{Capacity: 10000})
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := g.NumNodes()
-	pairs := make([]topology.NodeID, 4096)
-	for i := range pairs {
-		pairs[i] = topology.NodeID(src.Intn(n))
-	}
-	return m, pairs, qos.DefaultSpec()
+// churn is the benchmark daemon's manager under its own workload: the
+// seed-1 100-node Waxman graph, drserverd's default admission config, and a
+// standing population held level by terminating the oldest connection for
+// every one admitted (bench/script's churn-highpop and durable-lowpop, minus
+// HTTP). The adaptation kernels cost what the population makes them cost,
+// so a benchmark at any other population measures a different program.
+type churn struct {
+	m     *manager.Manager
+	src   *rng.Source
+	alive []channel.ConnID // admission order
 }
 
-func BenchmarkManagerEstablish(b *testing.B) {
-	m, pairs, spec := benchSetup(b)
-	var alive []channel.ConnID
-	pi := 0
-	next := func() (topology.NodeID, topology.NodeID) {
-		a := pairs[pi%len(pairs)]
-		c := pairs[(pi+1)%len(pairs)]
-		pi += 2
-		if a == c {
-			c = (c + 1) % topology.NodeID(m.Graph().NumNodes())
-		}
-		return a, c
+func newChurn(tb testing.TB, standing int) *churn {
+	tb.Helper()
+	sys, err := core.NewSystem(core.Options{Seed: 1, Kind: core.TopologyWaxman, Nodes: 100})
+	if err != nil {
+		tb.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		srcN, dstN := next()
-		rep, err := m.Establish(srcN, dstN, spec)
-		if err == nil {
-			alive = append(alive, rep.Conn.ID)
+	m, err := manager.New(sys.Graph(), manager.Config{Capacity: core.PaperCapacity, RequireBackup: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c := &churn{m: m, src: rng.New(11)}
+	for tries := 0; len(c.alive) < standing; tries++ {
+		if tries > 20*standing {
+			tb.Fatalf("population stuck at %d of %d", len(c.alive), standing)
 		}
-		// Keep the network in a steady churn regime instead of driving it
-		// to saturation (where every call short-circuits to a reject).
-		if len(alive) > 1500 {
-			b.StopTimer()
-			for _, id := range alive[:750] {
-				if _, err := m.Terminate(id); err != nil {
-					b.Fatal(err)
+		c.establish()
+	}
+	return c
+}
+
+// establish asks for one connection between a random pair and reports
+// whether it was admitted.
+func (c *churn) establish() bool {
+	n := c.m.Graph().NumNodes()
+	a := topology.NodeID(c.src.Intn(n))
+	b := topology.NodeID(c.src.Intn(n - 1))
+	if b >= a {
+		b++
+	}
+	rep, err := c.m.Establish(a, b, qos.DefaultSpec())
+	if err != nil {
+		return false
+	}
+	c.alive = append(c.alive, rep.Conn.ID)
+	return true
+}
+
+// terminateOldest releases the longest-standing connection.
+func (c *churn) terminateOldest(tb testing.TB) {
+	id := c.alive[0]
+	c.alive = c.alive[1:]
+	// A link failure may have dropped it already.
+	if c.m.Conn(id) == nil {
+		return
+	}
+	if _, err := c.m.Terminate(id); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// p50us reports the median of the samples, in microseconds, under name.
+func p50us(b *testing.B, name string, samples []time.Duration) {
+	if len(samples) == 0 {
+		return
+	}
+	slices.Sort(samples)
+	b.ReportMetric(float64(samples[len(samples)/2].Nanoseconds())/1e3, name)
+}
+
+// BenchmarkManagerChurn is one establish plus one terminate-oldest at a
+// level population; est-p50-µs and term-p50-µs split the pair.
+func BenchmarkManagerChurn(b *testing.B) {
+	for _, standing := range []int{100, 2000} {
+		b.Run(fmt.Sprintf("standing=%d", standing), func(b *testing.B) {
+			c := newChurn(b, standing)
+			est := make([]time.Duration, 0, b.N)
+			term := make([]time.Duration, 0, b.N)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				admitted := c.establish()
+				t1 := time.Now()
+				est = append(est, t1.Sub(t0))
+				if admitted {
+					c.terminateOldest(b)
+					term = append(term, time.Since(t1))
 				}
 			}
-			alive = alive[750:]
-			b.StartTimer()
-		}
-	}
-	b.StopTimer()
-	if err := m.CheckInvariants(); err != nil {
-		b.Fatal(err)
+			b.StopTimer()
+			p50us(b, "est-p50-µs", est)
+			p50us(b, "term-p50-µs", term)
+			if err := c.m.CheckInvariants(); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }
 
-func BenchmarkManagerTerminate(b *testing.B) {
-	m, pairs, spec := benchSetup(b)
-	var alive []channel.ConnID
-	pi := 0
-	refill := func() {
-		for len(alive) < 1500 {
-			a := pairs[pi%len(pairs)]
-			c := pairs[(pi+1)%len(pairs)]
-			pi += 2
-			if a == c {
-				c = (c + 1) % topology.NodeID(m.Graph().NumNodes())
+// BenchmarkManagerFailRepair fails a random link and repairs it again, the
+// population topped up (off the clock) after every pair.
+func BenchmarkManagerFailRepair(b *testing.B) {
+	const standing = 2000
+	b.Run(fmt.Sprintf("standing=%d", standing), func(b *testing.B) {
+		c := newChurn(b, standing)
+		fail := make([]time.Duration, 0, b.N)
+		repair := make([]time.Duration, 0, b.N)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			l := topology.LinkID(c.src.Intn(c.m.Graph().NumLinks()))
+			t0 := time.Now()
+			if _, err := c.m.FailLink(l); err != nil {
+				b.Fatal(err)
 			}
-			if rep, err := m.Establish(a, c, spec); err == nil {
-				alive = append(alive, rep.Conn.ID)
+			t1 := time.Now()
+			if _, err := c.m.RepairLink(l); err != nil {
+				b.Fatal(err)
 			}
-		}
-	}
-	refill()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(alive) == 0 {
+			fail, repair = append(fail, t1.Sub(t0)), append(repair, time.Since(t1))
 			b.StopTimer()
-			refill()
+			for tries := 0; c.m.AliveCount() < standing && tries < standing; tries++ {
+				c.establish()
+			}
 			b.StartTimer()
 		}
-		id := alive[len(alive)-1]
-		alive = alive[:len(alive)-1]
-		if _, err := m.Terminate(id); err != nil {
+		b.StopTimer()
+		p50us(b, "fail-p50-µs", fail)
+		p50us(b, "repair-p50-µs", repair)
+		if err := c.m.CheckInvariants(); err != nil {
 			b.Fatal(err)
 		}
+	})
+}
+
+// TestEstablishAllocsBounded keeps the per-event maps from creeping back: at
+// 2 000 standing connections the map-based kernels allocated 1 955 times per
+// establish, the slice-based ones about 50 (route discovery, the connection
+// and the report's three slices). The bound covers an establish and the
+// terminate that keeps the population level. Race instrumentation adds
+// allocations of its own; scripts/check.sh runs this test without -race.
+func TestEstablishAllocsBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 2 000-connection population")
 	}
-	b.StopTimer()
-	if err := m.CheckInvariants(); err != nil {
-		b.Fatal(err)
+	c := newChurn(t, 2000)
+	perPair := testing.AllocsPerRun(200, func() {
+		if c.establish() {
+			c.terminateOldest(t)
+		}
+	})
+	t.Logf("%.0f allocations per establish + terminate at %d standing", perPair, c.m.AliveCount())
+	if perPair > 300 {
+		t.Errorf("%.0f allocations per establish + terminate, bound is 300", perPair)
 	}
 }

@@ -14,17 +14,18 @@ import (
 // reserve more resources").
 func (m *Manager) Terminate(id channel.ConnID) (rep *TerminationReport, err error) {
 	defer tagViolation(&err, "terminate")
-	c := m.conns[id]
-	if c == nil || !c.Alive() {
+	s, ok := m.conns[id]
+	if !ok {
 		return nil, fmt.Errorf("manager: terminate unknown or dead conn %d", id)
 	}
-	affected := m.sharersOf(c)
-	before := m.levelSnapshot(affected)
+	c := m.slots[s].conn
+	// The sharers — alive connections, other than c, whose primary shares
+	// at least one link with c's — are the population this event can move,
+	// and once c is released exactly the primaries left on its links.
+	m.beginEvent()
+	m.work.slotMarks.set(int(s), collected)
+	m.chain(m.slots[s].dirs)
 
-	region := m.resetRegion()
-	for _, d := range c.Primary.DirLinks(m.g) {
-		region[d] = true
-	}
 	if err := m.net.ReleasePrimary(id, c.Primary); err != nil {
 		return nil, wrapViolation(err, "release primary of conn %d", id)
 	}
@@ -33,35 +34,20 @@ func (m *Manager) Terminate(id channel.ConnID) (rep *TerminationReport, err erro
 			return nil, wrapViolation(err, "release backup of conn %d", id)
 		}
 	}
-	if err := m.trackRemove(c); err != nil {
+	if err := m.trackRemove(s); err != nil {
 		return nil, err
 	}
 	if err := c.Close(); err != nil {
 		return nil, wrapViolation(err, "close conn %d", id)
 	}
-	delete(m.conns, id)
 
-	if err := m.redistribute(region); err != nil {
+	if err := m.redistribute(m.work.chained); err != nil {
 		return nil, err
 	}
 	return &TerminationReport{
-		Affected: affected,
-		Changes:  m.levelChanges(before),
+		Affected: m.idsOf(m.work.chained),
+		Changes:  m.levelChanges(0),
 	}, nil
-}
-
-// sharersOf lists alive connections (other than c) whose primary shares at
-// least one link with c's primary.
-func (m *Manager) sharersOf(c *channel.Conn) []channel.ConnID {
-	set := make(map[channel.ConnID]bool)
-	for _, d := range c.Primary.DirLinks(m.g) {
-		for _, id := range m.net.PrimariesOn(d) {
-			if id != c.ID {
-				set[id] = true
-			}
-		}
-	}
-	return setToSorted(set)
 }
 
 // FailLink injects a failure of link l (§3.1): every DR-connection whose
@@ -79,87 +65,73 @@ func (m *Manager) FailLink(l topology.LinkID) (rep *FailureReport, err error) {
 		return nil, fmt.Errorf("manager: link %d already failed", l)
 	}
 	m.net.SetFailed(l, true)
+	m.beginEvent()
+	w := &m.work
 
-	// Classify the affected connections before mutating.
-	var victims []*channel.Conn    // primary crosses l
-	var backupLost []*channel.Conn // backup crosses l, primary intact
-	for _, id := range m.AliveIDs() {
-		c := m.conns[id]
-		switch {
-		case c.UsesLink(l):
-			victims = append(victims, c)
-		case c.BackupUsesLink(l):
-			backupLost = append(backupLost, c)
+	// Classify the affected connections before mutating, each class by
+	// ascending ID, from the failed link's own lists: the primaries on its
+	// two directions are the victims, the backups there whose primary is
+	// intact have lost their protection.
+	ends := m.g.Link(l)
+	for _, d := range [2]topology.DirLinkID{m.g.DirID(l, ends.A), m.g.DirID(l, ends.B)} {
+		for _, r := range m.net.PrimariesOn(d) {
+			w.slotMarks.set(int(r.Slot), collected) // victims leave the chain: never chained
+			w.victims = append(w.victims, r.Slot)
+		}
+		for _, b := range m.net.BackupsOn(d) {
+			if s := m.conns[b.ID]; !m.slots[s].conn.UsesLink(l) {
+				w.lost = append(w.lost, s)
+			}
 		}
 	}
+	m.sortByID(w.victims)
+	m.sortByID(w.lost)
 
 	report := &FailureReport{}
-	region := m.resetRegion()
 
 	// The directed links where backups will activate: primaries there must
 	// retreat first so the reclaimed spare is actually free (§3.1).
-	victimSet := make(map[channel.ConnID]bool, len(victims))
-	activationLinks := make(map[topology.DirLinkID]bool)
-	for _, v := range victims {
-		victimSet[v.ID] = true
-		if v.HasBackup && !v.BackupUsesLink(l) {
-			for _, bd := range v.Backup.DirLinks(m.g) {
-				activationLinks[bd] = true
+	for _, s := range w.victims {
+		if v := m.slots[s].conn; v.HasBackup && !v.BackupUsesLink(l) {
+			w.route = v.Backup.AppendDirLinks(w.route[:0], m.g)
+			for _, bd := range w.route {
+				if w.linkMarks.set(int(bd), linkListed) {
+					w.links = append(w.links, bd)
+				}
 			}
 		}
 	}
 
 	// The populations this failure can move: channels on the activation
-	// links (to be squeezed, then possibly re-grown) and channels sharing
-	// links with the victims' released primaries (they grow afterwards).
-	// Victims themselves transition out of the chain.
-	affectedSet := make(map[channel.ConnID]bool)
-	for bd := range activationLinks {
-		for _, id := range m.net.PrimariesOn(bd) {
-			if !victimSet[id] {
-				affectedSet[id] = true
-			}
-		}
+	// links (squeezed, then possibly re-grown) and channels sharing links
+	// with the victims' released primaries (they grow afterwards). Victims
+	// themselves transition out of the chain.
+	m.chain(w.links)
+	w.squeezed = len(w.chained)
+	for _, s := range w.victims {
+		m.chain(m.slots[s].dirs)
 	}
-	for _, v := range victims {
-		for _, pd := range v.Primary.DirLinks(m.g) {
-			for _, id := range m.net.PrimariesOn(pd) {
-				if !victimSet[id] {
-					affectedSet[id] = true
-				}
-			}
-		}
+	if err := m.squeezeChained(); err != nil {
+		return nil, err
 	}
-	before := m.levelSnapshot(setToSorted(affectedSet))
+	report.Squeezed = m.idsOf(w.chained[:w.squeezed])
 
-	squeezedSet := make(map[channel.ConnID]bool)
-	for bd := range activationLinks {
-		for _, id := range m.net.PrimariesOn(bd) {
-			if !victimSet[id] && !squeezedSet[id] {
-				squeezedSet[id] = true
-				if err := m.squeezeToMin(id); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	report.Squeezed = setToSorted(squeezedSet)
-
-	// Fail the victims over (or drop them).
-	for _, v := range victims {
-		for _, pd := range v.Primary.DirLinks(m.g) {
-			region[pd] = true
-		}
+	// Fail the victims over (or drop them). Capacity moves on every link a
+	// victim leaves or lands on.
+	for _, s := range w.victims {
+		v := m.slots[s].conn
+		m.addRegion(m.slots[s].dirs)
 		if err := m.net.ReleasePrimary(v.ID, v.Primary); err != nil {
 			return nil, wrapViolation(err, "release failed primary of conn %d", v.ID)
 		}
 		usable := v.HasBackup && !v.BackupUsesLink(l)
 		if usable {
-			if err := m.net.ActivateBackup(v.ID, v.Backup); err == nil {
+			if err := m.net.ActivateBackup(v.ID, s, v.Backup); err == nil {
 				oldLevel := v.Level
 				if err := v.FailOver(); err != nil {
 					return nil, wrapViolation(err, "fail over conn %d", v.ID)
 				}
+				m.cacheDirs(s)
 				if err := m.trackLevel(v, oldLevel, 0); err != nil {
 					return nil, err
 				}
@@ -187,31 +159,29 @@ func (m *Manager) FailLink(l topology.LinkID) (rep *FailureReport, err error) {
 			m.unprotected++
 		}
 		if m.cfg.ReactiveRecovery {
-			recovered, err := m.tryReestablish(v)
+			recovered, err := m.tryReestablish(s)
 			if err != nil {
 				return nil, err
 			}
 			if recovered {
-				for _, pd := range v.Primary.DirLinks(m.g) {
-					region[pd] = true
-				}
+				m.addRegion(m.slots[s].dirs)
 				report.Recovered = append(report.Recovered, v.ID)
 				continue
 			}
 		}
-		if err := m.trackRemove(v); err != nil {
+		if err := m.trackRemove(s); err != nil {
 			return nil, err
 		}
 		if err := v.Drop(); err != nil {
 			return nil, wrapViolation(err, "drop conn %d", v.ID)
 		}
-		delete(m.conns, v.ID)
 		report.Dropped = append(report.Dropped, v.ID)
 	}
 
 	// Connections that only lost their backup: release the registration
 	// and try to protect them again elsewhere.
-	for _, c := range backupLost {
+	for _, s := range w.lost {
+		c := m.slots[s].conn
 		if err := m.net.ReleaseBackup(c.ID, c.Backup); err != nil {
 			return nil, wrapViolation(err, "release lost backup of conn %d", c.ID)
 		}
@@ -228,22 +198,39 @@ func (m *Manager) FailLink(l topology.LinkID) (rep *FailureReport, err error) {
 	// Freshly failed-over connections run unprotected; try to establish a
 	// replacement backup for them.
 	for _, id := range report.Activated {
-		if c := m.conns[id]; c != nil {
-			if _, err := m.tryReprotect(c); err != nil {
-				return nil, err
-			}
+		if _, err := m.tryReprotect(m.Conn(id)); err != nil {
+			return nil, err
 		}
 	}
 
-	for bd := range activationLinks {
-		region[bd] = true
+	// Redistribute around every link whose capacity moved. Unlike an
+	// arrival's, this population is not the chained one: it gains the
+	// failed-over victims and, under reactive recovery, whoever shares a
+	// re-established route.
+	m.addRegion(w.links)
+	for _, d := range w.region {
+		for _, r := range m.net.PrimariesOn(d) {
+			if w.slotMarks.set(int(r.Slot), isCandidate) {
+				w.cands = append(w.cands, r.Slot)
+			}
+		}
 	}
-	if err := m.redistribute(region); err != nil {
+	if err := m.redistribute(w.cands); err != nil {
 		return nil, err
 	}
 
-	report.Changes = m.levelChanges(before)
+	report.Changes = m.levelChanges(0)
 	return report, nil
+}
+
+// addRegion adds directed links to the failure's region, once each.
+func (m *Manager) addRegion(dirs []topology.DirLinkID) {
+	w := &m.work
+	for _, d := range dirs {
+		if w.linkMarks.set(int(d), linkRegion) {
+			w.region = append(w.region, d)
+		}
+	}
 }
 
 // RepairLink marks a failed link repaired and opportunistically re-protects
@@ -260,8 +247,8 @@ func (m *Manager) RepairLink(l topology.LinkID) (restored int, err error) {
 		return 0, fmt.Errorf("manager: link %d is not failed", l)
 	}
 	m.net.SetFailed(l, false)
-	for _, id := range m.AliveIDs() {
-		c := m.conns[id]
+	for _, s := range m.alive {
+		c := m.slots[s].conn
 		if c.HasBackup {
 			continue
 		}
@@ -276,37 +263,36 @@ func (m *Manager) RepairLink(l topology.LinkID) (restored int, err error) {
 	return restored, nil
 }
 
-// tryReestablish attempts to rebuild a failed connection's primary from
+// tryReestablish attempts to rebuild the failed connection in slot s from
 // scratch (reactive-recovery mode): discover an admissible route avoiding
 // failed links, reserve the minimum, and continue the same connection on
 // the new route at its minimum level. The caller has already released the
 // old primary. The bool reports success; the error reports corruption.
-func (m *Manager) tryReestablish(c *channel.Conn) (bool, error) {
+func (m *Manager) tryReestablish(s int32) (bool, error) {
+	c := m.slots[s].conn
 	cands, err := m.discoverRoutes(c.Src, c.Dst, c.Spec)
 	if err != nil {
 		return false, nil
 	}
 	newPrimary := cands[0].Path
-	if err := m.net.ReservePrimary(c.ID, newPrimary, c.Spec.Min); err != nil {
+	if err := m.net.ReservePrimary(c.ID, s, newPrimary, c.Spec.Min); err != nil {
 		// The headroom seen by discovery may be borrowed as grants;
 		// squeeze the route's primaries to their minima and retry once.
-		var sqErr error
-		for _, d := range newPrimary.DirLinks(m.g) {
-			m.net.ForEachPrimaryOn(d, func(id channel.ConnID) {
-				if sqErr == nil && id != c.ID {
-					sqErr = m.squeezeToMin(id)
+		m.work.route = newPrimary.AppendDirLinks(m.work.route[:0], m.g)
+		for _, d := range m.work.route {
+			for _, r := range m.net.PrimariesOn(d) {
+				if err := m.squeezeToMin(r.Slot); err != nil {
+					return false, err
 				}
-			})
+			}
 		}
-		if sqErr != nil {
-			return false, sqErr
-		}
-		if err := m.net.ReservePrimary(c.ID, newPrimary, c.Spec.Min); err != nil {
+		if err := m.net.ReservePrimary(c.ID, s, newPrimary, c.Spec.Min); err != nil {
 			return false, nil
 		}
 	}
 	oldLevel := c.Level
 	c.Primary = newPrimary
+	m.cacheDirs(s)
 	if err := m.trackLevel(c, oldLevel, 0); err != nil {
 		return false, err
 	}
@@ -342,9 +328,9 @@ func (m *Manager) tryReprotect(c *channel.Conn) (bool, error) {
 // Unprotected returns the IDs of alive connections lacking a backup.
 func (m *Manager) Unprotected() []channel.ConnID {
 	var out []channel.ConnID
-	for _, id := range m.AliveIDs() {
-		if !m.conns[id].HasBackup {
-			out = append(out, id)
+	for _, s := range m.alive {
+		if c := m.slots[s].conn; !c.HasBackup {
+			out = append(out, c.ID)
 		}
 	}
 	return out

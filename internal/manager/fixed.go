@@ -51,44 +51,5 @@ func (m *Manager) EstablishFixed(src, dst topology.NodeID, spec qos.ElasticSpec,
 		}
 	}
 
-	direct, indirect := m.chainedWith(primary)
-	before := m.levelSnapshot(direct, indirect)
-	for _, did := range direct {
-		if err := m.squeezeToMin(did); err != nil {
-			return nil, err
-		}
-	}
-
-	id := m.nextID
-	conn := channel.New(id, src, dst, spec, primary)
-	if err := m.net.ReservePrimary(id, primary, spec.Min); err != nil {
-		if rerr := m.redistribute(m.regionOf(direct)); rerr != nil {
-			return nil, rerr
-		}
-		m.rejects++
-		return nil, fmt.Errorf("%w: %v", ErrRejected, err)
-	}
-
-	m.conns[id] = conn
-	m.nextID++
-	if err := m.trackAdd(conn); err != nil {
-		return nil, err
-	}
-
-	region := m.regionOf(direct)
-	for _, d := range primary.DirLinks(m.g) {
-		region[d] = true
-	}
-	if err := m.redistribute(region); err != nil {
-		return nil, err
-	}
-
-	changes := m.levelChanges(before)
-	changes = append(changes, LevelChange{ID: id, From: 0, To: conn.Level})
-	return &ArrivalReport{
-		Conn:              conn,
-		DirectlyChained:   direct,
-		IndirectlyChained: indirect,
-		Changes:           changes,
-	}, nil
+	return m.admit(channel.New(m.nextID, src, dst, spec, primary), nil, false)
 }

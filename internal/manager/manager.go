@@ -11,8 +11,10 @@
 package manager
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"drqos/internal/channel"
@@ -135,18 +137,23 @@ type FailureReport struct {
 
 // Manager owns the network ledger and every DR-connection.
 type Manager struct {
-	cfg    Config
-	g      *topology.Graph
-	net    *network.Network
-	conns  map[channel.ConnID]*channel.Conn
+	cfg Config
+	g   *topology.Graph
+	net *network.Network
+
+	// Every live connection holds one slot of the dense table; conns maps
+	// an ID to its slot and free lists the vacant ones (see connSlot).
+	conns  map[channel.ConnID]int32
+	slots  []connSlot
+	free   []int32
 	nextID channel.ConnID
 
 	// Aggregates maintained incrementally so the simulator's per-event
 	// sampling is O(1) instead of O(connections).
-	alive       []channel.ConnID // sorted ascending
-	bwSum       qos.Kbps         // Σ Bandwidth() over alive connections
-	levelHist   []int            // alive connections per level index
-	unprotected int              // alive connections without a backup
+	alive       []int32  // slots of the alive connections, by ascending ID
+	bwSum       qos.Kbps // Σ Bandwidth() over alive connections
+	levelHist   []int    // alive connections per level index
+	unprotected int      // alive connections without a backup
 
 	// Counters for acceptance statistics.
 	requests int64
@@ -157,18 +164,6 @@ type Manager struct {
 	// buffers per Manager suffices.
 	flood routing.FloodScratch
 	work  workBuffers
-}
-
-// workBuffers holds the redistribution scratch recycled across events: the
-// candidate set and its sorted view, the growth heap's backing array, and
-// the affected-region set. At most one region is live at a time (each event
-// builds it, hands it to redistribute, and drops it), so a single map can
-// back every regionOf call.
-type workBuffers struct {
-	candidates map[channel.ConnID]bool
-	ids        []channel.ConnID
-	heapItems  []growItem
-	region     map[topology.DirLinkID]bool
 }
 
 // New builds a Manager over graph g.
@@ -190,15 +185,19 @@ func New(g *topology.Graph, cfg Config) (*Manager, error) {
 		cfg:    c,
 		g:      g,
 		net:    net,
-		conns:  make(map[channel.ConnID]*channel.Conn),
+		conns:  make(map[channel.ConnID]int32),
 		nextID: 1,
+		work:   newWorkBuffers(g.NumDirLinks()),
 	}, nil
 }
 
-// trackAdd registers a newly alive connection in the aggregates. IDs are
-// assigned in increasing order, so appending keeps the alive list sorted.
-func (m *Manager) trackAdd(c *channel.Conn) error {
-	m.alive = append(m.alive, c.ID)
+// trackAdd registers the newly alive connection in slot s in the ID index
+// and the aggregates. IDs are assigned in increasing order, so appending
+// keeps the alive list sorted.
+func (m *Manager) trackAdd(s int32) error {
+	c := m.slots[s].conn
+	m.conns[c.ID] = s
+	m.alive = append(m.alive, s)
 	m.bwSum += c.Bandwidth()
 	if err := m.bumpHist(c.Level, +1); err != nil {
 		return err
@@ -209,13 +208,19 @@ func (m *Manager) trackAdd(c *channel.Conn) error {
 	return nil
 }
 
-// trackRemove deregisters a dying connection (terminated or dropped).
-func (m *Manager) trackRemove(c *channel.Conn) error {
-	i := sort.Search(len(m.alive), func(i int) bool { return m.alive[i] >= c.ID })
-	if i >= len(m.alive) || m.alive[i] != c.ID {
+// trackRemove deregisters the dying connection in slot s (terminated or
+// dropped) and frees the slot.
+func (m *Manager) trackRemove(s int32) error {
+	c := m.slots[s].conn
+	i, ok := slices.BinarySearchFunc(m.alive, c.ID, func(s int32, id channel.ConnID) int {
+		return cmp.Compare(m.slots[s].conn.ID, id)
+	})
+	if !ok {
 		return violationf("conn %d missing from alive list", c.ID)
 	}
-	m.alive = append(m.alive[:i], m.alive[i+1:]...)
+	m.alive = slices.Delete(m.alive, i, i+1)
+	delete(m.conns, c.ID)
+	m.freeSlot(s)
 	m.bwSum -= c.Bandwidth()
 	if err := m.bumpHist(c.Level, -1); err != nil {
 		return err
@@ -261,7 +266,7 @@ func (m *Manager) LevelHistogram(dst []int) []int {
 }
 
 // AliveIDAt returns the i-th alive connection ID in ascending order.
-func (m *Manager) AliveIDAt(i int) channel.ConnID { return m.alive[i] }
+func (m *Manager) AliveIDAt(i int) channel.ConnID { return m.slots[m.alive[i]].conn.ID }
 
 // UnprotectedCount returns the number of alive connections without a
 // backup channel, maintained in O(1).
@@ -275,12 +280,19 @@ func (m *Manager) Network() *network.Network { return m.net }
 func (m *Manager) Graph() *topology.Graph { return m.g }
 
 // Conn returns the connection with the given ID, or nil.
-func (m *Manager) Conn(id channel.ConnID) *channel.Conn { return m.conns[id] }
+func (m *Manager) Conn(id channel.ConnID) *channel.Conn {
+	if s, ok := m.conns[id]; ok {
+		return m.slots[s].conn
+	}
+	return nil
+}
 
 // AliveIDs returns a copy of the alive connection IDs in ascending order.
 func (m *Manager) AliveIDs() []channel.ConnID {
 	out := make([]channel.ConnID, len(m.alive))
-	copy(out, m.alive)
+	for i, s := range m.alive {
+		out[i] = m.slots[s].conn.ID
+	}
 	return out
 }
 
@@ -324,88 +336,87 @@ func (m *Manager) Establish(src, dst topology.NodeID, spec qos.ElasticSpec) (rep
 		m.rejects++
 		return nil, fmt.Errorf("%w: %v", ErrRejected, err)
 	}
-	primary := cands[0].Path
+	return m.admit(channel.New(m.nextID, src, dst, spec, cands[0].Path), cands, true)
+}
 
-	// Identify the chained populations BEFORE mutating anything.
-	direct, indirect := m.chainedWith(primary)
+// admit is the arrival kernel behind Establish and EstablishFixed: chain →
+// snapshot → squeeze → reserve → (backup) → track → redistribute → report,
+// for a connection already validated and routed. wantBackup selects the
+// protected class: a backup is sought among cands (unless the manager runs
+// reactive recovery) and Config.RequireBackup is enforced; a fixed
+// connection asks for neither.
+func (m *Manager) admit(conn *channel.Conn, cands []routing.Candidate, wantBackup bool) (*ArrivalReport, error) {
+	w := &m.work
+	id, primary, spec := conn.ID, conn.Primary, conn.Spec
+	m.beginEvent()
+	w.route = primary.AppendDirLinks(w.route[:0], m.g)
 
-	// Snapshot the populations this arrival can move.
-	before := m.levelSnapshot(direct, indirect)
-
-	// Squeeze every directly chained channel to its minimum (§3.2: "all
-	// the existing primary channels that share at least one link with the
-	// new channel should release their extra resources").
-	for _, did := range direct {
-		if err := m.squeezeToMin(did); err != nil {
-			return nil, err
-		}
+	// Identify the chained populations and snapshot their levels BEFORE
+	// mutating anything, then squeeze every directly chained channel to its
+	// minimum (§3.2: "all the existing primary channels that share at least
+	// one link with the new channel should release their extra resources").
+	m.chainArrival()
+	if err := m.squeezeChained(); err != nil {
+		return nil, err
 	}
 
-	id := m.nextID
-	conn := channel.New(id, src, dst, spec, primary)
-	if err := m.net.ReservePrimary(id, primary, spec.Min); err != nil {
+	slot := m.allocSlot(conn)
+	if err := m.net.ReservePrimary(id, slot, primary, spec.Min); err != nil {
 		// Squeezing freed every elastic byte; a capacity error now means
-		// the route genuinely cannot host the minimum. Re-grow what we
-		// squeezed and reject.
-		if rerr := m.redistribute(m.regionOf(direct)); rerr != nil {
-			return nil, rerr
-		}
-		m.rejects++
-		return nil, fmt.Errorf("%w: %v", ErrRejected, err)
+		// the route genuinely cannot host the minimum.
+		return nil, m.refuse(slot, fmt.Errorf("%w: %v", ErrRejected, err))
 	}
 
-	// Backup selection: prefer a flooding candidate (these arrived as real
-	// request copies), fall back to an explicit disjoint search. Reactive
-	// recovery forgoes protection entirely (the restoration baseline).
-	var backup routing.Path
-	var shared int
-	berr := errNoProtection
-	if !m.cfg.ReactiveRecovery {
-		backup, shared, berr = m.findBackup(conn, cands)
-	}
-	if berr == nil {
-		if err := m.net.ReserveBackup(id, backup, primary.Links, spec.Min); err == nil {
-			if err := conn.AttachBackup(backup, shared); err != nil {
-				return nil, wrapViolation(err, "attach backup for conn %d", id)
+	if wantBackup {
+		// Backup selection: prefer a flooding candidate (these arrived as
+		// real request copies), fall back to an explicit disjoint search.
+		// Reactive recovery forgoes protection entirely (the restoration
+		// baseline).
+		var backup routing.Path
+		var shared int
+		berr := errNoProtection
+		if !m.cfg.ReactiveRecovery {
+			backup, shared, berr = m.findBackup(conn, cands)
+		}
+		if berr == nil {
+			if err := m.net.ReserveBackup(id, backup, primary.Links, spec.Min); err == nil {
+				if err := conn.AttachBackup(backup, shared); err != nil {
+					return nil, wrapViolation(err, "attach backup for conn %d", id)
+				}
+			} else {
+				berr = err
 			}
-		} else {
-			berr = err
 		}
-	}
-	if berr != nil && m.cfg.RequireBackup {
-		if err := m.net.ReleasePrimary(id, primary); err != nil {
-			return nil, wrapViolation(err, "rollback primary of conn %d", id)
+		if berr != nil && m.cfg.RequireBackup {
+			if err := m.net.ReleasePrimary(id, primary); err != nil {
+				return nil, wrapViolation(err, "rollback primary of conn %d", id)
+			}
+			return nil, m.refuse(slot, fmt.Errorf("%w: no backup channel: %v", ErrRejected, berr))
 		}
-		if rerr := m.redistribute(m.regionOf(direct)); rerr != nil {
-			return nil, rerr
-		}
-		m.rejects++
-		return nil, fmt.Errorf("%w: no backup channel: %v", ErrRejected, berr)
 	}
 
-	m.conns[id] = conn
 	m.nextID++
-	if err := m.trackAdd(conn); err != nil {
+	if err := m.trackAdd(slot); err != nil {
 		return nil, err
 	}
 
-	// Redistribute the released extras plus whatever headroom remains.
-	region := m.regionOf(direct)
-	for _, d := range primary.DirLinks(m.g) {
-		region[d] = true
-	}
-	if err := m.redistribute(region); err != nil {
+	// Redistribute the released extras plus whatever headroom remains:
+	// the links whose capacity moved are the new route and the routes of
+	// the squeezed channels, and the primaries on those are the chained
+	// population plus the new connection.
+	w.cands = append(append(w.cands, w.chained...), slot)
+	if err := m.redistribute(w.cands); err != nil {
 		return nil, err
 	}
 
-	changes := m.levelChanges(before)
+	direct, indirect := w.chained[:w.squeezed], w.chained[w.squeezed:]
 	// The new connection's own growth from its minimum is part of the
 	// event (it is not in the snapshot because it did not exist yet).
-	changes = append(changes, LevelChange{ID: id, From: 0, To: conn.Level})
+	changes := append(m.levelChanges(1), LevelChange{ID: id, From: 0, To: conn.Level})
 	return &ArrivalReport{
 		Conn:              conn,
-		DirectlyChained:   direct,
-		IndirectlyChained: indirect,
+		DirectlyChained:   m.idsOf(direct),
+		IndirectlyChained: m.idsOf(indirect),
 		Changes:           changes,
 	}, nil
 }
@@ -509,100 +520,29 @@ func (m *Manager) findBackup(conn *channel.Conn, cands []routing.Candidate) (rou
 	return p, shared, nil
 }
 
-// chainedWith classifies alive connections against a prospective route:
-// directly chained (share ≥1 directed link, i.e. actually contending for
-// the same capacity) and indirectly chained (share a directed link with a
-// directly chained channel but not with the route itself).
-func (m *Manager) chainedWith(route routing.Path) (direct, indirect []channel.ConnID) {
-	routeDirs := route.DirLinks(m.g)
-	onRoute := make(map[topology.DirLinkID]bool, len(routeDirs))
-	for _, d := range routeDirs {
-		onRoute[d] = true
+// refuse turns away an arrival that holds no reservation any more: its slot
+// is freed and the squeeze undone — with the arrival gone, the chained
+// population is exactly what holds a link whose capacity moved. It returns
+// rejection, or the violation that re-growing ran into.
+func (m *Manager) refuse(s int32, rejection error) error {
+	m.freeSlot(s)
+	if err := m.redistribute(m.work.chained); err != nil {
+		return err
 	}
-	directSet := make(map[channel.ConnID]bool)
-	for _, d := range routeDirs {
-		for _, id := range m.net.PrimariesOn(d) {
-			directSet[id] = true
-		}
-	}
-	// Directed links of directly chained channels that are off the new
-	// route.
-	offRoute := make(map[topology.DirLinkID]bool)
-	for id := range directSet {
-		c := m.conns[id]
-		if c == nil {
-			continue
-		}
-		for _, d := range c.Primary.DirLinks(m.g) {
-			if !onRoute[d] {
-				offRoute[d] = true
-			}
-		}
-	}
-	indirectSet := make(map[channel.ConnID]bool)
-	for d := range offRoute {
-		for _, id := range m.net.PrimariesOn(d) {
-			if !directSet[id] {
-				indirectSet[id] = true
-			}
-		}
-	}
-	direct = setToSorted(directSet)
-	indirect = setToSorted(indirectSet)
-	return direct, indirect
+	m.rejects++
+	return rejection
 }
 
-func setToSorted(s map[channel.ConnID]bool) []channel.ConnID {
-	return sortedInto(make([]channel.ConnID, 0, len(s)), s)
-}
-
-// sortedInto appends the set's IDs to dst in ascending order and returns
-// it; hot paths pass a recycled slice to avoid per-event allocation.
-func sortedInto(dst []channel.ConnID, s map[channel.ConnID]bool) []channel.ConnID {
-	for id := range s {
-		dst = append(dst, id)
-	}
-	sort.Slice(dst, func(i, j int) bool { return dst[i] < dst[j] })
-	return dst
-}
-
-// regionOf returns the set of directed links touched by the given
-// connections' primary routes. The returned map is the Manager's reusable
-// region buffer: it stays valid until the next regionOf call, which is
-// enough for every caller (build region → redistribute → drop).
-func (m *Manager) regionOf(ids []channel.ConnID) map[topology.DirLinkID]bool {
-	region := m.resetRegion()
-	for _, id := range ids {
-		c := m.conns[id]
-		if c == nil || !c.Alive() {
-			continue
-		}
-		for _, d := range c.Primary.DirLinks(m.g) {
-			region[d] = true
-		}
-	}
-	return region
-}
-
-// resetRegion clears and returns the reusable region buffer.
-func (m *Manager) resetRegion() map[topology.DirLinkID]bool {
-	if m.work.region == nil {
-		m.work.region = make(map[topology.DirLinkID]bool)
-	}
-	clear(m.work.region)
-	return m.work.region
-}
-
-// squeezeToMin retreats a connection to its minimum level.
-func (m *Manager) squeezeToMin(id channel.ConnID) error {
-	c := m.conns[id]
-	if c == nil || !c.Alive() || c.Level == 0 {
+// squeezeToMin retreats the connection in slot s to its minimum level.
+func (m *Manager) squeezeToMin(s int32) error {
+	c := m.slots[s].conn
+	if c.Level == 0 {
 		return nil
 	}
-	if err := m.net.AdjustPrimary(id, c.Primary, c.Spec.Min); err != nil {
+	if err := m.net.AdjustPrimary(c.ID, c.Primary, c.Spec.Min); err != nil {
 		// Shrinking to the registered minimum can never fail; a failure
 		// here means ledger corruption.
-		return wrapViolation(err, "squeeze of conn %d failed", id)
+		return wrapViolation(err, "squeeze of conn %d failed", c.ID)
 	}
 	if err := m.trackLevel(c, c.Level, 0); err != nil {
 		return err
@@ -611,46 +551,12 @@ func (m *Manager) squeezeToMin(id channel.ConnID) error {
 	return nil
 }
 
-// levelSnapshot records the current level of the alive connections in the
-// given ID sets (the populations an event can move). Scoping the snapshot
-// keeps event handling O(affected), not O(all connections).
-func (m *Manager) levelSnapshot(idSets ...[]channel.ConnID) map[channel.ConnID]int {
-	snap := make(map[channel.ConnID]int)
-	for _, ids := range idSets {
-		for _, id := range ids {
-			if c := m.conns[id]; c != nil && c.Alive() {
-				snap[id] = c.Level
-			}
-		}
-	}
-	return snap
-}
-
-// levelChanges diffs the current levels of the snapshotted connections.
-// Connections that died since the snapshot are omitted (their release is
-// not a state transition of the §3.2 chain).
-func (m *Manager) levelChanges(before map[channel.ConnID]int) []LevelChange {
-	ids := make([]channel.ConnID, 0, len(before))
-	for id := range before {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var out []LevelChange
-	for _, id := range ids {
-		c := m.conns[id]
-		if c == nil || !c.Alive() {
-			continue
-		}
-		if from := before[id]; from != c.Level {
-			out = append(out, LevelChange{ID: id, From: from, To: c.Level})
-		}
-	}
-	return out
-}
-
 // CheckInvariants verifies the ledger and the manager-level consistency
-// rules: every alive connection's grant on every primary link equals its
-// level bandwidth, and dead connections hold no reservations. A failure is
+// rules: the slot table, the ID index and the alive list describe the same
+// connections; every alive connection is entered on exactly its routes'
+// directed links — under its own slot, at its level's bandwidth — and
+// nobody else is entered anywhere (so the dead hold no reservation); and the
+// aggregates equal their first-principles recomputation. A failure is
 // reported as an *InvariantViolation with Op "audit", so the server's
 // degraded-mode detection treats discovered corruption exactly like
 // corruption surfaced mid-event.
@@ -659,46 +565,84 @@ func (m *Manager) CheckInvariants() (err error) {
 	if err := m.net.CheckInvariants(); err != nil {
 		return wrapViolation(err, "network ledger audit")
 	}
-	for id, c := range m.conns {
-		if !c.Alive() {
-			continue
+	if len(m.alive)+len(m.free) != len(m.slots) || len(m.alive) != len(m.conns) {
+		return violationf("%d slots hold %d alive + %d free, ID index has %d",
+			len(m.slots), len(m.alive), len(m.free), len(m.conns))
+	}
+	var bwSum qos.Kbps
+	var unprotected, primaryHops, backupHops int
+	hist := make([]int, len(m.levelHist))
+	var prev channel.ConnID
+	for i, s := range m.alive {
+		sl := &m.slots[s]
+		c := sl.conn
+		if c == nil || !c.Alive() {
+			return violationf("alive list entry %d: slot %d holds no alive connection", i, s)
 		}
-		want := c.Bandwidth()
-		for _, d := range c.Primary.DirLinks(m.g) {
-			if got := m.net.Grant(d, id); got != want {
-				return violationf("conn %d grant on directed link %d is %v, level says %v",
-					id, d, got, want)
-			}
+		id := c.ID
+		if i > 0 && prev >= id {
+			return violationf("alive list not sorted at %d", i)
+		}
+		prev = id
+		if got, ok := m.conns[id]; !ok || got != s {
+			return violationf("conn %d sits in slot %d, ID index says %d (present %v)", id, s, got, ok)
 		}
 		if c.Level < 0 || c.Level >= c.Spec.States() {
 			return violationf("conn %d level %d outside [0,%d)", id, c.Level, c.Spec.States())
 		}
-	}
-	// Aggregates agree with first-principles recomputation.
-	var bwSum qos.Kbps
-	var aliveCount int
-	hist := make([]int, len(m.levelHist))
-	for _, c := range m.conns {
-		if !c.Alive() {
-			continue
+		if !slices.Equal(sl.dirs, c.Primary.DirLinks(m.g)) {
+			return violationf("conn %d cached directed links %v, primary route has %v", id, sl.dirs, c.Primary.DirLinks(m.g))
 		}
-		aliveCount++
-		bwSum += c.Bandwidth()
-		if c.Level < len(hist) {
-			hist[c.Level]++
+		want := c.Bandwidth()
+		for _, d := range sl.dirs {
+			list := m.net.PrimariesOn(d)
+			at := slices.IndexFunc(list, func(r network.Reservation) bool { return r.ID == id })
+			if at < 0 {
+				return violationf("conn %d not entered on directed link %d of its primary", id, d)
+			}
+			if list[at].Slot != s {
+				return violationf("conn %d entered on directed link %d under slot %d, sits in %d", id, d, list[at].Slot, s)
+			}
+			if list[at].Grant != want {
+				return violationf("conn %d grant on directed link %d is %v, level says %v", id, d, list[at].Grant, want)
+			}
+		}
+		primaryHops += len(sl.dirs)
+		if c.HasBackup {
+			for _, d := range c.Backup.DirLinks(m.g) {
+				if !slices.ContainsFunc(m.net.BackupsOn(d), func(b network.Backup) bool { return b.ID == id }) {
+					return violationf("conn %d backup not entered on directed link %d of its route", id, d)
+				}
+			}
+			backupHops += c.Backup.Hops()
 		} else {
-			return violationf("level %d beyond histogram", c.Level)
-		}
-	}
-	if aliveCount != len(m.alive) {
-		return violationf("alive list has %d entries, actual %d", len(m.alive), aliveCount)
-	}
-	unprotected := 0
-	for _, c := range m.conns {
-		if c.Alive() && !c.HasBackup {
 			unprotected++
 		}
+		bwSum += want
+		if c.Level >= len(hist) {
+			return violationf("level %d beyond histogram", c.Level)
+		}
+		hist[c.Level]++
 	}
+	// Every connection is on its own links; equal totals leave no entry
+	// over for anyone else (a dead connection, a link off the route).
+	var primaries, backups int
+	for d := 0; d < m.g.NumDirLinks(); d++ {
+		primaries += len(m.net.PrimariesOn(topology.DirLinkID(d)))
+		backups += len(m.net.BackupsOn(topology.DirLinkID(d)))
+	}
+	if primaries != primaryHops {
+		return violationf("ledger holds %d primary entries, alive routes have %d hops", primaries, primaryHops)
+	}
+	if backups != backupHops {
+		return violationf("ledger holds %d backup entries, alive backup routes have %d hops", backups, backupHops)
+	}
+	for _, s := range m.free {
+		if m.slots[s].conn != nil {
+			return violationf("free slot %d holds conn %d", s, m.slots[s].conn.ID)
+		}
+	}
+	// Aggregates agree with first-principles recomputation.
 	if unprotected != m.unprotected {
 		return violationf("cached unprotected %d, actual %d", m.unprotected, unprotected)
 	}
@@ -708,11 +652,6 @@ func (m *Manager) CheckInvariants() (err error) {
 	for i := range hist {
 		if hist[i] != m.levelHist[i] {
 			return violationf("levelHist[%d] cached %d, actual %d", i, m.levelHist[i], hist[i])
-		}
-	}
-	for i := 1; i < len(m.alive); i++ {
-		if m.alive[i-1] >= m.alive[i] {
-			return violationf("alive list not sorted at %d", i)
 		}
 	}
 	return nil

@@ -1,129 +1,146 @@
 package manager
 
-import (
-	"container/heap"
+import "drqos/internal/qos"
 
-	"drqos/internal/channel"
-	"drqos/internal/qos"
-	"drqos/internal/topology"
-)
+// growItem is one growth candidate: its slot and the policy key of its
+// current level.
+type growItem struct {
+	slot int32
+	key  qos.GrowthCandidate
+}
 
-// growHeap orders growth candidates by the configured policy. Entries carry
-// the key fields they were pushed with; a popped entry whose key is stale
-// (the connection grew since the push) is re-pushed with fresh keys.
+// growHeap is a binary min-heap of growth candidates under the configured
+// policy, sifted in place over the manager's recycled backing array. Each
+// connection has at most one entry, re-keyed whenever it grows.
 type growHeap struct {
 	policy qos.Policy
 	items  []growItem
 }
 
-type growItem struct {
-	conn *channel.Conn
-	key  qos.GrowthCandidate
-}
+func (h *growHeap) less(i, j int) bool { return h.policy.Less(h.items[i].key, h.items[j].key) }
 
-func (h *growHeap) Len() int { return len(h.items) }
-func (h *growHeap) Less(i, j int) bool {
-	return h.policy.Less(h.items[i].key, h.items[j].key)
-}
-func (h *growHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *growHeap) Push(x interface{}) { h.items = append(h.items, x.(growItem)) }
-func (h *growHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
-}
-
-func keyOf(c *channel.Conn) qos.GrowthCandidate {
-	return qos.GrowthCandidate{
-		Utility:         c.Spec.Utility,
-		ExtraIncrements: c.Level,
-		Order:           int64(c.ID),
+// init establishes the heap order over arbitrary items.
+func (h *growHeap) init() {
+	for i := len(h.items)/2 - 1; i >= 0; i-- {
+		h.down(i)
 	}
+}
+
+// down sifts item i towards the leaves until neither child precedes it.
+func (h *growHeap) down(i int) {
+	n := len(h.items)
+	for {
+		least := 2*i + 1
+		if least >= n {
+			return
+		}
+		if r := least + 1; r < n && h.less(r, least) {
+			least = r
+		}
+		if !h.less(least, i) {
+			return
+		}
+		h.items[i], h.items[least] = h.items[least], h.items[i]
+		i = least
+	}
+}
+
+// dropTop removes the first item.
+func (h *growHeap) dropTop() {
+	n := len(h.items) - 1
+	h.items[0] = h.items[n]
+	h.items = h.items[:n]
+	h.down(0)
 }
 
 // redistribute performs the incremental, utility-weighted water-filling of
-// §3.2: while any channel touching the affected region can grow by one
+// §3.2 over the given candidate slots: while any of them can grow by one
 // increment on every link of its route, the configured policy picks the
 // next recipient.
 //
+// The candidates must cover every primary on a directed link where capacity
+// changed (new route, released route, activated backup links); channels with
+// no such link were maximal before the event and stay maximal. Their order
+// is immaterial: policy keys are totally ordered (Order breaks every tie),
+// so which candidate is served next does not depend on how the heap was
+// filled.
+//
+// The filling runs on scratch — each candidate's level in its slot, each
+// touched link's headroom in work.room, read from the ledger once — and the
+// ledger is written once per connection that ended higher, not once per
+// increment: only growth is committed and the total was counted against the
+// same headroom, so every prefix of the commits fits.
+//
 // Correctness of the lazy pruning: capacity only DECREASES while increments
-// are granted, so a channel observed unable to grow can be dropped
-// permanently, and a popped entry with a stale key only needs re-queueing.
-// The region is the set of directed links where capacity changed (new
-// route, released route, activated backup links); channels with no link in
-// the region were maximal before the event and stay maximal, so they are
-// never candidates.
-// The candidate set, its sorted view, and the heap's backing array are the
-// Manager's reusable work buffers: redistribute runs once per event with no
-// reentrancy, so recycling them is safe and keeps the per-event allocation
-// count flat.
-func (m *Manager) redistribute(region map[topology.DirLinkID]bool) error {
-	if len(region) == 0 {
-		return nil
+// are granted, so a channel observed unable to grow is dropped for good.
+func (m *Manager) redistribute(cands []int32) error {
+	w := &m.work
+	h := growHeap{policy: m.cfg.Policy, items: w.heap[:0]}
+	w.roomRead.next()
+	for _, s := range cands {
+		sl := &m.slots[s]
+		sl.level, sl.ceiling = sl.conn.Level, sl.conn.Spec.States()-1
+		for _, d := range sl.dirs {
+			if w.roomRead.set(int(d), 1) {
+				w.room[d] = m.net.FreeForGrowth(d)
+			}
+		}
+		if m.canGrow(sl) {
+			h.items = append(h.items, growItem{slot: s, key: sl.key()})
+		}
 	}
-	if m.work.candidates == nil {
-		m.work.candidates = make(map[channel.ConnID]bool)
-	}
-	candidateIDs := m.work.candidates
-	clear(candidateIDs)
-	for d := range region {
-		m.net.ForEachPrimaryOn(d, func(id channel.ConnID) {
-			candidateIDs[id] = true
-		})
-	}
-	m.work.ids = sortedInto(m.work.ids[:0], candidateIDs)
-	h := &growHeap{policy: m.cfg.Policy, items: m.work.heapItems[:0]}
-	for _, id := range m.work.ids {
-		c := m.conns[id]
-		if c == nil || !c.Alive() {
+	w.heap = h.items[:0] // keep whatever the appends grew
+	h.init()
+	for len(h.items) > 0 {
+		top := &h.items[0]
+		sl := &m.slots[top.slot]
+		if !m.canGrow(sl) {
+			h.dropTop() // capacity only shrinks: permanently ineligible
 			continue
 		}
-		if c.Level < c.Spec.States()-1 && m.canGrow(c) {
-			h.items = append(h.items, growItem{conn: c, key: keyOf(c)})
+		for _, d := range sl.dirs {
+			w.room[d] -= sl.conn.Spec.Increment
 		}
+		sl.level++
+		top.key = sl.key()
+		h.down(0)
 	}
-	heap.Init(h)
-	defer func() { m.work.heapItems = h.items[:0] }()
-
-	for h.Len() > 0 {
-		it := heap.Pop(h).(growItem)
-		c := it.conn
-		if it.key.ExtraIncrements != c.Level {
-			// Stale entry: the connection grew since this key was pushed.
-			heap.Push(h, growItem{conn: c, key: keyOf(c)})
+	for _, s := range cands {
+		sl := &m.slots[s]
+		c := sl.conn
+		if sl.level == c.Level {
 			continue
 		}
-		if !m.canGrow(c) {
-			continue // capacity only shrinks: permanently ineligible
-		}
-		newBW := c.Spec.Bandwidth(c.Level + 1)
-		if err := m.net.AdjustPrimary(c.ID, c.Primary, newBW); err != nil {
-			// canGrow verified room on every link; failure is corruption.
+		if err := m.net.AdjustPrimary(c.ID, c.Primary, c.Spec.Bandwidth(sl.level)); err != nil {
+			// The filling counted room on every link; failure is corruption.
 			return wrapViolation(err, "redistribute grow conn %d", c.ID)
 		}
-		if err := m.trackLevel(c, c.Level, c.Level+1); err != nil {
+		if err := m.trackLevel(c, c.Level, sl.level); err != nil {
 			return err
 		}
-		c.Level++
-		if c.Level < c.Spec.States()-1 {
-			heap.Push(h, growItem{conn: c, key: keyOf(c)})
-		}
+		c.Level = sl.level
 	}
 	return nil
 }
 
-// canGrow reports whether every directed link of c's primary has room for
-// one more increment and the level ceiling is not reached.
-func (m *Manager) canGrow(c *channel.Conn) bool {
-	if c.Level >= c.Spec.States()-1 {
+// key is the policy key of the slot's connection at its scratch level.
+func (sl *connSlot) key() qos.GrowthCandidate {
+	return qos.GrowthCandidate{
+		Utility:         sl.conn.Spec.Utility,
+		ExtraIncrements: sl.level,
+		Order:           int64(sl.conn.ID),
+	}
+}
+
+// canGrow reports whether the slot's connection, at its scratch level, is
+// below its ceiling and every directed link of its primary has room for one
+// more increment.
+func (m *Manager) canGrow(sl *connSlot) bool {
+	if sl.level >= sl.ceiling {
 		return false
 	}
-	inc := c.Spec.Increment
-	for i, l := range c.Primary.Links {
-		d := m.g.DirID(l, c.Primary.Nodes[i])
-		if m.net.FreeForGrowth(d) < inc {
+	for _, d := range sl.dirs {
+		if m.work.room[d] < sl.conn.Spec.Increment {
 			return false
 		}
 	}

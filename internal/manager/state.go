@@ -84,8 +84,8 @@ func (m *Manager) ExportState() *State {
 			st.FailedLinks = append(st.FailedLinks, int32(l))
 		}
 	}
-	for _, id := range m.alive {
-		c := m.conns[id]
+	for _, s := range m.alive {
+		c := m.slots[s].conn
 		cs := ConnState{
 			ID:                int64(c.ID),
 			Src:               int32(c.Src),
@@ -142,7 +142,10 @@ func Restore(g *topology.Graph, cfg Config, st *State) (*Manager, error) {
 		if err := primary.Validate(g); err != nil {
 			return nil, fmt.Errorf("manager: restore: conn %d primary: %w", cs.ID, err)
 		}
-		if err := m.net.ReservePrimary(id, primary, cs.Spec.Min); err != nil {
+		conn := channel.RestoreConn(id, topology.NodeID(cs.Src), topology.NodeID(cs.Dst),
+			cs.Spec, primary, int(cs.Level), cs.FailedOver)
+		slot := m.allocSlot(conn)
+		if err := m.net.ReservePrimary(id, slot, primary, cs.Spec.Min); err != nil {
 			return nil, fmt.Errorf("manager: restore: conn %d primary reservation: %w", cs.ID, err)
 		}
 		if cs.Level > 0 {
@@ -150,8 +153,6 @@ func Restore(g *topology.Graph, cfg Config, st *State) (*Manager, error) {
 				return nil, fmt.Errorf("manager: restore: conn %d grow to level %d: %w", cs.ID, cs.Level, err)
 			}
 		}
-		conn := channel.RestoreConn(id, topology.NodeID(cs.Src), topology.NodeID(cs.Dst),
-			cs.Spec, primary, int(cs.Level), cs.FailedOver)
 		if cs.HasBackup {
 			backup := cs.Backup.path()
 			if err := backup.Validate(g); err != nil {
@@ -164,8 +165,7 @@ func Restore(g *topology.Graph, cfg Config, st *State) (*Manager, error) {
 				return nil, fmt.Errorf("manager: restore: conn %d: %w", cs.ID, err)
 			}
 		}
-		m.conns[id] = conn
-		if err := m.trackAdd(conn); err != nil {
+		if err := m.trackAdd(slot); err != nil {
 			return nil, fmt.Errorf("manager: restore: conn %d: %w", cs.ID, err)
 		}
 	}

@@ -47,7 +47,7 @@ func TestDebugSeed(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			if n.ReservePrimary(nextID, p, 100) != nil {
+			if n.ReservePrimary(nextID, 0, p, 100) != nil {
 				continue
 			}
 			c := &live{route: p, grant: 100}
@@ -85,9 +85,9 @@ func TestDebugSeed(t *testing.T) {
 					break
 				}
 				for _, d := range c.backup.DirLinks(g) {
-					for _, pid := range n.PrimariesOn(d) {
-						if pc, ok := conns[pid]; ok {
-							if n.AdjustPrimary(pid, pc.route, 100) == nil {
+					for _, r := range n.PrimariesOn(d) {
+						if pc, ok := conns[r.ID]; ok {
+							if n.AdjustPrimary(r.ID, pc.route, 100) == nil {
 								pc.grant = 100
 							}
 						}
@@ -96,7 +96,7 @@ func TestDebugSeed(t *testing.T) {
 				if err := n.ReleasePrimary(id, c.route); err != nil {
 					t.Fatalf("step %d: pre-activation release %d: %v", step, id, err)
 				}
-				if err := n.ActivateBackup(id, c.backup); err != nil {
+				if err := n.ActivateBackup(id, 0, c.backup); err != nil {
 					if err := n.ReleaseBackup(id, c.backup); err != nil {
 						t.Fatalf("step %d: cleanup backup %d: %v", step, id, err)
 					}

@@ -22,9 +22,10 @@
 package network
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"drqos/internal/channel"
 	"drqos/internal/qos"
@@ -43,22 +44,34 @@ var ErrLinkFailed = errors.New("network: link is failed")
 // reservation on the link.
 var ErrUnknownConn = errors.New("network: unknown connection")
 
-// backupReg records one backup channel registered on a directed link: its
-// guaranteed activation bandwidth and the physical links of its primary
-// route (the failures that would activate it).
-type backupReg struct {
-	min          qos.Kbps
-	primaryLinks []topology.LinkID
+// Reservation is one primary's entry on a directed link.
+type Reservation struct {
+	ID    channel.ConnID
+	Grant qos.Kbps // current reservation, Min ≤ Grant
+	Min   qos.Kbps
+	// Slot is the reserving caller's own handle for ID, stored verbatim:
+	// the manager keeps its dense connection index here, so walking a link
+	// list leads to its connections without a lookup by ID.
+	Slot int32
 }
 
-// dirState is the resource ledger of one directed link.
-type dirState struct {
-	grants   map[channel.ConnID]qos.Kbps // current primary reservations
-	mins     map[channel.ConnID]qos.Kbps // per-connection minima
-	grantSum qos.Kbps
-	minSum   qos.Kbps
+// Backup is one backup channel registered on a directed link: its
+// guaranteed activation bandwidth and the physical links of its primary
+// route (the failures that would activate it).
+type Backup struct {
+	ID           channel.ConnID
+	Min          qos.Kbps
+	PrimaryLinks []topology.LinkID
+}
 
-	backups map[channel.ConnID]backupReg
+// dirState is the resource ledger of one directed link. The two lists are
+// sorted by ID and are the only index of who is on the link.
+type dirState struct {
+	primaries []Reservation
+	grantSum  qos.Kbps
+	minSum    qos.Kbps
+
+	backups []Backup
 	// conflict[f] is the bandwidth that must be freed on this directed
 	// link when physical link f fails: the sum of minima of backups here
 	// whose primary uses f.
@@ -66,11 +79,35 @@ type dirState struct {
 	spare    qos.Kbps // cached max over conflict
 }
 
+// primary returns the position of id in the primaries list, or where it
+// would be inserted. Hand-rolled: every squeeze and every committed growth
+// searches each link of a route, and a generic search pays an indirect
+// call per probe for its comparison callback.
+func (ds *dirState) primary(id channel.ConnID) (int, bool) {
+	lo, hi := 0, len(ds.primaries)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ds.primaries[mid].ID < id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(ds.primaries) && ds.primaries[lo].ID == id
+}
+
+// backup is primary's counterpart for the backups list.
+func (ds *dirState) backup(id channel.ConnID) (int, bool) {
+	return slices.BinarySearchFunc(ds.backups, id, func(b Backup, id channel.ConnID) int {
+		return cmp.Compare(b.ID, id)
+	})
+}
+
 func (ds *dirState) recomputeSpare(noMultiplex bool) {
 	var m qos.Kbps
 	if noMultiplex {
-		for _, reg := range ds.backups {
-			m += reg.min
+		for i := range ds.backups {
+			m += ds.backups[i].Min
 		}
 	} else {
 		for _, v := range ds.conflict {
@@ -108,18 +145,19 @@ func New(g *topology.Graph, capacity qos.Kbps) (*Network, error) {
 		failed:   make([]bool, g.NumLinks()),
 	}
 	for i := range n.dirs {
-		n.dirs[i] = dirState{
-			grants:   make(map[channel.ConnID]qos.Kbps),
-			mins:     make(map[channel.ConnID]qos.Kbps),
-			backups:  make(map[channel.ConnID]backupReg),
-			conflict: make(map[topology.LinkID]qos.Kbps),
-		}
+		n.dirs[i].conflict = make(map[topology.LinkID]qos.Kbps)
 	}
 	return n, nil
 }
 
 // Graph returns the underlying topology.
 func (n *Network) Graph() *topology.Graph { return n.g }
+
+// dir returns the state of the i-th directed link route traverses.
+func (n *Network) dir(route routing.Path, i int) (topology.DirLinkID, *dirState) {
+	d := n.g.DirID(route.Links[i], route.Nodes[i])
+	return d, &n.dirs[d]
+}
 
 // SetMultiplexing enables or disables backup multiplexing (enabled by
 // default). It must be called before any backup is registered; flipping it
@@ -182,69 +220,55 @@ func (n *Network) AdmissionHeadroom(d topology.DirLinkID) qos.Kbps {
 
 // Grant returns the current reservation of conn on directed link d, or 0.
 func (n *Network) Grant(d topology.DirLinkID, id channel.ConnID) qos.Kbps {
-	return n.dirs[d].grants[id]
-}
-
-// PrimariesOn returns the IDs of connections with a primary reservation on
-// directed link d, in ascending ID order for determinism.
-func (n *Network) PrimariesOn(d topology.DirLinkID) []channel.ConnID {
 	ds := &n.dirs[d]
-	out := make([]channel.ConnID, 0, len(ds.grants))
-	for id := range ds.grants {
-		out = append(out, id)
+	if i, ok := ds.primary(id); ok {
+		return ds.primaries[i].Grant
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return 0
 }
 
-// ForEachPrimaryOn calls fn for every connection with a primary reservation
-// on directed link d, in UNSPECIFIED order. Callers that need determinism
-// must accumulate into a set and sort; this avoids the per-call allocation
-// and sort of PrimariesOn in hot paths.
-func (n *Network) ForEachPrimaryOn(d topology.DirLinkID, fn func(channel.ConnID)) {
-	for id := range n.dirs[d].grants {
-		fn(id)
-	}
-}
+// PrimariesOn returns the primary reservations on directed link d in
+// ascending ID order. The slice is the ledger's own list: read-only, and
+// valid until the next reservation, release or activation on d (an
+// AdjustPrimary changes a Grant in place but moves nothing).
+func (n *Network) PrimariesOn(d topology.DirLinkID) []Reservation { return n.dirs[d].primaries }
 
-// BackupsOn returns the IDs of connections with a backup registered on
-// directed link d, in ascending ID order.
-func (n *Network) BackupsOn(d topology.DirLinkID) []channel.ConnID {
-	ds := &n.dirs[d]
-	out := make([]channel.ConnID, 0, len(ds.backups))
-	for id := range ds.backups {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// BackupsOn returns the backups registered on directed link d in ascending
+// ID order, under the same read-only rule as PrimariesOn.
+func (n *Network) BackupsOn(d topology.DirLinkID) []Backup { return n.dirs[d].backups }
 
 // CanAdmitPrimary reports whether a new primary with the given minimum
 // could be admitted along route under minimum-level admission.
 func (n *Network) CanAdmitPrimary(route routing.Path, min qos.Kbps) bool {
-	for _, d := range route.DirLinks(n.g) {
-		if n.AdmissionHeadroom(d) < min {
+	for i := range route.Links {
+		if d, _ := n.dir(route, i); n.AdmissionHeadroom(d) < min {
 			return false
 		}
 	}
 	return true
 }
 
-// ReservePrimary reserves min bandwidth for conn id along route. Grants on
-// every route link must currently leave room for min (the manager squeezes
-// elastic channels first if necessary). The operation is atomic: on error
-// nothing is reserved.
-func (n *Network) ReservePrimary(id channel.ConnID, route routing.Path, min qos.Kbps) error {
+// addPrimary enters id at position i of ds's list at its minimum.
+func (ds *dirState) addPrimary(i int, id channel.ConnID, slot int32, min qos.Kbps) {
+	ds.primaries = slices.Insert(ds.primaries, i, Reservation{ID: id, Grant: min, Min: min, Slot: slot})
+	ds.grantSum += min
+	ds.minSum += min
+}
+
+// ReservePrimary reserves min bandwidth for conn id along route, recording
+// slot with every entry. Grants on every route link must currently leave
+// room for min (the manager squeezes elastic channels first if necessary).
+// The operation is atomic: on error nothing is reserved.
+func (n *Network) ReservePrimary(id channel.ConnID, slot int32, route routing.Path, min qos.Kbps) error {
 	if min <= 0 {
 		return fmt.Errorf("network: non-positive reservation %v", min)
 	}
-	dls := route.DirLinks(n.g)
-	for _, d := range dls {
-		ds := &n.dirs[d]
+	for i := range route.Links {
+		d, ds := n.dir(route, i)
 		if n.failed[d.Link()] {
 			return fmt.Errorf("%w: link %d on route of conn %d", ErrLinkFailed, d.Link(), id)
 		}
-		if _, dup := ds.grants[id]; dup {
+		if _, dup := ds.primary(id); dup {
 			return fmt.Errorf("network: conn %d already reserved on directed link %d", id, d)
 		}
 		if ds.grantSum+min > n.capacity {
@@ -256,12 +280,10 @@ func (n *Network) ReservePrimary(id channel.ConnID, route routing.Path, min qos.
 				ErrCapacity, d, ds.minSum, ds.spare, min, n.capacity)
 		}
 	}
-	for _, d := range dls {
-		ds := &n.dirs[d]
-		ds.grants[id] = min
-		ds.mins[id] = min
-		ds.grantSum += min
-		ds.minSum += min
+	for i := range route.Links {
+		_, ds := n.dir(route, i)
+		at, _ := ds.primary(id)
+		ds.addPrimary(at, id, slot, min)
 	}
 	return nil
 }
@@ -270,44 +292,56 @@ func (n *Network) ReservePrimary(id channel.ConnID, route routing.Path, min qos.
 // its route. newGrant must be at least the connection's minimum; growth must
 // fit the physical capacity of every link. Atomic.
 func (n *Network) AdjustPrimary(id channel.ConnID, route routing.Path, newGrant qos.Kbps) error {
-	dls := route.DirLinks(n.g)
-	for _, d := range dls {
-		ds := &n.dirs[d]
-		cur, ok := ds.grants[id]
+	// The checking pass remembers where it found id on each link, so the
+	// writing pass searches again only on routes longer than that memory.
+	var found [16]int
+	for i := range route.Links {
+		d, ds := n.dir(route, i)
+		at, ok := ds.primary(id)
 		if !ok {
 			return fmt.Errorf("%w: conn %d on directed link %d", ErrUnknownConn, id, d)
 		}
-		if newGrant < ds.mins[id] {
-			return fmt.Errorf("network: grant %v below minimum %v for conn %d", newGrant, ds.mins[id], id)
+		r := &ds.primaries[at]
+		if newGrant < r.Min {
+			return fmt.Errorf("network: grant %v below minimum %v for conn %d", newGrant, r.Min, id)
 		}
-		if ds.grantSum-cur+newGrant > n.capacity {
+		if ds.grantSum-r.Grant+newGrant > n.capacity {
 			return fmt.Errorf("%w: directed link %d cannot grow conn %d from %v to %v",
-				ErrCapacity, d, id, cur, newGrant)
+				ErrCapacity, d, id, r.Grant, newGrant)
+		}
+		if i < len(found) {
+			found[i] = at
 		}
 	}
-	for _, d := range dls {
-		ds := &n.dirs[d]
-		cur := ds.grants[id]
-		ds.grants[id] = newGrant
-		ds.grantSum += newGrant - cur
+	for i := range route.Links {
+		_, ds := n.dir(route, i)
+		var at int
+		if i < len(found) {
+			at = found[i]
+		} else {
+			at, _ = ds.primary(id)
+		}
+		r := &ds.primaries[at]
+		ds.grantSum += newGrant - r.Grant
+		r.Grant = newGrant
 	}
 	return nil
 }
 
 // ReleasePrimary removes conn id's primary reservation along route.
 func (n *Network) ReleasePrimary(id channel.ConnID, route routing.Path) error {
-	dls := route.DirLinks(n.g)
-	for _, d := range dls {
-		if _, ok := n.dirs[d].grants[id]; !ok {
+	for i := range route.Links {
+		d, ds := n.dir(route, i)
+		if _, ok := ds.primary(id); !ok {
 			return fmt.Errorf("%w: conn %d on directed link %d", ErrUnknownConn, id, d)
 		}
 	}
-	for _, d := range dls {
-		ds := &n.dirs[d]
-		ds.grantSum -= ds.grants[id]
-		ds.minSum -= ds.mins[id]
-		delete(ds.grants, id)
-		delete(ds.mins, id)
+	for i := range route.Links {
+		_, ds := n.dir(route, i)
+		at, _ := ds.primary(id)
+		ds.grantSum -= ds.primaries[at].Grant
+		ds.minSum -= ds.primaries[at].Min
+		ds.primaries = slices.Delete(ds.primaries, at, at+1)
 	}
 	return nil
 }
@@ -317,8 +351,8 @@ func (n *Network) ReleasePrimary(id channel.ConnID, route routing.Path) error {
 // link of backupRoute without violating minimum-level admission (rule 1:
 // the spare only grows where this backup conflicts with existing ones).
 func (n *Network) CanAdmitBackup(backupRoute routing.Path, primaryLinks []topology.LinkID, min qos.Kbps) bool {
-	for _, d := range backupRoute.DirLinks(n.g) {
-		ds := &n.dirs[d]
+	for i := range backupRoute.Links {
+		d, ds := n.dir(backupRoute, i)
 		if n.failed[d.Link()] {
 			return false
 		}
@@ -342,25 +376,56 @@ func (n *Network) CanAdmitBackup(backupRoute routing.Path, primaryLinks []topolo
 // ReserveBackup registers a backup channel on every directed link of
 // backupRoute. Atomic: on error nothing is registered.
 func (n *Network) ReserveBackup(id channel.ConnID, backupRoute routing.Path, primaryLinks []topology.LinkID, min qos.Kbps) error {
+	if err := n.checkBackup(id, backupRoute, primaryLinks, min); err != nil {
+		return err
+	}
+	if !n.CanAdmitBackup(backupRoute, primaryLinks, min) {
+		return fmt.Errorf("%w: backup of conn %d", ErrCapacity, id)
+	}
+	n.addBackup(id, backupRoute, primaryLinks, min)
+	return nil
+}
+
+// RestoreBackup registers a backup channel without re-running the rule-3
+// admission check. It exists for one caller: rebuilding a ledger from a
+// durable snapshot, where every registration was admitted in the original
+// run but the minima+spare bound may legitimately not hold any more (the
+// post-failover dependability deficit — see DependabilityDeficit). The
+// rebuilt ledger is still validated wholesale by CheckInvariants.
+func (n *Network) RestoreBackup(id channel.ConnID, backupRoute routing.Path, primaryLinks []topology.LinkID, min qos.Kbps) error {
+	if err := n.checkBackup(id, backupRoute, primaryLinks, min); err != nil {
+		return err
+	}
+	n.addBackup(id, backupRoute, primaryLinks, min)
+	return nil
+}
+
+// checkBackup validates a backup registration's arguments and that id has
+// no backup on the route yet.
+func (n *Network) checkBackup(id channel.ConnID, backupRoute routing.Path, primaryLinks []topology.LinkID, min qos.Kbps) error {
 	if min <= 0 {
 		return fmt.Errorf("network: non-positive backup reservation %v", min)
 	}
 	if len(primaryLinks) == 0 {
 		return fmt.Errorf("network: backup for conn %d has no primary links", id)
 	}
-	if !n.CanAdmitBackup(backupRoute, primaryLinks, min) {
-		return fmt.Errorf("%w: backup of conn %d", ErrCapacity, id)
-	}
-	dls := backupRoute.DirLinks(n.g)
-	for _, d := range dls {
-		if _, dup := n.dirs[d].backups[id]; dup {
+	for i := range backupRoute.Links {
+		d, ds := n.dir(backupRoute, i)
+		if _, dup := ds.backup(id); dup {
 			return fmt.Errorf("network: backup of conn %d already on directed link %d", id, d)
 		}
 	}
-	reg := backupReg{min: min, primaryLinks: append([]topology.LinkID(nil), primaryLinks...)}
-	for _, d := range dls {
-		ds := &n.dirs[d]
-		ds.backups[id] = reg
+	return nil
+}
+
+// addBackup enters a checked registration on every directed link of
+// backupRoute. The spare only ever grows here, by the new conflicts.
+func (n *Network) addBackup(id channel.ConnID, backupRoute routing.Path, primaryLinks []topology.LinkID, min qos.Kbps) {
+	reg := Backup{ID: id, Min: min, PrimaryLinks: slices.Clone(primaryLinks)}
+	for i := range backupRoute.Links {
+		_, ds := n.dir(backupRoute, i)
+		at, _ := ds.backup(id)
+		ds.backups = slices.Insert(ds.backups, at, reg)
 		for _, f := range primaryLinks {
 			ds.conflict[f] += min
 		}
@@ -374,85 +439,59 @@ func (n *Network) ReserveBackup(id channel.ConnID, backupRoute routing.Path, pri
 			}
 		}
 	}
-	return nil
-}
-
-// RestoreBackup registers a backup channel without re-running the rule-3
-// admission check. It exists for one caller: rebuilding a ledger from a
-// durable snapshot, where every registration was admitted in the original
-// run but the minima+spare bound may legitimately not hold any more (the
-// post-failover dependability deficit — see DependabilityDeficit). The
-// rebuilt ledger is still validated wholesale by CheckInvariants.
-func (n *Network) RestoreBackup(id channel.ConnID, backupRoute routing.Path, primaryLinks []topology.LinkID, min qos.Kbps) error {
-	if min <= 0 {
-		return fmt.Errorf("network: non-positive backup reservation %v", min)
-	}
-	if len(primaryLinks) == 0 {
-		return fmt.Errorf("network: backup for conn %d has no primary links", id)
-	}
-	dls := backupRoute.DirLinks(n.g)
-	for _, d := range dls {
-		if _, dup := n.dirs[d].backups[id]; dup {
-			return fmt.Errorf("network: backup of conn %d already on directed link %d", id, d)
-		}
-	}
-	reg := backupReg{min: min, primaryLinks: append([]topology.LinkID(nil), primaryLinks...)}
-	for _, d := range dls {
-		ds := &n.dirs[d]
-		ds.backups[id] = reg
-		for _, f := range primaryLinks {
-			ds.conflict[f] += min
-		}
-		ds.recomputeSpare(n.noMultiplex)
-	}
-	return nil
 }
 
 // ReleaseBackup removes conn id's backup registration along backupRoute.
 func (n *Network) ReleaseBackup(id channel.ConnID, backupRoute routing.Path) error {
-	dls := backupRoute.DirLinks(n.g)
-	for _, d := range dls {
-		if _, ok := n.dirs[d].backups[id]; !ok {
+	for i := range backupRoute.Links {
+		d, ds := n.dir(backupRoute, i)
+		if _, ok := ds.backup(id); !ok {
 			return fmt.Errorf("%w: backup of conn %d on directed link %d", ErrUnknownConn, id, d)
 		}
 	}
-	for _, d := range dls {
-		ds := &n.dirs[d]
-		reg := ds.backups[id]
-		delete(ds.backups, id)
-		for _, f := range reg.primaryLinks {
-			ds.conflict[f] -= reg.min
+	for i := range backupRoute.Links {
+		_, ds := n.dir(backupRoute, i)
+		at, _ := ds.backup(id)
+		reg := ds.backups[at]
+		ds.backups = slices.Delete(ds.backups, at, at+1)
+		// The multiplexed spare is the largest conflict: it can only have
+		// moved if one of the entries about to shrink was that largest.
+		wasMax := false
+		for _, f := range reg.PrimaryLinks {
+			wasMax = wasMax || ds.conflict[f] == ds.spare
+			ds.conflict[f] -= reg.Min
 			if ds.conflict[f] == 0 {
 				delete(ds.conflict, f)
 			}
 		}
-		ds.recomputeSpare(n.noMultiplex)
+		if n.noMultiplex || wasMax {
+			ds.recomputeSpare(n.noMultiplex)
+		}
 	}
 	return nil
 }
 
 // ActivateBackup converts conn id's backup registration along backupRoute
 // into a primary reservation at the registered minimum (the activated
-// channel runs at Bmin, §3.1). The spare it occupied is released. The
-// manager must already have squeezed primaries on these links so the
-// minimum fits within physical capacity.
-func (n *Network) ActivateBackup(id channel.ConnID, backupRoute routing.Path) error {
-	dls := backupRoute.DirLinks(n.g)
+// channel runs at Bmin, §3.1), recording slot as ReservePrimary does. The
+// spare it occupied is released. The manager must already have squeezed
+// primaries on these links so the minimum fits within physical capacity.
+func (n *Network) ActivateBackup(id channel.ConnID, slot int32, backupRoute routing.Path) error {
 	var min qos.Kbps
-	for _, d := range dls {
-		ds := &n.dirs[d]
-		reg, ok := ds.backups[id]
+	for i := range backupRoute.Links {
+		d, ds := n.dir(backupRoute, i)
+		at, ok := ds.backup(id)
 		if !ok {
 			return fmt.Errorf("%w: backup of conn %d on directed link %d", ErrUnknownConn, id, d)
 		}
-		min = reg.min
-		if _, dup := ds.grants[id]; dup {
+		min = ds.backups[at].Min
+		if _, dup := ds.primary(id); dup {
 			return fmt.Errorf("network: conn %d already primary on directed link %d", id, d)
 		}
 	}
 	// Feasibility against physical capacity, before mutating anything.
-	for _, d := range dls {
-		ds := &n.dirs[d]
+	for i := range backupRoute.Links {
+		d, ds := n.dir(backupRoute, i)
 		if ds.grantSum+min > n.capacity {
 			return fmt.Errorf("%w: activating backup of conn %d on directed link %d (%v granted of %v)",
 				ErrCapacity, id, d, ds.grantSum, n.capacity)
@@ -461,19 +500,21 @@ func (n *Network) ActivateBackup(id channel.ConnID, backupRoute routing.Path) er
 	if err := n.ReleaseBackup(id, backupRoute); err != nil {
 		return err
 	}
-	for _, d := range dls {
-		ds := &n.dirs[d]
-		ds.grants[id] = min
-		ds.mins[id] = min
-		ds.grantSum += min
-		ds.minSum += min
+	for i := range backupRoute.Links {
+		_, ds := n.dir(backupRoute, i)
+		at, _ := ds.primary(id)
+		ds.addPrimary(at, id, slot, min)
 	}
 	return nil
 }
 
 // CheckInvariants recomputes every cached quantity from first principles
-// and verifies the conservation rules in DESIGN.md §6. It is O(links ×
-// reservations) and intended for tests and debugging.
+// and verifies the conservation rules in DESIGN.md §6: each list strictly
+// ascending by ID (so no connection is entered twice), every grant at or
+// above its minimum, the cached sums equal to the lists' sums and within
+// capacity, and the conflict table and spare equal to what the backups list
+// implies. It is O(links × reservations) and intended for tests and
+// debugging.
 //
 // The dependability reserve rule (minima + spare ≤ capacity) is NOT part of
 // this check: it is guaranteed at admission time but transiently violated
@@ -483,19 +524,16 @@ func (n *Network) CheckInvariants() error {
 	for di := range n.dirs {
 		ds := &n.dirs[di]
 		var grantSum, minSum qos.Kbps
-		for id, g := range ds.grants {
-			m, ok := ds.mins[id]
-			if !ok {
-				return fmt.Errorf("dir link %d: conn %d has grant but no min", di, id)
+		for i, r := range ds.primaries {
+			if i > 0 && ds.primaries[i-1].ID >= r.ID {
+				return fmt.Errorf("dir link %d: primaries not strictly ascending at %d (conn %d after %d)",
+					di, i, r.ID, ds.primaries[i-1].ID)
 			}
-			if g < m {
-				return fmt.Errorf("dir link %d: conn %d grant %v below min %v", di, id, g, m)
+			if r.Grant < r.Min {
+				return fmt.Errorf("dir link %d: conn %d grant %v below min %v", di, r.ID, r.Grant, r.Min)
 			}
-			grantSum += g
-			minSum += m
-		}
-		if len(ds.grants) != len(ds.mins) {
-			return fmt.Errorf("dir link %d: %d grants vs %d mins", di, len(ds.grants), len(ds.mins))
+			grantSum += r.Grant
+			minSum += r.Min
 		}
 		if grantSum != ds.grantSum {
 			return fmt.Errorf("dir link %d: cached grantSum %v, actual %v", di, ds.grantSum, grantSum)
@@ -507,23 +545,25 @@ func (n *Network) CheckInvariants() error {
 			return fmt.Errorf("dir link %d: grants %v exceed capacity %v", di, grantSum, n.capacity)
 		}
 		conflict := make(map[topology.LinkID]qos.Kbps)
-		for _, reg := range ds.backups {
-			for _, f := range reg.primaryLinks {
-				conflict[f] += reg.min
+		var spare qos.Kbps
+		for i, reg := range ds.backups {
+			if i > 0 && ds.backups[i-1].ID >= reg.ID {
+				return fmt.Errorf("dir link %d: backups not strictly ascending at %d (conn %d after %d)",
+					di, i, reg.ID, ds.backups[i-1].ID)
+			}
+			for _, f := range reg.PrimaryLinks {
+				conflict[f] += reg.Min
+			}
+			if n.noMultiplex {
+				spare += reg.Min
 			}
 		}
-		var spare qos.Kbps
 		for f, v := range conflict {
 			if ds.conflict[f] != v {
 				return fmt.Errorf("dir link %d: conflict[%d] cached %v, actual %v", di, f, ds.conflict[f], v)
 			}
 			if !n.noMultiplex && v > spare {
 				spare = v
-			}
-		}
-		if n.noMultiplex {
-			for _, reg := range ds.backups {
-				spare += reg.min
 			}
 		}
 		if len(conflict) != len(ds.conflict) {

@@ -2,7 +2,9 @@ package network
 
 import (
 	"errors"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -77,7 +79,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestReservePrimaryBasics(t *testing.T) {
 	n, upper, _ := testNet(t, 10000)
-	mustOK(t, n.ReservePrimary(1, upper, 100))
+	mustOK(t, n.ReservePrimary(1, 0, upper, 100))
 	for _, l := range upper.Links {
 		if n.Grant(fwd(l), 1) != 100 {
 			t.Fatalf("grant on link %d = %v", l, n.Grant(fwd(l), 1))
@@ -93,7 +95,7 @@ func TestReservePrimaryBasics(t *testing.T) {
 	}
 	checkInv(t, n)
 	// Duplicate reservation must fail atomically.
-	if err := n.ReservePrimary(1, upper, 100); err == nil {
+	if err := n.ReservePrimary(1, 0, upper, 100); err == nil {
 		t.Fatal("duplicate accepted")
 	}
 	checkInv(t, n)
@@ -101,9 +103,9 @@ func TestReservePrimaryBasics(t *testing.T) {
 
 func TestReservePrimaryCapacityLimit(t *testing.T) {
 	n, upper, _ := testNet(t, 250)
-	mustOK(t, n.ReservePrimary(1, upper, 100))
-	mustOK(t, n.ReservePrimary(2, upper, 100))
-	err := n.ReservePrimary(3, upper, 100)
+	mustOK(t, n.ReservePrimary(1, 0, upper, 100))
+	mustOK(t, n.ReservePrimary(2, 0, upper, 100))
+	err := n.ReservePrimary(3, 0, upper, 100)
 	if !errors.Is(err, ErrCapacity) {
 		t.Fatalf("err = %v, want ErrCapacity", err)
 	}
@@ -118,7 +120,7 @@ func TestReservePrimaryCapacityLimit(t *testing.T) {
 
 func TestReservePrimaryRejectsNonPositive(t *testing.T) {
 	n, upper, _ := testNet(t, 1000)
-	if err := n.ReservePrimary(1, upper, 0); err == nil {
+	if err := n.ReservePrimary(1, 0, upper, 0); err == nil {
 		t.Fatal("zero reservation accepted")
 	}
 }
@@ -126,7 +128,7 @@ func TestReservePrimaryRejectsNonPositive(t *testing.T) {
 func TestReservePrimaryOnFailedLink(t *testing.T) {
 	n, upper, _ := testNet(t, 1000)
 	n.SetFailed(upper.Links[1], true)
-	if err := n.ReservePrimary(1, upper, 100); !errors.Is(err, ErrLinkFailed) {
+	if err := n.ReservePrimary(1, 0, upper, 100); !errors.Is(err, ErrLinkFailed) {
 		t.Fatalf("err = %v", err)
 	}
 	if n.AdmissionHeadroom(fwd(upper.Links[1])) != 0 {
@@ -139,7 +141,7 @@ func TestReservePrimaryOnFailedLink(t *testing.T) {
 
 func TestAdjustPrimaryGrowAndShrink(t *testing.T) {
 	n, upper, _ := testNet(t, 1000)
-	mustOK(t, n.ReservePrimary(1, upper, 100))
+	mustOK(t, n.ReservePrimary(1, 0, upper, 100))
 	mustOK(t, n.AdjustPrimary(1, upper, 500))
 	for _, l := range upper.Links {
 		if n.Grant(fwd(l), 1) != 500 {
@@ -164,8 +166,8 @@ func TestAdjustPrimaryGrowAndShrink(t *testing.T) {
 
 func TestAdjustPrimaryCapacityCeiling(t *testing.T) {
 	n, upper, _ := testNet(t, 1000)
-	mustOK(t, n.ReservePrimary(1, upper, 100))
-	mustOK(t, n.ReservePrimary(2, upper, 100))
+	mustOK(t, n.ReservePrimary(1, 0, upper, 100))
+	mustOK(t, n.ReservePrimary(2, 0, upper, 100))
 	// 800 free; conn 1 can grow to 900 total? No: 100+900=1000 is fine.
 	mustOK(t, n.AdjustPrimary(1, upper, 900))
 	if err := n.AdjustPrimary(2, upper, 200); !errors.Is(err, ErrCapacity) {
@@ -179,7 +181,7 @@ func TestAdjustPrimaryCapacityCeiling(t *testing.T) {
 
 func TestReleasePrimary(t *testing.T) {
 	n, upper, _ := testNet(t, 1000)
-	mustOK(t, n.ReservePrimary(1, upper, 100))
+	mustOK(t, n.ReservePrimary(1, 0, upper, 100))
 	mustOK(t, n.AdjustPrimary(1, upper, 300))
 	mustOK(t, n.ReleasePrimary(1, upper))
 	for _, l := range upper.Links {
@@ -206,18 +208,18 @@ func TestBackupMultiplexingSharesSpare(t *testing.T) {
 	// upper. Backups then live on different routes. To observe
 	// multiplexing on ONE link we need two backups on the same link whose
 	// primaries are disjoint — conn 3 primary upper (disjoint from lower).
-	mustOK(t, n.ReservePrimary(1, upper, 100))
+	mustOK(t, n.ReservePrimary(1, 0, upper, 100))
 	mustOK(t, n.ReserveBackup(1, lower, upper.Links, 100))
 	checkInv(t, n)
 
-	mustOK(t, n.ReservePrimary(2, lower, 100))
+	mustOK(t, n.ReservePrimary(2, 0, lower, 100))
 	mustOK(t, n.ReserveBackup(2, upper, lower.Links, 100))
 	checkInv(t, n)
 
 	// Backup of conn 3 (primary on upper) multiplexes with backup of conn
 	// 1 (also primary on upper): they activate together on a shared-upper
 	// failure, so spare on lower links must be 200 for upper failures.
-	mustOK(t, n.ReservePrimary(3, upper, 100))
+	mustOK(t, n.ReservePrimary(3, 0, upper, 100))
 	mustOK(t, n.ReserveBackup(3, lower, upper.Links, 100))
 	checkInv(t, n)
 	for _, l := range lower.Links {
@@ -247,8 +249,8 @@ func TestBackupMultiplexingDisjointPrimariesShare(t *testing.T) {
 	p2 := routing.Path{Nodes: []topology.NodeID{2, 3}, Links: []topology.LinkID{lB}}
 	b1 := routing.Path{Nodes: []topology.NodeID{0, 2, 1}, Links: []topology.LinkID{l0, lS}}
 	b2 := routing.Path{Nodes: []topology.NodeID{2, 1, 3}, Links: []topology.LinkID{lS, l1}}
-	mustOK(t, n.ReservePrimary(1, p1, 100))
-	mustOK(t, n.ReservePrimary(2, p2, 100))
+	mustOK(t, n.ReservePrimary(1, 0, p1, 100))
+	mustOK(t, n.ReservePrimary(2, 0, p2, 100))
 	mustOK(t, n.ReserveBackup(1, b1, p1.Links, 100))
 	mustOK(t, n.ReserveBackup(2, b2, p2.Links, 100))
 	checkInv(t, n)
@@ -273,8 +275,8 @@ func TestBackupAdmissionBlocksConflictOverflow(t *testing.T) {
 	}
 	primary := routing.Path{Nodes: []topology.NodeID{0, 1}, Links: []topology.LinkID{lP}}
 	backup := routing.Path{Nodes: []topology.NodeID{0, 2, 1}, Links: []topology.LinkID{lQ, lS}}
-	mustOK(t, n.ReservePrimary(1, primary, 100))
-	mustOK(t, n.ReservePrimary(2, primary, 100))
+	mustOK(t, n.ReservePrimary(1, 0, primary, 100))
+	mustOK(t, n.ReservePrimary(2, 0, primary, 100))
 	mustOK(t, n.ReserveBackup(1, backup, primary.Links, 100))
 	checkInv(t, n)
 	// Backup 2 conflicts with backup 1 (same primary link lP): spare would
@@ -283,7 +285,7 @@ func TestBackupAdmissionBlocksConflictOverflow(t *testing.T) {
 	// minSum=0, spare 200 ≤ 250 → actually admissible. Tighten by loading
 	// lS with a primary first.
 	short := routing.Path{Nodes: []topology.NodeID{2, 1}, Links: []topology.LinkID{lS}}
-	mustOK(t, n.ReservePrimary(3, short, 100))
+	mustOK(t, n.ReservePrimary(3, 0, short, 100))
 	if n.CanAdmitBackup(backup, primary.Links, 100) {
 		t.Fatal("conflicting backup admitted beyond capacity")
 	}
@@ -295,7 +297,7 @@ func TestBackupAdmissionBlocksConflictOverflow(t *testing.T) {
 
 func TestReserveBackupValidation(t *testing.T) {
 	n, upper, lower := testNet(t, 1000)
-	mustOK(t, n.ReservePrimary(1, upper, 100))
+	mustOK(t, n.ReservePrimary(1, 0, upper, 100))
 	if err := n.ReserveBackup(1, lower, upper.Links, 0); err == nil {
 		t.Fatal("zero backup min accepted")
 	}
@@ -310,7 +312,7 @@ func TestReserveBackupValidation(t *testing.T) {
 
 func TestReleaseBackupRestoresSpare(t *testing.T) {
 	n, upper, lower := testNet(t, 1000)
-	mustOK(t, n.ReservePrimary(1, upper, 100))
+	mustOK(t, n.ReservePrimary(1, 0, upper, 100))
 	mustOK(t, n.ReserveBackup(1, lower, upper.Links, 100))
 	if n.Spare(fwd(lower.Links[0])) != 100 {
 		t.Fatal("spare not registered")
@@ -329,12 +331,12 @@ func TestReleaseBackupRestoresSpare(t *testing.T) {
 
 func TestActivateBackup(t *testing.T) {
 	n, upper, lower := testNet(t, 1000)
-	mustOK(t, n.ReservePrimary(1, upper, 100))
+	mustOK(t, n.ReservePrimary(1, 0, upper, 100))
 	mustOK(t, n.ReserveBackup(1, lower, upper.Links, 100))
 	// Primary link fails; manager releases the primary and activates.
 	n.SetFailed(upper.Links[1], true)
 	mustOK(t, n.ReleasePrimary(1, upper))
-	mustOK(t, n.ActivateBackup(1, lower))
+	mustOK(t, n.ActivateBackup(1, 0, lower))
 	for _, l := range lower.Links {
 		if n.Grant(fwd(l), 1) != 100 {
 			t.Fatalf("activated grant on link %d = %v", l, n.Grant(fwd(l), 1))
@@ -344,52 +346,69 @@ func TestActivateBackup(t *testing.T) {
 		}
 	}
 	checkInv(t, n)
-	if err := n.ActivateBackup(1, lower); !errors.Is(err, ErrUnknownConn) {
+	if err := n.ActivateBackup(1, 0, lower); !errors.Is(err, ErrUnknownConn) {
 		t.Fatalf("double activation: %v", err)
 	}
 }
 
 func TestActivateBackupCapacityBlocked(t *testing.T) {
 	n, upper, lower := testNet(t, 200)
-	mustOK(t, n.ReservePrimary(1, upper, 100))
+	mustOK(t, n.ReservePrimary(1, 0, upper, 100))
 	mustOK(t, n.ReserveBackup(1, lower, upper.Links, 100))
 	// Fill the lower route's physical capacity with grown primaries.
-	mustOK(t, n.ReservePrimary(2, lower, 100))
+	mustOK(t, n.ReservePrimary(2, 0, lower, 100))
 	mustOK(t, n.AdjustPrimary(2, lower, 200)) // borrows the spare
 	checkInv(t, n)
-	if err := n.ActivateBackup(1, lower); !errors.Is(err, ErrCapacity) {
+	if err := n.ActivateBackup(1, 0, lower); !errors.Is(err, ErrCapacity) {
 		t.Fatalf("err = %v (manager must squeeze first)", err)
 	}
 	// After squeezing conn 2 back to its minimum, activation succeeds.
 	mustOK(t, n.AdjustPrimary(2, lower, 100))
-	mustOK(t, n.ActivateBackup(1, lower))
+	mustOK(t, n.ActivateBackup(1, 0, lower))
 	checkInv(t, n)
 }
 
 func TestPrimariesAndBackupsOnSorted(t *testing.T) {
 	n, upper, lower := testNet(t, 10000)
+	// Reserved in descending ID order: the lists must come out ascending,
+	// each entry carrying the slot it was reserved with.
 	for id := channel.ConnID(5); id >= 1; id-- {
-		mustOK(t, n.ReservePrimary(id, upper, 100))
+		mustOK(t, n.ReservePrimary(id, int32(10*id), upper, 100))
 		mustOK(t, n.ReserveBackup(id, lower, upper.Links, 100))
 	}
+	mustOK(t, n.AdjustPrimary(3, upper, 250))
 	prim := n.PrimariesOn(fwd(upper.Links[0]))
 	if len(prim) != 5 {
 		t.Fatalf("primaries = %v", prim)
 	}
-	for i := 1; i < len(prim); i++ {
-		if prim[i-1] >= prim[i] {
-			t.Fatalf("not sorted: %v", prim)
+	for i, r := range prim {
+		want := Reservation{ID: channel.ConnID(i + 1), Grant: 100, Min: 100, Slot: int32(10 * (i + 1))}
+		if r.ID == 3 {
+			want.Grant = 250
+		}
+		if r != want {
+			t.Fatalf("primaries[%d] = %+v, want %+v", i, r, want)
 		}
 	}
 	backs := n.BackupsOn(fwd(lower.Links[0]))
 	if len(backs) != 5 {
 		t.Fatalf("backups = %v", backs)
 	}
-	for i := 1; i < len(backs); i++ {
-		if backs[i-1] >= backs[i] {
-			t.Fatalf("not sorted: %v", backs)
+	for i, b := range backs {
+		if b.ID != channel.ConnID(i+1) || b.Min != 100 {
+			t.Fatalf("backups[%d] = %+v", i, b)
 		}
 	}
+	// Activation moves an entry from one list to the other, in order.
+	mustOK(t, n.ReleasePrimary(4, upper))
+	mustOK(t, n.ActivateBackup(4, 44, lower))
+	if got := n.PrimariesOn(fwd(lower.Links[0])); len(got) != 1 || got[0] != (Reservation{ID: 4, Grant: 100, Min: 100, Slot: 44}) {
+		t.Fatalf("activated primaries = %+v", got)
+	}
+	if got := n.BackupsOn(fwd(lower.Links[0])); len(got) != 4 || got[2].ID != 3 || got[3].ID != 5 {
+		t.Fatalf("backups after activation = %+v", got)
+	}
+	checkInv(t, n)
 }
 
 // Property: random sequences of reserve/adjust/release/backup operations
@@ -440,7 +459,7 @@ func TestQuickLedgerInvariants(t *testing.T) {
 				if err != nil {
 					continue
 				}
-				if n.ReservePrimary(nextID, p, 100) != nil {
+				if n.ReservePrimary(nextID, 0, p, 100) != nil {
 					continue
 				}
 				c := &live{route: p, grant: 100}
@@ -476,9 +495,9 @@ func TestQuickLedgerInvariants(t *testing.T) {
 				// Squeeze every primary on the backup's links to its
 				// minimum, then activate.
 				for _, d := range c.backup.DirLinks(g) {
-					for _, pid := range n.PrimariesOn(d) {
-						if pc, ok := conns[pid]; ok {
-							if n.AdjustPrimary(pid, pc.route, 100) == nil {
+					for _, r := range n.PrimariesOn(d) {
+						if pc, ok := conns[r.ID]; ok {
+							if n.AdjustPrimary(r.ID, pc.route, 100) == nil {
 								pc.grant = 100
 							}
 						}
@@ -487,7 +506,7 @@ func TestQuickLedgerInvariants(t *testing.T) {
 				if n.ReleasePrimary(id, c.route) != nil {
 					return false
 				}
-				if n.ActivateBackup(id, c.backup) != nil {
+				if n.ActivateBackup(id, 0, c.backup) != nil {
 					// Physically impossible even after squeeze: the
 					// conn is dropped.
 					if n.ReleaseBackup(id, c.backup) != nil {
@@ -517,14 +536,14 @@ func TestSetMultiplexing(t *testing.T) {
 	if err := n.SetMultiplexing(false); err != nil {
 		t.Fatal(err)
 	}
-	mustOK(t, n.ReservePrimary(1, upper, 100))
-	mustOK(t, n.ReservePrimary(2, lower, 100))
+	mustOK(t, n.ReservePrimary(1, 0, upper, 100))
+	mustOK(t, n.ReservePrimary(2, 0, lower, 100))
 	mustOK(t, n.ReserveBackup(1, lower, upper.Links, 100))
 	mustOK(t, n.ReserveBackup(2, upper, lower.Links, 100))
 	checkInv(t, n)
 	// Without multiplexing, a second upper-primary backup on lower links
 	// ADDS spare instead of sharing it.
-	mustOK(t, n.ReservePrimary(3, upper, 100))
+	mustOK(t, n.ReservePrimary(3, 0, upper, 100))
 	mustOK(t, n.ReserveBackup(3, lower, upper.Links, 100))
 	checkInv(t, n)
 	if got := n.Spare(fwd(lower.Links[0])); got != 200 {
@@ -542,22 +561,11 @@ func TestSetMultiplexing(t *testing.T) {
 	}
 }
 
-func TestForEachPrimaryOn(t *testing.T) {
-	n, upper, _ := testNet(t, 10000)
-	mustOK(t, n.ReservePrimary(1, upper, 100))
-	mustOK(t, n.ReservePrimary(2, upper, 100))
-	seen := map[channel.ConnID]bool{}
-	n.ForEachPrimaryOn(fwd(upper.Links[0]), func(id channel.ConnID) { seen[id] = true })
-	if len(seen) != 2 || !seen[1] || !seen[2] {
-		t.Fatalf("seen = %v", seen)
-	}
-}
-
 func TestDependabilityDeficit(t *testing.T) {
 	n, upper, lower := testNet(t, 300)
-	mustOK(t, n.ReservePrimary(1, upper, 100))
+	mustOK(t, n.ReservePrimary(1, 0, upper, 100))
 	mustOK(t, n.ReserveBackup(1, lower, upper.Links, 100))
-	mustOK(t, n.ReservePrimary(2, lower, 100))
+	mustOK(t, n.ReservePrimary(2, 0, lower, 100))
 	if d := n.DependabilityDeficit(); len(d) != 0 {
 		t.Fatalf("quiescent deficit: %v", d)
 	}
@@ -565,11 +573,11 @@ func TestDependabilityDeficit(t *testing.T) {
 	// conn 2... has no backup, so spare on lower drops to 0 — still no
 	// deficit. Force one instead: register a second backup on lower whose
 	// primary overlaps conn 1's, then activate conn 1.
-	mustOK(t, n.ReservePrimary(3, upper, 100))
+	mustOK(t, n.ReservePrimary(3, 0, upper, 100))
 	mustOK(t, n.ReserveBackup(3, lower, upper.Links, 100))
 	n.SetFailed(upper.Links[0], true)
 	mustOK(t, n.ReleasePrimary(1, upper))
-	mustOK(t, n.ActivateBackup(1, lower))
+	mustOK(t, n.ActivateBackup(1, 0, lower))
 	// lower links: minSum = 100 (conn2) + 100 (activated conn1) = 200;
 	// spare still 100 for conn3's backup → 300 = capacity: no deficit yet.
 	if d := n.DependabilityDeficit(); len(d) != 0 {
@@ -577,7 +585,7 @@ func TestDependabilityDeficit(t *testing.T) {
 	}
 	// One more primary fills the link past the reserve rule.
 	n.SetFailed(upper.Links[0], false)
-	if err := n.ReservePrimary(4, lower, 100); err == nil {
+	if err := n.ReservePrimary(4, 0, lower, 100); err == nil {
 		t.Fatal("admission should refuse: minima+spare would exceed capacity")
 	}
 	// Bypass admission legitimately via activation: conn 3 fails over too.
@@ -585,7 +593,7 @@ func TestDependabilityDeficit(t *testing.T) {
 	mustOK(t, n.ReleasePrimary(3, upper))
 	// Squeeze not needed (everyone at min); activation must succeed
 	// physically (300 capacity, 200 granted, +100 fits).
-	mustOK(t, n.ActivateBackup(3, lower))
+	mustOK(t, n.ActivateBackup(3, 0, lower))
 	// Now lower minSum=300=capacity with zero spare: no deficit. The rule
 	// is about minSum+spare, so create spare pressure: register a backup
 	// for conn 2 (primary lower) over upper... upper.Links[1] failed;
@@ -604,10 +612,10 @@ func TestDependabilityDeficitAfterActivation(t *testing.T) {
 	n, upper, lower := testNet(t, 200)
 	g := n.Graph()
 	// A: primary upper, backup lower (whole route).
-	mustOK(t, n.ReservePrimary(1, upper, 100))
+	mustOK(t, n.ReservePrimary(1, 0, upper, 100))
 	mustOK(t, n.ReserveBackup(1, lower, upper.Links, 100))
 	// B: primary lower at its minimum.
-	mustOK(t, n.ReservePrimary(2, lower, 100))
+	mustOK(t, n.ReservePrimary(2, 0, lower, 100))
 	// C: primary 1→3 (the chord, disjoint from A's primary so the backups
 	// may multiplex), backup 1→0→3 crossing lower's first link.
 	l01, _ := g.LinkBetween(0, 1)
@@ -615,7 +623,7 @@ func TestDependabilityDeficitAfterActivation(t *testing.T) {
 	l03, _ := g.LinkBetween(0, 3)
 	cPrimary := routing.Path{Nodes: []topology.NodeID{1, 3}, Links: []topology.LinkID{l13}}
 	cBackup := routing.Path{Nodes: []topology.NodeID{1, 0, 3}, Links: []topology.LinkID{l01, l03}}
-	mustOK(t, n.ReservePrimary(3, cPrimary, 100))
+	mustOK(t, n.ReservePrimary(3, 0, cPrimary, 100))
 	mustOK(t, n.ReserveBackup(3, cBackup, cPrimary.Links, 100))
 	if d := n.DependabilityDeficit(); len(d) != 0 {
 		t.Fatalf("quiescent deficit: %v", d)
@@ -625,7 +633,7 @@ func TestDependabilityDeficitAfterActivation(t *testing.T) {
 	// 100 spare there → deficit until protection is re-planned.
 	n.SetFailed(upper.Links[1], true)
 	mustOK(t, n.ReleasePrimary(1, upper))
-	mustOK(t, n.ActivateBackup(1, lower))
+	mustOK(t, n.ActivateBackup(1, 0, lower))
 	checkInv(t, n) // ledger stays consistent even in deficit
 	deficit := n.DependabilityDeficit()
 	found := false
@@ -636,5 +644,62 @@ func TestDependabilityDeficitAfterActivation(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("expected deficit on link %d, got %v", l03, deficit)
+	}
+}
+
+// TestInvariantsCanFail injects one corruption per clause of CheckInvariants
+// and requires the audit to name it; the untouched ledger passes.
+func TestInvariantsCanFail(t *testing.T) {
+	// build returns a ledger with primaries 1–3 on upper (3 grown) and
+	// their backups on lower, plus the first directed link of each route.
+	build := func(t *testing.T) (n *Network, up, low *dirState) {
+		n, upper, lower := testNet(t, 10000)
+		for id := channel.ConnID(1); id <= 3; id++ {
+			mustOK(t, n.ReservePrimary(id, int32(id), upper, 100))
+			mustOK(t, n.ReserveBackup(id, lower, upper.Links, 100))
+		}
+		mustOK(t, n.AdjustPrimary(3, upper, 300))
+		checkInv(t, n)
+		return n, &n.dirs[fwd(upper.Links[0])], &n.dirs[fwd(lower.Links[0])]
+	}
+	cases := []struct {
+		clause  string
+		corrupt func(up, low *dirState)
+		want    string
+	}{
+		{"primaries out of order", func(up, _ *dirState) {
+			up.primaries[0], up.primaries[1] = up.primaries[1], up.primaries[0]
+		}, "primaries not strictly ascending"},
+		{"a primary entered twice", func(up, _ *dirState) {
+			// Sums kept honest, so only the duplicate is wrong.
+			up.primaries = slices.Insert(up.primaries, 1, up.primaries[0])
+			up.grantSum += up.primaries[0].Grant
+			up.minSum += up.primaries[0].Min
+		}, "primaries not strictly ascending"},
+		{"grant below minimum", func(up, _ *dirState) {
+			up.primaries[2].Grant, up.grantSum = 50, up.grantSum-250
+		}, "below min"},
+		{"grant sum drifted", func(up, _ *dirState) { up.grantSum += 50 }, "cached grantSum"},
+		{"min sum drifted", func(up, _ *dirState) { up.minSum -= 100 }, "cached minSum"},
+		{"an entry dropped, sums left behind", func(up, _ *dirState) {
+			up.primaries = slices.Delete(up.primaries, 1, 2)
+		}, "cached grantSum"},
+		{"backups out of order", func(_, low *dirState) {
+			low.backups[1], low.backups[2] = low.backups[2], low.backups[1]
+		}, "backups not strictly ascending"},
+		{"a backup dropped, conflicts left behind", func(_, low *dirState) {
+			low.backups = slices.Delete(low.backups, 0, 1)
+		}, "conflict["},
+		{"spare drifted", func(_, low *dirState) { low.spare += 100 }, "cached spare"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.clause, func(t *testing.T) {
+			n, up, low := build(t)
+			tc.corrupt(up, low)
+			err := n.CheckInvariants()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("audit said %v, want a complaint containing %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -119,11 +119,16 @@ func (p Path) Clone() Path {
 // Bandwidth reservations are per direction; use this whenever querying the
 // resource ledger.
 func (p Path) DirLinks(g *topology.Graph) []topology.DirLinkID {
-	out := make([]topology.DirLinkID, len(p.Links))
+	return p.AppendDirLinks(make([]topology.DirLinkID, 0, len(p.Links)), g)
+}
+
+// AppendDirLinks appends DirLinks(g) to dst and returns it, for callers
+// that keep a buffer or a per-connection cache.
+func (p Path) AppendDirLinks(dst []topology.DirLinkID, g *topology.Graph) []topology.DirLinkID {
 	for i, l := range p.Links {
-		out[i] = g.DirID(l, p.Nodes[i])
+		dst = append(dst, g.DirID(l, p.Nodes[i]))
 	}
-	return out
+	return dst
 }
 
 // LinkFilter reports whether a physical link may be used by a search. A nil

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -216,7 +217,10 @@ func TestOverloadedShardSheds(t *testing.T) {
 // handlers read the report's connection (level, backup) after the shard's
 // loop has moved on to the next client's establish, whose squeeze rewrites
 // the levels of the connections it shares links with. Under -race this
-// fails on a report that still points at the live *channel.Conn.
+// fails on a report that still points at the live *channel.Conn — and, since
+// the coordinator's clients read every element of the report's slices here,
+// on a report whose slices are views over the manager's per-event scratch,
+// which the next establish overwrites.
 func TestConcurrentEstablishOneShard(t *testing.T) {
 	g := tierGraph(t, 7)
 	c := newCoordinator(t, g, shard.Options{Shards: 4, Manager: manager.Config{Capacity: 2000}})
@@ -254,8 +258,20 @@ func TestConcurrentEstablishOneShard(t *testing.T) {
 						t.Errorf("client %d: establish %d→%d: %v", k, a, b, err)
 						return
 					}
-					if conn := res.Report.Conn; res.AllocatedKbps != conn.Spec.Bandwidth(conn.Level) {
+					rep := res.Report
+					if conn := rep.Conn; res.AllocatedKbps != conn.Spec.Bandwidth(conn.Level) {
 						t.Errorf("client %d: told %v Kb/s at level %d", k, res.AllocatedKbps, conn.Level)
+					}
+					if !slices.IsSorted(rep.DirectlyChained) || !slices.IsSorted(rep.IndirectlyChained) {
+						t.Errorf("client %d: chained populations not in ID order: %v / %v", k, rep.DirectlyChained, rep.IndirectlyChained)
+					}
+					if last := rep.Changes[len(rep.Changes)-1]; last.ID != rep.Conn.ID || last.To != rep.Conn.Level {
+						t.Errorf("client %d: conn %d at level %d, report's last change is %+v", k, rep.Conn.ID, rep.Conn.Level, last)
+					}
+					for _, ch := range rep.Changes[:len(rep.Changes)-1] {
+						if ch.From == ch.To || ch.ID >= rep.Conn.ID {
+							t.Errorf("client %d: conn %d reports change %+v", k, rep.Conn.ID, ch)
+						}
 					}
 					continue
 				}

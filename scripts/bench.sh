@@ -3,7 +3,8 @@
 # as BENCH_<date>.json, or compare two such recordings.
 #
 #   scripts/bench.sh                  full run -> BENCH_$(date +%F).json
-#   scripts/bench.sh --quick          1-iteration smoke run (CI), report to stdout only
+#   scripts/bench.sh --quick          1-iteration smoke run (CI), report to stdout only;
+#                                     the manager benchmarks rerun at 200x
 #   scripts/bench.sh --force          overwrite an existing BENCH_<date>.json
 #   scripts/bench.sh --compare A B    diff two BENCH json files; exit 1 on
 #                                     any ns/op, B/op or allocs/op >10% worse
@@ -91,6 +92,16 @@ else
     # Quick mode still exercises the parser so CI catches format drift.
     go run ./cmd/benchjson < "$raw" > /dev/null
     echo "quick bench parsed ok"
+fi
+
+if [[ $quick -eq 1 ]]; then
+    # One iteration of the manager benchmarks is one establish into a
+    # 2 000-connection population nobody looked at: run enough events that
+    # the kernels' recycled scratch, the slot free list and a few link
+    # failures are actually exercised, so the benchmarks cannot rot.
+    echo "== manager churn + fail/repair benchmarks (level population)"
+    go test -run '^$' -bench 'BenchmarkManager' -benchmem \
+        -benchtime 200x -count 1 ./internal/manager/
 fi
 
 if [[ $quick -eq 1 && $probe -eq 1 ]]; then
