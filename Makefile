@@ -16,7 +16,9 @@ race:
 # Hot-path baselines for the admission service (internal/manager:
 # BenchmarkManagerChurn/standing=100|2000 — an establish plus a
 # terminate-oldest at a level population, est/term p50 reported beside
-# ns/op — and BenchmarkManagerFailRepair/standing=2000), the
+# ns/op — and BenchmarkManagerFailRepair/standing=2000; internal/routing:
+# BenchmarkBackupRoute, one backup search on a reused scratch, ending in the
+# disjoint BFS or in the Dijkstra fallback), the
 # command loop around it (an establish+terminate pair over 100 and over 2000
 # standing connections: what the loop adds must not grow with the population),
 # the same pair with every ack waiting on a warm standby (what replication
@@ -24,6 +26,7 @@ race:
 # and the paper-reproduction benchmarks at the repo root.
 bench:
 	go test -run xxx -bench 'BenchmarkManager' -benchmem ./internal/manager/
+	go test -run xxx -bench 'BenchmarkBackupRoute' -benchmem ./internal/routing/
 	go test -run xxx -bench 'BenchmarkServerEstablish' -benchmem ./internal/server/
 	go test -run xxx -bench 'BenchmarkReplicatedEstablish' -benchmem ./internal/replica/
 	go test -run xxx -bench 'BenchmarkP2' -benchmem ./internal/stats/

@@ -50,8 +50,13 @@ func TestAuditCanFail(t *testing.T) {
 			b := m.slots[s].conn.Backup
 			mustNil(t, m.net.ReleaseBackup(m.slots[s].conn.ID, routing.Path{Nodes: b.Nodes[:2], Links: b.Links[:1]}))
 		}, "backup not entered"},
+		{"backup entered under another slot", func(t *testing.T, m *Manager, s int32) {
+			c := m.slots[s].conn
+			mustNil(t, m.net.ReleaseBackup(c.ID, c.Backup))
+			mustNil(t, m.net.RestoreBackup(c.ID, s+1, c.Backup, c.Primary.Links, c.Spec.Min))
+		}, "backup entered on directed link"},
 		{"a backup nobody owns", func(t *testing.T, m *Manager, s int32) {
-			mustNil(t, m.net.ReserveBackup(9999, chord, upper.Links, 100))
+			mustNil(t, m.net.ReserveBackup(9999, 0, chord, upper.Links, 100))
 		}, "backup entries, alive backup routes have"},
 		{"ID index points elsewhere", func(t *testing.T, m *Manager, s int32) {
 			m.conns[m.slots[s].conn.ID] = s + 1

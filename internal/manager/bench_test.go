@@ -153,7 +153,7 @@ func BenchmarkManagerFailRepair(b *testing.B) {
 
 // TestEstablishAllocsBounded keeps the per-event maps from creeping back: at
 // 2 000 standing connections the map-based kernels allocated 1 955 times per
-// establish, the slice-based ones about 50 (route discovery, the connection
+// establish, the slice-based ones about 30 (route discovery, the connection
 // and the report's three slices). The bound covers an establish and the
 // terminate that keeps the population level. Race instrumentation adds
 // allocations of its own; scripts/check.sh runs this test without -race.
@@ -170,5 +170,30 @@ func TestEstablishAllocsBounded(t *testing.T) {
 	t.Logf("%.0f allocations per establish + terminate at %d standing", perPair, c.m.AliveCount())
 	if perPair > 300 {
 		t.Errorf("%.0f allocations per establish + terminate, bound is 300", perPair)
+	}
+}
+
+// TestFailLinkAllocsBounded is the same gate for failures: a link failure
+// and its repair at 2 000 standing connections allocated about 3 680 times
+// while every backup search built fresh arrays, an onPrimary map and a boxed
+// heap item per push; on the manager's RouteScratch a search allocates the
+// route it returns and nothing else. The bound is 400.
+func TestFailLinkAllocsBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 2 000-connection population")
+	}
+	c := newChurn(t, 2000)
+	perPair := testing.AllocsPerRun(100, func() {
+		l := topology.LinkID(c.src.Intn(c.m.Graph().NumLinks()))
+		if _, err := c.m.FailLink(l); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.m.RepairLink(l); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations per fail + repair at %d standing", perPair, c.m.AliveCount())
+	if perPair > 400 {
+		t.Errorf("%.0f allocations per fail + repair, bound is 400", perPair)
 	}
 }

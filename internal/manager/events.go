@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"drqos/internal/channel"
-	"drqos/internal/routing"
 	"drqos/internal/topology"
 )
 
@@ -41,13 +40,14 @@ func (m *Manager) Terminate(id channel.ConnID) (rep *TerminationReport, err erro
 		return nil, wrapViolation(err, "close conn %d", id)
 	}
 
-	if err := m.redistribute(m.work.chained); err != nil {
+	if err := m.redistribute(m.work.chained, nil); err != nil {
 		return nil, err
 	}
-	return &TerminationReport{
-		Affected: m.idsOf(m.work.chained),
-		Changes:  m.levelChanges(0),
-	}, nil
+	_, affected, changes, err := m.chainReport(true, 0)
+	if err != nil {
+		return nil, err
+	}
+	return &TerminationReport{Affected: affected, Changes: changes}, nil
 }
 
 // FailLink injects a failure of link l (§3.1): every DR-connection whose
@@ -79,8 +79,8 @@ func (m *Manager) FailLink(l topology.LinkID) (rep *FailureReport, err error) {
 			w.victims = append(w.victims, r.Slot)
 		}
 		for _, b := range m.net.BackupsOn(d) {
-			if s := m.conns[b.ID]; !m.slots[s].conn.UsesLink(l) {
-				w.lost = append(w.lost, s)
+			if !m.slots[b.Slot].conn.UsesLink(l) {
+				w.lost = append(w.lost, b.Slot)
 			}
 		}
 	}
@@ -106,15 +106,17 @@ func (m *Manager) FailLink(l topology.LinkID) (rep *FailureReport, err error) {
 	// links (squeezed, then possibly re-grown) and channels sharing links
 	// with the victims' released primaries (they grow afterwards). Victims
 	// themselves transition out of the chain.
+	//
+	// The squeeze goes to the ledger, not only to the plan: ActivateBackup
+	// tests each victim's minimum against the grants as they stand.
 	m.chain(w.links)
-	w.squeezed = len(w.chained)
+	m.markSqueezed()
 	for _, s := range w.victims {
 		m.chain(m.slots[s].dirs)
 	}
 	if err := m.squeezeChained(); err != nil {
 		return nil, err
 	}
-	report.Squeezed = m.idsOf(w.chained[:w.squeezed])
 
 	// Fail the victims over (or drop them). Capacity moves on every link a
 	// victim leaves or lands on.
@@ -190,7 +192,7 @@ func (m *Manager) FailLink(l topology.LinkID) (rep *FailureReport, err error) {
 		}
 		m.unprotected++
 		report.BackupsLost = append(report.BackupsLost, c.ID)
-		if _, err := m.tryReprotect(c); err != nil {
+		if _, err := m.tryReprotect(s); err != nil {
 			return nil, err
 		}
 	}
@@ -198,7 +200,7 @@ func (m *Manager) FailLink(l topology.LinkID) (rep *FailureReport, err error) {
 	// Freshly failed-over connections run unprotected; try to establish a
 	// replacement backup for them.
 	for _, id := range report.Activated {
-		if _, err := m.tryReprotect(m.Conn(id)); err != nil {
+		if _, err := m.tryReprotect(m.conns[id]); err != nil {
 			return nil, err
 		}
 	}
@@ -215,11 +217,13 @@ func (m *Manager) FailLink(l topology.LinkID) (rep *FailureReport, err error) {
 			}
 		}
 	}
-	if err := m.redistribute(w.cands); err != nil {
+	if err := m.redistribute(w.cands, nil); err != nil {
 		return nil, err
 	}
 
-	report.Changes = m.levelChanges(0)
+	if report.Squeezed, _, report.Changes, err = m.chainReport(false, 0); err != nil {
+		return nil, err
+	}
 	return report, nil
 }
 
@@ -248,11 +252,10 @@ func (m *Manager) RepairLink(l topology.LinkID) (restored int, err error) {
 	}
 	m.net.SetFailed(l, false)
 	for _, s := range m.alive {
-		c := m.slots[s].conn
-		if c.HasBackup {
+		if m.slots[s].conn.HasBackup {
 			continue
 		}
-		ok, err := m.tryReprotect(c)
+		ok, err := m.tryReprotect(s)
 		if err != nil {
 			return restored, err
 		}
@@ -300,19 +303,19 @@ func (m *Manager) tryReestablish(s int32) (bool, error) {
 	return true, nil
 }
 
-// tryReprotect attempts to establish a backup for an unprotected
-// connection. Best-effort: the bool reports success; the error reports
-// corruption.
-func (m *Manager) tryReprotect(c *channel.Conn) (bool, error) {
+// tryReprotect attempts to establish a backup for the unprotected
+// connection in slot s. Best-effort: the bool reports success; the error
+// reports corruption.
+func (m *Manager) tryReprotect(s int32) (bool, error) {
+	c := m.slots[s].conn
 	if c.HasBackup || !c.Alive() || m.cfg.ReactiveRecovery {
 		return false, nil
 	}
-	filter := func(l topology.LinkID) bool { return !m.net.Failed(l) }
-	p, shared, err := routing.BackupRoute(m.g, c.Primary, filter)
+	p, shared, err := m.route.BackupRoute(m.g, c.Primary, m.linkUp)
 	if err != nil {
 		return false, nil
 	}
-	if err := m.net.ReserveBackup(c.ID, p, c.Primary.Links, c.Spec.Min); err != nil {
+	if err := m.net.ReserveBackup(c.ID, s, p, c.Primary.Links, c.Spec.Min); err != nil {
 		return false, nil
 	}
 	if err := c.AttachBackup(p, shared); err != nil {

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"drqos/internal/channel"
 	"drqos/internal/network"
@@ -163,6 +162,7 @@ type Manager struct {
 	// single-threaded (the server wraps it in an actor loop), so one set of
 	// buffers per Manager suffices.
 	flood routing.FloodScratch
+	route routing.RouteScratch
 	work  workBuffers
 }
 
@@ -190,6 +190,9 @@ func New(g *topology.Graph, cfg Config) (*Manager, error) {
 		work:   newWorkBuffers(g.NumDirLinks()),
 	}, nil
 }
+
+// linkUp is the backup searches' link filter: the link is not failed.
+func (m *Manager) linkUp(l topology.LinkID) bool { return !m.net.Failed(l) }
 
 // trackAdd registers the newly alive connection in slot s in the ID index
 // and the aggregates. IDs are assigned in increasing order, so appending
@@ -339,12 +342,23 @@ func (m *Manager) Establish(src, dst topology.NodeID, spec qos.ElasticSpec) (rep
 	return m.admit(channel.New(m.nextID, src, dst, spec, cands[0].Path), cands, true)
 }
 
-// admit is the arrival kernel behind Establish and EstablishFixed: chain →
-// snapshot → squeeze → reserve → (backup) → track → redistribute → report,
-// for a connection already validated and routed. wantBackup selects the
-// protected class: a backup is sought among cands (unless the manager runs
-// reactive recovery) and Config.RequireBackup is enforced; a fixed
-// connection asks for neither.
+// admit is the arrival kernel behind Establish and EstablishFixed, for a
+// connection already validated and routed: chain → plan → commit decreases →
+// reserve → (backup) → track → commit increases → report. wantBackup
+// selects the protected class: a backup is sought among cands (unless the
+// manager runs reactive recovery) and Config.RequireBackup is enforced; a
+// fixed connection asks for neither.
+//
+// The §3.2 squeeze ("all the existing primary channels that share at least
+// one link with the new channel should release their extra resources") and
+// the water-filling after it happen on scratch, with the arrival planned at
+// its minimum; the ledger sees only each connection's net change. That is
+// the same outcome as squeezing in the ledger first: on a route link every
+// primary is directly chained, so once the decreases are in, the link's
+// grants are at most the plan's — which left room for the arrival's minimum
+// wherever the admission test passes — and ReservePrimary decides exactly as
+// it would after a full squeeze; backup admission reads minima and spare,
+// never grants; and the filling reads only grants.
 func (m *Manager) admit(conn *channel.Conn, cands []routing.Candidate, wantBackup bool) (*ArrivalReport, error) {
 	w := &m.work
 	id, primary, spec := conn.ID, conn.Primary, conn.Spec
@@ -352,18 +366,24 @@ func (m *Manager) admit(conn *channel.Conn, cands []routing.Candidate, wantBacku
 	w.route = primary.AppendDirLinks(w.route[:0], m.g)
 
 	// Identify the chained populations and snapshot their levels BEFORE
-	// mutating anything, then squeeze every directly chained channel to its
-	// minimum (§3.2: "all the existing primary channels that share at least
-	// one link with the new channel should release their extra resources").
+	// mutating anything; the candidates of the filling are those plus the
+	// arrival.
 	m.chainArrival()
-	if err := m.squeezeChained(); err != nil {
+	slot := m.allocSlot(conn)
+	w.cands = append(append(w.cands, w.chained...), slot)
+	m.plan(w.cands)
+	m.squeezeInPlan(w.chained[:w.squeezed])
+	for _, d := range w.route {
+		*m.room(d) -= spec.Min
+	}
+	m.fill(w.cands)
+
+	if err := m.commit(w.cands, false); err != nil {
 		return nil, err
 	}
-
-	slot := m.allocSlot(conn)
 	if err := m.net.ReservePrimary(id, slot, primary, spec.Min); err != nil {
-		// Squeezing freed every elastic byte; a capacity error now means
-		// the route genuinely cannot host the minimum.
+		// The plan squeezed every elastic byte off the route; a capacity
+		// error means the route genuinely cannot host the minimum.
 		return nil, m.refuse(slot, fmt.Errorf("%w: %v", ErrRejected, err))
 	}
 
@@ -379,7 +399,7 @@ func (m *Manager) admit(conn *channel.Conn, cands []routing.Candidate, wantBacku
 			backup, shared, berr = m.findBackup(conn, cands)
 		}
 		if berr == nil {
-			if err := m.net.ReserveBackup(id, backup, primary.Links, spec.Min); err == nil {
+			if err := m.net.ReserveBackup(id, slot, backup, primary.Links, spec.Min); err == nil {
 				if err := conn.AttachBackup(backup, shared); err != nil {
 					return nil, wrapViolation(err, "attach backup for conn %d", id)
 				}
@@ -399,25 +419,22 @@ func (m *Manager) admit(conn *channel.Conn, cands []routing.Candidate, wantBacku
 	if err := m.trackAdd(slot); err != nil {
 		return nil, err
 	}
-
-	// Redistribute the released extras plus whatever headroom remains:
-	// the links whose capacity moved are the new route and the routes of
-	// the squeezed channels, and the primaries on those are the chained
-	// population plus the new connection.
-	w.cands = append(append(w.cands, w.chained...), slot)
-	if err := m.redistribute(w.cands); err != nil {
+	if err := m.commit(w.cands, true); err != nil {
 		return nil, err
 	}
 
-	direct, indirect := w.chained[:w.squeezed], w.chained[w.squeezed:]
-	// The new connection's own growth from its minimum is part of the
-	// event (it is not in the snapshot because it did not exist yet).
-	changes := append(m.levelChanges(1), LevelChange{ID: id, From: 0, To: conn.Level})
+	direct, indirect, changes, err := m.chainReport(true, 1)
+	if err != nil {
+		return nil, err
+	}
+	// The new connection's own growth from its minimum is part of the event
+	// (it is not in the snapshot because it did not exist yet); its ID is
+	// the largest, so it comes last.
 	return &ArrivalReport{
 		Conn:              conn,
-		DirectlyChained:   m.idsOf(direct),
-		IndirectlyChained: m.idsOf(indirect),
-		Changes:           changes,
+		DirectlyChained:   direct,
+		IndirectlyChained: indirect,
+		Changes:           append(changes, LevelChange{ID: id, From: 0, To: conn.Level}),
 	}, nil
 }
 
@@ -477,40 +494,50 @@ func (m *Manager) discoverRoutes(src, dst topology.NodeID, spec qos.ElasticSpec)
 	}
 }
 
+// backupOption is one flooding candidate findBackup may use as a backup.
+type backupOption struct {
+	path   routing.Path
+	shared int // links in common with the primary
+}
+
+// before reports whether o is tried before p: fewer shared links, then
+// fewer hops.
+func (o backupOption) before(p backupOption) bool {
+	if o.shared != p.shared {
+		return o.shared < p.shared
+	}
+	return o.path.Hops() < p.path.Hops()
+}
+
 // findBackup picks a backup route for conn: the most link-disjoint flooding
 // candidate that passes multiplexed admission, else a dedicated search.
 func (m *Manager) findBackup(conn *channel.Conn, cands []routing.Candidate) (routing.Path, int, error) {
 	primary := conn.Primary
-	// Try flooding candidates in most-disjoint-first order.
-	type scored struct {
-		path   routing.Path
-		shared int
-	}
-	var options []scored
+	// Try flooding candidates by (shared links, hops), ties in discovery
+	// order: each is inserted after every option it does not beat.
+	w := &m.work
+	w.options = w.options[:0]
 	for _, c := range cands {
 		if c.Path.Equal(primary) {
 			continue
 		}
-		shared := c.Path.SharedLinks(primary)
-		if shared == len(primary.Links) {
+		o := backupOption{path: c.Path, shared: c.Path.SharedLinks(primary)}
+		if o.shared == len(primary.Links) {
 			continue // covers the whole primary: zero protection value
 		}
-		options = append(options, scored{path: c.Path, shared: shared})
-	}
-	sort.SliceStable(options, func(i, j int) bool {
-		if options[i].shared != options[j].shared {
-			return options[i].shared < options[j].shared
+		at := len(w.options)
+		for at > 0 && o.before(w.options[at-1]) {
+			at--
 		}
-		return options[i].path.Hops() < options[j].path.Hops()
-	})
-	for _, o := range options {
+		w.options = slices.Insert(w.options, at, o)
+	}
+	for _, o := range w.options {
 		if m.net.CanAdmitBackup(o.path, primary.Links, conn.Spec.Min) {
 			return o.path, o.shared, nil
 		}
 	}
 	// Dedicated disjoint search over links that could host the backup.
-	filter := func(l topology.LinkID) bool { return !m.net.Failed(l) }
-	p, shared, err := routing.BackupRoute(m.g, primary, filter)
+	p, shared, err := m.route.BackupRoute(m.g, primary, m.linkUp)
 	if err != nil {
 		return routing.Path{}, 0, err
 	}
@@ -522,11 +549,14 @@ func (m *Manager) findBackup(conn *channel.Conn, cands []routing.Candidate) (rou
 
 // refuse turns away an arrival that holds no reservation any more: its slot
 // is freed and the squeeze undone — with the arrival gone, the chained
-// population is exactly what holds a link whose capacity moved. It returns
-// rejection, or the violation that re-growing ran into.
+// population is exactly what holds a link whose capacity moved, and it is
+// re-planned from its squeezed state as if the arrival had never been
+// planned in. It returns rejection, or the violation that re-growing ran
+// into.
 func (m *Manager) refuse(s int32, rejection error) error {
 	m.freeSlot(s)
-	if err := m.redistribute(m.work.chained); err != nil {
+	w := &m.work
+	if err := m.redistribute(w.chained, w.chained[:w.squeezed]); err != nil {
 		return err
 	}
 	m.rejects++
@@ -610,8 +640,13 @@ func (m *Manager) CheckInvariants() (err error) {
 		primaryHops += len(sl.dirs)
 		if c.HasBackup {
 			for _, d := range c.Backup.DirLinks(m.g) {
-				if !slices.ContainsFunc(m.net.BackupsOn(d), func(b network.Backup) bool { return b.ID == id }) {
+				list := m.net.BackupsOn(d)
+				at := slices.IndexFunc(list, func(b network.Backup) bool { return b.ID == id })
+				if at < 0 {
 					return violationf("conn %d backup not entered on directed link %d of its route", id, d)
+				}
+				if list[at].Slot != s {
+					return violationf("conn %d backup entered on directed link %d under slot %d, sits in %d", id, d, list[at].Slot, s)
 				}
 			}
 			backupHops += c.Backup.Hops()

@@ -34,21 +34,27 @@ var parentRows = []parentRow{
 	{"pop2000", 2000, 1500, manager.Config{Capacity: core.PaperCapacity}},
 	{"pop2000/backup", 2000, 1500, manager.Config{Capacity: core.PaperCapacity, RequireBackup: true}},
 	{"pop2000/nomux", 2000, 1500, manager.Config{Capacity: core.PaperCapacity, RequireBackup: true, DisableBackupMultiplexing: true}},
+	{"pop2000/maxutil", 2000, 1500, manager.Config{Capacity: core.PaperCapacity, Policy: qos.MaxUtilityPolicy{}}},
+	{"pop2000/reactive", 2000, 1500, manager.Config{Capacity: core.PaperCapacity, ReactiveRecovery: true}},
 }
 
-// parentHashes[row][seed-1] is the digest adaptationDigest produced at the
-// parent commit (b013e71, the map-based ledger and event kernels): this
-// file, unchanged, was run there and the values pasted here. Every report
-// field of every event enters the digest in order, then the final
-// State.Fingerprint(), so equality means the slice-based kernels took the
-// same admission decision, moved the same channels to the same levels and
-// reported them in the same order, event for event.
+// parentHashes[row][seed-1] is the digest adaptationDigest produced at a
+// parent commit: this file, unchanged, was run there and the values pasted
+// here. The first five rows were recorded at b013e71 (the map-based ledger
+// and event kernels), the maxutil and reactive rows at cebb0d4 (the ledger
+// squeezed before the filling, a policy comparator per heap comparison,
+// sorted reports). Every report field of every event enters the digest in
+// order, then the final State.Fingerprint(), so equality means the kernels
+// took the same admission decision, moved the same channels to the same
+// levels and reported them in the same order, event for event.
 var parentHashes = map[string][5]string{
-	"pop100":         {"d3dbea0947ef7ebe", "5a8f0757cab852e9", "ba28076fe578dcd7", "c268e09e6f1830a4", "f5b07d0d2b41e765"},
-	"pop100/backup":  {"4665b7b06e956145", "6dcf66b6222f1c7c", "6ac4fb45aa450d5f", "012d9c0a0b2cab1e", "e7dd294b087a43f7"},
-	"pop2000":        {"3b2912dbb39be222", "4080702765b724f0", "9ba79b81b4ec853e", "4a61f4ddf8f8ce8d", "ba2e3f5951d9d889"},
-	"pop2000/backup": {"2fd12c41fd27fba7", "5ae06b295638e2b0", "68d8e5c2d1462405", "2215bd11219a190d", "e0946eedac9397c7"},
-	"pop2000/nomux":  {"2cb3cebb5a1dd32e", "f2ef96f4d05f3cbe", "0d0b430b033bb677", "82676daac32e88f5", "bd1d01e2e0c46102"},
+	"pop100":           {"d3dbea0947ef7ebe", "5a8f0757cab852e9", "ba28076fe578dcd7", "c268e09e6f1830a4", "f5b07d0d2b41e765"},
+	"pop100/backup":    {"4665b7b06e956145", "6dcf66b6222f1c7c", "6ac4fb45aa450d5f", "012d9c0a0b2cab1e", "e7dd294b087a43f7"},
+	"pop2000":          {"3b2912dbb39be222", "4080702765b724f0", "9ba79b81b4ec853e", "4a61f4ddf8f8ce8d", "ba2e3f5951d9d889"},
+	"pop2000/backup":   {"2fd12c41fd27fba7", "5ae06b295638e2b0", "68d8e5c2d1462405", "2215bd11219a190d", "e0946eedac9397c7"},
+	"pop2000/nomux":    {"2cb3cebb5a1dd32e", "f2ef96f4d05f3cbe", "0d0b430b033bb677", "82676daac32e88f5", "bd1d01e2e0c46102"},
+	"pop2000/maxutil":  {"cf6ce54be9743665", "9ea79616f7c5edd2", "46e733595913cf08", "e38d87530a1f0196", "bb6382404d7d4748"},
+	"pop2000/reactive": {"8d4f19b496eb78c3", "08c5db4e66270dee", "fbfedeaf565ffd73", "5f404068019cd26e", "9363813f3137085c"},
 }
 
 // parentSpecs mixes ranges, increments and utilities so both policy keys

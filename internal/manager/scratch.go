@@ -21,9 +21,11 @@ type connSlot struct {
 	dirs []topology.DirLinkID
 	// before is conn.Level when the running event snapshotted the slot.
 	before int
-	// level and ceiling are redistribute's scratch: the level the filling
-	// has brought the connection to, not yet in the ledger, and its top.
+	// level, ceiling and inc are the filling's scratch: the level it has
+	// brought the connection to, not yet in the ledger, its top, and the
+	// bandwidth of one step.
 	level, ceiling int
+	inc            qos.Kbps
 }
 
 // marks is a per-event bit set over a dense index space (connection slots,
@@ -45,6 +47,12 @@ func (k *marks) next() {
 	}
 }
 
+// has reports whether bit is raised on cell i.
+func (k *marks) has(i int, bit uint32) bool {
+	c := k.cell[i]
+	return c&^markBits == k.epoch && c&bit != 0
+}
+
 // set raises bit on cell i and reports whether it was down.
 func (k *marks) set(i int, bit uint32) bool {
 	c := k.cell[i]
@@ -61,8 +69,13 @@ func (k *marks) set(i int, bit uint32) bool {
 // Slot marks.
 const (
 	// collected: the event has placed the slot in one of its lists —
-	// chained, or the victims of a failure (which are never chained).
+	// chained, or the terminating connection or a failure's victims (which
+	// are never chained).
 	collected uint32 = 1 << iota
+	// inChain: in chained; chainReport keys on it.
+	inChain
+	// inSqueezed: in chained[:squeezed].
+	inSqueezed
 	// isCandidate: collected for a failure's redistribution.
 	isCandidate
 )
@@ -88,10 +101,10 @@ type workBuffers struct {
 
 	// chained is the population the event can move, in discovery order:
 	// chained[:squeezed] retreats to its minimum (an arrival's directly
-	// chained channels, a failure's channels on the activation links), the
-	// rest only grows (indirectly chained, sharers of a released route).
-	// It is computed once and serves the snapshot, the squeeze, the
-	// redistribution candidates and the report.
+	// chained channels, in the plan only; a failure's channels on the
+	// activation links, in the ledger), the rest only grows (indirectly
+	// chained, sharers of a released route). It is computed once and serves
+	// the snapshot, the squeeze, the filling's candidates and the report.
 	chained  []int32
 	squeezed int
 
@@ -100,12 +113,13 @@ type workBuffers struct {
 	region  []topology.DirLinkID // FailLink: where capacity changed
 	victims []int32              // FailLink: slots whose primary crosses the link
 	lost    []int32              // FailLink: slots whose backup alone crosses it
-	cands   []int32              // FailLink: redistribution candidates
+	cands   []int32              // redistribution candidates
 	changes []LevelChange
 	heap    []growItem
+	options []backupOption // findBackup: candidate backups, best first
 
-	// redistribute's view of the links: room[d] is d's growth headroom where
-	// roomRead (which has its own epoch, one per filling) says it was read.
+	// The plan's view of the links: room[d] is d's growth headroom where
+	// roomRead (which has its own epoch, one per plan) says it was read.
 	room     []qos.Kbps
 	roomRead marks
 }
@@ -173,10 +187,20 @@ func (m *Manager) chain(dirs []topology.DirLinkID) {
 			if !w.slotMarks.set(int(r.Slot), collected) {
 				continue
 			}
+			w.slotMarks.set(int(r.Slot), inChain)
 			w.chained = append(w.chained, r.Slot)
 			sl := &m.slots[r.Slot]
 			sl.before = sl.conn.Level
 		}
+	}
+}
+
+// markSqueezed ends the squeezed prefix of chained at its current length.
+func (m *Manager) markSqueezed() {
+	w := &m.work
+	w.squeezed = len(w.chained)
+	for _, s := range w.chained {
+		w.slotMarks.set(int(s), inSqueezed)
 	}
 }
 
@@ -191,7 +215,7 @@ func (m *Manager) chainArrival() {
 		w.linkMarks.set(int(d), linkListed)
 	}
 	m.chain(w.route)
-	w.squeezed = len(w.chained)
+	m.markSqueezed()
 	// Directed links of directly chained channels that are off the route.
 	for _, s := range w.chained {
 		for _, d := range m.slots[s].dirs {
@@ -203,7 +227,7 @@ func (m *Manager) chainArrival() {
 	m.chain(w.links)
 }
 
-// squeezeChained retreats chained[:squeezed] to their minima.
+// squeezeChained retreats chained[:squeezed] to their minima in the ledger.
 func (m *Manager) squeezeChained() error {
 	for _, s := range m.work.chained[:m.work.squeezed] {
 		if err := m.squeezeToMin(s); err != nil {
@@ -213,34 +237,47 @@ func (m *Manager) squeezeChained() error {
 	return nil
 }
 
-// idsOf returns the IDs of the given slots in ascending order, in a slice
-// of exactly that size which the caller owns.
-func (m *Manager) idsOf(slots []int32) []channel.ConnID {
-	out := make([]channel.ConnID, len(slots))
-	for i, s := range slots {
-		out[i] = m.slots[s].conn.ID
-	}
-	slices.Sort(out)
-	return out
-}
-
-// levelChanges diffs the chained population against its snapshot, by
-// ascending ID. The result is the caller's own, sized for extra more
-// entries (an arrival appends the new connection's); nil when empty.
-func (m *Manager) levelChanges(extra int) []LevelChange {
+// chainReport reads the event's report off the chained population in
+// ascending ID order. It returns the IDs of chained[:squeezed] and, when
+// rest is asked for, of chained[squeezed:], each exact-size and owned by the
+// caller; and the chained population's level changes against its snapshot,
+// sized for extra more entries (an arrival appends its own) and nil when
+// empty.
+//
+// The order comes from walking the alive list, which is ID-sorted, against
+// the slot marks: every chained connection is alive, because an event only
+// removes connections it never chains. Nothing is sorted.
+func (m *Manager) chainReport(rest bool, extra int) (squeezed, others []channel.ConnID, changes []LevelChange, err error) {
 	w := &m.work
+	squeezed = make([]channel.ConnID, 0, w.squeezed)
+	if rest {
+		others = make([]channel.ConnID, 0, len(w.chained)-w.squeezed)
+	}
 	w.changes = w.changes[:0]
-	for _, s := range w.chained {
+	found := 0
+	for _, s := range m.alive {
+		if !w.slotMarks.has(int(s), inChain) {
+			continue
+		}
+		found++
 		sl := &m.slots[s]
+		switch {
+		case w.slotMarks.has(int(s), inSqueezed):
+			squeezed = append(squeezed, sl.conn.ID)
+		case rest:
+			others = append(others, sl.conn.ID)
+		}
 		if sl.before != sl.conn.Level {
 			w.changes = append(w.changes, LevelChange{ID: sl.conn.ID, From: sl.before, To: sl.conn.Level})
 		}
 	}
-	if len(w.changes)+extra == 0 {
-		return nil
+	if found != len(w.chained) {
+		return nil, nil, nil, violationf("%d of %d chained connections on the alive list", found, len(w.chained))
 	}
-	slices.SortFunc(w.changes, func(a, b LevelChange) int { return cmp.Compare(a.ID, b.ID) })
-	return append(make([]LevelChange, 0, len(w.changes)+extra), w.changes...)
+	if len(w.changes)+extra > 0 {
+		changes = append(make([]LevelChange, 0, len(w.changes)+extra), w.changes...)
+	}
+	return squeezed, others, changes, nil
 }
 
 // sortByID orders slots by their connections' IDs.

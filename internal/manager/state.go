@@ -158,7 +158,7 @@ func Restore(g *topology.Graph, cfg Config, st *State) (*Manager, error) {
 			if err := backup.Validate(g); err != nil {
 				return nil, fmt.Errorf("manager: restore: conn %d backup: %w", cs.ID, err)
 			}
-			if err := m.net.RestoreBackup(id, backup, primary.Links, cs.Spec.Min); err != nil {
+			if err := m.net.RestoreBackup(id, slot, backup, primary.Links, cs.Spec.Min); err != nil {
 				return nil, fmt.Errorf("manager: restore: conn %d backup registration: %w", cs.ID, err)
 			}
 			if err := conn.AttachBackup(backup, int(cs.SharedWithPrimary)); err != nil {

@@ -52,7 +52,7 @@ func TestDebugSeed(t *testing.T) {
 			}
 			c := &live{route: p, grant: 100}
 			if bk, _, err := routing.BackupRoute(g, p, nil); err == nil {
-				if n.ReserveBackup(nextID, bk, p.Links, 100) == nil {
+				if n.ReserveBackup(nextID, 0, bk, p.Links, 100) == nil {
 					c.backup, c.hasB = bk, true
 				}
 			}

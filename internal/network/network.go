@@ -62,6 +62,9 @@ type Backup struct {
 	ID           channel.ConnID
 	Min          qos.Kbps
 	PrimaryLinks []topology.LinkID
+	// Slot is the registering caller's handle for ID, stored verbatim as
+	// Reservation.Slot is.
+	Slot int32
 }
 
 // dirState is the resource ledger of one directed link. The two lists are
@@ -374,15 +377,16 @@ func (n *Network) CanAdmitBackup(backupRoute routing.Path, primaryLinks []topolo
 }
 
 // ReserveBackup registers a backup channel on every directed link of
-// backupRoute. Atomic: on error nothing is registered.
-func (n *Network) ReserveBackup(id channel.ConnID, backupRoute routing.Path, primaryLinks []topology.LinkID, min qos.Kbps) error {
+// backupRoute, recording slot with every entry. Atomic: on error nothing is
+// registered.
+func (n *Network) ReserveBackup(id channel.ConnID, slot int32, backupRoute routing.Path, primaryLinks []topology.LinkID, min qos.Kbps) error {
 	if err := n.checkBackup(id, backupRoute, primaryLinks, min); err != nil {
 		return err
 	}
 	if !n.CanAdmitBackup(backupRoute, primaryLinks, min) {
 		return fmt.Errorf("%w: backup of conn %d", ErrCapacity, id)
 	}
-	n.addBackup(id, backupRoute, primaryLinks, min)
+	n.addBackup(id, slot, backupRoute, primaryLinks, min)
 	return nil
 }
 
@@ -392,11 +396,11 @@ func (n *Network) ReserveBackup(id channel.ConnID, backupRoute routing.Path, pri
 // run but the minima+spare bound may legitimately not hold any more (the
 // post-failover dependability deficit — see DependabilityDeficit). The
 // rebuilt ledger is still validated wholesale by CheckInvariants.
-func (n *Network) RestoreBackup(id channel.ConnID, backupRoute routing.Path, primaryLinks []topology.LinkID, min qos.Kbps) error {
+func (n *Network) RestoreBackup(id channel.ConnID, slot int32, backupRoute routing.Path, primaryLinks []topology.LinkID, min qos.Kbps) error {
 	if err := n.checkBackup(id, backupRoute, primaryLinks, min); err != nil {
 		return err
 	}
-	n.addBackup(id, backupRoute, primaryLinks, min)
+	n.addBackup(id, slot, backupRoute, primaryLinks, min)
 	return nil
 }
 
@@ -420,8 +424,8 @@ func (n *Network) checkBackup(id channel.ConnID, backupRoute routing.Path, prima
 
 // addBackup enters a checked registration on every directed link of
 // backupRoute. The spare only ever grows here, by the new conflicts.
-func (n *Network) addBackup(id channel.ConnID, backupRoute routing.Path, primaryLinks []topology.LinkID, min qos.Kbps) {
-	reg := Backup{ID: id, Min: min, PrimaryLinks: slices.Clone(primaryLinks)}
+func (n *Network) addBackup(id channel.ConnID, slot int32, backupRoute routing.Path, primaryLinks []topology.LinkID, min qos.Kbps) {
+	reg := Backup{ID: id, Min: min, PrimaryLinks: slices.Clone(primaryLinks), Slot: slot}
 	for i := range backupRoute.Links {
 		_, ds := n.dir(backupRoute, i)
 		at, _ := ds.backup(id)

@@ -209,18 +209,18 @@ func TestBackupMultiplexingSharesSpare(t *testing.T) {
 	// multiplexing on ONE link we need two backups on the same link whose
 	// primaries are disjoint — conn 3 primary upper (disjoint from lower).
 	mustOK(t, n.ReservePrimary(1, 0, upper, 100))
-	mustOK(t, n.ReserveBackup(1, lower, upper.Links, 100))
+	mustOK(t, n.ReserveBackup(1, 0, lower, upper.Links, 100))
 	checkInv(t, n)
 
 	mustOK(t, n.ReservePrimary(2, 0, lower, 100))
-	mustOK(t, n.ReserveBackup(2, upper, lower.Links, 100))
+	mustOK(t, n.ReserveBackup(2, 0, upper, lower.Links, 100))
 	checkInv(t, n)
 
 	// Backup of conn 3 (primary on upper) multiplexes with backup of conn
 	// 1 (also primary on upper): they activate together on a shared-upper
 	// failure, so spare on lower links must be 200 for upper failures.
 	mustOK(t, n.ReservePrimary(3, 0, upper, 100))
-	mustOK(t, n.ReserveBackup(3, lower, upper.Links, 100))
+	mustOK(t, n.ReserveBackup(3, 0, lower, upper.Links, 100))
 	checkInv(t, n)
 	for _, l := range lower.Links {
 		if got := n.Spare(fwd(l)); got != 200 {
@@ -251,8 +251,8 @@ func TestBackupMultiplexingDisjointPrimariesShare(t *testing.T) {
 	b2 := routing.Path{Nodes: []topology.NodeID{2, 1, 3}, Links: []topology.LinkID{lS, l1}}
 	mustOK(t, n.ReservePrimary(1, 0, p1, 100))
 	mustOK(t, n.ReservePrimary(2, 0, p2, 100))
-	mustOK(t, n.ReserveBackup(1, b1, p1.Links, 100))
-	mustOK(t, n.ReserveBackup(2, b2, p2.Links, 100))
+	mustOK(t, n.ReserveBackup(1, 0, b1, p1.Links, 100))
+	mustOK(t, n.ReserveBackup(2, 0, b2, p2.Links, 100))
 	checkInv(t, n)
 	if got := n.Spare(n.Graph().DirID(lS, 2)); got != 100 {
 		t.Fatalf("spare on shared backup link = %v, want 100 (multiplexed)", got)
@@ -277,7 +277,7 @@ func TestBackupAdmissionBlocksConflictOverflow(t *testing.T) {
 	backup := routing.Path{Nodes: []topology.NodeID{0, 2, 1}, Links: []topology.LinkID{lQ, lS}}
 	mustOK(t, n.ReservePrimary(1, 0, primary, 100))
 	mustOK(t, n.ReservePrimary(2, 0, primary, 100))
-	mustOK(t, n.ReserveBackup(1, backup, primary.Links, 100))
+	mustOK(t, n.ReserveBackup(1, 0, backup, primary.Links, 100))
 	checkInv(t, n)
 	// Backup 2 conflicts with backup 1 (same primary link lP): spare would
 	// need to be 200 on lQ/lS, but capacity 250 minus... minSum on lQ is 0,
@@ -289,7 +289,7 @@ func TestBackupAdmissionBlocksConflictOverflow(t *testing.T) {
 	if n.CanAdmitBackup(backup, primary.Links, 100) {
 		t.Fatal("conflicting backup admitted beyond capacity")
 	}
-	if err := n.ReserveBackup(2, backup, primary.Links, 100); !errors.Is(err, ErrCapacity) {
+	if err := n.ReserveBackup(2, 0, backup, primary.Links, 100); !errors.Is(err, ErrCapacity) {
 		t.Fatalf("err = %v", err)
 	}
 	checkInv(t, n)
@@ -298,14 +298,14 @@ func TestBackupAdmissionBlocksConflictOverflow(t *testing.T) {
 func TestReserveBackupValidation(t *testing.T) {
 	n, upper, lower := testNet(t, 1000)
 	mustOK(t, n.ReservePrimary(1, 0, upper, 100))
-	if err := n.ReserveBackup(1, lower, upper.Links, 0); err == nil {
+	if err := n.ReserveBackup(1, 0, lower, upper.Links, 0); err == nil {
 		t.Fatal("zero backup min accepted")
 	}
-	if err := n.ReserveBackup(1, lower, nil, 100); err == nil {
+	if err := n.ReserveBackup(1, 0, lower, nil, 100); err == nil {
 		t.Fatal("backup without primary links accepted")
 	}
-	mustOK(t, n.ReserveBackup(1, lower, upper.Links, 100))
-	if err := n.ReserveBackup(1, lower, upper.Links, 100); err == nil {
+	mustOK(t, n.ReserveBackup(1, 0, lower, upper.Links, 100))
+	if err := n.ReserveBackup(1, 0, lower, upper.Links, 100); err == nil {
 		t.Fatal("duplicate backup accepted")
 	}
 }
@@ -313,7 +313,7 @@ func TestReserveBackupValidation(t *testing.T) {
 func TestReleaseBackupRestoresSpare(t *testing.T) {
 	n, upper, lower := testNet(t, 1000)
 	mustOK(t, n.ReservePrimary(1, 0, upper, 100))
-	mustOK(t, n.ReserveBackup(1, lower, upper.Links, 100))
+	mustOK(t, n.ReserveBackup(1, 0, lower, upper.Links, 100))
 	if n.Spare(fwd(lower.Links[0])) != 100 {
 		t.Fatal("spare not registered")
 	}
@@ -332,7 +332,7 @@ func TestReleaseBackupRestoresSpare(t *testing.T) {
 func TestActivateBackup(t *testing.T) {
 	n, upper, lower := testNet(t, 1000)
 	mustOK(t, n.ReservePrimary(1, 0, upper, 100))
-	mustOK(t, n.ReserveBackup(1, lower, upper.Links, 100))
+	mustOK(t, n.ReserveBackup(1, 0, lower, upper.Links, 100))
 	// Primary link fails; manager releases the primary and activates.
 	n.SetFailed(upper.Links[1], true)
 	mustOK(t, n.ReleasePrimary(1, upper))
@@ -354,7 +354,7 @@ func TestActivateBackup(t *testing.T) {
 func TestActivateBackupCapacityBlocked(t *testing.T) {
 	n, upper, lower := testNet(t, 200)
 	mustOK(t, n.ReservePrimary(1, 0, upper, 100))
-	mustOK(t, n.ReserveBackup(1, lower, upper.Links, 100))
+	mustOK(t, n.ReserveBackup(1, 0, lower, upper.Links, 100))
 	// Fill the lower route's physical capacity with grown primaries.
 	mustOK(t, n.ReservePrimary(2, 0, lower, 100))
 	mustOK(t, n.AdjustPrimary(2, lower, 200)) // borrows the spare
@@ -374,7 +374,7 @@ func TestPrimariesAndBackupsOnSorted(t *testing.T) {
 	// each entry carrying the slot it was reserved with.
 	for id := channel.ConnID(5); id >= 1; id-- {
 		mustOK(t, n.ReservePrimary(id, int32(10*id), upper, 100))
-		mustOK(t, n.ReserveBackup(id, lower, upper.Links, 100))
+		mustOK(t, n.ReserveBackup(id, 0, lower, upper.Links, 100))
 	}
 	mustOK(t, n.AdjustPrimary(3, upper, 250))
 	prim := n.PrimariesOn(fwd(upper.Links[0]))
@@ -464,7 +464,7 @@ func TestQuickLedgerInvariants(t *testing.T) {
 				}
 				c := &live{route: p, grant: 100}
 				if bk, _, err := routing.BackupRoute(g, p, nil); err == nil {
-					if n.ReserveBackup(nextID, bk, p.Links, 100) == nil {
+					if n.ReserveBackup(nextID, 0, bk, p.Links, 100) == nil {
 						c.backup, c.hasB = bk, true
 					}
 				}
@@ -538,13 +538,13 @@ func TestSetMultiplexing(t *testing.T) {
 	}
 	mustOK(t, n.ReservePrimary(1, 0, upper, 100))
 	mustOK(t, n.ReservePrimary(2, 0, lower, 100))
-	mustOK(t, n.ReserveBackup(1, lower, upper.Links, 100))
-	mustOK(t, n.ReserveBackup(2, upper, lower.Links, 100))
+	mustOK(t, n.ReserveBackup(1, 0, lower, upper.Links, 100))
+	mustOK(t, n.ReserveBackup(2, 0, upper, lower.Links, 100))
 	checkInv(t, n)
 	// Without multiplexing, a second upper-primary backup on lower links
 	// ADDS spare instead of sharing it.
 	mustOK(t, n.ReservePrimary(3, 0, upper, 100))
-	mustOK(t, n.ReserveBackup(3, lower, upper.Links, 100))
+	mustOK(t, n.ReserveBackup(3, 0, lower, upper.Links, 100))
 	checkInv(t, n)
 	if got := n.Spare(fwd(lower.Links[0])); got != 200 {
 		t.Fatalf("no-mux spare = %v, want 200 (sum)", got)
@@ -564,7 +564,7 @@ func TestSetMultiplexing(t *testing.T) {
 func TestDependabilityDeficit(t *testing.T) {
 	n, upper, lower := testNet(t, 300)
 	mustOK(t, n.ReservePrimary(1, 0, upper, 100))
-	mustOK(t, n.ReserveBackup(1, lower, upper.Links, 100))
+	mustOK(t, n.ReserveBackup(1, 0, lower, upper.Links, 100))
 	mustOK(t, n.ReservePrimary(2, 0, lower, 100))
 	if d := n.DependabilityDeficit(); len(d) != 0 {
 		t.Fatalf("quiescent deficit: %v", d)
@@ -574,7 +574,7 @@ func TestDependabilityDeficit(t *testing.T) {
 	// deficit. Force one instead: register a second backup on lower whose
 	// primary overlaps conn 1's, then activate conn 1.
 	mustOK(t, n.ReservePrimary(3, 0, upper, 100))
-	mustOK(t, n.ReserveBackup(3, lower, upper.Links, 100))
+	mustOK(t, n.ReserveBackup(3, 0, lower, upper.Links, 100))
 	n.SetFailed(upper.Links[0], true)
 	mustOK(t, n.ReleasePrimary(1, upper))
 	mustOK(t, n.ActivateBackup(1, 0, lower))
@@ -599,7 +599,7 @@ func TestDependabilityDeficit(t *testing.T) {
 	// for conn 2 (primary lower) over upper... upper.Links[1] failed;
 	// repair first.
 	n.SetFailed(upper.Links[1], false)
-	mustOK(t, n.ReserveBackup(2, upper, lower.Links, 100))
+	mustOK(t, n.ReserveBackup(2, 0, upper, lower.Links, 100))
 	// Upper links: minSum=0, spare=100 → fine. Lower unchanged. Verify the
 	// ledger still internally consistent and deficit-free.
 	checkInv(t, n)
@@ -613,7 +613,7 @@ func TestDependabilityDeficitAfterActivation(t *testing.T) {
 	g := n.Graph()
 	// A: primary upper, backup lower (whole route).
 	mustOK(t, n.ReservePrimary(1, 0, upper, 100))
-	mustOK(t, n.ReserveBackup(1, lower, upper.Links, 100))
+	mustOK(t, n.ReserveBackup(1, 0, lower, upper.Links, 100))
 	// B: primary lower at its minimum.
 	mustOK(t, n.ReservePrimary(2, 0, lower, 100))
 	// C: primary 1→3 (the chord, disjoint from A's primary so the backups
@@ -624,7 +624,7 @@ func TestDependabilityDeficitAfterActivation(t *testing.T) {
 	cPrimary := routing.Path{Nodes: []topology.NodeID{1, 3}, Links: []topology.LinkID{l13}}
 	cBackup := routing.Path{Nodes: []topology.NodeID{1, 0, 3}, Links: []topology.LinkID{l01, l03}}
 	mustOK(t, n.ReservePrimary(3, 0, cPrimary, 100))
-	mustOK(t, n.ReserveBackup(3, cBackup, cPrimary.Links, 100))
+	mustOK(t, n.ReserveBackup(3, 0, cBackup, cPrimary.Links, 100))
 	if d := n.DependabilityDeficit(); len(d) != 0 {
 		t.Fatalf("quiescent deficit: %v", d)
 	}
@@ -656,7 +656,7 @@ func TestInvariantsCanFail(t *testing.T) {
 		n, upper, lower := testNet(t, 10000)
 		for id := channel.ConnID(1); id <= 3; id++ {
 			mustOK(t, n.ReservePrimary(id, int32(id), upper, 100))
-			mustOK(t, n.ReserveBackup(id, lower, upper.Links, 100))
+			mustOK(t, n.ReserveBackup(id, 0, lower, upper.Links, 100))
 		}
 		mustOK(t, n.AdjustPrimary(3, upper, 300))
 		checkInv(t, n)

@@ -14,13 +14,35 @@ type GrowthCandidate struct {
 	Order int64
 }
 
+// Rank is a candidate's position in a policy's priority order: candidates
+// are served in ascending lexicographic (Key, Tie, Order). A policy computes
+// a candidate's rank once; comparing two ranks is then plain arithmetic, so
+// a heap of candidates never calls back into the policy.
+type Rank struct {
+	Key   float64
+	Tie   int
+	Order int64
+}
+
+// Less reports whether r is served before o. It is the one definition of
+// candidate order: Pick and the manager's growth heap both compare ranks.
+func (r Rank) Less(o Rank) bool {
+	if r.Key != o.Key {
+		return r.Key < o.Key
+	}
+	if r.Tie != o.Tie {
+		return r.Tie < o.Tie
+	}
+	return r.Order < o.Order
+}
+
 // Policy defines a strict priority order over growth candidates: when extra
-// resources are distributed (§2.2), the candidate that Less ranks first
-// receives the next increment. Implementations must be deterministic; ties
-// are broken by Order so that no two distinct candidates compare equal.
+// resources are distributed (§2.2), the candidate with the least Rank
+// receives the next increment. Implementations must be deterministic; Rank
+// carries Order so that no two distinct candidates compare equal.
 type Policy interface {
-	// Less reports whether a should receive an increment before b.
-	Less(a, b GrowthCandidate) bool
+	// Rank places c in the policy's order.
+	Rank(c GrowthCandidate) Rank
 	Name() string
 }
 
@@ -30,10 +52,10 @@ func Pick(p Policy, cands []GrowthCandidate) int {
 	if len(cands) == 0 {
 		panic("qos: Pick on empty candidate list")
 	}
-	best := 0
+	best, bestRank := 0, p.Rank(cands[0])
 	for i := 1; i < len(cands); i++ {
-		if p.Less(cands[i], cands[best]) {
-			best = i
+		if r := p.Rank(cands[i]); r.Less(bestRank) {
+			best, bestRank = i, r
 		}
 	}
 	return best
@@ -48,44 +70,30 @@ type MaxUtilityPolicy struct{}
 // Name implements Policy.
 func (MaxUtilityPolicy) Name() string { return "max-utility" }
 
-// Less implements Policy: highest utility first; ties go to fewer extras,
+// Rank implements Policy: highest utility first; ties go to fewer extras,
 // then lower order, keeping the outcome deterministic.
-func (MaxUtilityPolicy) Less(a, b GrowthCandidate) bool {
-	if a.Utility != b.Utility {
-		return a.Utility > b.Utility
-	}
-	if a.ExtraIncrements != b.ExtraIncrements {
-		return a.ExtraIncrements < b.ExtraIncrements
-	}
-	return a.Order < b.Order
+func (MaxUtilityPolicy) Rank(c GrowthCandidate) Rank {
+	return Rank{Key: -c.Utility, Tie: c.ExtraIncrements, Order: c.Order}
 }
 
 // CoefficientPolicy implements the coefficient scheme [5]: extra resources
 // are allocated proportionally to each channel's utility coefficient. The
 // proportional share is realized greedily: each increment goes to the
 // candidate whose (extras+1)/utility ratio is smallest, i.e. the channel
-// furthest below its proportional entitlement.
+// furthest below its proportional entitlement. Zero-utility channels come
+// last.
 type CoefficientPolicy struct{}
 
 // Name implements Policy.
 func (CoefficientPolicy) Name() string { return "coefficient" }
 
-// Less implements Policy.
-func (CoefficientPolicy) Less(a, b GrowthCandidate) bool {
-	ka, kb := propKey(a), propKey(b)
-	if ka != kb {
-		return ka < kb
-	}
-	return a.Order < b.Order
-}
-
-// propKey is the normalized post-grant allocation; smaller means more
-// underserved relative to utility. Zero-utility channels sort last.
-func propKey(c GrowthCandidate) float64 {
+// Rank implements Policy.
+func (CoefficientPolicy) Rank(c GrowthCandidate) Rank {
+	key := float64(c.ExtraIncrements+1) / c.Utility
 	if c.Utility <= 0 {
-		return 1e300
+		key = 1e300
 	}
-	return float64(c.ExtraIncrements+1) / c.Utility
+	return Rank{Key: key, Order: c.Order}
 }
 
 // PolicyByName returns the named policy ("max-utility" or "coefficient").

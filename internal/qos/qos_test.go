@@ -213,6 +213,59 @@ func TestQuickPoliciesWellBehaved(t *testing.T) {
 	}
 }
 
+// oracleLess is the pair of hand-written comparators the policies had
+// before they were defined by ranks, kept here verbatim as the oracle.
+var oracleLess = map[string]func(a, b GrowthCandidate) bool{
+	"max-utility": func(a, b GrowthCandidate) bool {
+		if a.Utility != b.Utility {
+			return a.Utility > b.Utility
+		}
+		if a.ExtraIncrements != b.ExtraIncrements {
+			return a.ExtraIncrements < b.ExtraIncrements
+		}
+		return a.Order < b.Order
+	},
+	"coefficient": func(a, b GrowthCandidate) bool {
+		propKey := func(c GrowthCandidate) float64 {
+			if c.Utility <= 0 {
+				return 1e300
+			}
+			return float64(c.ExtraIncrements+1) / c.Utility
+		}
+		ka, kb := propKey(a), propKey(b)
+		if ka != kb {
+			return ka < kb
+		}
+		return a.Order < b.Order
+	},
+}
+
+// Property: for both policies, rank order is the old comparator's order, on
+// pairs drawn to collide — zero utilities, equal keys (utility and extras
+// scaled together), equal Order — as well as on arbitrary ones.
+func TestQuickRankMatchesOldLess(t *testing.T) {
+	utilities := []float64{0, 0.5, 1, 2, 3, 4}
+	f := func(ua, ub, ea, eb, oa, ob uint8, scaled bool) bool {
+		a := GrowthCandidate{Utility: utilities[int(ua)%len(utilities)], ExtraIncrements: int(ea % 9), Order: int64(oa % 4)}
+		b := GrowthCandidate{Utility: utilities[int(ub)%len(utilities)], ExtraIncrements: int(eb % 9), Order: int64(ob % 4)}
+		if scaled && a.Utility > 0 {
+			// (e+1)/u equal for both: b = 2a in utility and in e+1.
+			b.Utility, b.ExtraIncrements = 2*a.Utility, 2*a.ExtraIncrements+1
+		}
+		for _, p := range []Policy{MaxUtilityPolicy{}, CoefficientPolicy{}} {
+			less := oracleLess[p.Name()]
+			if p.Rank(a).Less(p.Rank(b)) != less(a, b) || p.Rank(b).Less(p.Rank(a)) != less(b, a) {
+				t.Logf("%s: a=%+v b=%+v ranks %+v %+v", p.Name(), a, b, p.Rank(a), p.Rank(b))
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: Bandwidth/StateOf are mutual inverses for arbitrary valid specs.
 func TestQuickSpecRoundTrip(t *testing.T) {
 	f := func(minRaw, stepsRaw, incRaw uint8) bool {

@@ -7,47 +7,50 @@ import (
 	"drqos/internal/topology"
 )
 
+// BackupRoute finds a backup route for the given primary path on a fresh
+// scratch; see RouteScratch.BackupRoute for the form the manager runs on a
+// scratch of its own.
+func BackupRoute(g *topology.Graph, primary Path, filter LinkFilter) (Path, int, error) {
+	var s RouteScratch
+	return s.BackupRoute(g, primary, filter)
+}
+
 // BackupRoute finds a backup route for the given primary path: totally
 // link-disjoint when one exists, otherwise maximally link-disjoint (the
 // paper's footnote 1). filter restricts usable links (nil admits all); links
 // of the primary are additionally admitted only in the maximally-disjoint
 // fallback. It returns the route and the number of links shared with the
 // primary.
-func BackupRoute(g *topology.Graph, primary Path, filter LinkFilter) (Path, int, error) {
+func (s *RouteScratch) BackupRoute(g *topology.Graph, primary Path, filter LinkFilter) (Path, int, error) {
 	if len(primary.Nodes) < 2 {
 		return Path{}, 0, errors.New("routing: primary path has no links")
 	}
 	src, dst := primary.Src(), primary.Dst()
-	onPrimary := make(map[topology.LinkID]bool, len(primary.Links))
-	for _, l := range primary.Links {
-		onPrimary[l] = true
-	}
-	disjointFilter := func(l topology.LinkID) bool {
-		if onPrimary[l] {
-			return false
-		}
-		return filter == nil || filter(l)
-	}
-	if p, err := ShortestHops(g, src, dst, disjointFilter); err == nil {
-		return p, 0, nil
-	} else if !errors.Is(err, ErrNoRoute) {
+	if err := checkEndpoints(g, src, dst); err != nil {
 		return Path{}, 0, err
+	}
+	if src == dst {
+		return Path{Nodes: []topology.NodeID{src}}, 0, nil
+	}
+	s.markPrimary(g.NumLinks(), primary.Links)
+	disjoint := func(l topology.LinkID) bool { return !s.onPrimary(l) && admits(filter, l) }
+	if s.shortestHops(g, src, dst, disjoint) {
+		return s.path(src, dst), 0, nil
 	}
 
 	// No fully disjoint route: minimize shared links first, hops second, by
 	// pricing a shared link above any loop-free detour.
 	penalty := float64(g.NumNodes()) * 10
 	weight := func(l topology.LinkID) float64 {
-		if onPrimary[l] {
+		if s.onPrimary(l) {
 			return penalty
 		}
 		return 1
 	}
-	softFilter := func(l topology.LinkID) bool { return filter == nil || filter(l) }
-	p, err := Dijkstra(g, src, dst, weight, softFilter)
-	if err != nil {
-		return Path{}, 0, fmt.Errorf("routing: no backup route %d -> %d: %w", src, dst, err)
+	if !s.dijkstra(g, src, dst, weight, func(l topology.LinkID) bool { return admits(filter, l) }) {
+		return Path{}, 0, fmt.Errorf("routing: no backup route %d -> %d: %w: %d -> %d", src, dst, ErrNoRoute, src, dst)
 	}
+	p := s.path(src, dst)
 	shared := p.SharedLinks(primary)
 	if shared == len(primary.Links) {
 		// The "backup" covers every primary link (typically it IS the

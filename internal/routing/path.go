@@ -9,6 +9,7 @@ package routing
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"drqos/internal/topology"
@@ -70,18 +71,13 @@ func (p Path) Validate(g *topology.Graph) error {
 	return nil
 }
 
-// SharedLinks returns how many links p and q have in common.
+// SharedLinks returns how many links p and q have in common: the number of
+// q's links that also appear in p. Routes are a few hops long, so a scan
+// beats building a set.
 func (p Path) SharedLinks(q Path) int {
-	if len(p.Links) == 0 || len(q.Links) == 0 {
-		return 0
-	}
-	set := make(map[topology.LinkID]bool, len(p.Links))
-	for _, l := range p.Links {
-		set[l] = true
-	}
 	var n int
 	for _, l := range q.Links {
-		if set[l] {
+		if slices.Contains(p.Links, l) {
 			n++
 		}
 	}

@@ -395,14 +395,18 @@ func TestEpochReadYourWrites(t *testing.T) {
 	// Backlog: hold the loop, queue an establish and a second blocker behind
 	// it, let the establish through. It is acknowledged while the consuming
 	// lane is still non-empty.
-	gate, behind := make(chan struct{}), make(chan struct{})
-	block := func(ch chan struct{}) {
+	gate, gateRunning, behind := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	submit := func(fn func(*manager.Manager)) {
 		t.Helper()
-		if err := s.SubmitConsuming(ctx, func(*manager.Manager) { <-ch }); err != nil {
+		if err := s.SubmitConsuming(ctx, fn); err != nil {
 			t.Fatal(err)
 		}
 	}
-	block(gate)
+	submit(func(*manager.Manager) { close(gateRunning); <-gate })
+	// Until the loop has taken the gate off the queue, a non-zero depth
+	// below could be the gate itself, and the second blocker would queue
+	// ahead of the establish.
+	<-gateRunning
 	acked := make(chan error, 1)
 	go func() {
 		_, err := s.Establish(ctx, 2, 3, qos.DefaultSpec())
@@ -411,7 +415,7 @@ func TestEpochReadYourWrites(t *testing.T) {
 	for s.QueueDepth() == 0 { // the gate is executing; the establish is what queues
 		time.Sleep(100 * time.Microsecond)
 	}
-	block(behind)
+	submit(func(*manager.Manager) { <-behind })
 	close(gate)
 	if err := <-acked; err != nil {
 		t.Fatal(err)

@@ -102,6 +102,10 @@ if [[ $quick -eq 1 ]]; then
     echo "== manager churn + fail/repair benchmarks (level population)"
     go test -run '^$' -bench 'BenchmarkManager' -benchmem \
         -benchtime 200x -count 1 ./internal/manager/
+    # One iteration of a backup search is one cold scratch; 200 reuse it.
+    echo "== backup route search (reused scratch)"
+    go test -run '^$' -bench 'BenchmarkBackupRoute' -benchmem \
+        -benchtime 200x -count 1 ./internal/routing/
 fi
 
 if [[ $quick -eq 1 && $probe -eq 1 ]]; then

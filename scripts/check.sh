@@ -701,17 +701,18 @@ fi
 # -timeout is per test binary: internal/experiments runs full quick-scale
 # reproductions (plus the worker-determinism replays) and needs more than
 # the default 10m under the race detector on small machines.
-# The allocation gate counts mallocs, which race instrumentation adds to:
-# it is skipped here by name and runs uninstrumented just below, rather than
-# carrying a bound loose enough for both.
+# The allocation gates count mallocs, which race instrumentation adds to:
+# they are skipped here by name and run uninstrumented just below, rather
+# than carrying bounds loose enough for both.
 echo "== go test -race ./..."
-go test -race -timeout 45m -skip '^TestEstablishAllocsBounded$' ./...
+go test -race -timeout 45m -skip '^(TestEstablishAllocsBounded|TestFailLinkAllocsBounded)$' ./...
 
 # The adaptation kernels, uninstrumented: event-for-event identity with the
-# map-based kernels they replaced (hashes recorded at that commit), and the
-# allocation bound that keeps per-event maps from coming back.
-echo "== adaptation identity + allocation gate (no -race)"
-go test -count 1 -run '^(TestAdaptationMatchesParent|TestEstablishAllocsBounded)$' ./internal/manager/
+# kernels they replaced (hashes recorded at those commits), and the
+# allocation bounds that keep per-event maps and per-search arrays from
+# coming back.
+echo "== adaptation identity + allocation gates (no -race)"
+go test -count 1 -run '^(TestAdaptationMatchesParent|TestEstablishAllocsBounded|TestFailLinkAllocsBounded)$' ./internal/manager/
 
 # bench/ is its own module (drqos/bench, replace drqos => ../), so ./...
 # above does not descend into it — yet it compiles against internal/server,
