@@ -22,12 +22,17 @@ race:
 # command loop around it (an establish+terminate pair over 100 and over 2000
 # standing connections: what the loop adds must not grow with the population),
 # the same pair with every ack waiting on a warm standby (what replication
-# adds must stay two fsyncs and a loopback round trip — no poll timer)
+# adds must stay two fsyncs and a loopback round trip — no poll timer),
+# the answer writer (BenchmarkWriteJSON: an establish answer, one /v1/stats,
+# a 4-shard /v1/stats), the sharded front end in process
+# (BenchmarkFrontEnd: /v1/stats, /v1/shards and an establish over 300
+# standing connections on the tier topology)
 # and the paper-reproduction benchmarks at the repo root.
 bench:
 	go test -run xxx -bench 'BenchmarkManager' -benchmem ./internal/manager/
 	go test -run xxx -bench 'BenchmarkBackupRoute' -benchmem ./internal/routing/
-	go test -run xxx -bench 'BenchmarkServerEstablish' -benchmem ./internal/server/
+	go test -run xxx -bench 'BenchmarkServerEstablish|BenchmarkWriteJSON' -benchmem ./internal/server/
+	go test -run xxx -bench 'BenchmarkFrontEnd' -benchmem ./internal/shard/
 	go test -run xxx -bench 'BenchmarkReplicatedEstablish' -benchmem ./internal/replica/
 	go test -run xxx -bench 'BenchmarkP2' -benchmem ./internal/stats/
 

@@ -13,12 +13,14 @@
 //     same broadcast for a record that does not exist yet, so the inline
 //     fsync policies advance and signal the same ledger.
 //
-// The committer syncs the first pending record immediately (a lone
-// sequential writer sees per-append fsync latency, exactly like before) and
-// only opens an accumulation window — bounded by Options.GroupCommitMaxWait
-// — when more than one record is already pending, i.e. when a concurrent
-// burst is actually forming a batch worth waiting for. One fsync then
-// releases every ticket in the batch.
+// With Options.GroupCommitMaxWait > 0 the committer does not sync a record
+// the moment it sees it, even a lone one: it first yields the processor until
+// two yields in a row bring no new record, or the wait cap passes, so a batch
+// can form from appenders that are already runnable. One fsync then releases
+// every ticket in the batch. The yields are not free: on durable-lowpop (two
+// closed-loop clients, fsync every record, 2-vCPU VM) an append waited p50
+// 42 µs for its fsync to start with the committer idle and 59 µs with it
+// still finishing the previous batch, beside an 83 µs fsync.
 //
 // An fsync failure is sticky: it poisons the journal, fails every parked
 // and future ticket, and refuses further appends — a record whose
@@ -235,8 +237,9 @@ func (j *Journal) committer() {
 			// machines (~1ms) would otherwise cost more than the fsync being
 			// amortized, and workers released by the previous batch are often
 			// one scheduler slice away from their next append. A lone writer
-			// costs two no-op yields (~µs against a ~100µs fsync). Exit as
-			// soon as the batch stops growing or the latency cap is reached.
+			// still pays two yields, tens of µs when other goroutines are
+			// runnable (see the package comment). Exit as soon as the batch
+			// stops growing or the latency cap is reached.
 			deadline := time.Now().Add(maxWait)
 			idle := 0
 			for idle < 2 && time.Now().Before(deadline) {

@@ -440,22 +440,14 @@ func (n *Node) FrontHandler(api http.Handler) http.Handler {
 					return
 				}
 			} else if n.LeaseLost() {
-				writeFenced(w, fmt.Sprintf("replication lease lost: no standby poll within %s; mutations fenced", n.cfg.Lease))
+				server.WriteShed(w, http.StatusServiceUnavailable, time.Second,
+					fmt.Sprintf("replication lease lost: no standby poll within %s; mutations fenced", n.cfg.Lease))
 				return
 			}
 		}
 		api.ServeHTTP(w, r)
 	})
 	return mux
-}
-
-// writeFenced answers a refused mutation on a fenced primary: 503 with a
-// Retry-After hint, mirroring the server's shed-response shape.
-func writeFenced(w http.ResponseWriter, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Retry-After", "1")
-	w.WriteHeader(http.StatusServiceUnavailable)
-	_ = json.NewEncoder(w).Encode(map[string]any{"error": msg, "retry_after_seconds": 1})
 }
 
 // handlePromote is the manual-promotion interlock. A plain promote is
@@ -474,9 +466,7 @@ func (n *Node) handlePromote(w http.ResponseWriter, r *http.Request) {
 	}
 	if n.srv.IsFollower() && !req.Force {
 		if reason, alive := n.primaryAlive(r.Context()); alive {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusConflict)
-			_ = json.NewEncoder(w).Encode(map[string]any{
+			server.WriteJSON(w, http.StatusConflict, map[string]any{
 				"error":  "primary still alive: " + reason + `; pass {"force":true} to promote anyway`,
 				"reason": reason,
 			})
@@ -492,14 +482,11 @@ func (n *Node) handlePromote(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, server.ErrDegraded):
 			status = http.StatusServiceUnavailable
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		_ = json.NewEncoder(w).Encode(map[string]any{"error": err.Error()})
+		server.WriteJSON(w, status, server.ErrorBody{Error: err.Error()})
 		return
 	}
 	n.resetLease()
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(map[string]any{"promoted": true, "term": term, "role": "primary"})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"promoted": true, "term": term, "role": "primary"})
 }
 
 // primaryAlive reports whether the primary this follower tracks still

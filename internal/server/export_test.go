@@ -20,6 +20,10 @@ func (s *Server) SubmitConsuming(ctx context.Context, fn func(*manager.Manager))
 	return s.submit(ctx, laneConsuming, false, fn)
 }
 
+// AppendIndented exposes WriteJSON's re-indenter to the fuzz target, which
+// holds it to json.Indent.
+var AppendIndented = appendIndented
+
 // ForceOverloaded latches or clears the overload detector directly, for
 // readiness-probe and HTTP shedding tests.
 func (s *Server) ForceOverloaded(v bool) { s.detector.Force(v) }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -505,13 +507,116 @@ func connIDs(ids []channel.ConnID) []int64 {
 	return out
 }
 
-// WriteJSON answers code with v as indented JSON.
+// WriteJSON answers code with v as indented JSON: the bytes of
+// json.MarshalIndent(v, "", "  ") plus a newline, sent with a Content-Length.
+// Every JSON answer of the API leaves through here. If v cannot be marshalled
+// the status is still written, with an empty body.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	js := jsonPool.Get().(*jsonScratch)
+	defer js.release()
+	body, _ := js.render(v) // nil on a marshal error: the status goes out alone
+	WriteJSONBytes(w, code, body)
+}
+
+// RenderJSON returns the body WriteJSON would answer for v, for an answer
+// that never changes and so is rendered once.
+func RenderJSON(v any) ([]byte, error) {
+	js := jsonPool.Get().(*jsonScratch)
+	defer js.release()
+	body, err := js.render(v)
+	return bytes.Clone(body), err
+}
+
+// WriteJSONBytes answers code with a body RenderJSON produced.
+func WriteJSONBytes(w http.ResponseWriter, code int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(body)
+}
+
+// jsonScratch is one answer's working memory: encoding/json writes the
+// compact form into compact, appendIndented re-indents it into out.
+type jsonScratch struct {
+	compact bytes.Buffer
+	enc     *json.Encoder
+	out     []byte
+}
+
+// maxPooledJSON caps the buffers a pooled jsonScratch keeps, so one huge
+// answer does not pin its memory for the life of the process.
+const maxPooledJSON = 256 << 10
+
+var jsonPool = sync.Pool{New: func() any {
+	js := new(jsonScratch)
+	js.enc = json.NewEncoder(&js.compact)
+	return js
+}}
+
+// render marshals v once and returns it indented, or nil and the marshal
+// error. The result aliases js and is valid until js is released.
+func (js *jsonScratch) render(v any) ([]byte, error) {
+	js.compact.Reset()
+	if err := js.enc.Encode(v); err != nil {
+		return nil, err
+	}
+	compact := js.compact.Bytes()
+	// Encode ends the value with a newline; the indented form keeps it.
+	js.out = append(appendIndented(js.out[:0], compact[:len(compact)-1]), '\n')
+	return js.out, nil
+}
+
+func (js *jsonScratch) release() {
+	if js.compact.Cap() <= maxPooledJSON && cap(js.out) <= maxPooledJSON {
+		jsonPool.Put(js)
+	}
+}
+
+// appendIndented appends src to dst indented as json.Indent(dst, src, "",
+// "  ") would. src must be compact JSON as encoding/json writes it — no
+// whitespace outside strings — so the only state needed is whether a byte is
+// inside a string and how deep the nesting is.
+func appendIndented(dst, src []byte) []byte {
+	depth, start := 0, 0
+	for i := 0; i < len(src); i++ {
+		switch src[i] {
+		case '"':
+			// Skip to the closing quote; a backslash escapes the byte after it.
+			for i++; src[i] != '"'; i++ {
+				if src[i] == '\\' {
+					i++
+				}
+			}
+		case '{', '[':
+			if next := src[i+1]; next == '}' || next == ']' {
+				i++ // an empty container stays on its line
+				continue
+			}
+			depth++
+			dst = appendNewline(append(dst, src[start:i+1]...), depth)
+			start = i + 1
+		case '}', ']':
+			depth--
+			dst = appendNewline(append(dst, src[start:i]...), depth)
+			start = i
+		case ',':
+			dst = appendNewline(append(dst, src[start:i+1]...), depth)
+			start = i + 1
+		case ':':
+			dst = append(append(dst, src[start:i+1]...), ' ')
+			start = i + 1
+		}
+	}
+	return append(dst, src[start:]...)
+}
+
+func appendNewline(dst []byte, depth int) []byte {
+	dst = append(dst, '\n')
+	for ; depth > 0; depth-- {
+		dst = append(dst, ' ', ' ')
+	}
+	return dst
 }
 
 // WriteShed answers a load-shedding refusal (429 rate limit, 503 overload)

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
@@ -27,6 +28,11 @@ type EstablishResponse struct {
 	Level         int   `json:"level"`
 	HasBackup     bool  `json:"has_backup"`
 	PrimaryHops   int   `json:"primary_hops"`
+}
+
+// TerminateResponse names the released connection.
+type TerminateResponse struct {
+	ID int64 `json:"id"`
 }
 
 // ShardsResponse describes the partition for shard-aware clients (drload
@@ -100,7 +106,7 @@ func NewHandler(c *Coordinator, opts ...server.HandlerOption) http.Handler {
 			writeError(w, err)
 			return
 		}
-		server.WriteJSON(w, http.StatusOK, map[string]any{"id": id})
+		server.WriteJSON(w, http.StatusOK, TerminateResponse{ID: id})
 	})
 	mux.HandleFunc("POST /v1/faults/link", func(w http.ResponseWriter, r *http.Request) {
 		if !f.AdmitClient(w, r) {
@@ -134,12 +140,15 @@ func NewHandler(c *Coordinator, opts ...server.HandlerOption) http.Handler {
 			server.WriteJSON(w, http.StatusBadRequest, server.ErrorBody{Error: fmt.Sprintf("unknown action %q", req.Action)})
 		}
 	})
+	// The plan never changes, so its answer is rendered once. Integers and
+	// a slice of them always marshal: there is no error to handle.
+	shards, _ := server.RenderJSON(ShardsResponse{
+		Shards:    c.plan.Shards,
+		Regions:   c.plan.Regions,
+		NodeShard: c.plan.NodeShard,
+	})
 	mux.HandleFunc("GET /v1/shards", func(w http.ResponseWriter, r *http.Request) {
-		server.WriteJSON(w, http.StatusOK, ShardsResponse{
-			Shards:    c.plan.Shards,
-			Regions:   c.plan.Regions,
-			NodeShard: c.plan.NodeShard,
-		})
+		server.WriteJSONBytes(w, http.StatusOK, shards)
 	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		server.WriteJSON(w, http.StatusOK, c.statsResponse())
@@ -289,6 +298,9 @@ func (c *Coordinator) statsResponse() StatsResponse {
 	}
 	resp.CrossActive = len(c.cross)
 	c.mu.Unlock()
+	// Ascending, like the single plane's list: map order would make two
+	// reads of the same state differ.
+	slices.Sort(agg.FailedLinks)
 	resp.CrossAttempts, resp.CrossCommitted, resp.CrossAborted = c.CrossStats()
 	resp.CrossTimeouts = c.CrossTimeouts()
 	resp.CrossPending = c.PendingResolutions()

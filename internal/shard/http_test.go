@@ -1,0 +1,173 @@
+package shard_test
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"slices"
+	"testing"
+
+	"drqos/internal/core"
+	"drqos/internal/manager"
+	"drqos/internal/rng"
+	"drqos/internal/shard"
+	"drqos/internal/topology"
+)
+
+// TestStatsFailedLinksAscending: the sharded /v1/stats lists failed links in
+// ascending order, as the single plane does, so reads of one state answer
+// the same aggregate bytes. (The per-shard blocks carry a live epoch age.)
+func TestStatsFailedLinksAscending(t *testing.T) {
+	g := tierGraph(t, 7)
+	c := newCoordinator(t, g, shard.Options{Shards: 4})
+	for _, l := range []topology.LinkID{40, 3, 21} {
+		if _, err := c.FailLink(context.Background(), l); err != nil {
+			t.Fatalf("fail link %d: %v", l, err)
+		}
+	}
+	h := shard.NewHandler(c)
+	aggregate := func() []byte {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/stats", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET /v1/stats: %d %s", rec.Code, rec.Body.Bytes())
+		}
+		var body struct {
+			Aggregate json.RawMessage `json:"aggregate"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatal(err)
+		}
+		return body.Aggregate
+	}
+	first := aggregate()
+	var st struct {
+		FailedLinks []int `json:"failed_links"`
+	}
+	if err := json.Unmarshal(first, &st); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{3, 21, 40}; !slices.Equal(st.FailedLinks, want) {
+		t.Fatalf("failed_links %v, want %v", st.FailedLinks, want)
+	}
+	for i := 0; i < 20; i++ {
+		if again := aggregate(); !bytes.Equal(again, first) {
+			t.Fatalf("read %d differs from the first:\n%s\nvs\n%s", i, again, first)
+		}
+	}
+}
+
+// TestShardsAnswer: GET /v1/shards, rendered once at start-up, answers the
+// bytes WriteJSON would write for the plan.
+func TestShardsAnswer(t *testing.T) {
+	c := newCoordinator(t, tierGraph(t, 7), shard.Options{Shards: 4})
+	p := c.Plan()
+	want, err := json.MarshalIndent(shard.ShardsResponse{Shards: p.Shards, Regions: p.Regions, NodeShard: p.NodeShard}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	shard.NewHandler(c).ServeHTTP(rec, httptest.NewRequest("GET", "/v1/shards", nil))
+	if got := rec.Body.Bytes(); rec.Code != http.StatusOK || !bytes.Equal(got, append(want, '\n')) {
+		t.Fatalf("GET /v1/shards: %d %q, want 200 %q", rec.Code, got, want)
+	}
+}
+
+// sink is a ResponseWriter that reuses one body buffer, so a benchmark times
+// the handler and not a recorder.
+type sink struct {
+	h    http.Header
+	code int
+	body []byte
+}
+
+func (s *sink) Header() http.Header         { return s.h }
+func (s *sink) WriteHeader(code int)        { s.code = code }
+func (s *sink) Write(p []byte) (int, error) { s.body = append(s.body, p...); return len(p), nil }
+
+// BenchmarkFrontEnd times the sharded front end's hot answers in process (no
+// socket) on the shard-cross benchmark's plane: 4 shards of the tier
+// topology (seed 1, 100 nodes) holding 300 connections. The establish case
+// POSTs a pair, 30 % of them cross-shard, and terminates an admitted one on
+// the coordinator directly, so the population stays at 300.
+func BenchmarkFrontEnd(b *testing.B) {
+	sys, err := core.NewSystem(core.Options{Seed: 1, Kind: core.TopologyTransitStub, Nodes: 100})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := shard.New(sys.Graph(), shard.Options{
+		Shards:  4,
+		Manager: manager.Config{Capacity: core.PaperCapacity, RequireBackup: true},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	defer c.Shutdown(ctx)
+	h := shard.NewHandler(c)
+
+	owned := make([][]topology.NodeID, c.NumShards())
+	for n, s := range c.Plan().NodeShard {
+		owned[s] = append(owned[s], topology.NodeID(n))
+	}
+	src := rng.New(1)
+	pair := func() (a, z topology.NodeID) {
+		s := src.Intn(len(owned))
+		a = owned[s][src.Intn(len(owned[s]))]
+		if src.Bernoulli(0.3) {
+			s = (s + 1 + src.Intn(len(owned)-1)) % len(owned)
+		}
+		for z = a; z == a; {
+			z = owned[s][src.Intn(len(owned[s]))]
+		}
+		return a, z
+	}
+	w := &sink{h: http.Header{}}
+	establish := func() (id int64, ok bool) {
+		a, z := pair()
+		r := httptest.NewRequest("POST", "/v1/connections", bytes.NewReader(fmt.Appendf(nil, `{"src":%d,"dst":%d}`, a, z)))
+		w.body = w.body[:0]
+		h.ServeHTTP(w, r)
+		if w.code != http.StatusCreated {
+			return 0, false
+		}
+		var resp shard.EstablishResponse
+		if err := json.Unmarshal(w.body, &resp); err != nil {
+			b.Fatal(err)
+		}
+		return resp.ID, true
+	}
+	for alive := 0; alive < 300; {
+		if _, ok := establish(); ok {
+			alive++
+		}
+	}
+
+	get := func(path string) func(b *testing.B) {
+		return func(b *testing.B) {
+			r := httptest.NewRequest("GET", path, nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.body = w.body[:0]
+				h.ServeHTTP(w, r)
+			}
+		}
+	}
+	b.Run("stats", get("/v1/stats"))
+	b.Run("shards", get("/v1/shards"))
+	b.Run("establish", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if id, ok := establish(); ok {
+				if err := c.Terminate(ctx, id); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+}

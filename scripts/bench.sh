@@ -106,6 +106,12 @@ if [[ $quick -eq 1 ]]; then
     echo "== backup route search (reused scratch)"
     go test -run '^$' -bench 'BenchmarkBackupRoute' -benchmem \
         -benchtime 200x -count 1 ./internal/routing/
+    # One iteration of an answer is one cold pooled buffer; 200 reuse it.
+    echo "== answer writer + sharded front end (pooled buffers)"
+    go test -run '^$' -bench 'BenchmarkWriteJSON' -benchmem \
+        -benchtime 200x -count 1 ./internal/server/
+    go test -run '^$' -bench 'BenchmarkFrontEnd' -benchmem \
+        -benchtime 200x -count 1 ./internal/shard/
 fi
 
 if [[ $quick -eq 1 && $probe -eq 1 ]]; then

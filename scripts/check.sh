@@ -3,7 +3,8 @@
 # race detector (the internal/server actor loop must stay race-clean).
 #
 #   scripts/check.sh             build + vet + panic gate + full race tests,
-#                                then vet + tests of the bench/ module
+#                                a 10 s fuzz of WriteJSON, then vet + tests
+#                                of the bench/ module
 #   scripts/check.sh --chaos     build + vet + panic gate + seeded chaos
 #                                episodes under -race (manager and server),
 #                                plus the fault-injection tests
@@ -713,6 +714,11 @@ go test -race -timeout 45m -skip '^(TestEstablishAllocsBounded|TestFailLinkAlloc
 # coming back.
 echo "== adaptation identity + allocation gates (no -race)"
 go test -count 1 -run '^(TestAdaptationMatchesParent|TestEstablishAllocsBounded|TestFailLinkAllocsBounded)$' ./internal/manager/
+
+# WriteJSON re-indents encoding/json's compact output itself; the seed corpus
+# ran above as ordinary tests, this explores beyond it against json.Indent.
+echo "== fuzz: WriteJSON's re-indenter against json.Indent (10s)"
+go test -run '^$' -fuzz FuzzWriteJSON -fuzztime 10s ./internal/server
 
 # bench/ is its own module (drqos/bench, replace drqos => ../), so ./...
 # above does not descend into it — yet it compiles against internal/server,
