@@ -1,4 +1,4 @@
-.PHONY: check build test race bench bench-json bench-smoke bench-e2e loadtest overload-smoke forecast-smoke shard-smoke failover-smoke partition-smoke
+.PHONY: check build test race bench bench-smoke bench-e2e loadtest overload-smoke forecast-smoke shard-smoke failover-smoke partition-smoke
 
 # Full tier-1 verification: build + vet + race-enabled tests.
 check:
@@ -36,13 +36,25 @@ bench:
 	go test -run xxx -bench 'BenchmarkReplicatedEstablish' -benchmem ./internal/replica/
 	go test -run xxx -bench 'BenchmarkP2' -benchmem ./internal/stats/
 
-# Record the full suite into BENCH_<date>.json / run the CI smoke pass.
-# Compare two recordings with: scripts/bench.sh --compare old.json new.json
-bench-json:
-	./scripts/bench.sh
-
+# CI's benchmark smoke: every benchmark once, the ones one iteration cannot
+# exercise again at enough iterations, then drbench's four workloads for two
+# seconds each. bench/run.sh exits non-zero on any correctness failure (acked
+# ledger, invariants, population, standby fingerprint).
 bench-smoke:
-	./scripts/bench.sh --quick
+	go test -run '^$$' -bench . -benchmem -benchtime 1x -count 1 ./...
+	# One iteration is one establish; 200 recycle the kernels' scratch, the slot free list and a few link failures.
+	go test -run '^$$' -bench 'BenchmarkManager' -benchmem -benchtime 200x -count 1 ./internal/manager/
+	# One iteration of a backup search is one cold scratch; 200 reuse it.
+	go test -run '^$$' -bench 'BenchmarkBackupRoute' -benchmem -benchtime 200x -count 1 ./internal/routing/
+	# One iteration of an answer is one cold pooled buffer; 200 reuse it.
+	go test -run '^$$' -bench 'BenchmarkWriteJSON' -benchmem -benchtime 200x -count 1 ./internal/server/
+	go test -run '^$$' -bench 'BenchmarkFrontEnd' -benchmem -benchtime 200x -count 1 ./internal/shard/
+	# One iteration cannot form a group-commit batch; 64 parallel ones can.
+	go test -run '^$$' -bench 'BenchmarkJournalAppend' -benchmem -benchtime 64x -count 1 ./internal/journal/
+	bash bench/run.sh --workload churn-highpop --seed 1 --seconds 2 --trace 0
+	bash bench/run.sh --workload durable-lowpop --seed 1 --seconds 2 --trace 0
+	bash bench/run.sh --workload shard-cross --seed 1 --seconds 2 --trace 0
+	bash bench/run.sh --workload replica-pair --seed 1 --seconds 2 --trace 0
 
 # The repository benchmark (BENCHMARK.json): builds drserverd and drbench
 # from this checkout and runs all four workloads, timed then traced, with
@@ -78,11 +90,17 @@ failover-smoke:
 partition-smoke:
 	./scripts/check.sh --partition
 
-# End-to-end load test: drserverd + drload (10k requests, 8 workers).
+# End-to-end load test: drserverd + drload (10k requests, 8 workers), once
+# the daemon answers /readyz (up to 10 s; its log is shown if it never does).
 loadtest:
 	go build -o /tmp/drserverd ./cmd/drserverd
 	go build -o /tmp/drload ./cmd/drload
-	/tmp/drserverd -addr 127.0.0.1:18080 & \
-	pid=$$!; sleep 2; \
+	/tmp/drserverd -addr 127.0.0.1:18080 >/tmp/drserverd.log 2>&1 & \
+	pid=$$!; \
+	for i in $$(seq 100); do curl -fsS http://127.0.0.1:18080/readyz >/dev/null 2>&1 && break; sleep 0.1; done; \
+	if ! curl -fsS http://127.0.0.1:18080/readyz >/dev/null 2>&1; then \
+		echo "loadtest: drserverd did not become ready; log:" >&2; cat /tmp/drserverd.log >&2; \
+		kill -9 $$pid 2>/dev/null; exit 1; \
+	fi; \
 	/tmp/drload -addr http://127.0.0.1:18080 -workers 8 -requests 10000; rc=$$?; \
 	kill -TERM $$pid; wait $$pid; exit $$rc

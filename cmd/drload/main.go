@@ -17,10 +17,6 @@
 // (see overload.go): calibrate the closed-loop rate, burst open-loop at a
 // multiple of it, and gate on the server shedding, keeping reads fast, and
 // returning to ready.
-//
-// With -bench-json FILE the run's end-to-end throughput and latency
-// percentiles are merged into a benchparse JSON report (see benchjson.go),
-// comparable with scripts/bench.sh --compare.
 package main
 
 import (
@@ -227,13 +223,6 @@ func run() error {
 	}
 	fmt.Printf("latency: mean=%s p50=%s p90=%s p99=%s max=%s (n=%d)\n",
 		ms(d.Mean()), ms(d.P50()), ms(d.P90()), ms(d.P99()), ms(d.Max()), d.N())
-	if *benchJSON != "" {
-		rec := benchRecord(*requests, elapsed, *workers, d)
-		if err := writeBenchRecord(*benchJSON, rec); err != nil {
-			return fmt.Errorf("bench-json: %w", err)
-		}
-		fmt.Printf("bench record: %s merged into %s (%.0f req/s)\n", rec.Key(), *benchJSON, rec.Metrics["rps"])
-	}
 	for m := range msgs {
 		fmt.Printf("first errors: %s\n", m)
 	}

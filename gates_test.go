@@ -1,0 +1,161 @@
+package drqos_test
+
+import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// gate is one rule over the non-test source of a few packages: at most max
+// calls in files matches may satisfy match. The calls are found in the
+// syntax tree, so a comment or a string that merely spells one is not a call.
+type gate struct {
+	name  string
+	files []string // globs relative to the module root
+	match func(*ast.CallExpr) bool
+	max   int
+	fix   string
+}
+
+var gates = []gate{
+	{
+		// The audited event paths report corruption as a structured
+		// manager.InvariantViolation the server can catch and degrade on;
+		// a bare panic kills the daemon instead.
+		name:  "panic",
+		files: []string{"internal/manager/*.go", "internal/server/*.go", "internal/sim/sim.go", "internal/sim/trace.go"},
+		match: func(c *ast.CallExpr) bool {
+			id, ok := c.Fun.(*ast.Ident)
+			return ok && id.Name == "panic"
+		},
+		fix: "return a *manager.InvariantViolation instead",
+	},
+	{
+		// Full state leaves the command loop through one query
+		// (Server.ExportState); besides it only the snapshot writer and a
+		// follower's verify check copy the manager. A fourth copy is an
+		// O(population) cost creeping back onto some path.
+		name:  "export",
+		files: []string{"internal/server/*.go"},
+		match: func(c *ast.CallExpr) bool {
+			sel, ok := c.Fun.(*ast.SelectorExpr)
+			return ok && sel.Sel.Name == "ExportState" && len(c.Args) == 0
+		},
+		max: 3,
+		fix: "read through Server.ExportState or an aggregate",
+	},
+	{
+		// Every wait up to the standby's confirmation parks on the event
+		// that ends it: the journal's durable broadcast, a standby's poll,
+		// the caller's context. A sleep or a ticker here is a poll timer
+		// coming back (DESIGN.md §12).
+		name:  "timer",
+		files: []string{"internal/replica/shipper.go", "internal/server/pipeline.go"},
+		match: func(c *ast.CallExpr) bool {
+			sel, ok := c.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return false
+			}
+			if sel.Sel.Name == "NewTicker" {
+				return true
+			}
+			pkg, ok := sel.X.(*ast.Ident)
+			return ok && pkg.Name == "time" && (sel.Sel.Name == "After" || sel.Sel.Name == "Sleep")
+		},
+		fix: "wait on journal.WaitDurable, pollSignal or the context instead",
+	},
+}
+
+// check counts the gate's calls in files and fails when there are more than
+// max, naming where each one is.
+func (g gate) check(fset *token.FileSet, files []*ast.File) error {
+	var at []string
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if c, ok := n.(*ast.CallExpr); ok && g.match(c) {
+				at = append(at, fset.Position(c.Pos()).String())
+			}
+			return true
+		})
+	}
+	if len(at) > g.max {
+		return fmt.Errorf("%s gate: %d calls, at most %d allowed; %s:\n\t%s",
+			g.name, len(at), g.max, g.fix, strings.Join(at, "\n\t"))
+	}
+	return nil
+}
+
+func TestSourceGates(t *testing.T) {
+	for _, g := range gates {
+		fset := token.NewFileSet()
+		var files []*ast.File
+		for _, glob := range g.files {
+			paths, err := filepath.Glob(glob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(paths) == 0 {
+				t.Fatalf("%s gate: %s matches no file", g.name, glob)
+			}
+			for _, p := range paths {
+				if strings.HasSuffix(p, "_test.go") {
+					continue
+				}
+				f, err := parser.ParseFile(fset, p, nil, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				files = append(files, f)
+			}
+		}
+		if err := g.check(fset, files); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestSourceGatesCanFail feeds every gate one snippet that breaks it and one
+// that only spells the forbidden call in a comment or a string.
+func TestSourceGatesCanFail(t *testing.T) {
+	cases := map[string]struct{ bad, good string }{
+		"panic": {
+			bad:  `func f() { panic("corrupt") }`,
+			good: `func f() error { return errors.New("panic(x)") } // panic("corrupt")`,
+		},
+		"export": {
+			bad: `func f(m *manager.Manager) { m.ExportState(); m.ExportState(); m.ExportState(); m.ExportState() }`,
+			good: `func f(s *Server, m *manager.Manager) {
+				m.ExportState(); m.ExportState(); m.ExportState()
+				s.ExportState(ctx) // m.ExportState()
+			}`,
+		},
+		"timer": {
+			bad:  `func f() { time.Sleep(time.Millisecond) }`,
+			good: `func f() time.Time { log.Print("time.After(d)"); return time.Now() } // time.NewTicker(d)`,
+		},
+	}
+	for _, g := range gates {
+		c, ok := cases[g.name]
+		if !ok {
+			t.Fatalf("%s gate has no self-test case", g.name)
+		}
+		for _, src := range []string{c.bad, c.good} {
+			fset := token.NewFileSet()
+			f, err := parser.ParseFile(fset, g.name+".go", "package p\n"+src, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = g.check(fset, []*ast.File{f})
+			if src == c.bad && err == nil {
+				t.Errorf("%s gate passed a violation:\n%s", g.name, src)
+			}
+			if src == c.good && err != nil {
+				t.Errorf("%s gate failed a clean snippet: %v", g.name, err)
+			}
+		}
+	}
+}

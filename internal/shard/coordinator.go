@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -827,7 +828,9 @@ func (c *Coordinator) routeGlobal(src, dst topology.NodeID) (routing.Path, error
 
 // Terminate releases an external connection ID: a (shard, local) pair for
 // intra-shard connections, a transaction's every pinned part for
-// cross-shard ones.
+// cross-shard ones. A (shard, local) pair that is a part of a committed
+// cross-shard connection is not an intra-shard connection and answers
+// ErrNotFound: only the transaction's ID releases it.
 func (c *Coordinator) Terminate(ctx context.Context, ext int64) error {
 	if ext < 0 {
 		return fmt.Errorf("%w: connection %d", server.ErrNotFound, ext)
@@ -851,11 +854,26 @@ func (c *Coordinator) Terminate(ctx context.Context, ext int64) error {
 		}
 		return nil
 	}
-	if marker >= len(c.shards) {
+	local := part{shard: marker, conn: channel.ConnID(ext / 256)}
+	if marker >= len(c.shards) || c.isCrossPart(local) {
 		return fmt.Errorf("%w: connection %d", server.ErrNotFound, ext)
 	}
-	_, err := c.shards[marker].Terminate(ctx, channel.ConnID(ext/256))
+	_, err := c.shards[marker].Terminate(ctx, local.conn)
 	return err
+}
+
+// isCrossPart reports whether p is pinned by a committed cross-shard
+// connection. A scan, not a second index to keep in step: the cross index
+// holds tens to hundreds of entries.
+func (c *Coordinator) isCrossPart(p part) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, cc := range c.cross {
+		if slices.Contains(cc.parts, p) {
+			return true
+		}
+	}
+	return false
 }
 
 // FailLink injects a global link failure: the owning shard fails it

@@ -7,11 +7,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"slices"
 	"testing"
+	"time"
 
 	"drqos/internal/core"
 	"drqos/internal/manager"
+	"drqos/internal/qos"
 	"drqos/internal/rng"
 	"drqos/internal/shard"
 	"drqos/internal/topology"
@@ -26,6 +29,20 @@ func TestStatsFailedLinksAscending(t *testing.T) {
 	for _, l := range []topology.LinkID{40, 3, 21} {
 		if _, err := c.FailLink(context.Background(), l); err != nil {
 			t.Fatalf("fail link %d: %v", l, err)
+		}
+	}
+	// A shard's loop answers a command before it counts it processed, and
+	// the count is part of the aggregate: wait until all three are counted.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		var n int64
+		for i := 0; i < c.NumShards(); i++ {
+			n += c.Shard(i).Processed()
+		}
+		if n == 3 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("shards counted %d processed commands, want 3", n)
 		}
 	}
 	h := shard.NewHandler(c)
@@ -73,6 +90,64 @@ func TestShardsAnswer(t *testing.T) {
 	shard.NewHandler(c).ServeHTTP(rec, httptest.NewRequest("GET", "/v1/shards", nil))
 	if got := rec.Body.Bytes(); rec.Code != http.StatusOK || !bytes.Equal(got, append(want, '\n')) {
 		t.Fatalf("GET /v1/shards: %d %q, want 200 %q", rec.Code, got, want)
+	}
+}
+
+// TestCrossPiecesAreNotIntraConnections: a piece of a committed cross-shard
+// connection has a (shard, local) pair, but that pair names no intra-shard
+// connection: DELETE on it answers 404 and leaves the piece pinned, and the
+// cross connection's own ID still frees every piece.
+func TestCrossPiecesAreNotIntraConnections(t *testing.T) {
+	g := tierGraph(t, 7)
+	c := newCoordinator(t, g, shard.Options{Shards: 4})
+	h := shard.NewHandler(c)
+	ctx := context.Background()
+	del := func(id int64) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("DELETE", fmt.Sprintf("/v1/connections/%d", id), nil))
+		return rec.Code
+	}
+
+	empty := populations(t, c)
+	src, dst := crossPair(g, c.Plan())
+	res, err := c.Establish(ctx, src, dst, qos.DefaultSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ID != 511 {
+		t.Fatalf("first cross connection has ID %d, want 511 (txn 1)", res.ID)
+	}
+	var pieces []int64
+	for i := 0; i < c.NumShards(); i++ {
+		txns, err := c.Shard(i).Txns(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tx := range txns {
+			for _, cn := range tx.Conns {
+				if tx.Txn == 1 && cn.Alive {
+					pieces = append(pieces, int64(cn.ID)*256+int64(i))
+				}
+			}
+		}
+	}
+	if len(pieces) < 2 {
+		t.Fatalf("cross connection pinned %v, want pieces on >= 2 shards", pieces)
+	}
+	pinned := populations(t, c)
+	for _, id := range pieces {
+		if code := del(id); code != http.StatusNotFound {
+			t.Errorf("DELETE piece %d of 511: %d, want 404", id, code)
+		}
+	}
+	if after := populations(t, c); !reflect.DeepEqual(after, pinned) {
+		t.Fatalf("DELETE on pieces released state: %+v, want %+v", after, pinned)
+	}
+	if code := del(res.ID); code != http.StatusOK {
+		t.Fatalf("DELETE %d: %d, want 200", res.ID, code)
+	}
+	if after := populations(t, c); !reflect.DeepEqual(after, empty) {
+		t.Fatalf("DELETE %d left pieces pinned: %+v", res.ID, after)
 	}
 }
 
