@@ -50,11 +50,13 @@ var gates = []gate{
 	},
 	{
 		// Every wait up to the standby's confirmation parks on the event
-		// that ends it: the journal's durable broadcast, a standby's poll,
-		// the caller's context. A sleep or a ticker here is a poll timer
-		// coming back (DESIGN.md §12).
+		// that ends it: the shipper's parked poll on the journal's durable
+		// broadcast, the acknowledgment wait (WaitReplicated) on a standby's
+		// poll, both on the caller's context. A sleep or a ticker here is a
+		// poll timer or a hold coming back (DESIGN.md §12); the one deadline
+		// timer WaitReplicated arms is not pacing and is not matched.
 		name:  "timer",
-		files: []string{"internal/replica/shipper.go", "internal/server/pipeline.go"},
+		files: []string{"internal/replica/shipper.go", "internal/replica/replica.go", "internal/server/pipeline.go"},
 		match: func(c *ast.CallExpr) bool {
 			sel, ok := c.Fun.(*ast.SelectorExpr)
 			if !ok {

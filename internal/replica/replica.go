@@ -18,8 +18,7 @@
 //     Both waits park on the event that ends them — the poll on the
 //     journal's durable broadcast, the hook on the next poll — so the
 //     standby's confirmation costs two fsyncs and a round trip, not a poll
-//     interval; the hook then holds a confirmation that came in under
-//     ackFloor until the floor, which keeps the acknowledged rate steady.
+//     interval, and the hook releases a confirmed acknowledgment at once.
 //
 //   - Follower (Run): a continuous replay loop that fetches from the
 //     primary, applies each batch through server.ApplyReplicated (journal
@@ -293,25 +292,11 @@ func (n *Node) notePoll(confirmed uint64) {
 	}
 }
 
-// ackFloor is the least time a confirmed acknowledgment spends in
-// WaitReplicated: a standby that confirms sooner has its confirmation held
-// until then. It is the one wait on the acknowledgment path that a clock
-// ends rather than an event, and it buys steadiness, not speed. Without it
-// an acknowledgment is made of work only — two fsyncs, two loopback hops,
-// the standby's apply — so its length, and with it the rate of every
-// closed-loop client (one over the acknowledgment time), follows the host's
-// speed one for one; on shared hardware that speed drifts by 15–30 % over
-// minutes. Held to a floor just above the work, the acknowledged rate stays
-// within a few percent across those phases, at the price of about 0.7 ms on
-// the median replicated mutation (DESIGN.md §12 has the numbers).
-// A primary no standby is polling never reaches it.
-const ackFloor = time.Millisecond
-
 // WaitReplicated implements the server's semi-synchronous hook: block
 // until a standby's poll confirmed seq, the standby goes quiet (fall back
 // to asynchronous — a dead standby must not take client traffic down with
 // it), the sync timeout expires, or ctx dies. A confirmation is released
-// no sooner than ackFloor after the wait began.
+// the moment the confirming poll arrives.
 //
 // With lease fencing on and a lease granted, the asynchronous fallbacks
 // are closed off: an expired lease or a sync timeout refuses the
@@ -326,15 +311,6 @@ func (n *Node) WaitReplicated(ctx context.Context, seq uint64) error {
 	// through pollSignal and moves that instant.
 	timer := time.NewTimer(n.cfg.SyncTimeout)
 	defer timer.Stop()
-	rearm := func(d time.Duration) {
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(d)
-	}
 	for {
 		n.mu.Lock()
 		confirmed := n.replicatedSeq >= seq
@@ -361,13 +337,6 @@ func (n *Node) WaitReplicated(ctx context.Context, seq uint64) error {
 			n.logf("replica: lease lost (no standby poll within %s); fencing acknowledgments", n.cfg.Lease)
 		}
 		if confirmed {
-			if hold := ackFloor - time.Since(start); hold > 0 {
-				rearm(hold)
-				select {
-				case <-timer.C:
-				case <-ctx.Done(): // confirmed all the same
-				}
-			}
 			n.observeAckWait(time.Since(start))
 			return nil
 		}
@@ -381,8 +350,14 @@ func (n *Node) WaitReplicated(ctx context.Context, seq uint64) error {
 		} else if !active || time.Now().After(deadline) {
 			return nil
 		}
+		if !timer.Stop() {
+			select {
+			case <-timer.C:
+			default:
+			}
+		}
 		// The comparisons above are strict, so aim just past the instant.
-		rearm(time.Until(next) + time.Microsecond)
+		timer.Reset(time.Until(next) + time.Microsecond)
 		select {
 		case <-signal:
 		case <-timer.C:

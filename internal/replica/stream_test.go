@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -294,27 +295,36 @@ func TestAckWaitInsideMatchesOutside(t *testing.T) {
 	}
 }
 
-// TestAckFloor: a replicated mutation is never acknowledged before the
-// floor, the floor is a floor and not a pace (the median stays within a few
-// milliseconds of it, where the old poll timer put it past six), and a
-// primary nobody polls does not wait on it at all.
-func TestAckFloor(t *testing.T) {
+// TestConfirmedAckIsNotHeld: a confirmed acknowledgment leaves the moment
+// the standby's poll confirms it. A primary nobody polls never waits; every
+// acknowledged mutation is confirmed first; and once the standby has
+// confirmed the tip, the quickest of 50 waits for it returns in under
+// 0.5 ms — a hold that a clock ends puts every one of them past it. The
+// quickest, not the median, because a loaded host slows most waits but
+// rarely all of them. The bound is on the wait, not on the whole mutation:
+// under the race detector a paired mutation's own work takes about 0.8 ms
+// on a 2-vCPU VM.
+func TestConfirmedAckIsNotHeld(t *testing.T) {
+	const bound = 500 * time.Microsecond
 	g, ctx := testGraph(t), context.Background()
 	opt := journal.Options{GroupCommit: true}
 	primary := bootNodeWith(t, g, opt, "", replica.Config{})
 	defer primary.close(t)
+	quickestWait := func() time.Duration {
+		quickest := time.Hour
+		for i := 0; i < 50; i++ {
+			start := time.Now()
+			if err := primary.node.WaitReplicated(ctx, primary.jnl.LastSeq()); err != nil {
+				t.Fatal(err)
+			}
+			quickest = min(quickest, time.Since(start))
+		}
+		return quickest
+	}
 
 	establishSome(t, primary.srv, 3)
-	quickest := time.Hour
-	for i := 0; i < 50; i++ {
-		start := time.Now()
-		if err := primary.node.WaitReplicated(ctx, primary.jnl.LastSeq()); err != nil {
-			t.Fatal(err)
-		}
-		quickest = min(quickest, time.Since(start))
-	}
-	if quickest >= replica.AckFloor/2 {
-		t.Errorf("an unpaired primary's quickest acknowledgment took %s: it waits on the %s floor", quickest, replica.AckFloor)
+	if quickest := quickestWait(); quickest >= bound {
+		t.Errorf("an unpaired primary's quickest acknowledgment took %s: it waits for nobody", quickest)
 	}
 
 	standby := bootNodeWith(t, g, opt, primary.http.URL, replica.Config{})
@@ -324,15 +334,16 @@ func TestAckFloor(t *testing.T) {
 		return primary.node.StatsBlock().Followers == 1
 	})
 	// Whole mutations from here on; the acknowledgment wait is their last leg.
-	var waits []float64
+	var waits []time.Duration
 	timed := func(mutation func() error) error {
 		start := time.Now()
 		err := mutation()
 		if took := time.Since(start); err == nil {
-			if took < replica.AckFloor {
-				t.Fatalf("mutation %d acknowledged after %s, under the %s floor", len(waits), took, replica.AckFloor)
+			if st := primary.node.StatsBlock(); st.ReplicatedSeq < primary.jnl.LastSeq() {
+				t.Fatalf("mutation %d acknowledged without the standby's confirmation: replicated %d, tip %d",
+					len(waits), st.ReplicatedSeq, primary.jnl.LastSeq())
 			}
-			waits = append(waits, float64(took)/float64(time.Millisecond))
+			waits = append(waits, took)
 		}
 		return err
 	}
@@ -357,12 +368,12 @@ func TestAckFloor(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := primary.node.StatsBlock(); st.ReplicatedSeq != primary.jnl.LastSeq() {
-		t.Fatalf("released without the standby's confirmation: replicated %d, tip %d", st.ReplicatedSeq, primary.jnl.LastSeq())
-	}
-	floor := float64(replica.AckFloor) / float64(time.Millisecond)
-	if m := median(waits); m > floor+3 {
-		t.Errorf("median replicated mutation %.2f ms with a %.2f ms floor: something paces the path", m, floor)
+	quickest := quickestWait()
+	t.Logf("%d paired mutations: quickest %s, slowest %s; quickest confirmed wait %s",
+		len(waits), slices.Min(waits), slices.Max(waits), quickest)
+	if quickest >= bound {
+		t.Errorf("the quickest of 50 waits for a confirmed seq took %s, want under %s: something holds the acknowledgment",
+			quickest, bound)
 	}
 }
 
@@ -409,4 +420,5 @@ func BenchmarkReplicatedEstablish(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/op")
+	b.ReportMetric(1000*primary.node.StatsBlock().AckWaitMsP50, "ack_wait_us_p50")
 }
