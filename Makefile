@@ -1,4 +1,4 @@
-.PHONY: check build test race bench bench-smoke bench-e2e loadtest overload-smoke forecast-smoke shard-smoke failover-smoke partition-smoke
+.PHONY: check build test race bench bench-smoke bench-e2e loadtest recovery-smoke overload-smoke forecast-smoke shard-smoke failover-smoke partition-smoke
 
 # Full tier-1 verification: build + vet + race-enabled tests.
 check:
@@ -63,31 +63,37 @@ bench-smoke:
 bench-e2e:
 	bash bench/run.sh
 
-# Overload control plane: in-process episodes under -race, then a live 4x
-# over-capacity burst drill against a real drserverd.
+# The subsystem smokes: each is build + vet, the in-process episodes of one
+# family and its subsystem's tests under -race, then its row of TestProcess
+# (cmd/drserverd/process_test.go: real drserverd processes, SIGKILLed,
+# SIGTERMed and restarted). Overload and forecast have no process row.
+
+# Crash-restart episodes; row durable: SIGKILL quiet and mid-burst, SIGTERM,
+# restart from the same data dir.
+recovery-smoke:
+	./scripts/check.sh --recovery
+
+# Overload episodes, shedding, lane-priority and readiness tests.
 overload-smoke:
 	./scripts/check.sh --overload
 
-# Live analytic control plane: forecast unit tests under -race, then a
-# closed-loop drload run that gates the online Markov model's predicted
-# mean bandwidth within 10% of the measurement.
+# Forecast tests (the closed-loop model-vs-measured agreement among them),
+# and the -forecast-* flags reaching the live model over HTTP.
 forecast-smoke:
 	./scripts/check.sh --forecast
 
-# Sharded admission plane: partition/2PC tests under -race, mid-2PC kill
-# episodes, then a live drserverd -shards 4 kill -9 recovery smoke.
+# Partition/2PC tests and mid-2PC kill episodes; row sharded: SIGKILL a
+# four-shard daemon, per-shard fingerprints equal after the restart.
 shard-smoke:
 	./scripts/check.sh --shard
 
-# Primary/backup replication: replica tests under -race, seeded
-# primary-kill episodes, then a live two-node pair with a kill -9
-# mid-burst, sub-second promotion and a fenced bit-identical rejoin.
+# Replica tests and primary-kill episodes; row pair: promotion within 1 s of
+# the primary's SIGKILL, fenced rejoin at the same fingerprint.
 failover-smoke:
 	./scripts/check.sh --failover
 
-# Partition tolerance: netchaos fault injection, lease-fenced replication
-# and timeout-hardened 2PC under -race, then a live pair with the manual
-# promote interlock and a drload ledger run gated on zero acked loss.
+# netchaos, lease and 2PC-suspicion tests and partition episodes; row
+# pair-manual: the promote interlock's 409, then 200 once the lease lapses.
 partition-smoke:
 	./scripts/check.sh --partition
 

@@ -8,15 +8,11 @@
 // when one is sent; retries, honored hints and give-ups are reported
 // separately from hard errors in the digest. After the run it asks the
 // server to audit its ledger (GET /v1/invariants) and exits non-zero on any
-// transport error, unexpected status, or a dirty invariant check.
+// transport error, unexpected status, or a dirty invariant check. Both the
+// single plane and the sharded front end (-shards > 1) are valid targets.
 //
 //	drserverd -addr :8080 &
 //	drload -addr http://127.0.0.1:8080 -workers 8 -requests 10000
-//
-// With -overload it instead runs the sustained over-capacity burst drill
-// (see overload.go): calibrate the closed-loop rate, burst open-loop at a
-// multiple of it, and gate on the server shedding, keeping reads fast, and
-// returning to ready.
 package main
 
 import (
@@ -56,7 +52,6 @@ type counters struct {
 	retries     atomic.Int64 // re-issued after a transport error, 503 or 429
 	hints       atomic.Int64 // retries that honored a server Retry-After hint
 	giveups     atomic.Int64 // retry budget exhausted
-	failovers   atomic.Int64 // requests that succeeded after ≥1 transport-error retry
 	errors      atomic.Int64
 }
 
@@ -73,7 +68,7 @@ func (l *latencies) observe(seconds float64) {
 
 func run() error {
 	var (
-		addr      = flag.String("addr", "http://127.0.0.1:8080", "drserverd base URL, or a comma-separated list of replica endpoints; on a transport failure a worker rotates to the next endpoint (requests that then succeed count as failovers_survived)")
+		addr      = flag.String("addr", "http://127.0.0.1:8080", "drserverd base URL")
 		workers   = flag.Int("workers", 8, "concurrent closed-loop workers")
 		requests  = flag.Int64("requests", 10000, "total HTTP requests to issue")
 		seed      = flag.Uint64("seed", 1, "workload seed")
@@ -91,15 +86,7 @@ func run() error {
 	if *workers <= 0 || *requests <= 0 {
 		return fmt.Errorf("workers (%d) and requests (%d) must be positive", *workers, *requests)
 	}
-	var endpoints []string
-	for _, e := range strings.Split(*addr, ",") {
-		if e = strings.TrimSuffix(strings.TrimSpace(e), "/"); e != "" {
-			endpoints = append(endpoints, e)
-		}
-	}
-	if len(endpoints) == 0 {
-		return fmt.Errorf("-addr %q holds no endpoint", *addr)
-	}
+	base := strings.TrimSuffix(*addr, "/")
 	client := &http.Client{
 		Timeout: *timeout,
 		Transport: &http.Transport{
@@ -108,52 +95,13 @@ func run() error {
 		},
 	}
 
-	// Probes and reports target the first live endpoint — the list may
-	// deliberately lead with a dead primary in a failover drill. A follower
-	// there redirects mutations to the primary (doJSON bodies are
-	// replayable, so the default client follows the 307), and reads are
-	// served anywhere.
-	*addr = endpoints[0]
-	for _, e := range endpoints {
-		if _, _, _, err := doJSON(client, "GET", e+"/healthz", nil, nil); err == nil {
-			*addr = e
-			break
-		}
-	}
-
 	// Discover the topology once so workers can draw endpoints and links.
-	// A sharded daemon answers GET /v1/shards and wraps its stats in an
-	// aggregate; an unsharded one 404s the probe and serves Stats bare.
-	sv, err := fetchShardView(client, *addr)
+	st, err := fetchStats(client, base)
 	if err != nil {
-		return fmt.Errorf("shard probe (is drserverd running at %s?): %w", *addr, err)
+		return fmt.Errorf("initial stats (is drserverd running at %s?): %w", base, err)
 	}
-	var st server.Stats
-	if err := fetchStats(client, *addr, sv, &st); err != nil {
-		return fmt.Errorf("initial stats: %w", err)
-	}
-	if sv != nil {
-		fmt.Printf("target: %s — %d nodes, %d links, capacity %d Kbps, %d shards\n",
-			*addr, st.Nodes, st.Links, st.CapacityKbps, sv.shards)
-		if *crossFrac >= 0 {
-			fmt.Printf("workload: shard-aware pairs, cross-frac=%.3g\n", *crossFrac)
-		}
-	} else {
-		fmt.Printf("target: %s — %d nodes, %d links, capacity %d Kbps\n",
-			*addr, st.Nodes, st.Links, st.CapacityKbps)
-		if *crossFrac >= 0 {
-			fmt.Printf("note: -cross-frac ignored, daemon is not sharded\n")
-		}
-	}
-
-	if *overloadMode {
-		return runOverload(client, *addr, st, *seed)
-	}
-
-	var probe *forecastProbe
-	if *forecastOn {
-		probe = startForecastProbe(client, *addr, *forecastPollEvery)
-	}
+	fmt.Printf("target: %s — %d nodes, %d links, capacity %d Kbps\n",
+		base, st.Nodes, st.Links, st.CapacityKbps)
 
 	var (
 		cnt    counters
@@ -161,7 +109,6 @@ func run() error {
 		issued atomic.Int64
 		wg     sync.WaitGroup
 		msgs   = make(chan string, *workers) // first error per worker
-		wks    = make([]*worker, *workers)
 	)
 	start := time.Now()
 	for w := 0; w < *workers; w++ {
@@ -169,7 +116,7 @@ func run() error {
 		go func(w int) {
 			defer wg.Done()
 			wk := &worker{
-				id: w, client: client, endpoints: endpoints,
+				id: w, client: client, base: base,
 				src: rng.New(*seed + uint64(w)*0x9e3779b97f4a7c15),
 				// Jitter draws come from a separate stream so retries do
 				// not perturb the deterministic operation mix.
@@ -180,10 +127,7 @@ func run() error {
 				retries: *retries, retryBase: *retryBase, retryMax: *retryMax,
 				cnt: &cnt, lat: lat,
 				failedLink: -1,
-				view:       sv, crossFrac: *crossFrac,
-				ledger: make(map[int64]string),
 			}
-			wks[w] = wk
 			for issued.Add(1) <= *requests {
 				if err := wk.step(); err != nil {
 					if cnt.errors.Add(1) <= int64(cap(msgs)) {
@@ -210,8 +154,8 @@ func run() error {
 	fmt.Printf("outcomes: established=%d rejected=%d terminated=%d gone=%d failed=%d repaired=%d conflicts=%d errors=%d\n",
 		cnt.established.Load(), cnt.rejected.Load(), cnt.terminated.Load(), cnt.gone.Load(),
 		cnt.failed.Load(), cnt.repaired.Load(), cnt.conflicts.Load(), cnt.errors.Load())
-	fmt.Printf("resilience: retries=%d honored_hints=%d giveups=%d failovers_survived=%d\n",
-		cnt.retries.Load(), cnt.hints.Load(), cnt.giveups.Load(), cnt.failovers.Load())
+	fmt.Printf("resilience: retries=%d honored_hints=%d giveups=%d\n",
+		cnt.retries.Load(), cnt.hints.Load(), cnt.giveups.Load())
 	d := lat.d
 	// An empty digest reports NaN quantiles; render "n/a" instead of a
 	// bogus 0.00ms (Mean/Max return 0 when empty, equally misleading).
@@ -227,75 +171,23 @@ func run() error {
 		fmt.Printf("first errors: %s\n", m)
 	}
 
-	// After a failover drill the first endpoint may be dead; report from
-	// the first one that still answers.
-	reportAddr := *addr
-	for _, e := range endpoints {
-		if _, _, _, err := doJSON(client, "GET", e+"/healthz", nil, nil); err == nil {
-			reportAddr = e
-			break
-		}
-	}
-	if err := fetchStats(client, reportAddr, sv, &st); err != nil {
+	if st, err = fetchStats(client, base); err != nil {
 		return fmt.Errorf("final stats: %w", err)
 	}
 	fmt.Printf("server: alive=%d unprotected=%d avg_bw=%.1fKbps reject_rate=%.3f failed_links=%v\n",
 		st.Alive, st.Unprotected, st.AvgBandwidthKbps, st.RejectRate, st.FailedLinks)
 
-	if probe != nil {
-		probe.halt()
-		if err := probe.report(st.AvgBandwidthKbps, *forecastMaxRelErr); err != nil {
-			return err
-		}
-	}
-
 	var inv struct {
 		OK    bool   `json:"ok"`
 		Error string `json:"error"`
 	}
-	if _, _, _, err := doJSON(client, "GET", reportAddr+"/v1/invariants", nil, &inv); err != nil {
+	if _, _, _, err := doJSON(client, "GET", base+"/v1/invariants", nil, &inv); err != nil {
 		return fmt.Errorf("invariant check: %w", err)
 	}
 	if !inv.OK {
 		return fmt.Errorf("server invariants dirty: %s", inv.Error)
 	}
 	fmt.Println("server invariants: clean")
-
-	// Acked-write durability audit: every establish the server acknowledged
-	// (and the run did not terminate) must still be alive on the surviving
-	// endpoint. Only meaningful with no link faults (a fault legitimately
-	// drops connections without telling their owner) and more than one
-	// endpoint (the single-endpoint case has nothing to fail over to).
-	if *faultFrac == 0 && len(endpoints) > 1 {
-		verified, lost := 0, 0
-		var lostSample []string
-		for _, wk := range wks {
-			for id, rid := range wk.ledger {
-				var cs struct {
-					Alive bool `json:"alive"`
-				}
-				code, _, _, err := doJSON(client, "GET", reportAddr+fmt.Sprintf("/v1/connections/%d", id), nil, &cs)
-				if err != nil { // one retry on a transient transport error
-					code, _, _, err = doJSON(client, "GET", reportAddr+fmt.Sprintf("/v1/connections/%d", id), nil, &cs)
-				}
-				if err == nil && code == http.StatusOK && cs.Alive {
-					verified++
-					continue
-				}
-				lost++
-				if len(lostSample) < 5 {
-					lostSample = append(lostSample, fmt.Sprintf("conn %d (request %s, status %d, err %v)", id, rid, code, err))
-				}
-			}
-		}
-		fmt.Printf("acked ledger: verified=%d acked_lost=%d\n", verified, lost)
-		if lost > 0 {
-			for _, s := range lostSample {
-				fmt.Printf("acked_lost: %s\n", s)
-			}
-			return fmt.Errorf("%d acknowledged connections lost", lost)
-		}
-	}
 	if n := cnt.errors.Load(); n > 0 {
 		return fmt.Errorf("%d request errors", n)
 	}
@@ -306,12 +198,8 @@ func run() error {
 // and at most one injected link fault at a time (so faults always pair with
 // repairs and never leave the topology degraded at exit).
 type worker struct {
-	client *http.Client
-	// endpoints is the replica set; epi points at the one currently in
-	// use, rotated on transport failures so a dead primary's workers find
-	// the promoted standby.
-	endpoints           []string
-	epi                 int
+	client              *http.Client
+	base                string
 	id                  int
 	reqSeq              int64
 	src, jit            *rng.Source
@@ -325,13 +213,6 @@ type worker struct {
 	lat                 *latencies
 	owned               []int64
 	failedLink          int
-	view                *shardView
-	crossFrac           float64
-	// ledger records every establish the server acknowledged and the run
-	// still owns (terminates remove entries), keyed by connection ID with
-	// the X-Request-ID that created it. After a failover drill, main
-	// verifies every entry survived on the promoted endpoint.
-	ledger map[int64]string
 }
 
 // step issues exactly one HTTP request.
@@ -348,7 +229,11 @@ func (w *worker) step() error {
 }
 
 func (w *worker) establish() error {
-	a, b := w.pickPair()
+	a := w.src.Intn(w.nodes)
+	b := w.src.Intn(w.nodes)
+	if a == b {
+		b = (b + 1) % w.nodes
+	}
 	req := server.EstablishRequest{
 		Src: a, Dst: b,
 		MinKbps: w.minBW, MaxKbps: w.maxBW, IncrementKbps: w.inc,
@@ -364,7 +249,6 @@ func (w *worker) establish() error {
 	case code == http.StatusCreated:
 		w.cnt.established.Add(1)
 		w.owned = append(w.owned, resp.ID)
-		w.ledger[resp.ID] = rid
 		return nil
 	case code == http.StatusConflict: // admission rejection, an expected outcome
 		w.cnt.rejected.Add(1)
@@ -385,11 +269,9 @@ func (w *worker) terminate() error {
 		return err
 	case code == http.StatusOK:
 		w.cnt.terminated.Add(1)
-		delete(w.ledger, id)
 		return nil
 	case code == http.StatusNotFound: // dropped by a fault in the meantime
 		w.cnt.gone.Add(1)
-		delete(w.ledger, id)
 		return nil
 	default:
 		return fmt.Errorf("terminate %d: unexpected status %d", id, code)
@@ -434,27 +316,19 @@ func (w *worker) fault() error {
 }
 
 // timed issues one request, recording each attempt's latency. Transport
-// errors (including the connection-refused/reset burst of a primary dying
-// mid-failover), 503s (degraded or overloaded server) and 429s (rate
-// limit) are retried with capped exponential backoff and full jitter; once
-// the budget is spent the request is counted as a give-up and surfaces as
-// an error. A transport failure also rotates the worker to the next
-// configured endpoint, so a killed primary's workers land on the promoted
-// standby; a request that then succeeds counts as a survived failover.
+// errors, 503s (degraded or overloaded server) and 429s (rate limit) are
+// retried with capped exponential backoff and full jitter; once the budget
+// is spent the request is counted as a give-up and surfaces as an error.
 // When the refusal carries a Retry-After hint, the worker sleeps for the
 // hinted time instead of its own backoff guess — the server knows how long
 // its own recovery takes.
 func (w *worker) timed(method, path string, body, out any, hdrs ...string) (int, error) {
 	backoff := w.retryBase
-	transportRetried := false
 	for attempt := 0; ; attempt++ {
 		t0 := time.Now()
-		code, retryAfter, hinted, err := doJSON(w.client, method, w.endpoints[w.epi]+path, body, out, hdrs...)
+		code, retryAfter, hinted, err := doJSON(w.client, method, w.base+path, body, out, hdrs...)
 		w.lat.observe(time.Since(t0).Seconds())
 		if err == nil && code != http.StatusServiceUnavailable && code != http.StatusTooManyRequests {
-			if transportRetried {
-				w.cnt.failovers.Add(1)
-			}
 			return code, nil
 		}
 		if attempt >= w.retries {
@@ -465,19 +339,6 @@ func (w *worker) timed(method, path string, body, out any, hdrs ...string) (int,
 			return code, fmt.Errorf("giving up after %d attempts: status %d", attempt+1, code)
 		}
 		w.cnt.retries.Add(1)
-		if err != nil || code == http.StatusServiceUnavailable {
-			// Rotate on transport failure AND on 503: a lease-fenced
-			// ex-primary answers 503 while the promoted standby serves —
-			// sitting on the fenced node would burn the whole retry budget
-			// there. Single-endpoint runs (the overload drill) just retry
-			// in place.
-			if err != nil {
-				transportRetried = true
-			}
-			if len(w.endpoints) > 1 {
-				w.epi = (w.epi + 1) % len(w.endpoints)
-			}
-		}
 		if hinted {
 			// Honor the server's hint, with a little jitter on top so
 			// hinted workers don't all come back in the same instant.
@@ -492,6 +353,25 @@ func (w *worker) timed(method, path string, body, out any, hdrs ...string) (int,
 			backoff = w.retryMax
 		}
 	}
+}
+
+// fetchStats reads the service stats in either shape the daemon serves:
+// bare server.Stats (single plane) or the sharded front end's aggregate.
+func fetchStats(client *http.Client, base string) (server.Stats, error) {
+	var resp struct {
+		server.Stats
+		Aggregate *server.Stats `json:"aggregate"`
+	}
+	code, _, _, err := doJSON(client, "GET", base+"/v1/stats", nil, &resp)
+	switch {
+	case err != nil:
+		return server.Stats{}, err
+	case code != http.StatusOK:
+		return server.Stats{}, fmt.Errorf("GET /v1/stats: unexpected status %d", code)
+	case resp.Aggregate != nil:
+		return *resp.Aggregate, nil
+	}
+	return resp.Stats, nil
 }
 
 // doJSON performs one JSON round trip, returning the status code, the

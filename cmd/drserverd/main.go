@@ -158,16 +158,13 @@ type config struct {
 
 	autoRecover bool
 	overload    overload.DetectorConfig
-	execDelay   time.Duration
 
 	rateLimit, rateBurst float64
 	maxBodyBytes         int64
 	pprof                bool
 
 	forecastInterval   time.Duration
-	forecastStates     int
 	forecastPredictive bool
-	forecastTimeout    time.Duration
 }
 
 func parseFlags(args []string) (*config, error) {
@@ -207,13 +204,10 @@ func parseFlags(args []string) (*config, error) {
 	fs.Float64Var(&c.rateBurst, "rate-burst", 0, "per-client burst allowance on top of -rate-limit (0 = same as -rate-limit)")
 	fs.Int64Var(&c.maxBodyBytes, "max-body-bytes", 1<<20, "request-body cap on mutation endpoints; oversized bodies answer 413")
 	fs.BoolVar(&c.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/ for live overload investigation")
-	fs.DurationVar(&c.execDelay, "exec-delay", 0, "artificial per-command execution delay — overload drills only, caps the service rate so a burst reliably overruns it")
 
 	// Live analytic control plane (internal/forecast).
 	fs.DurationVar(&c.forecastInterval, "forecast-interval", 0, "re-solve the live Markov forecast this often, serving GET /v1/forecast (0 disables forecasting)")
-	fs.IntVar(&c.forecastStates, "forecast-states", 0, "bandwidth states the forecast models over the default spec's range (0 = the spec's own grid, 9 states)")
 	fs.BoolVar(&c.forecastPredictive, "forecast-predictive", false, "let model-predicted saturation pre-latch overload shedding before the reactive queue-delay detector fires")
-	fs.DurationVar(&c.forecastTimeout, "forecast-timeout", 0, "per-solve deadline; an overrun serves the previous forecast marked stale (0 = the forecast interval)")
 
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -261,7 +255,6 @@ func (c *config) serverOptions() server.Options {
 		SnapshotEvery: c.snapEvery,
 		Recover:       server.RecoverPolicy{Auto: c.autoRecover},
 		Overload:      c.overload,
-		ExecDelay:     c.execDelay,
 	}
 }
 
@@ -421,10 +414,8 @@ func bootSingle(cfg *config, g *topology.Graph, mcfg manager.Config, front []ser
 
 	if cfg.forecastInterval > 0 {
 		opts.Forecast = &forecast.Config{
-			States:       cfg.forecastStates,
-			Interval:     cfg.forecastInterval,
-			SolveTimeout: cfg.forecastTimeout,
-			Predictive:   cfg.forecastPredictive,
+			Interval:   cfg.forecastInterval,
+			Predictive: cfg.forecastPredictive,
 			OnPredict: func(saturated bool) {
 				if saturated {
 					log.Printf("FORECAST: model predicts saturation — pre-latching overload shedding")
@@ -433,12 +424,7 @@ func bootSingle(cfg *config, g *topology.Graph, mcfg manager.Config, front []ser
 				}
 			},
 		}
-		states := "default"
-		if cfg.forecastStates > 1 {
-			states = fmt.Sprint(cfg.forecastStates)
-		}
-		log.Printf("forecast: solving every %s (%s states, predictive=%v)",
-			cfg.forecastInterval, states, cfg.forecastPredictive)
+		log.Printf("forecast: solving every %s (predictive=%v)", cfg.forecastInterval, cfg.forecastPredictive)
 	}
 	opts.OnDegrade = func(reason string) {
 		if jnl != nil {

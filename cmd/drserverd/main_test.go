@@ -2,6 +2,8 @@ package main
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -73,14 +75,17 @@ func (d *daemon) do(t *testing.T, method, path, body string) (int, string) {
 }
 
 // TestBootServeDrain boots both planes in memory, checks each reaches
-// /readyz, admits an establish, and drains cleanly when told to stop.
+// /readyz, admits an establish, and drains cleanly when told to stop. A row
+// with then also probes what its flags switched on.
 func TestBootServeDrain(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		args []string
+		then func(t *testing.T, d *daemon)
 	}{
-		{"single", []string{"-no-require-backup"}},
-		{"shards-2", []string{"-no-require-backup", "-kind", "tier", "-shards", "2"}},
+		{"single", []string{"-no-require-backup"}, nil},
+		{"shards-2", []string{"-no-require-backup", "-kind", "tier", "-shards", "2"}, nil},
+		{"forecast", []string{"-no-require-backup", "-forecast-interval", "20ms", "-forecast-predictive"}, forecastAnswers},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d, err := boot(t, tc.args...)
@@ -96,10 +101,47 @@ func TestBootServeDrain(t *testing.T) {
 			if code, body := d.do(t, "GET", "/v1/invariants", ""); code != http.StatusOK {
 				t.Fatalf("/v1/invariants: %d %s", code, body)
 			}
+			if tc.then != nil {
+				tc.then(t, d)
+			}
 			if err := d.stop(); err != nil {
 				t.Fatalf("drain: %v", err)
 			}
 		})
+	}
+}
+
+// forecastAnswers drives the churn the live model needs before its first
+// solve (20 observed events), then waits for GET /v1/forecast to carry a
+// solve and POST /v1/forecast/whatif to answer a counterfactual: the
+// -forecast-* flags reached forecast.Config.
+func forecastAnswers(t *testing.T, d *daemon) {
+	for i := 0; i < 30; i++ {
+		code, body := d.do(t, "POST", "/v1/connections", fmt.Sprintf(`{"src":%d,"dst":%d}`, i, (i+11)%30))
+		var est struct {
+			ID int64 `json:"id"`
+		}
+		if code != http.StatusCreated || json.Unmarshal([]byte(body), &est) != nil {
+			t.Fatalf("establish %d: %d %s", i, code, body)
+		}
+		if i%2 == 1 {
+			if code, body := d.do(t, "DELETE", fmt.Sprintf("/v1/connections/%d", est.ID), ""); code != http.StatusOK {
+				t.Fatalf("terminate %d: %d %s", est.ID, code, body)
+			}
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		code, body := d.do(t, "GET", "/v1/forecast", "")
+		if code != http.StatusOK {
+			t.Fatalf("/v1/forecast: %d %s", code, body)
+		}
+		code, wi := d.do(t, "POST", "/v1/forecast/whatif", `{"count":5}`)
+		if code == http.StatusOK && strings.Contains(wi, `"admit"`) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no what-if answer within 10s: %d %s (forecast: %s)", code, wi, body)
+		}
 	}
 }
 

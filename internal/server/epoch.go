@@ -171,15 +171,29 @@ func (s *Server) ExportState(ctx context.Context) (uint64, *manager.State, error
 	return ex.seq, ex.state, err
 }
 
+// Audit is what GET /v1/invariants reports for one plane, single or one
+// shard of many: a single loop command runs the consistency audit of
+// CheckInvariants and exports the state it audited, so verdict,
+// fingerprint and journal position are of one instant. Two replicas, or one
+// plane across a restart, hold the same state iff they report the same
+// fingerprint at the same seq. A dirty audit answers its violation and the
+// seq, and no fingerprint.
+func (s *Server) Audit(ctx context.Context) (seq uint64, fingerprint string, err error) {
+	ex, err := s.export(ctx, true)
+	if err != nil {
+		return ex.seq, "", err
+	}
+	return ex.seq, ex.state.Fingerprint(), nil
+}
+
 // exported is ExportState's answer as one value.
 type exported struct {
 	seq   uint64
 	state *manager.State
 }
 
-// export is the command behind ExportState. With audit set it first runs
-// the consistency audit of CheckInvariants, so GET /v1/invariants answers
-// verdict, fingerprint and journal position of one instant; a dirty audit
+// export is the command behind ExportState and Audit. With audit set it
+// first runs the consistency audit of CheckInvariants; a dirty audit
 // answers its violation and the position, and no state.
 func (s *Server) export(ctx context.Context, audit bool) (exported, error) {
 	return query(s, ctx, func(m *manager.Manager) (ex exported, err error) {

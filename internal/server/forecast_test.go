@@ -182,9 +182,8 @@ func TestForecastHTTPRoundTrip(t *testing.T) {
 
 // TestForecastClosedLoopAgreement is the sim-vs-forecast agreement check:
 // on a steady closed-loop workload the model solved from live-estimated
-// parameters must land near the measured average bandwidth (the acceptance
-// bound for the CI smoke is 10%; the in-test bound is looser because the
-// workload here is much shorter).
+// parameters must land near the measured average bandwidth (within 20%: the
+// workload is short, and a tighter point threshold fails on noise).
 func TestForecastClosedLoopAgreement(t *testing.T) {
 	s := newForecastServer(t, forecast.Config{Interval: time.Hour, MinEvents: 10})
 	defer s.Shutdown(context.Background())

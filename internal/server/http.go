@@ -291,9 +291,8 @@ func NewHandler(s *Server, opts ...HandlerOption) http.Handler {
 		})
 	})
 	mux.HandleFunc("GET /v1/connections/{id}", func(w http.ResponseWriter, r *http.Request) {
-		// Point lookup for one connection — the probe drload's acked-write
-		// ledger uses after a failover to verify every acknowledged
-		// connection survived onto the promoted primary.
+		// Point lookup for one connection — how a client verifies that an
+		// acknowledged connection survived a restart or a failover.
 		id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
 		if err != nil {
 			WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: "bad connection id: " + err.Error()})
@@ -405,11 +404,11 @@ func NewHandler(s *Server, opts ...HandlerOption) http.Handler {
 		WriteJSON(w, http.StatusOK, s.StatsView())
 	})
 	mux.HandleFunc("GET /v1/invariants", func(w http.ResponseWriter, r *http.Request) {
-		// One loop command answers the audit verdict, the state fingerprint
-		// and the journal position they hold at, so an operator (or the
-		// failover smoke) can compare two replicas bit-for-bit at a sequence
-		// number without waiting for either to go quiet.
-		ex, err := s.export(r.Context(), true)
+		// Audit answers verdict, fingerprint and journal position of one
+		// instant, so an operator (or a test) can compare two replicas
+		// bit-for-bit at a sequence number without waiting for either to go
+		// quiet.
+		seq, fingerprint, err := s.Audit(r.Context())
 		degraded, reason := s.Degraded()
 		if errors.Is(err, ErrServerClosed) {
 			WriteError(w, err)
@@ -417,13 +416,13 @@ func NewHandler(s *Server, opts ...HandlerOption) http.Handler {
 		}
 		// Degraded is sticky: a clean audit now does not un-corrupt the
 		// event that tripped it, so the flag is reported either way.
-		body := map[string]any{"ok": err == nil, "degraded": degraded, "degraded_reason": reason, "journal_seq": ex.seq}
+		body := map[string]any{"ok": err == nil, "degraded": degraded, "degraded_reason": reason, "journal_seq": seq}
 		if err != nil {
 			body["error"] = err.Error()
 			WriteJSON(w, http.StatusInternalServerError, body)
 			return
 		}
-		body["fingerprint"] = ex.state.Fingerprint()
+		body["fingerprint"] = fingerprint
 		WriteJSON(w, http.StatusOK, body)
 	})
 	mux.HandleFunc("POST /v1/admin/recover", func(w http.ResponseWriter, r *http.Request) {
@@ -469,7 +468,7 @@ func NewHandler(s *Server, opts ...HandlerOption) http.Handler {
 		if rb := s.replicaBlock(); rb != nil && rb.LeaseLost {
 			leaseLost = true
 		}
-		// Role rides readiness so a load balancer (and the failover drill)
+		// Role rides readiness so a load balancer (and a failover test)
 		// can tell a ready read-only follower from the mutation-serving
 		// primary without a second request.
 		body := map[string]any{

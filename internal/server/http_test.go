@@ -172,10 +172,23 @@ func TestInvariantsAnswersOneInstant(t *testing.T) {
 	done := make(chan struct{})
 	var pollWg, mutWg sync.WaitGroup
 	answers := make([][]answer, 2)
+	// The mutators pace themselves on the pollers — every 20 operations
+	// each waits for a fresh answer — so polls land between mutations
+	// however the scheduler runs the goroutines: in-process mutations are
+	// far cheaper than an HTTP poll.
+	var mu sync.Mutex
+	fresh := sync.NewCond(&mu)
+	polls, pollers := 0, len(answers)
 	for p := range answers {
 		pollWg.Add(1)
 		go func() {
 			defer pollWg.Done()
+			defer func() {
+				mu.Lock()
+				pollers--
+				fresh.Broadcast()
+				mu.Unlock()
+			}()
 			for {
 				select {
 				case <-done:
@@ -188,6 +201,10 @@ func TestInvariantsAnswersOneInstant(t *testing.T) {
 					return
 				}
 				answers[p] = append(answers[p], a)
+				mu.Lock()
+				polls++
+				fresh.Broadcast()
+				mu.Unlock()
 			}
 		}()
 	}
@@ -198,6 +215,13 @@ func TestInvariantsAnswersOneInstant(t *testing.T) {
 			src := rng.New(uint64(900 + w))
 			var mine []channel.ConnID
 			for i := 0; i < 60; i++ {
+				if i%20 == 0 {
+					mu.Lock()
+					for seen := polls; polls == seen && pollers > 0; {
+						fresh.Wait()
+					}
+					mu.Unlock()
+				}
 				if len(mine) > 0 && src.Float64() < 0.4 {
 					id := mine[len(mine)-1]
 					mine = mine[:len(mine)-1]

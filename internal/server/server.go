@@ -154,8 +154,9 @@ type Options struct {
 	// cleared by a good sample). Daemons use it to log transitions.
 	OnOverload func(overloaded bool)
 	// ExecDelay adds an artificial pause before each executed command.
-	// Zero in production; overload drills and the chaos harness use it to
-	// make queueing delay — and therefore shedding — deterministic.
+	// Zero in production (no flag sets it); overload tests and the chaos
+	// harness use it to make queueing delay — and therefore shedding —
+	// deterministic.
 	ExecDelay time.Duration
 	// OnDegrade, when non-nil, is called exactly once per degrade episode —
 	// from the command loop goroutine — when an invariant violation flips

@@ -35,8 +35,8 @@ type TerminateResponse struct {
 	ID int64 `json:"id"`
 }
 
-// ShardsResponse describes the partition for shard-aware clients (drload
-// uses it to steer intra- vs cross-shard traffic).
+// ShardsResponse describes the partition for shard-aware clients, which
+// use it to pick intra- or cross-shard pairs.
 type ShardsResponse struct {
 	Shards    int   `json:"shards"`
 	Regions   int   `json:"regions"`
@@ -154,15 +154,19 @@ func NewHandler(c *Coordinator, opts ...server.HandlerOption) http.Handler {
 		server.WriteJSON(w, http.StatusOK, c.statsResponse())
 	})
 	mux.HandleFunc("GET /v1/invariants", func(w http.ResponseWriter, r *http.Request) {
+		// Each entry is the single plane's answer for that shard: verdict,
+		// fingerprint and journal position of one instant.
 		perShard := make([]map[string]any, len(c.shards))
 		allOK := true
 		for i, s := range c.shards {
-			err := s.CheckInvariants(r.Context())
+			seq, fingerprint, err := s.Audit(r.Context())
 			degraded, reason := s.Degraded()
-			entry := map[string]any{"ok": err == nil, "degraded": degraded}
+			entry := map[string]any{"ok": err == nil, "degraded": degraded, "journal_seq": seq}
 			if err != nil {
 				entry["error"] = err.Error()
 				allOK = false
+			} else {
+				entry["fingerprint"] = fingerprint
 			}
 			if reason != "" {
 				entry["degraded_reason"] = reason

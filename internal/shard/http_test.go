@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"drqos/internal/core"
+	"drqos/internal/journal"
 	"drqos/internal/manager"
 	"drqos/internal/qos"
 	"drqos/internal/rng"
@@ -90,6 +91,71 @@ func TestShardsAnswer(t *testing.T) {
 	shard.NewHandler(c).ServeHTTP(rec, httptest.NewRequest("GET", "/v1/shards", nil))
 	if got := rec.Body.Bytes(); rec.Code != http.StatusOK || !bytes.Equal(got, append(want, '\n')) {
 		t.Fatalf("GET /v1/shards: %d %q, want 200 %q", rec.Code, got, want)
+	}
+}
+
+// TestInvariantsPerShardFingerprint: every per-shard entry of the sharded
+// /v1/invariants carries that shard's fingerprint and journal position, as
+// the single plane's answer does, so two reads are comparable across a
+// restart. An establish inside shard 0 moves shard 0's pair and no other.
+func TestInvariantsPerShardFingerprint(t *testing.T) {
+	c := newCoordinator(t, tierGraph(t, 7), shard.Options{
+		Shards: 4, Dir: t.TempDir(), Journal: journal.Options{FsyncEvery: 1},
+	})
+	h := shard.NewHandler(c)
+	type entry struct {
+		OK          bool   `json:"ok"`
+		Fingerprint string `json:"fingerprint"`
+		Seq         uint64 `json:"journal_seq"`
+	}
+	read := func() []entry {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/invariants", nil))
+		var body struct {
+			OK     bool    `json:"ok"`
+			Shards []entry `json:"shards"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || rec.Code != http.StatusOK || !body.OK {
+			t.Fatalf("GET /v1/invariants: %d %s (%v)", rec.Code, rec.Body.Bytes(), err)
+		}
+		for i, e := range body.Shards {
+			if !e.OK || e.Fingerprint == "" {
+				t.Fatalf("shard %d entry %+v: want ok with a fingerprint", i, e)
+			}
+		}
+		return body.Shards
+	}
+	before := read()
+	if want := fingerprints(t, c); len(before) != len(want) {
+		t.Fatalf("%d entries for %d shards", len(before), len(want))
+	} else {
+		for i := range want {
+			if before[i].Fingerprint != want[i] {
+				t.Errorf("shard %d: /v1/invariants says %s, StateFingerprint %s", i, before[i].Fingerprint, want[i])
+			}
+		}
+	}
+
+	var pair []topology.NodeID
+	for n, s := range c.Plan().NodeShard {
+		if s == 0 && len(pair) < 2 {
+			pair = append(pair, topology.NodeID(n))
+		}
+	}
+	res, err := c.Establish(context.Background(), pair[0], pair[1], qos.DefaultSpec())
+	if err != nil || res.Cross || res.Shard != 0 {
+		t.Fatalf("establish %v on shard 0: %+v, %v", pair, res, err)
+	}
+	after := read()
+	for i := range after {
+		moved := after[i] != before[i]
+		if moved != (i == 0) {
+			t.Errorf("shard %d: %+v -> %+v; only shard 0 should move", i, before[i], after[i])
+		}
+	}
+	if after[0].Seq <= before[0].Seq {
+		t.Errorf("shard 0 journal_seq %d -> %d, want it to advance", before[0].Seq, after[0].Seq)
 	}
 }
 
