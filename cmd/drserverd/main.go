@@ -40,7 +40,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -49,7 +48,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -58,7 +56,6 @@ import (
 	"drqos/internal/journal"
 	"drqos/internal/manager"
 	"drqos/internal/overload"
-	"drqos/internal/qos"
 	"drqos/internal/replica"
 	"drqos/internal/server"
 	"drqos/internal/shard"
@@ -72,64 +69,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "drserverd:", err)
 		os.Exit(1)
 	}
-}
-
-// dataMeta pins a data directory to the topology, admission config and
-// shard count that produced its journals. Replay is only meaningful against
-// the identical deterministic setup (the partition is derived from topology
-// and shard count), so a mismatch is a hard startup error. Shards is 0 for
-// the single plane, which keeps its meta.json as it always was.
-type dataMeta struct {
-	Kind          string `json:"kind"`
-	Nodes         int    `json:"nodes"`
-	Seed          uint64 `json:"seed"`
-	CapacityKbps  int64  `json:"capacity_kbps"`
-	Policy        string `json:"policy"`
-	RequireBackup bool   `json:"require_backup"`
-	Multiplex     bool   `json:"multiplex"`
-	Shards        int    `json:"shards,omitempty"`
-}
-
-// Marker files: a directory is either a single-plane or a sharded
-// deployment, never both.
-const (
-	singleMeta  = "meta.json"
-	shardedMeta = "coordinator.json"
-)
-
-// checkMeta writes the marker file on first use and verifies it on every
-// restart. A directory already claimed by the other kind of deployment is
-// refused.
-func checkMeta(dir, file, other string, want dataMeta) error {
-	path := filepath.Join(dir, file)
-	raw, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		if _, oerr := os.Stat(filepath.Join(dir, other)); oerr == nil {
-			return fmt.Errorf("data dir %s already holds the other kind of deployment (%s); "+
-				"a single-plane and a sharded daemon each need their own directory", dir, other)
-		}
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-		b, err := json.MarshalIndent(want, "", "  ")
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(path, append(b, '\n'), 0o644)
-	}
-	if err != nil {
-		return err
-	}
-	var have dataMeta
-	if err := json.Unmarshal(raw, &have); err != nil {
-		return fmt.Errorf("data dir %s: unreadable %s: %w", dir, file, err)
-	}
-	if have != want {
-		return fmt.Errorf("data dir %s was written under config %+v, but this process started with %+v — "+
-			"journal replay is only valid against the identical topology, admission config and shard count; "+
-			"fix the flags or point -data-dir at a fresh directory", dir, have, want)
-	}
-	return nil
 }
 
 // config is the parsed command line.
@@ -218,9 +157,6 @@ func parseFlags(args []string) (*config, error) {
 	if c.replicaOf != "" && c.shards > 1 {
 		return nil, errors.New("-replica-of is incompatible with -shards > 1 (replication is per-plane)")
 	}
-	if c.kind != "waxman" && c.kind != "tier" {
-		return nil, fmt.Errorf("unknown kind %q", c.kind)
-	}
 	if c.lease < 0 {
 		c.lease = c.failoverTO / 2
 	}
@@ -230,9 +166,10 @@ func parseFlags(args []string) (*config, error) {
 	return c, nil
 }
 
-// meta is the marker a data directory written under c carries.
-func (c *config) meta() dataMeta {
-	return dataMeta{
+// meta is the marker a data directory written under c carries; it is also
+// all the daemon needs to build its topology and admission config.
+func (c *config) meta() core.DataMeta {
+	return core.DataMeta{
 		Kind: c.kind, Nodes: c.nodes, Seed: c.seed, CapacityKbps: c.capacity,
 		Policy: c.policy, RequireBackup: !c.noBackup, Multiplex: !c.noMux,
 	}
@@ -273,27 +210,13 @@ func run(ctx context.Context, args []string, listening func(net.Addr)) error {
 	if err != nil {
 		return err
 	}
-	pol, err := qos.PolicyByName(cfg.policy)
-	if err != nil {
-		return err
-	}
-	k := core.TopologyWaxman
-	if cfg.kind == "tier" {
-		k = core.TopologyTransitStub
-	}
-	sys, err := core.NewSystem(core.Options{Seed: cfg.seed, Kind: k, Nodes: cfg.nodes})
+	sys, mcfg, err := cfg.meta().Build()
 	if err != nil {
 		return err
 	}
 	m := sys.Metrics()
 	log.Printf("topology: %d nodes, %d links, diameter %d, avg hops %.2f (seed %d)",
 		m.Nodes, m.Edges, m.Diameter, m.AvgHops, cfg.seed)
-	mcfg := manager.Config{
-		Capacity:                  qos.Kbps(cfg.capacity),
-		Policy:                    pol,
-		RequireBackup:             !cfg.noBackup,
-		DisableBackupMultiplexing: cfg.noMux,
-	}
 
 	front := []server.HandlerOption{server.WithMaxBodyBytes(cfg.maxBodyBytes)}
 	if cfg.rateLimit > 0 {
@@ -371,7 +294,7 @@ func bootSingle(cfg *config, g *topology.Graph, mcfg manager.Config, front []ser
 	var mgr *manager.Manager
 	var jnl *journal.Journal
 	if cfg.dataDir != "" {
-		if err := checkMeta(cfg.dataDir, singleMeta, shardedMeta, cfg.meta()); err != nil {
+		if err := core.CheckMeta(cfg.dataDir, cfg.meta()); err != nil {
 			return plane{}, err
 		}
 		jopt := cfg.journalOptions()
@@ -517,7 +440,7 @@ func bootSharded(cfg *config, g *topology.Graph, mcfg manager.Config, front []se
 	if cfg.dataDir != "" {
 		meta := cfg.meta()
 		meta.Shards = cfg.shards
-		if err := checkMeta(cfg.dataDir, shardedMeta, singleMeta, meta); err != nil {
+		if err := core.CheckMeta(cfg.dataDir, meta); err != nil {
 			return plane{}, err
 		}
 	}

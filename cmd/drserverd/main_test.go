@@ -11,6 +11,10 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"drqos/internal/core"
+	"drqos/internal/qos"
+	"drqos/internal/sim"
 )
 
 // daemon is one run() under test: its base URL once it listens, and a stop
@@ -142,6 +146,54 @@ func forecastAnswers(t *testing.T, d *daemon) {
 		if time.Now().After(deadline) {
 			t.Fatalf("no what-if answer within 10s: %d %s (forecast: %s)", code, wi, body)
 		}
+	}
+}
+
+// TestBootFromSimDir: a directory the simulator journaled (drsim -trace) is
+// a daemon's boot state — under the same topology and admission flags the
+// daemon accepts its marker and serves the simulator's final state.
+func TestBootFromSimDir(t *testing.T) {
+	dir := t.TempDir()
+	meta := core.DataMeta{Kind: "waxman", Nodes: 30, Seed: 1, CapacityKbps: int64(core.PaperCapacity),
+		Policy: "coefficient", Multiplex: true}
+	sys, mcfg, err := meta.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	jnl, err := core.OpenTrace(dir, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sim.New(sys.Graph(), sim.Config{
+		Seed: 1, Spec: qos.DefaultSpec(), Manager: mcfg,
+		Lambda: 0.001, Mu: 0.001, Gamma: 0.001, RepairRate: 0.01,
+		InitialConns: 150, ChurnEvents: 200, WarmupEvents: 20,
+		Trace: jnl,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := s.Run(); err != nil || res.AliveAtEnd == 0 || res.Failures == 0 {
+		t.Fatalf("the run must end populated, with failures behind it: %+v %v", res, err)
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d, err := boot(t, "-data-dir", dir, "-fsync", "-1", "-no-require-backup")
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, body := d.do(t, "GET", "/v1/invariants", "")
+	var inv struct {
+		OK          bool   `json:"ok"`
+		Fingerprint string `json:"fingerprint"`
+	}
+	if code != http.StatusOK || json.Unmarshal([]byte(body), &inv) != nil || !inv.OK {
+		t.Fatalf("/v1/invariants: %d %s", code, body)
+	}
+	if want := s.Manager().ExportState().Fingerprint(); inv.Fingerprint != want {
+		t.Fatalf("daemon booted to %s, the simulator ended at %s", inv.Fingerprint, want)
 	}
 }
 

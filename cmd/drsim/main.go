@@ -1,7 +1,10 @@
 // Command drsim runs one detailed simulation of dependable real-time
 // connections with elastic QoS and prints the measured metrics and model
 // parameters. With -params-out it writes the measured markov.Params (plus
-// birth distribution and restart rate) as JSON for cmd/drmarkov.
+// birth distribution and restart rate) as JSON for cmd/drmarkov. With
+// -trace DIR it journals every event it applies into DIR, a single-plane data
+// directory: drtrace -in DIR summarises it, and drserverd -data-dir DIR with
+// the same topology and admission flags boots to the run's final state.
 //
 // Example — one Figure 2 data point:
 //
@@ -46,7 +49,7 @@ func run() error {
 		noBackup  = flag.Bool("no-require-backup", false, "accept unprotectable connections")
 		noMux     = flag.Bool("no-multiplex", false, "disable backup multiplexing")
 		paramsOut = flag.String("params-out", "", "write measured model parameters as JSON")
-		traceOut  = flag.String("trace", "", "write a JSONL event trace to this file")
+		traceDir  = flag.String("trace", "", "journal every event into this fresh data directory (read by drtrace and drserverd -data-dir)")
 	)
 	flag.Parse()
 
@@ -76,13 +79,17 @@ func run() error {
 		ChurnEvents:               *churn,
 		WarmupEvents:              *warmup,
 	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
+	if *traceDir != "" {
+		// The marker drserverd writes under the same flags.
+		jnl, err := core.OpenTrace(*traceDir, core.DataMeta{
+			Kind: *kind, Nodes: *nodes, Seed: *seed, CapacityKbps: *capacity,
+			Policy: *policy, RequireBackup: !*noBackup, Multiplex: !*noMux,
+		})
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		opts.Trace = f
+		defer jnl.Close() // error paths; the success path checks Close below
+		opts.Trace = jnl
 	}
 	sys, err := core.NewSystem(opts)
 	if err != nil {
@@ -115,6 +122,12 @@ func run() error {
 		res.DiscardedA, res.DiscardedB, res.DiscardedT)
 	fmt.Printf("state occupancy (sim): %s\n", fmtDist(res.EmpiricalPi))
 	fmt.Printf("state occupancy (markov): %s\n", fmtDist(ev.RestartModel.Pi))
+	if opts.Trace != nil {
+		if err := opts.Trace.Close(); err != nil {
+			return fmt.Errorf("trace: %w", err)
+		}
+		fmt.Printf("trace: %d events journaled to %s\n", opts.Trace.LastSeq(), *traceDir)
+	}
 
 	if *paramsOut != "" {
 		delta := 0.0

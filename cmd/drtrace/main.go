@@ -1,21 +1,28 @@
-// Command drtrace summarizes a JSONL event trace written by
-// `drsim -trace`: event counts, population and bandwidth trajectories, and
-// per-failure impact statistics.
+// Command drtrace summarizes a single-plane data directory — the journal
+// `drsim -trace` writes, or a live or stopped drserverd's -data-dir: event
+// counts, per-failure impact, and the population and bandwidth trajectory by
+// journal sequence number. It restores the newest snapshot, if any, and
+// replays the record tail after it through the manager's transition; it
+// never writes to the directory.
 //
 // Example:
 //
-//	drsim -conns 2000 -gamma 1e-4 -trace trace.jsonl
-//	drtrace -in trace.jsonl -buckets 10
+//	drsim -conns 2000 -gamma 1e-4 -trace run1
+//	drtrace -in run1 -buckets 10
 package main
 
 import (
-	"bufio"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
-	"drqos/internal/sim"
+	"drqos/internal/core"
+	"drqos/internal/journal"
+	"drqos/internal/manager"
+	"drqos/internal/qos"
+	"drqos/internal/server"
 	"drqos/internal/stats"
 )
 
@@ -28,8 +35,8 @@ func main() {
 
 func run() error {
 	var (
-		in      = flag.String("in", "", "trace file written by drsim -trace (required)")
-		buckets = flag.Int("buckets", 10, "number of time buckets in the trajectory table")
+		in      = flag.String("in", "", "data directory written by drsim -trace or drserverd -data-dir (required)")
+		buckets = flag.Int("buckets", 10, "number of sequence-number buckets in the trajectory table")
 	)
 	flag.Parse()
 	if *in == "" {
@@ -39,70 +46,100 @@ func run() error {
 	if *buckets < 1 {
 		return fmt.Errorf("need at least 1 bucket")
 	}
-	f, err := os.Open(*in)
+	s, err := summarize(*in, *buckets)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-
-	var events []sim.TraceEvent
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		var ev sim.TraceEvent
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			return fmt.Errorf("line %d: %w", line, err)
-		}
-		events = append(events, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	if len(events) == 0 {
-		return fmt.Errorf("empty trace")
-	}
-
-	counts := map[string]int{}
-	var failureImpact stats.Running
-	for _, ev := range events {
-		counts[ev.Kind]++
-		if ev.Kind == "failure" {
-			failureImpact.Observe(float64(ev.Activated + ev.Dropped))
-		}
-	}
-	fmt.Printf("events: %d total", len(events))
-	for _, k := range []string{"arrival", "reject", "termination", "failure", "repair"} {
-		if counts[k] > 0 {
-			fmt.Printf("  %s=%d", k, counts[k])
-		}
-	}
-	fmt.Println()
-	if failureImpact.N() > 0 {
-		fmt.Printf("failure impact: %.2f affected connections per failure (max %.0f over %d failures)\n",
-			failureImpact.Mean(), failureImpact.Max(), failureImpact.N())
-	}
-
-	start, end := events[0].T, events[len(events)-1].T
-	if end <= start {
-		fmt.Println("trajectory: trace covers a single instant; skipping buckets")
-		return nil
-	}
-	fmt.Printf("\n%-12s %-8s %-10s\n", "t", "alive", "avg bw")
-	width := (end - start) / float64(*buckets)
-	idx := 0
-	for b := 0; b < *buckets; b++ {
-		cut := start + float64(b+1)*width
-		var last *sim.TraceEvent
-		for idx < len(events) && events[idx].T <= cut {
-			last = &events[idx]
-			idx++
-		}
-		if last == nil {
-			continue
-		}
-		fmt.Printf("%-12.1f %-8d %-10.1f\n", last.T, last.Alive, last.AvgBandwidth)
-	}
+	s.print(os.Stdout)
 	return nil
+}
+
+// kinds orders the count line; a rejected establish counts as "reject".
+var kinds = []string{"establish", "reject", "terminate", "fail_link", "repair_link", "term"}
+
+// summary is what one directory's record tail says.
+type summary struct {
+	snapshotSeq uint64         // the tail starts after it (0: no snapshot)
+	restored    int            // connections alive in the snapshot
+	records     int            // records in the tail
+	counts      map[string]int // by kind
+	impact      stats.Running  // connections activated or dropped, per failure
+	dropped     int
+	points      []point // the state after each bucket's last record
+}
+
+type point struct {
+	seq   uint64
+	alive int
+	avgBW float64
+}
+
+// summarize reads dir without writing to it, restores its snapshot and
+// steps the restored manager through the tail, bucketing the trajectory by
+// record.
+func summarize(dir string, buckets int) (*summary, error) {
+	meta, err := core.ReadMeta(dir)
+	if err != nil {
+		return nil, err
+	}
+	sys, mcfg, err := meta.Build()
+	if err != nil {
+		return nil, err
+	}
+	rec, err := journal.Read(dir)
+	if err != nil {
+		return nil, err
+	}
+	head := *rec
+	head.Events = nil
+	m, err := server.Rebuild(sys.Graph(), mcfg, &head)
+	if err != nil {
+		return nil, err
+	}
+	n := len(rec.Events)
+	s := &summary{snapshotSeq: rec.SnapshotSeq, restored: m.AliveCount(), records: n, counts: map[string]int{}}
+	for i, ev := range rec.Events {
+		kind := ev.Kind.String()
+		if ev.Kind != journal.KindTerm { // a replication fence: no manager state
+			out, err := m.Apply(ev)
+			switch {
+			case errors.Is(err, manager.ErrRejected), errors.Is(err, qos.ErrInvalidSpec):
+				kind = "reject"
+			case err != nil:
+				return nil, fmt.Errorf("replay seq %d (%s): %w", ev.Seq, ev, err)
+			case out.Failure != nil:
+				s.impact.Observe(float64(len(out.Failure.Activated) + len(out.Failure.Dropped)))
+				s.dropped += len(out.Failure.Dropped)
+			}
+		}
+		s.counts[kind]++
+		if (i+1)*buckets/n > i*buckets/n { // record i closes a bucket
+			s.points = append(s.points, point{seq: ev.Seq, alive: m.AliveCount(), avgBW: m.AverageBandwidth()})
+		}
+	}
+	return s, nil
+}
+
+func (s *summary) print(w io.Writer) {
+	if s.snapshotSeq > 0 {
+		fmt.Fprintf(w, "snapshot: seq %d, %d connections alive\n", s.snapshotSeq, s.restored)
+	}
+	fmt.Fprintf(w, "events: %d total", s.records)
+	for _, k := range kinds {
+		if s.counts[k] > 0 {
+			fmt.Fprintf(w, "  %s=%d", k, s.counts[k])
+		}
+	}
+	fmt.Fprintln(w)
+	if s.impact.N() > 0 {
+		fmt.Fprintf(w, "failure impact: %.2f affected connections per failure (max %.0f over %d failures), %d dropped\n",
+			s.impact.Mean(), s.impact.Max(), s.impact.N(), s.dropped)
+	}
+	if len(s.points) == 0 {
+		return
+	}
+	fmt.Fprintf(w, "\n%-12s %-8s %-10s\n", "seq", "alive", "avg bw")
+	for _, p := range s.points {
+		fmt.Fprintf(w, "%-12d %-8d %-10.1f\n", p.seq, p.alive, p.avgBW)
+	}
 }

@@ -27,7 +27,7 @@ var gates = []gate{
 		// manager.InvariantViolation the server can catch and degrade on;
 		// a bare panic kills the daemon instead.
 		name:  "panic",
-		files: []string{"internal/manager/*.go", "internal/server/*.go", "internal/sim/sim.go", "internal/sim/trace.go"},
+		files: []string{"internal/manager/*.go", "internal/server/*.go", "internal/sim/*.go"},
 		match: func(c *ast.CallExpr) bool {
 			id, ok := c.Fun.(*ast.Ident)
 			return ok && id.Name == "panic"
@@ -69,6 +69,29 @@ var gates = []gate{
 			return ok && pkg.Name == "time" && (sel.Sel.Name == "After" || sel.Sel.Name == "Sleep")
 		},
 		fix: "wait on journal.WaitDurable, pollSignal or the context instead",
+	},
+	{
+		// The paper's four events step a manager through one transition,
+		// manager.Apply, so the daemon, its replay, the simulator and the
+		// chaos traces cannot disagree on what an event does. The gate sees
+		// only syntax, so it tells a manager call from a Server or
+		// Coordinator method by arity: those take a context first.
+		name:  "transition",
+		files: []string{"internal/server/*.go", "internal/sim/*.go", "internal/chaos/*.go"},
+		match: func(c *ast.CallExpr) bool {
+			sel, ok := c.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return false
+			}
+			switch sel.Sel.Name {
+			case "Establish":
+				return len(c.Args) == 3
+			case "Terminate", "FailLink", "RepairLink":
+				return len(c.Args) == 1
+			}
+			return false
+		},
+		fix: "build the event's journal record and step the manager with manager.Apply",
 	},
 }
 
@@ -138,6 +161,13 @@ func TestSourceGatesCanFail(t *testing.T) {
 		"timer": {
 			bad:  `func f() { time.Sleep(time.Millisecond) }`,
 			good: `func f() time.Time { log.Print("time.After(d)"); return time.Now() } // time.NewTicker(d)`,
+		},
+		"transition": {
+			bad: `func f(m *manager.Manager) { m.FailLink(l) }`,
+			good: `func f(s *Server, m *manager.Manager) {
+				s.Establish(ctx, src, dst, spec); s.Terminate(ctx, id); s.RepairLink(ctx, l)
+				m.Apply(manager.EstablishEvent(src, dst, spec)) // m.Establish(src, dst, spec)
+			}`,
 		},
 	}
 	for _, g := range gates {

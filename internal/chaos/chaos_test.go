@@ -3,9 +3,9 @@ package chaos
 import (
 	"errors"
 	"reflect"
-	"strings"
 	"testing"
 
+	"drqos/internal/journal"
 	"drqos/internal/manager"
 )
 
@@ -54,14 +54,14 @@ func TestDeterminism(t *testing.T) {
 // connections and link states that no longer exist after shrinking;
 // those events must degrade to no-ops, not abort the replay.
 func TestReplayToleratesUsageErrors(t *testing.T) {
-	fail, err := Replay(Config{Seed: 1}, []Event{
-		{Kind: KindTerminate, Conn: 999}, // never established
-		{Kind: KindRepairLink, Link: 0},  // not failed
-		{Kind: KindFailLink, Link: -1},   // out of range
-		{Kind: KindFailLink, Link: 1 << 20},
-		{Kind: KindEstablish, Src: 0, Dst: 1},
-		{Kind: KindFailLink, Link: 0},
-		{Kind: KindFailLink, Link: 0}, // double fault
+	fail, err := Replay(Config{Seed: 1}, []journal.Event{
+		{Kind: journal.KindTerminate, Conn: 999}, // never established
+		{Kind: journal.KindRepairLink, Link: 0},  // not failed
+		{Kind: journal.KindFailLink, Link: -1},   // out of range
+		{Kind: journal.KindFailLink, Link: 1 << 20},
+		manager.EstablishEvent(0, 1, elastic),
+		{Kind: journal.KindFailLink, Link: 0},
+		{Kind: journal.KindFailLink, Link: 0}, // double fault
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -79,8 +79,8 @@ func TestShrinkInjectedBug(t *testing.T) {
 	cfg := Config{
 		Seed:   7,
 		Events: 200,
-		Hook: func(ev Event, m *manager.Manager) {
-			if ev.Kind == KindFailLink {
+		Hook: func(ev journal.Event, m *manager.Manager) {
+			if ev.Kind == journal.KindFailLink {
 				m.CorruptAggregatesForTesting()
 			}
 		},
@@ -95,7 +95,7 @@ func TestShrinkInjectedBug(t *testing.T) {
 	if !manager.IsInvariantViolation(fail.Err) {
 		t.Fatalf("want InvariantViolation, got %v", fail.Err)
 	}
-	if fail.Trace[fail.Index].Kind != KindFailLink {
+	if fail.Trace[fail.Index].Kind != journal.KindFailLink {
 		t.Fatalf("violation should surface at the corrupting fail_link event, got %s", fail.Trace[fail.Index])
 	}
 
@@ -135,24 +135,26 @@ func TestShrinkRejectsHealthyTrace(t *testing.T) {
 	}
 }
 
-// TestFormatTrace checks the Go-literal rendering round-trips the four
-// event kinds with their significant fields.
+// TestFormatTrace: the rendering of a trace is the Go literal that built it
+// — the one below, which compiles — and that literal replays.
 func TestFormatTrace(t *testing.T) {
-	got := FormatTrace([]Event{
-		{Kind: KindEstablish, Src: 3, Dst: 7},
-		{Kind: KindTerminate, Conn: 12},
-		{Kind: KindFailLink, Link: 5},
-		{Kind: KindRepairLink, Link: 5},
-	})
-	for _, want := range []string{
-		"{Kind: chaos.KindEstablish, Src: 3, Dst: 7},",
-		"{Kind: chaos.KindTerminate, Conn: 12},",
-		"{Kind: chaos.KindFailLink, Link: 5},",
-		"{Kind: chaos.KindRepairLink, Link: 5},",
-	} {
-		if !strings.Contains(got, want) {
-			t.Fatalf("FormatTrace output missing %q:\n%s", want, got)
-		}
+	trace := []journal.Event{
+		{Kind: journal.KindEstablish, Src: 3, Dst: 7, MinKbps: 100, MaxKbps: 500, IncKbps: 50, Utility: 1},
+		{Kind: journal.KindTerminate, Conn: 1},
+		{Kind: journal.KindFailLink, Link: 5},
+		{Kind: journal.KindRepairLink, Link: 5},
+	}
+	want := `[]journal.Event{
+	{Kind: journal.KindEstablish, Src: 3, Dst: 7, MinKbps: 100, MaxKbps: 500, IncKbps: 50, Utility: 1},
+	{Kind: journal.KindTerminate, Conn: 1},
+	{Kind: journal.KindFailLink, Link: 5},
+	{Kind: journal.KindRepairLink, Link: 5},
+}`
+	if got := FormatTrace(trace); got != want {
+		t.Fatalf("FormatTrace:\n%s\nwant:\n%s", got, want)
+	}
+	if fail, err := Replay(Config{Seed: 1}, trace); err != nil || fail != nil {
+		t.Fatalf("the literal does not replay clean: %v %v", fail, err)
 	}
 }
 
@@ -161,7 +163,7 @@ func TestFormatTrace(t *testing.T) {
 func TestFailureUnwrap(t *testing.T) {
 	f := &Failure{
 		Index: 0,
-		Trace: []Event{{Kind: KindFailLink, Link: 1}},
+		Trace: []journal.Event{{Kind: journal.KindFailLink, Link: 1}},
 		Err:   &manager.InvariantViolation{Op: "fail_link", Detail: "synthetic"},
 	}
 	if !manager.IsInvariantViolation(f) {

@@ -337,7 +337,7 @@ func (w *world) client(ctx context.Context, k int, pos *atomic.Int64) error {
 // does: a node that cannot take it right now (closed, follower, fenced) is
 // retried until the plane has a primary again; a deadline that died or an
 // overload refusal is an answer — the client gave up.
-func (w *world) do(ctx context.Context, ev Event) error {
+func (w *world) do(ctx context.Context, ev journal.Event) error {
 	for {
 		err := w.attempt(ctx, ev)
 		switch {
@@ -375,12 +375,12 @@ func unavailable(err error) bool {
 // ledger. A terminate that fails any other way than a clean refusal may or
 // may not have been applied; its connection leaves the acked-alive set
 // either way.
-func (w *world) attempt(ctx context.Context, ev Event) error {
+func (w *world) attempt(ctx context.Context, ev journal.Event) error {
 	w.quiet.RLock()
 	defer w.quiet.RUnlock()
 	n, reign := w.primary()
 	switch ev.Kind {
-	case KindEstablish:
+	case journal.KindEstablish:
 		if w.pressure {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, pressureDeadline)
@@ -391,7 +391,7 @@ func (w *world) attempt(ctx context.Context, ev Event) error {
 			w.led.told(ev, t, reign)
 		}
 		return err
-	case KindTerminate:
+	case journal.KindTerminate:
 		var err error
 		if w.coord != nil {
 			err = w.coord.Terminate(ctx, ev.Conn)
@@ -405,17 +405,17 @@ func (w *world) attempt(ctx context.Context, ev Event) error {
 			w.led.lose(channel.ConnID(ev.Conn))
 		}
 		return err
-	case KindFailLink:
+	case journal.KindFailLink:
 		rep, err := n.srv.FailLink(ctx, topology.LinkID(ev.Link))
 		if err == nil {
-			w.led.setLink(ev.Link, true)
+			w.led.setLink(int(ev.Link), true)
 			w.led.lose(rep.Dropped...)
 		}
 		return err
 	default:
 		_, err := n.srv.RepairLink(ctx, topology.LinkID(ev.Link))
 		if err == nil {
-			w.led.setLink(ev.Link, false)
+			w.led.setLink(int(ev.Link), false)
 		}
 		return err
 	}
@@ -438,10 +438,10 @@ func (w *world) read(ctx context.Context) {
 
 // establish speaks to whichever front the plane has — the acting primary's
 // server or the shard coordinator — and returns what the client was told.
-func (w *world) establish(ctx context.Context, n *node, ev Event) (told, error) {
-	src, dst := topology.NodeID(ev.Src), topology.NodeID(ev.Dst)
+func (w *world) establish(ctx context.Context, n *node, ev journal.Event) (told, error) {
+	src, dst, spec := topology.NodeID(ev.Src), topology.NodeID(ev.Dst), manager.EventSpec(ev)
 	if w.coord != nil {
-		res, err := w.coord.Establish(ctx, src, dst, elastic)
+		res, err := w.coord.Establish(ctx, src, dst, spec)
 		if err != nil {
 			return told{}, err
 		}
@@ -451,7 +451,7 @@ func (w *world) establish(ctx context.Context, n *node, ev Event) (told, error) 
 		}
 		return t, nil
 	}
-	rep, err := n.srv.Establish(ctx, src, dst, elastic)
+	rep, err := n.srv.Establish(ctx, src, dst, spec)
 	if err != nil {
 		return told{}, err
 	}

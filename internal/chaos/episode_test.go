@@ -70,7 +70,7 @@ func TestCrashPointDoesNotMatter(t *testing.T) {
 // rewriteJournal replaces dir's journal with edit's version of its records,
 // renumbered from 1 — the kind of damage that keeps every frame valid.
 func rewriteJournal(dir string, edit func([]journal.Event) ([]journal.Event, error)) error {
-	rec, err := readJournal(dir)
+	rec, err := journal.Read(dir)
 	if err != nil {
 		return err
 	}

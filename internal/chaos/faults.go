@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"drqos/internal/journal"
+	"drqos/internal/manager"
 	"drqos/internal/rng"
 	"drqos/internal/server"
 	"drqos/internal/shard"
@@ -91,7 +92,7 @@ func (w *world) inject(f Fault) error {
 // whatever survives the fault must still hold them, bit for bit.
 func (w *world) capture() (err error) {
 	for _, n := range w.nodes {
-		if w.history[n.dir], err = readJournal(n.dir); err != nil {
+		if w.history[n.dir], err = journal.Read(n.dir); err != nil {
 			return fmt.Errorf("capturing %s: %w", n.name, err)
 		}
 	}
@@ -128,7 +129,7 @@ func (w *world) kill(f Fault) error {
 	}
 	next := w.anyPair(rng.New(w.seed ^ 0x9e3779b97f4a7c15))
 	for i := 0; i < f.N; i++ {
-		if _, err := n.jnl.AppendAsync(next().record()); err != nil {
+		if _, err := n.jnl.AppendAsync(next()); err != nil {
 			return fmt.Errorf("unacked window append: %w", err)
 		}
 	}
@@ -230,14 +231,14 @@ func (w *world) promote(f Fault, t0 time.Time, budget time.Duration) error {
 }
 
 // anyPair draws establishes between random node pairs.
-func (w *world) anyPair(src *rng.Source) func() Event {
-	return func() Event { return nextEvent(src, population{nodes: w.g.NumNodes()}) }
+func (w *world) anyPair(src *rng.Source) func() journal.Event {
+	return func() journal.Event { return nextEvent(src, population{nodes: w.g.NumNodes()}) }
 }
 
 // serve proves a plane takes work after a fault: establishes from next
 // against n (or the coordinator) until one is acknowledged and entered in
 // the ledger. Admission may reject individual pairs on a loaded topology.
-func (w *world) serve(n *node, reign int, next func() Event) error {
+func (w *world) serve(n *node, reign int, next func() journal.Event) error {
 	var err error
 	for i := 0; i < 200; i++ {
 		ev := next()
@@ -284,7 +285,7 @@ func (w *world) cut(f Fault) error {
 // crossPair is the establish that is guaranteed to cross shards: two stub
 // nodes owned by different shards, so the 2PC always has at least two
 // participants and routing — hence their order — is fixed.
-func (w *world) crossPair() Event {
+func (w *world) crossPair() journal.Event {
 	owner := w.coord.Plan().NodeShard
 	src, dst := -1, -1
 	for n := 0; n < len(owner) && dst == -1; n++ {
@@ -297,7 +298,7 @@ func (w *world) crossPair() Event {
 			dst = n
 		}
 	}
-	return Event{Kind: KindEstablish, Src: src, Dst: dst}
+	return manager.EstablishEvent(topology.NodeID(src), topology.NodeID(dst), elastic)
 }
 
 // doomed drives the cross-shard establish that cannot commit and holds it to

@@ -40,7 +40,7 @@ import (
 // told is one acknowledged establish: the request, what the client was
 // told about the connection, which reign acknowledged it and when.
 type told struct {
-	ev     Event
+	ev     journal.Event
 	id     int64
 	level  int
 	kbps   int64
@@ -65,7 +65,7 @@ type ledger struct {
 // client's failure report can name a connection before the client that
 // established it has got round to entering it, which is why gone is a set
 // of ids and not a mark on the entry.)
-func (l *ledger) told(ev Event, t told, reign int) {
+func (l *ledger) told(ev journal.Event, t told, reign int) {
 	t.ev, t.reign, t.at = ev, reign, time.Now()
 	l.mu.Lock()
 	l.acks = append(l.acks, &t)
@@ -118,7 +118,7 @@ type replayed struct {
 // and cross-check through RebuildWithTxns, then the tail record by record
 // through server.Replay — noting each connection as its record creates it.
 func (w *world) replay(n *node) (*replayed, error) {
-	rec, err := readJournal(n.dir)
+	rec, err := journal.Read(n.dir)
 	if err != nil {
 		return nil, err
 	}
@@ -332,7 +332,7 @@ func (v *verdict) ledger() {
 				switch {
 				case !ok:
 					v.flag("ii", "%s: no record creates acknowledged connection %d (%s)", n.name, t.id, t.ev)
-				case v.w.coord == nil && (int(c.Src) != t.ev.Src || int(c.Dst) != t.ev.Dst):
+				case v.w.coord == nil && (int32(c.Src) != t.ev.Src || int32(c.Dst) != t.ev.Dst):
 					v.flag("iv", "connection %d on %s is not the acknowledged %s", t.id, n.name, t.ev)
 				case c.Level != t.level || int64(c.Bandwidth()) != t.kbps || c.HasBackup != t.backup:
 					v.flag("ii", "connection %d: client was told level %d, %d Kb/s, backup %v; replay of %s holds level %d, %d Kb/s, backup %v at its record",

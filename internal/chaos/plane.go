@@ -213,36 +213,6 @@ func (w *world) stop() {
 	}
 }
 
-// readJournal recovers what dir holds — newest snapshot plus the record
-// tail — from a private copy, so it works on a live (quiesced) node, on a
-// dead one, and on directories the coordinator owns, and never disturbs the
-// original: discarding a torn tail is the real restart's job.
-func readJournal(dir string) (*journal.Recovered, error) {
-	tmp, err := os.MkdirTemp("", "drqos-oracle-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(tmp)
-	files, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	for _, f := range files {
-		data, err := os.ReadFile(filepath.Join(dir, f.Name()))
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(filepath.Join(tmp, f.Name()), data, 0o644); err != nil {
-			return nil, err
-		}
-	}
-	jnl, rec, err := journal.Open(tmp, journal.Options{FsyncEvery: -1})
-	if err != nil {
-		return nil, err
-	}
-	return rec, jnl.Close()
-}
-
 // activeSegment resolves dir's newest wal segment (zero-padded names sort
 // lexically) and its current size.
 func activeSegment(dir string) (string, int64, error) {

@@ -3,6 +3,8 @@ package chaos
 import (
 	"fmt"
 	"strings"
+
+	"drqos/internal/journal"
 )
 
 // Shrink reduces a failing trace to a locally-minimal reproducer using
@@ -18,7 +20,7 @@ import (
 // Shrink returns the minimized trace and the failure it reproduces. If the
 // input trace does not fail on replay (flaky setup, wrong config), it
 // returns (nil, nil, error).
-func Shrink(cfg Config, trace []Event) ([]Event, *Failure, error) {
+func Shrink(cfg Config, trace []journal.Event) ([]journal.Event, *Failure, error) {
 	fail, err := Replay(cfg, trace)
 	if err != nil {
 		return nil, nil, err
@@ -28,7 +30,7 @@ func Shrink(cfg Config, trace []Event) ([]Event, *Failure, error) {
 	}
 	// The failure index bounds the relevant prefix: events after it were
 	// never executed.
-	cur := append([]Event(nil), trace[:fail.Index+1]...)
+	cur := append([]journal.Event(nil), trace[:fail.Index+1]...)
 
 	for chunk := (len(cur) + 1) / 2; chunk >= 1; chunk /= 2 {
 		for start := 0; start < len(cur); {
@@ -36,7 +38,7 @@ func Shrink(cfg Config, trace []Event) ([]Event, *Failure, error) {
 			if end > len(cur) {
 				end = len(cur)
 			}
-			cand := make([]Event, 0, len(cur)-(end-start))
+			cand := make([]journal.Event, 0, len(cur)-(end-start))
 			cand = append(cand, cur[:start]...)
 			cand = append(cand, cur[end:]...)
 			if len(cand) == 0 {
@@ -60,26 +62,25 @@ func Shrink(cfg Config, trace []Event) ([]Event, *Failure, error) {
 	return cur, fail, nil
 }
 
-// FormatTrace renders a trace as a Go composite literal, ready to paste
-// into a regression test and feed back through Replay.
-func FormatTrace(trace []Event) string {
+// FormatTrace renders a trace as a []journal.Event composite literal, ready
+// to paste into a regression test and feed back through Replay.
+func FormatTrace(trace []journal.Event) string {
 	var b strings.Builder
-	b.WriteString("[]chaos.Event{\n")
+	b.WriteString("[]journal.Event{\n")
 	for _, ev := range trace {
-		b.WriteString("\t{Kind: ")
 		switch ev.Kind {
-		case KindEstablish:
-			fmt.Fprintf(&b, "chaos.KindEstablish, Src: %d, Dst: %d", ev.Src, ev.Dst)
-		case KindTerminate:
-			fmt.Fprintf(&b, "chaos.KindTerminate, Conn: %d", ev.Conn)
-		case KindFailLink:
-			fmt.Fprintf(&b, "chaos.KindFailLink, Link: %d", ev.Link)
-		case KindRepairLink:
-			fmt.Fprintf(&b, "chaos.KindRepairLink, Link: %d", ev.Link)
+		case journal.KindEstablish:
+			fmt.Fprintf(&b, "\t{Kind: journal.KindEstablish, Src: %d, Dst: %d, MinKbps: %d, MaxKbps: %d, IncKbps: %d, Utility: %v},\n",
+				ev.Src, ev.Dst, ev.MinKbps, ev.MaxKbps, ev.IncKbps, ev.Utility)
+		case journal.KindTerminate:
+			fmt.Fprintf(&b, "\t{Kind: journal.KindTerminate, Conn: %d},\n", ev.Conn)
+		case journal.KindFailLink:
+			fmt.Fprintf(&b, "\t{Kind: journal.KindFailLink, Link: %d},\n", ev.Link)
+		case journal.KindRepairLink:
+			fmt.Fprintf(&b, "\t{Kind: journal.KindRepairLink, Link: %d},\n", ev.Link)
 		default:
-			fmt.Fprintf(&b, "chaos.Kind(%d)", int(ev.Kind))
+			fmt.Fprintf(&b, "\t{Kind: journal.Kind(%d)},\n", uint8(ev.Kind))
 		}
-		b.WriteString("},\n")
 	}
 	b.WriteString("}")
 	return b.String()

@@ -15,9 +15,9 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"math"
 
+	"drqos/internal/journal"
 	"drqos/internal/manager"
 	"drqos/internal/markov"
 	"drqos/internal/qos"
@@ -92,8 +92,9 @@ type Options struct {
 	// InitialConns / ChurnEvents / WarmupEvents shape the run (defaults
 	// 3000 / 2000 / 400).
 	InitialConns, ChurnEvents, WarmupEvents int
-	// Trace, when non-nil, receives the simulator's JSONL event trace.
-	Trace io.Writer
+	// Trace, when non-nil, journals every event the simulator applies (see
+	// sim.Config.Trace and OpenTrace).
+	Trace *journal.Journal
 }
 
 func (o Options) withDefaults() Options {

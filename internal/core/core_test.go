@@ -1,11 +1,10 @@
 package core
 
 import (
-	"bytes"
-	"encoding/json"
 	"math"
 	"testing"
 
+	"drqos/internal/journal"
 	"drqos/internal/qos"
 )
 
@@ -196,28 +195,46 @@ func TestEvaluateWithFailures(t *testing.T) {
 	_ = qos.DefaultSpec()
 }
 
+// TestTracePlumbing: a traced run journals every event it applies into the
+// directory OpenTrace prepared, and a directory holding a run is not reused.
 func TestTracePlumbing(t *testing.T) {
-	var buf bytes.Buffer
+	dir := t.TempDir()
+	meta := DataMeta{Kind: "waxman", Nodes: 100, Seed: 19, CapacityKbps: int64(PaperCapacity),
+		Policy: "coefficient", RequireBackup: true, Multiplex: true}
+	jnl, err := OpenTrace(dir, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
 	opts := smallOpts(19)
 	opts.InitialConns = 50
 	opts.ChurnEvents = 60
 	opts.WarmupEvents = 10
-	opts.Trace = &buf
+	opts.Gamma = 0.001
+	opts.Trace = jnl
 	sys, err := NewSystem(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Evaluate(); err != nil {
+	ev, err := sys.Evaluate()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if buf.Len() == 0 {
-		t.Fatal("trace writer received nothing")
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
 	}
-	// Every line is valid JSON.
-	for i, line := range bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n")) {
-		var v map[string]interface{}
-		if err := json.Unmarshal(line, &v); err != nil {
-			t.Fatalf("trace line %d: %v", i, err)
-		}
+	rec, err := journal.Read(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := ev.Sim
+	if want := r.Offered + r.Terminated + r.Failures + r.Repairs; int64(len(rec.Events)) != want || want == 0 {
+		t.Fatalf("journal holds %d records, the run applied %d events", len(rec.Events), want)
+	}
+	if got, err := ReadMeta(dir); err != nil || got != meta {
+		t.Fatalf("marker %+v (%v), want %+v", got, err, meta)
+	}
+	if jnl, err := OpenTrace(dir, meta); err == nil {
+		jnl.Close()
+		t.Fatal("OpenTrace reused a directory that holds a run")
 	}
 }

@@ -95,6 +95,20 @@ type Recovered struct {
 	Term uint64
 }
 
+// String names the event the way a log line or a failing trace refers to it.
+func (ev Event) String() string {
+	switch ev.Kind {
+	case KindEstablish:
+		return fmt.Sprintf("establish %d->%d", ev.Src, ev.Dst)
+	case KindTerminate:
+		return fmt.Sprintf("terminate conn %d", ev.Conn)
+	case KindFailLink, KindRepairLink:
+		return fmt.Sprintf("%s %d", ev.Kind, ev.Link)
+	default:
+		return ev.Kind.String()
+	}
+}
+
 // Journal is an append-only event log over one data directory. Safe for
 // use by one process at a time; methods are internally serialized.
 type Journal struct {
@@ -167,6 +181,14 @@ func Open(dir string, opt Options) (*Journal, *Recovered, error) {
 		go j.committer()
 	}
 	return j, rec, nil
+}
+
+// Read scans dir as Open does — newest snapshot, verified record tail, torn
+// bytes counted — without opening it for appending: nothing is created,
+// truncated or removed, so it is safe on a directory another process owns.
+func Read(dir string) (*Recovered, error) {
+	rec, _, _, err := scanDir(dir)
+	return rec, err
 }
 
 // Reload rescans the directory read-only and returns a fresh Recovered. It

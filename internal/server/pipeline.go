@@ -99,7 +99,7 @@ type mutation struct {
 	lane    lane
 	counter *atomic.Int64
 	event   journal.Event
-	plan    func(*manager.Manager) ([]journal.Event, result, error)
+	plan    func(*manager.Manager) ([]journal.Event, manager.Outcome, error)
 }
 
 // mutate is the write path of an originating mutation. Admission first
@@ -107,22 +107,22 @@ type mutation struct {
 // the command into events, then — per event — journal (write-ahead), apply
 // through the transition function, latch any invariant violation and feed
 // the forecaster; finally keep the snapshot cadence, publish the epoch and
-// detach the answer from live state (result.detach). Outside the loop the
-// caller is acknowledged — success or domain error alike, a rejection was
+// detach the answer from live state. Outside the loop the caller is
+// acknowledged — success or domain error alike, a rejection was
 // journaled and bumped counters too — only after the last record is durable
 // and, under semi-synchronous replication, fetched by a standby.
-func (s *Server) mutate(ctx context.Context, mu mutation) (result, error) {
+func (s *Server) mutate(ctx context.Context, mu mutation) (manager.Outcome, error) {
 	type ack struct {
-		res result
+		res manager.Outcome
 		err error
 		seq uint64
 	}
 	if err := s.admit(mu.lane); err != nil {
-		return result{}, err
+		return manager.Outcome{}, err
 	}
 	a, err := exec(s, ctx, mu.lane, false, func(m *manager.Manager) (a ack, _ error) {
 		// Whatever path answers, the answer leaves the loop detached.
-		defer func() { a.res.detach() }()
+		defer func() { detach(&a.res) }()
 		if mu.counter != nil {
 			mu.counter.Add(1)
 		}
@@ -161,10 +161,10 @@ func (s *Server) mutate(ctx context.Context, mu mutation) (result, error) {
 		return a, nil
 	})
 	if err != nil {
-		return result{}, err
+		return manager.Outcome{}, err
 	}
 	if derr := s.waitDurable(ctx, a.seq); derr != nil {
-		return result{}, derr
+		return manager.Outcome{}, derr
 	}
 	return a.res, a.err
 }
@@ -174,19 +174,19 @@ func (s *Server) mutate(ctx context.Context, mu mutation) (result, error) {
 // so the caller is answered with a copy taken here, inside the loop, right
 // after the event applied — the values replay of the journal holds at this
 // record. Paths are replaced, never edited in place, so the copy is shallow.
-func (r *result) detach() {
-	if r.arrival == nil || r.arrival.Conn == nil {
+func detach(out *manager.Outcome) {
+	if out.Arrival == nil || out.Arrival.Conn == nil {
 		return
 	}
-	rep, conn := *r.arrival, *r.arrival.Conn
+	rep, conn := *out.Arrival, *out.Arrival.Conn
 	rep.Conn = &conn
-	r.arrival = &rep
+	out.Arrival = &rep
 }
 
 // observe feeds an applied event to the live forecaster. Prepares are left
 // out: the rigid connections they pin are outside the elastic population
 // the chain models.
-func (s *Server) observe(m *manager.Manager, ev journal.Event, res result, err error, alivePrior int) {
+func (s *Server) observe(m *manager.Manager, ev journal.Event, res manager.Outcome, err error, alivePrior int) {
 	if s.fc == nil || ev.Kind == journal.KindPrepare {
 		return
 	}
@@ -194,11 +194,11 @@ func (s *Server) observe(m *manager.Manager, ev journal.Event, res result, err e
 	case errors.Is(err, manager.ErrRejected):
 		s.fc.ObserveReject()
 	case err != nil:
-	case res.arrival != nil && res.arrival.Conn != nil:
-		s.fc.ObserveArrival(m, res.arrival, alivePrior)
-	case res.termination != nil:
-		s.fc.ObserveTermination(m, res.termination)
-	case res.failure != nil:
-		s.fc.ObserveFailure(m, res.failure, alivePrior)
+	case res.Arrival != nil && res.Arrival.Conn != nil:
+		s.fc.ObserveArrival(m, res.Arrival, alivePrior)
+	case res.Termination != nil:
+		s.fc.ObserveTermination(m, res.Termination)
+	case res.Failure != nil:
+		s.fc.ObserveFailure(m, res.Failure, alivePrior)
 	}
 }

@@ -743,31 +743,31 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // spec (§3.1 arrival handling) and returns the manager's arrival report.
 // Establish rides the capacity-consuming lane.
 func (s *Server) Establish(ctx context.Context, src, dst topology.NodeID, spec qos.ElasticSpec) (*manager.ArrivalReport, error) {
-	res, err := s.mutate(ctx, mutation{lane: laneConsuming, counter: &s.establishes, event: EstablishEvent(src, dst, spec)})
-	return res.arrival, err
+	res, err := s.mutate(ctx, mutation{lane: laneConsuming, counter: &s.establishes, event: manager.EstablishEvent(src, dst, spec)})
+	return res.Arrival, err
 }
 
 // Terminate releases connection id and returns the termination report.
 // Terminate rides the capacity-freeing lane and is never refused for
 // overload: releasing bandwidth is what ends an overload.
 func (s *Server) Terminate(ctx context.Context, id channel.ConnID) (*manager.TerminationReport, error) {
-	res, err := s.mutate(ctx, mutation{lane: laneFreeing, counter: &s.terminates, event: terminateEvent(id)})
-	return res.termination, err
+	res, err := s.mutate(ctx, mutation{lane: laneFreeing, counter: &s.terminates, event: manager.TerminateEvent(id)})
+	return res.Termination, err
 }
 
 // FailLink injects a failure of link l and returns the failure report.
 // Fault injection consumes capacity (backup activation, squeezing), so it
 // rides the consuming lane.
 func (s *Server) FailLink(ctx context.Context, l topology.LinkID) (*manager.FailureReport, error) {
-	res, err := s.mutate(ctx, mutation{lane: laneConsuming, counter: &s.failures, event: linkEvent(journal.KindFailLink, l)})
-	return res.failure, err
+	res, err := s.mutate(ctx, mutation{lane: laneConsuming, counter: &s.failures, event: manager.LinkEvent(journal.KindFailLink, l)})
+	return res.Failure, err
 }
 
 // RepairLink marks link l repaired and returns how many connections were
 // re-protected. Repair frees capacity, so it rides the freeing lane.
 func (s *Server) RepairLink(ctx context.Context, l topology.LinkID) (int, error) {
-	res, err := s.mutate(ctx, mutation{lane: laneFreeing, counter: &s.repairs, event: linkEvent(journal.KindRepairLink, l)})
-	return res.restored, err
+	res, err := s.mutate(ctx, mutation{lane: laneFreeing, counter: &s.repairs, event: manager.LinkEvent(journal.KindRepairLink, l)})
+	return res.Restored, err
 }
 
 // CheckInvariants runs the manager's full consistency audit in the loop.

@@ -135,7 +135,7 @@ func (t *TxnTable) AbortEvents(txn uint64) []journal.Event {
 	var evs []journal.Event
 	for _, id := range tx.Conns {
 		if _, alive := t.pinned[id]; alive {
-			evs = append(evs, terminateEvent(id))
+			evs = append(evs, manager.TerminateEvent(id))
 		}
 	}
 	return evs
@@ -173,17 +173,17 @@ func (t *TxnTable) Infos(m *manager.Manager) []TxnInfo {
 // pinned and the coordinator aborts the transaction.
 func (s *Server) PrepareTxn(ctx context.Context, txn uint64, peers uint32, src, dst topology.NodeID, spec qos.ElasticSpec, path routing.Path) (*manager.ArrivalReport, error) {
 	ev := prepareEvent(txn, peers, src, dst, spec, path)
-	res, err := s.mutate(ctx, mutation{lane: laneConsuming, counter: &s.establishes, plan: func(m *manager.Manager) ([]journal.Event, result, error) {
+	res, err := s.mutate(ctx, mutation{lane: laneConsuming, counter: &s.establishes, plan: func(m *manager.Manager) ([]journal.Event, manager.Outcome, error) {
 		if tx := s.txns.byID[txn]; tx != nil && !tx.Committed {
 			for _, id := range tx.Conns {
 				if c := m.Conn(id); c != nil && c.Alive() && c.Primary.Equal(path) {
-					return nil, result{arrival: &manager.ArrivalReport{Conn: c}}, nil
+					return nil, manager.Outcome{Arrival: &manager.ArrivalReport{Conn: c}}, nil
 				}
 			}
 		}
-		return []journal.Event{ev}, result{}, Validate(m, s.txns, ev)
+		return []journal.Event{ev}, manager.Outcome{}, Validate(m, s.txns, ev)
 	}})
-	return res.arrival, err
+	return res.Arrival, err
 }
 
 // CommitTxn is phase two: mark the transaction final. No manager state
@@ -204,11 +204,11 @@ func (s *Server) CommitTxn(ctx context.Context, txn uint64) error {
 // coordinator retries them against shards that may have already lost the
 // prepare (crash before the append). Rides the freeing lane.
 func (s *Server) AbortTxn(ctx context.Context, txn uint64) error {
-	_, err := s.mutate(ctx, mutation{lane: laneFreeing, plan: func(*manager.Manager) ([]journal.Event, result, error) {
+	_, err := s.mutate(ctx, mutation{lane: laneFreeing, plan: func(*manager.Manager) ([]journal.Event, manager.Outcome, error) {
 		if tx := s.txns.byID[txn]; tx != nil && tx.Committed {
-			return nil, result{}, fmt.Errorf("%w: txn %d already committed", ErrConflict, txn)
+			return nil, manager.Outcome{}, fmt.Errorf("%w: txn %d already committed", ErrConflict, txn)
 		}
-		return s.txns.AbortEvents(txn), result{}, nil
+		return s.txns.AbortEvents(txn), manager.Outcome{}, nil
 	}})
 	return err
 }

@@ -1,7 +1,8 @@
 // Package sim is the detailed connection-level discrete-event simulator the
 // reproduction uses in place of the authors' unpublished simulator (§3.3,
 // §4): it loads a topology with DR-connections, drives Poisson arrivals,
-// terminations and link failures through the network manager, measures the
+// terminations and link failures through the network manager's transition
+// (manager.Apply, the daemon's own), measures the
 // paper's model parameters (Pf, Ps, A, B, T) online, and reports the
 // time-weighted average reserved bandwidth that Figures 2-4 and Table 1
 // plot.
@@ -18,21 +19,6 @@ const (
 	evFailure
 	evRepair
 )
-
-func (k eventKind) String() string {
-	switch k {
-	case evArrival:
-		return "arrival"
-	case evTermination:
-		return "termination"
-	case evFailure:
-		return "failure"
-	case evRepair:
-		return "repair"
-	default:
-		return "unknown"
-	}
-}
 
 // event is one scheduled occurrence. seq breaks time ties deterministically
 // in insertion order.

@@ -3,8 +3,9 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"io"
 
+	"drqos/internal/estimator"
+	"drqos/internal/journal"
 	"drqos/internal/manager"
 	"drqos/internal/markov"
 	"drqos/internal/qos"
@@ -47,9 +48,12 @@ type Config struct {
 	// WarmupEvents is the number of churn events discarded before
 	// measurement starts.
 	WarmupEvents int
-	// Trace, when non-nil, receives one JSON line per simulation event
-	// (see TraceEvent). Tracing covers the whole run including loading.
-	Trace io.Writer
+	// Trace, when non-nil, journals every event the run applies — loading
+	// included, rejected establishes too — before the manager applies it,
+	// as the daemon's write path does. Replaying the journal therefore
+	// reaches the run's final state: drserverd boots from it and drtrace
+	// summarises it.
+	Trace *journal.Journal
 }
 
 // Validate checks the configuration.
@@ -136,16 +140,14 @@ type Sim struct {
 	g     *topology.Graph
 	mgr   *manager.Manager
 	src   *rng.Source
-	est   *Estimator
+	est   *estimator.Estimator
 	q     queue
 	clock float64
 
-	measuring   bool
-	trc         *tracer
-	bw          stats.TimeWeighted
-	occupancy   []stats.TimeWeighted
-	counts      Result
-	failedLinks map[topology.LinkID]bool
+	measuring bool
+	bw        stats.TimeWeighted
+	occupancy []stats.TimeWeighted
+	counts    Result
 
 	// Event counts within the measured window, for effective rates.
 	measAccepted, measTerminated, measFailures int64
@@ -174,11 +176,9 @@ func New(g *topology.Graph, cfg Config) (*Sim, error) {
 		g:           g,
 		mgr:         mgr,
 		src:         rng.New(cfg.Seed),
-		est:         NewEstimator(cfg.Spec.States()),
+		est:         estimator.New(cfg.Spec.States()),
 		occupancy:   make([]stats.TimeWeighted, cfg.Spec.States()),
 		birthCounts: make([]int64, cfg.Spec.States()),
-		failedLinks: make(map[topology.LinkID]bool),
-		trc:         newTracer(cfg.Trace),
 	}
 	return s, nil
 }
@@ -201,34 +201,57 @@ func (s *Sim) randomPair() (topology.NodeID, topology.NodeID) {
 	return a, b
 }
 
-// arrive issues one DR-connection request and feeds the estimator when
-// measurement is active. A non-rejection failure — in particular a
+// apply steps the manager through ev with the daemon's transition
+// (journaled first when the run is traced), counts the outcome and feeds the
+// estimator while measurement is active. An admission rejection is an
+// outcome, not an error. Anything else — in particular a
 // manager.InvariantViolation — aborts the run instead of panicking, so the
 // caller can report the trajectory that broke the ledger.
-func (s *Sim) arrive() error {
-	s.counts.Offered++
-	alivePrior := s.mgr.AliveCount()
-	src, dst := s.randomPair()
-	rep, err := s.mgr.Establish(src, dst, s.cfg.Spec)
-	if err != nil {
-		if errors.Is(err, manager.ErrRejected) {
-			s.counts.Rejected++
-			return s.trc.emit(s.traceSnapshot(TraceEvent{Kind: "reject", Src: src, Dst: dst}))
+func (s *Sim) apply(ev journal.Event) error {
+	if s.cfg.Trace != nil {
+		if _, err := s.cfg.Trace.Append(ev); err != nil {
+			return fmt.Errorf("sim: trace: %w", err)
 		}
-		// Establish only returns ErrRejected or spec errors; the spec was
-		// validated, so anything else is a bug worth surfacing loudly.
-		return fmt.Errorf("sim: establish failed unexpectedly: %w", err)
 	}
-	s.counts.Established++
-	if err := s.trc.emit(s.traceSnapshot(TraceEvent{Kind: "arrival", Conn: rep.Conn.ID, Src: src, Dst: dst})); err != nil {
-		return err
-	}
-	if s.measuring {
-		s.measAccepted++
-		s.birthCounts[rep.Conn.Level]++
-		s.est.ObserveArrival(s.mgr, rep, alivePrior)
+	alivePrior := s.mgr.AliveCount()
+	out, err := s.mgr.Apply(ev)
+	switch {
+	case errors.Is(err, manager.ErrRejected):
+		s.counts.Rejected++
+	case err != nil:
+		return fmt.Errorf("sim: %s: %w", ev, err)
+	case out.Arrival != nil:
+		s.counts.Established++
+		if s.measuring {
+			s.measAccepted++
+			s.birthCounts[out.Arrival.Conn.Level]++
+			s.est.ObserveArrival(s.mgr, out.Arrival, alivePrior)
+		}
+	case out.Termination != nil:
+		s.counts.Terminated++
+		if s.measuring {
+			s.measTerminated++
+			s.est.ObserveTermination(s.mgr, out.Termination)
+		}
+	case out.Failure != nil:
+		s.counts.Failures++
+		s.counts.Dropped += int64(len(out.Failure.Dropped))
+		s.counts.Recovered += int64(len(out.Failure.Recovered))
+		if s.measuring {
+			s.measFailures++
+			s.est.ObserveFailure(s.mgr, out.Failure, alivePrior)
+		}
+	case ev.Kind == journal.KindRepairLink:
+		s.counts.Repairs++
 	}
 	return nil
+}
+
+// arrive issues one DR-connection request between a random pair of nodes.
+func (s *Sim) arrive() error {
+	s.counts.Offered++
+	src, dst := s.randomPair()
+	return s.apply(manager.EstablishEvent(src, dst, s.cfg.Spec))
 }
 
 // terminateRandom terminates a uniformly random alive connection.
@@ -237,20 +260,7 @@ func (s *Sim) terminateRandom() error {
 	if n == 0 {
 		return nil
 	}
-	id := s.mgr.AliveIDAt(s.src.Intn(n))
-	rep, err := s.mgr.Terminate(id)
-	if err != nil {
-		return fmt.Errorf("sim: terminate %d: %w", id, err)
-	}
-	s.counts.Terminated++
-	if err := s.trc.emit(s.traceSnapshot(TraceEvent{Kind: "termination", Conn: id})); err != nil {
-		return err
-	}
-	if s.measuring {
-		s.measTerminated++
-		s.est.ObserveTermination(s.mgr, rep)
-	}
-	return nil
+	return s.apply(manager.TerminateEvent(s.mgr.AliveIDAt(s.src.Intn(n))))
 }
 
 // failRandomLink fails a uniformly random healthy link and schedules its
@@ -258,7 +268,7 @@ func (s *Sim) terminateRandom() error {
 func (s *Sim) failRandomLink() error {
 	healthy := make([]topology.LinkID, 0, s.g.NumLinks())
 	for i := 0; i < s.g.NumLinks(); i++ {
-		if !s.failedLinks[topology.LinkID(i)] {
+		if !s.mgr.Network().Failed(topology.LinkID(i)) {
 			healthy = append(healthy, topology.LinkID(i))
 		}
 	}
@@ -266,24 +276,8 @@ func (s *Sim) failRandomLink() error {
 		return nil
 	}
 	l := healthy[s.src.Intn(len(healthy))]
-	alivePrior := s.mgr.AliveCount()
-	rep, err := s.mgr.FailLink(l)
-	if err != nil {
-		return fmt.Errorf("sim: fail link %d: %w", l, err)
-	}
-	s.failedLinks[l] = true
-	s.counts.Failures++
-	s.counts.Dropped += int64(len(rep.Dropped))
-	s.counts.Recovered += int64(len(rep.Recovered))
-	if err := s.trc.emit(s.traceSnapshot(TraceEvent{
-		Kind: "failure", Link: l,
-		Activated: len(rep.Activated), Dropped: len(rep.Dropped),
-	})); err != nil {
+	if err := s.apply(manager.LinkEvent(journal.KindFailLink, l)); err != nil {
 		return err
-	}
-	if s.measuring {
-		s.measFailures++
-		s.est.ObserveFailure(s.mgr, rep, alivePrior)
 	}
 	if s.cfg.RepairRate > 0 {
 		s.q.push(s.clock+s.src.Exp(s.cfg.RepairRate), evRepair, int(l))
@@ -293,15 +287,10 @@ func (s *Sim) failRandomLink() error {
 
 // repairLink repairs a previously failed link.
 func (s *Sim) repairLink(l topology.LinkID) error {
-	if !s.failedLinks[l] {
+	if !s.mgr.Network().Failed(l) {
 		return nil
 	}
-	if _, err := s.mgr.RepairLink(l); err != nil {
-		return fmt.Errorf("sim: repair link %d: %w", l, err)
-	}
-	delete(s.failedLinks, l)
-	s.counts.Repairs++
-	return s.trc.emit(s.traceSnapshot(TraceEvent{Kind: "repair", Link: l}))
+	return s.apply(manager.LinkEvent(journal.KindRepairLink, l))
 }
 
 // sample records the instantaneous average bandwidth and state occupancy
