@@ -14,10 +14,10 @@
 // returned to service with POST /v1/admin/recover, or automatically with
 // -auto-recover.
 //
-// Under sustained overload (actor-queue delay above -overload-target for
-// -overload-interval) the daemon sheds new establishes with 503 +
-// Retry-After while terminations, repairs and reads stay live; -rate-limit
-// adds a per-client token bucket (429 + Retry-After) on top.
+// Under sustained overload (actor-queue delay above 100ms for a second) the
+// daemon sheds new establishes with 503 + Retry-After while terminations,
+// repairs and reads stay live; -rate-limit adds a per-client token bucket
+// (429 + Retry-After) on top.
 //
 // With -forecast-interval the daemon runs the live analytic control plane:
 // the paper's Markov model is re-solved from live-estimated parameters on
@@ -55,7 +55,6 @@ import (
 	"drqos/internal/forecast"
 	"drqos/internal/journal"
 	"drqos/internal/manager"
-	"drqos/internal/overload"
 	"drqos/internal/replica"
 	"drqos/internal/server"
 	"drqos/internal/shard"
@@ -81,7 +80,6 @@ type config struct {
 	policy    string
 	noBackup  bool
 	noMux     bool
-	queue     int
 	drain     time.Duration
 	shards    int
 	snapEvery int
@@ -96,10 +94,8 @@ type config struct {
 	gcWait  time.Duration
 
 	autoRecover bool
-	overload    overload.DetectorConfig
 
 	rateLimit, rateBurst float64
-	maxBodyBytes         int64
 	pprof                bool
 
 	forecastInterval   time.Duration
@@ -117,7 +113,6 @@ func parseFlags(args []string) (*config, error) {
 	fs.StringVar(&c.policy, "policy", "coefficient", "adaptation policy: coefficient or max-utility")
 	fs.BoolVar(&c.noBackup, "no-require-backup", false, "accept unprotectable connections")
 	fs.BoolVar(&c.noMux, "no-multiplex", false, "disable backup multiplexing")
-	fs.IntVar(&c.queue, "queue", 256, "actor command-queue depth")
 	fs.DurationVar(&c.drain, "drain", 10*time.Second, "graceful-shutdown budget")
 	fs.IntVar(&c.shards, "shards", 1, "region shards; >1 partitions the topology into per-region manager+journal shards with two-phase cross-shard establishes (1 = the classic single-plane daemon)")
 
@@ -136,12 +131,9 @@ func parseFlags(args []string) (*config, error) {
 	// Automatic recovery from degraded mode.
 	fs.BoolVar(&c.autoRecover, "auto-recover", false, "on an invariant violation, rebuild from the journal automatically (capped exponential backoff, until it succeeds) instead of waiting for POST /v1/admin/recover")
 
-	// Overload control plane.
-	fs.DurationVar(&c.overload.Target, "overload-target", 100*time.Millisecond, "actor queueing-delay target; sustained delay above it sheds new establishes with 503 (negative disables)")
-	fs.DurationVar(&c.overload.Interval, "overload-interval", time.Second, "how long delay must stay above -overload-target before shedding starts; also the Retry-After hint")
+	// HTTP front end.
 	fs.Float64Var(&c.rateLimit, "rate-limit", 0, "per-client mutation budget in requests/second, keyed by X-Client-ID or remote host (0 disables)")
 	fs.Float64Var(&c.rateBurst, "rate-burst", 0, "per-client burst allowance on top of -rate-limit (0 = same as -rate-limit)")
-	fs.Int64Var(&c.maxBodyBytes, "max-body-bytes", 1<<20, "request-body cap on mutation endpoints; oversized bodies answer 413")
 	fs.BoolVar(&c.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/ for live overload investigation")
 
 	// Live analytic control plane (internal/forecast).
@@ -156,6 +148,15 @@ func parseFlags(args []string) (*config, error) {
 	}
 	if c.replicaOf != "" && c.shards > 1 {
 		return nil, errors.New("-replica-of is incompatible with -shards > 1 (replication is per-plane)")
+	}
+	if c.forecastInterval > 0 && c.shards > 1 {
+		return nil, errors.New("-forecast-interval is incompatible with -shards > 1 (the live model is per-plane)")
+	}
+	if c.forecastPredictive && c.forecastInterval <= 0 {
+		return nil, errors.New("-forecast-predictive needs -forecast-interval: without a solved model there is nothing to predict from")
+	}
+	if c.fsync == 0 {
+		return nil, errors.New("-fsync 0 is not a policy: 1 syncs every event, N syncs every N events, a negative value leaves flushing to the OS")
 	}
 	if c.lease < 0 {
 		c.lease = c.failoverTO / 2
@@ -188,10 +189,8 @@ func (c *config) journalOptions() journal.Options {
 // boot adds its own journal and logging hooks.
 func (c *config) serverOptions() server.Options {
 	return server.Options{
-		QueueDepth:    c.queue,
 		SnapshotEvery: c.snapEvery,
 		Recover:       server.RecoverPolicy{Auto: c.autoRecover},
-		Overload:      c.overload,
 	}
 }
 
@@ -218,7 +217,7 @@ func run(ctx context.Context, args []string, listening func(net.Addr)) error {
 	log.Printf("topology: %d nodes, %d links, diameter %d, avg hops %.2f (seed %d)",
 		m.Nodes, m.Edges, m.Diameter, m.AvgHops, cfg.seed)
 
-	front := []server.HandlerOption{server.WithMaxBodyBytes(cfg.maxBodyBytes)}
+	var front []server.HandlerOption
 	if cfg.rateLimit > 0 {
 		front = append(front, server.WithRateLimit(cfg.rateLimit, cfg.rateBurst))
 		log.Printf("rate limit: %.3g req/s per client (burst %.3g)", cfg.rateLimit, cfg.rateBurst)
@@ -361,9 +360,9 @@ func bootSingle(cfg *config, g *topology.Graph, mcfg manager.Config, front []ser
 	}
 	opts.OnOverload = func(on bool) {
 		if on {
-			log.Printf("OVERLOADED: sustained actor-queue delay above %s — shedding new establishes with 503, terminations and reads stay live", cfg.overload.Target)
+			log.Printf("OVERLOADED: sustained actor-queue delay above target — shedding new establishes with 503, terminations and reads stay live")
 		} else {
-			log.Printf("overload cleared: queue delay back under %s, admitting establishes again", cfg.overload.Target)
+			log.Printf("overload cleared: queue delay back under target, admitting establishes again")
 		}
 	}
 	// Replication node: built after the server (it wraps it), but the
@@ -434,9 +433,6 @@ func bootSingle(cfg *config, g *topology.Graph, mcfg manager.Config, front []ser
 // bootSharded boots the partitioned admission plane: one manager + actor
 // loop + journal per region shard behind the coordinator's global API.
 func bootSharded(cfg *config, g *topology.Graph, mcfg manager.Config, front []server.HandlerOption) (plane, error) {
-	if cfg.forecastInterval > 0 {
-		log.Printf("forecast: -forecast-interval is ignored with -shards > 1 (the live model is per-plane)")
-	}
 	if cfg.dataDir != "" {
 		meta := cfg.meta()
 		meta.Shards = cfg.shards

@@ -78,6 +78,34 @@ func (d *daemon) do(t *testing.T, method, path, body string) (int, string) {
 	return resp.StatusCode, string(raw)
 }
 
+// TestParseFlagsRefuses: a flag combination the daemon would accept and then
+// ignore, or could not honour, is refused at parse time, before anything
+// boots; the defaults parse clean.
+func TestParseFlagsRefuses(t *testing.T) {
+	if _, err := parseFlags(nil); err != nil {
+		t.Fatalf("defaults: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"replica-without-data-dir", []string{"-replica-of", "http://127.0.0.1:1"}},
+		{"replica-sharded", []string{"-replica-of", "http://127.0.0.1:1", "-data-dir", t.TempDir(), "-shards", "2"}},
+		{"lease-not-shorter", []string{"-lease", "750ms", "-failover-timeout", "750ms"}},
+		{"fsync-zero", []string{"-fsync", "0"}},
+		{"forecast-sharded", []string{"-forecast-interval", "1s", "-shards", "2"}},
+		{"predictive-without-interval", []string{"-forecast-predictive"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := parseFlags(tc.args); err == nil {
+				t.Fatalf("%v parsed clean", tc.args)
+			} else if !strings.Contains(err.Error(), tc.args[0]) {
+				t.Errorf("%v: error %q does not name %s", tc.args, err, tc.args[0])
+			}
+		})
+	}
+}
+
 // TestBootServeDrain boots both planes in memory, checks each reaches
 // /readyz, admits an establish, and drains cleanly when told to stop. A row
 // with then also probes what its flags switched on.

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"os"
 
-	"drqos/internal/analytic"
 	"drqos/internal/core"
 	"drqos/internal/modelio"
 	"drqos/internal/qos"
@@ -114,10 +113,6 @@ func run() error {
 		ev.GeneralModel.MeanBandwidth, ev.IdealBandwidth)
 	fmt.Printf("measured: Pf=%.4f Ps=%.4f effλ=%.6f effμ=%.6f effγ=%.6f\n",
 		res.Params.Pf, res.Params.Ps, res.EffectiveLambda, res.EffectiveMu, res.EffectiveGamma)
-	if pfPred, err := analytic.Pf(sys.Graph().NumDirLinks(), res.AvgHops); err == nil {
-		psPred, _ := analytic.Ps(sys.Graph().NumDirLinks(), res.AvgHops, res.AliveAtEnd)
-		fmt.Printf("mean-field prediction: Pf=%.4f Ps=%.4f (see internal/analytic)\n", pfPred, psPred)
-	}
 	fmt.Printf("discarded jump mass: A=%.3f B=%.3f T=%.3f\n",
 		res.DiscardedA, res.DiscardedB, res.DiscardedT)
 	fmt.Printf("state occupancy (sim): %s\n", fmtDist(res.EmpiricalPi))

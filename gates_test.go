@@ -5,9 +5,13 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+	"testing/fstest"
 )
 
 // gate is one rule over the non-test source of a few packages: at most max
@@ -189,5 +193,56 @@ func TestSourceGatesCanFail(t *testing.T) {
 				t.Errorf("%s gate failed a clean snippet: %v", g.name, err)
 			}
 		}
+	}
+}
+
+// untestedExamples names the directories under examples/ in fsys that hold no
+// _test.go file: go test never runs them, so they can stop working unseen.
+func untestedExamples(fsys fs.FS) ([]string, error) {
+	dirs, err := fs.ReadDir(fsys, "examples")
+	if err != nil {
+		return nil, err
+	}
+	var untested []string
+	for _, d := range dirs {
+		if !d.IsDir() {
+			continue
+		}
+		tests, err := fs.Glob(fsys, "examples/"+d.Name()+"/*_test.go")
+		if err != nil {
+			return nil, err
+		}
+		if len(tests) == 0 {
+			untested = append(untested, d.Name())
+		}
+	}
+	return untested, nil
+}
+
+// TestExamplesAreRun: every example is run by go test, or it goes.
+func TestExamplesAreRun(t *testing.T) {
+	untested, err := untestedExamples(os.DirFS("."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(untested) > 0 {
+		t.Errorf("examples without a test: %v; add a main_test.go that calls main(), or delete the example", untested)
+	}
+}
+
+// TestExamplesAreRunCanFail feeds the check a tree with one run and one
+// unrun example.
+func TestExamplesAreRunCanFail(t *testing.T) {
+	untested, err := untestedExamples(fstest.MapFS{
+		"examples/run/main.go":      {},
+		"examples/run/main_test.go": {},
+		"examples/unrun/main.go":    {},
+		"examples/README.md":        {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"unrun"}; !slices.Equal(untested, want) {
+		t.Errorf("untested examples %v, want %v", untested, want)
 	}
 }

@@ -104,15 +104,18 @@ type HandlerOption func(*Front)
 // limit, the request-body cap, the pprof mount and (with the Write*
 // functions) the JSON and error envelope.
 type Front struct {
-	limiter      *overload.Limiter
-	maxBodyBytes int64
-	pprof        bool
-	rateLimited  atomic.Int64
+	limiter     *overload.Limiter
+	pprof       bool
+	rateLimited atomic.Int64
 }
 
-// NewFront applies opts over the defaults (no rate limit, 1 MiB bodies).
+// maxBodyBytes caps request bodies on the mutation endpoints; an oversized
+// body answers 413.
+const maxBodyBytes = 1 << 20
+
+// NewFront applies opts over the defaults (no rate limit, no pprof).
 func NewFront(opts ...HandlerOption) *Front {
-	f := &Front{maxBodyBytes: 1 << 20}
+	f := &Front{}
 	for _, o := range opts {
 		o(f)
 	}
@@ -131,16 +134,6 @@ func WithRateLimit(rate, burst float64) HandlerOption {
 	}
 }
 
-// WithMaxBodyBytes caps request-body size on the mutation endpoints;
-// oversized bodies answer 413. n <= 0 keeps the default (1 MiB).
-func WithMaxBodyBytes(n int64) HandlerOption {
-	return func(f *Front) {
-		if n > 0 {
-			f.maxBodyBytes = n
-		}
-	}
-}
-
 // WithPprof mounts net/http/pprof under /debug/pprof/ so overload
 // investigations can pull CPU/heap/goroutine profiles from a live daemon.
 func WithPprof() HandlerOption {
@@ -151,7 +144,7 @@ func WithPprof() HandlerOption {
 // 413, malformed JSON 400. Returns false when a response was already
 // written.
 func (f *Front) DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, f.maxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {

@@ -260,15 +260,15 @@ func TestHTTPRateLimit(t *testing.T) {
 	}
 }
 
-// TestHTTPMaxBody checks oversized mutation bodies answer 413.
+// TestHTTPMaxBody checks mutation bodies past the 1 MiB cap answer 413.
 func TestHTTPMaxBody(t *testing.T) {
 	s := newTestServer(t, 64)
 	defer s.Shutdown(context.Background())
-	ts := httptest.NewServer(server.NewHandler(s, server.WithMaxBodyBytes(128)))
+	ts := httptest.NewServer(server.NewHandler(s))
 	defer ts.Close()
 	c := ts.Client()
 
-	resp := post(t, c, ts.URL+"/v1/connections", `{"src":0,"dst":5,"pad":"`+strings.Repeat("x", 512)+`"}`, nil)
+	resp := post(t, c, ts.URL+"/v1/connections", `{"src":0,"dst":5,"pad":"`+strings.Repeat("x", 1<<20)+`"}`, nil)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized body: %d, want 413", resp.StatusCode)
 	}
