@@ -158,6 +158,15 @@ func parseFlags(args []string) (*config, error) {
 	if c.fsync == 0 {
 		return nil, errors.New("-fsync 0 is not a policy: 1 syncs every event, N syncs every N events, a negative value leaves flushing to the OS")
 	}
+	if c.gcWait < 0 {
+		return nil, fmt.Errorf("-group-commit-max-wait %s is negative: give the batch a cap, or 0 to turn group commit off", c.gcWait)
+	}
+	if c.fsync != 1 && flagSet(fs, "group-commit-max-wait") {
+		// Group commit's whole contract is FsyncEvery:1 semantics; any other
+		// policy already trades durability for throughput and has nothing to
+		// batch.
+		return nil, fmt.Errorf("-group-commit-max-wait needs -fsync 1 (got -fsync %d): group commit batches per-event fsyncs", c.fsync)
+	}
 	if c.lease < 0 {
 		c.lease = c.failoverTO / 2
 	}
@@ -165,6 +174,13 @@ func parseFlags(args []string) (*config, error) {
 		return nil, fmt.Errorf("-lease (%s) must be shorter than -failover-timeout (%s): a standby must outwait the primary's lease before promoting", c.lease, c.failoverTO)
 	}
 	return c, nil
+}
+
+// flagSet reports whether the named flag was given on the command line.
+func flagSet(fs *flag.FlagSet, name string) bool {
+	set := false
+	fs.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
 }
 
 // meta is the marker a data directory written under c carries; it is also
@@ -297,12 +313,6 @@ func bootSingle(cfg *config, g *topology.Graph, mcfg manager.Config, front []ser
 			return plane{}, err
 		}
 		jopt := cfg.journalOptions()
-		if cfg.gcWait > 0 && cfg.fsync != 1 {
-			// Group commit's whole contract is FsyncEvery:1 semantics; any
-			// other policy already trades durability for throughput and has
-			// nothing to batch.
-			log.Printf("journal: -group-commit-max-wait ignored with -fsync %d (group commit requires -fsync 1)", cfg.fsync)
-		}
 		var rec *journal.Recovered
 		jnl, rec, err = journal.Open(cfg.dataDir, jopt)
 		if err != nil {

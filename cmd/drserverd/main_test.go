@@ -85,6 +85,10 @@ func TestParseFlagsRefuses(t *testing.T) {
 	if _, err := parseFlags(nil); err != nil {
 		t.Fatalf("defaults: %v", err)
 	}
+	// The group-commit wait's default is not an explicit setting.
+	if _, err := parseFlags([]string{"-fsync", "5"}); err != nil {
+		t.Fatalf("-fsync 5: %v", err)
+	}
 	for _, tc := range []struct {
 		name string
 		args []string
@@ -93,6 +97,8 @@ func TestParseFlagsRefuses(t *testing.T) {
 		{"replica-sharded", []string{"-replica-of", "http://127.0.0.1:1", "-data-dir", t.TempDir(), "-shards", "2"}},
 		{"lease-not-shorter", []string{"-lease", "750ms", "-failover-timeout", "750ms"}},
 		{"fsync-zero", []string{"-fsync", "0"}},
+		{"group-commit-without-fsync-1", []string{"-group-commit-max-wait", "2ms", "-fsync", "5"}},
+		{"group-commit-negative", []string{"-group-commit-max-wait", "-1ms"}},
 		{"forecast-sharded", []string{"-forecast-interval", "1s", "-shards", "2"}},
 		{"predictive-without-interval", []string{"-forecast-predictive"}},
 	} {

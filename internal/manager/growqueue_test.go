@@ -1,0 +1,201 @@
+package manager
+
+import (
+	"slices"
+	"testing"
+
+	"drqos/internal/qos"
+	"drqos/internal/rng"
+)
+
+// growStream is a filling without a manager: candidates with their rank
+// inputs, and a script of refusals standing in for canGrow's link checks.
+type growStream struct {
+	policy    qos.Policy
+	utilities []float64 // candidate i has Order i
+	levels    []int     // starting levels; every ceiling is maxLevel
+	deny      []bool    // deny[k] refuses the k-th eligibility check
+}
+
+const maxLevel = 8
+
+var streamUtilities = []float64{0, 0.3, 1, 2, 4}
+
+// decodeGrowStream reads a stream from bytes: the policy, then one byte per
+// candidate (utility and starting level) up to the candidate count, then one
+// refusal bit per eligibility check; checks past the end are granted.
+func decodeGrowStream(data []byte) growStream {
+	s := growStream{policy: qos.CoefficientPolicy{}}
+	if len(data) < 2 {
+		return s
+	}
+	if data[0]&1 == 1 {
+		s.policy = qos.MaxUtilityPolicy{}
+	}
+	n := min(int(data[1]%64), len(data)-2)
+	for _, b := range data[2 : 2+n] {
+		s.utilities = append(s.utilities, streamUtilities[int(b)%len(streamUtilities)])
+		s.levels = append(s.levels, int(b)/len(streamUtilities)%(maxLevel+1))
+	}
+	for _, b := range data[2+n:] {
+		for bit := range 8 {
+			s.deny = append(s.deny, b&(1<<bit) != 0)
+		}
+	}
+	return s
+}
+
+// run drives the filling's loop over the stream, picking the next candidate
+// with next and telling it about a refusal (drop) or a grant (regrow); it
+// returns the candidates in the order they were served.
+func (s growStream) run(start func(eligible []int32, levels []int), next func() (int32, bool), drop func(), regrow func(i int32)) []int32 {
+	levels := slices.Clone(s.levels)
+	checks := 0
+	canGrow := func(i int32) bool {
+		refused := checks < len(s.deny) && s.deny[checks]
+		checks++
+		return levels[i] < maxLevel && !refused
+	}
+	var eligible []int32
+	for i := range s.levels {
+		if canGrow(int32(i)) {
+			eligible = append(eligible, int32(i))
+		}
+	}
+	start(eligible, levels)
+	var served []int32
+	for i, ok := next(); ok; i, ok = next() {
+		served = append(served, i)
+		if !canGrow(i) {
+			drop()
+			continue
+		}
+		levels[i]++
+		regrow(i)
+	}
+	return served
+}
+
+func (s growStream) candidate(i int32, level int) qos.GrowthCandidate {
+	return qos.GrowthCandidate{Utility: s.utilities[i], ExtraIncrements: level, Order: int64(i)}
+}
+
+// serveQueue serves the stream from a growQueue, as fill does.
+func (s growStream) serveQueue() []int32 {
+	var q growQueue
+	var levels []int
+	var top growItem
+	return s.run(
+		func(eligible []int32, l []int) {
+			levels = l
+			for _, i := range eligible {
+				q.add(growItem{slot: i, rank: s.policy.Rank(s.candidate(i, levels[i]))})
+			}
+			q.sort()
+		},
+		func() (int32, bool) {
+			var ok bool
+			top, ok = q.pop()
+			return top.slot, ok
+		},
+		func() {},
+		func(i int32) {
+			top.rank = s.policy.Rank(s.candidate(i, levels[i]))
+			q.push(top)
+		})
+}
+
+// serveScan is the reference: every step ranks every live candidate afresh
+// and serves qos.Pick's choice.
+func (s growStream) serveScan() []int32 {
+	var live []int32
+	var levels []int
+	at := -1
+	return s.run(
+		func(eligible []int32, l []int) { live, levels = eligible, l },
+		func() (int32, bool) {
+			if len(live) == 0 {
+				return 0, false
+			}
+			cands := make([]qos.GrowthCandidate, len(live))
+			for j, i := range live {
+				cands[j] = s.candidate(i, levels[i])
+			}
+			at = qos.Pick(s.policy, cands)
+			return live[at], true
+		},
+		func() { live = slices.Delete(live, at, at+1) },
+		func(int32) {})
+}
+
+func checkGrowQueue(t *testing.T, s growStream) {
+	t.Helper()
+	got, want := s.serveQueue(), s.serveScan()
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s, utilities %v, levels %v, deny %v:\nqueue served %v\n scan served %v",
+			s.policy.Name(), s.utilities, s.levels, s.deny, got, want)
+	}
+}
+
+// TestGrowQueueOrder holds the two-run queue to a linear scan that ranks
+// every live candidate afresh at every step: random streams under both
+// policies, mixed utilities (whose re-ranks land inside the promoted run,
+// not at its tail) and random refusals.
+func TestGrowQueueOrder(t *testing.T) {
+	src := rng.New(5)
+	for range 2000 {
+		data := make([]byte, 2+src.Intn(80))
+		for i := range data {
+			data[i] = byte(src.Intn(256))
+		}
+		// A refusal in two of every three checks would end most streams at
+		// once: keep one in four.
+		for i := 2 + int(data[1]%64); i < len(data); i++ {
+			data[i] &= byte(src.Intn(256)) & byte(src.Intn(256))
+		}
+		checkGrowQueue(t, decodeGrowStream(data))
+	}
+}
+
+// TestGrowQueueServesZeroUtilityAgain: a zero-utility candidate re-ranks to
+// the rank it had under the coefficient policy, so after a grant it is still
+// the least and must be served again at once, up to its ceiling.
+func TestGrowQueueServesZeroUtilityAgain(t *testing.T) {
+	s := growStream{policy: qos.CoefficientPolicy{}, utilities: []float64{0, 0, 0}, levels: []int{6, 3, 7}}
+	checkGrowQueue(t, s)
+	want := []int32{0, 0, 0, 1, 1, 1, 1, 1, 1, 2, 2}
+	if got := s.serveQueue(); !slices.Equal(got, want) {
+		t.Fatalf("served %v, want %v", got, want)
+	}
+}
+
+// TestSortItems holds the quicksort to slices.SortFunc, including the hand-off
+// to it when the depth budget runs out.
+func TestSortItems(t *testing.T) {
+	src := rng.New(9)
+	for _, n := range []int{0, 1, 2, 13, 40, 300} {
+		for _, depth := range []int{0, 1, 2 * 9} {
+			items := make([]growItem, n)
+			for i := range items {
+				items[i] = growItem{slot: int32(i), rank: qos.Rank{Key: float64(src.Intn(4)), Tie: src.Intn(3), Order: int64(src.Intn(1000))}}
+			}
+			want := slices.Clone(items)
+			slices.SortStableFunc(want, func(a, b growItem) int { return a.rank.Compare(b.rank) })
+			sortItems(items, depth)
+			if !slices.EqualFunc(items, want, func(a, b growItem) bool { return a.rank == b.rank }) {
+				t.Fatalf("n=%d depth=%d: got %v, want %v", n, depth, items, want)
+			}
+		}
+	}
+}
+
+// FuzzGrowQueue decodes streams from the fuzz input and holds the queue to
+// the scan.
+func FuzzGrowQueue(f *testing.F) {
+	f.Add([]byte{0, 5, 0, 1, 2, 3, 4})
+	f.Add([]byte{1, 5, 4, 9, 14, 19, 24, 0x55})
+	f.Add([]byte{0, 8, 1, 3, 2, 4, 8, 13, 0, 5, 0x21, 0x84})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkGrowQueue(t, decodeGrowStream(data))
+	})
+}

@@ -374,7 +374,7 @@ func (m *Manager) admit(conn *channel.Conn, cands []routing.Candidate, wantBacku
 	m.plan(w.cands)
 	m.squeezeInPlan(w.chained[:w.squeezed])
 	for _, d := range w.route {
-		*m.room(d) -= spec.Min
+		w.room[d] -= spec.Min
 	}
 	m.fill(w.cands)
 

@@ -1,8 +1,10 @@
 package manager
 
 import (
+	"math/bits"
+	"slices"
+
 	"drqos/internal/qos"
-	"drqos/internal/topology"
 )
 
 // growItem is one growth candidate: its slot and the policy rank of its
@@ -12,95 +14,191 @@ type growItem struct {
 	rank qos.Rank
 }
 
-// growHeap is a binary min-heap of growth candidates by policy rank, sifted
-// in place over the manager's recycled backing array. Each connection has at
-// most one entry, re-ranked whenever it grows; comparing two entries never
-// calls the policy.
-type growHeap struct {
-	items []growItem
+// growQueue serves growth candidates least rank first from two runs, each
+// sorted by rank: the candidates the filling starts with, sorted once, and
+// the ones a grant re-ranked. The next candidate served is the lesser of the
+// two heads; since both runs are sorted, that is the least rank in the queue,
+// the candidate a heap would serve.
+//
+// A grant never lowers a rank, and under a uniform utility (every production
+// spec, either policy) it maps the served order onto re-ranks in the same
+// order, so a re-ranked candidate belongs at the promoted run's tail: an
+// append. Mixed utilities take a binary search and a shift instead.
+//
+// The promoted run is a ring as long as the sorted run: every item in it was
+// served from the sorted run, once, so it never holds more, however many
+// grants the filling makes. Both arrays are kept across events.
+type growQueue struct {
+	sorted []growItem // sorted[next:] is unserved
+	next   int
+	ring   []growItem // the promoted run: at(0) … at(size-1)
+	head   int
+	size   int
 }
 
-// init establishes the heap order over arbitrary items.
-func (h *growHeap) init() {
-	for i := len(h.items)/2 - 1; i >= 0; i-- {
-		h.sift(i)
+// reset empties the queue, keeping its arrays.
+func (q *growQueue) reset() { q.sorted, q.next = q.sorted[:0], 0 }
+
+// add enters a starting candidate; sort must follow before the first pop.
+func (q *growQueue) add(it growItem) { q.sorted = append(q.sorted, it) }
+
+// sort orders the starting candidates and empties the promoted run.
+func (q *growQueue) sort() {
+	sortItems(q.sorted, 2*bits.Len(uint(len(q.sorted))))
+	n := len(q.sorted)
+	if cap(q.ring) < n {
+		q.ring = make([]growItem, cap(q.sorted)) // grows as often as sorted does
 	}
+	q.ring, q.head, q.size = q.ring[:n], 0, 0
 }
 
-// sift restores the order below item top, whose rank may have grown, by
-// Floyd's bottom-up method: the hole at top descends along the lesser
-// children to a leaf, one comparison per level, and the displaced item then
-// climbs back to its place. A dropped or re-ranked item usually belongs deep
-// down, so this halves the comparisons of a plain sift-down.
-func (h *growHeap) sift(top int) {
-	items := h.items
-	n := len(items)
-	x := items[top]
-	i := top
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if r := c + 1; r < n && items[r].rank.Less(items[c].rank) {
-			c = r
-		}
-		items[i] = items[c]
-		i = c
+// at is the promoted run's k-th least item.
+func (q *growQueue) at(k int) *growItem {
+	if k += q.head; k >= len(q.ring) {
+		k -= len(q.ring)
 	}
-	for i > top {
-		p := (i - 1) / 2
-		if !x.rank.Less(items[p].rank) {
-			break
-		}
-		items[i] = items[p]
-		i = p
-	}
-	items[i] = x
+	return &q.ring[k]
 }
 
-// dropTop removes the first item.
-func (h *growHeap) dropTop() {
-	n := len(h.items) - 1
-	h.items[0] = h.items[n]
-	h.items = h.items[:n]
-	if n > 0 {
-		h.sift(0)
+// pop removes and returns the candidate of least rank, or reports that the
+// queue is empty.
+func (q *growQueue) pop() (growItem, bool) {
+	if q.next < len(q.sorted) && (q.size == 0 || q.sorted[q.next].rank.Less(q.ring[q.head].rank)) {
+		q.next++
+		return q.sorted[q.next-1], true
+	}
+	if q.size == 0 {
+		return growItem{}, false
+	}
+	it := q.ring[q.head]
+	if q.head++; q.head == len(q.ring) {
+		q.head = 0
+	}
+	q.size--
+	return it, true
+}
+
+// push takes back the item pop last returned, re-ranked, into the promoted
+// run at its place.
+func (q *growQueue) push(it growItem) {
+	k := q.size
+	if k > 0 && it.rank.Less(q.at(k-1).rank) {
+		// The first item ranked above it; at(size-1) is one.
+		lo, hi := 0, k-1
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if it.rank.Less(q.at(mid).rank) {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		if k = lo; k < q.size-k {
+			// Shift the lesser items down one, into the slot before head.
+			if q.head == 0 {
+				q.head = len(q.ring)
+			}
+			q.head--
+			for j := 0; j < k; j++ {
+				*q.at(j) = *q.at(j + 1)
+			}
+		} else {
+			for j := q.size; j > k; j-- {
+				*q.at(j) = *q.at(j - 1)
+			}
+		}
+	}
+	*q.at(k) = it
+	q.size++
+}
+
+// sortItems sorts a by rank: a quicksort with the rank comparison inlined,
+// since through slices.SortFunc every comparison is an indirect call, and
+// this sort is the filling's largest per-candidate cost. A slice still
+// unsorted after depth levels of partitions goes to slices.SortFunc, which
+// bounds the worst case.
+func sortItems(a []growItem, depth int) {
+	for len(a) > 12 {
+		if depth == 0 {
+			slices.SortFunc(a, func(x, y growItem) int { return x.rank.Compare(y.rank) })
+			return
+		}
+		depth--
+		// The median of the first, middle and last items pivots, from a[0].
+		m, z := len(a)/2, len(a)-1
+		if a[m].rank.Less(a[0].rank) {
+			a[0], a[m] = a[m], a[0]
+		}
+		if a[z].rank.Less(a[m].rank) {
+			a[m], a[z] = a[z], a[m]
+			if a[m].rank.Less(a[0].rank) {
+				a[0], a[m] = a[m], a[0]
+			}
+		}
+		a[0], a[m] = a[m], a[0]
+		p := a[0].rank
+		i, j := 1, z
+		for {
+			for i <= j && a[i].rank.Less(p) {
+				i++
+			}
+			for i <= j && p.Less(a[j].rank) {
+				j--
+			}
+			if i >= j {
+				break
+			}
+			a[i], a[j] = a[j], a[i]
+			i, j = i+1, j-1
+		}
+		a[0], a[j] = a[j], a[0]
+		// Recurse into the shorter side and loop on the longer.
+		if j < z-j {
+			sortItems(a[:j], depth)
+			a = a[j+1:]
+		} else {
+			sortItems(a[j+1:], depth)
+			a = a[:j]
+		}
+	}
+	for i := 1; i < len(a); i++ {
+		x, j := a[i], i
+		for ; j > 0 && x.rank.Less(a[j-1].rank); j-- {
+			a[j] = a[j-1]
+		}
+		a[j] = x
 	}
 }
 
 // An adaptation event plans on scratch and writes the ledger once. plan
-// loads the candidates' levels into their slots and starts a fresh view of
-// the links' growth headroom (work.room, each link read from the ledger on
-// first use); squeezeInPlan and an arrival's reservation adjust that
-// picture, fill runs the §3.2 water-filling over it, and commit writes the
-// connections whose level changed: decreases first, then increases, so the
-// ledger never holds more than capacity in between.
+// loads the candidates' levels into their slots and the growth headroom of
+// every link they cross into work.room; squeezeInPlan and an arrival's
+// reservation adjust that picture, fill runs the §3.2 water-filling over it,
+// and commit writes the connections whose level changed: decreases first,
+// then increases, so the ledger never holds more than capacity in between.
 //
 // The candidates must cover every primary on a directed link where capacity
 // changed (new route, released route, activated backup links); channels with
 // no such link were maximal before the event and stay maximal. Their order
 // is immaterial: ranks are totally ordered (Order breaks every tie), so
-// which candidate is served next does not depend on how the heap was
+// which candidate is served next does not depend on how the queue was
 // filled.
 
-// plan loads cands into the filling's scratch at their ledger levels.
+// plan loads cands into the filling's scratch at their ledger levels, and
+// the headroom of every link on their routes. A link several candidates
+// cross is read once for each, to the same value, since nothing adjusts the
+// plan before plan returns. The links an event then adjusts (a squeeze, an
+// arrival's route) are on candidates' routes, so work.room is valid
+// wherever the event reads it.
 func (m *Manager) plan(cands []int32) {
-	m.work.roomRead.next()
+	w := &m.work
 	for _, s := range cands {
 		sl := &m.slots[s]
-		sl.level, sl.ceiling, sl.inc = sl.conn.Level, sl.conn.Spec.States()-1, sl.conn.Spec.Increment
+		sl.level = sl.conn.Level
+		for _, d := range sl.dirs {
+			w.room[d] = m.net.FreeForGrowth(d)
+		}
 	}
-}
-
-// room returns directed link d's growth headroom in the running plan,
-// reading it from the ledger on first use.
-func (m *Manager) room(d topology.DirLinkID) *qos.Kbps {
-	w := &m.work
-	if w.roomRead.set(int(d), 1) {
-		w.room[d] = m.net.FreeForGrowth(d)
-	}
-	return &w.room[d]
 }
 
 // squeezeInPlan retreats planned slots to their minima on scratch only
@@ -113,7 +211,7 @@ func (m *Manager) squeezeInPlan(slots []int32) {
 		c := sl.conn
 		if extra := c.Bandwidth() - c.Spec.Min; extra > 0 {
 			for _, d := range sl.dirs {
-				*m.room(d) += extra
+				m.work.room[d] += extra
 			}
 		}
 		sl.level = 0
@@ -129,27 +227,25 @@ func (m *Manager) squeezeInPlan(slots []int32) {
 func (m *Manager) fill(cands []int32) {
 	w := &m.work
 	policy := m.cfg.Policy
-	h := growHeap{items: w.heap[:0]}
+	q := &w.grow
+	q.reset()
 	for _, s := range cands {
 		if sl := &m.slots[s]; m.canGrow(sl) {
-			h.items = append(h.items, growItem{slot: s, rank: policy.Rank(sl.key())})
+			q.add(growItem{slot: s, rank: policy.Rank(sl.key())})
 		}
 	}
-	w.heap = h.items[:0] // keep whatever the appends grew
-	h.init()
-	for len(h.items) > 0 {
-		top := &h.items[0]
-		sl := &m.slots[top.slot]
+	q.sort()
+	for it, ok := q.pop(); ok; it, ok = q.pop() {
+		sl := &m.slots[it.slot]
 		if !m.canGrow(sl) {
-			h.dropTop() // headroom only shrinks: permanently ineligible
-			continue
+			continue // headroom only shrinks: permanently ineligible
 		}
 		for _, d := range sl.dirs {
 			w.room[d] -= sl.inc
 		}
 		sl.level++
-		top.rank = policy.Rank(sl.key())
-		h.sift(0)
+		it.rank = policy.Rank(sl.key())
+		q.push(it)
 	}
 }
 
@@ -189,11 +285,7 @@ func (m *Manager) redistribute(cands, squeezed []int32) error {
 
 // key is the policy candidate of the slot's connection at its scratch level.
 func (sl *connSlot) key() qos.GrowthCandidate {
-	return qos.GrowthCandidate{
-		Utility:         sl.conn.Spec.Utility,
-		ExtraIncrements: sl.level,
-		Order:           int64(sl.conn.ID),
-	}
+	return qos.GrowthCandidate{Utility: sl.utility, ExtraIncrements: sl.level, Order: int64(sl.id)}
 }
 
 // canGrow reports whether the slot's connection, at its scratch level, is
@@ -204,7 +296,7 @@ func (m *Manager) canGrow(sl *connSlot) bool {
 		return false
 	}
 	for _, d := range sl.dirs {
-		if *m.room(d) < sl.inc {
+		if m.work.room[d] < sl.inc {
 			return false
 		}
 	}

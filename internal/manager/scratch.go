@@ -19,13 +19,18 @@ type connSlot struct {
 	// dirs caches conn.Primary.DirLinks(g); cacheDirs is its only writer
 	// and runs wherever Primary is assigned.
 	dirs []topology.DirLinkID
+	// id, utility, ceiling (the top level) and inc (the bandwidth of one
+	// step) copy what never changes of the connection, set by allocSlot, so
+	// the kernels' walks over many slots read the slot and not the Conn.
+	id      channel.ConnID
+	utility float64
+	ceiling int
+	inc     qos.Kbps
 	// before is conn.Level when the running event snapshotted the slot.
 	before int
-	// level, ceiling and inc are the filling's scratch: the level it has
-	// brought the connection to, not yet in the ledger, its top, and the
-	// bandwidth of one step.
-	level, ceiling int
-	inc            qos.Kbps
+	// level is the filling's scratch: the level it has brought the
+	// connection to, not yet in the ledger.
+	level int
 }
 
 // marks is a per-event bit set over a dense index space (connection slots,
@@ -115,13 +120,12 @@ type workBuffers struct {
 	lost    []int32              // FailLink: slots whose backup alone crosses it
 	cands   []int32              // redistribution candidates
 	changes []LevelChange
-	heap    []growItem
+	grow    growQueue
 	options []backupOption // findBackup: candidate backups, best first
 
-	// The plan's view of the links: room[d] is d's growth headroom where
-	// roomRead (which has its own epoch, one per plan) says it was read.
-	room     []qos.Kbps
-	roomRead marks
+	// The plan's view of the links: room[d] is d's growth headroom, valid
+	// on the links of the planned candidates' routes.
+	room []qos.Kbps
 }
 
 // newWorkBuffers sizes the per-link scratch for a graph with the given
@@ -129,7 +133,6 @@ type workBuffers struct {
 func newWorkBuffers(dirLinks int) workBuffers {
 	return workBuffers{
 		linkMarks: marks{cell: make([]uint32, dirLinks)},
-		roomRead:  marks{cell: make([]uint32, dirLinks)},
 		room:      make([]qos.Kbps, dirLinks),
 	}
 }
@@ -157,7 +160,9 @@ func (m *Manager) allocSlot(c *channel.Conn) int32 {
 		m.slots = append(m.slots, connSlot{})
 		m.work.slotMarks.cell = append(m.work.slotMarks.cell, 0)
 	}
-	m.slots[s].conn = c
+	sl := &m.slots[s]
+	sl.conn, sl.id, sl.utility = c, c.ID, c.Spec.Utility
+	sl.ceiling, sl.inc = c.Spec.States()-1, c.Spec.Increment
 	m.cacheDirs(s)
 	return s
 }
@@ -263,12 +268,12 @@ func (m *Manager) chainReport(rest bool, extra int) (squeezed, others []channel.
 		sl := &m.slots[s]
 		switch {
 		case w.slotMarks.has(int(s), inSqueezed):
-			squeezed = append(squeezed, sl.conn.ID)
+			squeezed = append(squeezed, sl.id)
 		case rest:
-			others = append(others, sl.conn.ID)
+			others = append(others, sl.id)
 		}
 		if sl.before != sl.conn.Level {
-			w.changes = append(w.changes, LevelChange{ID: sl.conn.ID, From: sl.before, To: sl.conn.Level})
+			w.changes = append(w.changes, LevelChange{ID: sl.id, From: sl.before, To: sl.conn.Level})
 		}
 	}
 	if found != len(w.chained) {
@@ -282,5 +287,5 @@ func (m *Manager) chainReport(rest bool, extra int) (squeezed, others []channel.
 
 // sortByID orders slots by their connections' IDs.
 func (m *Manager) sortByID(slots []int32) {
-	slices.SortFunc(slots, func(a, b int32) int { return cmp.Compare(m.slots[a].conn.ID, m.slots[b].conn.ID) })
+	slices.SortFunc(slots, func(a, b int32) int { return cmp.Compare(m.slots[a].id, m.slots[b].id) })
 }

@@ -17,7 +17,7 @@ type GrowthCandidate struct {
 // Rank is a candidate's position in a policy's priority order: candidates
 // are served in ascending lexicographic (Key, Tie, Order). A policy computes
 // a candidate's rank once; comparing two ranks is then plain arithmetic, so
-// a heap of candidates never calls back into the policy.
+// a queue of candidates never calls back into the policy.
 type Rank struct {
 	Key   float64
 	Tie   int
@@ -25,7 +25,7 @@ type Rank struct {
 }
 
 // Less reports whether r is served before o. It is the one definition of
-// candidate order: Pick and the manager's growth heap both compare ranks.
+// candidate order: Pick and the manager's growth queue both compare ranks.
 func (r Rank) Less(o Rank) bool {
 	if r.Key != o.Key {
 		return r.Key < o.Key
@@ -34,6 +34,17 @@ func (r Rank) Less(o Rank) bool {
 		return r.Tie < o.Tie
 	}
 	return r.Order < o.Order
+}
+
+// Compare is Less as a three-way comparison, for slices.SortFunc.
+func (r Rank) Compare(o Rank) int {
+	switch {
+	case r.Less(o):
+		return -1
+	case o.Less(r):
+		return 1
+	}
+	return 0
 }
 
 // Policy defines a strict priority order over growth candidates: when extra

@@ -4,9 +4,9 @@
 #
 #   scripts/check.sh             build + vet + full race tests (the source
 #                                gates in gates_test.go and the process rows
-#                                of cmd/drserverd among them), a 10 s fuzz of
-#                                WriteJSON, then vet + tests of the bench/
-#                                module
+#                                of cmd/drserverd among them), 10 s fuzzes of
+#                                WriteJSON and the growth queue, then vet +
+#                                tests of the bench/ module
 #
 # Each mode below is build + vet, the in-process episodes of one family
 # (cmd/chaos, judged by the replay oracle, DESIGN.md §15) and the tests of
@@ -132,6 +132,11 @@ case "${1:-}" in
     # json.Indent.
     echo "== fuzz: WriteJSON's re-indenter against json.Indent (10s)"
     go test -run '^$' -fuzz FuzzWriteJSON -fuzztime 10s ./internal/server
+
+    # The filling's two-run growth queue against a scan that re-ranks every
+    # live candidate at every step, over streams decoded from the input.
+    echo "== fuzz: the growth queue's served order against a linear scan (10s)"
+    go test -run '^$' -fuzz FuzzGrowQueue -fuzztime 10s ./internal/manager
 
     # bench/ is its own module (drqos/bench, replace drqos => ../), so ./...
     # above does not descend into it — yet it compiles against
