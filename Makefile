@@ -45,6 +45,8 @@ bench-smoke:
 	go test -run '^$$' -bench . -benchmem -benchtime 1x -count 1 ./...
 	# One iteration is one establish; 200 recycle the kernels' scratch, the slot free list and a few link failures.
 	go test -run '^$$' -bench 'BenchmarkManager' -benchmem -benchtime 200x -count 1 ./internal/manager/
+	# The same through the command loop: at 200 the 2 000-connection slot table cycles through it.
+	go test -run '^$$' -bench 'BenchmarkServerEstablish' -benchmem -benchtime 200x -count 1 ./internal/server/
 	# One iteration of a backup search is one cold scratch; 200 reuse it.
 	go test -run '^$$' -bench 'BenchmarkBackupRoute' -benchmem -benchtime 200x -count 1 ./internal/routing/
 	# One iteration of an answer is one cold pooled buffer; 200 reuse it.

@@ -187,16 +187,6 @@ func (c *Conn) DetachBackup() error {
 	return nil
 }
 
-// UsesLink reports whether the primary route traverses link l.
-func (c *Conn) UsesLink(l topology.LinkID) bool {
-	for _, pl := range c.Primary.Links {
-		if pl == l {
-			return true
-		}
-	}
-	return false
-}
-
 // BackupUsesLink reports whether the backup route traverses link l.
 func (c *Conn) BackupUsesLink(l topology.LinkID) bool {
 	if !c.HasBackup {

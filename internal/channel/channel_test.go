@@ -149,12 +149,6 @@ func TestCloseAndDrop(t *testing.T) {
 
 func TestUsesLink(t *testing.T) {
 	c := newConn(t)
-	if !c.UsesLink(c.Primary.Links[0]) {
-		t.Fatal("UsesLink false negative")
-	}
-	if c.UsesLink(topology.LinkID(99999)) {
-		t.Fatal("UsesLink false positive")
-	}
 	if c.BackupUsesLink(topology.LinkID(1)) {
 		t.Fatal("BackupUsesLink without backup")
 	}

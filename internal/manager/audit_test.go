@@ -17,7 +17,6 @@ import (
 // own slot — is what fails. The untouched manager passes.
 func TestAuditCanFail(t *testing.T) {
 	upper := routing.Path{Nodes: []topology.NodeID{0, 1, 2, 5}, Links: []topology.LinkID{0, 1, 2}}
-	firstHop := routing.Path{Nodes: upper.Nodes[:2], Links: upper.Links[:1]}
 	chord := routing.Path{Nodes: []topology.NodeID{3, 4}, Links: []topology.LinkID{4}}
 	cases := []struct {
 		clause  string
@@ -25,24 +24,27 @@ func TestAuditCanFail(t *testing.T) {
 		want    string
 	}{
 		{"missing from a link of its primary", func(t *testing.T, m *Manager, s int32) {
-			mustNil(t, m.net.ReleasePrimary(m.slots[s].conn.ID, firstHop))
+			mustNil(t, m.net.ReleasePrimary(m.slots[s].id, m.slots[s].dirs[:1]))
 		}, "not entered on directed link"},
 		{"entered on a link off its primary", func(t *testing.T, m *Manager, s int32) {
-			mustNil(t, m.net.ReservePrimary(m.slots[s].conn.ID, s, chord, 100))
+			mustNil(t, m.net.ReservePrimary(m.slots[s].id, s, chord.DirLinks(m.g), 100))
 		}, "primary entries, alive routes have"},
 		{"a dead connection still holds a reservation", func(t *testing.T, m *Manager, s int32) {
-			mustNil(t, m.net.ReservePrimary(9999, s+7, chord, 100))
+			mustNil(t, m.net.ReservePrimary(9999, s+7, chord.DirLinks(m.g), 100))
 		}, "primary entries, alive routes have"},
 		{"entered under another slot", func(t *testing.T, m *Manager, s int32) {
-			c := m.slots[s].conn
-			mustNil(t, m.net.ReleasePrimary(c.ID, c.Primary))
-			mustNil(t, m.net.ReservePrimary(c.ID, s+1, c.Primary, c.Spec.Min))
-			mustNil(t, m.net.AdjustPrimary(c.ID, c.Primary, c.Bandwidth()))
+			sl := &m.slots[s]
+			mustNil(t, m.net.ReleasePrimary(sl.id, sl.dirs))
+			mustNil(t, m.net.ReservePrimary(sl.id, s+1, sl.dirs, sl.conn.Spec.Min))
+			mustNil(t, m.net.AdjustPrimary(sl.id, sl.dirs, sl.conn.Bandwidth()))
 		}, "under slot"},
 		{"grant disagrees with the level", func(t *testing.T, m *Manager, s int32) {
-			c := m.slots[s].conn
-			mustNil(t, m.net.AdjustPrimary(c.ID, c.Primary, c.Spec.Min))
+			sl := &m.slots[s]
+			mustNil(t, m.net.AdjustPrimary(sl.id, sl.dirs, sl.conn.Spec.Min))
 		}, "level says"},
+		{"slot level mirror stale", func(t *testing.T, m *Manager, s int32) {
+			m.slots[s].held++
+		}, "slot level mirror"},
 		{"cached directed links stale", func(t *testing.T, m *Manager, s int32) {
 			m.slots[s].dirs[0]++
 		}, "cached directed links"},

@@ -2,6 +2,7 @@ package manager_test
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -179,21 +180,36 @@ func TestEstablishAllocsBounded(t *testing.T) {
 // and its repair at 2 000 standing connections allocated about 3 680 times
 // while every backup search built fresh arrays, an onPrimary map and a boxed
 // heap item per push; on the manager's RouteScratch a search allocates the
-// route it returns and nothing else. The bound is 400.
+// route it returns and nothing else. The bound is 400. Failures drop
+// connections, so between pairs the population is topped back up to 2 000,
+// off the count, as BenchmarkManagerFailRepair does.
 func TestFailLinkAllocsBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 2 000-connection population")
 	}
-	c := newChurn(t, 2000)
-	perPair := testing.AllocsPerRun(100, func() {
+	const standing, pairs = 2000, 100
+	c := newChurn(t, standing)
+	// One P, as testing.AllocsPerRun runs, so no other goroutine's
+	// allocations land in the count.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	var mallocs uint64
+	for i := 0; i < pairs; i++ {
 		l := topology.LinkID(c.src.Intn(c.m.Graph().NumLinks()))
+		runtime.ReadMemStats(&before)
 		if _, err := c.m.FailLink(l); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := c.m.RepairLink(l); err != nil {
 			t.Fatal(err)
 		}
-	})
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+		for tries := 0; c.m.AliveCount() < standing && tries < standing; tries++ {
+			c.establish()
+		}
+	}
+	perPair := float64(mallocs) / pairs
 	t.Logf("%.0f allocations per fail + repair at %d standing", perPair, c.m.AliveCount())
 	if perPair > 400 {
 		t.Errorf("%.0f allocations per fail + repair, bound is 400", perPair)

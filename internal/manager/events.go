@@ -25,7 +25,7 @@ func (m *Manager) Terminate(id channel.ConnID) (rep *TerminationReport, err erro
 	m.work.slotMarks.set(int(s), collected)
 	m.chain(m.slots[s].dirs)
 
-	if err := m.net.ReleasePrimary(id, c.Primary); err != nil {
+	if err := m.net.ReleasePrimary(id, m.slots[s].dirs); err != nil {
 		return nil, wrapViolation(err, "release primary of conn %d", id)
 	}
 	if c.HasBackup {
@@ -79,7 +79,7 @@ func (m *Manager) FailLink(l topology.LinkID) (rep *FailureReport, err error) {
 			w.victims = append(w.victims, r.Slot)
 		}
 		for _, b := range m.net.BackupsOn(d) {
-			if !m.slots[b.Slot].conn.UsesLink(l) {
+			if !m.slots[b.Slot].crosses(l) {
 				w.lost = append(w.lost, b.Slot)
 			}
 		}
@@ -123,18 +123,18 @@ func (m *Manager) FailLink(l topology.LinkID) (rep *FailureReport, err error) {
 	for _, s := range w.victims {
 		v := m.slots[s].conn
 		m.addRegion(m.slots[s].dirs)
-		if err := m.net.ReleasePrimary(v.ID, v.Primary); err != nil {
+		if err := m.net.ReleasePrimary(v.ID, m.slots[s].dirs); err != nil {
 			return nil, wrapViolation(err, "release failed primary of conn %d", v.ID)
 		}
 		usable := v.HasBackup && !v.BackupUsesLink(l)
 		if usable {
 			if err := m.net.ActivateBackup(v.ID, s, v.Backup); err == nil {
-				oldLevel := v.Level
 				if err := v.FailOver(); err != nil {
 					return nil, wrapViolation(err, "fail over conn %d", v.ID)
 				}
 				m.cacheDirs(s)
-				if err := m.trackLevel(v, oldLevel, 0); err != nil {
+				// The activated backup runs at its minimum (§3.1).
+				if err := m.setLevel(s, 0); err != nil {
 					return nil, err
 				}
 				m.unprotected++ // the activated backup IS the primary now
@@ -251,10 +251,18 @@ func (m *Manager) RepairLink(l topology.LinkID) (restored int, err error) {
 		return 0, fmt.Errorf("manager: link %d is not failed", l)
 	}
 	m.net.SetFailed(l, false)
+	// Re-protection only ever shrinks the unprotected population, so once
+	// as many unprotected connections as there were have been visited the
+	// rest of the alive list holds none.
+	left := m.unprotected
 	for _, s := range m.alive {
+		if left == 0 {
+			break
+		}
 		if m.slots[s].conn.HasBackup {
 			continue
 		}
+		left--
 		ok, err := m.tryReprotect(s)
 		if err != nil {
 			return restored, err
@@ -278,28 +286,27 @@ func (m *Manager) tryReestablish(s int32) (bool, error) {
 		return false, nil
 	}
 	newPrimary := cands[0].Path
-	if err := m.net.ReservePrimary(c.ID, s, newPrimary, c.Spec.Min); err != nil {
+	w := &m.work
+	w.route = newPrimary.AppendDirLinks(w.route[:0], m.g)
+	if err := m.net.ReservePrimary(c.ID, s, w.route, c.Spec.Min); err != nil {
 		// The headroom seen by discovery may be borrowed as grants;
 		// squeeze the route's primaries to their minima and retry once.
-		m.work.route = newPrimary.AppendDirLinks(m.work.route[:0], m.g)
-		for _, d := range m.work.route {
+		for _, d := range w.route {
 			for _, r := range m.net.PrimariesOn(d) {
 				if err := m.squeezeToMin(r.Slot); err != nil {
 					return false, err
 				}
 			}
 		}
-		if err := m.net.ReservePrimary(c.ID, s, newPrimary, c.Spec.Min); err != nil {
+		if err := m.net.ReservePrimary(c.ID, s, w.route, c.Spec.Min); err != nil {
 			return false, nil
 		}
 	}
-	oldLevel := c.Level
 	c.Primary = newPrimary
 	m.cacheDirs(s)
-	if err := m.trackLevel(c, oldLevel, 0); err != nil {
+	if err := m.setLevel(s, 0); err != nil {
 		return false, err
 	}
-	c.Level = 0
 	return true, nil
 }
 

@@ -35,14 +35,9 @@ func (m *Manager) EstablishFixed(src, dst topology.NodeID, spec qos.ElasticSpec,
 		m.rejects++
 		return nil, fmt.Errorf("%w: src == dst (%d)", ErrRejected, src)
 	}
-	if err := primary.Validate(m.g); err != nil {
+	if err := validRoute(m.g, primary, src, dst); err != nil {
 		m.rejects++
 		return nil, fmt.Errorf("%w: bad fixed path: %v", ErrRejected, err)
-	}
-	if primary.Src() != src || primary.Dst() != dst {
-		m.rejects++
-		return nil, fmt.Errorf("%w: fixed path runs %d->%d, want %d->%d",
-			ErrRejected, primary.Src(), primary.Dst(), src, dst)
 	}
 	for _, l := range primary.Links {
 		if m.net.Failed(l) {

@@ -216,7 +216,7 @@ func (m *Manager) trackAdd(s int32) error {
 func (m *Manager) trackRemove(s int32) error {
 	c := m.slots[s].conn
 	i, ok := slices.BinarySearchFunc(m.alive, c.ID, func(s int32, id channel.ConnID) int {
-		return cmp.Compare(m.slots[s].conn.ID, id)
+		return cmp.Compare(m.slots[s].id, id)
 	})
 	if !ok {
 		return violationf("conn %d missing from alive list", c.ID)
@@ -237,16 +237,25 @@ func (m *Manager) trackRemove(s int32) error {
 	return nil
 }
 
-// trackLevel moves a connection between levels in the aggregates.
-func (m *Manager) trackLevel(c *channel.Conn, oldLevel, newLevel int) error {
-	if oldLevel == newLevel {
-		return nil
+// setLevel moves the connection in slot s to level to in the aggregates, the
+// slot's mirror and the connection itself; it is the only writer of a live
+// connection's level. The ledger is the caller's: it adjusts the grants
+// before or after, as its event requires.
+func (m *Manager) setLevel(s int32, to int) error {
+	sl := &m.slots[s]
+	if from := sl.held; from != to {
+		spec := &sl.conn.Spec
+		m.bwSum += spec.Bandwidth(to) - spec.Bandwidth(from)
+		if err := m.bumpHist(from, -1); err != nil {
+			return err
+		}
+		if err := m.bumpHist(to, +1); err != nil {
+			return err
+		}
 	}
-	m.bwSum += c.Spec.Bandwidth(newLevel) - c.Spec.Bandwidth(oldLevel)
-	if err := m.bumpHist(oldLevel, -1); err != nil {
-		return err
-	}
-	return m.bumpHist(newLevel, +1)
+	sl.held = to
+	sl.conn.Level = to
+	return nil
 }
 
 func (m *Manager) bumpHist(level, delta int) error {
@@ -381,7 +390,7 @@ func (m *Manager) admit(conn *channel.Conn, cands []routing.Candidate, wantBacku
 	if err := m.commit(w.cands, false); err != nil {
 		return nil, err
 	}
-	if err := m.net.ReservePrimary(id, slot, primary, spec.Min); err != nil {
+	if err := m.net.ReservePrimary(id, slot, w.route, spec.Min); err != nil {
 		// The plan squeezed every elastic byte off the route; a capacity
 		// error means the route genuinely cannot host the minimum.
 		return nil, m.refuse(slot, fmt.Errorf("%w: %v", ErrRejected, err))
@@ -408,7 +417,7 @@ func (m *Manager) admit(conn *channel.Conn, cands []routing.Candidate, wantBacku
 			}
 		}
 		if berr != nil && m.cfg.RequireBackup {
-			if err := m.net.ReleasePrimary(id, primary); err != nil {
+			if err := m.net.ReleasePrimary(id, w.route); err != nil {
 				return nil, wrapViolation(err, "rollback primary of conn %d", id)
 			}
 			return nil, m.refuse(slot, fmt.Errorf("%w: no backup channel: %v", ErrRejected, berr))
@@ -565,25 +574,22 @@ func (m *Manager) refuse(s int32, rejection error) error {
 
 // squeezeToMin retreats the connection in slot s to its minimum level.
 func (m *Manager) squeezeToMin(s int32) error {
-	c := m.slots[s].conn
-	if c.Level == 0 {
+	sl := &m.slots[s]
+	if sl.held == 0 {
 		return nil
 	}
-	if err := m.net.AdjustPrimary(c.ID, c.Primary, c.Spec.Min); err != nil {
+	if err := m.net.AdjustPrimary(sl.id, sl.dirs, sl.conn.Spec.Min); err != nil {
 		// Shrinking to the registered minimum can never fail; a failure
 		// here means ledger corruption.
-		return wrapViolation(err, "squeeze of conn %d failed", c.ID)
+		return wrapViolation(err, "squeeze of conn %d failed", sl.id)
 	}
-	if err := m.trackLevel(c, c.Level, 0); err != nil {
-		return err
-	}
-	c.Level = 0
-	return nil
+	return m.setLevel(s, 0)
 }
 
 // CheckInvariants verifies the ledger and the manager-level consistency
 // rules: the slot table, the ID index and the alive list describe the same
-// connections; every alive connection is entered on exactly its routes'
+// connections, and each slot mirrors its connection's level and primary
+// route; every alive connection is entered on exactly its routes'
 // directed links — under its own slot, at its level's bandwidth — and
 // nobody else is entered anywhere (so the dead hold no reservation); and the
 // aggregates equal their first-principles recomputation. A failure is
@@ -619,6 +625,9 @@ func (m *Manager) CheckInvariants() (err error) {
 		}
 		if c.Level < 0 || c.Level >= c.Spec.States() {
 			return violationf("conn %d level %d outside [0,%d)", id, c.Level, c.Spec.States())
+		}
+		if sl.held != c.Level {
+			return violationf("conn %d slot level mirror %d, connection level %d", id, sl.held, c.Level)
 		}
 		if !slices.Equal(sl.dirs, c.Primary.DirLinks(m.g)) {
 			return violationf("conn %d cached directed links %v, primary route has %v", id, sl.dirs, c.Primary.DirLinks(m.g))

@@ -9,24 +9,27 @@ import (
 	"drqos/internal/topology"
 )
 
-// connSlot is a live connection's entry in the manager's dense table. The
-// ledger stores the slot index with every primary reservation
-// (network.Reservation.Slot), so an event that walks a link list reaches
-// its connections by index; the ID→slot map is consulted once, at the door
-// of Terminate and Conn.
+// connSlot is a live connection's entry in the manager's dense table and the
+// one record the event kernels read: walking a link list, they reach a
+// connection's slot by index and never its *channel.Conn. The ledger stores
+// the slot index with every primary reservation (network.Reservation.Slot);
+// the ID→slot map is consulted once, at the door of Terminate and Conn.
 type connSlot struct {
 	conn *channel.Conn // nil while the slot is on the free list
-	// dirs caches conn.Primary.DirLinks(g); cacheDirs is its only writer
-	// and runs wherever Primary is assigned.
+	// dirs caches conn.Primary.DirLinks(g), the route the ledger's primary
+	// operations take; cacheDirs is its only writer and runs wherever
+	// Primary is assigned.
 	dirs []topology.DirLinkID
 	// id, utility, ceiling (the top level) and inc (the bandwidth of one
-	// step) copy what never changes of the connection, set by allocSlot, so
-	// the kernels' walks over many slots read the slot and not the Conn.
+	// step) copy what never changes of the connection, set by allocSlot.
 	id      channel.ConnID
 	utility float64
 	ceiling int
 	inc     qos.Kbps
-	// before is conn.Level when the running event snapshotted the slot.
+	// held mirrors conn.Level, the level the ledger holds: allocSlot sets
+	// it and setLevel is its only writer after that.
+	held int
+	// before is held when the running event snapshotted the slot.
 	before int
 	// level is the filling's scratch: the level it has brought the
 	// connection to, not yet in the ledger.
@@ -163,8 +166,19 @@ func (m *Manager) allocSlot(c *channel.Conn) int32 {
 	sl := &m.slots[s]
 	sl.conn, sl.id, sl.utility = c, c.ID, c.Spec.Utility
 	sl.ceiling, sl.inc = c.Spec.States()-1, c.Spec.Increment
+	sl.held = c.Level
 	m.cacheDirs(s)
 	return s
+}
+
+// crosses reports whether the slot's primary traverses physical link l.
+func (sl *connSlot) crosses(l topology.LinkID) bool {
+	for _, d := range sl.dirs {
+		if d.Link() == l {
+			return true
+		}
+	}
+	return false
 }
 
 // freeSlot returns a dead connection's slot to the free list, keeping the
@@ -195,7 +209,7 @@ func (m *Manager) chain(dirs []topology.DirLinkID) {
 			w.slotMarks.set(int(r.Slot), inChain)
 			w.chained = append(w.chained, r.Slot)
 			sl := &m.slots[r.Slot]
-			sl.before = sl.conn.Level
+			sl.before = sl.held
 		}
 	}
 }
@@ -272,8 +286,8 @@ func (m *Manager) chainReport(rest bool, extra int) (squeezed, others []channel.
 		case rest:
 			others = append(others, sl.id)
 		}
-		if sl.before != sl.conn.Level {
-			w.changes = append(w.changes, LevelChange{ID: sl.id, From: sl.before, To: sl.conn.Level})
+		if sl.before != sl.held {
+			w.changes = append(w.changes, LevelChange{ID: sl.id, From: sl.before, To: sl.held})
 		}
 	}
 	if found != len(w.chained) {

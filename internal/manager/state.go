@@ -138,24 +138,25 @@ func Restore(g *topology.Graph, cfg Config, st *State) (*Manager, error) {
 			return nil, fmt.Errorf("manager: restore: conn %d level %d outside [0,%d)", cs.ID, cs.Level, cs.Spec.States())
 		}
 		id := channel.ConnID(cs.ID)
+		src, dst := topology.NodeID(cs.Src), topology.NodeID(cs.Dst)
 		primary := cs.Primary.path()
-		if err := primary.Validate(g); err != nil {
+		if err := validRoute(g, primary, src, dst); err != nil {
 			return nil, fmt.Errorf("manager: restore: conn %d primary: %w", cs.ID, err)
 		}
-		conn := channel.RestoreConn(id, topology.NodeID(cs.Src), topology.NodeID(cs.Dst),
-			cs.Spec, primary, int(cs.Level), cs.FailedOver)
+		conn := channel.RestoreConn(id, src, dst, cs.Spec, primary, int(cs.Level), cs.FailedOver)
 		slot := m.allocSlot(conn)
-		if err := m.net.ReservePrimary(id, slot, primary, cs.Spec.Min); err != nil {
+		dirs := m.slots[slot].dirs
+		if err := m.net.ReservePrimary(id, slot, dirs, cs.Spec.Min); err != nil {
 			return nil, fmt.Errorf("manager: restore: conn %d primary reservation: %w", cs.ID, err)
 		}
 		if cs.Level > 0 {
-			if err := m.net.AdjustPrimary(id, primary, cs.Spec.Bandwidth(int(cs.Level))); err != nil {
+			if err := m.net.AdjustPrimary(id, dirs, cs.Spec.Bandwidth(int(cs.Level))); err != nil {
 				return nil, fmt.Errorf("manager: restore: conn %d grow to level %d: %w", cs.ID, cs.Level, err)
 			}
 		}
 		if cs.HasBackup {
 			backup := cs.Backup.path()
-			if err := backup.Validate(g); err != nil {
+			if err := validRoute(g, backup, src, dst); err != nil {
 				return nil, fmt.Errorf("manager: restore: conn %d backup: %w", cs.ID, err)
 			}
 			if err := m.net.RestoreBackup(id, slot, backup, primary.Links, cs.Spec.Min); err != nil {
@@ -182,6 +183,20 @@ func Restore(g *topology.Graph, cfg Config, st *State) (*Manager, error) {
 		return nil, fmt.Errorf("manager: restore: rebuilt state fails audit: %w", err)
 	}
 	return m, nil
+}
+
+// validRoute checks that p is a path of g from src to dst. Restore and
+// EstablishFixed take routes that arrive as bytes (a snapshot, a prepare
+// record), and a route that runs elsewhere would be reserved, and then
+// audited, as if it were the connection's.
+func validRoute(g *topology.Graph, p routing.Path, src, dst topology.NodeID) error {
+	if err := p.Validate(g); err != nil {
+		return err
+	}
+	if p.Src() != src || p.Dst() != dst {
+		return fmt.Errorf("route runs %d->%d, connection %d->%d", p.Src(), p.Dst(), src, dst)
+	}
+	return nil
 }
 
 // Binary state encoding. Deterministic: the same manager state always

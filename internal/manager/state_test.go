@@ -1,11 +1,13 @@
 package manager
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"drqos/internal/qos"
 	"drqos/internal/rng"
+	"drqos/internal/routing"
 	"drqos/internal/topology"
 )
 
@@ -138,5 +140,49 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 	beyond.NextID = st.Conns[len(st.Conns)-1].ID
 	if _, err := Restore(m.Graph(), m.Config(), &beyond); err == nil {
 		t.Fatal("NextID below live IDs accepted")
+	}
+}
+
+// TestRestoreRefusesRoutesItCannotVouchFor damages one route of a snapshot
+// per row and requires Restore to refuse it by name, not panic and not
+// rebuild a manager that audits clean around a route the connection does
+// not run. The undamaged snapshot restores.
+func TestRestoreRefusesRoutesItCannotVouchFor(t *testing.T) {
+	cases := []struct {
+		damage string
+		apply  func(cs *ConnState)
+		want   string
+	}{
+		{"primary names a link beyond the graph", func(cs *ConnState) { cs.Primary.Links[1] = 999 }, "primary: routing: link 999 out of range"},
+		{"backup names a link beyond the graph", func(cs *ConnState) { cs.Backup.Links[0] = 999 }, "backup: routing: link 999 out of range"},
+		{"primary runs elsewhere", func(cs *ConnState) { cs.Dst = 2 }, "primary: route runs 0->5, connection 0->2"},
+		{"backup runs elsewhere", func(cs *ConnState) {
+			cs.Backup = PathState{Nodes: []int32{0, 3, 4}, Links: []int32{3, 4}}
+		}, "backup: route runs 0->4, connection 0->5"},
+	}
+	m := mustMgr(t, diamond(t), Config{Capacity: 10000, RequireBackup: true})
+	if _, err := m.Establish(0, 5, qos.DefaultSpec()); err != nil {
+		t.Fatal(err)
+	}
+	st := m.ExportState()
+	if _, err := Restore(m.Graph(), m.Config(), st); err != nil {
+		t.Fatalf("undamaged snapshot: %v", err)
+	}
+	for _, tc := range cases {
+		t.Run(tc.damage, func(t *testing.T) {
+			// A deep copy through the codec, so no row sees another's damage.
+			bad, err := UnmarshalState(st.MarshalBinary())
+			mustNil(t, err)
+			tc.apply(&bad.Conns[0])
+			_, err = Restore(m.Graph(), m.Config(), bad)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("restore said %v, want a refusal containing %q", err, tc.want)
+			}
+		})
+	}
+	// A replayed prepare record reaches the same validation.
+	bad := routing.Path{Nodes: []topology.NodeID{0, 1, 2}, Links: []topology.LinkID{0, 999}}
+	if _, err := m.EstablishFixed(0, 2, qos.ElasticSpec{Min: 100, Max: 100, Increment: 100, Utility: 1}, bad); !errors.Is(err, ErrRejected) || !strings.Contains(err.Error(), "link 999 out of range") {
+		t.Fatalf("fixed path over link 999: %v, want a rejection naming it", err)
 	}
 }

@@ -207,6 +207,14 @@ func (n *Network) FreeForGrowth(d topology.DirLinkID) qos.Kbps {
 	return n.capacity - n.dirs[d].grantSum
 }
 
+// LoadFreeForGrowth sets room[d] to FreeForGrowth(d) for every directed link
+// d, in one pass over the ledger.
+func (n *Network) LoadFreeForGrowth(room []qos.Kbps) {
+	for d := range n.dirs {
+		room[d] = n.FreeForGrowth(topology.DirLinkID(d))
+	}
+}
+
 // AdmissionHeadroom returns the bandwidth available to a NEW primary on
 // directed link d under minimum-level admission (rule 3).
 func (n *Network) AdmissionHeadroom(d topology.DirLinkID) qos.Kbps {
@@ -258,16 +266,21 @@ func (ds *dirState) addPrimary(i int, id channel.ConnID, slot int32, min qos.Kbp
 	ds.minSum += min
 }
 
-// ReservePrimary reserves min bandwidth for conn id along route, recording
-// slot with every entry. Grants on every route link must currently leave
-// room for min (the manager squeezes elastic channels first if necessary).
-// The operation is atomic: on error nothing is reserved.
-func (n *Network) ReservePrimary(id channel.ConnID, slot int32, route routing.Path, min qos.Kbps) error {
+// The primary operations take a route as its directed links, in order
+// (routing.Path.AppendDirLinks): the manager caches them per connection, so
+// no hop's direction is derived again on a write.
+
+// ReservePrimary reserves min bandwidth for conn id on the directed links of
+// its route, recording slot with every entry. Grants on every route link
+// must currently leave room for min (the manager squeezes elastic channels
+// first if necessary). The operation is atomic: on error nothing is
+// reserved.
+func (n *Network) ReservePrimary(id channel.ConnID, slot int32, route []topology.DirLinkID, min qos.Kbps) error {
 	if min <= 0 {
 		return fmt.Errorf("network: non-positive reservation %v", min)
 	}
-	for i := range route.Links {
-		d, ds := n.dir(route, i)
+	for _, d := range route {
+		ds := &n.dirs[d]
 		if n.failed[d.Link()] {
 			return fmt.Errorf("%w: link %d on route of conn %d", ErrLinkFailed, d.Link(), id)
 		}
@@ -283,23 +296,23 @@ func (n *Network) ReservePrimary(id channel.ConnID, slot int32, route routing.Pa
 				ErrCapacity, d, ds.minSum, ds.spare, min, n.capacity)
 		}
 	}
-	for i := range route.Links {
-		_, ds := n.dir(route, i)
+	for _, d := range route {
+		ds := &n.dirs[d]
 		at, _ := ds.primary(id)
 		ds.addPrimary(at, id, slot, min)
 	}
 	return nil
 }
 
-// AdjustPrimary changes conn id's reservation to newGrant on every link of
-// its route. newGrant must be at least the connection's minimum; growth must
-// fit the physical capacity of every link. Atomic.
-func (n *Network) AdjustPrimary(id channel.ConnID, route routing.Path, newGrant qos.Kbps) error {
+// AdjustPrimary changes conn id's reservation to newGrant on every directed
+// link of its route. newGrant must be at least the connection's minimum;
+// growth must fit the physical capacity of every link. Atomic.
+func (n *Network) AdjustPrimary(id channel.ConnID, route []topology.DirLinkID, newGrant qos.Kbps) error {
 	// The checking pass remembers where it found id on each link, so the
 	// writing pass searches again only on routes longer than that memory.
 	var found [16]int
-	for i := range route.Links {
-		d, ds := n.dir(route, i)
+	for i, d := range route {
+		ds := &n.dirs[d]
 		at, ok := ds.primary(id)
 		if !ok {
 			return fmt.Errorf("%w: conn %d on directed link %d", ErrUnknownConn, id, d)
@@ -316,8 +329,8 @@ func (n *Network) AdjustPrimary(id channel.ConnID, route routing.Path, newGrant 
 			found[i] = at
 		}
 	}
-	for i := range route.Links {
-		_, ds := n.dir(route, i)
+	for i, d := range route {
+		ds := &n.dirs[d]
 		var at int
 		if i < len(found) {
 			at = found[i]
@@ -331,16 +344,16 @@ func (n *Network) AdjustPrimary(id channel.ConnID, route routing.Path, newGrant 
 	return nil
 }
 
-// ReleasePrimary removes conn id's primary reservation along route.
-func (n *Network) ReleasePrimary(id channel.ConnID, route routing.Path) error {
-	for i := range route.Links {
-		d, ds := n.dir(route, i)
-		if _, ok := ds.primary(id); !ok {
+// ReleasePrimary removes conn id's primary reservation from the directed
+// links of its route.
+func (n *Network) ReleasePrimary(id channel.ConnID, route []topology.DirLinkID) error {
+	for _, d := range route {
+		if _, ok := n.dirs[d].primary(id); !ok {
 			return fmt.Errorf("%w: conn %d on directed link %d", ErrUnknownConn, id, d)
 		}
 	}
-	for i := range route.Links {
-		_, ds := n.dir(route, i)
+	for _, d := range route {
+		ds := &n.dirs[d]
 		at, _ := ds.primary(id)
 		ds.grantSum -= ds.primaries[at].Grant
 		ds.minSum -= ds.primaries[at].Min

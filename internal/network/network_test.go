@@ -68,6 +68,9 @@ func checkInv(t *testing.T, n *Network) {
 // route in this file traverses its links forward.
 func fwd(l topology.LinkID) topology.DirLinkID { return topology.DirLinkID(2 * l) }
 
+// dirLinks is p as the primary operations take it: its directed links.
+func dirLinks(n *Network, p routing.Path) []topology.DirLinkID { return p.DirLinks(n.Graph()) }
+
 func TestNewValidation(t *testing.T) {
 	g := topology.NewGraph(2)
 	g.AddNode(topology.Point{})
@@ -79,7 +82,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestReservePrimaryBasics(t *testing.T) {
 	n, upper, _ := testNet(t, 10000)
-	mustOK(t, n.ReservePrimary(1, 0, upper, 100))
+	mustOK(t, n.ReservePrimary(1, 0, dirLinks(n, upper), 100))
 	for _, l := range upper.Links {
 		if n.Grant(fwd(l), 1) != 100 {
 			t.Fatalf("grant on link %d = %v", l, n.Grant(fwd(l), 1))
@@ -95,7 +98,7 @@ func TestReservePrimaryBasics(t *testing.T) {
 	}
 	checkInv(t, n)
 	// Duplicate reservation must fail atomically.
-	if err := n.ReservePrimary(1, 0, upper, 100); err == nil {
+	if err := n.ReservePrimary(1, 0, dirLinks(n, upper), 100); err == nil {
 		t.Fatal("duplicate accepted")
 	}
 	checkInv(t, n)
@@ -103,9 +106,9 @@ func TestReservePrimaryBasics(t *testing.T) {
 
 func TestReservePrimaryCapacityLimit(t *testing.T) {
 	n, upper, _ := testNet(t, 250)
-	mustOK(t, n.ReservePrimary(1, 0, upper, 100))
-	mustOK(t, n.ReservePrimary(2, 0, upper, 100))
-	err := n.ReservePrimary(3, 0, upper, 100)
+	mustOK(t, n.ReservePrimary(1, 0, dirLinks(n, upper), 100))
+	mustOK(t, n.ReservePrimary(2, 0, dirLinks(n, upper), 100))
+	err := n.ReservePrimary(3, 0, dirLinks(n, upper), 100)
 	if !errors.Is(err, ErrCapacity) {
 		t.Fatalf("err = %v, want ErrCapacity", err)
 	}
@@ -120,7 +123,7 @@ func TestReservePrimaryCapacityLimit(t *testing.T) {
 
 func TestReservePrimaryRejectsNonPositive(t *testing.T) {
 	n, upper, _ := testNet(t, 1000)
-	if err := n.ReservePrimary(1, 0, upper, 0); err == nil {
+	if err := n.ReservePrimary(1, 0, dirLinks(n, upper), 0); err == nil {
 		t.Fatal("zero reservation accepted")
 	}
 }
@@ -128,7 +131,7 @@ func TestReservePrimaryRejectsNonPositive(t *testing.T) {
 func TestReservePrimaryOnFailedLink(t *testing.T) {
 	n, upper, _ := testNet(t, 1000)
 	n.SetFailed(upper.Links[1], true)
-	if err := n.ReservePrimary(1, 0, upper, 100); !errors.Is(err, ErrLinkFailed) {
+	if err := n.ReservePrimary(1, 0, dirLinks(n, upper), 100); !errors.Is(err, ErrLinkFailed) {
 		t.Fatalf("err = %v", err)
 	}
 	if n.AdmissionHeadroom(fwd(upper.Links[1])) != 0 {
@@ -141,8 +144,8 @@ func TestReservePrimaryOnFailedLink(t *testing.T) {
 
 func TestAdjustPrimaryGrowAndShrink(t *testing.T) {
 	n, upper, _ := testNet(t, 1000)
-	mustOK(t, n.ReservePrimary(1, 0, upper, 100))
-	mustOK(t, n.AdjustPrimary(1, upper, 500))
+	mustOK(t, n.ReservePrimary(1, 0, dirLinks(n, upper), 100))
+	mustOK(t, n.AdjustPrimary(1, dirLinks(n, upper), 500))
 	for _, l := range upper.Links {
 		if n.Grant(fwd(l), 1) != 500 {
 			t.Fatalf("grow failed on link %d", l)
@@ -152,25 +155,25 @@ func TestAdjustPrimaryGrowAndShrink(t *testing.T) {
 		}
 	}
 	checkInv(t, n)
-	mustOK(t, n.AdjustPrimary(1, upper, 100))
+	mustOK(t, n.AdjustPrimary(1, dirLinks(n, upper), 100))
 	checkInv(t, n)
 	// Below minimum is rejected.
-	if err := n.AdjustPrimary(1, upper, 50); err == nil {
+	if err := n.AdjustPrimary(1, dirLinks(n, upper), 50); err == nil {
 		t.Fatal("grant below min accepted")
 	}
 	// Unknown conn.
-	if err := n.AdjustPrimary(9, upper, 100); !errors.Is(err, ErrUnknownConn) {
+	if err := n.AdjustPrimary(9, dirLinks(n, upper), 100); !errors.Is(err, ErrUnknownConn) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestAdjustPrimaryCapacityCeiling(t *testing.T) {
 	n, upper, _ := testNet(t, 1000)
-	mustOK(t, n.ReservePrimary(1, 0, upper, 100))
-	mustOK(t, n.ReservePrimary(2, 0, upper, 100))
+	mustOK(t, n.ReservePrimary(1, 0, dirLinks(n, upper), 100))
+	mustOK(t, n.ReservePrimary(2, 0, dirLinks(n, upper), 100))
 	// 800 free; conn 1 can grow to 900 total? No: 100+900=1000 is fine.
-	mustOK(t, n.AdjustPrimary(1, upper, 900))
-	if err := n.AdjustPrimary(2, upper, 200); !errors.Is(err, ErrCapacity) {
+	mustOK(t, n.AdjustPrimary(1, dirLinks(n, upper), 900))
+	if err := n.AdjustPrimary(2, dirLinks(n, upper), 200); !errors.Is(err, ErrCapacity) {
 		t.Fatalf("err = %v", err)
 	}
 	checkInv(t, n)
@@ -181,17 +184,37 @@ func TestAdjustPrimaryCapacityCeiling(t *testing.T) {
 
 func TestReleasePrimary(t *testing.T) {
 	n, upper, _ := testNet(t, 1000)
-	mustOK(t, n.ReservePrimary(1, 0, upper, 100))
-	mustOK(t, n.AdjustPrimary(1, upper, 300))
-	mustOK(t, n.ReleasePrimary(1, upper))
+	mustOK(t, n.ReservePrimary(1, 0, dirLinks(n, upper), 100))
+	mustOK(t, n.AdjustPrimary(1, dirLinks(n, upper), 300))
+	mustOK(t, n.ReleasePrimary(1, dirLinks(n, upper)))
 	for _, l := range upper.Links {
 		if n.GrantSum(fwd(l)) != 0 || n.MinSum(fwd(l)) != 0 {
 			t.Fatalf("release left residue on link %d", l)
 		}
 	}
 	checkInv(t, n)
-	if err := n.ReleasePrimary(1, upper); !errors.Is(err, ErrUnknownConn) {
+	if err := n.ReleasePrimary(1, dirLinks(n, upper)); !errors.Is(err, ErrUnknownConn) {
 		t.Fatalf("double release: %v", err)
+	}
+}
+
+// TestLoadFreeForGrowth: the one-pass load agrees with FreeForGrowth link by
+// link, a failed link included.
+func TestLoadFreeForGrowth(t *testing.T) {
+	n, upper, lower := testNet(t, 1000)
+	mustOK(t, n.ReservePrimary(1, 0, dirLinks(n, upper), 100))
+	mustOK(t, n.AdjustPrimary(1, dirLinks(n, upper), 300))
+	mustOK(t, n.ReservePrimary(2, 0, dirLinks(n, lower), 100))
+	n.SetFailed(lower.Links[1], true)
+	room := make([]qos.Kbps, n.Graph().NumDirLinks())
+	n.LoadFreeForGrowth(room)
+	for d := range room {
+		if want := n.FreeForGrowth(topology.DirLinkID(d)); room[d] != want {
+			t.Fatalf("room on directed link %d = %v, FreeForGrowth %v", d, room[d], want)
+		}
+	}
+	if room[fwd(upper.Links[0])] != 700 || room[fwd(lower.Links[0])] != 900 || room[fwd(lower.Links[1])] != 0 {
+		t.Fatalf("room = %v", room)
 	}
 }
 
@@ -208,18 +231,18 @@ func TestBackupMultiplexingSharesSpare(t *testing.T) {
 	// upper. Backups then live on different routes. To observe
 	// multiplexing on ONE link we need two backups on the same link whose
 	// primaries are disjoint — conn 3 primary upper (disjoint from lower).
-	mustOK(t, n.ReservePrimary(1, 0, upper, 100))
+	mustOK(t, n.ReservePrimary(1, 0, dirLinks(n, upper), 100))
 	mustOK(t, n.ReserveBackup(1, 0, lower, upper.Links, 100))
 	checkInv(t, n)
 
-	mustOK(t, n.ReservePrimary(2, 0, lower, 100))
+	mustOK(t, n.ReservePrimary(2, 0, dirLinks(n, lower), 100))
 	mustOK(t, n.ReserveBackup(2, 0, upper, lower.Links, 100))
 	checkInv(t, n)
 
 	// Backup of conn 3 (primary on upper) multiplexes with backup of conn
 	// 1 (also primary on upper): they activate together on a shared-upper
 	// failure, so spare on lower links must be 200 for upper failures.
-	mustOK(t, n.ReservePrimary(3, 0, upper, 100))
+	mustOK(t, n.ReservePrimary(3, 0, dirLinks(n, upper), 100))
 	mustOK(t, n.ReserveBackup(3, 0, lower, upper.Links, 100))
 	checkInv(t, n)
 	for _, l := range lower.Links {
@@ -249,8 +272,8 @@ func TestBackupMultiplexingDisjointPrimariesShare(t *testing.T) {
 	p2 := routing.Path{Nodes: []topology.NodeID{2, 3}, Links: []topology.LinkID{lB}}
 	b1 := routing.Path{Nodes: []topology.NodeID{0, 2, 1}, Links: []topology.LinkID{l0, lS}}
 	b2 := routing.Path{Nodes: []topology.NodeID{2, 1, 3}, Links: []topology.LinkID{lS, l1}}
-	mustOK(t, n.ReservePrimary(1, 0, p1, 100))
-	mustOK(t, n.ReservePrimary(2, 0, p2, 100))
+	mustOK(t, n.ReservePrimary(1, 0, dirLinks(n, p1), 100))
+	mustOK(t, n.ReservePrimary(2, 0, dirLinks(n, p2), 100))
 	mustOK(t, n.ReserveBackup(1, 0, b1, p1.Links, 100))
 	mustOK(t, n.ReserveBackup(2, 0, b2, p2.Links, 100))
 	checkInv(t, n)
@@ -275,8 +298,8 @@ func TestBackupAdmissionBlocksConflictOverflow(t *testing.T) {
 	}
 	primary := routing.Path{Nodes: []topology.NodeID{0, 1}, Links: []topology.LinkID{lP}}
 	backup := routing.Path{Nodes: []topology.NodeID{0, 2, 1}, Links: []topology.LinkID{lQ, lS}}
-	mustOK(t, n.ReservePrimary(1, 0, primary, 100))
-	mustOK(t, n.ReservePrimary(2, 0, primary, 100))
+	mustOK(t, n.ReservePrimary(1, 0, dirLinks(n, primary), 100))
+	mustOK(t, n.ReservePrimary(2, 0, dirLinks(n, primary), 100))
 	mustOK(t, n.ReserveBackup(1, 0, backup, primary.Links, 100))
 	checkInv(t, n)
 	// Backup 2 conflicts with backup 1 (same primary link lP): spare would
@@ -285,7 +308,7 @@ func TestBackupAdmissionBlocksConflictOverflow(t *testing.T) {
 	// minSum=0, spare 200 ≤ 250 → actually admissible. Tighten by loading
 	// lS with a primary first.
 	short := routing.Path{Nodes: []topology.NodeID{2, 1}, Links: []topology.LinkID{lS}}
-	mustOK(t, n.ReservePrimary(3, 0, short, 100))
+	mustOK(t, n.ReservePrimary(3, 0, dirLinks(n, short), 100))
 	if n.CanAdmitBackup(backup, primary.Links, 100) {
 		t.Fatal("conflicting backup admitted beyond capacity")
 	}
@@ -297,7 +320,7 @@ func TestBackupAdmissionBlocksConflictOverflow(t *testing.T) {
 
 func TestReserveBackupValidation(t *testing.T) {
 	n, upper, lower := testNet(t, 1000)
-	mustOK(t, n.ReservePrimary(1, 0, upper, 100))
+	mustOK(t, n.ReservePrimary(1, 0, dirLinks(n, upper), 100))
 	if err := n.ReserveBackup(1, 0, lower, upper.Links, 0); err == nil {
 		t.Fatal("zero backup min accepted")
 	}
@@ -312,7 +335,7 @@ func TestReserveBackupValidation(t *testing.T) {
 
 func TestReleaseBackupRestoresSpare(t *testing.T) {
 	n, upper, lower := testNet(t, 1000)
-	mustOK(t, n.ReservePrimary(1, 0, upper, 100))
+	mustOK(t, n.ReservePrimary(1, 0, dirLinks(n, upper), 100))
 	mustOK(t, n.ReserveBackup(1, 0, lower, upper.Links, 100))
 	if n.Spare(fwd(lower.Links[0])) != 100 {
 		t.Fatal("spare not registered")
@@ -331,11 +354,11 @@ func TestReleaseBackupRestoresSpare(t *testing.T) {
 
 func TestActivateBackup(t *testing.T) {
 	n, upper, lower := testNet(t, 1000)
-	mustOK(t, n.ReservePrimary(1, 0, upper, 100))
+	mustOK(t, n.ReservePrimary(1, 0, dirLinks(n, upper), 100))
 	mustOK(t, n.ReserveBackup(1, 0, lower, upper.Links, 100))
 	// Primary link fails; manager releases the primary and activates.
 	n.SetFailed(upper.Links[1], true)
-	mustOK(t, n.ReleasePrimary(1, upper))
+	mustOK(t, n.ReleasePrimary(1, dirLinks(n, upper)))
 	mustOK(t, n.ActivateBackup(1, 0, lower))
 	for _, l := range lower.Links {
 		if n.Grant(fwd(l), 1) != 100 {
@@ -353,17 +376,17 @@ func TestActivateBackup(t *testing.T) {
 
 func TestActivateBackupCapacityBlocked(t *testing.T) {
 	n, upper, lower := testNet(t, 200)
-	mustOK(t, n.ReservePrimary(1, 0, upper, 100))
+	mustOK(t, n.ReservePrimary(1, 0, dirLinks(n, upper), 100))
 	mustOK(t, n.ReserveBackup(1, 0, lower, upper.Links, 100))
 	// Fill the lower route's physical capacity with grown primaries.
-	mustOK(t, n.ReservePrimary(2, 0, lower, 100))
-	mustOK(t, n.AdjustPrimary(2, lower, 200)) // borrows the spare
+	mustOK(t, n.ReservePrimary(2, 0, dirLinks(n, lower), 100))
+	mustOK(t, n.AdjustPrimary(2, dirLinks(n, lower), 200)) // borrows the spare
 	checkInv(t, n)
 	if err := n.ActivateBackup(1, 0, lower); !errors.Is(err, ErrCapacity) {
 		t.Fatalf("err = %v (manager must squeeze first)", err)
 	}
 	// After squeezing conn 2 back to its minimum, activation succeeds.
-	mustOK(t, n.AdjustPrimary(2, lower, 100))
+	mustOK(t, n.AdjustPrimary(2, dirLinks(n, lower), 100))
 	mustOK(t, n.ActivateBackup(1, 0, lower))
 	checkInv(t, n)
 }
@@ -373,10 +396,10 @@ func TestPrimariesAndBackupsOnSorted(t *testing.T) {
 	// Reserved in descending ID order: the lists must come out ascending,
 	// each entry carrying the slot it was reserved with.
 	for id := channel.ConnID(5); id >= 1; id-- {
-		mustOK(t, n.ReservePrimary(id, int32(10*id), upper, 100))
+		mustOK(t, n.ReservePrimary(id, int32(10*id), dirLinks(n, upper), 100))
 		mustOK(t, n.ReserveBackup(id, 0, lower, upper.Links, 100))
 	}
-	mustOK(t, n.AdjustPrimary(3, upper, 250))
+	mustOK(t, n.AdjustPrimary(3, dirLinks(n, upper), 250))
 	prim := n.PrimariesOn(fwd(upper.Links[0]))
 	if len(prim) != 5 {
 		t.Fatalf("primaries = %v", prim)
@@ -400,7 +423,7 @@ func TestPrimariesAndBackupsOnSorted(t *testing.T) {
 		}
 	}
 	// Activation moves an entry from one list to the other, in order.
-	mustOK(t, n.ReleasePrimary(4, upper))
+	mustOK(t, n.ReleasePrimary(4, dirLinks(n, upper)))
 	mustOK(t, n.ActivateBackup(4, 44, lower))
 	if got := n.PrimariesOn(fwd(lower.Links[0])); len(got) != 1 || got[0] != (Reservation{ID: 4, Grant: 100, Min: 100, Slot: 44}) {
 		t.Fatalf("activated primaries = %+v", got)
@@ -470,7 +493,7 @@ func ledgerScenario(seed uint64) (string, error) {
 			if err != nil {
 				continue
 			}
-			if n.ReservePrimary(nextID, 0, p, 100) != nil {
+			if n.ReservePrimary(nextID, 0, dirLinks(n, p), 100) != nil {
 				continue
 			}
 			c = &live{route: p, grant: 100}
@@ -485,13 +508,13 @@ func ledgerScenario(seed uint64) (string, error) {
 		case 1: // adjust someone
 			if id, c = pick(); c != nil {
 				ng := qos.Kbps(100 + 50*src.Intn(9))
-				if n.AdjustPrimary(id, c.route, ng) == nil {
+				if n.AdjustPrimary(id, dirLinks(n, c.route), ng) == nil {
 					c.grant = ng
 				}
 			}
 		case 2: // terminate someone
 			if id, c = pick(); c != nil {
-				if err := n.ReleasePrimary(id, c.route); err != nil {
+				if err := n.ReleasePrimary(id, dirLinks(n, c.route)); err != nil {
 					return fail("release primary", err)
 				}
 				if c.hasB {
@@ -511,13 +534,13 @@ func ledgerScenario(seed uint64) (string, error) {
 			for _, d := range c.backup.DirLinks(g) {
 				for _, r := range n.PrimariesOn(d) {
 					if pc, ok := conns[r.ID]; ok {
-						if n.AdjustPrimary(r.ID, pc.route, 100) == nil {
+						if n.AdjustPrimary(r.ID, dirLinks(n, pc.route), 100) == nil {
 							pc.grant = 100
 						}
 					}
 				}
 			}
-			if err := n.ReleasePrimary(id, c.route); err != nil {
+			if err := n.ReleasePrimary(id, dirLinks(n, c.route)); err != nil {
 				return fail("pre-activation release", err)
 			}
 			if n.ActivateBackup(id, 0, c.backup) != nil {
@@ -573,14 +596,14 @@ func TestSetMultiplexing(t *testing.T) {
 	if err := n.SetMultiplexing(false); err != nil {
 		t.Fatal(err)
 	}
-	mustOK(t, n.ReservePrimary(1, 0, upper, 100))
-	mustOK(t, n.ReservePrimary(2, 0, lower, 100))
+	mustOK(t, n.ReservePrimary(1, 0, dirLinks(n, upper), 100))
+	mustOK(t, n.ReservePrimary(2, 0, dirLinks(n, lower), 100))
 	mustOK(t, n.ReserveBackup(1, 0, lower, upper.Links, 100))
 	mustOK(t, n.ReserveBackup(2, 0, upper, lower.Links, 100))
 	checkInv(t, n)
 	// Without multiplexing, a second upper-primary backup on lower links
 	// ADDS spare instead of sharing it.
-	mustOK(t, n.ReservePrimary(3, 0, upper, 100))
+	mustOK(t, n.ReservePrimary(3, 0, dirLinks(n, upper), 100))
 	mustOK(t, n.ReserveBackup(3, 0, lower, upper.Links, 100))
 	checkInv(t, n)
 	if got := n.Spare(fwd(lower.Links[0])); got != 200 {
@@ -600,9 +623,9 @@ func TestSetMultiplexing(t *testing.T) {
 
 func TestDependabilityDeficit(t *testing.T) {
 	n, upper, lower := testNet(t, 300)
-	mustOK(t, n.ReservePrimary(1, 0, upper, 100))
+	mustOK(t, n.ReservePrimary(1, 0, dirLinks(n, upper), 100))
 	mustOK(t, n.ReserveBackup(1, 0, lower, upper.Links, 100))
-	mustOK(t, n.ReservePrimary(2, 0, lower, 100))
+	mustOK(t, n.ReservePrimary(2, 0, dirLinks(n, lower), 100))
 	if d := n.DependabilityDeficit(); len(d) != 0 {
 		t.Fatalf("quiescent deficit: %v", d)
 	}
@@ -610,10 +633,10 @@ func TestDependabilityDeficit(t *testing.T) {
 	// conn 2... has no backup, so spare on lower drops to 0 — still no
 	// deficit. Force one instead: register a second backup on lower whose
 	// primary overlaps conn 1's, then activate conn 1.
-	mustOK(t, n.ReservePrimary(3, 0, upper, 100))
+	mustOK(t, n.ReservePrimary(3, 0, dirLinks(n, upper), 100))
 	mustOK(t, n.ReserveBackup(3, 0, lower, upper.Links, 100))
 	n.SetFailed(upper.Links[0], true)
-	mustOK(t, n.ReleasePrimary(1, upper))
+	mustOK(t, n.ReleasePrimary(1, dirLinks(n, upper)))
 	mustOK(t, n.ActivateBackup(1, 0, lower))
 	// lower links: minSum = 100 (conn2) + 100 (activated conn1) = 200;
 	// spare still 100 for conn3's backup → 300 = capacity: no deficit yet.
@@ -622,12 +645,12 @@ func TestDependabilityDeficit(t *testing.T) {
 	}
 	// One more primary fills the link past the reserve rule.
 	n.SetFailed(upper.Links[0], false)
-	if err := n.ReservePrimary(4, 0, lower, 100); err == nil {
+	if err := n.ReservePrimary(4, 0, dirLinks(n, lower), 100); err == nil {
 		t.Fatal("admission should refuse: minima+spare would exceed capacity")
 	}
 	// Bypass admission legitimately via activation: conn 3 fails over too.
 	n.SetFailed(upper.Links[1], true)
-	mustOK(t, n.ReleasePrimary(3, upper))
+	mustOK(t, n.ReleasePrimary(3, dirLinks(n, upper)))
 	// Squeeze not needed (everyone at min); activation must succeed
 	// physically (300 capacity, 200 granted, +100 fits).
 	mustOK(t, n.ActivateBackup(3, 0, lower))
@@ -649,10 +672,10 @@ func TestDependabilityDeficitAfterActivation(t *testing.T) {
 	n, upper, lower := testNet(t, 200)
 	g := n.Graph()
 	// A: primary upper, backup lower (whole route).
-	mustOK(t, n.ReservePrimary(1, 0, upper, 100))
+	mustOK(t, n.ReservePrimary(1, 0, dirLinks(n, upper), 100))
 	mustOK(t, n.ReserveBackup(1, 0, lower, upper.Links, 100))
 	// B: primary lower at its minimum.
-	mustOK(t, n.ReservePrimary(2, 0, lower, 100))
+	mustOK(t, n.ReservePrimary(2, 0, dirLinks(n, lower), 100))
 	// C: primary 1→3 (the chord, disjoint from A's primary so the backups
 	// may multiplex), backup 1→0→3 crossing lower's first link.
 	l01, _ := g.LinkBetween(0, 1)
@@ -660,7 +683,7 @@ func TestDependabilityDeficitAfterActivation(t *testing.T) {
 	l03, _ := g.LinkBetween(0, 3)
 	cPrimary := routing.Path{Nodes: []topology.NodeID{1, 3}, Links: []topology.LinkID{l13}}
 	cBackup := routing.Path{Nodes: []topology.NodeID{1, 0, 3}, Links: []topology.LinkID{l01, l03}}
-	mustOK(t, n.ReservePrimary(3, 0, cPrimary, 100))
+	mustOK(t, n.ReservePrimary(3, 0, dirLinks(n, cPrimary), 100))
 	mustOK(t, n.ReserveBackup(3, 0, cBackup, cPrimary.Links, 100))
 	if d := n.DependabilityDeficit(); len(d) != 0 {
 		t.Fatalf("quiescent deficit: %v", d)
@@ -669,7 +692,7 @@ func TestDependabilityDeficitAfterActivation(t *testing.T) {
 	// now A(100)+B(100) = 200 = capacity, while C's backup still counts
 	// 100 spare there → deficit until protection is re-planned.
 	n.SetFailed(upper.Links[1], true)
-	mustOK(t, n.ReleasePrimary(1, upper))
+	mustOK(t, n.ReleasePrimary(1, dirLinks(n, upper)))
 	mustOK(t, n.ActivateBackup(1, 0, lower))
 	checkInv(t, n) // ledger stays consistent even in deficit
 	deficit := n.DependabilityDeficit()
@@ -692,10 +715,10 @@ func TestInvariantsCanFail(t *testing.T) {
 	build := func(t *testing.T) (n *Network, up, low *dirState) {
 		n, upper, lower := testNet(t, 10000)
 		for id := channel.ConnID(1); id <= 3; id++ {
-			mustOK(t, n.ReservePrimary(id, int32(id), upper, 100))
+			mustOK(t, n.ReservePrimary(id, int32(id), dirLinks(n, upper), 100))
 			mustOK(t, n.ReserveBackup(id, 0, lower, upper.Links, 100))
 		}
-		mustOK(t, n.AdjustPrimary(3, upper, 300))
+		mustOK(t, n.AdjustPrimary(3, dirLinks(n, upper), 300))
 		checkInv(t, n)
 		return n, &n.dirs[fwd(upper.Links[0])], &n.dirs[fwd(lower.Links[0])]
 	}

@@ -42,8 +42,8 @@ func (p Path) String() string {
 	return strings.Join(parts, " -> ")
 }
 
-// Validate checks structural consistency against a graph: consecutive nodes
-// joined by the listed links, no repeated nodes.
+// Validate checks structural consistency against a graph: nodes and links
+// in range, consecutive nodes joined by the listed links, no repeated nodes.
 func (p Path) Validate(g *topology.Graph) error {
 	if len(p.Nodes) == 0 {
 		return errors.New("routing: empty path")
@@ -62,6 +62,9 @@ func (p Path) Validate(g *topology.Graph) error {
 		seen[n] = true
 	}
 	for i, l := range p.Links {
+		if l < 0 || int(l) >= g.NumLinks() {
+			return fmt.Errorf("routing: link %d out of range", l)
+		}
 		link := g.Link(l)
 		a, b := p.Nodes[i], p.Nodes[i+1]
 		if !(link.A == a && link.B == b || link.A == b && link.B == a) {

@@ -168,4 +168,19 @@ func WriteMetrics(w io.Writer, st Stats) {
 	} {
 		fmt.Fprintf(w, "drqos_commands_total{kind=%q} %d\n", kv.kind, kv.n)
 	}
+
+	fo := st.FailureOutcomes
+	fmt.Fprintf(w, "# HELP drqos_failure_outcomes_total Connections hit by link failures, by outcome; victims = activated + recovered + dropped, backups_lost counts connections that lost only their backup.\n# TYPE drqos_failure_outcomes_total counter\n")
+	for _, kv := range []struct {
+		outcome string
+		n       int64
+	}{
+		{"victims", fo.Victims},
+		{"activated", fo.Activated},
+		{"dropped", fo.Dropped},
+		{"recovered", fo.Recovered},
+		{"backups_lost", fo.BackupsLost},
+	} {
+		fmt.Fprintf(w, "drqos_failure_outcomes_total{outcome=%q} %d\n", kv.outcome, kv.n)
+	}
 }

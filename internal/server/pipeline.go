@@ -150,6 +150,7 @@ func (s *Server) mutate(ctx context.Context, mu mutation) (manager.Outcome, erro
 			alivePrior := m.AliveCount()
 			a.res, a.err = apply(m, s.txns, ev)
 			s.noteViolation(a.err)
+			s.countFailure(a.res.Failure)
 			s.observe(m, ev, a.res, a.err, alivePrior)
 			if a.err != nil {
 				break
@@ -181,6 +182,18 @@ func detach(out *manager.Outcome) {
 	rep, conn := *out.Arrival, *out.Arrival.Conn
 	rep.Conn = &conn
 	out.Arrival = &rep
+}
+
+// countFailure adds an executed link failure's outcome to the cumulative
+// FailureOutcomes; rep is nil for every other event.
+func (s *Server) countFailure(rep *manager.FailureReport) {
+	if rep == nil {
+		return
+	}
+	s.activated.Add(int64(len(rep.Activated)))
+	s.dropped.Add(int64(len(rep.Dropped)))
+	s.recovered.Add(int64(len(rep.Recovered)))
+	s.backupsLost.Add(int64(len(rep.BackupsLost)))
 }
 
 // observe feeds an applied event to the live forecaster. Prepares are left

@@ -309,6 +309,11 @@ type Server struct {
 	failures    atomic.Int64
 	repairs     atomic.Int64
 	snapshots   atomic.Int64
+	// What executed link failures did to their victims (FailureOutcomes).
+	activated   atomic.Int64
+	dropped     atomic.Int64
+	recovered   atomic.Int64
+	backupsLost atomic.Int64
 }
 
 // New builds a Server over a fresh manager for graph g and starts its

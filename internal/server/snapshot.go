@@ -78,6 +78,10 @@ type Stats struct {
 	Commands   CommandStats `json:"commands"`
 	QueueDepth int          `json:"queue_depth"`
 
+	// FailureOutcomes counts what the link failures did to the connections
+	// they hit (cumulative).
+	FailureOutcomes FailureOutcomes `json:"failure_outcomes"`
+
 	// Forecast summarizes the live analytic control plane (estimated
 	// parameters, solve health, predictive latch); nil when disabled. The
 	// full distribution lives on GET /v1/forecast.
@@ -97,6 +101,18 @@ type CommandStats struct {
 	Failures    int64 `json:"failures"`
 	Repairs     int64 `json:"repairs"`
 	Snapshots   int64 `json:"snapshots"`
+}
+
+// FailureOutcomes is the sum of the executed link failures' reports: each
+// victim (a connection whose primary crossed the failed link) was activated
+// onto its backup, recovered on a new route or dropped; BackupsLost counts
+// connections that lost only their backup.
+type FailureOutcomes struct {
+	Victims     int64 `json:"victims"`
+	Activated   int64 `json:"activated"`
+	Dropped     int64 `json:"dropped"`
+	Recovered   int64 `json:"recovered"`
+	BackupsLost int64 `json:"backups_lost"`
 }
 
 // LaneStats describes one priority lane: its instantaneous backlog and the
@@ -184,6 +200,12 @@ func (s *Server) overlayLive(st *Stats) {
 		Snapshots:   s.snapshots.Load(),
 	}
 	st.QueueDepth = s.QueueDepth()
+	activated, dropped, recovered := s.activated.Load(), s.dropped.Load(), s.recovered.Load()
+	st.FailureOutcomes = FailureOutcomes{
+		Victims:   activated + dropped + recovered,
+		Activated: activated, Dropped: dropped, Recovered: recovered,
+		BackupsLost: s.backupsLost.Load(),
+	}
 	st.Forecast = forecastStats(s.fc)
 	st.Replica = s.replicaBlock()
 }
