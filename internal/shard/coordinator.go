@@ -882,24 +882,28 @@ func (c *Coordinator) isCrossPart(p part) bool {
 // link are torn down on their other shards — a rigid pinned path has no
 // backup, so the failure drops it end-to-end.
 func (c *Coordinator) FailLink(ctx context.Context, l topology.LinkID) (*manager.FailureReport, error) {
+	rep, _, err := c.failLink(ctx, l)
+	return rep, err
+}
+
+// failLink is FailLink that also returns the cross-shard connections it
+// tore down, by transaction.
+func (c *Coordinator) failLink(ctx context.Context, l topology.LinkID) (*manager.FailureReport, map[uint64]*crossConn, error) {
 	if int(l) < 0 || int(l) >= c.g.NumLinks() {
-		return nil, fmt.Errorf("%w: link %d", server.ErrNotFound, l)
+		return nil, nil, fmt.Errorf("%w: link %d", server.ErrNotFound, l)
 	}
 	owner := c.plan.LinkShard[l]
 	rep, err := c.shards[owner].FailLink(ctx, c.plan.Subs[owner].LocalLink[l])
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	c.mu.Lock()
 	c.failed[l] = true
-	var torn []*crossConn
+	torn := make(map[uint64]*crossConn)
 	for txn, cc := range c.cross {
-		for _, cl := range cc.links {
-			if cl == l {
-				torn = append(torn, cc)
-				delete(c.cross, txn)
-				break
-			}
+		if slices.Contains(cc.links, l) {
+			torn[txn] = cc
+			delete(c.cross, txn)
 		}
 	}
 	c.mu.Unlock()
@@ -913,7 +917,7 @@ func (c *Coordinator) FailLink(ctx context.Context, l topology.LinkID) (*manager
 			}
 		}
 	}
-	return rep, err
+	return rep, torn, err
 }
 
 // RepairLink marks a global link repaired on its owning shard.
