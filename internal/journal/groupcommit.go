@@ -51,6 +51,7 @@ type groupState struct {
 	writeSeq  uint64 // highest sequence written to a segment file
 	syncedSeq uint64 // highest sequence known durable (DurableSeq)
 	installs  uint64 // InstallSnapshot count: a waiter's history was replaced
+	parked    int    // WaitDurable callers blocked on durable; tests wait for it before ending a wait
 	err       error  // sticky: the first fsync failure poisons the journal
 	closing   bool   // Close/Abandon began; the committer must exit
 	closed    bool   // terminal: syncedSeq will never advance again
@@ -208,7 +209,9 @@ func (j *Journal) WaitDurable(ctx context.Context, seq uint64) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
+		gc.parked++
 		gc.durable.Wait()
+		gc.parked--
 	}
 }
 

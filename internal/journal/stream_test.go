@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"os"
@@ -265,4 +266,43 @@ func TestFrameWireRoundTrip(t *testing.T) {
 	if EventCRC(evs[0]) == EventCRC(evs[1]) {
 		t.Fatal("distinct events share a CRC")
 	}
+}
+
+// FuzzDecodeFrames: whatever a follower is sent, DecodeFrames either
+// refuses it or returns the events whose encoding is the input byte for
+// byte — nothing re-ordered, invented or dropped — and every frame it
+// accepts stores the CRC that EventCRC gives its event, the identity a
+// standby reports to its primary.
+func FuzzDecodeFrames(f *testing.F) {
+	traces := [][]Event{testEvents(1), testEvents(9), {
+		{Kind: KindPrepare, Txn: 7, Peers: 0b101, Src: 1, Dst: 4, MinKbps: 100, MaxKbps: 500, IncKbps: 50, Utility: 1,
+			PathNodes: []int32{1, 2, 4}, PathLinks: []int32{3, 8}},
+		{Kind: KindCommit, Txn: 7},
+		{Kind: KindTerm, Term: 2},
+	}}
+	for _, evs := range traces {
+		for i := range evs {
+			evs[i].Seq = uint64(i + 1)
+		}
+		buf := EncodeFrames(evs)
+		for _, n := range []int{len(buf), len(buf) - 1, len(buf) / 2, frameHeaderSize + 3} {
+			f.Add(buf[:n])
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		evs, err := DecodeFrames(data)
+		if err != nil {
+			return
+		}
+		if got := EncodeFrames(evs); !bytes.Equal(got, data) {
+			t.Fatalf("accepted %d bytes as %d events that encode to %d other bytes", len(data), len(evs), len(got))
+		}
+		off := 0
+		for i, ev := range evs {
+			if stored := binary.LittleEndian.Uint32(data[off+4:]); EventCRC(ev) != stored {
+				t.Fatalf("event %d (%s): EventCRC %08x, frame stores %08x", i, ev.Kind, EventCRC(ev), stored)
+			}
+			off += frameHeaderSize + int(binary.LittleEndian.Uint32(data[off:]))
+		}
+	})
 }

@@ -23,7 +23,10 @@ var waitModes = []struct {
 }
 
 // parkOnNext appends three records, proves a wait for the fourth does not
-// answer before the record exists, and parks a waiter on it.
+// answer before the record exists, and parks a waiter on it. It returns
+// once the waiter is blocked: a waiter that had not yet read the install
+// count when an InstallSnapshot landed would wait for seq 4 of the new
+// history, which nothing in these tests writes.
 func parkOnNext(t *testing.T, j *Journal, ctx context.Context) <-chan error {
 	t.Helper()
 	mustAppend(t, j, testEvents(3)...)
@@ -34,7 +37,21 @@ func parkOnNext(t *testing.T, j *Journal, ctx context.Context) <-chan error {
 	}
 	done := make(chan error, 1)
 	go func() { done <- j.WaitDurable(ctx, 4) }()
+	for parked(j) == 0 {
+		select {
+		case err := <-done:
+			t.Fatalf("WaitDurable for seq 4 answered %v instead of parking", err)
+		case <-time.After(time.Millisecond):
+		}
+	}
 	return done
+}
+
+// parked counts the WaitDurable callers blocked on j.
+func parked(j *Journal) int {
+	j.gc.mu.Lock()
+	defer j.gc.mu.Unlock()
+	return j.gc.parked
 }
 
 func awaitWake(t *testing.T, done <-chan error) error {

@@ -5,16 +5,19 @@
 #   scripts/check.sh             build + vet + full race tests (the source
 #                                gates in gates_test.go and the process rows
 #                                of cmd/drserverd among them), 10 s fuzzes of
-#                                WriteJSON and the growth queue, then vet +
-#                                tests of the bench/ module
+#                                WriteJSON, the growth queue, the manager's
+#                                event traces (FuzzApply) and the stream's
+#                                frame decoder, then vet + tests of the
+#                                bench/ module
 #
 # Each mode below is build + vet, the in-process episodes of one family
 # (cmd/chaos, judged by the replay oracle, DESIGN.md §15) and the tests of
 # its subsystem under -race, then its row of TestProcess: real drserverd
 # processes spawned, killed and restarted by cmd/drserverd/process_test.go.
 #
-#   scripts/check.sh --chaos     manager traces + concurrent mix episodes,
-#                                fault-injection and oracle self-tests
+#   scripts/check.sh --chaos     FuzzApply's seed corpus + concurrent mix
+#                                episodes, fault-injection and oracle
+#                                self-tests
 #   scripts/check.sh --recovery  crash-restart episodes; row durable
 #                                (SIGKILL quiet and mid-burst, SIGTERM)
 #   scripts/check.sh --overload  overload episodes + shedding, lane, limiter
@@ -43,14 +46,17 @@ process() {
 
 case "${1:-}" in
 --chaos)
-    # 60 deterministic manager traces (audit after every event) plus
-    # concurrent mix episodes, every other one with a mid-burst shutdown.
-    echo "== chaos: 60 manager traces under -race"
-    go run -race ./cmd/chaos -episodes 60 -events 120 -seed 1 -q
+    # FuzzApply's seed corpus — 64 manager traces of at least 128 events
+    # over four admission configs and 16 topologies, audited after every
+    # event, live, restored and replayed fingerprints equal — and the
+    # test proving its audit catches a planted corruption; then concurrent
+    # mix episodes, every other one with a mid-burst shutdown.
+    echo "== chaos: FuzzApply seed corpus + can-fail test under -race"
+    go test -race -count 1 -run '^(FuzzApply|TestSeedCorpus|TestFuzzApplyCanFail)$' ./internal/chaos/
     echo "== chaos: 6 concurrent mix episodes under -race"
     go run -race ./cmd/chaos -episode mix -episodes 6 -q
     echo "== chaos: fault-injection and oracle self-tests"
-    go test -race -count 1 -run 'TestShrink|TestOracleCanFail|TestDegraded|TestEpisodesClean' \
+    go test -race -count 1 -run 'TestOracleCanFail|TestDegraded' \
         ./internal/chaos/ ./internal/server/
     ;;
 --recovery)
@@ -137,6 +143,18 @@ case "${1:-}" in
     # live candidate at every step, over streams decoded from the input.
     echo "== fuzz: the growth queue's served order against a linear scan (10s)"
     go test -run '^$' -fuzz FuzzGrowQueue -fuzztime 10s ./internal/manager
+
+    # Manager traces decoded from the input: audit after every event, and
+    # the live, restored-at-a-cut and replayed managers end in one state.
+    # An input costs milliseconds, so the default 60 s minimisation of each
+    # new-coverage input would eat the whole budget; cap it.
+    echo "== fuzz: FuzzApply, live = restore = replay (10s)"
+    go test -run '^$' -fuzz FuzzApply -fuzztime 10s -fuzzminimizetime 2s ./internal/chaos
+
+    # What a follower applies from its primary's stream: refused, or the
+    # events that encode back to the input byte for byte.
+    echo "== fuzz: DecodeFrames against EncodeFrames (10s)"
+    go test -run '^$' -fuzz FuzzDecodeFrames -fuzztime 10s ./internal/journal
 
     # bench/ is its own module (drqos/bench, replace drqos => ../), so ./...
     # above does not descend into it — yet it compiles against
