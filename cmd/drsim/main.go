@@ -1,14 +1,16 @@
 // Command drsim runs one detailed simulation of dependable real-time
 // connections with elastic QoS and prints the measured metrics and model
-// parameters. With -params-out it writes the measured markov.Params (plus
-// birth distribution and restart rate) as JSON for cmd/drmarkov. With
-// -trace DIR it journals every event it applies into DIR, a single-plane data
-// directory: drtrace -in DIR summarises it, and drserverd -data-dir DIR with
-// the same topology and admission flags boots to the run's final state.
+// parameters. With -trace DIR it journals every event it applies into DIR,
+// a single-plane data directory with a snapshot where measurement starts:
+// drtrace -in DIR summarises it and measures and solves the paper's chain
+// from the measured tail (§3.3's simulate → measure → solve), and drserverd
+// -data-dir DIR with the same topology and admission flags boots to the
+// run's final state.
 //
-// Example — one Figure 2 data point:
+// Example — one Figure 2 data point, then its model from the journal:
 //
-//	drsim -nodes 100 -conns 3000 -churn 2000 -warmup 400 -seed 5
+//	drsim -nodes 100 -conns 3000 -churn 2000 -warmup 400 -seed 5 -trace run5
+//	drtrace -in run5
 package main
 
 import (
@@ -17,7 +19,6 @@ import (
 	"os"
 
 	"drqos/internal/core"
-	"drqos/internal/modelio"
 	"drqos/internal/qos"
 )
 
@@ -30,25 +31,24 @@ func main() {
 
 func run() error {
 	var (
-		kind      = flag.String("kind", "waxman", "topology: waxman or tier")
-		nodes     = flag.Int("nodes", 100, "node count (waxman)")
-		seed      = flag.Uint64("seed", 1, "seed for topology and workload")
-		conns     = flag.Int("conns", 3000, "initial DR-connection requests")
-		churn     = flag.Int("churn", 2000, "measured churn events")
-		warmup    = flag.Int("warmup", 400, "warmup events before measurement")
-		lambda    = flag.Float64("lambda", 0.001, "arrival rate")
-		mu        = flag.Float64("mu", 0.001, "termination rate")
-		gamma     = flag.Float64("gamma", 0, "link failure rate")
-		repair    = flag.Float64("repair", 0.01, "link repair rate (with -gamma)")
-		capacity  = flag.Int64("capacity", int64(core.PaperCapacity), "link capacity per direction (Kbps)")
-		minBW     = flag.Int64("min", 100, "elastic minimum (Kbps)")
-		maxBW     = flag.Int64("max", 500, "elastic maximum (Kbps)")
-		inc       = flag.Int64("inc", 50, "elastic increment (Kbps)")
-		policy    = flag.String("policy", "coefficient", "adaptation policy: coefficient or max-utility")
-		noBackup  = flag.Bool("no-require-backup", false, "accept unprotectable connections")
-		noMux     = flag.Bool("no-multiplex", false, "disable backup multiplexing")
-		paramsOut = flag.String("params-out", "", "write measured model parameters as JSON")
-		traceDir  = flag.String("trace", "", "journal every event into this fresh data directory (read by drtrace and drserverd -data-dir)")
+		kind     = flag.String("kind", "waxman", "topology: waxman or tier")
+		nodes    = flag.Int("nodes", 100, "node count (waxman)")
+		seed     = flag.Uint64("seed", 1, "seed for topology and workload")
+		conns    = flag.Int("conns", 3000, "initial DR-connection requests")
+		churn    = flag.Int("churn", 2000, "measured churn events")
+		warmup   = flag.Int("warmup", 400, "warmup events before measurement")
+		lambda   = flag.Float64("lambda", 0.001, "arrival rate")
+		mu       = flag.Float64("mu", 0.001, "termination rate")
+		gamma    = flag.Float64("gamma", 0, "link failure rate")
+		repair   = flag.Float64("repair", 0.01, "link repair rate (with -gamma)")
+		capacity = flag.Int64("capacity", int64(core.PaperCapacity), "link capacity per direction (Kbps)")
+		minBW    = flag.Int64("min", 100, "elastic minimum (Kbps)")
+		maxBW    = flag.Int64("max", 500, "elastic maximum (Kbps)")
+		inc      = flag.Int64("inc", 50, "elastic increment (Kbps)")
+		policy   = flag.String("policy", "coefficient", "adaptation policy: coefficient or max-utility")
+		noBackup = flag.Bool("no-require-backup", false, "accept unprotectable connections")
+		noMux    = flag.Bool("no-multiplex", false, "disable backup multiplexing")
+		traceDir = flag.String("trace", "", "journal every event into this fresh data directory, snapshotted where measurement starts (read by drtrace and drserverd -data-dir)")
 	)
 	flag.Parse()
 
@@ -122,30 +122,6 @@ func run() error {
 			return fmt.Errorf("trace: %w", err)
 		}
 		fmt.Printf("trace: %d events journaled to %s\n", opts.Trace.LastSeq(), *traceDir)
-	}
-
-	if *paramsOut != "" {
-		delta := 0.0
-		if res.AvgAlive > 0 {
-			delta = res.EffectiveMu / res.AvgAlive
-		}
-		doc := &modelio.Document{
-			Params:        res.Params,
-			BirthDist:     res.BirthDist,
-			Delta:         delta,
-			SpecMin:       qos.Kbps(*minBW),
-			SpecMax:       qos.Kbps(*maxBW),
-			SpecIncrement: qos.Kbps(*inc),
-		}
-		f, err := os.Create(*paramsOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := modelio.Write(f, doc); err != nil {
-			return err
-		}
-		fmt.Printf("wrote model parameters to %s\n", *paramsOut)
 	}
 	return nil
 }

@@ -196,53 +196,80 @@ func TestSourceGatesCanFail(t *testing.T) {
 	}
 }
 
-// untestedExamples names the directories under examples/ in fsys that hold no
-// _test.go file: go test never runs them, so they can stop working unseen.
-func untestedExamples(fsys fs.FS) ([]string, error) {
-	dirs, err := fs.ReadDir(fsys, "examples")
+// untested names the directories under root in fsys that hold no _test.go
+// file: go test never runs them, so they can stop working unseen.
+func untested(fsys fs.FS, root string) ([]string, error) {
+	dirs, err := fs.ReadDir(fsys, root)
 	if err != nil {
 		return nil, err
 	}
-	var untested []string
+	var out []string
 	for _, d := range dirs {
 		if !d.IsDir() {
 			continue
 		}
-		tests, err := fs.Glob(fsys, "examples/"+d.Name()+"/*_test.go")
+		tests, err := fs.Glob(fsys, root+"/"+d.Name()+"/*_test.go")
 		if err != nil {
 			return nil, err
 		}
 		if len(tests) == 0 {
-			untested = append(untested, d.Name())
+			out = append(out, d.Name())
 		}
 	}
-	return untested, nil
+	return out, nil
 }
 
 // TestExamplesAreRun: every example is run by go test, or it goes.
 func TestExamplesAreRun(t *testing.T) {
-	untested, err := untestedExamples(os.DirFS("."))
+	dirs, err := untested(os.DirFS("."), "examples")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(untested) > 0 {
-		t.Errorf("examples without a test: %v; add a main_test.go that calls main(), or delete the example", untested)
+	if len(dirs) > 0 {
+		t.Errorf("examples without a test: %v; add a main_test.go that calls main(), or delete the example", dirs)
+	}
+}
+
+// TestCommandsAreRun: every command is run by go test, or it goes.
+func TestCommandsAreRun(t *testing.T) {
+	dirs, err := untested(os.DirFS("."), "cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dirs) > 0 {
+		t.Errorf("commands without a test: %v; add a main_test.go that runs the command, or delete it", dirs)
+	}
+}
+
+// TestCommandsAreRunCanFail feeds the check a tree with one run and one
+// unrun command.
+func TestCommandsAreRunCanFail(t *testing.T) {
+	dirs, err := untested(fstest.MapFS{
+		"cmd/run/main.go":      {},
+		"cmd/run/main_test.go": {},
+		"cmd/unrun/main.go":    {},
+	}, "cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"unrun"}; !slices.Equal(dirs, want) {
+		t.Errorf("untested commands %v, want %v", dirs, want)
 	}
 }
 
 // TestExamplesAreRunCanFail feeds the check a tree with one run and one
 // unrun example.
 func TestExamplesAreRunCanFail(t *testing.T) {
-	untested, err := untestedExamples(fstest.MapFS{
+	dirs, err := untested(fstest.MapFS{
 		"examples/run/main.go":      {},
 		"examples/run/main_test.go": {},
 		"examples/unrun/main.go":    {},
 		"examples/README.md":        {},
-	})
+	}, "examples")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"unrun"}; !slices.Equal(untested, want) {
-		t.Errorf("untested examples %v, want %v", untested, want)
+	if want := []string{"unrun"}; !slices.Equal(dirs, want) {
+		t.Errorf("untested examples %v, want %v", dirs, want)
 	}
 }

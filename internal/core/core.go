@@ -136,12 +136,32 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// routeSelection maps the boolean option onto the manager enum.
-func (o Options) routeSelection() manager.RouteSelection {
+// simConfig is the simulation o describes, every connection requesting
+// spec. The run is not traced.
+func (o Options) simConfig(spec qos.ElasticSpec) sim.Config {
+	routes := manager.RouteFlood
 	if o.SequentialRouting {
-		return manager.RouteSequential
+		routes = manager.RouteSequential
 	}
-	return manager.RouteFlood
+	return sim.Config{
+		Seed: o.Seed,
+		Spec: spec,
+		Manager: manager.Config{
+			Capacity:                  o.Capacity,
+			Policy:                    o.Policy,
+			RequireBackup:             !o.NoRequireBackup && !o.ReactiveRecovery,
+			DisableBackupMultiplexing: o.DisableBackupMultiplexing,
+			RouteSelection:            routes,
+			ReactiveRecovery:          o.ReactiveRecovery,
+		},
+		Lambda:       o.Lambda,
+		Mu:           o.Mu,
+		Gamma:        o.Gamma,
+		RepairRate:   o.RepairRate,
+		InitialConns: o.InitialConns,
+		ChurnEvents:  o.ChurnEvents,
+		WarmupEvents: o.WarmupEvents,
+	}
 }
 
 // System is a ready-to-run reproduction pipeline.
@@ -217,26 +237,8 @@ type Evaluation struct {
 // Evaluate runs the simulation and solves all three analytic models.
 func (s *System) Evaluate() (*Evaluation, error) {
 	o := s.opts
-	simCfg := sim.Config{
-		Seed: o.Seed,
-		Spec: o.Spec,
-		Manager: manager.Config{
-			Capacity:                  o.Capacity,
-			Policy:                    o.Policy,
-			RequireBackup:             !o.NoRequireBackup && !o.ReactiveRecovery,
-			DisableBackupMultiplexing: o.DisableBackupMultiplexing,
-			RouteSelection:            o.routeSelection(),
-			ReactiveRecovery:          o.ReactiveRecovery,
-		},
-		Lambda:       o.Lambda,
-		Mu:           o.Mu,
-		Gamma:        o.Gamma,
-		RepairRate:   o.RepairRate,
-		InitialConns: o.InitialConns,
-		ChurnEvents:  o.ChurnEvents,
-		WarmupEvents: o.WarmupEvents,
-		Trace:        o.Trace,
-	}
+	simCfg := o.simConfig(o.Spec)
+	simCfg.Trace = o.Trace
 	run, err := sim.New(s.graph, simCfg)
 	if err != nil {
 		return nil, err
@@ -253,55 +255,24 @@ func (s *System) Evaluate() (*Evaluation, error) {
 	if res.AvgAlive > 0 {
 		delta = res.EffectiveMu / res.AvgAlive
 	}
-
-	paper, err := solveModel(func() (*markov.Chain, error) {
-		return markov.Build(res.Params)
-	}, res.BirthDist, 0, o.Spec)
+	paper, err := markov.Build(res.Params)
 	if err != nil {
 		return nil, fmt.Errorf("core: paper model: %w", err)
 	}
-	ev.PaperModel = paper
-
-	restart, err := solveModel(func() (*markov.Chain, error) {
-		return markov.Build(res.Params)
-	}, res.BirthDist, delta, o.Spec)
-	if err != nil {
-		return nil, fmt.Errorf("core: restart model: %w", err)
-	}
-	ev.RestartModel = restart
-
-	general, err := solveModel(func() (*markov.Chain, error) {
-		return markov.BuildGeneral(o.Spec.States(), res.GeneralTerms)
-	}, res.BirthDist, delta, o.Spec)
+	general, err := markov.BuildGeneral(o.Spec.States(), res.GeneralTerms)
 	if err != nil {
 		return nil, fmt.Errorf("core: general model: %w", err)
 	}
-	ev.GeneralModel = general
+	if ev.PaperModel.Pi, ev.PaperModel.MeanBandwidth, err = markov.Solve(paper, res.BirthDist, 0, o.Spec); err != nil {
+		return nil, fmt.Errorf("core: paper model: %w", err)
+	}
+	if ev.RestartModel.Pi, ev.RestartModel.MeanBandwidth, err = markov.Solve(paper, res.BirthDist, delta, o.Spec); err != nil {
+		return nil, fmt.Errorf("core: restart model: %w", err)
+	}
+	if ev.GeneralModel.Pi, ev.GeneralModel.MeanBandwidth, err = markov.Solve(general, res.BirthDist, delta, o.Spec); err != nil {
+		return nil, fmt.Errorf("core: general model: %w", err)
+	}
 	return ev, nil
-}
-
-// solveModel builds a chain, optionally applies the restart extension, and
-// returns the mean bandwidth under its stationary distribution.
-func solveModel(build func() (*markov.Chain, error), birth []float64, delta float64, spec qos.ElasticSpec) (ModelResult, error) {
-	chain, err := build()
-	if err != nil {
-		return ModelResult{}, err
-	}
-	if delta > 0 {
-		chain, err = chain.WithRestart(birth, delta)
-		if err != nil {
-			return ModelResult{}, err
-		}
-	}
-	pi, err := chain.SteadyStateFrom(birth)
-	if err != nil {
-		return ModelResult{}, err
-	}
-	mean, err := markov.MeanBandwidth(pi, spec)
-	if err != nil {
-		return ModelResult{}, err
-	}
-	return ModelResult{MeanBandwidth: mean, Pi: pi}, nil
 }
 
 // FixedSpec returns a single-value QoS specification (Min = Max = bw), the
@@ -339,26 +310,7 @@ type SchemeOutcome struct {
 func (s *System) CompareBaselines() (*BaselineComparison, error) {
 	o := s.opts
 	runOne := func(scheme string, spec qos.ElasticSpec) (SchemeOutcome, error) {
-		cfg := sim.Config{
-			Seed: o.Seed,
-			Spec: spec,
-			Manager: manager.Config{
-				Capacity:                  o.Capacity,
-				Policy:                    o.Policy,
-				RequireBackup:             !o.NoRequireBackup && !o.ReactiveRecovery,
-				DisableBackupMultiplexing: o.DisableBackupMultiplexing,
-				RouteSelection:            o.routeSelection(),
-				ReactiveRecovery:          o.ReactiveRecovery,
-			},
-			Lambda:       o.Lambda,
-			Mu:           o.Mu,
-			Gamma:        o.Gamma,
-			RepairRate:   o.RepairRate,
-			InitialConns: o.InitialConns,
-			ChurnEvents:  o.ChurnEvents,
-			WarmupEvents: o.WarmupEvents,
-		}
-		run, err := sim.New(s.graph, cfg)
+		run, err := sim.New(s.graph, o.simConfig(spec))
 		if err != nil {
 			return SchemeOutcome{}, err
 		}

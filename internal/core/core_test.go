@@ -196,7 +196,8 @@ func TestEvaluateWithFailures(t *testing.T) {
 }
 
 // TestTracePlumbing: a traced run journals every event it applies into the
-// directory OpenTrace prepared, and a directory holding a run is not reused.
+// directory OpenTrace prepared — those before measurement starts behind a
+// snapshot — and a directory holding a run is not reused.
 func TestTracePlumbing(t *testing.T) {
 	dir := t.TempDir()
 	meta := DataMeta{Kind: "waxman", Nodes: 100, Seed: 19, CapacityKbps: int64(PaperCapacity),
@@ -227,8 +228,9 @@ func TestTracePlumbing(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := ev.Sim
-	if want := r.Offered + r.Terminated + r.Failures + r.Repairs; int64(len(rec.Events)) != want || want == 0 {
-		t.Fatalf("journal holds %d records, the run applied %d events", len(rec.Events), want)
+	if want := r.Offered + r.Terminated + r.Failures + r.Repairs; rec.SnapshotSeq == 0 || int64(rec.SnapshotSeq)+int64(len(rec.Events)) != want {
+		t.Fatalf("journal holds a snapshot at seq %d and %d records after it, the run applied %d events",
+			rec.SnapshotSeq, len(rec.Events), want)
 	}
 	if got, err := ReadMeta(dir); err != nil || got != meta {
 		t.Fatalf("marker %+v (%v), want %+v", got, err, meta)

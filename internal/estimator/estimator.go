@@ -3,13 +3,15 @@
 // the conditional jump matrices A (arrivals/failures, downward), B
 // (indirectly chained arrivals, upward) and T (terminations, upward).
 //
-// The estimator is shared between two consumers: the batch simulator
-// (internal/sim) feeds it from simulated event reports, and the live
-// forecast control plane (internal/forecast) feeds it from the admission
-// server's real event stream. Both hand it the same manager reports, so a
-// live daemon and an offline experiment measure parameters through the
-// identical code path — the model-vs-measured comparison never has to
-// wonder whether the two estimators disagree.
+// The estimator is the one collector of the model's inputs, shared by three
+// consumers: the batch simulator (internal/sim) feeds it as it steps, the
+// live forecast control plane (internal/forecast) from the admission
+// server's event stream, and cmd/drtrace from a data directory's journal
+// replayed after its snapshot. Each hands Observe the outcome manager.Apply
+// returned, so a live daemon, an offline experiment and a stored history
+// measure parameters through the identical code path — the
+// model-vs-measured comparison never has to wonder whether the estimators
+// disagree.
 //
 // The mechanics of a real network occasionally move a channel in the
 // direction the §3.2 model does not represent (e.g. a directly chained
@@ -49,6 +51,10 @@ type Estimator struct {
 	// one. The simulator's homogeneous population never produces these;
 	// a live server can.
 	ignored int64
+
+	// The observed events, and accepted arrivals by level after admission.
+	accepted, terminated, failed int64
+	births                       []int64
 }
 
 // New returns an estimator over n bandwidth states.
@@ -59,6 +65,7 @@ func New(n int) *Estimator {
 		arrIndirect: stats.NewTransitionCounter(n),
 		term:        stats.NewTransitionCounter(n),
 		fail:        stats.NewTransitionCounter(n),
+		births:      make([]int64, n),
 	}
 }
 
@@ -107,36 +114,62 @@ func (e *Estimator) clampTransitions(fts [][2]int) [][2]int {
 	return out
 }
 
-// ObserveArrival folds one accepted arrival into the estimate. alivePrior
-// is the number of alive connections before the arrival (the Pf/Ps
-// denominator).
-func (e *Estimator) ObserveArrival(m *manager.Manager, rep *manager.ArrivalReport, alivePrior int) {
-	e.pf.ObserveN(int64(len(rep.DirectlyChained)), int64(alivePrior))
-	e.ps.ObserveN(int64(len(rep.IndirectlyChained)), int64(alivePrior))
-	for _, ft := range e.transitionsOf(m, rep.DirectlyChained, rep.Changes) {
-		e.arrDirect.Record(ft[0], ft[1])
+// Observe folds one applied event into the estimate: an accepted arrival,
+// a termination or a link failure; any other outcome (a repair, a 2PC
+// record) is not a model event and is skipped. alivePrior is the population
+// before the event — the denominator of Pf and Ps for an arrival and of the
+// involvement probability for a failure, whose squeezed population drives
+// the γ-scaled downward transitions. Observe reports whether it counted the
+// event.
+func (e *Estimator) Observe(m *manager.Manager, out manager.Outcome, alivePrior int) bool {
+	switch {
+	case out.Arrival != nil && out.Arrival.Conn != nil:
+		rep := out.Arrival
+		e.accepted++
+		e.births[min(max(rep.Conn.Level, 0), e.n-1)]++ // a wider spec clamps into the grid
+		e.pf.ObserveN(int64(len(rep.DirectlyChained)), int64(alivePrior))
+		e.ps.ObserveN(int64(len(rep.IndirectlyChained)), int64(alivePrior))
+		for _, ft := range e.transitionsOf(m, rep.DirectlyChained, rep.Changes) {
+			e.arrDirect.Record(ft[0], ft[1])
+		}
+		for _, ft := range e.transitionsOf(m, rep.IndirectlyChained, rep.Changes) {
+			e.arrIndirect.Record(ft[0], ft[1])
+		}
+	case out.Termination != nil:
+		e.terminated++
+		for _, ft := range e.transitionsOf(m, out.Termination.Affected, out.Termination.Changes) {
+			e.term.Record(ft[0], ft[1])
+		}
+	case out.Failure != nil:
+		e.failed++
+		e.pfFail.ObserveN(int64(len(out.Failure.Squeezed)), int64(alivePrior))
+		for _, ft := range e.transitionsOf(m, out.Failure.Squeezed, out.Failure.Changes) {
+			e.fail.Record(ft[0], ft[1])
+		}
+	default:
+		return false
 	}
-	for _, ft := range e.transitionsOf(m, rep.IndirectlyChained, rep.Changes) {
-		e.arrIndirect.Record(ft[0], ft[1])
-	}
+	return true
 }
 
-// ObserveTermination folds one termination into the estimate.
-func (e *Estimator) ObserveTermination(m *manager.Manager, rep *manager.TerminationReport) {
-	for _, ft := range e.transitionsOf(m, rep.Affected, rep.Changes) {
-		e.term.Record(ft[0], ft[1])
-	}
+// Counts returns how many accepted arrivals, terminations and link failures
+// were observed: the event counts behind the effective rates.
+func (e *Estimator) Counts() (accepted, terminated, failed int64) {
+	return e.accepted, e.terminated, e.failed
 }
 
-// ObserveFailure folds one link failure into the estimate: the squeezed
-// population (primaries sharing links with activated backups) drives the
-// γ-scaled downward transitions. alivePrior is the population before the
-// failure (the involvement denominator).
-func (e *Estimator) ObserveFailure(m *manager.Manager, rep *manager.FailureReport, alivePrior int) {
-	e.pfFail.ObserveN(int64(len(rep.Squeezed)), int64(alivePrior))
-	for _, ft := range e.transitionsOf(m, rep.Squeezed, rep.Changes) {
-		e.fail.Record(ft[0], ft[1])
+// BirthDist returns the distribution of accepted arrivals' levels right
+// after admission — the β of markov.Chain.WithRestart — or nil before the
+// first accepted arrival.
+func (e *Estimator) BirthDist() []float64 {
+	if e.accepted == 0 {
+		return nil
 	}
+	out := make([]float64, e.n)
+	for i, c := range e.births {
+		out[i] = float64(c) / float64(e.accepted)
+	}
+	return out
 }
 
 // Pf returns the measured link-sharing probability.

@@ -7,13 +7,11 @@
 // goroutine — into the shared parameter estimator (internal/estimator), and
 // re-solves the steady-state bandwidth distribution on a configurable
 // cadence in its own supervised goroutine, strictly off the actor hot path.
-// The solve pipeline is the exact one internal/core's restart model uses:
-//
-//	markov.Build(params) → WithRestart(birthDist, μ/N̄) →
-//	SteadyStateFrom(birthDist) → MeanBandwidth
-//
-// so a live daemon and the batch experiments disagree only by measurement
-// noise, never by modeling choice.
+// The solve is the one internal/core's restart model and cmd/drtrace use,
+// markov.Solve over markov.Build(params) with restart rate μ/N̄, so a live
+// daemon, a stored journal and the batch experiments disagree only by
+// measurement noise, never by modeling choice. The modeled spec is
+// qos.DefaultSpec() (100..500 Kb/s, Δ=50 → 9 states).
 //
 // # Staleness and fallback contract
 //
@@ -66,14 +64,12 @@ var errNotReady = errors.New("forecast: not ready")
 // before the predictive overload latch (if engaged) is released.
 const staleClearAfter = 3
 
+// saturationHeadroom is the normalized mean-bandwidth position
+// (mean-Bmin)/(Bmax-Bmin) at or below which the model predicts saturation.
+const saturationHeadroom = 0.05
+
 // Config tunes the forecaster.
 type Config struct {
-	// Spec is the modeled elastic spec; zero value selects
-	// qos.DefaultSpec() (100..500 Kb/s, Δ=50 → 9 states).
-	Spec qos.ElasticSpec
-	// States, when > 1, re-grids Spec's bandwidth range to this many
-	// states (Increment = (Max-Min)/(States-1); must divide evenly).
-	States int
 	// Interval is the solve cadence (default 1s).
 	Interval time.Duration
 	// SolveTimeout bounds one solve; overruns fall back to the last good
@@ -86,10 +82,6 @@ type Config struct {
 	// Predictive enables the model-driven overload input: OnPredict fires
 	// when predicted saturation flips.
 	Predictive bool
-	// SaturationHeadroom is the normalized mean-bandwidth position
-	// (mean-Bmin)/(Bmax-Bmin) at or below which the model predicts
-	// saturation (default 0.05).
-	SaturationHeadroom float64
 	// CapacityKbps is the uniform link capacity, used by what-if
 	// counterfactuals for the ideal-bandwidth reference (optional).
 	CapacityKbps qos.Kbps
@@ -99,27 +91,9 @@ type Config struct {
 	// OnPredict, when non-nil and Predictive is set, is called from the
 	// solve goroutine each time the predicted-saturation state flips.
 	OnPredict func(saturated bool)
-	// OnSolve, when non-nil, is called from the solve goroutine after
-	// every solve attempt with the published forecast (Stale=true after a
-	// failed attempt with a prior good result, nil if none exists yet).
-	OnSolve func(f *Forecast, err error)
 }
 
-func (c Config) withDefaults() (Config, error) {
-	if c.Spec == (qos.ElasticSpec{}) {
-		c.Spec = qos.DefaultSpec()
-	}
-	if c.States > 1 && c.States != c.Spec.States() {
-		span := c.Spec.Max - c.Spec.Min
-		inc := span / qos.Kbps(c.States-1)
-		if inc <= 0 || inc*qos.Kbps(c.States-1) != span {
-			return c, fmt.Errorf("forecast: %d states do not evenly grid the %v..%v range", c.States, c.Spec.Min, c.Spec.Max)
-		}
-		c.Spec.Increment = inc
-	}
-	if err := c.Spec.Validate(); err != nil {
-		return c, fmt.Errorf("forecast: %w", err)
-	}
+func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
 		c.Interval = time.Second
 	}
@@ -132,10 +106,7 @@ func (c Config) withDefaults() (Config, error) {
 	if c.MinEvents <= 0 {
 		c.MinEvents = 20
 	}
-	if c.SaturationHeadroom <= 0 {
-		c.SaturationHeadroom = 0.05
-	}
-	return c, nil
+	return c
 }
 
 // Forecast is one published model solution. All exported fields are
@@ -248,16 +219,12 @@ type Forecaster struct {
 	// Collector state, fed from the server's actor loop, snapshotted by
 	// the solver. The mutex is held only for counter updates and the
 	// (cheap) parameter assembly — never across a solve.
-	mu          sync.Mutex
-	est         *estimator.Estimator
-	accepted    int64
-	rejected    int64
-	terminated  int64
-	failed      int64
-	birthCounts []int64
-	alive       stats.TimeWeighted
-	hopsSum     int64
-	hopsN       int64
+	mu       sync.Mutex
+	est      *estimator.Estimator
+	rejected int64
+	alive    stats.TimeWeighted
+	hopsSum  int64
+	hopsN    int64
 
 	// Publication: lock-free reads of the latest forecast.
 	cur         atomic.Pointer[Forecast]
@@ -280,27 +247,24 @@ type Forecaster struct {
 }
 
 // New builds a forecaster. Call Start to begin the periodic solve loop;
-// SolveNow works without it (tests, tools).
+// SolveNow works without it (tests, tools). Every Config is valid: unset
+// fields take their defaults.
 func New(cfg Config) (*Forecaster, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+	spec := qos.DefaultSpec()
 	f := &Forecaster{
-		cfg:         cfg,
-		spec:        cfg.Spec,
-		n:           cfg.Spec.States(),
-		start:       time.Now(),
-		birthCounts: make([]int64, cfg.Spec.States()),
-		stopCh:      make(chan struct{}),
-		done:        make(chan struct{}),
+		cfg:    cfg.withDefaults(),
+		spec:   spec,
+		n:      spec.States(),
+		start:  time.Now(),
+		est:    estimator.New(spec.States()),
+		stopCh: make(chan struct{}),
+		done:   make(chan struct{}),
 	}
-	f.est = estimator.New(f.n)
 	f.solveFn = f.solve
 	return f, nil
 }
 
-// Spec returns the modeled elastic spec (after any States re-gridding).
+// Spec returns the modeled elastic spec.
 func (f *Forecaster) Spec() qos.ElasticSpec { return f.spec }
 
 // Interval returns the effective solve cadence.
@@ -332,24 +296,17 @@ func (f *Forecaster) loop() {
 	}
 }
 
-// ObserveArrival folds one accepted arrival into the live estimate.
-// alivePrior is the population before the arrival. Called from the actor
-// loop goroutine only.
-func (f *Forecaster) ObserveArrival(m *manager.Manager, rep *manager.ArrivalReport, alivePrior int) {
+// Observe folds one applied event into the live estimate (see
+// estimator.Estimator.Observe). alivePrior is the population before the
+// event. Called from the actor loop goroutine only.
+func (f *Forecaster) Observe(m *manager.Manager, out manager.Outcome, alivePrior int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.est.ObserveArrival(m, rep, alivePrior)
-	f.accepted++
-	if rep.Conn != nil {
-		lvl := rep.Conn.Level
-		if lvl < 0 {
-			lvl = 0
-		}
-		if lvl >= f.n {
-			lvl = f.n - 1 // wider heterogeneous spec: clamp into the modeled grid
-		}
-		f.birthCounts[lvl]++
-		f.hopsSum += int64(len(rep.Conn.Primary.Links))
+	if !f.est.Observe(m, out, alivePrior) {
+		return
+	}
+	if a := out.Arrival; a != nil {
+		f.hopsSum += int64(len(a.Conn.Primary.Links))
 		f.hopsN++
 	}
 	f.alive.Observe(time.Since(f.start).Seconds(), float64(m.AliveCount()))
@@ -362,27 +319,6 @@ func (f *Forecaster) ObserveReject() {
 	f.mu.Lock()
 	f.rejected++
 	f.mu.Unlock()
-}
-
-// ObserveTermination folds one termination into the live estimate. Called
-// from the actor loop goroutine only.
-func (f *Forecaster) ObserveTermination(m *manager.Manager, rep *manager.TerminationReport) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.est.ObserveTermination(m, rep)
-	f.terminated++
-	f.alive.Observe(time.Since(f.start).Seconds(), float64(m.AliveCount()))
-}
-
-// ObserveFailure folds one link failure into the live estimate. alivePrior
-// is the population before the failure. Called from the actor loop
-// goroutine only.
-func (f *Forecaster) ObserveFailure(m *manager.Manager, rep *manager.FailureReport, alivePrior int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.est.ObserveFailure(m, rep, alivePrior)
-	f.failed++
-	f.alive.Observe(time.Since(f.start).Seconds(), float64(m.AliveCount()))
 }
 
 // Current returns the latest published forecast, or nil before the first
@@ -407,7 +343,8 @@ func (f *Forecaster) snapshot() (snapshot, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	var s snapshot
-	events := f.accepted + f.terminated + f.failed
+	accepted, terminated, failed := f.est.Counts()
+	events := accepted + terminated + failed
 	if events < int64(f.cfg.MinEvents) {
 		return s, fmt.Errorf("%w: %d events observed, need %d", errNotReady, events, f.cfg.MinEvents)
 	}
@@ -415,26 +352,17 @@ func (f *Forecaster) snapshot() (snapshot, error) {
 	if s.elapsed <= 0 {
 		return s, fmt.Errorf("%w: zero observation window", errNotReady)
 	}
-	s.lambda = float64(f.accepted) / s.elapsed
-	s.mu = float64(f.terminated) / s.elapsed
-	s.gamma = float64(f.failed) / s.elapsed
+	s.lambda = float64(accepted) / s.elapsed
+	s.mu = float64(terminated) / s.elapsed
+	s.gamma = float64(failed) / s.elapsed
 	aliveCopy := f.alive
 	aliveCopy.CloseAt(s.elapsed)
 	s.avgAlive = aliveCopy.Mean()
 	if s.avgAlive <= 0 {
 		return s, fmt.Errorf("%w: no standing population observed", errNotReady)
 	}
-	var births int64
-	s.birth = make([]float64, f.n)
-	for i, c := range f.birthCounts {
-		s.birth[i] = float64(c)
-		births += c
-	}
-	if births == 0 {
+	if s.birth = f.est.BirthDist(); s.birth == nil {
 		return s, fmt.Errorf("%w: no accepted arrivals observed", errNotReady)
-	}
-	for i := range s.birth {
-		s.birth[i] /= float64(births)
 	}
 	// Per-channel death rate: aggregate termination rate spread over the
 	// standing population — the restart model's δ, exactly as the batch
@@ -446,7 +374,7 @@ func (f *Forecaster) snapshot() (snapshot, error) {
 	if f.hopsN > 0 {
 		s.avgHops = float64(f.hopsSum) / float64(f.hopsN)
 	}
-	s.accepted, s.rejected, s.term, s.failed = f.accepted, f.rejected, f.terminated, f.failed
+	s.accepted, s.rejected, s.term, s.failed = accepted, f.rejected, terminated, failed
 	s.ignored = f.est.Ignored()
 	return s, nil
 }
@@ -457,15 +385,7 @@ func (f *Forecaster) solve(s snapshot) (*solved, error) {
 	if err != nil {
 		return nil, err
 	}
-	restart, err := base.WithRestart(s.birth, s.delta)
-	if err != nil {
-		return nil, err
-	}
-	pi, err := restart.SteadyStateFrom(s.birth)
-	if err != nil {
-		return nil, err
-	}
-	mean, err := markov.MeanBandwidth(pi, f.spec)
+	pi, mean, err := markov.Solve(base, s.birth, s.delta, f.spec)
 	if err != nil {
 		return nil, err
 	}
@@ -498,9 +418,6 @@ func (f *Forecaster) SolveNow() (*Forecast, error) {
 		}
 	}
 	cur := f.cur.Load()
-	if f.cfg.OnSolve != nil {
-		f.cfg.OnSolve(cur, err)
-	}
 	f.updatePredicted(cur)
 	return cur, err
 }
@@ -566,7 +483,7 @@ func (f *Forecaster) publishGood(s snapshot, sol *solved) {
 		LinkFailures:       s.failed,
 		IgnoredTransitions: s.ignored,
 		Headroom:           headroom,
-		Saturated:          headroom <= f.cfg.SaturationHeadroom && s.avgAlive >= 1,
+		Saturated:          headroom <= saturationHeadroom && s.avgAlive >= 1,
 		Solves:             f.solves.Load(),
 		SolveErrors:        f.solveErrors.Load(),
 		snap:               s,

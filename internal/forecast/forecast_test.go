@@ -72,8 +72,8 @@ func (h *harness) churn(n int) {
 			if err != nil {
 				h.t.Fatalf("terminate %d: %v", id, err)
 			}
-			h.f.ObserveTermination(h.m, rep)
-			h.ref.ObserveTermination(h.m, rep)
+			h.f.Observe(h.m, manager.Outcome{Termination: rep}, 0)
+			h.ref.Observe(h.m, manager.Outcome{Termination: rep}, 0)
 			h.terminated++
 		case i > 0 && i%29 == 0:
 			l := topology.LinkID(h.src.Intn(links))
@@ -82,8 +82,8 @@ func (h *harness) churn(n int) {
 			if err != nil {
 				h.t.Fatalf("fail link %d: %v", l, err)
 			}
-			h.f.ObserveFailure(h.m, rep, alivePrior)
-			h.ref.ObserveFailure(h.m, rep, alivePrior)
+			h.f.Observe(h.m, manager.Outcome{Failure: rep}, alivePrior)
+			h.ref.Observe(h.m, manager.Outcome{Failure: rep}, alivePrior)
 			h.failed++
 			if _, err := h.m.RepairLink(l); err != nil {
 				h.t.Fatalf("repair link %d: %v", l, err)
@@ -99,8 +99,8 @@ func (h *harness) churn(n int) {
 			rep, err := h.m.Establish(topology.NodeID(a), topology.NodeID(b), spec)
 			switch {
 			case err == nil:
-				h.f.ObserveArrival(h.m, rep, alivePrior)
-				h.ref.ObserveArrival(h.m, rep, alivePrior)
+				h.f.Observe(h.m, manager.Outcome{Arrival: rep}, alivePrior)
+				h.ref.Observe(h.m, manager.Outcome{Arrival: rep}, alivePrior)
 				h.alive = append(h.alive, rep.Conn.ID)
 				h.accepted++
 			case errors.Is(err, manager.ErrRejected):
@@ -189,19 +189,6 @@ func TestForecastInsufficientData(t *testing.T) {
 	_, solveErrors, lastErr := f.Status()
 	if solveErrors != 0 || lastErr == "" {
 		t.Errorf("status after warm-up tick: errors=%d lastErr=%q", solveErrors, lastErr)
-	}
-}
-
-func TestForecastStatesRegrid(t *testing.T) {
-	f, err := New(Config{States: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := f.Spec(); s.States() != 5 || s.Increment != 100 {
-		t.Errorf("re-grid to 5 states: got %d states, Δ=%v", s.States(), s.Increment)
-	}
-	if _, err := New(Config{States: 8}); err == nil {
-		t.Error("8 states do not evenly grid 100..500 and must be rejected")
 	}
 }
 

@@ -125,7 +125,7 @@ func (f *Forecaster) WhatIf(req WhatIfRequest) (*WhatIfResponse, error) {
 	if span := float64(f.spec.Max - f.spec.Min); span > 0 {
 		headroom = (sol.mean - float64(f.spec.Min)) / span
 	}
-	saturated := headroom <= f.cfg.SaturationHeadroom
+	saturated := headroom <= saturationHeadroom
 	resp := &WhatIfResponse{
 		Count:         count,
 		MinKbps:       int64(spec.Min),
@@ -152,7 +152,7 @@ func (f *Forecaster) WhatIf(req WhatIfRequest) (*WhatIfResponse, error) {
 	}
 	if saturated {
 		resp.Reason = fmt.Sprintf("predicted mean %.1f Kb/s leaves %.1f%% headroom (≤ %.1f%% saturation threshold)",
-			sol.mean, 100*headroom, 100*f.cfg.SaturationHeadroom)
+			sol.mean, 100*headroom, 100*saturationHeadroom)
 	} else {
 		resp.Reason = fmt.Sprintf("predicted mean %.1f Kb/s keeps %.1f%% headroom", sol.mean, 100*headroom)
 	}

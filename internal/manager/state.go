@@ -14,6 +14,7 @@ import (
 	"math"
 
 	"drqos/internal/channel"
+	"drqos/internal/journal"
 	"drqos/internal/qos"
 	"drqos/internal/routing"
 	"drqos/internal/topology"
@@ -217,6 +218,26 @@ func appendPath(buf []byte, ps PathState) []byte {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(l))
 	}
 	return buf
+}
+
+// SnapshotHeader returns a snapshot header carrying m's aggregates — alive
+// and unprotected counts, level histogram, request counters and failed
+// links — which a restore compares against the state it rebuilt. The
+// daemon and the simulator write their snapshots with it.
+func (m *Manager) SnapshotHeader() journal.SnapshotHeader {
+	hdr := journal.SnapshotHeader{
+		Alive:          m.AliveCount(),
+		Unprotected:    m.unprotected,
+		LevelHistogram: m.LevelHistogram(nil),
+		Requests:       m.requests,
+		Rejects:        m.rejects,
+	}
+	for l := 0; l < m.g.NumLinks(); l++ {
+		if m.net.Failed(topology.LinkID(l)) {
+			hdr.FailedLinks = append(hdr.FailedLinks, l)
+		}
+	}
+	return hdr
 }
 
 // MarshalBinary encodes the state as the journal snapshot body.

@@ -3,6 +3,8 @@ package markov
 import (
 	"fmt"
 	"math"
+
+	"drqos/internal/qos"
 )
 
 // WithRestart returns the finite-lifetime extension of the chain: the
@@ -97,4 +99,21 @@ func (c *Chain) SteadyStateFrom(p0 []float64) ([]float64, error) {
 		}
 	}
 	return nil, fmt.Errorf("%w: power iteration from p0 did not converge", ErrNotSolvable)
+}
+
+// Solve is the last step of the §3.3 pipeline, shared by the batch
+// evaluation, the live forecaster and drtrace: the stationary distribution
+// of c — of its restart extension when delta > 0 — reached from the birth
+// distribution, and the mean bandwidth under it.
+func Solve(c *Chain, birth []float64, delta float64, spec qos.ElasticSpec) (pi []float64, mean float64, err error) {
+	if delta > 0 {
+		if c, err = c.WithRestart(birth, delta); err != nil {
+			return nil, 0, err
+		}
+	}
+	if pi, err = c.SteadyStateFrom(birth); err != nil {
+		return nil, 0, err
+	}
+	mean, err = MeanBandwidth(pi, spec)
+	return pi, mean, err
 }

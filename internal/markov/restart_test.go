@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"drqos/internal/linalg"
+	"drqos/internal/qos"
 	"drqos/internal/rng"
 )
 
@@ -261,5 +262,61 @@ func TestQuickRestartInterpolates(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSolve: Solve is the plain chain's stationary solution when delta is
+// zero and the restart extension's when it is positive, with the mean
+// bandwidth of each, whatever the rates' common scale.
+func TestSolve(t *testing.T) {
+	a, b, tm := ZeroJumpMatrices(5)
+	a[2][0] = 0.5
+	b[0][3] = 0.25
+	tm[1][4] = 1
+	p := Params{N: 5, Lambda: 0.001, Mu: 0.001, Pf: 0.04, Ps: 0.3, A: a, B: b, T: tm}
+	spec := qos.ElasticSpec{Min: 100, Max: 500, Increment: 100, Utility: 1}
+	birth := []float64{0, 0, 0, 0.5, 0.5}
+	c, err := Build(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, delta := range []float64{0, 1e-6} {
+		want := c
+		if delta > 0 {
+			if want, err = c.WithRestart(birth, delta); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wantPi, err := want.SteadyStateFrom(birth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantMean, err := MeanBandwidth(wantPi, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pi, mean, err := Solve(c, birth, delta, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertDistEq(t, pi, wantPi, 0)
+		if mean != wantMean || mean < 100 || mean > 500 {
+			t.Fatalf("delta %g: mean %v, want %v within the spec", delta, mean, wantMean)
+		}
+		// π does not depend on the rates' common scale.
+		scaled := p
+		scaled.Lambda, scaled.Mu = 1, 1
+		sc, err := Build(scaled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spi, _, err := Solve(sc, birth, delta/p.Lambda, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertDistEq(t, spi, pi, 1e-9)
+	}
+	if _, _, err := Solve(c, []float64{1}, 1e-6, spec); err == nil {
+		t.Fatal("a birth distribution over the wrong states was accepted")
 	}
 }

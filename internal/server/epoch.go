@@ -24,11 +24,11 @@ import (
 	"time"
 
 	"drqos/internal/manager"
-	"drqos/internal/topology"
 )
 
-// aggregates is everything the read endpoints, the snapshot header and the
-// snapshot cross-check say about a manager.
+// aggregates is everything the read endpoints say about a manager: the
+// snapshot header's aggregates (manager.SnapshotHeader) plus the mean
+// reserved bandwidth.
 type aggregates struct {
 	Alive            int
 	Unprotected      int
@@ -42,20 +42,16 @@ type aggregates struct {
 // aggregatesOf reads m's aggregates: O(levels + links), independent of the
 // population. Loop goroutine only, like every read of a live manager.
 func aggregatesOf(m *manager.Manager) aggregates {
-	a := aggregates{
-		Alive:            m.AliveCount(),
-		Unprotected:      m.UnprotectedCount(),
+	h := m.SnapshotHeader()
+	return aggregates{
+		Alive:            h.Alive,
+		Unprotected:      h.Unprotected,
 		AvgBandwidthKbps: m.AverageBandwidth(),
-		LevelHistogram:   m.LevelHistogram(nil),
-		Requests:         m.Requests(),
-		Rejects:          m.Rejects(),
+		LevelHistogram:   h.LevelHistogram,
+		Requests:         h.Requests,
+		Rejects:          h.Rejects,
+		FailedLinks:      h.FailedLinks,
 	}
-	for l := 0; l < m.Graph().NumLinks(); l++ {
-		if m.Network().Failed(topology.LinkID(l)) {
-			a.FailedLinks = append(a.FailedLinks, l)
-		}
-	}
-	return a
 }
 
 // EpochView is one immutable published epoch. Everything in it describes

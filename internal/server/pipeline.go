@@ -206,12 +206,7 @@ func (s *Server) observe(m *manager.Manager, ev journal.Event, res manager.Outco
 	switch {
 	case errors.Is(err, manager.ErrRejected):
 		s.fc.ObserveReject()
-	case err != nil:
-	case res.Arrival != nil && res.Arrival.Conn != nil:
-		s.fc.ObserveArrival(m, res.Arrival, alivePrior)
-	case res.Termination != nil:
-		s.fc.ObserveTermination(m, res.Termination)
-	case res.Failure != nil:
-		s.fc.ObserveFailure(m, res.Failure, alivePrior)
+	case err == nil:
+		s.fc.Observe(m, res, alivePrior)
 	}
 }

@@ -238,7 +238,7 @@ func RebuildWithTxns(g *topology.Graph, cfg manager.Config, rec *journal.Recover
 // machinery (not the disk — the body already passed its CRC) disagrees with
 // the state it was handed.
 func crossCheckSnapshot(m *manager.Manager, hdr *journal.SnapshotHeader) error {
-	got := aggregatesOf(m)
+	got := m.SnapshotHeader()
 	if got.Alive != hdr.Alive {
 		return fmt.Errorf("restored %d alive connections, header says %d", got.Alive, hdr.Alive)
 	}

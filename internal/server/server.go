@@ -639,15 +639,7 @@ func (s *Server) maybeSnapshot(m *manager.Manager) {
 // writeSnapshot exports the manager's durable state and hands it to the
 // journal, with the aggregate cross-check fields the restore path verifies.
 func (s *Server) writeSnapshot(m *manager.Manager) error {
-	a := aggregatesOf(m)
-	hdr := journal.SnapshotHeader{
-		Alive:          a.Alive,
-		Unprotected:    a.Unprotected,
-		LevelHistogram: a.LevelHistogram,
-		Requests:       a.Requests,
-		Rejects:        a.Rejects,
-		FailedLinks:    a.FailedLinks,
-	}
+	hdr := m.SnapshotHeader()
 	// Committed transactions ride the header so replay from this snapshot
 	// rebuilds the table (the prepare/commit records are behind the
 	// boundary). Built only when non-empty: single-shard snapshots stay

@@ -900,15 +900,20 @@ func (c *Coordinator) failLink(ctx context.Context, l topology.LinkID) (*manager
 	c.mu.Lock()
 	c.failed[l] = true
 	torn := make(map[uint64]*crossConn)
+	var txns []uint64
 	for txn, cc := range c.cross {
 		if slices.Contains(cc.links, l) {
 			torn[txn] = cc
+			txns = append(txns, txn)
 			delete(c.cross, txn)
 		}
 	}
 	c.mu.Unlock()
-	for _, cc := range torn {
-		for _, p := range cc.parts {
+	// In transaction order, not map order, so the pieces' terminate records
+	// land in each shard's journal in the same order on every run.
+	slices.Sort(txns)
+	for _, txn := range txns {
+		for _, p := range torn[txn].parts {
 			// The owner shard's part died with the link; the others are
 			// torn down explicitly. ErrNotFound just means it was already
 			// gone.

@@ -644,3 +644,64 @@ func TestCrossCountersSurviveRestart(t *testing.T) {
 		t.Fatalf("post-restart establish cross stats %d/%d/%d, want 4/3/1", att, com, abo)
 	}
 }
+
+// TestSerialScriptWritesIdenticalJournals: one serial script — establishes
+// within and across shards, terminations, and failures of transit links
+// that tear down several cross-shard connections at once — run twice on
+// four journaled shards writes the same bytes into every shard's journal.
+// A failure's cross-shard teardowns go out in transaction order, not map
+// order.
+func TestSerialScriptWritesIdenticalJournals(t *testing.T) {
+	g := tierGraph(t, 1)
+	var transit []topology.LinkID
+	for _, l := range g.Links() {
+		if g.Tag(l.A) == "transit" && g.Tag(l.B) == "transit" {
+			transit = append(transit, l.ID)
+		}
+	}
+	run := func() string {
+		dir := t.TempDir()
+		c := newCoordinator(t, g, shard.Options{Shards: 4, Dir: dir, Journal: journal.Options{FsyncEvery: -1}})
+		ctx := context.Background()
+		r := rng.New(5)
+		var ids []int64
+		down := topology.LinkID(-1)
+		for i := 0; i < 600; i++ {
+			switch x := r.Float64(); {
+			case x < 0.05:
+				if down >= 0 {
+					if _, err := c.RepairLink(ctx, down); err != nil {
+						t.Fatal(err)
+					}
+				}
+				down = transit[r.Intn(len(transit))]
+				if _, err := c.FailLink(ctx, down); err != nil {
+					t.Fatal(err)
+				}
+			case x < 0.35 && len(ids) > 0:
+				k := r.Intn(len(ids))
+				if err := c.Terminate(ctx, ids[k]); err != nil && !errors.Is(err, server.ErrNotFound) {
+					t.Fatal(err)
+				}
+				ids = append(ids[:k], ids[k+1:]...)
+			default:
+				src, dst := topology.NodeID(r.Intn(g.NumNodes())), topology.NodeID(r.Intn(g.NumNodes()))
+				if src == dst {
+					continue
+				}
+				if res, err := c.Establish(ctx, src, dst, qos.DefaultSpec()); err == nil {
+					ids = append(ids, res.ID)
+				}
+			}
+		}
+		if err := c.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	a, b := run(), run()
+	for i := 0; i < 4; i++ {
+		shardDir := fmt.Sprintf("shard-%03d", i)
+		compareDirs(t, filepath.Join(a, shardDir), filepath.Join(b, shardDir))
+	}
+}

@@ -66,5 +66,3 @@ func (q *queue) pop() (event, bool) {
 	}
 	return heap.Pop(&q.h).(event), true
 }
-
-func (q *queue) empty() bool { return len(q.h) == 0 }

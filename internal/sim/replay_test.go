@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"drqos/internal/journal"
@@ -14,9 +15,10 @@ import (
 )
 
 // TestSimJournalReplays: sim ≡ replay. A traced run with failures and
-// repairs journals its events; rebuilding the journal the way a daemon boots
-// reaches the simulator's final state, audit-clean, and stepping a fresh
-// manager through it finds exactly the events the run counted.
+// repairs journals its events and a snapshot where measurement starts;
+// rebuilding the journal the way a daemon boots reaches the simulator's
+// final state, audit-clean, and stepping the snapshot's manager through the
+// tail finds exactly the events the run counted and measured.
 func TestSimJournalReplays(t *testing.T) {
 	g, err := topology.Waxman(topology.WaxmanConfig{
 		Nodes: 100, Alpha: 0.33, Beta: 0.088, EnsureConnected: true,
@@ -65,13 +67,25 @@ func TestSimJournalReplays(t *testing.T) {
 		t.Fatalf("replayed fingerprint %s, simulator ended at %s", got, want)
 	}
 
-	fresh, err := manager.New(g, mcfg)
+	// The tail starts at the snapshot measurement started at: the
+	// snapshot's counters plus the tail's records are the run's admissions,
+	// and the tail's terminations and failures are the ones the run
+	// measured its rates from.
+	if rec.SnapshotHeader == nil {
+		t.Fatal("no snapshot where measurement starts")
+	}
+	st, err := manager.UnmarshalState(rec.SnapshotBody)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var established, rejected, terminated, failures, repairs int64
+	at, err := manager.Restore(g, mcfg, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	established, rejected := at.Requests()-at.Rejects(), at.Rejects()
+	var terminated, failures int64
 	for _, ev := range rec.Events {
-		_, err := fresh.Apply(ev)
+		_, err := at.Apply(ev)
 		switch {
 		case errors.Is(err, manager.ErrRejected):
 			rejected++
@@ -83,14 +97,13 @@ func TestSimJournalReplays(t *testing.T) {
 			terminated++
 		case ev.Kind == journal.KindFailLink:
 			failures++
-		case ev.Kind == journal.KindRepairLink:
-			repairs++
 		}
 	}
-	if established != res.Established || rejected != res.Rejected || terminated != res.Terminated ||
-		failures != res.Failures || repairs != res.Repairs {
-		t.Fatalf("journal holds %d/%d/%d/%d/%d established/rejected/terminated/failures/repairs, the run counted %d/%d/%d/%d/%d",
-			established, rejected, terminated, failures, repairs,
-			res.Established, res.Rejected, res.Terminated, res.Failures, res.Repairs)
+	measured := func(rate float64) int64 { return int64(math.Round(rate * res.Duration)) }
+	if established != res.Established || rejected != res.Rejected ||
+		terminated != measured(res.EffectiveMu) || failures != measured(res.EffectiveGamma) {
+		t.Fatalf("snapshot + tail hold %d/%d established/rejected and the tail %d/%d terminated/failures; the run counted %d/%d and measured %d/%d",
+			established, rejected, terminated, failures,
+			res.Established, res.Rejected, measured(res.EffectiveMu), measured(res.EffectiveGamma))
 	}
 }

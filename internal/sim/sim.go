@@ -50,9 +50,11 @@ type Config struct {
 	WarmupEvents int
 	// Trace, when non-nil, journals every event the run applies — loading
 	// included, rejected establishes too — before the manager applies it,
-	// as the daemon's write path does. Replaying the journal therefore
-	// reaches the run's final state: drserverd boots from it and drtrace
-	// summarises it.
+	// as the daemon's write path does, and takes a snapshot where
+	// measurement starts: the record tail after it is the measured window.
+	// Replaying the journal therefore reaches the run's final state:
+	// drserverd boots from it, and drtrace summarises it and measures and
+	// solves the model from its tail.
 	Trace *journal.Journal
 }
 
@@ -149,13 +151,10 @@ type Sim struct {
 	occupancy []stats.TimeWeighted
 	counts    Result
 
-	// Event counts within the measured window, for effective rates.
-	measAccepted, measTerminated, measFailures int64
-	birthCounts                                []int64
-	alive                                      stats.TimeWeighted
-	unprot                                     stats.TimeWeighted
-	histBuf                                    []int
-	bwSeries                                   []sample
+	alive    stats.TimeWeighted
+	unprot   stats.TimeWeighted
+	histBuf  []int
+	bwSeries []sample
 }
 
 // sample is one (time, value) point of the bandwidth series, kept so the
@@ -172,13 +171,12 @@ func New(g *topology.Graph, cfg Config) (*Sim, error) {
 		return nil, err
 	}
 	s := &Sim{
-		cfg:         cfg,
-		g:           g,
-		mgr:         mgr,
-		src:         rng.New(cfg.Seed),
-		est:         estimator.New(cfg.Spec.States()),
-		occupancy:   make([]stats.TimeWeighted, cfg.Spec.States()),
-		birthCounts: make([]int64, cfg.Spec.States()),
+		cfg:       cfg,
+		g:         g,
+		mgr:       mgr,
+		src:       rng.New(cfg.Seed),
+		est:       estimator.New(cfg.Spec.States()),
+		occupancy: make([]stats.TimeWeighted, cfg.Spec.States()),
 	}
 	return s, nil
 }
@@ -203,10 +201,11 @@ func (s *Sim) randomPair() (topology.NodeID, topology.NodeID) {
 
 // apply steps the manager through ev with the daemon's transition
 // (journaled first when the run is traced), counts the outcome and feeds the
-// estimator while measurement is active. An admission rejection is an
-// outcome, not an error. Anything else — in particular a
-// manager.InvariantViolation — aborts the run instead of panicking, so the
-// caller can report the trajectory that broke the ledger.
+// estimator while measurement is active: exactly the events a traced run's
+// journal holds after its snapshot. An admission rejection is an outcome,
+// not an error. Anything else — in particular a manager.InvariantViolation
+// — aborts the run instead of panicking, so the caller can report the
+// trajectory that broke the ledger.
 func (s *Sim) apply(ev journal.Event) error {
 	if s.cfg.Trace != nil {
 		if _, err := s.cfg.Trace.Append(ev); err != nil {
@@ -218,29 +217,22 @@ func (s *Sim) apply(ev journal.Event) error {
 	switch {
 	case errors.Is(err, manager.ErrRejected):
 		s.counts.Rejected++
+		return nil
 	case err != nil:
 		return fmt.Errorf("sim: %s: %w", ev, err)
+	}
+	if s.measuring {
+		s.est.Observe(s.mgr, out, alivePrior)
+	}
+	switch {
 	case out.Arrival != nil:
 		s.counts.Established++
-		if s.measuring {
-			s.measAccepted++
-			s.birthCounts[out.Arrival.Conn.Level]++
-			s.est.ObserveArrival(s.mgr, out.Arrival, alivePrior)
-		}
 	case out.Termination != nil:
 		s.counts.Terminated++
-		if s.measuring {
-			s.measTerminated++
-			s.est.ObserveTermination(s.mgr, out.Termination)
-		}
 	case out.Failure != nil:
 		s.counts.Failures++
 		s.counts.Dropped += int64(len(out.Failure.Dropped))
 		s.counts.Recovered += int64(len(out.Failure.Recovered))
-		if s.measuring {
-			s.measFailures++
-			s.est.ObserveFailure(s.mgr, out.Failure, alivePrior)
-		}
 	case ev.Kind == journal.KindRepairLink:
 		s.counts.Repairs++
 	}
@@ -378,6 +370,11 @@ func (s *Sim) Run() (*Result, error) {
 			measureStart = s.clock
 			// Open the time-weighted accumulators at the current state.
 			s.bw.Observe(s.clock, s.mgr.AverageBandwidth())
+			if s.cfg.Trace != nil {
+				if err := s.cfg.Trace.WriteSnapshot(s.mgr.SnapshotHeader(), s.mgr.ExportState().MarshalBinary()); err != nil {
+					return nil, fmt.Errorf("sim: trace: %w", err)
+				}
+			}
 		}
 		s.sample()
 	}
@@ -417,24 +414,17 @@ func (s *Sim) Run() (*Result, error) {
 	// rates.
 	res.EffectiveLambda, res.EffectiveMu, res.EffectiveGamma = s.cfg.Lambda, s.cfg.Mu, s.cfg.Gamma
 	if res.Duration > 0 {
-		res.EffectiveLambda = float64(s.measAccepted) / res.Duration
-		res.EffectiveMu = float64(s.measTerminated) / res.Duration
-		res.EffectiveGamma = float64(s.measFailures) / res.Duration
+		accepted, terminated, failed := s.est.Counts()
+		res.EffectiveLambda = float64(accepted) / res.Duration
+		res.EffectiveMu = float64(terminated) / res.Duration
+		res.EffectiveGamma = float64(failed) / res.Duration
 	}
 	res.AvgAlive = s.alive.Mean()
 	res.UnprotectedFrac = s.unprot.Mean()
-	res.BirthDist = make([]float64, len(s.birthCounts))
-	var births int64
-	for _, c := range s.birthCounts {
-		births += c
-	}
-	if births > 0 {
-		for i, c := range s.birthCounts {
-			res.BirthDist[i] = float64(c) / float64(births)
-		}
-	} else {
+	if res.BirthDist = s.est.BirthDist(); res.BirthDist == nil {
 		// No accepted arrival during measurement: fall back to the final
 		// empirical occupancy (or the minimum level on a cold start).
+		res.BirthDist = make([]float64, len(res.EmpiricalPi))
 		copy(res.BirthDist, res.EmpiricalPi)
 		var sum float64
 		for _, v := range res.BirthDist {

@@ -6,9 +6,10 @@
 #                                gates in gates_test.go and the process rows
 #                                of cmd/drserverd among them), 10 s fuzzes of
 #                                WriteJSON, the growth queue, the manager's
-#                                event traces (FuzzApply) and the stream's
-#                                frame decoder, then vet + tests of the
-#                                bench/ module
+#                                event traces (FuzzApply), snapshot restore
+#                                (FuzzRestore) and the stream's frame
+#                                decoder, then vet + tests of the bench/
+#                                module
 #
 # Each mode below is build + vet, the in-process episodes of one family
 # (cmd/chaos, judged by the replay oracle, DESIGN.md §15) and the tests of
@@ -150,6 +151,13 @@ case "${1:-}" in
     # new-coverage input would eat the whole budget; cap it.
     echo "== fuzz: FuzzApply, live = restore = replay (10s)"
     go test -run '^$' -fuzz FuzzApply -fuzztime 10s -fuzzminimizetime 2s ./internal/chaos
+
+    # What recovery trusts: a snapshot body is refused, or restores to an
+    # audit-clean manager whose re-exported state restores to the same
+    # fingerprint. Inputs cost microseconds, but keep minimisation capped
+    # like FuzzApply's.
+    echo "== fuzz: FuzzRestore, refused or audit-clean and stable (10s)"
+    go test -run '^$' -fuzz FuzzRestore -fuzztime 10s -fuzzminimizetime 2s ./internal/manager
 
     # What a follower applies from its primary's stream: refused, or the
     # events that encode back to the input byte for byte.
