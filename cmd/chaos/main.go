@@ -24,6 +24,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"log"
 	"os"
 	"strings"
 
@@ -39,9 +41,14 @@ func main() {
 		episode  = flag.String("episode", "all", "all, or an episode name or family: "+strings.Join(names, " "))
 		episodes = flag.Int("episodes", 20, "number of seeded episodes")
 		seed     = flag.Uint64("seed", 1, "first seed; episode i uses seed+i")
-		quiet    = flag.Bool("q", false, "only report failures")
+		quiet    = flag.Bool("q", false, "only report failures: no per-episode line, no plane log")
 	)
 	flag.Parse()
+	if *quiet {
+		// The planes log their own transitions (degrade, failover, lease,
+		// overload) through the default logger; -q keeps to failures.
+		log.SetOutput(io.Discard)
+	}
 
 	rows := chaos.Select(*episode)
 	if len(rows) == 0 {

@@ -85,7 +85,6 @@ type config struct {
 	snapEvery int
 
 	replicaOf  string
-	advertise  string
 	failoverTO time.Duration
 	lease      time.Duration
 
@@ -118,7 +117,6 @@ func parseFlags(args []string) (*config, error) {
 
 	// Replication / high availability.
 	fs.StringVar(&c.replicaOf, "replica-of", "", "boot as a warm standby of this primary base URL (e.g. http://10.0.0.1:8080), continuously replaying its journal stream; requires -data-dir")
-	fs.StringVar(&c.advertise, "advertise", "", "this node's externally reachable base URL, used by a follower to redirect mutations (defaults to the -replica-of protocol idiom; informational for a primary)")
 	fs.DurationVar(&c.failoverTO, "failover-timeout", 750*time.Millisecond, "a standby promotes itself after this long without a successful fetch from the primary (0 = manual promotion via POST /v1/admin/promote only)")
 	fs.DurationVar(&c.lease, "lease", -1, "lease-based primary fencing: a primary that goes this long without a standby poll stops acknowledging mutations (503) until polling resumes; must be shorter than -failover-timeout (-1 = failover-timeout/2, 0 = disabled)")
 
@@ -201,13 +199,10 @@ func (c *config) journalOptions() journal.Options {
 	}
 }
 
-// serverOptions is the part of the actor-loop tuning both planes share; each
-// boot adds its own journal and logging hooks.
+// serverOptions is the part of the actor-loop tuning both planes share;
+// the single plane adds its journal and replication hooks.
 func (c *config) serverOptions() server.Options {
-	return server.Options{
-		SnapshotEvery: c.snapEvery,
-		Recover:       server.RecoverPolicy{Auto: c.autoRecover},
-	}
+	return server.Options{SnapshotEvery: c.snapEvery, AutoRecover: c.autoRecover}
 }
 
 // plane is a booted admission plane: the API it serves and how to drain it
@@ -345,35 +340,8 @@ func bootSingle(cfg *config, g *topology.Graph, mcfg manager.Config, front []ser
 	}
 
 	if cfg.forecastInterval > 0 {
-		opts.Forecast = &forecast.Config{
-			Interval:   cfg.forecastInterval,
-			Predictive: cfg.forecastPredictive,
-			OnPredict: func(saturated bool) {
-				if saturated {
-					log.Printf("FORECAST: model predicts saturation — pre-latching overload shedding")
-				} else {
-					log.Printf("forecast: predicted saturation cleared, admitting establishes again")
-				}
-			},
-		}
+		opts.Forecast = &forecast.Config{Interval: cfg.forecastInterval, Predictive: cfg.forecastPredictive}
 		log.Printf("forecast: solving every %s (predictive=%v)", cfg.forecastInterval, cfg.forecastPredictive)
-	}
-	opts.OnDegrade = func(reason string) {
-		if jnl != nil {
-			log.Printf("DEGRADED: %s — refusing mutations, still serving reads; POST /v1/admin/recover to rebuild from the journal", reason)
-		} else {
-			log.Printf("DEGRADED: %s — refusing mutations, still serving reads; restart to recover", reason)
-		}
-	}
-	opts.OnRecover = func(seq uint64) {
-		log.Printf("RECOVERED: rebuilt from journal to seq %d, serving mutations again", seq)
-	}
-	opts.OnOverload = func(on bool) {
-		if on {
-			log.Printf("OVERLOADED: sustained actor-queue delay above target — shedding new establishes with 503, terminations and reads stay live")
-		} else {
-			log.Printf("overload cleared: queue delay back under target, admitting establishes again")
-		}
 	}
 	// Replication node: built after the server (it wraps it), but the
 	// server's semi-sync and stats hooks close over the variable — they
@@ -404,11 +372,9 @@ func bootSingle(cfg *config, g *topology.Graph, mcfg manager.Config, front []ser
 		// endpoints are mounted whether or not a standby exists yet, so one
 		// can join without a primary restart.
 		node = replica.NewNode(srv, jnl, replica.Config{
-			Self:            cfg.advertise,
 			PrimaryURL:      cfg.replicaOf,
 			FailoverTimeout: cfg.failoverTO,
 			Lease:           cfg.lease,
-			Logf:            log.Printf,
 		})
 		handler = node.FrontHandler(handler)
 		if cfg.lease > 0 {
@@ -450,25 +416,11 @@ func bootSharded(cfg *config, g *topology.Graph, mcfg manager.Config, front []se
 			return plane{}, err
 		}
 	}
-	opts := cfg.serverOptions()
-	opts.OnDegrade = func(reason string) {
-		log.Printf("DEGRADED shard: %s — that shard refuses mutations (cross-shard transactions touching it abort), reads stay live", reason)
-	}
-	opts.OnRecover = func(seq uint64) {
-		log.Printf("RECOVERED shard: rebuilt from its journal to seq %d", seq)
-	}
-	opts.OnOverload = func(on bool) {
-		if on {
-			log.Printf("OVERLOADED shard: refusing new establishes, link failures and prepares on that shard (503 + Retry-After) until its queue drains")
-		} else {
-			log.Printf("shard overload cleared, admitting establishes again")
-		}
-	}
 	c, err := shard.New(g, shard.Options{
 		Shards:  cfg.shards,
 		Dir:     cfg.dataDir,
 		Manager: mcfg,
-		Server:  opts,
+		Server:  cfg.serverOptions(),
 		Journal: cfg.journalOptions(),
 	})
 	if err != nil {

@@ -101,6 +101,8 @@ func TestParseFlagsRefuses(t *testing.T) {
 		{"group-commit-negative", []string{"-group-commit-max-wait", "-1ms"}},
 		{"forecast-sharded", []string{"-forecast-interval", "1s", "-shards", "2"}},
 		{"predictive-without-interval", []string{"-forecast-predictive"}},
+		// Redirects go to -replica-of; no flag names this node's own URL.
+		{"advertise", []string{"-advertise", "http://x"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := parseFlags(tc.args); err == nil {

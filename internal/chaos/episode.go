@@ -263,6 +263,12 @@ func (ep Episode) start(seed uint64, dir string) (*world, error) {
 	}
 	if err = w.boot(0, ""); err == nil && ep.Plane == Pair {
 		err = w.boot(1, w.nodes[0].http.URL)
+		// A primary no standby has polled yet acks asynchronously, so a
+		// kill before the first poll loses acknowledged writes by design:
+		// the script starts once the pair is formed.
+		if err == nil && !await(convergeWithin, func() bool { return w.nodes[0].rep.StatsBlock().Followers == 1 }) {
+			err = fmt.Errorf("standby never polled the primary within %s", convergeWithin)
+		}
 	}
 	if err != nil {
 		w.stop()

@@ -36,6 +36,7 @@ package forecast
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -89,7 +90,9 @@ type Config struct {
 	// CapacityKbps for the ideal-bandwidth reference (optional).
 	DirectedLinks int
 	// OnPredict, when non-nil and Predictive is set, is called from the
-	// solve goroutine each time the predicted-saturation state flips.
+	// solve goroutine each time the predicted-saturation state flips (the
+	// forecaster logs the flip itself; the server sets this to drive its
+	// overload detector).
 	OnPredict func(saturated bool)
 }
 
@@ -526,7 +529,11 @@ func (f *Forecaster) updatePredicted(cur *Forecast) {
 		tooStale := cur.Stale && time.Since(cur.SolvedAt) > staleClearAfter*f.cfg.Interval
 		want = !tooStale
 	}
-	if f.predicted.Swap(want) != want && f.cfg.OnPredict != nil {
+	if f.predicted.Swap(want) == want {
+		return
+	}
+	slog.Info("forecast: predicted saturation flipped", "saturated", want)
+	if f.cfg.OnPredict != nil {
 		f.cfg.OnPredict(want)
 	}
 }

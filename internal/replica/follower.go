@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -49,7 +50,7 @@ func (n *Node) Run(ctx context.Context) error {
 		}
 		if !n.srv.IsFollower() {
 			// Promoted out from under the loop (POST /v1/admin/promote).
-			n.logf("replica: role is primary, follower loop exiting")
+			slog.Info("replica: role is primary, follower loop exiting")
 			return nil
 		}
 
@@ -60,10 +61,10 @@ func (n *Node) Run(ctx context.Context) error {
 			backoff = 10 * time.Millisecond
 			continue
 		case errors.Is(err, errBootstrap):
-			n.logf("replica: re-bootstrapping from primary snapshot: %v", err)
+			slog.Warn("replica: re-bootstrapping from the primary's snapshot", "err", err)
 			if berr := n.bootstrap(ctx); berr != nil {
 				n.setDiverged(true, berr.Error())
-				n.logf("replica: bootstrap failed: %v", berr)
+				slog.Error("replica: bootstrap failed", "err", berr)
 			} else {
 				n.setDiverged(false, "")
 				lastSuccess = time.Now()
@@ -74,7 +75,7 @@ func (n *Node) Run(ctx context.Context) error {
 			// ApplyReplicated latched the server degraded; a snapshot
 			// re-seed is the only way back.
 			n.setDiverged(true, err.Error())
-			n.logf("replica: diverged: %v", err)
+			slog.Error("replica: diverged", "err", err)
 			if berr := n.bootstrap(ctx); berr == nil {
 				n.setDiverged(false, "")
 				lastSuccess = time.Now()
@@ -88,7 +89,7 @@ func (n *Node) Run(ctx context.Context) error {
 				return ctx.Err()
 			}
 		default:
-			n.logf("replica: fetch from %s failed: %v", n.PrimaryURL(), err)
+			slog.Warn("replica: fetch failed", "primary", n.PrimaryURL(), "err", err)
 		}
 
 		// The poll failed. Sustained failure is the failover signal.
@@ -99,7 +100,7 @@ func (n *Node) Run(ctx context.Context) error {
 			// renewing across an asymmetric partition — is guaranteed
 			// expired before we start acknowledging writes.
 			if q := n.cfg.Lease + n.cfg.PollWait; n.cfg.Lease > 0 {
-				n.logf("replica: failover timeout reached; quiescing %s so the primary's lease expires before promotion", q)
+				slog.Warn("replica: failover timeout reached; quiescing so the primary's lease expires before promotion", "quiesce", q)
 				select {
 				case <-time.After(q):
 				case <-n.stop:
@@ -111,8 +112,8 @@ func (n *Node) Run(ctx context.Context) error {
 			term, perr := n.srv.Promote(ctx)
 			if perr == nil {
 				n.resetLease()
-				n.logf("replica: promoted to primary at term %d after %s without a primary",
-					term, time.Since(lastSuccess).Round(time.Millisecond))
+				slog.Warn("replica: promoted to primary", "term", term,
+					"without_primary", time.Since(lastSuccess).Round(time.Millisecond))
 				return nil
 			}
 			if errors.Is(perr, server.ErrConflict) {
@@ -120,7 +121,7 @@ func (n *Node) Run(ctx context.Context) error {
 			}
 			// A degraded (diverged) follower refuses promotion — keep
 			// retrying the primary instead of seizing the cluster.
-			n.logf("replica: promotion refused: %v", perr)
+			slog.Error("replica: promotion refused", "err", perr)
 		}
 		// Capped backoff with jitter on the upper half: sleep in
 		// [backoff/2, backoff).
@@ -258,7 +259,7 @@ func (n *Node) bootstrap(ctx context.Context) error {
 	if primary == "" {
 		return errDemotedPrimary
 	}
-	bctx, cancel := context.WithTimeout(ctx, n.cfg.SnapshotTimeout)
+	bctx, cancel := context.WithTimeout(ctx, snapshotTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(bctx, http.MethodGet,
 		strings.TrimSuffix(primary, "/")+"/v1/replica/snapshot", nil)
@@ -295,6 +296,6 @@ func (n *Node) bootstrap(ctx context.Context) error {
 	// install just replaced.
 	n.verify = server.VerifyPoint{}
 	n.mu.Unlock()
-	n.logf("replica: bootstrapped from primary snapshot at seq %d (term %d)", env.Header.Seq, env.Term)
+	slog.Info("replica: bootstrapped from the primary's snapshot", "seq", env.Header.Seq, "term", env.Term)
 	return nil
 }

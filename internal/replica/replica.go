@@ -41,6 +41,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"strings"
 	"sync"
@@ -53,9 +54,6 @@ import (
 
 // Config tunes a replication node.
 type Config struct {
-	// Self is the advertised base URL of this node (e.g.
-	// "http://10.0.0.2:8080"), handed to peers for redirects. Optional.
-	Self string
 	// PrimaryURL is the base URL of the primary to follow. Empty for a
 	// node booting as primary.
 	PrimaryURL string
@@ -67,13 +65,6 @@ type Config struct {
 	// pacing (default 1s, capped to FailoverTimeout/4 when failover is on
 	// so detection is never starved by an open poll).
 	PollWait time.Duration
-	// BatchMax caps records per stream response (default 512).
-	BatchMax int
-	// SyncActiveWindow is how recently a standby must have polled for the
-	// primary to keep gating client acknowledgments on replication
-	// (default 3s). Past it the primary falls back to asynchronous
-	// replication instead of stalling clients behind a dead standby.
-	SyncActiveWindow time.Duration
 	// SyncTimeout bounds how long one acknowledgment waits for the standby
 	// to confirm fetch before falling back to asynchronous (default 5s).
 	// With a lease (below) the fallback is gone: the timeout refuses the
@@ -91,15 +82,22 @@ type Config struct {
 	// by the instant the standby starts acking (even when the partition is
 	// asymmetric and the primary kept receiving the standby's polls).
 	Lease time.Duration
-	// SnapshotTimeout bounds one bootstrap snapshot fetch (default 30s).
-	SnapshotTimeout time.Duration
 	// Transport, when non-nil, replaces the follower HTTP client's
 	// transport — the netchaos injection point.
 	Transport http.RoundTripper
-	// Logf receives replication lifecycle events (promotion, demotion,
-	// divergence, bootstrap). Nil discards them.
-	Logf func(format string, args ...any)
 }
+
+const (
+	// batchMax caps records per stream response.
+	batchMax = 512
+	// syncActiveWindow is how recently a standby must have polled for the
+	// primary to keep gating client acknowledgments on replication. Past it
+	// the primary falls back to asynchronous replication instead of
+	// stalling clients behind a dead standby.
+	syncActiveWindow = 3 * time.Second
+	// snapshotTimeout bounds one bootstrap snapshot fetch.
+	snapshotTimeout = 30 * time.Second
+)
 
 func (c Config) withDefaults() Config {
 	if c.PollWait <= 0 {
@@ -119,20 +117,8 @@ func (c Config) withDefaults() Config {
 			c.PollWait = 5 * time.Millisecond
 		}
 	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 512
-	}
-	if c.SnapshotTimeout <= 0 {
-		c.SnapshotTimeout = 30 * time.Second
-	}
-	if c.SyncActiveWindow <= 0 {
-		c.SyncActiveWindow = 3 * time.Second
-	}
 	if c.SyncTimeout <= 0 {
 		c.SyncTimeout = 5 * time.Second
-	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
 	}
 	return c
 }
@@ -202,9 +188,6 @@ func (n *Node) Stop() {
 	n.stopOnce.Do(func() { close(n.stop) })
 }
 
-// logf forwards to the configured logger (never nil after withDefaults).
-func (n *Node) logf(format string, args ...any) { n.cfg.Logf(format, args...) }
-
 // PrimaryURL returns the primary this node currently follows ("" once it
 // is the primary itself).
 func (n *Node) PrimaryURL() string {
@@ -235,7 +218,7 @@ func (n *Node) StatsBlock() *server.ReplicaStats {
 		}
 	} else {
 		rs.ReplicatedSeq = n.replicatedSeq
-		if time.Since(n.lastPoll) <= n.cfg.SyncActiveWindow {
+		if time.Since(n.lastPoll) <= syncActiveWindow {
 			rs.Followers = 1
 		}
 		rs.LeaseEnabled = n.cfg.Lease > 0
@@ -288,7 +271,7 @@ func (n *Node) notePoll(confirmed uint64) {
 	n.pollSignal = make(chan struct{})
 	n.mu.Unlock()
 	if regained {
-		n.logf("replica: lease regained (standby polling resumed); acknowledging mutations again")
+		slog.Info("replica: lease regained, standby polling resumed; acknowledging mutations again")
 	}
 }
 
@@ -314,7 +297,7 @@ func (n *Node) WaitReplicated(ctx context.Context, seq uint64) error {
 	for {
 		n.mu.Lock()
 		confirmed := n.replicatedSeq >= seq
-		active := !n.lastPoll.IsZero() && time.Since(n.lastPoll) <= n.cfg.SyncActiveWindow
+		active := !n.lastPoll.IsZero() && time.Since(n.lastPoll) <= syncActiveWindow
 		leased := n.cfg.Lease > 0 && n.leaseGranted
 		lost := n.leaseLostLocked()
 		logFence := lost && !n.lostLogged
@@ -324,7 +307,7 @@ func (n *Node) WaitReplicated(ctx context.Context, seq uint64) error {
 		// Without a poll the verdict changes when the sync timeout runs out
 		// or, sooner, when the last poll ages out: of the lease (fence), or of
 		// the active window (fall back to asynchronous).
-		next := n.lastPoll.Add(n.cfg.SyncActiveWindow)
+		next := n.lastPoll.Add(syncActiveWindow)
 		if leased {
 			next = n.lastPoll.Add(n.cfg.Lease)
 		}
@@ -334,7 +317,7 @@ func (n *Node) WaitReplicated(ctx context.Context, seq uint64) error {
 		signal := n.pollSignal
 		n.mu.Unlock()
 		if logFence {
-			n.logf("replica: lease lost (no standby poll within %s); fencing acknowledgments", n.cfg.Lease)
+			slog.Warn("replica: lease lost, no standby poll within the lease; fencing acknowledgments", "lease", n.cfg.Lease)
 		}
 		if confirmed {
 			n.observeAckWait(time.Since(start))

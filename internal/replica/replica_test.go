@@ -92,9 +92,6 @@ func bootNodeOnJournal(t testing.TB, g *topology.Graph, jnl *journal.Journal, re
 	}
 	tn.srv = srv
 	cfg.PrimaryURL = primaryURL
-	if cfg.Logf == nil {
-		cfg.Logf = t.Logf
-	}
 	tn.node = replica.NewNode(srv, jnl, cfg)
 	tn.http = httptest.NewServer(tn.node.FrontHandler(server.NewHandler(srv)))
 	return tn
@@ -202,7 +199,7 @@ func TestStreamReplicationLockstep(t *testing.T) {
 // acknowledgments wait for the follower's poll to confirm replication.
 func TestSemiSyncAckGating(t *testing.T) {
 	g := testGraph(t)
-	primary := bootNode(t, g, "", replica.Config{PollWait: 20 * time.Millisecond, SyncActiveWindow: time.Second})
+	primary := bootNode(t, g, "", replica.Config{PollWait: 20 * time.Millisecond})
 	defer primary.close(t)
 	follower := bootNode(t, g, primary.http.URL, replica.Config{PollWait: 20 * time.Millisecond})
 	defer follower.close(t)

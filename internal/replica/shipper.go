@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"strconv"
 	"time"
@@ -71,7 +72,7 @@ func (n *Node) handleStream(w http.ResponseWriter, r *http.Request) {
 	if pollerTerm > n.srv.Term() {
 		// The poller promoted past us: we are the stale side. Step down
 		// first, answer "demoted" second — never serve under a dead term.
-		n.logf("replica: demoting, peer polled with term %d > ours %d", pollerTerm, n.srv.Term())
+		slog.Warn("replica: demoting, a peer polled with a higher term", "peer_term", pollerTerm, "term", n.srv.Term())
 		if err := n.srv.Demote(r.Context(), pollerTerm); err != nil {
 			http.Error(w, "demote: "+err.Error(), http.StatusInternalServerError)
 			return
@@ -137,7 +138,7 @@ func (n *Node) handleStream(w http.ResponseWriter, r *http.Request) {
 	if n.jnl.WaitDurable(ctx, from) != nil {
 		<-ctx.Done()
 	}
-	frames, count, err := n.jnl.ReadFrames(from, n.cfg.BatchMax)
+	frames, count, err := n.jnl.ReadFrames(from, batchMax)
 	if errors.Is(err, journal.ErrCompacted) {
 		writeStreamError(w, http.StatusGone, reasonCompacted, "history compacted mid-poll")
 		return

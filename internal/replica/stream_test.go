@@ -384,10 +384,9 @@ func TestConfirmedAckIsNotHeld(t *testing.T) {
 func BenchmarkReplicatedEstablish(b *testing.B) {
 	g, ctx := testGraph(b), context.Background()
 	opt := journal.Options{FsyncEvery: 1, GroupCommit: true}
-	quiet := replica.Config{Logf: func(string, ...any) {}}
-	primary := bootNodeWith(b, g, opt, "", quiet)
+	primary := bootNodeWith(b, g, opt, "", replica.Config{})
 	defer primary.close(b)
-	standby := bootNodeWith(b, g, opt, primary.http.URL, quiet)
+	standby := bootNodeWith(b, g, opt, primary.http.URL, replica.Config{})
 	defer standby.close(b)
 	go func() { _ = standby.node.Run(ctx) }()
 	waitFor(b, 3*time.Second, "the standby's first poll", func() bool {

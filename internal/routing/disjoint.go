@@ -60,35 +60,3 @@ func (s *RouteScratch) BackupRoute(g *topology.Graph, primary Path, filter LinkF
 	}
 	return p, shared, nil
 }
-
-// MostDisjointCandidate picks, from flooding candidates, the one sharing the
-// fewest links with the primary (ties: fewer hops, then larger allowance).
-// It skips candidates identical to the primary. It returns ErrNoRoute when
-// no distinct candidate exists.
-func MostDisjointCandidate(primary Path, cands []Candidate) (Candidate, error) {
-	var best Candidate
-	found := false
-	bestShared := 0
-	for _, c := range cands {
-		if c.Path.Equal(primary) {
-			continue
-		}
-		shared := c.Path.SharedLinks(primary)
-		if !found {
-			best, bestShared, found = c, shared, true
-			continue
-		}
-		switch {
-		case shared < bestShared:
-			best, bestShared = c, shared
-		case shared == bestShared && c.Path.Hops() < best.Path.Hops():
-			best = c
-		case shared == bestShared && c.Path.Hops() == best.Path.Hops() && c.Allowance > best.Allowance:
-			best = c
-		}
-	}
-	if !found {
-		return Candidate{}, fmt.Errorf("%w: no backup candidate distinct from primary", ErrNoRoute)
-	}
-	return best, nil
-}

@@ -140,30 +140,6 @@ func TestDijkstraNilWeightIsHops(t *testing.T) {
 	}
 }
 
-func TestWidestPath(t *testing.T) {
-	// 0-1 thin direct link, 0-2-1 wide detour.
-	g := topology.NewGraph(3)
-	for i := 0; i < 3; i++ {
-		g.AddNode(topology.Point{})
-	}
-	thin, _ := g.AddLink(0, 1)
-	g.AddLink(0, 2)
-	g.AddLink(2, 1)
-	capFn := func(l topology.LinkID) float64 {
-		if l == thin {
-			return 1
-		}
-		return 100
-	}
-	p, width, err := WidestPath(g, 0, 1, capFn, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if width != 100 || p.Hops() != 2 {
-		t.Fatalf("width = %v, hops = %d", width, p.Hops())
-	}
-}
-
 func TestPathHelpers(t *testing.T) {
 	g := line(t, 4)
 	p, err := ShortestHops(g, 0, 3, nil)
@@ -400,33 +376,6 @@ func TestBackupRouteEmptyPrimary(t *testing.T) {
 	g := line(t, 2)
 	if _, _, err := BackupRoute(g, Path{Nodes: []topology.NodeID{0}}, nil); err == nil {
 		t.Fatal("primary without links accepted")
-	}
-}
-
-func TestMostDisjointCandidate(t *testing.T) {
-	g := topology.NewGraph(4)
-	for i := 0; i < 4; i++ {
-		g.AddNode(topology.Point{})
-	}
-	g.AddLink(0, 1)
-	g.AddLink(1, 3)
-	g.AddLink(0, 2)
-	g.AddLink(2, 3)
-	alw := func(topology.LinkID, topology.NodeID) float64 { return 10 }
-	cands, err := BoundedFlood(g, 0, 3, alw, FloodConfig{HopBound: 4, MinBandwidth: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	primary := cands[0].Path
-	backup, err := MostDisjointCandidate(primary, cands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !backup.Path.LinkDisjoint(primary) {
-		t.Fatalf("backup %v not disjoint from %v", backup.Path, primary)
-	}
-	if _, err := MostDisjointCandidate(primary, cands[:1]); !errors.Is(err, ErrNoRoute) {
-		t.Fatalf("single-candidate case: %v", err)
 	}
 }
 

@@ -250,77 +250,3 @@ func (s *RouteScratch) dijkstra(g *topology.Graph, src, dst topology.NodeID, wei
 	}
 	return false
 }
-
-// WidestPath returns the path from src to dst maximizing the bottleneck
-// value of capacity(link), breaking ties by hop count. It is used to find
-// the route with the best bandwidth allowance.
-func WidestPath(g *topology.Graph, src, dst topology.NodeID, capacity LinkWeight, filter LinkFilter) (Path, float64, error) {
-	if err := checkEndpoints(g, src, dst); err != nil {
-		return Path{}, 0, err
-	}
-	if src == dst {
-		return Path{Nodes: []topology.NodeID{src}}, 0, nil
-	}
-	// Modified Dijkstra on (bottleneck desc, hops asc).
-	width := make([]float64, g.NumNodes())
-	hops := make([]int, g.NumNodes())
-	prevNode := make([]topology.NodeID, g.NumNodes())
-	prevLink := make([]topology.LinkID, g.NumNodes())
-	settled := make([]bool, g.NumNodes())
-	for i := range width {
-		width[i] = -1
-	}
-	type wItem struct {
-		node  topology.NodeID
-		width float64
-		hops  int
-	}
-	better := func(a, b wItem) bool {
-		if a.width != b.width {
-			return a.width > b.width
-		}
-		return a.hops < b.hops
-	}
-	// Simple O(V^2) selection keeps the code obvious; graphs are small.
-	frontier := map[topology.NodeID]wItem{src: {node: src, width: 1e300, hops: 0}}
-	width[src] = 1e300
-	for len(frontier) > 0 {
-		var best wItem
-		first := true
-		for _, it := range frontier {
-			if first || better(it, best) {
-				best, first = it, false
-			}
-		}
-		delete(frontier, best.node)
-		if settled[best.node] {
-			continue
-		}
-		settled[best.node] = true
-		if best.node == dst {
-			return reconstruct(src, dst, prevNode, prevLink), best.width, nil
-		}
-		g.ForEachNeighbor(best.node, func(peer topology.NodeID, link topology.LinkID) {
-			if settled[peer] || (filter != nil && !filter(link)) {
-				return
-			}
-			c := capacity(link)
-			if c <= 0 {
-				return
-			}
-			w := best.width
-			if c < w {
-				w = c
-			}
-			cand := wItem{node: peer, width: w, hops: best.hops + 1}
-			if width[peer] < 0 || better(cand, wItem{node: peer, width: width[peer], hops: hops[peer]}) {
-				width[peer] = w
-				hops[peer] = cand.hops
-				prevNode[peer] = best.node
-				prevLink[peer] = link
-				frontier[peer] = cand
-			}
-		})
-	}
-	return Path{}, 0, fmt.Errorf("%w: %d -> %d", ErrNoRoute, src, dst)
-}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"io"
+	"log"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -159,7 +161,61 @@ func TestShutdownDrainExpiredContext(t *testing.T) {
 	}
 }
 
-func newDegradedTestServer(t *testing.T, onDegrade func(string)) *server.Server {
+// logCapture is a slog handler that keeps every record as its message
+// ("msg") and attributes, in text. The server logs its own transitions
+// (degrade, recover, overload) through the default logger, so the tests
+// count them here.
+type logCapture struct {
+	mu   sync.Mutex
+	recs []map[string]string
+}
+
+func (c *logCapture) Enabled(context.Context, slog.Level) bool { return true }
+func (c *logCapture) WithAttrs([]slog.Attr) slog.Handler       { return c }
+func (c *logCapture) WithGroup(string) slog.Handler            { return c }
+
+func (c *logCapture) Handle(_ context.Context, r slog.Record) error {
+	rec := map[string]string{"msg": r.Message}
+	r.Attrs(func(a slog.Attr) bool {
+		rec[a.Key] = a.Value.String()
+		return true
+	})
+	c.mu.Lock()
+	c.recs = append(c.recs, rec)
+	c.mu.Unlock()
+	return nil
+}
+
+// records returns the records seen so far whose message starts with prefix.
+func (c *logCapture) records(prefix string) []map[string]string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []map[string]string
+	for _, r := range c.recs {
+		if strings.HasPrefix(r["msg"], prefix) {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// captureLog routes the default slog logger into a logCapture until the
+// test ends. No test in this package runs in parallel, so swapping the
+// process-wide default is safe.
+func captureLog(t *testing.T) *logCapture {
+	c := &logCapture{}
+	prev, w, flags := slog.Default(), log.Writer(), log.Flags()
+	slog.SetDefault(slog.New(c))
+	t.Cleanup(func() {
+		// SetDefault redirected the log package into c; point it back.
+		slog.SetDefault(prev)
+		log.SetOutput(w)
+		log.SetFlags(flags)
+	})
+	return c
+}
+
+func newDegradedTestServer(t *testing.T) *server.Server {
 	t.Helper()
 	g, err := topology.Waxman(topology.WaxmanConfig{
 		Nodes: 40, Alpha: 0.33, Beta: 0.25, EnsureConnected: true,
@@ -168,7 +224,7 @@ func newDegradedTestServer(t *testing.T, onDegrade func(string)) *server.Server 
 		t.Fatal(err)
 	}
 	s, err := server.New(g, manager.Config{Capacity: 10000}, server.Options{
-		QueueDepth: 64, OnDegrade: onDegrade,
+		QueueDepth: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -191,13 +247,8 @@ func corrupt(t *testing.T, s *server.Server) {
 // contract end to end: the server flips degraded exactly once and keeps
 // answering reads.
 func TestDegradedMode(t *testing.T) {
-	var degradeCalls atomic.Int64
-	s := newDegradedTestServer(t, func(reason string) {
-		degradeCalls.Add(1)
-		if reason == "" {
-			t.Error("OnDegrade fired with empty reason")
-		}
-	})
+	logs := captureLog(t)
+	s := newDegradedTestServer(t)
 	defer s.Shutdown(context.Background())
 	ctx := context.Background()
 	spec := qos.DefaultSpec()
@@ -241,10 +292,11 @@ func TestDegradedMode(t *testing.T) {
 		t.Errorf("snapshot alive = %d while degraded, want 1 (reads must still work)", st.Alive)
 	}
 
-	// Repeated dirty audits bump the counter but fire OnDegrade only once.
+	// Repeated dirty audits bump the counter but log the degrade only once,
+	// with its reason.
 	_ = s.CheckInvariants(ctx)
-	if n := degradeCalls.Load(); n != 1 {
-		t.Errorf("OnDegrade fired %d times, want exactly 1", n)
+	if recs := logs.records("degraded"); len(recs) != 1 || recs[0]["reason"] == "" {
+		t.Errorf("degrade records %v, want exactly 1 naming its reason", recs)
 	}
 }
 
@@ -252,7 +304,7 @@ func TestDegradedMode(t *testing.T) {
 // answer 503, /v1/invariants and /v1/stats report the state, /metrics
 // exposes the gauge and counter.
 func TestDegradedHTTP(t *testing.T) {
-	s := newDegradedTestServer(t, nil)
+	s := newDegradedTestServer(t)
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(server.NewHandler(s))
 	defer ts.Close()
@@ -293,7 +345,7 @@ func TestDegradedHTTP(t *testing.T) {
 // to 1 (and Stats.Epoch.Frozen to true) so dashboards can tell a frozen
 // read path from a wedged loop — and staleness alarms can exclude it.
 func TestFrozenSnapshotMetric(t *testing.T) {
-	s := newDegradedTestServer(t, nil)
+	s := newDegradedTestServer(t)
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(server.NewHandler(s))
 	defer ts.Close()

@@ -426,17 +426,6 @@ func NewHandler(s *Server, opts ...HandlerOption) http.Handler {
 		}
 		WriteJSON(w, http.StatusOK, map[string]any{"recovered": true, "journal_seq": seq})
 	})
-	mux.HandleFunc("POST /v1/admin/promote", func(w http.ResponseWriter, r *http.Request) {
-		// Manual failover: flip this follower to primary under a new fencing
-		// term. The replica failover controller calls the same method on
-		// sustained primary health-check failure.
-		term, err := s.Promote(r.Context())
-		if err != nil {
-			WriteError(w, err)
-			return
-		}
-		WriteJSON(w, http.StatusOK, map[string]any{"promoted": true, "term": term, "role": s.Role()})
-	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		// Scrapes ride the epoch view: a wedged or saturated actor loop can
 		// no longer take monitoring down with it.

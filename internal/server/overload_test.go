@@ -107,13 +107,11 @@ func TestPriorityLaneOrdering(t *testing.T) {
 // checks the overloaded state latches, then self-clears once the backlog
 // drains and the queue goes quiet.
 func TestOverloadDetectorEndToEnd(t *testing.T) {
-	var flips []bool
-	var mu sync.Mutex
+	logs := captureLog(t)
 	s := newOverloadTestServer(t, server.Options{
 		QueueDepth: 256,
 		ExecDelay:  2 * time.Millisecond,
 		Overload:   overload.DetectorConfig{Target: time.Millisecond, Interval: 5 * time.Millisecond},
-		OnOverload: func(v bool) { mu.Lock(); flips = append(flips, v); mu.Unlock() },
 	})
 	defer s.Shutdown(context.Background())
 	ctx := context.Background()
@@ -138,11 +136,9 @@ func TestOverloadDetectorEndToEnd(t *testing.T) {
 	if got := s.OverloadEpisodes(); got == 0 {
 		t.Fatal("sustained 2ms/command backlog never latched the overload state")
 	}
-	mu.Lock()
-	if len(flips) == 0 || !flips[0] {
-		t.Errorf("OnOverload flips = %v, want first flip true", flips)
+	if flips := logs.records("overload"); len(flips) == 0 || !strings.HasPrefix(flips[0]["msg"], "overloaded") {
+		t.Errorf("overload records %v, want the first to say overloaded", flips)
 	}
-	mu.Unlock()
 	// Backlog fully drained and quiet: the latch must clear by itself
 	// (either a below-target sample or the idle self-clear path).
 	deadline := time.Now().Add(5 * time.Second)

@@ -26,6 +26,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"time"
 
 	"drqos/internal/journal"
@@ -48,28 +49,12 @@ var ErrNotDegraded = errors.New("server: not degraded, nothing to recover")
 // is already running.
 var ErrRecoveryInProgress = errors.New("server: recovery already in progress")
 
-// RecoverPolicy configures automatic recovery from degraded mode.
-type RecoverPolicy struct {
-	// Auto starts a background supervisor when the server degrades, which
-	// retries Recover with capped exponential backoff until it succeeds or
-	// the server shuts down.
-	Auto bool
-	// InitialBackoff is the delay after the first failed attempt
-	// (default 100ms).
-	InitialBackoff time.Duration
-	// MaxBackoff caps the exponential growth (default 5s).
-	MaxBackoff time.Duration
-}
-
-func (p RecoverPolicy) withDefaults() RecoverPolicy {
-	if p.InitialBackoff <= 0 {
-		p.InitialBackoff = 100 * time.Millisecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 5 * time.Second
-	}
-	return p
-}
+// The automatic-recovery supervisor's backoff: the delay after its first
+// failed attempt, doubling up to the cap.
+const (
+	recoverInitialBackoff = 100 * time.Millisecond
+	recoverMaxBackoff     = 5 * time.Second
+)
 
 // RecoveryStatus reports the recovery counters for stats and metrics.
 func (s *Server) RecoveryStatus() (recovering bool, recoveries, failures int64, lastErr string) {
@@ -104,8 +89,8 @@ func (s *Server) Recover(ctx context.Context) (uint64, error) {
 		return 0, ErrNotDegraded
 	}
 	seq, err := s.Reseed(ctx)
-	if err == nil && s.onRecover != nil {
-		s.onRecover(seq)
+	if err == nil {
+		slog.Info("recovered: rebuilt from the journal, serving mutations again", "seq", seq)
 	}
 	return seq, err
 }
@@ -156,11 +141,10 @@ func (s *Server) recoverOnce(ctx context.Context) (uint64, error) {
 }
 
 // superviseRecovery is the automatic-recovery loop, spawned by
-// noteViolation when the policy asks for it. Capped exponential backoff;
+// noteViolation under Options.AutoRecover. Capped exponential backoff;
 // stops on success or at shutdown.
 func (s *Server) superviseRecovery() {
-	p := s.recoverPolicy
-	backoff := p.InitialBackoff
+	backoff := recoverInitialBackoff
 	for {
 		_, err := s.Recover(context.Background())
 		switch {
@@ -174,10 +158,7 @@ func (s *Server) superviseRecovery() {
 			return
 		case <-time.After(backoff):
 		}
-		backoff *= 2
-		if backoff > p.MaxBackoff {
-			backoff = p.MaxBackoff
-		}
+		backoff = min(2*backoff, recoverMaxBackoff)
 	}
 }
 

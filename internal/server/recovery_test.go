@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -140,11 +139,8 @@ func TestRestartReplaysJournal(t *testing.T) {
 // and the server serves mutations again, with the metrics to prove it.
 func TestRecoverHTTP(t *testing.T) {
 	g := journaledGraph(t)
-	var recovered atomic.Int64
-	s, _ := newJournaledServer(t, g, server.Options{
-		SnapshotEvery: 5,
-		OnRecover:     func(seq uint64) { recovered.Add(1) },
-	})
+	logs := captureLog(t)
+	s, _ := newJournaledServer(t, g, server.Options{SnapshotEvery: 5})
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(server.NewHandler(s))
 	defer ts.Close()
@@ -177,8 +173,8 @@ func TestRecoverHTTP(t *testing.T) {
 	if code != http.StatusOK || !rr.Recovered || rr.JournalSeq == 0 {
 		t.Fatalf("recover: %d %s", code, raw)
 	}
-	if recovered.Load() != 1 {
-		t.Fatalf("OnRecover fired %d times, want 1", recovered.Load())
+	if n := len(logs.records("recovered")); n != 1 {
+		t.Fatalf("recovery logged %d times, want 1", n)
 	}
 
 	// Back in service: audit clean, mutations succeed, stats un-latched.
@@ -209,13 +205,11 @@ func TestRecoverHTTP(t *testing.T) {
 	}
 }
 
-// TestAutoRecover checks the supervisor: with RecoverPolicy.Auto the server
-// exits degraded mode by itself.
+// TestAutoRecover checks the supervisor: with Options.AutoRecover the
+// server exits degraded mode by itself.
 func TestAutoRecover(t *testing.T) {
 	g := journaledGraph(t)
-	s, _ := newJournaledServer(t, g, server.Options{
-		Recover: server.RecoverPolicy{Auto: true, InitialBackoff: time.Millisecond, MaxBackoff: 10 * time.Millisecond},
-	})
+	s, _ := newJournaledServer(t, g, server.Options{AutoRecover: true})
 	defer s.Shutdown(context.Background())
 	establishN(t, s, 5)
 	corrupt(t, s)
@@ -242,7 +236,7 @@ func TestAutoRecover(t *testing.T) {
 // TestRecoverWithoutJournal: an in-memory server has nothing to rebuild
 // from; recovery is refused and degraded stays latched.
 func TestRecoverWithoutJournal(t *testing.T) {
-	s := newDegradedTestServer(t, nil)
+	s := newDegradedTestServer(t)
 	defer s.Shutdown(context.Background())
 	corrupt(t, s)
 	_ = s.CheckInvariants(context.Background())

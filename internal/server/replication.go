@@ -98,25 +98,6 @@ func (s *Server) Term() uint64 { return s.term.Load() }
 // Promotions returns how many times this server promoted to primary.
 func (s *Server) Promotions() int64 { return s.promotions.Load() }
 
-// latchDiverged flips the server into degraded mode over a replication
-// divergence — same latch the invariant checker uses, so promotion,
-// mutations and epoch publishing all refuse through the one mechanism.
-// Loop goroutine only.
-func (s *Server) latchDiverged(reason string) {
-	s.invariantViolations.Add(1)
-	s.degradedMu.Lock()
-	if s.degradedReason == "" {
-		s.degradedReason = reason
-	}
-	s.degradedMu.Unlock()
-	if s.degraded.CompareAndSwap(false, true) && s.onDegrade != nil {
-		s.onDegrade(reason)
-	}
-	// No superviseRecovery here: local replay reproduces the divergent
-	// state, so only a snapshot re-bootstrap from the primary (the replica
-	// layer's job) can clear it.
-}
-
 // ApplyReplicated applies a batch of journal records shipped from the
 // primary: each record is appended to the local journal under the
 // primary's sequence number and replayed into the live manager, KindTerm
@@ -169,8 +150,11 @@ func (s *Server) ApplyReplicated(ctx context.Context, evs []journal.Event, verif
 			if err := Replay(m, s.txns, ev); err != nil {
 				// The journal holds a record the state machine rejects: this
 				// copy can no longer vouch for the primary's history.
+				// No auto-recovery: local replay reproduces the divergent
+				// state, so only a snapshot re-bootstrap from the primary
+				// (the replica layer's job) can clear it.
 				reason := fmt.Sprintf("replicated apply failed: %v", err)
-				s.latchDiverged(reason)
+				s.latchDegraded(reason)
 				a.err = fmt.Errorf("%w: %s", ErrDiverged, reason)
 				break
 			}
@@ -179,7 +163,7 @@ func (s *Server) ApplyReplicated(ctx context.Context, evs []journal.Event, verif
 				if fp := m.ExportState().Fingerprint(); fp != verify[vi].Fingerprint {
 					reason := fmt.Sprintf("fingerprint mismatch at seq %d: local %s, primary %s",
 						seq, fp, verify[vi].Fingerprint)
-					s.latchDiverged(reason)
+					s.latchDegraded(reason)
 					a.err = fmt.Errorf("%w: %s", ErrDiverged, reason)
 					break
 				}

@@ -54,6 +54,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -149,19 +150,11 @@ type Options struct {
 	// overloaded state. Zero selects the defaults (100ms target, 1s
 	// interval); Target < 0 disables detection entirely.
 	Overload overload.DetectorConfig
-	// OnOverload, when non-nil, is called from the command loop goroutine
-	// each time the overloaded state flips (true = latched, false =
-	// cleared by a good sample). Daemons use it to log transitions.
-	OnOverload func(overloaded bool)
 	// ExecDelay adds an artificial pause before each executed command.
 	// Zero in production (no flag sets it); overload tests and the chaos
 	// harness use it to make queueing delay — and therefore shedding —
 	// deterministic.
 	ExecDelay time.Duration
-	// OnDegrade, when non-nil, is called exactly once per degrade episode —
-	// from the command loop goroutine — when an invariant violation flips
-	// the server into degraded mode. Daemons use it to log the event.
-	OnDegrade func(reason string)
 	// Journal, when non-nil, makes every mutation durable: commands are
 	// appended (write-ahead) before the manager applies them. The server
 	// takes ownership of snapshot writing but NOT of Close — the daemon
@@ -170,13 +163,11 @@ type Options struct {
 	// SnapshotEvery writes a state snapshot after this many journaled
 	// events (default 1024; negative disables snapshots).
 	SnapshotEvery int
-	// Recover configures automatic recovery from degraded mode; zero value
+	// AutoRecover starts a background supervisor when an invariant
+	// violation degrades a journaled server: it retries Recover with capped
+	// exponential backoff until it succeeds or the server shuts down. False
 	// means manual-only (POST /v1/admin/recover).
-	Recover RecoverPolicy
-	// OnRecover, when non-nil, is called after each successful recovery
-	// with the journal sequence the rebuilt manager reached. It mirrors
-	// OnDegrade; daemons use it to log the event.
-	OnRecover func(seq uint64)
+	AutoRecover bool
 	// Txns seeds the cross-shard transaction table — typically the one a
 	// journal rebuild recovered (RebuildWithTxns). Nil starts empty. Only
 	// the sharded deployment uses it; a standalone server's table stays
@@ -213,8 +204,7 @@ type Options struct {
 	// re-solved on Forecast.Interval off the actor loop, and the HTTP
 	// layer serves /v1/forecast and /v1/forecast/whatif. With
 	// Forecast.Predictive the solved model additionally drives the
-	// overload detector's predictive latch (the server chains the
-	// detector update in front of any caller-supplied OnPredict).
+	// overload detector's predictive latch (the server sets OnPredict).
 	Forecast *forecast.Config
 }
 
@@ -245,7 +235,6 @@ type Server struct {
 	// delay digests are loop-owned and only read from inside loop commands
 	// (Snapshot).
 	detector       *overload.Detector
-	onOverload     func(bool)
 	execDelay      time.Duration
 	delayFreeing   *stats.Digest
 	delayConsuming *stats.Digest
@@ -275,7 +264,6 @@ type Server struct {
 	degradedMu          sync.Mutex
 	degradedReason      string
 	invariantViolations atomic.Int64
-	onDegrade           func(string)
 
 	// Live analytic control plane (forecast.go); nil when disabled. The
 	// loop goroutine feeds it, its own goroutine solves, readers are
@@ -294,8 +282,7 @@ type Server struct {
 	replicaStats     func() *ReplicaStats
 
 	// Recovery state (recovery.go).
-	recoverPolicy    RecoverPolicy
-	onRecover        func(uint64)
+	autoRecover      bool
 	recovering       atomic.Bool
 	recoveries       atomic.Int64
 	recoveryFailures atomic.Int64
@@ -348,15 +335,12 @@ func NewFromManager(g *topology.Graph, mgr *manager.Manager, opt Options) (*Serv
 		mgr:            mgr,
 		txns:           opt.Txns,
 		detector:       overload.NewDetector(opt.Overload, nil),
-		onOverload:     opt.OnOverload,
 		execDelay:      opt.ExecDelay,
 		delayFreeing:   stats.NewDigest(),
 		delayConsuming: stats.NewDigest(),
 		jnl:            opt.Journal,
 		snapshotEvery:  snapEvery,
-		onDegrade:      opt.OnDegrade,
-		recoverPolicy:  opt.Recover.withDefaults(),
-		onRecover:      opt.OnRecover,
+		autoRecover:    opt.AutoRecover,
 		capacityKbps:   int64(mgr.Network().Capacity()),
 
 		waitReplicated:   opt.WaitReplicated,
@@ -381,15 +365,7 @@ func NewFromManager(g *topology.Graph, mgr *manager.Manager, opt Options) (*Serv
 			fcfg.DirectedLinks = g.NumDirLinks()
 		}
 		if fcfg.Predictive {
-			// The detector update must run even when the caller also wants
-			// the flip for logging: chain, detector first.
-			userPredict := fcfg.OnPredict
-			fcfg.OnPredict = func(saturated bool) {
-				s.detector.SetPredicted(saturated)
-				if userPredict != nil {
-					userPredict(saturated)
-				}
-			}
+			fcfg.OnPredict = func(saturated bool) { s.detector.SetPredicted(saturated) }
 		}
 		fc, err := forecast.New(fcfg)
 		if err != nil {
@@ -449,8 +425,10 @@ func (s *Server) run(cmd command, l lane) {
 		// Only consuming-lane delay drives the overload detector: freeing
 		// work jumps the queue by design, so its (always small) delay says
 		// nothing about the backlog admission control must react to.
-		if over, changed := s.detector.Observe(delay); changed && s.onOverload != nil {
-			s.onOverload(over)
+		if over, changed := s.detector.Observe(delay); changed && over {
+			slog.Warn("overloaded: sustained queue delay above target, refusing new establishes with 503; terminations and reads stay live")
+		} else if changed {
+			slog.Info("overload cleared: queue delay back under target, admitting establishes again")
 		}
 	}
 	if err := cmd.ctx.Err(); err != nil {
@@ -521,27 +499,35 @@ func (s *Server) InvariantViolations() int64 { return s.invariantViolations.Load
 
 // noteViolation inspects an event handler's error for an invariant
 // violation and, on the first one, flips the server into degraded mode.
-// Only the loop goroutine calls it. When an automatic recovery policy is
-// configured, flipping also starts the background recovery supervisor.
+// Only the loop goroutine calls it. With AutoRecover on a journaled server,
+// flipping also starts the background recovery supervisor.
 func (s *Server) noteViolation(err error) {
 	var iv *manager.InvariantViolation
 	if err == nil || !errors.As(err, &iv) {
 		return
 	}
+	if s.latchDegraded(iv.Error()) && s.autoRecover && s.jnl != nil {
+		go s.superviseRecovery()
+	}
+}
+
+// latchDegraded counts a violation and, on the first one of an episode,
+// flips the server into degraded mode and logs it; it reports whether this
+// call flipped it. The invariant checker and a replication divergence
+// latch through it, so promotion, mutations and epoch publishing all refuse
+// through the one mechanism. Loop goroutine only.
+func (s *Server) latchDegraded(reason string) bool {
 	s.invariantViolations.Add(1)
 	s.degradedMu.Lock()
 	if s.degradedReason == "" {
-		s.degradedReason = iv.Error()
+		s.degradedReason = reason
 	}
 	s.degradedMu.Unlock()
-	if s.degraded.CompareAndSwap(false, true) {
-		if s.onDegrade != nil {
-			s.onDegrade(iv.Error())
-		}
-		if s.recoverPolicy.Auto && s.jnl != nil {
-			go s.superviseRecovery()
-		}
+	if !s.degraded.CompareAndSwap(false, true) {
+		return false
 	}
+	slog.Error("degraded: refusing mutations, still serving reads", "reason", reason, "journaled", s.jnl != nil)
+	return true
 }
 
 // refuseIfDegraded is the guard every mutating command runs first: once the

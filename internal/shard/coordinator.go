@@ -69,13 +69,6 @@ type Options struct {
 	// may or may not hold the reservation, so the abort is also queued for
 	// resolution until the shard answers again).
 	PrepareTimeout time.Duration
-	// PrepareRetries is how many extra times a timed-out prepare is
-	// retried before the transaction aborts (default 2). Retries are safe:
-	// prepares are idempotent per (txn, path), so a participant that
-	// applied the original but lost the reply simply re-answers its pinned
-	// connection. Only timeout-class failures retry; domain refusals
-	// (rejection, overload, degraded) abort immediately.
-	PrepareRetries int
 	// SuspectWindow is how long a shard stays suspected unreachable after
 	// a phase-call timeout (default PrepareTimeout). While suspected, new
 	// cross establishes through the shard fail fast with
@@ -86,12 +79,15 @@ type Options struct {
 	// chaos harness injects netchaos here; production leaves it nil
 	// (direct in-process call).
 	Invoke func(ctx context.Context, shard int, phase string, call func(context.Context) error) error
-	// TestHookAfterPrepare, when non-nil, runs after each successful
-	// prepare with the participant's shard index and the transaction ID.
-	// A non-nil error is treated as a prepare failure (the transaction
-	// aborts). The chaos harness uses it to kill a shard mid-transaction.
-	TestHookAfterPrepare func(shard int, txn uint64) error
 }
+
+// prepareRetries is how many extra times a timed-out prepare is retried
+// before the transaction aborts. Retries are safe: prepares are idempotent
+// per (txn, path), so a participant that applied the original but lost the
+// reply simply re-answers its pinned connection. Only timeout-class
+// failures retry; domain refusals (rejection, overload, degraded) abort
+// immediately.
+const prepareRetries = 2
 
 // part is one pinned local connection of a cross-shard transaction.
 type part struct {
@@ -112,6 +108,9 @@ type Coordinator struct {
 	g    *topology.Graph
 	plan *Plan
 	opt  Options
+
+	// afterPrepare is the hook SetTestHookAfterPrepare installs (nil: none).
+	afterPrepare func(shard int, txn uint64) error
 
 	shards []*server.Server
 	jnls   []*journal.Journal // nil entries when Dir is empty
@@ -185,11 +184,6 @@ func New(g *topology.Graph, opt Options) (*Coordinator, error) {
 	}
 	if opt.PrepareTimeout <= 0 {
 		opt.PrepareTimeout = 2 * time.Second
-	}
-	if opt.PrepareRetries < 0 {
-		opt.PrepareRetries = 0
-	} else if opt.PrepareRetries == 0 {
-		opt.PrepareRetries = 2
 	}
 	if opt.SuspectWindow <= 0 {
 		opt.SuspectWindow = opt.PrepareTimeout
@@ -393,11 +387,14 @@ func (c *Coordinator) rebuildIndex(mgrs []*manager.Manager, tables []*server.Txn
 	}
 }
 
-// SetTestHookAfterPrepare installs the post-prepare hook after
-// construction, for tests whose hook needs the coordinator in hand. Call
-// only from the goroutine that will drive the next establish.
+// SetTestHookAfterPrepare installs (nil removes) a hook that runs after
+// each successful prepare with the participant's shard index and the
+// transaction ID. A non-nil error is treated as a prepare failure (the
+// transaction aborts); the chaos harness uses it to kill a shard
+// mid-transaction. Call only from the goroutine that will drive the next
+// establish.
 func (c *Coordinator) SetTestHookAfterPrepare(fn func(shard int, txn uint64) error) {
-	c.opt.TestHookAfterPrepare = fn
+	c.afterPrepare = fn
 }
 
 // NumShards returns the shard count.
@@ -487,7 +484,7 @@ func (c *Coordinator) prepareRun(ctx context.Context, r *run, txn uint64, peers 
 		if err == nil {
 			return rep, nil
 		}
-		if attempt >= c.opt.PrepareRetries || !errors.Is(err, context.DeadlineExceeded) || ctx.Err() != nil {
+		if attempt >= prepareRetries || !errors.Is(err, context.DeadlineExceeded) || ctx.Err() != nil {
 			return nil, err
 		}
 		c.mu.Lock()
@@ -559,8 +556,16 @@ func (c *Coordinator) ResolvePending(ctx context.Context) int {
 	}
 	c.mu.Unlock()
 
+	// In transaction order, not map order, so the re-sent phases land in
+	// each participant's journal in the same order on every run.
+	txns := make([]uint64, 0, len(work))
+	for txn := range work {
+		txns = append(txns, txn)
+	}
+	slices.Sort(txns)
 	resolved := 0
-	for txn, p := range work {
+	for _, txn := range txns {
+		p := work[txn]
 		for s := range p.shards {
 			if c.suspected(s) {
 				continue
@@ -702,8 +707,8 @@ func (c *Coordinator) establishCross(ctx context.Context, src, dst topology.Node
 		}
 		r.connID = rep.Conn.ID
 		prepared[r.shard] = true
-		if c.opt.TestHookAfterPrepare != nil {
-			if herr := c.opt.TestHookAfterPrepare(r.shard, txn); herr != nil {
+		if c.afterPrepare != nil {
+			if herr := c.afterPrepare(r.shard, txn); herr != nil {
 				abort("error")
 				return nil, herr
 			}
@@ -774,54 +779,16 @@ func splitRuns(p *Plan, path routing.Path) []*run {
 	return runs
 }
 
-// routeGlobal finds a shortest path on the global topology avoiding links
-// the coordinator knows are failed. BFS with deterministic neighbor order
-// (link insertion order), so the same topology and failure set always
-// yield the same path.
+// routeGlobal finds a minimum-hop path on the global topology avoiding
+// links the coordinator knows are failed. ShortestHops visits neighbours in
+// link insertion order, so the same topology and failure set always yield
+// the same path.
 func (c *Coordinator) routeGlobal(src, dst topology.NodeID) (routing.Path, error) {
 	c.mu.Lock()
-	failed := make(map[topology.LinkID]bool, len(c.failed))
-	for l := range c.failed {
-		failed[l] = true
-	}
-	c.mu.Unlock()
-
-	n := c.g.NumNodes()
-	prevNode := make([]topology.NodeID, n)
-	prevLink := make([]topology.LinkID, n)
-	seen := make([]bool, n)
-	for i := range prevNode {
-		prevNode[i] = -1
-	}
-	seen[src] = true
-	queue := []topology.NodeID{src}
-	for len(queue) > 0 && !seen[dst] {
-		u := queue[0]
-		queue = queue[1:]
-		c.g.ForEachNeighbor(u, func(v topology.NodeID, l topology.LinkID) {
-			if seen[v] || failed[l] {
-				return
-			}
-			seen[v] = true
-			prevNode[v] = u
-			prevLink[v] = l
-			queue = append(queue, v)
-		})
-	}
-	if !seen[dst] {
+	defer c.mu.Unlock()
+	path, err := routing.ShortestHops(c.g, src, dst, func(l topology.LinkID) bool { return !c.failed[l] })
+	if err != nil {
 		return routing.Path{}, fmt.Errorf("%w: %d -> %d", ErrNoRoute, src, dst)
-	}
-	var path routing.Path
-	for v := dst; v != src; v = prevNode[v] {
-		path.Nodes = append(path.Nodes, v)
-		path.Links = append(path.Links, prevLink[v])
-	}
-	path.Nodes = append(path.Nodes, src)
-	for i, j := 0, len(path.Nodes)-1; i < j; i, j = i+1, j-1 {
-		path.Nodes[i], path.Nodes[j] = path.Nodes[j], path.Nodes[i]
-	}
-	for i, j := 0, len(path.Links)-1; i < j; i, j = i+1, j-1 {
-		path.Links[i], path.Links[j] = path.Links[j], path.Links[i]
 	}
 	return path, nil
 }

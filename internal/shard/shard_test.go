@@ -370,7 +370,7 @@ func TestCrashBetweenPrepareAndCommit(t *testing.T) {
 	// Kill the first participant inside the 2PC, after its prepare landed.
 	killed := false
 	c2 := c // closure target; the hook fires on the same coordinator
-	opt.TestHookAfterPrepare = func(s int, txn uint64) error {
+	c.SetTestHookAfterPrepare(func(s int, txn uint64) error {
 		if killed {
 			return nil
 		}
@@ -380,9 +380,7 @@ func TestCrashBetweenPrepareAndCommit(t *testing.T) {
 			t.Errorf("victim shutdown: %v", err)
 		}
 		return fmt.Errorf("chaos: shard %d killed mid-2PC", s)
-	}
-	// Options are copied at New; reach the hook through the test seam.
-	c.SetTestHookAfterPrepare(opt.TestHookAfterPrepare)
+	})
 
 	if _, err := c.Establish(ctx, cs, cd, qos.DefaultSpec()); err == nil {
 		t.Fatal("doomed cross establish succeeded")
@@ -417,7 +415,6 @@ func TestCrashBetweenPrepareAndCommit(t *testing.T) {
 	if err := c.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	opt.TestHookAfterPrepare = nil
 	c, err = shard.New(g, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -703,5 +700,67 @@ func TestSerialScriptWritesIdenticalJournals(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		shardDir := fmt.Sprintf("shard-%03d", i)
 		compareDirs(t, filepath.Join(a, shardDir), filepath.Join(b, shardDir))
+	}
+}
+
+// TestResolverRecommitsInTxnOrder: six cross establishes whose commit to
+// their last participant fails leave six pending re-commits; one
+// ResolvePending after the failure clears writes them into that shard's
+// journal in transaction order, not map order.
+func TestResolverRecommitsInTxnOrder(t *testing.T) {
+	g := tierGraph(t, 1)
+	dir := t.TempDir()
+	type resolving struct{}
+	victim := -1
+	var commits []int // shards of the first establish's commits, in order
+	c := newCoordinator(t, g, shard.Options{
+		Shards: 4, Dir: dir, Journal: journal.Options{FsyncEvery: -1},
+		Invoke: func(ctx context.Context, s int, phase string, call func(context.Context) error) error {
+			if phase != "commit" {
+				return call(ctx)
+			}
+			if victim < 0 {
+				commits = append(commits, s)
+			} else if s == victim && ctx.Value(resolving{}) == nil {
+				// Only the test's own resolve pass gets through: the
+				// background resolver must not drain the queue first.
+				return errors.New("injected commit failure")
+			}
+			return call(ctx)
+		},
+	})
+	ctx := context.Background()
+	src, dst := crossPair(g, c.Plan())
+	if res, err := c.Establish(ctx, src, dst, qos.DefaultSpec()); err != nil || !res.Cross {
+		t.Fatalf("first cross establish: %+v, %v", res, err)
+	}
+	victim = commits[len(commits)-1]
+	for i := 0; i < 6; i++ {
+		if _, err := c.Establish(ctx, src, dst, qos.DefaultSpec()); err != nil {
+			t.Fatalf("cross establish %d: %v", i, err)
+		}
+	}
+	if n := c.PendingResolutions(); n != 6 {
+		t.Fatalf("%d pending resolutions, want 6", n)
+	}
+	if n := c.ResolvePending(context.WithValue(ctx, resolving{}, true)); n != 6 {
+		t.Fatalf("ResolvePending resolved %d, want 6", n)
+	}
+	if err := c.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	jnl, rec, err := journal.Open(filepath.Join(dir, fmt.Sprintf("shard-%03d", victim)), journal.Options{FsyncEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jnl.Close()
+	var order []uint64
+	for _, ev := range rec.Events {
+		if ev.Kind == journal.KindCommit {
+			order = append(order, ev.Txn)
+		}
+	}
+	if want := []uint64{1, 2, 3, 4, 5, 6, 7}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("shard %d journals commits for txns %v, want %v", victim, order, want)
 	}
 }
