@@ -27,7 +27,9 @@ race:
 # the answer writer (BenchmarkWriteJSON: an establish answer, one /v1/stats,
 # a 4-shard /v1/stats), the sharded front end in process
 # (BenchmarkFrontEnd: /v1/stats, /v1/shards and an establish over 300
-# standing connections on the tier topology)
+# standing connections on the tier topology),
+# the one latency histogram every latency report reads (BenchmarkLatency:
+# one Observe, one allocation-free p50/p90/p99 read)
 # and the paper-reproduction benchmarks at the repo root.
 bench:
 	go test -run xxx -bench 'BenchmarkManager' -benchmem ./internal/manager/
@@ -35,7 +37,7 @@ bench:
 	go test -run xxx -bench 'BenchmarkServerEstablish|BenchmarkWriteJSON' -benchmem ./internal/server/
 	go test -run xxx -bench 'BenchmarkFrontEnd' -benchmem ./internal/shard/
 	go test -run xxx -bench 'BenchmarkReplicatedEstablish' -benchmem ./internal/replica/
-	go test -run xxx -bench 'BenchmarkP2' -benchmem ./internal/stats/
+	go test -run xxx -bench 'BenchmarkLatency' -benchmem ./internal/stats/
 
 # CI's benchmark smoke: every benchmark once, the ones one iteration cannot
 # exercise again at enough iterations, then drbench's four workloads for two

@@ -1,7 +1,7 @@
 // Command drload is a closed-loop load generator for drserverd: K worker
 // goroutines replay a randomized arrival/termination/fault mix against the
-// daemon's JSON API and report throughput, outcome counts and streaming
-// latency percentiles (p50/p90/p99 via the P² estimator in internal/stats).
+// daemon's JSON API and report throughput, outcome counts and latency
+// percentiles (p50/p90/p99 of every attempt, from stats.Latency).
 // Transport failures, 503s (a degraded or overloaded server shedding
 // mutations) and 429s (per-client rate limit) are retried with capped
 // exponential backoff and jitter — honoring the server's Retry-After hint
@@ -21,7 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"os"
 	"strings"
@@ -35,7 +34,7 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "drload:", err)
 		os.Exit(1)
 	}
@@ -55,34 +54,28 @@ type counters struct {
 	errors      atomic.Int64
 }
 
-type latencies struct {
-	mu sync.Mutex
-	d  *stats.Digest
-}
-
-func (l *latencies) observe(seconds float64) {
-	l.mu.Lock()
-	l.d.Observe(seconds)
-	l.mu.Unlock()
-}
-
-func run() error {
+// run drives one load run with the command line args, writing its report
+// to out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("drload", flag.ContinueOnError)
 	var (
-		addr      = flag.String("addr", "http://127.0.0.1:8080", "drserverd base URL")
-		workers   = flag.Int("workers", 8, "concurrent closed-loop workers")
-		requests  = flag.Int64("requests", 10000, "total HTTP requests to issue")
-		seed      = flag.Uint64("seed", 1, "workload seed")
-		termFrac  = flag.Float64("terminate-frac", 0.35, "probability an op terminates an owned connection")
-		faultFrac = flag.Float64("fault-frac", 0.004, "probability an op injects/repairs a link fault")
-		minBW     = flag.Int64("min", 0, "elastic minimum (Kbps, 0 = server default spec)")
-		maxBW     = flag.Int64("max", 0, "elastic maximum (Kbps)")
-		inc       = flag.Int64("inc", 0, "elastic increment (Kbps)")
-		timeout   = flag.Duration("timeout", 10*time.Second, "per-request timeout")
-		retries   = flag.Int("retries", 4, "retry budget per request for transport errors and 503s (0 disables)")
-		retryBase = flag.Duration("retry-base", 50*time.Millisecond, "initial retry backoff (doubles per attempt, with jitter)")
-		retryMax  = flag.Duration("retry-max", 2*time.Second, "retry backoff cap")
+		addr      = fs.String("addr", "http://127.0.0.1:8080", "drserverd base URL")
+		workers   = fs.Int("workers", 8, "concurrent closed-loop workers")
+		requests  = fs.Int64("requests", 10000, "total HTTP requests to issue")
+		seed      = fs.Uint64("seed", 1, "workload seed")
+		termFrac  = fs.Float64("terminate-frac", 0.35, "probability an op terminates an owned connection")
+		faultFrac = fs.Float64("fault-frac", 0.004, "probability an op injects/repairs a link fault")
+		minBW     = fs.Int64("min", 0, "elastic minimum (Kbps, 0 = server default spec)")
+		maxBW     = fs.Int64("max", 0, "elastic maximum (Kbps)")
+		inc       = fs.Int64("inc", 0, "elastic increment (Kbps)")
+		timeout   = fs.Duration("timeout", 10*time.Second, "per-request timeout")
+		retries   = fs.Int("retries", 4, "retry budget per request for transport errors and 503s (0 disables)")
+		retryBase = fs.Duration("retry-base", 50*time.Millisecond, "initial retry backoff (doubles per attempt, with jitter)")
+		retryMax  = fs.Duration("retry-max", 2*time.Second, "retry backoff cap")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *workers <= 0 || *requests <= 0 {
 		return fmt.Errorf("workers (%d) and requests (%d) must be positive", *workers, *requests)
 	}
@@ -100,12 +93,12 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("initial stats (is drserverd running at %s?): %w", base, err)
 	}
-	fmt.Printf("target: %s — %d nodes, %d links, capacity %d Kbps\n",
+	fmt.Fprintf(out, "target: %s — %d nodes, %d links, capacity %d Kbps\n",
 		base, st.Nodes, st.Links, st.CapacityKbps)
 
 	var (
 		cnt    counters
-		lat    = &latencies{d: stats.NewDigest()}
+		lat    stats.Latency
 		issued atomic.Int64
 		wg     sync.WaitGroup
 		msgs   = make(chan string, *workers) // first error per worker
@@ -125,7 +118,7 @@ func run() error {
 				termFrac: *termFrac, faultFrac: *faultFrac,
 				minBW: *minBW, maxBW: *maxBW, inc: *inc,
 				retries: *retries, retryBase: *retryBase, retryMax: *retryMax,
-				cnt: &cnt, lat: lat,
+				cnt: &cnt, lat: &lat,
 				failedLink: -1,
 			}
 			for issued.Add(1) <= *requests {
@@ -138,10 +131,13 @@ func run() error {
 					}
 				}
 			}
-			// Repair an outstanding fault (uncounted) so the run leaves
-			// the topology intact.
+			// Repair an outstanding fault so the run leaves the topology
+			// intact: one untimed request outside the counted outcomes,
+			// best effort (a link it fails to repair shows in the final
+			// server line's failed_links).
 			if wk.failedLink >= 0 {
-				_ = wk.fault()
+				_, _, _, _ = doJSON(client, "POST", base+"/v1/faults/link",
+					server.FaultRequest{Link: wk.failedLink, Action: "repair"}, nil)
 			}
 		}(w)
 	}
@@ -149,32 +145,32 @@ func run() error {
 	elapsed := time.Since(start)
 	close(msgs)
 
-	fmt.Printf("\n%d requests in %.2fs — %.0f req/s over %d workers\n",
+	fmt.Fprintf(out, "\n%d requests in %.2fs — %.0f req/s over %d workers\n",
 		*requests, elapsed.Seconds(), float64(*requests)/elapsed.Seconds(), *workers)
-	fmt.Printf("outcomes: established=%d rejected=%d terminated=%d gone=%d failed=%d repaired=%d conflicts=%d errors=%d\n",
+	fmt.Fprintf(out, "outcomes: established=%d rejected=%d terminated=%d gone=%d failed=%d repaired=%d conflicts=%d errors=%d\n",
 		cnt.established.Load(), cnt.rejected.Load(), cnt.terminated.Load(), cnt.gone.Load(),
 		cnt.failed.Load(), cnt.repaired.Load(), cnt.conflicts.Load(), cnt.errors.Load())
-	fmt.Printf("resilience: retries=%d honored_hints=%d giveups=%d\n",
+	fmt.Fprintf(out, "resilience: retries=%d honored_hints=%d giveups=%d\n",
 		cnt.retries.Load(), cnt.hints.Load(), cnt.giveups.Load())
-	d := lat.d
-	// An empty digest reports NaN quantiles; render "n/a" instead of a
-	// bogus 0.00ms (Mean/Max return 0 when empty, equally misleading).
-	ms := func(seconds float64) string {
-		if d.N() == 0 || math.IsNaN(seconds) {
+	d := lat.Summary()
+	// With no samples every figure is 0: render "n/a" instead of a bogus
+	// 0.00ms.
+	ms := func(v time.Duration) string {
+		if d.N == 0 {
 			return "n/a"
 		}
-		return fmt.Sprintf("%.2fms", seconds*1e3)
+		return fmt.Sprintf("%.2fms", v.Seconds()*1e3)
 	}
-	fmt.Printf("latency: mean=%s p50=%s p90=%s p99=%s max=%s (n=%d)\n",
-		ms(d.Mean()), ms(d.P50()), ms(d.P90()), ms(d.P99()), ms(d.Max()), d.N())
+	fmt.Fprintf(out, "latency: mean=%s p50=%s p90=%s p99=%s max=%s (n=%d)\n",
+		ms(d.Mean), ms(d.P50), ms(d.P90), ms(d.P99), ms(d.Max), d.N)
 	for m := range msgs {
-		fmt.Printf("first errors: %s\n", m)
+		fmt.Fprintf(out, "first errors: %s\n", m)
 	}
 
 	if st, err = fetchStats(client, base); err != nil {
 		return fmt.Errorf("final stats: %w", err)
 	}
-	fmt.Printf("server: alive=%d unprotected=%d avg_bw=%.1fKbps reject_rate=%.3f failed_links=%v\n",
+	fmt.Fprintf(out, "server: alive=%d unprotected=%d avg_bw=%.1fKbps reject_rate=%.3f failed_links=%v\n",
 		st.Alive, st.Unprotected, st.AvgBandwidthKbps, st.RejectRate, st.FailedLinks)
 
 	var inv struct {
@@ -187,7 +183,7 @@ func run() error {
 	if !inv.OK {
 		return fmt.Errorf("server invariants dirty: %s", inv.Error)
 	}
-	fmt.Println("server invariants: clean")
+	fmt.Fprintln(out, "server invariants: clean")
 	if n := cnt.errors.Load(); n > 0 {
 		return fmt.Errorf("%d request errors", n)
 	}
@@ -210,7 +206,7 @@ type worker struct {
 	retries             int
 	retryBase, retryMax time.Duration
 	cnt                 *counters
-	lat                 *latencies
+	lat                 *stats.Latency
 	owned               []int64
 	failedLink          int
 }
@@ -327,7 +323,7 @@ func (w *worker) timed(method, path string, body, out any, hdrs ...string) (int,
 	for attempt := 0; ; attempt++ {
 		t0 := time.Now()
 		code, retryAfter, hinted, err := doJSON(w.client, method, w.base+path, body, out, hdrs...)
-		w.lat.observe(time.Since(t0).Seconds())
+		w.lat.Observe(time.Since(t0))
 		if err == nil && code != http.StatusServiceUnavailable && code != http.StatusTooManyRequests {
 			return code, nil
 		}

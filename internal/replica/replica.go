@@ -147,8 +147,9 @@ type Node struct {
 	lostLogged   bool
 	// verify is the newest verify point minted for a standby (shipper.go).
 	verify server.VerifyPoint
-	// How long confirmed acknowledgments waited on the standby, in ms.
-	ackWaitP50, ackWaitP99 *stats.P2Quantile
+	// How long confirmed acknowledgments waited on the standby. Atomic:
+	// written and read without n.mu.
+	ackWait stats.Latency
 	// Follower-side progress, served into the stats block.
 	primaryURL     string
 	applied        uint64
@@ -167,16 +168,12 @@ type Node struct {
 // (follower side).
 func NewNode(srv *server.Server, jnl *journal.Journal, cfg Config) *Node {
 	cfg = cfg.withDefaults()
-	p50, _ := stats.NewP2Quantile(0.50) // constant quantiles: cannot fail
-	p99, _ := stats.NewP2Quantile(0.99)
 	return &Node{
 		srv:        srv,
 		jnl:        jnl,
 		cfg:        cfg,
 		client:     &http.Client{Timeout: cfg.PollWait + 5*time.Second, Transport: cfg.Transport},
 		pollSignal: make(chan struct{}),
-		ackWaitP50: p50,
-		ackWaitP99: p99,
 		primaryURL: cfg.PrimaryURL,
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
@@ -223,9 +220,9 @@ func (n *Node) StatsBlock() *server.ReplicaStats {
 		}
 		rs.LeaseEnabled = n.cfg.Lease > 0
 		rs.LeaseLost = n.leaseLostLocked()
-		if n.ackWaitP50.N() > 0 {
-			rs.AckWaitMsP50 = n.ackWaitP50.Value()
-			rs.AckWaitMsP99 = n.ackWaitP99.Value()
+		if w := n.ackWait.Summary(); w.N > 0 {
+			rs.AckWaitMsP50 = w.P50.Seconds() * 1e3
+			rs.AckWaitMsP99 = w.P99.Seconds() * 1e3
 		}
 	}
 	return rs
@@ -320,7 +317,7 @@ func (n *Node) WaitReplicated(ctx context.Context, seq uint64) error {
 			slog.Warn("replica: lease lost, no standby poll within the lease; fencing acknowledgments", "lease", n.cfg.Lease)
 		}
 		if confirmed {
-			n.observeAckWait(time.Since(start))
+			n.ackWait.Observe(time.Since(start))
 			return nil
 		}
 		if leased {
@@ -348,16 +345,6 @@ func (n *Node) WaitReplicated(ctx context.Context, seq uint64) error {
 			return ctx.Err()
 		}
 	}
-}
-
-// observeAckWait feeds one confirmed acknowledgment's wait into the
-// quantiles the stats block reports.
-func (n *Node) observeAckWait(d time.Duration) {
-	ms := float64(d) / float64(time.Millisecond)
-	n.mu.Lock()
-	n.ackWaitP50.Observe(ms)
-	n.ackWaitP99.Observe(ms)
-	n.mu.Unlock()
 }
 
 // isMutation reports whether a request would originate a mutation — the

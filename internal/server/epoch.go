@@ -14,9 +14,9 @@
 // visible to its caller's very next read.
 //
 // Degraded state is never published: the view keeps describing the last
-// trusted state while live overlays (degraded flag, counters) tell the
-// truth about the present. Full state is not in an epoch; it leaves the
-// loop through ExportState only.
+// trusted state while live overlays (degraded flag, counters, lane delays)
+// tell the truth about the present. Full state is not in an epoch; it
+// leaves the loop through ExportState only.
 package server
 
 import (
@@ -70,11 +70,6 @@ type EpochView struct {
 	JournalSeq uint64
 
 	aggregates
-
-	// Lane delay digests rendered at publish time. The digests themselves
-	// are loop-owned; freezing them into the epoch is what lets StatsView
-	// report them without entering the loop. Depths are overlaid live.
-	Lanes map[string]LaneStats
 }
 
 // EpochStats is the epoch block of Stats. Frozen reports that publishing
@@ -107,7 +102,6 @@ func (s *Server) publishEpoch(m *manager.Manager) {
 		Seq:         s.epochSeq + 1,
 		PublishedAt: time.Now(),
 		aggregates:  aggregatesOf(m),
-		Lanes:       s.laneStats(),
 	}
 	if s.jnl != nil {
 		v.JournalSeq = s.jnl.LastSeq()
@@ -118,7 +112,7 @@ func (s *Server) publishEpoch(m *manager.Manager) {
 }
 
 // StatsView assembles a Stats answer from the published epoch plus live
-// overlays (flags, counters, instantaneous depths) — everything /v1/stats
+// overlays (flags, counters, lane depths and delays) — everything /v1/stats
 // reports, without entering the command lanes. The manager-derived fields
 // are exact as of the last applied mutation (the last trusted one while
 // degraded); the overlays are current.
@@ -132,23 +126,13 @@ func (s *Server) StatsView() Stats {
 		Requests:         v.Requests,
 		Rejects:          v.Rejects,
 		FailedLinks:      v.FailedLinks,
-		Lanes:            make(map[string]LaneStats, len(v.Lanes)),
-	}
-	// Frozen delay digests from the epoch, live depths from the channels.
-	for name, ls := range v.Lanes {
-		ls.Depth = len(s.freeing)
-		if name == laneConsuming.String() {
-			ls.Depth = len(s.consuming)
-		}
-		st.Lanes[name] = ls
 	}
 	s.overlayLive(&st)
 	return st
 }
 
 // Snapshot is StatsView behind an ordering barrier: it publishes inside the
-// loop, so the answer — lane-delay digests included — covers every command
-// the loop ran before it.
+// loop, so the answer covers every command the loop ran before it.
 func (s *Server) Snapshot(ctx context.Context) (Stats, error) {
 	return query(s, ctx, func(m *manager.Manager) (Stats, error) {
 		s.snapshots.Add(1)

@@ -151,6 +151,53 @@ func TestHTTPAPI(t *testing.T) {
 	}
 }
 
+// TestLaneReport: after N establishes over HTTP the consuming lane has
+// dequeued exactly N commands, its delay figures are ordered, and /metrics
+// renders them as the drqos_queue_delay_seconds summary.
+func TestLaneReport(t *testing.T) {
+	const n = 25
+	s := newTestServer(t, 64)
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(server.NewHandler(s))
+	defer ts.Close()
+	c := ts.Client()
+	for i := 0; i < n; i++ {
+		req := server.EstablishRequest{Src: i % 20, Dst: 20 + i%20}
+		if code, raw := doJSON(t, c, "POST", ts.URL+"/v1/connections", req, nil); code != http.StatusCreated && code != http.StatusConflict {
+			t.Fatalf("establish %d: %d %s", i, code, raw)
+		}
+	}
+
+	var st server.Stats
+	if code, raw := doJSON(t, c, "GET", ts.URL+"/v1/stats", nil, &st); code != http.StatusOK {
+		t.Fatalf("stats: %d %s", code, raw)
+	}
+	l := st.Lanes["consuming"]
+	if l.DelayCount != n {
+		t.Errorf("lanes.consuming.delay_count = %d, want %d", l.DelayCount, n)
+	}
+	if !(l.DelayP50Sec <= l.DelayP90Sec && l.DelayP90Sec <= l.DelayP99Sec && l.DelayP99Sec <= l.DelayMaxSec && l.DelayMaxSec > 0) {
+		t.Errorf("consuming lane delays not ordered p50 <= p90 <= p99 <= max, max > 0: %+v", l)
+	}
+
+	resp, err := c.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	mb, _ := io.ReadAll(resp.Body)
+	for _, want := range []string{
+		`drqos_queue_delay_seconds{q="consuming",quantile="0.5"} `,
+		`drqos_queue_delay_seconds{q="consuming",quantile="0.9"} `,
+		`drqos_queue_delay_seconds{q="consuming",quantile="0.99"} `,
+		fmt.Sprintf(`drqos_queue_delay_seconds_count{q="consuming"} %d`, n),
+	} {
+		if !strings.Contains(string(mb), "\n"+want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+}
+
 // TestInvariantsAnswersOneInstant: on a journaled server under concurrent
 // mutators, every (journal_seq, fingerprint) pair GET /v1/invariants
 // returns is the fingerprint of the journal replayed up to exactly that

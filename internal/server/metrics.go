@@ -77,7 +77,7 @@ func WriteMetrics(w io.Writer, st Stats) {
 	for _, q := range []string{"freeing", "consuming"} {
 		fmt.Fprintf(w, "drqos_queue_depth{q=%q} %d\n", q, st.Lanes[q].Depth)
 	}
-	fmt.Fprintf(w, "# HELP drqos_queue_delay_seconds Actor-loop queueing delay per priority lane (streaming P2 quantiles).\n# TYPE drqos_queue_delay_seconds summary\n")
+	fmt.Fprintf(w, "# HELP drqos_queue_delay_seconds Actor-loop queueing delay per priority lane (quantiles of a fixed-bucket histogram).\n# TYPE drqos_queue_delay_seconds summary\n")
 	for _, q := range []string{"freeing", "consuming"} {
 		ls := st.Lanes[q]
 		if ls.DelayCount > 0 {
@@ -140,7 +140,7 @@ func WriteMetrics(w io.Writer, st Stats) {
 			gauge("drqos_replica_lease_lost", "1 while the primary's standby-granted replication lease has lapsed and mutations are fenced.", lost)
 		}
 		if r.AckWaitMsP99 > 0 {
-			fmt.Fprintf(w, "# HELP drqos_replica_ack_wait_seconds Time acknowledgments waited for the standby to confirm the record (streaming P2 quantiles).\n# TYPE drqos_replica_ack_wait_seconds summary\n")
+			fmt.Fprintf(w, "# HELP drqos_replica_ack_wait_seconds Time acknowledgments waited for the standby to confirm the record (quantiles of a fixed-bucket histogram).\n# TYPE drqos_replica_ack_wait_seconds summary\n")
 			fmt.Fprintf(w, "drqos_replica_ack_wait_seconds{quantile=\"0.5\"} %g\n", r.AckWaitMsP50/1e3)
 			fmt.Fprintf(w, "drqos_replica_ack_wait_seconds{quantile=\"0.99\"} %g\n", r.AckWaitMsP99/1e3)
 		}

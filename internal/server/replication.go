@@ -73,7 +73,7 @@ type ReplicaStats struct {
 	// node is fenced (mutations answer 503 until a standby confirms again).
 	LeaseEnabled bool `json:"lease_enabled,omitempty"`
 	LeaseLost    bool `json:"lease_lost,omitempty"`
-	// AckWaitMsP50/P99 are streaming quantiles of how long acknowledgments
+	// AckWaitMsP50/P99 are quantiles of how long acknowledgments
 	// a standby confirmed waited for that confirmation (the wait-replicated
 	// stage alone, local durability excluded); absent until one has.
 	AckWaitMsP50 float64 `json:"ack_wait_ms_p50,omitempty"`

@@ -232,12 +232,11 @@ type Server struct {
 	txns *TxnTable
 
 	// Overload control plane. detector is internally synchronized; the
-	// delay digests are loop-owned and only read from inside loop commands
-	// (Snapshot).
+	// loop writes the lane delay histograms and any goroutine reads them.
 	detector       *overload.Detector
 	execDelay      time.Duration
-	delayFreeing   *stats.Digest
-	delayConsuming *stats.Digest
+	delayFreeing   stats.Latency
+	delayConsuming stats.Latency
 	shedExpired    atomic.Int64
 	shedCanceled   atomic.Int64
 
@@ -326,22 +325,20 @@ func NewFromManager(g *topology.Graph, mgr *manager.Manager, opt Options) (*Serv
 		snapEvery = 1024
 	}
 	s := &Server{
-		graph:          g,
-		cfg:            mgr.Config(),
-		freeing:        make(chan command, depth),
-		consuming:      make(chan command, depth),
-		loopDone:       make(chan struct{}),
-		stop:           make(chan struct{}),
-		mgr:            mgr,
-		txns:           opt.Txns,
-		detector:       overload.NewDetector(opt.Overload, nil),
-		execDelay:      opt.ExecDelay,
-		delayFreeing:   stats.NewDigest(),
-		delayConsuming: stats.NewDigest(),
-		jnl:            opt.Journal,
-		snapshotEvery:  snapEvery,
-		autoRecover:    opt.AutoRecover,
-		capacityKbps:   int64(mgr.Network().Capacity()),
+		graph:         g,
+		cfg:           mgr.Config(),
+		freeing:       make(chan command, depth),
+		consuming:     make(chan command, depth),
+		loopDone:      make(chan struct{}),
+		stop:          make(chan struct{}),
+		mgr:           mgr,
+		txns:          opt.Txns,
+		detector:      overload.NewDetector(opt.Overload, nil),
+		execDelay:     opt.ExecDelay,
+		jnl:           opt.Journal,
+		snapshotEvery: snapEvery,
+		autoRecover:   opt.AutoRecover,
+		capacityKbps:  int64(mgr.Network().Capacity()),
 
 		waitReplicated:   opt.WaitReplicated,
 		annotateSnapshot: opt.AnnotateSnapshot,
@@ -419,9 +416,9 @@ func (s *Server) loop() {
 func (s *Server) run(cmd command, l lane) {
 	delay := time.Since(cmd.enqueued)
 	if l == laneFreeing {
-		s.delayFreeing.Observe(delay.Seconds())
+		s.delayFreeing.Observe(delay)
 	} else {
-		s.delayConsuming.Observe(delay.Seconds())
+		s.delayConsuming.Observe(delay)
 		// Only consuming-lane delay drives the overload detector: freeing
 		// work jumps the queue by design, so its (always small) delay says
 		// nothing about the backlog admission control must react to.

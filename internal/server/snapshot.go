@@ -1,7 +1,6 @@
 package server
 
 import (
-	"math"
 	"time"
 
 	"drqos/internal/stats"
@@ -41,7 +40,7 @@ type Stats struct {
 
 	// Overload control plane: the overloaded state (sustained consuming-
 	// lane queue delay above target), cumulative shed counters by reason,
-	// and per-lane queueing-delay digests.
+	// and per-lane depths and queueing-delay histograms (read live).
 	Overloaded       bool                 `json:"overloaded"`
 	OverloadEpisodes int64                `json:"overload_episodes"`
 	ShedExpired      int64                `json:"shed_expired"`
@@ -116,7 +115,8 @@ type FailureOutcomes struct {
 }
 
 // LaneStats describes one priority lane: its instantaneous backlog and the
-// streaming queueing-delay distribution of everything it has dequeued.
+// queueing-delay distribution of everything it has dequeued. With nothing
+// dequeued every delay figure is 0 and DelayCount says so.
 type LaneStats struct {
 	Depth        int     `json:"depth"`
 	DelayCount   int     `json:"delay_count"`
@@ -127,39 +127,23 @@ type LaneStats struct {
 	DelayMeanSec float64 `json:"delay_mean_seconds"`
 }
 
-// laneStats renders a delay digest, guarding the empty case: JSON cannot
-// encode NaN, so an unobserved lane reports zeros with DelayCount 0.
-func laneStats(depth int, d *stats.Digest) LaneStats {
-	ls := LaneStats{Depth: depth, DelayCount: d.N()}
-	if d.N() == 0 {
-		return ls
-	}
-	clean := func(v float64) float64 {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return 0
-		}
-		return v
-	}
-	ls.DelayP50Sec = clean(d.P50())
-	ls.DelayP90Sec = clean(d.P90())
-	ls.DelayP99Sec = clean(d.P99())
-	ls.DelayMaxSec = clean(d.Max())
-	ls.DelayMeanSec = clean(d.Mean())
-	return ls
-}
-
-// laneStats renders both lanes' delay digests and current depths. Loop
-// goroutine only (the digests are loop-owned).
-func (s *Server) laneStats() map[string]LaneStats {
-	return map[string]LaneStats{
-		laneFreeing.String():   laneStats(len(s.freeing), s.delayFreeing),
-		laneConsuming.String(): laneStats(len(s.consuming), s.delayConsuming),
+// laneStats reads one lane's live depth and delay histogram.
+func laneStats(depth int, delay *stats.Latency) LaneStats {
+	d := delay.Summary()
+	return LaneStats{
+		Depth:        depth,
+		DelayCount:   int(d.N),
+		DelayP50Sec:  d.P50.Seconds(),
+		DelayP90Sec:  d.P90.Seconds(),
+		DelayP99Sec:  d.P99.Seconds(),
+		DelayMaxSec:  d.Max.Seconds(),
+		DelayMeanSec: d.Mean.Seconds(),
 	}
 }
 
 // overlayLive completes a Stats whose manager-derived fields are already set
 // with everything that is read live and from any goroutine: topology
-// constants, health flags, counters, journal and epoch positions.
+// constants, health flags, counters, lanes, journal and epoch positions.
 func (s *Server) overlayLive(st *Stats) {
 	st.Nodes = s.graph.NumNodes()
 	st.Links = s.graph.NumLinks()
@@ -172,6 +156,10 @@ func (s *Server) overlayLive(st *Stats) {
 	st.Overloaded = s.Overloaded()
 	st.OverloadEpisodes = s.OverloadEpisodes()
 	st.ShedExpired, st.ShedCanceled = s.Sheds()
+	st.Lanes = map[string]LaneStats{
+		laneFreeing.String():   laneStats(len(s.freeing), &s.delayFreeing),
+		laneConsuming.String(): laneStats(len(s.consuming), &s.delayConsuming),
+	}
 	if s.jnl != nil {
 		st.Journaled = true
 		st.JournalSeq = s.jnl.LastSeq()

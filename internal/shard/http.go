@@ -239,9 +239,9 @@ func NewHandler(c *Coordinator, opts ...server.HandlerOption) http.Handler {
 }
 
 // statsResponse aggregates every shard's epoch-view Stats. Counters and
-// populations sum; boolean health flags OR; the level histogram merges
-// element-wise. Lane delay digests are per-shard detail and stay in
-// PerShard only.
+// populations sum; boolean flags OR; the level histogram merges
+// element-wise. Journal positions, epochs and lanes are per-shard detail
+// and stay in PerShard only.
 func (c *Coordinator) statsResponse() StatsResponse {
 	resp := StatsResponse{Shards: len(c.shards)}
 	agg := server.Stats{
@@ -279,6 +279,9 @@ func (c *Coordinator) statsResponse() StatsResponse {
 		agg.ShedCanceled += st.ShedCanceled
 		agg.Journaled = agg.Journaled || st.Journaled
 		agg.JournalErrors += st.JournalErrors
+		agg.GroupCommit = agg.GroupCommit || st.GroupCommit
+		agg.FsyncBatches += st.FsyncBatches
+		agg.BatchedAppends += st.BatchedAppends
 		agg.Recoveries += st.Recoveries
 		agg.RecoveryFailures += st.RecoveryFailures
 		agg.QueueDepth += st.QueueDepth

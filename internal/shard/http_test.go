@@ -458,3 +458,113 @@ func BenchmarkFrontEnd(b *testing.B) {
 		}
 	})
 }
+
+// TestAggregateSumsEveryCounter walks server.Stats by reflection: on a
+// journaled, group-committing 4-shard plane after churn, every integer
+// field of the aggregate must equal the sum of per_shard's, and every
+// boolean the OR — unless the field is named below as describing one plane
+// only. Pointer, slice and map fields (epoch, forecast, replica, level
+// histogram, lanes, failed links) are not walked.
+func TestAggregateSumsEveryCounter(t *testing.T) {
+	perPlane := map[string]string{
+		"Nodes":           "the aggregate names the whole topology",
+		"Links":           "the aggregate names the whole topology",
+		"CapacityKbps":    "per-link capacity, the same on every shard",
+		"JournalSeq":      "a position in one shard's journal",
+		"JournalSnapshot": "a position in one shard's journal",
+		"JournalSynced":   "a position in one shard's journal",
+	}
+	g := tierGraph(t, 7)
+	c := newCoordinator(t, g, shard.Options{
+		Shards: 4, Dir: t.TempDir(), Journal: journal.Options{GroupCommit: true},
+	})
+	h := shard.NewHandler(c)
+	serve := func(method, path, body string) []byte {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		if rec.Code >= 500 {
+			t.Fatalf("%s %s: %d %s", method, path, rec.Code, rec.Body.Bytes())
+		}
+		return rec.Body.Bytes()
+	}
+	src := rng.New(5)
+	var ids []int64
+	for i := 0; i < 60; i++ {
+		var res server.EstablishResponse
+		body := serve("POST", "/v1/connections", fmt.Sprintf(`{"src":%d,"dst":%d}`, src.Intn(g.NumNodes()), src.Intn(g.NumNodes())))
+		if json.Unmarshal(body, &res) == nil && res.ID != 0 {
+			ids = append(ids, res.ID)
+		}
+	}
+	for _, id := range ids[:len(ids)/3] {
+		serve("DELETE", fmt.Sprintf("/v1/connections/%d", id), "")
+	}
+	serve("POST", "/v1/faults/link", `{"link":3}`)
+	serve("POST", "/v1/faults/link", `{"link":3,"action":"repair"}`)
+
+	var resp shard.StatsResponse
+	if err := json.Unmarshal(serve("GET", "/v1/stats", ""), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.PerShard) != 4 {
+		t.Fatalf("per_shard has %d blocks, want 4", len(resp.PerShard))
+	}
+	var walk func(path string, agg reflect.Value, shards []reflect.Value)
+	walk = func(path string, agg reflect.Value, shards []reflect.Value) {
+		for i := 0; i < agg.NumField(); i++ {
+			f := agg.Type().Field(i)
+			if perPlane[f.Name] != "" {
+				continue
+			}
+			name := path + f.Name
+			parts := make([]reflect.Value, len(shards))
+			for s := range shards {
+				parts[s] = shards[s].Field(i)
+			}
+			switch v := agg.Field(i); v.Kind() {
+			case reflect.Struct:
+				walk(name+".", v, parts)
+			case reflect.Int, reflect.Int64:
+				var sum int64
+				for _, p := range parts {
+					sum += p.Int()
+				}
+				if v.Int() != sum {
+					t.Errorf("aggregate %s = %d, per_shard sums to %d", name, v.Int(), sum)
+				}
+			case reflect.Uint64:
+				var sum uint64
+				for _, p := range parts {
+					sum += p.Uint()
+				}
+				if v.Uint() != sum {
+					t.Errorf("aggregate %s = %d, per_shard sums to %d", name, v.Uint(), sum)
+				}
+			case reflect.Bool:
+				or := false
+				for _, p := range parts {
+					or = or || p.Bool()
+				}
+				if v.Bool() != or {
+					t.Errorf("aggregate %s = %v, per_shard ORs to %v", name, v.Bool(), or)
+				}
+			}
+		}
+	}
+	shards := make([]reflect.Value, len(resp.PerShard))
+	for i := range resp.PerShard {
+		shards[i] = reflect.ValueOf(resp.PerShard[i])
+	}
+	walk("", reflect.ValueOf(resp.Aggregate), shards)
+	if resp.Aggregate.FsyncBatches == 0 {
+		t.Errorf("no fsync batches after %d establishes on group-committing shards", len(ids))
+	}
+
+	metrics := serve("GET", "/metrics", "")
+	for _, name := range []string{"drqos_journal_fsync_batches_total ", "drqos_journal_batched_appends_total "} {
+		if !bytes.Contains(metrics, []byte("\n"+name)) {
+			t.Errorf("aggregate /metrics lacks %s", name)
+		}
+	}
+}

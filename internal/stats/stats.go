@@ -1,15 +1,14 @@
-// Package stats provides the statistical accumulators used by the simulator
-// and the experiment harness: running moments (Welford), time-weighted
-// averages for piecewise-constant signals such as reserved bandwidth,
-// confidence intervals, histograms, and the empirical transition counters
-// from which the paper's A, B and T matrices are estimated.
+// Package stats provides the statistical accumulators used by the simulator,
+// the experiment harness and the daemon: running moments (Welford),
+// time-weighted averages for piecewise-constant signals such as reserved
+// bandwidth, confidence intervals, batch means, the empirical transition
+// counters from which the paper's A, B and T matrices are estimated, and
+// Latency, the one fixed-bucket histogram every latency report reads.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 )
 
 // Running accumulates a sample mean and variance using Welford's online
@@ -133,88 +132,6 @@ func (w *TimeWeighted) Mean() float64 {
 // Duration returns the total elapsed time integrated so far.
 func (w *TimeWeighted) Duration() float64 { return w.duration }
 
-// Histogram counts samples in equal-width bins over [lo, hi); samples
-// outside the range fall into saturating under/overflow bins.
-type Histogram struct {
-	lo, hi    float64
-	bins      []int
-	underflow int
-	overflow  int
-	total     int
-}
-
-// NewHistogram returns a histogram with n equal-width bins over [lo, hi).
-func NewHistogram(lo, hi float64, n int) (*Histogram, error) {
-	if n <= 0 || hi <= lo {
-		return nil, fmt.Errorf("stats: invalid histogram [%v,%v) with %d bins", lo, hi, n)
-	}
-	return &Histogram{lo: lo, hi: hi, bins: make([]int, n)}, nil
-}
-
-// Observe adds one sample.
-func (h *Histogram) Observe(x float64) {
-	h.total++
-	switch {
-	case x < h.lo:
-		h.underflow++
-	case x >= h.hi:
-		h.overflow++
-	default:
-		i := int(float64(len(h.bins)) * (x - h.lo) / (h.hi - h.lo))
-		if i == len(h.bins) { // guard against fp rounding at the top edge
-			i--
-		}
-		h.bins[i]++
-	}
-}
-
-// Count returns the count of bin i.
-func (h *Histogram) Count(i int) int { return h.bins[i] }
-
-// Total returns the total number of samples including out-of-range ones.
-func (h *Histogram) Total() int { return h.total }
-
-// OutOfRange returns the underflow and overflow counts.
-func (h *Histogram) OutOfRange() (under, over int) { return h.underflow, h.overflow }
-
-// Quantile returns an approximate q-quantile (0..1) from the binned data,
-// attributing each bin's mass to its midpoint.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	target := q * float64(h.total)
-	cum := float64(h.underflow)
-	if cum >= target {
-		return h.lo
-	}
-	width := (h.hi - h.lo) / float64(len(h.bins))
-	for i, c := range h.bins {
-		cum += float64(c)
-		if cum >= target {
-			return h.lo + (float64(i)+0.5)*width
-		}
-	}
-	return h.hi
-}
-
-// String renders a compact textual bar chart.
-func (h *Histogram) String() string {
-	var b strings.Builder
-	width := (h.hi - h.lo) / float64(len(h.bins))
-	maxCount := 1
-	for _, c := range h.bins {
-		if c > maxCount {
-			maxCount = c
-		}
-	}
-	for i, c := range h.bins {
-		bar := strings.Repeat("#", c*40/maxCount)
-		fmt.Fprintf(&b, "[%8.3g,%8.3g) %6d %s\n", h.lo+float64(i)*width, h.lo+float64(i+1)*width, c, bar)
-	}
-	return b.String()
-}
-
 // Mean of a float64 slice; 0 for an empty slice.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -225,19 +142,4 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Median of a float64 slice; 0 for an empty slice. The input is not modified.
-func Median(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	c := make([]float64, n)
-	copy(c, xs)
-	sort.Float64s(c)
-	if n%2 == 1 {
-		return c[n/2]
-	}
-	return (c[n/2-1] + c[n/2]) / 2
 }
