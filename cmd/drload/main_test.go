@@ -34,7 +34,11 @@ func TestRun(t *testing.T) {
 		handler func(t *testing.T) http.Handler
 	}{
 		{"single", func(t *testing.T) http.Handler {
-			s, err := server.New(g, cfg, server.Options{})
+			mgr, err := manager.New(g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := server.NewFromManager(g, mgr, server.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -228,7 +228,7 @@ func TestBootFromSimDir(t *testing.T) {
 	if code != http.StatusOK || json.Unmarshal([]byte(body), &inv) != nil || !inv.OK {
 		t.Fatalf("/v1/invariants: %d %s", code, body)
 	}
-	if want := s.Manager().ExportState().Fingerprint(); inv.Fingerprint != want {
+	if want := s.ManagerForTesting().ExportState().Fingerprint(); inv.Fingerprint != want {
 		t.Fatalf("daemon booted to %s, the simulator ended at %s", inv.Fingerprint, want)
 	}
 }

@@ -1,14 +1,22 @@
 package drqos_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/fstest"
@@ -271,5 +279,263 @@ func TestExamplesAreRunCanFail(t *testing.T) {
 	}
 	if want := []string{"unrun"}; !slices.Equal(dirs, want) {
 		t.Errorf("untested examples %v, want %v", dirs, want)
+	}
+}
+
+// testOnlyExports type-checks the non-test Go files of the modules rooted at
+// dirs (the first one owns internal/) and names, as "file:line: pkg.Name",
+// every exported func, method, type, var or const declared under the first
+// module's internal/ that no non-test code in any of the modules uses; total
+// counts the exports it looked at. A method also counts as used when its
+// type, or the pointer to it, implements an interface with that method which
+// the checked code uses (as the type of an expression, or a parameter or
+// result of a called function), and when it satisfies fmt.Stringer, error or
+// interface{ Unwrap() error }, which fmt and errors look for at run time.
+// Names ending in ForTesting or starting with SetTestHook are seams for tests
+// by name and are never flagged.
+func testOnlyExports(dirs ...string) (flagged []string, total int, err error) {
+	root, err := filepath.Abs(dirs[0])
+	if err != nil {
+		return nil, 0, err
+	}
+	internal := filepath.Join(root, "internal") + string(filepath.Separator)
+
+	fset := token.NewFileSet()
+	std := importer.Default()
+	checked := map[string]*types.Package{}
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if p, ok := checked[path]; ok {
+			return p, nil
+		}
+		return std.Import(path)
+	})
+	var (
+		owned      []*types.Package              // the packages under internal/
+		used       = map[types.Object]bool{}     // objects non-test code names
+		interfaces = map[*types.Interface]bool{} // interface types non-test code uses
+	)
+	useIface := func(t types.Type) {
+		if s, ok := t.(*types.Slice); ok { // a variadic parameter
+			t = s.Elem()
+		}
+		if i, ok := t.Underlying().(*types.Interface); ok && i.NumMethods() > 0 {
+			interfaces[i] = true
+		}
+	}
+	for _, dir := range dirs {
+		pkgs, err := listDeps(dir)
+		if err != nil {
+			return nil, 0, err
+		}
+		for _, lp := range pkgs {
+			if lp.Standard || checked[lp.ImportPath] != nil || len(lp.GoFiles) == 0 {
+				continue
+			}
+			var files []*ast.File
+			for _, name := range lp.GoFiles {
+				f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, 0)
+				if err != nil {
+					return nil, 0, err
+				}
+				files = append(files, f)
+			}
+			info := &types.Info{
+				Types:      map[ast.Expr]types.TypeAndValue{},
+				Uses:       map[*ast.Ident]types.Object{},
+				Selections: map[*ast.SelectorExpr]*types.Selection{},
+			}
+			conf := types.Config{Importer: imp}
+			pkg, err := conf.Check(lp.ImportPath, fset, files, info)
+			if err != nil {
+				return nil, 0, fmt.Errorf("type-checking %s: %w", lp.ImportPath, err)
+			}
+			checked[lp.ImportPath] = pkg
+			if strings.HasPrefix(lp.Dir+string(filepath.Separator), internal) {
+				owned = append(owned, pkg)
+			}
+			for _, obj := range info.Uses {
+				used[origin(obj)] = true
+			}
+			for _, sel := range info.Selections {
+				used[origin(sel.Obj())] = true
+			}
+			for e, tv := range info.Types {
+				if tv.IsType() {
+					continue
+				}
+				useIface(tv.Type)
+				call, ok := e.(*ast.CallExpr)
+				if !ok {
+					continue
+				}
+				if sig, ok := info.Types[call.Fun].Type.(*types.Signature); ok && !info.Types[call.Fun].IsType() {
+					for _, tuple := range []*types.Tuple{sig.Params(), sig.Results()} {
+						for i := 0; i < tuple.Len(); i++ {
+							useIface(tuple.At(i).Type())
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// The interfaces fmt and errors look for by assertion at run time.
+	errType := types.Universe.Lookup("error").Type()
+	runtimeIfaces := map[*types.Interface]bool{
+		ifaceOf("String", types.Typ[types.String]): true,
+		errType.Underlying().(*types.Interface):    true,
+		ifaceOf("Unwrap", errType):                 true,
+	}
+	implemented := func(m *types.Func, ifaces map[*types.Interface]bool) bool {
+		recv := m.Type().(*types.Signature).Recv().Type()
+		if p, ok := recv.(*types.Pointer); ok {
+			recv = p.Elem()
+		}
+		for i := range ifaces {
+			if !hasMethod(i, m.Name()) {
+				continue
+			}
+			if types.Implements(recv, i) || types.Implements(types.NewPointer(recv), i) {
+				return true
+			}
+		}
+		return false
+	}
+	flag := func(obj types.Object, name string) {
+		total++
+		n := obj.Name()
+		if used[obj] || strings.HasSuffix(n, "ForTesting") || strings.HasPrefix(n, "SetTestHook") {
+			return
+		}
+		if m, ok := obj.(*types.Func); ok && m.Type().(*types.Signature).Recv() != nil &&
+			(implemented(m, runtimeIfaces) || implemented(m, interfaces)) {
+			return
+		}
+		pos := fset.Position(obj.Pos())
+		file, err := filepath.Rel(root, pos.Filename)
+		if err != nil {
+			file = pos.Filename
+		}
+		flagged = append(flagged, fmt.Sprintf("%s:%d: %s", filepath.ToSlash(file), pos.Line, name))
+	}
+	for _, pkg := range owned {
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			if obj.Exported() {
+				flag(obj, pkg.Name()+"."+name)
+			}
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named, ok := tn.Type().(*types.Named)
+			if !ok {
+				continue
+			}
+			for i := 0; i < named.NumMethods(); i++ {
+				if m := named.Method(i); m.Exported() {
+					flag(m, pkg.Name()+"."+name+"."+m.Name())
+				}
+			}
+		}
+	}
+	sort.Strings(flagged)
+	return flagged, total, nil
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// origin maps a method or field of an instantiated generic type back to the
+// declared one.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+// ifaceOf is interface{ name() result }.
+func ifaceOf(name string, result types.Type) *types.Interface {
+	sig := types.NewSignatureType(nil, nil, nil, nil,
+		types.NewTuple(types.NewVar(token.NoPos, nil, "", result)), false)
+	return types.NewInterfaceType([]*types.Func{types.NewFunc(token.NoPos, nil, name, sig)}, nil).Complete()
+}
+
+func hasMethod(i *types.Interface, name string) bool {
+	for k := 0; k < i.NumMethods(); k++ {
+		if i.Method(k).Name() == name {
+			return true
+		}
+	}
+	return false
+}
+
+// listedPackage is the part of `go list -json` the export check reads.
+type listedPackage struct {
+	Dir, ImportPath string
+	Standard        bool
+	GoFiles         []string
+}
+
+// listDeps lists the packages of the module rooted at dir and everything they
+// import, dependencies first.
+func listDeps(dir string) ([]listedPackage, error) {
+	cmd := exec.Command("go", "list", "-deps", "-json", "./...")
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list in %s: %v: %s", dir, err, stderr.Bytes())
+	}
+	var pkgs []listedPackage
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		var p listedPackage
+		if err := dec.Decode(&p); errors.Is(err, io.EOF) {
+			return pkgs, nil
+		} else if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, p)
+	}
+}
+
+// TestNoTestOnlyExports: every export under internal/ has a caller outside
+// the tests, in this module or in bench/, or it goes. A helper only tests
+// use moves into a _test.go file of its package (export_test.go when the
+// external test package needs it).
+func TestNoTestOnlyExports(t *testing.T) {
+	flagged, total, err := testOnlyExports(".", "bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d exports under internal/", total)
+	if len(flagged) > 0 {
+		t.Errorf("%d exports under internal/ have no non-test caller; delete each, or move it into a _test.go of its package:\n\t%s",
+			len(flagged), strings.Join(flagged, "\n\t"))
+	}
+}
+
+// TestNoTestOnlyExportsCanFail runs the check over a fixture module whose
+// internal/ package has an export with no caller, one only its test calls,
+// a method reached only through an interface conversion, a String method
+// and a ForTesting seam: only the first two are flagged.
+func TestNoTestOnlyExportsCanFail(t *testing.T) {
+	flagged, total, err := testOnlyExports(filepath.Join("testdata", "exports"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, f := range flagged {
+		names = append(names, f[strings.LastIndex(f, " ")+1:])
+	}
+	if want := []string{"p.TestedOnly", "p.Unused"}; !slices.Equal(names, want) || total != 6 {
+		t.Errorf("flagged %v of %d exports, want %v of 6", flagged, total, want)
 	}
 }

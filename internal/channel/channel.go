@@ -199,10 +199,3 @@ func (c *Conn) BackupUsesLink(l topology.LinkID) bool {
 	}
 	return false
 }
-
-// SharesLinkWith reports whether the two connections' primary routes share
-// at least one link — the paper's "directly chained" relation that drives
-// the Pf probability.
-func (c *Conn) SharesLinkWith(o *Conn) bool {
-	return c.Primary.SharedLinks(o.Primary) > 0
-}

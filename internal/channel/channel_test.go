@@ -161,6 +161,13 @@ func TestUsesLink(t *testing.T) {
 	}
 }
 
+// SharesLinkWith reports whether the two connections' primary routes share
+// at least one link — the paper's "directly chained" relation that drives
+// the Pf probability.
+func (c *Conn) SharesLinkWith(o *Conn) bool {
+	return c.Primary.SharedLinks(o.Primary) > 0
+}
+
 func TestSharesLinkWith(t *testing.T) {
 	a := New(1, 0, 2, qos.DefaultSpec(), path(0, 1, 2))
 	b := New(2, 1, 2, qos.DefaultSpec(), path(1, 2))

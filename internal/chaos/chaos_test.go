@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -160,7 +161,7 @@ func applyInput(data []byte, hook func(journal.Event, *manager.Manager)) ([]jour
 		return fail(in.cut+at, fmt.Errorf("restored at %d: %w", in.cut, err))
 	}
 
-	evs, err := journal.DecodeFrames(journal.EncodeFrames(trace))
+	evs, err := journal.DecodeFrames(journal.EncodeFramesForTesting(trace))
 	if err != nil {
 		return fail(-1, err)
 	}
@@ -270,7 +271,7 @@ func TestFuzzApplyCanFail(t *testing.T) {
 	if fail == nil {
 		t.Fatalf("the corruption went unnoticed over %d events", len(trace))
 	}
-	if !manager.IsInvariantViolation(fail.Err) {
+	if !errors.As(fail.Err, new(*manager.InvariantViolation)) {
 		t.Fatalf("want an InvariantViolation, got %v", fail)
 	}
 	first := -1

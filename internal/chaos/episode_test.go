@@ -151,10 +151,10 @@ func TestOracleCanFail(t *testing.T) {
 			return rewriteJournal(dir, func(evs []journal.Event) ([]journal.Event, error) {
 				victim, rejects := -1, int64(0)
 				err := replayOf(seed, evs, func(i int, m *manager.Manager) {
-					if m.Rejects() > rejects && victim == -1 {
+					if m.SnapshotHeader().Rejects > rejects && victim == -1 {
 						victim = i
 					}
-					rejects = m.Rejects()
+					rejects = m.SnapshotHeader().Rejects
 				})
 				if err != nil || victim == -1 {
 					return nil, fmt.Errorf("no rejected establish to drop (%v)", err)

@@ -205,9 +205,6 @@ func (s *System) Graph() *topology.Graph { return s.graph }
 // Metrics returns the structural summary of the topology.
 func (s *System) Metrics() topology.Metrics { return s.metrics }
 
-// Options returns the resolved options.
-func (s *System) Options() Options { return s.opts }
-
 // ModelResult is one analytic model's output.
 type ModelResult struct {
 	// MeanBandwidth is E[B] in Kb/s.

@@ -24,7 +24,7 @@ func TestNewSystemDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := sys.Options()
+	o := sys.opts
 	if o.Nodes != 100 || o.Alpha != PaperAlpha || o.Beta != PaperBeta {
 		t.Fatalf("defaults: %+v", o)
 	}

@@ -69,9 +69,6 @@ func New(n int) *Estimator {
 	}
 }
 
-// N returns the number of modeled bandwidth states.
-func (e *Estimator) N() int { return e.n }
-
 // Ignored returns how many observed transitions were dropped because a
 // channel's level fell outside the modeled state range.
 func (e *Estimator) Ignored() int64 { return e.ignored }

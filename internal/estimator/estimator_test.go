@@ -57,9 +57,6 @@ func TestEstimatorIgnoresOutOfRangeChanges(t *testing.T) {
 	// state count; their transitions must be skipped, not panic the
 	// underlying TransitionCounter.
 	e := New(3)
-	if e.N() != 3 {
-		t.Fatalf("N = %d", e.N())
-	}
 	out := e.clampTransitions([][2]int{{2, 0}, {5, 2}, {1, 4}, {-1, 0}})
 	if len(out) != 1 || out[0] != [2]int{2, 0} {
 		t.Fatalf("clamped = %v", out)

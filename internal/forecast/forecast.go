@@ -267,12 +267,6 @@ func New(cfg Config) (*Forecaster, error) {
 	return f, nil
 }
 
-// Spec returns the modeled elastic spec.
-func (f *Forecaster) Spec() qos.ElasticSpec { return f.spec }
-
-// Interval returns the effective solve cadence.
-func (f *Forecaster) Interval() time.Duration { return f.cfg.Interval }
-
 // Start launches the periodic solve loop. It must be called at most once.
 func (f *Forecaster) Start() {
 	go f.loop()

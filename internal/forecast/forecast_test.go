@@ -285,7 +285,7 @@ func TestForecastPredictiveLatch(t *testing.T) {
 	})
 	h.churn(120)
 
-	spec := h.f.Spec()
+	spec := h.f.spec
 	point := func(mean float64) func(snapshot) (*solved, error) {
 		return func(snapshot) (*solved, error) {
 			pi := make([]float64, spec.States())

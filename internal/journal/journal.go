@@ -218,9 +218,6 @@ func (j *Journal) SnapshotSeq() uint64 {
 	return j.snapSeq
 }
 
-// Dir returns the data directory.
-func (j *Journal) Dir() string { return j.dir }
-
 // Append assigns the next sequence number to ev, writes the framed record,
 // and applies the fsync policy; in group-commit mode it additionally waits
 // for the record's batch to become durable, so a successful return carries
@@ -237,21 +234,6 @@ func (j *Journal) Append(ev Event) (uint64, error) {
 		return 0, err
 	}
 	return seq, nil
-}
-
-// Sync flushes the active segment to stable storage regardless of policy.
-func (j *Journal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	j.sinceSync = 0
-	if err := j.f.Sync(); err != nil {
-		return err
-	}
-	j.markSyncedLocked()
-	return nil
 }
 
 // Close syncs and closes the active segment. The directory stays valid for

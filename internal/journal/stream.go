@@ -82,7 +82,7 @@ func (t *tailRing) concat(from, last uint64) ([]byte, bool) {
 
 // ReadFrames returns up to max records with Seq >= from, ascending and
 // contiguous, bounded by the durable tip, in the on-disk frame format (the
-// stream's wire format — see EncodeFrames), and how many there are. Zero
+// stream's wire format — see DecodeFrames), and how many there are. Zero
 // records means the caller is at the tip (a long-poller parks on
 // WaitDurable(from)). ErrCompacted means from is at or below the newest
 // snapshot — the records were deleted, bootstrap from the snapshot. Safe
@@ -116,15 +116,6 @@ func (j *Journal) ReadFrames(from uint64, max int) (frames []byte, n int, err er
 	return j.walkFrames(from, max, durable)
 }
 
-// ReadFrom is ReadFrames decoded.
-func (j *Journal) ReadFrom(from uint64, max int) ([]Event, error) {
-	frames, _, err := j.ReadFrames(from, max)
-	if err != nil || len(frames) == 0 {
-		return nil, err
-	}
-	return DecodeFrames(frames)
-}
-
 // FrameCRC returns the stored CRC-32C of the durable record seq — EventCRC
 // of that record, without decoding it. ok is false when seq lies past the
 // durable tip; ErrCompacted when it was folded into a snapshot.
@@ -136,10 +127,10 @@ func (j *Journal) FrameCRC(seq uint64) (crc uint32, ok bool, err error) {
 	return binary.LittleEndian.Uint32(frame[4:]), true, nil
 }
 
-// DiskWalks counts the reads that fell through the tail ring to the
-// segment files — the catch-up path. A standby streaming at the tip never
-// moves it.
-func (j *Journal) DiskWalks() int64 { return j.diskWalks.Load() }
+// DiskWalksForTesting counts the reads that fell through the tail ring to
+// the segment files — the catch-up path. A standby streaming at the tip
+// never moves it; the stream tests hold that.
+func (j *Journal) DiskWalksForTesting() int64 { return j.diskWalks.Load() }
 
 // walkFrames is the catch-up read: list the directory, read every segment
 // that can hold [from, durable] whole, and collect the frames in range.
@@ -290,10 +281,12 @@ func EventCRC(ev Event) uint32 {
 	return crc32.Checksum(appendEvent(nil, ev), castagnoli)
 }
 
-// EncodeFrames renders events in the on-disk frame format (u32 length, u32
-// CRC-32C, payload) — the wire format of the replication stream, so the
-// standby applies exactly the checksummed bytes a journal would hold.
-func EncodeFrames(evs []Event) []byte {
+// EncodeFramesForTesting renders events in the on-disk frame format (u32
+// length, u32 CRC-32C, payload) — the wire format of the replication
+// stream. The shipper sends the journal's stored frames as they are; this
+// encoder is the codec leg FuzzApply and FuzzDecodeFrames hold DecodeFrames
+// against.
+func EncodeFramesForTesting(evs []Event) []byte {
 	var buf []byte
 	for _, ev := range evs {
 		buf = appendFrame(buf, appendEvent(nil, ev))
@@ -301,9 +294,9 @@ func EncodeFrames(evs []Event) []byte {
 	return buf
 }
 
-// DecodeFrames parses a buffer of frames produced by EncodeFrames. Unlike
-// boot recovery there is no torn-tail tolerance: the transport delivered
-// the buffer whole, so any damage is an error.
+// DecodeFrames parses a buffer of on-disk frames. Unlike boot recovery there
+// is no torn-tail tolerance: the transport delivered the buffer whole, so
+// any damage is an error.
 func DecodeFrames(data []byte) ([]Event, error) {
 	var out []Event
 	off := 0

@@ -10,6 +10,15 @@ import (
 	"testing"
 )
 
+// ReadFrom is ReadFrames decoded.
+func (j *Journal) ReadFrom(from uint64, max int) ([]Event, error) {
+	frames, _, err := j.ReadFrames(from, max)
+	if err != nil || len(frames) == 0 {
+		return nil, err
+	}
+	return DecodeFrames(frames)
+}
+
 // TestReadFromBasic: the stream reader serves exactly the requested range,
 // reports the tip with an empty slice, and honors the max bound.
 func TestReadFromBasic(t *testing.T) {
@@ -48,7 +57,7 @@ func TestReadFromSpansSegmentRotation(t *testing.T) {
 	for i := range evs {
 		evs[i].Seq = uint64(4 + i)
 	}
-	if err := os.WriteFile(filepath.Join(dir, segmentName(4)), EncodeFrames(evs), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, segmentName(4)), EncodeFramesForTesting(evs), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -251,7 +260,7 @@ func TestFrameWireRoundTrip(t *testing.T) {
 	for i := range evs {
 		evs[i].Seq = uint64(i + 1)
 	}
-	buf := EncodeFrames(evs)
+	buf := EncodeFramesForTesting(evs)
 	got, err := DecodeFrames(buf)
 	if err != nil {
 		t.Fatal(err)
@@ -284,7 +293,7 @@ func FuzzDecodeFrames(f *testing.F) {
 		for i := range evs {
 			evs[i].Seq = uint64(i + 1)
 		}
-		buf := EncodeFrames(evs)
+		buf := EncodeFramesForTesting(evs)
 		for _, n := range []int{len(buf), len(buf) - 1, len(buf) / 2, frameHeaderSize + 3} {
 			f.Add(buf[:n])
 		}
@@ -294,7 +303,7 @@ func FuzzDecodeFrames(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if got := EncodeFrames(evs); !bytes.Equal(got, data) {
+		if got := EncodeFramesForTesting(evs); !bytes.Equal(got, data) {
 			t.Fatalf("accepted %d bytes as %d events that encode to %d other bytes", len(data), len(evs), len(got))
 		}
 		off := 0

@@ -148,9 +148,9 @@ func TestWaitDurableInstallSnapshotCoveringSeq(t *testing.T) {
 // files only if from lies below the ring.
 func sameAsDisk(t *testing.T, j *Journal, from uint64, max int) {
 	ringLow := j.tail.low
-	walks := j.DiskWalks()
+	walks := j.DiskWalksForTesting()
 	got, n, err := j.ReadFrames(from, max)
-	walked := j.DiskWalks() != walks
+	walked := j.DiskWalksForTesting() != walks
 	if from <= j.SnapshotSeq() {
 		if !errors.Is(err, ErrCompacted) {
 			t.Fatalf("ReadFrames(%d) below snapshot %d: %v, want ErrCompacted", from, j.SnapshotSeq(), err)
@@ -180,7 +180,7 @@ func sameAsDisk(t *testing.T, j *Journal, from uint64, max int) {
 	if err != nil || len(evs) != n || evs[0].Seq != from || evs[n-1].Seq != from+uint64(n)-1 {
 		t.Fatalf("ReadFrom(%d,%d): %d events, err %v", from, max, len(evs), err)
 	}
-	if !bytes.Equal(EncodeFrames(evs), want) {
+	if !bytes.Equal(EncodeFramesForTesting(evs), want) {
 		t.Fatalf("ReadFrom(%d,%d) is not the decoding of the disk walk", from, max)
 	}
 	// The prev_crc verdict: stored CRC == EventCRC of the record on disk.

@@ -1,23 +1,13 @@
-// Package linalg implements the small dense linear-algebra kernel needed by
-// the Markov-chain solver: matrices, vectors, LU factorization with partial
-// pivoting, and a handful of norms. It exists because the reproduction is
-// stdlib-only; the feature set is deliberately limited to what the CTMC
-// solvers in internal/markov require.
+// Package linalg implements the dense matrix the Markov-chain solvers in
+// internal/markov store generators in. It exists because the reproduction is
+// stdlib-only; the feature set is deliberately limited to what those solvers
+// require.
 package linalg
 
 import (
-	"errors"
 	"fmt"
-	"math"
 	"strings"
 )
-
-// ErrSingular is returned when a factorization or solve encounters a
-// numerically singular matrix.
-var ErrSingular = errors.New("linalg: matrix is singular")
-
-// ErrShape is returned when operand dimensions are incompatible.
-var ErrShape = errors.New("linalg: incompatible dimensions")
 
 // Matrix is a dense, row-major matrix of float64.
 type Matrix struct {
@@ -34,35 +24,8 @@ func NewMatrix(r, c int) *Matrix {
 	return &Matrix{rows: r, cols: c, data: make([]float64, r*c)}
 }
 
-// FromRows builds a matrix from a slice of equal-length rows.
-func FromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		return nil, fmt.Errorf("%w: empty row set", ErrShape)
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, row := range rows {
-		if len(row) != m.cols {
-			return nil, fmt.Errorf("%w: row %d has %d entries, want %d", ErrShape, i, len(row), m.cols)
-		}
-		copy(m.data[i*m.cols:(i+1)*m.cols], row)
-	}
-	return m, nil
-}
-
-// Identity returns the n-by-n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
-
-// Cols returns the number of columns.
-func (m *Matrix) Cols() int { return m.cols }
 
 // At returns the element at row i, column j.
 func (m *Matrix) At(i, j int) float64 { return m.data[i*m.cols+j] }
@@ -80,80 +43,6 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// Scale multiplies every element by s, in place, and returns m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	for i := range m.data {
-		m.data[i] *= s
-	}
-	return m
-}
-
-// Transpose returns a new transposed matrix.
-func (m *Matrix) Transpose() *Matrix {
-	t := NewMatrix(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
-// MatMul returns the product a·b.
-func MatMul(a, b *Matrix) (*Matrix, error) {
-	if a.cols != b.rows {
-		return nil, fmt.Errorf("%w: (%dx%d)·(%dx%d)", ErrShape, a.rows, a.cols, b.rows, b.cols)
-	}
-	out := NewMatrix(a.rows, b.cols)
-	for i := 0; i < a.rows; i++ {
-		for k := 0; k < a.cols; k++ {
-			aik := a.At(i, k)
-			if aik == 0 {
-				continue
-			}
-			for j := 0; j < b.cols; j++ {
-				out.Add(i, j, aik*b.At(k, j))
-			}
-		}
-	}
-	return out, nil
-}
-
-// MatVec returns the product m·x.
-func (m *Matrix) MatVec(x []float64) ([]float64, error) {
-	if len(x) != m.cols {
-		return nil, fmt.Errorf("%w: matrix %dx%d, vector %d", ErrShape, m.rows, m.cols, len(x))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		var s float64
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
-// VecMat returns the product xᵀ·m as a vector.
-func (m *Matrix) VecMat(x []float64) ([]float64, error) {
-	if len(x) != m.rows {
-		return nil, fmt.Errorf("%w: vector %d, matrix %dx%d", ErrShape, len(x), m.rows, m.cols)
-	}
-	out := make([]float64, m.cols)
-	for i, xi := range x {
-		if xi == 0 {
-			continue
-		}
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j, v := range row {
-			out[j] += xi * v
-		}
-	}
-	return out, nil
-}
-
 // String renders the matrix for debugging.
 func (m *Matrix) String() string {
 	var b strings.Builder
@@ -167,15 +56,4 @@ func (m *Matrix) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// MaxAbs returns the largest absolute element value.
-func (m *Matrix) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
 }

@@ -1,6 +1,7 @@
 package manager
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -89,7 +90,7 @@ func TestAuditCanFail(t *testing.T) {
 				t.Fatalf("the injection must leave the ledger self-consistent: %v", err)
 			}
 			err = m.CheckInvariants()
-			if !IsInvariantViolation(err) || !strings.Contains(err.Error(), tc.want) {
+			if !errors.As(err, new(*InvariantViolation)) || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("audit said %v, want a violation containing %q", err, tc.want)
 			}
 		})

@@ -334,14 +334,3 @@ func (m *Manager) tryReprotect(s int32) (bool, error) {
 	}
 	return true, nil
 }
-
-// Unprotected returns the IDs of alive connections lacking a backup.
-func (m *Manager) Unprotected() []channel.ConnID {
-	var out []channel.ConnID
-	for _, s := range m.alive {
-		if c := m.slots[s].conn; !c.HasBackup {
-			out = append(out, c.ID)
-		}
-	}
-	return out
-}

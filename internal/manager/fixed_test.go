@@ -32,8 +32,8 @@ func TestEstablishFixedBasics(t *testing.T) {
 	if c.Level != 0 || c.Bandwidth() != 200 {
 		t.Errorf("level=%d bw=%d, want 0/200", c.Level, c.Bandwidth())
 	}
-	if m.AliveCount() != 1 || m.Requests() != 1 {
-		t.Errorf("alive=%d requests=%d, want 1/1", m.AliveCount(), m.Requests())
+	if m.AliveCount() != 1 || m.requests != 1 {
+		t.Errorf("alive=%d requests=%d, want 1/1", m.AliveCount(), m.requests)
 	}
 	checkMgr(t, m)
 

@@ -106,7 +106,7 @@ func (s growStream) serveQueue() []int32 {
 }
 
 // serveScan is the reference: every step ranks every live candidate afresh
-// and serves qos.Pick's choice.
+// and serves the first of the best.
 func (s growStream) serveScan() []int32 {
 	var live []int32
 	var levels []int
@@ -117,11 +117,12 @@ func (s growStream) serveScan() []int32 {
 			if len(live) == 0 {
 				return 0, false
 			}
-			cands := make([]qos.GrowthCandidate, len(live))
+			var best qos.Rank
 			for j, i := range live {
-				cands[j] = s.candidate(i, levels[i])
+				if r := s.policy.Rank(s.candidate(i, levels[i])); j == 0 || r.Less(best) {
+					at, best = j, r
+				}
 			}
-			at = qos.Pick(s.policy, cands)
 			return live[at], true
 		},
 		func() { live = slices.Delete(live, at, at+1) },

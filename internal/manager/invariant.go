@@ -40,13 +40,6 @@ func (v *InvariantViolation) Error() string {
 // Unwrap exposes the underlying cause to errors.Is / errors.As.
 func (v *InvariantViolation) Unwrap() error { return v.Err }
 
-// IsInvariantViolation reports whether err carries an InvariantViolation
-// anywhere in its chain.
-func IsInvariantViolation(err error) bool {
-	var iv *InvariantViolation
-	return errors.As(err, &iv)
-}
-
 // violationf builds a violation with a formatted detail string.
 func violationf(format string, args ...any) *InvariantViolation {
 	return &InvariantViolation{Detail: fmt.Sprintf(format, args...)}

@@ -311,12 +311,6 @@ func (m *Manager) AliveIDs() []channel.ConnID {
 // AliveCount returns the number of alive connections.
 func (m *Manager) AliveCount() int { return len(m.alive) }
 
-// Requests returns how many Establish calls were made.
-func (m *Manager) Requests() int64 { return m.requests }
-
-// Rejects returns how many Establish calls were rejected.
-func (m *Manager) Rejects() int64 { return m.rejects }
-
 // AverageBandwidth returns the mean reserved bandwidth over alive primaries
 // in Kb/s (the paper's headline metric), or 0 with no connections.
 func (m *Manager) AverageBandwidth() float64 {

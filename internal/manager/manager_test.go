@@ -2,14 +2,31 @@ package manager
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"drqos/internal/channel"
 	"drqos/internal/qos"
 	"drqos/internal/rng"
+	"drqos/internal/routing"
 	"drqos/internal/topology"
 )
+
+// Unprotected returns the IDs of alive connections lacking a backup.
+func (m *Manager) Unprotected() []channel.ConnID {
+	var out []channel.ConnID
+	for _, s := range m.alive {
+		if c := m.slots[s].conn; !c.HasBackup {
+			out = append(out, c.ID)
+		}
+	}
+	return out
+}
+
+func clonePath(p routing.Path) routing.Path {
+	return routing.Path{Nodes: slices.Clone(p.Nodes), Links: slices.Clone(p.Links)}
+}
 
 // diamond builds the 6-node double-route fixture:
 //
@@ -71,7 +88,7 @@ func TestEstablishBasics(t *testing.T) {
 	if !c.HasBackup {
 		t.Fatal("no backup established")
 	}
-	if !c.Backup.LinkDisjoint(c.Primary) {
+	if c.Backup.SharedLinks(c.Primary) != 0 {
 		t.Fatalf("backup %v not disjoint from primary %v", c.Backup, c.Primary)
 	}
 	// Alone in an empty network, the connection grows to its maximum.
@@ -86,8 +103,8 @@ func TestEstablishBasics(t *testing.T) {
 		t.Fatal("phantom chained channels")
 	}
 	checkMgr(t, m)
-	if m.AliveCount() != 1 || m.Requests() != 1 || m.Rejects() != 0 {
-		t.Fatalf("counters: alive=%d req=%d rej=%d", m.AliveCount(), m.Requests(), m.Rejects())
+	if m.AliveCount() != 1 || m.requests != 1 || m.rejects != 0 {
+		t.Fatalf("counters: alive=%d req=%d rej=%d", m.AliveCount(), m.requests, m.rejects)
 	}
 }
 
@@ -96,7 +113,7 @@ func TestEstablishRejectsSrcEqDst(t *testing.T) {
 	if _, err := m.Establish(2, 2, qos.DefaultSpec()); !errors.Is(err, ErrRejected) {
 		t.Fatalf("err = %v", err)
 	}
-	if m.Rejects() != 1 {
+	if m.rejects != 1 {
 		t.Fatal("reject not counted")
 	}
 }
@@ -163,8 +180,8 @@ func TestEstablishRejectsWhenFull(t *testing.T) {
 	if admitted != 2 {
 		t.Fatalf("admitted = %d, want 2 (minima + multiplexed spare fill both routes)", admitted)
 	}
-	if m.Rejects() != 3 {
-		t.Fatalf("rejects = %d", m.Rejects())
+	if m.rejects != 3 {
+		t.Fatalf("rejects = %d", m.rejects)
 	}
 	checkMgr(t, m)
 }
@@ -245,8 +262,8 @@ func TestFailLinkActivatesBackup(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := rep.Conn
-	oldPrimary := c.Primary.Clone()
-	oldBackup := c.Backup.Clone()
+	oldPrimary := clonePath(c.Primary)
+	oldBackup := clonePath(c.Backup)
 	fr, err := m.FailLink(oldPrimary.Links[1])
 	if err != nil {
 		t.Fatal(err)
@@ -609,7 +626,7 @@ func TestReactiveRecovery(t *testing.T) {
 	if c.HasBackup {
 		t.Fatal("reactive mode reserved a backup")
 	}
-	oldPrimary := c.Primary.Clone()
+	oldPrimary := clonePath(c.Primary)
 	fr, err := m.FailLink(oldPrimary.Links[1])
 	if err != nil {
 		t.Fatal(err)

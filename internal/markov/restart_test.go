@@ -90,12 +90,11 @@ func TestWithRestartIsValidGenerator(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Row sums of the restart generator are zero (NewChain would verify;
-	// here we check directly on a copy).
-	g := rc.Generator()
-	for i := 0; i < g.Rows(); i++ {
+	// here we check directly).
+	for i := 0; i < rc.N(); i++ {
 		var sum float64
-		for j := 0; j < g.Cols(); j++ {
-			sum += g.At(i, j)
+		for j := 0; j < rc.N(); j++ {
+			sum += rc.Rate(i, j)
 		}
 		if math.Abs(sum) > 1e-12 {
 			t.Fatalf("row %d sums to %v", i, sum)

@@ -33,9 +33,8 @@
 //     shard coordinator's prepare/commit/abort phases use it via the
 //     coordinator's Invoke hook.
 //
-// Episode timelines are scriptable: a []Step applied by Play flips rules
-// at offsets from its start, so a whole partition-heal-partition scenario
-// is one reproducible literal.
+// Episodes drive it by installing rules (SetRule) and clearing them all
+// (Heal) at points of their own scripts.
 package netchaos
 
 import (
@@ -44,7 +43,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -67,15 +65,6 @@ type Rule struct {
 	// DelayMin/DelayMax bound the per-message latency, uniformly jittered
 	// within the range (also the reordering knob for concurrent messages).
 	DelayMin, DelayMax time.Duration
-}
-
-// Step is one scripted timeline entry: at offset At from Play's start,
-// install Rule on the directed pair — or clear it when Rule is nil. The
-// pair "*","*" with a nil Rule heals the whole network.
-type Step struct {
-	At       time.Duration
-	Src, Dst string
-	Rule     *Rule
 }
 
 // Network is the fault plane. One Network is shared by every transport and
@@ -106,38 +95,11 @@ func (nw *Network) SetRule(src, dst string, r Rule) {
 	nw.mu.Unlock()
 }
 
-// ClearRule removes the directed pair's profile (traffic passes again).
-func (nw *Network) ClearRule(src, dst string) {
-	nw.mu.Lock()
-	delete(nw.rules, [2]string{src, dst})
-	nw.mu.Unlock()
-}
-
-// Partition cuts both directions between a and b (full partition).
-func (nw *Network) Partition(a, b string) {
-	nw.SetRule(a, b, Rule{DropRequest: 1})
-	nw.SetRule(b, a, Rule{DropRequest: 1})
-}
-
-// PartitionOneWay cuts requests from src to dst only — the asymmetric
-// case. Traffic from dst to src is untouched.
-func (nw *Network) PartitionOneWay(src, dst string) {
-	nw.SetRule(src, dst, Rule{DropRequest: 1})
-}
-
 // Heal clears every rule.
 func (nw *Network) Heal() {
 	nw.mu.Lock()
 	nw.rules = make(map[[2]string]Rule)
 	nw.mu.Unlock()
-}
-
-// Dropped returns how many messages were dropped on the directed pair
-// (request and response drops both count).
-func (nw *Network) Dropped(src, dst string) int {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	return nw.dropped[[2]string{src, dst}]
 }
 
 // decision is one message's sampled fate.
@@ -289,27 +251,4 @@ func cloneRequest(req *http.Request) (*http.Request, error) {
 		dup.Body = body
 	}
 	return dup, nil
-}
-
-// Play applies a scripted timeline: each step fires at its offset from the
-// call's start (steps are sorted by At first). Play blocks until the last
-// step fired or ctx died; run it in a goroutine to drive a live episode.
-func (nw *Network) Play(ctx context.Context, script []Step) error {
-	steps := append([]Step(nil), script...)
-	sort.SliceStable(steps, func(i, j int) bool { return steps[i].At < steps[j].At })
-	start := time.Now()
-	for _, st := range steps {
-		if err := sleep(ctx, st.At-time.Since(start)); err != nil {
-			return err
-		}
-		switch {
-		case st.Rule != nil:
-			nw.SetRule(st.Src, st.Dst, *st.Rule)
-		case st.Src == "*" && st.Dst == "*":
-			nw.Heal()
-		default:
-			nw.ClearRule(st.Src, st.Dst)
-		}
-	}
-	return nil
 }

@@ -153,9 +153,6 @@ func New(g *topology.Graph, capacity qos.Kbps) (*Network, error) {
 	return n, nil
 }
 
-// Graph returns the underlying topology.
-func (n *Network) Graph() *topology.Graph { return n.g }
-
 // dir returns the state of the i-th directed link route traverses.
 func (n *Network) dir(route routing.Path, i int) (topology.DirLinkID, *dirState) {
 	d := n.g.DirID(route.Links[i], route.Nodes[i])
@@ -187,16 +184,6 @@ func (n *Network) Failed(l topology.LinkID) bool { return n.failed[l] }
 // are not touched: the manager decides what to fail over and release.
 func (n *Network) SetFailed(l topology.LinkID, failed bool) { n.failed[l] = failed }
 
-// Spare returns the multiplexed backup spare currently required on directed
-// link d.
-func (n *Network) Spare(d topology.DirLinkID) qos.Kbps { return n.dirs[d].spare }
-
-// GrantSum returns the total primary reservation on directed link d.
-func (n *Network) GrantSum(d topology.DirLinkID) qos.Kbps { return n.dirs[d].grantSum }
-
-// MinSum returns the total of primary minima on directed link d.
-func (n *Network) MinSum(d topology.DirLinkID) qos.Kbps { return n.dirs[d].minSum }
-
 // FreeForGrowth returns the bandwidth a primary on directed link d could
 // still grow into right now: physical capacity minus current grants (idle
 // backup spare is borrowable, rule 2).
@@ -227,15 +214,6 @@ func (n *Network) AdmissionHeadroom(d topology.DirLinkID) qos.Kbps {
 		return 0
 	}
 	return free
-}
-
-// Grant returns the current reservation of conn on directed link d, or 0.
-func (n *Network) Grant(d topology.DirLinkID, id channel.ConnID) qos.Kbps {
-	ds := &n.dirs[d]
-	if i, ok := ds.primary(id); ok {
-		return ds.primaries[i].Grant
-	}
-	return 0
 }
 
 // PrimariesOn returns the primary reservations on directed link d in
@@ -407,8 +385,8 @@ func (n *Network) ReserveBackup(id channel.ConnID, slot int32, backupRoute routi
 // admission check. It exists for one caller: rebuilding a ledger from a
 // durable snapshot, where every registration was admitted in the original
 // run but the minima+spare bound may legitimately not hold any more (the
-// post-failover dependability deficit — see DependabilityDeficit). The
-// rebuilt ledger is still validated wholesale by CheckInvariants.
+// post-failover dependability deficit). The rebuilt ledger is still
+// validated wholesale by CheckInvariants.
 func (n *Network) RestoreBackup(id channel.ConnID, slot int32, backupRoute routing.Path, primaryLinks []topology.LinkID, min qos.Kbps) error {
 	if err := n.checkBackup(id, backupRoute, primaryLinks, min); err != nil {
 		return err
@@ -536,7 +514,7 @@ func (n *Network) ActivateBackup(id channel.ConnID, slot int32, backupRoute rout
 // The dependability reserve rule (minima + spare ≤ capacity) is NOT part of
 // this check: it is guaranteed at admission time but transiently violated
 // between a backup activation and the re-establishment of protection (the
-// paper's single-failure assumption). Use DependabilityDeficit to inspect it.
+// paper's single-failure assumption).
 func (n *Network) CheckInvariants() error {
 	for di := range n.dirs {
 		ds := &n.dirs[di]
@@ -591,20 +569,4 @@ func (n *Network) CheckInvariants() error {
 		}
 	}
 	return nil
-}
-
-// DependabilityDeficit returns the directed links where the dependability
-// reserve rule (Σ minima + spare ≤ capacity) currently does not hold. In
-// the absence of failures and backup activations the slice is empty; after
-// a failover it lists links whose backup coverage is degraded until
-// protection is re-established.
-func (n *Network) DependabilityDeficit() []topology.DirLinkID {
-	var out []topology.DirLinkID
-	for di := range n.dirs {
-		ds := &n.dirs[di]
-		if ds.minSum+ds.spare > n.capacity {
-			out = append(out, topology.DirLinkID(di))
-		}
-	}
-	return out
 }

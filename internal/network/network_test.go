@@ -678,9 +678,15 @@ func TestDependabilityDeficitAfterActivation(t *testing.T) {
 	mustOK(t, n.ReservePrimary(2, 0, dirLinks(n, lower), 100))
 	// C: primary 1→3 (the chord, disjoint from A's primary so the backups
 	// may multiplex), backup 1→0→3 crossing lower's first link.
-	l01, _ := g.LinkBetween(0, 1)
-	l13, _ := g.LinkBetween(1, 3)
-	l03, _ := g.LinkBetween(0, 3)
+	linkBetween := func(a, b topology.NodeID) (id topology.LinkID) {
+		g.ForEachNeighbor(a, func(peer topology.NodeID, l topology.LinkID) {
+			if peer == b {
+				id = l
+			}
+		})
+		return id
+	}
+	l01, l13, l03 := linkBetween(0, 1), linkBetween(1, 3), linkBetween(0, 3)
 	cPrimary := routing.Path{Nodes: []topology.NodeID{1, 3}, Links: []topology.LinkID{l13}}
 	cBackup := routing.Path{Nodes: []topology.NodeID{1, 0, 3}, Links: []topology.LinkID{l01, l03}}
 	mustOK(t, n.ReservePrimary(3, 0, dirLinks(n, cPrimary), 100))

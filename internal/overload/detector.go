@@ -69,9 +69,6 @@ func NewDetector(cfg DetectorConfig, nowFn func() time.Time) *Detector {
 // Disabled reports whether the detector is configured off (Target < 0).
 func (d *Detector) Disabled() bool { return d.cfg.Target < 0 }
 
-// Config returns the effective (defaults-applied) configuration.
-func (d *Detector) Config() DetectorConfig { return d.cfg }
-
 // Observe feeds one queueing-delay sample and returns the overloaded state
 // plus whether this sample flipped it.
 func (d *Detector) Observe(delay time.Duration) (overloaded, changed bool) {
@@ -140,20 +137,6 @@ func (d *Detector) SetPredicted(on bool) (changed bool) {
 	return true
 }
 
-// Predicted reports the model-predicted overload latch.
-func (d *Detector) Predicted() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.predicted
-}
-
-// PredictedEpisodes returns how many times the predictive latch has fired.
-func (d *Detector) PredictedEpisodes() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.predictedEpisodes
-}
-
 // Episodes returns how many times the overloaded flag has latched.
 func (d *Detector) Episodes() int64 {
 	d.mu.Lock()
@@ -161,9 +144,9 @@ func (d *Detector) Episodes() int64 {
 	return d.episodes
 }
 
-// Force sets the latched state directly — an operator/test escape hatch
-// (drills, readiness-probe tests). Forcing on counts as an episode.
-func (d *Detector) Force(overloaded bool) {
+// ForceForTesting sets the latched state directly, for readiness-probe and
+// shedding tests. Forcing on counts as an episode.
+func (d *Detector) ForceForTesting(overloaded bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if overloaded && !d.overloaded {

@@ -202,21 +202,21 @@ func TestDetectorIdleSelfClear(t *testing.T) {
 	}
 }
 
-// TestDetectorForceAndDisabled covers the operator escape hatch and the
+// TestDetectorForceAndDisabled covers the forced latch and the
 // Target<0 kill switch.
 func TestDetectorForceAndDisabled(t *testing.T) {
 	c := newFakeClock()
 	d := NewDetector(DetectorConfig{Target: 10 * time.Millisecond, Interval: 100 * time.Millisecond}, c.now)
-	d.Force(true)
+	d.ForceForTesting(true)
 	if !d.Overloaded(0) {
 		t.Fatal("forced latch self-cleared immediately")
 	}
 	if d.Episodes() != 1 {
 		t.Fatalf("forced latch episodes = %d, want 1", d.Episodes())
 	}
-	d.Force(false)
+	d.ForceForTesting(false)
 	if d.Overloaded(10) {
-		t.Fatal("Force(false) did not clear")
+		t.Fatal("ForceForTesting(false) did not clear")
 	}
 	if got := d.RetryAfter(); got != time.Second {
 		t.Fatalf("RetryAfter = %v, want 1s (interval rounded up)", got)

@@ -5,6 +5,20 @@ import (
 	"time"
 )
 
+// Predicted reports the model-predicted overload latch.
+func (d *Detector) Predicted() bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.predicted
+}
+
+// PredictedEpisodes returns how many times the predictive latch has fired.
+func (d *Detector) PredictedEpisodes() int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.predictedEpisodes
+}
+
 // TestDetectorPredictedLatch: the model-driven input latches and releases
 // independently of the reactive CoDel latch, ORs into Overloaded, and is
 // immune to the idle self-clear.

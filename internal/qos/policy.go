@@ -57,21 +57,6 @@ type Policy interface {
 	Name() string
 }
 
-// Pick returns the index of the candidate the policy serves first. It
-// panics on an empty slice: callers decide termination before picking.
-func Pick(p Policy, cands []GrowthCandidate) int {
-	if len(cands) == 0 {
-		panic("qos: Pick on empty candidate list")
-	}
-	best, bestRank := 0, p.Rank(cands[0])
-	for i := 1; i < len(cands); i++ {
-		if r := p.Rank(cands[i]); r.Less(bestRank) {
-			best, bestRank = i, r
-		}
-	}
-	return best
-}
-
 // MaxUtilityPolicy implements Han's max-utility scheme [11]: every spare
 // increment goes to the candidate with the highest utility, which maximizes
 // total reward but "allows a real-time channel to monopolize all the extra

@@ -74,16 +74,6 @@ func (s ElasticSpec) Bandwidth(state int) Kbps {
 	return s.Min + Kbps(state)*s.Increment
 }
 
-// StateOf returns the state index for a bandwidth value. The bandwidth must
-// be a valid level for the spec.
-func (s ElasticSpec) StateOf(bw Kbps) (int, error) {
-	if bw < s.Min || bw > s.Max || (bw-s.Min)%s.Increment != 0 {
-		return 0, fmt.Errorf("%w: bandwidth %v is not a level of [%v..%v, Δ=%v]",
-			ErrInvalidSpec, bw, s.Min, s.Max, s.Increment)
-	}
-	return int((bw - s.Min) / s.Increment), nil
-}
-
 // DefaultSpec returns the paper's workload specification: a DR-connection
 // needing 100 Kb/s minimum (a "recognizable" video stream) up to 500 Kb/s
 // ("high-quality image") with a 50 Kb/s increment and unit utility (§4:

@@ -51,7 +51,8 @@ func TestLeaseFenceSymmetricPartition(t *testing.T) {
 	primary, _, _ := leasePair(t, net, lease, 2*time.Second, 0)
 	establishSome(t, primary.srv, 5)
 
-	net.Partition("standby", "primary")
+	net.SetRule("standby", "primary", netchaos.Rule{DropRequest: 1})
+	net.SetRule("primary", "standby", netchaos.Rule{DropRequest: 1})
 	cut := time.Now()
 	_, err := primary.srv.Establish(context.Background(), 0, 1, qos.DefaultSpec())
 	fenced := time.Since(cut)

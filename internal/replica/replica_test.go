@@ -36,6 +36,7 @@ func testGraph(t testing.TB) *topology.Graph {
 type testNode struct {
 	srv  *server.Server
 	jnl  *journal.Journal
+	dir  string // the journal's directory, when bootNode made it
 	node *replica.Node
 	http *httptest.Server
 }
@@ -52,14 +53,17 @@ func (tn *testNode) close(t testing.TB) {
 // otherwise a follower of that URL.
 func bootNode(t testing.TB, g *topology.Graph, primaryURL string, cfg replica.Config) *testNode {
 	t.Helper()
-	jnl, rec, err := journal.Open(t.TempDir(), journal.Options{FsyncEvery: 1})
+	dir := t.TempDir()
+	jnl, rec, err := journal.Open(dir, journal.Options{FsyncEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rec.LastSeq != 0 {
 		t.Fatalf("fresh dir recovered seq %d", rec.LastSeq)
 	}
-	return bootNodeOnJournal(t, g, jnl, rec, primaryURL, cfg)
+	tn := bootNodeOnJournal(t, g, jnl, rec, primaryURL, cfg)
+	tn.dir = dir
+	return tn
 }
 
 // bootNodeOnJournal builds a member over an already-opened journal,
@@ -100,7 +104,7 @@ func bootNodeOnJournal(t testing.TB, g *topology.Graph, jnl *journal.Journal, re
 func establishSome(t *testing.T, s *server.Server, n int) int {
 	t.Helper()
 	ctx := context.Background()
-	nodes := s.Graph().NumNodes()
+	nodes := s.StatsView().Nodes
 	r := rng.New(7)
 	made := 0
 	for made < n {
@@ -267,15 +271,15 @@ func TestFailoverPromotion(t *testing.T) {
 	if follower.srv.Term() != 1 {
 		t.Fatalf("promoted term = %d, want 1", follower.srv.Term())
 	}
-	if follower.srv.Promotions() != 1 {
-		t.Fatalf("promotions = %d, want 1", follower.srv.Promotions())
+	if follower.srv.StatsView().Replica.Promotions != 1 {
+		t.Fatalf("promotions = %d, want 1", follower.srv.StatsView().Replica.Promotions)
 	}
 	// The new primary serves mutations.
 	if _, err := follower.srv.Establish(ctx, 0, 1, qos.DefaultSpec()); err != nil && !errors.Is(err, manager.ErrRejected) {
 		t.Fatalf("new primary refuses mutations: %v", err)
 	}
 	// The journaled term survives a restart.
-	dir := follower.jnl.Dir()
+	dir := follower.dir
 	follower.node.Stop()
 	follower.http.Close()
 	_ = follower.srv.Shutdown(ctx)
@@ -358,7 +362,7 @@ func TestDivergentFollowerRebootstraps(t *testing.T) {
 	if _, err := loner.srv.FailLink(ctx, 0); err != nil && !errors.Is(err, server.ErrConflict) {
 		t.Fatal(err)
 	}
-	dir := loner.jnl.Dir()
+	dir := loner.dir
 	loner.node.Stop()
 	loner.http.Close()
 	_ = loner.srv.Shutdown(ctx)

@@ -87,7 +87,7 @@ func TestParkedPollWakesOnDurable(t *testing.T) {
 			defer primary.close(t)
 			establishSome(t, primary.srv, 5) // unpaired: acknowledged asynchronously
 			from := primary.jnl.LastSeq() + 1
-			walks := primary.jnl.DiskWalks()
+			walks := primary.jnl.DiskWalksForTesting()
 
 			type answer struct {
 				env streamReply
@@ -127,7 +127,7 @@ func TestParkedPollWakesOnDurable(t *testing.T) {
 			if err != nil || len(evs) != 1 || evs[0].Seq != from || a.env.DurableSeq != from {
 				t.Fatalf("poll answered %d records (err %v), durable_seq %d; want exactly record %d", len(evs), err, a.env.DurableSeq, from)
 			}
-			if got := primary.jnl.DiskWalks(); got != walks {
+			if got := primary.jnl.DiskWalksForTesting(); got != walks {
 				t.Errorf("the poll walked the segment files %d times, want 0", got-walks)
 			}
 		})
@@ -177,7 +177,7 @@ func TestIdlePollIsTheLeaseHeartbeat(t *testing.T) {
 // and returns their client-side durations in milliseconds.
 func mutate(t testing.TB, tn *testNode, pairs int, src *rng.Source) []float64 {
 	t.Helper()
-	nodes := tn.srv.Graph().NumNodes()
+	nodes := tn.srv.StatsView().Nodes
 	rtts := make([]float64, 0, 2*pairs)
 	timed := func(method, url string, body []byte) []byte {
 		req, err := http.NewRequest(method, url, bytes.NewReader(body))

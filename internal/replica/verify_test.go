@@ -83,7 +83,7 @@ func churn(t *testing.T, tn *testNode, records uint64) {
 		go func() {
 			defer wg.Done()
 			src := rng.New(uint64(40 + w))
-			nodes := tn.srv.Graph().NumNodes()
+			nodes := tn.srv.StatsView().Nodes
 			var mine []channel.ConnID
 			for tn.jnl.LastSeq() < target {
 				if len(mine) > 0 && src.Float64() < 0.45 {
@@ -152,7 +152,7 @@ func TestVerifyPointsPass(t *testing.T) {
 		t.Fatalf("follower was handed %d verify points over %d records (one per %d), want 5..11",
 			n, primary.jnl.LastSeq(), replica.VerifyEvery)
 	}
-	if deg, why := follower.srv.Degraded(); deg || follower.srv.InvariantViolations() != 0 {
+	if deg, why := follower.srv.Degraded(); deg || follower.srv.StatsView().InvariantViolations != 0 {
 		t.Fatalf("healthy follower failed a verify point: degraded=%v %s", deg, why)
 	}
 }
@@ -186,7 +186,7 @@ func TestVerifyPointCatchesDivergence(t *testing.T) {
 		_, recoveries, _, _ := follower.srv.RecoveryStatus()
 		return recoveries > 0
 	})
-	if follower.srv.InvariantViolations() == 0 {
+	if follower.srv.StatsView().InvariantViolations == 0 {
 		t.Fatal("follower re-bootstrapped without latching a divergence")
 	}
 	if n, next := tap.seen(); n == 0 || !strings.HasSuffix(next, "/snapshot") {

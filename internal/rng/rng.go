@@ -6,14 +6,13 @@
 // 64-bit seed, including 0, produces a well-mixed state. Determinism is a
 // hard requirement: the simulator promises bit-identical trajectories for
 // identical seeds, which the standard library's global rand cannot provide
-// once goroutines interleave. Each component therefore owns its own *Source,
-// and Split derives independent child streams for sub-components.
+// once goroutines interleave. Each component therefore owns its own *Source.
 package rng
 
 import "math"
 
 // Source is a deterministic xoshiro256** pseudo-random number generator.
-// The zero value is NOT ready for use; construct with New or Split.
+// The zero value is NOT ready for use; construct with New.
 type Source struct {
 	s [4]uint64
 }
@@ -55,14 +54,6 @@ func (s *Source) Uint64() uint64 {
 	s.s[2] ^= t
 	s.s[3] = rotl(s.s[3], 45)
 	return result
-}
-
-// Split returns a new Source whose stream is independent of the receiver's
-// future output. It consumes one value from the receiver.
-func (s *Source) Split() *Source {
-	child := &Source{}
-	child.reseed(s.Uint64())
-	return child
 }
 
 // Float64 returns a uniform float64 in [0, 1).
@@ -107,37 +98,6 @@ func (s *Source) Exp(rate float64) float64 {
 	}
 	// Inverse-CDF sampling; 1-Float64() is in (0,1], avoiding log(0).
 	return -math.Log(1-s.Float64()) / rate
-}
-
-// Perm returns a uniformly random permutation of [0, n) using the
-// Fisher-Yates shuffle.
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle permutes the first n elements using swap, Fisher-Yates style.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Pick returns a uniformly chosen index into a slice of length n, or -1 if
-// n == 0.
-func (s *Source) Pick(n int) int {
-	if n == 0 {
-		return -1
-	}
-	return s.Intn(n)
 }
 
 // Bernoulli returns true with probability p (clamped to [0,1]).

@@ -6,6 +6,14 @@ import (
 	"testing/quick"
 )
 
+// Split returns a new Source whose stream is independent of the receiver's
+// future output. It consumes one value from the receiver.
+func (s *Source) Split() *Source {
+	child := &Source{}
+	child.reseed(s.Uint64())
+	return child
+}
+
 func TestDeterminism(t *testing.T) {
 	a := New(42)
 	b := New(42)
@@ -160,45 +168,6 @@ func TestExpPanicsOnNonPositiveRate(t *testing.T) {
 		}
 	}()
 	New(1).Exp(0)
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	s := New(12)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := s.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestShuffleIsPermutation(t *testing.T) {
-	s := New(13)
-	data := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	s.Shuffle(len(data), func(i, j int) { data[i], data[j] = data[j], data[i] })
-	seen := make(map[int]bool, len(data))
-	for _, v := range data {
-		if seen[v] {
-			t.Fatalf("shuffle duplicated %d: %v", v, data)
-		}
-		seen[v] = true
-	}
-	if len(seen) != 8 {
-		t.Fatalf("shuffle lost elements: %v", data)
-	}
-}
-
-func TestPickEmpty(t *testing.T) {
-	if got := New(1).Pick(0); got != -1 {
-		t.Fatalf("Pick(0) = %d, want -1", got)
-	}
 }
 
 func TestBernoulliExtremes(t *testing.T) {

@@ -92,14 +92,6 @@ func (s *FloodScratch) reset(n int) {
 	}
 }
 
-// BoundedFlood emulates the paper's distributed route discovery with a
-// one-shot scratch; see FloodScratch.BoundedFlood for the reusable form the
-// hot paths use.
-func BoundedFlood(g *topology.Graph, src, dst topology.NodeID, allowance DirCost, cfg FloodConfig) ([]Candidate, error) {
-	var s FloodScratch
-	return s.BoundedFlood(g, src, dst, allowance, cfg)
-}
-
 // BoundedFlood emulates the paper's distributed route discovery: the request
 // floods outward from src within HopBound hops; each copy carries the
 // bottleneck of the residual bandwidths (allowance(link)) along its route;

@@ -87,9 +87,6 @@ func (p Path) SharedLinks(q Path) int {
 	return n
 }
 
-// LinkDisjoint reports whether p and q share no links.
-func (p Path) LinkDisjoint(q Path) bool { return p.SharedLinks(q) == 0 }
-
 // Equal reports whether two paths traverse identical node sequences.
 func (p Path) Equal(q Path) bool {
 	if len(p.Nodes) != len(q.Nodes) {
@@ -101,17 +98,6 @@ func (p Path) Equal(q Path) bool {
 		}
 	}
 	return true
-}
-
-// Clone returns a deep copy of the path.
-func (p Path) Clone() Path {
-	c := Path{
-		Nodes: make([]topology.NodeID, len(p.Nodes)),
-		Links: make([]topology.LinkID, len(p.Links)),
-	}
-	copy(c.Nodes, p.Nodes)
-	copy(c.Links, p.Links)
-	return c
 }
 
 // DirLinks returns the directed link IDs the path traverses, in order.

@@ -91,7 +91,7 @@ func TestShortestHopsNoRoute(t *testing.T) {
 
 func TestShortestHopsFilter(t *testing.T) {
 	g := line(t, 3)
-	blocked, _ := g.LinkBetween(1, 2)
+	blocked := topology.LinkID(1) // the line's links are added in order: 1 joins 1 and 2
 	_, err := ShortestHops(g, 0, 2, func(l topology.LinkID) bool { return l != blocked })
 	if !errors.Is(err, ErrNoRoute) {
 		t.Fatalf("filter ignored: %v", err)

@@ -7,7 +7,7 @@ import (
 )
 
 // RouteScratch holds the working state of the shortest-path searches —
-// ShortestHops, Dijkstra and BackupRoute — so that a caller running many of
+// ShortestHops and BackupRoute — so that a caller running many of
 // them (the manager re-protecting connections after a link failure) reuses
 // one set of arrays instead of allocating them per call, in the style of
 // FloodScratch. Per-node and per-link state is epoch-stamped: a search
@@ -196,27 +196,9 @@ func (s *RouteScratch) pop() distItem {
 	return h[n]
 }
 
-// Dijkstra returns a minimum-weight path from src to dst. weight must return
-// positive costs; filter (nil admits all) restricts usable links.
-func Dijkstra(g *topology.Graph, src, dst topology.NodeID, weight LinkWeight, filter LinkFilter) (Path, error) {
-	if err := checkEndpoints(g, src, dst); err != nil {
-		return Path{}, err
-	}
-	if weight == nil {
-		weight = func(topology.LinkID) float64 { return 1 }
-	}
-	if src == dst {
-		return Path{Nodes: []topology.NodeID{src}}, nil
-	}
-	var s RouteScratch
-	if !s.dijkstra(g, src, dst, weight, func(l topology.LinkID) bool { return admits(filter, l) }) {
-		return Path{}, fmt.Errorf("%w: %d -> %d", ErrNoRoute, src, dst)
-	}
-	return s.path(src, dst), nil
-}
-
-// dijkstra runs the search behind Dijkstra between two distinct valid
-// endpoints and reports whether dst was reached; the path is then s.path.
+// dijkstra runs a minimum-weight search between two distinct valid endpoints
+// (weight must return positive costs) and reports whether dst was reached;
+// the path is then s.path. BackupRoute falls back to it.
 func (s *RouteScratch) dijkstra(g *topology.Graph, src, dst topology.NodeID, weight LinkWeight, usable func(topology.LinkID) bool) bool {
 	s.begin(g.NumNodes())
 	s.heap = append(s.heap[:0], distItem{node: src})

@@ -59,8 +59,8 @@ func TestSubmitPreCancelledContext(t *testing.T) {
 // calls that got real answers.
 func TestShutdownRacesMixedSubmits(t *testing.T) {
 	s := newTestServer(t, 8)
-	nodes := s.Graph().NumNodes()
-	links := s.Graph().NumLinks()
+	nodes := s.StatsView().Nodes
+	links := s.StatsView().Links
 	spec := qos.DefaultSpec()
 
 	var answered atomic.Int64
@@ -267,15 +267,15 @@ func TestDegradedMode(t *testing.T) {
 	corrupt(t, s)
 	// The audit discovers the corruption and that discovery itself flips
 	// the server.
-	if err := s.CheckInvariants(ctx); !manager.IsInvariantViolation(err) {
+	if err := s.CheckInvariants(ctx); !errors.As(err, new(*manager.InvariantViolation)) {
 		t.Fatalf("audit after corruption: %v, want InvariantViolation", err)
 	}
 	deg, reason := s.Degraded()
 	if !deg || reason == "" {
 		t.Fatalf("Degraded() = %v, %q after dirty audit", deg, reason)
 	}
-	if n := s.InvariantViolations(); n < 1 {
-		t.Fatalf("InvariantViolations() = %d, want >= 1", n)
+	if n := s.StatsView().InvariantViolations; n < 1 {
+		t.Fatalf("invariant_violations = %d, want >= 1", n)
 	}
 
 	// Every mutation is now refused with ErrDegraded: TestMutationGuardMatrix.
@@ -372,7 +372,7 @@ func TestFrozenSnapshotMetric(t *testing.T) {
 	}
 
 	corrupt(t, s)
-	if err := s.CheckInvariants(context.Background()); !manager.IsInvariantViolation(err) {
+	if err := s.CheckInvariants(context.Background()); !errors.As(err, new(*manager.InvariantViolation)) {
 		t.Fatalf("audit after corruption: %v, want InvariantViolation", err)
 	}
 	if mb := scrape(); !strings.Contains(mb, "drqos_snapshot_frozen 1") {

@@ -88,9 +88,6 @@ type EpochStats struct {
 // blocks: this is the whole point of the epoch layer.
 func (s *Server) View() *EpochView { return s.view.Load() }
 
-// EpochPublishes returns how many epochs have been published.
-func (s *Server) EpochPublishes() int64 { return s.epochPublishes.Load() }
-
 // publishEpoch swaps in a fresh epoch unless the server is degraded. Loop
 // goroutine only (or before the loop starts / inside a loop command, which
 // is the same ownership).

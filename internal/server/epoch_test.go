@@ -64,7 +64,7 @@ func managerKey(m *manager.Manager) string {
 			failed = append(failed, l)
 		}
 	}
-	return aggregateKey(m.Requests(), m.Rejects(), m.AliveCount(), m.UnprotectedCount(),
+	return aggregateKey(m.SnapshotHeader().Requests, m.SnapshotHeader().Rejects, m.AliveCount(), m.UnprotectedCount(),
 		m.LevelHistogram(nil), m.AverageBandwidth(), failed)
 }
 
@@ -243,7 +243,7 @@ func TestEpochViewMultiMutatorInternalConsistency(t *testing.T) {
 	s := newTestServer(t, 64)
 	defer s.Shutdown(context.Background())
 	ctx := context.Background()
-	nodes := s.Graph().NumNodes()
+	nodes := s.StatsView().Nodes
 	spec := qos.DefaultSpec()
 
 	done := make(chan struct{})

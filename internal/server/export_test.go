@@ -4,7 +4,18 @@ import (
 	"context"
 
 	"drqos/internal/manager"
+	"drqos/internal/topology"
 )
+
+// New builds a Server over a fresh manager for graph g and starts its
+// command loop.
+func New(g *topology.Graph, cfg manager.Config, opt Options) (*Server, error) {
+	mgr, err := manager.New(g, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return NewFromManager(g, mgr, opt)
+}
 
 // Submit exposes the raw command-loop enqueue (freeing lane) to tests so
 // they can wedge the loop and exercise queue-full, shedding and drain
@@ -26,7 +37,7 @@ var AppendIndented = appendIndented
 
 // ForceOverloaded latches or clears the overload detector directly, for
 // readiness-probe and HTTP shedding tests.
-func (s *Server) ForceOverloaded(v bool) { s.detector.Force(v) }
+func (s *Server) ForceOverloaded(v bool) { s.detector.ForceForTesting(v) }
 
 // Establishes exposes the executed-establish counter so shedding tests can
 // assert abandoned commands never ran.

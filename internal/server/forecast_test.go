@@ -44,7 +44,7 @@ func churnServer(t *testing.T, s *server.Server, seed uint64, ops int, terminate
 	t.Helper()
 	ctx := context.Background()
 	src := rng.New(seed)
-	nodes := s.Graph().NumNodes()
+	nodes := s.StatsView().Nodes
 	spec := qos.DefaultSpec()
 	var alive []channel.ConnID
 	accepted := 0

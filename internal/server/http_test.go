@@ -22,6 +22,20 @@ import (
 	"drqos/internal/topology"
 )
 
+// readEvents decodes jnl's durable records from seq from on.
+func readEvents(t *testing.T, jnl *journal.Journal, from uint64) []journal.Event {
+	t.Helper()
+	frames, _, err := jnl.ReadFrames(from, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, err := journal.DecodeFrames(frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return evs
+}
+
 func doJSON(t *testing.T, client *http.Client, method, url string, body any, out any) (int, string) {
 	t.Helper()
 	var rd io.Reader
@@ -299,10 +313,7 @@ func TestInvariantsAnswersOneInstant(t *testing.T) {
 
 	// Replay the journal record by record, noting the fingerprint at each
 	// sequence number.
-	evs, err := jnl.ReadFrom(1, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
+	evs := readEvents(t, jnl, 1)
 	m, txns, err := server.RebuildWithTxns(g, manager.Config{Capacity: 10000}, &journal.Recovered{})
 	if err != nil {
 		t.Fatal(err)

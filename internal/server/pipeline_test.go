@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -55,7 +56,7 @@ func buildPipelineFixture(t *testing.T, s *server.Server) *pipelineFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.path, f.pathSrc, f.pathDst = b.Conn.Primary.Clone(), 7, 20
+	f.path, f.pathSrc, f.pathDst = routing.Path{Nodes: slices.Clone(b.Conn.Primary.Nodes), Links: slices.Clone(b.Conn.Primary.Links)}, 7, 20
 	onPath := map[topology.LinkID]bool{}
 	for _, l := range append(append([]topology.LinkID{}, a.Conn.Primary.Links...), f.path.Links...) {
 		onPath[l] = true
@@ -63,7 +64,7 @@ func buildPipelineFixture(t *testing.T, s *server.Server) *pipelineFixture {
 	// Fail and repair targets stay off both routes, so neither drops a
 	// connection the other mutations need.
 	var free []topology.LinkID
-	for l := 0; l < s.Graph().NumLinks() && len(free) < 2; l++ {
+	for l := 0; l < s.StatsView().Links && len(free) < 2; l++ {
 		if !onPath[topology.LinkID(l)] {
 			free = append(free, topology.LinkID(l))
 		}
@@ -136,7 +137,7 @@ func TestMutationGuardMatrix(t *testing.T) {
 		arm func(t *testing.T, s *server.Server, jnl *journal.Journal)
 	}{
 		{"degraded", server.ErrDegraded, func(t *testing.T, s *server.Server, _ *journal.Journal) {
-			if err := s.CorruptForTesting(context.Background()); !manager.IsInvariantViolation(err) {
+			if err := s.CorruptForTesting(context.Background()); !errors.As(err, new(*manager.InvariantViolation)) {
 				t.Fatalf("corrupt: %v", err)
 			}
 		}},
@@ -305,18 +306,12 @@ func TestLiveReplayFollowerAgree(t *testing.T) {
 	if err := primary.CommitTxn(ctx, f.prepareTxn); !errors.Is(err, server.ErrNotFound) {
 		t.Errorf("commit of a transaction whose pin a link failure took: %v, want ErrNotFound", err)
 	}
-	stream, err := jnl.ReadFrom(1, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stream := readEvents(t, jnl, 1)
 	if err := primary.SnapshotNow(ctx); err != nil {
 		t.Fatal(err)
 	}
 	establishN(t, primary, 3)
-	tail, err := jnl.ReadFrom(jnl.SnapshotSeq()+1, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tail := readEvents(t, jnl, jnl.SnapshotSeq()+1)
 	stream = append(stream, tail...)
 	if tip := jnl.LastSeq(); uint64(len(stream)) != tip {
 		t.Fatalf("stream holds %d records, journal tip %d", len(stream), tip)

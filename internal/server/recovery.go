@@ -125,6 +125,10 @@ func (s *Server) recoverOnce(ctx context.Context) (uint64, error) {
 		// resolving them is the coordinator's call, not this shard's.
 		s.txns = txns
 		s.eventsSinceSnap = 0
+		// Count the recovery before the un-latch: a reader that sees the
+		// plane healthy again also sees the recovery that healed it.
+		s.recoveries.Add(1)
+		s.setLastRecoveryErr("")
 		s.degradedMu.Lock()
 		s.degradedReason = ""
 		s.degradedMu.Unlock()

@@ -31,7 +31,13 @@ func journaledGraph(t *testing.T) *topology.Graph {
 
 func newJournaledServer(t *testing.T, g *topology.Graph, opt server.Options) (*server.Server, *journal.Journal) {
 	t.Helper()
-	jnl, rec, err := journal.Open(t.TempDir(), journal.Options{FsyncEvery: -1})
+	return newJournaledServerIn(t, g, t.TempDir(), opt)
+}
+
+// newJournaledServerIn is newJournaledServer over a journal in dir.
+func newJournaledServerIn(t *testing.T, g *topology.Graph, dir string, opt server.Options) (*server.Server, *journal.Journal) {
+	t.Helper()
+	jnl, rec, err := journal.Open(dir, journal.Options{FsyncEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +56,7 @@ func newJournaledServer(t *testing.T, g *topology.Graph, opt server.Options) (*s
 func establishN(t *testing.T, s *server.Server, n int) {
 	t.Helper()
 	ctx := context.Background()
-	nodes := s.Graph().NumNodes()
+	nodes := s.StatsView().Nodes
 	r := rng.New(99)
 	made := 0
 	for made < n {
@@ -72,7 +78,8 @@ func establishN(t *testing.T, s *server.Server, n int) {
 // the same population as the one that wrote it.
 func TestRestartReplaysJournal(t *testing.T) {
 	g := journaledGraph(t)
-	s, jnl := newJournaledServer(t, g, server.Options{SnapshotEvery: 7})
+	dir := t.TempDir()
+	s, _ := newJournaledServerIn(t, g, dir, server.Options{SnapshotEvery: 7})
 	ctx := context.Background()
 	establishN(t, s, 20)
 	if _, err := s.FailLink(ctx, 0); err != nil && !errors.Is(err, server.ErrConflict) {
@@ -90,7 +97,7 @@ func TestRestartReplaysJournal(t *testing.T) {
 	}
 	// No jnl.Close(): simulate the crash by reopening the directory.
 
-	jnl2, rec, err := journal.Open(jnl.Dir(), journal.Options{FsyncEvery: -1})
+	jnl2, rec, err := journal.Open(dir, journal.Options{FsyncEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +220,7 @@ func TestAutoRecover(t *testing.T) {
 	defer s.Shutdown(context.Background())
 	establishN(t, s, 5)
 	corrupt(t, s)
-	if err := s.CheckInvariants(context.Background()); !manager.IsInvariantViolation(err) {
+	if err := s.CheckInvariants(context.Background()); !errors.As(err, new(*manager.InvariantViolation)) {
 		t.Fatalf("audit after corruption: %v", err)
 	}
 	deadline := time.Now().Add(5 * time.Second)

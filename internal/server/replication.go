@@ -95,9 +95,6 @@ func (s *Server) IsFollower() bool { return s.follower.Load() }
 // server).
 func (s *Server) Term() uint64 { return s.term.Load() }
 
-// Promotions returns how many times this server promoted to primary.
-func (s *Server) Promotions() int64 { return s.promotions.Load() }
-
 // ApplyReplicated applies a batch of journal records shipped from the
 // primary: each record is appended to the local journal under the
 // primary's sequence number and replayed into the live manager, KindTerm
@@ -277,8 +274,6 @@ func (s *Server) Reseed(ctx context.Context) (uint64, error) {
 		s.setLastRecoveryErr(err.Error())
 		return 0, err
 	}
-	s.recoveries.Add(1)
-	s.setLastRecoveryErr("")
 	return seq, nil
 }
 

@@ -302,16 +302,6 @@ type Server struct {
 	backupsLost atomic.Int64
 }
 
-// New builds a Server over a fresh manager for graph g and starts its
-// command loop.
-func New(g *topology.Graph, cfg manager.Config, opt Options) (*Server, error) {
-	mgr, err := manager.New(g, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return NewFromManager(g, mgr, opt)
-}
-
 // NewFromManager builds a Server around an existing manager — typically one
 // rebuilt from a journal by Rebuild — and starts its command loop. The
 // manager must not be touched by the caller afterwards.
@@ -446,9 +436,6 @@ func (s *Server) run(cmd command, l lane) {
 	s.processed.Add(1)
 }
 
-// Graph returns the (immutable after construction) topology.
-func (s *Server) Graph() *topology.Graph { return s.graph }
-
 // QueueDepth returns the number of commands currently buffered across both
 // lanes.
 func (s *Server) QueueDepth() int { return len(s.freeing) + len(s.consuming) }
@@ -476,9 +463,6 @@ func (s *Server) OverloadEpisodes() int64 { return s.detector.Episodes() }
 // from the detector interval (whole seconds, minimum 1).
 func (s *Server) RetryAfterHint() time.Duration { return s.detector.RetryAfter() }
 
-// Journaled reports whether mutations are written to a durable journal.
-func (s *Server) Journaled() bool { return s.jnl != nil }
-
 // Degraded reports whether the service is refusing mutations after an
 // invariant violation, and the first violation's description.
 func (s *Server) Degraded() (bool, string) {
@@ -489,10 +473,6 @@ func (s *Server) Degraded() (bool, string) {
 	defer s.degradedMu.Unlock()
 	return true, s.degradedReason
 }
-
-// InvariantViolations returns how many invariant violations the loop has
-// detected (mid-event or by audit).
-func (s *Server) InvariantViolations() int64 { return s.invariantViolations.Load() }
 
 // noteViolation inspects an event handler's error for an invariant
 // violation and, on the first one, flips the server into degraded mode.

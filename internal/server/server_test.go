@@ -37,8 +37,8 @@ func newTestServer(t *testing.T, queue int) *server.Server {
 func TestConcurrentChurn(t *testing.T) {
 	s := newTestServer(t, 64)
 	ctx := context.Background()
-	nodes := s.Graph().NumNodes()
-	links := s.Graph().NumLinks()
+	nodes := s.StatsView().Nodes
+	links := s.StatsView().Links
 	spec := qos.DefaultSpec()
 
 	const workers = 10
@@ -158,7 +158,7 @@ func TestConcurrentChurn(t *testing.T) {
 // counter matches after Shutdown.
 func TestShutdownWhileBusy(t *testing.T) {
 	s := newTestServer(t, 8)
-	nodes := s.Graph().NumNodes()
+	nodes := s.StatsView().Nodes
 	spec := qos.DefaultSpec()
 
 	var applied atomic.Int64 // calls that got a real answer (applied once)

@@ -397,17 +397,11 @@ func (c *Coordinator) SetTestHookAfterPrepare(fn func(shard int, txn uint64) err
 	c.afterPrepare = fn
 }
 
-// NumShards returns the shard count.
-func (c *Coordinator) NumShards() int { return len(c.shards) }
-
 // Shard returns shard i's server (tests and the HTTP aggregator).
 func (c *Coordinator) Shard(i int) *server.Server { return c.shards[i] }
 
 // Plan returns the partition.
 func (c *Coordinator) Plan() *Plan { return c.plan }
-
-// Graph returns the global topology.
-func (c *Coordinator) Graph() *topology.Graph { return c.g }
 
 // CrossStats returns the 2PC counters (attempted, committed, aborted).
 func (c *Coordinator) CrossStats() (attempts, committed, aborted int64) {

@@ -279,7 +279,11 @@ func TestFailAnswerNamesCrossConnections(t *testing.T) {
 func TestFailureOutcomesOverHTTP(t *testing.T) {
 	g := tierGraph(t, 7)
 	cfg := manager.Config{Capacity: 10000}
-	single, err := server.New(g, cfg, server.Options{})
+	mgr, err := manager.New(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := server.NewFromManager(g, mgr, server.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -473,7 +473,11 @@ func TestSingleShardBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer jnl.Close()
-	s, err := server.New(g, mcfg, server.Options{Journal: jnl})
+	mgr, err := manager.New(g, mcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := server.NewFromManager(g, mgr, server.Options{Journal: jnl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,7 +548,7 @@ func TestSingleShardBitIdentical(t *testing.T) {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := jnl.Sync(); err != nil {
+	if err := jnl.Close(); err != nil {
 		t.Fatal(err)
 	}
 	compareDirs(t, filepath.Join(cdir, "shard-000"), sdir)
@@ -651,8 +655,8 @@ func TestCrossCountersSurviveRestart(t *testing.T) {
 func TestSerialScriptWritesIdenticalJournals(t *testing.T) {
 	g := tierGraph(t, 1)
 	var transit []topology.LinkID
-	for _, l := range g.Links() {
-		if g.Tag(l.A) == "transit" && g.Tag(l.B) == "transit" {
+	for id := 0; id < g.NumLinks(); id++ {
+		if l := g.Link(topology.LinkID(id)); g.Tag(l.A) == "transit" && g.Tag(l.B) == "transit" {
 			transit = append(transit, l.ID)
 		}
 	}

@@ -63,7 +63,7 @@ func TestSimJournalReplays(t *testing.T) {
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := m.ExportState().Fingerprint(), s.Manager().ExportState().Fingerprint(); got != want {
+	if got, want := m.ExportState().Fingerprint(), s.ManagerForTesting().ExportState().Fingerprint(); got != want {
 		t.Fatalf("replayed fingerprint %s, simulator ended at %s", got, want)
 	}
 
@@ -82,7 +82,7 @@ func TestSimJournalReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	established, rejected := at.Requests()-at.Rejects(), at.Rejects()
+	established, rejected := at.SnapshotHeader().Requests-at.SnapshotHeader().Rejects, at.SnapshotHeader().Rejects
 	var terminated, failures int64
 	for _, ev := range rec.Events {
 		_, err := at.Apply(ev)

@@ -181,12 +181,9 @@ func New(g *topology.Graph, cfg Config) (*Sim, error) {
 	return s, nil
 }
 
-// Manager exposes the underlying manager (for inspection in tests and
-// examples).
-func (s *Sim) Manager() *manager.Manager { return s.mgr }
-
-// Clock returns the current simulated time.
-func (s *Sim) Clock() float64 { return s.clock }
+// ManagerForTesting exposes the underlying manager, so tests can compare a
+// run's final state with what a daemon or a restore rebuilt from its trace.
+func (s *Sim) ManagerForTesting() *manager.Manager { return s.mgr }
 
 // randomPair draws a uniform random (src, dst) pair of distinct nodes.
 func (s *Sim) randomPair() (topology.NodeID, topology.NodeID) {

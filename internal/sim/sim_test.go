@@ -112,7 +112,7 @@ func TestRunSmoke(t *testing.T) {
 		t.Fatalf("occupancy sums to %v", sum)
 	}
 	// Manager invariants hold at the end.
-	if err := s.Manager().CheckInvariants(); err != nil {
+	if err := s.ManagerForTesting().CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -190,11 +190,7 @@ func TestMeasuredParamsAreSane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := chain.SteadyState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mean, err := markov.MeanBandwidth(pi, cfg.Spec)
+	_, mean, err := markov.Solve(chain, res.BirthDist, 0, cfg.Spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,11 +224,7 @@ func TestAnalyticTracksSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := chain.SteadyState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	analytic, err := markov.MeanBandwidth(pi, cfg.Spec)
+	_, analytic, err := markov.Solve(chain, res.BirthDist, 0, cfg.Spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +254,7 @@ func TestFailuresDropAndActivate(t *testing.T) {
 	if res.Failures == 0 {
 		t.Fatal("no failures injected despite gamma > 0")
 	}
-	if err := s.Manager().CheckInvariants(); err != nil {
+	if err := s.ManagerForTesting().CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	// Conservation still holds with drops.

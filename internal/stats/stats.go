@@ -71,28 +71,6 @@ func (r *Running) CI95() float64 {
 	return 1.96 * r.StdDev() / math.Sqrt(float64(r.n))
 }
 
-// Merge folds another accumulator into this one (parallel Welford merge).
-func (r *Running) Merge(o *Running) {
-	if o.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = *o
-		return
-	}
-	n := r.n + o.n
-	d := o.mean - r.mean
-	r.m2 += o.m2 + d*d*float64(r.n)*float64(o.n)/float64(n)
-	r.mean += d * float64(o.n) / float64(n)
-	if o.min < r.min {
-		r.min = o.min
-	}
-	if o.max > r.max {
-		r.max = o.max
-	}
-	r.n = n
-}
-
 // TimeWeighted integrates a piecewise-constant signal over simulated time.
 // Observe(t, v) declares that the signal takes value v from time t onward;
 // calls must have non-decreasing t. The zero value is ready for use.
@@ -127,19 +105,4 @@ func (w *TimeWeighted) Mean() float64 {
 		return 0
 	}
 	return w.area / w.duration
-}
-
-// Duration returns the total elapsed time integrated so far.
-func (w *TimeWeighted) Duration() float64 { return w.duration }
-
-// Mean of a float64 slice; 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }

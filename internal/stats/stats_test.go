@@ -53,55 +53,12 @@ func TestRunningCI95Shrinks(t *testing.T) {
 	}
 }
 
-func TestRunningMergeMatchesSequential(t *testing.T) {
-	src := rng.New(2)
-	var whole, a, b Running
-	for i := 0; i < 1000; i++ {
-		x := src.Float64()*10 - 5
-		whole.Observe(x)
-		if i%2 == 0 {
-			a.Observe(x)
-		} else {
-			b.Observe(x)
-		}
-	}
-	a.Merge(&b)
-	if a.N() != whole.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), whole.N())
-	}
-	if math.Abs(a.Mean()-whole.Mean()) > 1e-9 {
-		t.Fatalf("merged mean %v vs %v", a.Mean(), whole.Mean())
-	}
-	if math.Abs(a.Variance()-whole.Variance()) > 1e-9 {
-		t.Fatalf("merged var %v vs %v", a.Variance(), whole.Variance())
-	}
-	if a.Min() != whole.Min() || a.Max() != whole.Max() {
-		t.Fatal("merged min/max mismatch")
-	}
-}
-
-func TestRunningMergeEmpty(t *testing.T) {
-	var a, b Running
-	a.Observe(1)
-	a.Merge(&b) // no-op
-	if a.N() != 1 {
-		t.Fatal("merge with empty changed N")
-	}
-	b.Merge(&a)
-	if b.N() != 1 || b.Mean() != 1 {
-		t.Fatal("merge into empty failed")
-	}
-}
-
 func TestTimeWeightedConstant(t *testing.T) {
 	var w TimeWeighted
 	w.Observe(0, 5)
 	w.CloseAt(10)
 	if w.Mean() != 5 {
 		t.Fatalf("mean = %v", w.Mean())
-	}
-	if w.Duration() != 10 {
-		t.Fatalf("duration = %v", w.Duration())
 	}
 }
 
@@ -136,6 +93,19 @@ func TestTimeWeightedBackwardsPanics(t *testing.T) {
 	w.Observe(4, 1)
 }
 
+// Mean of a float64 slice; 0 for an empty slice. It is the naive reference
+// Running.Mean is checked against.
+func Mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	var s float64
+	for _, x := range xs {
+		s += x
+	}
+	return s / float64(len(xs))
+}
+
 func TestMean(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Fatal("empty slice")
@@ -152,25 +122,8 @@ func TestTransitionCounter(t *testing.T) {
 	c.Record(2, 1)
 	c.Record(2, 2) // stay
 	c.Record(0, 1)
-	p := c.Probs()
-	if math.Abs(p[2][0]-2.0/3.0) > 1e-12 || math.Abs(p[2][1]-1.0/3.0) > 1e-12 {
-		t.Fatalf("row 2 = %v", p[2])
-	}
-	if p[0][1] != 1 {
-		t.Fatalf("row 0 = %v", p[0])
-	}
-	if p[1][0] != 0 && p[1][2] != 0 {
-		t.Fatalf("row 1 should be empty: %v", p[1])
-	}
-	if c.Events(2) != 4 {
-		t.Fatalf("events(2) = %d", c.Events(2))
-	}
-	cp := c.ChangeProb()
-	if math.Abs(cp[2]-0.75) > 1e-12 {
-		t.Fatalf("changeProb(2) = %v", cp[2])
-	}
-	if c.TotalJumps() != 4 {
-		t.Fatalf("TotalJumps = %d", c.TotalJumps())
+	if c.Events(2) != 4 || c.Events(1) != 0 {
+		t.Fatalf("events(2) = %d, events(1) = %d", c.Events(2), c.Events(1))
 	}
 	if c.Count(2, 0) != 2 || c.Count(2, 2) != 1 {
 		t.Fatal("Count accessor wrong")
@@ -203,61 +156,18 @@ func TestTransitionCounterMerge(t *testing.T) {
 	}
 }
 
-// Property: rows of Probs sum to ~1 whenever any jump was recorded from that
-// state, and all entries are within [0,1].
-func TestQuickTransitionRowsStochastic(t *testing.T) {
-	f := func(seed uint64) bool {
-		src := rng.New(seed)
-		n := 2 + src.Intn(8)
-		c := NewTransitionCounter(n)
-		events := 50 + src.Intn(200)
-		for e := 0; e < events; e++ {
-			c.Record(src.Intn(n), src.Intn(n))
-		}
-		p := c.Probs()
-		for i := 0; i < n; i++ {
-			var rowSum float64
-			var hasJump bool
-			for j := 0; j < n; j++ {
-				if p[i][j] < 0 || p[i][j] > 1 {
-					return false
-				}
-				rowSum += p[i][j]
-				if i != j && c.Count(i, j) > 0 {
-					hasJump = true
-				}
-			}
-			if hasJump && math.Abs(rowSum-1) > 1e-9 {
-				return false
-			}
-			if !hasJump && rowSum != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRatio(t *testing.T) {
 	var r Ratio
 	if r.Value() != 0 {
 		t.Fatal("empty ratio")
 	}
-	r.Observe(true)
-	r.Observe(false)
-	r.Observe(true)
+	r.ObserveN(2, 3)
 	if math.Abs(r.Value()-2.0/3.0) > 1e-12 {
 		t.Fatalf("ratio = %v", r.Value())
 	}
 	r.ObserveN(0, 3)
 	if math.Abs(r.Value()-2.0/6.0) > 1e-12 {
 		t.Fatalf("ratio = %v", r.Value())
-	}
-	if r.Total() != 6 {
-		t.Fatalf("total = %d", r.Total())
 	}
 }
 

@@ -9,10 +9,8 @@ import "fmt"
 // consumes (§3.3: "the probabilities of transitioning from one state to
 // another ... are obtained through simulations").
 //
-// Probabilities are conditioned on the originating state: row i of Probs()
-// is the distribution of the destination state given that a channel in state
-// i experienced the event AND changed state. Self-loops (no change) are
-// counted separately so that callers can also recover the per-event change
+// Self-loops (no change) are counted separately from jumps, so that callers
+// can recover both the jump distribution and the per-event change
 // probability.
 type TransitionCounter struct {
 	n      int
@@ -70,41 +68,6 @@ func (c *TransitionCounter) Events(i int) int {
 	return t
 }
 
-// Probs returns the conditional jump matrix P[i][j] = P(next state j | event
-// in state i caused a change). Rows with no observed changes are all zero.
-func (c *TransitionCounter) Probs() [][]float64 {
-	p := make([][]float64, c.n)
-	for i := range p {
-		p[i] = make([]float64, c.n)
-		var total int
-		for _, v := range c.counts[i] {
-			total += v
-		}
-		if total == 0 {
-			continue
-		}
-		for j, v := range c.counts[i] {
-			p[i][j] = float64(v) / float64(total)
-		}
-	}
-	return p
-}
-
-// ChangeProb returns, for each state i, the probability that an event
-// observed in state i changed the state at all. States with no events
-// report 0.
-func (c *TransitionCounter) ChangeProb() []float64 {
-	out := make([]float64, c.n)
-	for i := range out {
-		ev := c.Events(i)
-		if ev == 0 {
-			continue
-		}
-		out[i] = float64(ev-c.stays[i]) / float64(ev)
-	}
-	return out
-}
-
 // Merge folds another counter (with the same state count) into this one.
 func (c *TransitionCounter) Merge(o *TransitionCounter) error {
 	if o.n != c.n {
@@ -119,29 +82,10 @@ func (c *TransitionCounter) Merge(o *TransitionCounter) error {
 	return nil
 }
 
-// TotalJumps returns the total number of recorded state changes.
-func (c *TransitionCounter) TotalJumps() int {
-	var t int
-	for i := range c.counts {
-		for _, v := range c.counts[i] {
-			t += v
-		}
-	}
-	return t
-}
-
 // Ratio tracks a binary proportion (e.g. the paper's Pf and Ps
 // probabilities) with exact integer counts.
 type Ratio struct {
 	hits, total int64
-}
-
-// Observe records one trial.
-func (r *Ratio) Observe(hit bool) {
-	r.total++
-	if hit {
-		r.hits++
-	}
 }
 
 // ObserveN records many trials at once.
@@ -157,6 +101,3 @@ func (r *Ratio) Value() float64 {
 	}
 	return float64(r.hits) / float64(r.total)
 }
-
-// Total returns the number of trials.
-func (r *Ratio) Total() int64 { return r.total }

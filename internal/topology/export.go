@@ -43,30 +43,6 @@ func WriteJSON(w io.Writer, g *Graph) error {
 	return enc.Encode(jg)
 }
 
-// ReadJSON deserializes a graph written by WriteJSON.
-func ReadJSON(r io.Reader) (*Graph, error) {
-	var jg jsonGraph
-	if err := json.NewDecoder(r).Decode(&jg); err != nil {
-		return nil, fmt.Errorf("topology: decoding graph: %w", err)
-	}
-	g := NewGraph(len(jg.Nodes))
-	for i, n := range jg.Nodes {
-		if n.ID != i {
-			return nil, fmt.Errorf("topology: node IDs must be dense; got %d at index %d", n.ID, i)
-		}
-		g.AddTaggedNode(Point{X: n.X, Y: n.Y}, n.Tag)
-	}
-	for i, l := range jg.Links {
-		if l.ID != i {
-			return nil, fmt.Errorf("topology: link IDs must be dense; got %d at index %d", l.ID, i)
-		}
-		if _, err := g.AddLink(NodeID(l.A), NodeID(l.B)); err != nil {
-			return nil, fmt.Errorf("topology: decoding link %d: %w", i, err)
-		}
-	}
-	return g, nil
-}
-
 // WriteDOT renders the graph in Graphviz DOT format for visual inspection.
 func WriteDOT(w io.Writer, g *Graph, name string) error {
 	if name == "" {

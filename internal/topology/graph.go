@@ -40,26 +40,11 @@ type DirLinkID int
 // Link returns the physical link this direction belongs to.
 func (d DirLinkID) Link() LinkID { return LinkID(d / 2) }
 
-// Forward reports whether this is the A→B direction.
-func (d DirLinkID) Forward() bool { return d%2 == 0 }
-
 // Link is an undirected physical edge between two nodes, carrying one
 // independent capacity in each direction.
 type Link struct {
 	ID   LinkID
 	A, B NodeID
-}
-
-// Other returns the endpoint opposite n, or -1 if n is not an endpoint.
-func (l Link) Other(n NodeID) NodeID {
-	switch n {
-	case l.A:
-		return l.B
-	case l.B:
-		return l.A
-	default:
-		return -1
-	}
 }
 
 // halfedge is one directed view of a link in the adjacency list.
@@ -168,48 +153,8 @@ func (g *Graph) HasLink(a, b NodeID) bool {
 	return false
 }
 
-// LinkBetween returns the link joining a and b, if any.
-func (g *Graph) LinkBetween(a, b NodeID) (LinkID, bool) {
-	if int(a) >= len(g.adj) || a < 0 {
-		return -1, false
-	}
-	for _, h := range g.adj[a] {
-		if h.peer == b {
-			return h.link, true
-		}
-	}
-	return -1, false
-}
-
 // Link returns the link with the given ID.
 func (g *Graph) Link(id LinkID) Link { return g.links[id] }
-
-// Links returns a copy of the link list.
-func (g *Graph) Links() []Link {
-	out := make([]Link, len(g.links))
-	copy(out, g.links)
-	return out
-}
-
-// Degree returns the number of links incident to n.
-func (g *Graph) Degree(n NodeID) int { return len(g.adj[n]) }
-
-// Neighbors appends the neighbors of n to dst and returns it. Passing a
-// reusable dst avoids per-call allocation in hot paths.
-func (g *Graph) Neighbors(n NodeID, dst []NodeID) []NodeID {
-	for _, h := range g.adj[n] {
-		dst = append(dst, h.peer)
-	}
-	return dst
-}
-
-// IncidentLinks appends the link IDs incident to n to dst and returns it.
-func (g *Graph) IncidentLinks(n NodeID, dst []LinkID) []LinkID {
-	for _, h := range g.adj[n] {
-		dst = append(dst, h.link)
-	}
-	return dst
-}
 
 // ForEachNeighbor calls fn for every (peer, link) of node n.
 func (g *Graph) ForEachNeighbor(n NodeID, fn func(peer NodeID, link LinkID)) {
@@ -238,21 +183,6 @@ func (g *Graph) BFSDist(src NodeID) []int {
 		}
 	}
 	return dist
-}
-
-// Connected reports whether the graph is connected (true for graphs with
-// fewer than two nodes).
-func (g *Graph) Connected() bool {
-	if g.NumNodes() < 2 {
-		return true
-	}
-	dist := g.BFSDist(0)
-	for _, d := range dist {
-		if d < 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Components returns the node sets of the connected components.

@@ -19,9 +19,10 @@ import (
 // The paper quotes "α = 0.33 and β = 0" from GT-ITM, which is degenerate in
 // the standard Waxman form (β = 0 makes every probability zero). We instead
 // reproduce the *reported instance*: 100 nodes, 354 edges, average degree
-// 3.48, diameter 8. CalibrateBeta searches for the β that hits a target edge
-// count under a fixed α, which recovers a topology with the paper's
-// structural statistics. This substitution is recorded in DESIGN.md.
+// 3.48, diameter 8. A binary search for the β that hits a target edge count
+// under a fixed α (TestCalibrateBetaHitsPaperInstance) recovers a topology
+// with the paper's structural statistics. This substitution is recorded in
+// DESIGN.md.
 type WaxmanConfig struct {
 	Nodes int
 	Alpha float64
@@ -55,7 +56,7 @@ func Waxman(cfg WaxmanConfig, src *rng.Source) (*Graph, error) {
 		return nil, fmt.Errorf("topology: Waxman alpha %v outside (0,1]", cfg.Alpha)
 	}
 	if cfg.Beta <= 0 {
-		return nil, fmt.Errorf("topology: Waxman beta %v must be positive (see CalibrateBeta)", cfg.Beta)
+		return nil, fmt.Errorf("topology: Waxman beta %v must be positive", cfg.Beta)
 	}
 	side := cfg.Side
 	if side == 0 {
@@ -114,43 +115,4 @@ func connectComponents(g *Graph) {
 			}
 		}
 	}
-}
-
-// CalibrateBeta binary-searches the Waxman β that produces approximately
-// targetEdges edges for the given node count and α, averaging over trials
-// seeded from src. It returns the calibrated β.
-func CalibrateBeta(nodes int, alpha float64, targetEdges, trials int, src *rng.Source) (float64, error) {
-	if trials < 1 {
-		return 0, fmt.Errorf("topology: CalibrateBeta needs >=1 trial")
-	}
-	avgEdges := func(beta float64, probe *rng.Source) (float64, error) {
-		var total int
-		for t := 0; t < trials; t++ {
-			g, err := Waxman(WaxmanConfig{Nodes: nodes, Alpha: alpha, Beta: beta}, probe.Split())
-			if err != nil {
-				return 0, err
-			}
-			total += g.NumLinks()
-		}
-		return float64(total) / float64(trials), nil
-	}
-	lo, hi := 1e-4, 100.0
-	// The probe stream is split once per evaluation so each β is judged on
-	// fresh but deterministic instances.
-	for iter := 0; iter < 60; iter++ {
-		mid := math.Sqrt(lo * hi) // geometric bisection: β spans decades
-		e, err := avgEdges(mid, src)
-		if err != nil {
-			return 0, err
-		}
-		if math.Abs(e-float64(targetEdges)) <= 0.01*float64(targetEdges)+1 {
-			return mid, nil
-		}
-		if e < float64(targetEdges) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return math.Sqrt(lo * hi), nil
 }

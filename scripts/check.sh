@@ -11,6 +11,13 @@
 #                                decoder, then vet + tests of the bench/
 #                                module
 #
+# Among the root tests, TestNoTestOnlyExports (gates_test.go, ~4 s, ~7 s
+# under -race) type-checks this module and bench/ and fails with one
+# "file:line: pkg.Type.Method" line per export under internal/ that only
+# tests call: delete it, or move it into a _test.go file of its package
+# (export_test.go when the external test package needs it). Only
+# …ForTesting and SetTestHook… names are exempt.
+#
 # Each mode below is build + vet, the in-process episodes of one family
 # (cmd/chaos, judged by the replay oracle, DESIGN.md §15) and the tests of
 # its subsystem under -race, then its row of TestProcess: real drserverd
@@ -161,7 +168,7 @@ case "${1:-}" in
 
     # What a follower applies from its primary's stream: refused, or the
     # events that encode back to the input byte for byte.
-    echo "== fuzz: DecodeFrames against EncodeFrames (10s)"
+    echo "== fuzz: DecodeFrames against EncodeFramesForTesting (10s)"
     go test -run '^$' -fuzz FuzzDecodeFrames -fuzztime 10s ./internal/journal
 
     # bench/ is its own module (drqos/bench, replace drqos => ../), so ./...

@@ -1,0 +1,9 @@
+package p
+
+import "testing"
+
+func TestTestedOnly(t *testing.T) {
+	if TestedOnly() != 1 {
+		t.Fatal("TestedOnly")
+	}
+}
