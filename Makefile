@@ -21,9 +21,10 @@ race:
 # disjoint BFS or in the Dijkstra fallback), the
 # command loop around it (an establish+terminate pair over 100 and over 2000
 # standing connections: what the loop adds must not grow with the population),
-# the same pair with every ack waiting on a warm standby (what replication
-# adds must stay two fsyncs and a loopback round trip — no poll timer, no
-# hold; ack_wait_us_p50 beside ns/op is the daemon's own figure for it),
+# the same pair with every ack waiting on a warm standby, from one client
+# and from two (what replication adds must stay two fsyncs and two loopback
+# writes on one stream — no poll timer, no hold — and two clients' records
+# must share it; ack_wait_us_p50 beside ns/op is the daemon's own figure),
 # the answer writer (BenchmarkWriteJSON: an establish answer, one /v1/stats,
 # a 4-shard /v1/stats), the sharded front end in process
 # (BenchmarkFrontEnd: /v1/stats, /v1/shards and an establish over 300

@@ -117,8 +117,8 @@ func parseFlags(args []string) (*config, error) {
 
 	// Replication / high availability.
 	fs.StringVar(&c.replicaOf, "replica-of", "", "boot as a warm standby of this primary base URL (e.g. http://10.0.0.1:8080), continuously replaying its journal stream; requires -data-dir")
-	fs.DurationVar(&c.failoverTO, "failover-timeout", 750*time.Millisecond, "a standby promotes itself after this long without a successful fetch from the primary (0 = manual promotion via POST /v1/admin/promote only)")
-	fs.DurationVar(&c.lease, "lease", -1, "lease-based primary fencing: a primary that goes this long without a standby poll stops acknowledging mutations (503) until polling resumes; must be shorter than -failover-timeout (-1 = failover-timeout/2, 0 = disabled)")
+	fs.DurationVar(&c.failoverTO, "failover-timeout", 750*time.Millisecond, "a standby promotes itself after this long without a message from the primary's stream (0 = manual promotion via POST /v1/admin/promote only)")
+	fs.DurationVar(&c.lease, "lease", -1, "lease-based primary fencing: a primary that goes this long without a standby acknowledgment stops acknowledging mutations (503) until acknowledgments resume; must be shorter than -failover-timeout (-1 = failover-timeout/2, 0 = disabled)")
 
 	// Durability.
 	fs.StringVar(&c.dataDir, "data-dir", "", "journal directory; empty runs in-memory (no durability)")
@@ -210,6 +210,9 @@ func (c *config) serverOptions() server.Options {
 type plane struct {
 	handler http.Handler
 	drain   func(context.Context) error
+	// shutdown, when set, runs as the HTTP server starts shutting down:
+	// it ends the long-lived exchanges the server would wait for.
+	shutdown func()
 }
 
 // run boots the daemon args describe and serves until ctx is done, then
@@ -271,6 +274,11 @@ func serve(ctx context.Context, cfg *config, p plane, listening func(net.Addr)) 
 		ReadHeaderTimeout: 5 * time.Second,  // slowloris guard
 		IdleTimeout:       2 * time.Minute,  // keep-alive connections
 		MaxHeaderBytes:    1 << 20,
+	}
+	if p.shutdown != nil {
+		// Shutdown waits for every handler, and a replication stream's
+		// handler runs until told to end.
+		httpSrv.RegisterOnShutdown(p.shutdown)
 	}
 	log.Printf("listening on %s", ln.Addr())
 	if listening != nil {
@@ -378,7 +386,7 @@ func bootSingle(cfg *config, g *topology.Graph, mcfg manager.Config, front []ser
 		})
 		handler = node.FrontHandler(handler)
 		if cfg.lease > 0 {
-			log.Printf("replica: lease fencing on (a primary unpolled for %s refuses mutations)", cfg.lease)
+			log.Printf("replica: lease fencing on (a primary without a standby acknowledgment for %s refuses mutations)", cfg.lease)
 		}
 		if cfg.replicaOf != "" {
 			log.Printf("replica: following %s (failover after %s without a primary, 0 = manual)", cfg.replicaOf, cfg.failoverTO)
@@ -389,7 +397,7 @@ func bootSingle(cfg *config, g *topology.Graph, mcfg manager.Config, front []ser
 			}()
 		}
 	}
-	return plane{handler: handler, drain: func(ctx context.Context) error {
+	p := plane{handler: handler, drain: func(ctx context.Context) error {
 		if node != nil {
 			node.Stop() // halt the follower loop before the drain
 		}
@@ -403,7 +411,11 @@ func bootSingle(cfg *config, g *topology.Graph, mcfg manager.Config, front []ser
 			return jnl.Close()
 		}
 		return nil
-	}}, nil
+	}}
+	if node != nil {
+		p.shutdown = node.Stop
+	}
+	return p, nil
 }
 
 // bootSharded boots the partitioned admission plane: one manager + actor

@@ -49,6 +49,9 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// drainBudget is every child's -drain.
+const drainBudget = 5 * time.Second
+
 // proc is one drserverd child process.
 type proc struct {
 	url    string
@@ -78,7 +81,7 @@ func spawn(t *testing.T, args ...string) *proc {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(exe, append([]string{"-addr", "127.0.0.1:0", "-drain", "5s"}, args...)...)
+	cmd := exec.Command(exe, append([]string{"-addr", "127.0.0.1:0", "-drain", drainBudget.String()}, args...)...)
 	cmd.Env = append(os.Environ(), daemonMarker+"=1")
 	cmd.Stdin, cmd.Stdout, cmd.Stderr = inR, outW, outW
 	err = cmd.Start()
@@ -221,7 +224,7 @@ func (p *proc) role(t *testing.T) string {
 }
 
 // waitReady waits for p's /readyz to answer 200: a leased primary turns
-// ready once its standby polls.
+// ready once its standby streams.
 func (p *proc) waitReady(t *testing.T) {
 	t.Helper()
 	waitFor(t, 10*time.Second, p.url+" ready", func() bool {
@@ -560,12 +563,32 @@ func processPair(t *testing.T) {
 	if r := a.role(t); r != "follower" {
 		t.Errorf("rejoined ex-primary role %q, want follower", r)
 	}
+
+	// A drain ends the replication streams: the primary exits 0 within its
+	// drain budget while its standby streams from it, and so does the
+	// standby.
+	termWithinBudget(t, b, a)
+}
+
+// termWithinBudget SIGTERMs each of procs in turn and requires exit status 0
+// within the drain budget.
+func termWithinBudget(t *testing.T, procs ...*proc) {
+	t.Helper()
+	for _, p := range procs {
+		start := time.Now()
+		if err := p.term(); err != nil {
+			t.Fatalf("SIGTERM %s: exit %v, want status 0\n%s", p.url, err, p.log())
+		}
+		if took := time.Since(start); took > drainBudget {
+			t.Errorf("SIGTERM %s: drained in %s, budget %s", p.url, took.Round(time.Millisecond), drainBudget)
+		}
+	}
 }
 
 // processPairManual: with lease fencing on and no automatic failover, the
 // promote interlock refuses while the primary lives, and a promote after
 // its SIGKILL succeeds once the lease lapses; the promoted node holds every
-// acked connection and serves.
+// acked connection and serves, and drains with a standby streaming.
 func processPairManual(t *testing.T) {
 	a := spawn(t, "-data-dir", t.TempDir(), "-fsync", "1", "-lease", "200ms")
 	b := spawn(t, "-data-dir", t.TempDir(), "-fsync", "1", "-lease", "200ms",
@@ -599,4 +622,15 @@ func processPairManual(t *testing.T) {
 		t.Fatalf("load on the promoted node: %v", err)
 	}
 	l.requireAlive(t, b)
+
+	// A fresh standby of the promoted node: once it streams and holds the
+	// lease, a SIGTERM drains the leased primary and then the standby,
+	// each with exit status 0 within the drain budget.
+	c := spawn(t, "-data-dir", t.TempDir(), "-fsync", "1", "-lease", "200ms",
+		"-replica-of", b.url, "-failover-timeout", "0")
+	want := b.invariants(t).audit
+	waitFor(t, 10*time.Second, "the new standby caught up", func() bool {
+		return c.invariants(t).audit == want
+	})
+	termWithinBudget(t, b, c)
 }

@@ -62,11 +62,12 @@ var gates = []gate{
 	},
 	{
 		// Every wait up to the standby's confirmation parks on the event
-		// that ends it: the shipper's parked poll on the journal's durable
+		// that ends it: the stream's push on the journal's durable
 		// broadcast, the acknowledgment wait (WaitReplicated) on a standby's
-		// poll, both on the caller's context. A sleep or a ticker here is a
-		// poll timer or a hold coming back (DESIGN.md §12); the one deadline
-		// timer WaitReplicated arms is not pacing and is not matched.
+		// acknowledgment, both on the caller's context. A sleep or a ticker
+		// here is a poll timer or a hold coming back (DESIGN.md §12); the
+		// heartbeat deadline of an idle push and the one deadline timer
+		// WaitReplicated arms are not pacing and are not matched.
 		name:  "timer",
 		files: []string{"internal/replica/shipper.go", "internal/replica/replica.go", "internal/server/pipeline.go"},
 		match: func(c *ast.CallExpr) bool {
@@ -80,7 +81,7 @@ var gates = []gate{
 			pkg, ok := sel.X.(*ast.Ident)
 			return ok && pkg.Name == "time" && (sel.Sel.Name == "After" || sel.Sel.Name == "Sleep")
 		},
-		fix: "wait on journal.WaitDurable, pollSignal or the context instead",
+		fix: "wait on journal.WaitDurable, ackSignal or the context instead",
 	},
 	{
 		// The paper's four events step a manager through one transition,

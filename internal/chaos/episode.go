@@ -38,7 +38,7 @@ const (
 	// Durable is one journaled server (group commit, fsync 1).
 	Durable
 	// Pair is a journaled primary and a warm standby with lease fencing on;
-	// the standby polls through a netchaos transport.
+	// the standby streams through a netchaos transport.
 	Pair
 	// Sharded is a journaled four-shard coordinator on the tier topology
 	// whose 2PC phase calls go through netchaos.
@@ -263,11 +263,11 @@ func (ep Episode) start(seed uint64, dir string) (*world, error) {
 	}
 	if err = w.boot(0, ""); err == nil && ep.Plane == Pair {
 		err = w.boot(1, w.nodes[0].http.URL)
-		// A primary no standby has polled yet acks asynchronously, so a
-		// kill before the first poll loses acknowledged writes by design:
-		// the script starts once the pair is formed.
+		// A primary no standby has streamed from yet acks asynchronously,
+		// so a kill before the stream opens loses acknowledged writes by
+		// design: the script starts once the pair is formed.
 		if err == nil && !await(convergeWithin, func() bool { return w.nodes[0].rep.StatsBlock().Followers == 1 }) {
-			err = fmt.Errorf("standby never polled the primary within %s", convergeWithin)
+			err = fmt.Errorf("standby never streamed from the primary within %s", convergeWithin)
 		}
 	}
 	if err != nil {

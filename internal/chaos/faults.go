@@ -254,11 +254,12 @@ func (w *world) serve(n *node, reign int, next func() journal.Event) error {
 	return fmt.Errorf("oracle (v): the plane does not serve after the fault: %w", err)
 }
 
-// cut partitions the network. On a Pair the standby's polls stop getting
-// through — or, with ResponseDrop, keep arriving and renewing the lease
-// while their answers are lost. The old primary must fence itself within
-// the lease (within the sync timeout in the second case, never falling back
-// to async) and the standby must promote.
+// cut partitions the network. On a Pair the standby's open stream stalls
+// both ways, and the streams it re-opens do not get through — or, with
+// ResponseDrop, arrive and renew the lease while their answers are lost.
+// The old primary must fence itself within the lease (within the sync
+// timeout in the second case, never falling back to async) and the standby
+// must promote.
 func (w *world) cut(f Fault) error {
 	if w.ep.Plane == Sharded {
 		return w.cutShard(f)
@@ -348,7 +349,7 @@ func (w *world) cutShard(f Fault) error {
 	return f.within("refusing a suspected shard", time.Since(t0), fastFailWithin)
 }
 
-// heal clears the network. A Pair's ex-primary is polled by nobody, so its
+// heal clears the network. A Pair's ex-primary is streamed from by nobody, so its
 // lease stays lapsed and it must keep refusing — forever, not just for the
 // partition. A Sharded plane must drain its pending resolutions and take
 // cross-shard work again.

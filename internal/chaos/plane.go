@@ -186,11 +186,13 @@ func (w *world) other() *node {
 func (n *node) halt(abandon bool) {
 	n.down.Store(true)
 	if n.http != nil {
+		// Stopped first: the node's streams end, and the server's Close
+		// does not wait on them.
+		n.rep.Stop()
 		if abandon {
 			n.http.CloseClientConnections()
 		}
 		n.http.Close()
-		n.rep.Stop()
 	}
 	_ = n.srv.Shutdown(context.Background())
 	if n.jnl != nil && abandon {

@@ -22,8 +22,9 @@ import (
 )
 
 // ErrCompacted reports that the requested sequence range has been folded
-// into a snapshot: the records no longer exist individually. The caller
-// should bootstrap from LatestSnapshot instead.
+// into a snapshot and is no longer held individually, neither in the
+// segment files nor in the tail ring. The caller should bootstrap from
+// LatestSnapshot instead.
 var ErrCompacted = errors.New("journal: requested records compacted into a snapshot")
 
 // DurableSeq returns the highest sequence number a reader may rely on —
@@ -31,7 +32,8 @@ var ErrCompacted = errors.New("journal: requested records compacted into a snaps
 func (j *Journal) DurableSeq() uint64 { return j.SyncedSeq() }
 
 // tailRingSize is how many of the most recent frames stay in memory. A
-// standby in steady state polls one or two records behind the tip and a
+// standby in steady state streams from one or two records behind the tip,
+// also across a snapshot that just folded them into its image, and a
 // stream batch is at most a few hundred records, so 256 slots (~16 KB of
 // 57-byte establish frames) serve every steady-state read; anything older
 // is a catch-up read and takes the disk walk.
@@ -83,13 +85,15 @@ func (t *tailRing) concat(from, last uint64) ([]byte, bool) {
 // ReadFrames returns up to max records with Seq >= from, ascending and
 // contiguous, bounded by the durable tip, in the on-disk frame format (the
 // stream's wire format — see DecodeFrames), and how many there are. Zero
-// records means the caller is at the tip (a long-poller parks on
-// WaitDurable(from)). ErrCompacted means from is at or below the newest
-// snapshot — the records were deleted, bootstrap from the snapshot. Safe
-// concurrently with appends and snapshots.
+// records means the caller is at the tip (a stream parks on
+// WaitDurable(from)). ErrCompacted means the records from names are no
+// longer held anywhere: at or below the newest snapshot and out of the
+// tail ring — bootstrap from the snapshot. Safe concurrently with appends
+// and snapshots.
 //
 // Reads near the tip are served from the tail ring without touching the
-// file system; a from older than the ring walks the segment files.
+// file system, also when a snapshot has just folded them into its image; a
+// from older than the ring walks the segment files.
 func (j *Journal) ReadFrames(from uint64, max int) (frames []byte, n int, err error) {
 	if from == 0 {
 		from = 1
@@ -99,26 +103,26 @@ func (j *Journal) ReadFrames(from uint64, max int) (frames []byte, n int, err er
 	}
 	j.mu.Lock()
 	durable := j.SyncedSeq()
-	if from <= j.snapSeq {
-		j.mu.Unlock()
-		return nil, 0, ErrCompacted
-	}
 	if from > durable {
 		j.mu.Unlock()
 		return nil, 0, nil
 	}
 	last := min(durable, from+uint64(max)-1)
 	frames, ok := j.tail.concat(from, last)
+	compacted := from <= j.snapSeq
 	j.mu.Unlock()
-	if ok {
+	switch {
+	case ok:
 		return frames, int(last - from + 1), nil
+	case compacted:
+		return nil, 0, ErrCompacted
 	}
 	return j.walkFrames(from, max, durable)
 }
 
 // FrameCRC returns the stored CRC-32C of the durable record seq — EventCRC
 // of that record, without decoding it. ok is false when seq lies past the
-// durable tip; ErrCompacted when it was folded into a snapshot.
+// durable tip; ErrCompacted when it is no longer held (ReadFrames).
 func (j *Journal) FrameCRC(seq uint64) (crc uint32, ok bool, err error) {
 	frame, n, err := j.ReadFrames(seq, 1)
 	if err != nil || n == 0 {

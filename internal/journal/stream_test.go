@@ -75,32 +75,44 @@ func TestReadFromSpansSegmentRotation(t *testing.T) {
 	}
 }
 
-// TestReadFromCompaction: once a snapshot covers the requested range the
-// reader reports ErrCompacted, and the snapshot + tail records it returns
-// instead reproduce the full history.
+// TestReadFromCompaction: once a snapshot covers the requested range and
+// the tail ring no longer holds it the reader reports ErrCompacted, and the
+// snapshot + tail records it returns instead reproduce the full history.
+// What the ring still holds stays readable across the snapshot: a standby
+// one record behind must not be sent to a bootstrap.
 func TestReadFromCompaction(t *testing.T) {
+	const snapAt = tailRingSize + 6
 	dir := t.TempDir()
 	j, _ := mustOpen(t, dir)
 	defer j.Close()
-	mustAppend(t, j, testEvents(6)...)
-	if err := j.WriteSnapshot(SnapshotHeader{Alive: 1}, []byte("state@6")); err != nil {
+	mustAppend(t, j, testEvents(snapAt)...)
+	if err := j.WriteSnapshot(SnapshotHeader{Alive: 1}, []byte("state@262")); err != nil {
 		t.Fatal(err)
 	}
 	mustAppend(t, j, Event{Kind: KindTerminate, Conn: 42})
 
 	if _, err := j.ReadFrom(3, 100); !errors.Is(err, ErrCompacted) {
-		t.Fatalf("read below snapshot: err %v, want ErrCompacted", err)
+		t.Fatalf("read below snapshot and ring: err %v, want ErrCompacted", err)
+	}
+	if held, err := j.ReadFrom(snapAt, 100); err != nil || len(held) != 2 || held[0].Seq != snapAt {
+		t.Fatalf("read of the snapshot's last record, still in the ring: %d records, err %v", len(held), err)
 	}
 	hdr, body, err := j.LatestSnapshot()
 	if err != nil || hdr == nil {
 		t.Fatalf("LatestSnapshot: hdr %v err %v", hdr, err)
 	}
-	if hdr.Seq != 6 || string(body) != "state@6" {
+	if hdr.Seq != snapAt || string(body) != "state@262" {
 		t.Fatalf("snapshot seq %d body %q", hdr.Seq, body)
 	}
 	tail, err := j.ReadFrom(hdr.Seq+1, 100)
-	if err != nil || len(tail) != 1 || tail[0].Seq != 7 || tail[0].Conn != 42 {
+	if err != nil || len(tail) != 1 || tail[0].Seq != snapAt+1 || tail[0].Conn != 42 {
 		t.Fatalf("tail after snapshot: %+v, err %v", tail, err)
+	}
+	if _, err := j.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.ReadFrom(snapAt, 100); !errors.Is(err, ErrCompacted) {
+		t.Fatalf("read below snapshot after Reload emptied the ring: err %v, want ErrCompacted", err)
 	}
 }
 

@@ -19,16 +19,23 @@
 //     concurrent messages draw independent delays, jitter doubles as
 //     reordering.
 //
+// Streams — a request whose body or answer keeps flowing after the
+// response headers, like the replica stream — are held to the rule on
+// every read of either body, not only when they open. Once a drop fires on
+// an open stream it stalls in both directions, the way a one-way packet
+// loss stalls a TCP connection, until the rules change (SetRule, Heal) or
+// the caller gives up; delays apply per read, in order.
+//
 // A symmetric partition between A and B is DropRequest=1 on both
 // directions; an asymmetric one sets it on a single direction. All
 // randomness comes from one seeded internal/rng source, so a chaos episode
-// replays the same fault pattern for the same seed and request order.
+// replays the same fault pattern for the same seed and message order.
 //
 // Two integration surfaces:
 //
 //   - Transport(src, dst, base) wraps an http.RoundTripper — plug it into
 //     an http.Client to make every request from src to dst traverse the
-//     flaky network (the replica follower's stream/snapshot fetches).
+//     flaky network (the replica follower's stream and snapshot fetch).
 //   - Do(ctx, src, dst, call) wraps an in-process call the same way — the
 //     shard coordinator's prepare/commit/abort phases use it via the
 //     coordinator's Invoke hook.
@@ -76,6 +83,9 @@ type Network struct {
 
 	// Counters for assertions: messages dropped per directed pair.
 	dropped map[[2]string]int
+	// changed is closed and replaced whenever the rules change, waking
+	// stalled streams to look again.
+	changed chan struct{}
 }
 
 // New builds a quiet network (no rules, everything passes) seeded for
@@ -85,6 +95,7 @@ func New(seed uint64) *Network {
 		src:     rng.New(seed),
 		rules:   make(map[[2]string]Rule),
 		dropped: make(map[[2]string]int),
+		changed: make(chan struct{}),
 	}
 }
 
@@ -92,6 +103,7 @@ func New(seed uint64) *Network {
 func (nw *Network) SetRule(src, dst string, r Rule) {
 	nw.mu.Lock()
 	nw.rules[[2]string{src, dst}] = r
+	nw.changedLocked()
 	nw.mu.Unlock()
 }
 
@@ -99,7 +111,13 @@ func (nw *Network) SetRule(src, dst string, r Rule) {
 func (nw *Network) Heal() {
 	nw.mu.Lock()
 	nw.rules = make(map[[2]string]Rule)
+	nw.changedLocked()
 	nw.mu.Unlock()
+}
+
+func (nw *Network) changedLocked() {
+	close(nw.changed)
+	nw.changed = make(chan struct{})
 }
 
 // decision is one message's sampled fate.
@@ -113,11 +131,18 @@ type decision struct {
 // plan samples one message's fate under the pair's current rule. All
 // randomness is consumed here, under the lock, in message order.
 func (nw *Network) plan(src, dst string) decision {
+	d, _ := nw.planWatch(src, dst)
+	return d
+}
+
+// planWatch is plan, and also the channel that closes when the rule it
+// sampled changes.
+func (nw *Network) planWatch(src, dst string) (decision, <-chan struct{}) {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
 	r, ok := nw.rules[[2]string{src, dst}]
 	if !ok {
-		return decision{}
+		return decision{}, nw.changed
 	}
 	var d decision
 	if r.DelayMax > r.DelayMin {
@@ -135,7 +160,7 @@ func (nw *Network) plan(src, dst string) decision {
 	if d.dropRequest || d.dropResponse {
 		nw.dropped[[2]string{src, dst}]++
 	}
-	return d
+	return d, nw.changed
 }
 
 // stall blocks like a lost message: until the context deadline when there
@@ -192,7 +217,8 @@ func (nw *Network) Do(ctx context.Context, src, dst string, call func(ctx contex
 }
 
 // Transport wraps base (nil means http.DefaultTransport) so every request
-// through it traverses the flaky network as one src->dst message.
+// through it traverses the flaky network as one src->dst message, and
+// every later read of its request or response body as one more.
 func (nw *Network) Transport(src, dst string, base http.RoundTripper) http.RoundTripper {
 	if base == nil {
 		base = http.DefaultTransport
@@ -213,9 +239,17 @@ func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		return nil, err
 	}
 	if d.dropRequest {
+		if req.Body != nil {
+			req.Body.Close()
+		}
 		return nil, stall(ctx, t.src, t.dst)
 	}
-	resp, err := t.base.RoundTrip(req)
+	sent := req
+	if req.Body != nil && req.Body != http.NoBody {
+		sent = req.Clone(ctx)
+		sent.Body = t.body(ctx, req.Body)
+	}
+	resp, err := t.base.RoundTrip(sent)
 	if err != nil {
 		return nil, err
 	}
@@ -230,11 +264,54 @@ func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		}
 	}
 	if d.dropResponse {
-		_, _ = io.Copy(io.Discard, resp.Body)
+		// Closed, not drained: the answer of a stream never ends.
 		resp.Body.Close()
 		return nil, stall(ctx, t.src, t.dst)
 	}
+	resp.Body = t.body(ctx, resp.Body)
 	return resp, nil
+}
+
+// body holds every read of an open request's body to the pair's rule.
+func (t *transport) body(ctx context.Context, rc io.ReadCloser) io.ReadCloser {
+	return &streamBody{ReadCloser: rc, t: t, ctx: ctx, closed: make(chan struct{})}
+}
+
+type streamBody struct {
+	io.ReadCloser
+	t      *transport
+	ctx    context.Context
+	once   sync.Once
+	closed chan struct{}
+}
+
+// Read passes on what one read brought once the pair's rule lets it: a
+// drop holds it until the rules change and let it through (the stall is
+// the same whichever direction the rule names), the caller's context ends
+// or the body closes — then it is lost; a delay holds it that long.
+func (b *streamBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	for {
+		d, changed := b.t.nw.planWatch(b.t.src, b.t.dst)
+		if !d.dropRequest && !d.dropResponse {
+			if serr := sleep(b.ctx, d.delay); serr != nil {
+				return 0, serr
+			}
+			return n, err
+		}
+		select {
+		case <-changed:
+		case <-b.closed:
+			return 0, fmt.Errorf("netchaos: stream %s->%s stalled, then closed", b.t.src, b.t.dst)
+		case <-b.ctx.Done():
+			return 0, fmt.Errorf("netchaos: stream %s->%s stalled: %w", b.t.src, b.t.dst, b.ctx.Err())
+		}
+	}
+}
+
+func (b *streamBody) Close() error {
+	b.once.Do(func() { close(b.closed) })
+	return b.ReadCloser.Close()
 }
 
 // cloneRequest rebuilds a re-sendable copy of req (body via GetBody).

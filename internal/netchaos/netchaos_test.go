@@ -198,3 +198,196 @@ func TestDelayJitterWithinBounds(t *testing.T) {
 		}
 	}
 }
+
+// duplex answers every request as a full-duplex stream: it counts the bytes
+// that arrive on the request body and pushes one byte every 5 ms.
+type duplex struct{ got atomic.Int64 }
+
+func (d *duplex) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	rc := http.NewResponseController(w)
+	if err := rc.EnableFullDuplex(); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.WriteHeader(http.StatusOK)
+	if rc.Flush() != nil {
+		return
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		b := make([]byte, 64)
+		for {
+			n, err := r.Body.Read(b)
+			d.got.Add(int64(n))
+			if err != nil {
+				return
+			}
+		}
+	}()
+	defer func() {
+		_ = rc.SetReadDeadline(time.Now())
+		<-done
+	}()
+	tick := time.NewTicker(5 * time.Millisecond)
+	defer tick.Stop()
+	for {
+		select {
+		case <-done:
+			return
+		case <-tick.C:
+			if _, err := w.Write([]byte{'t'}); err != nil || rc.Flush() != nil {
+				return
+			}
+		}
+	}
+}
+
+// openDuplex opens a stream a->b on url and keeps writing one byte every
+// 5 ms on its request body; received counts what its response body brings.
+// The stream closes when the test ends.
+func openDuplex(t *testing.T, nw *Network, url string) (received *atomic.Int64, readErr chan error, cancel context.CancelFunc) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	body, w := io.Pipe()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Close = true
+	resp, err := (&http.Client{Transport: nw.Transport("a", "b", nil)}).Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	received, readErr = new(atomic.Int64), make(chan error, 1)
+	go func() {
+		b := make([]byte, 64)
+		for {
+			n, err := resp.Body.Read(b)
+			received.Add(int64(n))
+			if err != nil {
+				readErr <- err
+				return
+			}
+		}
+	}()
+	go func() {
+		for ctx.Err() == nil {
+			if _, err := w.Write([]byte{'x'}); err != nil {
+				return
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}()
+	t.Cleanup(func() {
+		cancel()
+		w.CloseWithError(context.Canceled)
+		resp.Body.Close()
+	})
+	return received, readErr, cancel
+}
+
+// moving reports whether c grows within 80 ms.
+func moving(c *atomic.Int64) bool {
+	before := c.Load()
+	time.Sleep(80 * time.Millisecond)
+	return c.Load() > before
+}
+
+// TestStreamStallsBothWays: a rule installed on an open stream is checked
+// on its next reads, and a drop stalls the stream in both directions — a
+// response drop stops what the far side hears too — until the caller
+// gives up.
+func TestStreamStallsBothWays(t *testing.T) {
+	d := &duplex{}
+	srv := httptest.NewServer(d)
+	t.Cleanup(srv.Close) // after the stream's own cleanup
+	nw := New(7)
+	received, readErr, cancel := openDuplex(t, nw, srv.URL)
+	if !moving(&d.got) || !moving(received) {
+		t.Fatal("a quiet stream does not flow both ways")
+	}
+
+	nw.SetRule("a", "b", Rule{DropResponse: 1})
+	time.Sleep(20 * time.Millisecond) // what was read before the rule lands
+	if moving(&d.got) {
+		t.Error("the far side still hears the stream after a drop rule")
+	}
+	if moving(received) {
+		t.Error("the caller still hears the stream after a drop rule")
+	}
+	select {
+	case err := <-readErr:
+		t.Fatalf("a stalled stream failed on its own: %v", err)
+	default:
+	}
+	cancel()
+	select {
+	case <-readErr:
+	case <-time.After(time.Second):
+		t.Fatal("a stalled read outlived its caller's context by 1 s")
+	}
+}
+
+// TestStreamResumesOnHeal: a stalled stream flows again once the rules
+// let it, in both directions, the way TCP resumes after a loss ends.
+func TestStreamResumesOnHeal(t *testing.T) {
+	d := &duplex{}
+	srv := httptest.NewServer(d)
+	t.Cleanup(srv.Close) // after the stream's own cleanup
+	nw := New(8)
+	received, _, _ := openDuplex(t, nw, srv.URL)
+	nw.SetRule("a", "b", Rule{DropRequest: 1})
+	time.Sleep(20 * time.Millisecond)
+	if moving(&d.got) || moving(received) {
+		t.Fatal("a request drop did not stall the open stream")
+	}
+	nw.Heal()
+	if !moving(&d.got) || !moving(received) {
+		t.Fatal("the stream did not resume both ways after Heal")
+	}
+}
+
+// TestStreamDelayPerRead: a delay rule holds every read of an open
+// stream's body, one after the other, and keeps their order.
+func TestStreamDelayPerRead(t *testing.T) {
+	const delay = 15 * time.Millisecond
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rc := http.NewResponseController(w)
+		for i := byte(0); i < 8; i++ {
+			w.Write([]byte{i})
+			rc.Flush()
+			time.Sleep(2 * time.Millisecond)
+		}
+	}))
+	defer srv.Close()
+	nw := New(9)
+	nw.SetRule("a", "b", Rule{DelayMin: delay, DelayMax: delay})
+	resp, err := (&http.Client{Transport: nw.Transport("a", "b", nil)}).Get(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	start := time.Now()
+	var got []byte
+	reads := 0
+	for b := make([]byte, 64); ; {
+		n, err := resp.Body.Read(b)
+		reads++
+		got = append(got, b[:n]...)
+		if err != nil {
+			break
+		}
+	}
+	if took := time.Since(start); took < time.Duration(reads)*delay {
+		t.Errorf("%d reads took %s, want each held %s", reads, took, delay)
+	}
+	for i, b := range got {
+		if b != byte(i) {
+			t.Fatalf("read %v, want 0..7 in order", got)
+		}
+	}
+	if len(got) != 8 {
+		t.Fatalf("read %v, want 0..7", got)
+	}
+}

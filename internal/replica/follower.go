@@ -3,7 +3,9 @@
 package replica
 
 import (
+	"bufio"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,6 +15,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"drqos/internal/journal"
@@ -24,17 +27,17 @@ import (
 // primary compacted past our tip, or our history diverged from its.
 var errBootstrap = errors.New("replica: bootstrap required")
 
-// errDemotedPrimary reports that the polled node stepped down; the cluster
-// is between primaries and the poll should back off and retry.
-var errDemotedPrimary = errors.New("replica: polled node is not primary")
+// errDemotedPrimary reports that the node streamed from stepped down (or
+// is stopping); the cluster is between primaries and the stream should
+// back off and retry.
+var errDemotedPrimary = errors.New("replica: streamed node is not primary")
 
-// Run drives the follower until promotion, Stop, or ctx cancellation: poll
-// the primary, apply what arrives, re-bootstrap when told to, and promote
-// when the primary has been unreachable for FailoverTimeout. It returns
-// nil after a successful promotion (the node is the primary now) and the
-// terminal error otherwise.
+// Run drives the follower until promotion, Stop, or ctx cancellation:
+// stream from the primary, apply what arrives, re-bootstrap when told to,
+// and promote when the primary has been silent for FailoverTimeout. It
+// returns nil after a successful promotion (the node is the primary now)
+// or Stop, and the terminal error otherwise.
 func (n *Node) Run(ctx context.Context) error {
-	defer close(n.done)
 	lastSuccess := time.Now()
 	backoff := 10 * time.Millisecond
 	// Jitter desynchronizes retry storms when several standbys chase the
@@ -44,7 +47,7 @@ func (n *Node) Run(ctx context.Context) error {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-n.stop:
+		case <-n.halted.Done():
 			return nil
 		default:
 		}
@@ -54,12 +57,19 @@ func (n *Node) Run(ctx context.Context) error {
 			return nil
 		}
 
-		err := n.fetchAndApply(ctx)
-		switch {
-		case err == nil:
-			lastSuccess = time.Now()
+		err := n.stream(ctx)
+		if n.stopped() {
+			return nil
+		}
+		// A stream that delivered anything, the heartbeat included, was a
+		// success up to its last message.
+		n.mu.Lock()
+		if n.lastFetch.After(lastSuccess) {
+			lastSuccess = n.lastFetch
 			backoff = 10 * time.Millisecond
-			continue
+		}
+		n.mu.Unlock()
+		switch {
 		case errors.Is(err, errBootstrap):
 			slog.Warn("replica: re-bootstrapping from the primary's snapshot", "err", err)
 			if berr := n.bootstrap(ctx); berr != nil {
@@ -84,26 +94,24 @@ func (n *Node) Run(ctx context.Context) error {
 		case errors.Is(err, server.ErrConflict):
 			// The server's role flipped mid-apply; loop around and exit.
 			continue
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
+		case ctx.Err() != nil:
+			return ctx.Err()
 		default:
-			slog.Warn("replica: fetch failed", "primary", n.PrimaryURL(), "err", err)
+			slog.Warn("replica: stream failed", "primary", n.PrimaryURL(), "err", err)
 		}
 
-		// The poll failed. Sustained failure is the failover signal.
+		// The stream failed. Sustained failure is the failover signal.
 		if n.cfg.FailoverTimeout > 0 && time.Since(lastSuccess) >= n.cfg.FailoverTimeout {
 			// Quiesce before seizing the cluster: with lease fencing on,
-			// stop polling for a full lease plus one poll interval so the
-			// old primary's lease — which our own polls may still have been
-			// renewing across an asymmetric partition — is guaranteed
-			// expired before we start acknowledging writes.
+			// stay off the stream for a full lease plus one heartbeat so
+			// the old primary's lease — which our own stream openings may
+			// still have been renewing across an asymmetric partition — is
+			// guaranteed expired before we start acknowledging writes.
 			if q := n.cfg.Lease + n.cfg.PollWait; n.cfg.Lease > 0 {
 				slog.Warn("replica: failover timeout reached; quiescing so the primary's lease expires before promotion", "quiesce", q)
 				select {
 				case <-time.After(q):
-				case <-n.stop:
+				case <-n.halted.Done():
 					return nil
 				case <-ctx.Done():
 					return ctx.Err()
@@ -128,7 +136,7 @@ func (n *Node) Run(ctx context.Context) error {
 		sleep := backoff/2 + time.Duration(jit.Float64()*float64(backoff)/2)
 		select {
 		case <-time.After(sleep):
-		case <-n.stop:
+		case <-n.halted.Done():
 			return nil
 		case <-ctx.Done():
 			return ctx.Err()
@@ -156,89 +164,146 @@ func (n *Node) prevCRC() (uint32, bool) {
 	return crc, ok && err == nil
 }
 
-// fetchAndApply performs one poll cycle: request records past the local
-// tip (the request itself acknowledges everything at or below the tip),
-// verify the response's term, and apply the batch.
-func (n *Node) fetchAndApply(ctx context.Context) error {
+// stream opens one full-duplex stream from the local tip and applies what
+// the primary pushes until the stream fails; it never returns nil. Opening
+// it acknowledges the local tip, so the tip is made durable first. Each
+// message is applied as it arrives (server.ApplyReplicated does not wait
+// for durability), and the request body (acks) reports progress as it
+// becomes durable, so the next batch applies while this one syncs.
+func (n *Node) stream(ctx context.Context) error {
 	primary := n.PrimaryURL()
 	if primary == "" {
 		return errDemotedPrimary
+	}
+	if err := n.jnl.WaitDurable(ctx, n.jnl.LastSeq()); err != nil {
+		return err
 	}
 	from := n.jnl.LastSeq() + 1
 	q := url.Values{}
 	q.Set("from", strconv.FormatUint(from, 10))
 	q.Set("term", strconv.FormatUint(n.srv.Term(), 10))
-	q.Set("wait", strconv.Itoa(int(n.cfg.PollWait/time.Millisecond)))
 	if crc, ok := n.prevCRC(); ok {
 		q.Set("prev_crc", strconv.FormatUint(uint64(crc), 10))
 	}
-	// An explicit per-fetch deadline: a poll that hangs past the long-poll
-	// window plus grace is indistinguishable from a dead primary, and the
-	// failover clock must not be starved by one silently-dropped request.
-	fctx, cancel := context.WithTimeout(ctx, n.fetchTimeout())
+	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	req, err := http.NewRequestWithContext(fctx, http.MethodGet,
-		strings.TrimSuffix(primary, "/")+"/v1/replica/stream?"+q.Encode(), nil)
+	defer context.AfterFunc(n.halted, cancel)()
+	// Silence is the failure signal: a stream that delivers nothing, not
+	// even the idle heartbeat, for silenceTimeout is as good as a dead
+	// primary, and the failover clock must not be starved by one stalled
+	// connection.
+	silent := time.AfterFunc(n.silenceTimeout(), cancel)
+	defer silent.Stop()
+	up := &acks{n: n, ctx: ctx, kick: make(chan struct{}, 1), tick: time.NewTicker(n.cfg.PollWait)}
+	defer up.tick.Stop()
+	up.applied.Store(from - 1)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
+		strings.TrimSuffix(primary, "/")+"/v1/replica/stream?"+q.Encode(), up)
 	if err != nil {
 		return err
 	}
+	// Connection: close keeps the primary from draining a body that never
+	// ends when the exchange does.
+	req.Close = true
 	resp, err := n.client.Do(req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return err
-	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusGone:
-		return fmt.Errorf("%w: %s", errBootstrap, strings.TrimSpace(string(body)))
-	case http.StatusConflict:
-		return fmt.Errorf("%w: %s", errBootstrap, strings.TrimSpace(string(body)))
-	case http.StatusServiceUnavailable:
-		return fmt.Errorf("%w: %s", errDemotedPrimary, strings.TrimSpace(string(body)))
-	default:
-		return fmt.Errorf("replica: stream answered %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
-	}
-	var env streamEnvelope
-	if err := json.Unmarshal(body, &env); err != nil {
-		return fmt.Errorf("replica: bad stream envelope: %v", err)
-	}
-	if env.Term < n.srv.Term() {
-		// A stale ex-primary is answering; refuse its records. Fencing in
-		// the other direction (it demoting) happens when it polls or when
-		// our own term reaches it through an operator.
-		return fmt.Errorf("replica: refused batch from stale term %d (local term %d)", env.Term, n.srv.Term())
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+		switch resp.StatusCode {
+		case http.StatusGone, http.StatusConflict:
+			return fmt.Errorf("%w: %s", errBootstrap, strings.TrimSpace(string(msg)))
+		case http.StatusServiceUnavailable:
+			return fmt.Errorf("%w: %s", errDemotedPrimary, strings.TrimSpace(string(msg)))
+		}
+		return fmt.Errorf("replica: stream answered %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
 	}
 
-	n.mu.Lock()
-	n.primaryDurable = env.DurableSeq
-	n.lastFetch = time.Now()
-	n.mu.Unlock()
-
-	if len(env.Frames) == 0 {
-		return nil // quiet poll: primary is alive, nothing new
-	}
-	evs, err := journal.DecodeFrames(env.Frames)
-	if err != nil {
-		return fmt.Errorf("replica: corrupt stream frames: %v", err)
-	}
-	applied, err := n.srv.ApplyReplicated(ctx, evs, env.Verify)
-	if applied > 0 {
+	in := bufio.NewReader(resp.Body)
+	var buf []byte
+	for {
+		var m message
+		if m, buf, err = readMessage(in, buf); err != nil {
+			return err
+		}
+		silent.Reset(n.silenceTimeout())
+		if m.term < n.srv.Term() {
+			// A stale ex-primary is pushing; refuse its records. Fencing in
+			// the other direction (it demoting) happens when it streams from
+			// us or when our own term reaches it through an operator.
+			return fmt.Errorf("replica: refused batch from stale term %d (local term %d)", m.term, n.srv.Term())
+		}
 		n.mu.Lock()
-		n.applied = applied
+		n.primaryDurable = m.durable
+		n.lastFetch = time.Now()
 		n.mu.Unlock()
+		if len(m.frames) == 0 {
+			continue // the heartbeat: primary alive, nothing new
+		}
+		evs, err := journal.DecodeFrames(m.frames)
+		if err != nil {
+			return fmt.Errorf("replica: corrupt stream frames: %v", err)
+		}
+		seq, err := n.srv.ApplyReplicated(ctx, evs, m.verify)
+		if seq > 0 {
+			n.mu.Lock()
+			n.applied = seq
+			n.mu.Unlock()
+		}
+		if err != nil {
+			// Nothing of a batch that failed is acknowledged.
+			return err
+		}
+		up.applied.Store(seq)
+		select {
+		case up.kick <- struct{}{}:
+		default:
+		}
 	}
-	return err
 }
 
-// fetchTimeout bounds one stream poll: the long-poll window the request
-// asks for, plus grace for transfer. With failover on, grace is half the
-// failover timeout (floor 250ms) so a wedged poll can never push failure
-// detection past ~1.5 timeouts.
-func (n *Node) fetchTimeout() time.Duration {
+// acks is the request body of a standby's stream. Each Read blocks until
+// there is an acknowledgment to send — a batch became durable, or PollWait
+// passed (the primary's lease heartbeat) — and returns its 8 bytes, so the
+// transport's own writer waits on durability and sends the ack without a
+// hand-off. An acknowledgment is the highest seq both applied without
+// error and durable here. A node that was promoted acknowledges nothing
+// more: its acknowledgments would keep the old primary's lease alive.
+type acks struct {
+	n       *Node
+	ctx     context.Context
+	applied atomic.Uint64
+	kick    chan struct{} // a batch was applied
+	tick    *time.Ticker
+}
+
+func (a *acks) Read(p []byte) (int, error) {
+	if len(p) < 8 {
+		return 0, io.ErrShortBuffer
+	}
+	select {
+	case <-a.ctx.Done():
+		return 0, a.ctx.Err()
+	case <-a.tick.C:
+	case <-a.kick:
+		if err := a.n.jnl.WaitDurable(a.ctx, a.applied.Load()); err != nil {
+			return 0, err
+		}
+	}
+	if !a.n.srv.IsFollower() {
+		return 0, fmt.Errorf("%w: promoted while streaming", server.ErrConflict)
+	}
+	binary.LittleEndian.PutUint64(p, min(a.n.jnl.DurableSeq(), a.applied.Load()))
+	return 8, nil
+}
+
+// silenceTimeout is how long a stream may stay silent: the heartbeat
+// interval plus grace for transfer. With failover on, grace is half the
+// failover timeout (floor 250ms) so a stalled stream can never push
+// failure detection past ~1.5 timeouts.
+func (n *Node) silenceTimeout() time.Duration {
 	grace := 2 * time.Second
 	if n.cfg.FailoverTimeout > 0 {
 		grace = n.cfg.FailoverTimeout / 2
@@ -266,6 +331,9 @@ func (n *Node) bootstrap(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
+	// Connection: close keeps the primary from draining a body that never
+	// ends when the exchange does.
+	req.Close = true
 	resp, err := n.client.Do(req)
 	if err != nil {
 		return err
@@ -292,6 +360,7 @@ func (n *Node) bootstrap(ctx context.Context) error {
 	}
 	n.mu.Lock()
 	n.applied = env.Header.Seq
+	n.bootstraps++
 	// A point minted for a standby of our own pinned the history the
 	// install just replaced.
 	n.verify = server.VerifyPoint{}

@@ -18,8 +18,8 @@ import (
 )
 
 // leasePair boots a lease-fenced primary and a standby whose client routes
-// through a netchaos transport, and waits until the standby's first poll
-// grants the lease.
+// through a netchaos transport, and waits until the standby's stream grants
+// the lease.
 func leasePair(t *testing.T, net *netchaos.Network, lease, syncTO, failover time.Duration) (primary, standby *testNode, runDone chan error) {
 	t.Helper()
 	g := testGraph(t)
@@ -35,7 +35,7 @@ func leasePair(t *testing.T, net *netchaos.Network, lease, syncTO, failover time
 	t.Cleanup(func() { standby.close(t) })
 	runDone = make(chan error, 1)
 	go func() { runDone <- standby.node.Run(context.Background()) }()
-	waitFor(t, 3*time.Second, "standby first poll to grant the lease", func() bool {
+	waitFor(t, 3*time.Second, "standby's stream to grant the lease", func() bool {
 		return primary.node.StatsBlock().Followers == 1
 	})
 	return primary, standby, runDone
@@ -97,7 +97,7 @@ func TestLeaseFenceSymmetricPartition(t *testing.T) {
 		t.Fatalf("fenced /readyz answered %d, want 503", resp.StatusCode)
 	}
 
-	// Heal: the standby's polls resume and the lease is regained.
+	// Heal: the standby's stream resumes and the lease is regained.
 	net.Heal()
 	waitFor(t, 3*time.Second, "lease to be regained after heal", func() bool {
 		return !primary.node.LeaseLost()
@@ -145,8 +145,8 @@ func TestLeaseFenceAsymmetricRequestDrop(t *testing.T) {
 	if !time.Now().After(tFence) {
 		t.Fatal("new primary acked before the old one fenced")
 	}
-	// The old primary stays fenced even after the rules lift: nobody polls
-	// it anymore.
+	// The old primary stays fenced even after the rules lift: nobody
+	// streams from it anymore.
 	net.Heal()
 	time.Sleep(2 * lease)
 	if _, err := primary.srv.Establish(context.Background(), 0, 2, qos.DefaultSpec()); !errors.Is(err, server.ErrFenced) {
@@ -155,11 +155,12 @@ func TestLeaseFenceAsymmetricRequestDrop(t *testing.T) {
 }
 
 // TestLeaseFenceAsymmetricResponseDrop cuts only the primary→standby
-// response direction: the standby's polls still arrive and renew the
-// lease, so the lease alone cannot fence — the sync timeout must, by
-// refusing the legacy fallback-to-async. The standby, hearing nothing,
-// promotes after quiescing its polls long enough for the primary's lease
-// to lapse.
+// response direction: the open stream stalls both ways, but every stream
+// the standby re-opens still arrives and renews the lease, so the lease
+// alone cannot be relied on to fence — the sync timeout must, by refusing
+// the legacy fallback-to-async. The standby, hearing nothing, promotes
+// after staying off the stream long enough for the primary's lease to
+// lapse.
 func TestLeaseFenceAsymmetricResponseDrop(t *testing.T) {
 	const (
 		lease  = 150 * time.Millisecond
@@ -170,10 +171,9 @@ func TestLeaseFenceAsymmetricResponseDrop(t *testing.T) {
 	establishSome(t, primary.srv, 5)
 
 	net.SetRule("standby", "primary", netchaos.Rule{DropResponse: 1})
-	// A long poll already in flight at the cut still carries the clean
-	// rule, so its response (and the confirmation it triggers) can land —
-	// that ack is safe, the standby really has the record. Let those
-	// drain before measuring the fence.
+	// A push already read off the wire before the cut can still be
+	// applied and acknowledged — that ack is safe, the standby really has
+	// the record. Let those drain before measuring the fence.
 	time.Sleep(60 * time.Millisecond)
 	cut := time.Now()
 	_, err := primary.srv.Establish(context.Background(), 0, 1, qos.DefaultSpec())
@@ -196,7 +196,7 @@ func TestLeaseFenceAsymmetricResponseDrop(t *testing.T) {
 		t.Fatal("Run did not exit after promotion")
 	}
 	// Promotion only happened after the quiesce, so by now the old
-	// primary's lease has lapsed (its poller is gone): both the sync
+	// primary's lease has lapsed (its standby is gone): both the sync
 	// timeout and the lease fence it.
 	waitFor(t, 2*time.Second, "old primary's lease to lapse", func() bool {
 		return primary.node.LeaseLost()
@@ -221,7 +221,7 @@ func TestPromoteInterlock(t *testing.T) {
 	defer follower.close(t)
 	go func() { _ = follower.node.Run(context.Background()) }()
 	establishSome(t, primary.srv, 3)
-	waitFor(t, 3*time.Second, "follower to start polling", func() bool {
+	waitFor(t, 3*time.Second, "follower to start streaming", func() bool {
 		return primary.node.StatsBlock().Followers == 1
 	})
 
@@ -264,5 +264,45 @@ func TestPromoteInterlock(t *testing.T) {
 	}
 	if _, err := follower.srv.Establish(context.Background(), 0, 1, qos.DefaultSpec()); err != nil && !errors.Is(err, manager.ErrRejected) {
 		t.Fatalf("manually promoted node refuses mutations: %v", err)
+	}
+}
+
+// TestPromotedStandbyStopsAcknowledging: a standby promoted by hand while
+// its stream is open (the interlock overridden) acknowledges nothing more —
+// its request body stops, and the old primary's next push carries a term
+// below the new one and ends the stream — so the primary it left loses its
+// lease within one lease interval instead of being kept alive by the new
+// primary's heartbeat.
+func TestPromotedStandbyStopsAcknowledging(t *testing.T) {
+	const lease = 200 * time.Millisecond
+	g := testGraph(t)
+	primary := bootNode(t, g, "", replica.Config{Lease: lease})
+	defer primary.close(t)
+	standby := bootNode(t, g, primary.http.URL, replica.Config{Lease: lease})
+	defer standby.close(t)
+	go func() { _ = standby.node.Run(context.Background()) }()
+	establishSome(t, primary.srv, 3)
+	waitFor(t, 3*time.Second, "the standby to hold the lease", func() bool {
+		return primary.node.StatsBlock().Followers == 1 && !primary.node.LeaseLost()
+	})
+
+	resp, err := http.Post(standby.http.URL+"/v1/admin/promote", "application/json", strings.NewReader(`{"force":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || standby.srv.Role() != "primary" {
+		t.Fatalf("forced promote answered %d, role %s", resp.StatusCode, standby.srv.Role())
+	}
+	promoted := time.Now()
+	waitFor(t, 3*time.Second, "the abandoned primary's lease to lapse", func() bool {
+		return primary.node.LeaseLost()
+	})
+	if d := time.Since(promoted); d > lease+lease/2+100*time.Millisecond {
+		t.Errorf("the abandoned primary kept its lease %s after the promotion, want about one %s lease", d, lease)
+	}
+	time.Sleep(2 * lease)
+	if !primary.node.LeaseLost() {
+		t.Fatal("something renewed the abandoned primary's lease after the promotion")
 	}
 }

@@ -6,33 +6,37 @@
 // both roles across its lifetime (a promoted standby immediately starts
 // shipping to the next standby; a demoted ex-primary starts following):
 //
-//   - Shipper (always mounted): GET /v1/replica/stream long-polls the
-//     journal from a requested sequence number and answers CRC-framed
-//     records — the exact on-disk frame bytes — plus fingerprint verify
-//     points minted every verifyEvery records while a standby polls.
+//   - Shipper (always mounted): POST /v1/replica/stream opens one
+//     long-lived, full-duplex exchange per standby. The response body
+//     pushes CRC-framed records — the exact on-disk frame bytes — the
+//     moment each is durable on the primary, with fingerprint verify
+//     points minted every verifyEvery records, without waiting for the
+//     acknowledgment of the previous push; an empty message every PollWait
+//     is the idle heartbeat. The request body carries the standby's
+//     acknowledgments back: each 8-byte seq confirms every record up to it
+//     is durably applied on the follower, renews the lease and drives the
+//     semi-synchronous WaitReplicated hook gating the primary's client
+//     acknowledgments. Every wait parks on the event that ends it — the
+//     push on the journal's durable broadcast, the standby's acknowledgment
+//     on its own, the hook on the next acknowledgment — so records are in
+//     flight while earlier ones are still being confirmed.
 //     GET /v1/replica/snapshot serves a bootstrap image for standbys that
-//     are too far behind (compacted history) or diverged. The stream poll doubles as the replication
-//     acknowledgment: a poll with from=N confirms every record below N is
-//     durably applied on the follower, which drives the semi-synchronous
-//     WaitReplicated hook gating the primary's client acknowledgments.
-//     Both waits park on the event that ends them — the poll on the
-//     journal's durable broadcast, the hook on the next poll — so the
-//     standby's confirmation costs two fsyncs and a round trip, not a poll
-//     interval, and the hook releases a confirmed acknowledgment at once.
+//     are too far behind (compacted history) or diverged.
 //
-//   - Follower (Run): a continuous replay loop that fetches from the
-//     primary, applies each batch through server.ApplyReplicated (journal
-//     append under the primary's numbering + live manager replay +
-//     fingerprint cross-check), re-bootstraps from a snapshot when the
-//     primary's history was compacted past its tip or diverged from it,
-//     and health-checks the primary as a side effect of polling: after
-//     FailoverTimeout of failed fetches it promotes the local server.
+//   - Follower (Run): a continuous replay loop that streams from the
+//     primary, applies each message through server.ApplyReplicated
+//     (journal append under the primary's numbering, live manager replay,
+//     fingerprint cross-check) while the previous one syncs,
+//     re-bootstraps from a snapshot when the primary's history was
+//     compacted past its tip or diverged from it, and health-checks the
+//     primary as a side effect of streaming: after FailoverTimeout without
+//     a message it promotes the local server.
 //
-// Fencing rides the term number: every stream response and poll carries
-// one. A poll bearing a higher term demotes a stale primary before it can
-// serve another record; a response bearing a lower term is refused by the
-// follower. The term itself is journaled (KindTerm) so it survives crashes
-// on both sides.
+// Fencing rides the term number: every stream message and stream opening
+// carries one. An opening bearing a higher term demotes a stale primary
+// before it can serve another record; a message bearing a lower term is
+// refused by the follower. The term itself is journaled (KindTerm) so it
+// survives crashes on both sides.
 package replica
 
 import (
@@ -58,12 +62,12 @@ type Config struct {
 	// node booting as primary.
 	PrimaryURL string
 	// FailoverTimeout promotes the follower after this long without a
-	// successful fetch from the primary (0 disables automatic failover —
-	// promotion then only happens via POST /v1/admin/promote).
+	// message from the primary (0 disables automatic failover — promotion
+	// then only happens via POST /v1/admin/promote).
 	FailoverTimeout time.Duration
-	// PollWait is the shipper's long-poll window and the follower's poll
-	// pacing (default 1s, capped to FailoverTimeout/4 when failover is on
-	// so detection is never starved by an open poll).
+	// PollWait is the heartbeat interval of both directions of an idle
+	// stream (default 1s, capped to FailoverTimeout/4 when failover is on
+	// so detection is never starved by a quiet stream).
 	PollWait time.Duration
 	// SyncTimeout bounds how long one acknowledgment waits for the standby
 	// to confirm fetch before falling back to asynchronous (default 5s).
@@ -71,16 +75,17 @@ type Config struct {
 	// acknowledgment instead.
 	SyncTimeout time.Duration
 	// Lease enables lease-based primary fencing (0 disables). Once a
-	// standby has polled, the primary holds an acknowledgment lease it
-	// renews on every standby poll; when no poll arrives within Lease, the
-	// primary fences itself — mutations answer 503 and the semi-sync
-	// fallback to asynchronous acks is disabled — so across any partition
-	// at most one node acknowledges writes. The invariant that makes this
-	// safe is Lease < FailoverTimeout with both sides configured alike:
-	// before promoting, a standby additionally quiesces its polls for
-	// Lease + PollWait, guaranteeing the old primary's lease has expired
-	// by the instant the standby starts acking (even when the partition is
-	// asymmetric and the primary kept receiving the standby's polls).
+	// standby has streamed, the primary holds an acknowledgment lease it
+	// renews on every standby acknowledgment (and stream opening); when
+	// none arrives within Lease, the primary fences itself — mutations
+	// answer 503 and the semi-sync fallback to asynchronous acks is
+	// disabled — so across any partition at most one node acknowledges
+	// writes. The invariant that makes this safe is Lease < FailoverTimeout
+	// with both sides configured alike: before promoting, a standby
+	// additionally stays off the stream for Lease + PollWait, guaranteeing
+	// the old primary's lease has expired by the instant the standby starts
+	// acking (even when the partition is asymmetric and the primary kept
+	// hearing from the standby).
 	Lease time.Duration
 	// Transport, when non-nil, replaces the follower HTTP client's
 	// transport — the netchaos injection point.
@@ -88,10 +93,10 @@ type Config struct {
 }
 
 const (
-	// batchMax caps records per stream response.
+	// batchMax caps records per stream message.
 	batchMax = 512
-	// syncActiveWindow is how recently a standby must have polled for the
-	// primary to keep gating client acknowledgments on replication. Past it
+	// syncActiveWindow is how recently a standby must have acknowledged for
+	// the primary to keep gating client acknowledgments on replication. Past it
 	// the primary falls back to asynchronous replication instead of
 	// stalling clients behind a dead standby.
 	syncActiveWindow = 3 * time.Second
@@ -109,8 +114,9 @@ func (c Config) withDefaults() Config {
 	if c.PollWait <= 0 {
 		c.PollWait = 50 * time.Millisecond
 	}
-	// A leased primary must see a poll every Lease; pacing the follower at
-	// a third of that keeps one delayed poll from expiring the lease.
+	// A leased primary must see an acknowledgment every Lease; a heartbeat
+	// every third of that keeps one delayed acknowledgment from expiring
+	// the lease.
 	if c.Lease > 0 && c.PollWait > c.Lease/3 {
 		c.PollWait = c.Lease / 3
 		if c.PollWait < 5*time.Millisecond {
@@ -133,15 +139,15 @@ type Node struct {
 
 	mu sync.Mutex
 	// Shipper-side acknowledgment state: the highest sequence a standby
-	// confirmed (by polling past it), when it last polled, and a broadcast
-	// channel replaced on every poll so WaitReplicated wakes immediately.
+	// confirmed, when it last acknowledged, and a broadcast channel replaced
+	// on every acknowledgment so WaitReplicated wakes immediately.
 	replicatedSeq uint64
-	lastPoll      time.Time
-	pollSignal    chan struct{}
-	// Lease state: granted latches once any standby polls (an unpaired
-	// primary acks asynchronously — there is nobody to lose writes to) and
-	// resets on every role transition so a re-promoted node is not fenced
-	// by its previous life's poll history. lostLogged dedups the fence log
+	lastAck       time.Time
+	ackSignal     chan struct{}
+	// Lease state: granted latches once any standby acknowledges (an
+	// unpaired primary acks asynchronously — there is nobody to lose writes
+	// to) and resets on every role transition so a re-promoted node is not
+	// fenced by its previous life's history. lostLogged dedups the fence log
 	// line across the many acks that observe the same expiry.
 	leaseGranted bool
 	lostLogged   bool
@@ -155,12 +161,13 @@ type Node struct {
 	applied        uint64
 	primaryDurable uint64
 	lastFetch      time.Time
+	bootstraps     int64
 	diverged       bool
 	divergedReason string
 
-	stop     chan struct{}
-	stopOnce sync.Once
-	done     chan struct{}
+	// halted is done once Stop was called; halt calls it.
+	halted context.Context
+	halt   context.CancelFunc
 }
 
 // NewNode builds a replication node over srv and its journal. The node is
@@ -168,22 +175,24 @@ type Node struct {
 // (follower side).
 func NewNode(srv *server.Server, jnl *journal.Journal, cfg Config) *Node {
 	cfg = cfg.withDefaults()
-	return &Node{
+	n := &Node{
 		srv:        srv,
 		jnl:        jnl,
 		cfg:        cfg,
-		client:     &http.Client{Timeout: cfg.PollWait + 5*time.Second, Transport: cfg.Transport},
-		pollSignal: make(chan struct{}),
+		client:     &http.Client{Transport: cfg.Transport},
+		ackSignal:  make(chan struct{}),
 		primaryURL: cfg.PrimaryURL,
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
 	}
+	n.halted, n.halt = context.WithCancel(context.Background())
+	return n
 }
 
-// Stop halts the follower loop (if running). Safe to call multiple times.
-func (n *Node) Stop() {
-	n.stopOnce.Do(func() { close(n.stop) })
-}
+// Stop halts the follower loop (if running) and ends every stream, both
+// the one this node follows and those it serves. Safe to call multiple
+// times.
+func (n *Node) Stop() { n.halt() }
+
+func (n *Node) stopped() bool { return n.halted.Err() != nil }
 
 // PrimaryURL returns the primary this node currently follows ("" once it
 // is the primary itself).
@@ -207,6 +216,7 @@ func (n *Node) StatsBlock() *server.ReplicaStats {
 	if n.srv.IsFollower() {
 		rs.PrimaryURL = n.primaryURL
 		rs.AppliedSeq = n.applied
+		rs.Bootstraps = n.bootstraps
 		if n.primaryDurable > n.applied {
 			rs.LagSeq = int64(n.primaryDurable - n.applied)
 		}
@@ -215,7 +225,7 @@ func (n *Node) StatsBlock() *server.ReplicaStats {
 		}
 	} else {
 		rs.ReplicatedSeq = n.replicatedSeq
-		if time.Since(n.lastPoll) <= syncActiveWindow {
+		if time.Since(n.lastAck) <= syncActiveWindow {
 			rs.Followers = 1
 		}
 		rs.LeaseEnabled = n.cfg.Lease > 0
@@ -231,13 +241,13 @@ func (n *Node) StatsBlock() *server.ReplicaStats {
 // leaseLostLocked reports whether the standby-granted acknowledgment
 // lease has lapsed. Callers hold n.mu.
 func (n *Node) leaseLostLocked() bool {
-	return n.cfg.Lease > 0 && n.leaseGranted && time.Since(n.lastPoll) > n.cfg.Lease
+	return n.cfg.Lease > 0 && n.leaseGranted && time.Since(n.lastAck) > n.cfg.Lease
 }
 
 // LeaseLost reports whether this node is a fenced primary: lease fencing
-// is on, a standby once granted the lease, and no poll renewed it within
-// the lease window. A fenced primary refuses mutations but keeps its role;
-// it resumes acking the moment a standby polls again.
+// is on, a standby once granted the lease, and no acknowledgment renewed
+// it within the lease window. A fenced primary refuses mutations but keeps
+// its role; it resumes acking the moment a standby acknowledges again.
 func (n *Node) LeaseLost() bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -246,7 +256,7 @@ func (n *Node) LeaseLost() bool {
 
 // resetLease clears lease state on a role transition — a freshly promoted
 // (or re-promoted) primary starts unleased and acks asynchronously until
-// a standby's first poll grants it a new lease.
+// a standby's first acknowledgment grants it a new lease.
 func (n *Node) resetLease() {
 	n.mu.Lock()
 	n.leaseGranted = false
@@ -254,29 +264,31 @@ func (n *Node) resetLease() {
 	n.mu.Unlock()
 }
 
-// notePoll records a standby's poll: from confirms everything below it.
-func (n *Node) notePoll(confirmed uint64) {
+// noteAck records a standby's acknowledgment (or stream opening), which
+// confirms everything up to confirmed.
+func (n *Node) noteAck(confirmed uint64) {
 	n.mu.Lock()
 	if confirmed > n.replicatedSeq {
 		n.replicatedSeq = confirmed
 	}
-	n.lastPoll = time.Now()
+	n.lastAck = time.Now()
 	regained := n.lostLogged
 	n.leaseGranted = true
 	n.lostLogged = false
-	close(n.pollSignal)
-	n.pollSignal = make(chan struct{})
+	close(n.ackSignal)
+	n.ackSignal = make(chan struct{})
 	n.mu.Unlock()
 	if regained {
-		slog.Info("replica: lease regained, standby polling resumed; acknowledging mutations again")
+		slog.Info("replica: lease regained, standby acknowledging again; acknowledging mutations again")
 	}
 }
 
 // WaitReplicated implements the server's semi-synchronous hook: block
-// until a standby's poll confirmed seq, the standby goes quiet (fall back
-// to asynchronous — a dead standby must not take client traffic down with
-// it), the sync timeout expires, or ctx dies. A confirmation is released
-// the moment the confirming poll arrives.
+// until a standby's acknowledgment confirmed seq, the standby goes quiet
+// (fall back to asynchronous — a dead standby must not take client
+// traffic down with it), the sync timeout expires, or ctx dies. A
+// confirmation is released the moment the confirming acknowledgment
+// arrives.
 //
 // With lease fencing on and a lease granted, the asynchronous fallbacks
 // are closed off: an expired lease or a sync timeout refuses the
@@ -287,34 +299,34 @@ func (n *Node) WaitReplicated(ctx context.Context, seq uint64) error {
 	start := time.Now()
 	deadline := start.Add(n.cfg.SyncTimeout)
 	// One timer for the whole wait, armed for the one instant at which the
-	// answer can change without a poll; every poll wakes the wait itself
-	// through pollSignal and moves that instant.
+	// answer can change without an acknowledgment; every acknowledgment
+	// wakes the wait itself through ackSignal and moves that instant.
 	timer := time.NewTimer(n.cfg.SyncTimeout)
 	defer timer.Stop()
 	for {
 		n.mu.Lock()
 		confirmed := n.replicatedSeq >= seq
-		active := !n.lastPoll.IsZero() && time.Since(n.lastPoll) <= syncActiveWindow
+		active := !n.lastAck.IsZero() && time.Since(n.lastAck) <= syncActiveWindow
 		leased := n.cfg.Lease > 0 && n.leaseGranted
 		lost := n.leaseLostLocked()
 		logFence := lost && !n.lostLogged
 		if logFence {
 			n.lostLogged = true
 		}
-		// Without a poll the verdict changes when the sync timeout runs out
-		// or, sooner, when the last poll ages out: of the lease (fence), or of
-		// the active window (fall back to asynchronous).
-		next := n.lastPoll.Add(syncActiveWindow)
+		// Without an acknowledgment the verdict changes when the sync timeout
+		// runs out or, sooner, when the last one ages out: of the lease
+		// (fence), or of the active window (fall back to asynchronous).
+		next := n.lastAck.Add(syncActiveWindow)
 		if leased {
-			next = n.lastPoll.Add(n.cfg.Lease)
+			next = n.lastAck.Add(n.cfg.Lease)
 		}
 		if next.After(deadline) {
 			next = deadline
 		}
-		signal := n.pollSignal
+		signal := n.ackSignal
 		n.mu.Unlock()
 		if logFence {
-			slog.Warn("replica: lease lost, no standby poll within the lease; fencing acknowledgments", "lease", n.cfg.Lease)
+			slog.Warn("replica: lease lost, no standby acknowledgment within the lease; fencing acknowledgments", "lease", n.cfg.Lease)
 		}
 		if confirmed {
 			n.ackWait.Observe(time.Since(start))
@@ -322,7 +334,7 @@ func (n *Node) WaitReplicated(ctx context.Context, seq uint64) error {
 		}
 		if leased {
 			if lost {
-				return fmt.Errorf("%w: no standby poll within the %s lease", server.ErrFenced, n.cfg.Lease)
+				return fmt.Errorf("%w: no standby acknowledgment within the %s lease", server.ErrFenced, n.cfg.Lease)
 			}
 			if time.Now().After(deadline) {
 				return fmt.Errorf("%w: standby did not confirm seq %d within %s", server.ErrFenced, seq, n.cfg.SyncTimeout)
@@ -374,7 +386,7 @@ func isMutation(r *http.Request) bool {
 // 503 with Retry-After before the request can reach the actor loop.
 func (n *Node) FrontHandler(api http.Handler) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/replica/stream", n.handleStream)
+	mux.HandleFunc("POST /v1/replica/stream", n.handleStream)
 	mux.HandleFunc("GET /v1/replica/snapshot", n.handleSnapshot)
 	mux.HandleFunc("POST /v1/admin/promote", n.handlePromote)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
@@ -386,7 +398,7 @@ func (n *Node) FrontHandler(api http.Handler) http.Handler {
 				}
 			} else if n.LeaseLost() {
 				server.WriteShed(w, http.StatusServiceUnavailable, time.Second,
-					fmt.Sprintf("replication lease lost: no standby poll within %s; mutations fenced", n.cfg.Lease))
+					fmt.Sprintf("replication lease lost: no standby acknowledgment within %s; mutations fenced", n.cfg.Lease))
 				return
 			}
 		}
@@ -397,7 +409,7 @@ func (n *Node) FrontHandler(api http.Handler) http.Handler {
 
 // handlePromote is the manual-promotion interlock. A plain promote is
 // refused with 409 while the current primary still looks alive — a recent
-// successful fetch within the lease window, or a live answer to a direct
+// stream message within the lease window, or a live answer to a direct
 // health probe — because promoting next to a healthy primary is exactly
 // the split-brain the lease exists to prevent. {"force":true} overrides
 // the interlock for operators who know the probe path is lying (e.g. the
@@ -435,7 +447,7 @@ func (n *Node) handlePromote(w http.ResponseWriter, r *http.Request) {
 }
 
 // primaryAlive reports whether the primary this follower tracks still
-// answers: first by the follower's own recent fetch history (cheap, no
+// answers: first by the follower's own recent stream messages (cheap, no
 // network), then by a short direct probe of the primary's /healthz.
 func (n *Node) primaryAlive(ctx context.Context) (reason string, alive bool) {
 	window := n.cfg.Lease
@@ -450,7 +462,7 @@ func (n *Node) primaryAlive(ctx context.Context) (reason string, alive bool) {
 	primary := n.primaryURL
 	n.mu.Unlock()
 	if !last.IsZero() && time.Since(last) <= window {
-		return fmt.Sprintf("fetched from it %s ago", time.Since(last).Round(time.Millisecond)), true
+		return fmt.Sprintf("heard from it %s ago", time.Since(last).Round(time.Millisecond)), true
 	}
 	if primary == "" {
 		return "", false

@@ -71,12 +71,16 @@ func bootNode(t testing.TB, g *topology.Graph, primaryURL string, cfg replica.Co
 // perturb, if any, then damages the manager behind the journal's back.
 func bootNodeOnJournal(t testing.TB, g *topology.Graph, jnl *journal.Journal, rec *journal.Recovered, primaryURL string, cfg replica.Config, perturb ...func(*manager.Manager)) *testNode {
 	t.Helper()
+	return bootNodeTuned(t, g, jnl, rec, primaryURL, cfg, func(*server.Options) {}, perturb...)
+}
+
+// bootNodeTuned is bootNodeOnJournal with tune changing the server's
+// options last.
+func bootNodeTuned(t testing.TB, g *topology.Graph, jnl *journal.Journal, rec *journal.Recovered, primaryURL string, cfg replica.Config, tune func(*server.Options), perturb ...func(*manager.Manager)) *testNode {
+	t.Helper()
 	mgr, err := server.Rebuild(g, manager.Config{Capacity: 10000}, rec)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, p := range perturb {
-		p(mgr)
 	}
 	tn := &testNode{jnl: jnl}
 	opt := server.Options{
@@ -86,6 +90,10 @@ func bootNodeOnJournal(t testing.TB, g *topology.Graph, jnl *journal.Journal, re
 		// Manual snapshots only: the stream tests want full journal replay.
 		SnapshotEvery: -1,
 	}
+	for _, p := range perturb {
+		p(mgr)
+	}
+	tune(&opt)
 	opt.WaitReplicated = func(ctx context.Context, seq uint64) error {
 		return tn.node.WaitReplicated(ctx, seq)
 	}
@@ -200,7 +208,8 @@ func TestStreamReplicationLockstep(t *testing.T) {
 }
 
 // TestSemiSyncAckGating: with an active follower, the primary's mutation
-// acknowledgments wait for the follower's poll to confirm replication.
+// acknowledgments wait for the follower's acknowledgment to confirm
+// replication.
 func TestSemiSyncAckGating(t *testing.T) {
 	g := testGraph(t)
 	primary := bootNode(t, g, "", replica.Config{PollWait: 20 * time.Millisecond})
@@ -209,16 +218,16 @@ func TestSemiSyncAckGating(t *testing.T) {
 	defer follower.close(t)
 	go func() { _ = follower.node.Run(context.Background()) }()
 
-	// Prime: wait until the follower has polled at least once so the
+	// Prime: wait until the follower has opened its stream so the
 	// standby registers as active.
-	waitFor(t, 3*time.Second, "follower first poll", func() bool {
+	waitFor(t, 3*time.Second, "follower's stream", func() bool {
 		return primary.node.StatsBlock().Followers == 1
 	})
 	establishSome(t, primary.srv, 10)
 	// Every acked establish must already be replicated: the ack waited on
-	// the follower's confirming poll (or the sync fallback, which the tight
-	// poll cadence makes vanishingly unlikely here). Confirmed seq lagging
-	// the journal by more than the in-flight poll window would mean acks
+	// the follower's confirming acknowledgment (or the sync fallback, which
+	// the tight heartbeat makes vanishingly unlikely here). Confirmed seq
+	// lagging the journal by more than what is in flight would mean acks
 	// outran replication.
 	tip := primary.jnl.LastSeq()
 	waitFor(t, 2*time.Second, "replication confirmation to reach tip", func() bool {
@@ -313,8 +322,8 @@ func mustRebuild(t *testing.T, g *topology.Graph, rec *journal.Recovered) *manag
 	return m
 }
 
-// TestStaleTermPollDemotesPrimary: a poll carrying a higher term fences the
-// polled node — it demotes before serving a record, the protocol's defense
+// TestStaleTermPollDemotesPrimary: a stream opened with a higher term fences
+// the node — it demotes before serving a record, the protocol's defense
 // against a resurrected ex-primary serving stale mutations.
 func TestStaleTermPollDemotesPrimary(t *testing.T) {
 	g := testGraph(t)
@@ -322,7 +331,7 @@ func TestStaleTermPollDemotesPrimary(t *testing.T) {
 	defer primary.close(t)
 	establishSome(t, primary.srv, 3)
 
-	resp, err := http.Get(primary.http.URL + "/v1/replica/stream?from=1&term=7")
+	resp, err := http.Post(primary.http.URL+"/v1/replica/stream?from=1&term=7", "application/octet-stream", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +341,7 @@ func TestStaleTermPollDemotesPrimary(t *testing.T) {
 		t.Fatalf("stream with higher term answered %d: %s", resp.StatusCode, body)
 	}
 	if !primary.srv.IsFollower() || primary.srv.Term() != 7 {
-		t.Fatalf("ex-primary role=%s term=%d after fencing poll, want follower/7",
+		t.Fatalf("ex-primary role=%s term=%d after the fencing stream, want follower/7",
 			primary.srv.Role(), primary.srv.Term())
 	}
 	// Fenced: originating mutations now refuse.
@@ -408,7 +417,9 @@ func TestCompactedStreamBootstraps(t *testing.T) {
 	ctx := context.Background()
 	primary := bootNode(t, g, "", replica.Config{PollWait: 20 * time.Millisecond})
 	defer primary.close(t)
-	establishSome(t, primary.srv, 10)
+	// More records than the primary's tail ring holds, so that the
+	// snapshot's are gone from everywhere but the image.
+	establishSome(t, primary.srv, 300)
 	// SnapshotNow compacts: WriteSnapshot deletes superseded segments.
 	if err := primary.srv.SnapshotNow(ctx); err != nil {
 		t.Fatal(err)
@@ -430,6 +441,44 @@ func TestCompactedStreamBootstraps(t *testing.T) {
 	ffp, _ := follower.srv.StateFingerprint(ctx)
 	if pfp != ffp {
 		t.Fatalf("fingerprints differ after compacted bootstrap: %s vs %s", pfp, ffp)
+	}
+	if b := follower.node.StatsBlock().Bootstraps; b != 1 || follower.jnl.SnapshotSeq() == 0 {
+		t.Fatalf("follower bootstrapped %d times, snapshot at %d; want once", b, follower.jnl.SnapshotSeq())
+	}
+}
+
+// TestStreamAcrossSnapshots: a caught-up standby streams across the
+// primary's snapshots without a bootstrap. The primary snapshots inside its
+// loop right after appending a record, before the standby can have it; the
+// record is folded into the image but still in the tail ring, and what the
+// ring holds is served.
+func TestStreamAcrossSnapshots(t *testing.T) {
+	const every = 40
+	g := testGraph(t)
+	jnl, rec, err := journal.Open(t.TempDir(), journal.Options{GroupCommit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary := bootNodeTuned(t, g, jnl, rec, "", replica.Config{PollWait: 20 * time.Millisecond},
+		func(opt *server.Options) { opt.SnapshotEvery = every })
+	defer primary.close(t)
+	standby := bootNodeWith(t, g, journal.Options{GroupCommit: true}, primary.http.URL, replica.Config{PollWait: 20 * time.Millisecond})
+	defer standby.close(t)
+	go func() { _ = standby.node.Run(context.Background()) }()
+	waitFor(t, 3*time.Second, "the standby's stream", func() bool {
+		return primary.node.StatsBlock().Followers == 1
+	})
+
+	churn(t, primary, 4*every+every/2)
+	converged(t, primary, standby)
+	if snap := primary.jnl.SnapshotSeq(); snap < 3*every {
+		t.Fatalf("the primary snapshotted up to seq %d only, want at least 3 snapshots of %d records", snap, every)
+	}
+	if b := standby.node.StatsBlock().Bootstraps; b != 0 {
+		t.Fatalf("a caught-up standby bootstrapped %d times across the primary's snapshots, want 0", b)
+	}
+	if standby.jnl.SnapshotSeq() != 0 {
+		t.Fatalf("the standby installed a snapshot at seq %d", standby.jnl.SnapshotSeq())
 	}
 }
 

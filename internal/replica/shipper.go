@@ -3,29 +3,20 @@ package replica
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"drqos/internal/journal"
 	"drqos/internal/server"
 )
-
-// streamEnvelope is one stream response. Frames holds the records in the
-// journal's on-disk frame format (length + CRC-32C + payload), base64 in
-// JSON — the standby appends exactly the checksummed bytes a journal would
-// hold. Verify carries fingerprint checkpoints the follower must match as
-// its applied prefix reaches them.
-type streamEnvelope struct {
-	Term       uint64               `json:"term"`
-	DurableSeq uint64               `json:"durable_seq"`
-	Verify     []server.VerifyPoint `json:"verify,omitempty"`
-	Frames     []byte               `json:"frames,omitempty"`
-}
 
 // snapshotEnvelope is the bootstrap image: a snapshot header + body pair
 // fit for journal.InstallSnapshot on the receiving side.
@@ -56,36 +47,50 @@ func writeStreamError(w http.ResponseWriter, code int, reason, msg string) {
 	_ = json.NewEncoder(w).Encode(streamError{Error: msg, Reason: reason})
 }
 
-// handleStream answers GET /v1/replica/stream?from=N[&term=T][&prev_crc=C]
-// [&wait=ms]: long-poll for records with Seq >= from, bounded by the
-// durable tip. A poll is also the standby's acknowledgment that everything
-// below from is durably applied over there, and its term is the fencing
-// probe — a higher term demotes this node before it serves a byte.
+// handleStream answers POST /v1/replica/stream?from=N[&term=T][&prev_crc=C]
+// with one long-lived, full-duplex exchange. Opening it is the standby's
+// acknowledgment that everything below from is durably applied over there,
+// and its term is the fencing probe — a higher term demotes this node
+// before it serves a byte. Then, until either side goes away or the node
+// stops, the response body carries every record the moment it is durable
+// here (an empty message every PollWait while there is none: the
+// heartbeat the standby's failover clock counts), and the request body
+// carries the standby's acknowledgments back (readAcks). A record is
+// pushed without waiting for the acknowledgment of the one before it.
 func (n *Node) handleStream(w http.ResponseWriter, r *http.Request) {
+	// Full duplex from the first byte: net/http would otherwise drain the
+	// request body before sending any answer, a refusal included, and the
+	// body of a stream does not end.
+	rc := http.NewResponseController(w)
+	if err := rc.EnableFullDuplex(); err != nil {
+		http.Error(w, "stream: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
+	// A stream's connection is never reused: whatever ended the exchange
+	// may have left either body mid-message.
+	w.Header().Set("Connection", "close")
 	q := r.URL.Query()
 	from, err := strconv.ParseUint(q.Get("from"), 10, 64)
 	if err != nil || from == 0 {
 		http.Error(w, "stream: from must be a positive sequence number", http.StatusBadRequest)
 		return
 	}
-	pollerTerm, _ := strconv.ParseUint(q.Get("term"), 10, 64)
-	if pollerTerm > n.srv.Term() {
-		// The poller promoted past us: we are the stale side. Step down
+	peerTerm, _ := strconv.ParseUint(q.Get("term"), 10, 64)
+	if peerTerm > n.srv.Term() {
+		// The standby promoted past us: we are the stale side. Step down
 		// first, answer "demoted" second — never serve under a dead term.
-		slog.Warn("replica: demoting, a peer polled with a higher term", "peer_term", pollerTerm, "term", n.srv.Term())
-		if err := n.srv.Demote(r.Context(), pollerTerm); err != nil {
+		slog.Warn("replica: demoting, a peer streamed with a higher term", "peer_term", peerTerm, "term", n.srv.Term())
+		if err := n.srv.Demote(r.Context(), peerTerm); err != nil {
 			http.Error(w, "demote: "+err.Error(), http.StatusInternalServerError)
 			return
 		}
 		n.resetLease()
 		writeStreamError(w, http.StatusServiceUnavailable, reasonDemoted,
-			fmt.Sprintf("stepped down under term %d", pollerTerm))
+			fmt.Sprintf("stepped down under term %d", peerTerm))
 		return
 	}
-
-	if from <= n.jnl.SnapshotSeq() {
-		writeStreamError(w, http.StatusGone, reasonCompacted,
-			fmt.Sprintf("records below %d are compacted into a snapshot", n.jnl.SnapshotSeq()+1))
+	if n.stopped() {
+		http.Error(w, "stream: node stopping", http.StatusServiceUnavailable)
 		return
 	}
 	// History-identity probe: the standby reports the CRC of its last
@@ -99,9 +104,8 @@ func (n *Node) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 		switch crc, ok, rerr := n.jnl.FrameCRC(from - 1); {
 		case errors.Is(rerr, journal.ErrCompacted):
-			// Compacted between the check above and here; indistinguishable
-			// from the from<=snapSeq case.
-			writeStreamError(w, http.StatusGone, reasonCompacted, "history compacted under the probe")
+			writeStreamError(w, http.StatusGone, reasonCompacted,
+				fmt.Sprintf("record %d is compacted into a snapshot and out of the tail", from-1))
 			return
 		case rerr != nil:
 			http.Error(w, rerr.Error(), http.StatusInternalServerError)
@@ -116,48 +120,188 @@ func (n *Node) handleStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// The probe passed: everything below from is confirmed replicated.
-	n.notePoll(from - 1)
-
-	wait := n.cfg.PollWait
-	if ms, werr := strconv.Atoi(q.Get("wait")); werr == nil && ms >= 0 {
-		wait = time.Duration(ms) * time.Millisecond
-		if wait > 30*time.Second {
-			wait = 30 * time.Second
-		}
-	}
-	// Park on the event that ends the poll: the journal's durable broadcast
-	// wakes it the moment record from exists. Anything else WaitDurable can
-	// report — the deadline (an idle poll: the empty envelope below is the
-	// lease heartbeat), a disconnect, a journal that closed, died or had its
-	// history replaced and so will never make from durable — is an idle poll
-	// too and is held to its deadline, so a standby cannot spin against a
-	// primary that cannot write.
-	ctx, cancel := context.WithTimeout(r.Context(), wait)
-	defer cancel()
-	if n.jnl.WaitDurable(ctx, from) != nil {
-		<-ctx.Done()
-	}
+	// The first read answers the one refusal left: history no longer held.
 	frames, count, err := n.jnl.ReadFrames(from, batchMax)
 	if errors.Is(err, journal.ErrCompacted) {
-		writeStreamError(w, http.StatusGone, reasonCompacted, "history compacted mid-poll")
+		writeStreamError(w, http.StatusGone, reasonCompacted,
+			fmt.Sprintf("records from %d are compacted into a snapshot", from))
 		return
 	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	// The stream outlives any per-request deadline the server sets.
+	_ = rc.SetReadDeadline(time.Time{})
+	_ = rc.SetWriteDeadline(time.Time{})
+	// The probe passed: everything below from is confirmed replicated.
+	n.noteAck(from - 1)
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.WriteHeader(http.StatusOK)
+	if rc.Flush() != nil {
+		return
+	}
 
-	env := streamEnvelope{
-		Term:       n.srv.Term(),
-		DurableSeq: n.jnl.DurableSeq(),
-		Frames:     frames,
+	// The stream ends when the standby goes, its acknowledgments stop
+	// parsing, a write fails, or the node stops; ending it expires both
+	// directions' deadlines, which unblocks whichever read or write is
+	// parked, and the handler returns only once the ack reader is done.
+	ctx, cancel := context.WithCancel(r.Context())
+	defer context.AfterFunc(ctx, func() {
+		_ = rc.SetReadDeadline(time.Now())
+		_ = rc.SetWriteDeadline(time.Now())
+	})()
+	defer context.AfterFunc(n.halted, cancel)()
+	var sent atomic.Uint64
+	sent.Store(from - 1)
+	acks := make(chan struct{})
+	go func() {
+		defer close(acks)
+		defer cancel()
+		n.readAcks(r.Body, &sent)
+	}()
+	defer func() {
+		cancel()
+		<-acks
+	}()
+
+	next, idle := from, false
+	var hdr []byte
+	for {
+		if count > 0 || idle {
+			m := message{term: n.srv.Term(), durable: n.jnl.DurableSeq(), frames: frames}
+			if count > 0 {
+				m.verify = n.verifyPoints(ctx, next, next+uint64(count)-1)
+			}
+			next += uint64(count)
+			// Before the write: the standby's acknowledgment may arrive
+			// before the flush returns.
+			sent.Store(next - 1)
+			hdr = appendMessageHeader(hdr[:0], m)
+			if _, err := w.Write(hdr); err != nil {
+				return
+			}
+			if _, err := w.Write(frames); err != nil {
+				return
+			}
+			if rc.Flush() != nil {
+				return
+			}
+		}
+		// Park on the event that ends the wait: the journal's durable
+		// broadcast wakes it the moment record next exists, and PollWait
+		// without one sends the heartbeat. A journal that closed, died or
+		// had its history replaced will never make next durable: the
+		// stream is held to the heartbeat's deadline and ends, so a standby
+		// cannot spin against a primary that cannot write.
+		wait, done := context.WithTimeout(ctx, n.cfg.PollWait)
+		werr := n.jnl.WaitDurable(wait, next)
+		if werr != nil && ctx.Err() == nil && !errors.Is(werr, context.DeadlineExceeded) {
+			<-wait.Done()
+			done()
+			return
+		}
+		done()
+		if ctx.Err() != nil {
+			return
+		}
+		idle = werr != nil
+		if frames, count, err = n.jnl.ReadFrames(next, batchMax); err != nil {
+			// Compacted past the standby: it reconnects and is told to
+			// bootstrap.
+			return
+		}
 	}
-	if count > 0 {
-		env.Verify = n.verifyPoints(r.Context(), from, from+uint64(count)-1)
+}
+
+// readAcks applies a standby's acknowledgments as they arrive on the
+// request body: each is a seq the standby holds durably applied, and each
+// renews the lease and wakes WaitReplicated (noteAck). An acknowledgment
+// never confirms past what this stream sent.
+func (n *Node) readAcks(body io.Reader, sent *atomic.Uint64) {
+	var ack [8]byte
+	for {
+		if _, err := io.ReadFull(body, ack[:]); err != nil {
+			return
+		}
+		n.noteAck(min(binary.LittleEndian.Uint64(ack[:]), sent.Load()))
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(env)
+}
+
+// message is one push of the stream from the primary to a standby. On the
+// wire, little-endian:
+//
+//	u32  length of the rest of the message
+//	u64  term, u64 durable seq
+//	u16  verify point count; per point u64 seq, u16 length, fingerprint
+//	...  frames: the journal's CRC frames exactly as stored (DecodeFrames)
+//
+// A message without frames is the idle heartbeat. The standby answers on
+// the request body with 8-byte acknowledgments (a u64 seq each).
+type message struct {
+	term, durable uint64
+	verify        []server.VerifyPoint
+	frames        []byte
+}
+
+// maxMessage bounds what a standby reads as one message.
+const maxMessage = 64 << 20
+
+// appendMessageHeader appends everything of m that precedes its frames.
+func appendMessageHeader(buf []byte, m message) []byte {
+	size := 8 + 8 + 2 + len(m.frames)
+	for _, v := range m.verify {
+		size += 8 + 2 + len(v.Fingerprint)
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(size))
+	buf = binary.LittleEndian.AppendUint64(buf, m.term)
+	buf = binary.LittleEndian.AppendUint64(buf, m.durable)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(m.verify)))
+	for _, v := range m.verify {
+		buf = binary.LittleEndian.AppendUint64(buf, v.Seq)
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(v.Fingerprint)))
+		buf = append(buf, v.Fingerprint...)
+	}
+	return buf
+}
+
+// readMessage reads one message into buf (grown as needed, returned for
+// reuse); the message's frames alias it.
+func readMessage(r io.Reader, buf []byte) (message, []byte, error) {
+	var size [4]byte
+	if _, err := io.ReadFull(r, size[:]); err != nil {
+		return message{}, buf, err
+	}
+	n := int(binary.LittleEndian.Uint32(size[:]))
+	if n < 18 || n > maxMessage {
+		return message{}, buf, fmt.Errorf("replica: stream message of %d bytes", n)
+	}
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return message{}, buf, err
+	}
+	m := message{
+		term:    binary.LittleEndian.Uint64(buf),
+		durable: binary.LittleEndian.Uint64(buf[8:]),
+	}
+	points := int(binary.LittleEndian.Uint16(buf[16:]))
+	rest := buf[18:]
+	for i := 0; i < points; i++ {
+		if len(rest) < 10 {
+			return message{}, buf, errors.New("replica: truncated verify point")
+		}
+		seq, fl := binary.LittleEndian.Uint64(rest), int(binary.LittleEndian.Uint16(rest[8:]))
+		if len(rest) < 10+fl {
+			return message{}, buf, errors.New("replica: truncated verify point")
+		}
+		m.verify = append(m.verify, server.VerifyPoint{Seq: seq, Fingerprint: string(rest[10 : 10+fl])})
+		rest = rest[10+fl:]
+	}
+	m.frames = rest
+	return m, buf, nil
 }
 
 // verifyEvery is how many records the newest verify point may trail the
@@ -168,7 +312,7 @@ func (n *Node) handleStream(w http.ResponseWriter, r *http.Request) {
 const verifyEvery = 64
 
 // verifyPoints returns the verify points the batch [from, last] carries.
-// Points are minted here, by a standby's poll, and nowhere else: state and
+// Points are minted here, by a push to a standby, and nowhere else: state and
 // the journal position it is the replay of leave the loop together
 // (server.ExportState). That position is the journal's tip, so a fresh
 // point usually lies past last and is held for the batch that reaches it.
@@ -183,7 +327,7 @@ func (n *Node) verifyPoints(ctx context.Context, from, last uint64) []server.Ver
 	if last > held.Seq+verifyEvery {
 		seq, st, err := n.srv.ExportState(ctx)
 		if err != nil {
-			return carried // the next poll mints
+			return carried // the next push mints
 		}
 		fresh := server.VerifyPoint{Seq: seq, Fingerprint: st.Fingerprint()}
 		n.mu.Lock()

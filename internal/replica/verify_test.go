@@ -3,7 +3,7 @@ package replica_test
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net/http"
@@ -18,12 +18,12 @@ import (
 	"drqos/internal/qos"
 	"drqos/internal/replica"
 	"drqos/internal/rng"
-	"drqos/internal/server"
 	"drqos/internal/topology"
 )
 
 // streamTap is a follower transport that notes, in order, every request the
-// follower makes and how many verify points each stream answer carried.
+// follower makes and how many verify points the stream it opened carried
+// (counted as the follower reads each push).
 type streamTap struct {
 	mu     sync.Mutex
 	paths  []string
@@ -32,31 +32,48 @@ type streamTap struct {
 
 func (tap *streamTap) RoundTrip(req *http.Request) (*http.Response, error) {
 	resp, err := http.DefaultTransport.RoundTrip(req)
-	points := -1
-	if err == nil && resp.StatusCode == http.StatusOK && strings.HasSuffix(req.URL.Path, "/stream") {
-		body, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if rerr != nil {
-			return nil, rerr
-		}
-		resp.Body = io.NopCloser(bytes.NewReader(body))
-		var env struct {
-			Verify []server.VerifyPoint `json:"verify"`
-		}
-		if jerr := json.Unmarshal(body, &env); jerr != nil {
-			return nil, jerr
-		}
-		points = len(env.Verify)
-	}
 	tap.mu.Lock()
+	defer tap.mu.Unlock()
 	tap.paths = append(tap.paths, req.URL.Path)
-	tap.points = append(tap.points, points)
-	tap.mu.Unlock()
+	tap.points = append(tap.points, -1)
+	if err == nil && resp.StatusCode == http.StatusOK && strings.HasSuffix(req.URL.Path, "/stream") {
+		tap.points[len(tap.points)-1] = 0
+		resp.Body = &tapBody{ReadCloser: resp.Body, tap: tap, at: len(tap.points) - 1}
+	}
 	return resp, err
 }
 
+// tapBody counts the verify points of each push the moment the follower
+// has read all of it.
+type tapBody struct {
+	io.ReadCloser
+	tap     *streamTap
+	at      int
+	pending []byte
+}
+
+func (b *tapBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	b.pending = append(b.pending, p[:n]...)
+	for len(b.pending) >= 4 {
+		size := 4 + int(binary.LittleEndian.Uint32(b.pending))
+		if len(b.pending) < size {
+			break
+		}
+		m, merr := replica.ReadStreamMessage(bytes.NewReader(b.pending[:size]))
+		if merr != nil {
+			return n, merr
+		}
+		b.pending = b.pending[size:]
+		b.tap.mu.Lock()
+		b.tap.points[b.at] += len(m.Verify)
+		b.tap.mu.Unlock()
+	}
+	return n, err
+}
+
 // seen returns the verify points handed over so far and the path of the
-// request that followed the first answer carrying one ("" if none yet).
+// request that followed the first stream carrying one ("" if none yet).
 func (tap *streamTap) seen() (total int, next string) {
 	tap.mu.Lock()
 	defer tap.mu.Unlock()
@@ -160,7 +177,7 @@ func TestVerifyPointsPass(t *testing.T) {
 // TestVerifyPointCatchesDivergence: a follower whose manager was perturbed
 // out of band — one rejected establish its journal never saw, so every
 // record still replays — fails the first verify point it is handed: it
-// latches diverged, polls no further (a poll is an acknowledgment),
+// latches diverged, acknowledges nothing further,
 // re-bootstraps from the primary's snapshot and converges.
 func TestVerifyPointCatchesDivergence(t *testing.T) {
 	g := testGraph(t)

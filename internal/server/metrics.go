@@ -146,7 +146,8 @@ func WriteMetrics(w io.Writer, st Stats) {
 		}
 		if r.Role == "follower" {
 			gauge("drqos_replica_lag_seq", "Journal records the primary has durably written that this follower has not yet applied.", r.LagSeq)
-			gauge("drqos_replica_lag_seconds", "Time since this follower last successfully fetched from the primary.", r.LagSeconds)
+			gauge("drqos_replica_lag_seconds", "Time since this follower last heard from the primary's stream.", r.LagSeconds)
+			counter("drqos_replica_bootstraps_total", "Snapshot images this follower installed over its history since it started.", r.Bootstraps)
 			diverged := 0
 			if r.Diverged {
 				diverged = 1

@@ -13,14 +13,14 @@
 // the next monotonic term, flips the role, and publishes a fresh epoch —
 // one loop command, reusing the same atomicity the recovery swap relies
 // on. The term is the fence: it rides every snapshot header and survives
-// restarts (journal.Recovered.Term), a poll from a higher-term replica
-// demotes a stale primary (Demote), and a follower refuses stream batches
-// from a lower term, so a rejoining ex-primary can never push or serve
+// restarts (journal.Recovered.Term), a stream opened by a higher-term
+// replica demotes a stale primary (Demote), and a follower refuses stream
+// batches from a lower term, so a rejoining ex-primary can never push or serve
 // stale mutations.
 //
 // Divergence safety: the shipper attaches verify points — (journal seq,
 // state fingerprint) pairs it mints through ExportState while a standby
-// polls — and the follower recomputes the SHA-256 state fingerprint the
+// streams — and the follower recomputes the SHA-256 state fingerprint the
 // moment its applied prefix reaches a verify point's seq. Any mismatch latches the
 // follower degraded (alarm, promotion refused) instead of letting a
 // silently-diverged copy take over.
@@ -63,7 +63,10 @@ type ReplicaStats struct {
 	LastVerifiedSeq uint64  `json:"last_verified_seq,omitempty"`
 	LagSeq          int64   `json:"lag_seq"`
 	LagSeconds      float64 `json:"lag_seconds"`
-	Diverged        bool    `json:"diverged,omitempty"`
+	// Bootstraps counts the snapshot images this follower installed over
+	// its history since it started.
+	Bootstraps int64 `json:"bootstraps,omitempty"`
+	Diverged   bool  `json:"diverged,omitempty"`
 
 	// Primary side.
 	Followers     int    `json:"followers,omitempty"`
@@ -100,8 +103,9 @@ func (s *Server) Term() uint64 { return s.term.Load() }
 // primary's sequence number and replayed into the live manager, KindTerm
 // records advance the fencing term, and verify points are checked the
 // moment the applied prefix reaches them. It returns the highest sequence
-// applied AND locally durable — the value the follower reports back as its
-// resume/ack position.
+// applied without waiting for it to become durable: the follower's
+// acknowledgment waits for that (journal.WaitDurable) while the next batch
+// applies, and must never report a position that is not durable here.
 //
 // The batch stops at the first error; records before it are applied and
 // kept (they extend the primary's history, a prefix is always safe).
@@ -114,8 +118,8 @@ func (s *Server) ApplyReplicated(ctx context.Context, evs []journal.Event, verif
 	if len(evs) == 0 {
 		return s.jnl.DurableSeq(), nil
 	}
-	// applied is the last applied seq; its durability is awaited outside
-	// the loop, whether or not the batch then stopped on an error.
+	// applied is the last applied seq, whether or not the batch then
+	// stopped on an error.
 	type applied struct {
 		seq uint64
 		err error
@@ -176,11 +180,6 @@ func (s *Server) ApplyReplicated(ctx context.Context, evs []journal.Event, verif
 	if err != nil {
 		return 0, err
 	}
-	// Ack only what is durable: the primary treats the reported position as
-	// replicated, so a crash-lost suffix must never be covered by it.
-	if derr := s.waitDurable(ctx, a.seq); derr != nil {
-		return 0, derr
-	}
 	return a.seq, a.err
 }
 
@@ -227,7 +226,7 @@ func (s *Server) Promote(ctx context.Context) (uint64, error) {
 }
 
 // Demote steps a stale primary down after evidence of a higher term — a
-// poll or admin call from a replica that promoted while this node was
+// stream or admin call from a replica that promoted while this node was
 // partitioned. The higher term is journaled and adopted and the role flips
 // to follower, so in-flight and future mutations refuse with ErrNotPrimary
 // and the node re-syncs from the new primary instead of serving stale

@@ -186,7 +186,7 @@ type Options struct {
 	// record became locally durable and before the client is acknowledged,
 	// with the record's sequence number. The replication shipper uses it
 	// for semi-synchronous mode: block (bounded) until a standby has
-	// fetched the record, so an acknowledged mutation survives losing the
+	// the record durably applied, so an acknowledged mutation survives losing the
 	// primary. Zero-cost when replication is off (nil hook).
 	WaitReplicated func(ctx context.Context, seq uint64) error
 	// AnnotateSnapshot, when non-nil, runs on every snapshot header just
@@ -559,10 +559,10 @@ func (s *Server) waitDurable(ctx context.Context, seq uint64) error {
 		return fmt.Errorf("%w: %v", ErrJournal, err)
 	}
 	// Semi-synchronous replication rides behind local durability: the
-	// shipper's hook blocks (bounded) until a live standby fetched the
+	// shipper's hook blocks (bounded) until a live standby acknowledged the
 	// record, so losing the primary right after this acknowledgment still
 	// cannot lose the mutation. The hook itself degrades to async when no
-	// standby is polling.
+	// standby is streaming.
 	if s.waitReplicated != nil && !s.follower.Load() {
 		if err := s.waitReplicated(ctx, seq); err != nil {
 			return err

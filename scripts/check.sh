@@ -34,10 +34,14 @@
 #                                TestBootServeDrain's forecast row
 #   scripts/check.sh --shard     shard tests + mid-2PC kill episodes; row
 #                                sharded (SIGKILL, per-shard fingerprints)
-#   scripts/check.sh --failover  replica tests + primary-kill episodes; row
-#                                pair (promotion < 1 s, fenced rejoin)
+#   scripts/check.sh --failover  replica tests (the stream and ack tests 20
+#                                times) + primary-kill episodes; row pair
+#                                (promotion < 1 s, fenced rejoin, SIGTERM
+#                                drains a streaming pair)
 #   scripts/check.sh --partition netchaos/lease/2PC tests + partition
-#                                episodes; row pair-manual (promote interlock)
+#                                episodes; row pair-manual (promote
+#                                interlock, SIGTERM drains a leased
+#                                streaming pair)
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -106,6 +110,8 @@ case "${1:-}" in
     # re-bootstrap.
     echo "== replica unit tests under -race"
     go test -race -count 1 ./internal/replica/
+    echo "== the stream's reader, ack writer and push loop: 20 runs under -race"
+    go test -race -count 20 -run 'TestStream|TestAck' ./internal/replica/
     go run -race ./cmd/chaos -episode failover -episodes 1 -q
     echo "== chaos: 2 primary-kill failover episodes"
     go run ./cmd/chaos -episode failover -episodes 2 -seed 2 -q
