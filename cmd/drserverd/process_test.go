@@ -450,6 +450,11 @@ func processDurable(t *testing.T) {
 	if got := p.invariants(t).audit; got != quiet {
 		t.Fatalf("after a quiet SIGKILL: %+v, before it %+v", got, quiet)
 	}
+	// Every record was synced before the kill: what follows them is the
+	// segment's preallocated space, not a torn tail.
+	if log := p.log(); strings.Contains(log, "bytes of torn tail") {
+		t.Fatalf("a quiet SIGKILL left a torn tail:\n%s", log)
+	}
 
 	l.burst(t, p, 50)
 	p = spawn(t, args...)

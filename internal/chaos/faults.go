@@ -119,10 +119,11 @@ func (w *world) kill(f Fault) error {
 	// Every record so far was acknowledged (the script is sequential), so
 	// the acknowledged prefix ends here. N establishes are framed with
 	// AppendAsync — nobody ever waited for their durability — and the power
-	// dies before the committer's fsync: truncating the segment back loses
-	// the batch whatever the committer managed first. They come from their
-	// own rng stream, so the acknowledged history is the same with or
-	// without the window.
+	// dies before the committer's fsync: the segment's space past the
+	// acknowledged end reads back as the zeros it was preallocated with,
+	// which loses the batch whatever the committer managed first. They come
+	// from their own rng stream, so the acknowledged history is the same
+	// with or without the window.
 	seg, acked, err := activeSegment(n.dir)
 	if err != nil {
 		return err
@@ -134,23 +135,33 @@ func (w *world) kill(f Fault) error {
 		}
 	}
 	n.halt(true)
-	return os.Truncate(seg, acked)
-}
-
-// tearTail appends a partial frame to the killed node's active segment: a
-// length prefix far beyond the n bytes that follow, the classic torn record.
-func (w *world) tearTail(n int) error {
-	dead, _ := w.primary()
-	seg, _, err := activeSegment(dead.dir)
+	fi, err := os.Stat(seg)
 	if err != nil {
 		return err
 	}
-	f, err := os.OpenFile(seg, os.O_APPEND|os.O_WRONLY, 0o644)
+	return writeAt(seg, make([]byte, fi.Size()-acked), acked)
+}
+
+// tearTail writes a partial frame at the end of the killed node's records,
+// over the preallocated zeros: a length prefix far beyond the n bytes that
+// follow, the classic torn record.
+func (w *world) tearTail(n int) error {
+	dead, _ := w.primary()
+	seg, end, err := activeSegment(dead.dir)
 	if err != nil {
 		return err
 	}
 	w.torn = true
-	if _, err = f.Write(bytes.Repeat([]byte{0xff}, n)); err != nil {
+	return writeAt(seg, bytes.Repeat([]byte{0xff}, n), end)
+}
+
+// writeAt overwrites path's bytes from off with b.
+func writeAt(path string, b []byte, off int64) error {
+	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err = f.WriteAt(b, off); err != nil {
 		f.Close()
 		return err
 	}

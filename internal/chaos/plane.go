@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"sync/atomic"
 	"time"
@@ -216,15 +215,16 @@ func (w *world) stop() {
 }
 
 // activeSegment resolves dir's newest wal segment (zero-padded names sort
-// lexically) and its current size.
+// lexically) and the end of its records. Past that end the segment holds
+// preallocated zeros, so the file's size says nothing about what it logged.
 func activeSegment(dir string) (string, int64, error) {
 	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
 	if err != nil || len(segs) == 0 {
 		return "", 0, fmt.Errorf("no wal segment in %s (%v)", dir, err)
 	}
-	fi, err := os.Stat(segs[len(segs)-1])
+	end, err := journal.RecordsEnd(segs[len(segs)-1])
 	if err != nil {
 		return "", 0, err
 	}
-	return segs[len(segs)-1], fi.Size(), nil
+	return segs[len(segs)-1], end, nil
 }

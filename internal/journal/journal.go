@@ -22,18 +22,28 @@
 // corruption in the middle of the log, and Open refuses with an error
 // rather than silently dropping acknowledged events.
 //
-// The fsync policy is configurable (Options.FsyncEvery): 1 syncs every
-// append (durable against power loss), N>1 amortizes, 0 leaves flushing to
-// the OS (still durable against process crashes — the page cache survives
-// kill -9 — but not power loss). Snapshot writes always fsync before the
-// rename, and old segments are deleted only after the snapshot is durable.
+// The fsync policy is configurable (Options.FsyncEvery): 1 (the default,
+// also what 0 selects) syncs every append and is durable against power
+// loss, N>1 amortizes, and a negative value never syncs (still durable
+// against process crashes — the page cache survives kill -9 — but not power
+// loss). Snapshot writes always fsync before the rename, and old segments
+// are deleted only after the snapshot is durable.
+//
+// A segment's space is allocated before records land in it, a chunk at a
+// time (segmentChunk), and every segment sync is an fdatasync: a record's
+// sync then writes its data and flushes, and commits no file-size change.
+// The active segment therefore ends in zeros no record has reached yet.
+// Recovery reads such a zero tail, in any segment, as the preallocated
+// space it is, never as a torn tail. Close and rotation trim a segment to
+// its records; Open trims the active one and allocates again.
 package journal
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -117,6 +127,9 @@ type Journal struct {
 
 	mu        sync.Mutex
 	f         *os.File // active segment
+	off       int64    // its logical end: where the next frame is written
+	size      int64    // its allocated end (with prealloc)
+	prealloc  bool     // false once the filesystem refused fallocate
 	seq       uint64   // last appended (or recovered) sequence number
 	snapSeq   uint64   // sequence covered by the newest snapshot
 	sinceSync int
@@ -149,31 +162,32 @@ func Open(dir string, opt Options) (*Journal, *Recovered, error) {
 	for _, t := range tmps {
 		_ = os.Remove(t)
 	}
-	rec, lastSeg, tornAt, err := scanDir(dir)
+	rec, lastSeg, lastEnd, err := scanDir(dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	j := &Journal{dir: dir, opt: opt, seq: rec.LastSeq, snapSeq: rec.SnapshotSeq}
+	j := &Journal{dir: dir, opt: opt, seq: rec.LastSeq, snapSeq: rec.SnapshotSeq, prealloc: true}
 	if lastSeg == "" {
 		if err := j.startSegment(j.seq + 1); err != nil {
 			return nil, nil, err
 		}
 	} else {
-		f, err := os.OpenFile(lastSeg, os.O_RDWR, 0o644)
+		f, err := os.OpenFile(lastSeg, os.O_WRONLY, 0o644)
 		if err != nil {
 			return nil, nil, fmt.Errorf("journal: %w", err)
 		}
-		if tornAt >= 0 {
-			if err := f.Truncate(tornAt); err != nil {
-				f.Close()
-				return nil, nil, fmt.Errorf("journal: truncating torn tail: %w", err)
-			}
-		}
-		if _, err := f.Seek(0, io.SeekEnd); err != nil {
+		// Appends resume right after the last valid record. Whatever follows
+		// it — a torn frame, the previous run's zero tail — goes, and a fresh
+		// chunk of zeros takes its place.
+		j.f, j.off, j.size = f, lastEnd, lastEnd
+		if err := f.Truncate(lastEnd); err != nil {
 			f.Close()
-			return nil, nil, fmt.Errorf("journal: %w", err)
+			return nil, nil, fmt.Errorf("journal: trimming the last segment: %w", err)
 		}
-		j.f = f
+		if err := j.reserve(segmentChunk); err != nil {
+			f.Close()
+			return nil, nil, err
+		}
 	}
 	j.gc = newGroupState(j.seq)
 	if opt.GroupCommit {
@@ -236,8 +250,8 @@ func (j *Journal) Append(ev Event) (uint64, error) {
 	return seq, nil
 }
 
-// Close syncs and closes the active segment. The directory stays valid for
-// a later Open.
+// Close syncs, trims and closes the active segment. The directory stays
+// valid for a later Open.
 func (j *Journal) Close() error {
 	j.stopCommitter(nil)
 	j.mu.Lock()
@@ -245,15 +259,60 @@ func (j *Journal) Close() error {
 	if j.f == nil {
 		return nil
 	}
-	err := j.f.Sync()
-	if err == nil {
-		j.markSyncedLocked()
-	}
+	err := j.closeSegment()
 	gc := j.gc
 	gc.mu.Lock()
 	gc.closed = true
 	gc.durable.Broadcast()
 	gc.mu.Unlock()
+	return err
+}
+
+// segmentChunk is how much space a segment allocates at a time: when it is
+// created or reopened, and whenever the next frame would not fit. It holds
+// about 1 100 establish frames.
+const segmentChunk = 64 << 10
+
+// fallocate is allocateSpace; a test swaps it to play a filesystem that
+// cannot preallocate.
+var fallocate = allocateSpace
+
+// reserve makes room for n more bytes at the active segment's logical end,
+// growing it by whole chunks. The next sync makes the growth durable with
+// the records written into it. A filesystem that refuses fallocate turns
+// preallocation off for good: the segment then grows by the writes
+// themselves. Caller holds j.mu.
+func (j *Journal) reserve(n int64) error {
+	if !j.prealloc || j.off+n <= j.size {
+		return nil
+	}
+	grow := int64(segmentChunk)
+	for j.size+grow < j.off+n {
+		grow += segmentChunk
+	}
+	switch err := fallocate(j.f, j.size, grow); {
+	case err == nil:
+		j.size += grow
+	case errors.Is(err, errors.ErrUnsupported):
+		j.prealloc = false
+	default:
+		return fmt.Errorf("journal: allocating segment space: %w", err)
+	}
+	return nil
+}
+
+// closeSegment syncs the active segment, trims it to its records and closes
+// it. The trim needs no sync of its own: if a crash beats it to the disk,
+// recovery reads the zero tail it left as the preallocated space it is.
+// Caller holds j.mu.
+func (j *Journal) closeSegment() error {
+	err := datasync(j.f)
+	if err == nil {
+		j.markSyncedLocked()
+	}
+	if terr := j.f.Truncate(j.off); err == nil {
+		err = terr
+	}
 	if cerr := j.f.Close(); err == nil {
 		err = cerr
 	}
@@ -261,8 +320,9 @@ func (j *Journal) Close() error {
 	return err
 }
 
-// startSegment creates wal-<firstSeq>.log and makes it the active segment.
-// Caller holds j.mu (or the Journal is not yet shared).
+// startSegment creates wal-<firstSeq>.log, allocates its first chunk and
+// makes it the active segment, closing the previous one. Caller holds j.mu
+// (or the Journal is not yet shared).
 func (j *Journal) startSegment(firstSeq uint64) error {
 	path := filepath.Join(j.dir, segmentName(firstSeq))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
@@ -270,11 +330,15 @@ func (j *Journal) startSegment(firstSeq uint64) error {
 		return fmt.Errorf("journal: %w", err)
 	}
 	if j.f != nil {
-		_ = j.f.Sync()
-		_ = j.f.Close()
+		// WriteSnapshot's pre-sync already made every record in it durable
+		// and the snapshot supersedes them: closing it is best-effort.
+		_ = j.closeSegment()
 	}
-	j.f = f
+	j.f, j.off, j.size = f, 0, 0
 	j.sinceSync = 0
+	if err := j.reserve(segmentChunk); err != nil {
+		return err
+	}
 	return syncDir(j.dir)
 }
 
@@ -302,12 +366,16 @@ func syncDir(dir string) error {
 
 // scanDir reads everything in dir: the newest snapshot plus every event
 // after it. It returns the path of the last segment (for appending; ""
-// when none exists) and the byte offset of a torn tail within it (-1 when
-// the tail is clean).
-func scanDir(dir string) (rec *Recovered, lastSeg string, tornAt int64, err error) {
+// when none exists) and the offset just past its last valid record.
+//
+// A segment's records end at the first bytes that do not form a valid
+// frame. Zeros from there to the end of the file are preallocated space,
+// in any segment. Anything else is damage: a torn tail in the last segment
+// when no valid frame follows it, corruption otherwise.
+func scanDir(dir string) (rec *Recovered, lastSeg string, lastEnd int64, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, "", -1, fmt.Errorf("journal: %w", err)
+		return nil, "", 0, fmt.Errorf("journal: %w", err)
 	}
 	var snapSeqs []uint64
 	type seg struct {
@@ -330,12 +398,11 @@ func scanDir(dir string) (rec *Recovered, lastSeg string, tornAt int64, err erro
 	sort.Slice(segs, func(i, k int) bool { return segs[i].firstSeq < segs[k].firstSeq })
 
 	rec = &Recovered{}
-	tornAt = -1
 	if len(snapSeqs) > 0 {
 		s := snapSeqs[len(snapSeqs)-1]
 		hdr, body, err := loadSnapshot(filepath.Join(dir, snapshotName(s)))
 		if err != nil {
-			return nil, "", -1, err
+			return nil, "", 0, err
 		}
 		rec.SnapshotSeq, rec.SnapshotHeader, rec.SnapshotBody = s, hdr, body
 		rec.Term = hdr.Term
@@ -346,27 +413,30 @@ func scanDir(dir string) (rec *Recovered, lastSeg string, tornAt int64, err erro
 	for si, sg := range segs {
 		data, err := os.ReadFile(sg.path)
 		if err != nil {
-			return nil, "", -1, fmt.Errorf("journal: %w", err)
+			return nil, "", 0, fmt.Errorf("journal: %w", err)
 		}
 		last := si == len(segs)-1
 		off := 0
 		for off < len(data) {
 			ev, nextOff, ok, reason := frameAt(data, off)
 			if !ok {
+				// Trailing zeros are space no record reached.
+				damaged := len(bytes.TrimRight(data[off:], "\x00"))
+				if damaged == 0 {
+					break
+				}
 				if !last {
-					return nil, "", -1, fmt.Errorf("%w: %s at offset %d: %s (followed by segment %s — not a torn tail)",
+					return nil, "", 0, fmt.Errorf("%w: %s at offset %d: %s (followed by segment %s — not a torn tail)",
 						ErrCorrupt, filepath.Base(sg.path), off, reason, filepath.Base(segs[si+1].path))
 				}
-				// A damaged record in the last segment is a torn tail only
-				// if nothing valid follows. If the frame's declared length
-				// is intact we can look past it; a valid record there means
-				// acknowledged data follows the damage — real corruption.
-				if _, _, ok2, _ := frameAt(data, skipFrame(data, off)); ok2 {
-					return nil, "", -1, fmt.Errorf("%w: %s at offset %d: %s, but valid records follow — corruption in the middle of the log, refusing to guess; restore from a backup or remove the damaged segment by hand",
+				// Damage in the last segment is a torn tail only if nothing
+				// valid follows it; a valid record there means acknowledged
+				// data follows the damage — real corruption.
+				if validFrameAfter(data, off) {
+					return nil, "", 0, fmt.Errorf("%w: %s at offset %d: %s, but valid records follow — corruption in the middle of the log, refusing to guess; restore from a backup or remove the damaged segment by hand",
 						ErrCorrupt, filepath.Base(sg.path), off, reason)
 				}
-				rec.TornBytes = int64(len(data) - off)
-				tornAt = int64(off)
+				rec.TornBytes = int64(damaged)
 				break
 			}
 			// Records at or below the snapshot are superseded (a crash
@@ -376,7 +446,7 @@ func scanDir(dir string) (rec *Recovered, lastSeg string, tornAt int64, err erro
 				continue
 			}
 			if ev.Seq != next {
-				return nil, "", -1, fmt.Errorf("%w: %s holds seq %d where %d was expected (gap or duplicate)",
+				return nil, "", 0, fmt.Errorf("%w: %s holds seq %d where %d was expected (gap or duplicate)",
 					ErrCorrupt, filepath.Base(sg.path), ev.Seq, next)
 			}
 			rec.Events = append(rec.Events, ev)
@@ -387,26 +457,45 @@ func scanDir(dir string) (rec *Recovered, lastSeg string, tornAt int64, err erro
 			next = ev.Seq + 1
 			off = nextOff
 		}
+		if last {
+			lastSeg, lastEnd = sg.path, int64(off)
+		}
 	}
-	if len(segs) > 0 {
-		lastSeg = segs[len(segs)-1].path
-	}
-	return rec, lastSeg, tornAt, nil
+	return rec, lastSeg, lastEnd, nil
 }
 
-// skipFrame returns the offset just past the frame at off, trusting its
-// declared length when plausible. Used only to peek for valid records after
-// a damaged one; when the length itself is garbage it returns len(data)
-// (nothing to peek at — the damage extends to the tail).
-func skipFrame(data []byte, off int) int {
-	if len(data)-off < frameHeaderSize {
-		return len(data)
+// validFrameAfter reports whether a valid frame starts anywhere past off.
+// Only frames with a plausible length are checksummed, so a scan over zeros
+// or garbage costs a few loads per byte.
+func validFrameAfter(data []byte, off int) bool {
+	for p := off + 1; p+frameHeaderSize < len(data); p++ {
+		ln := int(binary.LittleEndian.Uint32(data[p:]))
+		if ln == 0 || ln > maxRecord || p+frameHeaderSize+ln > len(data) {
+			continue
+		}
+		if _, _, ok, _ := frameAt(data, p); ok {
+			return true
+		}
 	}
-	ln := int(uint32(data[off]) | uint32(data[off+1])<<8 | uint32(data[off+2])<<16 | uint32(data[off+3])<<24)
-	if ln == 0 || ln > maxRecord || off+frameHeaderSize+ln > len(data) {
-		return len(data)
+	return false
+}
+
+// RecordsEnd returns the offset just past the valid records segment file
+// path starts with: where the next record goes, and all a closed segment
+// holds. What follows is preallocated space or a torn tail.
+func RecordsEnd(path string) (int64, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return 0, fmt.Errorf("journal: %w", err)
 	}
-	return off + frameHeaderSize + ln
+	off := 0
+	for {
+		_, next, ok, _ := frameAt(data, off)
+		if !ok {
+			return int64(off), nil
+		}
+		off = next
+	}
 }
 
 // WriteSnapshot durably records the state covering every event up to
@@ -429,7 +518,7 @@ func (j *Journal) WriteSnapshot(hdr SnapshotHeader, body []byte) error {
 	// The active segment must be durable before the snapshot supersedes it:
 	// if the snapshot fsyncs but a preceding record did not, a crash window
 	// could lose an event the snapshot claims to cover.
-	if err := j.f.Sync(); err != nil {
+	if err := datasync(j.f); err != nil {
 		return fmt.Errorf("journal: snapshot pre-sync: %w", err)
 	}
 	j.sinceSync = 0

@@ -178,9 +178,10 @@ func (j *Journal) walkFrames(from uint64, max int, durable uint64) (frames []byt
 		for off < len(data) {
 			ev, nextOff, ok, _ := frameAt(data, off)
 			if !ok {
-				// Only the in-flight tail past the durable bound can be
-				// unparseable mid-read; stop at what we have.
-				return frames, n, nil
+				// The segment's records end here: preallocated zeros follow,
+				// or, in the active segment, the in-flight tail past the
+				// durable bound. The next segment, if any, goes on.
+				break
 			}
 			frame := data[off:nextOff]
 			off = nextOff

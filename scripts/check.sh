@@ -5,11 +5,12 @@
 #   scripts/check.sh             build + vet + full race tests (the source
 #                                gates in gates_test.go and the process rows
 #                                of cmd/drserverd among them), 10 s fuzzes of
-#                                WriteJSON, the growth queue, the manager's
-#                                event traces (FuzzApply), snapshot restore
-#                                (FuzzRestore) and the stream's frame
-#                                decoder, then vet + tests of the bench/
-#                                module
+#                                WriteJSON, journal segment recovery
+#                                (FuzzOpenSegment), the growth queue, the
+#                                manager's event traces (FuzzApply),
+#                                snapshot restore (FuzzRestore) and the
+#                                stream's frame decoder, then vet + tests of
+#                                the bench/ module
 #
 # Among the root tests, TestNoTestOnlyExports (gates_test.go, ~4 s, ~7 s
 # under -race) type-checks this module and bench/ and fails with one
@@ -47,6 +48,11 @@ cd "$(dirname "$0")/.."
 
 echo "== go build ./..."
 go build ./...
+# The journal preallocates and syncs with Linux calls; elsewhere a
+# build-tagged fallback appends and fsyncs. Keep that fallback compiling.
+echo "== GOOS=darwin|windows go build ./..."
+GOOS=darwin go build ./...
+GOOS=windows go build ./...
 echo "== go vet ./..."
 go vet ./...
 
@@ -152,6 +158,12 @@ case "${1:-}" in
     # json.Indent.
     echo "== fuzz: WriteJSON's re-indenter against json.Indent (10s)"
     go test -run '^$' -fuzz FuzzWriteJSON -fuzztime 10s ./internal/server
+
+    # A real preallocated segment, zero tail included, with its bytes
+    # mutated: Open replays a prefix of its records or refuses, and the
+    # journal goes on right after the prefix.
+    echo "== fuzz: FuzzOpenSegment, a prefix or a refusal (10s)"
+    go test -run '^$' -fuzz FuzzOpenSegment -fuzztime 10s -fuzzminimizetime 2s ./internal/journal
 
     # The filling's two-run growth queue against a scan that re-ranks every
     # live candidate at every step, over streams decoded from the input.
