@@ -18,7 +18,9 @@ race:
 # terminate-oldest at a level population, est/term p50 reported beside
 # ns/op — and BenchmarkManagerFailRepair/standing=2000; internal/routing:
 # BenchmarkBackupRoute, one backup search on a reused scratch, ending in the
-# disjoint BFS or in the Dijkstra fallback), the
+# disjoint BFS or in the Dijkstra fallback, and BenchmarkBoundedFlood*, the
+# flood on a fresh and on a reused scratch, under one constant allowance and
+# under random ones), the
 # command loop around it (an establish+terminate pair over 100 and over 2000
 # standing connections: what the loop adds must not grow with the population),
 # the same pair with every ack waiting on a warm standby, from one client
@@ -34,7 +36,7 @@ race:
 # and the paper-reproduction benchmarks at the repo root.
 bench:
 	go test -run xxx -bench 'BenchmarkManager' -benchmem ./internal/manager/
-	go test -run xxx -bench 'BenchmarkBackupRoute' -benchmem ./internal/routing/
+	go test -run xxx -bench 'BenchmarkBackupRoute|BenchmarkBoundedFlood' -benchmem ./internal/routing/
 	go test -run xxx -bench 'BenchmarkServerEstablish|BenchmarkWriteJSON' -benchmem ./internal/server/
 	go test -run xxx -bench 'BenchmarkFrontEnd' -benchmem ./internal/shard/
 	go test -run xxx -bench 'BenchmarkReplicatedEstablish' -benchmem ./internal/replica/
@@ -50,8 +52,8 @@ bench-smoke:
 	go test -run '^$$' -bench 'BenchmarkManager' -benchmem -benchtime 200x -count 1 ./internal/manager/
 	# The same through the command loop: at 200 the 2 000-connection slot table cycles through it.
 	go test -run '^$$' -bench 'BenchmarkServerEstablish' -benchmem -benchtime 200x -count 1 ./internal/server/
-	# One iteration of a backup search is one cold scratch; 200 reuse it.
-	go test -run '^$$' -bench 'BenchmarkBackupRoute' -benchmem -benchtime 200x -count 1 ./internal/routing/
+	# One iteration of a backup search or a flood is one cold scratch; 200 reuse it.
+	go test -run '^$$' -bench 'BenchmarkBackupRoute|BenchmarkBoundedFlood' -benchmem -benchtime 200x -count 1 ./internal/routing/
 	# One iteration of an answer is one cold pooled buffer; 200 reuse it.
 	go test -run '^$$' -bench 'BenchmarkWriteJSON' -benchmem -benchtime 200x -count 1 ./internal/server/
 	go test -run '^$$' -bench 'BenchmarkFrontEnd' -benchmem -benchtime 200x -count 1 ./internal/shard/

@@ -154,11 +154,11 @@ func BenchmarkManagerFailRepair(b *testing.B) {
 
 // TestEstablishAllocsBounded keeps the per-event maps from creeping back: at
 // 2 000 standing connections the map-based kernels allocated 1 955 times per
-// establish, the slice-based ones about 30 (route discovery, the connection
+// establish, the slice-based ones 31 (route discovery, the connection
 // and the report's three slices). The bound covers an establish and the
-// terminate that keeps the population level; at 64 it also catches scratch
-// that starts allocating per event, such as a growth queue that does not
-// recycle its runs. Race instrumentation adds allocations of its own;
+// terminate that keeps the population level; at 62, twice that, it also
+// catches scratch that starts allocating per event, such as a growth queue
+// that does not recycle its runs. Race instrumentation adds allocations of its own;
 // scripts/check.sh runs this test without -race.
 func TestEstablishAllocsBounded(t *testing.T) {
 	if testing.Short() {
@@ -171,8 +171,8 @@ func TestEstablishAllocsBounded(t *testing.T) {
 		}
 	})
 	t.Logf("%.0f allocations per establish + terminate at %d standing", perPair, c.m.AliveCount())
-	if perPair > 64 {
-		t.Errorf("%.0f allocations per establish + terminate, bound is 64", perPair)
+	if perPair > 62 {
+		t.Errorf("%.0f allocations per establish + terminate, bound is 62", perPair)
 	}
 }
 
@@ -180,9 +180,9 @@ func TestEstablishAllocsBounded(t *testing.T) {
 // and its repair at 2 000 standing connections allocated about 3 680 times
 // while every backup search built fresh arrays, an onPrimary map and a boxed
 // heap item per push; on the manager's RouteScratch a search allocates the
-// route it returns and nothing else. The bound is 400. Failures drop
-// connections, so between pairs the population is topped back up to 2 000,
-// off the count, as BenchmarkManagerFailRepair does.
+// route it returns and nothing else, 340 times in all. The bound is 396.
+// Failures drop connections, so between pairs the population is topped back
+// up to 2 000, off the count, as BenchmarkManagerFailRepair does.
 func TestFailLinkAllocsBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 2 000-connection population")
@@ -211,7 +211,7 @@ func TestFailLinkAllocsBounded(t *testing.T) {
 	}
 	perPair := float64(mallocs) / pairs
 	t.Logf("%.0f allocations per fail + repair at %d standing", perPair, c.m.AliveCount())
-	if perPair > 400 {
-		t.Errorf("%.0f allocations per fail + repair, bound is 400", perPair)
+	if perPair > 396 {
+		t.Errorf("%.0f allocations per fail + repair, bound is 396", perPair)
 	}
 }

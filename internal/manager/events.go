@@ -43,7 +43,7 @@ func (m *Manager) Terminate(id channel.ConnID) (rep *TerminationReport, err erro
 	if err := m.redistribute(m.work.chained, nil); err != nil {
 		return nil, err
 	}
-	_, affected, changes, err := m.chainReport(true, 0)
+	_, affected, changes, err := m.chainReport(m.alive, true, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -221,7 +221,7 @@ func (m *Manager) FailLink(l topology.LinkID) (rep *FailureReport, err error) {
 		return nil, err
 	}
 
-	if report.Squeezed, _, report.Changes, err = m.chainReport(false, 0); err != nil {
+	if report.Squeezed, _, report.Changes, err = m.chainReport(m.alive, false, 0); err != nil {
 		return nil, err
 	}
 	return report, nil

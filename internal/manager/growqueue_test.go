@@ -4,8 +4,10 @@ import (
 	"slices"
 	"testing"
 
+	"drqos/internal/channel"
 	"drqos/internal/qos"
 	"drqos/internal/rng"
+	"drqos/internal/topology"
 )
 
 // growStream is a filling without a manager: candidates with their rank
@@ -89,7 +91,7 @@ func (s growStream) serveQueue() []int32 {
 		func(eligible []int32, l []int) {
 			levels = l
 			for _, i := range eligible {
-				q.add(growItem{slot: i, rank: s.policy.Rank(s.candidate(i, levels[i]))})
+				q.add(i, levels[i], s.policy.Rank(s.candidate(i, levels[i])))
 			}
 			q.sort()
 		},
@@ -199,4 +201,117 @@ func FuzzGrowQueue(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkGrowQueue(t, decodeGrowStream(data))
 	})
+}
+
+// TestGrowQueueCountedRun: candidates added in ID order under one positive
+// utility keep the counting pass's order, under both policies, and that run
+// is exactly the one sortItems makes, so the queue serves what it served
+// before; a mixed-utility run whose (level, ID) order is not rank order
+// falls back to the sort.
+func TestGrowQueueCountedRun(t *testing.T) {
+	src := rng.New(21)
+	for _, policy := range []qos.Policy{qos.CoefficientPolicy{}, qos.MaxUtilityPolicy{}} {
+		for range 300 {
+			u := streamUtilities[1+src.Intn(len(streamUtilities)-1)]
+			s := growStream{policy: policy}
+			for range src.Intn(80) {
+				s.utilities = append(s.utilities, u)
+				s.levels = append(s.levels, src.Intn(maxLevel))
+			}
+			var q growQueue
+			for i, l := range s.levels {
+				q.add(int32(i), l, s.policy.Rank(s.candidate(int32(i), l)))
+			}
+			q.sort()
+			if !q.counted {
+				t.Fatalf("%s, utility %v, levels %v: one-utility run not counted", policy.Name(), u, s.levels)
+			}
+			want := slices.Clone(q.added)
+			sortItems(want, 2*16)
+			if !slices.Equal(q.sorted, want) {
+				t.Fatalf("%s, levels %v: counted run %v, sortItems %v", policy.Name(), s.levels, q.sorted, want)
+			}
+			checkGrowQueue(t, s)
+		}
+	}
+	// Candidate 1 has twice candidate 0's utility: at levels 1 and 2 the
+	// coefficient policy keys them 2/1 and 3/2, so 1 goes first, and
+	// max-utility puts the higher utility first whatever the levels.
+	mixed := growStream{utilities: []float64{1, 2}, levels: []int{1, 2}}
+	for _, policy := range []qos.Policy{qos.CoefficientPolicy{}, qos.MaxUtilityPolicy{}} {
+		mixed.policy = policy
+		var q growQueue
+		for i, l := range mixed.levels {
+			q.add(int32(i), l, policy.Rank(mixed.candidate(int32(i), l)))
+		}
+		q.sort()
+		if q.counted {
+			t.Fatalf("%s: mixed run kept the counted order %v", policy.Name(), q.sorted)
+		}
+		if q.sorted[0].slot != 1 {
+			t.Fatalf("%s: sorted run %v, want candidate 1 first", policy.Name(), q.sorted)
+		}
+		checkGrowQueue(t, mixed)
+	}
+}
+
+// TestArrivalFillIsCounted: an arrival's filling takes the counting pass
+// whenever its candidates share one utility, at a standing population on
+// the paper's graph under both policies; with mixed utilities some
+// arrivals fall back to the sort.
+func TestArrivalFillIsCounted(t *testing.T) {
+	g, err := topology.Waxman(topology.WaxmanConfig{Nodes: 100, Alpha: 0.33, Beta: 0.1176, EnsureConnected: true}, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := []qos.ElasticSpec{qos.DefaultSpec()}
+	mixed := []qos.ElasticSpec{qos.DefaultSpec(), {Min: 100, Max: 500, Increment: 50, Utility: 2}, {Min: 50, Max: 450, Increment: 100, Utility: 4}}
+	for _, tc := range []struct {
+		name   string
+		policy qos.Policy
+		specs  []qos.ElasticSpec
+	}{
+		{"coefficient", qos.CoefficientPolicy{}, one},
+		{"max-utility", qos.MaxUtilityPolicy{}, one},
+		{"mixed", qos.CoefficientPolicy{}, mixed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := mustMgr(t, g, Config{Capacity: 10000, Policy: tc.policy})
+			src := rng.New(3)
+			var alive []channel.ConnID
+			counted, filled := 0, 0
+			for i := range 1200 {
+				a := topology.NodeID(src.Intn(g.NumNodes()))
+				b := topology.NodeID(src.Intn(g.NumNodes() - 1))
+				if b >= a {
+					b++
+				}
+				rep, err := m.Establish(a, b, tc.specs[i%len(tc.specs)])
+				if err != nil {
+					continue
+				}
+				alive = append(alive, rep.Conn.ID)
+				if len(m.work.grow.added) > 1 {
+					filled++
+					if m.work.grow.counted {
+						counted++
+					}
+				}
+				if len(alive) > 400 {
+					if _, err := m.Terminate(alive[0]); err != nil {
+						t.Fatal(err)
+					}
+					alive = alive[1:]
+				}
+			}
+			checkMgr(t, m)
+			t.Logf("%d of %d arrival fills counted", counted, filled)
+			if filled < 500 {
+				t.Fatalf("only %d arrivals filled more than one candidate", filled)
+			}
+			if one := len(tc.specs) == 1; one && counted != filled || !one && counted == filled {
+				t.Fatalf("%d of %d arrival fills counted", counted, filled)
+			}
+		})
+	}
 }

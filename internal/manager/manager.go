@@ -369,11 +369,22 @@ func (m *Manager) admit(conn *channel.Conn, cands []routing.Candidate, wantBacku
 	w.route = primary.AppendDirLinks(w.route[:0], m.g)
 
 	// Identify the chained populations and snapshot their levels BEFORE
-	// mutating anything; the candidates of the filling are those plus the
-	// arrival.
+	// mutating anything; the candidates of the filling are those, in ID
+	// order, plus the arrival, whose ID is the largest. The ID order comes
+	// off the alive list: every entry is written and only a chained one is
+	// kept, which spares a branch that about half the entries would take.
 	m.chainArrival()
+	buf := slices.Grow(w.cands[:0], len(m.alive)+1)[:len(m.alive)]
+	n := 0
+	for _, s := range m.alive {
+		buf[n] = s
+		if w.slotMarks.has(int(s), inChain) {
+			n++
+		}
+	}
+	w.cands = buf[:n]
 	slot := m.allocSlot(conn)
-	w.cands = append(append(w.cands, w.chained...), slot)
+	w.cands = append(w.cands, slot)
 	m.plan(w.cands)
 	m.squeezeInPlan(w.chained[:w.squeezed])
 	for _, d := range w.route {
@@ -426,7 +437,7 @@ func (m *Manager) admit(conn *channel.Conn, cands []routing.Candidate, wantBacku
 		return nil, err
 	}
 
-	direct, indirect, changes, err := m.chainReport(true, 1)
+	direct, indirect, changes, err := m.chainReport(w.cands[:len(w.cands)-1], true, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -450,10 +461,8 @@ func (m *Manager) discoverRoutes(src, dst topology.NodeID, spec qos.ElasticSpec)
 		// Parallel search: the per-link allowance is the minimum-level
 		// admission headroom, so flooding only explores routes that could
 		// actually admit the connection.
-		allowance := func(l topology.LinkID, from topology.NodeID) float64 {
-			return float64(m.net.AdmissionHeadroom(m.g.DirID(l, from)))
-		}
-		return m.flood.BoundedFlood(m.g, src, dst, allowance, routing.FloodConfig{
+		m.net.LoadAdmissionHeadroom(m.work.headroom)
+		return m.flood.Flood(m.g, src, dst, m.work.headroom, routing.FloodConfig{
 			HopBound:      m.cfg.HopBound,
 			MinBandwidth:  float64(spec.Min),
 			MaxCandidates: m.cfg.MaxCandidates,

@@ -7,11 +7,12 @@ import (
 	"drqos/internal/qos"
 )
 
-// growItem is one growth candidate: its slot and the policy rank of its
-// current level.
+// growItem is one growth candidate: its slot, the level it starts the
+// filling at, and the policy rank of its current level.
 type growItem struct {
-	slot int32
-	rank qos.Rank
+	slot  int32
+	level int32 // the starting level, for sort's counting pass; a re-rank leaves it stale
+	rank  qos.Rank
 }
 
 // growQueue serves growth candidates least rank first from two runs, each
@@ -20,6 +21,12 @@ type growItem struct {
 // two heads; since both runs are sorted, that is the least rank in the queue,
 // the candidate a heap would serve.
 //
+// The starting run is ordered without comparisons where it can be. Under
+// one positive utility either policy ranks by (level, Order), so candidates
+// added in ID order (Order is the ID) come out in rank order from a stable
+// counting pass over their levels. An arrival adds them so; one Less pass
+// over the result checks it, and any other run is sorted by rank.
+//
 // A grant never lowers a rank, and under a uniform utility (every production
 // spec, either policy) it maps the served order onto re-ranks in the same
 // order, so a re-ranked candidate belongs at the promoted run's tail: an
@@ -27,29 +34,70 @@ type growItem struct {
 //
 // The promoted run is a ring as long as the sorted run: every item in it was
 // served from the sorted run, once, so it never holds more, however many
-// grants the filling makes. Both arrays are kept across events.
+// grants the filling makes. Every array is kept across events.
 type growQueue struct {
+	added  []growItem // the starting candidates, in the order added
+	top    int        // their highest level
 	sorted []growItem // sorted[next:] is unserved
 	next   int
 	ring   []growItem // the promoted run: at(0) … at(size-1)
 	head   int
 	size   int
+	tally  []int32 // the counting pass's per-level positions
+	// counted reports that the last sort kept the counting pass's order.
+	counted bool
 }
 
 // reset empties the queue, keeping its arrays.
-func (q *growQueue) reset() { q.sorted, q.next = q.sorted[:0], 0 }
+func (q *growQueue) reset() { q.added, q.top, q.sorted, q.next = q.added[:0], 0, q.sorted[:0], 0 }
 
-// add enters a starting candidate; sort must follow before the first pop.
-func (q *growQueue) add(it growItem) { q.sorted = append(q.sorted, it) }
+// add enters a starting candidate at the given level; sort must follow
+// before the first pop.
+func (q *growQueue) add(slot int32, level int, rank qos.Rank) {
+	q.added = append(q.added, growItem{slot: slot, level: int32(level), rank: rank})
+	q.top = max(q.top, level)
+}
 
-// sort orders the starting candidates and empties the promoted run.
+// sort orders the starting candidates and empties the promoted run. The
+// counting pass costs a step per candidate and per level, a sort about
+// log₂ n comparisons per candidate, so levels beyond both 64 and n·log₂ n
+// go straight to the sort.
 func (q *growQueue) sort() {
-	sortItems(q.sorted, 2*bits.Len(uint(len(q.sorted))))
-	n := len(q.sorted)
+	n := len(q.added)
+	q.sorted = slices.Grow(q.sorted[:0], n)[:n]
+	q.counted = q.top <= max(64, n*bits.Len(uint(n))) && q.countLevels()
+	if !q.counted {
+		copy(q.sorted, q.added)
+		sortItems(q.sorted, 2*bits.Len(uint(n)))
+	}
 	if cap(q.ring) < n {
 		q.ring = make([]growItem, cap(q.sorted)) // grows as often as sorted does
 	}
 	q.ring, q.head, q.size = q.ring[:n], 0, 0
+}
+
+// countLevels places the starting candidates in sorted by level, stably,
+// and reports whether that is rank order.
+func (q *growQueue) countLevels() bool {
+	q.tally = slices.Grow(q.tally[:0], q.top+1)[:q.top+1]
+	clear(q.tally)
+	for _, it := range q.added {
+		q.tally[it.level]++
+	}
+	at := int32(0)
+	for l, c := range q.tally {
+		q.tally[l], at = at, at+c
+	}
+	for _, it := range q.added {
+		q.sorted[q.tally[it.level]] = it
+		q.tally[it.level]++
+	}
+	for i := 1; i < len(q.sorted); i++ {
+		if q.sorted[i].rank.Less(q.sorted[i-1].rank) {
+			return false
+		}
+	}
+	return true
 }
 
 // at is the promoted run's k-th least item.
@@ -180,9 +228,10 @@ func sortItems(a []growItem, depth int) {
 // The candidates must cover every primary on a directed link where capacity
 // changed (new route, released route, activated backup links); channels with
 // no such link were maximal before the event and stay maximal. Their order
-// is immaterial: ranks are totally ordered (Order breaks every tie), so
-// which candidate is served next does not depend on how the queue was
-// filled.
+// is immaterial to the outcome: ranks are totally ordered (Order breaks
+// every tie), so which candidate is served next does not depend on how the
+// queue was filled. It matters to the cost: candidates in ID order let the
+// queue skip its sort (growQueue).
 
 // plan loads cands into the filling's scratch at their ledger levels, and
 // the headroom of every link on their routes. Nothing adjusts the plan
@@ -244,7 +293,7 @@ func (m *Manager) fill(cands []int32) {
 	q.reset()
 	for _, s := range cands {
 		if sl := &m.slots[s]; m.canGrow(sl) {
-			q.add(growItem{slot: s, rank: policy.Rank(sl.key())})
+			q.add(s, sl.level, policy.Rank(sl.key()))
 		}
 	}
 	q.sort()

@@ -55,10 +55,10 @@ func (k *marks) next() {
 	}
 }
 
-// has reports whether bit is raised on cell i.
+// has reports whether bit is raised on cell i: one comparison of the cell's
+// epoch and that bit.
 func (k *marks) has(i int, bit uint32) bool {
-	c := k.cell[i]
-	return c&^markBits == k.epoch && c&bit != 0
+	return k.cell[i]&(^uint32(markBits)|bit) == k.epoch|bit
 }
 
 // set raises bit on cell i and reports whether it was down.
@@ -129,6 +129,8 @@ type workBuffers struct {
 	// The plan's view of the links: room[d] is d's growth headroom, valid
 	// on the links of the planned candidates' routes.
 	room []qos.Kbps
+	// headroom[d] is d's admission headroom, loaded for route discovery.
+	headroom []float64
 }
 
 // newWorkBuffers sizes the per-link scratch for a graph with the given
@@ -137,6 +139,7 @@ func newWorkBuffers(dirLinks int) workBuffers {
 	return workBuffers{
 		linkMarks: marks{cell: make([]uint32, dirLinks)},
 		room:      make([]qos.Kbps, dirLinks),
+		headroom:  make([]float64, dirLinks),
 	}
 }
 
@@ -263,10 +266,11 @@ func (m *Manager) squeezeChained() error {
 // sized for extra more entries (an arrival appends its own) and nil when
 // empty.
 //
-// The order comes from walking the alive list, which is ID-sorted, against
-// the slot marks: every chained connection is alive, because an event only
-// removes connections it never chains. Nothing is sorted.
-func (m *Manager) chainReport(rest bool, extra int) (squeezed, others []channel.ConnID, changes []LevelChange, err error) {
+// The order comes from walking order, an ID-sorted list of slots holding
+// every chained one, against the slot marks: the alive list, which holds
+// them because an event only removes connections it never chains, or an
+// arrival's candidates, collected off the alive list. Nothing is sorted.
+func (m *Manager) chainReport(order []int32, rest bool, extra int) (squeezed, others []channel.ConnID, changes []LevelChange, err error) {
 	w := &m.work
 	squeezed = make([]channel.ConnID, 0, w.squeezed)
 	if rest {
@@ -274,7 +278,7 @@ func (m *Manager) chainReport(rest bool, extra int) (squeezed, others []channel.
 	}
 	w.changes = w.changes[:0]
 	found := 0
-	for _, s := range m.alive {
+	for _, s := range order {
 		if !w.slotMarks.has(int(s), inChain) {
 			continue
 		}
@@ -291,7 +295,7 @@ func (m *Manager) chainReport(rest bool, extra int) (squeezed, others []channel.
 		}
 	}
 	if found != len(w.chained) {
-		return nil, nil, nil, violationf("%d of %d chained connections on the alive list", found, len(w.chained))
+		return nil, nil, nil, violationf("%d of %d chained connections in ID order", found, len(w.chained))
 	}
 	if len(w.changes)+extra > 0 {
 		changes = append(make([]LevelChange, 0, len(w.changes)+extra), w.changes...)

@@ -77,8 +77,9 @@ type dirState struct {
 	backups []Backup
 	// conflict[f] is the bandwidth that must be freed on this directed
 	// link when physical link f fails: the sum of minima of backups here
-	// whose primary uses f.
-	conflict map[topology.LinkID]qos.Kbps
+	// whose primary uses f. It has one entry per physical link of the
+	// graph, zero where no backup here protects a primary on f.
+	conflict []qos.Kbps
 	spare    qos.Kbps // cached max over conflict
 }
 
@@ -113,11 +114,7 @@ func (ds *dirState) recomputeSpare(noMultiplex bool) {
 			m += ds.backups[i].Min
 		}
 	} else {
-		for _, v := range ds.conflict {
-			if v > m {
-				m = v
-			}
-		}
+		m = slices.Max(ds.conflict)
 	}
 	ds.spare = m
 }
@@ -147,8 +144,12 @@ func New(g *topology.Graph, capacity qos.Kbps) (*Network, error) {
 		dirs:     make([]dirState, g.NumDirLinks()),
 		failed:   make([]bool, g.NumLinks()),
 	}
+	// One table of 2·L² conflict entries, a row per directed link: 0.5 MB
+	// on the benchmark's 184-link graph.
+	links := g.NumLinks()
+	table := make([]qos.Kbps, len(n.dirs)*links)
 	for i := range n.dirs {
-		n.dirs[i].conflict = make(map[topology.LinkID]qos.Kbps)
+		n.dirs[i].conflict = table[i*links : (i+1)*links : (i+1)*links]
 	}
 	return n, nil
 }
@@ -199,6 +200,15 @@ func (n *Network) FreeForGrowth(d topology.DirLinkID) qos.Kbps {
 func (n *Network) LoadFreeForGrowth(room []qos.Kbps) {
 	for d := range n.dirs {
 		room[d] = n.FreeForGrowth(topology.DirLinkID(d))
+	}
+}
+
+// LoadAdmissionHeadroom sets headroom[d] to AdmissionHeadroom(d) for every
+// directed link d, in one pass over the ledger: the allowances bounded
+// flooding reads.
+func (n *Network) LoadAdmissionHeadroom(headroom []float64) {
+	for d := range n.dirs {
+		headroom[d] = float64(n.AdmissionHeadroom(topology.DirLinkID(d)))
 	}
 }
 
@@ -455,9 +465,6 @@ func (n *Network) ReleaseBackup(id channel.ConnID, backupRoute routing.Path) err
 		for _, f := range reg.PrimaryLinks {
 			wasMax = wasMax || ds.conflict[f] == ds.spare
 			ds.conflict[f] -= reg.Min
-			if ds.conflict[f] == 0 {
-				delete(ds.conflict, f)
-			}
 		}
 		if n.noMultiplex || wasMax {
 			ds.recomputeSpare(n.noMultiplex)
@@ -516,6 +523,7 @@ func (n *Network) ActivateBackup(id channel.ConnID, slot int32, backupRoute rout
 // between a backup activation and the re-establishment of protection (the
 // paper's single-failure assumption).
 func (n *Network) CheckInvariants() error {
+	conflict := make([]qos.Kbps, n.g.NumLinks())
 	for di := range n.dirs {
 		ds := &n.dirs[di]
 		var grantSum, minSum qos.Kbps
@@ -539,7 +547,7 @@ func (n *Network) CheckInvariants() error {
 		if grantSum > n.capacity {
 			return fmt.Errorf("dir link %d: grants %v exceed capacity %v", di, grantSum, n.capacity)
 		}
-		conflict := make(map[topology.LinkID]qos.Kbps)
+		clear(conflict)
 		var spare qos.Kbps
 		for i, reg := range ds.backups {
 			if i > 0 && ds.backups[i-1].ID >= reg.ID {
@@ -560,9 +568,6 @@ func (n *Network) CheckInvariants() error {
 			if !n.noMultiplex && v > spare {
 				spare = v
 			}
-		}
-		if len(conflict) != len(ds.conflict) {
-			return fmt.Errorf("dir link %d: stale conflict entries", di)
 		}
 		if spare != ds.spare {
 			return fmt.Errorf("dir link %d: cached spare %v, actual %v", di, ds.spare, spare)

@@ -198,23 +198,33 @@ func TestReleasePrimary(t *testing.T) {
 	}
 }
 
-// TestLoadFreeForGrowth: the one-pass load agrees with FreeForGrowth link by
-// link, a failed link included.
+// TestLoadFreeForGrowth: the one-pass loads agree with FreeForGrowth and
+// AdmissionHeadroom link by link, a failed link and a backup's spare
+// included.
 func TestLoadFreeForGrowth(t *testing.T) {
 	n, upper, lower := testNet(t, 1000)
 	mustOK(t, n.ReservePrimary(1, 0, dirLinks(n, upper), 100))
 	mustOK(t, n.AdjustPrimary(1, dirLinks(n, upper), 300))
+	mustOK(t, n.ReserveBackup(1, 0, lower, upper.Links, 100))
 	mustOK(t, n.ReservePrimary(2, 0, dirLinks(n, lower), 100))
 	n.SetFailed(lower.Links[1], true)
 	room := make([]qos.Kbps, n.Graph().NumDirLinks())
 	n.LoadFreeForGrowth(room)
+	headroom := make([]float64, n.Graph().NumDirLinks())
+	n.LoadAdmissionHeadroom(headroom)
 	for d := range room {
 		if want := n.FreeForGrowth(topology.DirLinkID(d)); room[d] != want {
 			t.Fatalf("room on directed link %d = %v, FreeForGrowth %v", d, room[d], want)
 		}
+		if want := float64(n.AdmissionHeadroom(topology.DirLinkID(d))); headroom[d] != want {
+			t.Fatalf("headroom on directed link %d = %v, AdmissionHeadroom %v", d, headroom[d], want)
+		}
 	}
 	if room[fwd(upper.Links[0])] != 700 || room[fwd(lower.Links[0])] != 900 || room[fwd(lower.Links[1])] != 0 {
 		t.Fatalf("room = %v", room)
+	}
+	if headroom[fwd(upper.Links[0])] != 900 || headroom[fwd(lower.Links[0])] != 800 || headroom[fwd(lower.Links[1])] != 0 {
+		t.Fatalf("headroom = %v", headroom)
 	}
 }
 
@@ -755,6 +765,12 @@ func TestInvariantsCanFail(t *testing.T) {
 		}, "backups not strictly ascending"},
 		{"a backup dropped, conflicts left behind", func(_, low *dirState) {
 			low.backups = slices.Delete(low.backups, 0, 1)
+		}, "conflict["},
+		{"a stale conflict entry", func(_, low *dirState) {
+			// The last link is the 1–3 chord: no primary crosses it, so no
+			// backup here protects it. Below the spare, so only the entry
+			// is wrong.
+			low.conflict[len(low.conflict)-1] = 100
 		}, "conflict["},
 		{"spare drifted", func(_, low *dirState) { low.spare += 100 }, "cached spare"},
 	}

@@ -2,6 +2,8 @@ package routing
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"drqos/internal/topology"
@@ -45,11 +47,11 @@ type ref struct {
 	idx  int
 }
 
-// FloodScratch holds the per-simulation working state of BoundedFlood so
-// that repeated establishments reuse one set of buffers instead of
-// reallocating label tables and frontiers on every request. A scratch is
-// NOT safe for concurrent use; give each goroutine (each simulation) its
-// own. The zero value is ready to use.
+// FloodScratch holds the per-simulation working state of the flood so that
+// repeated establishments reuse one set of buffers instead of reallocating
+// label tables and frontiers on every request. A scratch is NOT safe for
+// concurrent use; give each goroutine (each simulation) its own. The zero
+// value is ready to use.
 //
 // Reuse is transparent: only the returned Candidate paths are freshly
 // allocated (callers retain them in connections), everything else is
@@ -60,44 +62,62 @@ type FloodScratch struct {
 	best     []float64         // best allowance of any label at the node; -1 = none
 	frontier []ref
 	next     []ref
-	dstBest  map[topology.LinkID]float64 // per-entry-link best allowance at dst
+	// dstBest[l] is the best allowance of a copy that reached the
+	// destination over link l; NaN = none, which no comparison passes.
+	// Only the destination's own links are ever set, so a flood resets
+	// those and nothing else.
+	dstBest []float64
+	allow   []float64 // BoundedFlood's per-directed-link allowances
 }
 
 // NewFloodScratch returns an empty scratch. Equivalent to new(FloodScratch).
 func NewFloodScratch() *FloodScratch { return &FloodScratch{} }
 
-// reset prepares the scratch for a graph with n nodes, clearing only the
-// state the previous call dirtied.
-func (s *FloodScratch) reset(n int) {
-	if len(s.labels) != n {
+// reset prepares the scratch for a flood towards dst on g, clearing only
+// the state the previous call dirtied.
+func (s *FloodScratch) reset(g *topology.Graph, dst topology.NodeID) {
+	if n := g.NumNodes(); len(s.labels) != n {
 		s.labels = make([][]label, n)
 		s.best = make([]float64, n)
 		for i := range s.best {
 			s.best[i] = -1
 		}
-		s.touched = s.touched[:0]
 	} else {
 		for _, node := range s.touched {
 			s.labels[node] = s.labels[node][:0]
 			s.best[node] = -1
 		}
-		s.touched = s.touched[:0]
 	}
+	s.touched = s.touched[:0]
 	s.frontier = s.frontier[:0]
 	s.next = s.next[:0]
-	if s.dstBest == nil {
-		s.dstBest = make(map[topology.LinkID]float64)
-	} else {
-		clear(s.dstBest)
+	if len(s.dstBest) < g.NumLinks() {
+		s.dstBest = make([]float64, g.NumLinks())
+	}
+	for _, a := range g.Arcs(dst) {
+		s.dstBest[a.Out.Link()] = math.NaN()
 	}
 }
 
-// BoundedFlood emulates the paper's distributed route discovery: the request
+// BoundedFlood is Flood with the allowances given as a function: it reads
+// allowance once for each directed link of g, then floods.
+func (s *FloodScratch) BoundedFlood(g *topology.Graph, src, dst topology.NodeID, allowance DirCost, cfg FloodConfig) ([]Candidate, error) {
+	s.allow = slices.Grow(s.allow[:0], g.NumDirLinks())[:g.NumDirLinks()]
+	for l := topology.LinkID(0); int(l) < g.NumLinks(); l++ {
+		ends := g.Link(l)
+		s.allow[2*l] = allowance(l, ends.A)
+		s.allow[2*l+1] = allowance(l, ends.B)
+	}
+	return s.Flood(g, src, dst, s.allow, cfg)
+}
+
+// Flood emulates the paper's distributed route discovery: the request
 // floods outward from src within HopBound hops; each copy carries the
-// bottleneck of the residual bandwidths (allowance(link)) along its route;
-// nodes discard copies that are dominated by an earlier copy (fewer-or-equal
-// hops AND greater-or-equal allowance); the destination collects the
-// surviving copies.
+// bottleneck of the residual bandwidths (allow[d] for directed link d)
+// along its route; nodes discard copies that are dominated by an earlier
+// copy (fewer-or-equal hops AND greater-or-equal allowance); the
+// destination collects the surviving copies. allow holds one value per
+// directed link of g.
 //
 // The returned candidates are sorted by (hops asc, allowance desc), i.e. in
 // the order request copies would plausibly arrive — the paper notes the
@@ -111,7 +131,7 @@ func (s *FloodScratch) reset(n int) {
 // over all labels. The destination is special: it collects copies arriving
 // over different routes (§3.1, backup selection), so there a copy is only
 // discarded against earlier copies that entered via the same link (dstBest).
-func (s *FloodScratch) BoundedFlood(g *topology.Graph, src, dst topology.NodeID, allowance DirCost, cfg FloodConfig) ([]Candidate, error) {
+func (s *FloodScratch) Flood(g *topology.Graph, src, dst topology.NodeID, allow []float64, cfg FloodConfig) ([]Candidate, error) {
 	if err := checkEndpoints(g, src, dst); err != nil {
 		return nil, err
 	}
@@ -121,7 +141,10 @@ func (s *FloodScratch) BoundedFlood(g *topology.Graph, src, dst topology.NodeID,
 	if cfg.HopBound <= 0 {
 		return nil, fmt.Errorf("routing: non-positive hop bound %d", cfg.HopBound)
 	}
-	s.reset(g.NumNodes())
+	if len(allow) < g.NumDirLinks() {
+		return nil, fmt.Errorf("routing: %d allowances for %d directed links", len(allow), g.NumDirLinks())
+	}
+	s.reset(g, dst)
 	labels := s.labels
 	labels[src] = append(labels[src], label{hops: 0, allowance: 1e300, prevNode: -1, prevLabel: -1, link: -1})
 	s.best[src] = 1e300
@@ -135,14 +158,14 @@ func (s *FloodScratch) BoundedFlood(g *topology.Graph, src, dst topology.NodeID,
 			if cur.hops != h {
 				continue
 			}
-			fNode, fIdx := f.node, f.idx
-			g.ForEachNeighbor(f.node, func(peer topology.NodeID, link topology.LinkID) {
+			for _, a := range g.Arcs(f.node) {
+				peer := a.Peer
 				if peer == cur.prevNode {
-					return // never send a copy back where it came from
+					continue // never send a copy back where it came from
 				}
-				res := allowance(link, fNode)
+				res := allow[a.Out]
 				if res < cfg.MinBandwidth {
-					return // not enough bandwidth to be allocated (§3.1)
+					continue // not enough bandwidth to be allocated (§3.1)
 				}
 				alw := cur.allowance
 				if res < alw {
@@ -151,13 +174,14 @@ func (s *FloodScratch) BoundedFlood(g *topology.Graph, src, dst topology.NodeID,
 				// Dominance (§3.1): an earlier copy with a
 				// greater-or-equal allowance wins (first arrival keeps
 				// ties); all earlier copies have fewer-or-equal hops.
+				link := a.Out.Link()
 				if peer == dst {
-					if prev, ok := s.dstBest[link]; ok && prev >= alw {
-						return
+					if s.dstBest[link] >= alw {
+						continue
 					}
 					s.dstBest[link] = alw
 				} else if s.best[peer] >= alw {
-					return
+					continue
 				}
 				if len(labels[peer]) == 0 {
 					s.touched = append(s.touched, peer)
@@ -165,8 +189,8 @@ func (s *FloodScratch) BoundedFlood(g *topology.Graph, src, dst topology.NodeID,
 				labels[peer] = append(labels[peer], label{
 					hops:      h + 1,
 					allowance: alw,
-					prevNode:  fNode,
-					prevLabel: fIdx,
+					prevNode:  f.node,
+					prevLabel: f.idx,
 					link:      link,
 				})
 				if alw > s.best[peer] {
@@ -175,7 +199,7 @@ func (s *FloodScratch) BoundedFlood(g *topology.Graph, src, dst topology.NodeID,
 				if peer != dst { // the destination does not forward
 					s.next = append(s.next, ref{node: peer, idx: len(labels[peer]) - 1})
 				}
-			})
+			}
 		}
 		s.frontier, s.next = s.next, s.frontier
 	}

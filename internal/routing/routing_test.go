@@ -503,6 +503,10 @@ func TestQuickBackupValidates(t *testing.T) {
 	}
 }
 
+// BenchmarkBoundedFlood100 floods across the paper-scale graph on a reused
+// scratch, as the manager does. Under one constant allowance dominance
+// prunes almost every copy, so that case barely exercises the inner loop;
+// randomAllowances' thin and uneven links make every node keep several.
 func BenchmarkBoundedFlood100(b *testing.B) {
 	src := rng.New(1)
 	g, err := topology.Waxman(topology.WaxmanConfig{
@@ -511,11 +515,22 @@ func BenchmarkBoundedFlood100(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	alw := func(topology.LinkID, topology.NodeID) float64 { return 10 }
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = BoundedFlood(g, 0, topology.NodeID(g.NumNodes()-1), alw,
-			FloodConfig{HopBound: 12, MinBandwidth: 1})
+	constant := make([]float64, g.NumDirLinks())
+	for d := range constant {
+		constant[d] = 10
+	}
+	for _, bc := range []struct {
+		name  string
+		allow []float64
+	}{{"constant", constant}, {"random", randomAllowances(g, 5)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var s FloodScratch
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, _ = s.Flood(g, 0, topology.NodeID(g.NumNodes()-1), bc.allow,
+					FloodConfig{HopBound: 12, MinBandwidth: 1})
+			}
+		})
 	}
 }
 

@@ -47,10 +47,12 @@ type Link struct {
 	A, B NodeID
 }
 
-// halfedge is one directed view of a link in the adjacency list.
-type halfedge struct {
-	peer NodeID
-	link LinkID
+// Arc is one directed view of a link in the adjacency list: leaving the
+// node whose list holds it, the arc traverses directed link Out (DirID of
+// its link from that node; Out.Link() is the physical link) to Peer.
+type Arc struct {
+	Peer NodeID
+	Out  DirLinkID
 }
 
 // Graph is an undirected multigraph-free network topology. The zero value is
@@ -58,7 +60,7 @@ type halfedge struct {
 type Graph struct {
 	coords []Point
 	links  []Link
-	adj    [][]halfedge
+	adj    [][]Arc
 	// tags carries optional generator metadata (e.g. "transit"/"stub" role).
 	tags []string
 }
@@ -70,7 +72,7 @@ var ErrNoSuchNode = errors.New("topology: no such node")
 func NewGraph(n int) *Graph {
 	return &Graph{
 		coords: make([]Point, 0, n),
-		adj:    make([][]halfedge, 0, n),
+		adj:    make([][]Arc, 0, n),
 		tags:   make([]string, 0, n),
 	}
 }
@@ -135,8 +137,8 @@ func (g *Graph) AddLink(a, b NodeID) (LinkID, error) {
 	}
 	id := LinkID(len(g.links))
 	g.links = append(g.links, Link{ID: id, A: a, B: b})
-	g.adj[a] = append(g.adj[a], halfedge{peer: b, link: id})
-	g.adj[b] = append(g.adj[b], halfedge{peer: a, link: id})
+	g.adj[a] = append(g.adj[a], Arc{Peer: b, Out: DirLinkID(2 * id)})
+	g.adj[b] = append(g.adj[b], Arc{Peer: a, Out: DirLinkID(2*id + 1)})
 	return id, nil
 }
 
@@ -146,7 +148,7 @@ func (g *Graph) HasLink(a, b NodeID) bool {
 		return false
 	}
 	for _, h := range g.adj[a] {
-		if h.peer == b {
+		if h.Peer == b {
 			return true
 		}
 	}
@@ -156,10 +158,15 @@ func (g *Graph) HasLink(a, b NodeID) bool {
 // Link returns the link with the given ID.
 func (g *Graph) Link(id LinkID) Link { return g.links[id] }
 
+// Arcs returns the arcs leaving node n, in the order their links were added.
+// The slice is the graph's own: read-only. Bounded flooding walks it
+// directly, with no call per edge.
+func (g *Graph) Arcs(n NodeID) []Arc { return g.adj[n] }
+
 // ForEachNeighbor calls fn for every (peer, link) of node n.
 func (g *Graph) ForEachNeighbor(n NodeID, fn func(peer NodeID, link LinkID)) {
 	for _, h := range g.adj[n] {
-		fn(h.peer, h.link)
+		fn(h.Peer, h.Out.Link())
 	}
 }
 
@@ -176,9 +183,9 @@ func (g *Graph) BFSDist(src NodeID) []int {
 		u := queue[0]
 		queue = queue[1:]
 		for _, h := range g.adj[u] {
-			if dist[h.peer] < 0 {
-				dist[h.peer] = dist[u] + 1
-				queue = append(queue, h.peer)
+			if dist[h.Peer] < 0 {
+				dist[h.Peer] = dist[u] + 1
+				queue = append(queue, h.Peer)
 			}
 		}
 	}
@@ -201,9 +208,9 @@ func (g *Graph) Components() [][]NodeID {
 			queue = queue[1:]
 			comp = append(comp, u)
 			for _, h := range g.adj[u] {
-				if !seen[h.peer] {
-					seen[h.peer] = true
-					queue = append(queue, h.peer)
+				if !seen[h.Peer] {
+					seen[h.Peer] = true
+					queue = append(queue, h.Peer)
 				}
 			}
 		}

@@ -376,6 +376,29 @@ func TestDirLinkIDs(t *testing.T) {
 	}
 }
 
+// TestArcsCarryTheirDirection: every arc in a node's list names the
+// directed link DirID computes for leaving that node over its link, in the
+// order ForEachNeighbor visits them.
+func TestArcsCarryTheirDirection(t *testing.T) {
+	g, err := Waxman(WaxmanConfig{Nodes: 60, Alpha: 0.6, Beta: 0.35, EnsureConnected: true}, rng.New(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := NodeID(0); int(n) < g.NumNodes(); n++ {
+		arcs := g.Arcs(n)
+		i := 0
+		g.ForEachNeighbor(n, func(peer NodeID, link LinkID) {
+			if a := arcs[i]; a.Peer != peer || a.Out.Link() != link || a.Out != g.DirID(link, n) {
+				t.Fatalf("node %d arc %d is %+v, want peer %d out %d", n, i, a, peer, g.DirID(link, n))
+			}
+			i++
+		})
+		if i != len(arcs) {
+			t.Fatalf("node %d: %d arcs, %d neighbours", n, len(arcs), i)
+		}
+	}
+}
+
 func TestDirIDPanicsOnNonEndpoint(t *testing.T) {
 	g := ring(t, 4)
 	defer func() {

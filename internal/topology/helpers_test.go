@@ -33,8 +33,8 @@ func (g *Graph) LinkBetween(a, b NodeID) (LinkID, bool) {
 		return -1, false
 	}
 	for _, h := range g.adj[a] {
-		if h.peer == b {
-			return h.link, true
+		if h.Peer == b {
+			return h.Out.Link(), true
 		}
 	}
 	return -1, false
@@ -54,7 +54,7 @@ func (g *Graph) Degree(n NodeID) int { return len(g.adj[n]) }
 // reusable dst avoids per-call allocation in hot paths.
 func (g *Graph) Neighbors(n NodeID, dst []NodeID) []NodeID {
 	for _, h := range g.adj[n] {
-		dst = append(dst, h.peer)
+		dst = append(dst, h.Peer)
 	}
 	return dst
 }
@@ -62,7 +62,7 @@ func (g *Graph) Neighbors(n NodeID, dst []NodeID) []NodeID {
 // IncidentLinks appends the link IDs incident to n to dst and returns it.
 func (g *Graph) IncidentLinks(n NodeID, dst []LinkID) []LinkID {
 	for _, h := range g.adj[n] {
-		dst = append(dst, h.link)
+		dst = append(dst, h.Out.Link())
 	}
 	return dst
 }

@@ -7,6 +7,8 @@
 #                                of cmd/drserverd among them), 10 s fuzzes of
 #                                WriteJSON, journal segment recovery
 #                                (FuzzOpenSegment), the growth queue, the
+#                                bounded flood against its parent
+#                                (FuzzFloodMatchesParent), the
 #                                manager's event traces (FuzzApply),
 #                                snapshot restore (FuzzRestore) and the
 #                                stream's frame decoder, then vet + tests of
@@ -169,6 +171,11 @@ case "${1:-}" in
     # live candidate at every step, over streams decoded from the input.
     echo "== fuzz: the growth queue's served order against a linear scan (10s)"
     go test -run '^$' -fuzz FuzzGrowQueue -fuzztime 10s ./internal/manager
+
+    # The array flood and its DirCost adapter against the parent's flood,
+    # on Waxman graphs and allowances decoded from the input.
+    echo "== fuzz: the bounded flood against the parent's (10s)"
+    go test -run '^$' -fuzz FuzzFloodMatchesParent -fuzztime 10s ./internal/routing
 
     # Manager traces decoded from the input: audit after every event, and
     # the live, restored-at-a-cut and replayed managers end in one state.
