@@ -48,7 +48,8 @@ bench:
 # ledger, invariants, population, standby fingerprint).
 bench-smoke:
 	go test -run '^$$' -bench . -benchmem -benchtime 1x -count 1 ./...
-	# One iteration is one establish; 200 recycle the kernels' scratch, the slot free list and a few link failures.
+	# One iteration is one establish; 200 recycle the kernels' scratch and slot sets, renumber the slot table at standing=100,
+	# and run BenchmarkManagerChurn/standing=2000's set unions at population (make bench runs it at full length) and a few link failures.
 	go test -run '^$$' -bench 'BenchmarkManager' -benchmem -benchtime 200x -count 1 ./internal/manager/
 	# The same through the command loop: at 200 the 2 000-connection slot table cycles through it.
 	go test -run '^$$' -bench 'BenchmarkServerEstablish' -benchmem -benchtime 200x -count 1 ./internal/server/

@@ -586,13 +586,17 @@ type SnapshotHeader struct {
 	CrossCommitted int64 `json:"cross_committed,omitempty"`
 	CrossAborted   int64 `json:"cross_aborted,omitempty"`
 
-	// Txns carries committed cross-shard transactions whose pinned
-	// connections are inside the snapshot body, so replay can rebuild the
+	// Txns carries committed cross-shard transactions with a pinned
+	// connection alive inside the snapshot body, so replay can rebuild the
 	// shard's transaction table without the (now truncated) prepare and
 	// commit records. Snapshots are never taken while a transaction is
 	// still pending, so only committed entries appear here; absent on
 	// single-shard journals (bit-identical to the pre-shard format).
 	Txns []TxnSnapshot `json:"txns,omitempty"`
+	// TxnHigh is the largest transaction ID the shard had seen, so the
+	// coordinator never reissues the ID of a transaction that has left
+	// every table. Absent on single-shard journals.
+	TxnHigh uint64 `json:"txn_high,omitempty"`
 }
 
 // TxnSnapshot is one committed cross-shard transaction in a snapshot

@@ -25,23 +25,23 @@ func TestAuditCanFail(t *testing.T) {
 		want    string
 	}{
 		{"missing from a link of its primary", func(t *testing.T, m *Manager, s int32) {
-			mustNil(t, m.net.ReleasePrimary(m.slots[s].id, m.slots[s].dirs[:1]))
+			mustNil(t, m.net.ReleasePrimary(m.slotID[s], m.slots[s].dirs[:1]))
 		}, "not entered on directed link"},
 		{"entered on a link off its primary", func(t *testing.T, m *Manager, s int32) {
-			mustNil(t, m.net.ReservePrimary(m.slots[s].id, s, chord.DirLinks(m.g), 100))
+			mustNil(t, m.net.ReservePrimary(m.slotID[s], s, chord.DirLinks(m.g), 100))
 		}, "primary entries, alive routes have"},
 		{"a dead connection still holds a reservation", func(t *testing.T, m *Manager, s int32) {
 			mustNil(t, m.net.ReservePrimary(9999, s+7, chord.DirLinks(m.g), 100))
 		}, "primary entries, alive routes have"},
 		{"entered under another slot", func(t *testing.T, m *Manager, s int32) {
-			sl := &m.slots[s]
-			mustNil(t, m.net.ReleasePrimary(sl.id, sl.dirs))
-			mustNil(t, m.net.ReservePrimary(sl.id, s+1, sl.dirs, sl.conn.Spec.Min))
-			mustNil(t, m.net.AdjustPrimary(sl.id, sl.dirs, sl.conn.Bandwidth()))
+			sl, id := &m.slots[s], m.slotID[s]
+			mustNil(t, m.net.ReleasePrimary(id, sl.dirs))
+			mustNil(t, m.net.ReservePrimary(id, s+1, sl.dirs, sl.conn.Spec.Min))
+			mustNil(t, m.net.AdjustPrimary(id, sl.dirs, sl.conn.Bandwidth()))
 		}, "under slot"},
 		{"grant disagrees with the level", func(t *testing.T, m *Manager, s int32) {
 			sl := &m.slots[s]
-			mustNil(t, m.net.AdjustPrimary(sl.id, sl.dirs, sl.conn.Spec.Min))
+			mustNil(t, m.net.AdjustPrimary(m.slotID[s], sl.dirs, sl.conn.Spec.Min))
 		}, "level says"},
 		{"slot level mirror stale", func(t *testing.T, m *Manager, s int32) {
 			m.slots[s].held++
@@ -61,22 +61,38 @@ func TestAuditCanFail(t *testing.T) {
 		{"a backup nobody owns", func(t *testing.T, m *Manager, s int32) {
 			mustNil(t, m.net.ReserveBackup(9999, 0, chord, upper.Links, 100))
 		}, "backup entries, alive backup routes have"},
+		{"slot ID stale", func(t *testing.T, m *Manager, s int32) {
+			m.slotID[s]++
+		}, "which records ID"},
 		{"ID index points elsewhere", func(t *testing.T, m *Manager, s int32) {
 			m.conns[m.slots[s].conn.ID] = s + 1
 		}, "ID index says"},
-		{"a slot neither alive nor free", func(t *testing.T, m *Manager, s int32) {
-			m.slots = append(m.slots, connSlot{})
-		}, "slots hold"},
-		{"a free slot still holds a connection", func(t *testing.T, m *Manager, s int32) {
-			m.slots[m.free[0]].conn = m.slots[s].conn
-		}, "free slot"},
+		{"a dead slot still holds a connection", func(t *testing.T, m *Manager, s int32) {
+			m.slots[deadSlot(t, m)].conn = m.slots[s].conn
+		}, "dead slot"},
+		{"scratch level off the ledger at rest", func(t *testing.T, m *Manager, s int32) {
+			m.slots[s].level++
+		}, "scratch level"},
+		{"ceiling set stale", func(t *testing.T, m *Manager, s int32) {
+			if m.full.Has(s) {
+				m.full.Remove(s)
+			} else {
+				m.full.Add(s)
+			}
+		}, "ceiling set says"},
+		{"a dead slot in the ceiling set", func(t *testing.T, m *Manager, s int32) {
+			m.full.Add(deadSlot(t, m))
+		}, "ceiling set holds"},
+		{"least increment above a live one", func(t *testing.T, m *Manager, s int32) {
+			m.minInc = m.slots[s].inc + 1
+		}, "least increment"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.clause, func(t *testing.T) {
 			m := mustMgr(t, diamond(t), Config{Capacity: 10000, RequireBackup: true})
 			rep, err := m.Establish(0, 5, qos.DefaultSpec())
 			mustNil(t, err)
-			// A second connection, terminated again, leaves one free slot.
+			// A second connection, terminated again, leaves one dead slot.
 			other, err := m.Establish(0, 5, qos.DefaultSpec())
 			mustNil(t, err)
 			_, err = m.Terminate(other.Conn.ID)
@@ -95,6 +111,18 @@ func TestAuditCanFail(t *testing.T) {
 			}
 		})
 	}
+}
+
+// deadSlot returns a slot of m's table that holds no connection.
+func deadSlot(t *testing.T, m *Manager) int32 {
+	t.Helper()
+	for s := range m.slots {
+		if m.slots[s].conn == nil {
+			return int32(s)
+		}
+	}
+	t.Fatal("no dead slot in the table")
+	return -1
 }
 
 func mustNil(t *testing.T, err error) {

@@ -2,6 +2,7 @@ package manager
 
 import (
 	"fmt"
+	"slices"
 
 	"drqos/internal/channel"
 	"drqos/internal/topology"
@@ -22,8 +23,9 @@ func (m *Manager) Terminate(id channel.ConnID) (rep *TerminationReport, err erro
 	// at least one link with c's — are the population this event can move,
 	// and once c is released exactly the primaries left on its links.
 	m.beginEvent()
-	m.work.slotMarks.set(int(s), collected)
-	m.chain(m.slots[s].dirs)
+	w := &m.work
+	m.union(w.chained, m.slots[s].dirs)
+	w.chained.Remove(s)
 
 	if err := m.net.ReleasePrimary(id, m.slots[s].dirs); err != nil {
 		return nil, wrapViolation(err, "release primary of conn %d", id)
@@ -40,14 +42,10 @@ func (m *Manager) Terminate(id channel.ConnID) (rep *TerminationReport, err erro
 		return nil, wrapViolation(err, "close conn %d", id)
 	}
 
-	if err := m.redistribute(m.work.chained, nil); err != nil {
+	if err := m.redistribute(w.chained, nil); err != nil {
 		return nil, err
 	}
-	_, affected, changes, err := m.chainReport(m.alive, true, 0)
-	if err != nil {
-		return nil, err
-	}
-	return &TerminationReport{Affected: affected, Changes: changes}, nil
+	return &TerminationReport{Affected: m.ids(w.chained, nil), Changes: m.chainChanges(0)}, nil
 }
 
 // FailLink injects a failure of link l (§3.1): every DR-connection whose
@@ -69,29 +67,27 @@ func (m *Manager) FailLink(l topology.LinkID) (rep *FailureReport, err error) {
 	w := &m.work
 
 	// Classify the affected connections before mutating, each class by
-	// ascending ID, from the failed link's own lists: the primaries on its
-	// two directions are the victims, the backups there whose primary is
-	// intact have lost their protection.
+	// ascending ID (slot order), from the failed link's own entries: the
+	// primaries on its two directions are the victims, the backups there
+	// whose primary is intact have lost their protection.
 	ends := m.g.Link(l)
-	for _, d := range [2]topology.DirLinkID{m.g.DirID(l, ends.A), m.g.DirID(l, ends.B)} {
-		for _, r := range m.net.PrimariesOn(d) {
-			w.slotMarks.set(int(r.Slot), collected) // victims leave the chain: never chained
-			w.victims = append(w.victims, r.Slot)
-		}
+	both := [2]topology.DirLinkID{m.g.DirID(l, ends.A), m.g.DirID(l, ends.B)}
+	m.union(w.victims, both[:])
+	w.dying = w.victims.AppendMembers(w.dying)
+	for _, d := range both {
 		for _, b := range m.net.BackupsOn(d) {
 			if !m.slots[b.Slot].crosses(l) {
 				w.lost = append(w.lost, b.Slot)
 			}
 		}
 	}
-	m.sortByID(w.victims)
-	m.sortByID(w.lost)
+	slices.Sort(w.lost)
 
 	report := &FailureReport{}
 
 	// The directed links where backups will activate: primaries there must
 	// retreat first so the reclaimed spare is actually free (§3.1).
-	for _, s := range w.victims {
+	for _, s := range w.dying {
 		if v := m.slots[s].conn; v.HasBackup && !v.BackupUsesLink(l) {
 			w.route = v.Backup.AppendDirLinks(w.route[:0], m.g)
 			for _, bd := range w.route {
@@ -109,18 +105,25 @@ func (m *Manager) FailLink(l topology.LinkID) (rep *FailureReport, err error) {
 	//
 	// The squeeze goes to the ledger, not only to the plan: ActivateBackup
 	// tests each victim's minimum against the grants as they stand.
-	m.chain(w.links)
-	m.markSqueezed()
-	for _, s := range w.victims {
-		m.chain(m.slots[s].dirs)
+	m.union(w.direct, w.links)
+	w.direct.AndNot(w.victims)
+	for _, s := range w.dying {
+		for _, d := range m.slots[s].dirs {
+			w.chained.Or(m.net.SlotsOn(d))
+		}
 	}
-	if err := m.squeezeChained(); err != nil {
-		return nil, err
+	w.chained.AndNot(w.victims)
+	w.chained.Or(w.direct)
+	w.squeeze = w.direct.AppendMembers(w.squeeze)
+	for _, s := range w.squeeze {
+		if err := m.squeezeToMin(s); err != nil {
+			return nil, err
+		}
 	}
 
 	// Fail the victims over (or drop them). Capacity moves on every link a
 	// victim leaves or lands on.
-	for _, s := range w.victims {
+	for _, s := range w.dying {
 		v := m.slots[s].conn
 		m.addRegion(m.slots[s].dirs)
 		if err := m.net.ReleasePrimary(v.ID, m.slots[s].dirs); err != nil {
@@ -210,20 +213,11 @@ func (m *Manager) FailLink(l topology.LinkID) (rep *FailureReport, err error) {
 	// failed-over victims and, under reactive recovery, whoever shares a
 	// re-established route.
 	m.addRegion(w.links)
-	for _, d := range w.region {
-		for _, r := range m.net.PrimariesOn(d) {
-			if w.slotMarks.set(int(r.Slot), isCandidate) {
-				w.cands = append(w.cands, r.Slot)
-			}
-		}
-	}
+	m.union(w.cands, w.region)
 	if err := m.redistribute(w.cands, nil); err != nil {
 		return nil, err
 	}
-
-	if report.Squeezed, _, report.Changes, err = m.chainReport(m.alive, false, 0); err != nil {
-		return nil, err
-	}
+	report.Squeezed, report.Changes = m.ids(w.direct, nil), m.chainChanges(0)
 	return report, nil
 }
 

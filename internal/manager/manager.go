@@ -11,7 +11,6 @@
 package manager
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -140,16 +139,23 @@ type Manager struct {
 	g   *topology.Graph
 	net *network.Network
 
-	// Every live connection holds one slot of the dense table; conns maps
-	// an ID to its slot and free lists the vacant ones (see connSlot).
+	// Every live connection holds one slot of the dense table, numbered in
+	// ID order; conns maps an ID to its slot (see connSlot).
 	conns  map[channel.ConnID]int32
 	slots  []connSlot
-	free   []int32
 	nextID channel.ConnID
+	// slotID[s] is the ID of slot s's connection, apart from the slot so
+	// that a report's ID lists read off one dense array.
+	slotID []channel.ConnID
+	// full holds the live slots whose level is their ceiling; minInc is at
+	// most the increment of every live slot that has more than one level.
+	// The filling's starting filter reads both.
+	full   network.SlotSet
+	minInc qos.Kbps
 
 	// Aggregates maintained incrementally so the simulator's per-event
 	// sampling is O(1) instead of O(connections).
-	alive       []int32  // slots of the alive connections, by ascending ID
+	alive       []int32  // slots of the alive connections, ascending (so by ID)
 	bwSum       qos.Kbps // Σ Bandwidth() over alive connections
 	levelHist   []int    // alive connections per level index
 	unprotected int      // alive connections without a backup
@@ -195,12 +201,16 @@ func New(g *topology.Graph, cfg Config) (*Manager, error) {
 func (m *Manager) linkUp(l topology.LinkID) bool { return !m.net.Failed(l) }
 
 // trackAdd registers the newly alive connection in slot s in the ID index
-// and the aggregates. IDs are assigned in increasing order, so appending
-// keeps the alive list sorted.
+// and the aggregates. s is the table's last slot, so appending keeps the
+// alive list sorted.
 func (m *Manager) trackAdd(s int32) error {
-	c := m.slots[s].conn
+	sl := &m.slots[s]
+	c := sl.conn
 	m.conns[c.ID] = s
 	m.alive = append(m.alive, s)
+	if sl.held == sl.ceiling {
+		m.full.Add(s)
+	}
 	m.bwSum += c.Bandwidth()
 	if err := m.bumpHist(c.Level, +1); err != nil {
 		return err
@@ -212,18 +222,17 @@ func (m *Manager) trackAdd(s int32) error {
 }
 
 // trackRemove deregisters the dying connection in slot s (terminated or
-// dropped) and frees the slot.
+// dropped); the slot stays dead until renumber closes the gap.
 func (m *Manager) trackRemove(s int32) error {
 	c := m.slots[s].conn
-	i, ok := slices.BinarySearchFunc(m.alive, c.ID, func(s int32, id channel.ConnID) int {
-		return cmp.Compare(m.slots[s].id, id)
-	})
+	i, ok := slices.BinarySearch(m.alive, s)
 	if !ok {
 		return violationf("conn %d missing from alive list", c.ID)
 	}
 	m.alive = slices.Delete(m.alive, i, i+1)
 	delete(m.conns, c.ID)
-	m.freeSlot(s)
+	m.slots[s].conn = nil
+	m.full.Remove(s)
 	m.bwSum -= c.Bandwidth()
 	if err := m.bumpHist(c.Level, -1); err != nil {
 		return err
@@ -238,9 +247,10 @@ func (m *Manager) trackRemove(s int32) error {
 }
 
 // setLevel moves the connection in slot s to level to in the aggregates, the
-// slot's mirror and the connection itself; it is the only writer of a live
-// connection's level. The ledger is the caller's: it adjusts the grants
-// before or after, as its event requires.
+// slot's mirror (and its scratch), the ceiling set and the connection
+// itself; it is the only writer of a live connection's level. The ledger is
+// the caller's: it adjusts the grants before or after, as its event
+// requires.
 func (m *Manager) setLevel(s int32, to int) error {
 	sl := &m.slots[s]
 	if from := sl.held; from != to {
@@ -253,8 +263,13 @@ func (m *Manager) setLevel(s int32, to int) error {
 			return err
 		}
 	}
-	sl.held = to
+	sl.held, sl.level = to, to
 	sl.conn.Level = to
+	if to == sl.ceiling {
+		m.full.Add(s)
+	} else {
+		m.full.Remove(s)
+	}
 	return nil
 }
 
@@ -365,34 +380,22 @@ func (m *Manager) Establish(src, dst topology.NodeID, spec qos.ElasticSpec) (rep
 func (m *Manager) admit(conn *channel.Conn, cands []routing.Candidate, wantBackup bool) (*ArrivalReport, error) {
 	w := &m.work
 	id, primary, spec := conn.ID, conn.Primary, conn.Spec
+	m.renumber()
 	m.beginEvent()
 	w.route = primary.AppendDirLinks(w.route[:0], m.g)
 
-	// Identify the chained populations and snapshot their levels BEFORE
-	// mutating anything; the candidates of the filling are those, in ID
-	// order, plus the arrival, whose ID is the largest. The ID order comes
-	// off the alive list: every entry is written and only a chained one is
-	// kept, which spares a branch that about half the entries would take.
+	// Identify the chained populations BEFORE mutating anything; the
+	// filling's candidates are those plus the arrival.
 	m.chainArrival()
-	buf := slices.Grow(w.cands[:0], len(m.alive)+1)[:len(m.alive)]
-	n := 0
-	for _, s := range m.alive {
-		buf[n] = s
-		if w.slotMarks.has(int(s), inChain) {
-			n++
-		}
-	}
-	w.cands = buf[:n]
 	slot := m.allocSlot(conn)
-	w.cands = append(w.cands, slot)
-	m.plan(w.cands)
-	m.squeezeInPlan(w.chained[:w.squeezed])
+	m.plan(w.chained, slot)
+	m.squeezeInPlan(w.squeeze)
 	for _, d := range w.route {
 		w.room[d] -= spec.Min
 	}
-	m.fill(w.cands)
+	m.fill(w.chained, w.squeeze, slot)
 
-	if err := m.commit(w.cands, false); err != nil {
+	if err := m.commit(false); err != nil {
 		return nil, err
 	}
 	if err := m.net.ReservePrimary(id, slot, w.route, spec.Min); err != nil {
@@ -433,22 +436,16 @@ func (m *Manager) admit(conn *channel.Conn, cands []routing.Candidate, wantBacku
 	if err := m.trackAdd(slot); err != nil {
 		return nil, err
 	}
-	if err := m.commit(w.cands, true); err != nil {
-		return nil, err
-	}
-
-	direct, indirect, changes, err := m.chainReport(w.cands[:len(w.cands)-1], true, 1)
-	if err != nil {
+	if err := m.commit(true); err != nil {
 		return nil, err
 	}
 	// The new connection's own growth from its minimum is part of the event
-	// (it is not in the snapshot because it did not exist yet); its ID is
-	// the largest, so it comes last.
+	// (it held no level before); its ID is the largest, so it comes last.
 	return &ArrivalReport{
 		Conn:              conn,
-		DirectlyChained:   direct,
-		IndirectlyChained: indirect,
-		Changes:           append(changes, LevelChange{ID: id, From: 0, To: conn.Level}),
+		DirectlyChained:   m.ids(w.direct, nil),
+		IndirectlyChained: m.ids(w.chained, w.direct),
+		Changes:           append(m.chainChanges(1), LevelChange{ID: id, From: 0, To: conn.Level}),
 	}, nil
 }
 
@@ -559,18 +556,19 @@ func (m *Manager) findBackup(conn *channel.Conn, cands []routing.Candidate) (rou
 	return p, shared, nil
 }
 
-// refuse turns away an arrival that holds no reservation any more: its slot
-// is freed and the squeeze undone — with the arrival gone, the chained
+// refuse turns away the arrival in slot s, which holds no reservation any
+// more: the squeeze is undone — with the arrival gone, the chained
 // population is exactly what holds a link whose capacity moved, and it is
 // re-planned from its squeezed state as if the arrival had never been
-// planned in. It returns rejection, or the violation that re-growing ran
-// into.
+// planned in — and the slot, the table's last, is given back. It returns
+// rejection, or the violation that re-growing ran into.
 func (m *Manager) refuse(s int32, rejection error) error {
-	m.freeSlot(s)
 	w := &m.work
-	if err := m.redistribute(w.chained, w.chained[:w.squeezed]); err != nil {
+	if err := m.redistribute(w.chained, w.squeeze); err != nil {
 		return err
 	}
+	m.slots[s].conn = nil
+	m.slots, m.slotID = m.slots[:s], m.slotID[:s]
 	m.rejects++
 	return rejection
 }
@@ -581,19 +579,22 @@ func (m *Manager) squeezeToMin(s int32) error {
 	if sl.held == 0 {
 		return nil
 	}
-	if err := m.net.AdjustPrimary(sl.id, sl.dirs, sl.conn.Spec.Min); err != nil {
+	m.touch(s)
+	if err := m.net.AdjustPrimary(m.slotID[s], sl.dirs, sl.conn.Spec.Min); err != nil {
 		// Shrinking to the registered minimum can never fail; a failure
 		// here means ledger corruption.
-		return wrapViolation(err, "squeeze of conn %d failed", sl.id)
+		return wrapViolation(err, "squeeze of conn %d failed", m.slotID[s])
 	}
 	return m.setLevel(s, 0)
 }
 
 // CheckInvariants verifies the ledger and the manager-level consistency
 // rules: the slot table, the ID index and the alive list describe the same
-// connections, and each slot mirrors its connection's level and primary
-// route; every alive connection is entered on exactly its routes'
-// directed links — under its own slot, at its level's bandwidth — and
+// connections, slot order is ID order, and each slot mirrors its
+// connection's level (its scratch level at rest with it) and primary route;
+// the ceiling set and the least increment agree with the slots; every alive
+// connection is entered on exactly its routes' directed links — under its
+// own slot, at its level's bandwidth — and
 // nobody else is entered anywhere (so the dead hold no reservation); and the
 // aggregates equal their first-principles recomputation. A failure is
 // reported as an *InvariantViolation with Op "audit", so the server's
@@ -604,15 +605,18 @@ func (m *Manager) CheckInvariants() (err error) {
 	if err := m.net.CheckInvariants(); err != nil {
 		return wrapViolation(err, "network ledger audit")
 	}
-	if len(m.alive)+len(m.free) != len(m.slots) || len(m.alive) != len(m.conns) {
-		return violationf("%d slots hold %d alive + %d free, ID index has %d",
-			len(m.slots), len(m.alive), len(m.free), len(m.conns))
+	if len(m.alive) != len(m.conns) || len(m.slotID) != len(m.slots) {
+		return violationf("%d alive connections, ID index has %d; %d slots, %d slot IDs",
+			len(m.alive), len(m.conns), len(m.slots), len(m.slotID))
 	}
 	var bwSum qos.Kbps
-	var unprotected, primaryHops, backupHops int
+	var unprotected, primaryHops, backupHops, atCeiling int
 	hist := make([]int, len(m.levelHist))
 	var prev channel.ConnID
 	for i, s := range m.alive {
+		if s < 0 || int(s) >= len(m.slots) || i > 0 && m.alive[i-1] >= s {
+			return violationf("alive list entry %d: slot %d out of order or beyond the table", i, s)
+		}
 		sl := &m.slots[s]
 		c := sl.conn
 		if c == nil || !c.Alive() {
@@ -626,11 +630,26 @@ func (m *Manager) CheckInvariants() (err error) {
 		if got, ok := m.conns[id]; !ok || got != s {
 			return violationf("conn %d sits in slot %d, ID index says %d (present %v)", id, s, got, ok)
 		}
+		if m.slotID[s] != id {
+			return violationf("conn %d sits in slot %d, which records ID %d", id, s, m.slotID[s])
+		}
 		if c.Level < 0 || c.Level >= c.Spec.States() {
 			return violationf("conn %d level %d outside [0,%d)", id, c.Level, c.Spec.States())
 		}
 		if sl.held != c.Level {
 			return violationf("conn %d slot level mirror %d, connection level %d", id, sl.held, c.Level)
+		}
+		if sl.level != sl.held {
+			return violationf("conn %d scratch level %d at rest, holds %d", id, sl.level, sl.held)
+		}
+		if m.full.Has(s) != (sl.held == sl.ceiling) {
+			return violationf("conn %d at level %d of ceiling %d, ceiling set says %v", id, sl.held, sl.ceiling, m.full.Has(s))
+		}
+		if sl.held == sl.ceiling {
+			atCeiling++
+		}
+		if sl.ceiling > 0 && sl.inc < m.minInc {
+			return violationf("conn %d increment %v below the least increment %v", id, sl.inc, m.minInc)
 		}
 		if !slices.Equal(sl.dirs, c.Primary.DirLinks(m.g)) {
 			return violationf("conn %d cached directed links %v, primary route has %v", id, sl.dirs, c.Primary.DirLinks(m.g))
@@ -684,10 +703,16 @@ func (m *Manager) CheckInvariants() (err error) {
 	if backups != backupHops {
 		return violationf("ledger holds %d backup entries, alive backup routes have %d hops", backups, backupHops)
 	}
-	for _, s := range m.free {
-		if m.slots[s].conn != nil {
-			return violationf("free slot %d holds conn %d", s, m.slots[s].conn.ID)
+	for s := range m.slots {
+		if c := m.slots[s].conn; c != nil {
+			if got, ok := m.conns[c.ID]; ok && got == int32(s) {
+				continue
+			}
+			return violationf("dead slot %d holds conn %d", s, c.ID)
 		}
+	}
+	if n := m.full.Count(); n != atCeiling {
+		return violationf("ceiling set holds %d slots, %d connections are at their ceiling", n, atCeiling)
 	}
 	// Aggregates agree with first-principles recomputation.
 	if unprotected != m.unprotected {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"drqos/internal/network"
 	"drqos/internal/qos"
 	"drqos/internal/rng"
 	"drqos/internal/topology"
@@ -82,29 +83,121 @@ func TestSlotMirrorsLevel(t *testing.T) {
 	}
 }
 
-// checkMirror requires every alive slot to hold its connection's level, and
-// plan to leave each candidate link's room at the ledger's FreeForGrowth:
-// for a handful of candidates (read hop by hop) and for the whole
-// population (one pass over the links), each plan disturbed by a squeeze and
-// a filling before the next, as a refused arrival re-plans.
+// checkMirror requires every alive slot to hold its connection's level, at
+// rest with its scratch level, and plan to load each candidate link's room
+// at the ledger's FreeForGrowth: for a handful of candidates (the walking
+// form) and for the whole population (one pass over the links), each plan
+// disturbed by a squeeze and a filling before the next, as a refused
+// arrival re-plans. The last plan leaves every scratch level back at its
+// held level.
 func checkMirror(t *testing.T, m *Manager) {
 	t.Helper()
-	for _, s := range m.alive {
-		if sl := &m.slots[s]; sl.held != sl.conn.Level {
-			t.Fatalf("conn %d: slot holds level %d, connection %d", sl.id, sl.held, sl.conn.Level)
-		}
-	}
-	m.beginEvent()
-	for _, cands := range [][]int32{m.alive[:5], m.alive, m.alive[len(m.alive)-5:]} {
-		m.plan(cands)
-		for _, s := range cands {
-			for _, d := range m.slots[s].dirs {
-				if got, want := m.work.room[d], m.net.FreeForGrowth(d); got != want {
-					t.Fatalf("plan of %d: room on directed link %d is %v, ledger says %v", len(cands), d, got, want)
-				}
+	atRest := func() {
+		for _, s := range m.alive {
+			if sl := &m.slots[s]; sl.held != sl.conn.Level || sl.level != sl.held {
+				t.Fatalf("conn %d: slot holds level %d, scratch %d, connection %d", m.slotID[s], sl.held, sl.level, sl.conn.Level)
 			}
 		}
-		m.squeezeInPlan(cands)
-		m.fill(cands)
+	}
+	atRest()
+	m.beginEvent()
+	for _, cands := range [][]int32{m.alive[:5], m.alive} {
+		var set network.SlotSet
+		set.Reset(len(m.slots))
+		for _, s := range cands {
+			set.Add(s)
+		}
+		for i := 0; i < 2; i++ {
+			m.plan(set, -1)
+			if walk := len(cands) == 5; m.work.walk != walk {
+				t.Fatalf("plan of %d candidates walked %v", len(cands), m.work.walk)
+			}
+			for _, s := range cands {
+				for _, d := range m.slots[s].dirs {
+					if got, want := m.work.room[d], m.net.FreeForGrowth(d); got != want {
+						t.Fatalf("plan of %d: room on directed link %d is %v, ledger says %v", len(cands), d, got, want)
+					}
+				}
+			}
+			if i == 0 {
+				m.squeezeInPlan(cands[:5])
+				m.fill(set, cands[:5], -1)
+			}
+		}
+	}
+	atRest()
+}
+
+// TestRenumberKeepsEverySlotItsOwn empties more than half of the slot table
+// and requires the next arrival to close the gaps first: the table then
+// holds exactly the live connections, still in ID order, and every slot the
+// ledger records on a primary or a backup, and every link set, names its
+// own connection. Events keep running on the renumbered table.
+func TestRenumberKeepsEverySlotItsOwn(t *testing.T) {
+	g, err := topology.Waxman(topology.WaxmanConfig{Nodes: 30, Alpha: 0.5, Beta: 0.2, EnsureConnected: true}, rng.New(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := mustMgr(t, g, Config{Capacity: 10000, RequireBackup: true})
+	src := rng.New(9)
+	establish := func() bool {
+		a := topology.NodeID(src.Intn(g.NumNodes()))
+		b := topology.NodeID(src.Intn(g.NumNodes() - 1))
+		if b >= a {
+			b++
+		}
+		_, err := m.Establish(a, b, qos.DefaultSpec())
+		return err == nil
+	}
+	for m.AliveCount() < 80 {
+		establish()
+	}
+	for i := 0; m.AliveCount() > 30; i++ {
+		if _, err := m.Terminate(m.AliveIDAt(i % m.AliveCount())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if dead := len(m.slots) - m.AliveCount(); 2*dead < len(m.slots) {
+		t.Fatalf("fixture: %d of %d slots dead, want half", dead, len(m.slots))
+	}
+	checkMgr(t, m)
+	for !establish() {
+	}
+	if len(m.slots) != m.AliveCount() {
+		t.Fatalf("after the arrival the table holds %d slots for %d connections", len(m.slots), m.AliveCount())
+	}
+	checkOwnSlots(t, m)
+	for i := 0; i < 40; i++ {
+		establish()
+		if _, err := m.Terminate(m.AliveIDAt(src.Intn(m.AliveCount()))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkOwnSlots(t, m)
+}
+
+// checkOwnSlots requires every live slot to sit in ID order and every slot
+// the ledger records to name its own connection.
+func checkOwnSlots(t *testing.T, m *Manager) {
+	t.Helper()
+	checkMgr(t, m)
+	for i, s := range m.alive {
+		if i > 0 && (m.alive[i-1] >= s || m.slotID[m.alive[i-1]] >= m.slotID[s]) {
+			t.Fatalf("alive list out of slot or ID order at %d", i)
+		}
+	}
+	for d := 0; d < m.g.NumDirLinks(); d++ {
+		dl := topology.DirLinkID(d)
+		set := m.net.SlotsOn(dl)
+		for _, r := range m.net.PrimariesOn(dl) {
+			if m.slotID[r.Slot] != r.ID || m.slots[r.Slot].conn == nil || !set.Has(r.Slot) {
+				t.Fatalf("directed link %d: primary %d recorded under slot %d, which holds %d", d, r.ID, r.Slot, m.slotID[r.Slot])
+			}
+		}
+		for _, b := range m.net.BackupsOn(dl) {
+			if m.slotID[b.Slot] != b.ID || m.slots[b.Slot].conn == nil {
+				t.Fatalf("directed link %d: backup %d recorded under slot %d, which holds %d", d, b.ID, b.Slot, m.slotID[b.Slot])
+			}
+		}
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"math/bits"
 	"slices"
 
+	"drqos/internal/network"
 	"drqos/internal/qos"
+	"drqos/internal/topology"
 )
 
 // growItem is one growth candidate: its slot, the level it starts the
@@ -24,7 +26,7 @@ type growItem struct {
 // The starting run is ordered without comparisons where it can be. Under
 // one positive utility either policy ranks by (level, Order), so candidates
 // added in ID order (Order is the ID) come out in rank order from a stable
-// counting pass over their levels. An arrival adds them so; one Less pass
+// counting pass over their levels. Every event adds them so; one Less pass
 // over the result checks it, and any other run is sorted by rank.
 //
 // A grant never lowers a rank, and under a uniform utility (every production
@@ -219,44 +221,57 @@ func sortItems(a []growItem, depth int) {
 }
 
 // An adaptation event plans on scratch and writes the ledger once. plan
-// loads the candidates' levels into their slots and the growth headroom of
-// every link they cross into work.room; squeezeInPlan and an arrival's
-// reservation adjust that picture, fill runs the §3.2 water-filling over it,
-// and commit writes the connections whose level changed: decreases first,
-// then increases, so the ledger never holds more than capacity in between.
+// loads the growth headroom the filling reads into work.room; squeezeInPlan
+// and an arrival's reservation adjust that picture, fill runs the §3.2
+// water-filling over it, and commit writes the connections whose level
+// changed: decreases first, then increases, so the ledger never holds more
+// than capacity in between.
 //
 // The candidates must cover every primary on a directed link where capacity
 // changed (new route, released route, activated backup links); channels with
-// no such link were maximal before the event and stay maximal. Their order
-// is immaterial to the outcome: ranks are totally ordered (Order breaks
-// every tie), so which candidate is served next does not depend on how the
-// queue was filled. It matters to the cost: candidates in ID order let the
-// queue skip its sort (growQueue).
+// no such link were maximal before the event and stay maximal. Ranks are
+// totally ordered (Order breaks every tie), so which candidate is served
+// next does not depend on how the queue was filled; the candidates enter it
+// in ID order, which lets it skip its sort (growQueue).
 
-// plan loads cands into the filling's scratch at their ledger levels, and
-// the headroom of every link on their routes. Nothing adjusts the plan
-// before plan returns, so a link reads the same whichever candidate loads
-// it: when the candidates' routes have fewer hops than the graph has
-// directed links each hop reads its link, otherwise one pass loads every
-// link once. Each form is the slower one where the other is used: hop by
-// hop, an arrival at 2 000 standing connections reads its ≈ 1 000
-// candidates' 354 links some 4 000 times; in one pass, a small event walks
-// every link's ledger entry to use a few dozen. The links an event then adjusts (a
-// squeeze, an arrival's route) are on candidates' routes, so work.room is
-// valid wherever the event reads it.
-func (m *Manager) plan(cands []int32) {
+// plan loads the growth headroom the filling reads into work.room for the
+// candidates, cands and the arriving slot unless it is -1, and returns the
+// scratch level of every slot the event has touched to the level the ledger
+// holds (a refused arrival re-plans over its own first plan); every other
+// slot's scratch level already is its held level.
+//
+// It takes one of two forms by size, and the filling follows (work.walk).
+// When the candidates' routes have fewer hops than the graph has directed
+// links, it lists the candidates and loads their links hop by hop, and the
+// filling checks each candidate with canGrow. Otherwise it loads every link
+// in one pass, and the filling starts from set algebra (growable). Each form
+// is the slower one where the other is used: the walk visits every chained
+// connection, ≈ 1 070 per arrival at 2 000 standing; the pass reads every
+// link's ledger entry and scans every link, ≈ 1.4 µs, for an event that
+// moves a dozen connections at 100 standing.
+func (m *Manager) plan(cands network.SlotSet, arrival int32) {
 	w := &m.work
-	hops := 0
-	for _, s := range cands {
-		sl := &m.slots[s]
-		sl.level = sl.held
-		hops += len(sl.dirs)
+	w.members = w.touched.AppendMembers(w.members[:0])
+	for _, s := range w.members {
+		m.slots[s].level = m.slots[s].held
 	}
-	if hops >= len(w.room) {
+	w.walked, w.walk = w.walked[:0], false
+	if cands.Count() < len(w.room) {
+		w.walked = cands.AppendMembers(w.walked)
+		if arrival >= 0 {
+			w.walked = append(w.walked, arrival)
+		}
+		hops := 0
+		for _, s := range w.walked {
+			hops += len(m.slots[s].dirs)
+		}
+		w.walk = hops < len(w.room)
+	}
+	if !w.walk {
 		m.net.LoadFreeForGrowth(w.room)
 		return
 	}
-	for _, s := range cands {
+	for _, s := range w.walked {
 		for _, d := range m.slots[s].dirs {
 			w.room[d] = m.net.FreeForGrowth(d)
 		}
@@ -269,6 +284,7 @@ func (m *Manager) plan(cands []int32) {
 // the minimum) credited to the headroom of their links.
 func (m *Manager) squeezeInPlan(slots []int32) {
 	for _, s := range slots {
+		m.touch(s)
 		sl := &m.slots[s]
 		if sl.held > 0 {
 			extra := qos.Kbps(sl.held) * sl.inc
@@ -280,49 +296,108 @@ func (m *Manager) squeezeInPlan(slots []int32) {
 	}
 }
 
+// growable sets work.growable to the members of cands that can take one
+// increment on the plan as it stands before the first grant, where room is
+// fixed: cands, less the slots on a link with room below the least
+// increment in the table (work.bad), less the slots at their ceiling. The
+// squeezed members are planned at level 0, so they are at their ceiling
+// only if rigid. For a slot whose increment is the least this is canGrow
+// exactly; fill checks any other member with canGrow.
+func (m *Manager) growable(cands network.SlotSet, squeezed []int32) {
+	w := &m.work
+	w.bad.Reset(len(cands) << 6)
+	for d, room := range w.room {
+		if room < m.minInc {
+			w.bad.Or(m.net.SlotsOn(topology.DirLinkID(d)))
+		}
+	}
+	w.growable = append(w.growable[:0], cands...)
+	w.growable.AndNot(m.full)
+	for _, s := range squeezed {
+		if m.slots[s].ceiling > 0 {
+			w.growable.Add(s)
+		}
+	}
+	w.growable.AndNot(w.bad)
+}
+
+// byBit reports whether work.bad decides slot s's room exactly: the plan
+// took its one-pass form, some link set holds s (it is not the arrival), and
+// its increment is the least.
+func (m *Manager) byBit(s, arrival int32) bool {
+	return !m.work.walk && s != arrival && m.slots[s].inc == m.minInc
+}
+
 // fill performs the incremental, utility-weighted water-filling of §3.2 on
 // the planned scratch: while any candidate can grow by one increment on
 // every link of its route, the configured policy's least rank receives it.
+// The candidates are cands, of which squeezed were squeezed in the plan, and
+// the arriving slot unless it is -1: it holds no reservation yet, so no
+// link set names it, and its ID is the largest, so it enters the queue
+// last.
 //
-// Correctness of the lazy pruning: headroom only DECREASES while increments
-// are granted, so a channel observed unable to grow is dropped for good.
-func (m *Manager) fill(cands []int32) {
+// A served candidate is checked again, since grants drain links. Where bad
+// decides (byBit) that is one bit: each grant keeps bad equal to the union
+// of the sets on the links short of the least increment. Anything else walks
+// its route (canGrow). Correctness of the lazy pruning: headroom only
+// DECREASES while increments are granted, so a channel observed unable to
+// grow is dropped for good.
+func (m *Manager) fill(cands network.SlotSet, squeezed []int32, arrival int32) {
 	w := &m.work
 	policy := m.cfg.Policy
 	q := &w.grow
 	q.reset()
-	for _, s := range cands {
-		if sl := &m.slots[s]; m.canGrow(sl) {
-			q.add(s, sl.level, policy.Rank(sl.key()))
+	start := w.walked
+	if !w.walk {
+		m.growable(cands, squeezed)
+		w.members = w.growable.AppendMembers(w.members[:0])
+		if arrival >= 0 {
+			w.members = append(w.members, arrival)
+		}
+		start = w.members
+	}
+	for _, s := range start {
+		if sl := &m.slots[s]; m.byBit(s, arrival) || m.canGrow(sl) {
+			q.add(s, sl.level, policy.Rank(m.key(s)))
 		}
 	}
 	q.sort()
 	for it, ok := q.pop(); ok; it, ok = q.pop() {
 		sl := &m.slots[it.slot]
-		if !m.canGrow(sl) {
+		if m.byBit(it.slot, arrival) {
+			if sl.level >= sl.ceiling || w.bad.Has(it.slot) {
+				continue
+			}
+		} else if !m.canGrow(sl) {
 			continue // headroom only shrinks: permanently ineligible
 		}
+		m.touch(it.slot)
 		for _, d := range sl.dirs {
-			w.room[d] -= sl.inc
+			if w.room[d] -= sl.inc; !w.walk && w.room[d] < m.minInc && w.room[d]+sl.inc >= m.minInc {
+				w.bad.Or(m.net.SlotsOn(d)) // d has just run short: bad stays exact
+			}
 		}
 		sl.level++
-		it.rank = policy.Rank(sl.key())
+		it.rank = policy.Rank(m.key(it.slot))
 		q.push(it)
 	}
 }
 
-// commit writes the planned level of every candidate that ends lower
-// (grow false) or higher (grow true) than it holds in the ledger.
-func (m *Manager) commit(cands []int32, grow bool) error {
-	for _, s := range cands {
+// commit writes the planned level of every touched slot that ends lower
+// (grow false) or higher (grow true) than it holds in the ledger, in ID
+// order.
+func (m *Manager) commit(grow bool) error {
+	w := &m.work
+	w.members = w.touched.AppendMembers(w.members[:0])
+	for _, s := range w.members {
 		sl := &m.slots[s]
 		if sl.level == sl.held || (sl.level > sl.held) != grow {
 			continue
 		}
-		if err := m.net.AdjustPrimary(sl.id, sl.dirs, sl.conn.Spec.Bandwidth(sl.level)); err != nil {
+		if err := m.net.AdjustPrimary(m.slotID[s], sl.dirs, sl.conn.Spec.Bandwidth(sl.level)); err != nil {
 			// The filling counted room on every link and decreases went
 			// first; failure is corruption.
-			return wrapViolation(err, "commit level %d of conn %d", sl.level, sl.id)
+			return wrapViolation(err, "commit level %d of conn %d", sl.level, m.slotID[s])
 		}
 		if err := m.setLevel(s, sl.level); err != nil {
 			return err
@@ -333,19 +408,19 @@ func (m *Manager) commit(cands []int32, grow bool) error {
 
 // redistribute plans cands from the ledger with squeezed retreated to their
 // minima, fills, and commits the difference.
-func (m *Manager) redistribute(cands, squeezed []int32) error {
-	m.plan(cands)
+func (m *Manager) redistribute(cands network.SlotSet, squeezed []int32) error {
+	m.plan(cands, -1)
 	m.squeezeInPlan(squeezed)
-	m.fill(cands)
-	if err := m.commit(cands, false); err != nil {
+	m.fill(cands, squeezed, -1)
+	if err := m.commit(false); err != nil {
 		return err
 	}
-	return m.commit(cands, true)
+	return m.commit(true)
 }
 
-// key is the policy candidate of the slot's connection at its scratch level.
-func (sl *connSlot) key() qos.GrowthCandidate {
-	return qos.GrowthCandidate{Utility: sl.utility, ExtraIncrements: sl.level, Order: int64(sl.id)}
+// key is the policy candidate of slot s's connection at its scratch level.
+func (m *Manager) key(s int32) qos.GrowthCandidate {
+	return qos.GrowthCandidate{Utility: m.slots[s].utility, ExtraIncrements: m.slots[s].level, Order: int64(m.slotID[s])}
 }
 
 // canGrow reports whether the slot's connection, at its scratch level, is

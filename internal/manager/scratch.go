@@ -1,44 +1,48 @@
 package manager
 
 import (
-	"cmp"
-	"slices"
-
 	"drqos/internal/channel"
+	"drqos/internal/network"
 	"drqos/internal/qos"
 	"drqos/internal/topology"
 )
 
 // connSlot is a live connection's entry in the manager's dense table and the
-// one record the event kernels read: walking a link list, they reach a
-// connection's slot by index and never its *channel.Conn. The ledger stores
-// the slot index with every primary reservation (network.Reservation.Slot);
-// the ID→slot map is consulted once, at the door of Terminate and Conn.
+// one record the event kernels read: from a link's slot set or list, they
+// reach a connection's slot by index and never its *channel.Conn. The ledger
+// stores the slot index with every primary reservation
+// (network.Reservation.Slot); the ID→slot map is consulted once, at the door
+// of Terminate and Conn.
+//
+// Slot order is ID order: allocSlot appends, IDs only grow, and renumber
+// keeps the order when it closes the gaps the dead leave. A set of slots
+// walked in index order is therefore a set of connections in ascending ID.
 type connSlot struct {
-	conn *channel.Conn // nil while the slot is on the free list
+	conn *channel.Conn // nil once the connection is dead
 	// dirs caches conn.Primary.DirLinks(g), the route the ledger's primary
 	// operations take; cacheDirs is its only writer and runs wherever
 	// Primary is assigned.
 	dirs []topology.DirLinkID
-	// id, utility, ceiling (the top level) and inc (the bandwidth of one
-	// step) copy what never changes of the connection, set by allocSlot.
-	id      channel.ConnID
+	// utility, ceiling (the top level) and inc (the bandwidth of one step)
+	// copy what never changes of the connection, set by allocSlot; its ID
+	// is Manager.slotID's.
 	utility float64
 	ceiling int
 	inc     qos.Kbps
 	// held mirrors conn.Level, the level the ledger holds: allocSlot sets
 	// it and setLevel is its only writer after that.
 	held int
-	// before is held when the running event snapshotted the slot.
-	before int
 	// level is the filling's scratch: the level it has brought the
-	// connection to, not yet in the ledger.
+	// connection to, not yet in the ledger. Between events it equals held.
 	level int
+	// before is held as it stood when the running event first touched the
+	// slot (see touch).
+	before int
 }
 
-// marks is a per-event bit set over a dense index space (connection slots,
-// directed links). Nothing is cleared between events: a cell counts only
-// while its upper 24 bits equal the current epoch.
+// marks is a per-event bit set over the directed links. Nothing is cleared
+// between events: a cell counts only while its upper 24 bits equal the
+// current epoch.
 type marks struct {
 	epoch uint32 // the running event's tag, low 8 bits zero
 	cell  []uint32
@@ -55,12 +59,6 @@ func (k *marks) next() {
 	}
 }
 
-// has reports whether bit is raised on cell i: one comparison of the cell's
-// epoch and that bit.
-func (k *marks) has(i int, bit uint32) bool {
-	return k.cell[i]&(^uint32(markBits)|bit) == k.epoch|bit
-}
-
 // set raises bit on cell i and reports whether it was down.
 func (k *marks) set(i int, bit uint32) bool {
 	c := k.cell[i]
@@ -74,20 +72,6 @@ func (k *marks) set(i int, bit uint32) bool {
 	return true
 }
 
-// Slot marks.
-const (
-	// collected: the event has placed the slot in one of its lists —
-	// chained, or the terminating connection or a failure's victims (which
-	// are never chained).
-	collected uint32 = 1 << iota
-	// inChain: in chained; chainReport keys on it.
-	inChain
-	// inSqueezed: in chained[:squeezed].
-	inSqueezed
-	// isCandidate: collected for a failure's redistribution.
-	isCandidate
-)
-
 // Link marks.
 const (
 	// linkListed: in work.links, or on the arriving route (so the walk
@@ -100,41 +84,61 @@ const (
 // workBuffers is the scratch of the event kernels, recycled across events
 // in the style of routing.FloodScratch: a Manager is single-threaded and an
 // event never re-enters another, so one set suffices. Two rules: every
-// slice and mark here is valid until the next event begins and no longer,
-// and nothing here escapes — a report that outlives the event (the server
-// hands reports out of its loop) owns exact-size copies, never a view.
+// slice, set and mark here is valid until the next event begins and no
+// longer, and nothing here escapes — a report that outlives the event (the
+// server hands reports out of its loop) owns exact-size copies, never a
+// view.
+//
+// The populations are slot sets, unions of the ledger's per-link sets
+// (network.SlotsOn): an event names who it can move without visiting them.
 type workBuffers struct {
-	slotMarks marks // indexed by connection slot
 	linkMarks marks // indexed by directed link
 
-	// chained is the population the event can move, in discovery order:
-	// chained[:squeezed] retreats to its minimum (an arrival's directly
-	// chained channels, in the plan only; a failure's channels on the
-	// activation links, in the ledger), the rest only grows (indirectly
-	// chained, sharers of a released route). It is computed once and serves
-	// the snapshot, the squeeze, the filling's candidates and the report.
-	chained  []int32
-	squeezed int
+	// direct is the population that retreats to its minimum: an arrival's
+	// directly chained channels (in the plan only) or a failure's channels
+	// on the activation links (in the ledger). chained is the whole
+	// population the event can move and report: direct plus the indirectly
+	// chained channels, a termination's sharers, or a failure's sharers of
+	// the victims' routes.
+	direct  network.SlotSet
+	chained network.SlotSet
+	// touched holds every slot whose level the event has written, on
+	// scratch or in the ledger; commit and the report's changes walk it.
+	touched network.SlotSet
+	// growable is the filling's starting candidates; bad the slots on a
+	// link without room for the least increment.
+	growable network.SlotSet
+	bad      network.SlotSet
+	// cands is a failure's redistribution candidates, victims its victims.
+	cands   network.SlotSet
+	victims network.SlotSet
+
+	// walk reports that the plan took its walking form: walked lists the
+	// candidates, the arrival last, and room holds only their links.
+	walk   bool
+	walked []int32
 
 	route   []topology.DirLinkID // directed links of the route in hand
 	links   []topology.DirLinkID // arrival: off-route links; failure: activation links
 	region  []topology.DirLinkID // FailLink: where capacity changed
-	victims []int32              // FailLink: slots whose primary crosses the link
+	members []int32              // a set's members, ascending, for the walk in hand
+	squeeze []int32              // direct's members, ascending
+	dying   []int32              // FailLink: slots whose primary crosses the link
 	lost    []int32              // FailLink: slots whose backup alone crosses it
-	cands   []int32              // redistribution candidates
 	changes []LevelChange
 	grow    growQueue
 	options []backupOption // findBackup: candidate backups, best first
+	renum   []int32        // renumber: old slot → new
 
-	// The plan's view of the links: room[d] is d's growth headroom, valid
-	// on the links of the planned candidates' routes.
+	// The plan's view of the links: room[d] is d's growth headroom, on
+	// every link or (walk) on the candidates' links.
 	room []qos.Kbps
 	// headroom[d] is d's admission headroom, loaded for route discovery.
 	headroom []float64
 }
 
 // newWorkBuffers sizes the per-link scratch for a graph with the given
-// number of directed links; the per-slot marks grow with the slot table.
+// number of directed links; the slot sets are sized per event.
 func newWorkBuffers(dirLinks int) workBuffers {
 	return workBuffers{
 		linkMarks: marks{cell: make([]uint32, dirLinks)},
@@ -143,35 +147,82 @@ func newWorkBuffers(dirLinks int) workBuffers {
 	}
 }
 
-// beginEvent invalidates the previous event's marks and empties its lists.
+// beginEvent invalidates the previous event's marks and empties its sets
+// and lists, sizing the sets for the slot table plus one arrival.
 func (m *Manager) beginEvent() {
 	w := &m.work
-	w.slotMarks.next()
 	w.linkMarks.next()
-	w.chained, w.squeezed = w.chained[:0], 0
+	n := len(m.slots) + 1
+	for _, s := range []*network.SlotSet{&w.direct, &w.chained, &w.touched, &w.cands, &w.victims} {
+		s.Reset(n)
+	}
 	w.links = w.links[:0]
 	w.region = w.region[:0]
-	w.victims = w.victims[:0]
+	w.squeeze = w.squeeze[:0]
+	w.dying = w.dying[:0]
 	w.lost = w.lost[:0]
-	w.cands = w.cands[:0]
 }
 
-// allocSlot returns a free slot index for c, growing the table if needed.
+// allocSlot appends a slot for c to the table, reusing the dirs array a
+// dead tenant left past the table's end.
 func (m *Manager) allocSlot(c *channel.Conn) int32 {
-	var s int32
-	if n := len(m.free); n > 0 {
-		s, m.free = m.free[n-1], m.free[:n-1]
+	s := int32(len(m.slots))
+	if len(m.slots) < cap(m.slots) {
+		m.slots = m.slots[:s+1]
 	} else {
-		s = int32(len(m.slots))
 		m.slots = append(m.slots, connSlot{})
-		m.work.slotMarks.cell = append(m.work.slotMarks.cell, 0)
 	}
+	m.slotID = append(m.slotID, c.ID)
 	sl := &m.slots[s]
-	sl.conn, sl.id, sl.utility = c, c.ID, c.Spec.Utility
+	sl.conn, sl.utility = c, c.Spec.Utility
 	sl.ceiling, sl.inc = c.Spec.States()-1, c.Spec.Increment
-	sl.held = c.Level
+	sl.held, sl.level = c.Level, c.Level
+	m.boundInc(sl)
 	m.cacheDirs(s)
 	return s
+}
+
+// boundInc lowers minInc to sl's increment if sl has more than one level
+// and a smaller increment than any seen.
+func (m *Manager) boundInc(sl *connSlot) {
+	if sl.ceiling > 0 && (m.minInc == 0 || sl.inc < m.minInc) {
+		m.minInc = sl.inc
+	}
+}
+
+// renumber closes the gaps dead connections left in the slot table once
+// they fill half of it: the live slots move down in order, so slot order
+// stays ID order, and every slot the ledger, the ID index, the alive list
+// and the ceiling set record is rewritten. The dead slots end up past the
+// table's end with their dirs arrays, for allocSlot.
+func (m *Manager) renumber() {
+	if dead := len(m.slots) - len(m.alive); dead == 0 || 2*dead < len(m.slots) {
+		return
+	}
+	w := &m.work
+	w.renum = w.renum[:0]
+	m.full = m.full[:0]
+	m.minInc = 0
+	n := int32(0)
+	for j := range m.slots {
+		if m.slots[j].conn == nil {
+			w.renum = append(w.renum, -1)
+			continue
+		}
+		w.renum = append(w.renum, n)
+		m.slots[n], m.slots[j] = m.slots[j], m.slots[n]
+		m.slotID[n] = m.slotID[j]
+		sl := &m.slots[n]
+		m.conns[m.slotID[n]] = n
+		m.alive[n] = n
+		if sl.held == sl.ceiling {
+			m.full.Add(n)
+		}
+		m.boundInc(sl)
+		n++
+	}
+	m.slots, m.slotID = m.slots[:n], m.slotID[:n]
+	m.net.RenumberSlots(w.renum)
 }
 
 // crosses reports whether the slot's primary traverses physical link l.
@@ -184,13 +235,6 @@ func (sl *connSlot) crosses(l topology.LinkID) bool {
 	return false
 }
 
-// freeSlot returns a dead connection's slot to the free list, keeping the
-// dirs backing array for the next tenant.
-func (m *Manager) freeSlot(s int32) {
-	m.slots[s].conn = nil
-	m.free = append(m.free, s)
-}
-
 // cacheDirs refreshes slot s's cached directed links from its connection's
 // current primary route.
 func (m *Manager) cacheDirs(s int32) {
@@ -198,31 +242,20 @@ func (m *Manager) cacheDirs(s int32) {
 	sl.dirs = sl.conn.Primary.AppendDirLinks(sl.dirs[:0], m.g)
 }
 
-// chain collects into chained the primaries on the given directed links
-// that the event has not collected yet, snapshotting each one's level. A
-// slot the caller marked collected beforehand (the terminating connection,
-// a failure's victims) is thereby left out.
-func (m *Manager) chain(dirs []topology.DirLinkID) {
-	w := &m.work
+// union sets dst to the union of the ledger's slot sets on dirs.
+func (m *Manager) union(dst network.SlotSet, dirs []topology.DirLinkID) {
+	clear(dst)
 	for _, d := range dirs {
-		for _, r := range m.net.PrimariesOn(d) {
-			if !w.slotMarks.set(int(r.Slot), collected) {
-				continue
-			}
-			w.slotMarks.set(int(r.Slot), inChain)
-			w.chained = append(w.chained, r.Slot)
-			sl := &m.slots[r.Slot]
-			sl.before = sl.held
-		}
+		dst.Or(m.net.SlotsOn(d))
 	}
 }
 
-// markSqueezed ends the squeezed prefix of chained at its current length.
-func (m *Manager) markSqueezed() {
-	w := &m.work
-	w.squeezed = len(w.chained)
-	for _, s := range w.chained {
-		w.slotMarks.set(int(s), inSqueezed)
+// touch records that the running event is about to write slot s's level,
+// remembering the level it held before the event for the report.
+func (m *Manager) touch(s int32) {
+	if !m.work.touched.Has(s) {
+		m.work.touched.Add(s)
+		m.slots[s].before = m.slots[s].held
 	}
 }
 
@@ -230,80 +263,55 @@ func (m *Manager) markSqueezed() {
 // (its directed links in work.route): directly chained channels share ≥1
 // directed link with it, i.e. actually contend for the same capacity;
 // indirectly chained ones share a directed link with a directly chained
-// channel but none with the route itself. chained[:squeezed] is the former.
+// channel but none with the route itself. direct is the former, chained
+// both; the arrival holds no reservation yet, so it is in neither.
 func (m *Manager) chainArrival() {
 	w := &m.work
+	m.union(w.direct, w.route)
+	w.squeeze = w.direct.AppendMembers(w.squeeze[:0])
 	for _, d := range w.route {
 		w.linkMarks.set(int(d), linkListed)
 	}
-	m.chain(w.route)
-	m.markSqueezed()
-	// Directed links of directly chained channels that are off the route.
-	for _, s := range w.chained {
+	for _, s := range w.squeeze {
 		for _, d := range m.slots[s].dirs {
 			if w.linkMarks.set(int(d), linkListed) {
 				w.links = append(w.links, d)
 			}
 		}
 	}
-	m.chain(w.links)
+	m.union(w.chained, w.links)
+	w.chained.Or(w.direct)
 }
 
-// squeezeChained retreats chained[:squeezed] to their minima in the ledger.
-func (m *Manager) squeezeChained() error {
-	for _, s := range m.work.chained[:m.work.squeezed] {
-		if err := m.squeezeToMin(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// chainReport reads the event's report off the chained population in
-// ascending ID order. It returns the IDs of chained[:squeezed] and, when
-// rest is asked for, of chained[squeezed:], each exact-size and owned by the
-// caller; and the chained population's level changes against its snapshot,
-// sized for extra more entries (an arrival appends its own) and nil when
-// empty.
-//
-// The order comes from walking order, an ID-sorted list of slots holding
-// every chained one, against the slot marks: the alive list, which holds
-// them because an event only removes connections it never chains, or an
-// arrival's candidates, collected off the alive list. Nothing is sorted.
-func (m *Manager) chainReport(order []int32, rest bool, extra int) (squeezed, others []channel.ConnID, changes []LevelChange, err error) {
+// ids lists the IDs of set's members outside except (a subset of set, or
+// nil), ascending, in an exact-size slice of the caller's.
+func (m *Manager) ids(set, except network.SlotSet) []channel.ConnID {
+	out := make([]channel.ConnID, 0, set.Count()-except.Count())
 	w := &m.work
-	squeezed = make([]channel.ConnID, 0, w.squeezed)
-	if rest {
-		others = make([]channel.ConnID, 0, len(w.chained)-w.squeezed)
-	}
-	w.changes = w.changes[:0]
-	found := 0
-	for _, s := range order {
-		if !w.slotMarks.has(int(s), inChain) {
-			continue
-		}
-		found++
-		sl := &m.slots[s]
-		switch {
-		case w.slotMarks.has(int(s), inSqueezed):
-			squeezed = append(squeezed, sl.id)
-		case rest:
-			others = append(others, sl.id)
-		}
-		if sl.before != sl.held {
-			w.changes = append(w.changes, LevelChange{ID: sl.id, From: sl.before, To: sl.held})
+	w.members = set.AppendMembers(w.members[:0])
+	for _, s := range w.members {
+		if !except.Has(s) {
+			out = append(out, m.slotID[s])
 		}
 	}
-	if found != len(w.chained) {
-		return nil, nil, nil, violationf("%d of %d chained connections in ID order", found, len(w.chained))
-	}
-	if len(w.changes)+extra > 0 {
-		changes = append(make([]LevelChange, 0, len(w.changes)+extra), w.changes...)
-	}
-	return squeezed, others, changes, nil
+	return out
 }
 
-// sortByID orders slots by their connections' IDs.
-func (m *Manager) sortByID(slots []int32) {
-	slices.SortFunc(slots, func(a, b int32) int { return cmp.Compare(m.slots[a].id, m.slots[b].id) })
+// chainChanges lists the level changes of the chained population against
+// the levels it held before the event, ascending by ID, sized for extra
+// more entries (an arrival appends its own) and nil when empty. Only a
+// touched slot can have moved.
+func (m *Manager) chainChanges(extra int) []LevelChange {
+	w := &m.work
+	w.changes = w.changes[:0]
+	w.members = w.touched.AppendMembers(w.members[:0])
+	for _, s := range w.members {
+		if sl := &m.slots[s]; w.chained.Has(s) && sl.before != sl.held {
+			w.changes = append(w.changes, LevelChange{ID: m.slotID[s], From: sl.before, To: sl.held})
+		}
+	}
+	if len(w.changes)+extra == 0 {
+		return nil
+	}
+	return append(make([]LevelChange, 0, len(w.changes)+extra), w.changes...)
 }

@@ -49,9 +49,11 @@ type Reservation struct {
 	ID    channel.ConnID
 	Grant qos.Kbps // current reservation, Min ≤ Grant
 	Min   qos.Kbps
-	// Slot is the reserving caller's own handle for ID, stored verbatim:
-	// the manager keeps its dense connection index here, so walking a link
-	// list leads to its connections without a lookup by ID.
+	// Slot is the reserving caller's own handle for ID, stored verbatim
+	// and distinct among the primaries of a link: the manager keeps its
+	// dense connection index here, so walking a link list leads to its
+	// connections without a lookup by ID, and the link's slot set (SlotsOn)
+	// names them all at once.
 	Slot int32
 }
 
@@ -68,9 +70,11 @@ type Backup struct {
 }
 
 // dirState is the resource ledger of one directed link. The two lists are
-// sorted by ID and are the only index of who is on the link.
+// sorted by ID and are the index of who is on the link; slots holds the
+// primaries' Slot values again, as a set the manager unions.
 type dirState struct {
 	primaries []Reservation
+	slots     SlotSet
 	grantSum  qos.Kbps
 	minSum    qos.Kbps
 
@@ -232,6 +236,10 @@ func (n *Network) AdmissionHeadroom(d topology.DirLinkID) qos.Kbps {
 // AdjustPrimary changes a Grant in place but moves nothing).
 func (n *Network) PrimariesOn(d topology.DirLinkID) []Reservation { return n.dirs[d].primaries }
 
+// SlotsOn returns the Slot of every primary on directed link d as a set,
+// under the same read-only rule as PrimariesOn.
+func (n *Network) SlotsOn(d topology.DirLinkID) SlotSet { return n.dirs[d].slots }
+
 // BackupsOn returns the backups registered on directed link d in ascending
 // ID order, under the same read-only rule as PrimariesOn.
 func (n *Network) BackupsOn(d topology.DirLinkID) []Backup { return n.dirs[d].backups }
@@ -250,6 +258,7 @@ func (n *Network) CanAdmitPrimary(route routing.Path, min qos.Kbps) bool {
 // addPrimary enters id at position i of ds's list at its minimum.
 func (ds *dirState) addPrimary(i int, id channel.ConnID, slot int32, min qos.Kbps) {
 	ds.primaries = slices.Insert(ds.primaries, i, Reservation{ID: id, Grant: min, Min: min, Slot: slot})
+	ds.slots.Add(slot)
 	ds.grantSum += min
 	ds.minSum += min
 }
@@ -272,8 +281,8 @@ func (n *Network) ReservePrimary(id channel.ConnID, slot int32, route []topology
 		if n.failed[d.Link()] {
 			return fmt.Errorf("%w: link %d on route of conn %d", ErrLinkFailed, d.Link(), id)
 		}
-		if _, dup := ds.primary(id); dup {
-			return fmt.Errorf("network: conn %d already reserved on directed link %d", id, d)
+		if _, dup := ds.primary(id); dup || ds.slots.Has(slot) {
+			return fmt.Errorf("network: conn %d or slot %d already reserved on directed link %d", id, slot, d)
 		}
 		if ds.grantSum+min > n.capacity {
 			return fmt.Errorf("%w: directed link %d has %v granted of %v, cannot add %v",
@@ -345,6 +354,7 @@ func (n *Network) ReleasePrimary(id channel.ConnID, route []topology.DirLinkID) 
 		at, _ := ds.primary(id)
 		ds.grantSum -= ds.primaries[at].Grant
 		ds.minSum -= ds.primaries[at].Min
+		ds.slots.Remove(ds.primaries[at].Slot)
 		ds.primaries = slices.Delete(ds.primaries, at, at+1)
 	}
 	return nil
@@ -487,8 +497,8 @@ func (n *Network) ActivateBackup(id channel.ConnID, slot int32, backupRoute rout
 			return fmt.Errorf("%w: backup of conn %d on directed link %d", ErrUnknownConn, id, d)
 		}
 		min = ds.backups[at].Min
-		if _, dup := ds.primary(id); dup {
-			return fmt.Errorf("network: conn %d already primary on directed link %d", id, d)
+		if _, dup := ds.primary(id); dup || ds.slots.Has(slot) {
+			return fmt.Errorf("network: conn %d or slot %d already primary on directed link %d", id, slot, d)
 		}
 	}
 	// Feasibility against physical capacity, before mutating anything.
@@ -510,9 +520,28 @@ func (n *Network) ActivateBackup(id channel.ConnID, slot int32, backupRoute rout
 	return nil
 }
 
+// RenumberSlots rewrites every recorded slot s as to[s], on primaries and
+// backups alike, and rebuilds the slot sets. The caller renumbers its own
+// table the same way; to must cover every slot the ledger holds.
+func (n *Network) RenumberSlots(to []int32) {
+	for di := range n.dirs {
+		ds := &n.dirs[di]
+		ds.slots = ds.slots[:0]
+		for i := range ds.primaries {
+			r := &ds.primaries[i]
+			r.Slot = to[r.Slot]
+			ds.slots.Add(r.Slot)
+		}
+		for i := range ds.backups {
+			ds.backups[i].Slot = to[ds.backups[i].Slot]
+		}
+	}
+}
+
 // CheckInvariants recomputes every cached quantity from first principles
 // and verifies the conservation rules in DESIGN.md §6: each list strictly
-// ascending by ID (so no connection is entered twice), every grant at or
+// ascending by ID (so no connection is entered twice), each slot set
+// holding exactly its primaries' slots, every grant at or
 // above its minimum, the cached sums equal to the lists' sums and within
 // capacity, and the conflict table and spare equal to what the backups list
 // implies. It is O(links × reservations) and intended for tests and
@@ -546,6 +575,14 @@ func (n *Network) CheckInvariants() error {
 		}
 		if grantSum > n.capacity {
 			return fmt.Errorf("dir link %d: grants %v exceed capacity %v", di, grantSum, n.capacity)
+		}
+		if got := ds.slots.Count(); got != len(ds.primaries) {
+			return fmt.Errorf("dir link %d: slot set holds %d slots for %d primaries", di, got, len(ds.primaries))
+		}
+		for _, r := range ds.primaries {
+			if !ds.slots.Has(r.Slot) {
+				return fmt.Errorf("dir link %d: slot set lacks slot %d of conn %d", di, r.Slot, r.ID)
+			}
 		}
 		clear(conflict)
 		var spare qos.Kbps

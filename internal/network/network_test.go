@@ -82,7 +82,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestReservePrimaryBasics(t *testing.T) {
 	n, upper, _ := testNet(t, 10000)
-	mustOK(t, n.ReservePrimary(1, 0, dirLinks(n, upper), 100))
+	mustOK(t, n.ReservePrimary(1, 1, dirLinks(n, upper), 100))
 	for _, l := range upper.Links {
 		if n.Grant(fwd(l), 1) != 100 {
 			t.Fatalf("grant on link %d = %v", l, n.Grant(fwd(l), 1))
@@ -98,7 +98,7 @@ func TestReservePrimaryBasics(t *testing.T) {
 	}
 	checkInv(t, n)
 	// Duplicate reservation must fail atomically.
-	if err := n.ReservePrimary(1, 0, dirLinks(n, upper), 100); err == nil {
+	if err := n.ReservePrimary(1, 1, dirLinks(n, upper), 100); err == nil {
 		t.Fatal("duplicate accepted")
 	}
 	checkInv(t, n)
@@ -106,9 +106,9 @@ func TestReservePrimaryBasics(t *testing.T) {
 
 func TestReservePrimaryCapacityLimit(t *testing.T) {
 	n, upper, _ := testNet(t, 250)
-	mustOK(t, n.ReservePrimary(1, 0, dirLinks(n, upper), 100))
-	mustOK(t, n.ReservePrimary(2, 0, dirLinks(n, upper), 100))
-	err := n.ReservePrimary(3, 0, dirLinks(n, upper), 100)
+	mustOK(t, n.ReservePrimary(1, 1, dirLinks(n, upper), 100))
+	mustOK(t, n.ReservePrimary(2, 2, dirLinks(n, upper), 100))
+	err := n.ReservePrimary(3, 3, dirLinks(n, upper), 100)
 	if !errors.Is(err, ErrCapacity) {
 		t.Fatalf("err = %v, want ErrCapacity", err)
 	}
@@ -123,7 +123,7 @@ func TestReservePrimaryCapacityLimit(t *testing.T) {
 
 func TestReservePrimaryRejectsNonPositive(t *testing.T) {
 	n, upper, _ := testNet(t, 1000)
-	if err := n.ReservePrimary(1, 0, dirLinks(n, upper), 0); err == nil {
+	if err := n.ReservePrimary(1, 1, dirLinks(n, upper), 0); err == nil {
 		t.Fatal("zero reservation accepted")
 	}
 }
@@ -131,7 +131,7 @@ func TestReservePrimaryRejectsNonPositive(t *testing.T) {
 func TestReservePrimaryOnFailedLink(t *testing.T) {
 	n, upper, _ := testNet(t, 1000)
 	n.SetFailed(upper.Links[1], true)
-	if err := n.ReservePrimary(1, 0, dirLinks(n, upper), 100); !errors.Is(err, ErrLinkFailed) {
+	if err := n.ReservePrimary(1, 1, dirLinks(n, upper), 100); !errors.Is(err, ErrLinkFailed) {
 		t.Fatalf("err = %v", err)
 	}
 	if n.AdmissionHeadroom(fwd(upper.Links[1])) != 0 {
@@ -144,7 +144,7 @@ func TestReservePrimaryOnFailedLink(t *testing.T) {
 
 func TestAdjustPrimaryGrowAndShrink(t *testing.T) {
 	n, upper, _ := testNet(t, 1000)
-	mustOK(t, n.ReservePrimary(1, 0, dirLinks(n, upper), 100))
+	mustOK(t, n.ReservePrimary(1, 1, dirLinks(n, upper), 100))
 	mustOK(t, n.AdjustPrimary(1, dirLinks(n, upper), 500))
 	for _, l := range upper.Links {
 		if n.Grant(fwd(l), 1) != 500 {
@@ -169,8 +169,8 @@ func TestAdjustPrimaryGrowAndShrink(t *testing.T) {
 
 func TestAdjustPrimaryCapacityCeiling(t *testing.T) {
 	n, upper, _ := testNet(t, 1000)
-	mustOK(t, n.ReservePrimary(1, 0, dirLinks(n, upper), 100))
-	mustOK(t, n.ReservePrimary(2, 0, dirLinks(n, upper), 100))
+	mustOK(t, n.ReservePrimary(1, 1, dirLinks(n, upper), 100))
+	mustOK(t, n.ReservePrimary(2, 2, dirLinks(n, upper), 100))
 	// 800 free; conn 1 can grow to 900 total? No: 100+900=1000 is fine.
 	mustOK(t, n.AdjustPrimary(1, dirLinks(n, upper), 900))
 	if err := n.AdjustPrimary(2, dirLinks(n, upper), 200); !errors.Is(err, ErrCapacity) {
@@ -184,7 +184,7 @@ func TestAdjustPrimaryCapacityCeiling(t *testing.T) {
 
 func TestReleasePrimary(t *testing.T) {
 	n, upper, _ := testNet(t, 1000)
-	mustOK(t, n.ReservePrimary(1, 0, dirLinks(n, upper), 100))
+	mustOK(t, n.ReservePrimary(1, 1, dirLinks(n, upper), 100))
 	mustOK(t, n.AdjustPrimary(1, dirLinks(n, upper), 300))
 	mustOK(t, n.ReleasePrimary(1, dirLinks(n, upper)))
 	for _, l := range upper.Links {
@@ -203,10 +203,10 @@ func TestReleasePrimary(t *testing.T) {
 // included.
 func TestLoadFreeForGrowth(t *testing.T) {
 	n, upper, lower := testNet(t, 1000)
-	mustOK(t, n.ReservePrimary(1, 0, dirLinks(n, upper), 100))
+	mustOK(t, n.ReservePrimary(1, 1, dirLinks(n, upper), 100))
 	mustOK(t, n.AdjustPrimary(1, dirLinks(n, upper), 300))
 	mustOK(t, n.ReserveBackup(1, 0, lower, upper.Links, 100))
-	mustOK(t, n.ReservePrimary(2, 0, dirLinks(n, lower), 100))
+	mustOK(t, n.ReservePrimary(2, 2, dirLinks(n, lower), 100))
 	n.SetFailed(lower.Links[1], true)
 	room := make([]qos.Kbps, n.Graph().NumDirLinks())
 	n.LoadFreeForGrowth(room)
@@ -241,18 +241,18 @@ func TestBackupMultiplexingSharesSpare(t *testing.T) {
 	// upper. Backups then live on different routes. To observe
 	// multiplexing on ONE link we need two backups on the same link whose
 	// primaries are disjoint — conn 3 primary upper (disjoint from lower).
-	mustOK(t, n.ReservePrimary(1, 0, dirLinks(n, upper), 100))
+	mustOK(t, n.ReservePrimary(1, 1, dirLinks(n, upper), 100))
 	mustOK(t, n.ReserveBackup(1, 0, lower, upper.Links, 100))
 	checkInv(t, n)
 
-	mustOK(t, n.ReservePrimary(2, 0, dirLinks(n, lower), 100))
+	mustOK(t, n.ReservePrimary(2, 2, dirLinks(n, lower), 100))
 	mustOK(t, n.ReserveBackup(2, 0, upper, lower.Links, 100))
 	checkInv(t, n)
 
 	// Backup of conn 3 (primary on upper) multiplexes with backup of conn
 	// 1 (also primary on upper): they activate together on a shared-upper
 	// failure, so spare on lower links must be 200 for upper failures.
-	mustOK(t, n.ReservePrimary(3, 0, dirLinks(n, upper), 100))
+	mustOK(t, n.ReservePrimary(3, 3, dirLinks(n, upper), 100))
 	mustOK(t, n.ReserveBackup(3, 0, lower, upper.Links, 100))
 	checkInv(t, n)
 	for _, l := range lower.Links {
@@ -282,8 +282,8 @@ func TestBackupMultiplexingDisjointPrimariesShare(t *testing.T) {
 	p2 := routing.Path{Nodes: []topology.NodeID{2, 3}, Links: []topology.LinkID{lB}}
 	b1 := routing.Path{Nodes: []topology.NodeID{0, 2, 1}, Links: []topology.LinkID{l0, lS}}
 	b2 := routing.Path{Nodes: []topology.NodeID{2, 1, 3}, Links: []topology.LinkID{lS, l1}}
-	mustOK(t, n.ReservePrimary(1, 0, dirLinks(n, p1), 100))
-	mustOK(t, n.ReservePrimary(2, 0, dirLinks(n, p2), 100))
+	mustOK(t, n.ReservePrimary(1, 1, dirLinks(n, p1), 100))
+	mustOK(t, n.ReservePrimary(2, 2, dirLinks(n, p2), 100))
 	mustOK(t, n.ReserveBackup(1, 0, b1, p1.Links, 100))
 	mustOK(t, n.ReserveBackup(2, 0, b2, p2.Links, 100))
 	checkInv(t, n)
@@ -308,8 +308,8 @@ func TestBackupAdmissionBlocksConflictOverflow(t *testing.T) {
 	}
 	primary := routing.Path{Nodes: []topology.NodeID{0, 1}, Links: []topology.LinkID{lP}}
 	backup := routing.Path{Nodes: []topology.NodeID{0, 2, 1}, Links: []topology.LinkID{lQ, lS}}
-	mustOK(t, n.ReservePrimary(1, 0, dirLinks(n, primary), 100))
-	mustOK(t, n.ReservePrimary(2, 0, dirLinks(n, primary), 100))
+	mustOK(t, n.ReservePrimary(1, 1, dirLinks(n, primary), 100))
+	mustOK(t, n.ReservePrimary(2, 2, dirLinks(n, primary), 100))
 	mustOK(t, n.ReserveBackup(1, 0, backup, primary.Links, 100))
 	checkInv(t, n)
 	// Backup 2 conflicts with backup 1 (same primary link lP): spare would
@@ -318,7 +318,7 @@ func TestBackupAdmissionBlocksConflictOverflow(t *testing.T) {
 	// minSum=0, spare 200 ≤ 250 → actually admissible. Tighten by loading
 	// lS with a primary first.
 	short := routing.Path{Nodes: []topology.NodeID{2, 1}, Links: []topology.LinkID{lS}}
-	mustOK(t, n.ReservePrimary(3, 0, dirLinks(n, short), 100))
+	mustOK(t, n.ReservePrimary(3, 3, dirLinks(n, short), 100))
 	if n.CanAdmitBackup(backup, primary.Links, 100) {
 		t.Fatal("conflicting backup admitted beyond capacity")
 	}
@@ -330,7 +330,7 @@ func TestBackupAdmissionBlocksConflictOverflow(t *testing.T) {
 
 func TestReserveBackupValidation(t *testing.T) {
 	n, upper, lower := testNet(t, 1000)
-	mustOK(t, n.ReservePrimary(1, 0, dirLinks(n, upper), 100))
+	mustOK(t, n.ReservePrimary(1, 1, dirLinks(n, upper), 100))
 	if err := n.ReserveBackup(1, 0, lower, upper.Links, 0); err == nil {
 		t.Fatal("zero backup min accepted")
 	}
@@ -345,7 +345,7 @@ func TestReserveBackupValidation(t *testing.T) {
 
 func TestReleaseBackupRestoresSpare(t *testing.T) {
 	n, upper, lower := testNet(t, 1000)
-	mustOK(t, n.ReservePrimary(1, 0, dirLinks(n, upper), 100))
+	mustOK(t, n.ReservePrimary(1, 1, dirLinks(n, upper), 100))
 	mustOK(t, n.ReserveBackup(1, 0, lower, upper.Links, 100))
 	if n.Spare(fwd(lower.Links[0])) != 100 {
 		t.Fatal("spare not registered")
@@ -364,12 +364,12 @@ func TestReleaseBackupRestoresSpare(t *testing.T) {
 
 func TestActivateBackup(t *testing.T) {
 	n, upper, lower := testNet(t, 1000)
-	mustOK(t, n.ReservePrimary(1, 0, dirLinks(n, upper), 100))
+	mustOK(t, n.ReservePrimary(1, 1, dirLinks(n, upper), 100))
 	mustOK(t, n.ReserveBackup(1, 0, lower, upper.Links, 100))
 	// Primary link fails; manager releases the primary and activates.
 	n.SetFailed(upper.Links[1], true)
 	mustOK(t, n.ReleasePrimary(1, dirLinks(n, upper)))
-	mustOK(t, n.ActivateBackup(1, 0, lower))
+	mustOK(t, n.ActivateBackup(1, 1, lower))
 	for _, l := range lower.Links {
 		if n.Grant(fwd(l), 1) != 100 {
 			t.Fatalf("activated grant on link %d = %v", l, n.Grant(fwd(l), 1))
@@ -379,25 +379,25 @@ func TestActivateBackup(t *testing.T) {
 		}
 	}
 	checkInv(t, n)
-	if err := n.ActivateBackup(1, 0, lower); !errors.Is(err, ErrUnknownConn) {
+	if err := n.ActivateBackup(1, 1, lower); !errors.Is(err, ErrUnknownConn) {
 		t.Fatalf("double activation: %v", err)
 	}
 }
 
 func TestActivateBackupCapacityBlocked(t *testing.T) {
 	n, upper, lower := testNet(t, 200)
-	mustOK(t, n.ReservePrimary(1, 0, dirLinks(n, upper), 100))
+	mustOK(t, n.ReservePrimary(1, 1, dirLinks(n, upper), 100))
 	mustOK(t, n.ReserveBackup(1, 0, lower, upper.Links, 100))
 	// Fill the lower route's physical capacity with grown primaries.
-	mustOK(t, n.ReservePrimary(2, 0, dirLinks(n, lower), 100))
+	mustOK(t, n.ReservePrimary(2, 2, dirLinks(n, lower), 100))
 	mustOK(t, n.AdjustPrimary(2, dirLinks(n, lower), 200)) // borrows the spare
 	checkInv(t, n)
-	if err := n.ActivateBackup(1, 0, lower); !errors.Is(err, ErrCapacity) {
+	if err := n.ActivateBackup(1, 1, lower); !errors.Is(err, ErrCapacity) {
 		t.Fatalf("err = %v (manager must squeeze first)", err)
 	}
 	// After squeezing conn 2 back to its minimum, activation succeeds.
 	mustOK(t, n.AdjustPrimary(2, dirLinks(n, lower), 100))
-	mustOK(t, n.ActivateBackup(1, 0, lower))
+	mustOK(t, n.ActivateBackup(1, 1, lower))
 	checkInv(t, n)
 }
 
@@ -503,7 +503,7 @@ func ledgerScenario(seed uint64) (string, error) {
 			if err != nil {
 				continue
 			}
-			if n.ReservePrimary(nextID, 0, dirLinks(n, p), 100) != nil {
+			if n.ReservePrimary(nextID, int32(nextID), dirLinks(n, p), 100) != nil {
 				continue
 			}
 			c = &live{route: p, grant: 100}
@@ -553,7 +553,7 @@ func ledgerScenario(seed uint64) (string, error) {
 			if err := n.ReleasePrimary(id, dirLinks(n, c.route)); err != nil {
 				return fail("pre-activation release", err)
 			}
-			if n.ActivateBackup(id, 0, c.backup) != nil {
+			if n.ActivateBackup(id, int32(id), c.backup) != nil {
 				// Physically impossible even after squeeze: the conn is
 				// dropped.
 				if err := n.ReleaseBackup(id, c.backup); err != nil {
@@ -606,14 +606,14 @@ func TestSetMultiplexing(t *testing.T) {
 	if err := n.SetMultiplexing(false); err != nil {
 		t.Fatal(err)
 	}
-	mustOK(t, n.ReservePrimary(1, 0, dirLinks(n, upper), 100))
-	mustOK(t, n.ReservePrimary(2, 0, dirLinks(n, lower), 100))
+	mustOK(t, n.ReservePrimary(1, 1, dirLinks(n, upper), 100))
+	mustOK(t, n.ReservePrimary(2, 2, dirLinks(n, lower), 100))
 	mustOK(t, n.ReserveBackup(1, 0, lower, upper.Links, 100))
 	mustOK(t, n.ReserveBackup(2, 0, upper, lower.Links, 100))
 	checkInv(t, n)
 	// Without multiplexing, a second upper-primary backup on lower links
 	// ADDS spare instead of sharing it.
-	mustOK(t, n.ReservePrimary(3, 0, dirLinks(n, upper), 100))
+	mustOK(t, n.ReservePrimary(3, 3, dirLinks(n, upper), 100))
 	mustOK(t, n.ReserveBackup(3, 0, lower, upper.Links, 100))
 	checkInv(t, n)
 	if got := n.Spare(fwd(lower.Links[0])); got != 200 {
@@ -633,9 +633,9 @@ func TestSetMultiplexing(t *testing.T) {
 
 func TestDependabilityDeficit(t *testing.T) {
 	n, upper, lower := testNet(t, 300)
-	mustOK(t, n.ReservePrimary(1, 0, dirLinks(n, upper), 100))
+	mustOK(t, n.ReservePrimary(1, 1, dirLinks(n, upper), 100))
 	mustOK(t, n.ReserveBackup(1, 0, lower, upper.Links, 100))
-	mustOK(t, n.ReservePrimary(2, 0, dirLinks(n, lower), 100))
+	mustOK(t, n.ReservePrimary(2, 2, dirLinks(n, lower), 100))
 	if d := n.DependabilityDeficit(); len(d) != 0 {
 		t.Fatalf("quiescent deficit: %v", d)
 	}
@@ -643,11 +643,11 @@ func TestDependabilityDeficit(t *testing.T) {
 	// conn 2... has no backup, so spare on lower drops to 0 — still no
 	// deficit. Force one instead: register a second backup on lower whose
 	// primary overlaps conn 1's, then activate conn 1.
-	mustOK(t, n.ReservePrimary(3, 0, dirLinks(n, upper), 100))
+	mustOK(t, n.ReservePrimary(3, 3, dirLinks(n, upper), 100))
 	mustOK(t, n.ReserveBackup(3, 0, lower, upper.Links, 100))
 	n.SetFailed(upper.Links[0], true)
 	mustOK(t, n.ReleasePrimary(1, dirLinks(n, upper)))
-	mustOK(t, n.ActivateBackup(1, 0, lower))
+	mustOK(t, n.ActivateBackup(1, 1, lower))
 	// lower links: minSum = 100 (conn2) + 100 (activated conn1) = 200;
 	// spare still 100 for conn3's backup → 300 = capacity: no deficit yet.
 	if d := n.DependabilityDeficit(); len(d) != 0 {
@@ -655,7 +655,7 @@ func TestDependabilityDeficit(t *testing.T) {
 	}
 	// One more primary fills the link past the reserve rule.
 	n.SetFailed(upper.Links[0], false)
-	if err := n.ReservePrimary(4, 0, dirLinks(n, lower), 100); err == nil {
+	if err := n.ReservePrimary(4, 4, dirLinks(n, lower), 100); err == nil {
 		t.Fatal("admission should refuse: minima+spare would exceed capacity")
 	}
 	// Bypass admission legitimately via activation: conn 3 fails over too.
@@ -663,7 +663,7 @@ func TestDependabilityDeficit(t *testing.T) {
 	mustOK(t, n.ReleasePrimary(3, dirLinks(n, upper)))
 	// Squeeze not needed (everyone at min); activation must succeed
 	// physically (300 capacity, 200 granted, +100 fits).
-	mustOK(t, n.ActivateBackup(3, 0, lower))
+	mustOK(t, n.ActivateBackup(3, 3, lower))
 	// Now lower minSum=300=capacity with zero spare: no deficit. The rule
 	// is about minSum+spare, so create spare pressure: register a backup
 	// for conn 2 (primary lower) over upper... upper.Links[1] failed;
@@ -682,10 +682,10 @@ func TestDependabilityDeficitAfterActivation(t *testing.T) {
 	n, upper, lower := testNet(t, 200)
 	g := n.Graph()
 	// A: primary upper, backup lower (whole route).
-	mustOK(t, n.ReservePrimary(1, 0, dirLinks(n, upper), 100))
+	mustOK(t, n.ReservePrimary(1, 1, dirLinks(n, upper), 100))
 	mustOK(t, n.ReserveBackup(1, 0, lower, upper.Links, 100))
 	// B: primary lower at its minimum.
-	mustOK(t, n.ReservePrimary(2, 0, dirLinks(n, lower), 100))
+	mustOK(t, n.ReservePrimary(2, 2, dirLinks(n, lower), 100))
 	// C: primary 1→3 (the chord, disjoint from A's primary so the backups
 	// may multiplex), backup 1→0→3 crossing lower's first link.
 	linkBetween := func(a, b topology.NodeID) (id topology.LinkID) {
@@ -699,7 +699,7 @@ func TestDependabilityDeficitAfterActivation(t *testing.T) {
 	l01, l13, l03 := linkBetween(0, 1), linkBetween(1, 3), linkBetween(0, 3)
 	cPrimary := routing.Path{Nodes: []topology.NodeID{1, 3}, Links: []topology.LinkID{l13}}
 	cBackup := routing.Path{Nodes: []topology.NodeID{1, 0, 3}, Links: []topology.LinkID{l01, l03}}
-	mustOK(t, n.ReservePrimary(3, 0, dirLinks(n, cPrimary), 100))
+	mustOK(t, n.ReservePrimary(3, 3, dirLinks(n, cPrimary), 100))
 	mustOK(t, n.ReserveBackup(3, 0, cBackup, cPrimary.Links, 100))
 	if d := n.DependabilityDeficit(); len(d) != 0 {
 		t.Fatalf("quiescent deficit: %v", d)
@@ -709,7 +709,7 @@ func TestDependabilityDeficitAfterActivation(t *testing.T) {
 	// 100 spare there → deficit until protection is re-planned.
 	n.SetFailed(upper.Links[1], true)
 	mustOK(t, n.ReleasePrimary(1, dirLinks(n, upper)))
-	mustOK(t, n.ActivateBackup(1, 0, lower))
+	mustOK(t, n.ActivateBackup(1, 1, lower))
 	checkInv(t, n) // ledger stays consistent even in deficit
 	deficit := n.DependabilityDeficit()
 	found := false
@@ -760,6 +760,15 @@ func TestInvariantsCanFail(t *testing.T) {
 		{"an entry dropped, sums left behind", func(up, _ *dirState) {
 			up.primaries = slices.Delete(up.primaries, 1, 2)
 		}, "cached grantSum"},
+		{"a stale link-set bit", func(up, _ *dirState) {
+			// A slot no primary on the link holds.
+			up.slots.Add(60)
+		}, "slot set holds 4 slots for 3 primaries"},
+		{"a missing link-set bit", func(up, _ *dirState) {
+			// Swapped for a stale one, so the count alone passes.
+			up.slots.Remove(up.primaries[1].Slot)
+			up.slots.Add(60)
+		}, "slot set lacks slot 2 of conn 2"},
 		{"backups out of order", func(_, low *dirState) {
 			low.backups[1], low.backups[2] = low.backups[2], low.backups[1]
 		}, "backups not strictly ascending"},

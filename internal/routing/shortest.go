@@ -74,13 +74,20 @@ func admits(filter LinkFilter, l topology.LinkID) bool { return filter == nil ||
 // links admitted by filter (nil admits all). It returns ErrNoRoute when dst
 // is unreachable.
 func ShortestHops(g *topology.Graph, src, dst topology.NodeID, filter LinkFilter) (Path, error) {
+	var s RouteScratch
+	return s.ShortestHops(g, src, dst, filter)
+}
+
+// ShortestHops is the package function on a reused scratch: the search
+// allocates the path it returns and nothing else once the scratch has
+// grown to the graph.
+func (s *RouteScratch) ShortestHops(g *topology.Graph, src, dst topology.NodeID, filter LinkFilter) (Path, error) {
 	if err := checkEndpoints(g, src, dst); err != nil {
 		return Path{}, err
 	}
 	if src == dst {
 		return Path{Nodes: []topology.NodeID{src}}, nil
 	}
-	var s RouteScratch
 	if !s.shortestHops(g, src, dst, func(l topology.LinkID) bool { return admits(filter, l) }) {
 		return Path{}, fmt.Errorf("%w: %d -> %d", ErrNoRoute, src, dst)
 	}

@@ -198,8 +198,9 @@ func RebuildWithTxns(g *topology.Graph, cfg manager.Config, rec *journal.Recover
 		if err := crossCheckSnapshot(m, rec.SnapshotHeader); err != nil {
 			return nil, nil, fmt.Errorf("%w: snapshot seq %d: %v", ErrJournal, rec.SnapshotSeq, err)
 		}
+		txns.high = rec.SnapshotHeader.TxnHigh
 		for _, ts := range rec.SnapshotHeader.Txns {
-			txns.seedCommitted(ts)
+			txns.seedCommitted(ts, m)
 		}
 	} else {
 		m, err = manager.New(g, cfg)

@@ -619,6 +619,9 @@ func (s *Server) writeSnapshot(m *manager.Manager) error {
 		sort.Slice(txns, func(i, j int) bool { return txns[i].Txn < txns[j].Txn })
 		hdr.Txns = txns
 	}
+	// So does the transaction high-water mark (zero, and so absent, on a
+	// single-shard plane): the table forgets finished transactions.
+	hdr.TxnHigh = s.txns.high
 	// The current fencing term rides every snapshot so a replica restarted
 	// from compacted history still knows which term it last observed.
 	hdr.Term = s.term.Load()

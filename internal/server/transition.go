@@ -28,10 +28,11 @@ import (
 // Replay decides which errors a faithful history may contain.
 //
 // The transaction table follows from the events alone: a prepare pins its
-// connection under the transaction, a commit finalizes it, and a pending
-// transaction lives exactly as long as it pins something — the terminate
-// (an abort's journaled trace) or link failure that takes its last pinned
-// connection drops the entry.
+// connection under the transaction, a commit finalizes it, and a
+// transaction, pending or committed, lives exactly as long as one of its
+// connections — the terminate (an abort's journaled trace, or the release
+// of a cross-shard connection) or link failure that takes the last of them
+// drops the entry.
 func apply(m *manager.Manager, txns *TxnTable, ev journal.Event) (manager.Outcome, error) {
 	switch ev.Kind {
 	case journal.KindPrepare:

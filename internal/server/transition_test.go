@@ -2,11 +2,14 @@ package server_test
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
+	"drqos/internal/channel"
 	"drqos/internal/journal"
 	"drqos/internal/manager"
 	"drqos/internal/qos"
+	"drqos/internal/rng"
 	"drqos/internal/server"
 	"drqos/internal/topology"
 )
@@ -74,5 +77,91 @@ func TestValidateRefuses(t *testing.T) {
 				t.Fatal("Validate changed the state")
 			}
 		})
+	}
+}
+
+// TestTxnTableForgetsFinishedTransactions drives one shard's transition
+// function through a long script of cross-shard pieces — prepared,
+// committed or aborted, released, and dropped by link failures — and
+// requires the transaction table never to hold more transactions than it
+// has alive pieces: a committed transaction leaves with its last
+// connection, as an uncommitted one always did. The high-water mark keeps
+// every ID the table has seen.
+func TestTxnTableForgetsFinishedTransactions(t *testing.T) {
+	g := journaledGraph(t)
+	m, err := manager.New(g, manager.Config{Capacity: 10_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var txns server.TxnTable
+	src := rng.New(5)
+	var live []int64 // alive pieces, in admission order
+	replay := func(ev journal.Event) {
+		t.Helper()
+		if err := server.Replay(m, &txns, ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const rounds = 600
+	var committed int
+	for txn := uint64(1); txn <= rounds; txn++ {
+		for piece := 0; piece < 1+src.Intn(2); piece++ {
+			lid := topology.LinkID(src.Intn(g.NumLinks()))
+			l := g.Link(lid)
+			if m.Network().Failed(topology.LinkID(0)) && src.Intn(4) == 0 {
+				replay(manager.LinkEvent(journal.KindRepairLink, 0))
+			}
+			ev := manager.EstablishEvent(l.A, l.B, qos.ElasticSpec{Min: 100, Max: 100, Increment: 100, Utility: 1})
+			ev.Kind, ev.Txn, ev.Peers = journal.KindPrepare, txn, 0b11
+			ev.PathNodes, ev.PathLinks = []int32{int32(l.A), int32(l.B)}, []int32{int32(lid)}
+			before := m.AliveCount()
+			replay(ev)
+			if m.AliveCount() > before {
+				live = append(live, int64(m.AliveIDAt(m.AliveCount()-1)))
+			}
+		}
+		if infos := txns.Infos(m); len(infos) > 0 && infos[len(infos)-1].Txn == txn {
+			if src.Intn(5) == 0 {
+				for _, ev := range txns.AbortEvents(txn) {
+					replay(ev)
+				}
+			} else {
+				replay(journal.Event{Kind: journal.KindCommit, Txn: txn})
+				committed++
+			}
+		}
+		// Release the oldest pieces so the population stays level, and
+		// now and then fail link 0 under whatever crosses it.
+		for len(live) > 40 {
+			id := live[0]
+			live = live[1:]
+			if c := m.Conn(channel.ConnID(id)); c != nil && c.Alive() {
+				replay(journal.Event{Kind: journal.KindTerminate, Conn: id})
+			}
+		}
+		if txn%50 == 0 && !m.Network().Failed(0) {
+			replay(manager.LinkEvent(journal.KindFailLink, 0))
+		}
+		infos := txns.Infos(m)
+		alive := 0
+		for _, tx := range infos {
+			for _, c := range tx.Conns {
+				if c.Alive {
+					alive++
+				}
+			}
+			if tx.Committed && !slices.ContainsFunc(tx.Conns, func(c server.TxnConnInfo) bool { return c.Alive }) {
+				t.Fatalf("txn %d: committed, no connection alive, still in the table", tx.Txn)
+			}
+		}
+		if len(infos) > alive || len(infos) > m.AliveCount() {
+			t.Fatalf("after txn %d: %d transactions in the table, %d alive pieces", txn, len(infos), alive)
+		}
+	}
+	if committed < rounds/2 {
+		t.Fatalf("only %d of %d transactions committed", committed, rounds)
+	}
+	if got := txns.HighWater(); got != rounds {
+		t.Fatalf("high-water mark %d, want %d", got, rounds)
 	}
 }

@@ -33,13 +33,19 @@ type TxnTable struct {
 	// It is what a terminate or link failure consults to notice an abort,
 	// and it is non-empty exactly while a transaction is pending.
 	pinned map[channel.ConnID]uint64
+	// held indexes the alive connections of committed transactions, so
+	// that a committed transaction leaves the table with the last of them.
+	held map[channel.ConnID]uint64
+	// high is the largest transaction ID the table has seen. Snapshots
+	// carry it, so an ID the table has forgotten is never handed out again.
+	high uint64
 }
 
 // TxnState is one cross-shard transaction as this shard sees it: which
 // shards participate (bitmask of shard indices, from the prepare record),
 // the local fixed connections the prepares pinned, and whether the commit
-// arrived. An uncommitted transaction disappears from the table with its
-// last pinned connection.
+// arrived. A transaction disappears from the table with its last alive
+// connection, committed or not.
 type TxnState struct {
 	Peers     uint32
 	Conns     []channel.ConnID
@@ -68,7 +74,9 @@ func (t *TxnTable) entry(txn uint64, peers uint32) *TxnState {
 	if t.byID == nil {
 		t.byID = make(map[uint64]*TxnState)
 		t.pinned = make(map[channel.ConnID]uint64)
+		t.held = make(map[channel.ConnID]uint64)
 	}
+	t.high = max(t.high, txn)
 	tx := t.byID[txn]
 	if tx == nil {
 		tx = &TxnState{Peers: peers}
@@ -83,16 +91,21 @@ func (t *TxnTable) pin(txn uint64, peers uint32, id channel.ConnID) {
 	t.pinned[id] = txn
 }
 
-// unpin records that connection id is gone. If it was the last pinned
-// connection of an uncommitted transaction, the transaction was aborted.
+// unpin records that connection id is gone. If it was the last alive
+// connection of its transaction, the transaction leaves the table: aborted
+// if it was uncommitted, over if it was committed.
 func (t *TxnTable) unpin(id channel.ConnID) {
-	txn, ok := t.pinned[id]
+	live := t.pinned
+	txn, ok := live[id]
 	if !ok {
-		return
+		live = t.held
+		if txn, ok = live[id]; !ok {
+			return
+		}
 	}
-	delete(t.pinned, id)
+	delete(live, id)
 	for _, c := range t.byID[txn].Conns {
-		if _, still := t.pinned[c]; still {
+		if _, still := live[c]; still {
 			return
 		}
 	}
@@ -106,19 +119,38 @@ func (t *TxnTable) commit(txn uint64) error {
 	}
 	tx.Committed = true
 	for _, c := range tx.Conns {
-		delete(t.pinned, c)
+		if _, alive := t.pinned[c]; alive {
+			delete(t.pinned, c)
+			t.held[c] = txn
+		}
 	}
 	return nil
 }
 
-// seedCommitted installs a committed transaction from a snapshot header.
-func (t *TxnTable) seedCommitted(ts journal.TxnSnapshot) {
-	tx := t.entry(ts.Txn, ts.Peers)
+// seedCommitted installs a committed transaction from a snapshot header,
+// its connections resolved against m; one with none alive is not
+// installed.
+func (t *TxnTable) seedCommitted(ts journal.TxnSnapshot, m *manager.Manager) {
+	t.high = max(t.high, ts.Txn)
+	var tx *TxnState
+	for _, id := range ts.Conns {
+		if c := m.Conn(channel.ConnID(id)); c != nil && c.Alive() {
+			tx = t.entry(ts.Txn, ts.Peers)
+			t.held[channel.ConnID(id)] = ts.Txn
+		}
+	}
+	if tx == nil {
+		return
+	}
 	tx.Committed = true
 	for _, c := range ts.Conns {
 		tx.Conns = append(tx.Conns, channel.ConnID(c))
 	}
 }
+
+// HighWater returns the largest transaction ID the table has seen, in its
+// life or in the snapshot it was rebuilt from.
+func (t *TxnTable) HighWater() uint64 { return t.high }
 
 // pending reports whether any transaction awaits its commit or abort.
 func (t *TxnTable) pending() bool { return len(t.pinned) > 0 }

@@ -117,12 +117,14 @@ type Coordinator struct {
 
 	// mu guards the cross-connection index, the failed-link view, the
 	// transaction counter, the pending-resolution queue, the abort-reason
-	// tallies and the retry jitter source. Shard calls are made outside it
-	// whenever possible; 2PC holds it only to mutate the index.
+	// tallies, the retry jitter source and the global route search's
+	// scratch. Shard calls are made outside it whenever possible; 2PC
+	// holds it only to mutate the index.
 	mu      sync.Mutex
 	nextTxn uint64
 	cross   map[uint64]*crossConn
 	failed  map[topology.LinkID]bool
+	route   routing.RouteScratch
 	// pending holds transactions whose outcome is decided but not yet
 	// acknowledged by every participant (a commit or abort call failed —
 	// typically a partitioned shard). The background resolver and
@@ -324,9 +326,9 @@ func (c *Coordinator) reconcile(mgrs []*manager.Manager, tables []*server.TxnTab
 			if tx.Committed {
 				committed[tx.Txn] = true
 			}
-			if tx.Txn >= c.nextTxn {
-				c.nextTxn = tx.Txn + 1
-			}
+		}
+		if h := t.HighWater(); h >= c.nextTxn {
+			c.nextTxn = h + 1
 		}
 	}
 	for i, t := range tables {
@@ -774,13 +776,14 @@ func splitRuns(p *Plan, path routing.Path) []*run {
 }
 
 // routeGlobal finds a minimum-hop path on the global topology avoiding
-// links the coordinator knows are failed. ShortestHops visits neighbours in
+// links the coordinator knows are failed, on the coordinator's one route
+// scratch (under c.mu). ShortestHops visits neighbours in
 // link insertion order, so the same topology and failure set always yield
 // the same path.
 func (c *Coordinator) routeGlobal(src, dst topology.NodeID) (routing.Path, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	path, err := routing.ShortestHops(c.g, src, dst, func(l topology.LinkID) bool { return !c.failed[l] })
+	path, err := c.route.ShortestHops(c.g, src, dst, func(l topology.LinkID) bool { return !c.failed[l] })
 	if err != nil {
 		return routing.Path{}, fmt.Errorf("%w: %d -> %d", ErrNoRoute, src, dst)
 	}

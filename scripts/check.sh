@@ -7,7 +7,9 @@
 #                                of cmd/drserverd among them), 10 s fuzzes of
 #                                WriteJSON, journal segment recovery
 #                                (FuzzOpenSegment), the growth queue, the
-#                                bounded flood against its parent
+#                                event kernels against the paper's
+#                                definitions (FuzzChainedSetsMatchDefinition),
+#                                the bounded flood against its parent
 #                                (FuzzFloodMatchesParent), the
 #                                manager's event traces (FuzzApply),
 #                                snapshot restore (FuzzRestore) and the
@@ -171,6 +173,12 @@ case "${1:-}" in
     # live candidate at every step, over streams decoded from the input.
     echo "== fuzz: the growth queue's served order against a linear scan (10s)"
     go test -run '^$' -fuzz FuzzGrowQueue -fuzztime 10s ./internal/manager
+
+    # The event kernels' set algebra against the paper's definitions: chained
+    # sets, starting candidates, reports and levels recomputed by scanning
+    # every live connection, on Waxman graphs and scripts from the input.
+    echo "== fuzz: FuzzChainedSetsMatchDefinition, kernels by definition (10s)"
+    go test -run '^$' -fuzz FuzzChainedSetsMatchDefinition -fuzztime 10s -fuzzminimizetime 2s ./internal/manager
 
     # The array flood and its DirCost adapter against the parent's flood,
     # on Waxman graphs and allowances decoded from the input.
