@@ -374,7 +374,7 @@ func bootSingle(cfg *config, g *topology.Graph, mcfg manager.Config, front []ser
 		return plane{}, err
 	}
 
-	handler := server.NewHandler(srv, front...)
+	var handler http.Handler = server.NewHandler(srv, front...)
 	if jnl != nil {
 		// Every journaled daemon ships its journal: the replication
 		// endpoints are mounted whether or not a standby exists yet, so one

@@ -460,10 +460,17 @@ func TestAckWaitInsideMatchesOutside(t *testing.T) {
 		t.Errorf("daemon says an ack waits %.3f ms for the standby, clients measure %.3f ms: apart by more than %.3f", inside, outside, tolerance)
 	}
 
-	var metrics bytes.Buffer
-	server.WriteMetrics(&metrics, readStats())
+	resp, err := http.Get(primary.http.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, q := range []string{`drqos_replica_ack_wait_seconds{quantile="0.5"} `, `drqos_replica_ack_wait_seconds{quantile="0.99"} `} {
-		if !bytes.Contains(metrics.Bytes(), []byte(q)) {
+		if !bytes.Contains(metrics, []byte(q)) {
 			t.Errorf("/metrics lacks %s", q)
 		}
 	}

@@ -21,6 +21,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"time"
 
 	"drqos/internal/manager"
@@ -148,19 +149,28 @@ func (s *Server) ExportState(ctx context.Context) (uint64, *manager.State, error
 	return ex.seq, ex.state, err
 }
 
-// Audit is what GET /v1/invariants reports for one plane, single or one
-// shard of many: a single loop command runs the consistency audit of
-// CheckInvariants and exports the state it audited, so verdict,
-// fingerprint and journal position are of one instant. Two replicas, or one
-// plane across a restart, hold the same state iff they report the same
-// fingerprint at the same seq. A dirty audit answers its violation and the
-// seq, and no fingerprint.
-func (s *Server) Audit(ctx context.Context) (seq uint64, fingerprint string, err error) {
+// Invariants answers GET /v1/invariants for one plane, single or one shard
+// of many: a single loop command runs the consistency audit of
+// CheckInvariants and exports the state it audited, so verdict, fingerprint
+// and journal position are of one instant. Two replicas, or one plane across
+// a restart, hold the same state iff they report the same fingerprint at the
+// same seq. A dirty audit answers its violation and the seq, and no
+// fingerprint; a closed server answers only ErrServerClosed.
+func (s *Server) Invariants(ctx context.Context) (map[string]any, error) {
 	ex, err := s.export(ctx, true)
-	if err != nil {
-		return ex.seq, "", err
+	if errors.Is(err, ErrServerClosed) {
+		return nil, err
 	}
-	return ex.seq, ex.state.Fingerprint(), nil
+	// Degraded is sticky: a clean audit now does not un-corrupt the event
+	// that tripped it, so the flag is reported either way.
+	degraded, reason := s.Degraded()
+	body := map[string]any{"ok": err == nil, "degraded": degraded, "degraded_reason": reason, "journal_seq": ex.seq}
+	if err != nil {
+		body["error"] = err.Error()
+	} else {
+		body["fingerprint"] = ex.state.Fingerprint()
+	}
+	return body, nil
 }
 
 // exported is ExportState's answer as one value.
@@ -169,7 +179,7 @@ type exported struct {
 	state *manager.State
 }
 
-// export is the command behind ExportState and Audit. With audit set it
+// export is the command behind ExportState and Invariants. With audit set it
 // first runs the consistency audit of CheckInvariants; a dirty audit
 // answers its violation and the position, and no state.
 func (s *Server) export(ctx context.Context, audit bool) (exported, error) {

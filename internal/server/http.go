@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -33,8 +34,8 @@ type EstablishRequest struct {
 	Utility       float64 `json:"utility"`
 }
 
-// Spec materializes the request's elastic QoS.
-func (r EstablishRequest) Spec() qos.ElasticSpec {
+// spec materializes the request's elastic QoS.
+func (r EstablishRequest) spec() qos.ElasticSpec {
 	if r.MinKbps == 0 && r.MaxKbps == 0 && r.IncrementKbps == 0 {
 		s := qos.DefaultSpec()
 		if r.Utility > 0 {
@@ -50,7 +51,10 @@ func (r EstablishRequest) Spec() qos.ElasticSpec {
 	}
 }
 
-// EstablishResponse summarizes an admitted connection.
+// EstablishResponse summarizes an admitted connection. Cross and Shard are
+// the sharded plane's and a single server leaves both out: Shard names the
+// shard that owns the connection, -1 for a cross-shard one, which reports
+// only its rigid allocation and global hop count.
 type EstablishResponse struct {
 	ID                int64 `json:"id"`
 	Level             int   `json:"level"`
@@ -60,6 +64,22 @@ type EstablishResponse struct {
 	DirectlyChained   int   `json:"directly_chained"`
 	IndirectlyChained int   `json:"indirectly_chained"`
 	LevelChanges      int   `json:"level_changes"`
+	Cross             bool  `json:"cross,omitempty"`
+	Shard             *int  `json:"shard,omitempty"`
+}
+
+// EstablishAnswer summarizes an arrival report in the report's own IDs.
+func EstablishAnswer(rep *manager.ArrivalReport) EstablishResponse {
+	return EstablishResponse{
+		ID:                int64(rep.Conn.ID),
+		Level:             rep.Conn.Level,
+		BandwidthKbps:     int64(rep.Conn.Bandwidth()),
+		HasBackup:         rep.Conn.HasBackup,
+		PrimaryHops:       rep.Conn.Primary.Hops(),
+		DirectlyChained:   len(rep.DirectlyChained),
+		IndirectlyChained: len(rep.IndirectlyChained),
+		LevelChanges:      len(rep.Changes),
+	}
 }
 
 // TerminateResponse summarizes a released connection.
@@ -96,14 +116,82 @@ type ErrorBody struct {
 	RetryAfterSeconds int64  `json:"retry_after_seconds,omitempty"`
 }
 
-// HandlerOption customizes a front end (NewHandler, shard.NewHandler).
-type HandlerOption func(*Front)
+// Plane is the admission plane behind the HTTP API: one *Server, or a shard
+// coordinator (internal/shard). Each method answers one route in the
+// plane's own connection IDs; NewHandler owns the rest — the rate limit,
+// the body cap, decoding, the status mapping and the JSON envelope — so
+// every route is stated once, whatever plane it serves.
+type Plane interface {
+	// Admit answers POST /v1/connections.
+	Admit(ctx context.Context, src, dst topology.NodeID, spec qos.ElasticSpec) (EstablishResponse, error)
+	// Terminate answers DELETE /v1/connections/{id}.
+	Terminate(ctx context.Context, id channel.ConnID) (*manager.TerminationReport, error)
+	// FailLink and RepairLink answer POST /v1/faults/link.
+	FailLink(ctx context.Context, l topology.LinkID) (*manager.FailureReport, error)
+	RepairLink(ctx context.Context, l topology.LinkID) (int, error)
+	// StatsAnswer answers GET /v1/stats (a Stats or a ShardedStats) and,
+	// rendered as Prometheus text, GET /metrics.
+	StatsAnswer() any
+	// Invariants answers GET /v1/invariants: the body, whose "ok" picks 200
+	// or 500, or the error of a plane that cannot audit.
+	Invariants(ctx context.Context) (map[string]any, error)
+	// Readiness answers GET /readyz: the body, and how long a plane that
+	// is not ready asks probes to wait (0 when ready).
+	Readiness() (map[string]any, time.Duration)
+}
 
-// Front is what every HTTP front end of the admission plane shares, whatever
-// sits behind it — one server or a shard coordinator: the per-client rate
-// limit, the request-body cap, the pprof mount and (with the Write*
-// functions) the JSON and error envelope.
-type Front struct {
+// Admit establishes a connection and answers it.
+func (s *Server) Admit(ctx context.Context, src, dst topology.NodeID, spec qos.ElasticSpec) (EstablishResponse, error) {
+	rep, err := s.Establish(ctx, src, dst, spec)
+	if err != nil {
+		return EstablishResponse{}, err
+	}
+	return EstablishAnswer(rep), nil
+}
+
+// StatsAnswer is StatsView as the GET /v1/stats answer.
+func (s *Server) StatsAnswer() any { return s.StatsView() }
+
+// Readiness reports not ready while the server is degraded, recovering,
+// overloaded or fenced.
+func (s *Server) Readiness() (map[string]any, time.Duration) {
+	degraded, reason := s.Degraded()
+	recovering, _, _, _ := s.RecoveryStatus()
+	overloaded := s.Overloaded()
+	// A primary whose replication lease lapsed is fenced: it refuses
+	// mutations, so a load balancer must stop routing writes to it.
+	leaseLost := false
+	if rb := s.replicaBlock(); rb != nil && rb.LeaseLost {
+		leaseLost = true
+	}
+	// Role rides readiness so a load balancer (and a failover test)
+	// can tell a ready read-only follower from the mutation-serving
+	// primary without a second request.
+	body := map[string]any{
+		"ready":      !degraded && !recovering && !overloaded && !leaseLost,
+		"degraded":   degraded,
+		"recovering": recovering,
+		"overloaded": overloaded,
+		"role":       s.Role(),
+	}
+	if leaseLost {
+		body["lease_lost"] = true
+	}
+	if reason != "" {
+		body["degraded_reason"] = reason
+	}
+	if degraded || recovering || overloaded || leaseLost {
+		return body, s.detector.RetryAfter()
+	}
+	return body, 0
+}
+
+// HandlerOption customizes a front end (NewHandler, shard.NewHandler).
+type HandlerOption func(*front)
+
+// front is what every route shares, whatever plane sits behind it: the
+// per-client rate limit and the pprof mount.
+type front struct {
 	limiter     *overload.Limiter
 	pprof       bool
 	rateLimited atomic.Int64
@@ -113,21 +201,12 @@ type Front struct {
 // body answers 413.
 const maxBodyBytes = 1 << 20
 
-// NewFront applies opts over the defaults (no rate limit, no pprof).
-func NewFront(opts ...HandlerOption) *Front {
-	f := &Front{}
-	for _, o := range opts {
-		o(f)
-	}
-	return f
-}
-
 // WithRateLimit adds per-client token-bucket rate limiting to the mutation
 // endpoints: each client (X-Client-ID header, else remote host) gets rate
 // requests/second with bursts of burst; beyond that, 429 + Retry-After.
 // rate <= 0 disables limiting.
 func WithRateLimit(rate, burst float64) HandlerOption {
-	return func(f *Front) {
+	return func(f *front) {
 		if rate > 0 {
 			f.limiter = overload.NewLimiter(rate, burst)
 		}
@@ -137,13 +216,13 @@ func WithRateLimit(rate, burst float64) HandlerOption {
 // WithPprof mounts net/http/pprof under /debug/pprof/ so overload
 // investigations can pull CPU/heap/goroutine profiles from a live daemon.
 func WithPprof() HandlerOption {
-	return func(f *Front) { f.pprof = true }
+	return func(f *front) { f.pprof = true }
 }
 
-// DecodeBody reads a JSON body under the size cap; a limit overrun answers
+// decodeBody reads a JSON body under the size cap; a limit overrun answers
 // 413, malformed JSON 400. Returns false when a response was already
 // written.
-func (f *Front) DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
 		var tooBig *http.MaxBytesError
@@ -158,9 +237,20 @@ func (f *Front) DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// AdmitClient enforces the per-client token bucket on mutating endpoints.
+// pathID parses the {id} of a connection route; a malformed one answers
+// 400. Returns false when a response was already written.
+func pathID(w http.ResponseWriter, r *http.Request) (int64, bool) {
+	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
+	if err != nil {
+		WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: "bad connection id: " + err.Error()})
+		return 0, false
+	}
+	return id, true
+}
+
+// admitClient enforces the per-client token bucket on mutating endpoints.
 // Returns false when the request was already answered 429.
-func (f *Front) AdmitClient(w http.ResponseWriter, r *http.Request) bool {
+func (f *front) admitClient(w http.ResponseWriter, r *http.Request) bool {
 	if f.limiter == nil {
 		return true
 	}
@@ -182,8 +272,8 @@ func (f *Front) AdmitClient(w http.ResponseWriter, r *http.Request) bool {
 	return false
 }
 
-// WriteMetrics appends the front end's own counters to a /metrics answer.
-func (f *Front) WriteMetrics(w io.Writer) {
+// writeMetrics appends the front end's own counters to a /metrics answer.
+func (f *front) writeMetrics(w io.Writer) {
 	if f.limiter == nil {
 		return
 	}
@@ -193,88 +283,72 @@ func (f *Front) WriteMetrics(w io.Writer) {
 		f.limiter.Clients())
 }
 
-// MountDebug registers /debug/pprof/ on mux when WithPprof asked for it.
-func (f *Front) MountDebug(mux *http.ServeMux) {
-	if !f.pprof {
-		return
-	}
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-}
-
-// NewHandler returns the HTTP/JSON API over s:
+// NewHandler returns the HTTP/JSON API over p, on a mux a plane's own
+// routes may join (shard.NewHandler adds GET /v1/shards):
 //
 //	POST   /v1/connections        admit a DR-connection
 //	DELETE /v1/connections/{id}   terminate a DR-connection
+//	GET    /v1/connections/{id}   one connection's status
 //	POST   /v1/faults/link        fail or repair a link
+//	GET    /v1/forecast           the live analytic forecast
+//	POST   /v1/forecast/whatif    the forecast for an added population
 //	POST   /v1/admin/recover      rebuild from the journal, exit degraded mode
 //	GET    /v1/stats              consistent service snapshot
 //	GET    /v1/invariants         run the manager's consistency audit
 //	GET    /metrics               Prometheus text metrics
 //	GET    /healthz               liveness: 200 while the process serves
-//	GET    /readyz                readiness: 503 while degraded, recovering
-//	                              or overloaded
+//	GET    /readyz                readiness: 503 while degraded, recovering,
+//	                              overloaded or fenced
 //
-// Overload semantics: while the server's sustained-queue-delay detector is
-// latched, new capacity-consuming work (establish, link fail) answers 503
-// with a Retry-After hint; terminations, repairs and every read stay live.
-// With WithRateLimit, each client is additionally token-bucket limited on
-// the mutation endpoints (429 + Retry-After).
-func NewHandler(s *Server, opts ...HandlerOption) http.Handler {
-	f := NewFront(opts...)
+// The point read, recovery and the forecast need one server, its journal
+// and its forecaster: any other plane answers them 501. Overload semantics
+// are the plane's own: while a server's sustained-queue-delay detector is
+// latched, it refuses new capacity-consuming work (establish, link fail)
+// with ErrOverloaded, which answers 503 with a Retry-After hint;
+// terminations, repairs and every read stay live. With WithRateLimit, each
+// client is additionally token-bucket limited on the mutation endpoints
+// (429 + Retry-After).
+func NewHandler(p Plane, opts ...HandlerOption) *http.ServeMux {
+	f := &front{}
+	for _, o := range opts {
+		o(f)
+	}
 	mux := http.NewServeMux()
-
-	// shedIfOverloaded refuses new capacity-consuming work while the
-	// overloaded state holds. Returns false when already answered 503.
-	shedIfOverloaded := func(w http.ResponseWriter) bool {
-		if !s.Overloaded() {
-			return true
+	s, _ := p.(*Server)
+	// unsupported answers 501 on a route only one server serves.
+	unsupported := func(w http.ResponseWriter) bool {
+		if s != nil {
+			return false
 		}
-		WriteShed(w, http.StatusServiceUnavailable, s.RetryAfterHint(), ErrOverloaded.Error())
-		return false
+		writeError(w, fmt.Errorf("%w by a sharded plane", errors.ErrUnsupported))
+		return true
 	}
 
 	mux.HandleFunc("POST /v1/connections", func(w http.ResponseWriter, r *http.Request) {
-		if !f.AdmitClient(w, r) || !shedIfOverloaded(w) {
-			return
-		}
 		var req EstablishRequest
-		if !f.DecodeBody(w, r, &req) {
+		if !f.admitClient(w, r) || !decodeBody(w, r, &req) {
 			return
 		}
-		rep, err := s.Establish(r.Context(), topology.NodeID(req.Src), topology.NodeID(req.Dst), req.Spec())
+		resp, err := p.Admit(r.Context(), topology.NodeID(req.Src), topology.NodeID(req.Dst), req.spec())
 		if err != nil {
-			WriteError(w, err)
+			writeError(w, err)
 			return
 		}
-		WriteJSON(w, http.StatusCreated, EstablishResponse{
-			ID:                int64(rep.Conn.ID),
-			Level:             rep.Conn.Level,
-			BandwidthKbps:     int64(rep.Conn.Bandwidth()),
-			HasBackup:         rep.Conn.HasBackup,
-			PrimaryHops:       rep.Conn.Primary.Hops(),
-			DirectlyChained:   len(rep.DirectlyChained),
-			IndirectlyChained: len(rep.IndirectlyChained),
-			LevelChanges:      len(rep.Changes),
-		})
+		WriteJSON(w, http.StatusCreated, resp)
 	})
 	mux.HandleFunc("DELETE /v1/connections/{id}", func(w http.ResponseWriter, r *http.Request) {
 		// Terminations stay admitted under overload: freeing capacity is
 		// the way out. Only the per-client limiter applies.
-		if !f.AdmitClient(w, r) {
+		if !f.admitClient(w, r) {
 			return
 		}
-		id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
-		if err != nil {
-			WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: "bad connection id: " + err.Error()})
+		id, ok := pathID(w, r)
+		if !ok {
 			return
 		}
-		rep, err := s.Terminate(r.Context(), channel.ConnID(id))
+		rep, err := p.Terminate(r.Context(), channel.ConnID(id))
 		if err != nil {
-			WriteError(w, err)
+			writeError(w, err)
 			return
 		}
 		WriteJSON(w, http.StatusOK, TerminateResponse{
@@ -286,36 +360,27 @@ func NewHandler(s *Server, opts ...HandlerOption) http.Handler {
 	mux.HandleFunc("GET /v1/connections/{id}", func(w http.ResponseWriter, r *http.Request) {
 		// Point lookup for one connection — how a client verifies that an
 		// acknowledged connection survived a restart or a failover.
-		id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
-		if err != nil {
-			WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: "bad connection id: " + err.Error()})
+		id, ok := pathID(w, r)
+		if !ok || unsupported(w) {
 			return
 		}
 		st, err := s.ConnStatus(r.Context(), channel.ConnID(id))
 		if err != nil {
-			WriteError(w, err)
+			writeError(w, err)
 			return
 		}
 		WriteJSON(w, http.StatusOK, st)
 	})
 	mux.HandleFunc("POST /v1/faults/link", func(w http.ResponseWriter, r *http.Request) {
-		if !f.AdmitClient(w, r) {
-			return
-		}
 		var req FaultRequest
-		if !f.DecodeBody(w, r, &req) {
+		if !f.admitClient(w, r) || !decodeBody(w, r, &req) {
 			return
 		}
 		switch req.Action {
 		case "", "fail":
-			// Fail injection activates backups and squeezes peers —
-			// capacity-consuming — so it is shed while overloaded.
-			if !shedIfOverloaded(w) {
-				return
-			}
-			rep, err := s.FailLink(r.Context(), topology.LinkID(req.Link))
+			rep, err := p.FailLink(r.Context(), topology.LinkID(req.Link))
 			if err != nil {
-				WriteError(w, err)
+				writeError(w, err)
 				return
 			}
 			WriteJSON(w, http.StatusOK, FaultResponse{
@@ -328,9 +393,9 @@ func NewHandler(s *Server, opts ...HandlerOption) http.Handler {
 				Squeezed:    len(rep.Squeezed),
 			})
 		case "repair":
-			restored, err := s.RepairLink(r.Context(), topology.LinkID(req.Link))
+			restored, err := p.RepairLink(r.Context(), topology.LinkID(req.Link))
 			if err != nil {
-				WriteError(w, err)
+				writeError(w, err)
 				return
 			}
 			WriteJSON(w, http.StatusOK, FaultResponse{
@@ -340,11 +405,22 @@ func NewHandler(s *Server, opts ...HandlerOption) http.Handler {
 			WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: fmt.Sprintf("unknown action %q", req.Action)})
 		}
 	})
-	mux.HandleFunc("GET /v1/forecast", func(w http.ResponseWriter, r *http.Request) {
+	// forecaster answers the forecast routes' refusals: 501 off a single
+	// server, 404 on one that runs no forecast.
+	forecaster := func(w http.ResponseWriter) *forecast.Forecaster {
+		if unsupported(w) {
+			return nil
+		}
 		fc := s.Forecaster()
 		if fc == nil {
 			WriteJSON(w, http.StatusNotFound,
 				ErrorBody{Error: "forecasting disabled (start the daemon with -forecast-interval > 0)"})
+		}
+		return fc
+	}
+	mux.HandleFunc("GET /v1/forecast", func(w http.ResponseWriter, r *http.Request) {
+		fc := forecaster(w)
+		if fc == nil {
 			return
 		}
 		// Reads the lock-free published pointer — never touches the actor
@@ -367,14 +443,9 @@ func NewHandler(s *Server, opts ...HandlerOption) http.Handler {
 		})
 	})
 	mux.HandleFunc("POST /v1/forecast/whatif", func(w http.ResponseWriter, r *http.Request) {
-		fc := s.Forecaster()
-		if fc == nil {
-			WriteJSON(w, http.StatusNotFound,
-				ErrorBody{Error: "forecasting disabled (start the daemon with -forecast-interval > 0)"})
-			return
-		}
 		var req forecast.WhatIfRequest
-		if !f.DecodeBody(w, r, &req) {
+		fc := forecaster(w)
+		if fc == nil || !decodeBody(w, r, &req) {
 			return
 		}
 		resp, err := fc.WhatIf(req)
@@ -394,34 +465,31 @@ func NewHandler(s *Server, opts ...HandlerOption) http.Handler {
 		// queued, so stats stay fast (and available) no matter how deep the
 		// consuming-lane backlog is, and exact as of the last applied
 		// mutation.
-		WriteJSON(w, http.StatusOK, s.StatsView())
+		WriteJSON(w, http.StatusOK, p.StatsAnswer())
 	})
 	mux.HandleFunc("GET /v1/invariants", func(w http.ResponseWriter, r *http.Request) {
-		// Audit answers verdict, fingerprint and journal position of one
+		// The audit answers verdict, fingerprint and journal position of one
 		// instant, so an operator (or a test) can compare two replicas
 		// bit-for-bit at a sequence number without waiting for either to go
 		// quiet.
-		seq, fingerprint, err := s.Audit(r.Context())
-		degraded, reason := s.Degraded()
-		if errors.Is(err, ErrServerClosed) {
-			WriteError(w, err)
-			return
-		}
-		// Degraded is sticky: a clean audit now does not un-corrupt the
-		// event that tripped it, so the flag is reported either way.
-		body := map[string]any{"ok": err == nil, "degraded": degraded, "degraded_reason": reason, "journal_seq": seq}
+		body, err := p.Invariants(r.Context())
 		if err != nil {
-			body["error"] = err.Error()
-			WriteJSON(w, http.StatusInternalServerError, body)
+			writeError(w, err)
 			return
 		}
-		body["fingerprint"] = fingerprint
-		WriteJSON(w, http.StatusOK, body)
+		code := http.StatusOK
+		if body["ok"] != true {
+			code = http.StatusInternalServerError
+		}
+		WriteJSON(w, code, body)
 	})
 	mux.HandleFunc("POST /v1/admin/recover", func(w http.ResponseWriter, r *http.Request) {
+		if unsupported(w) {
+			return
+		}
 		seq, err := s.Recover(r.Context())
 		if err != nil {
-			WriteError(w, err)
+			writeError(w, err)
 			return
 		}
 		WriteJSON(w, http.StatusOK, map[string]any{"recovered": true, "journal_seq": seq})
@@ -429,10 +497,9 @@ func NewHandler(s *Server, opts ...HandlerOption) http.Handler {
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		// Scrapes ride the epoch view: a wedged or saturated actor loop can
 		// no longer take monitoring down with it.
-		st := s.StatsView()
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		WriteMetrics(w, st)
-		f.WriteMetrics(w)
+		writeMetrics(w, p.StatsAnswer())
+		f.writeMetrics(w)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		// Liveness: the process is up and the mux is answering. Degraded
@@ -441,39 +508,21 @@ func NewHandler(s *Server, opts ...HandlerOption) http.Handler {
 		WriteJSON(w, http.StatusOK, map[string]any{"ok": true})
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		degraded, reason := s.Degraded()
-		recovering, _, _, _ := s.RecoveryStatus()
-		overloaded := s.Overloaded()
-		// A primary whose replication lease lapsed is fenced: it refuses
-		// mutations, so a load balancer must stop routing writes to it.
-		leaseLost := false
-		if rb := s.replicaBlock(); rb != nil && rb.LeaseLost {
-			leaseLost = true
-		}
-		// Role rides readiness so a load balancer (and a failover test)
-		// can tell a ready read-only follower from the mutation-serving
-		// primary without a second request.
-		body := map[string]any{
-			"ready":      !degraded && !recovering && !overloaded && !leaseLost,
-			"degraded":   degraded,
-			"recovering": recovering,
-			"overloaded": overloaded,
-			"role":       s.Role(),
-		}
-		if leaseLost {
-			body["lease_lost"] = true
-		}
-		if reason != "" {
-			body["degraded_reason"] = reason
-		}
-		if degraded || recovering || overloaded || leaseLost {
-			w.Header().Set("Retry-After", strconv.FormatInt(int64(s.RetryAfterHint()/time.Second), 10))
+		body, wait := p.Readiness()
+		if wait > 0 {
+			w.Header().Set("Retry-After", strconv.FormatInt(int64(wait/time.Second), 10))
 			WriteJSON(w, http.StatusServiceUnavailable, body)
 			return
 		}
 		WriteJSON(w, http.StatusOK, body)
 	})
-	f.MountDebug(mux)
+	if f.pprof {
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	}
 	return mux
 }
 
@@ -612,8 +661,8 @@ func WriteShed(w http.ResponseWriter, code int, retryAfter time.Duration, msg st
 	WriteJSON(w, code, ErrorBody{Error: msg, RetryAfterSeconds: secs})
 }
 
-// WriteError maps typed service errors onto HTTP status codes.
-func WriteError(w http.ResponseWriter, err error) {
+// writeError maps typed service errors onto HTTP status codes.
+func writeError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, manager.ErrRejected):
 		WriteJSON(w, http.StatusConflict, ErrorBody{Error: err.Error(), Rejected: true})
@@ -623,10 +672,11 @@ func WriteError(w http.ResponseWriter, err error) {
 		WriteJSON(w, http.StatusNotFound, ErrorBody{Error: err.Error()})
 	case errors.Is(err, ErrConflict):
 		WriteJSON(w, http.StatusConflict, ErrorBody{Error: err.Error()})
-	case errors.Is(err, ErrNotPrimary), errors.Is(err, ErrFenced):
+	case errors.Is(err, ErrNotPrimary), errors.Is(err, ErrFenced), errors.Is(err, ErrUnavailable):
 		// Retryable: during failover the client's next attempt (after the
 		// hint, or via the front layer's 307) lands on the new primary —
-		// or back here once a fenced primary's lease renews.
+		// or back here once a fenced primary's lease renews, or a
+		// suspected shard answers again.
 		WriteShed(w, http.StatusServiceUnavailable, time.Second, err.Error())
 	case errors.Is(err, ErrOverloaded):
 		WriteShed(w, http.StatusServiceUnavailable, time.Second, err.Error())
@@ -636,6 +686,8 @@ func WriteError(w http.ResponseWriter, err error) {
 		WriteJSON(w, http.StatusConflict, ErrorBody{Error: err.Error()})
 	case errors.Is(err, ErrServerClosed):
 		WriteJSON(w, http.StatusServiceUnavailable, ErrorBody{Error: err.Error()})
+	case errors.Is(err, errors.ErrUnsupported):
+		WriteJSON(w, http.StatusNotImplemented, ErrorBody{Error: err.Error()})
 	default:
 		WriteJSON(w, http.StatusInternalServerError, ErrorBody{Error: err.Error()})
 	}

@@ -59,10 +59,10 @@ func fullStats() server.Stats {
 
 // shardStats is a 4-shard GET /v1/stats answer shaped like the sharded
 // daemon's: per-shard Stats without the forecast and replica blocks.
-func shardStats() shard.StatsResponse {
+func shardStats() server.ShardedStats {
 	per := fullStats()
 	per.Forecast, per.Replica, per.Degraded, per.DegradedReason = nil, nil, false, ""
-	resp := shard.StatsResponse{
+	resp := server.ShardedStats{
 		Shards: 4, Aggregate: per,
 		CrossAttempts: 3000, CrossCommitted: 2500, CrossAborted: 500, CrossActive: 90,
 		CrossTimeouts: 2, CrossPending: 1,
@@ -85,6 +85,7 @@ func apiAnswers() map[string]any {
 		AvgAlive: 10, AvgHops: 3.5, Accepted: 10, Rejected: 2, Terminated: 3,
 		Headroom: 0.45, Saturated: true, Stale: true, LastError: awkward, Solves: 9, SolveErrors: 1,
 	}
+	cross, first := -1, 0
 	return map[string]any{
 		"establish":        server.EstablishResponse{ID: 42, Level: 8, BandwidthKbps: 500, HasBackup: true, PrimaryHops: 4, DirectlyChained: 3, IndirectlyChained: 7, LevelChanges: 11},
 		"terminate":        server.TerminateResponse{ID: 42, Affected: 9, LevelChanges: 9},
@@ -107,10 +108,11 @@ func apiAnswers() map[string]any {
 				RecommendedKbps: 100, Rationale: awkward,
 			},
 		},
-		"shard establish": shard.EstablishResponse{ID: 255 | 7<<8, Cross: true, Shard: -1, BandwidthKbps: 100, PrimaryHops: 9},
-		"shard terminate": shard.TerminateResponse{ID: 1025},
-		"shard shards":    shard.ShardsResponse{Shards: 4, Regions: 4, NodeShard: []int{0, 0, 1, 2, 3, 3, 1}},
-		"shard stats":     shardStats(),
+		"shard establish":       server.EstablishResponse{ID: 255 | 7<<8, BandwidthKbps: 100, PrimaryHops: 9, Cross: true, Shard: &cross},
+		"shard establish intra": server.EstablishResponse{ID: 3 << 8, Level: 4, BandwidthKbps: 300, HasBackup: true, PrimaryHops: 2, DirectlyChained: 5, LevelChanges: 6, Shard: &first},
+		"shard terminate":       server.TerminateResponse{ID: 1025, Affected: 3, LevelChanges: 2},
+		"shard shards":          shard.ShardsResponse{Shards: 4, Regions: 4, NodeShard: []int{0, 0, 1, 2, 3, 3, 1}},
+		"shard stats":           shardStats(),
 		"invariants": map[string]any{"ok": true, "degraded": false, "degraded_reason": "", "journal_seq": uint64(98765),
 			"fingerprint": "9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08"},
 		"invariants dirty": map[string]any{"ok": false, "degraded": true, "degraded_reason": awkward, "journal_seq": uint64(0), "error": awkward},

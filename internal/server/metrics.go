@@ -5,11 +5,16 @@ import (
 	"io"
 )
 
-// WriteMetrics renders a Stats snapshot in the Prometheus text exposition
-// format (hand-rolled; the repo deliberately has no external dependencies).
-// The sharded front end (internal/shard) serves its aggregated Stats through
-// it under the same metric names.
-func WriteMetrics(w io.Writer, st Stats) {
+// writeMetrics renders a Plane's stats answer in the Prometheus text
+// exposition format (hand-rolled; the repo deliberately has no external
+// dependencies): one server's Stats, or a sharded plane's aggregate under
+// the same names plus its partition and cross-shard transaction counters.
+func writeMetrics(w io.Writer, answer any) {
+	sh, sharded := answer.(ShardedStats)
+	st, _ := answer.(Stats)
+	if sharded {
+		st = sh.Aggregate
+	}
 	gauge := func(name, help string, v any) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %v\n", name, help, name, name, v)
 	}
@@ -183,5 +188,24 @@ func WriteMetrics(w io.Writer, st Stats) {
 		{"backups_lost", fo.BackupsLost},
 	} {
 		fmt.Fprintf(w, "drqos_failure_outcomes_total{outcome=%q} %d\n", kv.outcome, kv.n)
+	}
+
+	if !sharded {
+		return
+	}
+	gauge("drqos_shards", "Region shards in this deployment.", sh.Shards)
+	gauge("drqos_cross_connections_active", "Committed cross-shard connections currently alive.", sh.CrossActive)
+	counter("drqos_cross_establish_total", "Cross-shard two-phase establishes attempted.", sh.CrossAttempts)
+	counter("drqos_cross_commit_total", "Cross-shard transactions committed.", sh.CrossCommitted)
+	counter("drqos_cross_abort_total", "Cross-shard transactions aborted.", sh.CrossAborted)
+	counter("drqos_2pc_timeouts_total", "Cross-shard 2PC phase calls that hit their deadline.", sh.CrossTimeouts)
+	gauge("drqos_2pc_pending_resolutions", "Decided cross-shard transactions still awaiting a participant acknowledgment.", sh.CrossPending)
+	fmt.Fprintf(w, "# HELP drqos_2pc_aborts_total Cross-shard transactions aborted, by reason.\n# TYPE drqos_2pc_aborts_total counter\n")
+	for _, reason := range []string{"timeout", "unreachable", "rejected", "overloaded", "degraded", "error"} {
+		fmt.Fprintf(w, "drqos_2pc_aborts_total{reason=%q} %d\n", reason, sh.CrossAbortReasons[reason])
+	}
+	fmt.Fprintf(w, "# HELP drqos_shard_connections_alive Alive connections per shard.\n# TYPE drqos_shard_connections_alive gauge\n")
+	for i, shard := range sh.PerShard {
+		fmt.Fprintf(w, "drqos_shard_connections_alive{shard=\"%d\"} %d\n", i, shard.Alive)
 	}
 }

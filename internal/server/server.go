@@ -112,6 +112,11 @@ var ErrNotPrimary = errors.New("server: not primary, mutations refused in follow
 // lease renews or on the promoted standby).
 var ErrFenced = errors.New("server: replication lease lost, mutation not acknowledged")
 
+// ErrUnavailable reports that a participant the request needs is not
+// answering now, so it was refused without waiting on it. Mapped to HTTP 503
+// + Retry-After; the sharded plane's suspected-shard refusal wraps it.
+var ErrUnavailable = errors.New("server: participant unavailable, retry later")
+
 // lane identifies which priority queue a command rides.
 type lane int
 
@@ -458,10 +463,6 @@ func (s *Server) Overloaded() bool { return s.detector.Overloaded(len(s.consumin
 
 // OverloadEpisodes returns how many times the overloaded state has latched.
 func (s *Server) OverloadEpisodes() int64 { return s.detector.Episodes() }
-
-// RetryAfterHint is the wait the server suggests to shed clients, derived
-// from the detector interval (whole seconds, minimum 1).
-func (s *Server) RetryAfterHint() time.Duration { return s.detector.RetryAfter() }
 
 // Degraded reports whether the service is refusing mutations after an
 // invariant violation, and the first violation's description.

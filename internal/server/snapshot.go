@@ -6,6 +6,25 @@ import (
 	"drqos/internal/stats"
 )
 
+// ShardedStats is a sharded plane's GET /v1/stats answer: the aggregated
+// service view plus each shard's own Stats.
+type ShardedStats struct {
+	Shards         int   `json:"shards"`
+	Aggregate      Stats `json:"aggregate"`
+	CrossAttempts  int64 `json:"cross_attempts"`
+	CrossCommitted int64 `json:"cross_committed"`
+	CrossAborted   int64 `json:"cross_aborted"`
+	CrossActive    int   `json:"cross_active"`
+	// CrossTimeouts counts 2PC phase calls that hit their deadline;
+	// CrossPending counts decided transactions still awaiting a
+	// participant's acknowledgment; CrossAbortReasons tallies aborts by
+	// cause.
+	CrossTimeouts     int64            `json:"cross_timeouts"`
+	CrossPending      int              `json:"cross_pending"`
+	CrossAbortReasons map[string]int64 `json:"cross_abort_reasons,omitempty"`
+	PerShard          []Stats          `json:"per_shard"`
+}
+
 // Stats is a consistent point-in-time snapshot of the admission service:
 // the manager-derived fields come from one published epoch, so no event is
 // half-applied in them.

@@ -32,15 +32,16 @@ import (
 )
 
 // ErrNoRoute reports that no cross-shard path exists between the endpoints
-// on the non-failed global topology.
-var ErrNoRoute = errors.New("shard: no cross-shard route")
+// on the non-failed global topology. It is a rejection: the request was
+// well-formed, the network cannot carry it.
+var ErrNoRoute = fmt.Errorf("shard: no cross-shard route: %w", manager.ErrRejected)
 
 // ErrShardUnavailable reports that a participant shard is suspected
 // unreachable (its last phase call timed out within the suspicion window),
 // so a cross-shard establish through it is refused immediately instead of
-// burning a prepare timeout per request. The HTTP layer maps it to 503
-// with Retry-After.
-var ErrShardUnavailable = errors.New("shard: participant suspected unreachable")
+// burning a prepare timeout per request. It wraps server.ErrUnavailable,
+// which the HTTP layer maps to 503 with Retry-After.
+var ErrShardUnavailable = fmt.Errorf("shard: participant suspected unreachable: %w", server.ErrUnavailable)
 
 // crossMarker is the low-byte tag of an external connection ID that names
 // a cross-shard transaction instead of a (shard, local conn) pair. Shard
@@ -404,11 +405,6 @@ func (c *Coordinator) Shard(i int) *server.Server { return c.shards[i] }
 
 // Plan returns the partition.
 func (c *Coordinator) Plan() *Plan { return c.plan }
-
-// CrossStats returns the 2PC counters (attempted, committed, aborted).
-func (c *Coordinator) CrossStats() (attempts, committed, aborted int64) {
-	return c.crossAttempts.Load(), c.crossCommitted.Load(), c.crossAborted.Load()
-}
 
 // CrossTimeouts returns how many 2PC phase calls have timed out.
 func (c *Coordinator) CrossTimeouts() int64 { return c.crossTimeouts.Load() }
@@ -796,8 +792,16 @@ func (c *Coordinator) routeGlobal(src, dst topology.NodeID) (routing.Path, error
 // cross-shard connection is not an intra-shard connection and answers
 // ErrNotFound: only the transaction's ID releases it.
 func (c *Coordinator) Terminate(ctx context.Context, ext int64) error {
+	_, err := c.terminate(ctx, ext, nil)
+	return err
+}
+
+// terminate is Terminate answering the owning shard's report. A
+// cross-shard connection answers merged, with its parts' reports appended
+// when merged is not nil.
+func (c *Coordinator) terminate(ctx context.Context, ext int64, merged *manager.TerminationReport) (*manager.TerminationReport, error) {
 	if ext < 0 {
-		return fmt.Errorf("%w: connection %d", server.ErrNotFound, ext)
+		return nil, fmt.Errorf("%w: connection %d", server.ErrNotFound, ext)
 	}
 	marker := int(ext % 256)
 	if marker == crossMarker {
@@ -807,23 +811,30 @@ func (c *Coordinator) Terminate(ctx context.Context, ext int64) error {
 		delete(c.cross, txn)
 		c.mu.Unlock()
 		if cc == nil {
-			return fmt.Errorf("%w: connection %d", server.ErrNotFound, ext)
+			return nil, fmt.Errorf("%w: connection %d", server.ErrNotFound, ext)
 		}
 		for _, p := range cc.parts {
 			// A part may already be gone (dropped by a link failure that
 			// raced the terminate); that is not the caller's problem.
-			if _, err := c.shards[p.shard].Terminate(ctx, p.conn); err != nil && !errors.Is(err, server.ErrNotFound) {
-				return err
+			rep, err := c.shards[p.shard].Terminate(ctx, p.conn)
+			if errors.Is(err, server.ErrNotFound) {
+				continue
+			}
+			if err != nil {
+				return nil, err
+			}
+			if merged != nil {
+				merged.Affected = append(merged.Affected, rep.Affected...)
+				merged.Changes = append(merged.Changes, rep.Changes...)
 			}
 		}
-		return nil
+		return merged, nil
 	}
 	local := part{shard: marker, conn: channel.ConnID(ext / 256)}
 	if marker >= len(c.shards) || c.isCrossPart(local) {
-		return fmt.Errorf("%w: connection %d", server.ErrNotFound, ext)
+		return nil, fmt.Errorf("%w: connection %d", server.ErrNotFound, ext)
 	}
-	_, err := c.shards[marker].Terminate(ctx, local.conn)
-	return err
+	return c.shards[marker].Terminate(ctx, local.conn)
 }
 
 // isCrossPart reports whether p is pinned by a committed cross-shard
@@ -844,22 +855,19 @@ func (c *Coordinator) isCrossPart(p part) bool {
 // locally (its elastic connections fail over or drop exactly as in the
 // single-shard plane), and committed cross-shard connections crossing the
 // link are torn down on their other shards — a rigid pinned path has no
-// backup, so the failure drops it end-to-end.
+// backup, so the failure drops it end to end. The report is the owning
+// shard's in external IDs. The pieces that shard held of the torn
+// cross-shard connections name no connection a client holds (DELETE on one
+// answers 404), so they are left out, and each torn connection is listed
+// once in Dropped by its own ID. Changes are left out.
 func (c *Coordinator) FailLink(ctx context.Context, l topology.LinkID) (*manager.FailureReport, error) {
-	rep, _, err := c.failLink(ctx, l)
-	return rep, err
-}
-
-// failLink is FailLink that also returns the cross-shard connections it
-// tore down, by transaction.
-func (c *Coordinator) failLink(ctx context.Context, l topology.LinkID) (*manager.FailureReport, map[uint64]*crossConn, error) {
 	if int(l) < 0 || int(l) >= c.g.NumLinks() {
-		return nil, nil, fmt.Errorf("%w: link %d", server.ErrNotFound, l)
+		return nil, fmt.Errorf("%w: link %d", server.ErrNotFound, l)
 	}
 	owner := c.plan.LinkShard[l]
 	rep, err := c.shards[owner].FailLink(ctx, c.plan.Subs[owner].LocalLink[l])
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	c.mu.Lock()
 	c.failed[l] = true
@@ -876,8 +884,12 @@ func (c *Coordinator) failLink(ctx context.Context, l topology.LinkID) (*manager
 	// In transaction order, not map order, so the pieces' terminate records
 	// land in each shard's journal in the same order on every run.
 	slices.Sort(txns)
+	pieces := make(map[channel.ConnID]bool)
 	for _, txn := range txns {
 		for _, p := range torn[txn].parts {
+			if p.shard == owner {
+				pieces[p.conn] = true
+			}
 			// The owner shard's part died with the link; the others are
 			// torn down explicitly. ErrNotFound just means it was already
 			// gone.
@@ -886,7 +898,29 @@ func (c *Coordinator) failLink(ctx context.Context, l topology.LinkID) (*manager
 			}
 		}
 	}
-	return rep, torn, err
+	if err != nil {
+		return nil, err
+	}
+	ext := func(ids []channel.ConnID) []channel.ConnID {
+		var out []channel.ConnID
+		for _, id := range ids {
+			if !pieces[id] {
+				out = append(out, channel.ConnID(extIntra(owner, id)))
+			}
+		}
+		return out
+	}
+	dropped := ext(rep.Dropped)
+	for _, txn := range txns {
+		dropped = append(dropped, channel.ConnID(extCross(txn)))
+	}
+	return &manager.FailureReport{
+		Activated:   ext(rep.Activated),
+		Dropped:     dropped,
+		Recovered:   ext(rep.Recovered),
+		BackupsLost: ext(rep.BackupsLost),
+		Squeezed:    ext(rep.Squeezed),
+	}, nil
 }
 
 // RepairLink marks a global link repaired on its owning shard.

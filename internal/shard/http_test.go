@@ -16,6 +16,7 @@ import (
 	"drqos/internal/core"
 	"drqos/internal/journal"
 	"drqos/internal/manager"
+	"drqos/internal/overload"
 	"drqos/internal/qos"
 	"drqos/internal/rng"
 	"drqos/internal/server"
@@ -367,6 +368,171 @@ func TestFailureOutcomesOverHTTP(t *testing.T) {
 	}
 }
 
+// TestEveryRouteEveryPlane serves every route of the API on one server and
+// on a 4-shard front end, through the one handler set, and holds each
+// answer to its status, a JSON Content-Type and its exact key set: the
+// same answer on both planes except where the planes differ on purpose —
+// establish answers that name their shard, the stats envelope, invariants
+// and readiness composed of each shard's own answer, and 501 for the routes
+// only one server serves. Then the refusals every mutation shares (400,
+// 413, 429), readiness of a degraded plane (503 with the detector's
+// Retry-After and the reason) and the audit of a closed one (503).
+func TestEveryRouteEveryPlane(t *testing.T) {
+	g := tierGraph(t, 7)
+	// A 2 s detector interval makes the readiness hint 2 s, so a Retry-After
+	// of 2 can only come from the servers' own hint.
+	opt := server.Options{Overload: overload.DetectorConfig{Interval: 2 * time.Second}}
+	cfg := manager.Config{Capacity: 10000}
+	mgr, err := manager.New(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := server.NewFromManager(g, mgr, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { single.Shutdown(context.Background()) })
+	c := newCoordinator(t, g, shard.Options{Shards: 4, Manager: cfg, Server: opt})
+	src, dst := crossPair(g, c.Plan())
+	var owned []topology.NodeID
+	for n, s := range c.Plan().NodeShard {
+		if s == 0 {
+			owned = append(owned, topology.NodeID(n))
+		}
+	}
+
+	keys := func(s string) []string { return strings.Fields(s) }
+	establish := keys("id level bandwidth_kbps has_backup primary_hops directly_chained indirectly_chained level_changes")
+	readyz := keys("ready degraded recovering overloaded")
+	fault := keys("link action squeezed reprotected")
+	oops := keys("error")
+	planes := []struct {
+		name    string
+		h       http.Handler
+		limited http.Handler
+		servers []*server.Server
+		// The answers the planes give differently.
+		intra, cross                          []string
+		point, stats, ready, invariant, dirty []string
+		// The statuses of the routes one server serves: 501 elsewhere.
+		pointed, forecast, recovered int
+	}{
+		{
+			name: "single", h: server.NewHandler(single), limited: server.NewHandler(single, server.WithRateLimit(1, 1)),
+			servers: []*server.Server{single},
+			intra:   establish, cross: establish,
+			point: keys("id alive level bandwidth_kbps has_backup"), stats: nil,
+			ready: append(keys("role"), readyz...), invariant: keys("ok degraded degraded_reason journal_seq fingerprint"),
+			dirty: keys("ok degraded degraded_reason journal_seq error"),
+			// No forecaster runs, and there is no journal to recover from.
+			pointed: http.StatusOK, forecast: http.StatusNotFound, recovered: http.StatusConflict,
+		},
+		{
+			name: "shards=4", h: shard.NewHandler(c), limited: shard.NewHandler(c, server.WithRateLimit(1, 1)),
+			servers: []*server.Server{c.Shard(0), c.Shard(1), c.Shard(2), c.Shard(3)},
+			intra:   append(keys("shard"), establish...), cross: append(keys("cross shard"), establish...),
+			point: oops, stats: keys("shards aggregate cross_attempts cross_committed cross_aborted cross_active cross_timeouts cross_pending per_shard"),
+			ready: append(keys("shards"), readyz...), invariant: keys("ok shards"), dirty: keys("ok shards"),
+			pointed: http.StatusNotImplemented, forecast: http.StatusNotImplemented, recovered: http.StatusNotImplemented,
+		},
+	}
+	for _, p := range planes {
+		t.Run(p.name, func(t *testing.T) {
+			serve := func(h http.Handler, method, path, body string, code int, want []string) map[string]json.RawMessage {
+				t.Helper()
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+				if rec.Code != code {
+					t.Fatalf("%s %s: %d %s, want %d", method, path, rec.Code, rec.Body.Bytes(), code)
+				}
+				if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+					t.Fatalf("%s %s: Content-Type %q, want JSON: %s", method, path, ct, rec.Body.Bytes())
+				}
+				var answer map[string]json.RawMessage
+				if err := json.Unmarshal(rec.Body.Bytes(), &answer); err != nil {
+					t.Fatalf("%s %s: %v: %s", method, path, err, rec.Body.Bytes())
+				}
+				if want != nil {
+					got := make([]string, 0, len(answer))
+					for k := range answer {
+						got = append(got, k)
+					}
+					want = slices.Clone(want)
+					slices.Sort(got)
+					slices.Sort(want)
+					if !slices.Equal(got, want) {
+						t.Errorf("%s %s answered keys %v, want %v", method, path, got, want)
+					}
+				}
+				return answer
+			}
+			id := func(answer map[string]json.RawMessage) string { return string(answer["id"]) }
+
+			in := serve(p.h, "POST", "/v1/connections", fmt.Sprintf(`{"src":%d,"dst":%d}`, owned[0], owned[1]), http.StatusCreated, p.intra)
+			out := serve(p.h, "POST", "/v1/connections", fmt.Sprintf(`{"src":%d,"dst":%d}`, src, dst), http.StatusCreated, p.cross)
+			if p.stats != nil && (string(in["shard"]) != "0" || string(out["shard"]) != "-1" || string(out["cross"]) != "true") {
+				t.Errorf("sharded establish answers name shard %s and %s (cross %s), want 0 and -1 (true)", in["shard"], out["shard"], out["cross"])
+			}
+			serve(p.h, "GET", "/v1/connections/"+id(in), "", p.pointed, p.point)
+			serve(p.h, "DELETE", "/v1/connections/"+id(out), "", http.StatusOK, keys("id affected level_changes"))
+			serve(p.h, "DELETE", "/v1/connections/"+id(out), "", http.StatusNotFound, oops)
+			// Which connection lists a failure names depends on the population.
+			failed := serve(p.h, "POST", "/v1/faults/link", `{"link":3}`, http.StatusOK, nil)
+			for _, k := range fault {
+				if failed[k] == nil {
+					t.Errorf("fail-link answer lacks %q", k)
+				}
+			}
+			serve(p.h, "POST", "/v1/faults/link", `{"link":3,"action":"repair"}`, http.StatusOK, fault)
+			serve(p.h, "POST", "/v1/faults/link", `{"link":3,"action":"mend"}`, http.StatusBadRequest, oops)
+			serve(p.h, "GET", "/v1/forecast", "", p.forecast, oops)
+			serve(p.h, "POST", "/v1/forecast/whatif", `{"count":1}`, p.forecast, oops)
+			serve(p.h, "POST", "/v1/admin/recover", "", p.recovered, oops)
+			serve(p.h, "GET", "/v1/stats", "", http.StatusOK, p.stats)
+			serve(p.h, "GET", "/v1/invariants", "", http.StatusOK, p.invariant)
+			serve(p.h, "GET", "/healthz", "", http.StatusOK, keys("ok"))
+			serve(p.h, "GET", "/readyz", "", http.StatusOK, p.ready)
+			rec := httptest.NewRecorder()
+			p.h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+			if rec.Code != http.StatusOK || !strings.HasPrefix(rec.Header().Get("Content-Type"), "text/plain") {
+				t.Errorf("GET /metrics: %d %q", rec.Code, rec.Header().Get("Content-Type"))
+			}
+
+			// What every mutation refuses alike.
+			for _, path := range []string{"GET /v1/connections/x", "DELETE /v1/connections/x", "POST /v1/connections", "POST /v1/faults/link"} {
+				method, path, _ := strings.Cut(path, " ")
+				serve(p.h, method, path, "{", http.StatusBadRequest, oops)
+			}
+			serve(p.h, "POST", "/v1/connections", `{"pad":"`+strings.Repeat("x", 1<<20)+`"}`, http.StatusRequestEntityTooLarge, oops)
+			serve(p.limited, "POST", "/v1/connections", "{", http.StatusBadRequest, oops)
+			serve(p.limited, "POST", "/v1/connections", "{", http.StatusTooManyRequests, keys("error retry_after_seconds"))
+
+			// A degraded plane is not ready, says why, and asks for the
+			// detector's wait; a closed one cannot be audited.
+			victim := p.servers[len(p.servers)-1]
+			if err := victim.CorruptForTesting(context.Background()); err == nil {
+				t.Fatal("corrupting the state passed its audit")
+			}
+			rec = httptest.NewRecorder()
+			p.h.ServeHTTP(rec, httptest.NewRequest("GET", "/readyz", nil))
+			var ready struct {
+				Degraded bool   `json:"degraded"`
+				Reason   string `json:"degraded_reason"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &ready); err != nil || rec.Code != http.StatusServiceUnavailable ||
+				!ready.Degraded || ready.Reason == "" || rec.Header().Get("Retry-After") != "2" {
+				t.Errorf("GET /readyz while degraded: %d, Retry-After %q, %s; want 503, 2 and the reason",
+					rec.Code, rec.Header().Get("Retry-After"), rec.Body.Bytes())
+			}
+			serve(p.h, "GET", "/v1/invariants", "", http.StatusInternalServerError, p.dirty)
+			if err := victim.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			serve(p.h, "GET", "/v1/invariants", "", http.StatusServiceUnavailable, oops)
+		})
+	}
+}
+
 // sink is a ResponseWriter that reuses one body buffer, so a benchmark times
 // the handler and not a recorder.
 type sink struct {
@@ -425,7 +591,9 @@ func BenchmarkFrontEnd(b *testing.B) {
 		if w.code != http.StatusCreated {
 			return 0, false
 		}
-		var resp shard.EstablishResponse
+		var resp struct {
+			ID int64 `json:"id"`
+		}
 		if err := json.Unmarshal(w.body, &resp); err != nil {
 			b.Fatal(err)
 		}
@@ -507,7 +675,7 @@ func TestAggregateSumsEveryCounter(t *testing.T) {
 	serve("POST", "/v1/faults/link", `{"link":3}`)
 	serve("POST", "/v1/faults/link", `{"link":3,"action":"repair"}`)
 
-	var resp shard.StatsResponse
+	var resp server.ShardedStats
 	if err := json.Unmarshal(serve("GET", "/v1/stats", ""), &resp); err != nil {
 		t.Fatal(err)
 	}

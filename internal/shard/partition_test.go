@@ -125,7 +125,7 @@ func TestSuspectedShardFastFail503(t *testing.T) {
 // single plane does: new capacity-consuming work for that shard — an
 // intra-shard establish, a link failure — is refused (ErrOverloaded, 503 +
 // Retry-After over HTTP) instead of joining the backlog, while its
-// terminates and every other shard stay live.
+// terminates and every other shard stay live, in process and over HTTP.
 func TestOverloadedShardSheds(t *testing.T) {
 	g := tierGraph(t, 7)
 	c := newCoordinator(t, g, shard.Options{
@@ -190,15 +190,22 @@ func TestOverloadedShardSheds(t *testing.T) {
 	}
 	ts := httptest.NewServer(shard.NewHandler(c))
 	defer ts.Close()
-	resp, err := http.Post(ts.URL+"/v1/connections", "application/json",
-		strings.NewReader(fmt.Sprintf(`{"src":%d,"dst":%d}`, pair[hot][0], pair[hot][1])))
-	if err != nil {
-		t.Fatal(err)
+	post := func(pair []topology.NodeID) *http.Response {
+		resp, err := http.Post(ts.URL+"/v1/connections", "application/json",
+			strings.NewReader(fmt.Sprintf(`{"src":%d,"dst":%d}`, pair[0], pair[1])))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+	if resp := post(pair[hot]); resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
 		t.Errorf("HTTP establish on the overloaded shard: %d, Retry-After %q; want 503 with a hint",
 			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	// The front end sheds nothing itself: the other shard's work goes through.
+	if resp := post(pair[cold]); resp.StatusCode != http.StatusCreated {
+		t.Errorf("HTTP establish on the other shard: %d, want 201 (its lanes are idle)", resp.StatusCode)
 	}
 	if err := c.Terminate(ctx, kept.ID); err != nil {
 		t.Errorf("terminate on the overloaded shard: %v (freeing work must stay live)", err)

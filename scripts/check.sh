@@ -34,7 +34,9 @@
 #   scripts/check.sh --recovery  crash-restart episodes; row durable
 #                                (SIGKILL quiet and mid-burst, SIGTERM)
 #   scripts/check.sh --overload  overload episodes + shedding, lane, limiter
-#                                and readiness tests (no process row)
+#                                and readiness tests, on one server and on
+#                                the sharded front end through the one
+#                                handler set (no process row)
 #   scripts/check.sh --forecast  forecast tests + overload episodes, and
 #                                TestBootServeDrain's forecast row
 #   scripts/check.sh --shard     shard tests + mid-2PC kill episodes; row
@@ -95,6 +97,8 @@ case "${1:-}" in
     echo "== overload unit tests under -race"
     go test -race -count 1 -run 'TestExpiredCommandShed|TestPriorityLane|TestOverload|TestHTTPOverload|TestHTTPRateLimit|TestReadyz|TestLimiter|TestDetector' \
         ./internal/server/ ./internal/overload/
+    echo "== the same rules on both planes: sharded shedding, rate limit, readiness"
+    go test -race -count 1 -run 'TestOverloadedShardSheds|TestEveryRouteEveryPlane' ./internal/shard/
     ;;
 --forecast)
     # Estimator feed, staleness/fallback, predictive latch, what-if, the
