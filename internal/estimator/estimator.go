@@ -55,6 +55,8 @@ type Estimator struct {
 	// The observed events, and accepted arrivals by level after admission.
 	accepted, terminated, failed int64
 	births                       []int64
+
+	ids []channel.ConnID // the chained IDs of the event in hand
 }
 
 // New returns an estimator over n bandwidth states.
@@ -116,25 +118,30 @@ func (e *Estimator) clampTransitions(fts [][2]int) [][2]int {
 // record) is not a model event and is skipped. alivePrior is the population
 // before the event — the denominator of Pf and Ps for an arrival and of the
 // involvement probability for a failure, whose squeezed population drives
-// the γ-scaled downward transitions. Observe reports whether it counted the
-// event.
+// the γ-scaled downward transitions. An arrival's and a termination's
+// chained channels are read from m (Manager.AppendChained), so Observe must
+// run before m applies another event. Observe reports whether it counted
+// the event.
 func (e *Estimator) Observe(m *manager.Manager, out manager.Outcome, alivePrior int) bool {
 	switch {
 	case out.Arrival != nil && out.Arrival.Conn != nil:
 		rep := out.Arrival
 		e.accepted++
 		e.births[min(max(rep.Conn.Level, 0), e.n-1)]++ // a wider spec clamps into the grid
-		e.pf.ObserveN(int64(len(rep.DirectlyChained)), int64(alivePrior))
-		e.ps.ObserveN(int64(len(rep.IndirectlyChained)), int64(alivePrior))
-		for _, ft := range e.transitionsOf(m, rep.DirectlyChained, rep.Changes) {
+		e.pf.ObserveN(int64(rep.DirectlyChained), int64(alivePrior))
+		e.ps.ObserveN(int64(rep.IndirectlyChained), int64(alivePrior))
+		e.ids = m.AppendChained(e.ids[:0], false)
+		for _, ft := range e.transitionsOf(m, e.ids, rep.Changes) {
 			e.arrDirect.Record(ft[0], ft[1])
 		}
-		for _, ft := range e.transitionsOf(m, rep.IndirectlyChained, rep.Changes) {
+		e.ids = m.AppendChained(e.ids[:0], true)
+		for _, ft := range e.transitionsOf(m, e.ids, rep.Changes) {
 			e.arrIndirect.Record(ft[0], ft[1])
 		}
 	case out.Termination != nil:
 		e.terminated++
-		for _, ft := range e.transitionsOf(m, out.Termination.Affected, out.Termination.Changes) {
+		e.ids = m.AppendChained(e.ids[:0], false)
+		for _, ft := range e.transitionsOf(m, e.ids, out.Termination.Changes) {
 			e.term.Record(ft[0], ft[1])
 		}
 	case out.Failure != nil:

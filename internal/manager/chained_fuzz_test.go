@@ -226,6 +226,15 @@ var fuzzSpecs = []qos.ElasticSpec{
 	{Min: 200, Max: 800, Increment: 200, Utility: 1},
 }
 
+// uniformFuzzSpecs share one utility and keep fuzzSpecs' mixed increments,
+// so the filling serves them in rounds, where the least increment decides
+// by one bit and the others walk their routes.
+var uniformFuzzSpecs = []qos.ElasticSpec{
+	qos.DefaultSpec(),
+	{Min: 50, Max: 450, Increment: 100, Utility: 1},
+	{Min: 200, Max: 800, Increment: 200, Utility: 1},
+}
+
 // FuzzChainedSetsMatchDefinition holds the event kernels' set algebra to the
 // paper's definitions, computed by brute force: before every event the
 // population is copied out, and the reference derives the directly and
@@ -237,7 +246,10 @@ var fuzzSpecs = []qos.ElasticSpec{
 // equal the reference's. A refused arrival must leave the population as it
 // found it (refused before it was planned) or as the reference re-plans it
 // without the arrival. Inputs are random Waxman graphs with fuzzSpecs'
-// mixed increments, rigid EstablishFixed connections, and failed links.
+// mixed increments and utilities (served from the growth queue) or, when
+// seed&4 is set, uniformFuzzSpecs' one utility (served in rounds, which fit
+// or bind as the links' room allows), rigid EstablishFixed connections, and
+// failed links.
 func FuzzChainedSetsMatchDefinition(f *testing.F) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		script := make([]byte, 160)
@@ -260,6 +272,10 @@ func FuzzChainedSetsMatchDefinition(f *testing.F) {
 		if seed&2 == 2 {
 			cfg.Policy = qos.MaxUtilityPolicy{}
 		}
+		specs := fuzzSpecs
+		if seed&4 == 4 {
+			specs = uniformFuzzSpecs
+		}
 		m := mustMgr(t, g, cfg)
 		src := rng.New(seed ^ 0x5eed)
 		pair := func() (topology.NodeID, topology.NodeID) {
@@ -278,7 +294,7 @@ func FuzzChainedSetsMatchDefinition(f *testing.F) {
 				a, z := pair()
 				arrivals++
 				admitted := m.requests - m.rejects
-				checkArrival(t, m, st, fuzzSpecs[int(b>>4)%len(fuzzSpecs)], func(spec qos.ElasticSpec) (*ArrivalReport, error) {
+				checkArrival(t, m, st, specs[int(b>>4)%len(specs)], func(spec qos.ElasticSpec) (*ArrivalReport, error) {
 					return m.Establish(a, z, spec)
 				})
 				if m.requests-m.rejects > admitted && m.work.walk {
@@ -318,8 +334,8 @@ func FuzzChainedSetsMatchDefinition(f *testing.F) {
 				t.Fatalf("event %d: %v", ev, err)
 			}
 		}
-		t.Logf("%d nodes: %d arrivals (%d admitted, %d planned by walking), %d terminations, %d failures; %d alive at the end",
-			nodes, arrivals, m.requests-m.rejects, walked, terminations, failures, m.AliveCount())
+		t.Logf("%d nodes: %d arrivals (%d admitted, %d planned by walking), %d terminations, %d failures; %d alive at the end; %d rounds, %d queue pops",
+			nodes, arrivals, m.requests-m.rejects, walked, terminations, failures, m.AliveCount(), m.work.counts.rounds, m.work.counts.popped)
 	})
 }
 
@@ -357,12 +373,18 @@ func checkArrival(t *testing.T, m *Manager, st refState, spec qos.ElasticSpec, e
 	cands := append(slices.Clone(direct), indirect...)
 	want := &ArrivalReport{
 		Conn:              c,
-		DirectlyChained:   direct,
-		IndirectlyChained: indirect,
+		DirectlyChained:   len(direct),
+		IndirectlyChained: len(indirect),
 		Changes:           append(f.changes(st, cands), LevelChange{ID: c.ID, From: 0, To: f.level[c.ID]}),
 	}
 	if !reflect.DeepEqual(rep, want) {
 		t.Fatalf("arrival of conn %d reported\n%+v\nthe definitions give\n%+v", c.ID, rep, want)
+	}
+	if got := m.AppendChained([]channel.ConnID{}, false); !reflect.DeepEqual(got, direct) {
+		t.Fatalf("arrival of conn %d chained %v directly, the definitions give %v", c.ID, got, direct)
+	}
+	if got := m.AppendChained([]channel.ConnID{}, true); !reflect.DeepEqual(got, indirect) {
+		t.Fatalf("arrival of conn %d chained %v indirectly, the definitions give %v", c.ID, got, indirect)
 	}
 	var added []channel.ConnID
 	for _, it := range m.work.grow.added {
@@ -393,9 +415,15 @@ func checkTermination(t *testing.T, m *Manager, st refState, gone refConn) {
 	delete(f.dirs, gone.id)
 	cands := refIDs(sharers)
 	f.fill(cands)
-	want := &TerminationReport{Affected: cands, Changes: f.changes(st, cands)}
+	want := &TerminationReport{Affected: len(cands), Changes: f.changes(st, cands)}
 	if !reflect.DeepEqual(rep, want) {
 		t.Fatalf("termination of conn %d reported %+v, the definitions give %+v", gone.id, rep, want)
+	}
+	if got := m.AppendChained([]channel.ConnID{}, false); !reflect.DeepEqual(got, cands) {
+		t.Fatalf("termination of conn %d affected %v, the definitions give %v", gone.id, got, cands)
+	}
+	if got := m.AppendChained(nil, true); got != nil {
+		t.Fatalf("termination of conn %d chained %v indirectly", gone.id, got)
 	}
 	if got := liveLevels(m); !reflect.DeepEqual(got, f.level) {
 		t.Fatalf("termination of conn %d left levels %v, reference %v", gone.id, got, f.level)

@@ -21,11 +21,14 @@ func (m *Manager) Terminate(id channel.ConnID) (rep *TerminationReport, err erro
 	c := m.slots[s].conn
 	// The sharers — alive connections, other than c, whose primary shares
 	// at least one link with c's — are the population this event can move,
-	// and once c is released exactly the primaries left on its links.
+	// and once c is released exactly the primaries left on its links. They
+	// are the directly chained channels of the route that leaves; none is
+	// chained indirectly.
 	m.beginEvent()
 	w := &m.work
-	m.union(w.chained, m.slots[s].dirs)
-	w.chained.Remove(s)
+	m.union(w.direct, m.slots[s].dirs)
+	w.direct.Remove(s)
+	copy(w.chained, w.direct)
 
 	if err := m.net.ReleasePrimary(id, m.slots[s].dirs); err != nil {
 		return nil, wrapViolation(err, "release primary of conn %d", id)
@@ -45,7 +48,7 @@ func (m *Manager) Terminate(id channel.ConnID) (rep *TerminationReport, err erro
 	if err := m.redistribute(w.chained, nil); err != nil {
 		return nil, err
 	}
-	return &TerminationReport{Affected: m.ids(w.chained, nil), Changes: m.chainChanges(0)}, nil
+	return &TerminationReport{Affected: w.direct.Count(), Changes: m.chainChanges(0)}, nil
 }
 
 // FailLink injects a failure of link l (§3.1): every DR-connection whose
@@ -217,7 +220,7 @@ func (m *Manager) FailLink(l topology.LinkID) (rep *FailureReport, err error) {
 	if err := m.redistribute(w.cands, nil); err != nil {
 		return nil, err
 	}
-	report.Squeezed, report.Changes = m.ids(w.direct, nil), m.chainChanges(0)
+	report.Squeezed, report.Changes = m.ids(w.direct), m.chainChanges(0)
 	return report, nil
 }
 
@@ -296,7 +299,7 @@ func (m *Manager) tryReestablish(s int32) (bool, error) {
 			return false, nil
 		}
 	}
-	c.Primary = newPrimary
+	c.Primary = newPrimary.Clone() // the flood's routes are its scratch's
 	m.cacheDirs(s)
 	if err := m.setLevel(s, 0); err != nil {
 		return false, err

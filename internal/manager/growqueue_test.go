@@ -257,8 +257,8 @@ func TestGrowQueueCountedRun(t *testing.T) {
 
 // TestArrivalFillIsCounted: an arrival's filling takes the counting pass
 // whenever its candidates share one utility, at a standing population on
-// the paper's graph under both policies; with mixed utilities some
-// arrivals fall back to the sort.
+// the paper's graph under both policies, and is then served in rounds; with
+// mixed utilities some arrivals fall back to the sort and the queue.
 func TestArrivalFillIsCounted(t *testing.T) {
 	g, err := topology.Waxman(topology.WaxmanConfig{Nodes: 100, Alpha: 0.33, Beta: 0.1176, EnsureConnected: true}, rng.New(1))
 	if err != nil {
@@ -311,6 +311,10 @@ func TestArrivalFillIsCounted(t *testing.T) {
 			}
 			if one := len(tc.specs) == 1; one && counted != filled || !one && counted == filled {
 				t.Fatalf("%d of %d arrival fills counted", counted, filled)
+			}
+			// One utility is served in rounds, never from the queue.
+			if one, c := len(tc.specs) == 1, m.work.counts; c.rounds == 0 || one != (c.popped == 0) {
+				t.Fatalf("%d rounds, %d queue pops", c.rounds, c.popped)
 			}
 		})
 	}

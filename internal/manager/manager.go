@@ -93,13 +93,13 @@ type LevelChange struct {
 type ArrivalReport struct {
 	// Conn is the established connection (nil when rejected).
 	Conn *channel.Conn
-	// DirectlyChained lists pre-existing channels sharing ≥1 link with the
-	// new primary (the Pf population).
-	DirectlyChained []channel.ConnID
-	// IndirectlyChained lists channels link-disjoint from the new primary
+	// DirectlyChained counts pre-existing channels sharing ≥1 link with
+	// the new primary (the Pf population).
+	DirectlyChained int
+	// IndirectlyChained counts channels link-disjoint from the new primary
 	// but sharing a link with a directly-chained channel (the Ps
-	// population).
-	IndirectlyChained []channel.ConnID
+	// population). Manager.AppendChained lists both populations.
+	IndirectlyChained int
 	// Changes lists every level change caused by the arrival, including
 	// the new connection's own growth from its minimum.
 	Changes []LevelChange
@@ -107,9 +107,9 @@ type ArrivalReport struct {
 
 // TerminationReport describes the outcome of a Terminate call.
 type TerminationReport struct {
-	// Affected lists the channels that shared ≥1 link with the terminated
-	// connection's primary.
-	Affected []channel.ConnID
+	// Affected counts the channels that shared ≥1 link with the
+	// terminated connection's primary; Manager.AppendChained lists them.
+	Affected int
 	// Changes lists the resulting level changes.
 	Changes []LevelChange
 }
@@ -357,7 +357,8 @@ func (m *Manager) Establish(src, dst topology.NodeID, spec qos.ElasticSpec) (rep
 		m.rejects++
 		return nil, fmt.Errorf("%w: %v", ErrRejected, err)
 	}
-	return m.admit(channel.New(m.nextID, src, dst, spec, cands[0].Path), cands, true)
+	// The flood's routes are its scratch's: the connection keeps a copy.
+	return m.admit(channel.New(m.nextID, src, dst, spec, cands[0].Path.Clone()), cands, true)
 }
 
 // admit is the arrival kernel behind Establish and EstablishFixed, for a
@@ -441,10 +442,11 @@ func (m *Manager) admit(conn *channel.Conn, cands []routing.Candidate, wantBacku
 	}
 	// The new connection's own growth from its minimum is part of the event
 	// (it held no level before); its ID is the largest, so it comes last.
+	direct := w.direct.Count()
 	return &ArrivalReport{
 		Conn:              conn,
-		DirectlyChained:   m.ids(w.direct, nil),
-		IndirectlyChained: m.ids(w.chained, w.direct),
+		DirectlyChained:   direct,
+		IndirectlyChained: w.chained.Count() - direct,
 		Changes:           append(m.chainChanges(1), LevelChange{ID: id, From: 0, To: conn.Level}),
 	}, nil
 }
@@ -519,7 +521,8 @@ func (o backupOption) before(p backupOption) bool {
 }
 
 // findBackup picks a backup route for conn: the most link-disjoint flooding
-// candidate that passes multiplexed admission, else a dedicated search.
+// candidate that passes multiplexed admission, else a dedicated search. The
+// route it returns is the caller's own.
 func (m *Manager) findBackup(conn *channel.Conn, cands []routing.Candidate) (routing.Path, int, error) {
 	primary := conn.Primary
 	// Try flooding candidates by (shared links, hops), ties in discovery
@@ -542,7 +545,7 @@ func (m *Manager) findBackup(conn *channel.Conn, cands []routing.Candidate) (rou
 	}
 	for _, o := range w.options {
 		if m.net.CanAdmitBackup(o.path, primary.Links, conn.Spec.Min) {
-			return o.path, o.shared, nil
+			return o.path.Clone(), o.shared, nil
 		}
 	}
 	// Dedicated disjoint search over links that could host the backup.

@@ -99,7 +99,7 @@ func TestEstablishBasics(t *testing.T) {
 	if len(rep.Changes) != 1 || rep.Changes[0].ID != c.ID || rep.Changes[0].To != c.Spec.States()-1 {
 		t.Fatalf("changes = %+v", rep.Changes)
 	}
-	if len(rep.DirectlyChained) != 0 || len(rep.IndirectlyChained) != 0 {
+	if rep.DirectlyChained != 0 || rep.IndirectlyChained != 0 || len(m.AppendChained(nil, false)) != 0 || len(m.AppendChained(nil, true)) != 0 {
 		t.Fatal("phantom chained channels")
 	}
 	checkMgr(t, m)
@@ -155,8 +155,8 @@ func TestArrivalSqueezesDirectlyChained(t *testing.T) {
 		if c1.Bandwidth() != 300 || c2.Bandwidth() != 300 {
 			t.Fatalf("bandwidths %v/%v, want 300/300", c1.Bandwidth(), c2.Bandwidth())
 		}
-		if len(r2.DirectlyChained) != 1 || r2.DirectlyChained[0] != c1.ID {
-			t.Fatalf("directly chained = %v", r2.DirectlyChained)
+		if direct := m.AppendChained(nil, false); r2.DirectlyChained != 1 || !slices.Equal(direct, []channel.ConnID{c1.ID}) {
+			t.Fatalf("directly chained = %d %v", r2.DirectlyChained, direct)
 		}
 	} else {
 		// Disjoint routes (one per diamond side): both grow to max.
@@ -236,8 +236,8 @@ func TestTerminationGrowsSharers(t *testing.T) {
 		t.Fatal("terminated conn still registered")
 	}
 	if shared {
-		if len(rep.Affected) != 1 || rep.Affected[0] != c2.ID {
-			t.Fatalf("affected = %v", rep.Affected)
+		if affected := m.AppendChained(nil, false); rep.Affected != 1 || !slices.Equal(affected, []channel.ConnID{c2.ID}) {
+			t.Fatalf("affected = %d %v", rep.Affected, affected)
 		}
 		// c2 grows back to max after its sharer left.
 		if c2.Bandwidth() != 500 {
@@ -246,8 +246,8 @@ func TestTerminationGrowsSharers(t *testing.T) {
 		if len(rep.Changes) != 1 || rep.Changes[0].ID != c2.ID || rep.Changes[0].From >= rep.Changes[0].To {
 			t.Fatalf("changes = %+v", rep.Changes)
 		}
-	} else if len(rep.Affected) != 0 {
-		t.Fatalf("affected = %v for disjoint routes", rep.Affected)
+	} else if rep.Affected != 0 || len(m.AppendChained(nil, false)) != 0 {
+		t.Fatalf("affected = %d for disjoint routes", rep.Affected)
 	}
 	// Double termination fails.
 	if _, err := m.Terminate(c1.ID); err == nil {
@@ -454,11 +454,11 @@ func TestIndirectChainingGrowsDisjointChannel(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkMgr(t, m)
-	if len(rC.DirectlyChained) != 1 || rC.DirectlyChained[0] != b.ID {
-		t.Fatalf("direct = %v", rC.DirectlyChained)
+	if direct := m.AppendChained(nil, false); rC.DirectlyChained != 1 || !slices.Equal(direct, []channel.ConnID{b.ID}) {
+		t.Fatalf("direct = %d %v", rC.DirectlyChained, direct)
 	}
-	if len(rC.IndirectlyChained) != 1 || rC.IndirectlyChained[0] != a.ID {
-		t.Fatalf("indirect = %v", rC.IndirectlyChained)
+	if indirect := m.AppendChained(nil, true); rC.IndirectlyChained != 1 || !slices.Equal(indirect, []channel.ConnID{a.ID}) {
+		t.Fatalf("indirect = %d %v", rC.IndirectlyChained, indirect)
 	}
 	// A benefits from B's squeeze: it grows above 300 (upward transition,
 	// the paper's B_ij case).

@@ -26,24 +26,32 @@ type parentRow struct {
 	standing int
 	events   int
 	cfg      manager.Config
+	specs    []qos.ElasticSpec // nil: parentSpecs
 }
 
 var parentRows = []parentRow{
-	{"pop100", 100, 3000, manager.Config{Capacity: core.PaperCapacity}},
-	{"pop100/backup", 100, 3000, manager.Config{Capacity: core.PaperCapacity, RequireBackup: true}},
-	{"pop2000", 2000, 1500, manager.Config{Capacity: core.PaperCapacity}},
-	{"pop2000/backup", 2000, 1500, manager.Config{Capacity: core.PaperCapacity, RequireBackup: true}},
-	{"pop2000/nomux", 2000, 1500, manager.Config{Capacity: core.PaperCapacity, RequireBackup: true, DisableBackupMultiplexing: true}},
-	{"pop2000/maxutil", 2000, 1500, manager.Config{Capacity: core.PaperCapacity, Policy: qos.MaxUtilityPolicy{}}},
-	{"pop2000/reactive", 2000, 1500, manager.Config{Capacity: core.PaperCapacity, ReactiveRecovery: true}},
+	{"pop100", 100, 3000, manager.Config{Capacity: core.PaperCapacity}, nil},
+	{"pop100/backup", 100, 3000, manager.Config{Capacity: core.PaperCapacity, RequireBackup: true}, nil},
+	{"pop2000", 2000, 1500, manager.Config{Capacity: core.PaperCapacity}, nil},
+	{"pop2000/backup", 2000, 1500, manager.Config{Capacity: core.PaperCapacity, RequireBackup: true}, nil},
+	{"pop2000/nomux", 2000, 1500, manager.Config{Capacity: core.PaperCapacity, RequireBackup: true, DisableBackupMultiplexing: true}, nil},
+	{"pop2000/maxutil", 2000, 1500, manager.Config{Capacity: core.PaperCapacity, Policy: qos.MaxUtilityPolicy{}}, nil},
+	{"pop2000/reactive", 2000, 1500, manager.Config{Capacity: core.PaperCapacity, ReactiveRecovery: true}, nil},
+	{"pop100/uniform", 100, 3000, manager.Config{Capacity: core.PaperCapacity, RequireBackup: true}, uniformSpecs},
+	{"pop2000/uniform", 2000, 1500, manager.Config{Capacity: core.PaperCapacity, RequireBackup: true}, uniformSpecs},
 }
+
+// uniformSpecs is the production workload's one spec: one utility, so the
+// filling ranks every candidate by (level, ID) and serves it in rounds.
+var uniformSpecs = []qos.ElasticSpec{qos.DefaultSpec()}
 
 // parentHashes[row][seed-1] is the digest adaptationDigest produced at a
 // parent commit: this file, unchanged, was run there and the values pasted
 // here. The first five rows were recorded at b013e71 (the map-based ledger
 // and event kernels), the maxutil and reactive rows at cebb0d4 (the ledger
 // squeezed before the filling, a policy comparator per heap comparison,
-// sorted reports). Every report field of every event enters the digest in
+// sorted reports), the uniform rows at 048fad8 (every filling served from
+// the growth queue, the reports' chained populations as ID lists). Every report field of every event enters the digest in
 // order, then the final State.Fingerprint(), so equality means the kernels
 // took the same admission decision, moved the same channels to the same
 // levels and reported them in the same order, event for event.
@@ -55,6 +63,8 @@ var parentHashes = map[string][5]string{
 	"pop2000/nomux":    {"2cb3cebb5a1dd32e", "f2ef96f4d05f3cbe", "0d0b430b033bb677", "82676daac32e88f5", "bd1d01e2e0c46102"},
 	"pop2000/maxutil":  {"cf6ce54be9743665", "9ea79616f7c5edd2", "46e733595913cf08", "e38d87530a1f0196", "bb6382404d7d4748"},
 	"pop2000/reactive": {"8d4f19b496eb78c3", "08c5db4e66270dee", "fbfedeaf565ffd73", "5f404068019cd26e", "9363813f3137085c"},
+	"pop100/uniform":   {"7ee8d52ed1bbeb83", "79a6af2e93125fd9", "75f1f2376d008fd4", "a895ede0fca493b3", "ad9714698690c7ca"},
+	"pop2000/uniform":  {"61b88a35f5744012", "c1f2c237efe361b1", "ce5409c5bfe8ac7a", "fae8ce78bc61e8fb", "8d7cc1900594cf1e"},
 }
 
 // parentSpecs mixes ranges, increments and utilities so both policy keys
@@ -99,7 +109,7 @@ func adaptationDigest(t *testing.T, g *topology.Graph, row parentRow, seed uint6
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := &digest{h: sha256.New()}
+	d := &digest{t: t, h: sha256.New()}
 	src := rng.New(seed)
 	pair := func() (topology.NodeID, topology.NodeID) {
 		a := topology.NodeID(src.Intn(g.NumNodes()))
@@ -111,8 +121,12 @@ func adaptationDigest(t *testing.T, g *topology.Graph, row parentRow, seed uint6
 	}
 	establish := func() {
 		a, b := pair()
-		rep, err := m.Establish(a, b, parentSpecs[src.Intn(len(parentSpecs))])
-		d.arrival(rep, err)
+		specs := row.specs
+		if specs == nil {
+			specs = parentSpecs
+		}
+		rep, err := m.Establish(a, b, specs[src.Intn(len(specs))])
+		d.arrival(m, rep, err)
 	}
 	var failed []topology.LinkID
 	for tries := 0; m.AliveCount() < row.standing; tries++ {
@@ -134,13 +148,13 @@ func adaptationDigest(t *testing.T, g *topology.Graph, row parentRow, seed uint6
 				continue
 			}
 			rep, err := m.EstablishFixed(a, b, qos.ElasticSpec{Min: 200, Max: 200, Increment: 200, Utility: 1}, path)
-			d.arrival(rep, err)
+			d.arrival(m, rep, err)
 		case u < 0.94:
 			rep, err := m.Terminate(m.AliveIDAt(src.Intn(m.AliveCount())))
 			if err != nil {
 				t.Fatalf("event %d: terminate: %v", ev, err)
 			}
-			d.ids(rep.Affected)
+			d.chained(m, false, rep.Affected)
 			d.changes(rep.Changes)
 		case (u < 0.97 && len(failed) < 3) || len(failed) == 0:
 			l := topology.LinkID(src.Intn(g.NumLinks()))
@@ -190,6 +204,7 @@ func adaptationDigest(t *testing.T, g *topology.Graph, row parentRow, seed uint6
 
 // digest feeds report fields to a hash; nil and empty slices hash apart.
 type digest struct {
+	t *testing.T
 	h hash.Hash
 	// What the script exercised, for -v: a row that never rejects or never
 	// activates a backup would pin less than it claims.
@@ -236,7 +251,17 @@ func (d *digest) path(p routing.Path) {
 	}
 }
 
-func (d *digest) arrival(rep *manager.ArrivalReport, err error) {
+// chained hashes the last event's chained IDs as the report lists of the
+// parent did (never nil), after checking them against the report's count.
+func (d *digest) chained(m *manager.Manager, indirect bool, count int) {
+	ids := m.AppendChained([]channel.ConnID{}, indirect)
+	if len(ids) != count {
+		d.t.Fatalf("report counts %d chained, the manager lists %d", count, len(ids))
+	}
+	d.ids(ids)
+}
+
+func (d *digest) arrival(m *manager.Manager, rep *manager.ArrivalReport, err error) {
 	switch {
 	case err == nil:
 		d.admitted++
@@ -257,7 +282,7 @@ func (d *digest) arrival(rep *manager.ArrivalReport, err error) {
 	if c.HasBackup {
 		d.path(c.Backup)
 	}
-	d.ids(rep.DirectlyChained)
-	d.ids(rep.IndirectlyChained)
+	d.chained(m, false, rep.DirectlyChained)
+	d.chained(m, true, rep.IndirectlyChained)
 	d.changes(rep.Changes)
 }

@@ -1,6 +1,7 @@
 package manager
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 
@@ -21,18 +22,17 @@ type growItem struct {
 // sorted by rank: the candidates the filling starts with, sorted once, and
 // the ones a grant re-ranked. The next candidate served is the lesser of the
 // two heads; since both runs are sorted, that is the least rank in the queue,
-// the candidate a heap would serve.
+// the candidate a heap would serve. Only fillings whose ranks are not
+// (level, ID) use it, such as mixed utilities (fillRounds serves the rest);
+// its counting pass (byLevel) places their candidates too.
 //
-// The starting run is ordered without comparisons where it can be. Under
-// one positive utility either policy ranks by (level, Order), so candidates
-// added in ID order (Order is the ID) come out in rank order from a stable
-// counting pass over their levels. Every event adds them so; one Less pass
-// over the result checks it, and any other run is sorted by rank.
-//
-// A grant never lowers a rank, and under a uniform utility (every production
-// spec, either policy) it maps the served order onto re-ranks in the same
-// order, so a re-ranked candidate belongs at the promoted run's tail: an
-// append. Mixed utilities take a binary search and a shift instead.
+// The starting run is ordered without comparisons where it can be:
+// candidates added in ID order (Order is the ID) come out of a stable
+// counting pass over their levels in (level, ID) order, and one Less pass
+// over the result checks whether that is rank order. Any other run is
+// sorted by rank. A grant never lowers a rank; a re-ranked candidate goes to
+// the promoted run's tail when nothing there ranks above it, and by binary
+// search and a shift otherwise.
 //
 // The promoted run is a ring as long as the sorted run: every item in it was
 // served from the sorted run, once, so it never holds more, however many
@@ -60,14 +60,10 @@ func (q *growQueue) add(slot int32, level int, rank qos.Rank) {
 	q.top = max(q.top, level)
 }
 
-// sort orders the starting candidates and empties the promoted run. The
-// counting pass costs a step per candidate and per level, a sort about
-// log₂ n comparisons per candidate, so levels beyond both 64 and n·log₂ n
-// go straight to the sort.
+// sort orders the starting candidates and empties the promoted run.
 func (q *growQueue) sort() {
 	n := len(q.added)
-	q.sorted = slices.Grow(q.sorted[:0], n)[:n]
-	q.counted = q.top <= max(64, n*bits.Len(uint(n))) && q.countLevels()
+	q.counted = q.byLevel() && q.ranked()
 	if !q.counted {
 		copy(q.sorted, q.added)
 		sortItems(q.sorted, 2*bits.Len(uint(n)))
@@ -78,9 +74,17 @@ func (q *growQueue) sort() {
 	q.ring, q.head, q.size = q.ring[:n], 0, 0
 }
 
-// countLevels places the starting candidates in sorted by level, stably,
-// and reports whether that is rank order.
-func (q *growQueue) countLevels() bool {
+// byLevel sizes sorted for the starting candidates and, unless their levels
+// make it the dearer choice, places them there by level, stably, and
+// reports that it did. The counting pass costs a step per candidate and per
+// level, a sort about log₂ n comparisons per candidate, so levels beyond
+// both 64 and n·log₂ n are left to the sort.
+func (q *growQueue) byLevel() bool {
+	n := len(q.added)
+	q.sorted = slices.Grow(q.sorted[:0], n)[:n]
+	if q.top > max(64, n*bits.Len(uint(n))) {
+		return false
+	}
 	q.tally = slices.Grow(q.tally[:0], q.top+1)[:q.top+1]
 	clear(q.tally)
 	for _, it := range q.added {
@@ -94,6 +98,11 @@ func (q *growQueue) countLevels() bool {
 		q.sorted[q.tally[it.level]] = it
 		q.tally[it.level]++
 	}
+	return true
+}
+
+// ranked reports whether sorted is in rank order.
+func (q *growQueue) ranked() bool {
 	for i := 1; i < len(q.sorted); i++ {
 		if q.sorted[i].rank.Less(q.sorted[i-1].rank) {
 			return false
@@ -336,12 +345,11 @@ func (m *Manager) byBit(s, arrival int32) bool {
 // link set names it, and its ID is the largest, so it enters the queue
 // last.
 //
-// A served candidate is checked again, since grants drain links. Where bad
-// decides (byBit) that is one bit: each grant keeps bad equal to the union
-// of the sets on the links short of the least increment. Anything else walks
-// its route (canGrow). Correctness of the lazy pruning: headroom only
-// DECREASES while increments are granted, so a channel observed unable to
-// grow is dropped for good.
+// A served candidate is checked again (grant), since grants drain links.
+// Correctness of the lazy pruning: headroom only DECREASES while increments
+// are granted, so a channel observed unable to grow is dropped for good.
+// When the policy ranks the candidates by (level, ID), the filling serves
+// them in rounds (fillRounds) and ranks nothing; otherwise from the queue.
 func (m *Manager) fill(cands network.SlotSet, squeezed []int32, arrival int32) {
 	w := &m.work
 	policy := m.cfg.Policy
@@ -356,31 +364,115 @@ func (m *Manager) fill(cands network.SlotSet, squeezed []int32, arrival int32) {
 		}
 		start = w.members
 	}
+	u, uniform, ceiling := 0.0, true, 0
 	for _, s := range start {
 		if sl := &m.slots[s]; m.byBit(s, arrival) || m.canGrow(sl) {
-			q.add(s, sl.level, policy.Rank(m.key(s)))
+			if len(q.added) == 0 {
+				u = sl.utility
+			}
+			uniform = uniform && sl.utility == u
+			ceiling = max(ceiling, sl.ceiling)
+			q.add(s, sl.level, qos.Rank{})
 		}
+	}
+	if uniform && levelRanked(policy, u, ceiling) && q.byLevel() {
+		q.counted = true
+		m.fillRounds(arrival)
+		return
+	}
+	for i := range q.added {
+		q.added[i].rank = policy.Rank(m.key(q.added[i].slot))
 	}
 	q.sort()
 	for it, ok := q.pop(); ok; it, ok = q.pop() {
-		sl := &m.slots[it.slot]
-		if m.byBit(it.slot, arrival) {
-			if sl.level >= sl.ceiling || w.bad.Has(it.slot) {
-				continue
-			}
-		} else if !m.canGrow(sl) {
-			continue // headroom only shrinks: permanently ineligible
+		w.counts.popped++
+		if m.grant(it.slot, arrival) {
+			it.rank = policy.Rank(m.key(it.slot))
+			q.push(it)
 		}
-		m.touch(it.slot)
-		for _, d := range sl.dirs {
-			if w.room[d] -= sl.inc; !w.walk && w.room[d] < m.minInc && w.room[d]+sl.inc >= m.minInc {
-				w.bad.Or(m.net.SlotsOn(d)) // d has just run short: bad stays exact
-			}
-		}
-		sl.level++
-		it.rank = policy.Rank(m.key(it.slot))
-		q.push(it)
 	}
+}
+
+// levelRanked reports whether policy ranks candidates of the one utility u,
+// at levels up to top, by (level, ID). MaxUtilityPolicy does for any
+// utility that compares equal to itself: its Key is -u and its Tie the
+// level. CoefficientPolicy keys (level+1)/u, which rises with the level
+// while levels count exactly and both ends are normal floats.
+func levelRanked(policy qos.Policy, u float64, top int) bool {
+	switch policy.(type) {
+	case qos.MaxUtilityPolicy:
+		return u == u
+	case qos.CoefficientPolicy:
+		return top < 1<<20 && 1/u >= 0x1p-1022 && float64(top+1)/u <= math.MaxFloat64
+	}
+	return false
+}
+
+// fillRounds is fill for candidates the policy ranks by (level, ID), placed
+// by level in growQueue.sorted. The queue's order is then level by level,
+// each level in ID order, so one round serves one level: the starting
+// candidates at that level and the ones the last round granted, merged in
+// slot (so ID) order, each checked at its turn exactly as the queue serves
+// it. The ones it grants, still in ID order, are the next round's.
+func (m *Manager) fillRounds(arrival int32) {
+	w := &m.work
+	start := w.grow.sorted
+	cur, next := w.rounds[0][:0], w.rounds[1][:0]
+	for i, level := 0, int32(0); i < len(start) || len(cur) > 0; level++ {
+		if len(cur) == 0 {
+			level = start[i].level
+		}
+		j := i
+		for j < len(start) && start[j].level == level {
+			j++
+		}
+		next = next[:0]
+		for k := 0; i < j || k < len(cur); {
+			var s int32
+			if k == len(cur) || i < j && start[i].slot < cur[k] {
+				s, i = start[i].slot, i+1
+			} else {
+				s, k = cur[k], k+1
+			}
+			if m.grant(s, arrival) {
+				next = append(next, s)
+			}
+		}
+		cur, next = next, cur
+		w.counts.rounds++
+	}
+	w.rounds = [2][]int32{cur, next}
+}
+
+// grant gives slot s one increment on the plan if it can take one now and
+// reports whether it did. Where bad is kept (the one-pass plan) and holds s
+// (a link set does), each grant keeps it equal to the union of the sets on
+// the links short of the least increment, so one bit refuses s before its
+// slot is read: no increment fits on such a link. Where bad decides
+// (byBit) that bit and the ceiling are the whole check; anything else walks
+// its route (canGrow).
+func (m *Manager) grant(s, arrival int32) bool {
+	w := &m.work
+	w.counts.served++
+	if !w.walk && s != arrival && w.bad.Has(s) {
+		return false
+	}
+	sl := &m.slots[s]
+	if m.byBit(s, arrival) {
+		if sl.level >= sl.ceiling {
+			return false
+		}
+	} else if !m.canGrow(sl) {
+		return false
+	}
+	m.touch(s)
+	for _, d := range sl.dirs {
+		if w.room[d] -= sl.inc; !w.walk && w.room[d] < m.minInc && w.room[d]+sl.inc >= m.minInc {
+			w.bad.Or(m.net.SlotsOn(d)) // d has just run short: bad stays exact
+		}
+	}
+	sl.level++
+	return true
 }
 
 // commit writes the planned level of every touched slot that ends lower

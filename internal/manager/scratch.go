@@ -1,6 +1,8 @@
 package manager
 
 import (
+	"math/bits"
+
 	"drqos/internal/channel"
 	"drqos/internal/network"
 	"drqos/internal/qos"
@@ -127,6 +129,7 @@ type workBuffers struct {
 	lost    []int32              // FailLink: slots whose backup alone crosses it
 	changes []LevelChange
 	grow    growQueue
+	rounds  [2][]int32     // fillRounds: the round being served, the next
 	options []backupOption // findBackup: candidate backups, best first
 	renum   []int32        // renumber: old slot → new
 
@@ -135,6 +138,17 @@ type workBuffers struct {
 	room []qos.Kbps
 	// headroom[d] is d's admission headroom, loaded for route discovery.
 	headroom []float64
+
+	// counts tallies kernel work across events, for the benchmarks.
+	counts kernelCounts
+}
+
+// kernelCounts is what the event kernels have done since the manager was
+// built: levels the filling served as one round, candidates it served (one
+// check each, in a round or popped from the growth queue), of which popped,
+// and connection IDs a report list or AppendChained built.
+type kernelCounts struct {
+	rounds, served, popped, ids int64
 }
 
 // newWorkBuffers sizes the per-link scratch for a graph with the given
@@ -283,18 +297,42 @@ func (m *Manager) chainArrival() {
 	w.chained.Or(w.direct)
 }
 
-// ids lists the IDs of set's members outside except (a subset of set, or
-// nil), ascending, in an exact-size slice of the caller's.
-func (m *Manager) ids(set, except network.SlotSet) []channel.ConnID {
-	out := make([]channel.ConnID, 0, set.Count()-except.Count())
-	w := &m.work
-	w.members = set.AppendMembers(w.members[:0])
-	for _, s := range w.members {
-		if !except.Has(s) {
-			out = append(out, m.slotID[s])
+// ids lists the IDs of set's members, ascending, in an exact-size slice of
+// the caller's.
+func (m *Manager) ids(set network.SlotSet) []channel.ConnID {
+	return m.appendIDs(make([]channel.ConnID, 0, set.Count()), set, nil)
+}
+
+// appendIDs appends the IDs of set's members outside except (nil, or as
+// long as set), ascending, to dst.
+func (m *Manager) appendIDs(dst []channel.ConnID, set, except network.SlotSet) []channel.ConnID {
+	n := len(dst)
+	for i, x := range set {
+		if except != nil {
+			x &^= except[i]
+		}
+		for ; x != 0; x &= x - 1 {
+			dst = append(dst, m.slotID[i<<6|bits.TrailingZeros64(x)])
 		}
 	}
-	return out
+	m.work.counts.ids += int64(len(dst) - n)
+	return dst
+}
+
+// AppendChained appends to dst, ascending, the IDs of the channels the last
+// event chained, and returns it: with indirect false the directly chained
+// ones — an arrival's, whose primary shares a link with the new route, or a
+// termination's Affected, which shared one with the route that left — and
+// with indirect true an arrival's indirectly chained ones (a termination has
+// none). After a link failure they are its Squeezed channels and the other
+// sharers of the victims' routes. It reads the event's own sets, so it
+// answers for the event just applied, until the next one begins.
+func (m *Manager) AppendChained(dst []channel.ConnID, indirect bool) []channel.ConnID {
+	w := &m.work
+	if indirect {
+		return m.appendIDs(dst, w.chained, w.direct)
+	}
+	return m.appendIDs(dst, w.direct, nil)
 }
 
 // chainChanges lists the level changes of the chained population against

@@ -3,6 +3,7 @@ package routing
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"drqos/internal/topology"
 )
@@ -32,22 +33,24 @@ func (s *RouteScratch) BackupRoute(g *topology.Graph, primary Path, filter LinkF
 	if src == dst {
 		return Path{Nodes: []topology.NodeID{src}}, 0, nil
 	}
-	s.markPrimary(g.NumLinks(), primary.Links)
-	disjoint := func(l topology.LinkID) bool { return !s.onPrimary(l) && admits(filter, l) }
-	if s.shortestHops(g, src, dst, disjoint) {
+	s.beginLinks(g.NumLinks())
+	for _, l := range primary.Links {
+		s.link[l] = s.linkState(l, filter) | linkPrimary
+	}
+	if s.shortestHops(g, src, dst, filter, linkUsable|linkPrimary) {
 		return s.path(src, dst), 0, nil
 	}
 
 	// No fully disjoint route: minimize shared links first, hops second, by
 	// pricing a shared link above any loop-free detour.
-	penalty := float64(g.NumNodes()) * 10
-	weight := func(l topology.LinkID) float64 {
-		if s.onPrimary(l) {
-			return penalty
-		}
-		return 1
+	s.cost = slices.Grow(s.cost[:0], g.NumLinks())[:g.NumLinks()]
+	for l := range s.cost {
+		s.cost[l] = 1
 	}
-	if !s.dijkstra(g, src, dst, weight, func(l topology.LinkID) bool { return admits(filter, l) }) {
+	for _, l := range primary.Links {
+		s.cost[l] = float64(g.NumNodes()) * 10
+	}
+	if !s.dijkstra(g, src, dst, filter) {
 		return Path{}, 0, fmt.Errorf("routing: no backup route %d -> %d: %w: %d -> %d", src, dst, ErrNoRoute, src, dst)
 	}
 	p := s.path(src, dst)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"drqos/internal/topology"
 )
@@ -53,9 +52,11 @@ type ref struct {
 // concurrent use; give each goroutine (each simulation) its own. The zero
 // value is ready to use.
 //
-// Reuse is transparent: only the returned Candidate paths are freshly
-// allocated (callers retain them in connections), everything else is
-// recycled across calls, including across calls on different graphs.
+// Flood allocates nothing once the scratch has grown: its candidates, and
+// the arrays their paths view, are the scratch's own until its next flood,
+// so a caller that keeps a route clones it (Path.Clone). BoundedFlood's
+// candidates are freshly allocated. Everything is recycled across calls,
+// including across calls on different graphs.
 type FloodScratch struct {
 	labels   [][]label
 	touched  []topology.NodeID // nodes whose labels/best need resetting
@@ -68,6 +69,10 @@ type FloodScratch struct {
 	// those and nothing else.
 	dstBest []float64
 	allow   []float64 // BoundedFlood's per-directed-link allowances
+	// Flood's result: the candidates, and their routes back to back.
+	found []Candidate
+	nodes []topology.NodeID
+	links []topology.LinkID
 }
 
 // NewFloodScratch returns an empty scratch. Equivalent to new(FloodScratch).
@@ -100,7 +105,8 @@ func (s *FloodScratch) reset(g *topology.Graph, dst topology.NodeID) {
 }
 
 // BoundedFlood is Flood with the allowances given as a function: it reads
-// allowance once for each directed link of g, then floods.
+// allowance once for each directed link of g, then floods, and returns
+// candidates of its own (freshly allocated).
 func (s *FloodScratch) BoundedFlood(g *topology.Graph, src, dst topology.NodeID, allowance DirCost, cfg FloodConfig) ([]Candidate, error) {
 	s.allow = slices.Grow(s.allow[:0], g.NumDirLinks())[:g.NumDirLinks()]
 	for l := topology.LinkID(0); int(l) < g.NumLinks(); l++ {
@@ -108,7 +114,15 @@ func (s *FloodScratch) BoundedFlood(g *topology.Graph, src, dst topology.NodeID,
 		s.allow[2*l] = allowance(l, ends.A)
 		s.allow[2*l+1] = allowance(l, ends.B)
 	}
-	return s.Flood(g, src, dst, s.allow, cfg)
+	found, err := s.Flood(g, src, dst, s.allow, cfg)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Candidate, len(found))
+	for i, c := range found {
+		out[i] = Candidate{Path: c.Path.Clone(), Allowance: c.Allowance}
+	}
+	return out, nil
 }
 
 // Flood emulates the paper's distributed route discovery: the request
@@ -122,7 +136,8 @@ func (s *FloodScratch) BoundedFlood(g *topology.Graph, src, dst topology.NodeID,
 // The returned candidates are sorted by (hops asc, allowance desc), i.e. in
 // the order request copies would plausibly arrive — the paper notes the
 // first arrival "is likely to have traversed the shortest path" and becomes
-// the primary route.
+// the primary route. They and their paths are the scratch's, valid until
+// its next flood.
 //
 // Dominance bookkeeping: copies are expanded in hop order, so every label
 // already recorded at a node has fewer-or-equal hops than an arriving copy;
@@ -205,45 +220,56 @@ func (s *FloodScratch) Flood(g *topology.Graph, src, dst topology.NodeID, allow 
 	}
 
 	// Every surviving destination label is one arrived request copy.
-	out := make([]Candidate, 0, len(labels[dst]))
-	for i, l := range labels[dst] {
-		out = append(out, Candidate{Path: rebuildLabelPath(labels, dst, i), Allowance: l.allowance})
-	}
-	if len(out) == 0 {
+	arrived := labels[dst]
+	if len(arrived) == 0 {
 		return nil, fmt.Errorf("%w: flooding %d -> %d within %d hops at %v bandwidth",
 			ErrNoRoute, src, dst, cfg.HopBound, cfg.MinBandwidth)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Path.Hops() != out[j].Path.Hops() {
-			return out[i].Path.Hops() < out[j].Path.Hops()
-		}
-		return out[i].Allowance > out[j].Allowance
-	})
-	if cfg.MaxCandidates > 0 && len(out) > cfg.MaxCandidates {
-		out = out[:cfg.MaxCandidates]
+	hops := 0
+	for _, l := range arrived {
+		hops += l.hops
 	}
-	return out, nil
+	s.nodes = slices.Grow(s.nodes[:0], hops+len(arrived))[:hops+len(arrived)]
+	s.links = slices.Grow(s.links[:0], hops)[:hops]
+	s.found = s.found[:0]
+	n, k := 0, 0
+	for i, l := range arrived {
+		p := Path{Nodes: s.nodes[n : n+l.hops+1 : n+l.hops+1], Links: s.links[k : k+l.hops : k+l.hops]}
+		rebuildLabelPath(p, labels, dst, i)
+		s.found = append(s.found, Candidate{Path: p, Allowance: l.allowance})
+		n, k = n+l.hops+1, k+l.hops
+	}
+	// slices.SortFunc and sort.Slice run one pattern-defeating quicksort,
+	// so ties keep the order they always had.
+	slices.SortFunc(s.found, func(a, b Candidate) int {
+		switch {
+		case a.Path.Hops() != b.Path.Hops():
+			return a.Path.Hops() - b.Path.Hops()
+		case a.Allowance > b.Allowance:
+			return -1
+		case a.Allowance < b.Allowance:
+			return 1
+		}
+		return 0
+	})
+	if cfg.MaxCandidates > 0 && len(s.found) > cfg.MaxCandidates {
+		s.found = s.found[:cfg.MaxCandidates]
+	}
+	return s.found, nil
 }
 
-// rebuildLabelPath materializes one destination label's route. The label's
-// hop count is the path length, so both slices are allocated at their exact
-// final size and filled back to front — no reversal pass, no intermediate
-// reversed copies.
-func rebuildLabelPath(labels [][]label, dst topology.NodeID, idx int) Path {
-	hops := labels[dst][idx].hops
-	p := Path{
-		Nodes: make([]topology.NodeID, hops+1),
-		Links: make([]topology.LinkID, hops),
-	}
+// rebuildLabelPath writes one destination label's route into p, whose
+// slices have the label's hop count plus one nodes and its hop count links,
+// back to front: no reversal pass, no intermediate reversed copies.
+func rebuildLabelPath(p Path, labels [][]label, dst topology.NodeID, idx int) {
 	node, i := dst, idx
-	for k := hops; ; k-- {
+	for k := len(p.Links); ; k-- {
 		l := labels[node][i]
 		p.Nodes[k] = node
 		if l.prevNode < 0 {
-			break
+			return
 		}
 		p.Links[k-1] = l.link
 		node, i = l.prevNode, l.prevLabel
 	}
-	return p
 }

@@ -10,6 +10,10 @@ import (
 // searches against: Dijkstra against ShortestHops and the backup fallback,
 // the one-shot flood against the reusable scratch.
 
+// LinkWeight returns the cost of traversing a link. Weights must be
+// positive.
+type LinkWeight func(topology.LinkID) float64
+
 // Dijkstra returns a minimum-weight path from src to dst. weight must return
 // positive costs; filter (nil admits all) restricts usable links.
 func Dijkstra(g *topology.Graph, src, dst topology.NodeID, weight LinkWeight, filter LinkFilter) (Path, error) {
@@ -23,7 +27,12 @@ func Dijkstra(g *topology.Graph, src, dst topology.NodeID, weight LinkWeight, fi
 		return Path{Nodes: []topology.NodeID{src}}, nil
 	}
 	var s RouteScratch
-	if !s.dijkstra(g, src, dst, weight, func(l topology.LinkID) bool { return admits(filter, l) }) {
+	s.beginLinks(g.NumLinks())
+	s.cost = make([]float64, g.NumLinks())
+	for l := range s.cost {
+		s.cost[l] = weight(topology.LinkID(l))
+	}
+	if !s.dijkstra(g, src, dst, filter) {
 		return Path{}, fmt.Errorf("%w: %d -> %d", ErrNoRoute, src, dst)
 	}
 	return s.path(src, dst), nil
@@ -39,14 +48,3 @@ func BoundedFlood(g *topology.Graph, src, dst topology.NodeID, allowance DirCost
 
 // LinkDisjoint reports whether p and q share no links.
 func (p Path) LinkDisjoint(q Path) bool { return p.SharedLinks(q) == 0 }
-
-// Clone returns a deep copy of the path.
-func (p Path) Clone() Path {
-	c := Path{
-		Nodes: make([]topology.NodeID, len(p.Nodes)),
-		Links: make([]topology.LinkID, len(p.Links)),
-	}
-	copy(c.Nodes, p.Nodes)
-	copy(c.Links, p.Links)
-	return c
-}

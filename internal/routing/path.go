@@ -87,6 +87,11 @@ func (p Path) SharedLinks(q Path) int {
 	return n
 }
 
+// Clone returns a copy of p that shares no array with it.
+func (p Path) Clone() Path {
+	return Path{Nodes: slices.Clone(p.Nodes), Links: slices.Clone(p.Links)}
+}
+
 // Equal reports whether two paths traverse identical node sequences.
 func (p Path) Equal(q Path) bool {
 	if len(p.Nodes) != len(q.Nodes) {
@@ -120,10 +125,6 @@ func (p Path) AppendDirLinks(dst []topology.DirLinkID, g *topology.Graph) []topo
 // LinkFilter admits every link. Filters are direction-agnostic because they
 // express physical conditions (failure, disjointness).
 type LinkFilter func(topology.LinkID) bool
-
-// LinkWeight returns the cost of traversing a link. Weights must be
-// positive.
-type LinkWeight func(topology.LinkID) float64
 
 // DirCost returns a direction-dependent value (e.g. residual bandwidth) for
 // traversing link l starting at node from.

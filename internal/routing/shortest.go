@@ -12,8 +12,11 @@ import (
 // one set of arrays instead of allocating them per call, in the style of
 // FloodScratch. Per-node and per-link state is epoch-stamped: a search
 // starts by bumping an epoch, which invalidates every cell at once. A
-// scratch is NOT safe for concurrent use; the zero value is ready, and one
-// scratch serves graphs of any size. Only the returned paths are allocated.
+// link's state (linkState) asks the call's filter once, on the link's first
+// visit, so the searches walk the adjacency arrays with no call per edge
+// and no pass over every link. A scratch is NOT safe for concurrent use;
+// the zero value is ready, and one scratch serves graphs of any size. Only
+// the returned paths are allocated.
 type RouteScratch struct {
 	epoch    uint32   // the running search's node stamp
 	reached  []uint32 // node: prevNode/prevLink (and dist) valid when == epoch
@@ -24,11 +27,19 @@ type RouteScratch struct {
 	queue    []topology.NodeID
 	heap     []distItem
 
-	// BackupRoute's primary-link mark: l is on the running call's primary
-	// when primaryTag[l] == primaryEpoch.
-	primaryEpoch uint32
-	primaryTag   []uint32
+	// The running call's link states: link[l] holds l's when
+	// linkTag[l] == linkEpoch.
+	linkEpoch uint32
+	linkTag   []uint32
+	link      []uint8
+	cost      []float64 // per link: dijkstra's weight
 }
+
+// Link states a search reads.
+const (
+	linkUsable  uint8 = 1 << iota // the call's filter admits it
+	linkPrimary                   // on BackupRoute's primary
+)
 
 // begin starts a search over a graph of n nodes: every node stamp reads as
 // unset again.
@@ -48,27 +59,31 @@ func (s *RouteScratch) begin(n int) {
 	}
 }
 
-// markPrimary starts a BackupRoute call over a graph of n links: the
-// previous call's link marks are invalidated and the primary's links marked.
-func (s *RouteScratch) markPrimary(n int, primary []topology.LinkID) {
-	if len(s.primaryTag) < n {
-		s.primaryTag = make([]uint32, n)
+// beginLinks starts a call over a graph of n links: every link's state is
+// unset again.
+func (s *RouteScratch) beginLinks(n int) {
+	if len(s.linkTag) < n {
+		s.linkTag = make([]uint32, n)
+		s.link = make([]uint8, n)
 	}
-	s.primaryEpoch++
-	if s.primaryEpoch == 0 {
-		clear(s.primaryTag)
-		s.primaryEpoch = 1
-	}
-	for _, l := range primary {
-		s.primaryTag[l] = s.primaryEpoch
+	s.linkEpoch++
+	if s.linkEpoch == 0 { // wrapped, as begin's node stamp
+		clear(s.linkTag)
+		s.linkEpoch = 1
 	}
 }
 
-// onPrimary reports whether l is a link of the running call's primary.
-func (s *RouteScratch) onPrimary(l topology.LinkID) bool { return s.primaryTag[l] == s.primaryEpoch }
-
-// admits reports whether filter (nil admits all) admits l.
-func admits(filter LinkFilter, l topology.LinkID) bool { return filter == nil || filter(l) }
+// linkState returns l's state in the running call, asking the call's filter
+// (nil admits all) whether l is usable on its first visit.
+func (s *RouteScratch) linkState(l topology.LinkID, filter LinkFilter) uint8 {
+	if s.linkTag[l] != s.linkEpoch {
+		s.linkTag[l], s.link[l] = s.linkEpoch, 0
+		if filter == nil || filter(l) {
+			s.link[l] = linkUsable
+		}
+	}
+	return s.link[l]
+}
 
 // ShortestHops returns a minimum-hop path from src to dst using BFS over
 // links admitted by filter (nil admits all). It returns ErrNoRoute when dst
@@ -88,39 +103,37 @@ func (s *RouteScratch) ShortestHops(g *topology.Graph, src, dst topology.NodeID,
 	if src == dst {
 		return Path{Nodes: []topology.NodeID{src}}, nil
 	}
-	if !s.shortestHops(g, src, dst, func(l topology.LinkID) bool { return admits(filter, l) }) {
+	s.beginLinks(g.NumLinks())
+	if !s.shortestHops(g, src, dst, filter, linkUsable) {
 		return Path{}, fmt.Errorf("%w: %d -> %d", ErrNoRoute, src, dst)
 	}
 	return s.path(src, dst), nil
 }
 
 // shortestHops runs the BFS behind ShortestHops between two distinct valid
-// endpoints and reports whether dst was reached; the path is then s.path.
-// Neighbours are visited in adjacency order and the search stops at the
-// first sight of dst, so the route is the first of the minimum-hop routes in
-// that order.
-func (s *RouteScratch) shortestHops(g *topology.Graph, src, dst topology.NodeID, usable func(topology.LinkID) bool) bool {
+// endpoints over the links whose state (filter deciding linkUsable), masked
+// by mask, is linkUsable, and reports whether dst was reached; the path is
+// then s.path. Neighbours are visited in adjacency order and the search
+// stops at the first sight of dst, so the route is the first of the
+// minimum-hop routes in that order.
+func (s *RouteScratch) shortestHops(g *topology.Graph, src, dst topology.NodeID, filter LinkFilter, mask uint8) bool {
 	s.begin(g.NumNodes())
 	s.reached[src] = s.epoch
 	s.queue = append(s.queue[:0], src)
 	for head := 0; head < len(s.queue); head++ {
 		u := s.queue[head]
-		found := false
-		g.ForEachNeighbor(u, func(peer topology.NodeID, link topology.LinkID) {
-			if found || s.reached[peer] == s.epoch || !usable(link) {
-				return
+		for _, a := range g.Arcs(u) {
+			peer, link := a.Peer, a.Out.Link()
+			if s.reached[peer] == s.epoch || s.linkState(link, filter)&mask != linkUsable {
+				continue
 			}
 			s.reached[peer] = s.epoch
 			s.prevNode[peer] = u
 			s.prevLink[peer] = link
 			if peer == dst {
-				found = true
-				return
+				return true
 			}
 			s.queue = append(s.queue, peer)
-		})
-		if found {
-			return true
 		}
 	}
 	return false
@@ -204,9 +217,10 @@ func (s *RouteScratch) pop() distItem {
 }
 
 // dijkstra runs a minimum-weight search between two distinct valid endpoints
-// (weight must return positive costs) and reports whether dst was reached;
-// the path is then s.path. BackupRoute falls back to it.
-func (s *RouteScratch) dijkstra(g *topology.Graph, src, dst topology.NodeID, weight LinkWeight, usable func(topology.LinkID) bool) bool {
+// over the links filter admits, each weighing s.cost (which must be
+// positive), and reports whether dst was reached; the path is then s.path.
+// BackupRoute falls back to it.
+func (s *RouteScratch) dijkstra(g *topology.Graph, src, dst topology.NodeID, filter LinkFilter) bool {
 	s.begin(g.NumNodes())
 	s.heap = append(s.heap[:0], distItem{node: src})
 	s.reached[src], s.dist[src] = s.epoch, 0
@@ -220,11 +234,12 @@ func (s *RouteScratch) dijkstra(g *topology.Graph, src, dst topology.NodeID, wei
 		if u == dst {
 			return true
 		}
-		g.ForEachNeighbor(u, func(peer topology.NodeID, link topology.LinkID) {
-			if s.settled[peer] == s.epoch || !usable(link) {
-				return
+		for _, a := range g.Arcs(u) {
+			peer, link := a.Peer, a.Out.Link()
+			if s.settled[peer] == s.epoch || s.linkState(link, filter)&linkUsable == 0 {
+				continue
 			}
-			w := weight(link)
+			w := s.cost[link]
 			if w <= 0 {
 				panic(fmt.Sprintf("routing: non-positive weight %v on link %d", w, link))
 			}
@@ -235,7 +250,7 @@ func (s *RouteScratch) dijkstra(g *topology.Graph, src, dst topology.NodeID, wei
 				s.prevLink[peer] = link
 				s.push(distItem{node: peer, dist: nd})
 			}
-		})
+		}
 	}
 	return false
 }

@@ -76,8 +76,8 @@ func EstablishAnswer(rep *manager.ArrivalReport) EstablishResponse {
 		BandwidthKbps:     int64(rep.Conn.Bandwidth()),
 		HasBackup:         rep.Conn.HasBackup,
 		PrimaryHops:       rep.Conn.Primary.Hops(),
-		DirectlyChained:   len(rep.DirectlyChained),
-		IndirectlyChained: len(rep.IndirectlyChained),
+		DirectlyChained:   rep.DirectlyChained,
+		IndirectlyChained: rep.IndirectlyChained,
 		LevelChanges:      len(rep.Changes),
 	}
 }
@@ -353,7 +353,7 @@ func NewHandler(p Plane, opts ...HandlerOption) *http.ServeMux {
 		}
 		WriteJSON(w, http.StatusOK, TerminateResponse{
 			ID:           id,
-			Affected:     len(rep.Affected),
+			Affected:     rep.Affected,
 			LevelChanges: len(rep.Changes),
 		})
 	})

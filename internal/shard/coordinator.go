@@ -454,7 +454,9 @@ func (c *Coordinator) invoke(ctx context.Context, shard int, phase string, call 
 	if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
 		c.crossTimeouts.Add(1)
 		c.suspect[shard].Store(time.Now().Add(c.opt.SuspectWindow).UnixNano())
-		return fmt.Errorf("shard %d: %s timed out after %s: %w", shard, phase, c.opt.PrepareTimeout, err)
+		// Unavailable, as the next call through this shard is while it is
+		// suspected, and still a deadline, which prepareRun retries.
+		return fmt.Errorf("shard %d: %s timed out after %s: %w: %w", shard, phase, c.opt.PrepareTimeout, ErrShardUnavailable, err)
 	}
 	return err
 }
@@ -824,7 +826,7 @@ func (c *Coordinator) terminate(ctx context.Context, ext int64, merged *manager.
 				return nil, err
 			}
 			if merged != nil {
-				merged.Affected = append(merged.Affected, rep.Affected...)
+				merged.Affected += rep.Affected
 				merged.Changes = append(merged.Changes, rep.Changes...)
 			}
 		}
