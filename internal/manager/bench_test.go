@@ -97,7 +97,7 @@ func p50us(b *testing.B, name string, samples []time.Duration) {
 // populations and the termination's sharers, changes/op both reports' level
 // changes, and rounds/op, served/op, pops/op and ids/op the levels the
 // filling served as rounds, the candidates it served (one check each), the
-// ones of those popped from the growth queue, and the connection IDs built
+// ones of those served from the growth heap, and the connection IDs built
 // for reports.
 func BenchmarkManagerChurn(b *testing.B) {
 	for _, standing := range []int{100, 2000} {
@@ -184,7 +184,7 @@ func BenchmarkManagerFailRepair(b *testing.B) {
 // times in 3.7 KB (the slot table grows once in the window). The bound
 // covers an establish and the terminate that keeps the population level: 20
 // allocations catch scratch that starts allocating per event, such as a
-// growth queue that does not recycle its runs or a flood that copies every
+// growth heap that does not recycle its array or a flood that copies every
 // candidate route, and 6 000 bytes a report that lists a chained population
 // again (≈ 8 KB at this population). Race instrumentation adds allocations
 // of its own; scripts/check.sh runs this test without -race.

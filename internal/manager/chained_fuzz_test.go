@@ -246,7 +246,7 @@ var uniformFuzzSpecs = []qos.ElasticSpec{
 // equal the reference's. A refused arrival must leave the population as it
 // found it (refused before it was planned) or as the reference re-plans it
 // without the arrival. Inputs are random Waxman graphs with fuzzSpecs'
-// mixed increments and utilities (served from the growth queue) or, when
+// mixed increments and utilities (served from the growth heap) or, when
 // seed&4 is set, uniformFuzzSpecs' one utility (served in rounds, which fit
 // or bind as the links' room allows), rigid EstablishFixed connections, and
 // failed links.

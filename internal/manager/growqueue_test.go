@@ -82,28 +82,34 @@ func (s growStream) candidate(i int32, level int) qos.GrowthCandidate {
 	return qos.GrowthCandidate{Utility: s.utilities[i], ExtraIncrements: level, Order: int64(i)}
 }
 
-// serveQueue serves the stream from a growQueue, as fill does.
+// serveQueue serves the stream from a growQueue's heap, turn by turn as fill
+// does: the top is served, then re-ranked after a grant or replaced by the
+// last item after a refusal, and sifted down.
 func (s growStream) serveQueue() []int32 {
 	var q growQueue
 	var levels []int
-	var top growItem
 	return s.run(
 		func(eligible []int32, l []int) {
 			levels = l
 			for _, i := range eligible {
 				q.add(i, levels[i], s.policy.Rank(s.candidate(i, levels[i])))
 			}
-			q.sort()
+			q.heapify()
 		},
 		func() (int32, bool) {
-			var ok bool
-			top, ok = q.pop()
-			return top.slot, ok
+			if len(q.items) == 0 {
+				return 0, false
+			}
+			return q.items[0].slot, true
 		},
-		func() {},
+		func() {
+			last := len(q.items) - 1
+			q.items[0], q.items = q.items[last], q.items[:last]
+			q.down(0)
+		},
 		func(i int32) {
-			top.rank = s.policy.Rank(s.candidate(i, levels[i]))
-			q.push(top)
+			q.items[0].rank = s.policy.Rank(s.candidate(i, levels[i]))
+			q.down(0)
 		})
 }
 
@@ -140,10 +146,10 @@ func checkGrowQueue(t *testing.T, s growStream) {
 	}
 }
 
-// TestGrowQueueOrder holds the two-run queue to a linear scan that ranks
-// every live candidate afresh at every step: random streams under both
-// policies, mixed utilities (whose re-ranks land inside the promoted run,
-// not at its tail) and random refusals.
+// TestGrowQueueOrder holds the heap to a linear scan that ranks every live
+// candidate afresh at every step: random streams under both policies, mixed
+// utilities (whose re-ranks may sink below candidates of higher levels) and
+// random refusals.
 func TestGrowQueueOrder(t *testing.T) {
 	src := rng.New(5)
 	for range 2000 {
@@ -172,26 +178,6 @@ func TestGrowQueueServesZeroUtilityAgain(t *testing.T) {
 	}
 }
 
-// TestSortItems holds the quicksort to slices.SortFunc, including the hand-off
-// to it when the depth budget runs out.
-func TestSortItems(t *testing.T) {
-	src := rng.New(9)
-	for _, n := range []int{0, 1, 2, 13, 40, 300} {
-		for _, depth := range []int{0, 1, 2 * 9} {
-			items := make([]growItem, n)
-			for i := range items {
-				items[i] = growItem{slot: int32(i), rank: qos.Rank{Key: float64(src.Intn(4)), Tie: src.Intn(3), Order: int64(src.Intn(1000))}}
-			}
-			want := slices.Clone(items)
-			slices.SortStableFunc(want, func(a, b growItem) int { return a.rank.Compare(b.rank) })
-			sortItems(items, depth)
-			if !slices.EqualFunc(items, want, func(a, b growItem) bool { return a.rank == b.rank }) {
-				t.Fatalf("n=%d depth=%d: got %v, want %v", n, depth, items, want)
-			}
-		}
-	}
-}
-
 // FuzzGrowQueue decodes streams from the fuzz input and holds the queue to
 // the scan.
 func FuzzGrowQueue(f *testing.F) {
@@ -204,11 +190,19 @@ func FuzzGrowQueue(f *testing.F) {
 }
 
 // TestGrowQueueCountedRun: candidates added in ID order under one positive
-// utility keep the counting pass's order, under both policies, and that run
-// is exactly the one sortItems makes, so the queue serves what it served
-// before; a mixed-utility run whose (level, ID) order is not rank order
-// falls back to the sort.
+// utility, placed by byLevel's counting pass, come out in rank order under
+// both policies. That is the property fillRounds rests on: for such a
+// filling, (level, ID) order is the order the heap serves.
 func TestGrowQueueCountedRun(t *testing.T) {
+	byRank := func(a, b growItem) int {
+		switch {
+		case a.rank.Less(b.rank):
+			return -1
+		case b.rank.Less(a.rank):
+			return 1
+		}
+		return 0
+	}
 	src := rng.New(21)
 	for _, policy := range []qos.Policy{qos.CoefficientPolicy{}, qos.MaxUtilityPolicy{}} {
 		for range 300 {
@@ -222,43 +216,23 @@ func TestGrowQueueCountedRun(t *testing.T) {
 			for i, l := range s.levels {
 				q.add(int32(i), l, s.policy.Rank(s.candidate(int32(i), l)))
 			}
-			q.sort()
-			if !q.counted {
+			if !q.byLevel() {
 				t.Fatalf("%s, utility %v, levels %v: one-utility run not counted", policy.Name(), u, s.levels)
 			}
 			want := slices.Clone(q.added)
-			sortItems(want, 2*16)
-			if !slices.Equal(q.sorted, want) {
-				t.Fatalf("%s, levels %v: counted run %v, sortItems %v", policy.Name(), s.levels, q.sorted, want)
+			slices.SortStableFunc(want, byRank)
+			if !slices.Equal(q.items, want) {
+				t.Fatalf("%s, levels %v: counted run %v, rank order %v", policy.Name(), s.levels, q.items, want)
 			}
 			checkGrowQueue(t, s)
 		}
 	}
-	// Candidate 1 has twice candidate 0's utility: at levels 1 and 2 the
-	// coefficient policy keys them 2/1 and 3/2, so 1 goes first, and
-	// max-utility puts the higher utility first whatever the levels.
-	mixed := growStream{utilities: []float64{1, 2}, levels: []int{1, 2}}
-	for _, policy := range []qos.Policy{qos.CoefficientPolicy{}, qos.MaxUtilityPolicy{}} {
-		mixed.policy = policy
-		var q growQueue
-		for i, l := range mixed.levels {
-			q.add(int32(i), l, policy.Rank(mixed.candidate(int32(i), l)))
-		}
-		q.sort()
-		if q.counted {
-			t.Fatalf("%s: mixed run kept the counted order %v", policy.Name(), q.sorted)
-		}
-		if q.sorted[0].slot != 1 {
-			t.Fatalf("%s: sorted run %v, want candidate 1 first", policy.Name(), q.sorted)
-		}
-		checkGrowQueue(t, mixed)
-	}
 }
 
-// TestArrivalFillIsCounted: an arrival's filling takes the counting pass
+// TestArrivalFillIsCounted: an arrival's filling is served in rounds
 // whenever its candidates share one utility, at a standing population on
-// the paper's graph under both policies, and is then served in rounds; with
-// mixed utilities some arrivals fall back to the sort and the queue.
+// the paper's graph under both policies; with mixed utilities some arrivals
+// take the heap.
 func TestArrivalFillIsCounted(t *testing.T) {
 	g, err := topology.Waxman(topology.WaxmanConfig{Nodes: 100, Alpha: 0.33, Beta: 0.1176, EnsureConnected: true}, rng.New(1))
 	if err != nil {
@@ -286,6 +260,7 @@ func TestArrivalFillIsCounted(t *testing.T) {
 				if b >= a {
 					b++
 				}
+				before := m.work.counts
 				rep, err := m.Establish(a, b, tc.specs[i%len(tc.specs)])
 				if err != nil {
 					continue
@@ -293,7 +268,7 @@ func TestArrivalFillIsCounted(t *testing.T) {
 				alive = append(alive, rep.Conn.ID)
 				if len(m.work.grow.added) > 1 {
 					filled++
-					if m.work.grow.counted {
+					if c := m.work.counts; c.rounds > before.rounds && c.popped == before.popped {
 						counted++
 					}
 				}

@@ -14,74 +14,39 @@ import (
 // filling at, and the policy rank of its current level.
 type growItem struct {
 	slot  int32
-	level int32 // the starting level, for sort's counting pass; a re-rank leaves it stale
+	level int32 // the starting level, for byLevel; a re-rank leaves it stale
 	rank  qos.Rank
 }
 
-// growQueue serves growth candidates least rank first from two runs, each
-// sorted by rank: the candidates the filling starts with, sorted once, and
-// the ones a grant re-ranked. The next candidate served is the lesser of the
-// two heads; since both runs are sorted, that is the least rank in the queue,
-// the candidate a heap would serve. Only fillings whose ranks are not
-// (level, ID) use it, such as mixed utilities (fillRounds serves the rest);
-// its counting pass (byLevel) places their candidates too.
-//
-// The starting run is ordered without comparisons where it can be:
-// candidates added in ID order (Order is the ID) come out of a stable
-// counting pass over their levels in (level, ID) order, and one Less pass
-// over the result checks whether that is rank order. Any other run is
-// sorted by rank. A grant never lowers a rank; a re-ranked candidate goes to
-// the promoted run's tail when nothing there ranks above it, and by binary
-// search and a shift otherwise.
-//
-// The promoted run is a ring as long as the sorted run: every item in it was
-// served from the sorted run, once, so it never holds more, however many
-// grants the filling makes. Every array is kept across events.
+// growQueue holds the filling's starting candidates. A filling the policy
+// ranks by (level, ID) reads them placed by level (byLevel, for fillRounds);
+// any other, such as one of mixed utilities, serves them from a binary
+// min-heap on rank, least rank at the top. Every array is kept across
+// events.
 type growQueue struct {
-	added  []growItem // the starting candidates, in the order added
-	top    int        // their highest level
-	sorted []growItem // sorted[next:] is unserved
-	next   int
-	ring   []growItem // the promoted run: at(0) … at(size-1)
-	head   int
-	size   int
-	tally  []int32 // the counting pass's per-level positions
-	// counted reports that the last sort kept the counting pass's order.
-	counted bool
+	added []growItem // the starting candidates, in the order added
+	top   int        // their highest level
+	items []growItem // the candidates placed by level, or the heap
+	tally []int32    // the counting pass's per-level positions
 }
 
 // reset empties the queue, keeping its arrays.
-func (q *growQueue) reset() { q.added, q.top, q.sorted, q.next = q.added[:0], 0, q.sorted[:0], 0 }
+func (q *growQueue) reset() { q.added, q.top, q.items = q.added[:0], 0, q.items[:0] }
 
-// add enters a starting candidate at the given level; sort must follow
-// before the first pop.
+// add enters a starting candidate at the given level.
 func (q *growQueue) add(slot int32, level int, rank qos.Rank) {
 	q.added = append(q.added, growItem{slot: slot, level: int32(level), rank: rank})
 	q.top = max(q.top, level)
 }
 
-// sort orders the starting candidates and empties the promoted run.
-func (q *growQueue) sort() {
-	n := len(q.added)
-	q.counted = q.byLevel() && q.ranked()
-	if !q.counted {
-		copy(q.sorted, q.added)
-		sortItems(q.sorted, 2*bits.Len(uint(n)))
-	}
-	if cap(q.ring) < n {
-		q.ring = make([]growItem, cap(q.sorted)) // grows as often as sorted does
-	}
-	q.ring, q.head, q.size = q.ring[:n], 0, 0
-}
-
-// byLevel sizes sorted for the starting candidates and, unless their levels
+// byLevel sizes items for the starting candidates and, unless their levels
 // make it the dearer choice, places them there by level, stably, and
 // reports that it did. The counting pass costs a step per candidate and per
-// level, a sort about log₂ n comparisons per candidate, so levels beyond
-// both 64 and n·log₂ n are left to the sort.
+// level, a heap about log₂ n comparisons per candidate, so levels beyond
+// both 64 and n·log₂ n are left to the heap.
 func (q *growQueue) byLevel() bool {
 	n := len(q.added)
-	q.sorted = slices.Grow(q.sorted[:0], n)[:n]
+	q.items = slices.Grow(q.items[:0], n)[:n]
 	if q.top > max(64, n*bits.Len(uint(n))) {
 		return false
 	}
@@ -95,137 +60,37 @@ func (q *growQueue) byLevel() bool {
 		q.tally[l], at = at, at+c
 	}
 	for _, it := range q.added {
-		q.sorted[q.tally[it.level]] = it
+		q.items[q.tally[it.level]] = it
 		q.tally[it.level]++
 	}
 	return true
 }
 
-// ranked reports whether sorted is in rank order.
-func (q *growQueue) ranked() bool {
-	for i := 1; i < len(q.sorted); i++ {
-		if q.sorted[i].rank.Less(q.sorted[i-1].rank) {
-			return false
-		}
+// heapify builds the heap in items from the starting candidates.
+func (q *growQueue) heapify() {
+	q.items = append(q.items[:0], q.added...)
+	for i := len(q.items)/2 - 1; i >= 0; i-- {
+		q.down(i)
 	}
-	return true
 }
 
-// at is the promoted run's k-th least item.
-func (q *growQueue) at(k int) *growItem {
-	if k += q.head; k >= len(q.ring) {
-		k -= len(q.ring)
-	}
-	return &q.ring[k]
-}
-
-// pop removes and returns the candidate of least rank, or reports that the
-// queue is empty.
-func (q *growQueue) pop() (growItem, bool) {
-	if q.next < len(q.sorted) && (q.size == 0 || q.sorted[q.next].rank.Less(q.ring[q.head].rank)) {
-		q.next++
-		return q.sorted[q.next-1], true
-	}
-	if q.size == 0 {
-		return growItem{}, false
-	}
-	it := q.ring[q.head]
-	if q.head++; q.head == len(q.ring) {
-		q.head = 0
-	}
-	q.size--
-	return it, true
-}
-
-// push takes back the item pop last returned, re-ranked, into the promoted
-// run at its place.
-func (q *growQueue) push(it growItem) {
-	k := q.size
-	if k > 0 && it.rank.Less(q.at(k-1).rank) {
-		// The first item ranked above it; at(size-1) is one.
-		lo, hi := 0, k-1
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if it.rank.Less(q.at(mid).rank) {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		if k = lo; k < q.size-k {
-			// Shift the lesser items down one, into the slot before head.
-			if q.head == 0 {
-				q.head = len(q.ring)
-			}
-			q.head--
-			for j := 0; j < k; j++ {
-				*q.at(j) = *q.at(j + 1)
-			}
-		} else {
-			for j := q.size; j > k; j-- {
-				*q.at(j) = *q.at(j - 1)
-			}
-		}
-	}
-	*q.at(k) = it
-	q.size++
-}
-
-// sortItems sorts a by rank: a quicksort with the rank comparison inlined,
-// since through slices.SortFunc every comparison is an indirect call, and
-// this sort is the filling's largest per-candidate cost. A slice still
-// unsorted after depth levels of partitions goes to slices.SortFunc, which
-// bounds the worst case.
-func sortItems(a []growItem, depth int) {
-	for len(a) > 12 {
-		if depth == 0 {
-			slices.SortFunc(a, func(x, y growItem) int { return x.rank.Compare(y.rank) })
+// down sifts item i down: it trades places with its lesser child while that
+// child ranks below it.
+func (q *growQueue) down(i int) {
+	h := q.items
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
 			return
 		}
-		depth--
-		// The median of the first, middle and last items pivots, from a[0].
-		m, z := len(a)/2, len(a)-1
-		if a[m].rank.Less(a[0].rank) {
-			a[0], a[m] = a[m], a[0]
+		if c+1 < len(h) && h[c+1].rank.Less(h[c].rank) {
+			c++
 		}
-		if a[z].rank.Less(a[m].rank) {
-			a[m], a[z] = a[z], a[m]
-			if a[m].rank.Less(a[0].rank) {
-				a[0], a[m] = a[m], a[0]
-			}
+		if !h[c].rank.Less(h[i].rank) {
+			return
 		}
-		a[0], a[m] = a[m], a[0]
-		p := a[0].rank
-		i, j := 1, z
-		for {
-			for i <= j && a[i].rank.Less(p) {
-				i++
-			}
-			for i <= j && p.Less(a[j].rank) {
-				j--
-			}
-			if i >= j {
-				break
-			}
-			a[i], a[j] = a[j], a[i]
-			i, j = i+1, j-1
-		}
-		a[0], a[j] = a[j], a[0]
-		// Recurse into the shorter side and loop on the longer.
-		if j < z-j {
-			sortItems(a[:j], depth)
-			a = a[j+1:]
-		} else {
-			sortItems(a[j+1:], depth)
-			a = a[:j]
-		}
-	}
-	for i := 1; i < len(a); i++ {
-		x, j := a[i], i
-		for ; j > 0 && x.rank.Less(a[j-1].rank); j-- {
-			a[j] = a[j-1]
-		}
-		a[j] = x
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
 }
 
@@ -240,8 +105,8 @@ func sortItems(a []growItem, depth int) {
 // changed (new route, released route, activated backup links); channels with
 // no such link were maximal before the event and stay maximal. Ranks are
 // totally ordered (Order breaks every tie), so which candidate is served
-// next does not depend on how the queue was filled; the candidates enter it
-// in ID order, which lets it skip its sort (growQueue).
+// next does not depend on how the heap was built; the candidates enter the
+// queue in ID order, which lets byLevel place them in (level, ID) order.
 
 // plan loads the growth headroom the filling reads into work.room for the
 // candidates, cands and the arriving slot unless it is -1, and returns the
@@ -349,7 +214,7 @@ func (m *Manager) byBit(s, arrival int32) bool {
 // Correctness of the lazy pruning: headroom only DECREASES while increments
 // are granted, so a channel observed unable to grow is dropped for good.
 // When the policy ranks the candidates by (level, ID), the filling serves
-// them in rounds (fillRounds) and ranks nothing; otherwise from the queue.
+// them in rounds (fillRounds) and ranks nothing; otherwise from the heap.
 func (m *Manager) fill(cands network.SlotSet, squeezed []int32, arrival int32) {
 	w := &m.work
 	policy := m.cfg.Policy
@@ -376,20 +241,23 @@ func (m *Manager) fill(cands network.SlotSet, squeezed []int32, arrival int32) {
 		}
 	}
 	if uniform && levelRanked(policy, u, ceiling) && q.byLevel() {
-		q.counted = true
 		m.fillRounds(arrival)
 		return
 	}
 	for i := range q.added {
 		q.added[i].rank = policy.Rank(m.key(q.added[i].slot))
 	}
-	q.sort()
-	for it, ok := q.pop(); ok; it, ok = q.pop() {
+	q.heapify()
+	for len(q.items) > 0 {
 		w.counts.popped++
-		if m.grant(it.slot, arrival) {
-			it.rank = policy.Rank(m.key(it.slot))
-			q.push(it)
+		top := &q.items[0]
+		if m.grant(top.slot, arrival) {
+			top.rank = policy.Rank(m.key(top.slot))
+		} else {
+			last := len(q.items) - 1
+			*top, q.items = q.items[last], q.items[:last]
 		}
+		q.down(0)
 	}
 }
 
@@ -409,14 +277,14 @@ func levelRanked(policy qos.Policy, u float64, top int) bool {
 }
 
 // fillRounds is fill for candidates the policy ranks by (level, ID), placed
-// by level in growQueue.sorted. The queue's order is then level by level,
-// each level in ID order, so one round serves one level: the starting
-// candidates at that level and the ones the last round granted, merged in
-// slot (so ID) order, each checked at its turn exactly as the queue serves
-// it. The ones it grants, still in ID order, are the next round's.
+// by level in growQueue.items. Rank order is then level by level, each
+// level in ID order, so one round serves one level: the starting candidates
+// at that level and the ones the last round granted, merged in slot (so ID)
+// order, each checked at its turn exactly as the heap would serve it. The
+// ones it grants, still in ID order, are the next round's.
 func (m *Manager) fillRounds(arrival int32) {
 	w := &m.work
-	start := w.grow.sorted
+	start := w.grow.items
 	cur, next := w.rounds[0][:0], w.rounds[1][:0]
 	for i, level := 0, int32(0); i < len(start) || len(cur) > 0; level++ {
 		if len(cur) == 0 {

@@ -128,7 +128,7 @@ type workBuffers struct {
 	dying   []int32              // FailLink: slots whose primary crosses the link
 	lost    []int32              // FailLink: slots whose backup alone crosses it
 	changes []LevelChange
-	grow    growQueue
+	grow    growQueue      // fill: the starting candidates, by level or as a heap
 	rounds  [2][]int32     // fillRounds: the round being served, the next
 	options []backupOption // findBackup: candidate backups, best first
 	renum   []int32        // renumber: old slot → new
@@ -145,8 +145,9 @@ type workBuffers struct {
 
 // kernelCounts is what the event kernels have done since the manager was
 // built: levels the filling served as one round, candidates it served (one
-// check each, in a round or popped from the growth queue), of which popped,
-// and connection IDs a report list or AppendChained built.
+// check each, in a round or at the top of the growth heap), of which popped
+// (served from the heap), and connection IDs a report list or AppendChained
+// built.
 type kernelCounts struct {
 	rounds, served, popped, ids int64
 }

@@ -25,7 +25,9 @@ type Rank struct {
 }
 
 // Less reports whether r is served before o. It is the one definition of
-// candidate order: Pick and the manager's growth queue both compare ranks.
+// candidate order: the manager's growth heap compares ranks with it, and its
+// rounds serve a one-utility filling in (level, ID) order only where that
+// is this order.
 func (r Rank) Less(o Rank) bool {
 	if r.Key != o.Key {
 		return r.Key < o.Key
@@ -34,17 +36,6 @@ func (r Rank) Less(o Rank) bool {
 		return r.Tie < o.Tie
 	}
 	return r.Order < o.Order
-}
-
-// Compare is Less as a three-way comparison, for slices.SortFunc.
-func (r Rank) Compare(o Rank) int {
-	switch {
-	case r.Less(o):
-		return -1
-	case o.Less(r):
-		return 1
-	}
-	return 0
 }
 
 // Policy defines a strict priority order over growth candidates: when extra

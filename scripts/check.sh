@@ -6,7 +6,7 @@
 #                                gates in gates_test.go and the process rows
 #                                of cmd/drserverd among them), 10 s fuzzes of
 #                                WriteJSON, journal segment recovery
-#                                (FuzzOpenSegment), the growth queue, the
+#                                (FuzzOpenSegment), the growth heap, the
 #                                event kernels against the paper's
 #                                definitions (FuzzChainedSetsMatchDefinition),
 #                                the bounded flood against its parent
@@ -173,9 +173,9 @@ case "${1:-}" in
     echo "== fuzz: FuzzOpenSegment, a prefix or a refusal (10s)"
     go test -run '^$' -fuzz FuzzOpenSegment -fuzztime 10s -fuzzminimizetime 2s ./internal/journal
 
-    # The filling's two-run growth queue against a scan that re-ranks every
-    # live candidate at every step, over streams decoded from the input.
-    echo "== fuzz: the growth queue's served order against a linear scan (10s)"
+    # The filling's growth heap (mixed utilities) against a scan that re-ranks
+    # every live candidate at every step, over streams decoded from the input.
+    echo "== fuzz: the growth heap's served order against a linear scan (10s)"
     go test -run '^$' -fuzz FuzzGrowQueue -fuzztime 10s ./internal/manager
 
     # The event kernels' set algebra against the paper's definitions: chained
