@@ -1,5 +1,5 @@
 // Command experiments regenerates the paper's tables and figures plus the
-// reproduction's ablations, printing each as a text table.
+// reproduction's ablations, printing each as a Markdown table.
 //
 // Examples:
 //
@@ -12,7 +12,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -35,7 +34,7 @@ func run() error {
 		runList    = flag.String("run", "all", "comma-separated: fig2,table1,fig3,fig4,ablationA..E,coverage,variability or all")
 		scale      = flag.String("scale", "quick", "quick or full")
 		seed       = flag.Uint64("seed", 2001, "experiment seed")
-		datDir     = flag.String("dat", "", "also write gnuplot .dat files and plots.gp into this directory")
+		datDir     = flag.String("dat", "", "also write each experiment's table as DIR/<name>.dat, plus DIR/plots.gp")
 		parallel   = flag.Int("parallel", 0, "sweep-point workers per experiment (0 = GOMAXPROCS, 1 = sequential); results are identical for any value")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
@@ -77,19 +76,19 @@ func run() error {
 		return fmt.Errorf("unknown scale %q", *scale)
 	}
 
-	type renderer interface{ Render(io.Writer) error }
-	runners := map[string]func() (renderer, error){
-		"fig2":        func() (renderer, error) { return experiments.Fig2(cfg) },
-		"table1":      func() (renderer, error) { return experiments.Table1(cfg) },
-		"fig3":        func() (renderer, error) { return experiments.Fig3(cfg) },
-		"fig4":        func() (renderer, error) { return experiments.Fig4(cfg) },
-		"ablationA":   func() (renderer, error) { return experiments.AblationA(cfg) },
-		"ablationB":   func() (renderer, error) { return experiments.AblationB(cfg) },
-		"ablationC":   func() (renderer, error) { return experiments.AblationC(cfg) },
-		"ablationD":   func() (renderer, error) { return experiments.AblationD(cfg) },
-		"ablationE":   func() (renderer, error) { return experiments.AblationE(cfg) },
-		"coverage":    func() (renderer, error) { return experiments.Coverage(cfg) },
-		"variability": func() (renderer, error) { return experiments.Variability(cfg) },
+	type tabler interface{ Table() *experiments.Table }
+	runners := map[string]func() (tabler, error){
+		"fig2":        func() (tabler, error) { return experiments.Fig2(cfg) },
+		"table1":      func() (tabler, error) { return experiments.Table1(cfg) },
+		"fig3":        func() (tabler, error) { return experiments.Fig3(cfg) },
+		"fig4":        func() (tabler, error) { return experiments.Fig4(cfg) },
+		"ablationA":   func() (tabler, error) { return experiments.AblationA(cfg) },
+		"ablationB":   func() (tabler, error) { return experiments.AblationB(cfg) },
+		"ablationC":   func() (tabler, error) { return experiments.AblationC(cfg) },
+		"ablationD":   func() (tabler, error) { return experiments.AblationD(cfg) },
+		"ablationE":   func() (tabler, error) { return experiments.AblationE(cfg) },
+		"coverage":    func() (tabler, error) { return experiments.Coverage(cfg) },
+		"variability": func() (tabler, error) { return experiments.Variability(cfg) },
 	}
 	order := []string{"fig2", "table1", "fig3", "fig4", "ablationA", "ablationB", "ablationC", "ablationD", "ablationE", "coverage", "variability"}
 
@@ -109,18 +108,17 @@ func run() error {
 			return fmt.Errorf("%s: %w", name, err)
 		}
 		fmt.Printf("=== %s (%s scale, %s) ===\n", name, *scale, time.Since(start).Round(time.Millisecond))
-		if err := res.Render(os.Stdout); err != nil {
+		table := res.Table()
+		if err := table.Render(os.Stdout); err != nil {
 			return err
 		}
 		fmt.Println()
 		if *datDir != "" {
-			if dw, ok := res.(experiments.DatWriter); ok {
-				if err := os.MkdirAll(*datDir, 0o755); err != nil {
-					return err
-				}
-				if err := experiments.WriteDatFile(*datDir, name, dw); err != nil {
-					return err
-				}
+			if err := os.MkdirAll(*datDir, 0o755); err != nil {
+				return err
+			}
+			if err := os.WriteFile(filepath.Join(*datDir, name+".dat"), table.Dat(), 0o644); err != nil {
+				return err
 			}
 		}
 	}

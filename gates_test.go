@@ -283,6 +283,72 @@ func TestExamplesAreRunCanFail(t *testing.T) {
 	}
 }
 
+// ungenerated names what keeps doc from stating each table of full, the
+// output of cmd/experiments, once and verbatim: a pipe table of doc that
+// full does not hold line for line up to the blank line that ends each of
+// its tables, and a count of tables that differs from full's count of
+// experiments ("=== " headers).
+func ungenerated(doc, full string) []string {
+	var tables, problems []string
+	var table strings.Builder
+	// The trailing "" ends a table on the doc's last line.
+	for _, line := range append(strings.SplitAfter(doc, "\n"), "") {
+		if strings.HasPrefix(line, "|") {
+			table.WriteString(line)
+			continue
+		}
+		if table.Len() > 0 {
+			tables = append(tables, table.String())
+			table.Reset()
+		}
+	}
+	for _, tab := range tables {
+		if strings.Count("\n"+full, "\n"+tab+"\n") != 1 {
+			problems = append(problems, "not in the output once:\n"+tab)
+		}
+	}
+	if n := strings.Count("\n"+full, "\n=== "); len(tables) != n {
+		problems = append(problems, fmt.Sprintf("%d tables for %d experiments", len(tables), n))
+	}
+	return problems
+}
+
+// TestExperimentsTablesAreGenerated: every table in EXPERIMENTS.md is a
+// verbatim copy of one in experiments_full.txt, the output of `go run
+// ./cmd/experiments -run all -scale full -seed 2001`, and each experiment
+// there has its table here.
+func TestExperimentsTablesAreGenerated(t *testing.T) {
+	doc, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := os.ReadFile("experiments_full.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range ungenerated(string(doc), string(full)) {
+		t.Errorf("EXPERIMENTS.md: %s", p)
+	}
+}
+
+// TestExperimentsTablesAreGeneratedCanFail feeds the check a doc with an
+// edited cell, one with a table's last row left out and one with a table
+// left out.
+func TestExperimentsTablesAreGeneratedCanFail(t *testing.T) {
+	full := "=== a (full scale, 1s) ===\nA\n\n| x | y |\n|---|---|\n| 1 | 2 |\n\n" +
+		"=== b (full scale, 1s) ===\nB\n\n| z |\n|---|\n| 3 |\n| 4 |\n\n"
+	for doc, want := range map[string]int{
+		"# A\n\n| x | y |\n|---|---|\n| 1 | 2 |\n\n# B\n| z |\n|---|\n| 3 |\n| 4 |\n": 0,
+		"# A\n\n| x | y |\n|---|---|\n| 1 | 5 |\n\n# B\n| z |\n|---|\n| 3 |\n| 4 |\n": 1,
+		"# A\n\n| x | y |\n|---|---|\n| 1 | 2 |\n\n# B\n| z |\n|---|\n| 3 |\n":        1,
+		"# A\n\n| x | y |\n|---|---|\n| 1 | 2 |\n":                                    1,
+	} {
+		if got := ungenerated(doc, full); len(got) != want {
+			t.Errorf("doc %q: problems %q, want %d", doc, got, want)
+		}
+	}
+}
+
 // testOnlyExports type-checks the non-test Go files of the modules rooted at
 // dirs (the first one owns internal/) and names, as "file:line: pkg.Name",
 // every exported func, method, type, var or const declared under the first

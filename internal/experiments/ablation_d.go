@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"drqos/internal/core"
 )
@@ -87,24 +86,16 @@ func AblationD(cfg Config) (*AblationDResult, error) {
 	return out, nil
 }
 
-// Render writes the comparison.
-func (r *AblationDResult) Render(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "Ablation D: bounded flooding vs sequential route selection"); err != nil {
-		return err
+// Table returns the comparison as printed.
+func (r *AblationDResult) Table() *Table {
+	t := &Table{
+		Title: "Ablation D: bounded flooding vs sequential route selection",
+		Columns: []Column{{"load", "%d"}, {"floodAcc", "%.3f"}, {"seqAcc", "%.3f"}, {"floodBW", "%.1f"},
+			{"seqBW", "%.1f"}, {"floodHops", "%.2f"}, {"seqHops", "%.2f"}},
 	}
-	rows := make([][]string, 0, len(r.Rows))
 	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", row.Load),
-			fmt.Sprintf("%.3f", row.FloodAcceptance),
-			fmt.Sprintf("%.3f", row.SeqAcceptance),
-			fmt.Sprintf("%.1f", row.FloodAvgBW),
-			fmt.Sprintf("%.1f", row.SeqAvgBW),
-			fmt.Sprintf("%.2f", row.FloodHops),
-			fmt.Sprintf("%.2f", row.SeqHops),
-		})
+		t.Rows = append(t.Rows, []any{row.Load, row.FloodAcceptance, row.SeqAcceptance,
+			row.FloodAvgBW, row.SeqAvgBW, row.FloodHops, row.SeqHops})
 	}
-	return renderTable(w, []string{
-		"load", "flood acc", "seq acc", "flood bw", "seq bw", "flood hops", "seq hops",
-	}, rows)
+	return t
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"drqos/internal/core"
 )
@@ -115,25 +114,16 @@ func AblationE(cfg Config) (*AblationEResult, error) {
 	return out, nil
 }
 
-// Render writes the comparison.
-func (r *AblationEResult) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "Ablation E: backup channels vs reactive restoration (load %d)\n", r.Load); err != nil {
-		return err
+// Table returns the comparison as printed.
+func (r *AblationEResult) Table() *Table {
+	t := &Table{
+		Title: fmt.Sprintf("Ablation E: backup channels vs reactive restoration (load %d)", r.Load),
+		Columns: []Column{{"gamma", "%.0e"}, {"backupDropsPerFail", "%.2f"}, {"reactiveDropsPerFail", "%.2f"},
+			{"reactiveRecovPerFail", "%.2f"}, {"backupBW", "%.1f"}, {"reactiveBW", "%.1f"}, {"failures", "%d"}},
 	}
-	rows := make([][]string, 0, len(r.Rows))
 	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			fmt.Sprintf("%.0e", row.Gamma),
-			fmt.Sprintf("%.2f", row.BackupDropsPerFailure),
-			fmt.Sprintf("%.2f", row.ReactiveDropsPerFailure),
-			fmt.Sprintf("%.2f", row.ReactiveRecoveredPerFailure),
-			fmt.Sprintf("%.1f", row.BackupAvgBW),
-			fmt.Sprintf("%.1f", row.ReactiveAvgBW),
-			fmt.Sprintf("%d", row.Failures),
-		})
+		t.Rows = append(t.Rows, []any{row.Gamma, row.BackupDropsPerFailure, row.ReactiveDropsPerFailure,
+			row.ReactiveRecoveredPerFailure, row.BackupAvgBW, row.ReactiveAvgBW, row.Failures})
 	}
-	return renderTable(w, []string{
-		"gamma", "backup drops/fail", "reactive drops/fail", "reactive recov/fail",
-		"backup bw", "reactive bw", "failures",
-	}, rows)
+	return t
 }

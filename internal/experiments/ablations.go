@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"drqos/internal/core"
 	"drqos/internal/manager"
@@ -50,26 +49,19 @@ func AblationA(cfg Config) (*AblationAResult, error) {
 	return &AblationAResult{Rows: rows}, nil
 }
 
-// Render writes the comparison.
-func (r *AblationAResult) Render(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "Ablation A: elastic QoS vs single-value QoS baselines"); err != nil {
-		return err
+// Table returns the comparison as printed.
+func (r *AblationAResult) Table() *Table {
+	t := &Table{
+		Title: "Ablation A: elastic QoS vs single-value QoS baselines",
+		Columns: []Column{{"load", "%d"}, {"elasticAcc", "%.3f"}, {"elasticBW", "%.1f"},
+			{"fixminAcc", "%.3f"}, {"fixminBW", "%.1f"}, {"fixmaxAcc", "%.3f"}, {"fixmaxBW", "%.1f"}},
 	}
-	rows := make([][]string, 0, len(r.Rows))
 	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", row.Load),
-			fmt.Sprintf("%.3f", row.Elastic.AcceptanceRatio),
-			fmt.Sprintf("%.1f", row.Elastic.AvgBandwidth),
-			fmt.Sprintf("%.3f", row.FixedMin.AcceptanceRatio),
-			fmt.Sprintf("%.1f", row.FixedMin.AvgBandwidth),
-			fmt.Sprintf("%.3f", row.FixedMax.AcceptanceRatio),
-			fmt.Sprintf("%.1f", row.FixedMax.AvgBandwidth),
-		})
+		t.Rows = append(t.Rows, []any{row.Load, row.Elastic.AcceptanceRatio, row.Elastic.AvgBandwidth,
+			row.FixedMin.AcceptanceRatio, row.FixedMin.AvgBandwidth,
+			row.FixedMax.AcceptanceRatio, row.FixedMax.AvgBandwidth})
 	}
-	return renderTable(w, []string{
-		"load", "elastic acc", "elastic bw", "fixmin acc", "fixmin bw", "fixmax acc", "fixmax bw",
-	}, rows)
+	return t
 }
 
 // AblationBRow compares the two range-QoS adaptation policies (§2.2) on a
@@ -152,21 +144,16 @@ func AblationB(cfg Config) (*AblationBResult, error) {
 	return &AblationBResult{Rows: rows}, nil
 }
 
-// Render writes the comparison.
-func (r *AblationBResult) Render(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "Ablation B: max-utility vs coefficient adaptation (utilities 1 vs 2)"); err != nil {
-		return err
+// Table returns the comparison as printed.
+func (r *AblationBResult) Table() *Table {
+	t := &Table{
+		Title:   "Ablation B: max-utility vs coefficient adaptation (utilities 1 vs 2)",
+		Columns: []Column{{"policy", "%s"}, {"highUtilBW", "%.1f"}, {"lowUtilBW", "%.1f"}, {"overallBW", "%.1f"}},
 	}
-	rows := make([][]string, 0, len(r.Rows))
 	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.Policy,
-			fmt.Sprintf("%.1f", row.HighUtilAvg),
-			fmt.Sprintf("%.1f", row.LowUtilAvg),
-			fmt.Sprintf("%.1f", row.OverallAvg),
-		})
+		t.Rows = append(t.Rows, []any{row.Policy, row.HighUtilAvg, row.LowUtilAvg, row.OverallAvg})
 	}
-	return renderTable(w, []string{"policy", "high-util bw", "low-util bw", "overall bw"}, rows)
+	return t
 }
 
 // AblationCRow compares backup multiplexing on/off at one load.
@@ -248,24 +235,16 @@ func AblationC(cfg Config) (*AblationCResult, error) {
 	return out, nil
 }
 
-// Render writes the comparison.
-func (r *AblationCResult) Render(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "Ablation C: backup multiplexing on vs off"); err != nil {
-		return err
+// Table returns the comparison as printed.
+func (r *AblationCResult) Table() *Table {
+	t := &Table{
+		Title: "Ablation C: backup multiplexing on vs off",
+		Columns: []Column{{"load", "%d"}, {"muxAcc", "%.3f"}, {"nomuxAcc", "%.3f"}, {"muxBW", "%.1f"},
+			{"nomuxBW", "%.1f"}, {"muxAlive", "%d"}, {"nomuxAlive", "%d"}},
 	}
-	rows := make([][]string, 0, len(r.Rows))
 	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", row.Load),
-			fmt.Sprintf("%.3f", row.MuxAcceptance),
-			fmt.Sprintf("%.3f", row.NoMuxAcceptance),
-			fmt.Sprintf("%.1f", row.MuxAvgBW),
-			fmt.Sprintf("%.1f", row.NoMuxAvgBW),
-			fmt.Sprintf("%d", row.MuxAlive),
-			fmt.Sprintf("%d", row.NoMuxAlive),
-		})
+		t.Rows = append(t.Rows, []any{row.Load, row.MuxAcceptance, row.NoMuxAcceptance,
+			row.MuxAvgBW, row.NoMuxAvgBW, row.MuxAlive, row.NoMuxAlive})
 	}
-	return renderTable(w, []string{
-		"load", "mux acc", "nomux acc", "mux bw", "nomux bw", "mux alive", "nomux alive",
-	}, rows)
+	return t
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"drqos/internal/core"
 )
@@ -68,22 +67,15 @@ func Coverage(cfg Config) (*CoverageResult, error) {
 	return &CoverageResult{Points: points}, nil
 }
 
-// Render writes the sweep as a table.
-func (r *CoverageResult) Render(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "Coverage extension: protection exposure vs failure rate (repair rate 0.01)"); err != nil {
-		return err
+// Table returns the sweep as printed.
+func (r *CoverageResult) Table() *Table {
+	t := &Table{
+		Title: "Coverage extension: protection exposure vs failure rate (repair rate 0.01)",
+		Columns: []Column{{"gamma", "%.0e"}, {"unprotectedFrac", "%.4f"}, {"droppedPerFailure", "%.3f"},
+			{"failures", "%d"}, {"avgBW", "%.1f"}},
 	}
-	rows := make([][]string, 0, len(r.Points))
 	for _, p := range r.Points {
-		rows = append(rows, []string{
-			fmt.Sprintf("%.0e", p.Gamma),
-			fmt.Sprintf("%.4f", p.UnprotectedFrac),
-			fmt.Sprintf("%.3f", p.DroppedPerFailure),
-			fmt.Sprintf("%d", p.Failures),
-			fmt.Sprintf("%.1f", p.AvgBandwidth),
-		})
+		t.Rows = append(t.Rows, []any{p.Gamma, p.UnprotectedFrac, p.DroppedPerFailure, p.Failures, p.AvgBandwidth})
 	}
-	return renderTable(w, []string{
-		"gamma", "unprotected frac", "dropped/failure", "failures", "avg bw",
-	}, rows)
+	return t
 }

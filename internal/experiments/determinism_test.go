@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 )
@@ -10,19 +9,17 @@ import (
 // point derives its randomness from Config.Seed and its own sweep
 // coordinates, so fanning points over any number of workers has to produce
 // results bit-identical to the sequential (Workers=1) path. These tests run
-// the two richest experiments at several worker counts and compare both the
-// typed results and the rendered bytes. `go test -race` additionally checks
-// the pool itself for data races.
+// the two richest experiments at several worker counts and compare the
+// typed results and the printed bytes: the text table, and the .dat, whose
+// full-precision cells show what rounding to %.1f would hide. `go test
+// -race` additionally checks the pool itself for data races.
 
 func TestFig2DeterministicAcrossWorkers(t *testing.T) {
 	base, err := Fig2(Config{Seed: 21, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var baseRender bytes.Buffer
-	if err := base.Render(&baseRender); err != nil {
-		t.Fatal(err)
-	}
+	baseText, baseDat := printTable(t, base.Table())
 	for _, workers := range []int{2, 8} {
 		got, err := Fig2(Config{Seed: 21, Workers: workers})
 		if err != nil {
@@ -31,12 +28,9 @@ func TestFig2DeterministicAcrossWorkers(t *testing.T) {
 		if !reflect.DeepEqual(got, base) {
 			t.Fatalf("workers=%d: Fig2Result differs from sequential:\n%+v\nvs\n%+v", workers, got, base)
 		}
-		var render bytes.Buffer
-		if err := got.Render(&render); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(render.Bytes(), baseRender.Bytes()) {
-			t.Fatalf("workers=%d: rendered bytes differ:\n%s\nvs\n%s", workers, render.String(), baseRender.String())
+		text, dat := printTable(t, got.Table())
+		if text != baseText || dat != baseDat {
+			t.Fatalf("workers=%d: printed bytes differ:\n%s%s\nvs\n%s%s", workers, text, dat, baseText, baseDat)
 		}
 	}
 }
@@ -46,10 +40,7 @@ func TestTable1DeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var baseRender bytes.Buffer
-	if err := base.Render(&baseRender); err != nil {
-		t.Fatal(err)
-	}
+	baseText, baseDat := printTable(t, base.Table())
 	workerCounts := []int{8}
 	if !testing.Short() {
 		workerCounts = []int{2, 8}
@@ -62,12 +53,9 @@ func TestTable1DeterministicAcrossWorkers(t *testing.T) {
 		if !reflect.DeepEqual(got, base) {
 			t.Fatalf("workers=%d: Table1Result differs from sequential:\n%+v\nvs\n%+v", workers, got, base)
 		}
-		var render bytes.Buffer
-		if err := got.Render(&render); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(render.Bytes(), baseRender.Bytes()) {
-			t.Fatalf("workers=%d: rendered bytes differ:\n%s\nvs\n%s", workers, render.String(), baseRender.String())
+		text, dat := printTable(t, got.Table())
+		if text != baseText || dat != baseDat {
+			t.Fatalf("workers=%d: printed bytes differ:\n%s%s\nvs\n%s%s", workers, text, dat, baseText, baseDat)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 // Package experiments reproduces every table and figure of the paper's
-// evaluation section (§4), plus the ablations called out in DESIGN.md. Each
-// experiment returns typed rows and can render itself as an aligned text
-// table whose columns mirror what the paper plots.
+// evaluation section (§4), plus the ablations called out in DESIGN.md, as
+// typed results whose one Table is what the terminal and .dat files show.
 //
 // Scale presets: Full reproduces the paper's parameter ranges; Quick keeps
 // the same shape at a fraction of the load so that `go test -bench` and CI
@@ -10,10 +9,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
-	"io"
-	"strings"
-	"text/tabwriter"
 
 	"drqos/internal/core"
 	"drqos/internal/parallel"
@@ -77,27 +72,6 @@ func (c Config) loads() []int {
 func runPoints[P, R any](cfg Config, points []P, fn func(p P) (R, error)) ([]R, error) {
 	return parallel.Map(context.Background(), points, cfg.Workers,
 		func(_ context.Context, p P) (R, error) { return fn(p) })
-}
-
-// renderTable writes rows as an aligned table.
-func renderTable(w io.Writer, header []string, rows [][]string) error {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	if _, err := fmt.Fprintln(tw, strings.Join(header, "\t")); err != nil {
-		return err
-	}
-	underline := make([]string, len(header))
-	for i, h := range header {
-		underline[i] = strings.Repeat("-", len(h))
-	}
-	if _, err := fmt.Fprintln(tw, strings.Join(underline, "\t")); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if _, err := fmt.Fprintln(tw, strings.Join(r, "\t")); err != nil {
-			return err
-		}
-	}
-	return tw.Flush()
 }
 
 // pairSource deterministically draws distinct (src, dst) node pairs.

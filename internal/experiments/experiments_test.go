@@ -1,10 +1,12 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -59,14 +61,10 @@ func TestFig2ShapeAndRender(t *testing.T) {
 	if last.Ideal < last.SimAvg*0.8 {
 		t.Fatalf("ideal %v implausibly below sim %v", last.Ideal, last.SimAvg)
 	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	text, _ := printTable(t, res.Table())
 	for _, want := range []string{"Figure 2", "offered", "markov"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("render missing %q:\n%s", want, out)
+		if !strings.Contains(text, want) {
+			t.Fatalf("render missing %q:\n%s", want, text)
 		}
 	}
 }
@@ -90,11 +88,7 @@ func TestTable1IncrementSizesAgree(t *testing.T) {
 			t.Fatalf("tier accepted everything at load %d: %+v", row.Channels, row)
 		}
 	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Table 1") {
+	if text, _ := printTable(t, res.Table()); !strings.Contains(text, "Table 1") {
 		t.Fatal("render missing title")
 	}
 }
@@ -133,11 +127,7 @@ func TestFig3EdgesGrow(t *testing.T) {
 	if last.SimAvg < first.SimAvg {
 		t.Fatalf("bandwidth fell with network size: %+v", res.Points)
 	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Figure 3") {
+	if text, _ := printTable(t, res.Table()); !strings.Contains(text, "Figure 3") {
 		t.Fatal("render missing title")
 	}
 }
@@ -163,11 +153,7 @@ func TestFig4FailureRatesFlat(t *testing.T) {
 	if res.Points[len(res.Points)-1].Failures3000 == 0 {
 		t.Fatal("no failures at the top rate")
 	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Figure 4") {
+	if text, _ := printTable(t, res.Table()); !strings.Contains(text, "Figure 4") {
 		t.Fatal("render missing title")
 	}
 }
@@ -185,11 +171,7 @@ func TestAblationA(t *testing.T) {
 			t.Fatalf("elastic below fixed-min utilization at load %d", row.Load)
 		}
 	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Ablation A") {
+	if text, _ := printTable(t, res.Table()); !strings.Contains(text, "Ablation A") {
 		t.Fatal("render missing title")
 	}
 }
@@ -224,11 +206,7 @@ func TestAblationB(t *testing.T) {
 	if gapMaxU < gapCoef {
 		t.Fatalf("max-utility gap %v should exceed coefficient gap %v", gapMaxU, gapCoef)
 	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Ablation B") {
+	if text, _ := printTable(t, res.Table()); !strings.Contains(text, "Ablation B") {
 		t.Fatal("render missing title")
 	}
 }
@@ -250,11 +228,7 @@ func TestAblationC(t *testing.T) {
 	if !sawBenefit {
 		t.Fatalf("multiplexing showed no benefit at any load: %+v", res.Rows)
 	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Ablation C") {
+	if text, _ := printTable(t, res.Table()); !strings.Contains(text, "Ablation C") {
 		t.Fatal("render missing title")
 	}
 }
@@ -278,11 +252,7 @@ func TestAblationD(t *testing.T) {
 			t.Fatalf("sequential beat flooding at load %d: %+v", row.Load, row)
 		}
 	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Ablation D") {
+	if text, _ := printTable(t, res.Table()); !strings.Contains(text, "Ablation D") {
 		t.Fatal("render missing title")
 	}
 }
@@ -314,34 +284,41 @@ func TestCoverage(t *testing.T) {
 	if !anyDrops {
 		t.Fatalf("no failure ever dropped a connection: %+v", res.Points)
 	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Coverage extension") {
+	if text, _ := printTable(t, res.Table()); !strings.Contains(text, "Coverage extension") {
 		t.Fatal("render missing title")
 	}
 }
 
+// printTable renders tab as text and as .dat. Column formats are data, so
+// vet's printf check cannot see them: it fails on a row whose cell count
+// is not the column count, and on the "%!" a verb that does not fit its
+// cell prints.
+func printTable(t *testing.T, tab *Table) (text, dat string) {
+	t.Helper()
+	for i, row := range tab.Rows {
+		if len(row) != len(tab.Columns) {
+			t.Fatalf("%s: row %d has %d cells for %d columns", tab.Title, i, len(row), len(tab.Columns))
+		}
+	}
+	var tb strings.Builder
+	if err := tab.Render(&tb); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(tb.String(), "%!") {
+		t.Fatalf("a column format does not fit its cells:\n%s", tb.String())
+	}
+	return tb.String(), string(tab.Dat())
+}
+
 func TestWriteDatFiles(t *testing.T) {
-	dir := t.TempDir()
 	res, err := Fig3(Config{Seed: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteDatFile(dir, "fig3", res); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(dir + "/fig3.dat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	_, data := printTable(t, res.Table())
+	lines := strings.Split(strings.TrimSpace(data), "\n")
 	if len(lines) != len(res.Points)+1 {
 		t.Fatalf("dat lines = %d, want %d", len(lines), len(res.Points)+1)
-	}
-	if !strings.HasPrefix(lines[0], "# nodes") {
-		t.Fatalf("header = %q", lines[0])
 	}
 	// Every data line parses as numbers.
 	for _, l := range lines[1:] {
@@ -351,8 +328,45 @@ func TestWriteDatFiles(t *testing.T) {
 			t.Fatalf("line %q: %v", l, err)
 		}
 	}
-	if !strings.Contains(GnuplotScript(), "fig3.dat") {
-		t.Fatal("gnuplot script does not reference fig3.dat")
+
+	// plots.gp addresses the figures' .dat columns by position: each file it
+	// plots keeps the header committed in plots/, and every column it uses
+	// exists.
+	figures := map[string]*Table{
+		"fig2":   (&Fig2Result{}).Table(),
+		"table1": (&Table1Result{}).Table(),
+		"fig3":   (&Fig3Result{}).Table(),
+		"fig4":   (&Fig4Result{}).Table(),
+	}
+	for name, tab := range figures {
+		_, dat := printTable(t, tab)
+		committed, err := os.ReadFile(filepath.Join("..", "..", "plots", name+".dat"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if header, _, _ := strings.Cut(string(committed), "\n"); dat != header+"\n" {
+			t.Errorf("%s.dat header %q, plots/%s.dat has %q", name, strings.TrimSpace(dat), name, header)
+		}
+	}
+	uses := regexp.MustCompile(`"(\w+)\.dat" using ([\d:]+)`).FindAllStringSubmatch(GnuplotScript(), -1)
+	plotted := map[string]bool{}
+	for _, u := range uses {
+		plotted[u[1]] = true
+		tab, ok := figures[u[1]]
+		if !ok {
+			t.Errorf("plots.gp plots %s.dat, which no figure writes", u[1])
+			continue
+		}
+		for _, col := range strings.Split(u[2], ":") {
+			if n, _ := strconv.Atoi(col); n < 1 || n > len(tab.Columns) {
+				t.Errorf("plots.gp uses column %s of %s.dat, which has %d", col, u[1], len(tab.Columns))
+			}
+		}
+	}
+	for name := range figures {
+		if !plotted[name] {
+			t.Errorf("plots.gp does not plot %s.dat", name)
+		}
 	}
 }
 
@@ -373,11 +387,7 @@ func TestVariability(t *testing.T) {
 	if res.Sim.StdDev() == 0 {
 		t.Fatal("replications are identical; seeds not independent")
 	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Variability") {
+	if text, _ := printTable(t, res.Table()); !strings.Contains(text, "Variability") {
 		t.Fatal("render missing title")
 	}
 }
@@ -421,11 +431,7 @@ func TestAblationE(t *testing.T) {
 	if !reactiveEverDropped {
 		t.Fatal("reactive restoration never failed — shortage never bit")
 	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Ablation E") {
+	if text, _ := printTable(t, res.Table()); !strings.Contains(text, "Ablation E") {
 		t.Fatal("render missing title")
 	}
 }

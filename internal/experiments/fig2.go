@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"drqos/internal/core"
 )
@@ -78,24 +77,16 @@ func Fig2(cfg Config) (*Fig2Result, error) {
 	return out, nil
 }
 
-// Render writes the series as a table.
-func (r *Fig2Result) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "Figure 2: average bandwidth vs number of DR-connections (%d links, avg %.2f hops)\n",
-		r.Links, r.AvgHops); err != nil {
-		return err
+// Table returns the series as printed.
+func (r *Fig2Result) Table() *Table {
+	t := &Table{
+		Title: fmt.Sprintf("Figure 2: average bandwidth vs number of DR-connections (%d links, avg %.2f hops)",
+			r.Links, r.AvgHops),
+		Columns: []Column{{"offered", "%d"}, {"alive", "%d"}, {"sim", "%.1f"}, {"simCI", "±%.1f"},
+			{"markov", "%.1f"}, {"markov_restart", "%.1f"}, {"ideal", "%.0f"}},
 	}
-	rows := make([][]string, 0, len(r.Points))
 	for _, p := range r.Points {
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", p.Offered),
-			fmt.Sprintf("%d", p.Alive),
-			fmt.Sprintf("%.1f ±%.1f", p.SimAvg, p.SimCI),
-			fmt.Sprintf("%.1f", p.Analytic),
-			fmt.Sprintf("%.1f", p.AnalyticRestart),
-			fmt.Sprintf("%.0f", p.Ideal),
-		})
+		t.Rows = append(t.Rows, []any{p.Offered, p.Alive, p.SimAvg, p.SimCI, p.Analytic, p.AnalyticRestart, p.Ideal})
 	}
-	return renderTable(w, []string{
-		"offered", "alive", "sim(Kbps)", "markov(Kbps)", "markov+restart", "ideal",
-	}, rows)
+	return t
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"drqos/internal/core"
 )
@@ -60,20 +59,14 @@ func Fig3(cfg Config) (*Fig3Result, error) {
 	return &Fig3Result{LoadedConns: load, Points: points}, nil
 }
 
-// Render writes the series as a table.
-func (r *Fig3Result) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "Figure 3: average bandwidth vs number of nodes (%d loaded connections)\n", r.LoadedConns); err != nil {
-		return err
+// Table returns the series as printed.
+func (r *Fig3Result) Table() *Table {
+	t := &Table{
+		Title:   fmt.Sprintf("Figure 3: average bandwidth vs number of nodes (%d loaded connections)", r.LoadedConns),
+		Columns: []Column{{"nodes", "%d"}, {"links", "%d"}, {"alive", "%d"}, {"sim", "%.1f"}, {"markov", "%.1f"}},
 	}
-	rows := make([][]string, 0, len(r.Points))
 	for _, p := range r.Points {
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", p.Nodes),
-			fmt.Sprintf("%d", p.Links),
-			fmt.Sprintf("%d", p.Alive),
-			fmt.Sprintf("%.1f", p.SimAvg),
-			fmt.Sprintf("%.1f", p.Analytic),
-		})
+		t.Rows = append(t.Rows, []any{p.Nodes, p.Links, p.Alive, p.SimAvg, p.Analytic})
 	}
-	return renderTable(w, []string{"nodes", "links", "alive", "sim(Kbps)", "markov(Kbps)"}, rows)
+	return t
 }

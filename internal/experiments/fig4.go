@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"drqos/internal/core"
 )
@@ -91,25 +90,16 @@ func Fig4(cfg Config) (*Fig4Result, error) {
 	return out, nil
 }
 
-// Render writes the series as a table.
-func (r *Fig4Result) Render(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "Figure 4: average bandwidth vs link failure rate"); err != nil {
-		return err
+// Table returns the series as printed.
+func (r *Fig4Result) Table() *Table {
+	t := &Table{
+		Title: "Figure 4: average bandwidth vs link failure rate",
+		Columns: []Column{{"gamma", "%.0e"}, {"simA", "%.1f"}, {"markovA", "%.1f"}, {"generalA", "%.1f"},
+			{"simB", "%.1f"}, {"markovB", "%.1f"}, {"generalB", "%.1f"}, {"failuresB", "%d"}},
 	}
-	rows := make([][]string, 0, len(r.Points))
 	for _, p := range r.Points {
-		rows = append(rows, []string{
-			fmt.Sprintf("%.0e", p.Gamma),
-			fmt.Sprintf("%.1f", p.Avg2000),
-			fmt.Sprintf("%.1f", p.Analytic2000),
-			fmt.Sprintf("%.1f", p.General2000),
-			fmt.Sprintf("%.1f", p.Avg3000),
-			fmt.Sprintf("%.1f", p.Analytic3000),
-			fmt.Sprintf("%.1f", p.General3000),
-			fmt.Sprintf("%d", p.Failures3000),
-		})
+		t.Rows = append(t.Rows, []any{p.Gamma, p.Avg2000, p.Analytic2000, p.General2000,
+			p.Avg3000, p.Analytic3000, p.General3000, p.Failures3000})
 	}
-	return renderTable(w, []string{
-		"gamma", "simA", "markovA", "generalA", "simB", "markovB", "generalB", "failures@B",
-	}, rows)
+	return t
 }

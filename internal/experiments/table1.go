@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"drqos/internal/core"
 	"drqos/internal/qos"
@@ -95,25 +94,16 @@ func Table1(cfg Config) (*Table1Result, error) {
 	return out, nil
 }
 
-// Render writes the table.
-func (r *Table1Result) Render(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "Table 1: average bandwidth (Kbps) of Markov chains with 5 vs 9 states"); err != nil {
-		return err
+// Table returns the rows as printed.
+func (r *Table1Result) Table() *Table {
+	t := &Table{
+		Title: "Table 1: average bandwidth (Kbps) of Markov chains with 5 vs 9 states",
+		Columns: []Column{{"channels", "%d"}, {"random5", "%.1f"}, {"random9", "%.1f"}, {"randomSim", "%.1f"},
+			{"tier5", "%.1f"}, {"tier9", "%.1f"}, {"tierSim", "%.1f"}, {"tierAlive", "%d"}},
 	}
-	rows := make([][]string, 0, len(r.Rows))
 	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", row.Channels),
-			fmt.Sprintf("%.1f", row.Random5),
-			fmt.Sprintf("%.1f", row.Random9),
-			fmt.Sprintf("%.1f", row.RandomSim),
-			fmt.Sprintf("%.1f", row.Tier5),
-			fmt.Sprintf("%.1f", row.Tier9),
-			fmt.Sprintf("%.1f", row.TierSim),
-			fmt.Sprintf("%d", row.TierAlive),
-		})
+		t.Rows = append(t.Rows, []any{row.Channels, row.Random5, row.Random9, row.RandomSim,
+			row.Tier5, row.Tier9, row.TierSim, row.TierAlive})
 	}
-	return renderTable(w, []string{
-		"channels", "random/5", "random/9", "random/sim", "tier/5", "tier/9", "tier/sim", "tier alive",
-	}, rows)
+	return t
 }

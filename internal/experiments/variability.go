@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"drqos/internal/core"
 	"drqos/internal/stats"
@@ -73,18 +72,17 @@ func Variability(cfg Config) (*VariabilityResult, error) {
 	return out, nil
 }
 
-// Render writes the summary.
-func (r *VariabilityResult) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "Variability: %d replications at load %d\n", r.Replications, r.Load); err != nil {
-		return err
+// Table returns the summary as printed: one row per statistic, one column
+// per series.
+func (r *VariabilityResult) Table() *Table {
+	return &Table{
+		Title:   fmt.Sprintf("Variability: %d replications at load %d", r.Replications, r.Load),
+		Columns: []Column{{"stat", "%s"}, {"sim", "%.1f"}, {"markov", "%.1f"}, {"relerr", "%.3f"}},
+		Rows: [][]any{
+			{"mean", r.Sim.Mean(), r.Model.Mean(), r.RelErr.Mean()},
+			{"stddev", r.Sim.StdDev(), r.Model.StdDev(), r.RelErr.StdDev()},
+			{"min", r.Sim.Min(), r.Model.Min(), r.RelErr.Min()},
+			{"max", r.Sim.Max(), r.Model.Max(), r.RelErr.Max()},
+		},
 	}
-	rows := [][]string{
-		{"simulation", fmt.Sprintf("%.1f", r.Sim.Mean()), fmt.Sprintf("%.1f", r.Sim.StdDev()),
-			fmt.Sprintf("%.1f", r.Sim.Min()), fmt.Sprintf("%.1f", r.Sim.Max())},
-		{"markov model", fmt.Sprintf("%.1f", r.Model.Mean()), fmt.Sprintf("%.1f", r.Model.StdDev()),
-			fmt.Sprintf("%.1f", r.Model.Min()), fmt.Sprintf("%.1f", r.Model.Max())},
-		{"rel. error", fmt.Sprintf("%.3f", r.RelErr.Mean()), fmt.Sprintf("%.3f", r.RelErr.StdDev()),
-			fmt.Sprintf("%.3f", r.RelErr.Min()), fmt.Sprintf("%.3f", r.RelErr.Max())},
-	}
-	return renderTable(w, []string{"series", "mean", "stddev", "min", "max"}, rows)
 }

@@ -13,8 +13,10 @@
 #                                (FuzzFloodMatchesParent), the
 #                                manager's event traces (FuzzApply),
 #                                snapshot restore (FuzzRestore) and the
-#                                stream's frame decoder, then vet + tests of
-#                                the bench/ module
+#                                stream's frame decoder, then (amd64 only)
+#                                every experiment at full scale diffed
+#                                against experiments_full.txt, then vet +
+#                                tests of the bench/ module
 #
 # Among the root tests, TestNoTestOnlyExports (gates_test.go, ~4 s, ~7 s
 # under -race) type-checks this module and bench/ and fails with one
@@ -207,6 +209,21 @@ case "${1:-}" in
     # events that encode back to the input byte for byte.
     echo "== fuzz: DecodeFrames against EncodeFramesForTesting (10s)"
     go test -run '^$' -fuzz FuzzDecodeFrames -fuzztime 10s ./internal/journal
+
+    # The paper's figures, tables and ablations at full scale (under a minute
+    # on a 2-vCPU VM), against the committed output that EXPERIMENTS.md
+    # copies its tables from; only the "=== name (scale, wall time) ===" lines
+    # may differ. Go fuses multiply-add on arm64 and some other targets,
+    # which can move a float's last bits, so the step runs on amd64 only.
+    if [ "$(go env GOARCH)" = amd64 ]; then
+        echo "== experiments: the full-scale run reproduces experiments_full.txt"
+        out=$(mktemp -d)
+        trap 'rm -rf "$out"' EXIT
+        go run ./cmd/experiments -run all -scale full | grep -v '^=== ' >"$out/run.txt"
+        grep -v '^=== ' experiments_full.txt | diff -u - "$out/run.txt"
+    else
+        echo "== experiments: skipped on $(go env GOARCH); experiments_full.txt holds amd64 floats"
+    fi
 
     # bench/ is its own module (drqos/bench, replace drqos => ../), so ./...
     # above does not descend into it — yet it compiles against
