@@ -2,7 +2,6 @@ package manager
 
 import (
 	"fmt"
-	"slices"
 
 	"drqos/internal/channel"
 	"drqos/internal/topology"
@@ -30,11 +29,11 @@ func (m *Manager) Terminate(id channel.ConnID) (rep *TerminationReport, err erro
 	w.direct.Remove(s)
 	copy(w.chained, w.direct)
 
-	if err := m.net.ReleasePrimary(id, m.slots[s].dirs); err != nil {
+	if err := m.net.ReleasePrimary(s, m.slots[s].dirs, c.Bandwidth(), c.Spec.Min); err != nil {
 		return nil, wrapViolation(err, "release primary of conn %d", id)
 	}
 	if c.HasBackup {
-		if err := m.net.ReleaseBackup(id, c.Backup); err != nil {
+		if err := m.net.ReleaseBackup(s, m.backupDirs(c.Backup), c.Primary.Links, c.Spec.Min); err != nil {
 			return nil, wrapViolation(err, "release backup of conn %d", id)
 		}
 	}
@@ -70,7 +69,7 @@ func (m *Manager) FailLink(l topology.LinkID) (rep *FailureReport, err error) {
 	w := &m.work
 
 	// Classify the affected connections before mutating, each class by
-	// ascending ID (slot order), from the failed link's own entries: the
+	// ascending ID (slot order), from the failed link's own slot sets: the
 	// primaries on its two directions are the victims, the backups there
 	// whose primary is intact have lost their protection.
 	ends := m.g.Link(l)
@@ -78,13 +77,10 @@ func (m *Manager) FailLink(l topology.LinkID) (rep *FailureReport, err error) {
 	m.union(w.victims, both[:])
 	w.dying = w.victims.AppendMembers(w.dying)
 	for _, d := range both {
-		for _, b := range m.net.BackupsOn(d) {
-			if !m.slots[b.Slot].crosses(l) {
-				w.lost = append(w.lost, b.Slot)
-			}
-		}
+		w.cands.Or(m.net.BackupSlotsOn(d))
 	}
-	slices.Sort(w.lost)
+	w.cands.AndNot(w.victims)
+	w.lost = w.cands.AppendMembers(w.lost)
 
 	report := &FailureReport{}
 
@@ -129,12 +125,16 @@ func (m *Manager) FailLink(l topology.LinkID) (rep *FailureReport, err error) {
 	for _, s := range w.dying {
 		v := m.slots[s].conn
 		m.addRegion(m.slots[s].dirs)
-		if err := m.net.ReleasePrimary(v.ID, m.slots[s].dirs); err != nil {
+		if err := m.net.ReleasePrimary(s, m.slots[s].dirs, v.Bandwidth(), v.Spec.Min); err != nil {
 			return nil, wrapViolation(err, "release failed primary of conn %d", v.ID)
+		}
+		var backup []topology.DirLinkID
+		if v.HasBackup {
+			backup = m.backupDirs(v.Backup)
 		}
 		usable := v.HasBackup && !v.BackupUsesLink(l)
 		if usable {
-			if err := m.net.ActivateBackup(v.ID, s, v.Backup); err == nil {
+			if err := m.net.ActivateBackup(s, backup, v.Primary.Links, v.Spec.Min); err == nil {
 				if err := v.FailOver(); err != nil {
 					return nil, wrapViolation(err, "fail over conn %d", v.ID)
 				}
@@ -149,7 +149,7 @@ func (m *Manager) FailLink(l topology.LinkID) (rep *FailureReport, err error) {
 			}
 			// Even after the squeeze the backup's minimum does not fit
 			// (e.g. overlapping earlier failures): the connection drops.
-			if err := m.net.ReleaseBackup(v.ID, v.Backup); err != nil {
+			if err := m.net.ReleaseBackup(s, backup, v.Primary.Links, v.Spec.Min); err != nil {
 				return nil, wrapViolation(err, "release unusable backup of conn %d", v.ID)
 			}
 			if err := v.DetachBackup(); err != nil {
@@ -158,7 +158,7 @@ func (m *Manager) FailLink(l topology.LinkID) (rep *FailureReport, err error) {
 			m.unprotected++
 		} else if v.HasBackup {
 			// The backup crosses the failed link too.
-			if err := m.net.ReleaseBackup(v.ID, v.Backup); err != nil {
+			if err := m.net.ReleaseBackup(s, backup, v.Primary.Links, v.Spec.Min); err != nil {
 				return nil, wrapViolation(err, "release dead backup of conn %d", v.ID)
 			}
 			if err := v.DetachBackup(); err != nil {
@@ -190,7 +190,7 @@ func (m *Manager) FailLink(l topology.LinkID) (rep *FailureReport, err error) {
 	// and try to protect them again elsewhere.
 	for _, s := range w.lost {
 		c := m.slots[s].conn
-		if err := m.net.ReleaseBackup(c.ID, c.Backup); err != nil {
+		if err := m.net.ReleaseBackup(s, m.backupDirs(c.Backup), c.Primary.Links, c.Spec.Min); err != nil {
 			return nil, wrapViolation(err, "release lost backup of conn %d", c.ID)
 		}
 		if err := c.DetachBackup(); err != nil {
@@ -285,17 +285,18 @@ func (m *Manager) tryReestablish(s int32) (bool, error) {
 	newPrimary := cands[0].Path
 	w := &m.work
 	w.route = newPrimary.AppendDirLinks(w.route[:0], m.g)
-	if err := m.net.ReservePrimary(c.ID, s, w.route, c.Spec.Min); err != nil {
+	if err := m.net.ReservePrimary(s, w.route, c.Spec.Min); err != nil {
 		// The headroom seen by discovery may be borrowed as grants;
 		// squeeze the route's primaries to their minima and retry once.
 		for _, d := range w.route {
-			for _, r := range m.net.PrimariesOn(d) {
-				if err := m.squeezeToMin(r.Slot); err != nil {
+			w.members = m.net.SlotsOn(d).AppendMembers(w.members[:0])
+			for _, r := range w.members {
+				if err := m.squeezeToMin(r); err != nil {
 					return false, err
 				}
 			}
 		}
-		if err := m.net.ReservePrimary(c.ID, s, w.route, c.Spec.Min); err != nil {
+		if err := m.net.ReservePrimary(s, w.route, c.Spec.Min); err != nil {
 			return false, nil
 		}
 	}
@@ -319,7 +320,7 @@ func (m *Manager) tryReprotect(s int32) (bool, error) {
 	if err != nil {
 		return false, nil
 	}
-	if err := m.net.ReserveBackup(c.ID, s, p, c.Primary.Links, c.Spec.Min); err != nil {
+	if err := m.net.ReserveBackup(s, m.backupDirs(p), c.Primary.Links, c.Spec.Min); err != nil {
 		return false, nil
 	}
 	if err := c.AttachBackup(p, shared); err != nil {

@@ -53,9 +53,14 @@ func wrapViolation(err error, format string, args ...any) *InvariantViolation {
 // tagViolation stamps the event name onto a violation bubbling out of a
 // public entry point, so reports say which operation corrupted the ledger.
 // Use as `defer tagViolation(&err, "establish")` with a named return.
+// The target of errors.As escapes, so it is declared only once there is an
+// error: a clean event allocates nothing here.
 func tagViolation(err *error, op string) {
+	if *err == nil {
+		return
+	}
 	var iv *InvariantViolation
-	if *err != nil && errors.As(*err, &iv) && iv.Op == "" {
+	if errors.As(*err, &iv) && iv.Op == "" {
 		iv.Op = op
 	}
 }

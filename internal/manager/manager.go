@@ -399,7 +399,7 @@ func (m *Manager) admit(conn *channel.Conn, cands []routing.Candidate, wantBacku
 	if err := m.commit(false); err != nil {
 		return nil, err
 	}
-	if err := m.net.ReservePrimary(id, slot, w.route, spec.Min); err != nil {
+	if err := m.net.ReservePrimary(slot, w.route, spec.Min); err != nil {
 		// The plan squeezed every elastic byte off the route; a capacity
 		// error means the route genuinely cannot host the minimum.
 		return nil, m.refuse(slot, fmt.Errorf("%w: %v", ErrRejected, err))
@@ -417,7 +417,7 @@ func (m *Manager) admit(conn *channel.Conn, cands []routing.Candidate, wantBacku
 			backup, shared, berr = m.findBackup(conn, cands)
 		}
 		if berr == nil {
-			if err := m.net.ReserveBackup(id, slot, backup, primary.Links, spec.Min); err == nil {
+			if err := m.net.ReserveBackup(slot, w.backup, primary.Links, spec.Min); err == nil {
 				if err := conn.AttachBackup(backup, shared); err != nil {
 					return nil, wrapViolation(err, "attach backup for conn %d", id)
 				}
@@ -426,7 +426,7 @@ func (m *Manager) admit(conn *channel.Conn, cands []routing.Candidate, wantBacku
 			}
 		}
 		if berr != nil && m.cfg.RequireBackup {
-			if err := m.net.ReleasePrimary(id, w.route); err != nil {
+			if err := m.net.ReleasePrimary(slot, w.route, spec.Min, spec.Min); err != nil {
 				return nil, wrapViolation(err, "rollback primary of conn %d", id)
 			}
 			return nil, m.refuse(slot, fmt.Errorf("%w: no backup channel: %v", ErrRejected, berr))
@@ -522,7 +522,8 @@ func (o backupOption) before(p backupOption) bool {
 
 // findBackup picks a backup route for conn: the most link-disjoint flooding
 // candidate that passes multiplexed admission, else a dedicated search. The
-// route it returns is the caller's own.
+// route it returns is the caller's own, and its directed links are left in
+// work.backup.
 func (m *Manager) findBackup(conn *channel.Conn, cands []routing.Candidate) (routing.Path, int, error) {
 	primary := conn.Primary
 	// Try flooding candidates by (shared links, hops), ties in discovery
@@ -544,7 +545,7 @@ func (m *Manager) findBackup(conn *channel.Conn, cands []routing.Candidate) (rou
 		w.options = slices.Insert(w.options, at, o)
 	}
 	for _, o := range w.options {
-		if m.net.CanAdmitBackup(o.path, primary.Links, conn.Spec.Min) {
+		if m.net.CanAdmitBackup(m.backupDirs(o.path), primary.Links, conn.Spec.Min) {
 			return o.path.Clone(), o.shared, nil
 		}
 	}
@@ -553,7 +554,7 @@ func (m *Manager) findBackup(conn *channel.Conn, cands []routing.Candidate) (rou
 	if err != nil {
 		return routing.Path{}, 0, err
 	}
-	if !m.net.CanAdmitBackup(p, primary.Links, conn.Spec.Min) {
+	if !m.net.CanAdmitBackup(m.backupDirs(p), primary.Links, conn.Spec.Min) {
 		return routing.Path{}, 0, fmt.Errorf("%w: backup admission failed", network.ErrCapacity)
 	}
 	return p, shared, nil
@@ -583,7 +584,8 @@ func (m *Manager) squeezeToMin(s int32) error {
 		return nil
 	}
 	m.touch(s)
-	if err := m.net.AdjustPrimary(m.slotID[s], sl.dirs, sl.conn.Spec.Min); err != nil {
+	spec := &sl.conn.Spec
+	if err := m.net.AdjustPrimary(sl.dirs, spec.Bandwidth(sl.held), spec.Min); err != nil {
 		// Shrinking to the registered minimum can never fail; a failure
 		// here means ledger corruption.
 		return wrapViolation(err, "squeeze of conn %d failed", m.slotID[s])
@@ -595,26 +597,24 @@ func (m *Manager) squeezeToMin(s int32) error {
 // rules: the slot table, the ID index and the alive list describe the same
 // connections, slot order is ID order, and each slot mirrors its
 // connection's level (its scratch level at rest with it) and primary route;
-// the ceiling set and the least increment agree with the slots; every alive
-// connection is entered on exactly its routes' directed links — under its
-// own slot, at its level's bandwidth — and
-// nobody else is entered anywhere (so the dead hold no reservation); and the
-// aggregates equal their first-principles recomputation. A failure is
-// reported as an *InvariantViolation with Op "audit", so the server's
-// degraded-mode detection treats discovered corruption exactly like
-// corruption surfaced mid-event.
+// the ceiling set and the least increment agree with the slots; the ledger
+// equals its recomputation from the alive connections alone — each entered
+// on exactly its routes' directed links, under its own slot, at its level's
+// bandwidth, and nobody else entered anywhere (so the dead hold no
+// reservation); and the aggregates equal their first-principles
+// recomputation. A failure is reported as an *InvariantViolation with Op
+// "audit", so the server's degraded-mode detection treats discovered
+// corruption exactly like corruption surfaced mid-event.
 func (m *Manager) CheckInvariants() (err error) {
 	defer tagViolation(&err, "audit")
-	if err := m.net.CheckInvariants(); err != nil {
-		return wrapViolation(err, "network ledger audit")
-	}
 	if len(m.alive) != len(m.conns) || len(m.slotID) != len(m.slots) {
 		return violationf("%d alive connections, ID index has %d; %d slots, %d slot IDs",
 			len(m.alive), len(m.conns), len(m.slots), len(m.slotID))
 	}
 	var bwSum qos.Kbps
-	var unprotected, primaryHops, backupHops, atCeiling int
+	var unprotected, atCeiling int
 	hist := make([]int, len(m.levelHist))
+	holdings := make([]network.Holding, 0, len(m.alive))
 	var prev channel.ConnID
 	for i, s := range m.alive {
 		if s < 0 || int(s) >= len(m.slots) || i > 0 && m.alive[i-1] >= s {
@@ -657,54 +657,21 @@ func (m *Manager) CheckInvariants() (err error) {
 		if !slices.Equal(sl.dirs, c.Primary.DirLinks(m.g)) {
 			return violationf("conn %d cached directed links %v, primary route has %v", id, sl.dirs, c.Primary.DirLinks(m.g))
 		}
-		want := c.Bandwidth()
-		for _, d := range sl.dirs {
-			list := m.net.PrimariesOn(d)
-			at := slices.IndexFunc(list, func(r network.Reservation) bool { return r.ID == id })
-			if at < 0 {
-				return violationf("conn %d not entered on directed link %d of its primary", id, d)
-			}
-			if list[at].Slot != s {
-				return violationf("conn %d entered on directed link %d under slot %d, sits in %d", id, d, list[at].Slot, s)
-			}
-			if list[at].Grant != want {
-				return violationf("conn %d grant on directed link %d is %v, level says %v", id, d, list[at].Grant, want)
-			}
-		}
-		primaryHops += len(sl.dirs)
+		h := network.Holding{Slot: s, Primary: sl.dirs, Grant: c.Bandwidth(), Min: c.Spec.Min}
 		if c.HasBackup {
-			for _, d := range c.Backup.DirLinks(m.g) {
-				list := m.net.BackupsOn(d)
-				at := slices.IndexFunc(list, func(b network.Backup) bool { return b.ID == id })
-				if at < 0 {
-					return violationf("conn %d backup not entered on directed link %d of its route", id, d)
-				}
-				if list[at].Slot != s {
-					return violationf("conn %d backup entered on directed link %d under slot %d, sits in %d", id, d, list[at].Slot, s)
-				}
-			}
-			backupHops += c.Backup.Hops()
+			h.Backup = c.Backup.DirLinks(m.g)
 		} else {
 			unprotected++
 		}
-		bwSum += want
+		holdings = append(holdings, h)
+		bwSum += h.Grant
 		if c.Level >= len(hist) {
 			return violationf("level %d beyond histogram", c.Level)
 		}
 		hist[c.Level]++
 	}
-	// Every connection is on its own links; equal totals leave no entry
-	// over for anyone else (a dead connection, a link off the route).
-	var primaries, backups int
-	for d := 0; d < m.g.NumDirLinks(); d++ {
-		primaries += len(m.net.PrimariesOn(topology.DirLinkID(d)))
-		backups += len(m.net.BackupsOn(topology.DirLinkID(d)))
-	}
-	if primaries != primaryHops {
-		return violationf("ledger holds %d primary entries, alive routes have %d hops", primaries, primaryHops)
-	}
-	if backups != backupHops {
-		return violationf("ledger holds %d backup entries, alive backup routes have %d hops", backups, backupHops)
+	if err := m.net.CheckInvariants(holdings); err != nil {
+		return wrapViolation(err, "network ledger audit")
 	}
 	for s := range m.slots {
 		if c := m.slots[s].conn; c != nil {

@@ -2,6 +2,7 @@ package manager
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"drqos/internal/network"
@@ -177,7 +178,8 @@ func TestRenumberKeepsEverySlotItsOwn(t *testing.T) {
 }
 
 // checkOwnSlots requires every live slot to sit in ID order and every slot
-// the ledger records to name its own connection.
+// a link's primary or backup set holds to be a live connection whose
+// primary or backup crosses that link.
 func checkOwnSlots(t *testing.T, m *Manager) {
 	t.Helper()
 	checkMgr(t, m)
@@ -188,15 +190,14 @@ func checkOwnSlots(t *testing.T, m *Manager) {
 	}
 	for d := 0; d < m.g.NumDirLinks(); d++ {
 		dl := topology.DirLinkID(d)
-		set := m.net.SlotsOn(dl)
-		for _, r := range m.net.PrimariesOn(dl) {
-			if m.slotID[r.Slot] != r.ID || m.slots[r.Slot].conn == nil || !set.Has(r.Slot) {
-				t.Fatalf("directed link %d: primary %d recorded under slot %d, which holds %d", d, r.ID, r.Slot, m.slotID[r.Slot])
+		for _, s := range m.net.SlotsOn(dl).AppendMembers(nil) {
+			if c := m.slots[s].conn; c == nil || !slices.Contains(m.slots[s].dirs, dl) {
+				t.Fatalf("directed link %d: primary recorded under slot %d, whose connection's primary does not cross it", d, s)
 			}
 		}
-		for _, b := range m.net.BackupsOn(dl) {
-			if m.slotID[b.Slot] != b.ID || m.slots[b.Slot].conn == nil {
-				t.Fatalf("directed link %d: backup %d recorded under slot %d, which holds %d", d, b.ID, b.Slot, m.slotID[b.Slot])
+		for _, s := range m.net.BackupSlotsOn(dl).AppendMembers(nil) {
+			if c := m.slots[s].conn; c == nil || !c.HasBackup || !slices.Contains(c.Backup.DirLinks(m.g), dl) {
+				t.Fatalf("directed link %d: backup recorded under slot %d, whose connection's backup does not cross it", d, s)
 			}
 		}
 	}

@@ -354,7 +354,8 @@ func (m *Manager) commit(grow bool) error {
 		if sl.level == sl.held || (sl.level > sl.held) != grow {
 			continue
 		}
-		if err := m.net.AdjustPrimary(m.slotID[s], sl.dirs, sl.conn.Spec.Bandwidth(sl.level)); err != nil {
+		spec := &sl.conn.Spec
+		if err := m.net.AdjustPrimary(sl.dirs, spec.Bandwidth(sl.held), spec.Bandwidth(sl.level)); err != nil {
 			// The filling counted room on every link and decreases went
 			// first; failure is corruption.
 			return wrapViolation(err, "commit level %d of conn %d", sl.level, m.slotID[s])

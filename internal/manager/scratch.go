@@ -6,15 +6,15 @@ import (
 	"drqos/internal/channel"
 	"drqos/internal/network"
 	"drqos/internal/qos"
+	"drqos/internal/routing"
 	"drqos/internal/topology"
 )
 
 // connSlot is a live connection's entry in the manager's dense table and the
-// one record the event kernels read: from a link's slot set or list, they
-// reach a connection's slot by index and never its *channel.Conn. The ledger
-// stores the slot index with every primary reservation
-// (network.Reservation.Slot); the ID→slot map is consulted once, at the door
-// of Terminate and Conn.
+// one record the event kernels read: from a link's slot set, they reach a
+// connection's slot by index and never its *channel.Conn. The ledger knows a
+// connection only by its slot index (network.SlotsOn, BackupSlotsOn); the
+// ID→slot map is consulted once, at the door of Terminate and Conn.
 //
 // Slot order is ID order: allocSlot appends, IDs only grow, and renumber
 // keeps the order when it closes the gaps the dead leave. A set of slots
@@ -111,7 +111,8 @@ type workBuffers struct {
 	// link without room for the least increment.
 	growable network.SlotSet
 	bad      network.SlotSet
-	// cands is a failure's redistribution candidates, victims its victims.
+	// cands is a failure's lost backups, then its redistribution
+	// candidates; victims its victims.
 	cands   network.SlotSet
 	victims network.SlotSet
 
@@ -121,6 +122,7 @@ type workBuffers struct {
 	walked []int32
 
 	route   []topology.DirLinkID // directed links of the route in hand
+	backup  []topology.DirLinkID // directed links of the backup in hand
 	links   []topology.DirLinkID // arrival: off-route links; failure: activation links
 	region  []topology.DirLinkID // FailLink: where capacity changed
 	members []int32              // a set's members, ascending, for the walk in hand
@@ -240,14 +242,10 @@ func (m *Manager) renumber() {
 	m.net.RenumberSlots(w.renum)
 }
 
-// crosses reports whether the slot's primary traverses physical link l.
-func (sl *connSlot) crosses(l topology.LinkID) bool {
-	for _, d := range sl.dirs {
-		if d.Link() == l {
-			return true
-		}
-	}
-	return false
+// backupDirs returns the directed links of backup route p, in work.backup.
+func (m *Manager) backupDirs(p routing.Path) []topology.DirLinkID {
+	m.work.backup = p.AppendDirLinks(m.work.backup[:0], m.g)
+	return m.work.backup
 }
 
 // cacheDirs refreshes slot s's cached directed links from its connection's

@@ -147,11 +147,11 @@ func Restore(g *topology.Graph, cfg Config, st *State) (*Manager, error) {
 		conn := channel.RestoreConn(id, src, dst, cs.Spec, primary, int(cs.Level), cs.FailedOver)
 		slot := m.allocSlot(conn)
 		dirs := m.slots[slot].dirs
-		if err := m.net.ReservePrimary(id, slot, dirs, cs.Spec.Min); err != nil {
+		if err := m.net.ReservePrimary(slot, dirs, cs.Spec.Min); err != nil {
 			return nil, fmt.Errorf("manager: restore: conn %d primary reservation: %w", cs.ID, err)
 		}
 		if cs.Level > 0 {
-			if err := m.net.AdjustPrimary(id, dirs, cs.Spec.Bandwidth(int(cs.Level))); err != nil {
+			if err := m.net.AdjustPrimary(dirs, cs.Spec.Min, cs.Spec.Bandwidth(int(cs.Level))); err != nil {
 				return nil, fmt.Errorf("manager: restore: conn %d grow to level %d: %w", cs.ID, cs.Level, err)
 			}
 		}
@@ -160,7 +160,7 @@ func Restore(g *topology.Graph, cfg Config, st *State) (*Manager, error) {
 			if err := validRoute(g, backup, src, dst); err != nil {
 				return nil, fmt.Errorf("manager: restore: conn %d backup: %w", cs.ID, err)
 			}
-			if err := m.net.RestoreBackup(id, slot, backup, primary.Links, cs.Spec.Min); err != nil {
+			if err := m.net.RestoreBackup(slot, m.backupDirs(backup), primary.Links, cs.Spec.Min); err != nil {
 				return nil, fmt.Errorf("manager: restore: conn %d backup registration: %w", cs.ID, err)
 			}
 			if err := conn.AttachBackup(backup, int(cs.SharedWithPrimary)); err != nil {

@@ -1,7 +1,6 @@
 package network
 
 import (
-	"drqos/internal/channel"
 	"drqos/internal/qos"
 	"drqos/internal/topology"
 )
@@ -21,15 +20,6 @@ func (n *Network) GrantSum(d topology.DirLinkID) qos.Kbps { return n.dirs[d].gra
 
 // MinSum returns the total of primary minima on directed link d.
 func (n *Network) MinSum(d topology.DirLinkID) qos.Kbps { return n.dirs[d].minSum }
-
-// Grant returns the current reservation of conn on directed link d, or 0.
-func (n *Network) Grant(d topology.DirLinkID, id channel.ConnID) qos.Kbps {
-	ds := &n.dirs[d]
-	if i, ok := ds.primary(id); ok {
-		return ds.primaries[i].Grant
-	}
-	return 0
-}
 
 // DependabilityDeficit returns the directed links where the dependability
 // reserve rule (Σ minima + spare ≤ capacity) currently does not hold. In

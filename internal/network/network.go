@@ -8,6 +8,14 @@
 // paper's resource model (its "354 edges" on the 100-node network count
 // directed edges). A physical failure takes out both directions.
 //
+// The ledger keeps per directed link only what admission, growth and the
+// event kernels read: the sums of the primaries' grants and minima, the
+// primaries and the backups as two sets of the caller's slots, and the
+// worst single-failure burst (the conflict row and its maximum, the spare).
+// It keeps no per-connection entry: every operation takes the caller's slot
+// and amounts, and CheckInvariants recomputes the whole ledger from the
+// caller's own record of its connections (Holding).
+//
 // The accounting realizes three rules from the paper:
 //
 //  1. Backups reserve capacity but do not consume it: the spare pool on a
@@ -22,12 +30,10 @@
 package network
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
 
-	"drqos/internal/channel"
 	"drqos/internal/qos"
 	"drqos/internal/routing"
 	"drqos/internal/topology"
@@ -40,87 +46,26 @@ var ErrCapacity = errors.New("network: insufficient capacity")
 // ErrLinkFailed reports use of a failed link.
 var ErrLinkFailed = errors.New("network: link is failed")
 
-// ErrUnknownConn reports an operation on a connection that holds no
-// reservation on the link.
+// ErrUnknownConn reports an operation on a slot that holds no reservation
+// on the link.
 var ErrUnknownConn = errors.New("network: unknown connection")
 
-// Reservation is one primary's entry on a directed link.
-type Reservation struct {
-	ID    channel.ConnID
-	Grant qos.Kbps // current reservation, Min ≤ Grant
-	Min   qos.Kbps
-	// Slot is the reserving caller's own handle for ID, stored verbatim
-	// and distinct among the primaries of a link: the manager keeps its
-	// dense connection index here, so walking a link list leads to its
-	// connections without a lookup by ID, and the link's slot set (SlotsOn)
-	// names them all at once.
-	Slot int32
-}
-
-// Backup is one backup channel registered on a directed link: its
-// guaranteed activation bandwidth and the physical links of its primary
-// route (the failures that would activate it).
-type Backup struct {
-	ID           channel.ConnID
-	Min          qos.Kbps
-	PrimaryLinks []topology.LinkID
-	// Slot is the registering caller's handle for ID, stored verbatim as
-	// Reservation.Slot is.
-	Slot int32
-}
-
-// dirState is the resource ledger of one directed link. The two lists are
-// sorted by ID and are the index of who is on the link; slots holds the
-// primaries' Slot values again, as a set the manager unions.
+// dirState is the resource ledger of one directed link. A slot is the
+// caller's handle for one connection, distinct among its live connections.
 type dirState struct {
-	primaries []Reservation
-	slots     SlotSet
+	primaries SlotSet // slots holding a primary here
 	grantSum  qos.Kbps
 	minSum    qos.Kbps
 
-	backups []Backup
+	backups SlotSet // slots holding a backup here
 	// conflict[f] is the bandwidth that must be freed on this directed
 	// link when physical link f fails: the sum of minima of backups here
 	// whose primary uses f. It has one entry per physical link of the
 	// graph, zero where no backup here protects a primary on f.
 	conflict []qos.Kbps
-	spare    qos.Kbps // cached max over conflict
-}
-
-// primary returns the position of id in the primaries list, or where it
-// would be inserted. Hand-rolled: every squeeze and every committed growth
-// searches each link of a route, and a generic search pays an indirect
-// call per probe for its comparison callback.
-func (ds *dirState) primary(id channel.ConnID) (int, bool) {
-	lo, hi := 0, len(ds.primaries)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ds.primaries[mid].ID < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(ds.primaries) && ds.primaries[lo].ID == id
-}
-
-// backup is primary's counterpart for the backups list.
-func (ds *dirState) backup(id channel.ConnID) (int, bool) {
-	return slices.BinarySearchFunc(ds.backups, id, func(b Backup, id channel.ConnID) int {
-		return cmp.Compare(b.ID, id)
-	})
-}
-
-func (ds *dirState) recomputeSpare(noMultiplex bool) {
-	var m qos.Kbps
-	if noMultiplex {
-		for i := range ds.backups {
-			m += ds.backups[i].Min
-		}
-	} else {
-		m = slices.Max(ds.conflict)
-	}
-	ds.spare = m
+	// spare is the largest conflict entry, or without multiplexing the sum
+	// of the backups' minima.
+	spare qos.Kbps
 }
 
 // Network is the resource ledger for an entire topology.
@@ -158,21 +103,14 @@ func New(g *topology.Graph, capacity qos.Kbps) (*Network, error) {
 	return n, nil
 }
 
-// dir returns the state of the i-th directed link route traverses.
-func (n *Network) dir(route routing.Path, i int) (topology.DirLinkID, *dirState) {
-	d := n.g.DirID(route.Links[i], route.Nodes[i])
-	return d, &n.dirs[d]
-}
-
 // SetMultiplexing enables or disables backup multiplexing (enabled by
 // default). It must be called before any backup is registered; flipping it
 // with live backups would corrupt the cached spare values, so that case
 // returns an error.
 func (n *Network) SetMultiplexing(enabled bool) error {
 	for i := range n.dirs {
-		if len(n.dirs[i].backups) > 0 {
-			return fmt.Errorf("network: cannot change multiplexing with %d backups on directed link %d",
-				len(n.dirs[i].backups), i)
+		if k := n.dirs[i].backups.Count(); k > 0 {
+			return fmt.Errorf("network: cannot change multiplexing with %d backups on directed link %d", k, i)
 		}
 	}
 	n.noMultiplex = !enabled
@@ -230,59 +168,46 @@ func (n *Network) AdmissionHeadroom(d topology.DirLinkID) qos.Kbps {
 	return free
 }
 
-// PrimariesOn returns the primary reservations on directed link d in
-// ascending ID order. The slice is the ledger's own list: read-only, and
-// valid until the next reservation, release or activation on d (an
-// AdjustPrimary changes a Grant in place but moves nothing).
-func (n *Network) PrimariesOn(d topology.DirLinkID) []Reservation { return n.dirs[d].primaries }
+// SlotsOn returns the slots holding a primary on directed link d. The set is
+// the ledger's own: read-only, and valid until the next reservation, release
+// or activation on d.
+func (n *Network) SlotsOn(d topology.DirLinkID) SlotSet { return n.dirs[d].primaries }
 
-// SlotsOn returns the Slot of every primary on directed link d as a set,
-// under the same read-only rule as PrimariesOn.
-func (n *Network) SlotsOn(d topology.DirLinkID) SlotSet { return n.dirs[d].slots }
-
-// BackupsOn returns the backups registered on directed link d in ascending
-// ID order, under the same read-only rule as PrimariesOn.
-func (n *Network) BackupsOn(d topology.DirLinkID) []Backup { return n.dirs[d].backups }
+// BackupSlotsOn returns the slots holding a backup on directed link d, under
+// the same read-only rule as SlotsOn.
+func (n *Network) BackupSlotsOn(d topology.DirLinkID) SlotSet { return n.dirs[d].backups }
 
 // CanAdmitPrimary reports whether a new primary with the given minimum
 // could be admitted along route under minimum-level admission.
 func (n *Network) CanAdmitPrimary(route routing.Path, min qos.Kbps) bool {
 	for i := range route.Links {
-		if d, _ := n.dir(route, i); n.AdmissionHeadroom(d) < min {
+		if n.AdmissionHeadroom(n.g.DirID(route.Links[i], route.Nodes[i])) < min {
 			return false
 		}
 	}
 	return true
 }
 
-// addPrimary enters id at position i of ds's list at its minimum.
-func (ds *dirState) addPrimary(i int, id channel.ConnID, slot int32, min qos.Kbps) {
-	ds.primaries = slices.Insert(ds.primaries, i, Reservation{ID: id, Grant: min, Min: min, Slot: slot})
-	ds.slots.Add(slot)
-	ds.grantSum += min
-	ds.minSum += min
-}
+// The operations take a route as its directed links, in order
+// (routing.Path.AppendDirLinks), and a connection as the caller's slot; the
+// caller passes the amounts it holds, which the ledger does not record per
+// connection.
 
-// The primary operations take a route as its directed links, in order
-// (routing.Path.AppendDirLinks): the manager caches them per connection, so
-// no hop's direction is derived again on a write.
-
-// ReservePrimary reserves min bandwidth for conn id on the directed links of
-// its route, recording slot with every entry. Grants on every route link
-// must currently leave room for min (the manager squeezes elastic channels
-// first if necessary). The operation is atomic: on error nothing is
-// reserved.
-func (n *Network) ReservePrimary(id channel.ConnID, slot int32, route []topology.DirLinkID, min qos.Kbps) error {
+// ReservePrimary reserves min bandwidth for slot on the directed links of
+// its route. Grants on every route link must currently leave room for min
+// (the manager squeezes elastic channels first if necessary). The operation
+// is atomic: on error nothing is reserved.
+func (n *Network) ReservePrimary(slot int32, route []topology.DirLinkID, min qos.Kbps) error {
 	if min <= 0 {
 		return fmt.Errorf("network: non-positive reservation %v", min)
 	}
 	for _, d := range route {
 		ds := &n.dirs[d]
 		if n.failed[d.Link()] {
-			return fmt.Errorf("%w: link %d on route of conn %d", ErrLinkFailed, d.Link(), id)
+			return fmt.Errorf("%w: link %d on route of slot %d", ErrLinkFailed, d.Link(), slot)
 		}
-		if _, dup := ds.primary(id); dup || ds.slots.Has(slot) {
-			return fmt.Errorf("network: conn %d or slot %d already reserved on directed link %d", id, slot, d)
+		if ds.primaries.Has(slot) {
+			return fmt.Errorf("network: slot %d already reserved on directed link %d", slot, d)
 		}
 		if ds.grantSum+min > n.capacity {
 			return fmt.Errorf("%w: directed link %d has %v granted of %v, cannot add %v",
@@ -294,82 +219,64 @@ func (n *Network) ReservePrimary(id channel.ConnID, slot int32, route []topology
 		}
 	}
 	for _, d := range route {
-		ds := &n.dirs[d]
-		at, _ := ds.primary(id)
-		ds.addPrimary(at, id, slot, min)
+		n.dirs[d].addPrimary(slot, min)
 	}
 	return nil
 }
 
-// AdjustPrimary changes conn id's reservation to newGrant on every directed
-// link of its route. newGrant must be at least the connection's minimum;
-// growth must fit the physical capacity of every link. Atomic.
-func (n *Network) AdjustPrimary(id channel.ConnID, route []topology.DirLinkID, newGrant qos.Kbps) error {
-	// The checking pass remembers where it found id on each link, so the
-	// writing pass searches again only on routes longer than that memory.
-	var found [16]int
-	for i, d := range route {
+// addPrimary enters slot on ds at its minimum.
+func (ds *dirState) addPrimary(slot int32, min qos.Kbps) {
+	ds.primaries.Add(slot)
+	ds.grantSum += min
+	ds.minSum += min
+}
+
+// AdjustPrimary moves a primary's grant from from to to on every directed
+// link of its route. Growth must fit the physical capacity of every link,
+// and no link's grants may fall below its minima. Atomic.
+func (n *Network) AdjustPrimary(route []topology.DirLinkID, from, to qos.Kbps) error {
+	for _, d := range route {
 		ds := &n.dirs[d]
-		at, ok := ds.primary(id)
-		if !ok {
-			return fmt.Errorf("%w: conn %d on directed link %d", ErrUnknownConn, id, d)
-		}
-		r := &ds.primaries[at]
-		if newGrant < r.Min {
-			return fmt.Errorf("network: grant %v below minimum %v for conn %d", newGrant, r.Min, id)
-		}
-		if ds.grantSum-r.Grant+newGrant > n.capacity {
-			return fmt.Errorf("%w: directed link %d cannot grow conn %d from %v to %v",
-				ErrCapacity, d, id, r.Grant, newGrant)
-		}
-		if i < len(found) {
-			found[i] = at
+		if g := ds.grantSum - from + to; g > n.capacity {
+			return fmt.Errorf("%w: directed link %d cannot grow a grant from %v to %v",
+				ErrCapacity, d, from, to)
+		} else if g < ds.minSum {
+			return fmt.Errorf("network: directed link %d grants %v would fall below minima %v", d, g, ds.minSum)
 		}
 	}
-	for i, d := range route {
-		ds := &n.dirs[d]
-		var at int
-		if i < len(found) {
-			at = found[i]
-		} else {
-			at, _ = ds.primary(id)
-		}
-		r := &ds.primaries[at]
-		ds.grantSum += newGrant - r.Grant
-		r.Grant = newGrant
+	for _, d := range route {
+		n.dirs[d].grantSum += to - from
 	}
 	return nil
 }
 
-// ReleasePrimary removes conn id's primary reservation from the directed
-// links of its route.
-func (n *Network) ReleasePrimary(id channel.ConnID, route []topology.DirLinkID) error {
+// ReleasePrimary removes slot's primary reservation, held at grant with
+// minimum min, from the directed links of its route.
+func (n *Network) ReleasePrimary(slot int32, route []topology.DirLinkID, grant, min qos.Kbps) error {
 	for _, d := range route {
-		if _, ok := n.dirs[d].primary(id); !ok {
-			return fmt.Errorf("%w: conn %d on directed link %d", ErrUnknownConn, id, d)
+		if !n.dirs[d].primaries.Has(slot) {
+			return fmt.Errorf("%w: slot %d on directed link %d", ErrUnknownConn, slot, d)
 		}
 	}
 	for _, d := range route {
 		ds := &n.dirs[d]
-		at, _ := ds.primary(id)
-		ds.grantSum -= ds.primaries[at].Grant
-		ds.minSum -= ds.primaries[at].Min
-		ds.slots.Remove(ds.primaries[at].Slot)
-		ds.primaries = slices.Delete(ds.primaries, at, at+1)
+		ds.primaries.Remove(slot)
+		ds.grantSum -= grant
+		ds.minSum -= min
 	}
 	return nil
 }
 
 // CanAdmitBackup reports whether a backup with activation bandwidth min and
 // the given physical primary links can be multiplexed onto every directed
-// link of backupRoute without violating minimum-level admission (rule 1:
-// the spare only grows where this backup conflicts with existing ones).
-func (n *Network) CanAdmitBackup(backupRoute routing.Path, primaryLinks []topology.LinkID, min qos.Kbps) bool {
-	for i := range backupRoute.Links {
-		d, ds := n.dir(backupRoute, i)
+// link of route without violating minimum-level admission (rule 1: the
+// spare only grows where this backup conflicts with existing ones).
+func (n *Network) CanAdmitBackup(route []topology.DirLinkID, primaryLinks []topology.LinkID, min qos.Kbps) bool {
+	for _, d := range route {
 		if n.failed[d.Link()] {
 			return false
 		}
+		ds := &n.dirs[d]
 		newSpare := ds.spare
 		if n.noMultiplex {
 			newSpare += min
@@ -387,17 +294,17 @@ func (n *Network) CanAdmitBackup(backupRoute routing.Path, primaryLinks []topolo
 	return true
 }
 
-// ReserveBackup registers a backup channel on every directed link of
-// backupRoute, recording slot with every entry. Atomic: on error nothing is
-// registered.
-func (n *Network) ReserveBackup(id channel.ConnID, slot int32, backupRoute routing.Path, primaryLinks []topology.LinkID, min qos.Kbps) error {
-	if err := n.checkBackup(id, backupRoute, primaryLinks, min); err != nil {
+// ReserveBackup registers slot's backup channel on every directed link of
+// route, protecting the primary over primaryLinks. Atomic: on error nothing
+// is registered.
+func (n *Network) ReserveBackup(slot int32, route []topology.DirLinkID, primaryLinks []topology.LinkID, min qos.Kbps) error {
+	if err := n.checkBackup(slot, route, primaryLinks, min); err != nil {
 		return err
 	}
-	if !n.CanAdmitBackup(backupRoute, primaryLinks, min) {
-		return fmt.Errorf("%w: backup of conn %d", ErrCapacity, id)
+	if !n.CanAdmitBackup(route, primaryLinks, min) {
+		return fmt.Errorf("%w: backup of slot %d", ErrCapacity, slot)
 	}
-	n.addBackup(id, slot, backupRoute, primaryLinks, min)
+	n.addBackup(slot, route, primaryLinks, min)
 	return nil
 }
 
@@ -407,40 +314,37 @@ func (n *Network) ReserveBackup(id channel.ConnID, slot int32, backupRoute routi
 // run but the minima+spare bound may legitimately not hold any more (the
 // post-failover dependability deficit). The rebuilt ledger is still
 // validated wholesale by CheckInvariants.
-func (n *Network) RestoreBackup(id channel.ConnID, slot int32, backupRoute routing.Path, primaryLinks []topology.LinkID, min qos.Kbps) error {
-	if err := n.checkBackup(id, backupRoute, primaryLinks, min); err != nil {
+func (n *Network) RestoreBackup(slot int32, route []topology.DirLinkID, primaryLinks []topology.LinkID, min qos.Kbps) error {
+	if err := n.checkBackup(slot, route, primaryLinks, min); err != nil {
 		return err
 	}
-	n.addBackup(id, slot, backupRoute, primaryLinks, min)
+	n.addBackup(slot, route, primaryLinks, min)
 	return nil
 }
 
-// checkBackup validates a backup registration's arguments and that id has
+// checkBackup validates a backup registration's arguments and that slot has
 // no backup on the route yet.
-func (n *Network) checkBackup(id channel.ConnID, backupRoute routing.Path, primaryLinks []topology.LinkID, min qos.Kbps) error {
+func (n *Network) checkBackup(slot int32, route []topology.DirLinkID, primaryLinks []topology.LinkID, min qos.Kbps) error {
 	if min <= 0 {
 		return fmt.Errorf("network: non-positive backup reservation %v", min)
 	}
 	if len(primaryLinks) == 0 {
-		return fmt.Errorf("network: backup for conn %d has no primary links", id)
+		return fmt.Errorf("network: backup of slot %d has no primary links", slot)
 	}
-	for i := range backupRoute.Links {
-		d, ds := n.dir(backupRoute, i)
-		if _, dup := ds.backup(id); dup {
-			return fmt.Errorf("network: backup of conn %d already on directed link %d", id, d)
+	for _, d := range route {
+		if n.dirs[d].backups.Has(slot) {
+			return fmt.Errorf("network: backup of slot %d already on directed link %d", slot, d)
 		}
 	}
 	return nil
 }
 
-// addBackup enters a checked registration on every directed link of
-// backupRoute. The spare only ever grows here, by the new conflicts.
-func (n *Network) addBackup(id channel.ConnID, slot int32, backupRoute routing.Path, primaryLinks []topology.LinkID, min qos.Kbps) {
-	reg := Backup{ID: id, Min: min, PrimaryLinks: slices.Clone(primaryLinks), Slot: slot}
-	for i := range backupRoute.Links {
-		_, ds := n.dir(backupRoute, i)
-		at, _ := ds.backup(id)
-		ds.backups = slices.Insert(ds.backups, at, reg)
+// addBackup enters a checked registration on every directed link of route.
+// The spare only ever grows here, by the new conflicts.
+func (n *Network) addBackup(slot int32, route []topology.DirLinkID, primaryLinks []topology.LinkID, min qos.Kbps) {
+	for _, d := range route {
+		ds := &n.dirs[d]
+		ds.backups.Add(slot)
 		for _, f := range primaryLinks {
 			ds.conflict[f] += min
 		}
@@ -456,158 +360,167 @@ func (n *Network) addBackup(id channel.ConnID, slot int32, backupRoute routing.P
 	}
 }
 
-// ReleaseBackup removes conn id's backup registration along backupRoute.
-func (n *Network) ReleaseBackup(id channel.ConnID, backupRoute routing.Path) error {
-	for i := range backupRoute.Links {
-		d, ds := n.dir(backupRoute, i)
-		if _, ok := ds.backup(id); !ok {
-			return fmt.Errorf("%w: backup of conn %d on directed link %d", ErrUnknownConn, id, d)
+// ReleaseBackup removes slot's backup registration, made with primaryLinks
+// and min, along route.
+func (n *Network) ReleaseBackup(slot int32, route []topology.DirLinkID, primaryLinks []topology.LinkID, min qos.Kbps) error {
+	for _, d := range route {
+		if !n.dirs[d].backups.Has(slot) {
+			return fmt.Errorf("%w: backup of slot %d on directed link %d", ErrUnknownConn, slot, d)
 		}
 	}
-	for i := range backupRoute.Links {
-		_, ds := n.dir(backupRoute, i)
-		at, _ := ds.backup(id)
-		reg := ds.backups[at]
-		ds.backups = slices.Delete(ds.backups, at, at+1)
+	for _, d := range route {
+		ds := &n.dirs[d]
+		ds.backups.Remove(slot)
+		if n.noMultiplex {
+			ds.spare -= min
+		}
 		// The multiplexed spare is the largest conflict: it can only have
 		// moved if one of the entries about to shrink was that largest.
 		wasMax := false
-		for _, f := range reg.PrimaryLinks {
+		for _, f := range primaryLinks {
 			wasMax = wasMax || ds.conflict[f] == ds.spare
-			ds.conflict[f] -= reg.Min
+			ds.conflict[f] -= min
 		}
-		if n.noMultiplex || wasMax {
-			ds.recomputeSpare(n.noMultiplex)
+		if !n.noMultiplex && wasMax {
+			ds.spare = slices.Max(ds.conflict)
 		}
 	}
 	return nil
 }
 
-// ActivateBackup converts conn id's backup registration along backupRoute
-// into a primary reservation at the registered minimum (the activated
-// channel runs at Bmin, §3.1), recording slot as ReservePrimary does. The
-// spare it occupied is released. The manager must already have squeezed
-// primaries on these links so the minimum fits within physical capacity.
-func (n *Network) ActivateBackup(id channel.ConnID, slot int32, backupRoute routing.Path) error {
-	var min qos.Kbps
-	for i := range backupRoute.Links {
-		d, ds := n.dir(backupRoute, i)
-		at, ok := ds.backup(id)
-		if !ok {
-			return fmt.Errorf("%w: backup of conn %d on directed link %d", ErrUnknownConn, id, d)
+// ActivateBackup converts slot's backup registration along route (made with
+// primaryLinks and min) into a primary reservation at min (the activated
+// channel runs at Bmin, §3.1). The spare it occupied is released. The
+// manager must already have squeezed primaries on these links so the minimum
+// fits within physical capacity.
+func (n *Network) ActivateBackup(slot int32, route []topology.DirLinkID, primaryLinks []topology.LinkID, min qos.Kbps) error {
+	for _, d := range route {
+		ds := &n.dirs[d]
+		if !ds.backups.Has(slot) {
+			return fmt.Errorf("%w: backup of slot %d on directed link %d", ErrUnknownConn, slot, d)
 		}
-		min = ds.backups[at].Min
-		if _, dup := ds.primary(id); dup || ds.slots.Has(slot) {
-			return fmt.Errorf("network: conn %d or slot %d already primary on directed link %d", id, slot, d)
+		if ds.primaries.Has(slot) {
+			return fmt.Errorf("network: slot %d already primary on directed link %d", slot, d)
 		}
-	}
-	// Feasibility against physical capacity, before mutating anything.
-	for i := range backupRoute.Links {
-		d, ds := n.dir(backupRoute, i)
+		// Feasibility against physical capacity, before mutating anything.
 		if ds.grantSum+min > n.capacity {
-			return fmt.Errorf("%w: activating backup of conn %d on directed link %d (%v granted of %v)",
-				ErrCapacity, id, d, ds.grantSum, n.capacity)
+			return fmt.Errorf("%w: activating backup of slot %d on directed link %d (%v granted of %v)",
+				ErrCapacity, slot, d, ds.grantSum, n.capacity)
 		}
 	}
-	if err := n.ReleaseBackup(id, backupRoute); err != nil {
+	if err := n.ReleaseBackup(slot, route, primaryLinks, min); err != nil {
 		return err
 	}
-	for i := range backupRoute.Links {
-		_, ds := n.dir(backupRoute, i)
-		at, _ := ds.primary(id)
-		ds.addPrimary(at, id, slot, min)
+	for _, d := range route {
+		n.dirs[d].addPrimary(slot, min)
 	}
 	return nil
 }
 
-// RenumberSlots rewrites every recorded slot s as to[s], on primaries and
-// backups alike, and rebuilds the slot sets. The caller renumbers its own
-// table the same way; to must cover every slot the ledger holds.
+// RenumberSlots moves every recorded slot s to to[s], in both sets of every
+// link. The caller renumbers its own table the same way: to must cover every
+// slot the ledger holds, keep their order and move none up.
 func (n *Network) RenumberSlots(to []int32) {
 	for di := range n.dirs {
-		ds := &n.dirs[di]
-		ds.slots = ds.slots[:0]
-		for i := range ds.primaries {
-			r := &ds.primaries[i]
-			r.Slot = to[r.Slot]
-			ds.slots.Add(r.Slot)
-		}
-		for i := range ds.backups {
-			ds.backups[i].Slot = to[ds.backups[i].Slot]
-		}
+		n.dirs[di].primaries.renumber(to)
+		n.dirs[di].backups.renumber(to)
 	}
 }
 
-// CheckInvariants recomputes every cached quantity from first principles
-// and verifies the conservation rules in DESIGN.md §6: each list strictly
-// ascending by ID (so no connection is entered twice), each slot set
-// holding exactly its primaries' slots, every grant at or
-// above its minimum, the cached sums equal to the lists' sums and within
-// capacity, and the conflict table and spare equal to what the backups list
-// implies. It is O(links × reservations) and intended for tests and
-// debugging.
+// Holding is one connection's claim on the ledger as its owner records it:
+// its slot, the directed links of its primary with the grant and minimum it
+// holds there, and the directed links of its backup (nil without one), which
+// protects that primary at the minimum.
+type Holding struct {
+	Slot       int32
+	Primary    []topology.DirLinkID
+	Grant, Min qos.Kbps
+	Backup     []topology.DirLinkID
+}
+
+// CheckInvariants recomputes the whole ledger from holdings, the caller's
+// record of every connection it holds, and verifies the conservation rules
+// in DESIGN.md §6: no slot held twice and no grant below its minimum; on
+// every directed link, exactly the holdings' primaries and backups entered
+// in its two sets, the grant and minimum sums theirs and the grants within
+// capacity, and the conflict row and the spare what the backups imply. It is
+// O(links × holdings) and intended for tests, audits and debugging.
 //
 // The dependability reserve rule (minima + spare ≤ capacity) is NOT part of
 // this check: it is guaranteed at admission time but transiently violated
 // between a backup activation and the re-establishment of protection (the
 // paper's single-failure assumption).
-func (n *Network) CheckInvariants() error {
+func (n *Network) CheckInvariants(holdings []Holding) error {
+	type sums struct {
+		grant, min, backupMin qos.Kbps
+		primaries, backups    int
+		backupHolders         []int32 // indices into holdings
+	}
+	want := make([]sums, len(n.dirs))
+	var seen SlotSet
+	for i, h := range holdings {
+		if h.Grant < h.Min {
+			return fmt.Errorf("slot %d: grant %v below min %v", h.Slot, h.Grant, h.Min)
+		}
+		if seen.Has(h.Slot) {
+			return fmt.Errorf("slot %d held by two connections", h.Slot)
+		}
+		seen.Add(h.Slot)
+		for _, d := range h.Primary {
+			if !n.dirs[d].primaries.Has(h.Slot) {
+				return fmt.Errorf("directed link %d: primary of slot %d not entered", d, h.Slot)
+			}
+			w := &want[d]
+			w.grant += h.Grant
+			w.min += h.Min
+			w.primaries++
+		}
+		for _, d := range h.Backup {
+			if !n.dirs[d].backups.Has(h.Slot) {
+				return fmt.Errorf("directed link %d: backup of slot %d not entered", d, h.Slot)
+			}
+			w := &want[d]
+			w.backupMin += h.Min
+			w.backups++
+			w.backupHolders = append(w.backupHolders, int32(i))
+		}
+	}
 	conflict := make([]qos.Kbps, n.g.NumLinks())
 	for di := range n.dirs {
-		ds := &n.dirs[di]
-		var grantSum, minSum qos.Kbps
-		for i, r := range ds.primaries {
-			if i > 0 && ds.primaries[i-1].ID >= r.ID {
-				return fmt.Errorf("dir link %d: primaries not strictly ascending at %d (conn %d after %d)",
-					di, i, r.ID, ds.primaries[i-1].ID)
-			}
-			if r.Grant < r.Min {
-				return fmt.Errorf("dir link %d: conn %d grant %v below min %v", di, r.ID, r.Grant, r.Min)
-			}
-			grantSum += r.Grant
-			minSum += r.Min
+		ds, w := &n.dirs[di], &want[di]
+		if got := ds.primaries.Count(); got != w.primaries {
+			return fmt.Errorf("directed link %d: %d primaries entered, %d primary routes cross it", di, got, w.primaries)
 		}
-		if grantSum != ds.grantSum {
-			return fmt.Errorf("dir link %d: cached grantSum %v, actual %v", di, ds.grantSum, grantSum)
+		if ds.grantSum != w.grant {
+			return fmt.Errorf("directed link %d: cached grantSum %v, actual %v", di, ds.grantSum, w.grant)
 		}
-		if minSum != ds.minSum {
-			return fmt.Errorf("dir link %d: cached minSum %v, actual %v", di, ds.minSum, minSum)
+		if ds.minSum != w.min {
+			return fmt.Errorf("directed link %d: cached minSum %v, actual %v", di, ds.minSum, w.min)
 		}
-		if grantSum > n.capacity {
-			return fmt.Errorf("dir link %d: grants %v exceed capacity %v", di, grantSum, n.capacity)
+		if w.grant > n.capacity {
+			return fmt.Errorf("directed link %d: grants %v exceed capacity %v", di, w.grant, n.capacity)
 		}
-		if got := ds.slots.Count(); got != len(ds.primaries) {
-			return fmt.Errorf("dir link %d: slot set holds %d slots for %d primaries", di, got, len(ds.primaries))
-		}
-		for _, r := range ds.primaries {
-			if !ds.slots.Has(r.Slot) {
-				return fmt.Errorf("dir link %d: slot set lacks slot %d of conn %d", di, r.Slot, r.ID)
-			}
+		if got := ds.backups.Count(); got != w.backups {
+			return fmt.Errorf("directed link %d: %d backups entered, %d backup routes cross it", di, got, w.backups)
 		}
 		clear(conflict)
-		var spare qos.Kbps
-		for i, reg := range ds.backups {
-			if i > 0 && ds.backups[i-1].ID >= reg.ID {
-				return fmt.Errorf("dir link %d: backups not strictly ascending at %d (conn %d after %d)",
-					di, i, reg.ID, ds.backups[i-1].ID)
+		for _, i := range w.backupHolders {
+			h := &holdings[i]
+			for _, p := range h.Primary {
+				conflict[p.Link()] += h.Min
 			}
-			for _, f := range reg.PrimaryLinks {
-				conflict[f] += reg.Min
-			}
-			if n.noMultiplex {
-				spare += reg.Min
-			}
+		}
+		spare := w.backupMin
+		if !n.noMultiplex {
+			spare = slices.Max(conflict)
 		}
 		for f, v := range conflict {
 			if ds.conflict[f] != v {
-				return fmt.Errorf("dir link %d: conflict[%d] cached %v, actual %v", di, f, ds.conflict[f], v)
-			}
-			if !n.noMultiplex && v > spare {
-				spare = v
+				return fmt.Errorf("directed link %d: conflict[%d] cached %v, actual %v", di, f, ds.conflict[f], v)
 			}
 		}
 		if spare != ds.spare {
-			return fmt.Errorf("dir link %d: cached spare %v, actual %v", di, ds.spare, spare)
+			return fmt.Errorf("directed link %d: cached spare %v, actual %v", di, ds.spare, spare)
 		}
 	}
 	return nil

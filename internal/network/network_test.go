@@ -8,7 +8,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"drqos/internal/channel"
 	"drqos/internal/qos"
 	"drqos/internal/rng"
 	"drqos/internal/routing"
@@ -57,19 +56,132 @@ func mustOK(t *testing.T, err error) {
 	}
 }
 
-func checkInv(t *testing.T, n *Network) {
-	t.Helper()
-	if err := n.CheckInvariants(); err != nil {
-		t.Fatalf("invariant violated: %v", err)
-	}
-}
-
 // fwd returns the forward (A→B) direction of a physical link; every fixture
 // route in this file traverses its links forward.
 func fwd(l topology.LinkID) topology.DirLinkID { return topology.DirLinkID(2 * l) }
 
-// dirLinks is p as the primary operations take it: its directed links.
+// dirLinks is p as the ledger's operations take it: its directed links.
 func dirLinks(n *Network, p routing.Path) []topology.DirLinkID { return p.DirLinks(n.Graph()) }
+
+// book is a test's own record of what each slot holds on a ledger, kept
+// through the same operations: the truth CheckInvariants recomputes the
+// ledger from, and the amounts the operations take.
+type book struct {
+	n    *Network
+	held map[int32]*entry
+}
+
+type entry struct {
+	primary    []topology.DirLinkID
+	grant, min qos.Kbps
+	backup     []topology.DirLinkID
+	protects   []topology.LinkID // the primary the backup was registered for
+	hasPrimary bool
+}
+
+func newBook(n *Network) *book { return &book{n: n, held: map[int32]*entry{}} }
+
+func (b *book) reserve(slot int32, p routing.Path, min qos.Kbps) error {
+	dirs := dirLinks(b.n, p)
+	if err := b.n.ReservePrimary(slot, dirs, min); err != nil {
+		return err
+	}
+	b.held[slot] = &entry{primary: dirs, grant: min, min: min, hasPrimary: true}
+	return nil
+}
+
+func (b *book) adjust(slot int32, to qos.Kbps) error {
+	e := b.held[slot]
+	if err := b.n.AdjustPrimary(e.primary, e.grant, to); err != nil {
+		return err
+	}
+	e.grant = to
+	return nil
+}
+
+// release gives up slot's primary; a backup it holds stays registered for
+// the primary it had.
+func (b *book) release(slot int32) error {
+	e := b.held[slot]
+	if err := b.n.ReleasePrimary(slot, e.primary, e.grant, e.min); err != nil {
+		return err
+	}
+	e.hasPrimary = false
+	if e.backup == nil {
+		delete(b.held, slot)
+	}
+	return nil
+}
+
+func (b *book) reserveBackup(slot int32, p routing.Path) error {
+	e := b.held[slot]
+	dirs, links := dirLinks(b.n, p), linksOf(e.primary)
+	if err := b.n.ReserveBackup(slot, dirs, links, e.min); err != nil {
+		return err
+	}
+	e.backup, e.protects = dirs, links
+	return nil
+}
+
+func (b *book) releaseBackup(slot int32) error {
+	e := b.held[slot]
+	if err := b.n.ReleaseBackup(slot, e.backup, e.protects, e.min); err != nil {
+		return err
+	}
+	e.backup, e.protects = nil, nil
+	if !e.hasPrimary {
+		delete(b.held, slot)
+	}
+	return nil
+}
+
+// activate turns slot's backup into its primary at its minimum; the caller
+// has released the old primary.
+func (b *book) activate(slot int32) error {
+	e := b.held[slot]
+	if err := b.n.ActivateBackup(slot, e.backup, e.protects, e.min); err != nil {
+		return err
+	}
+	*e = entry{primary: e.backup, grant: e.min, min: e.min, hasPrimary: true}
+	return nil
+}
+
+// holdings lists the book in slot order, as CheckInvariants takes it.
+func (b *book) holdings() ([]Holding, error) {
+	slots := make([]int32, 0, len(b.held))
+	for s := range b.held {
+		slots = append(slots, s)
+	}
+	slices.Sort(slots)
+	out := make([]Holding, 0, len(slots))
+	for _, s := range slots {
+		e := b.held[s]
+		if !e.hasPrimary {
+			return nil, fmt.Errorf("slot %d holds a backup without its primary", s)
+		}
+		out = append(out, Holding{Slot: s, Primary: e.primary, Grant: e.grant, Min: e.min, Backup: e.backup})
+	}
+	return out, nil
+}
+
+func (b *book) check(t *testing.T) {
+	t.Helper()
+	held, err := b.holdings()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.n.CheckInvariants(held); err != nil {
+		t.Fatalf("invariant violated: %v", err)
+	}
+}
+
+func linksOf(dirs []topology.DirLinkID) []topology.LinkID {
+	out := make([]topology.LinkID, len(dirs))
+	for i, d := range dirs {
+		out[i] = d.Link()
+	}
+	return out
+}
 
 func TestNewValidation(t *testing.T) {
 	g := topology.NewGraph(2)
@@ -82,37 +194,39 @@ func TestNewValidation(t *testing.T) {
 
 func TestReservePrimaryBasics(t *testing.T) {
 	n, upper, _ := testNet(t, 10000)
-	mustOK(t, n.ReservePrimary(1, 1, dirLinks(n, upper), 100))
+	b := newBook(n)
+	mustOK(t, b.reserve(1, upper, 100))
 	for _, l := range upper.Links {
-		if n.Grant(fwd(l), 1) != 100 {
-			t.Fatalf("grant on link %d = %v", l, n.Grant(fwd(l), 1))
+		if !n.SlotsOn(fwd(l)).Has(1) {
+			t.Fatalf("slot 1 not entered on link %d", l)
 		}
 		if n.GrantSum(fwd(l)) != 100 || n.MinSum(fwd(l)) != 100 {
 			t.Fatalf("sums on link %d: %v/%v", l, n.GrantSum(fwd(l)), n.MinSum(fwd(l)))
 		}
 		// The reverse direction is untouched: channels are unidirectional.
 		rev := topology.DirLinkID(2*l + 1)
-		if n.GrantSum(rev) != 0 {
+		if n.GrantSum(rev) != 0 || n.SlotsOn(rev).Count() != 0 {
 			t.Fatalf("reverse direction of link %d carries %v", l, n.GrantSum(rev))
 		}
 	}
-	checkInv(t, n)
+	b.check(t)
 	// Duplicate reservation must fail atomically.
-	if err := n.ReservePrimary(1, 1, dirLinks(n, upper), 100); err == nil {
+	if err := n.ReservePrimary(1, dirLinks(n, upper), 100); err == nil {
 		t.Fatal("duplicate accepted")
 	}
-	checkInv(t, n)
+	b.check(t)
 }
 
 func TestReservePrimaryCapacityLimit(t *testing.T) {
 	n, upper, _ := testNet(t, 250)
-	mustOK(t, n.ReservePrimary(1, 1, dirLinks(n, upper), 100))
-	mustOK(t, n.ReservePrimary(2, 2, dirLinks(n, upper), 100))
-	err := n.ReservePrimary(3, 3, dirLinks(n, upper), 100)
+	b := newBook(n)
+	mustOK(t, b.reserve(1, upper, 100))
+	mustOK(t, b.reserve(2, upper, 100))
+	err := b.reserve(3, upper, 100)
 	if !errors.Is(err, ErrCapacity) {
 		t.Fatalf("err = %v, want ErrCapacity", err)
 	}
-	checkInv(t, n)
+	b.check(t)
 	if n.CanAdmitPrimary(upper, 100) {
 		t.Fatal("CanAdmitPrimary disagrees with ReservePrimary")
 	}
@@ -123,7 +237,7 @@ func TestReservePrimaryCapacityLimit(t *testing.T) {
 
 func TestReservePrimaryRejectsNonPositive(t *testing.T) {
 	n, upper, _ := testNet(t, 1000)
-	if err := n.ReservePrimary(1, 1, dirLinks(n, upper), 0); err == nil {
+	if err := n.ReservePrimary(1, dirLinks(n, upper), 0); err == nil {
 		t.Fatal("zero reservation accepted")
 	}
 }
@@ -131,7 +245,7 @@ func TestReservePrimaryRejectsNonPositive(t *testing.T) {
 func TestReservePrimaryOnFailedLink(t *testing.T) {
 	n, upper, _ := testNet(t, 1000)
 	n.SetFailed(upper.Links[1], true)
-	if err := n.ReservePrimary(1, 1, dirLinks(n, upper), 100); !errors.Is(err, ErrLinkFailed) {
+	if err := n.ReservePrimary(1, dirLinks(n, upper), 100); !errors.Is(err, ErrLinkFailed) {
 		t.Fatalf("err = %v", err)
 	}
 	if n.AdmissionHeadroom(fwd(upper.Links[1])) != 0 {
@@ -144,39 +258,38 @@ func TestReservePrimaryOnFailedLink(t *testing.T) {
 
 func TestAdjustPrimaryGrowAndShrink(t *testing.T) {
 	n, upper, _ := testNet(t, 1000)
-	mustOK(t, n.ReservePrimary(1, 1, dirLinks(n, upper), 100))
-	mustOK(t, n.AdjustPrimary(1, dirLinks(n, upper), 500))
+	b := newBook(n)
+	mustOK(t, b.reserve(1, upper, 100))
+	mustOK(t, b.adjust(1, 500))
 	for _, l := range upper.Links {
-		if n.Grant(fwd(l), 1) != 500 {
+		if n.GrantSum(fwd(l)) != 500 {
 			t.Fatalf("grow failed on link %d", l)
 		}
 		if n.MinSum(fwd(l)) != 100 {
 			t.Fatalf("min changed on grow: %v", n.MinSum(fwd(l)))
 		}
 	}
-	checkInv(t, n)
-	mustOK(t, n.AdjustPrimary(1, dirLinks(n, upper), 100))
-	checkInv(t, n)
-	// Below minimum is rejected.
-	if err := n.AdjustPrimary(1, dirLinks(n, upper), 50); err == nil {
+	b.check(t)
+	mustOK(t, b.adjust(1, 100))
+	b.check(t)
+	// Below the link's minima is rejected, and nothing moves.
+	if err := b.adjust(1, 50); err == nil {
 		t.Fatal("grant below min accepted")
 	}
-	// Unknown conn.
-	if err := n.AdjustPrimary(9, dirLinks(n, upper), 100); !errors.Is(err, ErrUnknownConn) {
-		t.Fatalf("err = %v", err)
-	}
+	b.check(t)
 }
 
 func TestAdjustPrimaryCapacityCeiling(t *testing.T) {
 	n, upper, _ := testNet(t, 1000)
-	mustOK(t, n.ReservePrimary(1, 1, dirLinks(n, upper), 100))
-	mustOK(t, n.ReservePrimary(2, 2, dirLinks(n, upper), 100))
-	// 800 free; conn 1 can grow to 900 total? No: 100+900=1000 is fine.
-	mustOK(t, n.AdjustPrimary(1, dirLinks(n, upper), 900))
-	if err := n.AdjustPrimary(2, dirLinks(n, upper), 200); !errors.Is(err, ErrCapacity) {
+	b := newBook(n)
+	mustOK(t, b.reserve(1, upper, 100))
+	mustOK(t, b.reserve(2, upper, 100))
+	// 800 free: conn 1 can grow to 900, filling the links exactly.
+	mustOK(t, b.adjust(1, 900))
+	if err := b.adjust(2, 200); !errors.Is(err, ErrCapacity) {
 		t.Fatalf("err = %v", err)
 	}
-	checkInv(t, n)
+	b.check(t)
 	if n.FreeForGrowth(fwd(upper.Links[0])) != 0 {
 		t.Fatalf("free = %v", n.FreeForGrowth(fwd(upper.Links[0])))
 	}
@@ -184,16 +297,17 @@ func TestAdjustPrimaryCapacityCeiling(t *testing.T) {
 
 func TestReleasePrimary(t *testing.T) {
 	n, upper, _ := testNet(t, 1000)
-	mustOK(t, n.ReservePrimary(1, 1, dirLinks(n, upper), 100))
-	mustOK(t, n.AdjustPrimary(1, dirLinks(n, upper), 300))
-	mustOK(t, n.ReleasePrimary(1, dirLinks(n, upper)))
+	b := newBook(n)
+	mustOK(t, b.reserve(1, upper, 100))
+	mustOK(t, b.adjust(1, 300))
+	mustOK(t, b.release(1))
 	for _, l := range upper.Links {
-		if n.GrantSum(fwd(l)) != 0 || n.MinSum(fwd(l)) != 0 {
+		if n.GrantSum(fwd(l)) != 0 || n.MinSum(fwd(l)) != 0 || n.SlotsOn(fwd(l)).Count() != 0 {
 			t.Fatalf("release left residue on link %d", l)
 		}
 	}
-	checkInv(t, n)
-	if err := n.ReleasePrimary(1, dirLinks(n, upper)); !errors.Is(err, ErrUnknownConn) {
+	b.check(t)
+	if err := n.ReleasePrimary(1, dirLinks(n, upper), 300, 100); !errors.Is(err, ErrUnknownConn) {
 		t.Fatalf("double release: %v", err)
 	}
 }
@@ -203,10 +317,11 @@ func TestReleasePrimary(t *testing.T) {
 // included.
 func TestLoadFreeForGrowth(t *testing.T) {
 	n, upper, lower := testNet(t, 1000)
-	mustOK(t, n.ReservePrimary(1, 1, dirLinks(n, upper), 100))
-	mustOK(t, n.AdjustPrimary(1, dirLinks(n, upper), 300))
-	mustOK(t, n.ReserveBackup(1, 0, lower, upper.Links, 100))
-	mustOK(t, n.ReservePrimary(2, 2, dirLinks(n, lower), 100))
+	b := newBook(n)
+	mustOK(t, b.reserve(1, upper, 100))
+	mustOK(t, b.adjust(1, 300))
+	mustOK(t, b.reserveBackup(1, lower))
+	mustOK(t, b.reserve(2, lower, 100))
 	n.SetFailed(lower.Links[1], true)
 	room := make([]qos.Kbps, n.Graph().NumDirLinks())
 	n.LoadFreeForGrowth(room)
@@ -230,31 +345,23 @@ func TestLoadFreeForGrowth(t *testing.T) {
 
 func TestBackupMultiplexingSharesSpare(t *testing.T) {
 	n, upper, lower := testNet(t, 1000)
-	// Two connections with DISJOINT primaries (upper vs lower route on
-	// different node pairs is not possible here, so use two conns both
-	// 0→5: conn 1 primary upper, conn 2 primary lower; both back up on the
-	// other route. Their backups conflict pairwise on every link... so
-	// instead give both conns the SAME primary-disjointness structure:
-	// conn 1 primary upper / backup lower; conn 2 primary upper / backup
-	// lower would conflict. For sharing, primaries must be disjoint:
-	// conn 1 primary upper, backup lower; conn 2 primary lower, backup
-	// upper. Backups then live on different routes. To observe
-	// multiplexing on ONE link we need two backups on the same link whose
-	// primaries are disjoint — conn 3 primary upper (disjoint from lower).
-	mustOK(t, n.ReservePrimary(1, 1, dirLinks(n, upper), 100))
-	mustOK(t, n.ReserveBackup(1, 0, lower, upper.Links, 100))
-	checkInv(t, n)
+	b := newBook(n)
+	// Conn 1: primary upper, backup lower; conn 2: primary lower, backup
+	// upper. Their backups live on different routes.
+	mustOK(t, b.reserve(1, upper, 100))
+	mustOK(t, b.reserveBackup(1, lower))
+	b.check(t)
 
-	mustOK(t, n.ReservePrimary(2, 2, dirLinks(n, lower), 100))
-	mustOK(t, n.ReserveBackup(2, 0, upper, lower.Links, 100))
-	checkInv(t, n)
+	mustOK(t, b.reserve(2, lower, 100))
+	mustOK(t, b.reserveBackup(2, upper))
+	b.check(t)
 
 	// Backup of conn 3 (primary on upper) multiplexes with backup of conn
 	// 1 (also primary on upper): they activate together on a shared-upper
 	// failure, so spare on lower links must be 200 for upper failures.
-	mustOK(t, n.ReservePrimary(3, 3, dirLinks(n, upper), 100))
-	mustOK(t, n.ReserveBackup(3, 0, lower, upper.Links, 100))
-	checkInv(t, n)
+	mustOK(t, b.reserve(3, upper, 100))
+	mustOK(t, b.reserveBackup(3, lower))
+	b.check(t)
 	for _, l := range lower.Links {
 		if got := n.Spare(fwd(l)); got != 200 {
 			t.Fatalf("spare on lower link %d = %v, want 200 (both upper-primary backups)", l, got)
@@ -278,23 +385,24 @@ func TestBackupMultiplexingDisjointPrimariesShare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	b := newBook(n)
 	p1 := routing.Path{Nodes: []topology.NodeID{0, 1}, Links: []topology.LinkID{lA}}
 	p2 := routing.Path{Nodes: []topology.NodeID{2, 3}, Links: []topology.LinkID{lB}}
 	b1 := routing.Path{Nodes: []topology.NodeID{0, 2, 1}, Links: []topology.LinkID{l0, lS}}
 	b2 := routing.Path{Nodes: []topology.NodeID{2, 1, 3}, Links: []topology.LinkID{lS, l1}}
-	mustOK(t, n.ReservePrimary(1, 1, dirLinks(n, p1), 100))
-	mustOK(t, n.ReservePrimary(2, 2, dirLinks(n, p2), 100))
-	mustOK(t, n.ReserveBackup(1, 0, b1, p1.Links, 100))
-	mustOK(t, n.ReserveBackup(2, 0, b2, p2.Links, 100))
-	checkInv(t, n)
+	mustOK(t, b.reserve(1, p1, 100))
+	mustOK(t, b.reserve(2, p2, 100))
+	mustOK(t, b.reserveBackup(1, b1))
+	mustOK(t, b.reserveBackup(2, b2))
+	b.check(t)
 	if got := n.Spare(n.Graph().DirID(lS, 2)); got != 100 {
 		t.Fatalf("spare on shared backup link = %v, want 100 (multiplexed)", got)
 	}
 }
 
 func TestBackupAdmissionBlocksConflictOverflow(t *testing.T) {
-	// Capacity 250: one primary at min 100 leaves 150 for spare. Two
-	// conflicting backups (same primary link) need 200 spare → rejected.
+	// Capacity 250: two conflicting backups (same primary link) need 200
+	// spare, which fits beside a 100 minimum only where no primary is.
 	g := topology.NewGraph(4)
 	for i := 0; i < 4; i++ {
 		g.AddNode(topology.Point{})
@@ -306,149 +414,153 @@ func TestBackupAdmissionBlocksConflictOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	b := newBook(n)
 	primary := routing.Path{Nodes: []topology.NodeID{0, 1}, Links: []topology.LinkID{lP}}
 	backup := routing.Path{Nodes: []topology.NodeID{0, 2, 1}, Links: []topology.LinkID{lQ, lS}}
-	mustOK(t, n.ReservePrimary(1, 1, dirLinks(n, primary), 100))
-	mustOK(t, n.ReservePrimary(2, 2, dirLinks(n, primary), 100))
-	mustOK(t, n.ReserveBackup(1, 0, backup, primary.Links, 100))
-	checkInv(t, n)
-	// Backup 2 conflicts with backup 1 (same primary link lP): spare would
-	// need to be 200 on lQ/lS, but capacity 250 minus... minSum on lQ is 0,
-	// so 200 fits there; admission must consider each link. On lQ and lS
-	// minSum=0, spare 200 ≤ 250 → actually admissible. Tighten by loading
-	// lS with a primary first.
+	mustOK(t, b.reserve(1, primary, 100))
+	mustOK(t, b.reserve(2, primary, 100))
+	mustOK(t, b.reserveBackup(1, backup))
+	b.check(t)
+	// Load lS with a primary: its minimum plus a 200 spare exceeds 250.
 	short := routing.Path{Nodes: []topology.NodeID{2, 1}, Links: []topology.LinkID{lS}}
-	mustOK(t, n.ReservePrimary(3, 3, dirLinks(n, short), 100))
-	if n.CanAdmitBackup(backup, primary.Links, 100) {
+	mustOK(t, b.reserve(3, short, 100))
+	if n.CanAdmitBackup(dirLinks(n, backup), primary.Links, 100) {
 		t.Fatal("conflicting backup admitted beyond capacity")
 	}
-	if err := n.ReserveBackup(2, 0, backup, primary.Links, 100); !errors.Is(err, ErrCapacity) {
+	if err := b.reserveBackup(2, backup); !errors.Is(err, ErrCapacity) {
 		t.Fatalf("err = %v", err)
 	}
-	checkInv(t, n)
+	b.check(t)
 }
 
 func TestReserveBackupValidation(t *testing.T) {
 	n, upper, lower := testNet(t, 1000)
-	mustOK(t, n.ReservePrimary(1, 1, dirLinks(n, upper), 100))
-	if err := n.ReserveBackup(1, 0, lower, upper.Links, 0); err == nil {
+	b := newBook(n)
+	mustOK(t, b.reserve(1, upper, 100))
+	if err := n.ReserveBackup(1, dirLinks(n, lower), upper.Links, 0); err == nil {
 		t.Fatal("zero backup min accepted")
 	}
-	if err := n.ReserveBackup(1, 0, lower, nil, 100); err == nil {
+	if err := n.ReserveBackup(1, dirLinks(n, lower), nil, 100); err == nil {
 		t.Fatal("backup without primary links accepted")
 	}
-	mustOK(t, n.ReserveBackup(1, 0, lower, upper.Links, 100))
-	if err := n.ReserveBackup(1, 0, lower, upper.Links, 100); err == nil {
+	mustOK(t, b.reserveBackup(1, lower))
+	if err := n.ReserveBackup(1, dirLinks(n, lower), upper.Links, 100); err == nil {
 		t.Fatal("duplicate backup accepted")
 	}
+	b.check(t)
 }
 
 func TestReleaseBackupRestoresSpare(t *testing.T) {
 	n, upper, lower := testNet(t, 1000)
-	mustOK(t, n.ReservePrimary(1, 1, dirLinks(n, upper), 100))
-	mustOK(t, n.ReserveBackup(1, 0, lower, upper.Links, 100))
+	b := newBook(n)
+	mustOK(t, b.reserve(1, upper, 100))
+	mustOK(t, b.reserveBackup(1, lower))
 	if n.Spare(fwd(lower.Links[0])) != 100 {
 		t.Fatal("spare not registered")
 	}
-	mustOK(t, n.ReleaseBackup(1, lower))
+	mustOK(t, b.releaseBackup(1))
 	for _, l := range lower.Links {
-		if n.Spare(fwd(l)) != 0 {
+		if n.Spare(fwd(l)) != 0 || n.BackupSlotsOn(fwd(l)).Count() != 0 {
 			t.Fatalf("spare left on link %d", l)
 		}
 	}
-	checkInv(t, n)
-	if err := n.ReleaseBackup(1, lower); !errors.Is(err, ErrUnknownConn) {
+	b.check(t)
+	if err := n.ReleaseBackup(1, dirLinks(n, lower), upper.Links, 100); !errors.Is(err, ErrUnknownConn) {
 		t.Fatalf("double release: %v", err)
 	}
 }
 
 func TestActivateBackup(t *testing.T) {
 	n, upper, lower := testNet(t, 1000)
-	mustOK(t, n.ReservePrimary(1, 1, dirLinks(n, upper), 100))
-	mustOK(t, n.ReserveBackup(1, 0, lower, upper.Links, 100))
+	b := newBook(n)
+	mustOK(t, b.reserve(1, upper, 100))
+	mustOK(t, b.reserveBackup(1, lower))
 	// Primary link fails; manager releases the primary and activates.
 	n.SetFailed(upper.Links[1], true)
-	mustOK(t, n.ReleasePrimary(1, dirLinks(n, upper)))
-	mustOK(t, n.ActivateBackup(1, 1, lower))
+	mustOK(t, b.release(1))
+	mustOK(t, b.activate(1))
 	for _, l := range lower.Links {
-		if n.Grant(fwd(l), 1) != 100 {
-			t.Fatalf("activated grant on link %d = %v", l, n.Grant(fwd(l), 1))
+		if n.GrantSum(fwd(l)) != 100 || !n.SlotsOn(fwd(l)).Has(1) {
+			t.Fatalf("activated grant on link %d = %v", l, n.GrantSum(fwd(l)))
 		}
-		if n.Spare(fwd(l)) != 0 {
+		if n.Spare(fwd(l)) != 0 || n.BackupSlotsOn(fwd(l)).Has(1) {
 			t.Fatalf("spare not released on link %d", l)
 		}
 	}
-	checkInv(t, n)
-	if err := n.ActivateBackup(1, 1, lower); !errors.Is(err, ErrUnknownConn) {
+	b.check(t)
+	if err := n.ActivateBackup(1, dirLinks(n, lower), upper.Links, 100); !errors.Is(err, ErrUnknownConn) {
 		t.Fatalf("double activation: %v", err)
 	}
 }
 
 func TestActivateBackupCapacityBlocked(t *testing.T) {
 	n, upper, lower := testNet(t, 200)
-	mustOK(t, n.ReservePrimary(1, 1, dirLinks(n, upper), 100))
-	mustOK(t, n.ReserveBackup(1, 0, lower, upper.Links, 100))
+	b := newBook(n)
+	mustOK(t, b.reserve(1, upper, 100))
+	mustOK(t, b.reserveBackup(1, lower))
 	// Fill the lower route's physical capacity with grown primaries.
-	mustOK(t, n.ReservePrimary(2, 2, dirLinks(n, lower), 100))
-	mustOK(t, n.AdjustPrimary(2, dirLinks(n, lower), 200)) // borrows the spare
-	checkInv(t, n)
-	if err := n.ActivateBackup(1, 1, lower); !errors.Is(err, ErrCapacity) {
+	mustOK(t, b.reserve(2, lower, 100))
+	mustOK(t, b.adjust(2, 200)) // borrows the spare
+	b.check(t)
+	mustOK(t, b.release(1))
+	if err := b.activate(1); !errors.Is(err, ErrCapacity) {
 		t.Fatalf("err = %v (manager must squeeze first)", err)
 	}
 	// After squeezing conn 2 back to its minimum, activation succeeds.
-	mustOK(t, n.AdjustPrimary(2, dirLinks(n, lower), 100))
-	mustOK(t, n.ActivateBackup(1, 1, lower))
-	checkInv(t, n)
+	mustOK(t, b.adjust(2, 100))
+	mustOK(t, b.activate(1))
+	b.check(t)
 }
 
-func TestPrimariesAndBackupsOnSorted(t *testing.T) {
+// TestSlotSetsFollowReservations: each link's two sets hold exactly the
+// slots reserved there, whatever order they came in, and an activation
+// moves a slot from the backup set to the primary set.
+func TestSlotSetsFollowReservations(t *testing.T) {
 	n, upper, lower := testNet(t, 10000)
-	// Reserved in descending ID order: the lists must come out ascending,
-	// each entry carrying the slot it was reserved with.
-	for id := channel.ConnID(5); id >= 1; id-- {
-		mustOK(t, n.ReservePrimary(id, int32(10*id), dirLinks(n, upper), 100))
-		mustOK(t, n.ReserveBackup(id, 0, lower, upper.Links, 100))
+	b := newBook(n)
+	for s := int32(50); s >= 10; s -= 10 {
+		mustOK(t, b.reserve(s, upper, 100))
+		mustOK(t, b.reserveBackup(s, lower))
 	}
-	mustOK(t, n.AdjustPrimary(3, dirLinks(n, upper), 250))
-	prim := n.PrimariesOn(fwd(upper.Links[0]))
-	if len(prim) != 5 {
-		t.Fatalf("primaries = %v", prim)
+	mustOK(t, b.adjust(30, 250))
+	want := []int32{10, 20, 30, 40, 50}
+	if got := n.SlotsOn(fwd(upper.Links[0])).AppendMembers(nil); !slices.Equal(got, want) {
+		t.Fatalf("primary slots = %v, want %v", got, want)
 	}
-	for i, r := range prim {
-		want := Reservation{ID: channel.ConnID(i + 1), Grant: 100, Min: 100, Slot: int32(10 * (i + 1))}
-		if r.ID == 3 {
-			want.Grant = 250
-		}
-		if r != want {
-			t.Fatalf("primaries[%d] = %+v, want %+v", i, r, want)
-		}
+	if got := n.BackupSlotsOn(fwd(lower.Links[0])).AppendMembers(nil); !slices.Equal(got, want) {
+		t.Fatalf("backup slots = %v, want %v", got, want)
 	}
-	backs := n.BackupsOn(fwd(lower.Links[0]))
-	if len(backs) != 5 {
-		t.Fatalf("backups = %v", backs)
+	if n.GrantSum(fwd(upper.Links[0])) != 650 || n.MinSum(fwd(upper.Links[0])) != 500 {
+		t.Fatalf("sums %v/%v", n.GrantSum(fwd(upper.Links[0])), n.MinSum(fwd(upper.Links[0])))
 	}
-	for i, b := range backs {
-		if b.ID != channel.ConnID(i+1) || b.Min != 100 {
-			t.Fatalf("backups[%d] = %+v", i, b)
-		}
+	mustOK(t, b.release(40))
+	mustOK(t, b.activate(40))
+	if got := n.SlotsOn(fwd(lower.Links[0])).AppendMembers(nil); !slices.Equal(got, []int32{40}) {
+		t.Fatalf("activated primaries = %v", got)
 	}
-	// Activation moves an entry from one list to the other, in order.
-	mustOK(t, n.ReleasePrimary(4, dirLinks(n, upper)))
-	mustOK(t, n.ActivateBackup(4, 44, lower))
-	if got := n.PrimariesOn(fwd(lower.Links[0])); len(got) != 1 || got[0] != (Reservation{ID: 4, Grant: 100, Min: 100, Slot: 44}) {
-		t.Fatalf("activated primaries = %+v", got)
+	if got := n.BackupSlotsOn(fwd(lower.Links[0])).AppendMembers(nil); !slices.Equal(got, []int32{10, 20, 30, 50}) {
+		t.Fatalf("backups after activation = %v", got)
 	}
-	if got := n.BackupsOn(fwd(lower.Links[0])); len(got) != 4 || got[2].ID != 3 || got[3].ID != 5 {
-		t.Fatalf("backups after activation = %+v", got)
+	b.check(t)
+	// Renumbering closes the gap 40 left on upper.
+	to := make([]int32, 51)
+	for s, r := range map[int32]int32{10: 0, 20: 1, 30: 2, 40: 3, 50: 4} {
+		to[s] = r
 	}
-	checkInv(t, n)
+	n.RenumberSlots(to)
+	if got := n.SlotsOn(fwd(upper.Links[0])).AppendMembers(nil); !slices.Equal(got, []int32{0, 1, 2, 4}) {
+		t.Fatalf("renumbered primaries = %v", got)
+	}
+	if got := n.BackupSlotsOn(fwd(lower.Links[0])).AppendMembers(nil); !slices.Equal(got, []int32{0, 1, 2, 4}) {
+		t.Fatalf("renumbered backups = %v", got)
+	}
 }
 
 // ledgerScenario drives one seeded random sequence of reserve, adjust,
 // release and backup-activation operations against a fresh ledger, checking
 // the invariants after every step. Individual operations may be refused;
 // the ledger must stay consistent regardless. It returns the trajectory (op
-// and connection per step) and an error naming the step and op that broke.
+// and slot per step) and an error naming the step and op that broke.
 func ledgerScenario(seed uint64) (string, error) {
 	src := rng.New(seed)
 	g, err := topology.Waxman(topology.WaxmanConfig{
@@ -461,114 +573,107 @@ func ledgerScenario(seed uint64) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	b := newBook(n)
 	type live struct {
 		route  routing.Path
 		backup routing.Path
-		hasB   bool
-		grant  qos.Kbps
 	}
-	conns := map[channel.ConnID]*live{}
-	nextID := channel.ConnID(1)
-	// pick returns a deterministic pseudo-random live connection.
-	pick := func() (channel.ConnID, *live) {
+	conns := map[int32]*live{}
+	next := int32(1)
+	// pick returns a deterministic pseudo-random live slot.
+	pick := func() (int32, *live) {
 		if len(conns) == 0 {
 			return 0, nil
 		}
-		ids := make([]channel.ConnID, 0, len(conns))
-		for id := range conns {
-			ids = append(ids, id)
+		slots := make([]int32, 0, len(conns))
+		for s := range conns {
+			slots = append(slots, s)
 		}
-		slices.Sort(ids)
-		id := ids[src.Intn(len(ids))]
-		return id, conns[id]
+		slices.Sort(slots)
+		s := slots[src.Intn(len(slots))]
+		return s, conns[s]
 	}
 	var trail strings.Builder
 	for step := 0; step < 120; step++ {
 		op := src.Intn(4)
 		var (
-			id channel.ConnID
-			c  *live
+			s int32
+			c *live
 		)
 		fail := func(what string, err error) (string, error) {
-			return trail.String(), fmt.Errorf("step %d (op %d, conn %d): %s: %w", step, op, id, what, err)
+			return trail.String(), fmt.Errorf("step %d (op %d, slot %d): %s: %w", step, op, s, what, err)
 		}
 		switch op {
 		case 0: // establish
 			a := topology.NodeID(src.Intn(g.NumNodes()))
-			b := topology.NodeID(src.Intn(g.NumNodes()))
-			if a == b {
+			z := topology.NodeID(src.Intn(g.NumNodes()))
+			if a == z {
 				continue
 			}
-			p, err := routing.ShortestHops(g, a, b, nil)
+			p, err := routing.ShortestHops(g, a, z, nil)
 			if err != nil {
 				continue
 			}
-			if n.ReservePrimary(nextID, int32(nextID), dirLinks(n, p), 100) != nil {
+			if b.reserve(next, p, 100) != nil {
 				continue
 			}
-			c = &live{route: p, grant: 100}
+			c = &live{route: p}
 			if bk, _, err := routing.BackupRoute(g, p, nil); err == nil {
-				if n.ReserveBackup(nextID, 0, bk, p.Links, 100) == nil {
-					c.backup, c.hasB = bk, true
+				if b.reserveBackup(next, bk) == nil {
+					c.backup = bk
 				}
 			}
-			id = nextID
-			conns[id] = c
-			nextID++
+			s = next
+			conns[s] = c
+			next++
 		case 1: // adjust someone
-			if id, c = pick(); c != nil {
-				ng := qos.Kbps(100 + 50*src.Intn(9))
-				if n.AdjustPrimary(id, dirLinks(n, c.route), ng) == nil {
-					c.grant = ng
-				}
+			if s, c = pick(); c != nil {
+				_ = b.adjust(s, qos.Kbps(100+50*src.Intn(9)))
 			}
 		case 2: // terminate someone
-			if id, c = pick(); c != nil {
-				if err := n.ReleasePrimary(id, dirLinks(n, c.route)); err != nil {
+			if s, c = pick(); c != nil {
+				if err := b.release(s); err != nil {
 					return fail("release primary", err)
 				}
-				if c.hasB {
-					if err := n.ReleaseBackup(id, c.backup); err != nil {
+				if b.held[s] != nil {
+					if err := b.releaseBackup(s); err != nil {
 						return fail("release backup", err)
 					}
 				}
-				delete(conns, id)
+				delete(conns, s)
 			}
 		case 3: // activate someone's backup
-			id, c = pick()
-			if c == nil || !c.hasB {
+			s, c = pick()
+			if c == nil || b.held[s].backup == nil {
 				break
 			}
 			// Squeeze every primary on the backup's links to its
 			// minimum, then activate.
-			for _, d := range c.backup.DirLinks(g) {
-				for _, r := range n.PrimariesOn(d) {
-					if pc, ok := conns[r.ID]; ok {
-						if n.AdjustPrimary(r.ID, dirLinks(n, pc.route), 100) == nil {
-							pc.grant = 100
-						}
-					}
+			for _, d := range b.held[s].backup {
+				for _, r := range n.SlotsOn(d).AppendMembers(nil) {
+					_ = b.adjust(r, b.held[r].min)
 				}
 			}
-			if err := n.ReleasePrimary(id, dirLinks(n, c.route)); err != nil {
+			if err := b.release(s); err != nil {
 				return fail("pre-activation release", err)
 			}
-			if n.ActivateBackup(id, int32(id), c.backup) != nil {
+			if b.activate(s) != nil {
 				// Physically impossible even after squeeze: the conn is
 				// dropped.
-				if err := n.ReleaseBackup(id, c.backup); err != nil {
+				if err := b.releaseBackup(s); err != nil {
 					return fail("release unactivatable backup", err)
 				}
-				delete(conns, id)
+				delete(conns, s)
 				break
 			}
-			c.route = c.backup
-			c.backup = routing.Path{}
-			c.hasB = false
-			c.grant = 100
+			c.route, c.backup = c.backup, routing.Path{}
 		}
-		fmt.Fprintf(&trail, "%d:%d ", op, id)
-		if err := n.CheckInvariants(); err != nil {
+		fmt.Fprintf(&trail, "%d:%d ", op, s)
+		held, err := b.holdings()
+		if err != nil {
+			return fail("record", err)
+		}
+		if err := n.CheckInvariants(held); err != nil {
 			return fail("invariants", err)
 		}
 	}
@@ -606,16 +711,17 @@ func TestSetMultiplexing(t *testing.T) {
 	if err := n.SetMultiplexing(false); err != nil {
 		t.Fatal(err)
 	}
-	mustOK(t, n.ReservePrimary(1, 1, dirLinks(n, upper), 100))
-	mustOK(t, n.ReservePrimary(2, 2, dirLinks(n, lower), 100))
-	mustOK(t, n.ReserveBackup(1, 0, lower, upper.Links, 100))
-	mustOK(t, n.ReserveBackup(2, 0, upper, lower.Links, 100))
-	checkInv(t, n)
+	b := newBook(n)
+	mustOK(t, b.reserve(1, upper, 100))
+	mustOK(t, b.reserve(2, lower, 100))
+	mustOK(t, b.reserveBackup(1, lower))
+	mustOK(t, b.reserveBackup(2, upper))
+	b.check(t)
 	// Without multiplexing, a second upper-primary backup on lower links
 	// ADDS spare instead of sharing it.
-	mustOK(t, n.ReservePrimary(3, 3, dirLinks(n, upper), 100))
-	mustOK(t, n.ReserveBackup(3, 0, lower, upper.Links, 100))
-	checkInv(t, n)
+	mustOK(t, b.reserve(3, upper, 100))
+	mustOK(t, b.reserveBackup(3, lower))
+	b.check(t)
 	if got := n.Spare(fwd(lower.Links[0])); got != 200 {
 		t.Fatalf("no-mux spare = %v, want 200 (sum)", got)
 	}
@@ -623,9 +729,13 @@ func TestSetMultiplexing(t *testing.T) {
 	if err := n.SetMultiplexing(true); err == nil {
 		t.Fatal("mode change with live backups accepted")
 	}
-	mustOK(t, n.ReleaseBackup(1, lower))
-	mustOK(t, n.ReleaseBackup(2, upper))
-	mustOK(t, n.ReleaseBackup(3, lower))
+	mustOK(t, b.releaseBackup(1))
+	mustOK(t, b.releaseBackup(2))
+	b.check(t)
+	mustOK(t, b.releaseBackup(3))
+	if got := n.Spare(fwd(lower.Links[0])); got != 0 {
+		t.Fatalf("no-mux spare after release = %v", got)
+	}
 	if err := n.SetMultiplexing(true); err != nil {
 		t.Fatal(err)
 	}
@@ -633,21 +743,20 @@ func TestSetMultiplexing(t *testing.T) {
 
 func TestDependabilityDeficit(t *testing.T) {
 	n, upper, lower := testNet(t, 300)
-	mustOK(t, n.ReservePrimary(1, 1, dirLinks(n, upper), 100))
-	mustOK(t, n.ReserveBackup(1, 0, lower, upper.Links, 100))
-	mustOK(t, n.ReservePrimary(2, 2, dirLinks(n, lower), 100))
+	b := newBook(n)
+	mustOK(t, b.reserve(1, upper, 100))
+	mustOK(t, b.reserveBackup(1, lower))
+	mustOK(t, b.reserve(2, lower, 100))
 	if d := n.DependabilityDeficit(); len(d) != 0 {
 		t.Fatalf("quiescent deficit: %v", d)
 	}
-	// Activate conn 1's backup: its minimum joins lower's minSum while
-	// conn 2... has no backup, so spare on lower drops to 0 — still no
-	// deficit. Force one instead: register a second backup on lower whose
-	// primary overlaps conn 1's, then activate conn 1.
-	mustOK(t, n.ReservePrimary(3, 3, dirLinks(n, upper), 100))
-	mustOK(t, n.ReserveBackup(3, 0, lower, upper.Links, 100))
+	// Register a second backup on lower whose primary overlaps conn 1's,
+	// then activate conn 1.
+	mustOK(t, b.reserve(3, upper, 100))
+	mustOK(t, b.reserveBackup(3, lower))
 	n.SetFailed(upper.Links[0], true)
-	mustOK(t, n.ReleasePrimary(1, dirLinks(n, upper)))
-	mustOK(t, n.ActivateBackup(1, 1, lower))
+	mustOK(t, b.release(1))
+	mustOK(t, b.activate(1))
 	// lower links: minSum = 100 (conn2) + 100 (activated conn1) = 200;
 	// spare still 100 for conn3's backup → 300 = capacity: no deficit yet.
 	if d := n.DependabilityDeficit(); len(d) != 0 {
@@ -655,24 +764,21 @@ func TestDependabilityDeficit(t *testing.T) {
 	}
 	// One more primary fills the link past the reserve rule.
 	n.SetFailed(upper.Links[0], false)
-	if err := n.ReservePrimary(4, 4, dirLinks(n, lower), 100); err == nil {
+	if err := n.ReservePrimary(4, dirLinks(n, lower), 100); err == nil {
 		t.Fatal("admission should refuse: minima+spare would exceed capacity")
 	}
 	// Bypass admission legitimately via activation: conn 3 fails over too.
 	n.SetFailed(upper.Links[1], true)
-	mustOK(t, n.ReleasePrimary(3, dirLinks(n, upper)))
+	mustOK(t, b.release(3))
 	// Squeeze not needed (everyone at min); activation must succeed
 	// physically (300 capacity, 200 granted, +100 fits).
-	mustOK(t, n.ActivateBackup(3, 3, lower))
-	// Now lower minSum=300=capacity with zero spare: no deficit. The rule
-	// is about minSum+spare, so create spare pressure: register a backup
-	// for conn 2 (primary lower) over upper... upper.Links[1] failed;
-	// repair first.
+	mustOK(t, b.activate(3))
+	// Now lower minSum=300=capacity with zero spare: no deficit. Register a
+	// backup for conn 2 (primary lower) over upper, repaired first.
 	n.SetFailed(upper.Links[1], false)
-	mustOK(t, n.ReserveBackup(2, 0, upper, lower.Links, 100))
-	// Upper links: minSum=0, spare=100 → fine. Lower unchanged. Verify the
-	// ledger still internally consistent and deficit-free.
-	checkInv(t, n)
+	mustOK(t, b.reserveBackup(2, upper))
+	// Upper links: minSum=0, spare=100 → fine. Lower unchanged.
+	b.check(t)
 	if d := n.DependabilityDeficit(); len(d) != 0 {
 		t.Fatalf("unexpected deficit: %v", d)
 	}
@@ -680,17 +786,18 @@ func TestDependabilityDeficit(t *testing.T) {
 
 func TestDependabilityDeficitAfterActivation(t *testing.T) {
 	n, upper, lower := testNet(t, 200)
+	b := newBook(n)
 	g := n.Graph()
 	// A: primary upper, backup lower (whole route).
-	mustOK(t, n.ReservePrimary(1, 1, dirLinks(n, upper), 100))
-	mustOK(t, n.ReserveBackup(1, 0, lower, upper.Links, 100))
+	mustOK(t, b.reserve(1, upper, 100))
+	mustOK(t, b.reserveBackup(1, lower))
 	// B: primary lower at its minimum.
-	mustOK(t, n.ReservePrimary(2, 2, dirLinks(n, lower), 100))
+	mustOK(t, b.reserve(2, lower, 100))
 	// C: primary 1→3 (the chord, disjoint from A's primary so the backups
 	// may multiplex), backup 1→0→3 crossing lower's first link.
-	linkBetween := func(a, b topology.NodeID) (id topology.LinkID) {
+	linkBetween := func(a, z topology.NodeID) (id topology.LinkID) {
 		g.ForEachNeighbor(a, func(peer topology.NodeID, l topology.LinkID) {
-			if peer == b {
+			if peer == z {
 				id = l
 			}
 		})
@@ -699,8 +806,8 @@ func TestDependabilityDeficitAfterActivation(t *testing.T) {
 	l01, l13, l03 := linkBetween(0, 1), linkBetween(1, 3), linkBetween(0, 3)
 	cPrimary := routing.Path{Nodes: []topology.NodeID{1, 3}, Links: []topology.LinkID{l13}}
 	cBackup := routing.Path{Nodes: []topology.NodeID{1, 0, 3}, Links: []topology.LinkID{l01, l03}}
-	mustOK(t, n.ReservePrimary(3, 3, dirLinks(n, cPrimary), 100))
-	mustOK(t, n.ReserveBackup(3, 0, cBackup, cPrimary.Links, 100))
+	mustOK(t, b.reserve(3, cPrimary, 100))
+	mustOK(t, b.reserveBackup(3, cBackup))
 	if d := n.DependabilityDeficit(); len(d) != 0 {
 		t.Fatalf("quiescent deficit: %v", d)
 	}
@@ -708,9 +815,9 @@ func TestDependabilityDeficitAfterActivation(t *testing.T) {
 	// now A(100)+B(100) = 200 = capacity, while C's backup still counts
 	// 100 spare there → deficit until protection is re-planned.
 	n.SetFailed(upper.Links[1], true)
-	mustOK(t, n.ReleasePrimary(1, dirLinks(n, upper)))
-	mustOK(t, n.ActivateBackup(1, 1, lower))
-	checkInv(t, n) // ledger stays consistent even in deficit
+	mustOK(t, b.release(1))
+	mustOK(t, b.activate(1))
+	b.check(t) // ledger stays consistent even in deficit
 	deficit := n.DependabilityDeficit()
 	found := false
 	for _, d := range deficit {
@@ -723,71 +830,85 @@ func TestDependabilityDeficitAfterActivation(t *testing.T) {
 	}
 }
 
-// TestInvariantsCanFail injects one corruption per clause of CheckInvariants
-// and requires the audit to name it; the untouched ledger passes.
+// TestInvariantsCanFail injects one corruption per clause of CheckInvariants,
+// into the ledger or into the record it is checked against, and requires the
+// audit to name it; the untouched ledger passes.
 func TestInvariantsCanFail(t *testing.T) {
-	// build returns a ledger with primaries 1–3 on upper (3 grown) and
-	// their backups on lower, plus the first directed link of each route.
-	build := func(t *testing.T) (n *Network, up, low *dirState) {
+	// build returns a ledger with primaries in slots 1–3 on upper (3 grown)
+	// and their backups on lower, the record of it, and the first directed
+	// link of each route.
+	build := func(t *testing.T) (n *Network, held []Holding, up, low *dirState) {
 		n, upper, lower := testNet(t, 10000)
-		for id := channel.ConnID(1); id <= 3; id++ {
-			mustOK(t, n.ReservePrimary(id, int32(id), dirLinks(n, upper), 100))
-			mustOK(t, n.ReserveBackup(id, 0, lower, upper.Links, 100))
+		b := newBook(n)
+		for s := int32(1); s <= 3; s++ {
+			mustOK(t, b.reserve(s, upper, 100))
+			mustOK(t, b.reserveBackup(s, lower))
 		}
-		mustOK(t, n.AdjustPrimary(3, dirLinks(n, upper), 300))
-		checkInv(t, n)
-		return n, &n.dirs[fwd(upper.Links[0])], &n.dirs[fwd(lower.Links[0])]
+		mustOK(t, b.adjust(3, 300))
+		b.check(t)
+		held, _ = b.holdings()
+		return n, held, &n.dirs[fwd(upper.Links[0])], &n.dirs[fwd(lower.Links[0])]
 	}
 	cases := []struct {
 		clause  string
-		corrupt func(up, low *dirState)
+		corrupt func(held []Holding, up, low *dirState) []Holding
 		want    string
 	}{
-		{"primaries out of order", func(up, _ *dirState) {
-			up.primaries[0], up.primaries[1] = up.primaries[1], up.primaries[0]
-		}, "primaries not strictly ascending"},
-		{"a primary entered twice", func(up, _ *dirState) {
-			// Sums kept honest, so only the duplicate is wrong.
-			up.primaries = slices.Insert(up.primaries, 1, up.primaries[0])
-			up.grantSum += up.primaries[0].Grant
-			up.minSum += up.primaries[0].Min
-		}, "primaries not strictly ascending"},
-		{"grant below minimum", func(up, _ *dirState) {
-			up.primaries[2].Grant, up.grantSum = 50, up.grantSum-250
+		{"a primary entered twice", func(held []Holding, _, _ *dirState) []Holding {
+			// A slot is a set member once; what can repeat is the record.
+			return append(held, held[0])
+		}, "slot 1 held by two connections"},
+		{"grant below minimum", func(held []Holding, _, _ *dirState) []Holding {
+			held[2].Grant = 50
+			return held
 		}, "below min"},
-		{"grant sum drifted", func(up, _ *dirState) { up.grantSum += 50 }, "cached grantSum"},
-		{"min sum drifted", func(up, _ *dirState) { up.minSum -= 100 }, "cached minSum"},
-		{"an entry dropped, sums left behind", func(up, _ *dirState) {
-			up.primaries = slices.Delete(up.primaries, 1, 2)
+		{"grant sum drifted", func(held []Holding, up, _ *dirState) []Holding {
+			up.grantSum += 50
+			return held
 		}, "cached grantSum"},
-		{"a stale link-set bit", func(up, _ *dirState) {
+		{"min sum drifted", func(held []Holding, up, _ *dirState) []Holding {
+			up.minSum -= 100
+			return held
+		}, "cached minSum"},
+		{"an entry dropped, sums left behind", func(held []Holding, up, _ *dirState) []Holding {
+			up.primaries.Remove(2)
+			return held
+		}, "primary of slot 2 not entered"},
+		{"a stale link-set bit", func(held []Holding, up, _ *dirState) []Holding {
 			// A slot no primary on the link holds.
-			up.slots.Add(60)
-		}, "slot set holds 4 slots for 3 primaries"},
-		{"a missing link-set bit", func(up, _ *dirState) {
+			up.primaries.Add(60)
+			return held
+		}, "4 primaries entered, 3 primary routes cross it"},
+		{"a missing link-set bit", func(held []Holding, up, _ *dirState) []Holding {
 			// Swapped for a stale one, so the count alone passes.
-			up.slots.Remove(up.primaries[1].Slot)
-			up.slots.Add(60)
-		}, "slot set lacks slot 2 of conn 2"},
-		{"backups out of order", func(_, low *dirState) {
-			low.backups[1], low.backups[2] = low.backups[2], low.backups[1]
-		}, "backups not strictly ascending"},
-		{"a backup dropped, conflicts left behind", func(_, low *dirState) {
-			low.backups = slices.Delete(low.backups, 0, 1)
-		}, "conflict["},
-		{"a stale conflict entry", func(_, low *dirState) {
+			up.primaries.Remove(2)
+			up.primaries.Add(60)
+			return held
+		}, "primary of slot 2 not entered"},
+		{"a stale backup-set bit", func(held []Holding, _, low *dirState) []Holding {
+			low.backups.Add(60)
+			return held
+		}, "4 backups entered, 3 backup routes cross it"},
+		{"a backup dropped, conflicts left behind", func(held []Holding, _, low *dirState) []Holding {
+			low.backups.Remove(1)
+			return held
+		}, "backup of slot 1 not entered"},
+		{"a stale conflict entry", func(held []Holding, _, low *dirState) []Holding {
 			// The last link is the 1–3 chord: no primary crosses it, so no
 			// backup here protects it. Below the spare, so only the entry
 			// is wrong.
 			low.conflict[len(low.conflict)-1] = 100
+			return held
 		}, "conflict["},
-		{"spare drifted", func(_, low *dirState) { low.spare += 100 }, "cached spare"},
+		{"spare drifted", func(held []Holding, _, low *dirState) []Holding {
+			low.spare += 100
+			return held
+		}, "cached spare"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.clause, func(t *testing.T) {
-			n, up, low := build(t)
-			tc.corrupt(up, low)
-			err := n.CheckInvariants()
+			n, held, up, low := build(t)
+			err := n.CheckInvariants(tc.corrupt(held, up, low))
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("audit said %v, want a complaint containing %q", err, tc.want)
 			}

@@ -78,3 +78,16 @@ func (s SlotSet) AppendMembers(dst []int32) []int32 {
 	}
 	return dst
 }
+
+// renumber moves every member i to to[i], in place. Renumbering keeps the
+// members' order and moves none up (to[i] ≤ i), so a word is only ever
+// written after it has been read.
+func (s SlotSet) renumber(to []int32) {
+	for w, x := range s {
+		s[w] = 0
+		for ; x != 0; x &= x - 1 {
+			j := to[w<<6|bits.TrailingZeros64(x)]
+			s[j>>6] |= 1 << (uint(j) & 63)
+		}
+	}
+}

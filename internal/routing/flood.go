@@ -31,19 +31,21 @@ type FloodConfig struct {
 }
 
 // label is the flooding state at one node: the best allowance seen for a
-// given hop count, with back-pointers for route reconstruction.
+// given hop count, with back-pointers for route reconstruction. Hops, nodes,
+// links and label indices fit in 32 bits, so a label is three words:
+// appending labels is a fifth of a flood's time.
 type label struct {
-	hops      int
 	allowance float64
-	prevNode  topology.NodeID
-	prevLabel int // index into labels[prevNode]; -1 at the source
-	link      topology.LinkID
+	hops      int32
+	prevNode  int32 // a topology.NodeID; -1 at the source
+	prevLabel int32 // index into labels[prevNode]; -1 at the source
+	link      int32 // a topology.LinkID
 }
 
 // ref addresses one label during frontier expansion.
 type ref struct {
-	node topology.NodeID
-	idx  int
+	node int32 // a topology.NodeID
+	idx  int32
 }
 
 // FloodScratch holds the per-simulation working state of the flood so that
@@ -164,18 +166,18 @@ func (s *FloodScratch) Flood(g *topology.Graph, src, dst topology.NodeID, allow 
 	labels[src] = append(labels[src], label{hops: 0, allowance: 1e300, prevNode: -1, prevLabel: -1, link: -1})
 	s.best[src] = 1e300
 	s.touched = append(s.touched, src)
-	s.frontier = append(s.frontier, ref{node: src, idx: 0})
+	s.frontier = append(s.frontier, ref{node: int32(src), idx: 0})
 
-	for h := 0; h < cfg.HopBound && len(s.frontier) > 0; h++ {
+	for h := int32(0); int(h) < cfg.HopBound && len(s.frontier) > 0; h++ {
 		s.next = s.next[:0]
 		for _, f := range s.frontier {
 			cur := labels[f.node][f.idx]
 			if cur.hops != h {
 				continue
 			}
-			for _, a := range g.Arcs(f.node) {
+			for _, a := range g.Arcs(topology.NodeID(f.node)) {
 				peer := a.Peer
-				if peer == cur.prevNode {
+				if int32(peer) == cur.prevNode {
 					continue // never send a copy back where it came from
 				}
 				res := allow[a.Out]
@@ -206,13 +208,13 @@ func (s *FloodScratch) Flood(g *topology.Graph, src, dst topology.NodeID, allow 
 					allowance: alw,
 					prevNode:  f.node,
 					prevLabel: f.idx,
-					link:      link,
+					link:      int32(link),
 				})
 				if alw > s.best[peer] {
 					s.best[peer] = alw
 				}
 				if peer != dst { // the destination does not forward
-					s.next = append(s.next, ref{node: peer, idx: len(labels[peer]) - 1})
+					s.next = append(s.next, ref{node: int32(peer), idx: int32(len(labels[peer]) - 1)})
 				}
 			}
 		}
@@ -227,17 +229,18 @@ func (s *FloodScratch) Flood(g *topology.Graph, src, dst topology.NodeID, allow 
 	}
 	hops := 0
 	for _, l := range arrived {
-		hops += l.hops
+		hops += int(l.hops)
 	}
 	s.nodes = slices.Grow(s.nodes[:0], hops+len(arrived))[:hops+len(arrived)]
 	s.links = slices.Grow(s.links[:0], hops)[:hops]
 	s.found = s.found[:0]
 	n, k := 0, 0
 	for i, l := range arrived {
-		p := Path{Nodes: s.nodes[n : n+l.hops+1 : n+l.hops+1], Links: s.links[k : k+l.hops : k+l.hops]}
-		rebuildLabelPath(p, labels, dst, i)
+		h := int(l.hops)
+		p := Path{Nodes: s.nodes[n : n+h+1 : n+h+1], Links: s.links[k : k+h : k+h]}
+		rebuildLabelPath(p, labels, dst, int32(i))
 		s.found = append(s.found, Candidate{Path: p, Allowance: l.allowance})
-		n, k = n+l.hops+1, k+l.hops
+		n, k = n+h+1, k+h
 	}
 	// slices.SortFunc and sort.Slice run one pattern-defeating quicksort,
 	// so ties keep the order they always had.
@@ -261,7 +264,7 @@ func (s *FloodScratch) Flood(g *topology.Graph, src, dst topology.NodeID, allow 
 // rebuildLabelPath writes one destination label's route into p, whose
 // slices have the label's hop count plus one nodes and its hop count links,
 // back to front: no reversal pass, no intermediate reversed copies.
-func rebuildLabelPath(p Path, labels [][]label, dst topology.NodeID, idx int) {
+func rebuildLabelPath(p Path, labels [][]label, dst topology.NodeID, idx int32) {
 	node, i := dst, idx
 	for k := len(p.Links); ; k-- {
 		l := labels[node][i]
@@ -269,7 +272,7 @@ func rebuildLabelPath(p Path, labels [][]label, dst topology.NodeID, idx int) {
 		if l.prevNode < 0 {
 			return
 		}
-		p.Links[k-1] = l.link
-		node, i = l.prevNode, l.prevLabel
+		p.Links[k-1] = topology.LinkID(l.link)
+		node, i = topology.NodeID(l.prevNode), l.prevLabel
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -106,14 +107,22 @@ func TestEpochViewConsistencyUnderChurn(t *testing.T) {
 		seq uint64
 		key string
 	}
+	// The operations start once every poller has taken a view, and the
+	// pollers stop once each has seen the final epoch: under load the 200
+	// operations can otherwise finish before a poller is first scheduled.
 	done := make(chan struct{})
 	const pollers = 3
 	obs := make([][]observed, pollers)
-	var pollWg sync.WaitGroup
+	seen := make([]atomic.Uint64, pollers) // each poller's latest seq
+	var pollWg, started sync.WaitGroup
+	started.Add(pollers)
 	for p := 0; p < pollers; p++ {
 		pollWg.Add(1)
 		go func(p int) {
 			defer pollWg.Done()
+			// A failed check ends the goroutine; it has started all the same.
+			begun := sync.OnceFunc(started.Done)
+			defer begun()
 			var lastSeq uint64
 			for {
 				select {
@@ -125,15 +134,19 @@ func TestEpochViewConsistencyUnderChurn(t *testing.T) {
 				checkEpochInternal(t, v)
 				if v.Seq < lastSeq {
 					t.Errorf("poller %d: epoch seq went backwards %d -> %d", p, lastSeq, v.Seq)
-					return
-				}
-				if v.Seq != lastSeq {
+				} else if v.Seq != lastSeq {
 					lastSeq = v.Seq
 					obs[p] = append(obs[p], observed{v.Seq, viewKey(v)})
+					seen[p].Store(v.Seq)
+				}
+				begun()
+				if t.Failed() {
+					return
 				}
 			}
 		}(p)
 	}
+	started.Wait()
 
 	ctx := context.Background()
 	src := rng.New(99)
@@ -207,6 +220,23 @@ func TestEpochViewConsistencyUnderChurn(t *testing.T) {
 			t.Fatalf("prefixes %d and %d have the same aggregates; the match below would be ambiguous", prev, i)
 		}
 		prefixes[key] = i
+	}
+	final := s.View().Seq
+	for deadline := time.Now().Add(10 * time.Second); !t.Failed(); {
+		caughtUp := 0
+		for p := range seen {
+			if seen[p].Load() >= final {
+				caughtUp++
+			}
+		}
+		if caughtUp == pollers {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Errorf("%d of %d pollers saw the final epoch %d within 10 s", caughtUp, pollers, final)
+			break
+		}
+		runtime.Gosched()
 	}
 	close(done)
 	pollWg.Wait()
