@@ -1,6 +1,8 @@
-.PHONY: check build test race bench bench-smoke bench-e2e loadtest recovery-smoke overload-smoke forecast-smoke shard-smoke failover-smoke partition-smoke
+.PHONY: check build test race bench bench-smoke bench-e2e
 
-# Full tier-1 verification: build + vet + race-enabled tests.
+# Full tier-1 verification: build + vet + race-enabled tests, the episode
+# soak, the fuzzes, the full-scale experiments diff and the bench module
+# (see the header of scripts/check.sh).
 check:
 	./scripts/check.sh
 
@@ -70,52 +72,3 @@ bench-smoke:
 # the correctness gate. Exits non-zero on any correctness failure.
 bench-e2e:
 	bash bench/run.sh
-
-# The subsystem smokes: each is build + vet, the in-process episodes of one
-# family and its subsystem's tests under -race, then its row of TestProcess
-# (cmd/drserverd/process_test.go: real drserverd processes, SIGKILLed,
-# SIGTERMed and restarted). Overload and forecast have no process row.
-
-# Crash-restart episodes; row durable: SIGKILL quiet and mid-burst, SIGTERM,
-# restart from the same data dir.
-recovery-smoke:
-	./scripts/check.sh --recovery
-
-# Overload episodes, shedding, lane-priority and readiness tests.
-overload-smoke:
-	./scripts/check.sh --overload
-
-# Forecast tests (the closed-loop model-vs-measured agreement among them),
-# and the -forecast-* flags reaching the live model over HTTP.
-forecast-smoke:
-	./scripts/check.sh --forecast
-
-# Partition/2PC tests and mid-2PC kill episodes; row sharded: SIGKILL a
-# four-shard daemon, per-shard fingerprints equal after the restart.
-shard-smoke:
-	./scripts/check.sh --shard
-
-# Replica tests and primary-kill episodes; row pair: promotion within 1 s of
-# the primary's SIGKILL, fenced rejoin at the same fingerprint.
-failover-smoke:
-	./scripts/check.sh --failover
-
-# netchaos, lease and 2PC-suspicion tests and partition episodes; row
-# pair-manual: the promote interlock's 409, then 200 once the lease lapses.
-partition-smoke:
-	./scripts/check.sh --partition
-
-# End-to-end load test: drserverd + drload (10k requests, 8 workers), once
-# the daemon answers /readyz (up to 10 s; its log is shown if it never does).
-loadtest:
-	go build -o /tmp/drserverd ./cmd/drserverd
-	go build -o /tmp/drload ./cmd/drload
-	/tmp/drserverd -addr 127.0.0.1:18080 >/tmp/drserverd.log 2>&1 & \
-	pid=$$!; \
-	for i in $$(seq 100); do curl -fsS http://127.0.0.1:18080/readyz >/dev/null 2>&1 && break; sleep 0.1; done; \
-	if ! curl -fsS http://127.0.0.1:18080/readyz >/dev/null 2>&1; then \
-		echo "loadtest: drserverd did not become ready; log:" >&2; cat /tmp/drserverd.log >&2; \
-		kill -9 $$pid 2>/dev/null; exit 1; \
-	fi; \
-	/tmp/drload -addr http://127.0.0.1:18080 -workers 8 -requests 10000; rc=$$?; \
-	kill -TERM $$pid; wait $$pid; exit $$rc

@@ -411,8 +411,8 @@ func (l *load) requireAlive(t *testing.T, p *proc) {
 }
 
 // TestProcess drives real daemons through what only a process can show.
-// scripts/check.sh --recovery, --shard, --failover and --partition each run
-// one row by name.
+// scripts/check.sh runs every row under -race; go test -run
+// 'TestProcess/<row>' ./cmd/drserverd runs one.
 func TestProcess(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -349,6 +349,64 @@ func TestExperimentsTablesAreGeneratedCanFail(t *testing.T) {
 	}
 }
 
+// docBudget caps a document's line count. The docs are to shrink toward
+// one statement per mechanism (ROADMAP item 9), so a budget only goes down:
+// a change that shortens a doc lowers its budget to the new count.
+type docBudget struct {
+	file  string
+	lines int
+}
+
+var docBudgets = []docBudget{
+	{"README.md", 705},
+	{"DESIGN.md", 1456},
+}
+
+// overBudget names each document of fsys with more lines than its budget.
+func overBudget(fsys fs.FS, budgets []docBudget) ([]string, error) {
+	var over []string
+	for _, b := range budgets {
+		doc, err := fs.ReadFile(fsys, b.file)
+		if err != nil {
+			return nil, err
+		}
+		if n := bytes.Count(doc, []byte("\n")); n > b.lines {
+			over = append(over, fmt.Sprintf("%s: %d lines, budget %d", b.file, n, b.lines))
+		}
+	}
+	return over, nil
+}
+
+// TestDocBudgets: README.md and DESIGN.md do not grow back.
+func TestDocBudgets(t *testing.T) {
+	over, err := overBudget(os.DirFS("."), docBudgets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range over {
+		t.Errorf("%s; state the change where its mechanism is already described, and cut as much elsewhere", o)
+	}
+}
+
+// TestDocBudgetsCanFail feeds the check a doc at its budget, one a line
+// over it, and a budget for a doc that is not there.
+func TestDocBudgetsCanFail(t *testing.T) {
+	fsys := fstest.MapFS{
+		"AT.md":   {Data: []byte("a\nb\n")},
+		"OVER.md": {Data: []byte("a\nb\nc\n")},
+	}
+	over, err := overBudget(fsys, []docBudget{{"AT.md", 2}, {"OVER.md", 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"OVER.md: 3 lines, budget 2"}; !slices.Equal(over, want) {
+		t.Errorf("over budget %q, want %q", over, want)
+	}
+	if _, err := overBudget(fsys, []docBudget{{"GONE.md", 2}}); err == nil {
+		t.Error("a budget for a missing doc passed")
+	}
+}
+
 // testOnlyExports type-checks the non-test Go files of the modules rooted at
 // dirs (the first one owns internal/) and names, as "file:line: pkg.Name",
 // every exported func, method, type, var or const declared under the first
