@@ -225,7 +225,7 @@ func BenchmarkMarkovSolve9State(b *testing.B) {
 // paper-scale network.
 func BenchmarkEstablish(b *testing.B) {
 	g, err := topology.Waxman(topology.WaxmanConfig{
-		Nodes: 100, Alpha: core.PaperAlpha, Beta: core.PaperBeta, EnsureConnected: true,
+		Nodes: 100, Alpha: core.PaperAlpha, Beta: core.PaperBeta,
 	}, rng.New(3))
 	if err != nil {
 		b.Fatal(err)

@@ -24,7 +24,7 @@ import (
 // not one of them — and its latency line must read ordered figures.
 func TestRun(t *testing.T) {
 	const requests = 400
-	g, err := topology.TransitStub(topology.DefaultTransitStub(), rng.New(7))
+	g, err := topology.TransitStub(rng.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,7 +90,6 @@ type config struct {
 
 	dataDir string
 	fsync   int
-	gcWait  time.Duration
 
 	autoRecover bool
 
@@ -122,9 +121,8 @@ func parseFlags(args []string) (*config, error) {
 
 	// Durability.
 	fs.StringVar(&c.dataDir, "data-dir", "", "journal directory; empty runs in-memory (no durability)")
-	fs.IntVar(&c.fsync, "fsync", 1, "fsync the journal every N events (1 = every event, durable against power loss; negative = let the OS flush)")
+	fs.IntVar(&c.fsync, "fsync", 1, "1 = sync the journal before acknowledging each event, durable against power loss (concurrent syncs are batched by group commit); negative = let the OS flush")
 	fs.IntVar(&c.snapEvery, "snapshot-every", 1024, "write a state snapshot every N journaled events (negative disables)")
-	fs.DurationVar(&c.gcWait, "group-commit-max-wait", 2*time.Millisecond, "batch concurrent journal fsyncs under this latency cap, keeping -fsync 1 durability while amortizing the sync (only with -fsync 1; 0 disables group commit)")
 
 	// Automatic recovery from degraded mode.
 	fs.BoolVar(&c.autoRecover, "auto-recover", false, "on an invariant violation, rebuild from the journal automatically (capped exponential backoff, until it succeeds) instead of waiting for POST /v1/admin/recover")
@@ -153,17 +151,8 @@ func parseFlags(args []string) (*config, error) {
 	if c.forecastPredictive && c.forecastInterval <= 0 {
 		return nil, errors.New("-forecast-predictive needs -forecast-interval: without a solved model there is nothing to predict from")
 	}
-	if c.fsync == 0 {
-		return nil, errors.New("-fsync 0 is not a policy: 1 syncs every event, N syncs every N events, a negative value leaves flushing to the OS")
-	}
-	if c.gcWait < 0 {
-		return nil, fmt.Errorf("-group-commit-max-wait %s is negative: give the batch a cap, or 0 to turn group commit off", c.gcWait)
-	}
-	if c.fsync != 1 && flagSet(fs, "group-commit-max-wait") {
-		// Group commit's whole contract is FsyncEvery:1 semantics; any other
-		// policy already trades durability for throughput and has nothing to
-		// batch.
-		return nil, fmt.Errorf("-group-commit-max-wait needs -fsync 1 (got -fsync %d): group commit batches per-event fsyncs", c.fsync)
+	if c.fsync >= 0 && c.fsync != 1 {
+		return nil, fmt.Errorf("-fsync %d is not a policy: 1 syncs every event before it is acknowledged, a negative value leaves flushing to the OS", c.fsync)
 	}
 	if c.lease < 0 {
 		c.lease = c.failoverTO / 2
@@ -172,13 +161,6 @@ func parseFlags(args []string) (*config, error) {
 		return nil, fmt.Errorf("-lease (%s) must be shorter than -failover-timeout (%s): a standby must outwait the primary's lease before promoting", c.lease, c.failoverTO)
 	}
 	return c, nil
-}
-
-// flagSet reports whether the named flag was given on the command line.
-func flagSet(fs *flag.FlagSet, name string) bool {
-	set := false
-	fs.Visit(func(f *flag.Flag) { set = set || f.Name == name })
-	return set
 }
 
 // meta is the marker a data directory written under c carries; it is also
@@ -192,11 +174,7 @@ func (c *config) meta() core.DataMeta {
 
 // journalOptions is the journal tuning, one journal or one per shard.
 func (c *config) journalOptions() journal.Options {
-	return journal.Options{
-		FsyncEvery:         c.fsync,
-		GroupCommit:        c.gcWait > 0 && c.fsync == 1,
-		GroupCommitMaxWait: c.gcWait,
-	}
+	return journal.Options{FsyncEvery: c.fsync, GroupCommit: c.fsync == 1}
 }
 
 // serverOptions is the part of the actor-loop tuning both planes share;
@@ -327,9 +305,9 @@ func bootSingle(cfg *config, g *topology.Graph, mcfg manager.Config, front []ser
 			}
 		}()
 		if jopt.GroupCommit {
-			log.Printf("journal: group commit on (batch fsyncs under %s, per-event durability preserved)", cfg.gcWait)
+			log.Printf("journal: group commit on (concurrent fsyncs batched, per-event durability preserved)")
 		}
-		mgr, err = server.Rebuild(g, mcfg, rec)
+		mgr, _, err = server.Rebuild(g, mcfg, rec)
 		if err != nil {
 			return plane{}, fmt.Errorf("refusing to serve: journal replay of %s did not produce an audit-clean state: %w\n"+
 				"(the on-disk history and the state machine disagree — restore the directory from a backup, "+

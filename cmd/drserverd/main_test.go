@@ -85,10 +85,6 @@ func TestParseFlagsRefuses(t *testing.T) {
 	if _, err := parseFlags(nil); err != nil {
 		t.Fatalf("defaults: %v", err)
 	}
-	// The group-commit wait's default is not an explicit setting.
-	if _, err := parseFlags([]string{"-fsync", "5"}); err != nil {
-		t.Fatalf("-fsync 5: %v", err)
-	}
 	for _, tc := range []struct {
 		name string
 		args []string
@@ -97,6 +93,10 @@ func TestParseFlagsRefuses(t *testing.T) {
 		{"replica-sharded", []string{"-replica-of", "http://127.0.0.1:1", "-data-dir", t.TempDir(), "-shards", "2"}},
 		{"lease-not-shorter", []string{"-lease", "750ms", "-failover-timeout", "750ms"}},
 		{"fsync-zero", []string{"-fsync", "0"}},
+		// Syncing every N events would acknowledge events not yet durable.
+		{"fsync-every-5", []string{"-fsync", "5"}},
+		// Group commit's wait is the journal's: -group-commit-max-wait is
+		// an unknown flag, with or without -fsync 1.
 		{"group-commit-without-fsync-1", []string{"-group-commit-max-wait", "2ms", "-fsync", "5"}},
 		{"group-commit-negative", []string{"-group-commit-max-wait", "-1ms"}},
 		{"forecast-sharded", []string{"-forecast-interval", "1s", "-shards", "2"}},

@@ -128,7 +128,7 @@ func summarize(dir string, buckets int, horizon float64) (*summary, error) {
 	}
 	head := *rec
 	head.Events = nil
-	m, err := server.Rebuild(sys.Graph(), mcfg, &head)
+	m, _, err := server.Rebuild(sys.Graph(), mcfg, &head)
 	if err != nil {
 		return nil, err
 	}

@@ -171,7 +171,7 @@ func TestSummarizeDaemonDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := server.Rebuild(sys.Graph(), mcfg, rec)
+	m, _, err := server.Rebuild(sys.Graph(), mcfg, rec)
 	if err != nil {
 		t.Fatal(err)
 	}

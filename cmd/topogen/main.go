@@ -45,10 +45,10 @@ func run() error {
 	switch *kind {
 	case "waxman":
 		g, err = topology.Waxman(topology.WaxmanConfig{
-			Nodes: *nodes, Alpha: *alpha, Beta: *beta, EnsureConnected: true,
+			Nodes: *nodes, Alpha: *alpha, Beta: *beta,
 		}, src)
 	case "tier":
-		g, err = topology.TransitStub(topology.DefaultTransitStub(), src)
+		g, err = topology.TransitStub(src)
 	default:
 		return fmt.Errorf("unknown kind %q", *kind)
 	}

@@ -18,6 +18,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"testing/fstest"
 )
@@ -358,8 +359,8 @@ type docBudget struct {
 }
 
 var docBudgets = []docBudget{
-	{"README.md", 705},
-	{"DESIGN.md", 1456},
+	{"README.md", 702},
+	{"DESIGN.md", 1454},
 }
 
 // overBudget names each document of fsys with more lines than its budget.
@@ -407,25 +408,35 @@ func TestDocBudgetsCanFail(t *testing.T) {
 	}
 }
 
-// testOnlyExports type-checks the non-test Go files of the modules rooted at
-// dirs (the first one owns internal/) and names, as "file:line: pkg.Name",
-// every exported func, method, type, var or const declared under the first
-// module's internal/ that no non-test code in any of the modules uses; total
-// counts the exports it looked at. A method also counts as used when its
-// type, or the pointer to it, implements an interface with that method which
-// the checked code uses (as the type of an expression, or a parameter or
-// result of a called function), and when it satisfies fmt.Stringer, error or
-// interface{ Unwrap() error }, which fmt and errors look for at run time.
-// Names ending in ForTesting or starting with SetTestHook are seams for tests
-// by name and are never flagged.
-func testOnlyExports(dirs ...string) (flagged []string, total int, err error) {
+// checkedModules is one type-checking pass over the non-test Go files of
+// the modules rooted at dirs, the first of which owns internal/.
+type checkedModules struct {
+	root string
+	fset *token.FileSet
+	pkgs []checkedPackage // every non-standard package, dependencies first
+}
+
+// checkedPackage is one type-checked package of a checkedModules.
+type checkedPackage struct {
+	pkg   *types.Package
+	files []*ast.File
+	info  *types.Info
+	owned bool // declared under the first module's internal/
+}
+
+// rootModules is this module and bench/, type-checked once for every gate
+// that reads them.
+var rootModules = sync.OnceValues(func() (*checkedModules, error) { return checkModules(".", "bench") })
+
+// checkModules type-checks the non-test Go files of the modules rooted at
+// dirs.
+func checkModules(dirs ...string) (*checkedModules, error) {
 	root, err := filepath.Abs(dirs[0])
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	internal := filepath.Join(root, "internal") + string(filepath.Separator)
-
-	fset := token.NewFileSet()
+	m := &checkedModules{root: root, fset: token.NewFileSet()}
 	std := importer.Default()
 	checked := map[string]*types.Package{}
 	imp := importerFunc(func(path string) (*types.Package, error) {
@@ -434,8 +445,64 @@ func testOnlyExports(dirs ...string) (flagged []string, total int, err error) {
 		}
 		return std.Import(path)
 	})
+	for _, dir := range dirs {
+		pkgs, err := listDeps(dir)
+		if err != nil {
+			return nil, err
+		}
+		for _, lp := range pkgs {
+			if lp.Standard || checked[lp.ImportPath] != nil || len(lp.GoFiles) == 0 {
+				continue
+			}
+			var files []*ast.File
+			for _, name := range lp.GoFiles {
+				f, err := parser.ParseFile(m.fset, filepath.Join(lp.Dir, name), nil, 0)
+				if err != nil {
+					return nil, err
+				}
+				files = append(files, f)
+			}
+			info := &types.Info{
+				Types:      map[ast.Expr]types.TypeAndValue{},
+				Uses:       map[*ast.Ident]types.Object{},
+				Selections: map[*ast.SelectorExpr]*types.Selection{},
+			}
+			conf := types.Config{Importer: imp}
+			pkg, err := conf.Check(lp.ImportPath, m.fset, files, info)
+			if err != nil {
+				return nil, fmt.Errorf("type-checking %s: %w", lp.ImportPath, err)
+			}
+			checked[lp.ImportPath] = pkg
+			owned := strings.HasPrefix(lp.Dir+string(filepath.Separator), internal)
+			m.pkgs = append(m.pkgs, checkedPackage{pkg: pkg, files: files, info: info, owned: owned})
+		}
+	}
+	return m, nil
+}
+
+// at names where obj is declared, as "file:line: name" with the file
+// relative to the first module's root.
+func (m *checkedModules) at(obj types.Object, name string) string {
+	pos := m.fset.Position(obj.Pos())
+	file, err := filepath.Rel(m.root, pos.Filename)
+	if err != nil {
+		file = pos.Filename
+	}
+	return fmt.Sprintf("%s:%d: %s", filepath.ToSlash(file), pos.Line, name)
+}
+
+// testOnlyExports names, as "file:line: pkg.Name", every exported func,
+// method, type, var or const declared under the first module's internal/
+// that no non-test code in any of the modules uses; total counts the
+// exports it looked at. A method also counts as used when its type, or the
+// pointer to it, implements an interface with that method which the checked
+// code uses (as the type of an expression, or a parameter or result of a
+// called function), and when it satisfies fmt.Stringer, error or
+// interface{ Unwrap() error }, which fmt and errors look for at run time.
+// Names ending in ForTesting or starting with SetTestHook are seams for tests
+// by name and are never flagged.
+func testOnlyExports(m *checkedModules) (flagged []string, total int) {
 	var (
-		owned      []*types.Package              // the packages under internal/
 		used       = map[types.Object]bool{}     // objects non-test code names
 		interfaces = map[*types.Interface]bool{} // interface types non-test code uses
 	)
@@ -447,57 +514,27 @@ func testOnlyExports(dirs ...string) (flagged []string, total int, err error) {
 			interfaces[i] = true
 		}
 	}
-	for _, dir := range dirs {
-		pkgs, err := listDeps(dir)
-		if err != nil {
-			return nil, 0, err
+	for _, p := range m.pkgs {
+		info := p.info
+		for _, obj := range info.Uses {
+			used[origin(obj)] = true
 		}
-		for _, lp := range pkgs {
-			if lp.Standard || checked[lp.ImportPath] != nil || len(lp.GoFiles) == 0 {
+		for _, sel := range info.Selections {
+			used[origin(sel.Obj())] = true
+		}
+		for e, tv := range info.Types {
+			if tv.IsType() {
 				continue
 			}
-			var files []*ast.File
-			for _, name := range lp.GoFiles {
-				f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, 0)
-				if err != nil {
-					return nil, 0, err
-				}
-				files = append(files, f)
+			useIface(tv.Type)
+			call, ok := e.(*ast.CallExpr)
+			if !ok {
+				continue
 			}
-			info := &types.Info{
-				Types:      map[ast.Expr]types.TypeAndValue{},
-				Uses:       map[*ast.Ident]types.Object{},
-				Selections: map[*ast.SelectorExpr]*types.Selection{},
-			}
-			conf := types.Config{Importer: imp}
-			pkg, err := conf.Check(lp.ImportPath, fset, files, info)
-			if err != nil {
-				return nil, 0, fmt.Errorf("type-checking %s: %w", lp.ImportPath, err)
-			}
-			checked[lp.ImportPath] = pkg
-			if strings.HasPrefix(lp.Dir+string(filepath.Separator), internal) {
-				owned = append(owned, pkg)
-			}
-			for _, obj := range info.Uses {
-				used[origin(obj)] = true
-			}
-			for _, sel := range info.Selections {
-				used[origin(sel.Obj())] = true
-			}
-			for e, tv := range info.Types {
-				if tv.IsType() {
-					continue
-				}
-				useIface(tv.Type)
-				call, ok := e.(*ast.CallExpr)
-				if !ok {
-					continue
-				}
-				if sig, ok := info.Types[call.Fun].Type.(*types.Signature); ok && !info.Types[call.Fun].IsType() {
-					for _, tuple := range []*types.Tuple{sig.Params(), sig.Results()} {
-						for i := 0; i < tuple.Len(); i++ {
-							useIface(tuple.At(i).Type())
-						}
+			if sig, ok := info.Types[call.Fun].Type.(*types.Signature); ok && !info.Types[call.Fun].IsType() {
+				for _, tuple := range []*types.Tuple{sig.Params(), sig.Results()} {
+					for i := 0; i < tuple.Len(); i++ {
+						useIface(tuple.At(i).Type())
 					}
 				}
 			}
@@ -511,13 +548,13 @@ func testOnlyExports(dirs ...string) (flagged []string, total int, err error) {
 		errType.Underlying().(*types.Interface):    true,
 		ifaceOf("Unwrap", errType):                 true,
 	}
-	implemented := func(m *types.Func, ifaces map[*types.Interface]bool) bool {
-		recv := m.Type().(*types.Signature).Recv().Type()
+	implemented := func(fn *types.Func, ifaces map[*types.Interface]bool) bool {
+		recv := fn.Type().(*types.Signature).Recv().Type()
 		if p, ok := recv.(*types.Pointer); ok {
 			recv = p.Elem()
 		}
 		for i := range ifaces {
-			if !hasMethod(i, m.Name()) {
+			if !hasMethod(i, fn.Name()) {
 				continue
 			}
 			if types.Implements(recv, i) || types.Implements(types.NewPointer(recv), i) {
@@ -532,23 +569,21 @@ func testOnlyExports(dirs ...string) (flagged []string, total int, err error) {
 		if used[obj] || strings.HasSuffix(n, "ForTesting") || strings.HasPrefix(n, "SetTestHook") {
 			return
 		}
-		if m, ok := obj.(*types.Func); ok && m.Type().(*types.Signature).Recv() != nil &&
-			(implemented(m, runtimeIfaces) || implemented(m, interfaces)) {
+		if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil &&
+			(implemented(fn, runtimeIfaces) || implemented(fn, interfaces)) {
 			return
 		}
-		pos := fset.Position(obj.Pos())
-		file, err := filepath.Rel(root, pos.Filename)
-		if err != nil {
-			file = pos.Filename
-		}
-		flagged = append(flagged, fmt.Sprintf("%s:%d: %s", filepath.ToSlash(file), pos.Line, name))
+		flagged = append(flagged, m.at(obj, name))
 	}
-	for _, pkg := range owned {
-		scope := pkg.Scope()
+	for _, p := range m.pkgs {
+		if !p.owned {
+			continue
+		}
+		scope := p.pkg.Scope()
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
 			if obj.Exported() {
-				flag(obj, pkg.Name()+"."+name)
+				flag(obj, p.pkg.Name()+"."+name)
 			}
 			tn, ok := obj.(*types.TypeName)
 			if !ok || tn.IsAlias() {
@@ -559,14 +594,84 @@ func testOnlyExports(dirs ...string) (flagged []string, total int, err error) {
 				continue
 			}
 			for i := 0; i < named.NumMethods(); i++ {
-				if m := named.Method(i); m.Exported() {
-					flag(m, pkg.Name()+"."+name+"."+m.Name())
+				if fn := named.Method(i); fn.Exported() {
+					flag(fn, p.pkg.Name()+"."+name+"."+fn.Name())
 				}
 			}
 		}
 	}
 	sort.Strings(flagged)
-	return flagged, total, nil
+	return flagged, total
+}
+
+// unsetOptions names, as "file:line: pkg.Type.Field", every exported field
+// of an exported struct type named …Options or …Config declared under the
+// first module's internal/ that no non-test code outside the field's own
+// package writes; total counts the fields it looked at. A write is a
+// composite-literal key (T{F: v}) or an assignment target (x.F = v, x.F++).
+// A field only its own package or a test sets has one value in use: a
+// constant, or a value the package works out from its other inputs.
+func unsetOptions(m *checkedModules) (flagged []string, total int) {
+	written := map[types.Object]bool{}
+	for _, p := range m.pkgs {
+		write := func(obj types.Object) {
+			if obj != nil && obj.Pkg() != p.pkg {
+				written[origin(obj)] = true
+			}
+		}
+		target := func(e ast.Expr) {
+			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+				if s := p.info.Selections[sel]; s != nil {
+					write(s.Obj())
+				}
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					if key, ok := n.Key.(*ast.Ident); ok {
+						write(p.info.Uses[key])
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						target(lhs)
+					}
+				case *ast.IncDecStmt:
+					target(n.X)
+				}
+				return true
+			})
+		}
+	}
+	for _, p := range m.pkgs {
+		if !p.owned {
+			continue
+		}
+		scope := p.pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !(strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Config")) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				field := st.Field(i)
+				if !field.Exported() {
+					continue
+				}
+				total++
+				if !written[field] {
+					flagged = append(flagged, m.at(field, p.pkg.Name()+"."+name+"."+field.Name()))
+				}
+			}
+		}
+	}
+	sort.Strings(flagged)
+	return flagged, total
 }
 
 type importerFunc func(path string) (*types.Package, error)
@@ -636,10 +741,11 @@ func listDeps(dir string) ([]listedPackage, error) {
 // use moves into a _test.go file of its package (export_test.go when the
 // external test package needs it).
 func TestNoTestOnlyExports(t *testing.T) {
-	flagged, total, err := testOnlyExports(".", "bench")
+	m, err := rootModules()
 	if err != nil {
 		t.Fatal(err)
 	}
+	flagged, total := testOnlyExports(m)
 	t.Logf("%d exports under internal/", total)
 	if len(flagged) > 0 {
 		t.Errorf("%d exports under internal/ have no non-test caller; delete each, or move it into a _test.go of its package:\n\t%s",
@@ -647,20 +753,59 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 }
 
-// TestNoTestOnlyExportsCanFail runs the check over a fixture module whose
-// internal/ package has an export with no caller, one only its test calls,
-// a method reached only through an interface conversion, a String method
-// and a ForTesting seam: only the first two are flagged.
-func TestNoTestOnlyExportsCanFail(t *testing.T) {
-	flagged, total, err := testOnlyExports(filepath.Join("testdata", "exports"))
-	if err != nil {
-		t.Fatal(err)
-	}
+// flaggedNames strips the "file:line: " from each flagged entry.
+func flaggedNames(flagged []string) []string {
 	var names []string
 	for _, f := range flagged {
 		names = append(names, f[strings.LastIndex(f, " ")+1:])
 	}
-	if want := []string{"p.TestedOnly", "p.Unused"}; !slices.Equal(names, want) || total != 6 {
-		t.Errorf("flagged %v of %d exports, want %v of 6", flagged, total, want)
+	return names
+}
+
+// TestNoTestOnlyExportsCanFail runs the check over a fixture module whose
+// internal/ package has an export with no caller, one only its test calls,
+// a method reached only through an interface conversion, a String method,
+// a ForTesting seam and an Options type its command uses: only the first
+// two are flagged.
+func TestNoTestOnlyExportsCanFail(t *testing.T) {
+	m, err := checkModules(filepath.Join("testdata", "exports"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flagged, total := testOnlyExports(m)
+	if names, want := flaggedNames(flagged), []string{"p.TestedOnly", "p.Unused"}; !slices.Equal(names, want) || total != 7 {
+		t.Errorf("flagged %v of %d exports, want %v of 7", flagged, total, want)
+	}
+}
+
+// TestNoUnsetOptions: every exported field of an …Options or …Config struct
+// under internal/ is set by some non-test code outside its package, in this
+// module or in bench/. A field nobody sets, or only its own package or a
+// test sets, is a setting with one value in use: make it a constant, or
+// work the value out from the inputs the package already has.
+func TestNoUnsetOptions(t *testing.T) {
+	m, err := rootModules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	flagged, total := unsetOptions(m)
+	t.Logf("%d Options/Config fields under internal/", total)
+	if len(flagged) > 0 {
+		t.Errorf("%d Options/Config fields under internal/ are set by no non-test code outside their package; make each a constant or derive it:\n\t%s",
+			len(flagged), strings.Join(flagged, "\n\t"))
+	}
+}
+
+// TestNoUnsetOptionsCanFail runs the check over the fixture module, whose
+// Options has a field its command sets, one only its test sets and one
+// nobody sets: only the last two are flagged.
+func TestNoUnsetOptionsCanFail(t *testing.T) {
+	m, err := checkModules(filepath.Join("testdata", "exports"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flagged, total := unsetOptions(m)
+	if names, want := flaggedNames(flagged), []string{"p.Options.TestSet", "p.Options.Unset"}; !slices.Equal(names, want) || total != 3 {
+		t.Errorf("flagged %v of %d fields, want %v of 3", flagged, total, want)
 	}
 }

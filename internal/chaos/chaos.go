@@ -30,7 +30,7 @@ var elastic = qos.DefaultSpec()
 // waxman is the topology of everything here but the sharded plane.
 func waxman(nodes int, seed uint64) (*topology.Graph, error) {
 	return topology.Waxman(topology.WaxmanConfig{
-		Nodes: nodes, Alpha: 0.33, Beta: 0.25, EnsureConnected: true,
+		Nodes: nodes, Alpha: 0.33, Beta: 0.25,
 	}, rng.New(seed+0x9e3779b97f4a7c15))
 }
 

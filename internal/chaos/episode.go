@@ -251,7 +251,7 @@ func (ep Episode) start(seed uint64, dir string) (*world, error) {
 	}
 	var err error
 	if ep.Plane == Sharded {
-		w.g, err = topology.TransitStub(topology.DefaultTransitStub(), rng.New(seed+0x9e3779b97f4a7c15))
+		w.g, err = topology.TransitStub(rng.New(seed + 0x9e3779b97f4a7c15))
 	} else {
 		w.g, err = waxman(24, seed)
 	}

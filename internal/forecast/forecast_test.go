@@ -32,7 +32,7 @@ type harness struct {
 func newHarness(t *testing.T, cfg Config) *harness {
 	t.Helper()
 	g, err := topology.Waxman(topology.WaxmanConfig{
-		Nodes: 40, Alpha: 0.33, Beta: 0.25, EnsureConnected: true,
+		Nodes: 40, Alpha: 0.33, Beta: 0.25,
 	}, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +240,7 @@ func TestForecastSolveFailureFallback(t *testing.T) {
 // is abandoned, reported as ErrSolveTimeout, and falls back per the
 // staleness contract.
 func TestForecastSolveTimeout(t *testing.T) {
-	h := newHarness(t, Config{MinEvents: 10, SolveTimeout: 20 * time.Millisecond})
+	h := newHarness(t, Config{MinEvents: 10, solveTimeout: 20 * time.Millisecond})
 	h.churn(120)
 
 	slow := func(s snapshot) (*solved, error) {
@@ -280,7 +280,7 @@ func TestForecastPredictiveLatch(t *testing.T) {
 		MinEvents:    10,
 		Predictive:   true,
 		Interval:     20 * time.Millisecond,
-		SolveTimeout: time.Second,
+		solveTimeout: time.Second,
 		OnPredict:    func(on bool) { flips = append(flips, on) },
 	})
 	h.churn(120)

@@ -145,13 +145,9 @@ func (j *Journal) appendLocked(ev Event) (uint64, error) {
 		return 0, fmt.Errorf("journal: append seq %d: %w", ev.Seq, err)
 	}
 	j.off += int64(len(j.buf))
-	if !j.opt.GroupCommit {
-		j.sinceSync++
-		if j.opt.FsyncEvery > 0 && j.sinceSync >= j.opt.FsyncEvery {
-			if err := datasync(j.f); err != nil {
-				return 0, fmt.Errorf("journal: fsync seq %d: %w", ev.Seq, err)
-			}
-			j.sinceSync = 0
+	if !j.opt.GroupCommit && j.opt.FsyncEvery > 0 {
+		if err := datasync(j.f); err != nil {
+			return 0, fmt.Errorf("journal: fsync seq %d: %w", ev.Seq, err)
 		}
 	}
 	j.seq = ev.Seq

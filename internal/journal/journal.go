@@ -22,12 +22,14 @@
 // corruption in the middle of the log, and Open refuses with an error
 // rather than silently dropping acknowledged events.
 //
-// The fsync policy is configurable (Options.FsyncEvery): 1 (the default,
+// The fsync policy is one of two (Options.FsyncEvery): 1 (the default,
 // also what 0 selects) syncs every append and is durable against power
-// loss, N>1 amortizes, and a negative value never syncs (still durable
-// against process crashes — the page cache survives kill -9 — but not power
-// loss). Snapshot writes always fsync before the rename, and old segments
-// are deleted only after the snapshot is durable.
+// loss, and a negative value never syncs (still durable against process
+// crashes — the page cache survives kill -9 — but not power loss). Open
+// refuses any other positive value: a sync every N records would
+// acknowledge records that are not yet durable. Snapshot writes always
+// fsync before the rename, and old segments are deleted only after the
+// snapshot is durable.
 //
 // A segment's space is allocated before records land in it, a chunk at a
 // time (segmentChunk), and every segment sync is an fdatasync: a record's
@@ -62,9 +64,9 @@ var ErrCorrupt = errors.New("journal: corrupt")
 
 // Options tunes a Journal.
 type Options struct {
-	// FsyncEvery controls how often Append calls fsync: 1 (the default)
-	// syncs every record, N>1 every N records, negative never (tests).
-	// Zero selects the default. Ignored with GroupCommit, which always
+	// FsyncEvery controls whether Append calls fsync: 1 (the default)
+	// syncs every record, negative never. Zero selects the default; Open
+	// refuses anything above 1. Ignored with GroupCommit, which always
 	// provides FsyncEvery:1 durability.
 	FsyncEvery int
 	// GroupCommit batches fsyncs across concurrent appenders: AppendAsync
@@ -125,16 +127,15 @@ type Journal struct {
 	dir string
 	opt Options
 
-	mu        sync.Mutex
-	f         *os.File // active segment
-	off       int64    // its logical end: where the next frame is written
-	size      int64    // its allocated end (with prealloc)
-	prealloc  bool     // false once the filesystem refused fallocate
-	seq       uint64   // last appended (or recovered) sequence number
-	snapSeq   uint64   // sequence covered by the newest snapshot
-	sinceSync int
-	buf       []byte
-	tail      tailRing // most recent frames, served to tail reads (stream.go)
+	mu       sync.Mutex
+	f        *os.File // active segment
+	off      int64    // its logical end: where the next frame is written
+	size     int64    // its allocated end (with prealloc)
+	prealloc bool     // false once the filesystem refused fallocate
+	seq      uint64   // last appended (or recovered) sequence number
+	snapSeq  uint64   // sequence covered by the newest snapshot
+	buf      []byte
+	tail     tailRing // most recent frames, served to tail reads (stream.go)
 
 	diskWalks atomic.Int64 // reads that fell through the ring to the files
 
@@ -150,6 +151,9 @@ type Journal struct {
 func Open(dir string, opt Options) (*Journal, *Recovered, error) {
 	if opt.FsyncEvery == 0 {
 		opt.FsyncEvery = 1
+	}
+	if opt.FsyncEvery > 1 {
+		return nil, nil, fmt.Errorf("journal: FsyncEvery %d: a record is synced when it is appended (1) or never (negative)", opt.FsyncEvery)
 	}
 	if opt.GroupCommit && opt.GroupCommitMaxWait == 0 {
 		opt.GroupCommitMaxWait = 2 * time.Millisecond
@@ -335,7 +339,6 @@ func (j *Journal) startSegment(firstSeq uint64) error {
 		_ = j.closeSegment()
 	}
 	j.f, j.off, j.size = f, 0, 0
-	j.sinceSync = 0
 	if err := j.reserve(segmentChunk); err != nil {
 		return err
 	}
@@ -521,7 +524,6 @@ func (j *Journal) WriteSnapshot(hdr SnapshotHeader, body []byte) error {
 	if err := datasync(j.f); err != nil {
 		return fmt.Errorf("journal: snapshot pre-sync: %w", err)
 	}
-	j.sinceSync = 0
 	// The pre-sync made every written record durable: release parked
 	// group-commit tickets now, before the rotation closes this segment
 	// under the committer.

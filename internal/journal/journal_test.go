@@ -67,6 +67,20 @@ func TestEmptyDirColdStart(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesFsyncEveryN: a sync every N records would acknowledge
+// records that are not yet durable, so Open refuses it and leaves the
+// directory uncreated.
+func TestOpenRefusesFsyncEveryN(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "fresh")
+	if j, _, err := Open(dir, Options{FsyncEvery: 2}); err == nil {
+		j.Close()
+		t.Fatal("FsyncEvery 2 accepted")
+	}
+	if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("refused Open touched the directory: %v", err)
+	}
+}
+
 func TestRoundtripAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	evs := testEvents(25)

@@ -266,7 +266,7 @@ func (j *Journal) InstallSnapshot(hdr SnapshotHeader, body []byte) error {
 	if err := j.startSegment(hdr.Seq + 1); err != nil {
 		return err
 	}
-	j.seq, j.snapSeq, j.sinceSync = hdr.Seq, hdr.Seq, 0
+	j.seq, j.snapSeq = hdr.Seq, hdr.Seq
 	j.tail.reset()
 	gc := j.gc
 	gc.mu.Lock()

@@ -264,7 +264,7 @@ func FuzzChainedSetsMatchDefinition(f *testing.F) {
 			script = script[:400]
 		}
 		nodes := 10 + int(seed%13)
-		g, err := topology.Waxman(topology.WaxmanConfig{Nodes: nodes, Alpha: 0.6, Beta: 0.3, EnsureConnected: true}, rng.New(seed))
+		g, err := topology.Waxman(topology.WaxmanConfig{Nodes: nodes, Alpha: 0.6, Beta: 0.3}, rng.New(seed))
 		if err != nil {
 			t.Skip(err)
 		}

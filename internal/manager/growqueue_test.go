@@ -234,7 +234,7 @@ func TestGrowQueueCountedRun(t *testing.T) {
 // the paper's graph under both policies; with mixed utilities some arrivals
 // take the heap.
 func TestArrivalFillIsCounted(t *testing.T) {
-	g, err := topology.Waxman(topology.WaxmanConfig{Nodes: 100, Alpha: 0.33, Beta: 0.1176, EnsureConnected: true}, rng.New(1))
+	g, err := topology.Waxman(topology.WaxmanConfig{Nodes: 100, Alpha: 0.33, Beta: 0.1176}, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}

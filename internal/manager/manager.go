@@ -33,11 +33,6 @@ var errNoProtection = errors.New("manager: protection disabled")
 type Config struct {
 	// Capacity is the uniform link bandwidth (the paper uses 10 Mb/s).
 	Capacity qos.Kbps
-	// HopBound bounds the flooding region (§3.1). Zero selects a default
-	// of 2×diameter-ish 16 hops.
-	HopBound int
-	// MaxCandidates caps routes collected per request (0 = unlimited).
-	MaxCandidates int
 	// Policy distributes extra increments; nil selects the coefficient
 	// (utility-proportional) scheme the paper's experiments use.
 	Policy qos.Policy
@@ -71,11 +66,18 @@ const (
 	RouteSequential
 )
 
+const (
+	// hopBound bounds the flooding region (§3.1), about twice the diameter
+	// of the paper's 100-node networks; the sequential search skips routes
+	// longer than it too.
+	hopBound = 16
+	// sequentialCandidates is k, the number of shortest routes the
+	// sequential search checks one by one.
+	sequentialCandidates = 8
+)
+
 func (c *Config) withDefaults() Config {
 	out := *c
-	if out.HopBound <= 0 {
-		out.HopBound = 16
-	}
 	if out.Policy == nil {
 		out.Policy = qos.CoefficientPolicy{}
 	}
@@ -462,26 +464,21 @@ func (m *Manager) discoverRoutes(src, dst topology.NodeID, spec qos.ElasticSpec)
 		// actually admit the connection.
 		m.net.LoadAdmissionHeadroom(m.work.headroom)
 		return m.flood.Flood(m.g, src, dst, m.work.headroom, routing.FloodConfig{
-			HopBound:      m.cfg.HopBound,
-			MinBandwidth:  float64(spec.Min),
-			MaxCandidates: m.cfg.MaxCandidates,
+			HopBound:     hopBound,
+			MinBandwidth: float64(spec.Min),
 		})
 	case RouteSequential:
 		// Sequential search: shortest routes are checked one by one until
 		// a qualified one is found (§2.1.1). Admission tests run against
 		// the ledger; routes that cannot host the minimum are skipped.
-		k := m.cfg.MaxCandidates
-		if k <= 0 {
-			k = 8
-		}
 		filter := func(l topology.LinkID) bool { return !m.net.Failed(l) }
-		paths, err := routing.KShortest(m.g, src, dst, k, filter)
+		paths, err := routing.KShortest(m.g, src, dst, sequentialCandidates, filter)
 		if err != nil {
 			return nil, err
 		}
 		var cands []routing.Candidate
 		for _, p := range paths {
-			if p.Hops() > m.cfg.HopBound {
+			if p.Hops() > hopBound {
 				continue
 			}
 			if !m.net.CanAdmitPrimary(p, spec.Min) {

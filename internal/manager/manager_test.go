@@ -525,7 +525,7 @@ func TestQuickManagerInvariants(t *testing.T) {
 	f := func(seed uint64) bool {
 		src := rng.New(seed)
 		g, err := topology.Waxman(topology.WaxmanConfig{
-			Nodes: 20, Alpha: 0.4, Beta: 0.25, EnsureConnected: true,
+			Nodes: 20, Alpha: 0.4, Beta: 0.25,
 		}, src)
 		if err != nil {
 			return false

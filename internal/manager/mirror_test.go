@@ -24,7 +24,7 @@ func TestSlotMirrorsLevel(t *testing.T) {
 	}
 	const standing = 2000
 	g, err := topology.Waxman(topology.WaxmanConfig{
-		Nodes: 100, Alpha: 0.33, Beta: 0.1176, EnsureConnected: true,
+		Nodes: 100, Alpha: 0.33, Beta: 0.1176,
 	}, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +135,7 @@ func checkMirror(t *testing.T, m *Manager) {
 // ledger records on a primary or a backup, and every link set, names its
 // own connection. Events keep running on the renumbered table.
 func TestRenumberKeepsEverySlotItsOwn(t *testing.T) {
-	g, err := topology.Waxman(topology.WaxmanConfig{Nodes: 30, Alpha: 0.5, Beta: 0.2, EnsureConnected: true}, rng.New(4))
+	g, err := topology.Waxman(topology.WaxmanConfig{Nodes: 30, Alpha: 0.5, Beta: 0.2}, rng.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ func replaySeed(t *testing.T, seed uint64) {
 	t.Helper()
 	src := rng.New(seed)
 	g, err := topology.Waxman(topology.WaxmanConfig{
-		Nodes: 20, Alpha: 0.4, Beta: 0.25, EnsureConnected: true,
+		Nodes: 20, Alpha: 0.4, Beta: 0.25,
 	}, src)
 	if err != nil {
 		t.Fatal(err)

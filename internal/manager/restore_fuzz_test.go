@@ -20,7 +20,7 @@ import (
 // state — and truncations of them.
 func FuzzRestore(f *testing.F) {
 	g, err := topology.Waxman(topology.WaxmanConfig{
-		Nodes: 30, Alpha: 0.33, Beta: 0.25, EnsureConnected: true,
+		Nodes: 30, Alpha: 0.33, Beta: 0.25,
 	}, rng.New(1))
 	if err != nil {
 		f.Fatal(err)

@@ -16,7 +16,7 @@ import (
 func busyManager(t *testing.T) *Manager {
 	t.Helper()
 	g, err := topology.Waxman(topology.WaxmanConfig{
-		Nodes: 16, Alpha: 0.33, Beta: 0.25, EnsureConnected: true,
+		Nodes: 16, Alpha: 0.33, Beta: 0.25,
 	}, rng.New(11))
 	if err != nil {
 		t.Fatal(err)

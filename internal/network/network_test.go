@@ -564,7 +564,7 @@ func TestSlotSetsFollowReservations(t *testing.T) {
 func ledgerScenario(seed uint64) (string, error) {
 	src := rng.New(seed)
 	g, err := topology.Waxman(topology.WaxmanConfig{
-		Nodes: 12, Alpha: 0.5, Beta: 0.4, EnsureConnected: true,
+		Nodes: 12, Alpha: 0.5, Beta: 0.4,
 	}, src)
 	if err != nil {
 		return "", err

@@ -23,7 +23,7 @@ import (
 func testGraph(t testing.TB) *topology.Graph {
 	t.Helper()
 	g, err := topology.Waxman(topology.WaxmanConfig{
-		Nodes: 40, Alpha: 0.33, Beta: 0.25, EnsureConnected: true,
+		Nodes: 40, Alpha: 0.33, Beta: 0.25,
 	}, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func bootNodeOnJournal(t testing.TB, g *topology.Graph, jnl *journal.Journal, re
 // options last.
 func bootNodeTuned(t testing.TB, g *topology.Graph, jnl *journal.Journal, rec *journal.Recovered, primaryURL string, cfg replica.Config, tune func(*server.Options), perturb ...func(*manager.Manager)) *testNode {
 	t.Helper()
-	mgr, err := server.Rebuild(g, manager.Config{Capacity: 10000}, rec)
+	mgr, _, err := server.Rebuild(g, manager.Config{Capacity: 10000}, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestFailoverPromotion(t *testing.T) {
 
 func mustRebuild(t *testing.T, g *topology.Graph, rec *journal.Recovered) *manager.Manager {
 	t.Helper()
-	m, err := server.Rebuild(g, manager.Config{Capacity: 10000}, rec)
+	m, _, err := server.Rebuild(g, manager.Config{Capacity: 10000}, rec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,9 +30,9 @@ func parentGraph(t *testing.T, kind string, seed uint64) *topology.Graph {
 	var err error
 	switch kind {
 	case "waxman100":
-		g, err = topology.Waxman(topology.WaxmanConfig{Nodes: 100, Alpha: 0.33, Beta: 0.1176, EnsureConnected: true}, rng.New(seed))
+		g, err = topology.Waxman(topology.WaxmanConfig{Nodes: 100, Alpha: 0.33, Beta: 0.1176}, rng.New(seed))
 	case "tier100":
-		g, err = topology.TransitStub(topology.DefaultTransitStub(), rng.New(seed))
+		g, err = topology.TransitStub(rng.New(seed))
 	default:
 		t.Fatalf("unknown graph kind %q", kind)
 	}
@@ -131,7 +131,7 @@ func TestBackupRouteMatchesParent(t *testing.T) {
 // search ends in the disjoint BFS, and ones that need the Dijkstra fallback
 // (stub gateways are bridges).
 func backupBenchCases(b *testing.B) (g *topology.Graph, disjoint, fallback []Path) {
-	g, err := topology.TransitStub(topology.DefaultTransitStub(), rng.New(1))
+	g, err := topology.TransitStub(rng.New(1))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -24,10 +24,6 @@ type FloodConfig struct {
 	// MinBandwidth is the connection's minimum requirement; a node does not
 	// forward a request over a link that cannot allocate it (§3.1).
 	MinBandwidth float64
-	// MaxCandidates caps the number of routes returned (the destination
-	// stops waiting for more copies after this many useful arrivals).
-	// Zero means no cap.
-	MaxCandidates int
 }
 
 // label is the flooding state at one node: the best allowance seen for a
@@ -255,9 +251,6 @@ func (s *FloodScratch) Flood(g *topology.Graph, src, dst topology.NodeID, allow 
 		}
 		return 0
 	})
-	if cfg.MaxCandidates > 0 && len(s.found) > cfg.MaxCandidates {
-		s.found = s.found[:cfg.MaxCandidates]
-	}
 	return s.found, nil
 }
 

@@ -13,7 +13,7 @@ import (
 func randomWaxman(t testing.TB, nodes int, seed uint64) *topology.Graph {
 	t.Helper()
 	g, err := topology.Waxman(topology.WaxmanConfig{
-		Nodes: nodes, Alpha: 0.6, Beta: 0.35, EnsureConnected: true,
+		Nodes: nodes, Alpha: 0.6, Beta: 0.35,
 	}, rng.New(seed))
 	if err != nil {
 		t.Fatal(err)
@@ -59,9 +59,8 @@ func TestFloodScratchMatchesFresh(t *testing.T) {
 				continue
 			}
 			cfg := FloodConfig{
-				HopBound:      2 + pick.Intn(10),
-				MinBandwidth:  float64(pick.Intn(400)),
-				MaxCandidates: pick.Intn(4), // 0 = uncapped
+				HopBound:     2 + pick.Intn(10),
+				MinBandwidth: float64(pick.Intn(400)),
 			}
 			fresh, freshErr := BoundedFlood(g, src, dst, allowance, cfg)
 			pooled, pooledErr := scratch.BoundedFlood(g, src, dst, allowance, cfg)

@@ -283,18 +283,6 @@ func TestBoundedFloodParetoAllowances(t *testing.T) {
 	}
 }
 
-func TestBoundedFloodMaxCandidates(t *testing.T) {
-	g := grid(t, 3, 3)
-	alw := func(topology.LinkID, topology.NodeID) float64 { return 10 }
-	cands, err := BoundedFlood(g, 0, 8, alw, FloodConfig{HopBound: 8, MinBandwidth: 1, MaxCandidates: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cands) != 1 {
-		t.Fatalf("cap ignored: %d", len(cands))
-	}
-}
-
 func TestBoundedFloodValidation(t *testing.T) {
 	g := grid(t, 2, 2)
 	alw := func(topology.LinkID, topology.NodeID) float64 { return 10 }
@@ -434,7 +422,7 @@ func TestQuickFloodAgreesWithBFS(t *testing.T) {
 	f := func(seed uint64) bool {
 		src := rng.New(seed)
 		g, err := topology.Waxman(topology.WaxmanConfig{
-			Nodes: 25, Alpha: 0.4, Beta: 0.3, EnsureConnected: true,
+			Nodes: 25, Alpha: 0.4, Beta: 0.3,
 		}, src)
 		if err != nil {
 			return false
@@ -475,7 +463,7 @@ func TestQuickBackupValidates(t *testing.T) {
 	f := func(seed uint64) bool {
 		src := rng.New(seed)
 		g, err := topology.Waxman(topology.WaxmanConfig{
-			Nodes: 20, Alpha: 0.4, Beta: 0.3, EnsureConnected: true,
+			Nodes: 20, Alpha: 0.4, Beta: 0.3,
 		}, src)
 		if err != nil {
 			return false
@@ -510,7 +498,7 @@ func TestQuickBackupValidates(t *testing.T) {
 func BenchmarkBoundedFlood100(b *testing.B) {
 	src := rng.New(1)
 	g, err := topology.Waxman(topology.WaxmanConfig{
-		Nodes: 100, Alpha: 0.33, Beta: 0.12, EnsureConnected: true,
+		Nodes: 100, Alpha: 0.33, Beta: 0.12,
 	}, src)
 	if err != nil {
 		b.Fatal(err)

@@ -218,7 +218,7 @@ func captureLog(t *testing.T) *logCapture {
 func newDegradedTestServer(t *testing.T) *server.Server {
 	t.Helper()
 	g, err := topology.Waxman(topology.WaxmanConfig{
-		Nodes: 40, Alpha: 0.33, Beta: 0.25, EnsureConnected: true,
+		Nodes: 40, Alpha: 0.33, Beta: 0.25,
 	}, rng.New(3))
 	if err != nil {
 		t.Fatal(err)

@@ -83,7 +83,7 @@ func viewKey(v *server.EpochView) string {
 // epoch IS a real point in history, never a blend of two mutations.
 func TestEpochViewConsistencyUnderChurn(t *testing.T) {
 	g, err := topology.Waxman(topology.WaxmanConfig{
-		Nodes: 40, Alpha: 0.33, Beta: 0.25, EnsureConnected: true,
+		Nodes: 40, Alpha: 0.33, Beta: 0.25,
 	}, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
@@ -342,7 +342,7 @@ func TestEpochViewMultiMutatorInternalConsistency(t *testing.T) {
 // command — and reports the backlog it did not have to wait behind.
 func TestStatsServedFromEpochDuringSaturatedLane(t *testing.T) {
 	g, err := topology.Waxman(topology.WaxmanConfig{
-		Nodes: 40, Alpha: 0.33, Beta: 0.25, EnsureConnected: true,
+		Nodes: 40, Alpha: 0.33, Beta: 0.25,
 	}, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
@@ -462,7 +462,7 @@ func TestEpochReadYourWrites(t *testing.T) {
 // over 2 000 connections as over 20.
 func TestPublishCostIndependentOfPopulation(t *testing.T) {
 	g, err := topology.Waxman(topology.WaxmanConfig{
-		Nodes: 40, Alpha: 0.33, Beta: 0.25, EnsureConnected: true,
+		Nodes: 40, Alpha: 0.33, Beta: 0.25,
 	}, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
@@ -505,7 +505,7 @@ func TestPublishCostIndependentOfPopulation(t *testing.T) {
 // sees the ack — SyncedSeq always covers the full acknowledged history.
 func TestServerGroupCommitAckDurability(t *testing.T) {
 	g, err := topology.Waxman(topology.WaxmanConfig{
-		Nodes: 40, Alpha: 0.33, Beta: 0.25, EnsureConnected: true,
+		Nodes: 40, Alpha: 0.33, Beta: 0.25,
 	}, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
@@ -581,7 +581,7 @@ func TestServerGroupCommitAckDurability(t *testing.T) {
 	if rec.LastSeq != workers*perWorker {
 		t.Fatalf("reopen recovered seq %d, want %d", rec.LastSeq, workers*perWorker)
 	}
-	if _, err := server.Rebuild(g, cfg, rec); err != nil {
+	if _, _, err := server.Rebuild(g, cfg, rec); err != nil {
 		t.Fatalf("rebuild of acknowledged history: %v", err)
 	}
 }

@@ -314,7 +314,7 @@ func TestInvariantsAnswersOneInstant(t *testing.T) {
 	// Replay the journal record by record, noting the fingerprint at each
 	// sequence number.
 	evs := readEvents(t, jnl, 1)
-	m, txns, err := server.RebuildWithTxns(g, manager.Config{Capacity: 10000}, &journal.Recovered{})
+	m, txns, err := server.Rebuild(g, manager.Config{Capacity: 10000}, &journal.Recovered{})
 	if err != nil {
 		t.Fatal(err)
 	}

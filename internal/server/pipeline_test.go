@@ -344,7 +344,7 @@ func TestLiveReplayFollowerAgree(t *testing.T) {
 		if rec.SnapshotSeq == 0 || len(rec.Events) == 0 {
 			t.Errorf("replay restores snapshot %d plus %d events, want both", rec.SnapshotSeq, len(rec.Events))
 		}
-		m, txns, err := server.RebuildWithTxns(g, mcfg, rec)
+		m, txns, err := server.Rebuild(g, mcfg, rec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -102,7 +102,7 @@ func (s *Server) recoverOnce(ctx context.Context) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("%w: reload: %v", ErrJournal, err)
 	}
-	fresh, txns, err := RebuildWithTxns(s.graph, s.cfg, rec)
+	fresh, txns, err := Rebuild(s.graph, s.cfg, rec)
 	if err != nil {
 		return 0, err
 	}
@@ -166,23 +166,16 @@ func (s *Server) superviseRecovery() {
 	}
 }
 
-// Rebuild reconstructs a manager from recovered journal state: restore the
-// snapshot (if any), cross-check it against the snapshot header's
-// aggregates, strictly replay the event tail, and run the full invariant
-// audit. Any disagreement is an error — callers must refuse to serve a
-// state that replay cannot vouch for. Single-shard convenience wrapper
-// around RebuildWithTxns (a standalone journal never has transactions).
-func Rebuild(g *topology.Graph, cfg manager.Config, rec *journal.Recovered) (*manager.Manager, error) {
-	m, _, err := RebuildWithTxns(g, cfg, rec)
-	return m, err
-}
-
-// RebuildWithTxns is Rebuild plus the cross-shard transaction table: the
-// snapshot header seeds the committed transactions and the tail replays
-// through the same transition function the live path used, so the table
-// comes out exactly as the live server held it. The returned table seeds
-// Options.Txns.
-func RebuildWithTxns(g *topology.Graph, cfg manager.Config, rec *journal.Recovered) (*manager.Manager, *TxnTable, error) {
+// Rebuild reconstructs a manager and its cross-shard transaction table from
+// recovered journal state: restore the snapshot (if any), cross-check it
+// against the snapshot header's aggregates, strictly replay the event tail,
+// and run the full invariant audit. Any disagreement is an error — callers
+// must refuse to serve a state that replay cannot vouch for. The snapshot
+// header seeds the committed transactions and the tail replays through the
+// same transition function the live path used, so the table comes out
+// exactly as the live server held it; it seeds Options.Txns, and stays
+// empty for a standalone journal.
+func Rebuild(g *topology.Graph, cfg manager.Config, rec *journal.Recovered) (*manager.Manager, *TxnTable, error) {
 	var m *manager.Manager
 	var err error
 	txns := &TxnTable{}

@@ -21,7 +21,7 @@ import (
 func journaledGraph(t *testing.T) *topology.Graph {
 	t.Helper()
 	g, err := topology.Waxman(topology.WaxmanConfig{
-		Nodes: 40, Alpha: 0.33, Beta: 0.25, EnsureConnected: true,
+		Nodes: 40, Alpha: 0.33, Beta: 0.25,
 	}, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestRestartReplaysJournal(t *testing.T) {
 	if rec.SnapshotSeq == 0 {
 		t.Fatal("SnapshotEvery=7 over 21 events produced no snapshot")
 	}
-	m, err := server.Rebuild(g, manager.Config{Capacity: 10000}, rec)
+	m, _, err := server.Rebuild(g, manager.Config{Capacity: 10000}, rec)
 	if err != nil {
 		t.Fatal(err)
 	}

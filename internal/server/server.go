@@ -174,7 +174,7 @@ type Options struct {
 	// means manual-only (POST /v1/admin/recover).
 	AutoRecover bool
 	// Txns seeds the cross-shard transaction table — typically the one a
-	// journal rebuild recovered (RebuildWithTxns). Nil starts empty. Only
+	// journal rebuild recovered (Rebuild). Nil starts empty. Only
 	// the sharded deployment uses it; a standalone server's table stays
 	// empty forever.
 	Txns *TxnTable

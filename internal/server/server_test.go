@@ -19,7 +19,7 @@ import (
 func newTestServer(t *testing.T, queue int) *server.Server {
 	t.Helper()
 	g, err := topology.Waxman(topology.WaxmanConfig{
-		Nodes: 40, Alpha: 0.33, Beta: 0.25, EnsureConnected: true,
+		Nodes: 40, Alpha: 0.33, Beta: 0.25,
 	}, rng.New(3))
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 // The state machine behind the write path. A DR-connection's reservation
 // moves only on journaled events, and every way an event reaches a manager —
 // a live command (pipeline.go), journal replay at boot or recovery
-// (RebuildWithTxns), a follower applying its primary's stream
+// (Rebuild), a follower applying its primary's stream
 // (ApplyReplicated), the shard coordinator's boot reconciliation — goes
 // through apply below, which hands the paper's four events to the manager's
 // own transition (manager.Apply) and adds the two-phase-commit and

@@ -223,7 +223,7 @@ func New(g *topology.Graph, opt Options) (*Coordinator, error) {
 		} else {
 			rec = &journal.Recovered{}
 		}
-		m, txns, err := server.RebuildWithTxns(sub.Graph, opt.Manager, rec)
+		m, txns, err := server.Rebuild(sub.Graph, opt.Manager, rec)
 		if err != nil {
 			c.closeJournals()
 			return nil, fmt.Errorf("shard %d: rebuild: %w", i, err)

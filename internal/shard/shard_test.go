@@ -23,7 +23,7 @@ import (
 
 func tierGraph(t *testing.T, seed uint64) *topology.Graph {
 	t.Helper()
-	g, err := topology.TransitStub(topology.DefaultTransitStub(), rng.New(seed))
+	g, err := topology.TransitStub(rng.New(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func tierGraph(t *testing.T, seed uint64) *topology.Graph {
 func waxmanGraph(t *testing.T, nodes int, seed uint64) *topology.Graph {
 	t.Helper()
 	g, err := topology.Waxman(topology.WaxmanConfig{
-		Nodes: nodes, Alpha: 0.33, Beta: 0.25, EnsureConnected: true,
+		Nodes: nodes, Alpha: 0.33, Beta: 0.25,
 	}, rng.New(seed))
 	if err != nil {
 		t.Fatal(err)

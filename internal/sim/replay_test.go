@@ -21,7 +21,7 @@ import (
 // tail finds exactly the events the run counted and measured.
 func TestSimJournalReplays(t *testing.T) {
 	g, err := topology.Waxman(topology.WaxmanConfig{
-		Nodes: 100, Alpha: 0.33, Beta: 0.088, EnsureConnected: true,
+		Nodes: 100, Alpha: 0.33, Beta: 0.088,
 	}, rng.New(31))
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +56,7 @@ func TestSimJournalReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m, err := server.Rebuild(g, mcfg, rec)
+	m, _, err := server.Rebuild(g, mcfg, rec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 func paperGraph(t testing.TB, seed uint64) *topology.Graph {
 	t.Helper()
 	g, err := topology.Waxman(topology.WaxmanConfig{
-		Nodes: 100, Alpha: 0.33, Beta: 0.088, EnsureConnected: true,
+		Nodes: 100, Alpha: 0.33, Beta: 0.088,
 	}, rng.New(seed))
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,7 @@ import (
 )
 
 func TestJSONRoundTrip(t *testing.T) {
-	g, err := Waxman(WaxmanConfig{Nodes: 30, Alpha: 0.33, Beta: 0.2, EnsureConnected: true}, rng.New(4))
+	g, err := Waxman(WaxmanConfig{Nodes: 30, Alpha: 0.33, Beta: 0.2}, rng.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestJSONRoundTrip(t *testing.T) {
 }
 
 func TestJSONPreservesTags(t *testing.T) {
-	g, err := TransitStub(DefaultTransitStub(), rng.New(1))
+	g, err := TransitStub(rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -221,8 +221,8 @@ func TestWaxmanValidation(t *testing.T) {
 }
 
 func TestWaxmanEnsureConnected(t *testing.T) {
-	// Sparse parameters frequently disconnect; EnsureConnected must repair.
-	cfg := WaxmanConfig{Nodes: 80, Alpha: 0.2, Beta: 0.05, EnsureConnected: true}
+	// Sparse parameters frequently disconnect; Waxman must repair.
+	cfg := WaxmanConfig{Nodes: 80, Alpha: 0.2, Beta: 0.05}
 	for seed := uint64(0); seed < 10; seed++ {
 		g, err := Waxman(cfg, rng.New(seed))
 		if err != nil {
@@ -255,7 +255,7 @@ func TestCalibrateBetaHitsPaperInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := Waxman(WaxmanConfig{Nodes: 100, Alpha: 0.33, Beta: beta, EnsureConnected: true}, rng.New(99))
+	g, err := Waxman(WaxmanConfig{Nodes: 100, Alpha: 0.33, Beta: beta}, rng.New(99))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,11 +272,7 @@ func TestCalibrateBetaRejectsBadTrials(t *testing.T) {
 }
 
 func TestTransitStubShape(t *testing.T) {
-	cfg := DefaultTransitStub()
-	if cfg.TotalNodes() != 100 {
-		t.Fatalf("default tier size = %d, want 100 (as in the paper)", cfg.TotalNodes())
-	}
-	g, err := TransitStub(cfg, rng.New(5))
+	g, err := TransitStub(rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,12 +299,11 @@ func TestTransitStubShape(t *testing.T) {
 }
 
 func TestTransitStubDeterministic(t *testing.T) {
-	cfg := DefaultTransitStub()
-	g1, err := TransitStub(cfg, rng.New(11))
+	g1, err := TransitStub(rng.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := TransitStub(cfg, rng.New(11))
+	g2, err := TransitStub(rng.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,27 +312,12 @@ func TestTransitStubDeterministic(t *testing.T) {
 	}
 }
 
-func TestTransitStubValidation(t *testing.T) {
-	bad := []TransitStubConfig{
-		{TransitNodes: 1, StubsPerTransit: 1, NodesPerStub: 1},
-		{TransitNodes: 2, StubsPerTransit: 0, NodesPerStub: 1},
-		{TransitNodes: 2, StubsPerTransit: 1, NodesPerStub: 0},
-		{TransitNodes: 2, StubsPerTransit: 1, NodesPerStub: 1, TransitEdgeProb: 2},
-		{TransitNodes: 2, StubsPerTransit: 1, NodesPerStub: 1, StubEdgeProb: -0.5},
-	}
-	for i, cfg := range bad {
-		if _, err := TransitStub(cfg, rng.New(1)); err == nil {
-			t.Fatalf("bad config %d accepted", i)
-		}
-	}
-}
-
-// Property: any generated Waxman graph with EnsureConnected is connected and
+// Property: any generated Waxman graph is connected and
 // link endpoints are always in range.
 func TestQuickWaxmanWellFormed(t *testing.T) {
 	f := func(seed uint64) bool {
 		g, err := Waxman(WaxmanConfig{
-			Nodes: 30, Alpha: 0.3, Beta: 0.1, EnsureConnected: true,
+			Nodes: 30, Alpha: 0.3, Beta: 0.1,
 		}, rng.New(seed))
 		if err != nil {
 			return false
@@ -380,7 +360,7 @@ func TestDirLinkIDs(t *testing.T) {
 // directed link DirID computes for leaving that node over its link, in the
 // order ForEachNeighbor visits them.
 func TestArcsCarryTheirDirection(t *testing.T) {
-	g, err := Waxman(WaxmanConfig{Nodes: 60, Alpha: 0.6, Beta: 0.35, EnsureConnected: true}, rng.New(4))
+	g, err := Waxman(WaxmanConfig{Nodes: 60, Alpha: 0.6, Beta: 0.35}, rng.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,12 +393,12 @@ func TestWaxmanScaledDomain(t *testing.T) {
 	// Constant-density scaling: 4× the nodes on a 2×2 domain with a fixed
 	// decay scale gives roughly 4× the links of the unit-square instance,
 	// not 16×.
-	base, err := Waxman(WaxmanConfig{Nodes: 100, Alpha: 0.33, Beta: 0.1176, EnsureConnected: true}, rng.New(5))
+	base, err := Waxman(WaxmanConfig{Nodes: 100, Alpha: 0.33, Beta: 0.1176}, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	big, err := Waxman(WaxmanConfig{
-		Nodes: 400, Alpha: 0.33, Beta: 0.1176, Side: 2, FixedDecay: true, EnsureConnected: true,
+		Nodes: 400, Alpha: 0.33, Beta: 0.1176, ConstantDensity: true,
 	}, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
@@ -429,11 +409,5 @@ func TestWaxmanScaledDomain(t *testing.T) {
 	}
 	if !big.Connected() {
 		t.Fatal("scaled instance disconnected")
-	}
-}
-
-func TestWaxmanNegativeSide(t *testing.T) {
-	if _, err := Waxman(WaxmanConfig{Nodes: 10, Alpha: 0.3, Beta: 0.1, Side: -1}, rng.New(1)); err == nil {
-		t.Fatal("negative side accepted")
 	}
 }

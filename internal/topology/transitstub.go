@@ -1,81 +1,43 @@
 package topology
 
 import (
-	"fmt"
 	"math"
 
 	"drqos/internal/rng"
 )
 
-// TransitStubConfig parameterizes a GT-ITM-style transit-stub ("tier")
-// internetwork [14]: a small, well-connected transit core, with several stub
-// domains hanging off each transit node. Traffic between stubs must cross
-// transit links, which become the bandwidth bottleneck — the reason the
-// paper's Table 1 notes that "most DR-connections are rejected due to the
-// shortage of bandwidths in the transit-stub network".
-type TransitStubConfig struct {
-	// TransitNodes is the size of the transit core.
-	TransitNodes int
-	// TransitEdgeProb is the probability of an extra core edge beyond the
+// The paper's "Tier" network, a GT-ITM-style transit-stub internetwork
+// [14]: a small, well-connected transit core, with several stub domains
+// hanging off each transit node, 4 × (1 + 3·8) = 100 nodes. Traffic between
+// stubs must cross transit links, which become the bandwidth bottleneck —
+// the reason the paper's Table 1 notes that "most DR-connections are
+// rejected due to the shortage of bandwidths in the transit-stub network".
+const (
+	// transitNodes is the size of the transit core.
+	transitNodes = 4
+	// transitEdgeProb is the probability of an extra core edge beyond the
 	// ring that guarantees core connectivity.
-	TransitEdgeProb float64
-	// StubsPerTransit is the number of stub domains attached to each
+	transitEdgeProb = 0.5
+	// stubsPerTransit is the number of stub domains attached to each
 	// transit node.
-	StubsPerTransit int
-	// NodesPerStub is the number of nodes in each stub domain.
-	NodesPerStub int
-	// StubEdgeProb is the probability of an extra intra-stub edge beyond
+	stubsPerTransit = 3
+	// nodesPerStub is the number of nodes in each stub domain.
+	nodesPerStub = 8
+	// stubEdgeProb is the probability of an extra intra-stub edge beyond
 	// the spanning tree that guarantees stub connectivity.
-	StubEdgeProb float64
-}
+	stubEdgeProb = 0.25
+)
 
-// DefaultTransitStub returns the configuration used for the paper's "Tier"
-// experiments: 4 transit nodes, 3 stubs each, 8 nodes per stub = 100 nodes.
-func DefaultTransitStub() TransitStubConfig {
-	return TransitStubConfig{
-		TransitNodes:    4,
-		TransitEdgeProb: 0.5,
-		StubsPerTransit: 3,
-		NodesPerStub:    8,
-		StubEdgeProb:    0.25,
-	}
-}
-
-// Validate checks the configuration for structural sanity.
-func (c TransitStubConfig) Validate() error {
-	switch {
-	case c.TransitNodes < 2:
-		return fmt.Errorf("topology: transit core needs >=2 nodes, got %d", c.TransitNodes)
-	case c.StubsPerTransit < 1:
-		return fmt.Errorf("topology: need >=1 stub per transit node, got %d", c.StubsPerTransit)
-	case c.NodesPerStub < 1:
-		return fmt.Errorf("topology: need >=1 node per stub, got %d", c.NodesPerStub)
-	case c.TransitEdgeProb < 0 || c.TransitEdgeProb > 1:
-		return fmt.Errorf("topology: transit edge prob %v outside [0,1]", c.TransitEdgeProb)
-	case c.StubEdgeProb < 0 || c.StubEdgeProb > 1:
-		return fmt.Errorf("topology: stub edge prob %v outside [0,1]", c.StubEdgeProb)
-	}
-	return nil
-}
-
-// TotalNodes returns the number of nodes the configuration will generate.
-func (c TransitStubConfig) TotalNodes() int {
-	return c.TransitNodes * (1 + c.StubsPerTransit*c.NodesPerStub)
-}
-
-// TransitStub generates a transit-stub topology. Node tags are "transit" or
-// "stub"; the graph is connected by construction.
-func TransitStub(cfg TransitStubConfig, src *rng.Source) (*Graph, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	g := NewGraph(cfg.TotalNodes())
+// TransitStub generates the paper's transit-stub topology. Node tags are
+// "transit" or "stub"; the graph is connected by construction.
+func TransitStub(src *rng.Source) (*Graph, error) {
+	g := NewGraph(transitNodes * (1 + stubsPerTransit*nodesPerStub))
 
 	// Transit core: nodes on a small circle in the centre of the unit
 	// square, connected in a ring plus random chords.
-	transit := make([]NodeID, cfg.TransitNodes)
+	transit := make([]NodeID, transitNodes)
 	for i := range transit {
-		frac := float64(i) / float64(cfg.TransitNodes)
+		frac := float64(i) / float64(transitNodes)
 		p := Point{X: 0.5 + 0.1*cos01(frac), Y: 0.5 + 0.1*sin01(frac)}
 		transit[i] = g.AddTaggedNode(p, "transit")
 	}
@@ -92,7 +54,7 @@ func TransitStub(cfg TransitStubConfig, src *rng.Source) (*Graph, error) {
 			if g.HasLink(transit[i], transit[j]) {
 				continue
 			}
-			if src.Bernoulli(cfg.TransitEdgeProb) {
+			if src.Bernoulli(transitEdgeProb) {
 				if _, err := g.AddLink(transit[i], transit[j]); err != nil {
 					return nil, err
 				}
@@ -102,9 +64,9 @@ func TransitStub(cfg TransitStubConfig, src *rng.Source) (*Graph, error) {
 
 	// Stub domains: a random spanning tree plus extra random edges; the
 	// first node of each stub is its gateway, linked to its transit node.
-	for ti, tn := range transit {
-		for s := 0; s < cfg.StubsPerTransit; s++ {
-			stub := make([]NodeID, cfg.NodesPerStub)
+	for _, tn := range transit {
+		for s := 0; s < stubsPerTransit; s++ {
+			stub := make([]NodeID, nodesPerStub)
 			for k := range stub {
 				p := Point{X: src.Float64(), Y: src.Float64()}
 				stub[k] = g.AddTaggedNode(p, "stub")
@@ -121,7 +83,7 @@ func TransitStub(cfg TransitStubConfig, src *rng.Source) (*Graph, error) {
 					if g.HasLink(stub[i], stub[j]) {
 						continue
 					}
-					if src.Bernoulli(cfg.StubEdgeProb) {
+					if src.Bernoulli(stubEdgeProb) {
 						if _, err := g.AddLink(stub[i], stub[j]); err != nil {
 							return nil, err
 						}
@@ -132,7 +94,6 @@ func TransitStub(cfg TransitStubConfig, src *rng.Source) (*Graph, error) {
 			if _, err := g.AddLink(tn, gateway); err != nil {
 				return nil, err
 			}
-			_ = ti
 		}
 	}
 	return g, nil

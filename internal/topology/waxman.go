@@ -13,8 +13,7 @@ import (
 //
 //	P(u,v) = Alpha · exp(−d(u,v) / (Beta · L))
 //
-// where d is the Euclidean distance and L the maximum possible distance
-// (√2 for the unit square).
+// where d is the Euclidean distance and L = √2 the unit square's diagonal.
 //
 // The paper quotes "α = 0.33 and β = 0" from GT-ITM, which is degenerate in
 // the standard Waxman form (β = 0 makes every probability zero). We instead
@@ -27,27 +26,24 @@ type WaxmanConfig struct {
 	Nodes int
 	Alpha float64
 	Beta  float64
-	// Side is the edge length of the square node domain; zero means 1
-	// (the unit square).
-	Side float64
-	// FixedDecay keeps the exponential's distance scale pinned to the
-	// UNIT-square diagonal regardless of Side. Growing the domain at
-	// constant node density (Side ∝ √Nodes) then keeps the per-node degree
-	// roughly constant, so the edge count grows ~linearly with the node
-	// count — the sub-quadratic growth visible in the paper's Figure 3
-	// edge-count overlay (GT-ITM's "scale" parameter behaves this way).
-	// Without FixedDecay the probability depends only on RELATIVE
-	// distances and the edge count grows quadratically.
-	FixedDecay bool
-	// EnsureConnected patches disconnected components together with
-	// shortest bridging edges so the routing layer always has a path.
-	// GT-ITM's users (including the paper) discard or patch disconnected
-	// instances; patching keeps generation deterministic.
-	EnsureConnected bool
+	// ConstantDensity scatters the nodes over a square of side
+	// √(Nodes/100) instead of the unit square, keeping the exponential's
+	// distance scale pinned to the unit-square diagonal. Node density, and
+	// so the per-node degree, then stays that of a 100-node instance as the
+	// network grows, and the edge count grows ~linearly with the node count
+	// — the sub-quadratic growth visible in the paper's Figure 3 edge-count
+	// overlay (GT-ITM's "scale" parameter behaves this way). On the unit
+	// square the probability depends only on relative distances and the
+	// edge count grows quadratically.
+	ConstantDensity bool
 }
 
-// Waxman generates a Waxman random graph. The source determines the layout
-// and edge choices; identical configs and seeds give identical graphs.
+// Waxman generates a Waxman random graph, patching disconnected components
+// together with shortest bridging edges so the routing layer always has a
+// path: GT-ITM's users (the paper included) discard or patch disconnected
+// instances, and patching keeps generation deterministic. The source
+// determines the layout and edge choices; identical configs and seeds give
+// identical graphs.
 func Waxman(cfg WaxmanConfig, src *rng.Source) (*Graph, error) {
 	if cfg.Nodes < 2 {
 		return nil, fmt.Errorf("topology: Waxman needs >=2 nodes, got %d", cfg.Nodes)
@@ -58,25 +54,18 @@ func Waxman(cfg WaxmanConfig, src *rng.Source) (*Graph, error) {
 	if cfg.Beta <= 0 {
 		return nil, fmt.Errorf("topology: Waxman beta %v must be positive", cfg.Beta)
 	}
-	side := cfg.Side
-	if side == 0 {
-		side = 1
-	}
-	if side < 0 {
-		return nil, fmt.Errorf("topology: negative domain side %v", side)
+	side := 1.0
+	if cfg.ConstantDensity {
+		side = math.Sqrt(float64(cfg.Nodes) / 100)
 	}
 	g := NewGraph(cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
 		g.AddNode(Point{X: side * src.Float64(), Y: side * src.Float64()})
 	}
-	maxDist := math.Sqrt2 * side
-	if cfg.FixedDecay {
-		maxDist = math.Sqrt2
-	}
 	for a := 0; a < cfg.Nodes; a++ {
 		for b := a + 1; b < cfg.Nodes; b++ {
 			d := g.Pos(NodeID(a)).Dist(g.Pos(NodeID(b)))
-			p := cfg.Alpha * math.Exp(-d/(cfg.Beta*maxDist))
+			p := cfg.Alpha * math.Exp(-d/(cfg.Beta*math.Sqrt2))
 			if src.Bernoulli(p) {
 				if _, err := g.AddLink(NodeID(a), NodeID(b)); err != nil {
 					return nil, err
@@ -84,9 +73,7 @@ func Waxman(cfg WaxmanConfig, src *rng.Source) (*Graph, error) {
 			}
 		}
 	}
-	if cfg.EnsureConnected {
-		connectComponents(g)
-	}
+	connectComponents(g)
 	return g, nil
 }
 

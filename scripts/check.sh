@@ -23,7 +23,10 @@
 # line per export under internal/ that only tests call: delete it, or move
 # it into a _test.go file of its package (export_test.go when the external
 # test package needs it). Only …ForTesting and SetTestHook… names are
-# exempt.
+# exempt. TestNoUnsetOptions shares that pass and fails with one
+# "file:line: pkg.Type.Field" line per exported field of an …Options or
+# …Config struct under internal/ that no non-test code outside its package
+# sets: make the value a constant, or derive it from the package's inputs.
 #
 # To run one fault family alone: go run -race ./cmd/chaos -episode <family>,
 # and go test -run 'TestProcess/<row>' ./cmd/drserverd.
@@ -78,7 +81,10 @@ go run -race ./cmd/chaos -episode all -seed 3 -episodes 85 -q
 # inputs and not to re-running what earlier runs found; the committed
 # testdata/fuzz/ seeds still run as its baseline. A row is the target, its
 # package, the cap on minimising each new-coverage input (Go's default is
-# 60s) and the fewest execs the step may report:
+# 60s) and the fewest execs the step may report. From an empty cache most
+# inputs find new coverage, so a per-second cap can spend the whole budget
+# minimising; a per-input cap (10x) keeps the step fuzzing. A floor is at
+# most half the lowest of three fresh-cache runs on a 2-vCPU VM:
 #   FuzzWriteJSON           WriteJSON's re-indenter against json.Indent
 #   FuzzOpenSegment         a mutated preallocated segment: a prefix of its
 #                           records or a refusal, and the journal goes on
@@ -87,13 +93,10 @@ go run -race ./cmd/chaos -episode all -seed 3 -episodes 85 -q
 #                           that re-ranks every live candidate
 #   FuzzChainedSetsMatchDefinition
 #                           the event kernels' chained sets, reports and
-#                           levels against the paper's definitions; most
-#                           inputs find new coverage, so minimisation is
-#                           capped per input (10x), not per second
+#                           levels against the paper's definitions
 #   FuzzFloodMatchesParent  the array flood against the parent's flood
 #   FuzzApply               manager traces: audit after every event, live =
-#                           restored at a cut = replayed; an input costs
-#                           milliseconds, so minimisation is capped
+#                           restored at a cut = replayed
 #   FuzzRestore             a snapshot body is refused, or restores
 #                           audit-clean and re-exports to the same
 #                           fingerprint
@@ -114,12 +117,12 @@ while read -r target pkg cap floor; do
     fi
 done <<EOF
 FuzzWriteJSON internal/server 60s 0
-FuzzOpenSegment internal/journal 2s 0
+FuzzOpenSegment internal/journal 10x 3900
 FuzzGrowQueue internal/manager 60s 0
 FuzzChainedSetsMatchDefinition internal/manager 10x 1000
 FuzzFloodMatchesParent internal/routing 60s 0
-FuzzApply internal/chaos 2s 0
-FuzzRestore internal/manager 2s 0
+FuzzApply internal/chaos 10x 600
+FuzzRestore internal/manager 10x 65000
 FuzzDecodeFrames internal/journal 60s 0
 EOF
 

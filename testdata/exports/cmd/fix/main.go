@@ -11,5 +11,5 @@ type sizer interface{ Area() float64 }
 
 func main() {
 	var s sizer = p.Shape{}
-	fmt.Println(s)
+	fmt.Println(s, p.Options{Set: 1})
 }

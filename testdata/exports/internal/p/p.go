@@ -1,6 +1,8 @@
 // Package p holds one export of each kind the test-only export check tells
-// apart; TestNoTestOnlyExportsCanFail expects exactly Unused and TestedOnly
-// to be flagged.
+// apart, and one settings struct for the unset-options check.
+// TestNoTestOnlyExportsCanFail expects exactly Unused and TestedOnly to be
+// flagged, TestNoUnsetOptionsCanFail exactly Options.TestSet and
+// Options.Unset.
 package p
 
 // Unused has no caller at all.
@@ -21,3 +23,13 @@ func (Shape) String() string { return "shape" }
 
 // ResetForTesting is a test seam by name.
 func ResetForTesting() {}
+
+// Options is the command's settings.
+type Options struct {
+	// Set is set by the command.
+	Set int
+	// TestSet is set by p_test.go only.
+	TestSet int
+	// Unset is set by nobody.
+	Unset int
+}

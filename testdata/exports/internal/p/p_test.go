@@ -7,3 +7,9 @@ func TestTestedOnly(t *testing.T) {
 		t.Fatal("TestedOnly")
 	}
 }
+
+func TestOptions(t *testing.T) {
+	if o := (Options{TestSet: 1}); o.Unset != 0 {
+		t.Fatal("Options")
+	}
+}
