@@ -208,13 +208,13 @@ func BenchmarkMarkovSolve9State(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	chain, err := markov.Build(ev.Sim.Params)
+	chain, err := markov.Build(ev.Sim.Model.Params())
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := chain.SteadyStateFrom(ev.Sim.BirthDist); err != nil {
+		if _, err := chain.SteadyStateFrom(ev.Sim.Model.BirthDist); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -102,21 +102,28 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	res := ev.Sim
+	res, md := ev.Sim, ev.Sim.Model
 	fmt.Printf("workload: offered=%d established=%d rejected=%d terminated=%d dropped=%d failures=%d\n",
 		res.Offered, res.Established, res.Rejected, res.Terminated, res.Dropped, res.Failures)
-	fmt.Printf("population: alive=%d (avg %.1f), avg primary hops %.2f\n",
-		res.AliveAtEnd, res.AvgAlive, res.AvgHops)
+	if md == nil {
+		fmt.Printf("population: alive=%d, avg primary hops %.2f\n", res.AliveAtEnd, res.AvgHops)
+	} else {
+		fmt.Printf("population: alive=%d (avg %.1f), avg primary hops %.2f\n", res.AliveAtEnd, md.AvgAlive, res.AvgHops)
+	}
 	fmt.Printf("average bandwidth: sim=%.1f ± %.1f Kbps (final %.1f)\n", res.AvgBandwidth, res.AvgBandwidthCI95, res.FinalAvgBandwidth)
-	fmt.Printf("analytic: paper-model=%.1f restart-model=%.1f general-model=%.1f ideal=%.0f\n",
-		ev.PaperModel.MeanBandwidth, ev.RestartModel.MeanBandwidth,
-		ev.GeneralModel.MeanBandwidth, ev.IdealBandwidth)
-	fmt.Printf("measured: Pf=%.4f Ps=%.4f effλ=%.6f effμ=%.6f effγ=%.6f\n",
-		res.Params.Pf, res.Params.Ps, res.EffectiveLambda, res.EffectiveMu, res.EffectiveGamma)
-	fmt.Printf("discarded jump mass: A=%.3f B=%.3f T=%.3f\n",
-		res.DiscardedA, res.DiscardedB, res.DiscardedT)
+	if md == nil {
+		fmt.Printf("no model: %s\n", res.NoModel)
+	} else {
+		fmt.Printf("analytic: paper-model=%.1f restart-model=%.1f general-model=%.1f ideal=%.0f\n",
+			ev.PaperModel.MeanBandwidth, ev.RestartModel.MeanBandwidth,
+			ev.GeneralModel.MeanBandwidth, ev.IdealBandwidth)
+		fmt.Printf("measured: Pf=%.4f Ps=%.4f effλ=%.6f effμ=%.6f effγ=%.6f\n", md.Pf, md.Ps, md.Lambda, md.Mu, md.Gamma)
+		fmt.Printf("discarded jump mass: A=%.3f B=%.3f T=%.3f\n", md.DiscardedA, md.DiscardedB, md.DiscardedT)
+	}
 	fmt.Printf("state occupancy (sim): %s\n", fmtDist(res.EmpiricalPi))
-	fmt.Printf("state occupancy (markov): %s\n", fmtDist(ev.RestartModel.Pi))
+	if md != nil {
+		fmt.Printf("state occupancy (markov): %s\n", fmtDist(ev.RestartModel.Pi))
+	}
 	if opts.Trace != nil {
 		if err := opts.Trace.Close(); err != nil {
 			return fmt.Errorf("trace: %w", err)

@@ -5,12 +5,12 @@
 // replays the record tail after it through the manager's transition; it
 // never writes to the directory.
 //
-// Then it runs the rest of the paper's §3.3 pipeline on that tail: the
-// estimator measures Pf, Ps and the jump matrices, and the chain is solved,
-// plain and with the restart extension. A drsim journal's snapshot is where
-// the run started measuring, so its tail is the measured window. The journal
-// has no clock and π needs none — scaling every rate by one factor leaves it
-// unchanged — so rates are counted per accepted arrival (λ = 1). N̄, for the
+// Then it runs the rest of the paper's §3.3 pipeline on that tail: it builds
+// the tail's estimator.Model and solves it, plain and with the restart
+// extension. A drsim journal's snapshot is where the run started measuring,
+// so its tail is the measured window. The journal has no clock and π needs
+// none — scaling every rate by one factor leaves it unchanged — so rates
+// are counted per accepted arrival (λ = 1). N̄, for the
 // restart rate δ = μ/N̄, averages the population before each establish,
 // terminate and link failure: epochs of the merged Poisson streams, so it is
 // the time average (PASTA). The model's spec is the one every establish in
@@ -41,31 +41,35 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "drtrace:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("drtrace", flag.ExitOnError)
 	var (
-		in        = flag.String("in", "", "data directory written by drsim -trace or drserverd -data-dir (required)")
-		buckets   = flag.Int("buckets", 10, "number of sequence-number buckets in the trajectory table")
-		transient = flag.Float64("transient", 0, "also solve the paper model's distribution this many expected accepted arrivals after a birth")
+		in        = fs.String("in", "", "data directory written by drsim -trace or drserverd -data-dir (required)")
+		buckets   = fs.Int("buckets", 10, "number of sequence-number buckets in the trajectory table")
+		transient = fs.Float64("transient", 0, "also solve the paper model's distribution this many expected accepted arrivals after a birth")
 	)
-	flag.Parse()
+	fs.Parse(args) // exits on a malformed flag
 	if *in == "" {
-		flag.Usage()
+		fs.Usage()
 		return fmt.Errorf("-in is required")
 	}
 	if *buckets < 1 {
 		return fmt.Errorf("need at least 1 bucket")
 	}
+	if *transient < 0 {
+		return fmt.Errorf("-transient %g is negative", *transient)
+	}
 	s, err := summarize(*in, *buckets, *transient)
 	if err != nil {
 		return err
 	}
-	s.print(os.Stdout)
+	s.print(w)
 	return nil
 }
 
@@ -81,32 +85,21 @@ type summary struct {
 	impact      stats.Running  // connections activated or dropped, per failure
 	dropped     int
 	points      []point // the state after each bucket's last record
-	model       *model  // the chain the tail measures, or nil and why not
-	noModel     string
+
+	// The chain the tail measures, with rates per accepted arrival, and
+	// its solutions; or a nil model and why not.
+	spec      qos.ElasticSpec
+	model     *estimator.Model
+	solved    *estimator.Solved
+	horizon   float64 // of transient, in expected accepted arrivals
+	transient estimator.Solution
+	noModel   string
 }
 
 type point struct {
 	seq   uint64
 	alive int
 	avgBW float64
-}
-
-// model is the paper's chain as a record tail measures it, with rates per
-// accepted arrival.
-type model struct {
-	spec                         qos.ElasticSpec
-	accepted, terminated, failed int64
-	params                       markov.Params // λ = 1
-	pfFail, da, db, dt           float64
-	birth                        []float64
-	avgAlive, delta              float64 // N̄ before each Poisson epoch; δ = μ/N̄
-	horizon                      float64 // of transient, in expected accepted arrivals
-	paper, restart, transient    solution
-}
-
-type solution struct {
-	pi   []float64
-	mean float64
 }
 
 // summarize reads dir without writing to it, restores its snapshot and
@@ -133,11 +126,10 @@ func summarize(dir string, buckets int, horizon float64) (*summary, error) {
 		return nil, err
 	}
 	n := len(rec.Events)
-	s := &summary{snapshotSeq: rec.SnapshotSeq, restored: m.AliveCount(), records: n, counts: map[string]int{}}
-	spec, why := tailSpec(rec.Events)
+	s := &summary{snapshotSeq: rec.SnapshotSeq, restored: m.AliveCount(), records: n, counts: map[string]int{}, horizon: horizon}
 	var est *estimator.Estimator
-	if why == "" {
-		est = estimator.New(spec.States())
+	if s.spec, s.noModel = tailSpec(rec.Events); s.noModel == "" {
+		est = estimator.New(s.spec.States())
 	}
 	var alive stats.Running
 	for i, ev := range rec.Events {
@@ -168,11 +160,15 @@ func summarize(dir string, buckets int, horizon float64) (*summary, error) {
 			s.points = append(s.points, point{seq: ev.Seq, alive: m.AliveCount(), avgBW: m.AverageBandwidth()})
 		}
 	}
-	if est != nil {
-		s.model, why, err = solve(est, spec, alive.Mean(), horizon)
+	if est == nil {
+		return s, nil
 	}
-	s.noModel = why
-	return s, err
+	accepted, _, _ := est.Counts()
+	if s.model, err = est.Model(float64(accepted), alive.Mean()); err != nil {
+		s.noModel = err.Error()
+		return s, nil
+	}
+	return s, s.solve()
 }
 
 // tailSpec is the elastic spec every establish in the tail carries, or why
@@ -198,39 +194,18 @@ func tailSpec(evs []journal.Event) (spec qos.ElasticSpec, why string) {
 	return spec, ""
 }
 
-// solve turns the estimator's measurements into the chain's parameters, with
-// rates per accepted arrival, and solves the paper and restart models.
-func solve(est *estimator.Estimator, spec qos.ElasticSpec, avgAlive, horizon float64) (*model, string, error) {
-	md := &model{spec: spec, avgAlive: avgAlive, horizon: horizon, pfFail: est.PfFail(), birth: est.BirthDist()}
-	md.accepted, md.terminated, md.failed = est.Counts()
-	if md.accepted == 0 {
-		return nil, "the tail holds no accepted arrival", nil
+// solve solves the tail's model, and the paper model's transient at the
+// horizon when that is positive.
+func (s *summary) solve() error {
+	var err error
+	if s.solved, err = s.model.Solve(s.spec); err != nil || s.horizon <= 0 {
+		return err
 	}
-	mu, gamma := float64(md.terminated)/float64(md.accepted), float64(md.failed)/float64(md.accepted)
-	md.params = est.Params(1, mu, gamma)
-	md.da, md.db, md.dt = est.Discarded()
-	if avgAlive > 0 {
-		md.delta = mu / avgAlive
+	if s.transient.Pi, err = s.solved.Chain.Transient(s.model.BirthDist, s.horizon, 1e-10); err != nil {
+		return fmt.Errorf("transient: %w", err)
 	}
-	chain, err := markov.Build(md.params)
-	if err != nil {
-		return nil, "", err
-	}
-	if md.paper.pi, md.paper.mean, err = markov.Solve(chain, md.birth, 0, spec); err != nil {
-		return nil, "", fmt.Errorf("paper model: %w", err)
-	}
-	if md.restart.pi, md.restart.mean, err = markov.Solve(chain, md.birth, md.delta, spec); err != nil {
-		return nil, "", fmt.Errorf("restart model: %w", err)
-	}
-	if horizon > 0 {
-		if md.transient.pi, err = chain.Transient(md.birth, horizon, 1e-10); err != nil {
-			return nil, "", fmt.Errorf("transient: %w", err)
-		}
-		if md.transient.mean, err = markov.MeanBandwidth(md.transient.pi, spec); err != nil {
-			return nil, "", err
-		}
-	}
-	return md, "", nil
+	s.transient.MeanBandwidth, err = markov.MeanBandwidth(s.transient.Pi, s.spec)
+	return err
 }
 
 func (s *summary) print(w io.Writer) {
@@ -259,17 +234,16 @@ func (s *summary) print(w io.Writer) {
 		fmt.Fprintf(w, "\nno model: %s\n", s.noModel)
 		return
 	}
-	p := md.params
 	fmt.Fprintf(w, "\nmodel of the tail: %d accepted arrivals, %d terminations, %d link failures; spec %d..%d Kb/s by %d (%d states)\n",
-		md.accepted, md.terminated, md.failed, md.spec.Min, md.spec.Max, md.spec.Increment, p.N)
-	fmt.Fprintf(w, "rates per accepted arrival: λ=1 μ=%.6f γ=%.6f; N̄=%.1f, δ=μ/N̄=%.3e\n", p.Mu, p.Gamma, md.avgAlive, md.delta)
-	fmt.Fprintf(w, "Pf=%.4f Ps=%.4f PfFail=%.4f; discarded jump mass A=%.3f B=%.3f T=%.3f\n", p.Pf, p.Ps, md.pfFail, md.da, md.db, md.dt)
-	fmt.Fprintf(w, "birth:          pi=%s\n", fmtDist(md.birth))
-	fmt.Fprintf(w, "paper model:    pi=%s  mean=%.1f Kb/s\n", fmtDist(md.paper.pi), md.paper.mean)
-	fmt.Fprintf(w, "restart model:  pi=%s  mean=%.1f Kb/s\n", fmtDist(md.restart.pi), md.restart.mean)
-	if md.horizon > 0 {
+		md.Accepted, md.Terminated, md.Failed, s.spec.Min, s.spec.Max, s.spec.Increment, s.spec.States())
+	fmt.Fprintf(w, "rates per accepted arrival: λ=%g μ=%.6f γ=%.6f; N̄=%.1f, δ=μ/N̄=%.3e\n", md.Lambda, md.Mu, md.Gamma, md.AvgAlive, md.Delta)
+	fmt.Fprintf(w, "Pf=%.4f Ps=%.4f PfFail=%.4f; discarded jump mass A=%.3f B=%.3f T=%.3f\n", md.Pf, md.Ps, md.PfFail, md.DiscardedA, md.DiscardedB, md.DiscardedT)
+	fmt.Fprintf(w, "birth:          pi=%s\n", fmtDist(md.BirthDist))
+	fmt.Fprintf(w, "paper model:    pi=%s  mean=%.1f Kb/s\n", fmtDist(s.solved.Paper.Pi), s.solved.Paper.MeanBandwidth)
+	fmt.Fprintf(w, "restart model:  pi=%s  mean=%.1f Kb/s\n", fmtDist(s.solved.Restart.Pi), s.solved.Restart.MeanBandwidth)
+	if s.horizon > 0 {
 		fmt.Fprintf(w, "transient %g:  pi=%s  mean=%.1f Kb/s (paper model, %g expected accepted arrivals after a birth)\n",
-			md.horizon, fmtDist(md.transient.pi), md.transient.mean, md.horizon)
+			s.horizon, fmtDist(s.transient.Pi), s.transient.MeanBandwidth, s.horizon)
 	}
 }
 

@@ -2,15 +2,22 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"drqos/internal/channel"
 	"drqos/internal/core"
+	"drqos/internal/estimator"
+	"drqos/internal/forecast"
 	"drqos/internal/journal"
+	"drqos/internal/manager"
 	"drqos/internal/qos"
+	"drqos/internal/rng"
 	"drqos/internal/server"
 	"drqos/internal/topology"
 )
@@ -70,7 +77,7 @@ func TestSummarizeSimDir(t *testing.T) {
 		t.Errorf("snapshot at seq %d + %d records, the run applied %d events", s.snapshotSeq, s.records, want)
 	}
 	for kind, rate := range map[string]float64{
-		"establish": res.EffectiveLambda, "terminate": res.EffectiveMu, "fail_link": res.EffectiveGamma,
+		"establish": res.Model.Lambda, "terminate": res.Model.Mu, "fail_link": res.Model.Gamma,
 	} {
 		if want := int(math.Round(rate * res.Duration)); s.counts[kind] != want {
 			t.Errorf("%s: %d records in the tail, the run measured %d", kind, s.counts[kind], want)
@@ -102,56 +109,71 @@ func TestModelIsTheRunsOwn(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				md, res := s.model, ev.Sim
-				if md == nil {
+				if s.model == nil {
 					t.Fatalf("no model: %s", s.noModel)
 				}
-				if gamma > 0 && md.failed == 0 {
+				if gamma > 0 && s.model.Failed == 0 {
 					t.Fatal("the run must fail links to mean anything")
 				}
-				var pfFail float64
-				for _, term := range res.GeneralTerms {
-					if term.Name == "failure" {
-						pfFail = term.Weight
-					}
+				sameModel(t, s.model, ev.Sim.Model)
+				if d := math.Abs(s.solved.Paper.MeanBandwidth - ev.PaperModel.MeanBandwidth); d > 1e-9 {
+					t.Errorf("paper-model mean %v, the run's %v", s.solved.Paper.MeanBandwidth, ev.PaperModel.MeanBandwidth)
 				}
-				p, q := md.params, res.Params
-				if p.Pf != q.Pf || p.Ps != q.Ps || md.pfFail != pfFail {
-					t.Errorf("Pf/Ps/PfFail %v/%v/%v, the run measured %v/%v/%v", p.Pf, p.Ps, md.pfFail, q.Pf, q.Ps, pfFail)
-				}
-				if !reflect.DeepEqual(p.A, q.A) || !reflect.DeepEqual(p.B, q.B) || !reflect.DeepEqual(p.T, q.T) {
-					t.Errorf("jump matrices differ from the run's:\n A %v\n   %v\n B %v\n   %v\n T %v\n   %v", p.A, q.A, p.B, q.B, p.T, q.T)
-				}
-				if md.da != res.DiscardedA || md.db != res.DiscardedB || md.dt != res.DiscardedT {
-					t.Errorf("discarded mass %v/%v/%v, the run's %v/%v/%v", md.da, md.db, md.dt, res.DiscardedA, res.DiscardedB, res.DiscardedT)
-				}
-				if !reflect.DeepEqual(md.birth, res.BirthDist) {
-					t.Errorf("birth distribution %v, the run's %v", md.birth, res.BirthDist)
-				}
-				for _, r := range []struct {
-					name      string
-					got, want float64
-				}{
-					{"μ/λ", p.Mu, res.EffectiveMu / res.EffectiveLambda},
-					{"γ/λ", p.Gamma, res.EffectiveGamma / res.EffectiveLambda},
-				} {
-					if math.Abs(r.got-r.want) > 1e-12*math.Abs(r.want) {
-						t.Errorf("%s = %v, the run's %v", r.name, r.got, r.want)
-					}
-				}
-				if d := math.Abs(md.paper.mean - ev.PaperModel.MeanBandwidth); d > 1e-9 {
-					t.Errorf("paper-model mean %v, the run's %v", md.paper.mean, ev.PaperModel.MeanBandwidth)
-				}
-				for i, pi := range md.paper.pi {
+				for i, pi := range s.solved.Paper.Pi {
 					if d := math.Abs(pi - ev.PaperModel.Pi[i]); d > 1e-9 {
 						t.Errorf("paper-model pi[%d] = %v, the run's %v", i, pi, ev.PaperModel.Pi[i])
 					}
 				}
-				if d := math.Abs(md.restart.mean/ev.RestartModel.MeanBandwidth - 1); d > 5e-4 {
-					t.Errorf("restart-model mean %v, the run's %v (%.4f%% apart)", md.restart.mean, ev.RestartModel.MeanBandwidth, 100*d)
+				restart := s.solved.Restart.MeanBandwidth
+				if d := math.Abs(restart/ev.RestartModel.MeanBandwidth - 1); d > 5e-4 {
+					t.Errorf("restart-model mean %v, the run's %v (%.4f%% apart)", restart, ev.RestartModel.MeanBandwidth, 100*d)
 				}
-				t.Logf("N̄ %.2f (run %.2f), restart mean %.4f (run %.4f)", md.avgAlive, res.AvgAlive, md.restart.mean, ev.RestartModel.MeanBandwidth)
+				t.Logf("N̄ %.2f (run %.2f), restart mean %.4f (run %.4f)", s.model.AvgAlive, ev.Sim.Model.AvgAlive, restart, ev.RestartModel.MeanBandwidth)
 			})
+		}
+	}
+}
+
+// sameModel fails t unless got, a tail's model with rates per accepted
+// arrival, measures what want measured over its own clock: the same counts,
+// probabilities, jump matrices, discarded mass and birth distribution bit
+// for bit, and the same rates relative to λ. N̄ and the clock are each
+// consumer's own, so they are not compared.
+func sameModel(t *testing.T, got, want *estimator.Model) {
+	t.Helper()
+	if got.Accepted != want.Accepted || got.Terminated != want.Terminated || got.Failed != want.Failed || got.Ignored != want.Ignored {
+		t.Errorf("counts %d/%d/%d/%d, want %d/%d/%d/%d", got.Accepted, got.Terminated, got.Failed, got.Ignored,
+			want.Accepted, want.Terminated, want.Failed, want.Ignored)
+	}
+	if got.Pf != want.Pf || got.Ps != want.Ps || got.PfFail != want.PfFail {
+		t.Errorf("Pf/Ps/PfFail %v/%v/%v, want %v/%v/%v", got.Pf, got.Ps, got.PfFail, want.Pf, want.Ps, want.PfFail)
+	}
+	p, q := got.Params(), want.Params()
+	if !reflect.DeepEqual(p.A, q.A) || !reflect.DeepEqual(p.B, q.B) || !reflect.DeepEqual(p.T, q.T) {
+		t.Errorf("jump matrices differ:\n A %v\n   %v\n B %v\n   %v\n T %v\n   %v", p.A, q.A, p.B, q.B, p.T, q.T)
+	}
+	wantTerms := want.GeneralTerms()
+	for i, term := range got.GeneralTerms() {
+		if w := wantTerms[i]; term.Weight != w.Weight || !reflect.DeepEqual(term.Jump, w.Jump) {
+			t.Errorf("general term %s differs: weight %v, want %v", term.Name, term.Weight, w.Weight)
+		}
+	}
+	if got.DiscardedA != want.DiscardedA || got.DiscardedB != want.DiscardedB || got.DiscardedT != want.DiscardedT {
+		t.Errorf("discarded mass %v/%v/%v, want %v/%v/%v", got.DiscardedA, got.DiscardedB, got.DiscardedT,
+			want.DiscardedA, want.DiscardedB, want.DiscardedT)
+	}
+	if !reflect.DeepEqual(got.BirthDist, want.BirthDist) {
+		t.Errorf("birth distribution %v, want %v", got.BirthDist, want.BirthDist)
+	}
+	for _, r := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"μ/λ", got.Mu / got.Lambda, want.Mu / want.Lambda},
+		{"γ/λ", got.Gamma / got.Lambda, want.Gamma / want.Lambda},
+	} {
+		if math.Abs(r.got-r.want) > 1e-12*math.Abs(r.want) {
+			t.Errorf("%s = %v, want %v", r.name, r.got, r.want)
 		}
 	}
 }
@@ -208,6 +230,120 @@ func TestSummarizeDaemonDir(t *testing.T) {
 	}
 	if last := s.points[len(s.points)-1]; last.seq != 12 || last.alive != st.Alive {
 		t.Fatalf("trajectory ends at %+v, the daemon at seq 12 with %d alive", last, st.Alive)
+	}
+}
+
+// TestForecastIsTheJournalsModel: a journaled daemon's forecaster and
+// drtrace over its directory build one model. With snapshots off, the tail
+// is the whole history the forecaster observed, each record stepped through
+// the same Observe after the same manager.Apply; only the clock (seconds
+// against accepted arrivals) and N̄ (time-weighted against averaged over
+// Poisson epochs) are each side's own.
+func TestForecastIsTheJournalsModel(t *testing.T) {
+	dir := t.TempDir()
+	protected := meta // backups, so a failure squeezes the channels it moves onto
+	protected.Nodes, protected.RequireBackup = 100, true
+	if err := core.CheckMeta(dir, protected); err != nil {
+		t.Fatal(err)
+	}
+	sys, mcfg, err := protected.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	jnl, rec, err := journal.Open(dir, journal.Options{FsyncEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _, err := server.Rebuild(sys.Graph(), mcfg, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.NewFromManager(sys.Graph(), m, server.Options{Journal: jnl, SnapshotEvery: -1, Forecast: &forecast.Config{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	g, src := sys.Graph(), rng.New(7)
+	var alive []channel.ConnID
+	drop := func(ids []channel.ConnID) {
+		alive = slices.DeleteFunc(alive, func(id channel.ConnID) bool { return slices.Contains(ids, id) })
+	}
+	for i := 0; i < 3000; i++ {
+		switch r := src.Float64(); {
+		case r < 0.02:
+			l := topology.LinkID(src.Intn(g.NumLinks()))
+			rep, err := srv.FailLink(ctx, l)
+			if err != nil {
+				t.Fatalf("fail link %d: %v", l, err)
+			}
+			drop(rep.Dropped)
+			if _, err := srv.RepairLink(ctx, l); err != nil {
+				t.Fatalf("repair link %d: %v", l, err)
+			}
+		case r < 0.15 && len(alive) > 0:
+			id := alive[src.Intn(len(alive))]
+			if _, err := srv.Terminate(ctx, id); err != nil {
+				t.Fatalf("terminate %d: %v", id, err)
+			}
+			drop([]channel.ConnID{id})
+		default:
+			a := topology.NodeID(src.Intn(g.NumNodes()))
+			b := (a + 1 + topology.NodeID(src.Intn(g.NumNodes()-1))) % topology.NodeID(g.NumNodes())
+			switch rep, err := srv.Establish(ctx, a, b, qos.DefaultSpec()); {
+			case err == nil:
+				alive = append(alive, rep.Conn.ID)
+			case !errors.Is(err, manager.ErrRejected):
+				t.Fatalf("establish %d→%d: %v", a, b, err)
+			}
+		}
+	}
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fc, err := srv.Forecaster().SolveNow()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := summarize(dir, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.snapshotSeq != 0 || s.model == nil {
+		t.Fatalf("want a model of the whole journal, got snapshot seq %d and %q", s.snapshotSeq, s.noModel)
+	}
+	if s.model.Terminated == 0 || s.model.PfFail == 0 {
+		t.Fatalf("the load must terminate and squeeze on failures to mean anything: %+v", s.counts)
+	}
+	sameModel(t, s.model, &fc.Model)
+	t.Logf("%v; Pf %.4f Ps %.4f PfFail %.4f", s.counts, s.model.Pf, s.model.Ps, s.model.PfFail)
+}
+
+// TestRunRefuses: flags that ask for nothing sensible are refused before
+// the directory is read, and a sound run prints the summary.
+func TestRunRefuses(t *testing.T) {
+	dir, _ := traced(t, core.Options{Seed: 1, Nodes: 40, NoRequireBackup: true,
+		InitialConns: 100, ChurnEvents: 100, WarmupEvents: 20})
+	for _, c := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"no-in", nil, "-in is required"},
+		{"buckets-0", []string{"-in", dir, "-buckets", "0"}, "at least 1 bucket"},
+		{"transient-negative", []string{"-in", dir, "-transient", "-5"}, "-transient -5 is negative"},
+	} {
+		var out strings.Builder
+		if err := run(c.args, &out); err == nil || !strings.Contains(err.Error(), c.want) || out.Len() > 0 {
+			t.Errorf("%s: error %v and %q printed, want a refusal naming %q and nothing printed", c.name, err, out.String(), c.want)
+		}
+	}
+	var out strings.Builder
+	if err := run([]string{"-in", dir, "-transient", "5"}, &out); err != nil || !strings.Contains(out.String(), "transient 5:") {
+		t.Errorf("sound run: %v\n%s", err, out.String())
 	}
 }
 

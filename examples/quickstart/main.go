@@ -36,5 +36,5 @@ func main() {
 	fmt.Printf("simulated avg bandwidth: %.1f Kbps\n", ev.Sim.AvgBandwidth)
 	fmt.Printf("Markov-chain estimate:   %.1f Kbps (paper model)\n", ev.PaperModel.MeanBandwidth)
 	fmt.Printf("                         %.1f Kbps (finite-lifetime refinement)\n", ev.RestartModel.MeanBandwidth)
-	fmt.Printf("measured Pf=%.4f Ps=%.4f\n", ev.Sim.Params.Pf, ev.Sim.Params.Ps)
+	fmt.Printf("measured Pf=%.4f Ps=%.4f\n", ev.Sim.Model.Pf, ev.Sim.Model.Ps)
 }

@@ -360,7 +360,7 @@ type docBudget struct {
 
 var docBudgets = []docBudget{
 	{"README.md", 702},
-	{"DESIGN.md", 1454},
+	{"DESIGN.md", 1453},
 }
 
 // overBudget names each document of fsys with more lines than its budget.

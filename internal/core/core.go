@@ -16,6 +16,7 @@ package core
 import (
 	"fmt"
 
+	"drqos/internal/estimator"
 	"drqos/internal/journal"
 	"drqos/internal/manager"
 	"drqos/internal/markov"
@@ -190,33 +191,25 @@ func (s *System) Graph() *topology.Graph { return s.graph }
 // Metrics returns the structural summary of the topology.
 func (s *System) Metrics() topology.Metrics { return s.metrics }
 
-// ModelResult is one analytic model's output.
-type ModelResult struct {
-	// MeanBandwidth is E[B] in Kb/s.
-	MeanBandwidth float64
-	// Pi is the stationary distribution over bandwidth states.
-	Pi []float64
-}
-
 // Evaluation bundles one simulation run with every analytic estimate.
 type Evaluation struct {
 	// Sim is the detailed simulation result (ground truth).
 	Sim *sim.Result
-	// PaperModel solves the §3.2 chain exactly as published: triangular
-	// A/B/T, rates Pf·A·(λ+γ) down and Ps·B·λ + Pf·T·μ up.
-	PaperModel ModelResult
-	// RestartModel adds the finite-lifetime extension (birth distribution
-	// + death rate μ/N̄); see markov.Chain.WithRestart.
-	RestartModel ModelResult
+	// PaperModel and RestartModel solve the run's measured model
+	// (Sim.Model, estimator.Model.Solve): the §3.2 chain as published, and
+	// with the finite-lifetime extension.
+	PaperModel, RestartModel estimator.Solution
 	// GeneralModel additionally keeps the jump directions the triangular
-	// structure discards (markov.BuildGeneral).
-	GeneralModel ModelResult
+	// structure discards (markov.BuildGeneral), with the restart extension.
+	GeneralModel estimator.Solution
 	// IdealBandwidth is the paper's reference line BW·Edges/(NChan·hops),
 	// unclamped, with Edges counting directed edges as in Figure 2.
 	IdealBandwidth float64
 }
 
-// Evaluate runs the simulation and solves all three analytic models.
+// Evaluate runs the simulation and solves all three analytic models. A run
+// whose measured window holds no accepted arrival has no model: its
+// Evaluation carries the simulation alone.
 func (s *System) Evaluate() (*Evaluation, error) {
 	o := s.opts
 	simCfg := o.simConfig(o.Spec)
@@ -233,25 +226,20 @@ func (s *System) Evaluate() (*Evaluation, error) {
 	ev.IdealBandwidth = sim.IdealAverageBandwidthUnclamped(
 		o.Capacity, s.graph.NumDirLinks(), res.AliveAtEnd, res.AvgHops)
 
-	delta := 0.0
-	if res.AvgAlive > 0 {
-		delta = res.EffectiveMu / res.AvgAlive
+	md := res.Model
+	if md == nil {
+		return ev, nil // no model to solve; Sim.NoModel says why
 	}
-	paper, err := markov.Build(res.Params)
+	sol, err := md.Solve(o.Spec)
 	if err != nil {
-		return nil, fmt.Errorf("core: paper model: %w", err)
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	general, err := markov.BuildGeneral(o.Spec.States(), res.GeneralTerms)
+	ev.PaperModel, ev.RestartModel = sol.Paper, sol.Restart
+	general, err := markov.BuildGeneral(o.Spec.States(), md.GeneralTerms())
 	if err != nil {
 		return nil, fmt.Errorf("core: general model: %w", err)
 	}
-	if ev.PaperModel.Pi, ev.PaperModel.MeanBandwidth, err = markov.Solve(paper, res.BirthDist, 0, o.Spec); err != nil {
-		return nil, fmt.Errorf("core: paper model: %w", err)
-	}
-	if ev.RestartModel.Pi, ev.RestartModel.MeanBandwidth, err = markov.Solve(paper, res.BirthDist, delta, o.Spec); err != nil {
-		return nil, fmt.Errorf("core: restart model: %w", err)
-	}
-	if ev.GeneralModel.Pi, ev.GeneralModel.MeanBandwidth, err = markov.Solve(general, res.BirthDist, delta, o.Spec); err != nil {
+	if ev.GeneralModel.Pi, ev.GeneralModel.MeanBandwidth, err = markov.Solve(general, md.BirthDist, md.Delta, o.Spec); err != nil {
 		return nil, fmt.Errorf("core: general model: %w", err)
 	}
 	return ev, nil

@@ -1,9 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
+	"drqos/internal/estimator"
 	"drqos/internal/journal"
 	"drqos/internal/qos"
 )
@@ -69,7 +75,7 @@ func TestEvaluatePipeline(t *testing.T) {
 	if ev.Sim.Established == 0 {
 		t.Fatal("nothing simulated")
 	}
-	for name, m := range map[string]ModelResult{
+	for name, m := range map[string]estimator.Solution{
 		"paper":   ev.PaperModel,
 		"restart": ev.RestartModel,
 		"general": ev.GeneralModel,
@@ -238,5 +244,79 @@ func TestTracePlumbing(t *testing.T) {
 	if jnl, err := OpenTrace(dir, meta); err == nil {
 		jnl.Close()
 		t.Fatal("OpenTrace reused a directory that holds a run")
+	}
+}
+
+// TestEvaluateWithoutModel: a measured window without an accepted arrival
+// has no model, and says why instead of solving a stand-in.
+func TestEvaluateWithoutModel(t *testing.T) {
+	sys, err := NewSystem(Options{Seed: 3, Lambda: 1e-9, Mu: 1, InitialConns: 5, ChurnEvents: 3, WarmupEvents: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := sys.Evaluate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev.Sim.Model != nil || ev.Sim.NoModel != estimator.ErrNoArrival.Error() || ev.RestartModel.Pi != nil {
+		t.Fatalf("model %+v (%q), restart solution %+v; want none, and why", ev.Sim.Model, ev.Sim.NoModel, ev.RestartModel)
+	}
+}
+
+// TestTraceIsReproducible: two traced runs of one seed write the same
+// files, byte for byte — the snapshot included, whose header carries no
+// wall-clock stamp.
+func TestTraceIsReproducible(t *testing.T) {
+	meta := DataMeta{Kind: "waxman", Nodes: 100, Seed: 23, CapacityKbps: int64(PaperCapacity),
+		Policy: "coefficient", RequireBackup: true, Multiplex: true}
+	trace := func() string {
+		dir := t.TempDir()
+		jnl, err := OpenTrace(dir, meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := smallOpts(meta.Seed)
+		opts.InitialConns, opts.ChurnEvents, opts.WarmupEvents, opts.Gamma = 50, 60, 10, 0.001
+		opts.Trace = jnl
+		sys, err := NewSystem(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Evaluate(); err != nil {
+			t.Fatal(err)
+		}
+		if err := jnl.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	a := trace()
+	// Start the second run in the next second of the wall clock, so any
+	// stamp of it, down to the second, would differ.
+	time.Sleep(time.Until(time.Now().Truncate(time.Second).Add(time.Second)))
+	b := trace()
+	files, err := os.ReadDir(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snapshots int
+	for _, f := range files {
+		x, err := os.ReadFile(filepath.Join(a, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		y, err := os.ReadFile(filepath.Join(b, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(x, y) {
+			t.Errorf("%s differs between two runs of one seed", f.Name())
+		}
+		if strings.HasSuffix(f.Name(), ".snap") {
+			snapshots++
+		}
+	}
+	if others, err := os.ReadDir(b); err != nil || len(others) != len(files) || snapshots != 1 {
+		t.Fatalf("%d and %d files (%v), %d snapshots; want the same files and one snapshot", len(files), len(others), err, snapshots)
 	}
 }

@@ -3,15 +3,16 @@
 // the conditional jump matrices A (arrivals/failures, downward), B
 // (indirectly chained arrivals, upward) and T (terminations, upward).
 //
-// The estimator is the one collector of the model's inputs, shared by three
-// consumers: the batch simulator (internal/sim) feeds it as it steps, the
-// live forecast control plane (internal/forecast) from the admission
-// server's event stream, and cmd/drtrace from a data directory's journal
-// replayed after its snapshot. Each hands Observe the outcome manager.Apply
-// returned, so a live daemon, an offline experiment and a stored history
-// measure parameters through the identical code path — the
-// model-vs-measured comparison never has to wonder whether the estimators
-// disagree.
+// The estimator is the one collector of the model's inputs, and Model the
+// one model built from them, shared by three consumers: the batch simulator
+// (internal/sim) feeds it as it steps, the live forecast control plane
+// (internal/forecast) from the admission server's event stream, and
+// cmd/drtrace from a data directory's journal replayed after its snapshot.
+// Each hands Observe the outcome manager.Apply returned, builds the window's
+// Model with Estimator.Model and solves it with Model.Solve, so a live
+// daemon, an offline experiment and a stored history measure and solve
+// through the identical code path: they differ only in the window's unit and
+// in how they average the population N̄.
 //
 // The mechanics of a real network occasionally move a channel in the
 // direction the §3.2 model does not represent (e.g. a directly chained
@@ -22,9 +23,13 @@
 package estimator
 
 import (
+	"errors"
+	"fmt"
+
 	"drqos/internal/channel"
 	"drqos/internal/manager"
 	"drqos/internal/markov"
+	"drqos/internal/qos"
 	"drqos/internal/stats"
 )
 
@@ -32,14 +37,10 @@ import (
 // It is NOT safe for concurrent use; callers that feed it from multiple
 // goroutines (the forecast collector) must serialize access themselves.
 type Estimator struct {
-	n  int
-	pf stats.Ratio
-	ps stats.Ratio
-	// pfFail is the per-failure involvement probability: the fraction of
-	// alive channels squeezed by one failure event. The paper reuses Pf
-	// here; measuring it separately shows Pf overstates failure impact
-	// when γ approaches λ (see EXPERIMENTS.md, Figure 4).
-	pfFail stats.Ratio
+	n      int
+	pf     stats.Ratio
+	ps     stats.Ratio
+	pfFail stats.Ratio // channels squeezed per alive channel, per failure
 
 	arrDirect   *stats.TransitionCounter
 	arrIndirect *stats.TransitionCounter
@@ -71,14 +72,10 @@ func New(n int) *Estimator {
 	}
 }
 
-// Ignored returns how many observed transitions were dropped because a
-// channel's level fell outside the modeled state range.
-func (e *Estimator) Ignored() int64 { return e.ignored }
-
 // transitionsOf extracts (from → to) for each listed connection: changed
 // connections come from the report's change list, unchanged ones sit at
 // their current level. Levels outside the modeled range are dropped and
-// counted in Ignored.
+// counted in Model.Ignored.
 func (e *Estimator) transitionsOf(m *manager.Manager, ids []channel.ConnID, changes []manager.LevelChange) [][2]int {
 	changed := make(map[channel.ConnID][2]int, len(changes))
 	for _, ch := range changes {
@@ -100,7 +97,7 @@ func (e *Estimator) transitionsOf(m *manager.Manager, ids []channel.ConnID, chan
 }
 
 // clampTransitions filters out transitions whose endpoints fall outside the
-// modeled [0, n) range, counting them in Ignored.
+// modeled [0, n) range, counting them in Model.Ignored.
 func (e *Estimator) clampTransitions(fts [][2]int) [][2]int {
 	out := fts[:0]
 	for _, ft := range fts {
@@ -162,38 +159,157 @@ func (e *Estimator) Counts() (accepted, terminated, failed int64) {
 	return e.accepted, e.terminated, e.failed
 }
 
-// BirthDist returns the distribution of accepted arrivals' levels right
-// after admission — the β of markov.Chain.WithRestart — or nil before the
-// first accepted arrival.
-func (e *Estimator) BirthDist() []float64 {
-	if e.accepted == 0 {
-		return nil
-	}
-	out := make([]float64, e.n)
-	for i, c := range e.births {
-		out[i] = float64(c) / float64(e.accepted)
-	}
-	return out
+// ErrNoArrival reports a window without an accepted arrival. It has no
+// birth distribution, so it has no model.
+var ErrNoArrival = errors.New("no accepted arrival in the window")
+
+// Model is the measured window as every consumer solves it (§3.3): the
+// simulator, drtrace and the live forecaster build it with Estimator.Model
+// and solve it with Model.Solve. Its rates are counts per unit of a window
+// the caller passes: simulated time for the simulator, accepted arrivals for
+// drtrace (so λ = 1), seconds for the forecaster, whose JSON names these
+// fields carry. N̄ is the caller's too: each averages the population its
+// own way.
+type Model struct {
+	// Window is the span the rates are counted over, in the caller's unit.
+	Window float64 `json:"window_seconds"`
+
+	// Accepted, Terminated and Failed count the window's accepted
+	// arrivals, terminations and link failures. Ignored counts the
+	// transitions that fell outside the modeled grid.
+	Accepted   int64 `json:"accepted"`
+	Terminated int64 `json:"terminated"`
+	Failed     int64 `json:"link_failures"`
+	Ignored    int64 `json:"ignored_transitions"`
+
+	// Lambda, Mu and Gamma are the effective rates: the counts per unit of
+	// Window. A rejected arrival reserves nothing and squeezes nobody, so
+	// the chain is driven by the accepted rate, not the offered one.
+	Lambda float64 `json:"lambda_per_sec"`
+	Mu     float64 `json:"mu_per_sec"`
+	Gamma  float64 `json:"gamma_per_sec"`
+
+	// AvgAlive is the mean standing population N̄. Delta = Mu/AvgAlive is
+	// the restart model's per-channel death rate; without a standing
+	// population it is 0, and the restart model is the paper's.
+	AvgAlive float64 `json:"avg_alive"`
+	Delta    float64 `json:"delta_per_sec"`
+
+	// Pf and Ps are the link-sharing and indirect-chaining probabilities.
+	// PfFail is the fraction of channels one failure squeezes; the paper
+	// reuses Pf there, and measuring it apart shows Pf overstates failure
+	// impact when γ approaches λ (EXPERIMENTS.md, Figure 4).
+	Pf     float64 `json:"pf"`
+	Ps     float64 `json:"ps"`
+	PfFail float64 `json:"pf_fail"`
+
+	// DiscardedA, DiscardedB and DiscardedT are the fractions of observed
+	// jumps, per matrix, that point in the direction the §3.2 model omits.
+	DiscardedA float64 `json:"discarded_a"`
+	DiscardedB float64 `json:"discarded_b"`
+	DiscardedT float64 `json:"discarded_t"`
+
+	// BirthDist is the distribution of accepted arrivals' levels right
+	// after admission: the β of markov.Chain.WithRestart.
+	BirthDist []float64 `json:"birth_dist"`
+
+	a, b, t [][]float64    // the paper's jump matrices (see Params)
+	jumps   [4][][]float64 // the general terms' full jump matrices
 }
 
-// Pf returns the measured link-sharing probability.
-func (e *Estimator) Pf() float64 { return e.pf.Value() }
+// Model builds the measured model over a window of the given length, with
+// avgAlive as N̄. It fails with ErrNoArrival before the first accepted
+// arrival.
+func (e *Estimator) Model(window, avgAlive float64) (*Model, error) {
+	if e.accepted == 0 {
+		return nil, ErrNoArrival
+	}
+	md := &Model{
+		Window:     window,
+		Accepted:   e.accepted,
+		Terminated: e.terminated,
+		Failed:     e.failed,
+		Ignored:    e.ignored,
+		Lambda:     float64(e.accepted) / window,
+		Mu:         float64(e.terminated) / window,
+		Gamma:      float64(e.failed) / window,
+		AvgAlive:   avgAlive,
+		Pf:         e.pf.Value(),
+		Ps:         e.ps.Value(),
+		PfFail:     e.pfFail.Value(),
+		BirthDist:  make([]float64, e.n),
+	}
+	if avgAlive > 0 {
+		md.Delta = md.Mu / avgAlive
+	}
+	for i, c := range e.births {
+		md.BirthDist[i] = float64(c) / float64(e.accepted)
+	}
+	// The A matrix merges the arrival-direct and failure observations: the
+	// paper uses one A for both the λ and the γ term.
+	aCounts := merge(e.arrDirect, e.fail)
+	md.DiscardedA = discardedFraction(aCounts, true)
+	md.DiscardedB = discardedFraction(e.arrIndirect, false)
+	md.DiscardedT = discardedFraction(e.term, false)
+	md.a = paperJump(aCounts, true)
+	md.b = paperJump(e.arrIndirect, false)
+	md.t = paperJump(e.term, false)
+	md.jumps = [4][][]float64{fullJump(e.arrDirect), fullJump(e.arrIndirect), fullJump(e.term), fullJump(e.fail)}
+	return md, nil
+}
 
-// Ps returns the measured indirect-chaining probability.
-func (e *Estimator) Ps() float64 { return e.ps.Value() }
+// Params is the model as the paper's chain takes it (markov.Build).
+func (m *Model) Params() markov.Params {
+	return markov.Params{
+		N: len(m.BirthDist), Lambda: m.Lambda, Mu: m.Mu, Gamma: m.Gamma,
+		Pf: m.Pf, Ps: m.Ps, A: m.a, B: m.b, T: m.t,
+	}
+}
 
-// PfFail returns the measured per-failure involvement probability (the
-// fraction of channels squeezed by one failure). Zero when no failure was
-// observed.
-func (e *Estimator) PfFail() float64 { return e.pfFail.Value() }
+// GeneralTerms are the model's four event streams for markov.BuildGeneral:
+// the extended model, which keeps the jumps the paper's triangular
+// structure discards.
+func (m *Model) GeneralTerms() []markov.Term {
+	return []markov.Term{
+		{Name: "arrival-direct", Rate: m.Lambda, Weight: m.Pf, Jump: m.jumps[0]},
+		{Name: "arrival-indirect", Rate: m.Lambda, Weight: m.Ps, Jump: m.jumps[1]},
+		{Name: "termination", Rate: m.Mu, Weight: m.Pf, Jump: m.jumps[2]},
+		{Name: "failure", Rate: m.Gamma, Weight: m.PfFail, Jump: m.jumps[3]},
+	}
+}
 
-// Discarded reports the fraction of observed jumps that pointed in the
-// direction the §3.2 model does not represent, per matrix.
-func (e *Estimator) Discarded() (a, b, t float64) {
-	a = discardedFraction(merge(e.arrDirect, e.fail), true)
-	b = discardedFraction(e.arrIndirect, false)
-	t = discardedFraction(e.term, false)
-	return a, b, t
+// Solution is one chain's stationary distribution and its mean bandwidth.
+type Solution struct {
+	Pi            []float64
+	MeanBandwidth float64
+}
+
+// Solved is a model's paper chain and its two solutions.
+type Solved struct {
+	// Chain is markov.Build of the model's Params. drtrace takes its
+	// transient, and the forecaster's Δ tuning reads its rates.
+	Chain *markov.Chain
+	// Paper is the chain's solution as published (δ = 0); Restart adds
+	// the finite lifetime at rate Delta (markov.Chain.WithRestart).
+	Paper, Restart Solution
+}
+
+// Solve builds the paper's chain from the model and solves it plain and
+// with the restart extension, from the birth distribution, over spec's
+// grid.
+func (m *Model) Solve(spec qos.ElasticSpec) (*Solved, error) {
+	chain, err := markov.Build(m.Params())
+	if err != nil {
+		return nil, fmt.Errorf("paper model: %w", err)
+	}
+	s := &Solved{Chain: chain}
+	if s.Paper.Pi, s.Paper.MeanBandwidth, err = markov.Solve(chain, m.BirthDist, 0, spec); err != nil {
+		return nil, fmt.Errorf("paper model: %w", err)
+	}
+	if s.Restart.Pi, s.Restart.MeanBandwidth, err = markov.Solve(chain, m.BirthDist, m.Delta, spec); err != nil {
+		return nil, fmt.Errorf("restart model: %w", err)
+	}
+	return s, nil
 }
 
 func merge(x, y *stats.TransitionCounter) *stats.TransitionCounter {
@@ -232,63 +348,6 @@ func discardedFraction(c *stats.TransitionCounter, downward bool) float64 {
 	return float64(wrong) / float64(total)
 }
 
-// project keeps only the allowed triangle of the empirical jump matrix and
-// renormalizes each row.
-func project(c *stats.TransitionCounter, downward bool) [][]float64 {
-	n := c.N()
-	out := make([][]float64, n)
-	for i := range out {
-		out[i] = make([]float64, n)
-		var rowSum float64
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			if downward && j >= i {
-				continue
-			}
-			if !downward && j <= i {
-				continue
-			}
-			rowSum += float64(c.Count(i, j))
-		}
-		if rowSum == 0 {
-			continue
-		}
-		for j := 0; j < n; j++ {
-			if i == j || (downward && j >= i) || (!downward && j <= i) {
-				continue
-			}
-			out[i][j] = float64(c.Count(i, j)) / rowSum
-		}
-	}
-	return out
-}
-
-// jumpProb returns, per state, P(event moves the channel at all), i.e. the
-// conditional activity that scales each row's contribution.
-func jumpProb(c *stats.TransitionCounter, downward bool) []float64 {
-	n := c.N()
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		var moved, total int
-		for j := 0; j < n; j++ {
-			cnt := c.Count(i, j)
-			total += cnt
-			if i == j {
-				continue
-			}
-			if downward && j < i || !downward && j > i {
-				moved += cnt
-			}
-		}
-		if total > 0 {
-			out[i] = float64(moved) / float64(total)
-		}
-	}
-	return out
-}
-
 // fullJump converts raw counts into the unrestricted conditional jump
 // matrix: P(land in j | event observed in state i), for i ≠ j. The diagonal
 // remainder is the no-change probability.
@@ -311,46 +370,35 @@ func fullJump(c *stats.TransitionCounter) [][]float64 {
 	return out
 }
 
-// GeneralTerms returns the four empirical event streams for
-// markov.BuildGeneral — the "extended" model that keeps the jumps the
-// paper's triangular structure discards. Rates should be the EFFECTIVE
-// rates observed during measurement (accepted arrivals, terminations,
-// failures per unit time).
-func (e *Estimator) GeneralTerms(lambda, mu, gamma float64) []markov.Term {
-	return []markov.Term{
-		{Name: "arrival-direct", Rate: lambda, Weight: e.Pf(), Jump: fullJump(e.arrDirect)},
-		{Name: "arrival-indirect", Rate: lambda, Weight: e.Ps(), Jump: fullJump(e.arrIndirect)},
-		{Name: "termination", Rate: mu, Weight: e.Pf(), Jump: fullJump(e.term)},
-		{Name: "failure", Rate: gamma, Weight: e.PfFail(), Jump: fullJump(e.fail)},
-	}
-}
-
-// Params assembles markov.Params from the measurements. The A matrix merges
-// the arrival-direct and failure observations (the paper uses the same A
-// for both the λ and γ terms). Each projected row is additionally scaled by
-// the per-state movement probability, because the §3.2 rates are "event
-// happened AND state changed" rates: A_ij in the paper's rate Pf·A_ij·λ is
-// the probability that a directly chained channel in S_i moves to S_j given
-// an arrival, including the possibility of not moving (rows may sum to <1).
-func (e *Estimator) Params(lambda, mu, gamma float64) markov.Params {
-	aCounts := merge(e.arrDirect, e.fail)
-	scale := func(m [][]float64, act []float64) [][]float64 {
-		for i := range m {
-			for j := range m[i] {
-				m[i][j] *= act[i]
+// paperJump is the paper's jump matrix from c's counts: each row's jumps in
+// the allowed direction (down for A, up for B and T), renormalized, then
+// scaled by the state's movement probability, because the §3.2 rates are
+// "event happened AND state changed" rates: A_ij in the paper's rate
+// Pf·A_ij·λ is the probability that a directly chained channel in S_i moves
+// to S_j given an arrival, including the possibility of not moving (rows may
+// sum to < 1). Jumps the other way are projected away.
+func paperJump(c *stats.TransitionCounter, downward bool) [][]float64 {
+	n := c.N()
+	allowed := func(i, j int) bool { return downward && j < i || !downward && j > i }
+	out := make([][]float64, n)
+	for i := range out {
+		out[i] = make([]float64, n)
+		var moved, total int
+		for j := 0; j < n; j++ {
+			total += c.Count(i, j)
+			if allowed(i, j) {
+				moved += c.Count(i, j)
 			}
 		}
-		return m
+		if moved == 0 {
+			continue
+		}
+		act := float64(moved) / float64(total)
+		for j := 0; j < n; j++ {
+			if allowed(i, j) {
+				out[i][j] = float64(c.Count(i, j)) / float64(moved) * act
+			}
+		}
 	}
-	return markov.Params{
-		N:      e.n,
-		Lambda: lambda,
-		Mu:     mu,
-		Gamma:  gamma,
-		Pf:     e.Pf(),
-		Ps:     e.Ps(),
-		A:      scale(project(aCounts, true), jumpProb(aCounts, true)),
-		B:      scale(project(e.arrIndirect, false), jumpProb(e.arrIndirect, false)),
-		T:      scale(project(e.term, false), jumpProb(e.term, false)),
-	}
+	return out
 }

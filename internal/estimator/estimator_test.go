@@ -8,7 +8,7 @@ import (
 func TestEstimatorProjection(t *testing.T) {
 	// Directly feed the estimator counters via a tiny crafted scenario is
 	// cumbersome; instead unit-test the projection helpers through a
-	// Params round trip with synthetic counts.
+	// Model's Params with synthetic counts.
 	e := New(3)
 	// Simulate: direct arrivals from state 2 go down twice, stay once, and
 	// once (anomalously) go up — the upward jump must be projected away.
@@ -20,8 +20,13 @@ func TestEstimatorProjection(t *testing.T) {
 	e.arrIndirect.Record(0, 1)
 	e.pf.ObserveN(1, 2)
 	e.ps.ObserveN(1, 4)
+	e.accepted, e.births[2] = 1, 1
 
-	p := e.Params(0.001, 0.001, 0)
+	md, err := e.Model(1000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := md.Params()
 	if err := p.Validate(); err != nil {
 		t.Fatalf("projected params invalid: %v", err)
 	}
@@ -37,7 +42,7 @@ func TestEstimatorProjection(t *testing.T) {
 	if p.A[0][1] != 0 && p.A[0][2] != 0 {
 		t.Fatalf("A row 0 = %v", p.A[0])
 	}
-	da, db, dt := e.Discarded()
+	da, db, dt := md.DiscardedA, md.DiscardedB, md.DiscardedT
 	if da <= 0 {
 		t.Fatalf("discardedA = %v, want > 0", da)
 	}
@@ -61,7 +66,7 @@ func TestEstimatorIgnoresOutOfRangeChanges(t *testing.T) {
 	if len(out) != 1 || out[0] != [2]int{2, 0} {
 		t.Fatalf("clamped = %v", out)
 	}
-	if e.Ignored() != 3 {
-		t.Fatalf("Ignored = %d, want 3", e.Ignored())
+	if e.ignored != 3 {
+		t.Fatalf("ignored = %d, want 3", e.ignored)
 	}
 }

@@ -7,11 +7,12 @@
 // goroutine — into the shared parameter estimator (internal/estimator), and
 // re-solves the steady-state bandwidth distribution on a configurable
 // cadence in its own supervised goroutine, strictly off the actor hot path.
-// The solve is the one internal/core's restart model and cmd/drtrace use,
-// markov.Solve over markov.Build(params) with restart rate μ/N̄, so a live
-// daemon, a stored journal and the batch experiments disagree only by
-// measurement noise, never by modeling choice. The modeled spec is
-// qos.DefaultSpec() (100..500 Kb/s, Δ=50 → 9 states).
+// The model and its solve are the ones internal/core and cmd/drtrace use,
+// estimator.Model and Model.Solve, with rates per second of wall clock, so a
+// live daemon, a stored journal and the batch experiments disagree only by
+// measurement noise, never by modeling choice. The forecast serves the
+// restart model's solution. The modeled spec is qos.DefaultSpec()
+// (100..500 Kb/s, Δ=50 → 9 states).
 //
 // # Staleness and fallback contract
 //
@@ -54,8 +55,8 @@ var ErrNoForecast = errors.New("forecast: no forecast available yet")
 // ErrSolveTimeout reports a solve that overran its deadline.
 var ErrSolveTimeout = errors.New("forecast: solve exceeded deadline")
 
-// errNotReady marks warm-up conditions — too few events, no standing
-// population yet. Before the first good solve these are "not yet", reported
+// errNotReady marks warm-up conditions — too few events, no accepted
+// arrival yet. Before the first good solve these are "not yet", reported
 // as the unavailability reason but not counted as solve errors (an idle
 // daemon ticking along is not a failing model). After a good solve exists,
 // the same conditions follow the normal stale-fallback path.
@@ -121,9 +122,6 @@ type Forecast struct {
 	SolvedAt time.Time `json:"solved_at"`
 	// SolveDurationSeconds is how long that solve took.
 	SolveDurationSeconds float64 `json:"solve_duration_seconds"`
-	// WindowSeconds is the observation window the parameters were
-	// estimated over (since forecaster start).
-	WindowSeconds float64 `json:"window_seconds"`
 
 	// Modeled grid.
 	States        int   `json:"states"`
@@ -132,32 +130,18 @@ type Forecast struct {
 	IncrementKbps int64 `json:"increment_kbps"`
 
 	// Solution: the steady-state distribution over bandwidth states of the
-	// restart model, its mean, and the birth distribution it restarts
-	// into.
+	// restart model, and its mean.
 	Pi                []float64 `json:"pi"`
-	BirthDist         []float64 `json:"birth_dist"`
 	MeanBandwidthKbps float64   `json:"mean_bandwidth_kbps"`
 
-	// Live-estimated parameters (rates are per second of wall clock).
-	Lambda     float64 `json:"lambda_per_sec"`
-	Mu         float64 `json:"mu_per_sec"`
-	Gamma      float64 `json:"gamma_per_sec"`
-	Delta      float64 `json:"delta_per_sec"`
-	Pf         float64 `json:"pf"`
-	Ps         float64 `json:"ps"`
-	PfFail     float64 `json:"pf_fail"`
-	DiscardedA float64 `json:"discarded_a"`
-	DiscardedB float64 `json:"discarded_b"`
-	DiscardedT float64 `json:"discarded_t"`
-	AvgAlive   float64 `json:"avg_alive"`
-	AvgHops    float64 `json:"avg_hops"`
-
-	// Raw event counts behind the estimate.
-	Accepted           int64 `json:"accepted"`
-	Rejected           int64 `json:"rejected"`
-	Terminated         int64 `json:"terminated"`
-	LinkFailures       int64 `json:"link_failures"`
-	IgnoredTransitions int64 `json:"ignored_transitions"`
+	// Model is the measured window the solve used, with rates per second
+	// of wall clock since the forecaster started and N̄ the time-weighted
+	// population.
+	estimator.Model
+	// AvgHops is accepted arrivals' mean primary route length, and
+	// Rejected counts capacity rejections; neither enters the model.
+	AvgHops  float64 `json:"avg_hops"`
+	Rejected int64   `json:"rejected"`
 
 	// Saturation: Headroom is the normalized mean position
 	// (mean-Bmin)/(Bmax-Bmin); Saturated reports it at or below the
@@ -174,41 +158,8 @@ type Forecast struct {
 	Solves      int64 `json:"solves"`
 	SolveErrors int64 `json:"solve_errors"`
 
-	// Inputs kept for what-if counterfactuals (not serialized).
-	snap snapshot
-	base *markov.Chain
-}
-
-// snapshot is a consistent copy of the collector state, taken under the
-// collector mutex and handed to the solver.
-type snapshot struct {
-	params   markov.Params
-	birth    []float64
-	delta    float64
-	avgAlive float64
-	avgHops  float64
-	elapsed  float64
-	lambda   float64
-	mu       float64
-	gamma    float64
-	pf       float64
-	ps       float64
-	pfFail   float64
-	da       float64
-	db       float64
-	dt       float64
-	accepted int64
-	rejected int64
-	term     int64
-	failed   int64
-	ignored  int64
-}
-
-// solved is a successful solve's raw output.
-type solved struct {
-	base *markov.Chain
-	pi   []float64
-	mean float64
+	// chain is the solved paper chain, whose rates the Δ tuning reads.
+	chain *markov.Chain
 }
 
 // Forecaster owns the live estimator and the solve loop.
@@ -218,9 +169,9 @@ type Forecaster struct {
 	n     int
 	start time.Time
 
-	// Collector state, fed from the server's actor loop, snapshotted by
+	// Collector state, fed from the server's actor loop and measured by
 	// the solver. The mutex is held only for counter updates and the
-	// (cheap) parameter assembly — never across a solve.
+	// (cheap) model assembly — never across a solve.
 	mu       sync.Mutex
 	est      *estimator.Estimator
 	rejected int64
@@ -239,9 +190,9 @@ type Forecaster struct {
 
 	// solveMu serializes solve attempts (ticker loop vs SolveNow).
 	solveMu sync.Mutex
-	// solveFn computes a snapshot's solution; tests swap it to inject
-	// failures and deadline overruns.
-	solveFn func(snapshot) (*solved, error)
+	// solveFn solves a measured model; tests swap it to inject failures
+	// and deadline overruns.
+	solveFn func(*estimator.Model) (*estimator.Solved, error)
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
@@ -251,7 +202,7 @@ type Forecaster struct {
 // New builds a forecaster. Call Start to begin the periodic solve loop;
 // SolveNow works without it (tests, tools). Every Config is valid: unset
 // fields take their defaults.
-func New(cfg Config) (*Forecaster, error) {
+func New(cfg Config) *Forecaster {
 	spec := qos.DefaultSpec()
 	f := &Forecaster{
 		cfg:    cfg.withDefaults(),
@@ -263,7 +214,7 @@ func New(cfg Config) (*Forecaster, error) {
 		done:   make(chan struct{}),
 	}
 	f.solveFn = f.solve
-	return f, nil
+	return f
 }
 
 // Start launches the periodic solve loop. It must be called at most once.
@@ -333,59 +284,32 @@ func (f *Forecaster) Status() (solves, solveErrors int64, lastErr string) {
 	return f.solves.Load(), f.solveErrors.Load(), lastErr
 }
 
-// snapshotLocked assembles a solver input from the collector state. It
-// returns an error when too little has been observed to solve.
-func (f *Forecaster) snapshot() (snapshot, error) {
+// measure assembles the next forecast's measured inputs from the collector
+// state. It returns an error when too little has been observed to solve.
+func (f *Forecaster) measure() (*Forecast, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	var s snapshot
 	accepted, terminated, failed := f.est.Counts()
-	events := accepted + terminated + failed
-	if events < int64(f.cfg.MinEvents) {
-		return s, fmt.Errorf("%w: %d events observed, need %d", errNotReady, events, f.cfg.MinEvents)
+	if events := accepted + terminated + failed; events < int64(f.cfg.MinEvents) {
+		return nil, fmt.Errorf("%w: %d events observed, need %d", errNotReady, events, f.cfg.MinEvents)
 	}
-	s.elapsed = time.Since(f.start).Seconds()
-	if s.elapsed <= 0 {
-		return s, fmt.Errorf("%w: zero observation window", errNotReady)
+	elapsed := time.Since(f.start).Seconds()
+	alive := f.alive
+	alive.CloseAt(elapsed)
+	md, err := f.est.Model(elapsed, alive.Mean())
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", errNotReady, err)
 	}
-	s.lambda = float64(accepted) / s.elapsed
-	s.mu = float64(terminated) / s.elapsed
-	s.gamma = float64(failed) / s.elapsed
-	aliveCopy := f.alive
-	aliveCopy.CloseAt(s.elapsed)
-	s.avgAlive = aliveCopy.Mean()
-	if s.avgAlive <= 0 {
-		return s, fmt.Errorf("%w: no standing population observed", errNotReady)
-	}
-	if s.birth = f.est.BirthDist(); s.birth == nil {
-		return s, fmt.Errorf("%w: no accepted arrivals observed", errNotReady)
-	}
-	// Per-channel death rate: aggregate termination rate spread over the
-	// standing population — the restart model's δ, exactly as the batch
-	// pipeline (internal/core, RestartModel) derives it.
-	s.delta = s.mu / s.avgAlive
-	s.params = f.est.Params(s.lambda, s.mu, s.gamma)
-	s.pf, s.ps, s.pfFail = f.est.Pf(), f.est.Ps(), f.est.PfFail()
-	s.da, s.db, s.dt = f.est.Discarded()
+	fc := &Forecast{Model: *md, Rejected: f.rejected}
 	if f.hopsN > 0 {
-		s.avgHops = float64(f.hopsSum) / float64(f.hopsN)
+		fc.AvgHops = float64(f.hopsSum) / float64(f.hopsN)
 	}
-	s.accepted, s.rejected, s.term, s.failed = accepted, f.rejected, terminated, failed
-	s.ignored = f.est.Ignored()
-	return s, nil
+	return fc, nil
 }
 
-// solve runs the batch pipeline's restart-model solve on one snapshot.
-func (f *Forecaster) solve(s snapshot) (*solved, error) {
-	base, err := markov.Build(s.params)
-	if err != nil {
-		return nil, err
-	}
-	pi, mean, err := markov.Solve(base, s.birth, s.delta, f.spec)
-	if err != nil {
-		return nil, err
-	}
-	return &solved{base: base, pi: pi, mean: mean}, nil
+// solve solves a measured model over the modeled grid.
+func (f *Forecaster) solve(md *estimator.Model) (*estimator.Solved, error) {
+	return md.Solve(f.spec)
 }
 
 // SolveNow runs one solve attempt synchronously and returns the published
@@ -395,12 +319,12 @@ func (f *Forecaster) SolveNow() (*Forecast, error) {
 	f.solveMu.Lock()
 	defer f.solveMu.Unlock()
 
-	snap, err := f.snapshot()
+	fc, err := f.measure()
 	if err == nil {
-		var sol *solved
-		sol, err = f.solveWithDeadline(snap)
+		var sol *estimator.Solved
+		sol, err = f.solveWithDeadline(&fc.Model)
 		if err == nil {
-			f.publishGood(snap, sol)
+			f.publishGood(fc, sol)
 		}
 	}
 	if err != nil {
@@ -421,15 +345,15 @@ func (f *Forecaster) SolveNow() (*Forecast, error) {
 // solveWithDeadline runs solveFn in a helper goroutine and abandons it on
 // deadline overrun (the goroutine finishes on its own; its result is
 // discarded). The actor loop is never involved either way.
-func (f *Forecaster) solveWithDeadline(s snapshot) (*solved, error) {
+func (f *Forecaster) solveWithDeadline(md *estimator.Model) (*estimator.Solved, error) {
 	type out struct {
-		sol *solved
+		sol *estimator.Solved
 		err error
 	}
 	ch := make(chan out, 1)
 	fn := f.solveFn // captured: the abandoned goroutine must not see later swaps
 	go func() {
-		sol, err := fn(s)
+		sol, err := fn(md)
 		ch <- out{sol, err}
 	}()
 	timer := time.NewTimer(f.cfg.solveTimeout)
@@ -442,54 +366,34 @@ func (f *Forecaster) solveWithDeadline(s snapshot) (*solved, error) {
 	}
 }
 
-// publishGood swaps in a freshly solved forecast.
-func (f *Forecaster) publishGood(s snapshot, sol *solved) {
+// publishGood completes a measured forecast with its solution and swaps it
+// in.
+func (f *Forecaster) publishGood(fc *Forecast, sol *estimator.Solved) {
 	now := time.Now()
 	f.solves.Add(1)
-	headroom := 0.0
-	if span := float64(f.spec.Max - f.spec.Min); span > 0 {
-		headroom = (sol.mean - float64(f.spec.Min)) / span
-	}
-	fc := &Forecast{
-		Seq:                f.seq.Add(1),
-		SolvedAt:           now,
-		WindowSeconds:      s.elapsed,
-		States:             f.n,
-		MinKbps:            int64(f.spec.Min),
-		MaxKbps:            int64(f.spec.Max),
-		IncrementKbps:      int64(f.spec.Increment),
-		Pi:                 sol.pi,
-		BirthDist:          s.birth,
-		MeanBandwidthKbps:  sol.mean,
-		Lambda:             s.lambda,
-		Mu:                 s.mu,
-		Gamma:              s.gamma,
-		Delta:              s.delta,
-		Pf:                 s.pf,
-		Ps:                 s.ps,
-		PfFail:             s.pfFail,
-		DiscardedA:         s.da,
-		DiscardedB:         s.db,
-		DiscardedT:         s.dt,
-		AvgAlive:           s.avgAlive,
-		AvgHops:            s.avgHops,
-		Accepted:           s.accepted,
-		Rejected:           s.rejected,
-		Terminated:         s.term,
-		LinkFailures:       s.failed,
-		IgnoredTransitions: s.ignored,
-		Headroom:           headroom,
-		Saturated:          headroom <= saturationHeadroom && s.avgAlive >= 1,
-		Solves:             f.solves.Load(),
-		SolveErrors:        f.solveErrors.Load(),
-		snap:               s,
-		base:               sol.base,
-	}
+	fc.Seq = f.seq.Add(1)
+	fc.SolvedAt = now
+	fc.States = f.n
+	fc.MinKbps, fc.MaxKbps, fc.IncrementKbps = int64(f.spec.Min), int64(f.spec.Max), int64(f.spec.Increment)
+	fc.Pi, fc.MeanBandwidthKbps = sol.Restart.Pi, sol.Restart.MeanBandwidth
+	fc.Headroom = f.headroom(fc.MeanBandwidthKbps)
+	fc.Saturated = fc.Headroom <= saturationHeadroom && fc.AvgAlive >= 1
+	fc.Solves, fc.SolveErrors = f.solves.Load(), f.solveErrors.Load()
+	fc.chain = sol.Chain
 	fc.SolveDurationSeconds = time.Since(now).Seconds()
 	f.lastErrMu.Lock()
 	f.lastErr = ""
 	f.lastErrMu.Unlock()
 	f.cur.Store(fc)
+}
+
+// headroom is mean's normalized position (mean-Bmin)/(Bmax-Bmin) in the
+// modeled range.
+func (f *Forecaster) headroom(mean float64) float64 {
+	if span := float64(f.spec.Max - f.spec.Min); span > 0 {
+		return (mean - float64(f.spec.Min)) / span
+	}
+	return 0
 }
 
 // publishFailure implements the fallback contract: keep serving the last

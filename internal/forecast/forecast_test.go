@@ -3,6 +3,7 @@ package forecast
 import (
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -47,10 +48,7 @@ func newHarness(t *testing.T, cfg Config) *harness {
 	if cfg.DirectedLinks == 0 {
 		cfg.DirectedLinks = g.NumDirLinks()
 	}
-	f, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := New(cfg)
 	return &harness{t: t, m: m, f: f, ref: estimator.New(f.n), src: rng.New(11)}
 }
 
@@ -127,9 +125,9 @@ func TestForecastFromScriptedEvents(t *testing.T) {
 	if fc == nil || fc.Stale {
 		t.Fatalf("expected fresh forecast, got %+v", fc)
 	}
-	if fc.Accepted != h.accepted || fc.Terminated != h.terminated || fc.LinkFailures != h.failed {
+	if fc.Accepted != h.accepted || fc.Terminated != h.terminated || fc.Failed != h.failed {
 		t.Errorf("counts: forecast (%d,%d,%d), harness (%d,%d,%d)",
-			fc.Accepted, fc.Terminated, fc.LinkFailures, h.accepted, h.terminated, h.failed)
+			fc.Accepted, fc.Terminated, fc.Failed, h.accepted, h.terminated, h.failed)
 	}
 
 	var sum float64
@@ -147,33 +145,25 @@ func TestForecastFromScriptedEvents(t *testing.T) {
 	}
 
 	// Rates are counts over the observation window.
-	if got := fc.Lambda * fc.WindowSeconds; math.Abs(got-float64(h.accepted)) > 1e-6 {
+	if got := fc.Lambda * fc.Window; math.Abs(got-float64(h.accepted)) > 1e-6 {
 		t.Errorf("lambda*window = %g, want %d", got, h.accepted)
 	}
 	if math.Abs(fc.Delta-fc.Mu/fc.AvgAlive) > 1e-12 {
 		t.Errorf("delta %g != mu/avgAlive %g", fc.Delta, fc.Mu/fc.AvgAlive)
 	}
 
-	// Identical trace → identical estimated model.
-	rp := h.ref.Params(fc.Lambda, fc.Mu, fc.Gamma)
-	p := fc.snap.params
-	if p.Pf != rp.Pf || p.Ps != rp.Ps {
-		t.Errorf("Pf/Ps (%g,%g) differ from reference (%g,%g)", p.Pf, p.Ps, rp.Pf, rp.Ps)
+	// Identical trace → identical estimated model, jump matrices included.
+	ref, err := h.ref.Model(fc.Window, fc.AvgAlive)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < p.N; i++ {
-		for j := 0; j < p.N; j++ {
-			if p.A[i][j] != rp.A[i][j] || p.B[i][j] != rp.B[i][j] || p.T[i][j] != rp.T[i][j] {
-				t.Fatalf("transition matrices diverge from reference at (%d,%d)", i, j)
-			}
-		}
+	if !reflect.DeepEqual(*ref, fc.Model) {
+		t.Errorf("model %+v differs from the reference %+v", fc.Model, *ref)
 	}
 }
 
 func TestForecastInsufficientData(t *testing.T) {
-	f, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := New(Config{})
 	fc, err := f.SolveNow()
 	if err == nil {
 		t.Fatal("expected an error before any events")
@@ -204,7 +194,7 @@ func TestForecastSolveFailureFallback(t *testing.T) {
 	}
 
 	boom := errors.New("solver exploded")
-	h.f.solveFn = func(snapshot) (*solved, error) { return nil, boom }
+	h.f.solveFn = func(*estimator.Model) (*estimator.Solved, error) { return nil, boom }
 	fc, err := h.f.SolveNow()
 	if !errors.Is(err, boom) {
 		t.Fatalf("SolveNow error = %v, want injected failure", err)
@@ -243,9 +233,9 @@ func TestForecastSolveTimeout(t *testing.T) {
 	h := newHarness(t, Config{MinEvents: 10, solveTimeout: 20 * time.Millisecond})
 	h.churn(120)
 
-	slow := func(s snapshot) (*solved, error) {
+	slow := func(md *estimator.Model) (*estimator.Solved, error) {
 		time.Sleep(300 * time.Millisecond)
-		return h.f.solve(s)
+		return h.f.solve(md)
 	}
 	h.f.solveFn = slow
 	fc, err := h.f.SolveNow()
@@ -286,11 +276,11 @@ func TestForecastPredictiveLatch(t *testing.T) {
 	h.churn(120)
 
 	spec := h.f.spec
-	point := func(mean float64) func(snapshot) (*solved, error) {
-		return func(snapshot) (*solved, error) {
+	point := func(mean float64) func(*estimator.Model) (*estimator.Solved, error) {
+		return func(*estimator.Model) (*estimator.Solved, error) {
 			pi := make([]float64, spec.States())
 			pi[0] = 1
-			return &solved{pi: pi, mean: mean}, nil
+			return &estimator.Solved{Restart: estimator.Solution{Pi: pi, MeanBandwidth: mean}}, nil
 		}
 	}
 
@@ -313,7 +303,7 @@ func TestForecastPredictiveLatch(t *testing.T) {
 	// staleClearAfter intervals releases it.
 	h.f.solveFn = point(float64(spec.Min))
 	h.f.SolveNow()
-	h.f.solveFn = func(snapshot) (*solved, error) { return nil, errors.New("down") }
+	h.f.solveFn = func(*estimator.Model) (*estimator.Solved, error) { return nil, errors.New("down") }
 	h.f.SolveNow()
 	if !h.f.Predicted() {
 		t.Fatal("a freshly stale forecast must keep the predictive latch")

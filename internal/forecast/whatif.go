@@ -10,7 +10,8 @@ import (
 
 // WhatIfRequest describes an admission counterfactual: "what does the
 // steady-state distribution look like if I admit Count channels of this
-// spec". A zero spec means the modeled spec; Count defaults to 1.
+// spec". A zero spec means the modeled spec; a zero Count means 1, and a
+// negative one is refused.
 type WhatIfRequest struct {
 	MinKbps       int64   `json:"min_kbps"`
 	MaxKbps       int64   `json:"max_kbps"`
@@ -100,31 +101,32 @@ func (f *Forecaster) WhatIf(req WhatIfRequest) (*WhatIfResponse, error) {
 		return nil, err
 	}
 	count := req.Count
-	if count <= 0 {
+	switch {
+	case count < 0:
+		return nil, fmt.Errorf("forecast: what-if count %d is negative", count)
+	case count == 0:
 		count = 1
+	}
+	md := cur.Model
+	if md.AvgAlive <= 0 {
+		return nil, fmt.Errorf("%w: no standing population to scale", ErrNoForecast)
 	}
 
 	weight := 1.0
 	if f.spec.Max > 0 {
 		weight = float64(spec.Max) / float64(f.spec.Max)
 	}
-	s := cur.snap
-	aliveAfter := s.avgAlive + weight*float64(count)
-	rho := aliveAfter / s.avgAlive
+	aliveAfter := md.AvgAlive + weight*float64(count)
+	rho := aliveAfter / md.AvgAlive
+	md.Pf = math.Min(1, md.Pf*rho)
+	md.Ps = math.Min(1, md.Ps*rho)
 
-	p := s.params
-	p.Pf = math.Min(1, p.Pf*rho)
-	p.Ps = math.Min(1, p.Ps*rho)
-
-	sol, err := f.solve(snapshot{params: p, birth: s.birth, delta: s.delta})
+	sol, err := f.solve(&md)
 	if err != nil {
 		return nil, fmt.Errorf("forecast: what-if solve: %w", err)
 	}
-
-	headroom := 0.0
-	if span := float64(f.spec.Max - f.spec.Min); span > 0 {
-		headroom = (sol.mean - float64(f.spec.Min)) / span
-	}
+	mean := sol.Restart.MeanBandwidth
+	headroom := f.headroom(mean)
 	saturated := headroom <= saturationHeadroom
 	resp := &WhatIfResponse{
 		Count:         count,
@@ -132,29 +134,29 @@ func (f *Forecaster) WhatIf(req WhatIfRequest) (*WhatIfResponse, error) {
 		MaxKbps:       int64(spec.Max),
 		IncrementKbps: int64(spec.Increment),
 		BaseMeanKbps:  cur.MeanBandwidthKbps,
-		MeanKbps:      sol.mean,
-		DeltaMeanKbps: sol.mean - cur.MeanBandwidthKbps,
-		Pi:            sol.pi,
-		AliveBefore:   s.avgAlive,
+		MeanKbps:      mean,
+		DeltaMeanKbps: mean - cur.MeanBandwidthKbps,
+		Pi:            sol.Restart.Pi,
+		AliveBefore:   cur.AvgAlive,
 		AliveAfter:    aliveAfter,
-		PfBefore:      s.params.Pf,
-		PfAfter:       p.Pf,
+		PfBefore:      cur.Pf,
+		PfAfter:       md.Pf,
 		Headroom:      headroom,
 		Saturated:     saturated,
 		Admit:         !saturated,
 		Stale:         cur.Stale,
 		DeltaTuning:   f.recommendDelta(cur),
 	}
-	if f.cfg.CapacityKbps > 0 && f.cfg.DirectedLinks > 0 && s.avgHops > 0 {
+	if f.cfg.CapacityKbps > 0 && f.cfg.DirectedLinks > 0 && cur.AvgHops > 0 {
 		resp.IdealMeanKbps = sim.IdealAverageBandwidth(
 			f.cfg.CapacityKbps, f.cfg.DirectedLinks,
-			int(math.Ceil(aliveAfter)), s.avgHops, f.spec)
+			int(math.Ceil(aliveAfter)), cur.AvgHops, f.spec)
 	}
 	if saturated {
 		resp.Reason = fmt.Sprintf("predicted mean %.1f Kb/s leaves %.1f%% headroom (≤ %.1f%% saturation threshold)",
-			sol.mean, 100*headroom, 100*saturationHeadroom)
+			mean, 100*headroom, 100*saturationHeadroom)
 	} else {
-		resp.Reason = fmt.Sprintf("predicted mean %.1f Kb/s keeps %.1f%% headroom", sol.mean, 100*headroom)
+		resp.Reason = fmt.Sprintf("predicted mean %.1f Kb/s keeps %.1f%% headroom", mean, 100*headroom)
 	}
 	if cur.Stale {
 		resp.Reason += " (forecast stale: " + cur.LastError + ")"
@@ -200,7 +202,7 @@ const quantLossTolerance = 0.10
 // rate a channel population would see if levels were renegotiated only at
 // the coarser granularity.
 func (f *Forecaster) recommendDelta(cur *Forecast) *DeltaRecommendation {
-	if cur.base == nil {
+	if cur.chain == nil {
 		return nil
 	}
 	n := f.n
@@ -217,7 +219,7 @@ func (f *Forecaster) recommendDelta(cur *Forecast) *DeltaRecommendation {
 			mean += cur.Pi[i] * (float64(f.spec.Min) + float64((i/k)*k)*float64(f.spec.Increment))
 			for j := 0; j < n; j++ {
 				if i/k != j/k {
-					churn += cur.Pi[i] * cur.base.Rate(i, j)
+					churn += cur.Pi[i] * cur.chain.Rate(i, j)
 				}
 			}
 		}

@@ -7,10 +7,7 @@ import (
 )
 
 func TestWhatIfBeforeFirstSolve(t *testing.T) {
-	f, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := New(Config{})
 	if _, err := f.WhatIf(WhatIfRequest{}); !errors.Is(err, ErrNoForecast) {
 		t.Fatalf("error = %v, want ErrNoForecast", err)
 	}
@@ -86,6 +83,9 @@ func TestWhatIfCounterfactual(t *testing.T) {
 
 	if _, err := h.f.WhatIf(WhatIfRequest{MinKbps: 300, MaxKbps: 100, IncrementKbps: 50}); err == nil {
 		t.Error("invalid counterfactual spec must be rejected")
+	}
+	if _, err := h.f.WhatIf(WhatIfRequest{Count: -5}); err == nil {
+		t.Error("a negative count must be rejected")
 	}
 }
 

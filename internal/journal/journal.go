@@ -567,13 +567,12 @@ type SnapshotHeader struct {
 	BodyCRC32C uint32 `json:"body_crc32c"`
 
 	// Aggregate cross-check fields (same shapes as server Stats).
-	Alive          int    `json:"alive"`
-	Unprotected    int    `json:"unprotected"`
-	LevelHistogram []int  `json:"level_histogram"`
-	Requests       int64  `json:"requests"`
-	Rejects        int64  `json:"rejects"`
-	FailedLinks    []int  `json:"failed_links,omitempty"`
-	WrittenAt      string `json:"written_at,omitempty"`
+	Alive          int   `json:"alive"`
+	Unprotected    int   `json:"unprotected"`
+	LevelHistogram []int `json:"level_histogram"`
+	Requests       int64 `json:"requests"`
+	Rejects        int64 `json:"rejects"`
+	FailedLinks    []int `json:"failed_links,omitempty"`
 
 	// Term is the replication term in force when the snapshot was taken, so
 	// compaction never erases the fencing a KindTerm record established.

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -319,6 +320,37 @@ func TestSnapshotCorruptionRefused(t *testing.T) {
 	}
 	if _, _, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt snapshot body: err %v, want ErrCorrupt", err)
+	}
+}
+
+// TestSnapshotWithWrittenAtLoads: a snapshot written before headers lost
+// their wall-clock written_at stamp still loads, body and all.
+func TestSnapshotWithWrittenAtLoads(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := mustOpen(t, dir)
+	mustAppend(t, j, testEvents(3)...)
+	if err := j.WriteSnapshot(SnapshotHeader{Alive: 2}, []byte("precious state")); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	path := filepath.Join(dir, snapshotName(3))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Replace(data, []byte(`{"format"`), []byte(`{"written_at":"2026-01-02T03:04:05Z","format"`), 1)
+	if bytes.Equal(old, data) {
+		t.Fatalf("header %q does not open with the format", data)
+	}
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Read(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.SnapshotSeq != 3 || rec.SnapshotHeader.Alive != 2 || string(rec.SnapshotBody) != "precious state" {
+		t.Fatalf("snapshot at seq %d, header %+v, body %q", rec.SnapshotSeq, rec.SnapshotHeader, rec.SnapshotBody)
 	}
 }
 

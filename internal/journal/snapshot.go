@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"time"
 )
 
 // writeSnapshotFile writes snap-<seq>.snap atomically: JSON header line +
@@ -21,9 +20,6 @@ func writeSnapshotFile(dir string, seq uint64, hdr SnapshotHeader, body []byte) 
 	hdr.Seq = seq
 	hdr.BodyLen = int64(len(body))
 	hdr.BodyCRC32C = crc32.Checksum(body, castagnoli)
-	if hdr.WrittenAt == "" {
-		hdr.WrittenAt = time.Now().UTC().Format(time.RFC3339)
-	}
 	hb, err := json.Marshal(hdr)
 	if err != nil {
 		return fmt.Errorf("journal: snapshot header: %w", err)

@@ -3,6 +3,7 @@ package server
 import (
 	"time"
 
+	"drqos/internal/estimator"
 	"drqos/internal/forecast"
 )
 
@@ -22,8 +23,8 @@ type ForecastEnvelope struct {
 }
 
 // ForecastStats is the forecast section of GET /v1/stats: the live
-// estimator parameters and solve-loop health, without the full
-// distribution (that lives on /v1/forecast).
+// estimator's model and solve-loop health, without the solved distribution
+// (that lives on /v1/forecast).
 type ForecastStats struct {
 	Available            bool    `json:"available"`
 	Stale                bool    `json:"stale"`
@@ -35,19 +36,9 @@ type ForecastStats struct {
 	AgeSeconds           float64 `json:"age_seconds"`
 	SolveDurationSeconds float64 `json:"solve_duration_seconds"`
 	MeanBandwidthKbps    float64 `json:"mean_bandwidth_kbps"`
-	Lambda               float64 `json:"lambda_per_sec"`
-	Mu                   float64 `json:"mu_per_sec"`
-	Gamma                float64 `json:"gamma_per_sec"`
-	Delta                float64 `json:"delta_per_sec"`
-	Pf                   float64 `json:"pf"`
-	Ps                   float64 `json:"ps"`
-	PfFail               float64 `json:"pf_fail"`
-	DiscardedA           float64 `json:"discarded_a"`
-	DiscardedB           float64 `json:"discarded_b"`
-	DiscardedT           float64 `json:"discarded_t"`
-	AvgAlive             float64 `json:"avg_alive"`
 	Saturated            bool    `json:"saturated"`
-	IgnoredTransitions   int64   `json:"ignored_transitions"`
+	// Model is the measured window of the served forecast.
+	estimator.Model
 }
 
 // forecastStats summarizes the forecaster for /v1/stats and /metrics. Nil
@@ -73,11 +64,7 @@ func forecastStats(fc *forecast.Forecaster) *ForecastStats {
 	fs.AgeSeconds = time.Since(cur.SolvedAt).Seconds()
 	fs.SolveDurationSeconds = cur.SolveDurationSeconds
 	fs.MeanBandwidthKbps = cur.MeanBandwidthKbps
-	fs.Lambda, fs.Mu, fs.Gamma, fs.Delta = cur.Lambda, cur.Mu, cur.Gamma, cur.Delta
-	fs.Pf, fs.Ps, fs.PfFail = cur.Pf, cur.Ps, cur.PfFail
-	fs.DiscardedA, fs.DiscardedB, fs.DiscardedT = cur.DiscardedA, cur.DiscardedB, cur.DiscardedT
-	fs.AvgAlive = cur.AvgAlive
 	fs.Saturated = cur.Saturated
-	fs.IgnoredTransitions = cur.IgnoredTransitions
+	fs.Model = cur.Model
 	return fs
 }

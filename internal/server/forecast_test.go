@@ -145,6 +145,10 @@ func TestForecastHTTPRoundTrip(t *testing.T) {
 	if code != http.StatusUnprocessableEntity {
 		t.Fatalf("invalid whatif spec: %d %s, want 422", code, raw)
 	}
+	code, raw = doJSON(t, c, "POST", ts.URL+"/v1/forecast/whatif", forecast.WhatIfRequest{Count: -5}, nil)
+	if code != http.StatusUnprocessableEntity {
+		t.Fatalf("negative whatif count: %d %s, want 422", code, raw)
+	}
 
 	// Stats carry the live estimator block.
 	var st server.Stats

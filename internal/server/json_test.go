@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"drqos/internal/estimator"
 	"drqos/internal/forecast"
 	"drqos/internal/server"
 	"drqos/internal/shard"
@@ -44,9 +45,13 @@ func fullStats() server.Stats {
 		QueueDepth: 5,
 		Forecast: &server.ForecastStats{
 			Available: true, Stale: true, PredictedOverload: true, Seq: 77, Solves: 78, SolveErrors: 1,
-			LastError: awkward, AgeSeconds: 0.4, SolveDurationSeconds: 0.02, MeanBandwidthKbps: 311.9,
-			Lambda: 120.5, Mu: 60.25, Gamma: 0.5, Delta: 0.49, Pf: 0.01, Ps: 0.2, PfFail: 0.003,
-			DiscardedA: 1, DiscardedB: 2, DiscardedT: 3, AvgAlive: 1999.5, Saturated: true, IgnoredTransitions: 4,
+			LastError: awkward, AgeSeconds: 0.4, SolveDurationSeconds: 0.02, MeanBandwidthKbps: 311.9, Saturated: true,
+			Model: estimator.Model{
+				Window: 12.5, Accepted: 1506, Terminated: 753, Failed: 6, Ignored: 4,
+				Lambda: 120.5, Mu: 60.25, Gamma: 0.5, Delta: 0.49, Pf: 0.01, Ps: 0.2, PfFail: 0.003,
+				DiscardedA: 1, DiscardedB: 2, DiscardedT: 3, AvgAlive: 1999.5,
+				BirthDist: []float64{0, 0.1, 0.2, 0, 0, 0, 0, 0.3, 0.4},
+			},
 		},
 		Replica: &server.ReplicaStats{
 			Role: "primary", Term: 3, Promotions: 2, PrimaryURL: "http://127.0.0.1:18084/?a=1&b=<2>",
@@ -79,10 +84,12 @@ func apiAnswers() map[string]any {
 	pi := []float64{0.1, 0.2, 0.3, 0.25, 0.15}
 	fc := &forecast.Forecast{
 		Seq: 9, SolvedAt: time.Date(2026, 10, 15, 12, 0, 0, 123456789, time.UTC), SolveDurationSeconds: 0.01,
-		WindowSeconds: 60, States: 5, MinKbps: 100, MaxKbps: 500, IncrementKbps: 100,
-		Pi: pi, BirthDist: []float64{1, 0, 0, 0, 0}, MeanBandwidthKbps: 290,
-		Lambda: 1, Mu: 2, Gamma: 3, Delta: 4, Pf: 0.5, Ps: 0.25, PfFail: 0.125,
-		AvgAlive: 10, AvgHops: 3.5, Accepted: 10, Rejected: 2, Terminated: 3,
+		States: 5, MinKbps: 100, MaxKbps: 500, IncrementKbps: 100, Pi: pi, MeanBandwidthKbps: 290,
+		Model: estimator.Model{
+			Window: 60, Accepted: 10, Terminated: 3, Lambda: 1, Mu: 2, Gamma: 3, Delta: 4, Pf: 0.5, Ps: 0.25, PfFail: 0.125,
+			AvgAlive: 10, BirthDist: []float64{1, 0, 0, 0, 0},
+		},
+		AvgHops: 3.5, Rejected: 2,
 		Headroom: 0.45, Saturated: true, Stale: true, LastError: awkward, Solves: 9, SolveErrors: 1,
 	}
 	cross, first := -1, 0

@@ -130,7 +130,7 @@ func writeMetrics(w io.Writer, answer any) {
 		fmt.Fprintf(w, "drqos_forecast_discarded_mass{matrix=\"T\"} %g\n", f.DiscardedT)
 		counter("drqos_forecast_solves_total", "Successful Markov solves.", f.Solves)
 		counter("drqos_forecast_solve_errors_total", "Failed or timed-out Markov solves (stale fallback served).", f.SolveErrors)
-		counter("drqos_forecast_ignored_transitions_total", "Observed transitions outside the modeled state grid.", f.IgnoredTransitions)
+		counter("drqos_forecast_ignored_transitions_total", "Observed transitions outside the modeled state grid.", f.Ignored)
 	}
 
 	if r := st.Replica; r != nil {

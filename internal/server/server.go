@@ -359,12 +359,8 @@ func NewFromManager(g *topology.Graph, mgr *manager.Manager, opt Options) (*Serv
 		if fcfg.Predictive {
 			fcfg.OnPredict = func(saturated bool) { s.detector.SetPredicted(saturated) }
 		}
-		fc, err := forecast.New(fcfg)
-		if err != nil {
-			return nil, err
-		}
-		s.fc = fc
-		fc.Start()
+		s.fc = forecast.New(fcfg)
+		s.fc.Start()
 	}
 	go s.loop()
 	return s, nil

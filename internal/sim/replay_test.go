@@ -101,9 +101,9 @@ func TestSimJournalReplays(t *testing.T) {
 	}
 	measured := func(rate float64) int64 { return int64(math.Round(rate * res.Duration)) }
 	if established != res.Established || rejected != res.Rejected ||
-		terminated != measured(res.EffectiveMu) || failures != measured(res.EffectiveGamma) {
+		terminated != measured(res.Model.Mu) || failures != measured(res.Model.Gamma) {
 		t.Fatalf("snapshot + tail hold %d/%d established/rejected and the tail %d/%d terminated/failures; the run counted %d/%d and measured %d/%d",
 			established, rejected, terminated, failures,
-			res.Established, res.Rejected, measured(res.EffectiveMu), measured(res.EffectiveGamma))
+			res.Established, res.Rejected, measured(res.Model.Mu), measured(res.Model.Gamma))
 	}
 }

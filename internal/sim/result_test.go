@@ -20,38 +20,38 @@ func TestResultNewFields(t *testing.T) {
 	}
 	// Birth distribution is a distribution.
 	var sum float64
-	for _, p := range res.BirthDist {
+	for _, p := range res.Model.BirthDist {
 		if p < 0 || p > 1 {
-			t.Fatalf("birth dist %v", res.BirthDist)
+			t.Fatalf("birth dist %v", res.Model.BirthDist)
 		}
 		sum += p
 	}
 	if math.Abs(sum-1) > 1e-9 {
 		t.Fatalf("birth dist sums to %v", sum)
 	}
-	if res.AvgAlive <= 0 {
-		t.Fatalf("avg alive %v", res.AvgAlive)
+	if res.Model.AvgAlive <= 0 {
+		t.Fatalf("avg alive %v", res.Model.AvgAlive)
 	}
 	// Effective rates are positive and near the configured ones at light
 	// load (few rejections).
-	if res.EffectiveLambda <= 0 || res.EffectiveMu <= 0 {
-		t.Fatalf("effective rates %v/%v", res.EffectiveLambda, res.EffectiveMu)
+	if res.Model.Lambda <= 0 || res.Model.Mu <= 0 {
+		t.Fatalf("effective rates %v/%v", res.Model.Lambda, res.Model.Mu)
 	}
-	if res.EffectiveLambda > 3*cfg.Lambda || res.EffectiveLambda < cfg.Lambda/3 {
-		t.Fatalf("effective lambda %v far from configured %v", res.EffectiveLambda, cfg.Lambda)
+	if res.Model.Lambda > 3*cfg.Lambda || res.Model.Lambda < cfg.Lambda/3 {
+		t.Fatalf("effective lambda %v far from configured %v", res.Model.Lambda, cfg.Lambda)
 	}
-	if res.EffectiveGamma != 0 {
-		t.Fatalf("effective gamma %v with no failures", res.EffectiveGamma)
+	if res.Model.Gamma != 0 {
+		t.Fatalf("effective gamma %v with no failures", res.Model.Gamma)
 	}
 	// General terms build a solvable chain.
-	if len(res.GeneralTerms) != 4 {
-		t.Fatalf("terms = %d", len(res.GeneralTerms))
+	if len(res.Model.GeneralTerms()) != 4 {
+		t.Fatalf("terms = %d", len(res.Model.GeneralTerms()))
 	}
-	chain, err := markov.BuildGeneral(cfg.Spec.States(), res.GeneralTerms)
+	chain, err := markov.BuildGeneral(cfg.Spec.States(), res.Model.GeneralTerms())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := chain.SteadyStateFrom(res.BirthDist); err != nil {
+	if _, err := chain.SteadyStateFrom(res.Model.BirthDist); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -76,16 +76,16 @@ func TestLightLoadOccupancyMatchesModel(t *testing.T) {
 	if res.EmpiricalPi[top] < 0.5 {
 		t.Fatalf("light load should concentrate at Bmax: %v", res.EmpiricalPi)
 	}
-	chain, err := markov.Build(res.Params)
+	chain, err := markov.Build(res.Model.Params())
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta := res.EffectiveMu / res.AvgAlive
-	rchain, err := chain.WithRestart(res.BirthDist, delta)
+	delta := res.Model.Mu / res.Model.AvgAlive
+	rchain, err := chain.WithRestart(res.Model.BirthDist, delta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := rchain.SteadyStateFrom(res.BirthDist)
+	pi, err := rchain.SteadyStateFrom(res.Model.BirthDist)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +117,8 @@ func TestRepairsHappen(t *testing.T) {
 	if res.Repairs == 0 {
 		t.Fatal("no repairs despite repair rate")
 	}
-	if res.EffectiveGamma <= 0 {
-		t.Fatalf("effective gamma %v", res.EffectiveGamma)
+	if res.Model.Gamma <= 0 {
+		t.Fatalf("effective gamma %v", res.Model.Gamma)
 	}
 }
 

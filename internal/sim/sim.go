@@ -7,7 +7,6 @@ import (
 	"drqos/internal/estimator"
 	"drqos/internal/journal"
 	"drqos/internal/manager"
-	"drqos/internal/markov"
 	"drqos/internal/qos"
 	"drqos/internal/rng"
 	"drqos/internal/stats"
@@ -97,26 +96,11 @@ type Result struct {
 	// EmpiricalPi is the time-weighted occupancy of each bandwidth state —
 	// directly comparable with the Markov chain's stationary distribution.
 	EmpiricalPi []float64
-	// Params are the measured model parameters ready for markov.Build,
-	// with rates set to the EFFECTIVE event rates observed during the
-	// measured phase (see EffectiveLambda): rejected arrivals perturb no
-	// existing channel, so the chain must be driven by the accepted rate.
-	Params markov.Params
-	// GeneralTerms feeds markov.BuildGeneral: the extended model keeping
-	// the jump directions the paper's structure discards.
-	GeneralTerms []markov.Term
-	// EffectiveLambda/Mu/Gamma are the measured event rates (accepted
-	// arrivals, terminations, failures per unit time) during measurement.
-	EffectiveLambda, EffectiveMu, EffectiveGamma float64
-	// BirthDist is the distribution of post-establishment bandwidth levels
-	// of newly accepted channels — the β of markov.Chain.WithRestart.
-	BirthDist []float64
-	// AvgAlive is the time-weighted average population during measurement;
-	// the per-channel death rate is EffectiveMu / AvgAlive.
-	AvgAlive float64
-	// DiscardedA/B/T is the fraction of observed jumps pointing in the
-	// direction the §3.2 model omits (diagnostics; small is good).
-	DiscardedA, DiscardedB, DiscardedT float64
+	// Model is the measured window's model, with rates per unit of
+	// simulated time and N̄ the time-weighted population. It is nil when
+	// the window holds no accepted arrival, and NoModel says why.
+	Model   *estimator.Model
+	NoModel string
 	// Offered/Established/Rejected/Terminated/Dropped are event counts over
 	// the whole run (loading + churn).
 	Offered, Established, Rejected, Terminated, Dropped int64
@@ -404,40 +388,11 @@ func (s *Sim) Run() (*Result, error) {
 	}
 	res.AliveAtEnd = s.mgr.AliveCount()
 	res.Duration = s.clock - measureStart
-	// Effective rates: the chain is driven by events that actually touch
-	// existing channels. Rejected arrivals reserve nothing and squeeze
-	// nobody, so at high load the accepted rate is well below the offered
-	// λ. With zero duration (degenerate configs) fall back to configured
-	// rates.
-	res.EffectiveLambda, res.EffectiveMu, res.EffectiveGamma = s.cfg.Lambda, s.cfg.Mu, s.cfg.Gamma
-	if res.Duration > 0 {
-		accepted, terminated, failed := s.est.Counts()
-		res.EffectiveLambda = float64(accepted) / res.Duration
-		res.EffectiveMu = float64(terminated) / res.Duration
-		res.EffectiveGamma = float64(failed) / res.Duration
+	md, err := s.est.Model(res.Duration, s.alive.Mean())
+	if res.Model = md; err != nil {
+		res.NoModel = err.Error()
 	}
-	res.AvgAlive = s.alive.Mean()
 	res.UnprotectedFrac = s.unprot.Mean()
-	if res.BirthDist = s.est.BirthDist(); res.BirthDist == nil {
-		// No accepted arrival during measurement: fall back to the final
-		// empirical occupancy (or the minimum level on a cold start).
-		res.BirthDist = make([]float64, len(res.EmpiricalPi))
-		copy(res.BirthDist, res.EmpiricalPi)
-		var sum float64
-		for _, v := range res.BirthDist {
-			sum += v
-		}
-		if sum == 0 {
-			res.BirthDist[0] = 1
-		} else {
-			for i := range res.BirthDist {
-				res.BirthDist[i] /= sum
-			}
-		}
-	}
-	res.Params = s.est.Params(res.EffectiveLambda, res.EffectiveMu, res.EffectiveGamma)
-	res.GeneralTerms = s.est.GeneralTerms(res.EffectiveLambda, res.EffectiveMu, res.EffectiveGamma)
-	res.DiscardedA, res.DiscardedB, res.DiscardedT = s.est.Discarded()
 
 	var hops, conns float64
 	for _, id := range s.mgr.AliveIDs() {

@@ -137,7 +137,7 @@ func TestRunDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r1.AvgBandwidth != r2.AvgBandwidth || r1.Established != r2.Established ||
-		r1.Params.Pf != r2.Params.Pf || r1.AliveAtEnd != r2.AliveAtEnd {
+		r1.Model.Pf != r2.Model.Pf || r1.AliveAtEnd != r2.AliveAtEnd {
 		t.Fatalf("nondeterministic: %+v vs %+v", r1, r2)
 	}
 }
@@ -156,7 +156,7 @@ func TestRunSeedsDiffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.AvgBandwidth == r2.AvgBandwidth && r1.Params.Pf == r2.Params.Pf {
+	if r1.AvgBandwidth == r2.AvgBandwidth && r1.Model.Pf == r2.Model.Pf {
 		t.Fatal("different seeds produced identical trajectories")
 	}
 }
@@ -175,7 +175,7 @@ func TestMeasuredParamsAreSane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := res.Params
+	p := res.Model.Params()
 	if p.Pf <= 0 || p.Pf >= 1 {
 		t.Fatalf("Pf = %v", p.Pf)
 	}
@@ -190,7 +190,7 @@ func TestMeasuredParamsAreSane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, mean, err := markov.Solve(chain, res.BirthDist, 0, cfg.Spec)
+	_, mean, err := markov.Solve(chain, res.Model.BirthDist, 0, cfg.Spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +220,11 @@ func TestAnalyticTracksSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain, err := markov.Build(res.Params)
+	chain, err := markov.Build(res.Model.Params())
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, analytic, err := markov.Solve(chain, res.BirthDist, 0, cfg.Spec)
+	_, analytic, err := markov.Solve(chain, res.Model.BirthDist, 0, cfg.Spec)
 	if err != nil {
 		t.Fatal(err)
 	}
