@@ -186,7 +186,7 @@ func (w *world) recovered(n *node, rec *journal.Recovered) error {
 // exactly the acknowledged prefix (recovered, via boot). A Pair's ex-primary
 // comes back as a follower: it must refuse to originate mutations, and the
 // oracle then waits for it to converge on the new primary. A Sharded plane
-// restarts whole — boot reconciliation resolves what the kill left in
+// restarts whole — boot decides and delivers what the kill left in
 // flight — and must admit cross-shard traffic again.
 func (w *world) restart() error {
 	ctx := context.Background()

@@ -11,8 +11,8 @@ import (
 // stays above a target for a full interval without a single good sample.
 type DetectorConfig struct {
 	// Target is the acceptable standing queueing delay. Delays below it are
-	// "good" samples and clear any pending episode. Zero selects the
-	// default (100ms); negative disables the detector entirely.
+	// "good" samples and clear any pending episode. Zero or negative
+	// selects the default (100ms).
 	Target time.Duration
 	// Interval is how long delay must stay above Target, with no good
 	// sample, before the overloaded state latches (default 1s).
@@ -20,7 +20,7 @@ type DetectorConfig struct {
 }
 
 func (c DetectorConfig) withDefaults() DetectorConfig {
-	if c.Target == 0 {
+	if c.Target <= 0 {
 		c.Target = 100 * time.Millisecond
 	}
 	if c.Interval <= 0 {
@@ -60,21 +60,12 @@ func NewDetector(cfg DetectorConfig, nowFn func() time.Time) *Detector {
 	if nowFn == nil {
 		nowFn = time.Now
 	}
-	if cfg.Target >= 0 {
-		cfg = cfg.withDefaults()
-	}
-	return &Detector{cfg: cfg, now: nowFn}
+	return &Detector{cfg: cfg.withDefaults(), now: nowFn}
 }
-
-// Disabled reports whether the detector is configured off (Target < 0).
-func (d *Detector) Disabled() bool { return d.cfg.Target < 0 }
 
 // Observe feeds one queueing-delay sample and returns the overloaded state
 // plus whether this sample flipped it.
 func (d *Detector) Observe(delay time.Duration) (overloaded, changed bool) {
-	if d.Disabled() {
-		return false, false
-	}
 	now := d.now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -108,11 +99,6 @@ func (d *Detector) Observe(delay time.Duration) (overloaded, changed bool) {
 func (d *Detector) Overloaded(queueDepth int) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.Disabled() {
-		// Target < 0 turns the reactive detector off; the predictive latch
-		// is a separate, explicitly-enabled mechanism and still counts.
-		return d.predicted
-	}
 	if d.overloaded && queueDepth == 0 && d.now().Sub(d.lastObserve) >= d.cfg.Interval {
 		d.overloaded = false
 		d.firstAbove = time.Time{}
@@ -165,13 +151,5 @@ func (d *Detector) ForceForTesting(overloaded bool) {
 // RetryAfter is the hint handed to shed clients: one interval, rounded up
 // to a whole second (the Retry-After header carries integer seconds).
 func (d *Detector) RetryAfter() time.Duration {
-	iv := d.cfg.Interval
-	if iv <= 0 {
-		iv = time.Second
-	}
-	secs := (iv + time.Second - 1) / time.Second
-	if secs < 1 {
-		secs = 1
-	}
-	return secs * time.Second
+	return (d.cfg.Interval + time.Second - 1) / time.Second * time.Second
 }

@@ -202,9 +202,8 @@ func TestDetectorIdleSelfClear(t *testing.T) {
 	}
 }
 
-// TestDetectorForceAndDisabled covers the forced latch and the
-// Target<0 kill switch.
-func TestDetectorForceAndDisabled(t *testing.T) {
+// TestDetectorForce covers the forced latch and the Retry-After hint.
+func TestDetectorForce(t *testing.T) {
 	c := newFakeClock()
 	d := NewDetector(DetectorConfig{Target: 10 * time.Millisecond, Interval: 100 * time.Millisecond}, c.now)
 	d.ForceForTesting(true)
@@ -220,16 +219,5 @@ func TestDetectorForceAndDisabled(t *testing.T) {
 	}
 	if got := d.RetryAfter(); got != time.Second {
 		t.Fatalf("RetryAfter = %v, want 1s (interval rounded up)", got)
-	}
-
-	off := NewDetector(DetectorConfig{Target: -1}, c.now)
-	for i := 0; i < 100; i++ {
-		if over, _ := off.Observe(time.Hour); over {
-			t.Fatal("disabled detector latched")
-		}
-		c.advance(time.Second)
-	}
-	if off.Overloaded(100) {
-		t.Fatal("disabled detector reports overloaded")
 	}
 }

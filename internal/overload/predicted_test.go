@@ -90,19 +90,21 @@ func TestDetectorPredictedWithReactive(t *testing.T) {
 	}
 }
 
-// TestDetectorPredictedWhileDisabled: Target < 0 turns the reactive
-// detector off, but the explicitly-driven predictive latch still counts.
-func TestDetectorPredictedWhileDisabled(t *testing.T) {
-	d := NewDetector(DetectorConfig{Target: -1}, nil)
-	if !d.Disabled() {
-		t.Fatal("negative target must disable the reactive detector")
-	}
+// TestDetectorPredictedWithoutDelay: the predictive latch alone makes a
+// detector overloaded — one whose queue delay never went above target —
+// and below-target samples, which clear the reactive latch, leave it set.
+func TestDetectorPredictedWithoutDelay(t *testing.T) {
+	d := NewDetector(DetectorConfig{}, nil)
+	d.Observe(time.Millisecond)
 	if d.Overloaded(100) {
-		t.Fatal("disabled detector without predictive input must report healthy")
+		t.Fatal("a detector without above-target delay or predictive input must report healthy")
 	}
 	d.SetPredicted(true)
+	if over, _ := d.Observe(time.Millisecond); over {
+		t.Fatal("a below-target sample latched the reactive detector")
+	}
 	if !d.Overloaded(100) {
-		t.Fatal("predictive latch must count even with the reactive detector disabled")
+		t.Fatal("predictive latch must count without any above-target delay")
 	}
 	d.SetPredicted(false)
 	if d.Overloaded(100) {

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 
+	"drqos/internal/journal"
 	"drqos/internal/manager"
 	"drqos/internal/topology"
 )
@@ -51,3 +52,6 @@ func (s *Server) PublishEpoch(ctx context.Context) error {
 		return nil
 	})
 }
+
+// AbortEvents is the journaled trace of aborting txn (abortEvents).
+func (t *TxnTable) AbortEvents(txn uint64) []journal.Event { return t.abortEvents(txn) }

@@ -153,7 +153,7 @@ type Options struct {
 	QueueDepth int
 	// Overload tunes the sustained-queue-delay detector that latches the
 	// overloaded state. Zero selects the defaults (100ms target, 1s
-	// interval); Target < 0 disables detection entirely.
+	// interval).
 	Overload overload.DetectorConfig
 	// ExecDelay adds an artificial pause before each executed command.
 	// Zero in production (no flag sets it); overload tests and the chaos

@@ -1,10 +1,9 @@
 // The state machine behind the write path. A DR-connection's reservation
 // moves only on journaled events, and every way an event reaches a manager —
 // a live command (pipeline.go), journal replay at boot or recovery
-// (Rebuild), a follower applying its primary's stream
-// (ApplyReplicated), the shard coordinator's boot reconciliation — goes
-// through apply below, which hands the paper's four events to the manager's
-// own transition (manager.Apply) and adds the two-phase-commit and
+// (Rebuild), a follower applying its primary's stream (ApplyReplicated) —
+// goes through apply below, which hands the paper's four events to the
+// manager's own transition (manager.Apply) and adds the two-phase-commit and
 // replication kinds. "Replaying the event stream reproduces the state"
 // therefore holds by construction: there is no second implementation of any
 // transition for the paths to disagree on.
@@ -67,13 +66,12 @@ func apply(m *manager.Manager, txns *TxnTable, ev journal.Event) (manager.Outcom
 	return out, nil
 }
 
-// Replay applies one event that is already part of a journaled history:
-// boot and recovery replay, a follower's stream, the shard coordinator's
-// reconciliation records. Deterministic refusals (admission rejection,
-// invalid spec) are tolerated — they happened identically in the original
-// run and bumped the same counters. Everything else must succeed: events
-// are validated before they are journaled, so any other error means the
-// journal and the state machine disagree.
+// Replay applies one event that is already part of a journaled history: boot
+// and recovery replay, a follower's stream. Deterministic refusals
+// (admission rejection, invalid spec) are tolerated — they happened
+// identically in the original run and bumped the same counters. Everything
+// else must succeed: events are validated before they are journaled, so any
+// other error means the journal and the state machine disagree.
 func Replay(m *manager.Manager, txns *TxnTable, ev journal.Event) error {
 	_, err := apply(m, txns, ev)
 	if err != nil && !errors.Is(err, manager.ErrRejected) && !errors.Is(err, qos.ErrInvalidSpec) {

@@ -4,10 +4,10 @@
 // PrepareTxn (pin the local sub-path as a rigid fixed connection) and then
 // CommitTxn (finalize) or AbortTxn (terminate the pinned connections).
 // Each phase rides the same write path as every other mutation (DESIGN.md
-// "Write path"), so replay reproduces the shard's exact acknowledged state,
-// and the coordinator's boot-time reconciliation resolves transactions a
-// crash left in flight (commit anywhere → re-commit; committed nowhere →
-// abort).
+// "Write path"), so replay reproduces the shard's exact acknowledged state.
+// The coordinator delivers the outcome of transactions a crash left in
+// flight through these same phase calls once the shards are up (committed
+// anywhere → commit; committed nowhere → abort).
 package server
 
 import (
@@ -155,11 +155,11 @@ func (t *TxnTable) HighWater() uint64 { return t.high }
 // pending reports whether any transaction awaits its commit or abort.
 func (t *TxnTable) pending() bool { return len(t.pinned) > 0 }
 
-// AbortEvents is the journaled trace of aborting txn: one terminate per
+// abortEvents is the journaled trace of aborting txn: one terminate per
 // connection it still pins (the rest were already dropped by link
 // failures). Applying them drops the transaction. Empty for an unknown or
 // committed transaction.
-func (t *TxnTable) AbortEvents(txn uint64) []journal.Event {
+func (t *TxnTable) abortEvents(txn uint64) []journal.Event {
 	tx := t.byID[txn]
 	if tx == nil {
 		return nil
@@ -240,7 +240,7 @@ func (s *Server) AbortTxn(ctx context.Context, txn uint64) error {
 		if tx := s.txns.byID[txn]; tx != nil && tx.Committed {
 			return nil, manager.Outcome{}, fmt.Errorf("%w: txn %d already committed", ErrConflict, txn)
 		}
-		return s.txns.AbortEvents(txn), manager.Outcome{}, nil
+		return s.txns.abortEvents(txn), manager.Outcome{}, nil
 	}})
 	return err
 }

@@ -5,10 +5,12 @@
 // contiguous same-owner run of the global path, then CommitTxn everywhere
 // (or AbortTxn everywhere on any refusal). Each shard journals its own
 // phases, so a crash mid-transaction leaves a prepare trail the next boot
-// reconciles: a transaction committed on ANY shard is re-committed on the
-// rest (the coordinator only starts committing after every prepare is
-// durable), and a transaction committed NOWHERE is aborted (presumed
-// abort — the coordinator never acknowledged it).
+// decides: a transaction committed on ANY shard is committed on the rest
+// (the coordinator only starts committing after every prepare is durable),
+// and a transaction committed NOWHERE is aborted (presumed abort). Every
+// decided outcome — the establish's own, a partitioned participant's
+// leftover, a boot decision — reaches its participants through one
+// function, deliver.
 package shard
 
 import (
@@ -116,22 +118,21 @@ type Coordinator struct {
 	shards []*server.Server
 	jnls   []*journal.Journal // nil entries when Dir is empty
 
-	// mu guards the cross-connection index, the failed-link view, the
-	// transaction counter, the pending-resolution queue, the abort-reason
-	// tallies, the retry jitter source and the global route search's
-	// scratch. Shard calls are made outside it whenever possible; 2PC
-	// holds it only to mutate the index.
+	// mu guards the cross-connection index, the transaction counter, the
+	// pending-resolution queue, the abort-reason tallies, the retry jitter
+	// source and the global route search's scratch. Shard calls are made
+	// outside it; 2PC holds it only to mutate the index and the queue.
+	// Failed links are not kept here: the owning shard's epoch view holds
+	// them (failedLinks).
 	mu      sync.Mutex
 	nextTxn uint64
 	cross   map[uint64]*crossConn
-	failed  map[topology.LinkID]bool
 	route   routing.RouteScratch
 	// pending holds transactions whose outcome is decided but not yet
-	// acknowledged by every participant (a commit or abort call failed —
-	// typically a partitioned shard). The background resolver and
-	// ResolvePending retry them until the participants answer; boot
-	// reconciliation covers the same ground after a crash.
-	pending      map[uint64]*pendingTxn
+	// acknowledged by every participant it owes (deliver). What a delivery
+	// leaves — typically a partitioned shard — the background resolver and
+	// ResolvePending retry until the participants answer.
+	pending      map[uint64]pendingTxn
 	abortReasons map[string]int64
 	jitter       *rng.Source
 
@@ -151,11 +152,11 @@ type Coordinator struct {
 }
 
 // pendingTxn is one decided-but-unacknowledged transaction: committed
-// tells the resolver which phase to replay, shards which participants
-// still owe an acknowledgment.
+// tells deliver which phase to send, owe (a bitmask of shard indices, like
+// a prepare's peers) which participants still owe an acknowledgment.
 type pendingTxn struct {
 	committed bool
-	shards    map[int]bool
+	owe       uint32
 }
 
 // EstablishResult is the coordinator-level answer to an establish: the
@@ -177,9 +178,9 @@ type EstablishResult struct {
 	Hops int
 }
 
-// New builds the plan, opens each shard's journal, rebuilds each shard's
-// state, reconciles transactions a crash left in flight, and starts the
-// per-shard servers.
+// New builds the plan, opens each shard's journal, rebuilds and starts
+// each shard's server, and delivers the outcome of every transaction a
+// crash left in flight before it returns (recoverTxns).
 func New(g *topology.Graph, opt Options) (*Coordinator, error) {
 	plan, err := BuildPlan(g, opt.Shards)
 	if err != nil {
@@ -195,85 +196,29 @@ func New(g *topology.Graph, opt Options) (*Coordinator, error) {
 		g:            g,
 		plan:         plan,
 		opt:          opt,
+		shards:       make([]*server.Server, opt.Shards),
 		jnls:         make([]*journal.Journal, opt.Shards),
 		nextTxn:      1,
 		cross:        make(map[uint64]*crossConn),
-		failed:       make(map[topology.LinkID]bool),
-		pending:      make(map[uint64]*pendingTxn),
+		pending:      make(map[uint64]pendingTxn),
 		abortReasons: make(map[string]int64),
 		jitter:       rng.New(0xda3e39cb94b95bdb),
 		suspect:      make([]atomic.Int64, opt.Shards),
 		resolverStop: make(chan struct{}),
 		resolverDone: make(chan struct{}),
 	}
-
-	mgrs := make([]*manager.Manager, opt.Shards)
-	tables := make([]*server.TxnTable, opt.Shards)
 	for i := 0; i < opt.Shards; i++ {
-		sub := plan.Subs[i]
-		var rec *journal.Recovered
-		if opt.Dir != "" {
-			jnl, r, err := journal.Open(filepath.Join(opt.Dir, fmt.Sprintf("shard-%03d", i)), opt.Journal)
-			if err != nil {
-				c.closeJournals()
-				return nil, fmt.Errorf("shard %d: %w", i, err)
-			}
-			c.jnls[i] = jnl
-			rec = r
-		} else {
-			rec = &journal.Recovered{}
-		}
-		m, txns, err := server.Rebuild(sub.Graph, opt.Manager, rec)
-		if err != nil {
-			c.closeJournals()
-			return nil, fmt.Errorf("shard %d: rebuild: %w", i, err)
-		}
-		mgrs[i] = m
-		tables[i] = txns
-		// Cross-shard counters ride the shard snapshot headers; a restart
-		// seeds each from the newest view any shard captured (per-counter
-		// max — shards snapshot at different times, so each header is a
-		// valid lower bound).
-		if h := rec.SnapshotHeader; h != nil {
-			if h.CrossAttempts > c.crossAttempts.Load() {
-				c.crossAttempts.Store(h.CrossAttempts)
-			}
-			if h.CrossCommitted > c.crossCommitted.Load() {
-				c.crossCommitted.Store(h.CrossCommitted)
-			}
-			if h.CrossAborted > c.crossAborted.Load() {
-				c.crossAborted.Store(h.CrossAborted)
-			}
-		}
-	}
-
-	if err := c.reconcile(mgrs, tables); err != nil {
-		c.closeJournals()
-		return nil, err
-	}
-	c.rebuildIndex(mgrs, tables)
-
-	c.shards = make([]*server.Server, opt.Shards)
-	for i := 0; i < opt.Shards; i++ {
-		so := opt.Server
-		so.Journal = c.jnls[i]
-		so.Txns = tables[i]
-		// Every shard snapshot stamps the coordinator's current cross-shard
-		// counters into its header, making them restart-durable.
-		so.AnnotateSnapshot = func(hdr *journal.SnapshotHeader) {
-			hdr.CrossAttempts = c.crossAttempts.Load()
-			hdr.CrossCommitted = c.crossCommitted.Load()
-			hdr.CrossAborted = c.crossAborted.Load()
-		}
-		srv, err := server.NewFromManager(plan.Subs[i].Graph, mgrs[i], so)
-		if err != nil {
-			for j := 0; j < i; j++ {
-				_ = c.shards[j].Shutdown(context.Background())
-			}
-			c.closeJournals()
+		if err := c.startShard(i); err != nil {
+			_ = c.close(context.Background())
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		c.shards[i] = srv
+	}
+	// A plane whose shards never saw a transaction has none to recover.
+	if c.nextTxn > 1 {
+		if err := c.recoverTxns(context.Background()); err != nil {
+			_ = c.close(context.Background())
+			return nil, err
+		}
 	}
 	go c.resolveLoop()
 	return c, nil
@@ -291,81 +236,98 @@ func (c *Coordinator) resolveLoop() {
 		case <-c.resolverStop:
 			return
 		case <-tick.C:
-			c.mu.Lock()
-			n := len(c.pending)
-			c.mu.Unlock()
-			if n > 0 {
-				c.ResolvePending(context.Background())
-			}
+			c.ResolvePending(context.Background())
 		}
 	}
 }
 
-func (c *Coordinator) closeJournals() {
-	for _, j := range c.jnls {
-		if j != nil {
-			_ = j.Close()
+// startShard opens shard i's journal, rebuilds its state and starts its
+// server.
+func (c *Coordinator) startShard(i int) error {
+	rec := &journal.Recovered{}
+	if c.opt.Dir != "" {
+		jnl, r, err := journal.Open(filepath.Join(c.opt.Dir, fmt.Sprintf("shard-%03d", i)), c.opt.Journal)
+		if err != nil {
+			return err
 		}
+		c.jnls[i], rec = jnl, r
 	}
+	sub := c.plan.Subs[i]
+	m, txns, err := server.Rebuild(sub.Graph, c.opt.Manager, rec)
+	if err != nil {
+		return fmt.Errorf("rebuild: %w", err)
+	}
+	c.nextTxn = max(c.nextTxn, txns.HighWater()+1)
+	// Cross-shard counters ride the shard snapshot headers; a restart
+	// seeds each from the newest view any shard captured (per-counter
+	// max — shards snapshot at different times, so each header is a
+	// valid lower bound).
+	if h := rec.SnapshotHeader; h != nil {
+		c.crossAttempts.Store(max(c.crossAttempts.Load(), h.CrossAttempts))
+		c.crossCommitted.Store(max(c.crossCommitted.Load(), h.CrossCommitted))
+		c.crossAborted.Store(max(c.crossAborted.Load(), h.CrossAborted))
+	}
+	so := c.opt.Server
+	so.Journal = c.jnls[i]
+	so.Txns = txns
+	// Every shard snapshot stamps the coordinator's current cross-shard
+	// counters into its header, making them restart-durable.
+	so.AnnotateSnapshot = func(hdr *journal.SnapshotHeader) {
+		hdr.CrossAttempts = c.crossAttempts.Load()
+		hdr.CrossCommitted = c.crossCommitted.Load()
+		hdr.CrossAborted = c.crossAborted.Load()
+	}
+	c.shards[i], err = server.NewFromManager(sub.Graph, m, so)
+	return err
 }
 
-// reconcile resolves transactions a crash left in flight, before the
-// servers start (raw managers and journals, no concurrency). The rule is
-// the classic presumed-abort coordinator recovery: the coordinator only
-// starts committing once every participant's prepare is durable, so a
-// commit record on ANY shard proves the whole transaction was fully
-// prepared — re-commit it on the shards that lost theirs. A transaction
-// committed nowhere was never acknowledged — abort it everywhere. Either
-// way the shard sees the same records, through the same transition
-// function, as if its live server had run the phase.
-func (c *Coordinator) reconcile(mgrs []*manager.Manager, tables []*server.TxnTable) error {
-	infos := make([][]server.TxnInfo, len(tables))
+// recoverTxns decides every transaction a crash left in flight, delivers
+// the decisions, and indexes the committed cross-shard connections. The
+// rule is the classic presumed-abort coordinator recovery: the coordinator
+// only starts committing once every participant's prepare is durable, so a
+// commit on ANY shard proves the whole transaction was prepared — commit it
+// on the shards that still hold it uncommitted. A transaction committed
+// nowhere is aborted wherever it is held. Boot fails if a decision cannot
+// be delivered.
+func (c *Coordinator) recoverTxns(ctx context.Context) error {
+	tables := make([][]server.TxnInfo, len(c.shards))
 	committed := make(map[uint64]bool)
-	for i, t := range tables {
-		infos[i] = t.Infos(mgrs[i])
-		for _, tx := range infos[i] {
+	for i, s := range c.shards {
+		infos, err := s.Txns(ctx)
+		if err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+		tables[i] = infos
+		for _, tx := range infos {
 			if tx.Committed {
 				committed[tx.Txn] = true
 			}
 		}
-		if h := t.HighWater(); h >= c.nextTxn {
-			c.nextTxn = h + 1
-		}
 	}
-	for i, t := range tables {
-		// Infos is in transaction order, which keeps the reconciliation
-		// journal trail reproducible across boots of the same directory.
-		for _, tx := range infos[i] {
+	var txns []uint64
+	for i, infos := range tables {
+		for _, tx := range infos {
 			if tx.Committed {
 				continue
 			}
-			evs := []journal.Event{{Kind: journal.KindCommit, Txn: tx.Txn}}
-			if !committed[tx.Txn] {
-				evs = t.AbortEvents(tx.Txn)
+			p, seen := c.pending[tx.Txn]
+			if !seen {
+				txns = append(txns, tx.Txn)
 			}
-			for _, ev := range evs {
-				if c.jnls[i] != nil {
-					if _, err := c.jnls[i].Append(ev); err != nil {
-						return fmt.Errorf("shard %d: reconcile txn %d: %w", i, tx.Txn, err)
-					}
-				}
-				if err := server.Replay(mgrs[i], t, ev); err != nil {
-					return fmt.Errorf("shard %d: reconcile txn %d: %w", i, tx.Txn, err)
-				}
-			}
+			c.pending[tx.Txn] = pendingTxn{committed: committed[tx.Txn], owe: p.owe | 1<<i}
 		}
 	}
-	return nil
-}
-
-// rebuildIndex reconstructs the coordinator's in-memory views from the
-// reconciled shard states: the cross-connection index from the surviving
-// transactions (local link IDs mapped back to global) and the failed-link
-// set from each shard's owned links.
-func (c *Coordinator) rebuildIndex(mgrs []*manager.Manager, tables []*server.TxnTable) {
-	for i, t := range tables {
+	if _, err := c.deliver(ctx, txns); err != nil {
+		return fmt.Errorf("shard: resolving in-flight transactions: %w", err)
+	}
+	// A commit leaves a transaction's connections as they were; an abort
+	// removes the transaction.
+	for i, infos := range tables {
 		sub := c.plan.Subs[i]
-		for _, tx := range t.Infos(mgrs[i]) {
+		for _, tx := range infos {
+			if !committed[tx.Txn] {
+				continue
+			}
 			for _, cn := range tx.Conns {
 				if !cn.Alive {
 					continue
@@ -381,13 +343,8 @@ func (c *Coordinator) rebuildIndex(mgrs []*manager.Manager, tables []*server.Txn
 				}
 			}
 		}
-		for li, owner := range c.plan.LinkShard {
-			gl := topology.LinkID(li)
-			if owner == i && mgrs[i].Network().Failed(sub.LocalLink[gl]) {
-				c.failed[gl] = true
-			}
-		}
 	}
+	return nil
 }
 
 // SetTestHookAfterPrepare installs (nil removes) a hook that runs after
@@ -522,72 +479,81 @@ func abortReason(err error) string {
 	}
 }
 
-// addPending queues a decided transaction whose listed participants have
-// not acknowledged the outcome yet.
-func (c *Coordinator) addPending(txn uint64, committed bool, shards map[int]bool) {
-	if len(shards) == 0 {
+// ResolvePending delivers the decided outcome of every pending
+// transaction to the participants that still owe it, and returns how many
+// transactions became fully resolved.
+func (c *Coordinator) ResolvePending(ctx context.Context) int {
+	c.mu.Lock()
+	txns := make([]uint64, 0, len(c.pending))
+	for txn := range c.pending {
+		txns = append(txns, txn)
+	}
+	c.mu.Unlock()
+	resolved, _ := c.deliver(ctx, txns)
+	return resolved
+}
+
+// deliver sends the decided outcome of each pending transaction in txns to
+// the participants that still owe it, and answers how many transactions it
+// fully resolved and the first call that failed. It runs in transaction
+// order, then shard order, so the phases land in each participant's
+// journal in the same order on every run. A suspected participant is
+// skipped (the resolver retries it); ErrNotFound and ErrConflict answers
+// count as delivered — the participant never held the transaction, or
+// already holds the outcome. What is not delivered stays pending.
+func (c *Coordinator) deliver(ctx context.Context, txns []uint64) (resolved int, err error) {
+	slices.Sort(txns)
+	for _, txn := range txns {
+		c.mu.Lock()
+		p := c.pending[txn]
+		c.mu.Unlock()
+		phase := "abort"
+		if p.committed {
+			phase = "commit"
+		}
+		for s := range c.shards {
+			bit := uint32(1) << s
+			if p.owe&bit == 0 || c.suspected(s) {
+				continue
+			}
+			cerr := c.invoke(ctx, s, phase, func(ic context.Context) error {
+				if p.committed {
+					return c.shards[s].CommitTxn(ic, txn)
+				}
+				return c.shards[s].AbortTxn(ic, txn)
+			})
+			if cerr != nil && !errors.Is(cerr, server.ErrNotFound) && !errors.Is(cerr, server.ErrConflict) {
+				if err == nil {
+					err = fmt.Errorf("shard %d: %s txn %d: %w", s, phase, txn, cerr)
+				}
+				continue
+			}
+			c.mu.Lock()
+			if cur, ok := c.pending[txn]; ok && cur.owe&bit != 0 {
+				cur.owe &^= bit
+				c.pending[txn] = cur
+				if cur.owe == 0 {
+					delete(c.pending, txn)
+					resolved++
+				}
+			}
+			c.mu.Unlock()
+		}
+	}
+	return resolved, err
+}
+
+// decide records txn's outcome as owed by the participants in owe and
+// delivers it, under a context of its own: the outcome is decided whatever
+// becomes of the establish's caller.
+func (c *Coordinator) decide(txn uint64, committed bool, owe uint32) {
+	if owe == 0 {
 		return
 	}
 	c.mu.Lock()
-	c.pending[txn] = &pendingTxn{committed: committed, shards: shards}
+	c.pending[txn] = pendingTxn{committed: committed, owe: owe}
 	c.mu.Unlock()
-}
-
-// ResolvePending replays the decided outcome of every pending transaction
-// to the participants that have not acknowledged it, and returns how many
-// transactions became fully resolved. Suspected shards are skipped (the
-// next pass retries them); ErrNotFound and ErrConflict answers count as
-// resolved — the participant already holds (or never held) the outcome.
-func (c *Coordinator) ResolvePending(ctx context.Context) int {
-	c.mu.Lock()
-	work := make(map[uint64]pendingTxn, len(c.pending))
-	for txn, p := range c.pending {
-		shards := make(map[int]bool, len(p.shards))
-		for s := range p.shards {
-			shards[s] = true
-		}
-		work[txn] = pendingTxn{committed: p.committed, shards: shards}
-	}
-	c.mu.Unlock()
-
-	// In transaction order, not map order, so the re-sent phases land in
-	// each participant's journal in the same order on every run.
-	txns := make([]uint64, 0, len(work))
-	for txn := range work {
-		txns = append(txns, txn)
-	}
-	slices.Sort(txns)
-	resolved := 0
-	for _, txn := range txns {
-		p := work[txn]
-		for s := range p.shards {
-			if c.suspected(s) {
-				continue
-			}
-			var err error
-			if p.committed {
-				err = c.invoke(ctx, s, "commit", func(ic context.Context) error {
-					return c.shards[s].CommitTxn(ic, txn)
-				})
-			} else {
-				err = c.invoke(ctx, s, "abort", func(ic context.Context) error {
-					return c.shards[s].AbortTxn(ic, txn)
-				})
-			}
-			if err == nil || errors.Is(err, server.ErrNotFound) || errors.Is(err, server.ErrConflict) {
-				c.mu.Lock()
-				if cur := c.pending[txn]; cur != nil {
-					delete(cur.shards, s)
-					if len(cur.shards) == 0 {
-						delete(c.pending, txn)
-						resolved++
-					}
-				}
-				c.mu.Unlock()
-			}
-		}
-	}
-	return resolved
+	c.deliver(context.Background(), []uint64{txn})
 }
 
 // extIntra encodes a shard-local connection as an external ID.
@@ -660,72 +626,37 @@ func (c *Coordinator) establishCross(ctx context.Context, src, dst topology.Node
 	c.nextTxn++
 	c.mu.Unlock()
 
-	// prepared are participants that answered a prepare; ambiguous are
-	// ones whose prepare timed out — they may hold the reservation without
-	// us knowing (delivered request, lost reply), so an abort must reach
-	// them too.
-	prepared := make(map[int]bool)
-	ambiguous := make(map[int]bool)
-	abort := func(reason string) {
-		c.countAbort(reason)
-		unresolved := make(map[int]bool)
-		for s := range prepared {
-			ambiguous[s] = true
-		}
-		for s := range ambiguous {
-			if c.suspected(s) {
-				unresolved[s] = true
-				continue
-			}
-			// AbortTxn is idempotent (unknown txn is a no-op), so reaching
-			// a participant that never saw the prepare is harmless.
-			err := c.invoke(context.Background(), s, "abort", func(ic context.Context) error {
-				return c.shards[s].AbortTxn(ic, txn)
-			})
-			if err != nil && !errors.Is(err, server.ErrNotFound) {
-				unresolved[s] = true
-			}
-		}
-		// Participants we could not reach keep the presumed-abort pending
-		// until the resolver (or next boot's reconciliation) drains them.
-		c.addPending(txn, false, unresolved)
-	}
+	// held are the participants that answered a prepare or whose prepare
+	// timed out: a timed-out one may hold the reservation without us
+	// knowing (delivered request, lost reply), so the abort must reach it
+	// too. AbortTxn of a transaction a shard never saw is a no-op.
+	var held uint32
 	for _, r := range runs {
-		rep, perr := c.prepareRun(ctx, r, txn, peers, rigid)
-		if perr != nil {
-			if errors.Is(perr, context.DeadlineExceeded) {
-				ambiguous[r.shard] = true
-			}
-			abort(abortReason(perr))
-			return nil, perr
+		rep, err := c.prepareRun(ctx, r, txn, peers, rigid)
+		if err == nil || errors.Is(err, context.DeadlineExceeded) {
+			held |= 1 << uint(r.shard)
+		}
+		if err == nil && c.afterPrepare != nil {
+			err = c.afterPrepare(r.shard, txn)
+		}
+		if err != nil {
+			c.countAbort(abortReason(err))
+			c.decide(txn, false, held)
+			return nil, err
 		}
 		r.connID = rep.Conn.ID
-		prepared[r.shard] = true
-		if c.afterPrepare != nil {
-			if herr := c.afterPrepare(r.shard, txn); herr != nil {
-				abort("error")
-				return nil, herr
-			}
-		}
 	}
-	// Every prepare is durable: the transaction commits. Per-shard commit
-	// errors are tolerated — the first commit that lands makes the outcome
-	// durable, and the resolver (or boot reconciliation) re-commits the
-	// stragglers. Count the commit before issuing it so any snapshot a
-	// commit event triggers already carries the final tally.
+	// Every prepare is durable: the transaction commits. The first commit
+	// that lands makes the outcome durable; a participant that does not
+	// acknowledge stays pending for the resolver (or the next boot). Count
+	// the commit before issuing it so any snapshot a commit event triggers
+	// already carries the final tally.
 	c.crossCommitted.Add(1)
-	parts := make([]part, 0, len(runs))
-	uncommitted := make(map[int]bool)
-	for _, r := range runs {
-		err := c.invoke(context.Background(), r.shard, "commit", func(ic context.Context) error {
-			return c.shards[r.shard].CommitTxn(ic, txn)
-		})
-		if err != nil && !errors.Is(err, server.ErrConflict) {
-			uncommitted[r.shard] = true
-		}
-		parts = append(parts, part{shard: r.shard, conn: r.connID})
+	c.decide(txn, true, peers)
+	parts := make([]part, len(runs))
+	for i, r := range runs {
+		parts[i] = part{shard: r.shard, conn: r.connID}
 	}
-	c.addPending(txn, true, uncommitted)
 	cc := &crossConn{links: append([]topology.LinkID(nil), path.Links...), parts: parts}
 	c.mu.Lock()
 	c.cross[txn] = cc
@@ -774,18 +705,35 @@ func splitRuns(p *Plan, path routing.Path) []*run {
 }
 
 // routeGlobal finds a minimum-hop path on the global topology avoiding
-// links the coordinator knows are failed, on the coordinator's one route
-// scratch (under c.mu). ShortestHops visits neighbours in
-// link insertion order, so the same topology and failure set always yield
-// the same path.
+// the failed links, on the coordinator's one route scratch (under c.mu).
+// ShortestHops visits neighbours in link insertion order, so the same
+// topology and failure set always yield the same path.
 func (c *Coordinator) routeGlobal(src, dst topology.NodeID) (routing.Path, error) {
+	var failed []int
+	for i, s := range c.shards {
+		failed = c.failedLinks(failed, i, s.View().FailedLinks)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	path, err := c.route.ShortestHops(c.g, src, dst, func(l topology.LinkID) bool { return !c.failed[l] })
+	path, err := c.route.ShortestHops(c.g, src, dst, func(l topology.LinkID) bool { return !slices.Contains(failed, int(l)) })
 	if err != nil {
 		return routing.Path{}, fmt.Errorf("%w: %d -> %d", ErrNoRoute, src, dst)
 	}
 	return path, nil
+}
+
+// failedLinks appends to dst the global IDs of the links in local (shard
+// i's failed links, as its epoch view lists them) that shard i owns. The
+// owning shard's view is the one record of a link's failure: the shard
+// publishes it after every mutation and every recovery.
+func (c *Coordinator) failedLinks(dst []int, i int, local []int) []int {
+	sub := c.plan.Subs[i]
+	for _, ll := range local {
+		if gl := sub.GlobalLink[ll]; c.plan.LinkShard[gl] == i {
+			dst = append(dst, int(gl))
+		}
+	}
+	return dst
 }
 
 // Terminate releases an external connection ID: a (shard, local) pair for
@@ -872,7 +820,6 @@ func (c *Coordinator) FailLink(ctx context.Context, l topology.LinkID) (*manager
 		return nil, err
 	}
 	c.mu.Lock()
-	c.failed[l] = true
 	torn := make(map[uint64]*crossConn)
 	var txns []uint64
 	for txn, cc := range c.cross {
@@ -931,14 +878,7 @@ func (c *Coordinator) RepairLink(ctx context.Context, l topology.LinkID) (int, e
 		return 0, fmt.Errorf("%w: link %d", server.ErrNotFound, l)
 	}
 	owner := c.plan.LinkShard[l]
-	restored, err := c.shards[owner].RepairLink(ctx, c.plan.Subs[owner].LocalLink[l])
-	if err != nil {
-		return 0, err
-	}
-	c.mu.Lock()
-	delete(c.failed, l)
-	c.mu.Unlock()
-	return restored, nil
+	return c.shards[owner].RepairLink(ctx, c.plan.Subs[owner].LocalLink[l])
 }
 
 // Shutdown stops the background resolver, every shard server, and every
@@ -946,8 +886,17 @@ func (c *Coordinator) RepairLink(ctx context.Context, l topology.LinkID) (int, e
 func (c *Coordinator) Shutdown(ctx context.Context) error {
 	c.resolverOnce.Do(func() { close(c.resolverStop) })
 	<-c.resolverDone
+	return c.close(ctx)
+}
+
+// close shuts down every started shard server, then closes every open
+// journal.
+func (c *Coordinator) close(ctx context.Context) error {
 	var first error
 	for _, s := range c.shards {
+		if s == nil {
+			continue
+		}
 		if err := s.Shutdown(ctx); err != nil && first == nil {
 			first = err
 		}

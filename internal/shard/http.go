@@ -95,9 +95,10 @@ func (p plane) StatsAnswer() any {
 		Links: c.g.NumLinks(),
 	}
 	var bwWeighted float64
-	for _, s := range c.shards {
+	for i, s := range c.shards {
 		st := s.StatsView()
 		resp.PerShard = append(resp.PerShard, st)
+		agg.FailedLinks = c.failedLinks(agg.FailedLinks, i, st.FailedLinks)
 		agg.CapacityKbps = st.CapacityKbps
 		agg.Alive += st.Alive
 		agg.Unprotected += st.Unprotected
@@ -150,13 +151,10 @@ func (p plane) StatsAnswer() any {
 		agg.RejectRate = float64(agg.Rejects) / float64(agg.Requests)
 	}
 	c.mu.Lock()
-	for l := range c.failed {
-		agg.FailedLinks = append(agg.FailedLinks, int(l))
-	}
 	resp.CrossActive = len(c.cross)
 	c.mu.Unlock()
-	// Ascending, like the single plane's list: map order would make two
-	// reads of the same state differ.
+	// Ascending, like the single plane's list: a shard's list is, but
+	// shards own links in no global order.
 	slices.Sort(agg.FailedLinks)
 	resp.CrossAttempts, resp.CrossCommitted, resp.CrossAborted = c.crossAttempts.Load(), c.crossCommitted.Load(), c.crossAborted.Load()
 	resp.CrossTimeouts = c.CrossTimeouts()

@@ -3,11 +3,14 @@ package shard_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -766,5 +769,192 @@ func TestResolverRecommitsInTxnOrder(t *testing.T) {
 	}
 	if want := []uint64{1, 2, 3, 4, 5, 6, 7}; !reflect.DeepEqual(order, want) {
 		t.Fatalf("shard %d journals commits for txns %v, want %v", victim, order, want)
+	}
+}
+
+// TestBootRecommitsLostCommit: a cross establish whose commit to its last
+// participant fails leaves that participant holding the prepare
+// uncommitted. A restart without resolving commits it there (committed on
+// one shard, so committed on the rest): nothing stays pending, the victim's
+// journal ends with the commit, a second restart changes nothing, and the
+// connection's own ID releases every piece.
+func TestBootRecommitsLostCommit(t *testing.T) {
+	g := tierGraph(t, 1)
+	dir := t.TempDir()
+	opt := shard.Options{
+		Shards: 4, Dir: dir, Journal: journal.Options{FsyncEvery: -1},
+		Manager: manager.Config{Capacity: 10000},
+	}
+	victim := -1
+	var commits []int // shards of the first establish's commits, in order
+	failing := opt
+	failing.Invoke = func(ctx context.Context, s int, phase string, call func(context.Context) error) error {
+		if phase == "commit" {
+			if victim < 0 {
+				commits = append(commits, s)
+			} else if s == victim {
+				return errors.New("injected commit failure")
+			}
+		}
+		return call(ctx)
+	}
+	c, err := shard.New(g, failing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	src, dst := crossPair(g, c.Plan())
+	first, err := c.Establish(ctx, src, dst, qos.DefaultSpec())
+	if err != nil || !first.Cross {
+		t.Fatalf("first cross establish: %+v, %v", first, err)
+	}
+	if err := c.Terminate(ctx, first.ID); err != nil {
+		t.Fatal(err)
+	}
+	victim = commits[len(commits)-1]
+	res, err := c.Establish(ctx, src, dst, qos.DefaultSpec())
+	if err != nil {
+		t.Fatalf("cross establish with a lost commit: %v", err)
+	}
+	if n := c.PendingResolutions(); n != 1 {
+		t.Fatalf("%d pending resolutions, want 1", n)
+	}
+	if err := c.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	c, err = shard.New(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := c.PendingResolutions(); n != 0 {
+		t.Fatalf("%d pending resolutions after boot, want 0", n)
+	}
+	fps := fingerprints(t, c)
+	if err := c.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	jnl, rec, err := journal.Open(filepath.Join(dir, fmt.Sprintf("shard-%03d", victim)), opt.Journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := rec.Events[len(rec.Events)-1]
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if txn := uint64(res.ID / 256); last.Kind != journal.KindCommit || last.Txn != txn {
+		t.Fatalf("shard %d journal ends with %s of txn %d, want the commit of txn %d", victim, last.Kind, last.Txn, txn)
+	}
+
+	c = newCoordinator(t, g, opt)
+	if again := fingerprints(t, c); !reflect.DeepEqual(fps, again) {
+		t.Fatalf("second restart changed state:\n first  %v\n second %v", fps, again)
+	}
+	if err := c.Terminate(ctx, res.ID); err != nil {
+		t.Fatalf("terminate the recommitted connection: %v", err)
+	}
+	for i, p := range populations(t, c) {
+		if p.Alive != 0 {
+			t.Fatalf("shard %d holds %d connections after the terminate, want 0", i, p.Alive)
+		}
+	}
+}
+
+// pinnedLinks lists the global links every shard's alive connections hold
+// on their primary paths, read from each shard's exported state.
+func pinnedLinks(t *testing.T, c *shard.Coordinator) []topology.LinkID {
+	t.Helper()
+	var links []topology.LinkID
+	for i := 0; i < c.NumShards(); i++ {
+		_, st, err := c.Shard(i).ExportState(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cs := range st.Conns {
+			for _, l := range cs.Primary.Links {
+				links = append(links, c.Plan().Subs[i].GlobalLink[l])
+			}
+		}
+	}
+	return links
+}
+
+// TestFailedLinksSurviveRestart: a failed transit link stays failed across
+// a restart of a journaled plane. The aggregated failed_links read the same
+// before and after, cross establishes route around the link, and
+// RepairLink finds it failed.
+func TestFailedLinksSurviveRestart(t *testing.T) {
+	g := tierGraph(t, 1)
+	dir := t.TempDir()
+	opt := shard.Options{
+		Shards: 4, Dir: dir, Journal: journal.Options{FsyncEvery: -1},
+		Manager: manager.Config{Capacity: 10000},
+	}
+	c, err := shard.New(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	src, dst := crossPair(g, c.Plan())
+	// Fail a transit link the pair's route crosses, so a plane that forgot
+	// the failure would route over it again.
+	res, err := c.Establish(ctx, src, dst, qos.DefaultSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	down := topology.LinkID(-1)
+	for _, l := range pinnedLinks(t, c) {
+		if lk := g.Link(l); g.Tag(lk.A) == "transit" && g.Tag(lk.B) == "transit" {
+			down = l
+			break
+		}
+	}
+	if down < 0 {
+		t.Fatal("the cross route crosses no transit link")
+	}
+	if err := c.Terminate(ctx, res.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.FailLink(ctx, down); err != nil {
+		t.Fatal(err)
+	}
+	failedLinks := func(c *shard.Coordinator) []int {
+		rec := httptest.NewRecorder()
+		shard.NewHandler(c).ServeHTTP(rec, httptest.NewRequest("GET", "/v1/stats", nil))
+		var body struct {
+			Aggregate struct {
+				FailedLinks []int `json:"failed_links"`
+			} `json:"aggregate"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatal(err)
+		}
+		return body.Aggregate.FailedLinks
+	}
+	before := failedLinks(c)
+	if want := []int{int(down)}; !slices.Equal(before, want) {
+		t.Fatalf("failed_links %v before the restart, want %v", before, want)
+	}
+	if err := c.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	c = newCoordinator(t, g, opt)
+	if after := failedLinks(c); !slices.Equal(after, before) {
+		t.Fatalf("failed_links %v after the restart, want %v", after, before)
+	}
+	if _, err := c.Establish(ctx, src, dst, qos.DefaultSpec()); err != nil {
+		t.Fatalf("cross establish around the failed link: %v", err)
+	}
+	for _, l := range pinnedLinks(t, c) {
+		if l == down {
+			t.Fatalf("a cross connection established after the restart pins failed link %d", down)
+		}
+	}
+	if _, err := c.RepairLink(ctx, down); err != nil {
+		t.Fatalf("repair after the restart: %v", err)
+	}
+	if after := failedLinks(c); len(after) != 0 {
+		t.Fatalf("failed_links %v after the repair, want none", after)
 	}
 }

@@ -10,6 +10,9 @@
 #   adaptation identity and allocation gates, uninstrumented
 #   the stream tests         TestStream|TestAck of internal/replica, 20
 #                            times under -race
+#   the 2PC tests            internal/shard's crash, boot, resolver, serial-
+#                            script, suspicion, abort and commit tests, 20
+#                            times under -race
 #   the episode soak         85 more episodes under -race: seeds 3+r, 20+r,
 #                            37+r, 54+r and 71+r for row r of the table, so
 #                            each row runs at seven seeds in all
@@ -71,6 +74,11 @@ go test -count 1 -run '^(TestAdaptationMatchesParent|TestEstablishAllocsBounded|
 # replicated mutation; one run rarely shows an interleaving twenty do.
 echo "== replica stream and ack tests: 20 runs under -race"
 go test -race -count 20 -run 'TestStream|TestAck' ./internal/replica/
+
+# One delivery function sends decided 2PC outcomes from the establish, the
+# background resolver and boot, against the same shards at once.
+echo "== 2PC tests: 20 runs under -race"
+go test -race -count 20 -run 'TestCrash|TestBoot|TestResolver|TestSerialScript|TestSuspected|TestTimedOut|TestCrossAbort|TestCrossShard|TestCrossCounters' ./internal/shard/
 
 # Episode i runs row i mod 17 at seed 3+i, so 85 episodes give every row of
 # the table five seeds that TestEpisodes (seeds 1 and 2) does not run.
