@@ -35,13 +35,17 @@ race:
 # standing connections on the tier topology),
 # the one latency histogram every latency report reads (BenchmarkLatency:
 # one Observe, one allocation-free p50/p90/p99 read)
-# and the paper-reproduction benchmarks at the repo root.
+# and the paper-reproduction benchmarks at the repo root. The three
+# in-process stand-ins for the daemon (the command loop, the front end, the
+# replicated pair) run at one processor, a single plane's default, and at
+# two.
 bench:
 	go test -run xxx -bench 'BenchmarkManager' -benchmem ./internal/manager/
 	go test -run xxx -bench 'BenchmarkBackupRoute|BenchmarkBoundedFlood' -benchmem ./internal/routing/
-	go test -run xxx -bench 'BenchmarkServerEstablish|BenchmarkWriteJSON' -benchmem ./internal/server/
-	go test -run xxx -bench 'BenchmarkFrontEnd' -benchmem ./internal/shard/
-	go test -run xxx -bench 'BenchmarkReplicatedEstablish' -benchmem ./internal/replica/
+	go test -run xxx -bench 'BenchmarkServerEstablish' -benchmem -cpu 1,2 ./internal/server/
+	go test -run xxx -bench 'BenchmarkWriteJSON' -benchmem ./internal/server/
+	go test -run xxx -bench 'BenchmarkFrontEnd' -benchmem -cpu 1,2 ./internal/shard/
+	go test -run xxx -bench 'BenchmarkReplicatedEstablish' -benchmem -cpu 1,2 ./internal/replica/
 	go test -run xxx -bench 'BenchmarkLatency' -benchmem ./internal/stats/
 
 # CI's benchmark smoke: every benchmark once, the ones one iteration cannot

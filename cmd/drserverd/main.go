@@ -48,6 +48,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -61,7 +62,13 @@ import (
 	"drqos/internal/topology"
 )
 
+// oneProcessor says run() puts a single plane on one processor (DESIGN.md
+// "One processor"). main sets it unless the environment names a count;
+// tests call run() without it, so they keep the runtime default.
+var oneProcessor bool
+
 func main() {
+	oneProcessor = os.Getenv("GOMAXPROCS") == ""
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx, os.Args[1:], nil); err != nil {
@@ -201,10 +208,14 @@ func run(ctx context.Context, args []string, listening func(net.Addr)) error {
 	if err != nil {
 		return err
 	}
+	if oneProcessor && cfg.shards == 1 {
+		runtime.GOMAXPROCS(1)
+	}
 	sys, mcfg, err := cfg.meta().Build()
 	if err != nil {
 		return err
 	}
+	log.Printf("processors: %d (GOMAXPROCS)", runtime.GOMAXPROCS(0))
 	m := sys.Metrics()
 	log.Printf("topology: %d nodes, %d links, diameter %d, avg hops %.2f (seed %d)",
 		m.Nodes, m.Edges, m.Diameter, m.AvgHops, cfg.seed)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -128,6 +129,7 @@ func TestBootServeDrain(t *testing.T) {
 		{"forecast", []string{"-no-require-backup", "-forecast-interval", "20ms", "-forecast-predictive"}, forecastAnswers},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			procs := runtime.GOMAXPROCS(0)
 			d, err := boot(t, tc.args...)
 			if err != nil {
 				t.Fatal(err)
@@ -146,6 +148,10 @@ func TestBootServeDrain(t *testing.T) {
 			}
 			if err := d.stop(); err != nil {
 				t.Fatalf("drain: %v", err)
+			}
+			// Only drserverd's main sets the processor count.
+			if got := runtime.GOMAXPROCS(0); got != procs {
+				t.Fatalf("GOMAXPROCS %d after run(), %d before", got, procs)
 			}
 		})
 	}

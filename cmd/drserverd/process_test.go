@@ -23,6 +23,8 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
+	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -66,8 +68,15 @@ type proc struct {
 }
 
 // spawn starts drserverd with args on a loopback port of its choosing and
-// waits until it listens.
+// waits until it listens. The child inherits no GOMAXPROCS, so it runs at
+// drserverd's own processor count.
 func spawn(t *testing.T, args ...string) *proc {
+	t.Helper()
+	return spawnEnv(t, nil, args...)
+}
+
+// spawnEnv is spawn with env added to the child's environment.
+func spawnEnv(t *testing.T, env []string, args ...string) *proc {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
@@ -82,7 +91,12 @@ func spawn(t *testing.T, args ...string) *proc {
 		t.Fatal(err)
 	}
 	cmd := exec.Command(exe, append([]string{"-addr", "127.0.0.1:0", "-drain", drainBudget.String()}, args...)...)
-	cmd.Env = append(os.Environ(), daemonMarker+"=1")
+	for _, kv := range os.Environ() {
+		if !strings.HasPrefix(kv, "GOMAXPROCS=") {
+			cmd.Env = append(cmd.Env, kv)
+		}
+	}
+	cmd.Env = append(append(cmd.Env, daemonMarker+"=1"), env...)
 	cmd.Stdin, cmd.Stdout, cmd.Stderr = inR, outW, outW
 	err = cmd.Start()
 	inR.Close()
@@ -430,13 +444,17 @@ func TestProcess(t *testing.T) {
 	}
 }
 
-// processDurable: a journaled daemon replays to the same state after a
-// SIGKILL when quiet, keeps every acked connection after a SIGKILL mid
-// burst, and drains with exit status 0 on SIGTERM.
+// processDurable: a single-plane daemon runs on one processor unless
+// GOMAXPROCS says otherwise; a journaled one replays to the same state after a SIGKILL when
+// quiet, keeps every acked connection after a SIGKILL mid burst, and drains
+// with exit status 0 on SIGTERM.
 func processDurable(t *testing.T) {
 	args := []string{"-data-dir", t.TempDir(), "-fsync", "1", "-snapshot-every", "50"}
 	l := newLoad(ringPairs(100))
 	p := spawn(t, args...)
+	if n := processors(t, p); n != 1 {
+		t.Fatalf("boot log reports %d processors, want 1", n)
+	}
 	if err := l.run(p.url, 300); err != nil {
 		t.Fatal(err)
 	}
@@ -466,18 +484,37 @@ func processDurable(t *testing.T) {
 	if err := p.term(); err != nil {
 		t.Fatalf("SIGTERM: exit %v, want status 0\n%s", err, p.log())
 	}
-	p = spawn(t, args...)
+	p = spawnEnv(t, []string{"GOMAXPROCS=2"}, args...)
+	if n := processors(t, p); n != 2 {
+		t.Fatalf("started with GOMAXPROCS=2, the boot log reports %d processors", n)
+	}
 	if got := p.invariants(t).audit; got != before {
 		t.Fatalf("after SIGTERM: %+v, before it %+v", got, before)
 	}
 }
 
-// processSharded: a four-shard daemon commits cross-shard establishes,
-// replays every shard to its own fingerprint after a SIGKILL, keeps its
-// 2PC counters, and admits intra- and cross-shard pairs again.
+// processors returns the processor count p's boot log reports.
+func processors(t *testing.T, p *proc) int {
+	t.Helper()
+	log := p.log()
+	m := regexp.MustCompile(`processors: (\d+) \(GOMAXPROCS\)`).FindStringSubmatch(log)
+	if m == nil {
+		t.Fatalf("boot log reports no processor count:\n%s", log)
+	}
+	n, _ := strconv.Atoi(m[1])
+	return n
+}
+
+// processSharded: a four-shard daemon keeps the runtime's processor count,
+// commits cross-shard establishes, replays every shard to its own
+// fingerprint after a SIGKILL, keeps its 2PC counters, and admits intra-
+// and cross-shard pairs again.
 func processSharded(t *testing.T) {
 	args := []string{"-kind", "tier", "-shards", "4", "-data-dir", t.TempDir(), "-fsync", "1", "-snapshot-every", "20"}
 	p := spawn(t, args...)
+	if n := processors(t, p); runtime.NumCPU() > 1 && n == 1 {
+		t.Fatalf("a sharded daemon reports 1 processor on a %d-CPU host", runtime.NumCPU())
+	}
 	var plan struct {
 		Shards    int   `json:"shards"`
 		NodeShard []int `json:"node_shard"`

@@ -17,12 +17,15 @@
 // the moment it sees it, even a lone one: it first yields the processor until
 // two yields in a row bring no new record, or the wait cap passes, so a batch
 // can form from appenders that are already runnable. One fdatasync then
-// releases every ticket in the batch. The yields are not free: on
+// releases every ticket in the batch. The yields are not free. On
 // durable-lowpop (two closed-loop clients, a sync for every record, 2-vCPU
-// VM) an append waited p50 52–64 µs for its sync to start with the
-// committer idle and 68–82 µs with it still finishing the previous batch,
-// beside a 76–87 µs fdatasync into preallocated space (116–120 µs for the
-// fsync that grew the file, in the same passes).
+// VM, three passes) with drserverd on its one processor, an append waited
+// p50 26–30 µs for its sync to start with the committer idle and 38–64 µs
+// with it still finishing the previous batch, beside a 74–80 µs fdatasync
+// into preallocated space. At GOMAXPROCS=2 the same passes read 46–53,
+// 62–75 and 91–104 µs: the append's wake-up crosses to the other processor.
+// At one processor 97–98 % of appends find the committer idle, so a batch is
+// almost always one record.
 //
 // An fsync failure is sticky: it poisons the journal, fails every parked
 // and future ticket, and refuses further appends — a record whose

@@ -545,15 +545,20 @@ func (c *Coordinator) deliver(ctx context.Context, txns []uint64) (resolved int,
 
 // decide records txn's outcome as owed by the participants in owe and
 // delivers it, under a context of its own: the outcome is decided whatever
-// becomes of the establish's caller.
-func (c *Coordinator) decide(txn uint64, committed bool, owe uint32) {
+// becomes of the establish's caller. It reports whether at least one
+// participant acknowledged the outcome by deliver's rule.
+func (c *Coordinator) decide(txn uint64, committed bool, owe uint32) (acked bool) {
 	if owe == 0 {
-		return
+		return false
 	}
 	c.mu.Lock()
 	c.pending[txn] = pendingTxn{committed: committed, owe: owe}
 	c.mu.Unlock()
 	c.deliver(context.Background(), []uint64{txn})
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	cur, ok := c.pending[txn]
+	return !ok || cur.owe != owe
 }
 
 // extIntra encodes a shard-local connection as an external ID.
@@ -652,7 +657,7 @@ func (c *Coordinator) establishCross(ctx context.Context, src, dst topology.Node
 	// the commit before issuing it so any snapshot a commit event triggers
 	// already carries the final tally.
 	c.crossCommitted.Add(1)
-	c.decide(txn, true, peers)
+	acked := c.decide(txn, true, peers)
 	parts := make([]part, len(runs))
 	for i, r := range runs {
 		parts[i] = part{shard: r.shard, conn: r.connID}
@@ -661,6 +666,13 @@ func (c *Coordinator) establishCross(ctx context.Context, src, dst topology.Node
 	c.mu.Lock()
 	c.cross[txn] = cc
 	c.mu.Unlock()
+	if !acked {
+		// Until one participant journals the commit, a restart presumes
+		// abort: this is not yet a success. The resolver keeps delivering,
+		// and the connection answers by its ID once the commit lands.
+		return nil, fmt.Errorf("%w: cross-shard connection %d: commit decided but no participant has acknowledged it, outcome pending",
+			server.ErrUnavailable, extCross(txn))
+	}
 	return &EstablishResult{
 		ID: extCross(txn), Cross: true, Shard: -1,
 		AllocatedKbps: rigid.Min, Hops: path.Hops(),

@@ -11,6 +11,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -852,6 +855,96 @@ func TestBootRecommitsLostCommit(t *testing.T) {
 	}
 	if err := c.Terminate(ctx, res.ID); err != nil {
 		t.Fatalf("terminate the recommitted connection: %v", err)
+	}
+	for i, p := range populations(t, c) {
+		if p.Alive != 0 {
+			t.Fatalf("shard %d holds %d connections after the terminate, want 0", i, p.Alive)
+		}
+	}
+}
+
+// TestCrossShardCommitUnacknowledged503: a cross establish whose commit no
+// participant acknowledges is not a success, since a restart would presume
+// abort. It answers 503 naming the connection's ID and saying the outcome
+// is pending. Once the failure lifts, the background resolver lands the
+// commit, and every participant holds its piece across two restarts.
+func TestCrossShardCommitUnacknowledged503(t *testing.T) {
+	g := tierGraph(t, 1)
+	opt := shard.Options{
+		Shards: 4, Dir: t.TempDir(), Journal: journal.Options{FsyncEvery: -1},
+		Manager: manager.Config{Capacity: 10000},
+	}
+	var failing atomic.Bool
+	failing.Store(true)
+	var mu sync.Mutex
+	var participants []int
+	hooked := opt
+	hooked.Invoke = func(ctx context.Context, s int, phase string, call func(context.Context) error) error {
+		if phase == "commit" && failing.Load() {
+			mu.Lock()
+			if !slices.Contains(participants, s) {
+				participants = append(participants, s)
+			}
+			mu.Unlock()
+			return errors.New("injected commit failure")
+		}
+		return call(ctx)
+	}
+	c, err := shard.New(g, hooked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	src, dst := crossPair(g, c.Plan())
+	const id = 1*256 + 255 // the plane's first transaction, as a cross ID
+	res, err := c.Establish(ctx, src, dst, qos.DefaultSpec())
+	if !errors.Is(err, server.ErrUnavailable) {
+		t.Fatalf("establish with every commit failing answered %+v, %v; want server.ErrUnavailable", res, err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, fmt.Sprint(id)) || !strings.Contains(msg, "pending") {
+		t.Fatalf("503 message %q does not name connection %d as pending", msg, id)
+	}
+	if n := c.PendingResolutions(); n != 1 {
+		t.Fatalf("%d pending resolutions, want 1", n)
+	}
+
+	failing.Store(false)
+	for deadline := time.Now().Add(10 * time.Second); c.PendingResolutions() != 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the resolver did not deliver the commit within 10s of the failure lifting")
+		}
+	}
+	mu.Lock()
+	owed := slices.Clone(participants)
+	mu.Unlock()
+	if len(owed) < 2 {
+		t.Fatalf("commit owed by shards %v, want at least two participants", owed)
+	}
+	want := populations(t, c)
+	for _, s := range owed {
+		if want[s].Alive == 0 {
+			t.Fatalf("participant shard %d holds no piece after the resolver delivered", s)
+		}
+	}
+	if err := c.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	c, err = shard.New(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := populations(t, c); !reflect.DeepEqual(got, want) {
+		t.Fatalf("first restart: populations %+v, want %+v", got, want)
+	}
+	if err := c.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	c = newCoordinator(t, g, opt)
+	if got := populations(t, c); !reflect.DeepEqual(got, want) {
+		t.Fatalf("second restart: populations %+v, want %+v", got, want)
+	}
+	if err := c.Terminate(ctx, id); err != nil {
+		t.Fatalf("terminate connection %d: %v", id, err)
 	}
 	for i, p := range populations(t, c) {
 		if p.Alive != 0 {

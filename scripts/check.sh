@@ -91,8 +91,10 @@ go run -race ./cmd/chaos -episode all -seed 3 -episodes 85 -q
 # package, the cap on minimising each new-coverage input (Go's default is
 # 60s) and the fewest execs the step may report. From an empty cache most
 # inputs find new coverage, so a per-second cap can spend the whole budget
-# minimising; a per-input cap (10x) keeps the step fuzzing. A floor is at
-# most half the lowest of three fresh-cache runs on a 2-vCPU VM:
+# minimising; a per-input cap (10x) keeps the step fuzzing. A floor is half
+# the lowest of five fresh-cache runs of the step on a 2-vCPU VM, rounded
+# down; a step that stalls minimising (about 90 execs) or barely runs is far
+# below every one:
 #   FuzzWriteJSON           WriteJSON's re-indenter against json.Indent
 #   FuzzOpenSegment         a mutated preallocated segment: a prefix of its
 #                           records or a refusal, and the journal goes on
@@ -124,14 +126,14 @@ while read -r target pkg cap floor; do
         exit 1
     fi
 done <<EOF
-FuzzWriteJSON internal/server 60s 0
-FuzzOpenSegment internal/journal 10x 3900
-FuzzGrowQueue internal/manager 60s 0
-FuzzChainedSetsMatchDefinition internal/manager 10x 1000
-FuzzFloodMatchesParent internal/routing 60s 0
-FuzzApply internal/chaos 10x 600
-FuzzRestore internal/manager 10x 65000
-FuzzDecodeFrames internal/journal 60s 0
+FuzzWriteJSON internal/server 60s 23100
+FuzzOpenSegment internal/journal 10x 2400
+FuzzGrowQueue internal/manager 60s 61000
+FuzzChainedSetsMatchDefinition internal/manager 10x 530
+FuzzFloodMatchesParent internal/routing 60s 24900
+FuzzApply internal/chaos 10x 370
+FuzzRestore internal/manager 10x 51500
+FuzzDecodeFrames internal/journal 60s 80600
 EOF
 
 # The paper's figures, tables and ablations at full scale (under a minute on
