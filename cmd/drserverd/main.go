@@ -25,10 +25,10 @@
 // admission counterfactuals); -forecast-predictive lets model-predicted
 // saturation pre-latch overload shedding before the reactive detector fires.
 //
-// Endpoints: POST /v1/connections, DELETE /v1/connections/{id},
-// POST /v1/faults/link, POST /v1/admin/recover, GET /v1/stats,
-// GET /v1/invariants, GET /v1/forecast, POST /v1/forecast/whatif,
-// GET /metrics, GET /healthz, GET /readyz.
+// The routes are listed where they are served: server.NewHandler (the
+// admission API, one handler set for both planes), replica.Node.FrontHandler
+// (promotion and the replication stream and snapshot of a journaled plane)
+// and shard.NewHandler (GET /v1/shards on a sharded one).
 //
 // With -shards N (N > 1) the daemon partitions the topology into N region
 // shards, each with its own manager, actor loop and journal directory
@@ -173,10 +173,14 @@ func parseFlags(args []string) (*config, error) {
 // meta is the marker a data directory written under c carries; it is also
 // all the daemon needs to build its topology and admission config.
 func (c *config) meta() core.DataMeta {
-	return core.DataMeta{
+	m := core.DataMeta{
 		Kind: c.kind, Nodes: c.nodes, Seed: c.seed, CapacityKbps: c.capacity,
 		Policy: c.policy, RequireBackup: !c.noBackup, Multiplex: !c.noMux,
 	}
+	if c.shards > 1 {
+		m.Shards = c.shards
+	}
+	return m
 }
 
 // journalOptions is the journal tuning, one journal or one per shard.
@@ -185,7 +189,7 @@ func (c *config) journalOptions() journal.Options {
 }
 
 // serverOptions is the part of the actor-loop tuning both planes share;
-// the single plane adds its journal and replication hooks.
+// the single plane adds its forecaster.
 func (c *config) serverOptions() server.Options {
 	return server.Options{SnapshotEvery: c.snapEvery, AutoRecover: c.autoRecover}
 }
@@ -230,6 +234,11 @@ func run(ctx context.Context, args []string, listening func(net.Addr)) error {
 		log.Printf("pprof: serving /debug/pprof/")
 	}
 
+	if cfg.dataDir != "" {
+		if err := core.CheckMeta(cfg.dataDir, cfg.meta()); err != nil {
+			return err
+		}
+	}
 	boot := bootSingle
 	if cfg.shards > 1 {
 		boot = bootSharded
@@ -296,127 +305,82 @@ func serve(ctx context.Context, cfg *config, p plane, listening func(net.Addr)) 
 
 // bootSingle boots the classic single plane: one manager behind one actor
 // loop, journaled and replication-ready with -data-dir.
-func bootSingle(cfg *config, g *topology.Graph, mcfg manager.Config, front []server.HandlerOption) (_ plane, err error) {
+func bootSingle(cfg *config, g *topology.Graph, mcfg manager.Config, front []server.HandlerOption) (plane, error) {
 	opts := cfg.serverOptions()
-	var mgr *manager.Manager
-	var jnl *journal.Journal
-	if cfg.dataDir != "" {
-		if err := core.CheckMeta(cfg.dataDir, cfg.meta()); err != nil {
-			return plane{}, err
-		}
-		jopt := cfg.journalOptions()
-		var rec *journal.Recovered
-		jnl, rec, err = journal.Open(cfg.dataDir, jopt)
-		if err != nil {
-			return plane{}, fmt.Errorf("opening journal: %w", err)
-		}
-		defer func() {
-			if err != nil {
-				jnl.Close()
-			}
-		}()
-		if jopt.GroupCommit {
-			log.Printf("journal: group commit on (concurrent fsyncs batched, per-event durability preserved)")
-		}
-		mgr, _, err = server.Rebuild(g, mcfg, rec)
-		if err != nil {
-			return plane{}, fmt.Errorf("refusing to serve: journal replay of %s did not produce an audit-clean state: %w\n"+
-				"(the on-disk history and the state machine disagree — restore the directory from a backup, "+
-				"or move it aside to start from an empty state)", cfg.dataDir, err)
-		}
-		if rec.TornBytes > 0 {
-			log.Printf("journal: discarded %d bytes of torn tail (mid-write crash)", rec.TornBytes)
-		}
-		log.Printf("journal: recovered %s to seq %d (snapshot at %d, %d events replayed, %d connections alive)",
-			cfg.dataDir, rec.LastSeq, rec.SnapshotSeq, len(rec.Events), mgr.AliveCount())
-		opts.Journal = jnl
-		opts.Follower = cfg.replicaOf != ""
-		opts.Term = rec.Term
-	} else if mgr, err = manager.New(g, mcfg); err != nil {
-		return plane{}, err
-	}
-
 	if cfg.forecastInterval > 0 {
 		opts.Forecast = &forecast.Config{Interval: cfg.forecastInterval, Predictive: cfg.forecastPredictive}
 		log.Printf("forecast: solving every %s (predictive=%v)", cfg.forecastInterval, cfg.forecastPredictive)
 	}
-	// Replication node: built after the server (it wraps it), but the
-	// server's semi-sync and stats hooks close over the variable — they
-	// only fire once requests flow, well after the node exists.
-	var node *replica.Node
-	if jnl != nil {
-		opts.WaitReplicated = func(ctx context.Context, seq uint64) error {
-			if node == nil {
-				return nil
-			}
-			return node.WaitReplicated(ctx, seq)
+	if cfg.dataDir == "" {
+		srv, _, err := server.Open(g, mcfg, "", journal.Options{}, opts)
+		if err != nil {
+			return plane{}, err
 		}
-		opts.ReplicaStats = func() *server.ReplicaStats {
-			if node == nil {
-				return nil
-			}
-			return node.StatsBlock()
-		}
+		return plane{handler: server.NewHandler(srv, front...), drain: drainSingle(srv, nil)}, nil
 	}
-	srv, err := server.NewFromManager(g, mgr, opts)
+	// Every journaled daemon ships its journal: the replication endpoints
+	// are mounted whether or not a standby exists yet, so one can join
+	// without a primary restart.
+	jopt := cfg.journalOptions()
+	node, handler, rec, err := replica.Open(g, mcfg, cfg.dataDir, jopt, opts, replica.Config{
+		PrimaryURL:      cfg.replicaOf,
+		FailoverTimeout: cfg.failoverTO,
+		Lease:           cfg.lease,
+	}, front...)
+	if errors.Is(err, server.ErrJournal) {
+		return plane{}, fmt.Errorf("refusing to serve: %w\n"+
+			"(the on-disk history and the state machine disagree — restore the directory from a backup, "+
+			"or move it aside to start from an empty state)", err)
+	}
 	if err != nil {
 		return plane{}, err
 	}
-
-	var handler http.Handler = server.NewHandler(srv, front...)
-	if jnl != nil {
-		// Every journaled daemon ships its journal: the replication
-		// endpoints are mounted whether or not a standby exists yet, so one
-		// can join without a primary restart.
-		node = replica.NewNode(srv, jnl, replica.Config{
-			PrimaryURL:      cfg.replicaOf,
-			FailoverTimeout: cfg.failoverTO,
-			Lease:           cfg.lease,
-		})
-		handler = node.FrontHandler(handler)
-		if cfg.lease > 0 {
-			log.Printf("replica: lease fencing on (a primary without a standby acknowledgment for %s refuses mutations)", cfg.lease)
-		}
-		if cfg.replicaOf != "" {
-			log.Printf("replica: following %s (failover after %s without a primary, 0 = manual)", cfg.replicaOf, cfg.failoverTO)
-			go func() {
-				if err := node.Run(context.Background()); err != nil {
-					log.Printf("replica: follower loop exited: %v", err)
-				}
-			}()
-		}
+	if jopt.GroupCommit {
+		log.Printf("journal: group commit on (concurrent fsyncs batched, per-event durability preserved)")
 	}
-	p := plane{handler: handler, drain: func(ctx context.Context) error {
+	if rec.TornBytes > 0 {
+		log.Printf("journal: discarded %d bytes of torn tail (mid-write crash)", rec.TornBytes)
+	}
+	log.Printf("journal: recovered %s to seq %d (snapshot at %d, %d events replayed, %d connections alive)",
+		cfg.dataDir, rec.LastSeq, rec.SnapshotSeq, len(rec.Events), node.Server().View().Alive)
+	if cfg.lease > 0 {
+		log.Printf("replica: lease fencing on (a primary without a standby acknowledgment for %s refuses mutations)", cfg.lease)
+	}
+	if cfg.replicaOf != "" {
+		log.Printf("replica: following %s (failover after %s without a primary, 0 = manual)", cfg.replicaOf, cfg.failoverTO)
+		go func() {
+			if err := node.Run(context.Background()); err != nil {
+				log.Printf("replica: follower loop exited: %v", err)
+			}
+		}()
+	}
+	// Stop, at the HTTP server's shutdown, ends the streams it would wait
+	// for, and before the drain halts the follower loop.
+	return plane{handler: handler, drain: drainSingle(node.Server(), node), shutdown: node.Stop}, nil
+}
+
+// drainSingle drains a single plane's command loop, after stopping its
+// replication node (nil in memory), then closes its journal: the drain
+// guarantees no more appends, and Close syncs the final segment.
+func drainSingle(srv *server.Server, node *replica.Node) func(context.Context) error {
+	return func(ctx context.Context) error {
 		if node != nil {
-			node.Stop() // halt the follower loop before the drain
+			node.Stop()
 		}
 		if err := srv.Shutdown(ctx); err != nil {
 			return fmt.Errorf("command-loop drain: %w", err)
 		}
 		log.Printf("drained %d commands, bye", srv.Processed())
-		if jnl != nil {
-			// The drain guarantees no more appends; Close syncs the final
-			// segment.
+		if jnl := srv.Journal(); jnl != nil {
 			return jnl.Close()
 		}
 		return nil
-	}}
-	if node != nil {
-		p.shutdown = node.Stop
 	}
-	return p, nil
 }
 
 // bootSharded boots the partitioned admission plane: one manager + actor
 // loop + journal per region shard behind the coordinator's global API.
 func bootSharded(cfg *config, g *topology.Graph, mcfg manager.Config, front []server.HandlerOption) (plane, error) {
-	if cfg.dataDir != "" {
-		meta := cfg.meta()
-		meta.Shards = cfg.shards
-		if err := core.CheckMeta(cfg.dataDir, meta); err != nil {
-			return plane{}, err
-		}
-	}
 	c, err := shard.New(g, shard.Options{
 		Shards:  cfg.shards,
 		Dir:     cfg.dataDir,

@@ -189,18 +189,11 @@ func TestSummarizeDaemonDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jnl, rec, err := journal.Open(dir, journal.Options{FsyncEvery: -1})
+	srv, _, err := server.Open(sys.Graph(), mcfg, dir, journal.Options{FsyncEvery: -1}, server.Options{SnapshotEvery: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _, err := server.Rebuild(sys.Graph(), mcfg, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := server.NewFromManager(sys.Graph(), m, server.Options{Journal: jnl, SnapshotEvery: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	jnl := srv.Journal()
 	ctx := context.Background()
 	for i := 0; i < 11; i++ {
 		if _, err := srv.Establish(ctx, 0, topology.NodeID(1+i), qos.DefaultSpec()); err != nil {
@@ -250,18 +243,11 @@ func TestForecastIsTheJournalsModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jnl, rec, err := journal.Open(dir, journal.Options{FsyncEvery: -1})
+	srv, _, err := server.Open(sys.Graph(), mcfg, dir, journal.Options{FsyncEvery: -1}, server.Options{SnapshotEvery: -1, Forecast: &forecast.Config{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _, err := server.Rebuild(sys.Graph(), mcfg, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := server.NewFromManager(sys.Graph(), m, server.Options{Journal: jnl, SnapshotEvery: -1, Forecast: &forecast.Config{}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	jnl := srv.Journal()
 	ctx := context.Background()
 	g, src := sys.Graph(), rng.New(7)
 	var alive []channel.ConnID

@@ -130,7 +130,7 @@ func (w *world) kill(f Fault) error {
 	}
 	next := w.anyPair(rng.New(w.seed ^ 0x9e3779b97f4a7c15))
 	for i := 0; i < f.N; i++ {
-		if _, err := n.jnl.AppendAsync(next()); err != nil {
+		if _, err := n.srv.Journal().AppendAsync(next()); err != nil {
 			return fmt.Errorf("unacked window append: %w", err)
 		}
 	}

@@ -213,7 +213,7 @@ func (v *verdict) node(n *node) string {
 		if err := n.srv.CheckInvariants(ctx); err != nil {
 			v.flag("iii", "%s: %v", n.name, err)
 		}
-		txns, _ := n.srv.Txns(ctx)
+		txns, _, _ := n.srv.Txns(ctx)
 		for _, tx := range txns {
 			if !tx.Committed && w.coord != nil && w.coord.PendingResolutions() == 0 {
 				v.flag("iii", "%s holds uncommitted transaction %d with nothing pending resolution", n.name, tx.Txn)
@@ -228,10 +228,10 @@ func (v *verdict) node(n *node) string {
 		return fp
 	}
 	if primary, _ := w.primary(); live && n != primary && n.srv.IsFollower() && !await(convergeWithin, func() bool {
-		return n.jnl.LastSeq() >= primary.jnl.LastSeq() && n.srv.Term() >= primary.srv.Term()
+		return n.srv.Journal().LastSeq() >= primary.srv.Journal().LastSeq() && n.srv.Term() >= primary.srv.Term()
 	}) {
 		v.flag("v", "follower %s stuck at seq %d term %d, primary at seq %d term %d",
-			n.name, n.jnl.LastSeq(), n.srv.Term(), primary.jnl.LastSeq(), primary.srv.Term())
+			n.name, n.srv.Journal().LastSeq(), n.srv.Term(), primary.srv.Journal().LastSeq(), primary.srv.Term())
 	}
 	// A background actor (2PC resolver, replication stream) may move a live
 	// node mid-judgment: replay between two equal fingerprints.
@@ -260,8 +260,9 @@ func (v *verdict) node(n *node) string {
 		}
 		v.flag("i", "%s: live state is not the replay of its journal: %v", n.name, err)
 	}
-	if txns, _ := n.srv.Txns(ctx); !reflect.DeepEqual(txns, rp.txns.Infos(rp.m)) {
-		v.flag("i", "%s: live transaction table %+v, replay holds %+v", n.name, txns, rp.txns.Infos(rp.m))
+	if txns, high, _ := n.srv.Txns(ctx); !reflect.DeepEqual(txns, rp.txns.Infos(rp.m)) || high != rp.txns.HighWater() {
+		v.flag("i", "%s: live transaction table %+v (high %d), replay holds %+v (high %d)",
+			n.name, txns, high, rp.txns.Infos(rp.m), rp.txns.HighWater())
 	}
 	if n.srv.Term() != rp.rec.Term {
 		v.flag("i", "%s serves term %d, its journal holds term %d", n.name, n.srv.Term(), rp.rec.Term)

@@ -3,6 +3,7 @@ package chaos
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"sync/atomic"
@@ -10,7 +11,6 @@ import (
 
 	"drqos/internal/forecast"
 	"drqos/internal/journal"
-	"drqos/internal/manager"
 	"drqos/internal/overload"
 	"drqos/internal/replica"
 	"drqos/internal/server"
@@ -35,8 +35,8 @@ const (
 )
 
 // journalOptions is how every journaled node opens its directory: the
-// daemon's -fsync 1 group commit, with a short accumulation window.
-var journalOptions = journal.Options{FsyncEvery: 1, GroupCommit: true, GroupCommitMaxWait: 500 * time.Microsecond}
+// daemon's -fsync 1 group commit.
+var journalOptions = journal.Options{FsyncEvery: 1, GroupCommit: true}
 
 // node is one server of the plane and, on journaled planes, its directory.
 type node struct {
@@ -45,8 +45,7 @@ type node struct {
 	dir  string // "" in memory
 	g    *topology.Graph
 	srv  *server.Server
-	jnl  *journal.Journal // nil in memory and for shards, whose journals the coordinator owns
-	rep  *replica.Node    // Pair only, like http
+	rep  *replica.Node // Pair only, like http
 	http *httptest.Server
 	down atomic.Bool
 }
@@ -56,11 +55,11 @@ type node struct {
 // other one.
 var names = [2]string{"primary", "standby"}
 
-// boot is the one way a node comes up, first start or restart: open the
-// directory (journaled planes), rebuild whatever it holds, start a server
-// on it. i is the node's index; follow is the URL of the primary to stream
-// from ("" boots a primary). On the Sharded plane it boots the coordinator,
-// which does the same per shard, and the nodes become views of its shards.
+// boot brings node i up, first start or restart, from its directory
+// (journaled planes) through server.Open, or replica.Open on the Pair;
+// follow is the URL of the primary to stream from ("" boots a primary). On
+// the Sharded plane it boots the coordinator, which does the same per
+// shard, and the nodes become views of its shards.
 func (w *world) boot(i int, follow string) (err error) {
 	if w.ep.Plane == Sharded {
 		w.coord, err = shard.New(w.g, shard.Options{
@@ -102,34 +101,10 @@ func (w *world) boot(i int, follow string) (err error) {
 		// loop must never wedge the actor loop.
 		opt.Forecast = &forecast.Config{Interval: 10 * time.Millisecond, MinEvents: 10}
 	}
-	var mgr *manager.Manager
-	if w.ep.Plane == Single {
-		mgr, err = manager.New(w.g, w.mcfg)
-	} else {
+	if w.ep.Plane != Single {
 		n.dir = filepath.Join(w.dir, n.name)
-		var rec *journal.Recovered
-		if n.jnl, rec, err = journal.Open(n.dir, journalOptions); err != nil {
-			return fmt.Errorf("booting %s: %w", n.name, err)
-		}
-		opt.Journal, opt.Term = n.jnl, rec.Term
-		if mgr, _, err = server.Rebuild(w.g, w.mcfg, rec); err == nil {
-			err = w.recovered(n, rec)
-		}
 	}
-	if w.ep.Plane == Pair {
-		opt.Follower = follow != ""
-		opt.WaitReplicated = func(ctx context.Context, seq uint64) error { return n.rep.WaitReplicated(ctx, seq) }
-		opt.ReplicaStats = func() *server.ReplicaStats { return n.rep.StatsBlock() }
-	}
-	if err == nil {
-		n.srv, err = server.NewFromManager(w.g, mgr, opt)
-	}
-	if err != nil {
-		if n.jnl != nil {
-			n.jnl.Close()
-		}
-		return fmt.Errorf("booting %s: %w", n.name, err)
-	}
+	var rec *journal.Recovered
 	if w.ep.Plane == Pair {
 		// All protocol traffic is follower-initiated, so every partition
 		// shape is a rule on the follower→primary edge.
@@ -143,11 +118,23 @@ func (w *world) boot(i int, follow string) (err error) {
 			// ex-primary must follow, whatever it sees.
 			cfg.FailoverTimeout = failoverTimeout
 		}
-		n.rep = replica.NewNode(n.srv, n.jnl, cfg)
-		n.http = httptest.NewServer(n.rep.FrontHandler(server.NewHandler(n.srv)))
-		if follow != "" {
-			go n.rep.Run(context.Background()) // until it promotes, or halt stops it
+		var api http.Handler
+		if n.rep, api, rec, err = replica.Open(w.g, w.mcfg, n.dir, journalOptions, opt, cfg); err == nil {
+			n.srv, n.http = n.rep.Server(), httptest.NewServer(api)
 		}
+	} else {
+		n.srv, rec, err = server.Open(w.g, w.mcfg, n.dir, journalOptions, opt)
+	}
+	if err == nil {
+		if err = w.recovered(n, rec); err != nil {
+			n.halt(false)
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("booting %s: %w", n.name, err)
+	}
+	if follow != "" {
+		go n.rep.Run(context.Background()) // until it promotes, or halt stops it
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -194,10 +181,10 @@ func (n *node) halt(abandon bool) {
 		n.http.Close()
 	}
 	_ = n.srv.Shutdown(context.Background())
-	if n.jnl != nil && abandon {
-		_ = n.jnl.Abandon()
-	} else if n.jnl != nil {
-		_ = n.jnl.Close()
+	if jnl := n.srv.Journal(); jnl != nil && abandon {
+		_ = jnl.Abandon()
+	} else if jnl != nil {
+		_ = jnl.Close()
 	}
 }
 

@@ -52,8 +52,10 @@ import (
 	"time"
 
 	"drqos/internal/journal"
+	"drqos/internal/manager"
 	"drqos/internal/server"
 	"drqos/internal/stats"
+	"drqos/internal/topology"
 )
 
 // Config tunes a replication node.
@@ -186,6 +188,29 @@ func NewNode(srv *server.Server, jnl *journal.Journal, cfg Config) *Node {
 	n.halted, n.halt = context.WithCancel(context.Background())
 	return n
 }
+
+// Open boots a replicated node from dir through server.Open, the server's
+// WaitReplicated and ReplicaStats hooks bound to the node, and answers the
+// node's API: server.NewHandler(srv, hs...) behind FrontHandler. With a
+// cfg.PrimaryURL it boots a follower, whose Run the caller starts; the
+// journal's Close, after the server's Shutdown, stays the caller's.
+func Open(g *topology.Graph, mcfg manager.Config, dir string, jopt journal.Options, opt server.Options, cfg Config, hs ...server.HandlerOption) (*Node, http.Handler, *journal.Recovered, error) {
+	// The hooks fire once requests flow, which reach the server only
+	// through what Open returns: n is set by then.
+	var n *Node
+	opt.Follower = cfg.PrimaryURL != ""
+	opt.WaitReplicated = func(ctx context.Context, seq uint64) error { return n.WaitReplicated(ctx, seq) }
+	opt.ReplicaStats = func() *server.ReplicaStats { return n.StatsBlock() }
+	srv, rec, err := server.Open(g, mcfg, dir, jopt, opt)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	n = NewNode(srv, srv.Journal(), cfg)
+	return n, n.FrontHandler(server.NewHandler(srv, hs...)), rec, nil
+}
+
+// Server returns the server the node replicates.
+func (n *Node) Server() *server.Server { return n.srv }
 
 // Stop halts the follower loop (if running) and ends every stream, both
 // the one this node follows and those it serves. Safe to call multiple

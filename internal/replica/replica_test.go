@@ -31,12 +31,12 @@ func testGraph(t testing.TB) *topology.Graph {
 	return g
 }
 
-// testNode is one in-process cluster member: server + journal + replication
-// node + HTTP front.
+// testNode is one in-process cluster member: replication node, its server
+// and journal, and its HTTP front.
 type testNode struct {
 	srv  *server.Server
 	jnl  *journal.Journal
-	dir  string // the journal's directory, when bootNode made it
+	dir  string
 	node *replica.Node
 	http *httptest.Server
 }
@@ -49,64 +49,28 @@ func (tn *testNode) close(t testing.TB) {
 	_ = tn.jnl.Close()
 }
 
-// bootNode builds a cluster member. primaryURL=="" boots a primary;
-// otherwise a follower of that URL.
+// bootNode builds a cluster member on a fresh directory. primaryURL=="" boots
+// a primary; otherwise a follower of that URL.
 func bootNode(t testing.TB, g *topology.Graph, primaryURL string, cfg replica.Config) *testNode {
 	t.Helper()
-	dir := t.TempDir()
-	jnl, rec, err := journal.Open(dir, journal.Options{FsyncEvery: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.LastSeq != 0 {
-		t.Fatalf("fresh dir recovered seq %d", rec.LastSeq)
-	}
-	tn := bootNodeOnJournal(t, g, jnl, rec, primaryURL, cfg)
-	tn.dir = dir
-	return tn
+	return bootNodeAt(t, g, t.TempDir(), journal.Options{FsyncEvery: 1}, primaryURL, cfg, server.Options{})
 }
 
-// bootNodeOnJournal builds a member over an already-opened journal,
-// rebuilding the manager from its recovered contents — the rejoin path.
-// perturb, if any, then damages the manager behind the journal's back.
-func bootNodeOnJournal(t testing.TB, g *topology.Graph, jnl *journal.Journal, rec *journal.Recovered, primaryURL string, cfg replica.Config, perturb ...func(*manager.Manager)) *testNode {
+// bootNodeAt builds a member from dir through replica.Open: a fresh
+// directory, or one a member wrote (the rejoin path). Snapshots are manual
+// unless opt sets a cadence: the stream tests want full journal replay.
+func bootNodeAt(t testing.TB, g *topology.Graph, dir string, jopt journal.Options, primaryURL string, cfg replica.Config, opt server.Options) *testNode {
 	t.Helper()
-	return bootNodeTuned(t, g, jnl, rec, primaryURL, cfg, func(*server.Options) {}, perturb...)
-}
-
-// bootNodeTuned is bootNodeOnJournal with tune changing the server's
-// options last.
-func bootNodeTuned(t testing.TB, g *topology.Graph, jnl *journal.Journal, rec *journal.Recovered, primaryURL string, cfg replica.Config, tune func(*server.Options), perturb ...func(*manager.Manager)) *testNode {
-	t.Helper()
-	mgr, _, err := server.Rebuild(g, manager.Config{Capacity: 10000}, rec)
-	if err != nil {
-		t.Fatal(err)
+	if opt.SnapshotEvery == 0 {
+		opt.SnapshotEvery = -1
 	}
-	tn := &testNode{jnl: jnl}
-	opt := server.Options{
-		Journal:  jnl,
-		Follower: primaryURL != "",
-		Term:     rec.Term,
-		// Manual snapshots only: the stream tests want full journal replay.
-		SnapshotEvery: -1,
-	}
-	for _, p := range perturb {
-		p(mgr)
-	}
-	tune(&opt)
-	opt.WaitReplicated = func(ctx context.Context, seq uint64) error {
-		return tn.node.WaitReplicated(ctx, seq)
-	}
-	opt.ReplicaStats = func() *server.ReplicaStats { return tn.node.StatsBlock() }
-	srv, err := server.NewFromManager(g, mgr, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tn.srv = srv
 	cfg.PrimaryURL = primaryURL
-	tn.node = replica.NewNode(srv, jnl, cfg)
-	tn.http = httptest.NewServer(tn.node.FrontHandler(server.NewHandler(srv)))
-	return tn
+	node, api, _, err := replica.Open(g, manager.Config{Capacity: 10000}, dir, jopt, opt, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := node.Server()
+	return &testNode{srv: srv, jnl: srv.Journal(), dir: dir, node: node, http: httptest.NewServer(api)}
 }
 
 func establishSome(t *testing.T, s *server.Server, n int) int {
@@ -287,39 +251,13 @@ func TestFailoverPromotion(t *testing.T) {
 	if _, err := follower.srv.Establish(ctx, 0, 1, qos.DefaultSpec()); err != nil && !errors.Is(err, manager.ErrRejected) {
 		t.Fatalf("new primary refuses mutations: %v", err)
 	}
-	// The journaled term survives a restart.
-	dir := follower.dir
-	follower.node.Stop()
-	follower.http.Close()
-	_ = follower.srv.Shutdown(ctx)
-	_ = follower.jnl.Close()
-	jnl2, rec, err := journal.Open(dir, journal.Options{FsyncEvery: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jnl2.Close()
-	if rec.Term != 1 {
-		t.Fatalf("recovered term = %d, want 1", rec.Term)
-	}
-	// Point the deferred close(t) at the restarted pieces.
-	follower.jnl = jnl2
-	follower.http = httptest.NewServer(http.NotFoundHandler())
-	follower.srv, err = server.NewFromManager(g, mustRebuild(t, g, rec), server.Options{Journal: jnl2, Term: rec.Term})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The journaled term survives a restart. The deferred close(t) takes
+	// the restarted node.
+	follower.close(t)
+	*follower = *bootNodeAt(t, g, follower.dir, journal.Options{FsyncEvery: 1}, "", replica.Config{}, server.Options{})
 	if follower.srv.Term() != 1 {
 		t.Fatalf("restarted term = %d, want 1", follower.srv.Term())
 	}
-}
-
-func mustRebuild(t *testing.T, g *topology.Graph, rec *journal.Recovered) *manager.Manager {
-	t.Helper()
-	m, _, err := server.Rebuild(g, manager.Config{Capacity: 10000}, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
 }
 
 // TestStaleTermPollDemotesPrimary: a stream opened with a higher term fences
@@ -371,21 +309,13 @@ func TestDivergentFollowerRebootstraps(t *testing.T) {
 	if _, err := loner.srv.FailLink(ctx, 0); err != nil && !errors.Is(err, server.ErrConflict) {
 		t.Fatal(err)
 	}
-	dir := loner.dir
-	loner.node.Stop()
-	loner.http.Close()
-	_ = loner.srv.Shutdown(ctx)
-	_ = loner.jnl.Close()
+	loner.close(t)
 
-	jnl, rec, err := journal.Open(dir, journal.Options{FsyncEvery: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.LastSeq == 0 {
+	follower := bootNodeAt(t, g, loner.dir, journal.Options{FsyncEvery: 1}, primary.http.URL, replica.Config{PollWait: 20 * time.Millisecond}, server.Options{})
+	defer follower.close(t)
+	if follower.jnl.LastSeq() == 0 {
 		t.Fatal("divergent history vanished")
 	}
-	follower := bootNodeOnJournal(t, g, jnl, rec, primary.http.URL, replica.Config{PollWait: 20 * time.Millisecond})
-	defer follower.close(t)
 	go func() { _ = follower.node.Run(context.Background()) }()
 
 	tip := primary.jnl.LastSeq()
@@ -455,12 +385,8 @@ func TestCompactedStreamBootstraps(t *testing.T) {
 func TestStreamAcrossSnapshots(t *testing.T) {
 	const every = 40
 	g := testGraph(t)
-	jnl, rec, err := journal.Open(t.TempDir(), journal.Options{GroupCommit: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	primary := bootNodeTuned(t, g, jnl, rec, "", replica.Config{PollWait: 20 * time.Millisecond},
-		func(opt *server.Options) { opt.SnapshotEvery = every })
+	primary := bootNodeAt(t, g, t.TempDir(), journal.Options{GroupCommit: true}, "", replica.Config{PollWait: 20 * time.Millisecond},
+		server.Options{SnapshotEvery: every})
 	defer primary.close(t)
 	standby := bootNodeWith(t, g, journal.Options{GroupCommit: true}, primary.http.URL, replica.Config{PollWait: 20 * time.Millisecond})
 	defer standby.close(t)

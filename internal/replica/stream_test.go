@@ -39,11 +39,7 @@ var journalModes = []struct {
 
 func bootNodeWith(t testing.TB, g *topology.Graph, opt journal.Options, primaryURL string, cfg replica.Config) *testNode {
 	t.Helper()
-	jnl, rec, err := journal.Open(t.TempDir(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return bootNodeOnJournal(t, g, jnl, rec, primaryURL, cfg)
+	return bootNodeAt(t, g, t.TempDir(), opt, primaryURL, cfg, server.Options{})
 }
 
 // handStream is a standby driven by hand: one stream opened from a chosen

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"drqos/internal/channel"
-	"drqos/internal/journal"
 	"drqos/internal/manager"
 	"drqos/internal/qos"
 	"drqos/internal/replica"
@@ -184,18 +183,15 @@ func TestVerifyPointCatchesDivergence(t *testing.T) {
 	tap := &streamTap{}
 	primary := bootNode(t, g, "", replica.Config{PollWait: 20 * time.Millisecond})
 	defer primary.close(t)
-	jnl, rec, err := journal.Open(t.TempDir(), journal.Options{FsyncEvery: 1})
-	if err != nil {
+	follower := bootNode(t, g, primary.http.URL, replica.Config{PollWait: 20 * time.Millisecond, Transport: tap})
+	defer follower.close(t)
+	if err := follower.srv.PerturbForTesting(context.Background(), func(m *manager.Manager) {
+		if _, err := m.Establish(0, 0, qos.DefaultSpec()); !errors.Is(err, manager.ErrRejected) {
+			t.Errorf("perturbing establish: %v, want a rejection", err)
+		}
+	}); err != nil {
 		t.Fatal(err)
 	}
-	follower := bootNodeOnJournal(t, g, jnl, rec, primary.http.URL,
-		replica.Config{PollWait: 20 * time.Millisecond, Transport: tap},
-		func(m *manager.Manager) {
-			if _, err := m.Establish(0, 0, qos.DefaultSpec()); !errors.Is(err, manager.ErrRejected) {
-				t.Fatalf("perturbing establish: %v, want a rejection", err)
-			}
-		})
-	defer follower.close(t)
 	go func() { _ = follower.node.Run(context.Background()) }()
 
 	churn(t, primary, 2*replica.VerifyEvery)

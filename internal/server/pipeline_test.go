@@ -113,7 +113,7 @@ func (f *pipelineFixture) observe(t *testing.T, jnl *journal.Journal) observed {
 	if err != nil {
 		t.Fatal(err)
 	}
-	txns, err := f.srv.Txns(ctx)
+	txns, _, err := f.srv.Txns(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestLiveReplayFollowerAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	liveTxns, err := primary.Txns(ctx)
+	liveTxns, liveHigh, err := primary.Txns(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,8 +351,8 @@ func TestLiveReplayFollowerAgree(t *testing.T) {
 		if fp := m.ExportState().Fingerprint(); fp != liveFP {
 			t.Errorf("replayed fingerprint %s, live %s", fp, liveFP)
 		}
-		if got := txns.Infos(m); !reflect.DeepEqual(got, liveTxns) {
-			t.Errorf("replayed table %+v, live %+v", got, liveTxns)
+		if got := txns.Infos(m); !reflect.DeepEqual(got, liveTxns) || txns.HighWater() != liveHigh {
+			t.Errorf("replayed table %+v (high %d), live %+v (high %d)", got, txns.HighWater(), liveTxns, liveHigh)
 		}
 	})
 
@@ -381,12 +381,12 @@ func TestLiveReplayFollowerAgree(t *testing.T) {
 		if fp != liveFP {
 			t.Errorf("follower fingerprint %s, live %s", fp, liveFP)
 		}
-		got, err := follower.Txns(ctx)
+		got, high, err := follower.Txns(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, liveTxns) {
-			t.Errorf("follower table %+v, live %+v", got, liveTxns)
+		if !reflect.DeepEqual(got, liveTxns) || high != liveHigh {
+			t.Errorf("follower table %+v (high %d), live %+v (high %d)", got, high, liveTxns, liveHigh)
 		}
 		// An aborted transaction left pending would block every later
 		// snapshot; the follower must have kept its cadence to the end.

@@ -113,18 +113,10 @@ func (s *Server) recoverOnce(ctx context.Context) (uint64, error) {
 	// queue behind backlogged establishes) and is critical: once accepted
 	// it always executes, even if ctx dies.
 	if err := s.do(ctx, true, func(*manager.Manager) error {
-		// The journal is the durable term authority: adopt whatever fencing
-		// term the reload surfaced (snapshot header or KindTerm records), so
-		// a rebuilt replica resumes fencing where its history left off.
-		if rec.Term > s.term.Load() {
-			s.term.Store(rec.Term)
-		}
-		s.mgr = fresh
-		// The transaction table is rebuilt alongside the manager it
-		// indexes into. In-flight (uncommitted) transactions stay pending:
-		// resolving them is the coordinator's call, not this shard's.
-		s.txns = txns
-		s.eventsSinceSnap = 0
+		// Boot's install: the journal is the durable term authority, and
+		// in-flight (uncommitted) transactions stay pending — resolving
+		// them is the coordinator's call, not this shard's.
+		s.install(fresh, txns, rec.Term)
 		// Count the recovery before the un-latch: a reader that sees the
 		// plane healthy again also sees the recovery that healed it.
 		s.recoveries.Add(1)
@@ -173,8 +165,8 @@ func (s *Server) superviseRecovery() {
 // must refuse to serve a state that replay cannot vouch for. The snapshot
 // header seeds the committed transactions and the tail replays through the
 // same transition function the live path used, so the table comes out
-// exactly as the live server held it; it seeds Options.Txns, and stays
-// empty for a standalone journal.
+// exactly as the live server held it; it stays empty for a standalone
+// journal. Open boots from it, and recovery swaps its result in.
 func Rebuild(g *topology.Graph, cfg manager.Config, rec *journal.Recovered) (*manager.Manager, *TxnTable, error) {
 	var m *manager.Manager
 	var err error

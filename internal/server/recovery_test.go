@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -37,20 +38,15 @@ func newJournaledServer(t *testing.T, g *topology.Graph, opt server.Options) (*s
 // newJournaledServerIn is newJournaledServer over a journal in dir.
 func newJournaledServerIn(t *testing.T, g *topology.Graph, dir string, opt server.Options) (*server.Server, *journal.Journal) {
 	t.Helper()
-	jnl, rec, err := journal.Open(dir, journal.Options{FsyncEvery: -1})
+	s, rec, err := server.Open(g, manager.Config{Capacity: 10000}, dir, journal.Options{FsyncEvery: -1}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { jnl.Close() })
+	t.Cleanup(func() { s.Journal().Close() })
 	if rec.LastSeq != 0 {
 		t.Fatalf("fresh dir recovered seq %d", rec.LastSeq)
 	}
-	opt.Journal = jnl
-	s, err := server.New(g, manager.Config{Capacity: 10000}, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s, jnl
+	return s, s.Journal()
 }
 
 func establishN(t *testing.T, s *server.Server, n int) {
@@ -74,8 +70,8 @@ func establishN(t *testing.T, s *server.Server, n int) {
 }
 
 // TestRestartReplaysJournal is the crash/restart contract at the server
-// level: a second server built via Rebuild from the same data dir reports
-// the same population as the one that wrote it.
+// level: a second server opened on the same data dir reports the same
+// population as the one that wrote it.
 func TestRestartReplaysJournal(t *testing.T) {
 	g := journaledGraph(t)
 	dir := t.TempDir()
@@ -97,23 +93,16 @@ func TestRestartReplaysJournal(t *testing.T) {
 	}
 	// No jnl.Close(): simulate the crash by reopening the directory.
 
-	jnl2, rec, err := journal.Open(dir, journal.Options{FsyncEvery: -1})
+	s2, rec, err := server.Open(g, manager.Config{Capacity: 10000}, dir, journal.Options{FsyncEvery: -1}, server.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	jnl2 := s2.Journal()
 	defer jnl2.Close()
+	defer s2.Shutdown(ctx)
 	if rec.SnapshotSeq == 0 {
 		t.Fatal("SnapshotEvery=7 over 21 events produced no snapshot")
 	}
-	m, _, err := server.Rebuild(g, manager.Config{Capacity: 10000}, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := server.NewFromManager(g, m, server.Options{Journal: jnl2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Shutdown(ctx)
 	after, err := s2.Snapshot(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -137,6 +126,89 @@ func TestRestartReplaysJournal(t *testing.T) {
 	establishN(t, s2, 1)
 	if got := jnl2.LastSeq(); got != before.JournalSeq+1 {
 		t.Fatalf("journal seq after restart %d, want %d", got, before.JournalSeq+1)
+	}
+}
+
+// installed is what boot and recovery install: the manager's fingerprint,
+// the fencing term and the transaction table with its high-water mark.
+type installed struct {
+	fingerprint string
+	term        uint64
+	txns        []server.TxnInfo
+	high        uint64
+}
+
+func installedIn(t *testing.T, s *server.Server) installed {
+	t.Helper()
+	ctx := context.Background()
+	fp, err := s.StateFingerprint(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	txns, high, err := s.Txns(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return installed{fingerprint: fp, term: s.Term(), txns: txns, high: high}
+}
+
+// TestOpenAndRecoverInstallTheSameState: booting a directory (Open) and
+// recovering a degraded server over the same directory (Recover) install
+// one state — the one the live server held: the same fingerprint, term and
+// transaction table. The history crosses a snapshot and a term record and
+// leaves a committed and a pending transaction.
+func TestOpenAndRecoverInstallTheSameState(t *testing.T) {
+	g := journaledGraph(t)
+	ctx := context.Background()
+	dir := t.TempDir()
+	mcfg, jopt := manager.Config{Capacity: 10000}, journal.Options{FsyncEvery: -1}
+	s, _, err := server.Open(g, mcfg, dir, jopt, server.Options{SnapshotEvery: 5, Follower: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Promote(ctx); err != nil {
+		t.Fatal(err)
+	}
+	establishN(t, s, 8)
+	f := buildPipelineFixture(t, s)
+	for _, m := range f.mutations {
+		if err := m.call(ctx); err != nil {
+			t.Fatalf("%s: %v", m.name, err)
+		}
+	}
+	live := installedIn(t, s)
+	if live.term != 1 || len(live.txns) != 2 || live.high != f.prepareTxn {
+		t.Fatalf("live state: term %d, table %+v, high %d; want term 1, two transactions, high %d",
+			live.term, live.txns, live.high, f.prepareTxn)
+	}
+	if s.Journal().SnapshotSeq() == 0 {
+		t.Fatal("SnapshotEvery=5 produced no snapshot")
+	}
+
+	if err := s.CorruptForTesting(ctx); err == nil {
+		t.Fatal("planted corruption passed the audit")
+	}
+	if _, err := s.Recover(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := installedIn(t, s); !reflect.DeepEqual(got, live) {
+		t.Fatalf("recovery installed %+v, the live server held %+v", got, live)
+	}
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Journal().Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	booted, _, err := server.Open(g, mcfg, dir, jopt, server.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer booted.Journal().Close()
+	defer booted.Shutdown(ctx)
+	if got := installedIn(t, booted); !reflect.DeepEqual(got, live) {
+		t.Fatalf("boot installed %+v, the live server held %+v", got, live)
 	}
 }
 

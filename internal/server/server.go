@@ -163,7 +163,8 @@ type Options struct {
 	// Journal, when non-nil, makes every mutation durable: commands are
 	// appended (write-ahead) before the manager applies them. The server
 	// takes ownership of snapshot writing but NOT of Close — the daemon
-	// closes the journal after Shutdown has drained the loop.
+	// closes the journal after Shutdown has drained the loop. Open sets it
+	// to the journal it opens.
 	Journal *journal.Journal
 	// SnapshotEvery writes a state snapshot after this many journaled
 	// events (default 1024; negative disables snapshots).
@@ -173,20 +174,12 @@ type Options struct {
 	// exponential backoff until it succeeds or the server shuts down. False
 	// means manual-only (POST /v1/admin/recover).
 	AutoRecover bool
-	// Txns seeds the cross-shard transaction table — typically the one a
-	// journal rebuild recovered (Rebuild). Nil starts empty. Only
-	// the sharded deployment uses it; a standalone server's table stays
-	// empty forever.
-	Txns *TxnTable
 	// Follower starts the server in the follower role: every mutating
 	// command answers ErrNotPrimary, and state advances only through
 	// ApplyReplicated (the primary's journal stream) until Promote flips
 	// the role. The zero value starts a primary, which is every
 	// non-replicated deployment.
 	Follower bool
-	// Term seeds the replication term — typically journal.Recovered.Term,
-	// so a restarted replica resumes fencing where its journal left off.
-	Term uint64
 	// WaitReplicated, when non-nil, is called after a mutation's journal
 	// record became locally durable and before the client is acknowledged,
 	// with the record's sequence number. The replication shipper uses it
@@ -307,10 +300,36 @@ type Server struct {
 	backupsLost atomic.Int64
 }
 
-// NewFromManager builds a Server around an existing manager — typically one
-// rebuilt from a journal by Rebuild — and starts its command loop. The
-// manager must not be touched by the caller afterwards.
+// Open is how a node comes up, first start or restart: it opens the
+// journal in dir ("" runs in memory; opt.Journal is ignored), rebuilds the
+// manager and transaction table from it, installs them with the journal's
+// fencing term and starts the loop. It answers what the journal held; the
+// journal's Close, after Shutdown, stays the caller's.
+func Open(g *topology.Graph, cfg manager.Config, dir string, jopt journal.Options, opt Options) (_ *Server, rec *journal.Recovered, err error) {
+	rec, opt.Journal = &journal.Recovered{}, nil
+	if dir != "" {
+		if opt.Journal, rec, err = journal.Open(dir, jopt); err != nil {
+			return nil, nil, fmt.Errorf("opening journal %s: %w", dir, err)
+		}
+	}
+	m, txns, err := Rebuild(g, cfg, rec)
+	if err != nil {
+		if opt.Journal != nil {
+			opt.Journal.Close()
+		}
+		return nil, nil, err
+	}
+	return start(g, m, txns, rec.Term, opt), rec, nil
+}
+
+// NewFromManager starts a Server around mgr, with an empty transaction
+// table at term 0. The manager must not be touched by the caller afterwards.
 func NewFromManager(g *topology.Graph, mgr *manager.Manager, opt Options) (*Server, error) {
+	return start(g, mgr, &TxnTable{}, 0, opt), nil
+}
+
+// start builds a Server, installs its state and starts its command loop.
+func start(g *topology.Graph, mgr *manager.Manager, txns *TxnTable, term uint64, opt Options) *Server {
 	depth := opt.QueueDepth
 	if depth <= 0 {
 		depth = 256
@@ -326,8 +345,6 @@ func NewFromManager(g *topology.Graph, mgr *manager.Manager, opt Options) (*Serv
 		consuming:     make(chan command, depth),
 		loopDone:      make(chan struct{}),
 		stop:          make(chan struct{}),
-		mgr:           mgr,
-		txns:          opt.Txns,
 		detector:      overload.NewDetector(opt.Overload, nil),
 		execDelay:     opt.ExecDelay,
 		jnl:           opt.Journal,
@@ -340,10 +357,7 @@ func NewFromManager(g *topology.Graph, mgr *manager.Manager, opt Options) (*Serv
 		replicaStats:     opt.ReplicaStats,
 	}
 	s.follower.Store(opt.Follower)
-	s.term.Store(opt.Term)
-	if s.txns == nil {
-		s.txns = &TxnTable{}
-	}
+	s.install(mgr, txns, term)
 	// Epoch 1 is published before the loop starts, so View never returns
 	// nil and a freshly booted (or journal-recovered) server serves its
 	// state without waiting for the first mutation.
@@ -363,8 +377,22 @@ func NewFromManager(g *topology.Graph, mgr *manager.Manager, opt Options) (*Serv
 		s.fc.Start()
 	}
 	go s.loop()
-	return s, nil
+	return s
 }
+
+// install makes a rebuilt state the server's: the manager, its transaction
+// table and its journal's fencing term (never lowering the one held). Boot
+// runs it before the loop starts, recovery inside a loop command.
+func (s *Server) install(m *manager.Manager, txns *TxnTable, term uint64) {
+	if term > s.term.Load() {
+		s.term.Store(term)
+	}
+	s.mgr, s.txns = m, txns
+	s.eventsSinceSnap = 0
+}
+
+// Journal returns the journal the server writes (nil in memory).
+func (s *Server) Journal() *journal.Journal { return s.jnl }
 
 // loop is the only goroutine that ever touches the manager. Freeing-lane
 // commands are drained strictly before consuming-lane ones: each iteration

@@ -246,11 +246,13 @@ func (s *Server) AbortTxn(ctx context.Context, txn uint64) error {
 }
 
 // Txns reads the transaction table — a loop read, consistent with the
-// manager state at the instant it runs.
-func (s *Server) Txns(ctx context.Context) ([]TxnInfo, error) {
-	return query(s, ctx, func(m *manager.Manager) ([]TxnInfo, error) {
-		return s.txns.Infos(m), nil
+// manager state at the instant it runs — and its HighWater.
+func (s *Server) Txns(ctx context.Context) (infos []TxnInfo, high uint64, err error) {
+	err = s.do(ctx, false, func(m *manager.Manager) error {
+		infos, high = s.txns.Infos(m), s.txns.HighWater()
+		return nil
 	})
+	return infos, high, err
 }
 
 // ConnStatus is the point-lookup view of one connection
@@ -280,6 +282,12 @@ func (s *Server) ConnStatus(ctx context.Context, id channel.ConnID) (*ConnStatus
 		}
 		return st, nil
 	})
+}
+
+// PerturbForTesting runs fn on the manager in the loop, behind the
+// journal's back: a replica diverging from its records. No production caller.
+func (s *Server) PerturbForTesting(ctx context.Context, fn func(*manager.Manager)) error {
+	return s.do(ctx, false, func(m *manager.Manager) error { fn(m); return nil })
 }
 
 // CorruptForTesting plants an aggregate-ledger corruption in the loop and

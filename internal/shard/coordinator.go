@@ -61,8 +61,8 @@ type Options struct {
 	// Manager is the per-shard admission config (applied to each sub
 	// graph).
 	Manager manager.Config
-	// Server is the per-shard server template. Journal and Txns are
-	// overwritten per shard; everything else is copied as-is.
+	// Server is the per-shard server template, booted through server.Open
+	// with the shard's journal and the coordinator's snapshot annotation.
 	Server server.Options
 	// Journal tunes each shard's journal. Ignored when Dir is empty.
 	Journal journal.Options
@@ -116,7 +116,6 @@ type Coordinator struct {
 	afterPrepare func(shard int, txn uint64) error
 
 	shards []*server.Server
-	jnls   []*journal.Journal // nil entries when Dir is empty
 
 	// mu guards the cross-connection index, the transaction counter, the
 	// pending-resolution queue, the abort-reason tallies, the retry jitter
@@ -178,9 +177,9 @@ type EstablishResult struct {
 	Hops int
 }
 
-// New builds the plan, opens each shard's journal, rebuilds and starts
-// each shard's server, and delivers the outcome of every transaction a
-// crash left in flight before it returns (recoverTxns).
+// New builds the plan, boots each shard from its directory, and delivers
+// the outcome of every transaction a crash left in flight before it
+// returns (recoverTxns).
 func New(g *topology.Graph, opt Options) (*Coordinator, error) {
 	plan, err := BuildPlan(g, opt.Shards)
 	if err != nil {
@@ -197,7 +196,6 @@ func New(g *topology.Graph, opt Options) (*Coordinator, error) {
 		plan:         plan,
 		opt:          opt,
 		shards:       make([]*server.Server, opt.Shards),
-		jnls:         make([]*journal.Journal, opt.Shards),
 		nextTxn:      1,
 		cross:        make(map[uint64]*crossConn),
 		pending:      make(map[uint64]pendingTxn),
@@ -207,14 +205,17 @@ func New(g *topology.Graph, opt Options) (*Coordinator, error) {
 		resolverStop: make(chan struct{}),
 		resolverDone: make(chan struct{}),
 	}
+	sawTxn := false
 	for i := 0; i < opt.Shards; i++ {
-		if err := c.startShard(i); err != nil {
+		saw, err := c.startShard(i)
+		if err != nil {
 			_ = c.close(context.Background())
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
+		sawTxn = sawTxn || saw
 	}
 	// A plane whose shards never saw a transaction has none to recover.
-	if c.nextTxn > 1 {
+	if sawTxn {
 		if err := c.recoverTxns(context.Background()); err != nil {
 			_ = c.close(context.Background())
 			return nil, err
@@ -241,35 +242,14 @@ func (c *Coordinator) resolveLoop() {
 	}
 }
 
-// startShard opens shard i's journal, rebuilds its state and starts its
-// server.
-func (c *Coordinator) startShard(i int) error {
-	rec := &journal.Recovered{}
+// startShard boots shard i from its directory (server.Open) and reports
+// whether its journal holds a trace of any transaction.
+func (c *Coordinator) startShard(i int) (sawTxn bool, err error) {
+	dir := ""
 	if c.opt.Dir != "" {
-		jnl, r, err := journal.Open(filepath.Join(c.opt.Dir, fmt.Sprintf("shard-%03d", i)), c.opt.Journal)
-		if err != nil {
-			return err
-		}
-		c.jnls[i], rec = jnl, r
-	}
-	sub := c.plan.Subs[i]
-	m, txns, err := server.Rebuild(sub.Graph, c.opt.Manager, rec)
-	if err != nil {
-		return fmt.Errorf("rebuild: %w", err)
-	}
-	c.nextTxn = max(c.nextTxn, txns.HighWater()+1)
-	// Cross-shard counters ride the shard snapshot headers; a restart
-	// seeds each from the newest view any shard captured (per-counter
-	// max — shards snapshot at different times, so each header is a
-	// valid lower bound).
-	if h := rec.SnapshotHeader; h != nil {
-		c.crossAttempts.Store(max(c.crossAttempts.Load(), h.CrossAttempts))
-		c.crossCommitted.Store(max(c.crossCommitted.Load(), h.CrossCommitted))
-		c.crossAborted.Store(max(c.crossAborted.Load(), h.CrossAborted))
+		dir = filepath.Join(c.opt.Dir, fmt.Sprintf("shard-%03d", i))
 	}
 	so := c.opt.Server
-	so.Journal = c.jnls[i]
-	so.Txns = txns
 	// Every shard snapshot stamps the coordinator's current cross-shard
 	// counters into its header, making them restart-durable.
 	so.AnnotateSnapshot = func(hdr *journal.SnapshotHeader) {
@@ -277,12 +257,26 @@ func (c *Coordinator) startShard(i int) error {
 		hdr.CrossCommitted = c.crossCommitted.Load()
 		hdr.CrossAborted = c.crossAborted.Load()
 	}
-	c.shards[i], err = server.NewFromManager(sub.Graph, m, so)
-	return err
+	srv, rec, err := server.Open(c.plan.Subs[i].Graph, c.opt.Manager, dir, c.opt.Journal, so)
+	if err != nil {
+		return false, err
+	}
+	c.shards[i] = srv
+	// A restart seeds each counter from the newest view any shard captured
+	// (per-counter max — shards snapshot at different times, so each
+	// header is a valid lower bound).
+	if h := rec.SnapshotHeader; h != nil {
+		c.crossAttempts.Store(max(c.crossAttempts.Load(), h.CrossAttempts))
+		c.crossCommitted.Store(max(c.crossCommitted.Load(), h.CrossCommitted))
+		c.crossAborted.Store(max(c.crossAborted.Load(), h.CrossAborted))
+		sawTxn = h.TxnHigh > 0
+	}
+	return sawTxn || slices.ContainsFunc(rec.Events, func(ev journal.Event) bool { return ev.Kind == journal.KindPrepare }), nil
 }
 
-// recoverTxns decides every transaction a crash left in flight, delivers
-// the decisions, and indexes the committed cross-shard connections. The
+// recoverTxns resumes transaction numbering above every ID a shard has
+// seen, decides every transaction a crash left in flight, delivers the
+// decisions, and indexes the committed cross-shard connections. The
 // rule is the classic presumed-abort coordinator recovery: the coordinator
 // only starts committing once every participant's prepare is durable, so a
 // commit on ANY shard proves the whole transaction was prepared — commit it
@@ -293,11 +287,12 @@ func (c *Coordinator) recoverTxns(ctx context.Context) error {
 	tables := make([][]server.TxnInfo, len(c.shards))
 	committed := make(map[uint64]bool)
 	for i, s := range c.shards {
-		infos, err := s.Txns(ctx)
+		infos, high, err := s.Txns(ctx)
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
 		tables[i] = infos
+		c.nextTxn = max(c.nextTxn, high+1)
 		for _, tx := range infos {
 			if tx.Committed {
 				committed[tx.Txn] = true
@@ -901,8 +896,7 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 	return c.close(ctx)
 }
 
-// close shuts down every started shard server, then closes every open
-// journal.
+// close shuts down every started shard server, then closes its journal.
 func (c *Coordinator) close(ctx context.Context) error {
 	var first error
 	for _, s := range c.shards {
@@ -912,10 +906,8 @@ func (c *Coordinator) close(ctx context.Context) error {
 		if err := s.Shutdown(ctx); err != nil && first == nil {
 			first = err
 		}
-	}
-	for _, j := range c.jnls {
-		if j != nil {
-			if err := j.Close(); err != nil && first == nil {
+		if jnl := s.Journal(); jnl != nil {
+			if err := jnl.Close(); err != nil && first == nil {
 				first = err
 			}
 		}

@@ -188,7 +188,7 @@ func TestCrossPiecesAreNotIntraConnections(t *testing.T) {
 	}
 	var pieces []int64
 	for i := 0; i < c.NumShards(); i++ {
-		txns, err := c.Shard(i).Txns(ctx)
+		txns, _, err := c.Shard(i).Txns(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +236,7 @@ func TestFailAnswerNamesCrossConnections(t *testing.T) {
 	var pieces []int64
 	link := -1
 	for i := 0; i < c.NumShards(); i++ {
-		txns, err := c.Shard(i).Txns(ctx)
+		txns, _, err := c.Shard(i).Txns(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/bits"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -474,19 +475,11 @@ func TestSingleShardBitIdentical(t *testing.T) {
 	c := newCoordinator(t, g, shard.Options{Shards: 1, Dir: cdir, Journal: jopt, Manager: mcfg})
 
 	sdir := t.TempDir()
-	jnl, _, err := journal.Open(sdir, jopt)
+	s, _, err := server.Open(g, mcfg, sdir, jopt, server.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer jnl.Close()
-	mgr, err := manager.New(g, mcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := server.NewFromManager(g, mgr, server.Options{Journal: jnl})
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer s.Journal().Close()
 	defer s.Shutdown(context.Background())
 
 	ctx := context.Background()
@@ -554,7 +547,7 @@ func TestSingleShardBitIdentical(t *testing.T) {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := jnl.Close(); err != nil {
+	if err := s.Journal().Close(); err != nil {
 		t.Fatal(err)
 	}
 	compareDirs(t, filepath.Join(cdir, "shard-000"), sdir)
@@ -950,6 +943,193 @@ func TestCrossShardCommitUnacknowledged503(t *testing.T) {
 		if p.Alive != 0 {
 			t.Fatalf("shard %d holds %d connections after the terminate, want 0", i, p.Alive)
 		}
+	}
+}
+
+// TestCrashPoints is the crash-point table on four journaled shards: for
+// each participant of a cross-shard establish, the plane crashes once right
+// after that participant's prepare (the participant dies and the prepare
+// fails) and once right after its commit (every later commit call fails),
+// and boots again with shard.New. Every ID answered with success holds its
+// connection on every participant, the refused establish left nothing on
+// any shard, nothing stays pending, and the next transaction is numbered
+// above every ID used before the crash: by then snapshots have folded
+// finished transactions away, so only the tables' high-water marks
+// remember them.
+func TestCrashPoints(t *testing.T) {
+	g := tierGraph(t, 7)
+	probe := newCoordinator(t, g, shard.Options{Shards: 4})
+	src, dst := crossPair(g, probe.Plan())
+	var participants []int
+	probe.SetTestHookAfterPrepare(func(s int, _ uint64) error {
+		participants = append(participants, s)
+		return nil
+	})
+	if _, err := probe.Establish(context.Background(), src, dst, qos.DefaultSpec()); err != nil {
+		t.Fatal(err)
+	}
+	if len(participants) < 2 {
+		t.Fatalf("cross establish prepared on %v, want at least two participants", participants)
+	}
+	for _, p := range participants {
+		for _, point := range []string{"prepare", "commit"} {
+			t.Run(fmt.Sprintf("after-%s-on-shard-%d", point, p), func(t *testing.T) {
+				crashAt(t, g, src, dst, p, point)
+			})
+		}
+	}
+}
+
+// crashAt runs one row of TestCrashPoints: participant p crashes after its
+// prepare or its commit, as point says.
+func crashAt(t *testing.T, g *topology.Graph, src, dst topology.NodeID, p int, point string) {
+	ctx := context.Background()
+	opt := shard.Options{
+		Shards: 4, Dir: t.TempDir(), Journal: journal.Options{FsyncEvery: -1},
+		Manager: manager.Config{Capacity: 10000}, Server: server.Options{SnapshotEvery: 4},
+	}
+	var armed, crashed atomic.Bool
+	hooked := opt
+	hooked.Invoke = func(ctx context.Context, s int, phase string, call func(context.Context) error) error {
+		if phase == "commit" && crashed.Load() {
+			return errors.New("injected: the plane crashed after a commit")
+		}
+		err := call(ctx)
+		if phase == "commit" && point == "commit" && s == p && armed.Load() && err == nil {
+			crashed.Store(true)
+		}
+		return err
+	}
+	c, err := shard.New(g, hooked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var used uint64 // the largest transaction ID handed out
+	c.SetTestHookAfterPrepare(func(s int, txn uint64) error {
+		used = max(used, txn)
+		if point == "prepare" && s == p && armed.Load() {
+			if err := c.Shard(s).Shutdown(ctx); err != nil {
+				t.Errorf("shard %d shutdown: %v", s, err)
+			}
+			return fmt.Errorf("injected: shard %d crashed after its prepare", s)
+		}
+		return nil
+	})
+
+	// Acknowledged load: an intra-shard connection and cross-shard ones,
+	// every other one terminated again.
+	is, id := intraPair(c.Plan())
+	intra, err := c.Establish(ctx, is, id, qos.DefaultSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	acked := []int64{intra.ID}
+	for i := 0; i < 6; i++ {
+		res, err := c.Establish(ctx, src, dst, qos.DefaultSpec())
+		if err != nil {
+			t.Fatalf("cross establish %d: %v", i, err)
+		}
+		if i%2 == 1 {
+			acked = append(acked, res.ID)
+		} else if err := c.Terminate(ctx, res.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.Shard(p).Journal().SnapshotSeq() == 0 {
+		t.Fatalf("shard %d took no snapshot before the crash", p)
+	}
+
+	armed.Store(true)
+	var refused uint64
+	res, err := c.Establish(ctx, src, dst, qos.DefaultSpec())
+	switch {
+	case point == "prepare" && err == nil:
+		t.Fatalf("establish through a participant that crashed after its prepare answered %+v", res)
+	case point == "prepare":
+		refused = used
+	case err != nil:
+		t.Fatalf("establish whose commit shard %d acknowledged: %v", p, err)
+	default:
+		acked = append(acked, res.ID)
+	}
+	if err := c.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	c = newCoordinator(t, g, opt)
+	if n := c.PendingResolutions(); n != 0 {
+		t.Fatalf("%d pending resolutions after boot, want 0", n)
+	}
+	tables := make([]map[uint64]server.TxnInfo, c.NumShards())
+	for i := range tables {
+		infos, _, err := c.Shard(i).Txns(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables[i] = make(map[uint64]server.TxnInfo)
+		for _, tx := range infos {
+			tables[i][tx.Txn] = tx
+		}
+	}
+	for _, ext := range acked {
+		if ext%256 != 255 {
+			st, err := c.Shard(int(ext%256)).ConnStatus(ctx, channel.ConnID(ext/256))
+			if err != nil || !st.Alive {
+				t.Fatalf("acknowledged intra-shard connection %d after boot: %+v, %v", ext, st, err)
+			}
+			continue
+		}
+		txn := uint64(ext / 256)
+		var peers uint32
+		for _, tbl := range tables {
+			peers |= tbl[txn].Peers
+		}
+		if bits.OnesCount32(peers) < 2 {
+			t.Fatalf("acknowledged cross connection %d: participants %b after boot", ext, peers)
+		}
+		for s := range tables {
+			if peers&(1<<s) == 0 {
+				continue
+			}
+			tx, ok := tables[s][txn]
+			if !ok || !tx.Committed || slices.ContainsFunc(tx.Conns, func(c server.TxnConnInfo) bool { return !c.Alive }) {
+				t.Fatalf("acknowledged cross connection %d: participant %d holds %+v (listed %v)", ext, s, tx, ok)
+			}
+		}
+	}
+	if refused != 0 {
+		for s, tbl := range tables {
+			if tx, ok := tbl[refused]; ok {
+				t.Fatalf("refused transaction %d is still on shard %d: %+v", refused, s, tx)
+			}
+		}
+	}
+	next, err := c.Establish(ctx, src, dst, qos.DefaultSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if txn := uint64(next.ID / 256); txn <= used {
+		t.Fatalf("first transaction after boot is %d, but %d was used before the crash", txn, used)
+	}
+	// Once every transaction has left every table, only the high-water
+	// marks remember their IDs, and a second boot still numbers above them.
+	for _, ext := range append(acked, next.ID) {
+		if ext%256 == 255 {
+			if err := c.Terminate(ctx, ext); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := c.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	c = newCoordinator(t, g, opt)
+	again, err := c.Establish(ctx, src, dst, qos.DefaultSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.ID <= next.ID {
+		t.Fatalf("first transaction after the second boot is %d, after %d", again.ID/256, next.ID/256)
 	}
 }
 
