@@ -328,9 +328,9 @@ func bootSingle(cfg *config, g *topology.Graph, mcfg manager.Config, front []ser
 		Lease:           cfg.lease,
 	}, front...)
 	if errors.Is(err, server.ErrJournal) {
-		return plane{}, fmt.Errorf("refusing to serve: %w\n"+
+		return plane{}, fmt.Errorf("refusing to serve: journal replay of %s did not produce an audit-clean state: %w\n"+
 			"(the on-disk history and the state machine disagree — restore the directory from a backup, "+
-			"or move it aside to start from an empty state)", err)
+			"or move it aside to start from an empty state)", cfg.dataDir, err)
 	}
 	if err != nil {
 		return plane{}, err
